@@ -74,7 +74,8 @@ pub fn run_check(root: &Path) -> io::Result<Vec<Finding>> {
 }
 
 /// Scans the workspace rooted at `root`: every `src/**/*.rs` file in the
-/// tree (workspace walk; `target/` and hidden directories skipped),
+/// tree (workspace walk; `target/`, hidden directories and
+/// [`scope::UNWALKED`] skipped),
 /// running the selected passes (`None` = all seven) under their scope
 /// rules, allowlist applied last. Returns surviving findings sorted by
 /// path and line.
@@ -88,7 +89,7 @@ pub fn run_check_passes(root: &Path, selected: Option<&[String]>) -> io::Result<
     collect_rs_files(root, &mut files)?;
     files.retain(|p| {
         relative(root, p)
-            .map(|r| r.split('/').any(|seg| seg == "src"))
+            .map(|r| !r.starts_with(scope::UNWALKED) && r.split('/').any(|seg| seg == "src"))
             .unwrap_or(false)
     });
     files.sort();

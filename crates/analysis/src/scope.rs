@@ -50,6 +50,14 @@ pub fn decide(rules: &[Rule], path: &str, default_include: bool) -> bool {
     best.map(|r| r.include).unwrap_or(default_include)
 }
 
+/// The one tree the workspace walk never enters: the fixed performance
+/// instrument and the crates.io stand-ins vendored under it. It measures
+/// fleets from outside through public functions (hand-built weight rows
+/// and aborting probes are its job), the stand-ins mirror third-party
+/// APIs, and the directory is frozen between benchmark PRs — so no pass
+/// has a contract to enforce there.
+pub const UNWALKED: &str = "crates/benchmark/";
+
 /// Panic-path scope: default **include** (every walked file), with the
 /// layers where fail-fast is the intended behavior excluded. Compare
 /// PR 3, where inclusion was the exception: under v2 a new crate or

@@ -16,7 +16,8 @@ use partial_reduce::{
 use preduce_bench::configs::table1_config;
 use preduce_bench::output::{print_run_row, TableWriter};
 use preduce_models::zoo;
-use preduce_trainer::sim::{run_preduce, SimHarness};
+use preduce_trainer::engine::drivers::preduce::run_preduce;
+use preduce_trainer::sim::SimHarness;
 use preduce_trainer::{run_experiment, HeteroSpec, Strategy};
 
 fn main() {

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use partial_reduce::runtime::{serve_fleet, ControllerStats, RuntimeOptions};
 use partial_reduce::ControllerConfig;
 use preduce_bench::configs::quick_mode;
-use preduce_comm::control::{control_links, BatchControlPlane, WorkerControlPlane};
+use preduce_comm::control::{control_links, WorkerControlPlane};
 use preduce_comm::tcp::{bind_controller, RetryPolicy, TcpWorkerLink};
 use serde::Serialize;
 

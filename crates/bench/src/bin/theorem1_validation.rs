@@ -85,7 +85,7 @@ fn main() {
             history_window: None,
             frozen_avoidance,
         };
-        let r = preduce_trainer::sim::run_preduce(harness, ctl);
+        let r = preduce_trainer::engine::drivers::preduce::run_preduce(harness, ctl);
         t.row(&[
             label,
             rho,

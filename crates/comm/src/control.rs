@@ -9,7 +9,7 @@
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::error::CommError;
 use crate::Result;
@@ -80,13 +80,23 @@ pub enum ControlEvent {
     },
 }
 
-/// Controller-side transport abstraction: the threaded runtime works over
-/// any implementation — in-process channels ([`ControllerLink`]) or the
-/// TCP message queue of the paper's prototype
-/// ([`crate::tcp::TcpControllerLink`]).
+/// Controller-side transport abstraction: the serving loop
+/// (`partial_reduce::runtime::serve_fleet`) works over any implementation
+/// — in-process channels ([`ControllerLink`]) or the TCP message queue of
+/// the paper's prototype ([`crate::tcp::TcpControllerLink`]).
+///
+/// Receiving is batched: under a signal storm one receive replaces
+/// hundreds of queue round-trips, and [`ControlEvent::Disconnected`]
+/// lets the loop evict a SIGKILLed process immediately instead of
+/// waiting out the heartbeat budget.
 pub trait ControlPlane: Send {
-    /// Blocks for the next worker signal, up to `timeout`.
-    fn recv_signal(&mut self, timeout: Duration) -> Result<WorkerSignal>;
+    /// Blocks up to `timeout` for at least one event, then drains
+    /// whatever else is immediately available, up to `max` events.
+    ///
+    /// # Errors
+    /// [`CommError::Timeout`] when nothing arrived within `timeout`;
+    /// [`CommError::Disconnected`] when the transport is gone entirely.
+    fn recv_events(&mut self, max: usize, timeout: Duration) -> Result<Vec<ControlEvent>>;
     /// Sends a group assignment to one worker.
     fn send_assignment(&mut self, worker: usize, assignment: GroupAssignment) -> Result<()>;
     /// Broadcasts an assignment to all its group members.
@@ -96,23 +106,19 @@ pub trait ControlPlane: Send {
         }
         Ok(())
     }
-}
-
-/// A control plane that can surface signals in batches plus connection
-/// lifecycle events. The serving loop (`partial_reduce::runtime`'s
-/// fleet server) prefers this over one-at-a-time [`ControlPlane`]
-/// receives: under a signal storm one batch receive replaces hundreds
-/// of queue round-trips, and `Disconnected` events let it evict a
-/// SIGKILLed process immediately instead of waiting out the heartbeat
-/// budget.
-pub trait BatchControlPlane: ControlPlane {
-    /// Blocks up to `timeout` for at least one event, then drains
-    /// whatever else is immediately available, up to `max` events.
-    ///
-    /// # Errors
-    /// [`CommError::Timeout`] when nothing arrived within `timeout`;
-    /// [`CommError::Disconnected`] when the transport is gone entirely.
-    fn recv_events(&mut self, max: usize, timeout: Duration) -> Result<Vec<ControlEvent>>;
+    /// Blocks for the next worker signal, up to `timeout`, skipping
+    /// disconnect events. A one-at-a-time convenience for tests and
+    /// micro-benchmarks; the serving loop only ever calls
+    /// [`ControlPlane::recv_events`].
+    fn recv_signal(&mut self, timeout: Duration) -> Result<WorkerSignal> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if let Some(ControlEvent::Signal(signal)) = self.recv_events(1, left)?.pop() {
+                return Ok(signal);
+            }
+        }
+    }
 }
 
 /// Worker-side transport abstraction; see [`ControlPlane`].
@@ -172,19 +178,6 @@ impl<C: ControlPlane> ObservedControlPlane<C> {
 }
 
 impl<C: ControlPlane> ControlPlane for ObservedControlPlane<C> {
-    fn recv_signal(&mut self, timeout: Duration) -> Result<WorkerSignal> {
-        let signal = self.inner.recv_signal(timeout)?;
-        self.observer.on_signal(&signal);
-        Ok(signal)
-    }
-
-    fn send_assignment(&mut self, worker: usize, assignment: GroupAssignment) -> Result<()> {
-        self.observer.on_assignment(worker, &assignment);
-        self.inner.send_assignment(worker, assignment)
-    }
-}
-
-impl<C: BatchControlPlane> BatchControlPlane for ObservedControlPlane<C> {
     fn recv_events(&mut self, max: usize, timeout: Duration) -> Result<Vec<ControlEvent>> {
         let events = self.inner.recv_events(max, timeout)?;
         for event in &events {
@@ -193,6 +186,11 @@ impl<C: BatchControlPlane> BatchControlPlane for ObservedControlPlane<C> {
             }
         }
         Ok(events)
+    }
+
+    fn send_assignment(&mut self, worker: usize, assignment: GroupAssignment) -> Result<()> {
+        self.observer.on_assignment(worker, &assignment);
+        self.inner.send_assignment(worker, assignment)
     }
 }
 
@@ -203,43 +201,6 @@ pub struct ControllerLink {
     assignments: Vec<Sender<GroupAssignment>>,
 }
 
-impl ControllerLink {
-    /// Blocks for the next worker signal, with a timeout guarding against
-    /// dead worker threads.
-    pub fn recv_signal(&self, timeout: Duration) -> Result<WorkerSignal> {
-        self.signals.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => CommError::Timeout {
-                peer: usize::MAX,
-                tag: 0,
-            },
-            RecvTimeoutError::Disconnected => CommError::Disconnected { peer: usize::MAX },
-        })
-    }
-
-    /// Non-blocking signal poll.
-    pub fn try_recv_signal(&self) -> Option<WorkerSignal> {
-        self.signals.try_recv().ok()
-    }
-
-    /// Sends a group assignment to one member.
-    pub fn send_assignment(&self, worker: usize, assignment: GroupAssignment) -> Result<()> {
-        let tx = self.assignments.get(worker).ok_or(CommError::InvalidRank {
-            rank: worker,
-            world: self.assignments.len(),
-        })?;
-        tx.send(assignment)
-            .map_err(|_| CommError::Disconnected { peer: worker })
-    }
-
-    /// Broadcasts an assignment to all its group members.
-    pub fn announce(&self, assignment: &GroupAssignment) -> Result<()> {
-        for &w in &assignment.group {
-            self.send_assignment(w, assignment.clone())?;
-        }
-        Ok(())
-    }
-}
-
 /// One worker's side of the signaling fabric.
 #[derive(Debug)]
 pub struct WorkerLink {
@@ -248,14 +209,41 @@ pub struct WorkerLink {
     assignment_rx: Receiver<GroupAssignment>,
 }
 
-impl WorkerLink {
-    /// This worker's rank.
-    pub fn rank(&self) -> usize {
+impl ControlPlane for ControllerLink {
+    fn recv_events(&mut self, max: usize, timeout: Duration) -> Result<Vec<ControlEvent>> {
+        let first = self.signals.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => CommError::Timeout {
+                peer: usize::MAX,
+                tag: 0,
+            },
+            RecvTimeoutError::Disconnected => CommError::Disconnected { peer: usize::MAX },
+        })?;
+        let mut events = vec![ControlEvent::Signal(first)];
+        while events.len() < max {
+            match self.signals.try_recv() {
+                Ok(signal) => events.push(ControlEvent::Signal(signal)),
+                Err(_) => break,
+            }
+        }
+        Ok(events)
+    }
+
+    fn send_assignment(&mut self, worker: usize, assignment: GroupAssignment) -> Result<()> {
+        let tx = self.assignments.get(worker).ok_or(CommError::InvalidRank {
+            rank: worker,
+            world: self.assignments.len(),
+        })?;
+        tx.send(assignment)
+            .map_err(|_| CommError::Disconnected { peer: worker })
+    }
+}
+
+impl WorkerControlPlane for WorkerLink {
+    fn rank(&self) -> usize {
         self.rank
     }
 
-    /// Sends the ready signal (Algorithm 2, worker line 5).
-    pub fn send_ready(&self, iteration: u64) -> Result<()> {
+    fn send_ready(&mut self, iteration: u64) -> Result<()> {
         self.signal_tx
             .send(WorkerSignal::Ready {
                 worker: self.rank,
@@ -264,16 +252,13 @@ impl WorkerLink {
             .map_err(|_| CommError::Disconnected { peer: usize::MAX })
     }
 
-    /// Tells the controller this worker is done training.
-    pub fn send_leaving(&self) -> Result<()> {
+    fn send_leaving(&mut self) -> Result<()> {
         self.signal_tx
             .send(WorkerSignal::Leaving { worker: self.rank })
             .map_err(|_| CommError::Disconnected { peer: usize::MAX })
     }
 
-    /// Blocks for the controller's group assignment
-    /// (Algorithm 2, worker line 6).
-    pub fn recv_assignment(&self, timeout: Duration) -> Result<GroupAssignment> {
+    fn recv_assignment(&mut self, timeout: Duration) -> Result<GroupAssignment> {
         self.assignment_rx
             .recv_timeout(timeout)
             .map_err(|e| match e {
@@ -283,48 +268,6 @@ impl WorkerLink {
                 },
                 RecvTimeoutError::Disconnected => CommError::Disconnected { peer: usize::MAX },
             })
-    }
-}
-
-impl ControlPlane for ControllerLink {
-    fn recv_signal(&mut self, timeout: Duration) -> Result<WorkerSignal> {
-        ControllerLink::recv_signal(self, timeout)
-    }
-
-    fn send_assignment(&mut self, worker: usize, assignment: GroupAssignment) -> Result<()> {
-        ControllerLink::send_assignment(self, worker, assignment)
-    }
-}
-
-impl BatchControlPlane for ControllerLink {
-    fn recv_events(&mut self, max: usize, timeout: Duration) -> Result<Vec<ControlEvent>> {
-        let first = ControllerLink::recv_signal(self, timeout)?;
-        let mut events = vec![ControlEvent::Signal(first)];
-        while events.len() < max {
-            match self.try_recv_signal() {
-                Some(signal) => events.push(ControlEvent::Signal(signal)),
-                None => break,
-            }
-        }
-        Ok(events)
-    }
-}
-
-impl WorkerControlPlane for WorkerLink {
-    fn rank(&self) -> usize {
-        WorkerLink::rank(self)
-    }
-
-    fn send_ready(&mut self, iteration: u64) -> Result<()> {
-        WorkerLink::send_ready(self, iteration)
-    }
-
-    fn send_leaving(&mut self) -> Result<()> {
-        WorkerLink::send_leaving(self)
-    }
-
-    fn recv_assignment(&mut self, timeout: Duration) -> Result<GroupAssignment> {
-        WorkerLink::recv_assignment(self, timeout)
     }
 
     fn heartbeat_sender(&self) -> Option<Box<dyn FnMut() -> Result<()> + Send>> {
@@ -372,7 +315,7 @@ mod tests {
 
     #[test]
     fn ready_signal_roundtrip() {
-        let (ctl, workers) = control_links(3);
+        let (mut ctl, mut workers) = control_links(3);
         workers[1].send_ready(5).unwrap();
         assert_eq!(
             ctl.recv_signal(T).unwrap(),
@@ -385,7 +328,7 @@ mod tests {
 
     #[test]
     fn announce_reaches_all_members() {
-        let (ctl, workers) = control_links(4);
+        let (mut ctl, mut workers) = control_links(4);
         let a = GroupAssignment {
             group: vec![0, 2],
             weights: vec![0.5, 0.5],
@@ -403,7 +346,7 @@ mod tests {
 
     #[test]
     fn signals_arrive_fifo() {
-        let (ctl, workers) = control_links(3);
+        let (mut ctl, mut workers) = control_links(3);
         for w in [2usize, 0, 1] {
             workers[w].send_ready(w as u64).unwrap();
         }
@@ -418,7 +361,7 @@ mod tests {
 
     #[test]
     fn leaving_signal() {
-        let (ctl, workers) = control_links(1);
+        let (mut ctl, mut workers) = control_links(1);
         workers[0].send_leaving().unwrap();
         assert_eq!(
             ctl.recv_signal(T).unwrap(),
@@ -445,7 +388,7 @@ mod tests {
             }
         }
 
-        let (ctl, workers) = control_links(3);
+        let (ctl, mut workers) = control_links(3);
         let counter = Arc::new(Counter::default());
         let mut observed = ObservedControlPlane::new(ctl, counter.clone());
         workers[0].send_ready(1).unwrap();
@@ -472,7 +415,7 @@ mod tests {
 
     #[test]
     fn heartbeats_flow_through_the_signal_queue() {
-        let (ctl, workers) = control_links(2);
+        let (mut ctl, mut workers) = control_links(2);
         let mut beat = workers[1].heartbeat_sender().expect("channel links split");
         beat().unwrap();
         workers[0].send_ready(3).unwrap();
@@ -491,7 +434,7 @@ mod tests {
 
     #[test]
     fn batch_recv_drains_queued_signals() {
-        let (mut ctl, workers) = control_links(4);
+        let (mut ctl, mut workers) = control_links(4);
         for w in 0..4usize {
             workers[w].send_ready(w as u64).unwrap();
         }
@@ -506,13 +449,5 @@ mod tests {
             ctl.recv_events(64, Duration::from_millis(10)),
             Err(CommError::Timeout { .. })
         ));
-    }
-
-    #[test]
-    fn try_recv_is_nonblocking() {
-        let (ctl, workers) = control_links(1);
-        assert!(ctl.try_recv_signal().is_none());
-        workers[0].send_ready(0).unwrap();
-        assert!(ctl.try_recv_signal().is_some());
     }
 }

@@ -285,7 +285,7 @@ pub fn accept_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{BatchControlPlane, ControlPlane, GroupAssignment, WorkerControlPlane};
+    use crate::control::{ControlPlane, GroupAssignment, WorkerControlPlane};
     use crate::tcp::{bind_controller, RetryPolicy, TcpWorkerLink};
 
     const T: Duration = Duration::from_secs(5);

@@ -12,9 +12,8 @@
 //! introduces itself with a `Hello { rank }` frame. The controller side
 //! is served by the sharded non-blocking reactor of [`crate::reactor`]
 //! — a fixed pool of poller threads instead of one blocking thread per
-//! socket — and exposes the same [`ControlPlane`] interface as the
-//! in-process channels, plus batched ingestion via
-//! [`BatchControlPlane`].
+//! socket — and exposes the same batched [`ControlPlane`] interface as
+//! the in-process channels.
 //!
 //! Hardening (DESIGN.md §11): connects retry with exponential backoff
 //! under a deadline and fail with the typed
@@ -35,8 +34,7 @@ use parking_lot::Mutex;
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
 
 use crate::control::{
-    BatchControlPlane, ControlEvent, ControlPlane, FleetRoster, GroupAssignment,
-    WorkerControlPlane, WorkerSignal,
+    ControlEvent, ControlPlane, FleetRoster, GroupAssignment, WorkerControlPlane, WorkerSignal,
 };
 use crate::error::CommError;
 use crate::frame::{self, MAX_FRAME};
@@ -187,8 +185,8 @@ pub(crate) fn configure(stream: &TcpStream, peer: usize) -> Result<()> {
 
 /// Controller side of the TCP message queue, served by the sharded
 /// reactor: shard threads deliver *batches* of [`ControlEvent`]s over
-/// one channel; this link buffers a partially consumed batch so the
-/// one-at-a-time [`ControlPlane`] interface still works.
+/// one channel; this link buffers a partially consumed batch so a
+/// receive bounded by `max` never drops the remainder.
 #[derive(Debug)]
 pub struct TcpControllerLink {
     events: Receiver<Vec<ControlEvent>>,
@@ -220,25 +218,6 @@ impl TcpControllerLink {
             locked_write(writer, roster, rank)?;
         }
         Ok(())
-    }
-
-    /// Pulls the next event, consulting the buffered batch first.
-    fn next_event(&mut self, timeout: Duration) -> Result<ControlEvent> {
-        if let Some(ev) = self.pending.pop_front() {
-            return Ok(ev);
-        }
-        let batch = self.events.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => CommError::Timeout {
-                peer: usize::MAX,
-                tag: 0,
-            },
-            RecvTimeoutError::Disconnected => CommError::Disconnected { peer: usize::MAX },
-        })?;
-        self.pending.extend(batch);
-        self.pending.pop_front().ok_or(CommError::Timeout {
-            peer: usize::MAX,
-            tag: 0,
-        })
     }
 }
 
@@ -272,32 +251,18 @@ pub fn accept_workers(listener: &TcpListener, n: usize) -> Result<TcpControllerL
 }
 
 impl ControlPlane for TcpControllerLink {
-    fn recv_signal(&mut self, timeout: Duration) -> Result<WorkerSignal> {
-        // Classic interface: disconnects are invisible here (a vanished
-        // peer is just silence, as with the per-thread readers of old);
-        // callers that care use `recv_events`.
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.next_event(deadline.saturating_duration_since(Instant::now()))? {
-                ControlEvent::Signal(signal) => return Ok(signal),
-                ControlEvent::Disconnected { .. } => continue,
-            }
-        }
-    }
-
-    fn send_assignment(&mut self, worker: usize, assignment: GroupAssignment) -> Result<()> {
-        let writer = self.writers.get(worker).ok_or(CommError::InvalidRank {
-            rank: worker,
-            world: self.writers.len(),
-        })?;
-        locked_write(writer, &assignment, worker)
-    }
-}
-
-impl BatchControlPlane for TcpControllerLink {
     fn recv_events(&mut self, max: usize, timeout: Duration) -> Result<Vec<ControlEvent>> {
-        let first = self.next_event(timeout)?;
-        let mut events = vec![first];
+        if self.pending.is_empty() {
+            let batch = self.events.recv_timeout(timeout).map_err(|e| match e {
+                RecvTimeoutError::Timeout => CommError::Timeout {
+                    peer: usize::MAX,
+                    tag: 0,
+                },
+                RecvTimeoutError::Disconnected => CommError::Disconnected { peer: usize::MAX },
+            })?;
+            self.pending.extend(batch);
+        }
+        let mut events = Vec::new();
         while events.len() < max {
             if let Some(ev) = self.pending.pop_front() {
                 events.push(ev);
@@ -309,6 +274,14 @@ impl BatchControlPlane for TcpControllerLink {
             }
         }
         Ok(events)
+    }
+
+    fn send_assignment(&mut self, worker: usize, assignment: GroupAssignment) -> Result<()> {
+        let writer = self.writers.get(worker).ok_or(CommError::InvalidRank {
+            rank: worker,
+            world: self.writers.len(),
+        })?;
+        locked_write(writer, &assignment, worker)
     }
 }
 

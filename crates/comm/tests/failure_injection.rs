@@ -5,7 +5,7 @@ use std::thread;
 use std::time::Duration;
 
 use preduce_comm::collectives::{barrier, ring_allreduce};
-use preduce_comm::control::{control_links, GroupAssignment};
+use preduce_comm::control::{control_links, ControlPlane, GroupAssignment, WorkerControlPlane};
 use preduce_comm::{CommError, CommWorld};
 
 #[test]
@@ -60,7 +60,7 @@ fn peer_panic_mid_collective_does_not_hang_survivors() {
 
 #[test]
 fn controller_death_is_visible_to_workers() {
-    let (ctl, workers) = control_links(2);
+    let (ctl, mut workers) = control_links(2);
     drop(ctl);
     // Sending a ready signal into a dead controller errors immediately.
     let err = workers[0].send_ready(1).unwrap_err();
@@ -69,7 +69,7 @@ fn controller_death_is_visible_to_workers() {
 
 #[test]
 fn worker_death_is_visible_to_controller() {
-    let (ctl, mut workers) = control_links(2);
+    let (mut ctl, mut workers) = control_links(2);
     let _w1 = workers.pop().unwrap();
     let dead = workers.pop().unwrap();
     drop(dead);

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::graph::{min_history_window, ConnectivityStats, GroupHistory, WindowedConnectivity};
+use crate::graph::{min_history_window, ConnectivityStats, WindowedConnectivity};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use crate::weights::{constant_weights, dynamic_weights, GapPolicy};
 
@@ -164,9 +164,9 @@ pub struct Controller {
     /// Per-worker "has a queued signal" flag: O(1) duplicate detection,
     /// replacing a queue scan that cost O(N) per arriving signal.
     queued: Vec<bool>,
-    history: GroupHistory,
-    /// Incrementally-maintained sync-graph connectivity over the same
-    /// window as `history` — the group filter's O(N²)-free fast path.
+    /// The group history database: the last `T` groups plus their
+    /// incrementally-maintained sync-graph connectivity — the group
+    /// filter's O(N²)-free fast path.
     conn: WindowedConnectivity,
     groups_formed: u64,
     repairs: u64,
@@ -222,7 +222,6 @@ impl Controller {
             conn: WindowedConnectivity::new(config.num_workers, window),
             config,
             queue: VecDeque::new(),
-            history: GroupHistory::new(window),
             groups_formed: 0,
             repairs: 0,
             deferrals: 0,
@@ -354,9 +353,10 @@ impl Controller {
             .collect()
     }
 
-    /// The group history database.
-    pub fn history(&self) -> &GroupHistory {
-        &self.history
+    /// The group history database: the window `T` and the retained
+    /// groups (the lineage half of a controller checkpoint).
+    pub fn history(&self) -> &WindowedConnectivity {
+        &self.conn
     }
 
     /// Work counters of the incremental connectivity structure (merges,
@@ -547,7 +547,6 @@ impl Controller {
             }
         };
 
-        self.history.record(group.clone());
         self.conn.record(&group);
         let sequence = self.groups_formed;
         self.groups_formed += 1;
@@ -691,7 +690,11 @@ mod tests {
                 }
             }
         }
-        assert!(!c.history().sync_graph(4).is_connected());
+        let mut reference = crate::graph::SyncGraph::new(4);
+        for g in c.history().groups() {
+            reference.add_group(&g);
+        }
+        assert!(!reference.is_connected());
         assert_eq!(c.repairs(), 0);
     }
 

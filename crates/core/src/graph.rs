@@ -25,6 +25,11 @@ pub fn min_history_window(n: usize, p: usize) -> usize {
 }
 
 /// An undirected graph over the `N` workers, built from recent groups.
+///
+/// Not used by the controller: it stays public only as the adjacency-
+/// matrix + BFS *reference oracle* that `core/tests/properties.rs`,
+/// `tests/schedule_properties.rs` and `benches/micro.rs` pin
+/// [`WindowedConnectivity`] against.
 #[derive(Debug, Clone)]
 pub struct SyncGraph {
     n: usize,
@@ -104,7 +109,11 @@ impl SyncGraph {
 }
 
 /// A bounded FIFO of the most recent P-reduce groups — the paper's "group
-/// history database" (Fig. 6).
+/// history database" (Fig. 6) in its plainest form.
+///
+/// The controller stores its window once, inside
+/// [`WindowedConnectivity`]; this type stays public only as the window
+/// half of the DFS reference oracle (see [`SyncGraph`]).
 #[derive(Debug, Clone)]
 pub struct GroupHistory {
     window: usize,
@@ -308,6 +317,13 @@ impl WindowedConnectivity {
     /// Work counters accumulated so far.
     pub fn stats(&self) -> ConnectivityStats {
         self.stats
+    }
+
+    /// Iterates over the retained groups, oldest first.
+    pub fn groups(&self) -> impl Iterator<Item = Vec<usize>> + '_ {
+        self.groups
+            .iter()
+            .map(|g| g.iter().map(|&w| w as usize).collect())
     }
 
     fn edge_key(&self, a: u32, b: u32) -> u64 {

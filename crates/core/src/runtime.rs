@@ -1,14 +1,19 @@
-//! The threaded partial-reduce runtime: the paper's prototype (§4) rebuilt
-//! over the in-process message-passing fabric.
+//! The partial-reduce runtime: the paper's prototype (§4) — one controller
+//! serving loop fed by a message queue, plus a per-worker reduce handle.
 //!
-//! [`spawn`] starts a controller thread and hands back one
-//! [`PartialReducer`] per worker. A training thread calls
-//! [`PartialReducer::reduce`] where All-Reduce training would call
-//! `all_reduce`: the call sends the ready signal, blocks for the
-//! controller's group assignment, runs the weighted ring average among
-//! exactly the assigned group, and returns — without ever synchronizing
-//! with workers outside the group. Groups formed from disjoint workers
-//! proceed fully in parallel.
+//! [`serve_fleet`] is the only controller loop in the workspace; each
+//! substrate reaches it through exactly one entry point. [`spawn`] mints
+//! in-process channel links and [`spawn_tcp`] a loopback TCP message
+//! queue; both then start the same loop on a controller thread and hand
+//! back one [`PartialReducer`] per worker. A multi-process controller
+//! accepts its fleet itself and calls [`serve_fleet`] directly.
+//!
+//! A training thread calls [`PartialReducer::reduce`] where All-Reduce
+//! training would call `all_reduce`: the call sends the ready signal,
+//! blocks for the controller's group assignment, runs the weighted ring
+//! average among exactly the assigned group, and returns — without ever
+//! synchronizing with workers outside the group. Groups formed from
+//! disjoint workers proceed fully in parallel.
 //!
 //! Termination follows the cooperative protocol the paper's prototype
 //! needs but leaves implicit: a finished worker announces
@@ -23,8 +28,8 @@ use std::time::{Duration, Instant};
 
 use preduce_comm::collectives::TAG_STRIDE;
 use preduce_comm::control::{
-    control_links, BatchControlPlane, ControlEvent, ControlPlane, GroupAssignment,
-    ObservedControlPlane, WorkerControlPlane, WorkerSignal,
+    control_links, ControlEvent, ControlPlane, GroupAssignment, ObservedControlPlane,
+    WorkerControlPlane, WorkerSignal,
 };
 use preduce_comm::mesh::GroupAverager;
 use preduce_comm::{CommError, CommWorld};
@@ -177,8 +182,8 @@ impl std::fmt::Debug for PartialReducer {
 impl PartialReducer {
     /// Assembles a reducer from an explicit control link and data-plane
     /// averager — the multi-process deployment path, where both halves
-    /// dial remote addresses instead of being minted by a `spawn_*`
-    /// constructor in the controller's own process.
+    /// dial remote addresses instead of being minted by [`spawn`] or
+    /// [`spawn_tcp`] in the controller's own process.
     pub fn from_parts(
         link: Box<dyn WorkerControlPlane>,
         averager: Box<dyn GroupAverager>,
@@ -307,136 +312,43 @@ impl Drop for PartialReducer {
     }
 }
 
-/// Spawns the controller thread for `config` and returns its handle plus
-/// one [`PartialReducer`] per worker.
+/// Spawns the controller thread for `config` over in-process channels and
+/// returns its handle plus one [`PartialReducer`] per worker. Every
+/// control-plane decision — including each assignment delivery and each
+/// worker's reduce completion — is narrated to `opts.sink`.
+///
+/// A gossip coordinator (AD-PSGD style pairwise averaging) is just
+/// `ControllerConfig::constant(n, 2)`: a pairwise model average **is** a
+/// partial reduce with group size two.
 ///
 /// # Panics
 /// Panics if the config is invalid.
-pub fn spawn(config: ControllerConfig) -> (ControllerHandle, Vec<PartialReducer>) {
-    spawn_with_sink(config, Arc::new(NullSink))
-}
-
-/// Like [`spawn`], but every control-plane decision — including each
-/// assignment delivery and each worker's reduce completion — is narrated
-/// to `sink`.
-///
-/// # Panics
-/// Panics if the config is invalid.
-pub fn spawn_with_sink(
-    config: ControllerConfig,
-    sink: Arc<dyn TraceSink>,
-) -> (ControllerHandle, Vec<PartialReducer>) {
-    spawn_with_options(
-        config,
-        RuntimeOptions {
-            sink,
-            liveness: None,
-            on_groups: None,
-        },
-    )
-}
-
-/// Like [`spawn_with_sink`], but with full [`RuntimeOptions`] — in
-/// particular a [`LivenessPolicy`] that turns heartbeat silence into
-/// eviction through the ordinary departure path.
-///
-/// # Panics
-/// Panics if the config is invalid.
-pub fn spawn_with_options(
+pub fn spawn(
     config: ControllerConfig,
     opts: RuntimeOptions,
 ) -> (ControllerHandle, Vec<PartialReducer>) {
     config.validate();
-    let RuntimeOptions {
-        sink,
-        liveness,
-        on_groups,
-    } = opts;
-    let n = config.num_workers;
-    let (ctl_link, worker_links) = control_links(n);
-    let ctl_link = ObservedControlPlane::new(ctl_link, Arc::new(SinkObserver::new(sink.clone())));
-    let endpoints = CommWorld::new(n).into_endpoints();
-
-    let ctl_sink = sink.clone();
-    let join = thread::Builder::new()
-        .name("preduce-controller".into())
-        .spawn(move || controller_loop(config, ctl_link, ctl_sink, liveness, on_groups))
-        .unwrap_or_else(|e| panic!("failed to spawn controller thread: {e}")); // lint: allow(panic-path) startup-only: OS refusing to spawn the controller thread is unrecoverable before training begins
-
-    let reducers = worker_links
-        .into_iter()
-        .zip(endpoints)
-        .map(|(link, endpoint)| {
-            PartialReducer::from_parts(Box::new(link), Box::new(endpoint), sink.clone())
-        })
-        .collect();
-
-    (ControllerHandle { join }, reducers)
-}
-
-/// Spawns a controller configured as a *gossip coordinator*: pairwise
-/// groups (`P = 2`), constant 1/2 weights, first-come pairing. A pairwise
-/// model average **is** a partial reduce with group size two, so AD-PSGD
-/// style gossip runs on the same runtime — workers call `reduce` after
-/// each local step and get matched with whichever peer signals next.
-///
-/// # Panics
-/// Panics if `num_workers < 2`.
-pub fn spawn_gossip(
-    num_workers: usize,
-    sink: Arc<dyn TraceSink>,
-) -> (ControllerHandle, Vec<PartialReducer>) {
-    assert!(num_workers >= 2, "gossip needs at least two workers");
-    spawn_with_sink(ControllerConfig::constant(num_workers, 2), sink)
+    let (ctl_link, worker_links) = control_links(config.num_workers);
+    launch(config, opts, ctl_link, worker_links)
 }
 
 /// Like [`spawn`], but the control plane runs over a real TCP message
 /// queue on loopback — the paper prototype's architecture (§4). The model
 /// collectives remain in-process; only the few-bytes signaling crosses
 /// sockets, exactly as in the paper (Gloo for data, TCP MQ for control).
-///
-/// # Panics
-/// Panics if the loopback listener cannot be bound or the handshake fails.
-pub fn spawn_tcp(config: ControllerConfig) -> (ControllerHandle, Vec<PartialReducer>) {
-    spawn_tcp_with_sink(config, Arc::new(NullSink))
-}
-
-/// Like [`spawn_tcp`], but traced: the observer sits directly on the TCP
-/// message queue, so [`TraceEvent::AssignmentSent`] records what actually
-/// crossed the socket.
-///
-/// # Panics
-/// Panics if the loopback listener cannot be bound or the handshake fails.
-pub fn spawn_tcp_with_sink(
-    config: ControllerConfig,
-    sink: Arc<dyn TraceSink>,
-) -> (ControllerHandle, Vec<PartialReducer>) {
-    spawn_tcp_with_options(
-        config,
-        RuntimeOptions {
-            sink,
-            liveness: None,
-            on_groups: None,
-        },
-    )
-}
-
-/// Like [`spawn_tcp_with_sink`], but with full [`RuntimeOptions`]. Over
-/// TCP, heartbeats are real frames on the control socket, so eviction
+/// The trace observer sits directly on the message queue, so
+/// [`TraceEvent::AssignmentSent`] records what actually crossed the
+/// socket, and heartbeats are real frames, so a [`LivenessPolicy`]
 /// detects genuine network silence.
 ///
 /// # Panics
-/// Panics if the loopback listener cannot be bound or the handshake fails.
-pub fn spawn_tcp_with_options(
+/// Panics if the config is invalid, the loopback listener cannot be
+/// bound, or the handshake fails.
+pub fn spawn_tcp(
     config: ControllerConfig,
     opts: RuntimeOptions,
 ) -> (ControllerHandle, Vec<PartialReducer>) {
     config.validate();
-    let RuntimeOptions {
-        sink,
-        liveness,
-        on_groups,
-    } = opts;
     let n = config.num_workers;
     let (listener, addr) = preduce_comm::tcp::bind_controller("127.0.0.1:0");
 
@@ -450,13 +362,27 @@ pub fn spawn_tcp_with_options(
         .collect();
     let ctl_link = preduce_comm::tcp::accept_workers(&listener, n)
         .unwrap_or_else(|e| panic!("worker handshake: {e}")); // lint: allow(panic-path) startup-only: the documented contract is to panic if the loopback handshake fails before training begins
-    let ctl_link = ObservedControlPlane::new(ctl_link, Arc::new(SinkObserver::new(sink.clone())));
+    launch(config, opts, ctl_link, worker_links)
+}
 
-    let endpoints = CommWorld::new(n).into_endpoints();
-    let ctl_sink = sink.clone();
+/// Starts [`serve_fleet`] on its own thread over an already-minted link
+/// pair and zips the worker links with in-process data-plane endpoints.
+fn launch<C, W>(
+    config: ControllerConfig,
+    opts: RuntimeOptions,
+    ctl_link: C,
+    worker_links: Vec<W>,
+) -> (ControllerHandle, Vec<PartialReducer>)
+where
+    C: ControlPlane + 'static,
+    W: WorkerControlPlane + 'static,
+{
+    let sink = opts.sink.clone();
+    let ctl_link = ObservedControlPlane::new(ctl_link, Arc::new(SinkObserver::new(sink.clone())));
+    let endpoints = CommWorld::new(config.num_workers).into_endpoints();
     let join = thread::Builder::new()
-        .name("preduce-controller-tcp".into())
-        .spawn(move || controller_loop(config, ctl_link, ctl_sink, liveness, on_groups))
+        .name("preduce-controller".into())
+        .spawn(move || serve_fleet(config, ctl_link, &[], opts))
         .unwrap_or_else(|e| panic!("failed to spawn controller thread: {e}")); // lint: allow(panic-path) startup-only: OS refusing to spawn the controller thread is unrecoverable before training begins
 
     let reducers = worker_links
@@ -474,213 +400,48 @@ pub fn spawn_tcp_with_options(
 /// before the loop assumes every worker handle is gone.
 const IDLE_DEADLINE: Duration = Duration::from_secs(60);
 
-fn controller_loop<C: ControlPlane>(
-    config: ControllerConfig,
-    mut link: C,
-    sink: Arc<dyn TraceSink>,
-    liveness: Option<LivenessPolicy>,
-    mut on_groups: Option<GroupHook>,
-) -> ControllerStats {
-    let n = config.num_workers;
-    let p = config.group_size;
-    let mut controller = Controller::with_sink(config, sink);
-    let mut active = n;
-    let mut singletons = 0u64;
-    let mut evictions = 0u64;
-    let mut observed_groups = 0u64;
-    // Worker iterations seen in pending singleton-drain signals.
-    let mut pending_drain: Vec<(usize, u64)> = Vec::new();
-
-    // Liveness bookkeeping: when each worker was last heard from (any
-    // signal counts) and how many silent windows were already narrated.
-    let mut last_seen: Vec<Instant> = vec![Instant::now(); n];
-    let mut reported_misses: Vec<u64> = vec![0; n];
-    let mut last_activity = Instant::now();
-    // With liveness on, wake at the heartbeat period so silence is
-    // noticed even while other workers keep the queue busy elsewhere.
-    let recv_timeout = match liveness {
-        Some(policy) => policy.heartbeat_interval.min(IDLE_DEADLINE),
-        None => IDLE_DEADLINE,
-    };
-
-    while active > 0 {
-        let signal = match link.recv_signal(recv_timeout) {
-            Ok(s) => {
-                last_activity = Instant::now();
-                Some(s)
-            }
-            // An idle poll tick: fall through to the liveness sweep.
-            Err(CommError::Timeout { .. }) if last_activity.elapsed() < IDLE_DEADLINE => None,
-            // All worker handles dropped (or terminal silence): shut down.
-            Err(_) => break,
-        };
-        if let Some(signal) = signal {
-            let from = match &signal {
-                WorkerSignal::Ready { worker, .. }
-                | WorkerSignal::Leaving { worker }
-                | WorkerSignal::Heartbeat { worker } => *worker,
-            };
-            if let Some(seen) = last_seen.get_mut(from) {
-                *seen = Instant::now();
-            }
-            if let Some(misses) = reported_misses.get_mut(from) {
-                *misses = 0;
-            }
-            match signal {
-                WorkerSignal::Ready { worker, iteration } => {
-                    if worker >= n {
-                        // Malformed rank from a remote peer: drop it.
-                    } else if active < p {
-                        // Too few workers remain to ever fill a group:
-                        // answer with a singleton so the caller proceeds
-                        // alone (unless the sender was already evicted).
-                        if !controller.has_left(worker) {
-                            pending_drain.push((worker, iteration));
-                        }
-                    } else if controller.push_ready(worker, iteration)
-                        && drain_groups(&mut controller, &mut link).is_err()
-                    {
-                        return stats(&controller, singletons, evictions);
-                    }
-                }
-                WorkerSignal::Leaving { worker } => {
-                    // An evicted worker may still announce departure
-                    // (e.g. a stall misjudged as a crash); it already
-                    // left, so the announcement is a no-op.
-                    if worker < n && !controller.has_left(worker) {
-                        active -= 1;
-                        controller.mark_left(worker);
-                        // A departure can unblock a frozen-avoidance
-                        // deferral (the queue may now cover every
-                        // remaining worker).
-                        if active >= p && drain_groups(&mut controller, &mut link).is_err() {
-                            return stats(&controller, singletons, evictions);
-                        }
-                    }
-                }
-                WorkerSignal::Heartbeat { .. } => {
-                    // Liveness bookkeeping above is the whole effect.
-                }
-            }
-        }
-        // Liveness sweep: evict workers whose silence exceeded the
-        // policy's budget, routing them through the ordinary departure
-        // path (queue purge + repair).
-        if let Some(policy) = liveness {
-            let now = Instant::now();
-            for worker in 0..n {
-                if controller.has_left(worker) {
-                    continue;
-                }
-                let silent = match last_seen.get(worker) {
-                    Some(seen) => now.duration_since(*seen),
-                    None => continue,
-                };
-                let misses =
-                    (silent.as_micros() / policy.heartbeat_interval.as_micros().max(1)) as u64;
-                if misses == 0 {
-                    continue;
-                }
-                let reported = match reported_misses.get_mut(worker) {
-                    Some(r) => r,
-                    None => continue,
-                };
-                if misses > *reported {
-                    *reported = misses;
-                    if controller.sink().enabled() {
-                        controller
-                            .sink()
-                            .record(TraceEvent::HeartbeatMissed { worker, misses });
-                    }
-                }
-                if misses >= policy.miss_threshold {
-                    evictions += 1;
-                    active -= 1;
-                    if controller.sink().enabled() {
-                        controller
-                            .sink()
-                            .record(TraceEvent::WorkerEvicted { worker, active });
-                    }
-                    controller.mark_left(worker);
-                }
-            }
-            if active >= p && drain_groups(&mut controller, &mut link).is_err() {
-                return stats(&controller, singletons, evictions);
-            }
-        }
-        // If the fleet shrank below P, flush everyone still queued or
-        // drain-pending as singletons.
-        if active < p {
-            let mut flush: Vec<(usize, u64)> = controller.drain_pending();
-            flush.append(&mut pending_drain);
-            for (worker, iteration) in flush.drain(..) {
-                // Evicted after queueing for drain: no receiver anymore.
-                if controller.has_left(worker) {
-                    continue;
-                }
-                singletons += 1;
-                if controller.sink().enabled() {
-                    controller
-                        .sink()
-                        .record(TraceEvent::SingletonIssued { worker, iteration });
-                }
-                let assignment = GroupAssignment {
-                    group: vec![worker],
-                    weights: crate::weights::singleton_weights(),
-                    base_tag: 0,
-                    new_iteration: iteration,
-                };
-                if link.send_assignment(worker, assignment).is_err() {
-                    return stats(&controller, singletons, evictions);
-                }
-            }
-        }
-        // Group observer: one call per pass that formed new groups, after
-        // every assignment for the pass went out.
-        if let Some(hook) = on_groups.as_mut() {
-            if controller.groups_formed() != observed_groups {
-                observed_groups = controller.groups_formed();
-                hook(&controller);
-            }
-        }
-    }
-    stats(&controller, singletons, evictions)
-}
-
 /// Largest ready-signal batch ingested per reactor scan. Bounds the time
 /// the serving loop spends away from the liveness sweep during a storm.
 const INGEST_BATCH: usize = 1024;
 
-/// Runs the controller *serving loop* for a fleet of remote worker
-/// processes — the multi-process counterpart of the private loop behind
-/// [`spawn`]. The caller owns process bring-up (bind, accept, handshake;
-/// see `preduce_comm::reactor::accept_fleet`) and hands over the batch
-/// control plane plus the fleet membership established at accept time.
+/// The controller *serving loop* — the only one in the workspace. Every
+/// transport runs it: [`spawn`] and [`spawn_tcp`] start it on a thread
+/// over links they mint themselves, and a multi-process controller calls
+/// it directly after owning process bring-up (bind, accept, handshake; see
+/// `preduce_comm::reactor::accept_fleet`), handing over the control plane
+/// plus the fleet membership established at accept time (`joined`, empty
+/// for in-process fleets).
 ///
-/// Differences from the in-process loop:
-/// - one [`TraceEvent::ProcessJoined`] is narrated per `joined` entry
-///   before any signal is consumed, so a replayed trace proves the
-///   handshake preceded participation;
-/// - ready signals are ingested in batches ([`BatchControlPlane`] +
-///   [`Controller::ingest_ready`]) so a signal storm costs one queue-scan
-///   per reactor wakeup instead of one per signal;
+/// One [`TraceEvent::ProcessJoined`] is narrated per `joined` entry before
+/// any signal is consumed, so a replayed trace proves the handshake
+/// preceded participation. Then, each pass of the loop:
+/// - ready signals are *always* ingested in batches
+///   ([`ControlPlane::recv_events`] + [`Controller::ingest_ready`]) so a
+///   signal storm costs one queue-scan per wakeup instead of one per
+///   signal. Links are untrusted input on every transport: a rank `≥ N`
+///   or a duplicate pending signal is dropped by `ingest_ready`, never
+///   scheduled and never a panic;
 /// - a transport-reported [`ControlEvent::Disconnected`] (socket EOF or
 ///   error — proof of death, unlike mere silence) narrates
 ///   [`TraceEvent::ProcessDisconnected`] and evicts immediately through
-///   the ordinary departure path.
+///   the ordinary departure path; channel links never emit it;
+/// - with a [`LivenessPolicy`], workers silent past the budget are
+///   evicted the same way; once fewer than `P` workers remain, queued and
+///   late signals are answered with singleton assignments;
+/// - [`RuntimeOptions::on_groups`] fires once if the pass formed groups.
 ///
 /// Returns once every worker departed (voluntarily or by eviction), or
-/// on terminal transport failure. Unlike the in-process loop, a failed
-/// *send* is not terminal here: writing to a freshly dead socket races
-/// the reactor's [`ControlEvent::Disconnected`] for the same worker, so
-/// the loop keeps serving and lets the disconnect event evict through
-/// the ordinary path (live members of an unannounced group time out,
-/// degrade, and re-signal). Total control-plane silence past the idle
-/// deadline remains the terminal backstop.
+/// on terminal transport failure. A failed assignment *send* is not
+/// terminal on any transport: writing to a freshly dead peer races the
+/// [`ControlEvent::Disconnected`] (or the heartbeat silence) for the same
+/// worker, so the loop keeps serving and lets the disconnect / liveness
+/// path evict through the ordinary route (live members of an unannounced
+/// group time out, degrade, and re-signal). Total control-plane silence
+/// past the idle deadline remains the terminal backstop.
 ///
 /// # Panics
 /// Panics if the config is invalid.
-pub fn serve_fleet<C: BatchControlPlane>(
+pub fn serve_fleet<C: ControlPlane>(
     config: ControllerConfig,
     mut link: C,
     joined: &[(usize, String)],
@@ -742,13 +503,13 @@ pub fn serve_fleet<C: BatchControlPlane>(
                 ControlEvent::Signal(WorkerSignal::Leaving { worker }) => {
                     // Flush queued readys first: they arrived before the
                     // departure and must be scheduled under the old fleet.
-                    let _ = ingest_and_drain(&mut controller, &mut link, &mut ready_batch);
+                    ingest_and_drain(&mut controller, &mut link, &mut ready_batch);
                     note_heard(&mut last_seen, &mut reported_misses, worker);
                     if worker < n && !controller.has_left(worker) {
                         active -= 1;
                         controller.mark_left(worker);
                         if active >= p {
-                            let _ = drain_groups(&mut controller, &mut link);
+                            drain_groups(&mut controller, &mut link);
                         }
                     }
                 }
@@ -756,32 +517,27 @@ pub fn serve_fleet<C: BatchControlPlane>(
                     note_heard(&mut last_seen, &mut reported_misses, worker);
                 }
                 ControlEvent::Disconnected { worker } => {
-                    let _ = ingest_and_drain(&mut controller, &mut link, &mut ready_batch);
+                    ingest_and_drain(&mut controller, &mut link, &mut ready_batch);
                     // A socket closing after the worker already departed
                     // is the normal teardown of a finished peer — only a
                     // *live* worker's disconnect is a death.
                     if worker < n && !controller.has_left(worker) {
-                        evictions += 1;
-                        active -= 1;
                         if controller.sink().enabled() {
                             controller
                                 .sink()
                                 .record(TraceEvent::ProcessDisconnected { worker });
-                            controller
-                                .sink()
-                                .record(TraceEvent::WorkerEvicted { worker, active });
                         }
-                        controller.mark_left(worker);
+                        evict(&mut controller, worker, &mut active, &mut evictions);
                         if active >= p {
-                            let _ = drain_groups(&mut controller, &mut link);
+                            drain_groups(&mut controller, &mut link);
                         }
                     }
                 }
             }
         }
-        let _ = ingest_and_drain(&mut controller, &mut link, &mut ready_batch);
-        // Liveness sweep: identical policy to the in-process loop —
-        // disconnects catch dead sockets, the sweep catches hung-but-
+        ingest_and_drain(&mut controller, &mut link, &mut ready_batch);
+        // Liveness sweep: disconnects catch dead sockets, the sweep
+        // catches channel peers (which vanish silently) and hung-but-
         // connected workers whose kernel still answers keepalives.
         if let Some(policy) = liveness {
             let now = Instant::now();
@@ -811,18 +567,11 @@ pub fn serve_fleet<C: BatchControlPlane>(
                     }
                 }
                 if misses >= policy.miss_threshold {
-                    evictions += 1;
-                    active -= 1;
-                    if controller.sink().enabled() {
-                        controller
-                            .sink()
-                            .record(TraceEvent::WorkerEvicted { worker, active });
-                    }
-                    controller.mark_left(worker);
+                    evict(&mut controller, worker, &mut active, &mut evictions);
                 }
             }
             if active >= p {
-                let _ = drain_groups(&mut controller, &mut link);
+                drain_groups(&mut controller, &mut link);
             }
         }
         // Fleet below P: flush queued and drain-pending workers as
@@ -846,13 +595,13 @@ pub fn serve_fleet<C: BatchControlPlane>(
                     base_tag: 0,
                     new_iteration: iteration,
                 };
-                // A failed singleton send means this socket just died;
-                // its Disconnected event will follow and evict.
+                // A failed singleton send means this peer just died; its
+                // Disconnected event or heartbeat silence will evict.
                 let _ = link.send_assignment(worker, assignment);
             }
         }
-        // Group observer: same contract as the in-process loop — one call
-        // per reactor pass that formed new groups.
+        // Group observer: one call per pass that formed new groups, after
+        // every assignment for the pass went out.
         if let Some(hook) = on_groups.as_mut() {
             if controller.groups_formed() != observed_groups {
                 observed_groups = controller.groups_formed();
@@ -861,6 +610,20 @@ pub fn serve_fleet<C: BatchControlPlane>(
         }
     }
     stats(&controller, singletons, evictions)
+}
+
+/// Evicts a live `worker` ([`TraceEvent::WorkerEvicted`] carries the
+/// post-decrement active count) through the ordinary departure path.
+fn evict(controller: &mut Controller, worker: usize, active: &mut usize, evictions: &mut u64) {
+    *evictions += 1;
+    *active -= 1;
+    if controller.sink().enabled() {
+        controller.sink().record(TraceEvent::WorkerEvicted {
+            worker,
+            active: *active,
+        });
+    }
+    controller.mark_left(worker);
 }
 
 /// Marks `worker` as heard-from for the liveness sweep.
@@ -874,25 +637,25 @@ fn note_heard(last_seen: &mut [Instant], reported_misses: &mut [u64], worker: us
 }
 
 /// Ingests a batch of ready signals and forms every fillable group.
-/// `Err(())` means the transport died mid-announcement.
 fn ingest_and_drain<C: ControlPlane>(
     controller: &mut Controller,
     link: &mut C,
     batch: &mut Vec<(usize, u64)>,
-) -> Result<(), ()> {
+) {
     if batch.is_empty() {
-        return Ok(());
+        return;
     }
     let accepted = controller.ingest_ready(batch);
     batch.clear();
     if accepted > 0 {
-        drain_groups(controller, link)
-    } else {
-        Ok(())
+        drain_groups(controller, link);
     }
 }
 
-fn drain_groups<C: ControlPlane>(controller: &mut Controller, link: &mut C) -> Result<(), ()> {
+/// Forms and announces groups until the queue cannot fill another one. A
+/// failed announce (a member's peer just died) ends this drain; the
+/// eviction that follows re-runs it.
+fn drain_groups<C: ControlPlane>(controller: &mut Controller, link: &mut C) {
     while let Some(d) = controller.try_form_group() {
         let assignment = GroupAssignment {
             group: d.group,
@@ -901,10 +664,9 @@ fn drain_groups<C: ControlPlane>(controller: &mut Controller, link: &mut C) -> R
             new_iteration: d.new_iteration,
         };
         if link.announce(&assignment).is_err() {
-            return Err(());
+            return;
         }
     }
-    Ok(())
 }
 
 fn stats(controller: &Controller, singletons: u64, evictions: u64) -> ControllerStats {
@@ -931,34 +693,70 @@ fn stats(controller: &Controller, singletons: u64, evictions: u64) -> Controller
 mod tests {
     use super::*;
     use crate::controller::AggregationMode;
+    use crate::invariants::CheckingSink;
+    use preduce_comm::reactor::{accept_fleet, ReactorConfig};
+    use preduce_comm::tcp::{bind_controller, RetryPolicy, TcpWorkerLink};
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
 
-    /// Run `iters` reduces on every worker concurrently; return final
-    /// params per worker.
-    fn run_fleet(
+    /// How a test mints a running fleet: [`spawn`], [`spawn_tcp`], or
+    /// [`spawn_process_style`].
+    type Spawner = fn(ControllerConfig, RuntimeOptions) -> (ControllerHandle, Vec<PartialReducer>);
+
+    /// The multi-process bring-up (`accept_fleet` handshake, then
+    /// [`serve_fleet`] called directly on a bare `TcpControllerLink`)
+    /// inside one process, with in-process data-plane endpoints.
+    fn spawn_process_style(
         config: ControllerConfig,
-        iters: usize,
-        dim: usize,
-    ) -> (Vec<Vec<f32>>, ControllerStats) {
-        run_fleet_with(config, iters, dim, spawn)
+        opts: RuntimeOptions,
+    ) -> (ControllerHandle, Vec<PartialReducer>) {
+        let n = config.num_workers;
+        let (listener, addr) = bind_controller("127.0.0.1:0");
+        let dials: Vec<_> = (0..n)
+            .map(|rank| {
+                thread::spawn(move || {
+                    let data_addr = format!("inproc-{rank}");
+                    TcpWorkerLink::connect_fleet(addr, rank, data_addr, RetryPolicy::default())
+                        .unwrap()
+                        .0
+                })
+            })
+            .collect();
+        let (ctl_link, members) = accept_fleet(&listener, n, ReactorConfig::default()).unwrap();
+        let joined: Vec<(usize, String)> =
+            members.into_iter().map(|m| (m.rank, m.peer_addr)).collect();
+        let sink = opts.sink.clone();
+        let join = thread::spawn(move || serve_fleet(config, ctl_link, &joined, opts));
+        let reducers = dials
+            .into_iter()
+            .zip(CommWorld::new(n).into_endpoints())
+            .map(|(dial, endpoint)| {
+                let link = dial.join().unwrap();
+                PartialReducer::from_parts(Box::new(link), Box::new(endpoint), sink.clone())
+            })
+            .collect();
+        (ControllerHandle { join }, reducers)
     }
 
-    fn run_fleet_with(
-        config: ControllerConfig,
+    /// Runs the scripted fleet on already-minted reducers: worker `rank`
+    /// starts with params = rank everywhere, and each of its `iters`
+    /// iterations staggers by rank (so groups mix stale and fresh
+    /// members), adds 1 to every parameter, and reduces. Returns the final
+    /// params per worker.
+    fn drive_fleet(
+        handle: ControllerHandle,
+        reducers: Vec<PartialReducer>,
         iters: usize,
         dim: usize,
-        spawner: fn(ControllerConfig) -> (ControllerHandle, Vec<PartialReducer>),
     ) -> (Vec<Vec<f32>>, ControllerStats) {
-        let (handle, reducers) = spawner(config);
         let threads: Vec<_> = reducers
             .into_iter()
             .enumerate()
             .map(|(rank, mut r)| {
                 thread::spawn(move || {
-                    // Worker rank starts with params = rank everywhere.
                     let mut params = vec![rank as f32; dim];
                     let mut iteration = 0u64;
                     for _ in 0..iters {
-                        // "Local update": add 1 to every parameter.
+                        thread::sleep(Duration::from_micros(50 * rank as u64));
                         for v in &mut params {
                             *v += 1.0;
                         }
@@ -976,26 +774,149 @@ mod tests {
         (results, stats)
     }
 
-    #[test]
-    fn full_group_reduce_is_allreduce() {
-        // P = N: every reduce averages everyone, so all params equal the
-        // global mean trajectory.
-        let cfg = ControllerConfig::constant(4, 4);
-        let (results, stats) = run_fleet(cfg, 3, 5);
-        // After iter 1: params_i = i + 1 → mean = 2.5. After each later
-        // iter everyone stays equal: +1 then average = same.
-        for r in &results {
-            for v in r {
-                assert!((v - 4.5).abs() < 1e-5, "{results:?}");
+    fn run_fleet(
+        config: ControllerConfig,
+        iters: usize,
+        dim: usize,
+        spawner: Spawner,
+    ) -> (Vec<Vec<f32>>, ControllerStats) {
+        let (handle, reducers) = spawner(config, RuntimeOptions::default());
+        drive_fleet(handle, reducers, iters, dim)
+    }
+
+    /// Live-checks the trace and counts handshake narrations.
+    #[derive(Default)]
+    struct TableSink {
+        checker: CheckingSink,
+        joins: AtomicUsize,
+    }
+
+    impl TraceSink for TableSink {
+        fn record(&self, event: TraceEvent) {
+            if matches!(event, TraceEvent::ProcessJoined { .. }) {
+                self.joins.fetch_add(1, Ordering::Relaxed);
             }
+            self.checker.record(event);
         }
-        assert_eq!(stats.groups_formed, 3);
+    }
+
+    #[test]
+    fn one_loop_serves_every_transport() {
+        // The same scripted fleet (N=6, P=3, DYN) through each way of
+        // reaching `serve_fleet`. Every reduce is answered by exactly one
+        // assignment — a group of P or a drain singleton — so the
+        // accounting P·groups + singletons = N·iters must agree across
+        // transports; `joined` is only non-empty on the process path.
+        const ITERS: usize = 12;
+        let table: [(&str, Spawner, usize); 3] = [
+            ("spawn", spawn, 0),
+            ("spawn_tcp", spawn_tcp, 0),
+            ("accept_fleet + serve_fleet", spawn_process_style, 6),
+        ];
+        for (name, spawner, expect_joins) in table {
+            let sink = Arc::new(TableSink::default());
+            let opts = RuntimeOptions {
+                sink: sink.clone(),
+                ..RuntimeOptions::default()
+            };
+            let (handle, reducers) = spawner(ControllerConfig::dynamic(6, 3), opts);
+            let (_, stats) = drive_fleet(handle, reducers, ITERS, 4);
+            assert!(stats.groups_formed > 0, "{name}: {stats:?}");
+            assert_eq!(
+                3 * stats.groups_formed + stats.singletons,
+                6 * ITERS as u64,
+                "{name}: {stats:?}"
+            );
+            assert_eq!(stats.evictions, 0, "{name}: {stats:?}");
+            let sink = Arc::try_unwrap(sink)
+                .unwrap_or_else(|_| panic!("{name}: a fleet handle outlived the run"));
+            assert_eq!(sink.joins.into_inner(), expect_joins, "{name}");
+            let report = sink.checker.into_report();
+            assert!(report.is_clean(), "{name}: {report}");
+            assert_eq!(report.groups, stats.groups_formed, "{name}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_rank_on_the_channel_path_is_dropped() {
+        // One link more than the controller is configured for: rank N is
+        // a malformed peer. Its signals must neither panic the loop, nor
+        // join a group, nor count as a departure.
+        let n = 4;
+        let (ctl_link, mut worker_links) = control_links(n + 1);
+        let mut rogue = worker_links.pop().unwrap();
+        assert_eq!(rogue.rank(), n);
+        let sink = Arc::new(TableSink::default());
+        let opts = RuntimeOptions {
+            sink: sink.clone(),
+            ..RuntimeOptions::default()
+        };
+        let cfg = ControllerConfig::constant(n, 2);
+        let (handle, reducers) = launch(cfg, opts, ctl_link, worker_links);
+        rogue.send_ready(7).unwrap();
+        rogue.send_leaving().unwrap();
+        rogue.send_ready(8).unwrap();
+        let (results, stats) = drive_fleet(handle, reducers, 10, 3);
+        // Pairwise averaging conserves the fleet mean — (0+1+2+3)/4 = 1.5
+        // plus 10 increments — only if no group ever included a phantom.
+        let mean: f32 = results.iter().map(|r| r[0]).sum::<f32>() / n as f32;
+        assert!((mean - 11.5).abs() < 1e-3, "fleet mean drifted: {mean}");
+        assert_eq!(2 * stats.groups_formed + stats.singletons, 10 * n as u64);
+        assert_eq!(stats.evictions, 0, "stats: {stats:?}");
+        drop(rogue);
+        let sink = Arc::try_unwrap(sink).unwrap_or_else(|_| panic!("sink still shared"));
+        let report = sink.checker.into_report();
+        assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
+    fn on_groups_fires_under_in_process_spawn() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let last_seen = Arc::new(AtomicU64::new(0));
+        let (hook_calls, hook_seen) = (calls.clone(), last_seen.clone());
+        let opts = RuntimeOptions {
+            on_groups: Some(Box::new(move |controller: &Controller| {
+                hook_calls.fetch_add(1, Ordering::Relaxed);
+                let before = hook_seen.swap(controller.groups_formed(), Ordering::Relaxed);
+                assert!(
+                    before < controller.groups_formed(),
+                    "fired without new groups"
+                );
+            })),
+            ..RuntimeOptions::default()
+        };
+        let (handle, reducers) = spawn(ControllerConfig::constant(4, 2), opts);
+        let (_, stats) = drive_fleet(handle, reducers, 10, 2);
+        let calls = calls.load(Ordering::Relaxed);
+        assert!((1..=stats.groups_formed).contains(&calls), "{calls} calls");
+        // Every formed-group pass was observed: the hook's last view is
+        // the final count.
+        assert_eq!(last_seen.load(Ordering::Relaxed), stats.groups_formed);
+    }
+
+    #[test]
+    fn full_group_reduce_is_allreduce_on_both_transports() {
+        // P = N: every reduce averages everyone, so all params equal the
+        // global mean trajectory — over channels and over the TCP message
+        // queue alike.
+        for spawner in [spawn as Spawner, spawn_tcp] {
+            let cfg = ControllerConfig::constant(4, 4);
+            let (results, stats) = run_fleet(cfg, 3, 5, spawner);
+            // After iter 1: params_i = i + 1 → mean = 2.5. After each later
+            // iter everyone stays equal: +1 then average = same.
+            for r in &results {
+                for v in r {
+                    assert!((v - 4.5).abs() < 1e-5, "{results:?}");
+                }
+            }
+            assert_eq!(stats.groups_formed, 3);
+        }
     }
 
     #[test]
     fn partial_groups_mix_models_toward_consensus() {
         let cfg = ControllerConfig::constant(6, 2);
-        let (results, stats) = run_fleet(cfg, 50, 3);
+        let (results, stats) = run_fleet(cfg, 50, 3, spawn);
         // Pairwise averaging preserves the fleet *mean* exactly: initial
         // mean (0+..+5)/6 = 2.5, plus 50 increments per worker = 52.5.
         // (Individual workers can deviate: they average at different
@@ -1018,39 +939,6 @@ mod tests {
     }
 
     #[test]
-    fn gossip_spawn_pairs_workers() {
-        // Pairwise groups only, and the pairwise average conserves the
-        // fleet mean: (0+1+2+3)/4 = 1.5, plus 5 increments each = 6.5.
-        let (handle, reducers) = spawn_gossip(4, Arc::new(NullSink));
-        let threads: Vec<_> = reducers
-            .into_iter()
-            .enumerate()
-            .map(|(rank, mut r)| {
-                thread::spawn(move || {
-                    let mut params = vec![rank as f32; 3];
-                    let mut iteration = 0u64;
-                    for _ in 0..5 {
-                        for v in &mut params {
-                            *v += 1.0;
-                        }
-                        iteration += 1;
-                        let out = r.reduce(&mut params, iteration).unwrap();
-                        assert!(out.group.len() <= 2, "gossip group too large");
-                        iteration = out.new_iteration;
-                    }
-                    r.finish().unwrap();
-                    params
-                })
-            })
-            .collect();
-        let results: Vec<Vec<f32>> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-        let stats = handle.join();
-        let mean: f32 = results.iter().map(|r| r[0]).sum::<f32>() / 4.0;
-        assert!((mean - 6.5).abs() < 1e-4, "fleet mean drifted: {mean}");
-        assert!(stats.groups_formed > 0);
-    }
-
-    #[test]
     fn dynamic_mode_runs_and_fast_forwards() {
         // α = 0.3 so the fresh member's weight (1 − α = 0.7) dominates
         // visibly (with α = 0.5 a fresh/stale pair weighs exactly 0.5/0.5
@@ -1065,7 +953,7 @@ mod tests {
             history_window: None,
             frozen_avoidance: true,
         };
-        let (handle, mut reducers) = spawn(cfg);
+        let (handle, mut reducers) = spawn(cfg, RuntimeOptions::default());
         let r2 = reducers.pop().unwrap();
         let r1 = reducers.pop().unwrap();
         let r0 = reducers.pop().unwrap();
@@ -1110,7 +998,7 @@ mod tests {
         // Worker 0 runs many more iterations than the other; once worker 1
         // leaves, worker 0 must keep making progress alone.
         let cfg = ControllerConfig::constant(2, 2);
-        let (handle, mut reducers) = spawn(cfg);
+        let (handle, mut reducers) = spawn(cfg, RuntimeOptions::default());
         let r1 = reducers.pop().unwrap();
         let r0 = reducers.pop().unwrap();
 
@@ -1135,23 +1023,9 @@ mod tests {
     }
 
     #[test]
-    fn tcp_control_plane_behaves_like_channels() {
-        // P = N over the TCP message queue: same all-reduce semantics as
-        // the channel transport.
-        let cfg = ControllerConfig::constant(4, 4);
-        let (results, stats) = run_fleet_with(cfg, 3, 5, spawn_tcp);
-        for r in &results {
-            for v in r {
-                assert!((v - 4.5).abs() < 1e-5, "{results:?}");
-            }
-        }
-        assert_eq!(stats.groups_formed, 3);
-    }
-
-    #[test]
     fn tcp_partial_groups_run_concurrently() {
         let cfg = ControllerConfig::constant(6, 2);
-        let (results, stats) = run_fleet_with(cfg, 20, 3, spawn_tcp);
+        let (results, stats) = run_fleet(cfg, 20, 3, spawn_tcp);
         // Mean conservation, as in the channel-transport test.
         let mean: f32 = results.iter().map(|r| r[0]).sum::<f32>() / 6.0;
         assert!((mean - 22.5).abs() < 1e-3, "fleet mean drifted: {mean}");
@@ -1165,32 +1039,12 @@ mod tests {
 
         let sink = Arc::new(RingSink::new(65536));
         let cfg = ControllerConfig::constant(6, 2);
-        let (handle, reducers) = spawn_with_sink(cfg, sink.clone());
-        let threads: Vec<_> = reducers
-            .into_iter()
-            .enumerate()
-            .map(|(rank, mut r)| {
-                thread::spawn(move || {
-                    let mut params = vec![rank as f32; 4];
-                    let mut iteration = 0u64;
-                    for _ in 0..20 {
-                        // Stagger progress so groups mix stale and fresh.
-                        thread::sleep(Duration::from_micros(50 * rank as u64));
-                        for v in &mut params {
-                            *v += 1.0;
-                        }
-                        iteration += 1;
-                        let out = r.reduce(&mut params, iteration).unwrap();
-                        iteration = out.new_iteration;
-                    }
-                    r.finish().unwrap();
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let stats = handle.join();
+        let opts = RuntimeOptions {
+            sink: sink.clone(),
+            ..RuntimeOptions::default()
+        };
+        let (handle, reducers) = spawn(cfg, opts);
+        let (_, stats) = drive_fleet(handle, reducers, 20, 4);
         assert_eq!(sink.dropped(), 0, "ring overflowed; raise capacity");
 
         let events = sink.snapshot();
@@ -1220,7 +1074,7 @@ mod tests {
 
         let sink = Arc::new(RingSink::new(65536));
         let cfg = ControllerConfig::constant(3, 2);
-        let (handle, mut reducers) = spawn_with_options(
+        let (handle, mut reducers) = spawn(
             cfg,
             RuntimeOptions {
                 sink: sink.clone(),
@@ -1296,7 +1150,7 @@ mod tests {
         // below P and flush worker 0 as a singleton instead of leaving
         // it blocked.
         let cfg = ControllerConfig::constant(2, 2);
-        let (handle, mut reducers) = spawn_tcp_with_options(
+        let (handle, mut reducers) = spawn_tcp(
             cfg,
             RuntimeOptions {
                 sink: Arc::new(NullSink),
@@ -1323,77 +1177,9 @@ mod tests {
     }
 
     #[test]
-    fn serve_fleet_runs_channel_fleet_and_traces_joins() {
-        use crate::invariants::InvariantChecker;
-        use crate::trace::RingSink;
-
-        let sink = Arc::new(RingSink::new(65536));
-        let cfg = ControllerConfig::constant(4, 2);
-        let (ctl_link, worker_links) = control_links(4);
-        let ctl_link =
-            ObservedControlPlane::new(ctl_link, Arc::new(SinkObserver::new(sink.clone())));
-        let joined: Vec<(usize, String)> = (0..4).map(|r| (r, format!("proc-{r}"))).collect();
-        let serve_sink = sink.clone();
-        let server = thread::spawn(move || {
-            serve_fleet(
-                cfg,
-                ctl_link,
-                &joined,
-                RuntimeOptions {
-                    sink: serve_sink,
-                    liveness: None,
-                    on_groups: None,
-                },
-            )
-        });
-
-        let endpoints = CommWorld::new(4).into_endpoints();
-        let threads: Vec<_> = worker_links
-            .into_iter()
-            .zip(endpoints)
-            .enumerate()
-            .map(|(rank, (link, endpoint))| {
-                let sink = sink.clone();
-                thread::spawn(move || {
-                    let mut r =
-                        PartialReducer::from_parts(Box::new(link), Box::new(endpoint), sink);
-                    let mut params = vec![rank as f32; 3];
-                    let mut iteration = 0u64;
-                    for _ in 0..10 {
-                        for v in &mut params {
-                            *v += 1.0;
-                        }
-                        iteration += 1;
-                        let out = r.reduce(&mut params, iteration).unwrap();
-                        iteration = out.new_iteration;
-                    }
-                    r.finish().unwrap();
-                    params
-                })
-            })
-            .collect();
-        let results: Vec<Vec<f32>> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-        let stats = server.join().unwrap();
-        assert!(stats.groups_formed > 0, "stats: {stats:?}");
-        // Pairwise averaging conserves the fleet mean: (0+1+2+3)/4 = 1.5,
-        // plus 10 increments per worker.
-        let mean: f32 = results.iter().map(|r| r[0]).sum::<f32>() / 4.0;
-        assert!((mean - 11.5).abs() < 1e-3, "fleet mean drifted: {mean}");
-
-        let events = sink.snapshot();
-        let joins = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::ProcessJoined { .. }))
-            .count();
-        assert_eq!(joins, 4, "one join per fleet member");
-        let report = InvariantChecker::check(&events);
-        assert!(report.is_clean(), "{report}");
-    }
-
-    #[test]
     fn reduce_after_finish_panics() {
         let cfg = ControllerConfig::constant(2, 2);
-        let (handle, mut reducers) = spawn(cfg);
+        let (handle, mut reducers) = spawn(cfg, RuntimeOptions::default());
         let mut r1 = reducers.pop().unwrap();
         let mut r0 = reducers.pop().unwrap();
         r0.finish().unwrap();

@@ -208,7 +208,7 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.features(), y.features());
         }
-        let cap = (1.2 * 1000.0 / 8.0).ceil() as usize;
+        let cap = (1.2_f64 * 1000.0 / 8.0).ceil() as usize;
         assert!(a.iter().all(|s| s.len() <= cap && !s.is_empty()));
     }
 

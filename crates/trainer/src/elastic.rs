@@ -175,7 +175,7 @@ pub fn controller_snapshot(c: &Controller) -> ControllerSnapshot {
         repairs: c.repairs(),
         deferrals: c.deferrals(),
         history_window: c.history().window(),
-        history: c.history().iter().map(|g| g.to_vec()).collect(),
+        history: c.history().groups().collect(),
     }
 }
 

@@ -7,7 +7,8 @@
 
 use std::thread;
 
-use partial_reduce::runtime::spawn_gossip;
+use partial_reduce::runtime::{spawn, RuntimeOptions};
+use partial_reduce::ControllerConfig;
 use preduce_comm::collectives::{barrier, ring_exchange, TAG_STRIDE};
 use preduce_comm::CommWorld;
 use preduce_simnet::{EventQueue, SimTime};
@@ -15,10 +16,9 @@ use preduce_tensor::Tensor;
 use rand::Rng;
 
 use crate::engine::setup::{build_fleet, evaluate_uniform_average};
-use crate::engine::substrate::{must, Substrate, ThreadedSubstrate};
+use crate::engine::substrate::{must, Substrate, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
-use crate::threaded::ThreadedReport;
 
 /// AD-PSGD: each worker computes a gradient, then *atomically averages its
 /// model with one uniformly-random peer* (regardless of that peer's state),
@@ -150,7 +150,15 @@ pub(crate) fn threaded_ad_psgd(sub: &ThreadedSubstrate) -> ThreadedReport {
     let n = config.num_workers;
     assert!(n >= 2, "gossip needs at least two workers");
     let fleet = build_fleet(config);
-    let (handle, reducers) = spawn_gossip(n, sub.sink());
+    // Gossip coordinator: pairwise groups, constant 1/2 weights,
+    // first-come pairing.
+    let (handle, reducers) = spawn(
+        ControllerConfig::constant(n, 2),
+        RuntimeOptions {
+            sink: sub.sink(),
+            ..RuntimeOptions::default()
+        },
+    );
 
     let out = sub.run_spmd(fleet.workers, reducers, |mut ctx, mut w, mut r| {
         for _ in 0..ctx.iters {

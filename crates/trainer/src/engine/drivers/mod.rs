@@ -6,7 +6,7 @@
 //! membership policy (who participates in each exchange). Its two methods
 //! project that machine onto the two substrates: `drive_sim` consumes a
 //! [`SimSubstrate`] and replays the machine under deterministic virtual
-//! time (these bodies are verbatim moves of the pre-engine `sim::run_*`
+//! time (these bodies are verbatim moves of the pre-engine simulator
 //! loops, so fixed-seed trajectories are bit-identical to the goldens);
 //! `drive_threaded` runs the same machine as an SPMD program on real OS
 //! threads via [`ThreadedSubstrate::run_spmd`].
@@ -16,10 +16,9 @@ pub mod preduce;
 pub mod ps;
 pub mod sync;
 
-use crate::engine::substrate::{SimSubstrate, ThreadedSubstrate};
+use crate::engine::substrate::{SimSubstrate, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::strategy::Strategy;
-use crate::threaded::ThreadedReport;
 
 use ps::PsPolicy;
 

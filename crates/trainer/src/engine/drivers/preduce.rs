@@ -1,14 +1,11 @@
-//! The partial-reduce drivers: Algorithm 2 under virtual time (moved
-//! verbatim from `sim::preduce`, reusing the transport-independent
-//! [`partial_reduce::Controller`]) and on real threads (the controller
-//! thread from [`partial_reduce::runtime`]).
+//! The partial-reduce drivers: Algorithm 2 under virtual time (reusing
+//! the transport-independent [`partial_reduce::Controller`]) and on real
+//! threads (the controller thread from [`partial_reduce::runtime`]).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use partial_reduce::runtime::{
-    spawn_with_options, spawn_with_sink, LivenessPolicy, RuntimeOptions,
-};
+use partial_reduce::runtime::{spawn, LivenessPolicy, RuntimeOptions};
 use partial_reduce::{
     AggregationMode, Controller, ControllerConfig, NullSink, TraceEvent, TraceSink,
 };
@@ -20,10 +17,9 @@ use crate::elastic::{
     controller_snapshot, reshard_churn, restore_worker, worker_snapshot, ElasticOptions,
 };
 use crate::engine::setup::{build_fleet, evaluate_uniform_average};
-use crate::engine::substrate::{must, Substrate, ThreadedSubstrate};
+use crate::engine::substrate::{must, Substrate, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
-use crate::threaded::ThreadedReport;
 use crate::worker::weighted_model_average;
 
 /// Event payloads for the P-Reduce event loop.
@@ -38,7 +34,9 @@ enum Event {
     },
 }
 
-/// Runs partial reduce with the given controller configuration.
+/// Runs partial reduce with the given controller configuration, untraced
+/// and fault-free — the entry for callers that sweep a hand-built
+/// [`ControllerConfig`] (ablations) rather than a catalog `Strategy`.
 ///
 /// One *update* is one partial-reduce group operation (§3.1.2 counts each
 /// partial reduce as one iteration), matching the paper's Table 1 metric.
@@ -46,27 +44,23 @@ enum Event {
 /// # Panics
 /// Panics if the controller config disagrees with the harness size.
 pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
-    run_preduce_traced(h, cfg, Arc::new(NullSink))
+    run_preduce_elastic(
+        h,
+        cfg,
+        Arc::new(NullSink),
+        FaultPlan::none(),
+        ElasticOptions::none(),
+    )
 }
 
-/// Like [`run_preduce`], but narrates the run to `sink` in the same event
-/// vocabulary as the threaded runtime — the simulator emits one
-/// [`TraceEvent::ReduceCompleted`] per member when a group's virtual
-/// collective lands, so the invariant checker replays either harness
-/// identically.
+/// The virtual-time P-Reduce event loop. The run is narrated to `sink` in
+/// the same event vocabulary as the threaded runtime — the simulator
+/// emits one [`TraceEvent::ReduceCompleted`] per member when a group's
+/// virtual collective lands, so the invariant checker replays either
+/// harness identically.
 ///
-/// # Panics
-/// Panics if the controller config disagrees with the harness size.
-pub fn run_preduce_traced(
-    h: SimHarness,
-    cfg: ControllerConfig,
-    sink: Arc<dyn TraceSink>,
-) -> RunResult {
-    run_preduce_chaos(h, cfg, sink, FaultPlan::none())
-}
-
-/// [`run_preduce_traced`] under a [`FaultPlan`] (DESIGN.md §11), applied
-/// deterministically in virtual time:
+/// The [`FaultPlan`] (DESIGN.md §11) is applied deterministically in
+/// virtual time:
 ///
 /// * **Crash** fires at the doomed worker's iteration boundary: the
 ///   worker is evicted ([`TraceEvent::WorkerEvicted`], justified by the
@@ -78,21 +72,10 @@ pub fn run_preduce_traced(
 /// * **DelaySignals** adds virtual latency to every ready signal.
 /// * **LateJoin** postpones the worker's first local update.
 ///
-/// The empty plan reproduces [`run_preduce_traced`] bit-for-bit: every
-/// fault accessor degrades to `+ 0.0` / `× 1.0`.
+/// The empty plan is bit-for-bit the fault-free run: every fault accessor
+/// degrades to `+ 0.0` / `× 1.0`.
 ///
-/// # Panics
-/// Panics if the controller config disagrees with the harness size.
-pub fn run_preduce_chaos(
-    h: SimHarness,
-    cfg: ControllerConfig,
-    sink: Arc<dyn TraceSink>,
-    faults: FaultPlan,
-) -> RunResult {
-    run_preduce_elastic(h, cfg, sink, faults, ElasticOptions::none())
-}
-
-/// [`run_preduce_chaos`] under [`ElasticOptions`] (DESIGN.md §14):
+/// [`ElasticOptions`] (DESIGN.md §14) add:
 ///
 /// * **Warm start** — `restore_from` loads every worker snapshot found
 ///   in the directory into the fleet before the run begins (no trace
@@ -110,8 +93,8 @@ pub fn run_preduce_chaos(
 ///   never departs stays pending forever (deliberately: restores are
 ///   keyed on departure, not wall position).
 ///
-/// Inert options reproduce [`run_preduce_chaos`] bit-for-bit: snapshots
-/// never touch the RNG or the event queue, and without a restore verb no
+/// Inert options leave the run bit-for-bit unchanged: snapshots never
+/// touch the RNG or the event queue, and without a restore verb no
 /// scheduling changes.
 ///
 /// # Panics
@@ -475,18 +458,14 @@ pub(crate) fn threaded_preduce(
     }
     let elastic = sub.elastic().clone();
     let chaos = !sub.faults().is_empty();
-    let (handle, reducers) = if chaos {
-        spawn_with_options(
-            controller,
-            RuntimeOptions {
-                sink: sub.sink(),
-                liveness: Some(chaos_liveness()),
-                on_groups: None,
-            },
-        )
-    } else {
-        spawn_with_sink(controller, sub.sink())
-    };
+    let (handle, reducers) = spawn(
+        controller,
+        RuntimeOptions {
+            sink: sub.sink(),
+            liveness: chaos.then(chaos_liveness),
+            on_groups: None,
+        },
+    );
     let sink = sub.sink();
 
     let out = sub.run_spmd(fleet.workers, reducers, move |mut ctx, mut w, mut r| {

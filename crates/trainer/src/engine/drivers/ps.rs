@@ -17,10 +17,9 @@ use preduce_simnet::{EventQueue, SimTime};
 use preduce_tensor::Tensor;
 
 use crate::engine::setup::{build_fleet, evaluate_uniform_average};
-use crate::engine::substrate::{must, ThreadedSubstrate};
+use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
-use crate::threaded::ThreadedReport;
 
 /// The staleness policy distinguishing the three PS variants — the
 /// substrate-independent part of the strategy, shared by both projections.

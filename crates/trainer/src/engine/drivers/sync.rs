@@ -14,10 +14,9 @@ use preduce_simnet::SimTime;
 use preduce_tensor::Tensor;
 
 use crate::engine::setup::{build_fleet, evaluate_uniform_average};
-use crate::engine::substrate::{must, ThreadedSubstrate};
+use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
-use crate::threaded::ThreadedReport;
 
 /// All-Reduce (AR): one global barrier and ring all-reduce per iteration.
 /// The round takes as long as the *slowest* worker's compute plus the

@@ -22,7 +22,7 @@ use preduce_simnet::FaultPlan;
 
 pub use drivers::{driver_for, StrategyDriver};
 pub use scale::{run_scale, ScaleConfig, ScaleReport};
-pub use substrate::{Backend, SimSubstrate, Substrate, ThreadedSubstrate};
+pub use substrate::{Backend, SimSubstrate, Substrate, ThreadedReport, ThreadedSubstrate};
 
 use crate::config::ExperimentConfig;
 use crate::elastic::ElasticOptions;
@@ -186,6 +186,48 @@ mod tests {
         assert_eq!(run.iterations.as_deref(), Some(&[3, 3][..]));
         assert!(run.result.trace.is_empty());
         assert!(!run.result.converged);
+    }
+
+    fn threaded(strategy: Strategy, n: usize, iters: u64) -> EngineRun {
+        let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
+        c.num_workers = n;
+        c.threaded_iters = Some(iters);
+        run(strategy, &c, Backend::Threaded, Arc::new(NullSink))
+    }
+
+    #[test]
+    fn threaded_allreduce_replicas_stay_identical() {
+        let r = threaded(Strategy::AllReduce, 4, 10);
+        assert_eq!(r.iterations, Some(vec![10; 4]));
+        assert!(r.result.final_accuracy > 0.0);
+    }
+
+    #[test]
+    fn threaded_preduce_trains_and_terminates() {
+        let con = Strategy::PReduce {
+            p: 2,
+            dynamic: false,
+        };
+        let r = threaded(con, 4, 15);
+        let stats = r.controller.expect("controller stats");
+        assert!(stats.groups_formed > 0);
+        let accuracy = r.result.final_accuracy;
+        assert!(accuracy > 0.1, "below chance: {accuracy}");
+    }
+
+    #[test]
+    fn threaded_preduce_dynamic_mode() {
+        let dynamic = Strategy::PReduce {
+            p: 2,
+            dynamic: true,
+        };
+        let r = threaded(dynamic, 3, 10);
+        assert!(r.controller.expect("stats").groups_formed > 0);
+        // Dynamic fast-forwarding means iteration counters can exceed the
+        // loop count; they must never be below it.
+        for &i in r.iterations.as_deref().expect("threaded iterations") {
+            assert!(i >= 10);
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use partial_reduce::runtime::ControllerStats;
 use partial_reduce::{NullSink, TraceSink};
 use preduce_simnet::FaultPlan;
 use preduce_tensor::Tensor;
@@ -156,6 +157,21 @@ impl Substrate for SimSubstrate {
     fn sink(&self) -> Arc<dyn TraceSink> {
         self.sink.clone()
     }
+}
+
+/// Outcome of a threaded training run. Timing is wall-clock (and
+/// therefore machine-dependent); the *trajectories* are what tests
+/// assert on.
+#[derive(Debug, Clone)]
+pub struct ThreadedReport {
+    /// Wall-clock seconds for the training loops (excludes evaluation).
+    pub wall_seconds: f64,
+    /// Test accuracy of the worker-averaged model.
+    pub accuracy: f64,
+    /// Per-worker iteration counts actually executed.
+    pub iterations: Vec<u64>,
+    /// Controller statistics (controller-backed runs only).
+    pub controller: Option<ControllerStats>,
 }
 
 /// The real-concurrency substrate: one OS thread per worker, wall-clock

@@ -25,8 +25,8 @@
 //! Two execution substrates exist: the deterministic virtual-time simulator
 //! and a real multithreaded runtime. Each strategy is written once in
 //! [`engine::drivers`] and projected onto both; [`engine::run`] is the one
-//! entry point ([`engine::Backend`] picks the substrate), with [`sim`] and
-//! [`threaded`] keeping the harness types and the original call sites.
+//! entry point ([`engine::Backend`] picks the substrate); [`sim`] keeps
+//! the virtual-time harness type.
 
 #![forbid(unsafe_code)]
 
@@ -37,17 +37,13 @@ pub mod experiment;
 pub mod metrics;
 pub mod sim;
 pub mod strategy;
-pub mod threaded;
 pub mod worker;
 
 pub use config::{ExperimentConfig, HeteroSpec};
 pub use elastic::{CheckpointPolicy, ElasticOptions};
-pub use engine::{run_scale, Backend, EngineRun, ScaleConfig, ScaleReport};
+pub use engine::{run_scale, Backend, EngineRun, ScaleConfig, ScaleReport, ThreadedReport};
 pub use experiment::{run_experiment, run_experiment_traced};
 pub use metrics::{RunResult, TracePoint};
 pub use preduce_simnet::{FaultKind, FaultPlan, FaultSpec};
 pub use strategy::{NoControllerConfig, Strategy, StrategyFamily};
-pub use threaded::{
-    train_threaded_allreduce, train_threaded_preduce, train_threaded_preduce_traced, ThreadedReport,
-};
 pub use worker::WorkerState;

@@ -8,14 +8,7 @@
 //! evaluates the worker-averaged model on the held-out test set and stops
 //! the run at the configured threshold — precisely the paper's protocol
 //! (§5.1–5.2: run time and #updates to a fixed test accuracy; inference on
-//! the average of all workers' models per Algorithm 2 line 8). The
-//! `run_*` re-exports below preserve the pre-engine call sites.
-
-pub use crate::engine::drivers::gossip::{run_ad_psgd, run_d_psgd};
-pub use crate::engine::drivers::preduce::{run_preduce, run_preduce_chaos, run_preduce_traced};
-pub use crate::engine::drivers::ps::{run_ps_asp, run_ps_hete, run_ps_ssp};
-pub use crate::engine::drivers::sync::{run_allreduce, run_eager_reduce, run_ps_bk, run_ps_bsp};
-pub use crate::worker::average_params;
+//! the average of all workers' models per Algorithm 2 line 8).
 
 use preduce_data::Dataset;
 use preduce_models::{evaluate_accuracy_parallel, softmax_cross_entropy, Network};
@@ -25,7 +18,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use crate::config::ExperimentConfig;
 use crate::engine::setup::{build_fleet, Fleet, EVAL_BATCH};
 use crate::metrics::{RunResult, TracePoint};
-use crate::worker::WorkerState;
+use crate::worker::{average_params, WorkerState};
 
 /// Cap on retained per-update time samples (reservoir not needed: the
 /// early-run distribution is representative because the heterogeneity

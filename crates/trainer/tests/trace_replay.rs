@@ -8,10 +8,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use partial_reduce::{read_jsonl, ControllerConfig, InvariantChecker, JsonlSink, TraceEvent};
+use partial_reduce::{read_jsonl, InvariantChecker, JsonlSink, TraceEvent, TraceSink};
 use preduce_data::cifar10_like;
 use preduce_models::zoo;
-use preduce_trainer::{train_threaded_preduce_traced, ExperimentConfig};
+use preduce_trainer::engine::{driver_for, ThreadedSubstrate};
+use preduce_trainer::{ExperimentConfig, Strategy};
 
 fn config(n: usize) -> ExperimentConfig {
     let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
@@ -34,11 +35,14 @@ fn trace_path(name: &str) -> PathBuf {
 }
 
 /// Runs a traced N=16, P=4 threaded fleet and returns the replayed events.
-fn run_and_read(ctl: ControllerConfig, name: &str) -> Vec<TraceEvent> {
-    let n = ctl.num_workers;
+fn run_and_read(dynamic: bool, name: &str) -> Vec<TraceEvent> {
+    let n = 16;
     let path = trace_path(name);
     let sink = Arc::new(JsonlSink::create(&path).expect("create trace file"));
-    let report = train_threaded_preduce_traced(&config(n), ctl, 6, &hetero_delays(n), sink.clone());
+    let substrate = ThreadedSubstrate::new(&config(n), 6)
+        .with_delays(&hetero_delays(n))
+        .with_sink(sink.clone());
+    let report = driver_for(Strategy::PReduce { p: 4, dynamic }).drive_threaded(&substrate);
     sink.flush();
     assert_eq!(sink.write_errors(), 0);
     assert!(report.controller.expect("stats").groups_formed > 0);
@@ -50,7 +54,7 @@ fn run_and_read(ctl: ControllerConfig, name: &str) -> Vec<TraceEvent> {
 
 #[test]
 fn threaded_con_hetero_trace_replays_clean() {
-    let events = run_and_read(ControllerConfig::constant(16, 4), "con.jsonl");
+    let events = run_and_read(false, "con.jsonl");
     assert!(matches!(events[0], TraceEvent::RunStarted { .. }));
     assert!(matches!(
         events.last(),
@@ -70,7 +74,7 @@ fn threaded_con_hetero_trace_replays_clean() {
 fn threaded_dyn_hetero_trace_replays_clean() {
     // The checker recomputes every DYN weight row from Eq. 9 and compares
     // elementwise, so a clean replay *is* the staleness-weighting check.
-    let events = run_and_read(ControllerConfig::dynamic(16, 4), "dyn.jsonl");
+    let events = run_and_read(true, "dyn.jsonl");
     let report = InvariantChecker::check(&events);
     assert!(report.is_clean(), "{report}");
     assert!(report.groups > 0);
@@ -78,7 +82,7 @@ fn threaded_dyn_hetero_trace_replays_clean() {
 
 #[test]
 fn corrupted_duplicate_member_is_flagged() {
-    let mut events = run_and_read(ControllerConfig::constant(16, 4), "dup.jsonl");
+    let mut events = run_and_read(false, "dup.jsonl");
     let target = events
         .iter_mut()
         .find(|e| matches!(e, TraceEvent::GroupFormed { .. }))
@@ -98,7 +102,7 @@ fn corrupted_duplicate_member_is_flagged() {
 
 #[test]
 fn corrupted_weight_row_is_flagged() {
-    let mut events = run_and_read(ControllerConfig::constant(16, 4), "weights.jsonl");
+    let mut events = run_and_read(false, "weights.jsonl");
     let target = events
         .iter_mut()
         .find(|e| matches!(e, TraceEvent::GroupFormed { .. }))
@@ -123,7 +127,7 @@ fn sim_and_threaded_traces_share_the_vocabulary() {
     // The same checker consumes the simulator's trace: run the virtual-time
     // harness traced and replay it with zero violations.
     use partial_reduce::RingSink;
-    use preduce_trainer::{run_experiment_traced, Strategy};
+    use preduce_trainer::run_experiment_traced;
 
     let mut c = config(16);
     c.max_updates = 200;

@@ -7,35 +7,39 @@
 
 use preduce::data::cifar10_like;
 use preduce::models::zoo;
-use preduce::partial_reduce::runtime::spawn_tcp;
-use preduce::partial_reduce::ControllerConfig;
-use preduce::trainer::threaded::{train_threaded_allreduce, train_threaded_preduce};
-use preduce::trainer::ExperimentConfig;
+use std::sync::Arc;
+
+use preduce::partial_reduce::runtime::{spawn_tcp, RuntimeOptions};
+use preduce::partial_reduce::{ControllerConfig, NullSink};
+use preduce::trainer::engine::{self, Backend};
+use preduce::trainer::{ExperimentConfig, Strategy};
 
 fn main() {
     let mut config = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
     config.num_workers = 6;
     config.sgd.lr = 0.05;
     let iters = 150;
+    config.threaded_iters = Some(iters);
+    let threaded = |strategy| engine::run(strategy, &config, Backend::Threaded, Arc::new(NullSink));
 
     println!("6 worker threads x {iters} local updates each, resnet18 analog on cifar10-like\n");
 
-    let ar = train_threaded_allreduce(&config, iters);
+    let ar = threaded(Strategy::AllReduce);
     println!(
         "threaded All-Reduce : wall {:>6.2}s  accuracy {:.3}  iterations {:?}",
-        ar.wall_seconds, ar.accuracy, ar.iterations
+        ar.result.run_time,
+        ar.result.final_accuracy,
+        ar.iterations.unwrap_or_default()
     );
 
-    for (label, ctl) in [
-        ("P-Reduce CON (P=3)", ControllerConfig::constant(6, 3)),
-        ("P-Reduce DYN (P=3)", ControllerConfig::dynamic(6, 3)),
-    ] {
-        let r = train_threaded_preduce(&config, ctl, iters);
+    for dynamic in [false, true] {
+        let r = threaded(Strategy::PReduce { p: 3, dynamic });
         let stats = r.controller.expect("controller stats");
         println!(
-            "threaded {label}: wall {:>6.2}s  accuracy {:.3}  groups {}  repairs {}  drain singletons {}",
-            r.wall_seconds,
-            r.accuracy,
+            "threaded {}: wall {:>6.2}s  accuracy {:.3}  groups {}  repairs {}  drain singletons {}",
+            r.result.strategy,
+            r.result.run_time,
+            r.result.final_accuracy,
             stats.groups_formed,
             stats.repairs,
             stats.singletons
@@ -45,7 +49,7 @@ fn main() {
     // The paper prototype's control plane: the same primitive over a real
     // TCP message queue on loopback (only the few-byte signals cross
     // sockets; model data stays on the in-process collectives).
-    let (handle, reducers) = spawn_tcp(ControllerConfig::constant(6, 3));
+    let (handle, reducers) = spawn_tcp(ControllerConfig::constant(6, 3), RuntimeOptions::default());
     let t0 = std::time::Instant::now();
     let threads: Vec<_> = reducers
         .into_iter()

@@ -6,10 +6,13 @@
 use preduce::comm::collectives::TAG_STRIDE;
 use preduce::data::cifar10_like;
 use preduce::models::zoo;
-use preduce::partial_reduce::runtime::spawn;
-use preduce::partial_reduce::{dynamic_weights, AggregationMode, ControllerConfig, GapPolicy};
-use preduce::trainer::threaded::{train_threaded_allreduce, train_threaded_preduce};
-use preduce::trainer::ExperimentConfig;
+use preduce::partial_reduce::runtime::{spawn, RuntimeOptions};
+use preduce::partial_reduce::{
+    dynamic_weights, AggregationMode, ControllerConfig, GapPolicy, NullSink,
+};
+use preduce::trainer::engine::{self, Backend, EngineRun};
+use preduce::trainer::{ExperimentConfig, Strategy};
+use std::sync::Arc;
 use std::thread;
 
 fn small_config(n: usize) -> ExperimentConfig {
@@ -19,11 +22,23 @@ fn small_config(n: usize) -> ExperimentConfig {
     c
 }
 
+/// Runs `strategy` on real threads, `iters` local updates per worker.
+fn threaded(strategy: Strategy, config: &ExperimentConfig, iters: u64) -> EngineRun {
+    let mut c = config.clone();
+    c.threaded_iters = Some(iters);
+    engine::run(strategy, &c, Backend::Threaded, Arc::new(NullSink))
+}
+
+const CON_P2: Strategy = Strategy::PReduce {
+    p: 2,
+    dynamic: false,
+};
+
 #[test]
 fn full_group_preduce_matches_hand_average() {
     // P = N = 2 with constant weights: after one reduce, both workers hold
     // exactly the mean of their pre-reduce vectors.
-    let (handle, mut reducers) = spawn(ControllerConfig::constant(2, 2));
+    let (handle, mut reducers) = spawn(ControllerConfig::constant(2, 2), RuntimeOptions::default());
     let r1 = reducers.pop().unwrap();
     let r0 = reducers.pop().unwrap();
 
@@ -63,7 +78,7 @@ fn dynamic_weights_in_runtime_match_library_function() {
         history_window: None,
         frozen_avoidance: true,
     };
-    let (handle, mut reducers) = spawn(cfg);
+    let (handle, mut reducers) = spawn(cfg, RuntimeOptions::default());
     let r1 = reducers.pop().unwrap();
     let r0 = reducers.pop().unwrap();
 
@@ -100,15 +115,12 @@ fn threaded_preduce_accuracy_tracks_allreduce() {
     // should land in the same accuracy neighbourhood as threaded AR.
     let c = small_config(4);
     let iters = 120;
-    let ar = train_threaded_allreduce(&c, iters);
-    let pr = train_threaded_preduce(&c, ControllerConfig::constant(4, 2), iters);
-    assert!(ar.accuracy > 0.45, "AR too weak: {}", ar.accuracy);
-    assert!(
-        pr.accuracy > ar.accuracy - 0.15,
-        "P-Reduce {} lags AR {} by too much",
-        pr.accuracy,
-        ar.accuracy
-    );
+    let ar = threaded(Strategy::AllReduce, &c, iters)
+        .result
+        .final_accuracy;
+    let pr = threaded(CON_P2, &c, iters).result.final_accuracy;
+    assert!(ar > 0.45, "AR too weak: {ar}");
+    assert!(pr > ar - 0.15, "P-Reduce {pr} lags AR {ar} by too much");
 }
 
 #[test]
@@ -118,8 +130,7 @@ fn concurrent_disjoint_groups_form_in_threaded_runtime() {
     // reduces `iters` times ⇒ iters*6/2 groups minus drain singletons).
     let c = small_config(6);
     let iters = 30u64;
-    let r = train_threaded_preduce(&c, ControllerConfig::constant(6, 2), iters);
-    let stats = r.controller.expect("stats");
+    let stats = threaded(CON_P2, &c, iters).controller.expect("stats");
     let total = stats.groups_formed * 2 + stats.singletons;
     assert_eq!(total, iters * 6, "every local update joins one reduce");
 }
