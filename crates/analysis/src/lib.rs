@@ -83,7 +83,7 @@ pub fn run_check(root: &Path) -> io::Result<Vec<Finding>> {
 /// # Errors
 /// Propagates I/O errors from walking or reading the tree.
 pub fn run_check_passes(root: &Path, selected: Option<&[String]>) -> io::Result<Vec<Finding>> {
-    let on = |name: &str| selected.map_or(true, |s| s.iter().any(|p| p == name));
+    let on = |name: &str| selected.is_none_or(|s| s.iter().any(|p| p == name));
 
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;

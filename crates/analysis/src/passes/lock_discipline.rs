@@ -179,9 +179,9 @@ impl LockDiscipline {
                 // Acquisitions later in the same statement (e.g.
                 // `write_frame(&mut w.lock(), …)`) are held across the call.
                 held.extend(stmt_acquisitions_after(file, k, close));
-                if !held.is_empty()
-                    && !(display == ".send(" && stmt_has_condvar_wait(file, stmt_start, close))
-                {
+                let condvar_send =
+                    || display == ".send(" && stmt_has_condvar_wait(file, stmt_start, close);
+                if !held.is_empty() && !condvar_send() {
                     self.findings.push(Finding {
                         pass: NAME.into(),
                         file: file.path.clone(),
@@ -352,15 +352,15 @@ fn stmt_has_condvar_wait(file: &SourceFile, stmt_start: usize, close: usize) -> 
         let tok = file.ct(k);
         match tok.text.as_str() {
             ";" | "{" | "}" => return false,
-            "wait" | "wait_timeout" | "wait_while" if tok.kind == TokenKind::Ident => {
-                if k > 0
+            "wait" | "wait_timeout" | "wait_while"
+                if tok.kind == TokenKind::Ident
+                    && k > 0
                     && file.ct(k - 1).text == "."
                     && k + 2 <= close
                     && file.ct(k + 1).text == "("
-                    && file.ct(k + 2).text != ")"
-                {
-                    return true;
-                }
+                    && file.ct(k + 2).text != ")" =>
+            {
+                return true;
             }
             _ => {}
         }

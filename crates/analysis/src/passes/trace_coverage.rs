@@ -123,16 +123,18 @@ fn mutates_directly(file: &SourceFile, f: &FnItem) -> bool {
         let tok = file.ct(k);
         if tok.kind == TokenKind::Ident && tok.text == "self" {
             // `*self = …` whole-object replacement.
-            if k > open && file.ct(k - 1).text == "*" && k + 1 <= close {
-                if ASSIGN_OPS.contains(&file.ct(k + 1).text.as_str()) {
-                    return true;
-                }
+            if k > open
+                && file.ct(k - 1).text == "*"
+                && k < close
+                && ASSIGN_OPS.contains(&file.ct(k + 1).text.as_str())
+            {
+                return true;
             }
             // `&mut self.field` escaping into a call.
             if k >= open + 2
                 && file.ct(k - 1).text == "mut"
                 && file.ct(k - 2).text == "&"
-                && k + 1 <= close
+                && k < close
                 && file.ct(k + 1).text == "."
             {
                 return true;
@@ -165,7 +167,7 @@ fn walk_self_path(file: &SourceFile, k_self: usize, close: usize) -> PathEnd {
     let mut j = k_self + 1;
     while j <= close {
         let tok = file.ct(j);
-        if tok.text == "." && j + 1 <= close {
+        if tok.text == "." && j < close {
             let seg = file.ct(j + 1);
             let is_call = j + 2 <= close && file.ct(j + 2).text == "(";
             if seg.kind == TokenKind::Ident && is_call {
@@ -237,13 +239,13 @@ fn emits_directly(file: &SourceFile, f: &FnItem) -> bool {
         if tok.kind != TokenKind::Ident {
             continue;
         }
-        if tok.text == "TraceEvent" && k + 1 <= close && file.ct(k + 1).text == "::" {
+        if tok.text == "TraceEvent" && k < close && file.ct(k + 1).text == "::" {
             return true;
         }
         if tok.text == "record"
             && k > open
             && file.ct(k - 1).text == "."
-            && k + 1 <= close
+            && k < close
             && file.ct(k + 1).text == "("
         {
             return true;
@@ -276,7 +278,7 @@ fn self_callees(file: &SourceFile, f: &FnItem) -> Vec<String> {
             }
         }
         if tok.kind == TokenKind::Ident
-            && k + 1 <= close
+            && k < close
             && file.ct(k + 1).text == "("
             && (k == open || !matches!(file.ct(k - 1).text.as_str(), "." | "::" | "fn"))
             && !out.contains(&tok.text)

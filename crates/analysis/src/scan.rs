@@ -939,12 +939,12 @@ fn path_refs_impl(file: &SourceFile, base: &str) -> Vec<PathRef> {
             continue;
         }
         let mut pd = 0usize;
-        for p in k + 1..n {
+        for (p, open) in match_opens.iter_mut().enumerate().skip(k + 1) {
             match file.ct(p).text.as_str() {
                 "(" | "[" => pd += 1,
                 ")" | "]" => pd = pd.saturating_sub(1),
                 "{" if pd == 0 => {
-                    match_opens[p] = true;
+                    *open = true;
                     break;
                 }
                 ";" if pd == 0 => break,
@@ -1026,29 +1026,29 @@ fn path_refs_impl(file: &SourceFile, base: &str) -> Vec<PathRef> {
                     }
                 }
             }
-            (TokenKind::Ident, "matches") => {
-                if k + 2 < n && file.ct(k + 1).text == "!" && file.ct(k + 2).text == "(" {
-                    macro_stack.push((pdepth + 1, false));
-                }
+            (TokenKind::Ident, "matches")
+                if k + 2 < n && file.ct(k + 1).text == "!" && file.ct(k + 2).text == "(" =>
+            {
+                macro_stack.push((pdepth + 1, false));
             }
-            (TokenKind::Ident, name) if name == base => {
-                if k + 2 < n
+            (TokenKind::Ident, name)
+                if name == base
+                    && k + 2 < n
                     && file.ct(k + 1).text == "::"
-                    && file.ct(k + 2).kind == TokenKind::Ident
-                {
-                    let seg = &file.ct(k + 2).text;
-                    if seg.chars().next().map(char::is_uppercase).unwrap_or(false) {
-                        let pattern = matches_stack.last().map(|m| m.in_pattern).unwrap_or(false)
-                            || let_pat.is_some()
-                            || macro_stack.last().map(|&(_, armed)| armed).unwrap_or(false);
-                        let line = tok.line;
-                        refs.push(PathRef {
-                            variant: seg.clone(),
-                            line,
-                            pattern,
-                            test: file.is_test.get(line).copied().unwrap_or(false),
-                        });
-                    }
+                    && file.ct(k + 2).kind == TokenKind::Ident =>
+            {
+                let seg = &file.ct(k + 2).text;
+                if seg.chars().next().map(char::is_uppercase).unwrap_or(false) {
+                    let pattern = matches_stack.last().map(|m| m.in_pattern).unwrap_or(false)
+                        || let_pat.is_some()
+                        || macro_stack.last().map(|&(_, armed)| armed).unwrap_or(false);
+                    let line = tok.line;
+                    refs.push(PathRef {
+                        variant: seg.clone(),
+                        line,
+                        pattern,
+                        test: file.is_test.get(line).copied().unwrap_or(false),
+                    });
                 }
             }
             _ => {}

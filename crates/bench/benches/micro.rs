@@ -8,7 +8,7 @@ use std::thread;
 
 use partial_reduce::{
     dynamic_weights, expected_sync_matrix_uniform, spectral_gap, Controller, ControllerConfig,
-    GapPolicy, SyncGraph,
+    GapPolicy, WindowedConnectivity,
 };
 use preduce_comm::collectives::ring_allreduce;
 use preduce_comm::control::{ControlPlane, WorkerControlPlane};
@@ -95,12 +95,19 @@ fn bench_dynamic_weights(c: &mut Criterion) {
 }
 
 fn bench_sync_graph(c: &mut Criterion) {
+    // The production structure on a warm window: every iteration is one
+    // group-filter decision (record, connectivity verdict, one label).
     c.bench_function("graph/connectivity_n128", |b| {
-        let mut g = SyncGraph::new(128);
+        let mut g = WindowedConnectivity::new(128, 127);
         for i in 0..127 {
-            g.add_group(&[i, i + 1]);
+            g.record(&[i, i + 1]);
         }
-        b.iter(|| std::hint::black_box(&g).is_connected())
+        let mut i = 0;
+        b.iter(|| {
+            g.record(&[i, i + 1]);
+            i = (i + 1) % 127;
+            std::hint::black_box((g.is_connected(), g.component_of(i)))
+        })
     });
 }
 

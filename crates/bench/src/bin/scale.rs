@@ -13,8 +13,7 @@
 //!   closed form `ρ_uniform`, plus both Theorem 1 error coefficients
 //!   `ρ̄ = ρ/(1−ρ) + 2√ρ/(1−√ρ)²`;
 //! * the Eq. 9 dynamic-weight spread heterogeneity induces;
-//! * windowed union-find work counters (merges / rebuilds /
-//!   clean evictions / fast-path hits) — the amortization evidence;
+//! * windowed union-find work counters (merges / rebuilds);
 //! * peak heap bytes for the run, measured by [`CountingAlloc`]
 //!   installed as this binary's global allocator.
 //!

@@ -656,7 +656,7 @@ pub fn run_command(
                      \x20 latency     = {:.3}s mean / {:.3}s max (virtual)\n\
                      \x20 rho         = {rho} (uniform reference {:.4})\n\
                      \x20 spread      = {:.4} mean / {:.4} max\n\
-                     \x20 union-find  = {} merges, {} rebuilds, {} clean evictions\n\
+                     \x20 union-find  = {} merges, {} rebuilds\n\
                      \x20 checker     = {} events, {} violation(s)",
                     report.signals,
                     report.signals_per_sec,
@@ -670,7 +670,6 @@ pub fn run_command(
                     report.weight_spread_max,
                     report.connectivity.merges,
                     report.connectivity.rebuilds,
-                    report.connectivity.clean_evictions,
                     report.checker_events,
                     report.checker_violations,
                 );

@@ -118,50 +118,19 @@ pub fn ring_allreduce(
     Ok(())
 }
 
-/// In-place weighted model average across `group`:
-/// every member ends up with `Σ_j weights[j] · data_j`.
-///
-/// This is the aggregation step of both constant partial reduce
-/// (`weights = [1/P; P]`) and dynamic partial reduce (EMA weights). It is
-/// implemented as scale-then-ring-all-reduce, so it costs the same on the
-/// wire as a plain all-reduce over the group.
-///
-/// # Panics
-/// Panics if `weights.len() != group.len()`.
-pub fn weighted_average(
-    ep: &mut Endpoint,
-    group: &[usize],
-    base_tag: u64,
-    data: &mut [f32],
-    weights: &[f32],
-) -> Result<()> {
-    assert_eq!(
-        weights.len(),
-        group.len(),
-        "one weight per group member required"
-    );
-    let me = position_in_group(ep, group)?;
-    let Some(&w) = weights.get(me) else {
-        return Err(CommError::InvalidGroup(format!(
-            "member position {me} outside weight row of {}",
-            weights.len()
-        )));
-    };
-    for d in data.iter_mut() {
-        *d *= w;
-    }
-    ring_allreduce(ep, group, base_tag, data)
-}
-
 /// Default segment size, in elements, of the chunked group-average
 /// pipeline (64Ki floats = 256 KiB per segment): large enough to
 /// amortize per-message overhead, small enough that a segment's
 /// reduction runs out of cache while the next segment is in flight.
 pub const PIPELINE_CHUNK: usize = 1 << 16;
 
-/// Chunked weighted model average: [`weighted_average`] restructured as
-/// a pipeline of per-segment reduce-scatter → all-gather rounds over
-/// [`PIPELINE_CHUNK`]-element segments.
+/// In-place weighted model average across `group` — every member ends
+/// up with `Σ_j weights[j] · data_j` — the aggregation step of both
+/// constant partial reduce (`weights = [1/P; P]`) and dynamic partial
+/// reduce (EMA weights). Scale-then-ring-all-reduce, run as a pipeline of
+/// per-segment reduce-scatter → all-gather rounds over
+/// [`PIPELINE_CHUNK`]-element segments, so it costs the same on the wire
+/// as a plain all-reduce over the group.
 ///
 /// Ring steps never barrier, so once a rank finishes segment `c` it
 /// starts segment `c + 1` immediately while its neighbors drain `c` —
@@ -184,9 +153,8 @@ pub fn chunked_weighted_average(
     chunked_weighted_average_with(ep, group, base_tag, data, weights, PIPELINE_CHUNK)
 }
 
-/// [`chunked_weighted_average`] with an explicit segment size (the
-/// kernel bench sweeps this; `usize::MAX` degenerates to one monolithic
-/// segment).
+/// [`chunked_weighted_average`] with an explicit segment size
+/// (`usize::MAX` degenerates to one monolithic segment).
 ///
 /// Every member must pass the same `chunk_elems`. Each segment consumes
 /// `2·(p−1)` tags starting at `base_tag`; if the segment count would
@@ -195,7 +163,7 @@ pub fn chunked_weighted_average(
 ///
 /// # Panics
 /// Panics if `chunk_elems == 0` or `weights.len() != group.len()`.
-pub fn chunked_weighted_average_with(
+fn chunked_weighted_average_with(
     ep: &mut Endpoint,
     group: &[usize],
     base_tag: u64,
@@ -237,39 +205,6 @@ pub fn chunked_weighted_average_with(
         all_gather(ep, group, tag + (p as u64 - 1), segment)?;
         start = end;
         seg += 1;
-    }
-    Ok(())
-}
-
-/// Broadcast `data` from `group[root_pos]` to every member, in place.
-///
-/// Uses a simple linear fan-out from the root: fine for the few-member
-/// groups and small payloads this runtime broadcasts.
-pub fn broadcast(
-    ep: &mut Endpoint,
-    group: &[usize],
-    base_tag: u64,
-    root_pos: usize,
-    data: &mut Vec<f32>,
-) -> Result<()> {
-    let me = position_in_group(ep, group)?;
-    if root_pos >= group.len() {
-        return Err(CommError::InvalidGroup(format!(
-            "root position {root_pos} out of group of {}",
-            group.len()
-        )));
-    }
-    if group.len() == 1 {
-        return Ok(());
-    }
-    if me == root_pos {
-        for (pos, &r) in group.iter().enumerate() {
-            if pos != root_pos {
-                ep.send_from_slice(r, base_tag, data)?;
-            }
-        }
-    } else {
-        *data = ep.recv(group[root_pos], base_tag)?;
     }
     Ok(())
 }
@@ -337,6 +272,82 @@ pub fn ring_exchange(
     Ok((left, right))
 }
 
+/// Reduce-scatter: after the call, the member at position `i` of `group`
+/// holds the fully-summed chunk `i` of `data` (chunks as in
+/// [`ring_allreduce`]'s partition, ownership as in MPI's
+/// `Reduce_scatter`); other chunks are left in an unspecified
+/// partially-reduced state. Returns the caller's owned chunk range.
+pub fn reduce_scatter(
+    ep: &mut Endpoint,
+    group: &[usize],
+    base_tag: u64,
+    data: &mut [f32],
+) -> Result<std::ops::Range<usize>> {
+    let me = position_in_group(ep, group)?;
+    let p = group.len();
+    if p == 1 {
+        return Ok(0..data.len());
+    }
+    let next = group[(me + 1) % p];
+    let prev = group[(me + p - 1) % p];
+    // Offset −1 relative to `ring_allreduce`'s phase 1 so the caller ends
+    // up owning chunk `me` (MPI convention) rather than `(me+1) mod p`.
+    for s in 0..p - 1 {
+        let send_idx = (me + p - 1 - s) % p;
+        let recv_idx = (me + 2 * p - 2 - s) % p;
+        let tag = base_tag + s as u64;
+        ep.send_from_slice(next, tag, &data[chunk_range(data.len(), p, send_idx)])?;
+        let incoming = ep.recv(prev, tag)?;
+        let range = chunk_range(data.len(), p, recv_idx);
+        if incoming.len() != range.len() {
+            return Err(CommError::PayloadMismatch {
+                expected: range.len(),
+                actual: incoming.len(),
+            });
+        }
+        for (d, x) in data[range].iter_mut().zip(incoming.iter()) {
+            *d += x;
+        }
+        ep.recycle(incoming);
+    }
+    Ok(chunk_range(data.len(), p, me))
+}
+
+/// All-gather: the member at position `i` contributes chunk `i` of `data`
+/// (the rest of its buffer is overwritten); after the call every member
+/// holds all chunks. Chunk partition as in [`ring_allreduce`].
+pub fn all_gather(
+    ep: &mut Endpoint,
+    group: &[usize],
+    base_tag: u64,
+    data: &mut [f32],
+) -> Result<()> {
+    let me = position_in_group(ep, group)?;
+    let p = group.len();
+    if p == 1 {
+        return Ok(());
+    }
+    let next = group[(me + 1) % p];
+    let prev = group[(me + p - 1) % p];
+    for s in 0..p - 1 {
+        let send_idx = (me + p - s) % p;
+        let recv_idx = (me + p - s - 1) % p;
+        let tag = base_tag + s as u64;
+        ep.send_from_slice(next, tag, &data[chunk_range(data.len(), p, send_idx)])?;
+        let incoming = ep.recv(prev, tag)?;
+        let range = chunk_range(data.len(), p, recv_idx);
+        if incoming.len() != range.len() {
+            return Err(CommError::PayloadMismatch {
+                expected: range.len(),
+                actual: incoming.len(),
+            });
+        }
+        data[range].copy_from_slice(&incoming);
+        ep.recycle(incoming);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,6 +371,22 @@ mod tests {
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
+    }
+
+    /// Monolithic reference for the chunked pipeline: scale by the
+    /// caller's weight, then one whole-buffer ring all-reduce.
+    fn weighted_average(
+        ep: &mut Endpoint,
+        group: &[usize],
+        base_tag: u64,
+        data: &mut [f32],
+        weights: &[f32],
+    ) -> Result<()> {
+        let me = position_in_group(ep, group)?;
+        for d in data.iter_mut() {
+            *d *= weights[me];
+        }
+        ring_allreduce(ep, group, base_tag, data)
     }
 
     #[test]
@@ -455,7 +482,7 @@ mod tests {
         let results = run_world(3, |rank, ep| {
             let mut data = vec![(rank * 3) as f32; 5];
             let w = [1.0 / 3.0; 3];
-            weighted_average(ep, &[0, 1, 2], 0, &mut data, &w).unwrap();
+            chunked_weighted_average(ep, &[0, 1, 2], 0, &mut data, &w).unwrap();
             data
         });
         for r in results {
@@ -470,7 +497,7 @@ mod tests {
         let results = run_world(2, |rank, ep| {
             let mut data = vec![if rank == 0 { 10.0 } else { 20.0 }];
             let w = [0.9, 0.1];
-            weighted_average(ep, &[0, 1], 0, &mut data, &w).unwrap();
+            chunked_weighted_average(ep, &[0, 1], 0, &mut data, &w).unwrap();
             data
         });
         for r in results {
@@ -547,22 +574,6 @@ mod tests {
             for (x, y) in a[0].iter().zip(r.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn broadcast_distributes_root_data() {
-        let results = run_world(3, |rank, ep| {
-            let mut data = if rank == 2 {
-                vec![7.0, 8.0]
-            } else {
-                vec![0.0; 2]
-            };
-            broadcast(ep, &[0, 1, 2], 0, 2, &mut data).unwrap();
-            data
-        });
-        for r in results {
-            assert_eq!(r, vec![7.0, 8.0]);
         }
     }
 
@@ -651,181 +662,6 @@ mod tests {
             assert_eq!(prev_end, len);
         }
     }
-}
-
-/// Reduce-scatter: after the call, the member at position `i` of `group`
-/// holds the fully-summed chunk `i` of `data` (chunks as in
-/// [`ring_allreduce`]'s partition, ownership as in MPI's
-/// `Reduce_scatter`); other chunks are left in an unspecified
-/// partially-reduced state. Returns the caller's owned chunk range.
-pub fn reduce_scatter(
-    ep: &mut Endpoint,
-    group: &[usize],
-    base_tag: u64,
-    data: &mut [f32],
-) -> Result<std::ops::Range<usize>> {
-    let me = position_in_group(ep, group)?;
-    let p = group.len();
-    if p == 1 {
-        return Ok(0..data.len());
-    }
-    let next = group[(me + 1) % p];
-    let prev = group[(me + p - 1) % p];
-    // Offset −1 relative to `ring_allreduce`'s phase 1 so the caller ends
-    // up owning chunk `me` (MPI convention) rather than `(me+1) mod p`.
-    for s in 0..p - 1 {
-        let send_idx = (me + p - 1 - s) % p;
-        let recv_idx = (me + 2 * p - 2 - s) % p;
-        let tag = base_tag + s as u64;
-        ep.send_from_slice(next, tag, &data[chunk_range(data.len(), p, send_idx)])?;
-        let incoming = ep.recv(prev, tag)?;
-        let range = chunk_range(data.len(), p, recv_idx);
-        if incoming.len() != range.len() {
-            return Err(CommError::PayloadMismatch {
-                expected: range.len(),
-                actual: incoming.len(),
-            });
-        }
-        for (d, x) in data[range].iter_mut().zip(incoming.iter()) {
-            *d += x;
-        }
-        ep.recycle(incoming);
-    }
-    Ok(chunk_range(data.len(), p, me))
-}
-
-/// All-gather: the member at position `i` contributes chunk `i` of `data`
-/// (the rest of its buffer is overwritten); after the call every member
-/// holds all chunks. Chunk partition as in [`ring_allreduce`].
-pub fn all_gather(
-    ep: &mut Endpoint,
-    group: &[usize],
-    base_tag: u64,
-    data: &mut [f32],
-) -> Result<()> {
-    let me = position_in_group(ep, group)?;
-    let p = group.len();
-    if p == 1 {
-        return Ok(());
-    }
-    let next = group[(me + 1) % p];
-    let prev = group[(me + p - 1) % p];
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s) % p;
-        let recv_idx = (me + p - s - 1) % p;
-        let tag = base_tag + s as u64;
-        ep.send_from_slice(next, tag, &data[chunk_range(data.len(), p, send_idx)])?;
-        let incoming = ep.recv(prev, tag)?;
-        let range = chunk_range(data.len(), p, recv_idx);
-        if incoming.len() != range.len() {
-            return Err(CommError::PayloadMismatch {
-                expected: range.len(),
-                actual: incoming.len(),
-            });
-        }
-        data[range].copy_from_slice(&incoming);
-        ep.recycle(incoming);
-    }
-    Ok(())
-}
-
-/// Gather: every member sends its full `data` to the member at
-/// `root_pos`; the root receives them in group order (its own buffer
-/// included). Non-roots receive `None`.
-pub fn gather(
-    ep: &mut Endpoint,
-    group: &[usize],
-    base_tag: u64,
-    root_pos: usize,
-    data: &[f32],
-) -> Result<Option<Vec<Vec<f32>>>> {
-    let me = position_in_group(ep, group)?;
-    if root_pos >= group.len() {
-        return Err(CommError::InvalidGroup(format!(
-            "root position {root_pos} out of group of {}",
-            group.len()
-        )));
-    }
-    if me == root_pos {
-        let mut out = Vec::with_capacity(group.len());
-        for (pos, &r) in group.iter().enumerate() {
-            if pos == root_pos {
-                out.push(data.to_vec());
-            } else {
-                out.push(ep.recv(r, base_tag + pos as u64)?);
-            }
-        }
-        Ok(Some(out))
-    } else {
-        ep.send_from_slice(group[root_pos], base_tag + me as u64, data)?;
-        Ok(None)
-    }
-}
-
-/// Scatter: the root (at `root_pos`) distributes one buffer per member in
-/// group order; every member returns its slice. The root must pass
-/// `Some(buffers)` with exactly one buffer per member; non-roots pass
-/// `None`.
-pub fn scatter(
-    ep: &mut Endpoint,
-    group: &[usize],
-    base_tag: u64,
-    root_pos: usize,
-    buffers: Option<Vec<Vec<f32>>>,
-) -> Result<Vec<f32>> {
-    let me = position_in_group(ep, group)?;
-    if root_pos >= group.len() {
-        return Err(CommError::InvalidGroup(format!(
-            "root position {root_pos} out of group of {}",
-            group.len()
-        )));
-    }
-    if me == root_pos {
-        let buffers =
-            buffers.ok_or_else(|| CommError::InvalidGroup("scatter root needs buffers".into()))?;
-        if buffers.len() != group.len() {
-            return Err(CommError::InvalidGroup(format!(
-                "scatter root got {} buffers for a group of {}",
-                buffers.len(),
-                group.len()
-            )));
-        }
-        let mut own = Vec::new();
-        for (pos, (buf, &r)) in buffers.into_iter().zip(group.iter()).enumerate() {
-            if pos == root_pos {
-                own = buf;
-            } else {
-                ep.send(r, base_tag + pos as u64, buf)?;
-            }
-        }
-        Ok(own)
-    } else {
-        ep.recv(group[root_pos], base_tag + me as u64)
-    }
-}
-
-#[cfg(test)]
-mod scatter_gather_tests {
-    use super::*;
-    use crate::endpoint::CommWorld;
-    use std::thread;
-
-    fn run_world<T: Send + 'static>(
-        n: usize,
-        f: impl Fn(usize, &mut Endpoint) -> T + Send + Sync + 'static,
-    ) -> Vec<T> {
-        let eps = CommWorld::new(n).into_endpoints();
-        let f = std::sync::Arc::new(f);
-        let handles: Vec<_> = eps
-            .into_iter()
-            .enumerate()
-            .map(|(rank, mut ep)| {
-                let f = f.clone();
-                thread::spawn(move || f(rank, &mut ep))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    }
 
     #[test]
     fn reduce_scatter_owns_summed_chunk() {
@@ -857,40 +693,6 @@ mod scatter_gather_tests {
         for (a, b) in results {
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn gather_collects_in_group_order() {
-        let results = run_world(3, |rank, ep| {
-            let data = vec![rank as f32; 2];
-            gather(ep, &[2, 0, 1], 0, 0, &data).unwrap()
-        });
-        // Root is group position 0 = rank 2.
-        assert!(results[0].is_none());
-        assert!(results[1].is_none());
-        let gathered = results[2].as_ref().unwrap();
-        assert_eq!(gathered[0], vec![2.0; 2]); // group[0] = rank 2
-        assert_eq!(gathered[1], vec![0.0; 2]); // group[1] = rank 0
-        assert_eq!(gathered[2], vec![1.0; 2]); // group[2] = rank 1
-    }
-
-    #[test]
-    fn scatter_distributes_per_member_buffers() {
-        let results = run_world(3, |rank, ep| {
-            let buffers = (rank == 1).then(|| vec![vec![10.0], vec![20.0], vec![30.0]]);
-            scatter(ep, &[0, 1, 2], 0, 1, buffers).unwrap()
-        });
-        assert_eq!(results[0], vec![10.0]);
-        assert_eq!(results[1], vec![20.0]);
-        assert_eq!(results[2], vec![30.0]);
-    }
-
-    #[test]
-    fn scatter_root_without_buffers_errors() {
-        let mut eps = CommWorld::new(2).into_endpoints();
-        let mut e0 = eps.remove(0);
-        let r = scatter(&mut e0, &[0, 1], 0, 0, None);
-        assert!(matches!(r, Err(CommError::InvalidGroup(_))));
     }
 
     #[test]

@@ -435,8 +435,8 @@ mod tests {
     #[test]
     fn batch_recv_drains_queued_signals() {
         let (mut ctl, mut workers) = control_links(4);
-        for w in 0..4usize {
-            workers[w].send_ready(w as u64).unwrap();
+        for (w, link) in workers.iter_mut().enumerate() {
+            link.send_ready(w as u64).unwrap();
         }
         let events = ctl.recv_events(3, T).unwrap();
         assert_eq!(events.len(), 3, "bounded by max");

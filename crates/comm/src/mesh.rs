@@ -2,7 +2,7 @@
 //! *processes*.
 //!
 //! In-process fleets run their group collective over [`Endpoint`]
-//! channels ([`crate::collectives::weighted_average`]). Worker processes
+//! channels ([`collectives::chunked_weighted_average`]). Worker processes
 //! have no shared memory, so each binds an ephemeral data listener
 //! ([`MeshEndpoint::bind`]), announces it in the control-plane hello,
 //! and receives the full [`crate::control::FleetRoster`] once the fleet

@@ -165,8 +165,7 @@ pub struct Controller {
     /// replacing a queue scan that cost O(N) per arriving signal.
     queued: Vec<bool>,
     /// The group history database: the last `T` groups plus their
-    /// incrementally-maintained sync-graph connectivity — the group
-    /// filter's O(N²)-free fast path.
+    /// lazily rebuilt sync-graph connectivity.
     conn: WindowedConnectivity,
     groups_formed: u64,
     repairs: u64,
@@ -359,8 +358,7 @@ impl Controller {
         &self.conn
     }
 
-    /// Work counters of the incremental connectivity structure (merges,
-    /// rebuilds, clean evictions, fast-path hits).
+    /// Work counters of the connectivity structure (merges, rebuilds).
     pub fn connectivity_stats(&self) -> ConnectivityStats {
         self.conn.stats()
     }
@@ -464,20 +462,14 @@ impl Controller {
 
         if self.config.frozen_avoidance && self.conn.is_warm() && !self.conn.is_connected() {
             // Component label per *queued signal* (not per worker):
-            // O(queue · α) against the incremental structure, versus
-            // the O(N²) matrix rebuild + DFS this replaces.
-            let workers: Vec<usize> = self.queue.iter().map(|s| s.worker).collect();
-            let mut sig_comps: Vec<usize> = Vec::with_capacity(workers.len());
-            for w in workers {
-                sig_comps.push(self.conn.component_of(w));
-            }
-            let queued_comps: Vec<usize> = {
-                let mut cs = sig_comps.clone();
-                cs.sort_unstable();
-                cs.dedup();
-                cs
-            };
-            if queued_comps.len() == 1 {
+            // O(queue · α) against the rebuilt union-find.
+            let conn = &mut self.conn;
+            let sig_comps: Vec<usize> = self
+                .queue
+                .iter()
+                .map(|s| conn.component_of(s.worker))
+                .collect();
+            if sig_comps.iter().all(|&c| c == sig_comps[0]) {
                 // Every queued signal sits in one frozen component: a
                 // FIFO group would deepen the freeze. Defer — hold the
                 // signals until a worker from another component

@@ -9,7 +9,7 @@
 //! edges, so `T ≥ ⌈(N−1)/(P−1)⌉` is the minimum window at which a connected
 //! schedule is possible at all.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
@@ -27,9 +27,8 @@ pub fn min_history_window(n: usize, p: usize) -> usize {
 /// An undirected graph over the `N` workers, built from recent groups.
 ///
 /// Not used by the controller: it stays public only as the adjacency-
-/// matrix + BFS *reference oracle* that `core/tests/properties.rs`,
-/// `tests/schedule_properties.rs` and `benches/micro.rs` pin
-/// [`WindowedConnectivity`] against.
+/// matrix + BFS *reference oracle* that `core/tests/properties.rs` and
+/// `tests/schedule_properties.rs` pin [`WindowedConnectivity`] against.
 #[derive(Debug, Clone)]
 pub struct SyncGraph {
     n: usize,
@@ -186,49 +185,34 @@ impl GroupHistory {
     }
 }
 
-/// Counters describing how much work a [`WindowedConnectivity`] structure
-/// has done — the observability half of the amortization story (the
-/// `scale` bench reports these per run).
+/// Counters describing how much work a [`WindowedConnectivity`] has done
+/// (the `scale` bench reports these per run).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConnectivityStats {
-    /// Union-find merges applied incrementally (near-O(1) each).
+    /// Union-find merges applied (all of them inside rebuilds).
     pub merges: u64,
-    /// Full window rebuilds (O(window · P · α) each).
+    /// Window rebuilds (O(window · P · α) each): one per query that
+    /// follows a `record`.
     pub rebuilds: u64,
-    /// Evictions that removed no *unique* edge, so the structure stayed
-    /// exact with no rebuild scheduled.
+    /// Always 0: the edge-multiplicity bookkeeping that counted these is
+    /// gone. The field survives only because the frozen
+    /// `crates/benchmark/src/replay.rs` reads it; the next `benchmark` PR
+    /// is the place to drop it.
     pub clean_evictions: u64,
-    /// `is_connected` queries answered from the stale superset
-    /// (superset disconnected ⇒ exact graph disconnected).
-    pub fast_path_hits: u64,
 }
 
-/// Windowed sync-graph connectivity with amortized near-O(1) updates —
-/// the scale-ready replacement for rebuilding a [`SyncGraph`] and running
-/// DFS on every group-filter decision.
+/// Windowed sync-graph connectivity: the last `T` groups plus one
+/// union-find over the workers, rebuilt lazily.
 ///
 /// Semantics are **exactly** those of
 /// `GroupHistory::sync_graph(n).components()` over the same window of
-/// groups (property-tested against the DFS in
-/// `crates/core/tests/properties.rs`); only the cost model changes:
-///
-/// - **Recording** a group applies `P − 1` union-find merges (amortized
-///   near-O(1) with path compression + union by size) and updates an
-///   edge-multiplicity map.
-/// - **Eviction** (window full) decrements the evicted group's edge
-///   multiplicities. If every evicted edge is still covered by a younger
-///   group, the structure is still exact — nothing to do. Only when an
-///   edge truly vanishes does the structure go *stale*, and even then the
-///   rebuild is deferred until a query needs exact answers.
-/// - **Rebuild** bumps an epoch counter (O(1) reset of the parent/size/
-///   label arrays via per-node stamps — no O(N) clear) and re-unions the
-///   `window · (P − 1)` spanning edges: O(window · P · α), versus the
-///   O(N²) matrix rebuild + DFS it replaces (a 10⁴× gap at N = 10⁴).
-/// - **Disconnected fast path**: while stale, the union-find holds a
-///   *superset* of the window's edges (vanished edges not yet removed,
-///   every new edge applied), so if even the superset is disconnected the
-///   exact graph must be too — `is_connected` can answer `false` without
-///   rebuilding.
+/// groups (checked against the DFS by the seeded oracle test below and
+/// the proptest in `crates/core/tests/properties.rs`). [`Self::record`]
+/// only pushes the group, evicts the oldest beyond the window and marks
+/// the union-find dirty; the first query after a record rebuilds it from
+/// the window — an O(N) fill plus `window · (P − 1)` spanning unions,
+/// O(window · P · α), versus the O(N²) matrix rebuild + DFS of the
+/// oracle. Queries with no record in between reuse the rebuilt forest.
 ///
 /// Component labels are the component's smallest member, matching
 /// [`SyncGraph::components`].
@@ -237,21 +221,14 @@ pub struct WindowedConnectivity {
     n: usize,
     window: usize,
     groups: VecDeque<Vec<u32>>,
-    /// Multiplicity of each undirected edge `(a, b)`, `a < b`, keyed
-    /// `a·n + b`, counted over the current window.
-    edge_count: HashMap<u64, u32>,
     parent: Vec<u32>,
     size: Vec<u32>,
     /// Smallest member of the component rooted at each index.
     min_member: Vec<u32>,
-    /// Per-node epoch stamp: a node whose stamp lags [`Self::epoch`] is
-    /// implicitly a fresh singleton (`parent = self`, `size = 1`).
-    stamp: Vec<u64>,
-    epoch: u64,
-    /// Live component count in the union-find (singletons included).
+    /// Component count in the union-find (singletons included).
     components: usize,
-    /// Whether an eviction removed an edge the union-find still holds.
-    stale: bool,
+    /// Whether `groups` changed since the union-find was last rebuilt.
+    dirty: bool,
     total_recorded: u64,
     stats: ConnectivityStats,
 }
@@ -261,24 +238,21 @@ impl WindowedConnectivity {
     /// `window` groups.
     ///
     /// # Panics
-    /// Panics if `n == 0` or `window == 0`.
+    /// Panics if `n == 0`, `window == 0`, or `n > u32::MAX`.
     pub fn new(n: usize, window: usize) -> Self {
         assert!(n > 0, "empty cluster");
         assert!(window > 0, "history window must be positive");
+        assert!(n <= u32::MAX as usize, "worker ranks are stored as u32");
+        let ids = n as u32;
         WindowedConnectivity {
             n,
             window,
             groups: VecDeque::with_capacity(window),
-            edge_count: HashMap::new(),
-            parent: vec![0; n],
-            size: vec![0; n],
-            min_member: vec![0; n],
-            stamp: vec![0; n],
-            // Epoch 0 is "never touched"; start at 1 so fresh nodes are
-            // lazily materialized on first access.
-            epoch: 1,
+            parent: (0..ids).collect(),
+            size: vec![1; n],
+            min_member: (0..ids).collect(),
             components: n,
-            stale: false,
+            dirty: false,
             total_recorded: 0,
             stats: ConnectivityStats::default(),
         }
@@ -326,22 +300,25 @@ impl WindowedConnectivity {
             .map(|g| g.iter().map(|&w| w as usize).collect())
     }
 
-    fn edge_key(&self, a: u32, b: u32) -> u64 {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        u64::from(lo) * self.n as u64 + u64::from(hi)
+    /// Records a formed group, evicting the oldest beyond the window.
+    ///
+    /// # Panics
+    /// Panics if any member is out of range.
+    pub fn record(&mut self, group: &[usize]) {
+        for &w in group {
+            assert!(w < self.n, "worker {w} out of range (N = {})", self.n);
+        }
+        if self.groups.len() == self.window {
+            self.groups.pop_front();
+        }
+        self.groups
+            .push_back(group.iter().map(|&w| w as u32).collect());
+        self.total_recorded += 1;
+        self.dirty = true;
     }
 
-    /// Materializes `w` for the current epoch if needed, then finds its
-    /// root with path compression.
+    /// Finds the root of `w` with path compression.
     fn find(&mut self, w: u32) -> u32 {
-        let wi = w as usize;
-        if self.stamp[wi] != self.epoch {
-            self.stamp[wi] = self.epoch;
-            self.parent[wi] = w;
-            self.size[wi] = 1;
-            self.min_member[wi] = w;
-            return w;
-        }
         let mut root = w;
         while self.parent[root as usize] != root {
             root = self.parent[root as usize];
@@ -374,98 +351,37 @@ impl WindowedConnectivity {
         self.stats.merges += 1;
     }
 
-    /// Records a formed group, evicting the oldest beyond the window.
-    ///
-    /// # Panics
-    /// Panics if any member is out of range.
-    pub fn record(&mut self, group: &[usize]) {
-        for &w in group {
-            assert!(w < self.n, "worker {w} out of range (N = {})", self.n);
+    /// Brings the union-find up to date with the window: if a group was
+    /// recorded since the last query, resets every worker to a singleton
+    /// and re-unions each retained group's `P − 1` spanning edges.
+    fn ensure_fresh(&mut self) {
+        if !self.dirty {
+            return;
         }
-        if self.groups.len() == self.window {
-            if let Some(old) = self.groups.pop_front() {
-                let mut vanished = false;
-                for (i, &a) in old.iter().enumerate() {
-                    for &b in &old[i + 1..] {
-                        if a == b {
-                            continue;
-                        }
-                        let key = self.edge_key(a, b);
-                        if let Some(count) = self.edge_count.get_mut(&key) {
-                            *count -= 1;
-                            if *count == 0 {
-                                self.edge_count.remove(&key);
-                                vanished = true;
-                            }
-                        }
-                    }
-                }
-                if vanished {
-                    self.stale = true;
-                } else {
-                    self.stats.clean_evictions += 1;
-                }
-            }
-        }
-        let members: Vec<u32> = group.iter().map(|&w| w as u32).collect();
-        for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                if a == b {
-                    continue;
-                }
-                let key = self.edge_key(a, b);
-                *self.edge_count.entry(key).or_insert(0) += 1;
-            }
-        }
-        // Even while stale the union-find is kept a *superset* of the
-        // window's edges (the disconnected fast path depends on it), so
-        // new groups always merge incrementally.
-        for pair in members.windows(2) {
-            if pair[0] != pair[1] {
-                self.union(pair[0], pair[1]);
-            }
-        }
-        self.groups.push_back(members);
-        self.total_recorded += 1;
-    }
-
-    /// Rebuilds the union-find from the retained window: O(1) epoch-bump
-    /// reset, then `window · (P − 1)` spanning merges.
-    fn rebuild(&mut self) {
-        self.epoch += 1;
-        self.components = self.n;
-        self.stale = false;
+        self.dirty = false;
         self.stats.rebuilds += 1;
+        for (w, p) in self.parent.iter_mut().enumerate() {
+            *p = w as u32;
+        }
+        self.min_member.copy_from_slice(&self.parent);
+        self.size.fill(1);
+        self.components = self.n;
         // Detach the window so spanning edges can be re-unioned without
         // aliasing `self` (the deque is put back untouched).
         let groups = std::mem::take(&mut self.groups);
         for group in &groups {
             for pair in group.windows(2) {
-                if pair[0] != pair[1] {
-                    self.union(pair[0], pair[1]);
-                }
+                self.union(pair[0], pair[1]);
             }
         }
         self.groups = groups;
-    }
-
-    fn ensure_exact(&mut self) {
-        if self.stale {
-            self.rebuild();
-        }
     }
 
     /// Whether the window's sync-graph is connected (a single component,
     /// isolated workers counting as their own — the same contract as
     /// [`SyncGraph::is_connected`]).
     pub fn is_connected(&mut self) -> bool {
-        if self.stale && self.components > 1 {
-            // The union-find holds a superset of the window's edges; if
-            // even the superset is split, the exact graph is too.
-            self.stats.fast_path_hits += 1;
-            return false;
-        }
-        self.ensure_exact();
+        self.ensure_fresh();
         self.components == 1
     }
 
@@ -476,7 +392,7 @@ impl WindowedConnectivity {
     /// Panics if `w` is out of range.
     pub fn component_of(&mut self, w: usize) -> usize {
         assert!(w < self.n, "worker {w} out of range (N = {})", self.n);
-        self.ensure_exact();
+        self.ensure_fresh();
         let root = self.find(w as u32);
         self.min_member[root as usize] as usize
     }
@@ -484,7 +400,6 @@ impl WindowedConnectivity {
     /// Connected-component label per worker; equals
     /// `GroupHistory::sync_graph(n).components()` for the same window.
     pub fn components(&mut self) -> Vec<usize> {
-        self.ensure_exact();
         (0..self.n).map(|w| self.component_of(w)).collect()
     }
 }
@@ -638,37 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_clean_eviction_skips_rebuild() {
-        // The evicted group's edge is still covered by a younger copy, so
-        // no rebuild is needed and the eviction counts as clean.
-        let mut c = WindowedConnectivity::new(3, 2);
-        c.record(&[0, 1]);
-        c.record(&[0, 1]);
-        c.record(&[1, 2]); // evicts the first (0,1); the second remains
-        assert_eq!(c.components(), vec![0, 0, 0]);
-        let stats = c.stats();
-        assert_eq!(stats.clean_evictions, 1);
-        assert_eq!(stats.rebuilds, 0);
-    }
-
-    #[test]
-    fn windowed_stale_fast_path_answers_without_rebuild() {
-        // After a dirty eviction splits the graph, the superset union-find
-        // is itself split, so `is_connected` can answer from the fast path.
-        let mut c = WindowedConnectivity::new(5, 2);
-        c.record(&[0, 1]);
-        c.record(&[2, 3]);
-        c.record(&[2, 3]); // evicts (0,1): dirty, 0–1 edge vanished
-        assert!(!c.is_connected());
-        let stats = c.stats();
-        assert_eq!(stats.fast_path_hits, 1);
-        assert_eq!(stats.rebuilds, 0);
-        // An exact query then forces the deferred rebuild.
-        assert_eq!(c.components(), vec![0, 1, 2, 2, 4]);
-        assert_eq!(c.stats().rebuilds, 1);
-    }
-
-    #[test]
     fn windowed_matches_dfs_on_scripted_sequences() {
         assert_tracks_dfs(
             6,
@@ -700,6 +584,71 @@ mod tests {
                 vec![2, 3],
             ],
         );
+        // Duplicate members contribute no edge.
+        assert_tracks_dfs(
+            4,
+            2,
+            &[vec![1, 1], vec![2, 2, 3], vec![0, 0, 0], vec![3, 1, 3]],
+        );
+    }
+
+    /// Seeded stand-in for the DFS-oracle proptest (which needs the real
+    /// `proptest` crate): random groups at N=64, P=4 through windows below,
+    /// at and above `T = ⌈63/3⌉ = 21`, probed every 1, 2 and 3 records so
+    /// runs of several records between queries are covered.
+    #[test]
+    fn windowed_matches_dfs_on_seeded_random_stream() {
+        const N: usize = 64;
+        assert_eq!(min_history_window(N, 4), 21);
+        let mut verdicts = [0usize; 2];
+        for (window, stride) in [1, 21, 40]
+            .into_iter()
+            .flat_map(|w| [1, 2, 3].map(|s| (w, s)))
+        {
+            let mut state = 0x9E37_79B9_7F4A_7C15_u64 ^ (window * 8 + stride) as u64;
+            let mut next = |bound: usize| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as usize % bound
+            };
+            let mut h = GroupHistory::new(window);
+            let mut c = WindowedConnectivity::new(N, window);
+            let mut rebuilds = 0;
+            for i in 0..2_000 {
+                // Alternate 64-group phases: a sweep of overlapping
+                // consecutive quads (any 21 in a row span all 64 workers)
+                // and random draws, mostly from one band of 8, so
+                // duplicates are common and the graph splits again.
+                let group: Vec<usize> = if (i / 64) % 2 == 0 {
+                    let k = 3 * (i % 21);
+                    (k..k + 4).collect()
+                } else {
+                    let (base, span) = if i % 7 == 0 {
+                        (0, N)
+                    } else {
+                        (next(N / 8) * 8, 8)
+                    };
+                    (0..4).map(|_| base + next(span)).collect()
+                };
+                h.record(group.clone());
+                c.record(&group);
+                if i % stride != 0 {
+                    continue;
+                }
+                let reference = h.sync_graph(N);
+                assert_eq!(c.is_connected(), reference.is_connected(), "group {i}");
+                assert_eq!(c.components(), reference.components(), "group {i}");
+                assert_eq!(c.is_warm(), h.is_warm());
+                verdicts[usize::from(reference.is_connected())] += 1;
+                // One rebuild per probed record, however many queries.
+                rebuilds += 1;
+                assert_eq!(c.stats().rebuilds, rebuilds);
+            }
+            assert_eq!(c.stats().clean_evictions, 0);
+        }
+        // The stream must exercise both answers.
+        assert!(verdicts[0] > 100 && verdicts[1] > 100, "{verdicts:?}");
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //! mid-run yields no `RunFinished`; that is not a violation) but strict
 //! about *inconsistent* ones.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io::{self, BufRead};
 use std::path::Path;
@@ -197,24 +197,24 @@ pub struct StreamingChecker {
     /// Queued ready signals: worker → reported iteration.
     pending: BTreeMap<usize, u64>,
     /// Departed workers.
-    departed: BTreeMap<usize, ()>,
+    departed: BTreeSet<usize>,
     /// Strictly-increasing floor on each worker's next reported iteration.
     min_next: BTreeMap<usize, u64>,
     /// Workers inside an unfinished group: worker → group members.
     in_flight: BTreeMap<usize, Vec<usize>>,
     /// Workers with an injected fault on record (justifies eviction).
-    faulted: BTreeMap<usize, ()>,
+    faulted: BTreeSet<usize>,
     /// Workers whose heartbeat silence was narrated (justifies eviction).
-    missed: BTreeMap<usize, ()>,
+    missed: BTreeSet<usize>,
     /// Worker processes that completed the fleet handshake.
-    joined: BTreeMap<usize, ()>,
+    joined: BTreeSet<usize>,
     /// Workers whose control connection dropped (justifies eviction).
-    disconnected: BTreeMap<usize, ()>,
+    disconnected: BTreeSet<usize>,
     /// Evicted workers awaiting their departure event.
-    evicted_pending: BTreeMap<usize, ()>,
-    /// Incremental replica of the controller's `T`-window sync-graph
-    /// connectivity (the batch checker's rebuild-and-DFS is the semantic
-    /// reference; this matches it exactly, property-tested).
+    evicted_pending: BTreeSet<usize>,
+    /// Replica of the controller's `T`-window sync-graph connectivity
+    /// (the batch checker's rebuild-and-DFS is the semantic reference;
+    /// this matches it exactly, property-tested).
     conn: Option<WindowedConnectivity>,
     expected_sequence: u64,
     active: Option<usize>,
@@ -240,14 +240,14 @@ impl StreamingChecker {
             strict_inflight: false,
             config: None,
             pending: BTreeMap::new(),
-            departed: BTreeMap::new(),
+            departed: BTreeSet::new(),
             min_next: BTreeMap::new(),
             in_flight: BTreeMap::new(),
-            faulted: BTreeMap::new(),
-            missed: BTreeMap::new(),
-            joined: BTreeMap::new(),
-            disconnected: BTreeMap::new(),
-            evicted_pending: BTreeMap::new(),
+            faulted: BTreeSet::new(),
+            missed: BTreeSet::new(),
+            joined: BTreeSet::new(),
+            disconnected: BTreeSet::new(),
+            evicted_pending: BTreeSet::new(),
             conn: None,
             expected_sequence: 0,
             active: None,
@@ -268,12 +268,6 @@ impl StreamingChecker {
     /// Groups observed so far.
     pub fn groups(&self) -> u64 {
         self.groups
-    }
-
-    /// Violations recorded so far, counting strict-in-flight candidates
-    /// that [`StreamingChecker::finish`] may yet drop.
-    pub fn violations_so_far(&self) -> usize {
-        self.violations.len()
     }
 
     fn fail(&mut self, index: usize, message: String) {
@@ -314,7 +308,7 @@ impl StreamingChecker {
                 } => self.on_enqueued(i, *worker, *iteration, *queued),
                 TraceEvent::SignalRejected { worker, .. } => {
                     self.require_started(i);
-                    if !self.departed.contains_key(worker) {
+                    if !self.departed.contains(worker) {
                         self.fail(
                             i,
                             format!(
@@ -406,7 +400,7 @@ impl StreamingChecker {
                 TraceEvent::SingletonIssued { worker, iteration } => {
                     self.require_started(i);
                     self.singletons += 1;
-                    if self.departed.contains_key(worker) {
+                    if self.departed.contains(worker) {
                         self.fail(i, format!("singleton issued to departed worker {worker}"));
                     }
                     if self.pending.contains_key(worker) {
@@ -449,7 +443,7 @@ impl StreamingChecker {
                             );
                         }
                     }
-                    self.faulted.insert(*worker, ());
+                    self.faulted.insert(*worker);
                 }
                 TraceEvent::ProcessJoined { worker, .. } => {
                     self.require_started(i);
@@ -465,13 +459,13 @@ impl StreamingChecker {
                             );
                         }
                     }
-                    if self.joined.insert(*worker, ()).is_some() {
+                    if !self.joined.insert(*worker) {
                         self.fail(i, format!("worker {worker} joined the fleet twice"));
                     }
                 }
                 TraceEvent::ProcessDisconnected { worker } => {
                     self.require_started(i);
-                    if !self.joined.contains_key(worker) {
+                    if !self.joined.contains(worker) {
                         self.fail(
                             i,
                             format!(
@@ -480,7 +474,7 @@ impl StreamingChecker {
                             ),
                         );
                     }
-                    if self.departed.contains_key(worker) {
+                    if self.departed.contains(worker) {
                         self.fail(
                             i,
                             format!(
@@ -489,7 +483,7 @@ impl StreamingChecker {
                             ),
                         );
                     }
-                    if self.disconnected.insert(*worker, ()).is_some() {
+                    if !self.disconnected.insert(*worker) {
                         self.fail(i, format!("worker {worker} disconnected twice"));
                     }
                 }
@@ -501,7 +495,7 @@ impl StreamingChecker {
                             format!("worker {worker} reported with zero missed heartbeats"),
                         );
                     }
-                    if self.departed.contains_key(worker) {
+                    if self.departed.contains(worker) {
                         self.fail(
                             i,
                             format!(
@@ -510,7 +504,7 @@ impl StreamingChecker {
                             ),
                         );
                     }
-                    self.missed.insert(*worker, ());
+                    self.missed.insert(*worker);
                 }
                 TraceEvent::WorkerEvicted { worker, active } => {
                     self.on_evicted(i, *worker, *active)
@@ -530,7 +524,7 @@ impl StreamingChecker {
                                 );
                             }
                         }
-                        if self.departed.contains_key(w) {
+                        if self.departed.contains(w) {
                             self.fail(i, format!("snapshot taken of departed worker {w}"));
                         }
                     }
@@ -663,7 +657,7 @@ impl StreamingChecker {
                 return;
             }
         }
-        if self.departed.contains_key(&worker) {
+        if self.departed.contains(&worker) {
             self.fail(
                 index,
                 format!("signal from departed worker {worker} was enqueued"),
@@ -754,13 +748,13 @@ impl StreamingChecker {
             );
         }
         for &m in members {
-            if self.departed.contains_key(&m) {
+            if self.departed.contains(&m) {
                 self.fail(
                     index,
                     format!("departed worker {m} appears in group {sequence}"),
                 );
             }
-            if self.evicted_pending.contains_key(&m) {
+            if self.evicted_pending.contains(&m) {
                 self.fail(
                     index,
                     format!(
@@ -897,8 +891,9 @@ impl StreamingChecker {
 
     /// A repair must happen on a warm, disconnected sync-graph and bridge
     /// at least two of its components (§4). The window is replayed
-    /// through the incremental [`WindowedConnectivity`] structure; its
-    /// components are exactly those of the batch rebuild-and-DFS
+    /// through a [`WindowedConnectivity`] (which rebuilds only when a
+    /// repaired group is checked, not per group); its components are
+    /// exactly those of the batch rebuild-and-DFS
     /// (`GroupHistory::sync_graph(n).components()`), which remains the
     /// semantic reference the property tests compare against.
     fn check_repair(&mut self, index: usize, sequence: u64, members: &[usize], repaired: bool) {
@@ -979,18 +974,18 @@ impl StreamingChecker {
     /// performs the decrement.
     fn on_evicted(&mut self, index: usize, worker: usize, active: usize) {
         self.require_started(index);
-        if self.departed.contains_key(&worker) {
+        if self.departed.contains(&worker) {
             self.fail(
                 index,
                 format!("worker {worker} evicted after it already departed"),
             );
         }
-        if self.evicted_pending.insert(worker, ()).is_some() {
+        if !self.evicted_pending.insert(worker) {
             self.fail(index, format!("worker {worker} evicted twice"));
         }
-        if !self.missed.contains_key(&worker)
-            && !self.faulted.contains_key(&worker)
-            && !self.disconnected.contains_key(&worker)
+        if !self.missed.contains(&worker)
+            && !self.faulted.contains(&worker)
+            && !self.disconnected.contains(&worker)
         {
             self.fail(
                 index,
@@ -1001,22 +996,20 @@ impl StreamingChecker {
             );
         }
         match self.active {
-            Some(prev) if prev == 0 => {
+            Some(0) => {
                 self.fail(index, "more evictions than active workers".to_string());
             }
-            Some(prev) => {
-                if active != prev - 1 {
-                    self.fail(
-                        index,
-                        format!(
-                            "eviction reports {active} active workers, \
-                             replay expects {}",
-                            prev - 1
-                        ),
-                    );
-                }
+            Some(prev) if active != prev - 1 => {
+                self.fail(
+                    index,
+                    format!(
+                        "eviction reports {active} active workers, \
+                         replay expects {}",
+                        prev - 1
+                    ),
+                );
             }
-            None => {}
+            _ => {}
         }
     }
 
@@ -1040,7 +1033,7 @@ impl StreamingChecker {
                 return;
             }
         }
-        if self.departed.remove(&worker).is_none() {
+        if !self.departed.remove(&worker) {
             self.fail(
                 index,
                 format!("worker {worker} restored without having departed"),
@@ -1056,34 +1049,31 @@ impl StreamingChecker {
         self.disconnected.remove(&worker);
         self.evicted_pending.remove(&worker);
         self.joined.remove(&worker);
-        match self.active {
-            Some(prev) => {
-                let now = prev + 1;
-                if let Some(cfg) = &self.config {
-                    if now > cfg.num_workers {
-                        self.fail(index, "more restores than fleet capacity".to_string());
-                        return;
-                    }
-                }
-                self.active = Some(now);
-                if active != now {
-                    self.fail(
-                        index,
-                        format!(
-                            "restore reports {active} active workers, \
-                             replay counted {now}"
-                        ),
-                    );
+        if let Some(prev) = self.active {
+            let now = prev + 1;
+            if let Some(cfg) = &self.config {
+                if now > cfg.num_workers {
+                    self.fail(index, "more restores than fleet capacity".to_string());
+                    return;
                 }
             }
-            None => {}
+            self.active = Some(now);
+            if active != now {
+                self.fail(
+                    index,
+                    format!(
+                        "restore reports {active} active workers, \
+                         replay counted {now}"
+                    ),
+                );
+            }
         }
     }
 
     fn on_left(&mut self, index: usize, worker: usize, active: usize, purged_signal: bool) {
         self.require_started(index);
         self.evicted_pending.remove(&worker);
-        if self.departed.insert(worker, ()).is_some() {
+        if !self.departed.insert(worker) {
             self.fail(index, format!("worker {worker} left twice"));
         }
         // The controller purges the departing worker's queued signal — the
@@ -1099,7 +1089,7 @@ impl StreamingChecker {
             );
         }
         match self.active {
-            Some(prev) if prev == 0 => {
+            Some(0) => {
                 self.fail(index, "more departures than workers".to_string());
             }
             Some(prev) => {

@@ -354,11 +354,10 @@ proptest! {
         window in 1usize..8,
         probe_every in 1usize..4,
     ) {
-        // The amortized union-find must agree with the reference DFS over
-        // the same window after every record — connectivity verdict,
+        // The lazily rebuilt union-find must agree with the reference DFS
+        // over the same window after every record — connectivity verdict,
         // component labels, and warm-up state alike. Probing at a random
-        // stride exercises interleavings of deferred rebuilds, clean
-        // evictions, and the stale fast path.
+        // stride covers runs of several records between rebuilds.
         let n = 7;
         let mut h = GroupHistory::new(window);
         let mut c = WindowedConnectivity::new(n, window);

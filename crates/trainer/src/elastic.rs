@@ -63,7 +63,7 @@ impl CheckpointPolicy {
 
     /// Whether a snapshot is due at `count` (iterations or groups).
     pub fn due(&self, count: u64) -> bool {
-        count > 0 && count % self.every == 0
+        count > 0 && count.is_multiple_of(self.every)
     }
 }
 

@@ -16,7 +16,7 @@ use preduce_tensor::Tensor;
 use rand::Rng;
 
 use crate::engine::setup::{build_fleet, evaluate_uniform_average};
-use crate::engine::substrate::{must, Substrate, ThreadedReport, ThreadedSubstrate};
+use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
 

@@ -1,7 +1,7 @@
 //! One driver per strategy family, each written once and projected onto
 //! both substrates.
 //!
-//! A [`StrategyDriver`] owns a strategy's state machine — the math
+//! A [`Driver`] owns a strategy's state machine — the math
 //! (gradient aggregation, model mixing, staleness scaling) and the
 //! membership policy (who participates in each exchange). Its two methods
 //! project that machine onto the two substrates: `drive_sim` consumes a
@@ -22,40 +22,27 @@ use crate::strategy::Strategy;
 
 use ps::PsPolicy;
 
-/// A strategy written once, runnable on either substrate.
-pub trait StrategyDriver {
-    /// The strategy this driver executes.
-    fn strategy(&self) -> Strategy;
-
-    /// Runs the strategy to convergence (or the update cap) under
-    /// deterministic virtual time.
-    fn drive_sim(&self, substrate: SimSubstrate) -> RunResult;
-
-    /// Runs the strategy for the substrate's iteration budget on real OS
-    /// threads.
-    fn drive_threaded(&self, substrate: &ThreadedSubstrate) -> ThreadedReport;
-}
-
 /// The driver for `strategy`.
-///
-/// One driver type dispatches every strategy through a single exhaustive
-/// match per projection: a strategy/family mismatch is unrepresentable, so
-/// no dispatch path can panic.
-pub fn driver_for(strategy: Strategy) -> Box<dyn StrategyDriver> {
-    Box::new(Driver(strategy))
+pub fn driver_for(strategy: Strategy) -> Driver {
+    Driver(strategy)
 }
 
-/// Uniform driver over the whole strategy catalog. The family structure
-/// survives in [`Strategy::family`] and in the per-family modules; the
-/// dispatch itself is flat so every arm is statically covered.
-struct Driver(Strategy);
+/// A strategy written once, runnable on either substrate: one driver
+/// type dispatches the whole catalog through a single exhaustive match
+/// per projection, so a strategy/family mismatch is unrepresentable and
+/// no dispatch path can panic. The family structure survives in
+/// [`Strategy::family`] and in the per-family modules.
+pub struct Driver(Strategy);
 
-impl StrategyDriver for Driver {
-    fn strategy(&self) -> Strategy {
+impl Driver {
+    /// The strategy this driver executes.
+    pub fn strategy(&self) -> Strategy {
         self.0
     }
 
-    fn drive_sim(&self, substrate: SimSubstrate) -> RunResult {
+    /// Runs the strategy to convergence (or the update cap) under
+    /// deterministic virtual time.
+    pub fn drive_sim(&self, substrate: SimSubstrate) -> RunResult {
         let faults = substrate.faults().clone();
         let elastic = substrate.elastic().clone();
         let (h, sink) = substrate.into_parts();
@@ -76,7 +63,9 @@ impl StrategyDriver for Driver {
         }
     }
 
-    fn drive_threaded(&self, substrate: &ThreadedSubstrate) -> ThreadedReport {
+    /// Runs the strategy for the substrate's iteration budget on real OS
+    /// threads.
+    pub fn drive_threaded(&self, substrate: &ThreadedSubstrate) -> ThreadedReport {
         match self.0 {
             Strategy::AllReduce => sync::threaded_allreduce(substrate),
             Strategy::EagerReduce => sync::threaded_eager_reduce(substrate),

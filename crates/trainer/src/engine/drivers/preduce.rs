@@ -17,7 +17,7 @@ use crate::elastic::{
     controller_snapshot, reshard_churn, restore_worker, worker_snapshot, ElasticOptions,
 };
 use crate::engine::setup::{build_fleet, evaluate_uniform_average};
-use crate::engine::substrate::{must, Substrate, ThreadedReport, ThreadedSubstrate};
+use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
 use crate::worker::weighted_model_average;

@@ -1,7 +1,7 @@
 //! The substrate-agnostic execution engine.
 //!
 //! Each strategy is written **once** as a state machine
-//! ([`drivers::StrategyDriver`]); the deterministic virtual-time simulator
+//! ([`drivers::Driver`]); the deterministic virtual-time simulator
 //! and the real-thread runtime are two interchangeable substrates that
 //! drive it ([`SimSubstrate`], [`ThreadedSubstrate`]). [`run`] is the one
 //! entry point: pick a [`Strategy`], a config, and a [`Backend`], and get
@@ -20,9 +20,9 @@ use std::sync::Arc;
 use partial_reduce::TraceSink;
 use preduce_simnet::FaultPlan;
 
-pub use drivers::{driver_for, StrategyDriver};
+pub use drivers::{driver_for, Driver};
 pub use scale::{run_scale, ScaleConfig, ScaleReport};
-pub use substrate::{Backend, SimSubstrate, Substrate, ThreadedReport, ThreadedSubstrate};
+pub use substrate::{Backend, SimSubstrate, ThreadedReport, ThreadedSubstrate};
 
 use crate::config::ExperimentConfig;
 use crate::elastic::ElasticOptions;

@@ -250,7 +250,6 @@ mod tests {
     #[test]
     fn process_projection_converges_on_loopback() {
         let n = 4;
-        let config = tiny_config(n);
         let controller_cfg = crate::strategy::Strategy::preduce_controller_config(2, false, n);
         let dir = std::env::temp_dir().join(format!("preduce-elastic-proc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -66,22 +66,6 @@ impl fmt::Display for Backend {
     }
 }
 
-/// What every substrate exposes to the engine: its identity, fleet size,
-/// and the sink through which its control plane is observed. The
-/// strategy-facing capabilities — advancing time and running compute,
-/// exchanging or averaging models within a group, signaling the
-/// controller — live behind each substrate's scheduler handle (the
-/// simulator's harness, the threaded scaffold's per-worker context and
-/// resources), which the matching `StrategyDriver` projection consumes.
-pub trait Substrate {
-    /// Which backend this substrate is.
-    fn backend(&self) -> Backend;
-    /// Fleet size.
-    fn num_workers(&self) -> usize;
-    /// The trace sink observing this run.
-    fn sink(&self) -> Arc<dyn TraceSink>;
-}
-
 /// The virtual-time substrate: wraps the deterministic [`SimHarness`].
 pub struct SimSubstrate {
     harness: SimHarness,
@@ -143,18 +127,19 @@ impl SimSubstrate {
     pub fn into_parts(self) -> (SimHarness, Arc<dyn TraceSink>) {
         (self.harness, self.sink)
     }
-}
 
-impl Substrate for SimSubstrate {
-    fn backend(&self) -> Backend {
+    /// Which backend this substrate is.
+    pub fn backend(&self) -> Backend {
         Backend::Sim
     }
 
-    fn num_workers(&self) -> usize {
+    /// Fleet size.
+    pub fn num_workers(&self) -> usize {
         self.harness.num_workers()
     }
 
-    fn sink(&self) -> Arc<dyn TraceSink> {
+    /// The trace sink observing this run.
+    pub fn sink(&self) -> Arc<dyn TraceSink> {
         self.sink.clone()
     }
 }
@@ -324,18 +309,19 @@ impl ThreadedSubstrate {
             iterations,
         }
     }
-}
 
-impl Substrate for ThreadedSubstrate {
-    fn backend(&self) -> Backend {
+    /// Which backend this substrate is.
+    pub fn backend(&self) -> Backend {
         Backend::Threaded
     }
 
-    fn num_workers(&self) -> usize {
+    /// Fleet size.
+    pub fn num_workers(&self) -> usize {
         self.config.num_workers
     }
 
-    fn sink(&self) -> Arc<dyn TraceSink> {
+    /// The trace sink observing this run.
+    pub fn sink(&self) -> Arc<dyn TraceSink> {
         self.sink.clone()
     }
 }

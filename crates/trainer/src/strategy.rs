@@ -23,7 +23,7 @@ impl fmt::Display for NoControllerConfig {
 impl std::error::Error for NoControllerConfig {}
 
 /// The four synchronization shapes a strategy can take — the engine
-/// dispatches each family to one [`crate::engine::StrategyDriver`].
+/// dispatches each family to one module of [`crate::engine::drivers`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyFamily {
     /// Full-fleet collectives (All-Reduce, Eager-Reduce).

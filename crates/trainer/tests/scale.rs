@@ -81,7 +81,7 @@ fn n10k_million_signals_stays_in_budget() {
 }
 
 /// Same scale under the hardest preset (Markov bursts force deferrals
-/// and repairs through the windowed union-find's stale/rebuild paths).
+/// and repairs, so nearly every group queries a freshly rebuilt window).
 #[cfg(not(debug_assertions))]
 #[test]
 fn n4k_markov_fleet_checks_clean() {
