@@ -8,20 +8,38 @@
 //! and receives the full [`crate::control::FleetRoster`] once the fleet
 //! is assembled. A group reduce then runs star-shaped: the first member
 //! of the assignment (`group[0]`) is the leader; every other member
-//! dials the leader's listener, streams its parameters, and reads back
-//! the weighted average. The controller never touches this plane — it
-//! only names the group (paper §4: model data never flows through the
-//! message queue).
+//! streams its parameters to the leader and reads back the weighted
+//! average. The controller never touches this plane — it only names the
+//! group (paper §4: model data never flows through the message queue).
 //!
-//! The leader reduces as a *chunked overlap pipeline* (DESIGN.md §13):
-//! it walks the model in [`collectives::PIPELINE_CHUNK`]-element
-//! segments, folding each member's segment bytes into the accumulator
-//! while the members' later segments are still in flight on their
-//! sockets. TCP is a byte stream, so chunking is invisible on the wire
-//! and purely a leader-local strategy ([`MeshEndpoint::set_chunk_elems`]
-//! tunes it; `usize::MAX` recovers the monolithic star). Accumulation
-//! stays in group-position order per element, so every segment size
-//! produces bitwise-identical averages.
+//! **Connection cache.** Forming a P-group must cost what a static
+//! communicator costs, so a pair of endpoints shares *one* bidirectional
+//! stream for as long as both live, whichever of them leads. A member
+//! dials the leader only when it holds no stream to it; the leader
+//! accepts only for members it holds no stream from. Every later reduce
+//! between the two is a header plus payload on the existing blocking
+//! socket — no connect, no accept, no poll. A stream is returned to the
+//! cache only after a reduce it carried completed; any I/O error, EOF or
+//! tag mismatch closes it, which is also what tells the other side.
+//!
+//! **Heal once.** Either side may find its cached stream dead because
+//! the other dropped its end in an earlier failed reduce. A leader whose
+//! cached stream yields anything but the expected header discards it and
+//! waits for that member on the listener instead; a member whose request
+//! fails with a hang-up on a *cached* stream re-dials and resends once
+//! (its parameters are untouched until the reply payload starts). So a
+//! half-dropped pair is whole again within the same reduce.
+//!
+//! **In-place fold.** The leader is always `group[0]`, so its own
+//! contribution comes first in group-position order and the accumulator
+//! can be its parameter slice: per [`PIPELINE_CHUNK`]-element segment it
+//! reads every member's bytes, sets `data[i] = 0 + w₀·data[i]`, then adds
+//! `w_j·x_j` straight from the wire bytes in group-position order — the
+//! per-element order of a from-zero accumulator, so the result is
+//! bit-identical at any segment size. TCP is a byte stream, so
+//! segmenting is invisible on the wire. A segment is folded only once
+//! all of it has arrived: on error every element of `data` holds either
+//! its own value or the finished group average, never a partial sum.
 //!
 //! The [`GroupAverager`] trait abstracts over both planes so the
 //! runtime's `PartialReducer` is substrate-agnostic.
@@ -32,6 +50,7 @@
 //! where `len` counts elements. The `base_tag` check rejects frames
 //! from a stale or misdirected reduce.
 
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
@@ -42,13 +61,16 @@ use crate::endpoint::Endpoint;
 use crate::error::CommError;
 use crate::Result;
 
-/// Overall budget for one group reduce on the mesh (slowest member
-/// connect + transfer both ways).
+/// Budget for each blocking step of a group reduce on the mesh: the
+/// first-contact accept wait, and every socket read or write.
 pub const DATA_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Largest accepted data payload, in elements (256M floats = 1 GiB);
-/// anything larger indicates a corrupt length field.
-const MAX_ELEMS: u32 = 1 << 28;
+/// Elements per pipeline segment: the leader folds, and both roles
+/// convert between floats and wire bytes, one segment at a time.
+const PIPELINE_CHUNK: usize = collectives::PIPELINE_CHUNK;
+
+/// Poll period of the first-contact accept wait.
+const ACCEPT_POLL: Duration = Duration::from_millis(1);
 
 /// A group weighted average over some transport: the in-process
 /// [`Endpoint`] collective or the process-level [`MeshEndpoint`] star.
@@ -83,8 +105,9 @@ impl GroupAverager for Endpoint {
 }
 
 /// One worker process's data-plane endpoint: an ephemeral listener for
-/// reduces it leads, plus the roster of every peer's listener for
-/// reduces it joins.
+/// first contact from members of reduces it leads, the roster of every
+/// peer's listener for reduces it joins, and the cache of streams
+/// already established either way.
 #[derive(Debug)]
 pub struct MeshEndpoint {
     rank: usize,
@@ -92,37 +115,111 @@ pub struct MeshEndpoint {
     local_addr: SocketAddr,
     roster: Vec<SocketAddr>,
     io_timeout: Duration,
-    /// Elements per pipeline segment for the leader's chunked reduce
-    /// ([`MeshEndpoint::set_chunk_elems`]).
+    /// Elements per segment: [`PIPELINE_CHUNK`], except that unit tests
+    /// overwrite it.
     chunk_elems: usize,
+    /// The connection cache: the one stream shared with each peer rank,
+    /// idle between reduces.
+    peers: HashMap<usize, TcpStream>,
+    /// The streams of the reduce being led, in member order
+    /// (`group[1..]`), lifted out of `peers` for its duration so that a
+    /// failed reduce closes them all.
+    round: Vec<Option<TcpStream>>,
+    /// Wire scratch, grown on first use and kept: one segment of bytes
+    /// when joining, one per member when leading.
+    wire: Vec<u8>,
+    #[cfg(test)]
+    dials: usize,
+    #[cfg(test)]
+    accepts: usize,
 }
 
 fn gone(peer: usize) -> CommError {
     CommError::Disconnected { peer }
 }
 
-fn write_bytes(stream: &mut TcpStream, bytes: &[u8], peer: usize) -> Result<()> {
-    stream.write_all(bytes).map_err(|_| gone(peer))
+/// Classifies a data-socket failure during reduce `tag`: an expired
+/// socket timeout means `peer` is alive but late, anything else that it
+/// hung up.
+fn io_error(e: &io::Error, peer: usize, tag: u64) -> CommError {
+    match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => CommError::Timeout { peer, tag },
+        _ => gone(peer),
+    }
 }
 
-fn read_bytes(stream: &mut TcpStream, buf: &mut [u8], peer: usize) -> Result<()> {
-    stream.read_exact(buf).map_err(|_| gone(peer))
+fn send(stream: &mut TcpStream, bytes: &[u8], peer: usize, tag: u64) -> Result<()> {
+    stream.write_all(bytes).map_err(|e| io_error(&e, peer, tag))
 }
 
-fn bytes_to_floats(bytes: &[u8], out: &mut [f32]) -> Result<()> {
-    if bytes.len() != out.len() * 4 {
-        return Err(CommError::PayloadMismatch {
-            expected: out.len() * 4,
-            actual: bytes.len(),
-        });
+fn recv(stream: &mut TcpStream, buf: &mut [u8], peer: usize, tag: u64) -> Result<()> {
+    stream.read_exact(buf).map_err(|e| io_error(&e, peer, tag))
+}
+
+/// The first `bytes` bytes of the wire scratch, growing it if needed.
+fn scratch(wire: &mut Vec<u8>, bytes: usize) -> &mut [u8] {
+    if wire.len() < bytes {
+        wire.resize(bytes, 0);
     }
-    for (chunk, slot) in bytes.chunks_exact(4).zip(out.iter_mut()) {
-        let arr: [u8; 4] = chunk.try_into().map_err(|_| CommError::MalformedFrame {
-            detail: "short float chunk in data frame".into(),
-        })?;
-        *slot = f32::from_le_bytes(arr);
+    &mut wire[..bytes]
+}
+
+/// Little-endian wire bytes of `floats`; `bytes` is four per float.
+fn encode(floats: &[f32], bytes: &mut [u8]) {
+    for (quad, x) in bytes.as_chunks_mut::<4>().0.iter_mut().zip(floats) {
+        *quad = x.to_le_bytes();
     }
-    Ok(())
+}
+
+/// Inverse of [`encode`].
+fn decode(bytes: &[u8], floats: &mut [f32]) {
+    for (x, quad) in floats.iter_mut().zip(bytes.as_chunks::<4>().0) {
+        *x = f32::from_le_bytes(*quad);
+    }
+}
+
+/// A request header: who contributes how many elements to which reduce.
+struct Request {
+    tag: u64,
+    rank: usize,
+    len: usize,
+}
+
+/// `[base_tag u64][rank u32][len u32]`, big-endian: one `u128`.
+fn request_header(tag: u64, rank: u32, len: u32) -> [u8; 16] {
+    ((u128::from(tag) << 64) | (u128::from(rank) << 32) | u128::from(len)).to_be_bytes()
+}
+
+fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
+    let mut buf = [0u8; 16];
+    stream.read_exact(&mut buf)?;
+    let word = u128::from_be_bytes(buf);
+    Ok(Request {
+        tag: (word >> 64) as u64,
+        rank: (word >> 32) as u32 as usize,
+        len: word as u32 as usize,
+    })
+}
+
+/// `[base_tag u64][len u32]`, big-endian: the low 12 bytes of a `u128`.
+fn reply_header(tag: u64, len: u32) -> [u8; 16] {
+    ((u128::from(tag) << 32) | u128::from(len)).to_be_bytes()
+}
+
+/// Reads a reply header; returns `(base_tag, len)`.
+fn read_reply(stream: &mut TcpStream) -> io::Result<(u64, usize)> {
+    let mut buf = [0u8; 16];
+    stream.read_exact(buf.split_at_mut(4).1)?;
+    let word = u128::from_be_bytes(buf);
+    Ok(((word >> 32) as u64, word as u32 as usize))
+}
+
+fn check_len(expected: usize, actual: usize) -> Result<()> {
+    if expected == actual {
+        Ok(())
+    } else {
+        Err(CommError::PayloadMismatch { expected, actual })
+    }
 }
 
 /// Applies blocking mode plus read/write timeouts to a data socket.
@@ -144,7 +241,7 @@ impl MeshEndpoint {
     pub fn bind(rank: usize, addr: &str) -> Result<Self> {
         let listener = TcpListener::bind(addr).map_err(|_| gone(rank))?;
         let local_addr = listener.local_addr().map_err(|_| gone(rank))?;
-        // The accept loop polls non-blocking under a deadline so a
+        // The accept wait polls non-blocking under a deadline so a
         // reduce cannot hang on a member that died before dialing in.
         listener.set_nonblocking(true).map_err(|_| gone(rank))?;
         Ok(MeshEndpoint {
@@ -153,7 +250,14 @@ impl MeshEndpoint {
             local_addr,
             roster: Vec::new(),
             io_timeout: DATA_TIMEOUT,
-            chunk_elems: collectives::PIPELINE_CHUNK,
+            chunk_elems: PIPELINE_CHUNK,
+            peers: HashMap::new(),
+            round: Vec::new(),
+            wire: Vec::new(),
+            #[cfg(test)]
+            dials: 0,
+            #[cfg(test)]
+            accepts: 0,
         })
     }
 
@@ -168,27 +272,15 @@ impl MeshEndpoint {
         self.rank
     }
 
-    /// Overrides the per-reduce I/O budget (tests use short budgets).
+    /// Overrides the per-step I/O budget for streams established from
+    /// now on (tests use short budgets).
     pub fn set_io_timeout(&mut self, timeout: Duration) {
         self.io_timeout = timeout;
     }
 
-    /// Overrides the pipeline segment size in elements (default
-    /// [`collectives::PIPELINE_CHUNK`]). `usize::MAX` degenerates to the
-    /// monolithic star — one segment spanning the whole model — which the
-    /// kernel bench uses as its baseline. The knob is leader-local: the
-    /// wire bytes are identical at any segment size, so members need no
-    /// coordination.
-    ///
-    /// # Panics
-    /// Panics if `chunk_elems == 0`.
-    pub fn set_chunk_elems(&mut self, chunk_elems: usize) {
-        assert!(chunk_elems > 0, "segment size must be positive");
-        self.chunk_elems = chunk_elems;
-    }
-
     /// Installs the fleet roster (every rank's data address, from the
-    /// controller's [`crate::control::FleetRoster`]).
+    /// controller's [`crate::control::FleetRoster`]). Streams are dialed
+    /// on first use, not here.
     ///
     /// # Errors
     /// [`CommError::InvalidGroup`] if an address does not parse.
@@ -204,21 +296,36 @@ impl MeshEndpoint {
         Ok(())
     }
 
-    fn accept_one(&self, deadline: Instant) -> Result<TcpStream> {
+    /// Segment size for a model of `len` elements.
+    fn segment(&self, len: usize) -> usize {
+        self.chunk_elems.clamp(1, len.max(1))
+    }
+
+    /// Waits for the next inbound connection, until `deadline`; the
+    /// timeout names the member and reduce being waited for.
+    fn accept_one(&mut self, deadline: Instant, waiting_on: usize, tag: u64) -> Result<TcpStream> {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    configure_data(&stream, self.io_timeout, self.rank)?;
+                    configure_data(&stream, self.io_timeout, waiting_on)?;
+                    #[cfg(test)]
+                    {
+                        self.accepts += 1;
+                    }
                     return Ok(stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
                         return Err(CommError::Timeout {
-                            peer: usize::MAX,
-                            tag: 0,
+                            peer: waiting_on,
+                            tag,
                         });
                     }
-                    thread::sleep(Duration::from_millis(1));
+                    // First contact only (or a healed pair): std has no
+                    // accept-with-timeout, and the wait for a straggler
+                    // can be long, so nap rather than spin. Steady-state
+                    // rounds block in `read` on a cached stream instead.
+                    thread::sleep(ACCEPT_POLL);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return Err(gone(self.rank)),
@@ -226,196 +333,197 @@ impl MeshEndpoint {
         }
     }
 
-    /// Leader role, run as a chunked overlap pipeline.
-    ///
-    /// Phase 1 accepts every member's connection and validates its
-    /// header only. Phase 2 walks the model in `chunk_elems`-element
-    /// segments: for each segment it reads each member's bytes in
-    /// group-position order and folds them into the accumulator —
-    /// so the reduction arithmetic of segment `c` overlaps the
-    /// transport of segments `c+1, c+2, …`, which the members have
-    /// already written into their sockets. Phase 3 streams the averaged
-    /// model back. Peak scratch is one segment plus the result buffer
-    /// (`O(N + chunk)` instead of the monolithic collector's `O(P·N)`).
-    ///
-    /// Per element, contributions accumulate in group-position order
-    /// starting from zero regardless of segment size, so any
-    /// `chunk_elems` produces bitwise-identical results (the monolithic
-    /// star is the `usize::MAX` special case).
+    fn dial(&mut self, peer: usize) -> Result<TcpStream> {
+        let addr =
+            self.roster.get(peer).copied().ok_or_else(|| {
+                CommError::InvalidGroup(format!("no roster entry for rank {peer}"))
+            })?;
+        let stream = TcpStream::connect_timeout(&addr, self.io_timeout).map_err(|_| gone(peer))?;
+        configure_data(&stream, self.io_timeout, peer)?;
+        #[cfg(test)]
+        {
+            self.dials += 1;
+        }
+        Ok(stream)
+    }
+
+    /// Leader role. The streams it used go back to the cache only if the
+    /// whole reduce succeeded: after a failure they are mid-frame, and
+    /// closing them is what resynchronises each pair and releases the
+    /// members still waiting for a reply.
     fn lead(
         &mut self,
-        group: &[usize],
+        members: &[usize],
         base_tag: u64,
         data: &mut [f32],
         weights: &[f32],
     ) -> Result<()> {
+        let outcome = self
+            .gather(members, base_tag, data.len())
+            .and_then(|()| self.fold(members, base_tag, data, weights))
+            .and_then(|()| self.reply(members, base_tag, data));
+        if outcome.is_ok() {
+            for (&member, stream) in members.iter().zip(self.round.drain(..)) {
+                if let Some(stream) = stream {
+                    self.peers.insert(member, stream);
+                }
+            }
+        }
+        self.round.clear();
+        outcome
+    }
+
+    /// Phase 1: one stream per member in `round`, each positioned just
+    /// past a validated request header. Cached streams are read first;
+    /// one that yields anything but its member's header for this reduce
+    /// (EOF because the peer dropped its end, a frame of an aborted
+    /// round) is discarded and that member awaited on the listener with
+    /// the rest. Inbound connections that are not a missing member's
+    /// request for this reduce — a late dialer from an aborted round —
+    /// are dropped without failing it.
+    fn gather(&mut self, members: &[usize], base_tag: u64, len: usize) -> Result<()> {
         let deadline = Instant::now() + self.io_timeout;
-        let own = group.iter().position(|&g| g == self.rank).ok_or_else(|| {
-            CommError::InvalidGroup(format!("leader rank {} not in group {group:?}", self.rank))
-        })?;
-
-        // Phase 1: accept and identify every member (headers only).
-        let mut streams: Vec<Option<(TcpStream, usize)>> = (0..group.len()).map(|_| None).collect();
-        let mut connected = 0usize;
-        while connected + 1 < group.len() {
-            let mut stream = self.accept_one(deadline)?;
-            let mut tag_buf = [0u8; 8];
-            read_bytes(&mut stream, &mut tag_buf, self.rank)?;
-            let tag = u64::from_be_bytes(tag_buf);
-            if tag != base_tag {
-                return Err(CommError::InvalidGroup(format!(
-                    "data frame for tag {tag} arrived during reduce {base_tag}"
-                )));
-            }
-            let mut rank_buf = [0u8; 4];
-            read_bytes(&mut stream, &mut rank_buf, self.rank)?;
-            let sender = u32::from_be_bytes(rank_buf) as usize;
-            let mut len_buf = [0u8; 4];
-            read_bytes(&mut stream, &mut len_buf, sender)?;
-            let len = u32::from_be_bytes(len_buf);
-            if len >= MAX_ELEMS {
-                return Err(CommError::MalformedFrame {
-                    detail: format!("oversized data frame ({len} elements)"),
-                });
-            }
-            if len as usize != data.len() {
-                return Err(CommError::PayloadMismatch {
-                    expected: data.len(),
-                    actual: len as usize,
-                });
-            }
-            let pos = group.iter().position(|&g| g == sender).ok_or_else(|| {
-                CommError::InvalidGroup(format!("rank {sender} dialed into group {group:?}"))
-            })?;
-            let slot = streams
-                .get_mut(pos)
-                .ok_or_else(|| CommError::InvalidGroup(format!("position {pos} out of group")))?;
-            if pos == own || slot.is_some() {
-                return Err(CommError::InvalidGroup(format!(
-                    "duplicate contribution from rank {sender}"
-                )));
-            }
-            *slot = Some((stream, sender));
-            connected += 1;
-        }
-
-        // Phase 2: chunked reduce, contributions in group-position order.
-        let len = data.len();
-        let chunk = self.chunk_elems.min(len.max(1));
-        let mut result = vec![0f32; len];
-        let mut byte_buf = vec![0u8; chunk * 4];
-        let mut float_buf = vec![0f32; chunk];
-        let mut start = 0usize;
-        while start < len {
-            let end = len.min(start + chunk);
-            let n = end - start;
-            debug_assert!(n > 0 && n <= chunk, "segment bounds");
-            for (pos, &w) in weights.iter().enumerate() {
-                if pos == own {
-                    for (r, x) in result[start..end].iter_mut().zip(data[start..end].iter()) {
-                        *r += w * x;
-                    }
-                    continue;
-                }
-                let Some((stream, sender)) = streams.get_mut(pos).and_then(Option::as_mut) else {
-                    return Err(CommError::InvalidGroup(
-                        "missing contribution after collection".into(),
-                    ));
-                };
-                read_bytes(stream, &mut byte_buf[..n * 4], *sender)?;
-                bytes_to_floats(&byte_buf[..n * 4], &mut float_buf[..n])?;
-                for (r, x) in result[start..end].iter_mut().zip(float_buf[..n].iter()) {
-                    *r += w * x;
+        self.round.clear();
+        for &member in members {
+            let mut cached = self.peers.remove(&member);
+            if let Some(stream) = cached.as_mut() {
+                match read_request(stream) {
+                    Ok(r) if r.tag == base_tag && r.rank == member => check_len(len, r.len)?,
+                    _ => cached = None,
                 }
             }
-            start = end;
+            self.round.push(cached);
         }
-
-        // Phase 3: stream the average back, one member at a time.
-        let mut header = Vec::with_capacity(12);
-        header.extend_from_slice(&base_tag.to_be_bytes());
-        header.extend_from_slice(&(len as u32).to_be_bytes());
-        for entry in streams.iter_mut() {
-            let Some((stream, member)) = entry.as_mut() else {
+        while let Some((&waiting_on, _)) =
+            (members.iter().zip(&self.round)).find(|(_, slot)| slot.is_none())
+        {
+            let mut stream = self.accept_one(deadline, waiting_on, base_tag)?;
+            let Ok(request) = read_request(&mut stream) else {
                 continue;
             };
-            write_bytes(stream, &header, *member)?;
-            let mut s = 0usize;
-            while s < len {
-                let e = len.min(s + chunk);
-                let nb = (e - s) * 4;
-                debug_assert!(nb <= byte_buf.len(), "segment bounds");
-                for (b, x) in byte_buf[..nb].chunks_exact_mut(4).zip(result[s..e].iter()) {
-                    b.copy_from_slice(&x.to_le_bytes());
+            if request.tag != base_tag {
+                continue;
+            }
+            let slot = members
+                .iter()
+                .position(|&m| m == request.rank)
+                .and_then(|pos| self.round.get_mut(pos));
+            let Some(slot) = slot else {
+                continue;
+            };
+            check_len(len, request.len)?;
+            if slot.is_some() {
+                return Err(CommError::InvalidGroup(format!(
+                    "duplicate contribution from rank {}",
+                    request.rank
+                )));
+            }
+            *slot = Some(stream);
+        }
+        Ok(())
+    }
+
+    /// Phase 2: the in-place fold, one segment at a time. Members have
+    /// already written their whole request into their sockets, so
+    /// folding segment `c` overlaps the transport of `c+1, c+2, …`.
+    fn fold(
+        &mut self,
+        members: &[usize],
+        base_tag: u64,
+        data: &mut [f32],
+        weights: &[f32],
+    ) -> Result<()> {
+        let Some((&own_weight, member_weights)) = weights.split_first() else {
+            return Err(CommError::InvalidGroup("no weights".into()));
+        };
+        for segment in data.chunks_mut(self.segment(data.len())) {
+            let bytes = segment.len() * 4;
+            let slots = scratch(&mut self.wire, bytes * members.len());
+            let streams = self.round.iter_mut().flatten();
+            for ((stream, slot), &member) in streams.zip(slots.chunks_exact_mut(bytes)).zip(members)
+            {
+                recv(stream, slot, member, base_tag)?;
+            }
+            // `0.0 +` keeps a negative-zero product bit-identical to
+            // what a from-zero accumulator yields.
+            for x in segment.iter_mut() {
+                *x = 0.0 + own_weight * *x;
+            }
+            for (slot, &w) in slots.chunks_exact(bytes).zip(member_weights) {
+                for (x, quad) in segment.iter_mut().zip(slot.as_chunks::<4>().0) {
+                    *x += w * f32::from_le_bytes(*quad);
                 }
-                write_bytes(stream, &byte_buf[..nb], *member)?;
-                s = e;
             }
         }
-        data.copy_from_slice(&result);
+        Ok(())
+    }
+
+    /// Phase 3: stream the average back. Nothing is written before every
+    /// request byte has been read (a member writes fully, then reads, so
+    /// an earlier reply could deadlock both on full socket buffers), and
+    /// each segment is byte-encoded once for all members.
+    fn reply(&mut self, members: &[usize], base_tag: u64, data: &[f32]) -> Result<()> {
+        let header = reply_header(base_tag, data.len() as u32);
+        for (stream, &member) in self.round.iter_mut().flatten().zip(members) {
+            send(stream, header.split_at(4).1, member, base_tag)?;
+        }
+        for segment in data.chunks(self.segment(data.len())) {
+            let bytes = scratch(&mut self.wire, segment.len() * 4);
+            encode(segment, bytes);
+            for (stream, &member) in self.round.iter_mut().flatten().zip(members) {
+                send(stream, bytes, member, base_tag)?;
+            }
+        }
         Ok(())
     }
 
     /// Member role: stream parameters to the leader, read back the
-    /// average. Payload bytes go out (and come back) in segment-size
-    /// batches — the wire bytes are identical to a single frame, the
-    /// batching only bounds the conversion scratch to one segment.
+    /// average. `data` is untouched until the reply payload starts,
+    /// which is what makes the one resend safe.
     fn join(&mut self, leader: usize, base_tag: u64, data: &mut [f32]) -> Result<()> {
-        let addr =
-            self.roster.get(leader).copied().ok_or_else(|| {
-                CommError::InvalidGroup(format!("no roster entry for rank {leader}"))
-            })?;
-        let mut stream =
-            TcpStream::connect_timeout(&addr, self.io_timeout).map_err(|_| gone(leader))?;
-        configure_data(&stream, self.io_timeout, leader)?;
-        let len = data.len();
-        let chunk = self.chunk_elems.min(len.max(1));
-        let mut byte_buf = vec![0u8; chunk * 4];
-
-        let mut header = Vec::with_capacity(16);
-        header.extend_from_slice(&base_tag.to_be_bytes());
-        header.extend_from_slice(&(self.rank as u32).to_be_bytes());
-        header.extend_from_slice(&(len as u32).to_be_bytes());
-        write_bytes(&mut stream, &header, leader)?;
-        let mut s = 0usize;
-        while s < len {
-            let e = len.min(s + chunk);
-            let nb = (e - s) * 4;
-            debug_assert!(nb <= byte_buf.len(), "segment bounds");
-            for (b, x) in byte_buf[..nb].chunks_exact_mut(4).zip(data[s..e].iter()) {
-                b.copy_from_slice(&x.to_le_bytes());
+        let cached = self.peers.contains_key(&leader);
+        let mut stream = match self.request(leader, base_tag, data) {
+            // The leader dropped its end of the cached stream in an
+            // earlier reduce: heal the pair with a fresh dial, once.
+            Err(CommError::Disconnected { .. }) if cached => {
+                self.request(leader, base_tag, data)?
             }
-            write_bytes(&mut stream, &byte_buf[..nb], leader)?;
-            s = e;
+            first => first?,
+        };
+        for segment in data.chunks_mut(self.segment(data.len())) {
+            let bytes = scratch(&mut self.wire, segment.len() * 4);
+            recv(&mut stream, bytes, leader, base_tag)?;
+            decode(bytes, segment);
         }
+        self.peers.insert(leader, stream);
+        Ok(())
+    }
 
-        let mut tag_buf = [0u8; 8];
-        read_bytes(&mut stream, &mut tag_buf, leader)?;
-        let tag = u64::from_be_bytes(tag_buf);
+    /// Sends this member's request on the cached stream to `leader`
+    /// (dialing one if none is held) and reads the reply header. The
+    /// stream comes back positioned at the reply payload; on any error
+    /// it is closed.
+    fn request(&mut self, leader: usize, base_tag: u64, data: &[f32]) -> Result<TcpStream> {
+        let mut stream = match self.peers.remove(&leader) {
+            Some(stream) => stream,
+            None => self.dial(leader)?,
+        };
+        let rank = u32::try_from(self.rank).unwrap_or(u32::MAX);
+        let header = request_header(base_tag, rank, data.len() as u32);
+        send(&mut stream, &header, leader, base_tag)?;
+        for segment in data.chunks(self.segment(data.len())) {
+            let bytes = scratch(&mut self.wire, segment.len() * 4);
+            encode(segment, bytes);
+            send(&mut stream, bytes, leader, base_tag)?;
+        }
+        let (tag, len) = read_reply(&mut stream).map_err(|e| io_error(&e, leader, base_tag))?;
         if tag != base_tag {
             return Err(CommError::InvalidGroup(format!(
                 "response for tag {tag} during reduce {base_tag}"
             )));
         }
-        let mut len_buf = [0u8; 4];
-        read_bytes(&mut stream, &mut len_buf, leader)?;
-        let got = u32::from_be_bytes(len_buf);
-        if got as usize != len {
-            return Err(CommError::PayloadMismatch {
-                expected: len,
-                actual: got as usize,
-            });
-        }
-        let mut s = 0usize;
-        while s < len {
-            let e = len.min(s + chunk);
-            let nb = (e - s) * 4;
-            debug_assert!(nb <= byte_buf.len(), "segment bounds");
-            read_bytes(&mut stream, &mut byte_buf[..nb], leader)?;
-            bytes_to_floats(&byte_buf[..nb], &mut data[s..e])?;
-            s = e;
-        }
-        Ok(())
+        check_len(data.len(), len)?;
+        Ok(stream)
     }
 }
 
@@ -427,17 +535,23 @@ impl GroupAverager for MeshEndpoint {
         data: &mut [f32],
         weights: &[f32],
     ) -> Result<()> {
-        if group.is_empty() || weights.len() != group.len() {
+        let Some((&leader, members)) = group.split_first() else {
+            return Err(CommError::InvalidGroup("empty group".into()));
+        };
+        if weights.len() != group.len() {
             return Err(CommError::InvalidGroup(format!(
                 "group of {} with {} weights",
                 group.len(),
                 weights.len()
             )));
         }
-        let Some(&leader) = group.first() else {
-            return Err(CommError::InvalidGroup("empty group".into()));
-        };
-        if group.len() == 1 {
+        // The headers carry `data.len() as u32`; make that lossless.
+        if u32::try_from(data.len()).is_err() {
+            return Err(CommError::MalformedFrame {
+                detail: format!("{} elements overflow the data frame length", data.len()),
+            });
+        }
+        if members.is_empty() {
             // Singleton flush: the weighted average of one member.
             let w = weights.first().copied().unwrap_or(1.0);
             for d in data.iter_mut() {
@@ -446,8 +560,8 @@ impl GroupAverager for MeshEndpoint {
             return Ok(());
         }
         if leader == self.rank {
-            self.lead(group, base_tag, data, weights)
-        } else if group.contains(&self.rank) {
+            self.lead(members, base_tag, data, weights)
+        } else if members.contains(&self.rank) {
             self.join(leader, base_tag, data)
         } else {
             Err(CommError::InvalidGroup(format!(
@@ -470,111 +584,236 @@ mod tests {
         (eps, addrs)
     }
 
-    #[test]
-    fn star_reduce_matches_weighted_average() {
-        let (mut eps, addrs) = fleet(3);
-        for ep in &mut eps {
-            ep.set_roster(&addrs).unwrap();
-        }
-        let group = vec![1usize, 0, 2];
-        let weights = vec![0.5f32, 0.25, 0.25];
-        let handles: Vec<_> = eps
-            .into_iter()
-            .map(|mut ep| {
-                let group = group.clone();
-                let weights = weights.clone();
-                thread::spawn(move || {
-                    let mut data = vec![ep.rank() as f32 + 1.0; 4];
-                    ep.group_weighted_average(&group, 7, &mut data, &weights)
-                        .unwrap();
-                    data
-                })
-            })
-            .collect();
-        // Expected: 0.5*w1 + 0.25*w0 + 0.25*w2 = 0.5*2 + 0.25*1 + 0.25*3 = 2.0
-        for h in handles {
-            let data = h.join().unwrap();
-            for x in data {
-                assert!((x - 2.0).abs() < 1e-6, "{x}");
-            }
-        }
-    }
-
-    /// Runs one group average over a fresh fleet with the given segment
-    /// size on every endpoint; returns each rank's resulting vector.
-    fn run_group_average(n: usize, chunk_elems: usize, len: usize) -> Vec<Vec<f32>> {
+    /// A fleet with the roster installed, `chunk_elems` floats per
+    /// segment and a short I/O budget.
+    fn wired_chunked(n: usize, chunk_elems: usize) -> Vec<MeshEndpoint> {
         let (mut eps, addrs) = fleet(n);
         for ep in &mut eps {
+            ep.chunk_elems = chunk_elems;
             ep.set_roster(&addrs).unwrap();
-            ep.set_chunk_elems(chunk_elems);
+            ep.set_io_timeout(Duration::from_secs(5));
         }
-        let group: Vec<usize> = (0..n).collect();
-        let weights = vec![1.0 / n as f32; n];
-        let handles: Vec<_> = eps
-            .into_iter()
-            .map(|mut ep| {
-                let group = group.clone();
-                let weights = weights.clone();
-                thread::spawn(move || {
-                    // Non-representable values make ordering observable.
-                    let mut data: Vec<f32> = (0..len)
-                        .map(|i| 0.1 + i as f32 * 0.3 + ep.rank() as f32 * 0.7)
-                        .collect();
-                    ep.group_weighted_average(&group, 11, &mut data, &weights)
-                        .unwrap();
-                    data
+        eps
+    }
+
+    fn wired(n: usize) -> Vec<MeshEndpoint> {
+        wired_chunked(n, PIPELINE_CHUNK)
+    }
+
+    /// Non-representable values, different on every rank, so that fold
+    /// order is observable.
+    fn model(rank: usize, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| 0.1 + i as f32 * 0.3 + rank as f32 * 0.7)
+            .collect()
+    }
+
+    /// One reduce of `group` run concurrently on those of its members
+    /// that are in `eps`; returns their outcomes in `eps` order.
+    fn reduce(
+        eps: &mut [MeshEndpoint],
+        group: &[usize],
+        tag: u64,
+        weights: &[f32],
+        len: usize,
+    ) -> Vec<Result<Vec<f32>>> {
+        thread::scope(|s| {
+            let handles: Vec<_> = eps
+                .iter_mut()
+                .filter(|ep| group.contains(&ep.rank()))
+                .map(|ep| {
+                    s.spawn(move || {
+                        let mut data = model(ep.rank(), len);
+                        ep.group_weighted_average(group, tag, &mut data, weights)
+                            .map(|()| data)
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// The sequential from-zero fold in group-position order.
+    fn reference(group: &[usize], weights: &[f32], len: usize) -> Vec<f32> {
+        let mut acc = vec![0f32; len];
+        for (&rank, &w) in group.iter().zip(weights) {
+            for (a, x) in acc.iter_mut().zip(model(rank, len)) {
+                *a += w * x;
+            }
+        }
+        acc
+    }
+
+    fn assert_bit_equal(a: &[f32], b: &[f32]) {
+        assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "element {i}: {x} vs {y}");
+        }
     }
 
     #[test]
-    fn chunked_star_is_bitwise_identical_to_monolithic() {
-        // 1003 elements with a 64-element segment: 16 segments, uneven
-        // tail. The monolithic star is chunk = usize::MAX.
-        let chunked = run_group_average(3, 64, 1003);
-        let mono = run_group_average(3, usize::MAX, 1003);
-        for (c, m) in chunked.iter().zip(mono.iter()) {
-            assert_eq!(c.len(), m.len());
-            for (a, b) in c.iter().zip(m.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        // And every member agrees with the leader.
-        for r in &chunked[1..] {
-            for (a, b) in chunked[0].iter().zip(r.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
+    fn star_reduce_matches_weighted_average() {
+        let mut eps = wired(3);
+        let group = [1usize, 0, 2];
+        let weights = [0.5f32, 0.25, 0.25];
+        let expect = reference(&group, &weights, 4);
+        for r in reduce(&mut eps, &group, 7, &weights, 4) {
+            for (x, e) in r.unwrap().iter().zip(&expect) {
+                assert!((x - e).abs() < 1e-6, "{x} vs {e}");
             }
         }
     }
 
     #[test]
-    fn tiny_segments_still_average_correctly() {
-        // Segment of 1 element exercises the pipeline at maximum depth.
-        let results = run_group_average(2, 1, 7);
-        for r in results {
-            for (i, v) in r.iter().enumerate() {
-                let expect = (0.1 + i as f32 * 0.3) + 0.7 / 2.0;
-                assert!((v - expect).abs() < 1e-5, "idx {i}: {v} vs {expect}");
+    fn alternating_leaders_share_one_connection() {
+        let mut eps = wired(2);
+        let weights = [0.5f32, 0.5];
+        for round in 0..50u64 {
+            let group = if round % 2 == 0 { [0usize, 1] } else { [1, 0] };
+            let got = reduce(&mut eps, &group, round + 1, &weights, 33);
+            let expect = reference(&group, &weights, 33);
+            for r in got {
+                assert_bit_equal(&r.unwrap(), &expect);
             }
         }
+        let dials: usize = eps.iter().map(|e| e.dials).sum();
+        let accepts: usize = eps.iter().map(|e| e.accepts).sum();
+        assert_eq!((dials, accepts), (1, 1), "one stream for the pair");
+    }
+
+    #[test]
+    fn fold_is_the_sequential_order_at_any_segment_size() {
+        // 1003 elements: 64-element segments leave an uneven tail.
+        let len = 1003;
+        for p in 2..=4usize {
+            let group: Vec<usize> = (0..p).rev().collect();
+            let weights: Vec<f32> = (0..p).map(|j| (j + 1) as f32 / 7.0).collect();
+            let expect = reference(&group, &weights, len);
+            for chunk in [1, 64, usize::MAX] {
+                let mut eps = wired_chunked(p, chunk);
+                for r in reduce(&mut eps, &group, 11, &weights, len) {
+                    assert_bit_equal(&r.unwrap(), &expect);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dropped_cached_stream_heals_within_the_next_reduce() {
+        let mut eps = wired(2);
+        let weights = [0.25f32, 0.75];
+        // A payload larger than the socket buffers, so that a write into
+        // the dead stream is exercised as well as a read from it.
+        let len = 1 << 20;
+        let mut tag = 0;
+        for dropper in 0..2usize {
+            for group in [[0usize, 1], [1, 0]] {
+                tag += 1;
+                for r in reduce(&mut eps, &group, tag, &weights, len) {
+                    r.unwrap();
+                }
+                eps[dropper].peers.clear();
+                tag += 1;
+                let expect = reference(&group, &weights, len);
+                for r in reduce(&mut eps, &group, tag, &weights, len) {
+                    assert_bit_equal(&r.unwrap(), &expect);
+                }
+            }
+        }
+        // First contact plus one re-dial per dropped stream.
+        assert_eq!(eps.iter().map(|e| e.dials).sum::<usize>(), 5);
+    }
+
+    #[test]
+    fn dead_peer_on_a_cached_stream_is_typed_and_the_endpoint_stays_usable() {
+        let mut eps = wired(3);
+        for ep in &mut eps {
+            ep.set_io_timeout(Duration::from_millis(600));
+        }
+        let weights = [0.5f32, 0.5];
+        for group in [[0usize, 2], [1, 2]] {
+            for r in reduce(&mut eps, &group, 1, &weights, 16) {
+                r.unwrap();
+            }
+        }
+        drop(eps.pop());
+
+        // Leading: EOF on the cached stream, then nobody dials in. The
+        // leader cannot tell a dead member from one about to re-dial, so
+        // it waits out its budget — but no longer.
+        let start = Instant::now();
+        let led = reduce(&mut eps, &[0, 2], 2, &weights, 16).swap_remove(0);
+        assert_eq!(led, Err(CommError::Timeout { peer: 2, tag: 2 }));
+        assert!(start.elapsed() < Duration::from_secs(3), "leader hung");
+
+        // Joining: EOF, one re-dial, connection refused — at once.
+        let start = Instant::now();
+        let joined = reduce(&mut eps, &[2, 1], 3, &weights, 16).swap_remove(0);
+        assert_eq!(joined, Err(CommError::Disconnected { peer: 2 }));
+        assert!(
+            start.elapsed() < Duration::from_millis(300),
+            "member waited"
+        );
+
+        let expect = reference(&[0, 1], &weights, 16);
+        for r in reduce(&mut eps, &[0, 1], 4, &weights, 16) {
+            assert_bit_equal(&r.unwrap(), &expect);
+        }
+    }
+
+    #[test]
+    fn stray_connections_do_not_fail_the_leader() {
+        let mut eps = wired(2);
+        let leader_addr = eps[0].local_addr();
+        // Queued ahead of the real member: a late dialer from an aborted
+        // round, a rank outside the group, a rank that is the leader's
+        // own, and a dialer that hangs up mid-header.
+        let strays: Vec<TcpStream> = [
+            request_header(8, 1, 5).to_vec(),
+            request_header(9, 7, 5).to_vec(),
+            request_header(9, 0, 5).to_vec(),
+            vec![0u8; 3],
+        ]
+        .into_iter()
+        .map(|bytes| {
+            let mut s = TcpStream::connect(leader_addr).unwrap();
+            s.write_all(&bytes).unwrap();
+            s
+        })
+        .collect();
+        drop(strays);
+        let weights = [0.5f32, 0.5];
+        let expect = reference(&[0, 1], &weights, 5);
+        for r in reduce(&mut eps, &[0, 1], 9, &weights, 5) {
+            assert_bit_equal(&r.unwrap(), &expect);
+        }
+        assert_eq!(eps[0].accepts, 5);
+    }
+
+    #[test]
+    fn duplicate_contribution_is_typed() {
+        let mut eps = wired(3);
+        eps[0].set_io_timeout(Duration::from_millis(500));
+        let mut first = TcpStream::connect(eps[0].local_addr()).unwrap();
+        first.write_all(&request_header(4, 1, 2)).unwrap();
+        let mut second = TcpStream::connect(eps[0].local_addr()).unwrap();
+        second.write_all(&request_header(4, 1, 2)).unwrap();
+        let mut data = vec![1.0f32; 2];
+        let r = eps[0].group_weighted_average(&[0, 1, 2], 4, &mut data, &[0.5, 0.25, 0.25]);
+        assert!(matches!(r, Err(CommError::InvalidGroup(_))), "{r:?}");
     }
 
     #[test]
     fn member_not_in_group_is_rejected() {
-        let (mut eps, addrs) = fleet(2);
-        let ep = &mut eps[1];
-        ep.set_roster(&addrs).unwrap();
+        let mut eps = wired(2);
         let mut data = vec![1.0f32];
-        let r = ep.group_weighted_average(&[0, 2], 0, &mut data, &[0.5, 0.5]);
+        let r = eps[1].group_weighted_average(&[0, 2], 0, &mut data, &[0.5, 0.5]);
         assert!(matches!(r, Err(CommError::InvalidGroup(_))), "{r:?}");
     }
 
     #[test]
     fn singleton_flush_scales_in_place() {
-        let (mut eps, addrs) = fleet(1);
-        eps[0].set_roster(&addrs).unwrap();
+        let mut eps = wired(1);
         let mut data = vec![2.0f32, 4.0];
         eps[0]
             .group_weighted_average(&[0], 3, &mut data, &[1.0])

@@ -1,11 +1,14 @@
 //! Failure injection: the runtime must surface dead peers as errors, not
 //! hangs — a production collective library's most important property.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use preduce_comm::collectives::{barrier, ring_allreduce};
 use preduce_comm::control::{control_links, ControlPlane, GroupAssignment, WorkerControlPlane};
+use preduce_comm::mesh::{GroupAverager, MeshEndpoint};
 use preduce_comm::{CommError, CommWorld};
 
 #[test]
@@ -134,4 +137,49 @@ fn stash_survives_interleaved_failures() {
     // Tag 3 never arrives → timeout; tag 7 is stashed → succeeds.
     assert!(e0.recv(1, 3).is_err());
     assert_eq!(e0.recv(1, 7).unwrap(), vec![42.0]);
+}
+
+#[test]
+fn mesh_member_killed_mid_payload_errors_the_leader_and_spares_the_endpoint() {
+    let mut leader = MeshEndpoint::bind(0, "127.0.0.1:0").unwrap();
+    let mut member = MeshEndpoint::bind(1, "127.0.0.1:0").unwrap();
+    let roster = [leader.local_addr(), member.local_addr()].map(|a| a.to_string());
+    leader.set_roster(&roster).unwrap();
+    member.set_roster(&roster).unwrap();
+    leader.set_io_timeout(Duration::from_secs(5));
+    member.set_io_timeout(Duration::from_secs(5));
+
+    // "Rank 1" dies after its request header and half of its 8-float
+    // payload: request = [base_tag u64 BE][rank u32 BE][len u32 BE][f32 LE…].
+    let mut dying = TcpStream::connect(leader.local_addr()).unwrap();
+    let mut request = Vec::new();
+    request.extend_from_slice(&21u64.to_be_bytes());
+    request.extend_from_slice(&1u32.to_be_bytes());
+    request.extend_from_slice(&8u32.to_be_bytes());
+    request.extend_from_slice(&[0u8; 16]);
+    dying.write_all(&request).unwrap();
+    drop(dying);
+
+    let own = vec![3.0f32; 8];
+    let mut data = own.clone();
+    let start = Instant::now();
+    let err = leader
+        .group_weighted_average(&[0, 1], 21, &mut data, &[0.5, 0.5])
+        .unwrap_err();
+    assert_eq!(err, CommError::Disconnected { peer: 1 });
+    assert!(start.elapsed() < Duration::from_secs(2), "leader hung");
+    assert_eq!(data, own, "a torn segment must not reach the model");
+
+    // The same endpoint leads the live rank 1 next.
+    let joined = thread::spawn(move || {
+        let mut data = vec![1.0f32; 8];
+        member
+            .group_weighted_average(&[0, 1], 22, &mut data, &[0.5, 0.5])
+            .map(|()| data)
+    });
+    leader
+        .group_weighted_average(&[0, 1], 22, &mut data, &[0.5, 0.5])
+        .unwrap();
+    assert_eq!(data, vec![2.0f32; 8]);
+    assert_eq!(joined.join().unwrap().unwrap(), data);
 }

@@ -31,7 +31,6 @@ use preduce_comm::mesh::MeshEndpoint;
 use preduce_comm::reactor::{accept_fleet, ReactorConfig};
 use preduce_comm::tcp::{bind_controller, RetryPolicy, TcpWorkerLink};
 use preduce_comm::CommError;
-use preduce_tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::ExperimentConfig;
@@ -171,7 +170,6 @@ pub fn run_worker_elastic(
 
     let mut rng = StdRng::seed_from_u64(worker_thread_seed(config.seed, rank));
     let mut degraded = 0u64;
-    let param_len = worker.params.len();
     for _ in 0..iters {
         worker.local_update(&mut rng);
         // Periodic durable snapshot of this rank's state; the store's
@@ -191,17 +189,8 @@ pub fn run_worker_elastic(
                 }
             }
         }
-        let mut flat = worker.params.clone().into_vec();
-        match reducer.reduce(&mut flat, worker.iteration) {
-            Ok(outcome) => {
-                match Tensor::from_vec(flat, [param_len]) {
-                    Ok(t) => worker.params = t,
-                    // Unreachable by construction (same length in and
-                    // out); treat as a degraded round rather than dying.
-                    Err(_) => degraded += 1,
-                }
-                worker.iteration = outcome.new_iteration;
-            }
+        match reducer.reduce(worker.params.as_mut_slice(), worker.iteration) {
+            Ok(outcome) => worker.iteration = outcome.new_iteration,
             Err(CommError::Disconnected { .. }) => {
                 // The controller is gone: no more groups will ever form.
                 degraded += 1;
@@ -209,9 +198,10 @@ pub fn run_worker_elastic(
             }
             Err(_) => {
                 // Data-plane failure (a dying group member, a timeout):
-                // keep the local model and re-signal next round — the
-                // controller's eviction path excludes the dead member
-                // from future groups.
+                // keep what the mesh left in place — per element the
+                // local value or the finished average — and re-signal
+                // next round; the controller's eviction path excludes
+                // the dead member from future groups.
                 degraded += 1;
             }
         }
