@@ -108,6 +108,11 @@ pub const PANIC_RULES: &[Rule] = &[
         include: true,
         why: "the engine drives real fleets on the threaded/process substrates",
     },
+    Rule {
+        prefix: "vendor/",
+        include: false,
+        why: "test-only stand-ins for third-party crates: a property runner reports a failed case by panicking, and nothing there is linked into a fleet",
+    },
 ];
 
 /// Whether the panic-path pass covers this file.
@@ -222,6 +227,10 @@ mod tests {
         );
         assert!(!panic_path("crates/models/src/dense.rs"));
         assert!(!panic_path("crates/analysis/src/lib.rs"));
+        assert!(
+            !panic_path("vendor/proptest/src/lib.rs"),
+            "a property runner fails a case by panicking"
+        );
     }
 
     #[test]

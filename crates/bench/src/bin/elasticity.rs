@@ -66,8 +66,7 @@ struct SnapshotIo {
 #[derive(Serialize)]
 struct Gap {
     con: f64,
-    #[serde(rename = "dyn")]
-    dynamic: f64,
+    r#dyn: f64,
 }
 
 #[derive(Serialize)]
@@ -188,11 +187,11 @@ fn main() {
 
     let gap = Gap {
         con: kill_and_replace_gap(false, max_updates),
-        dynamic: kill_and_replace_gap(true, max_updates),
+        r#dyn: kill_and_replace_gap(true, max_updates),
     };
     println!(
         "  kill-and-replace convergence gap: CON {:+.3}, DYN {:+.3}",
-        gap.con, gap.dynamic
+        gap.con, gap.r#dyn
     );
 
     let reshard: Vec<Reshard> = [8usize, 64]
@@ -218,7 +217,7 @@ fn main() {
         kill_and_replace_gap: Some(gap),
         reshard,
     };
-    let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
+    let json = serde_json::to_string(&report).expect("bench report serializes");
     std::fs::write("BENCH_elasticity.json", json).expect("write BENCH_elasticity.json");
     println!("wrote BENCH_elasticity.json");
 }

@@ -93,8 +93,7 @@ struct Liveness {
 #[derive(Serialize)]
 struct Gap {
     con: f64,
-    #[serde(rename = "dyn")]
-    dynamic: f64,
+    r#dyn: f64,
 }
 
 #[derive(Serialize)]
@@ -203,11 +202,11 @@ fn main() {
     }
     let gap = Gap {
         con: convergence_gap(false, max_updates),
-        dynamic: convergence_gap(true, max_updates),
+        r#dyn: convergence_gap(true, max_updates),
     };
     println!(
         "  post-fault convergence gap: CON {:+.3}, DYN {:+.3}",
-        gap.con, gap.dynamic
+        gap.con, gap.r#dyn
     );
 
     let report = FaultRecoveryBench {
@@ -223,7 +222,7 @@ fn main() {
         time_to_repair_ms: summarize(&repairs),
         post_fault_convergence_gap: Some(gap),
     };
-    let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
+    let json = serde_json::to_string(&report).expect("bench report serializes");
     std::fs::write("BENCH_fault_recovery.json", json).expect("write BENCH_fault_recovery.json");
     println!("wrote BENCH_fault_recovery.json");
 }

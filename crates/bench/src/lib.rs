@@ -1,5 +1,4 @@
-//! Shared support for the experiment binaries (one per paper table/figure)
-//! and the criterion micro-benches.
+//! Shared support for the experiment binaries (one per paper table/figure).
 //!
 //! Every binary honors the `PREDUCE_QUICK` environment variable: set it to
 //! any value to run a reduced-scale version (fewer strategies / smaller

@@ -1,5 +1,7 @@
 //! Plain-text table/series output for the experiment binaries.
 
+use std::path::Path;
+
 use preduce_trainer::RunResult;
 
 /// Formats seconds compactly (`532.1s`).
@@ -56,6 +58,26 @@ impl TableWriter {
     }
 }
 
+/// If `PREDUCE_JSON` is set to a directory, serializes `results` to
+/// `<dir>/<name>.json` (creating the directory if needed) so plots can be
+/// regenerated without re-running experiments. Silent no-op otherwise.
+///
+/// # Panics
+/// Panics if the directory or file cannot be written once requested.
+pub fn maybe_dump_json(name: &str, results: &[RunResult]) {
+    if let Some(dir) = std::env::var_os("PREDUCE_JSON") {
+        dump_json(Path::new(&dir), name, results);
+    }
+}
+
+fn dump_json(dir: &Path, name: &str, results: &[RunResult]) {
+    std::fs::create_dir_all(dir).expect("create PREDUCE_JSON directory");
+    let path = dir.join(format!("{name}.json"));
+    let json = serde_json::to_string(results).expect("RunResult serializes");
+    std::fs::write(&path, json).expect("write experiment JSON");
+    eprintln!("wrote {}", path.display());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,35 +99,12 @@ mod tests {
     fn table_writer_checks_widths() {
         TableWriter::new(&["a"], &[1, 2]);
     }
-}
 
-/// If `PREDUCE_JSON` is set to a directory, serializes `results` to
-/// `<dir>/<name>.json` (creating the directory if needed) so plots can be
-/// regenerated without re-running experiments. Silent no-op otherwise.
-///
-/// # Panics
-/// Panics if the directory or file cannot be written once requested.
-pub fn maybe_dump_json(name: &str, results: &[RunResult]) {
-    let Some(dir) = std::env::var_os("PREDUCE_JSON") else {
-        return;
-    };
-    let dir = std::path::PathBuf::from(dir);
-    std::fs::create_dir_all(&dir).expect("create PREDUCE_JSON directory");
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(results).expect("RunResult serializes");
-    std::fs::write(&path, json).expect("write experiment JSON");
-    eprintln!("wrote {}", path.display());
-}
-
-#[cfg(test)]
-mod json_tests {
-    use super::*;
-
+    // Called with the directory, not through `PREDUCE_JSON`: the
+    // environment is process-wide and tests run on parallel threads.
     #[test]
-    fn json_dump_writes_when_requested() {
-        let dir = std::env::temp_dir().join("preduce-json-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("PREDUCE_JSON", &dir);
+    fn json_dump_writes_the_named_file() {
+        let dir = std::env::temp_dir().join(format!("preduce-json-test-{}", std::process::id()));
         let r = RunResult {
             strategy: "t".into(),
             run_time: 1.0,
@@ -116,16 +115,9 @@ mod json_tests {
             per_update_samples: vec![],
             stats: Default::default(),
         };
-        maybe_dump_json("unit", &[r]);
-        std::env::remove_var("PREDUCE_JSON");
+        dump_json(&dir, "unit", &[r]);
         let written = std::fs::read_to_string(dir.join("unit.json")).unwrap();
-        assert!(written.contains("\"updates\": 2"));
+        assert!(written.contains("\"updates\":2"), "{written}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn json_dump_noop_without_env() {
-        std::env::remove_var("PREDUCE_JSON");
-        maybe_dump_json("never", &[]);
     }
 }

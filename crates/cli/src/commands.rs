@@ -403,7 +403,7 @@ pub fn run_command(
             }
             .result;
             if args.get_or("json", false)? {
-                let text = serde_json::to_string_pretty(&result)
+                let text = serde_json::to_string(&result)
                     .map_err(|e| CliError::Internal(format!("serialize result: {e}")))?;
                 let _ = writeln!(out, "{text}");
             } else {
@@ -642,7 +642,7 @@ pub fn run_command(
             cfg.seed = args.get_or("seed", cfg.seed)?;
             let report = preduce_trainer::run_scale(&cfg);
             if args.get_or("json", false)? {
-                let text = serde_json::to_string_pretty(&report)
+                let text = serde_json::to_string(&report)
                     .map_err(|e| CliError::Internal(format!("serialize report: {e}")))?;
                 let _ = writeln!(out, "{text}");
             } else {
@@ -824,10 +824,16 @@ mod tests {
             "true",
         ]);
         r.unwrap();
-        let v: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert_eq!(v["num_workers"], 32);
-        assert_eq!(v["checker_violations"], 0);
-        assert!(v["groups"].as_u64().unwrap() > 0, "{out}");
+        #[derive(serde::Deserialize)]
+        struct Checked {
+            num_workers: usize,
+            checker_violations: u64,
+            groups: u64,
+        }
+        let v: Checked = serde_json::from_str(&out).unwrap();
+        assert_eq!(v.num_workers, 32);
+        assert_eq!(v.checker_violations, 0);
+        assert!(v.groups > 0, "{out}");
     }
 
     #[test]
@@ -880,9 +886,9 @@ mod tests {
             "true",
         ]);
         r.unwrap();
-        let v: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert_eq!(v["strategy"], "All-Reduce");
-        assert_eq!(v["updates"], 40);
+        let v: preduce_trainer::RunResult = serde_json::from_str(&out).unwrap();
+        assert_eq!(v.strategy, "All-Reduce");
+        assert_eq!(v.updates, 40);
     }
 
     #[test]
@@ -987,7 +993,7 @@ mod tests {
         let dir = std::env::temp_dir().join("preduce-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("exp.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&config).unwrap()).unwrap();
+        std::fs::write(&path, serde_json::to_string(&config).unwrap()).unwrap();
 
         let (r, out) = run(&[
             "run",

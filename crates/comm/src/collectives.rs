@@ -56,66 +56,66 @@ fn chunk_range(len: usize, p: usize, idx: usize) -> std::ops::Range<usize> {
     start..start + size
 }
 
-/// In-place ring all-reduce (sum) of `data` across `group`.
+/// One ring step for the member at position `me` of `group`, over the
+/// `group.len()` chunks of `data`: sends chunk `send_idx` to the next
+/// member and receives the chunk before it from the previous one, either
+/// adding it into place (`fold`, the reduce-scatter half) or overwriting
+/// with it (the all-gather half). The received buffer goes back to the
+/// endpoint's pool.
+fn ring_step(
+    ep: &mut Endpoint,
+    group: &[usize],
+    me: usize,
+    tag: u64,
+    data: &mut [f32],
+    send_idx: usize,
+    fold: bool,
+) -> Result<()> {
+    let p = group.len();
+    let next = group[(me + 1) % p];
+    let prev = group[(me + p - 1) % p];
+    ep.send_from_slice(next, tag, &data[chunk_range(data.len(), p, send_idx)])?;
+    let incoming = ep.recv(prev, tag)?;
+    let range = chunk_range(data.len(), p, (send_idx + p - 1) % p);
+    if incoming.len() != range.len() {
+        return Err(CommError::PayloadMismatch {
+            expected: range.len(),
+            actual: incoming.len(),
+        });
+    }
+    if fold {
+        for (d, x) in data[range].iter_mut().zip(incoming.iter()) {
+            *d += x;
+        }
+    } else {
+        data[range].copy_from_slice(&incoming);
+    }
+    ep.recycle(incoming);
+    Ok(())
+}
+
+/// In-place ring all-reduce (sum) of `data` across `group`:
+/// [`reduce_scatter`] on tags `base_tag..base_tag + p − 1`, then
+/// [`all_gather`] on the next `p − 1`.
 ///
 /// Every member must call this with the same `group` ordering, the same
 /// `base_tag`, and equal-length `data`. After return, every member holds the
 /// elementwise sum. A singleton group is a no-op.
+///
+/// Before PR 17 this was a separate pair of loops in which position `i`
+/// summed chunk `i + 1`; as the composition it sums chunk `i`. For
+/// `P ≥ 3` that changed the order in which an element's `P` contributions
+/// are added — the low bits of sums that are not exactly representable,
+/// never the value on exactly representable data — and every member still
+/// ends with identical bits.
 pub fn ring_allreduce(
     ep: &mut Endpoint,
     group: &[usize],
     base_tag: u64,
     data: &mut [f32],
 ) -> Result<()> {
-    let me = position_in_group(ep, group)?;
-    let p = group.len();
-    if p == 1 {
-        return Ok(());
-    }
-    let next = group[(me + 1) % p];
-    let prev = group[(me + p - 1) % p];
-
-    // Phase 1: reduce-scatter. After step s, position i has accumulated
-    // (s+2) contributions in chunk (i - s - 1 mod p)... after p-1 steps,
-    // position i holds the full sum for chunk (i + 1 mod p).
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s) % p;
-        let recv_idx = (me + p - s - 1) % p;
-        let tag = base_tag + s as u64;
-        ep.send_from_slice(next, tag, &data[chunk_range(data.len(), p, send_idx)])?;
-        let incoming = ep.recv(prev, tag)?;
-        let range = chunk_range(data.len(), p, recv_idx);
-        if incoming.len() != range.len() {
-            return Err(CommError::PayloadMismatch {
-                expected: range.len(),
-                actual: incoming.len(),
-            });
-        }
-        for (d, x) in data[range].iter_mut().zip(incoming.iter()) {
-            *d += x;
-        }
-        ep.recycle(incoming);
-    }
-
-    // Phase 2: all-gather. Position i starts owning the complete chunk
-    // (i + 1 mod p) and circulates completed chunks.
-    for s in 0..p - 1 {
-        let send_idx = (me + 1 + p - s) % p;
-        let recv_idx = (me + p - s) % p;
-        let tag = base_tag + (p - 1 + s) as u64;
-        ep.send_from_slice(next, tag, &data[chunk_range(data.len(), p, send_idx)])?;
-        let incoming = ep.recv(prev, tag)?;
-        let range = chunk_range(data.len(), p, recv_idx);
-        if incoming.len() != range.len() {
-            return Err(CommError::PayloadMismatch {
-                expected: range.len(),
-                actual: incoming.len(),
-            });
-        }
-        data[range].copy_from_slice(&incoming);
-        ep.recycle(incoming);
-    }
-    Ok(())
+    reduce_scatter(ep, group, base_tag, data)?;
+    all_gather(ep, group, base_tag + (group.len() as u64 - 1), data)
 }
 
 /// Default segment size, in elements, of the chunked group-average
@@ -199,10 +199,7 @@ fn chunked_weighted_average_with(
     let mut start = 0usize;
     while start < data.len() {
         let end = data.len().min(start.saturating_add(chunk));
-        let tag = base_tag + seg * stride;
-        let segment = &mut data[start..end];
-        reduce_scatter(ep, group, tag, segment)?;
-        all_gather(ep, group, tag + (p as u64 - 1), segment)?;
+        ring_allreduce(ep, group, base_tag + seg * stride, &mut data[start..end])?;
         start = end;
         seg += 1;
     }
@@ -273,10 +270,11 @@ pub fn ring_exchange(
 }
 
 /// Reduce-scatter: after the call, the member at position `i` of `group`
-/// holds the fully-summed chunk `i` of `data` (chunks as in
-/// [`ring_allreduce`]'s partition, ownership as in MPI's
+/// holds the fully-summed chunk `i` of `data` (`data` split into
+/// `group.len()` near-equal contiguous chunks, ownership as in MPI's
 /// `Reduce_scatter`); other chunks are left in an unspecified
 /// partially-reduced state. Returns the caller's owned chunk range.
+/// Uses tags `base_tag..base_tag + p − 1`.
 pub fn reduce_scatter(
     ep: &mut Endpoint,
     group: &[usize],
@@ -285,37 +283,19 @@ pub fn reduce_scatter(
 ) -> Result<std::ops::Range<usize>> {
     let me = position_in_group(ep, group)?;
     let p = group.len();
-    if p == 1 {
-        return Ok(0..data.len());
-    }
-    let next = group[(me + 1) % p];
-    let prev = group[(me + p - 1) % p];
-    // Offset −1 relative to `ring_allreduce`'s phase 1 so the caller ends
-    // up owning chunk `me` (MPI convention) rather than `(me+1) mod p`.
+    // Each step passes on the chunk folded in the step before, starting
+    // from chunk `me − 1`, so the last chunk folded is the caller's own.
     for s in 0..p - 1 {
         let send_idx = (me + p - 1 - s) % p;
-        let recv_idx = (me + 2 * p - 2 - s) % p;
-        let tag = base_tag + s as u64;
-        ep.send_from_slice(next, tag, &data[chunk_range(data.len(), p, send_idx)])?;
-        let incoming = ep.recv(prev, tag)?;
-        let range = chunk_range(data.len(), p, recv_idx);
-        if incoming.len() != range.len() {
-            return Err(CommError::PayloadMismatch {
-                expected: range.len(),
-                actual: incoming.len(),
-            });
-        }
-        for (d, x) in data[range].iter_mut().zip(incoming.iter()) {
-            *d += x;
-        }
-        ep.recycle(incoming);
+        ring_step(ep, group, me, base_tag + s as u64, data, send_idx, true)?;
     }
     Ok(chunk_range(data.len(), p, me))
 }
 
 /// All-gather: the member at position `i` contributes chunk `i` of `data`
 /// (the rest of its buffer is overwritten); after the call every member
-/// holds all chunks. Chunk partition as in [`ring_allreduce`].
+/// holds all chunks. Chunk partition and tag use as in
+/// [`reduce_scatter`].
 pub fn all_gather(
     ep: &mut Endpoint,
     group: &[usize],
@@ -324,26 +304,9 @@ pub fn all_gather(
 ) -> Result<()> {
     let me = position_in_group(ep, group)?;
     let p = group.len();
-    if p == 1 {
-        return Ok(());
-    }
-    let next = group[(me + 1) % p];
-    let prev = group[(me + p - 1) % p];
     for s in 0..p - 1 {
         let send_idx = (me + p - s) % p;
-        let recv_idx = (me + p - s - 1) % p;
-        let tag = base_tag + s as u64;
-        ep.send_from_slice(next, tag, &data[chunk_range(data.len(), p, send_idx)])?;
-        let incoming = ep.recv(prev, tag)?;
-        let range = chunk_range(data.len(), p, recv_idx);
-        if incoming.len() != range.len() {
-            return Err(CommError::PayloadMismatch {
-                expected: range.len(),
-                actual: incoming.len(),
-            });
-        }
-        data[range].copy_from_slice(&incoming);
-        ep.recycle(incoming);
+        ring_step(ep, group, me, base_tag + s as u64, data, send_idx, false)?;
     }
     Ok(())
 }
@@ -690,8 +653,12 @@ mod tests {
             all_gather(ep, &[0, 1, 2, 3], 2 * TAG_STRIDE, &mut b).unwrap();
             (a, b)
         });
+        // Σ_rank i·(rank + 1) = 10·i — checked against the sum itself,
+        // since `ring_allreduce` is this very composition.
+        let expected: Vec<f32> = (0..10).map(|i| (i * 10) as f32).collect();
         for (a, b) in results {
-            assert_eq!(a, b);
+            assert_eq!(a, expected);
+            assert_eq!(b, expected);
         }
     }
 

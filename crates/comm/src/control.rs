@@ -7,8 +7,8 @@
 //! weights, a tag for the group's collective, and the fast-forwarded
 //! iteration number.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use serde::{Deserialize, Serialize};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use crate::error::CommError;
@@ -286,11 +286,11 @@ impl WorkerControlPlane for WorkerLink {
 /// Panics if `n == 0`.
 pub fn control_links(n: usize) -> (ControllerLink, Vec<WorkerLink>) {
     assert!(n > 0, "need at least one worker");
-    let (signal_tx, signal_rx) = unbounded();
+    let (signal_tx, signal_rx) = channel();
     let mut assignment_txs = Vec::with_capacity(n);
     let mut workers = Vec::with_capacity(n);
     for rank in 0..n {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         assignment_txs.push(tx);
         workers.push(WorkerLink {
             rank,

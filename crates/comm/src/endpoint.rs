@@ -1,7 +1,6 @@
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::CommError;
 use crate::Result;
@@ -46,7 +45,7 @@ impl CommWorld {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded::<Message>();
+            let (tx, rx) = channel::<Message>();
             senders.push(tx);
             receivers.push(rx);
         }

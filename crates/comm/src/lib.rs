@@ -23,7 +23,7 @@
 //!   weighted average, behind the [`mesh::GroupAverager`] abstraction
 //!   that also covers the in-process [`Endpoint`] collectives.
 //!
-//! The default deployment is in-process: transports are `crossbeam`
+//! The default deployment is in-process: transports are `std::sync::mpsc`
 //! channels, and a "worker" is a thread. The collective *semantics* (who
 //! averages what, when) are identical to a networked deployment, which
 //! is what the reproduction's claims rest on — and the [`reactor`] +

@@ -16,18 +16,16 @@
 //! dependency budget, so shards scan their sockets with
 //! `set_nonblocking(true)` reads and an adaptive idle backoff (yield a
 //! few rounds, then sleep [`ReactorConfig::idle_sleep`]). At control
-//! message sizes this sustains six-figure signals/sec (see
-//! `BENCH_controller_throughput.json`) while idling at a handful of
-//! syscalls per shard per millisecond.
+//! message sizes this sustains tens of thousands of signals/sec from 64
+//! sockets (the benchmark's `storm-tcp` workload) while idling at a
+//! handful of syscalls per shard per millisecond.
 
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
-
-use crossbeam::channel::unbounded;
-use parking_lot::Mutex;
 
 use crate::control::{ControlEvent, FleetRoster, WorkerSignal};
 use crate::error::CommError;
@@ -126,11 +124,7 @@ fn pump(sock: &mut ShardSocket, scratch: &mut [u8], batch: &mut Vec<ControlEvent
 /// events, deliver once per productive scan, back off adaptively when
 /// idle. Exits when all sockets are gone or the controller dropped the
 /// receiving end.
-fn run_shard(
-    mut socks: Vec<ShardSocket>,
-    tx: crossbeam::channel::Sender<Vec<ControlEvent>>,
-    cfg: ReactorConfig,
-) {
+fn run_shard(mut socks: Vec<ShardSocket>, tx: Sender<Vec<ControlEvent>>, cfg: ReactorConfig) {
     let mut scratch = vec![0u8; 16 * 1024];
     let mut idle_rounds = 0u32;
     while !socks.is_empty() {
@@ -237,7 +231,7 @@ pub(crate) fn accept_reactor(
         }
     }
 
-    let (tx, rx) = unbounded::<Vec<ControlEvent>>();
+    let (tx, rx) = channel::<Vec<ControlEvent>>();
     for (i, socks) in per_shard.into_iter().enumerate() {
         if socks.is_empty() {
             continue;

@@ -25,12 +25,11 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
-use parking_lot::Mutex;
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
 
 use crate::control::{
@@ -105,13 +104,18 @@ pub(crate) fn write_frame<T: Serialize>(
 }
 
 /// Serializes one whole frame onto a shared socket under its writer
-/// mutex (heartbeat thread and worker loop share the write half).
+/// mutex (heartbeat thread and worker loop share the write half). A
+/// poisoned mutex means another writer panicked, possibly mid-frame, so
+/// the stream can no longer be trusted: the peer is reported gone.
 pub(crate) fn locked_write<T: Serialize>(
     writer: &Mutex<TcpStream>,
     msg: &T,
     peer: usize,
 ) -> Result<()> {
-    write_frame(&mut writer.lock(), msg, peer) // lint: allow(lock-discipline) the per-socket writer mutex exists precisely to serialize whole frames onto one socket; nothing else is ever held with it
+    let mut stream = writer
+        .lock()
+        .map_err(|_| CommError::Disconnected { peer })?;
+    write_frame(&mut stream, msg, peer) // lint: allow(lock-discipline) the per-socket writer mutex exists precisely to serialize whole frames onto one socket; nothing else is ever held with it
 }
 
 /// Reads exactly `buf.len()` bytes, distinguishing the three ways a

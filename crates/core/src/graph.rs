@@ -592,10 +592,11 @@ mod tests {
         );
     }
 
-    /// Seeded stand-in for the DFS-oracle proptest (which needs the real
-    /// `proptest` crate): random groups at N=64, P=4 through windows below,
-    /// at and above `T = ⌈63/3⌉ = 21`, probed every 1, 2 and 3 records so
-    /// runs of several records between queries are covered.
+    /// Fleet-sized companion of the DFS-oracle property in
+    /// `tests/properties.rs` (N=7 there): random groups at N=64, P=4
+    /// through windows below, at and above `T = ⌈63/3⌉ = 21`, probed every
+    /// 1, 2 and 3 records so runs of several records between queries are
+    /// covered.
     #[test]
     fn windowed_matches_dfs_on_seeded_random_stream() {
         const N: usize = 64;

@@ -214,7 +214,7 @@ proptest! {
             // Random subset of free workers signal ready.
             for w in 0..n {
                 if !queued[w] && rng.gen_bool(0.6) {
-                    iter[w] += rng.gen_range(1..4);
+                    iter[w] += rng.gen_range(1..4u64);
                     c.push_ready(w, iter[w]);
                     queued[w] = true;
                 }
@@ -279,7 +279,7 @@ proptest! {
                     continue;
                 }
                 if !queued[w] && rng.gen_bool(0.6) {
-                    iter[w] += rng.gen_range(1..4);
+                    iter[w] += rng.gen_range(1..4u64);
                     prop_assert!(c.push_ready(w, iter[w]));
                     queued[w] = true;
                 }
@@ -419,7 +419,7 @@ proptest! {
         for _ in 0..rounds {
             for w in 0..n {
                 if !queued[w] && rng.gen_bool(0.6) {
-                    iter[w] += rng.gen_range(1..4);
+                    iter[w] += rng.gen_range(1..4u64);
                     c.push_ready(w, iter[w]);
                     queued[w] = true;
                 }

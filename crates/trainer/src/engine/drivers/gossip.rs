@@ -166,11 +166,10 @@ pub(crate) fn threaded_ad_psgd(sub: &ThreadedSubstrate) -> ThreadedReport {
                 thread::sleep(ctx.delay);
             }
             let grad = w.gradient(&mut ctx.rng);
-            let mut flat = w.params.clone().into_vec();
             // Gossip keeps the *local* iteration count: ignore the
             // controller's fast-forwarded value.
-            let _ = must("pairwise reduce", r.reduce(&mut flat, w.iteration + 1));
-            w.params = must("rebuild params", Tensor::from_vec(flat, [w.params.len()]));
+            let reduced = r.reduce(w.params.as_mut_slice(), w.iteration + 1);
+            let _ = must("pairwise reduce", reduced);
             w.apply(&grad, 1.0);
             w.iteration += 1;
         }

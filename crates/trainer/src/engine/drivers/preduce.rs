@@ -561,11 +561,8 @@ pub(crate) fn threaded_preduce(
             if signal_delay > 0.0 {
                 std::thread::sleep(Duration::from_secs_f64(signal_delay));
             }
-            let iteration = w.iteration;
-            let mut flat = w.params.clone().into_vec();
-            let outcome = must("partial reduce", r.reduce(&mut flat, iteration));
-            w.params = must("rebuild params", Tensor::from_vec(flat, [w.params.len()]));
-            w.iteration = outcome.new_iteration;
+            let reduced = r.reduce(w.params.as_mut_slice(), w.iteration);
+            w.iteration = must("partial reduce", reduced).new_iteration;
         }
         must("finish", r.finish());
         (w.params, w.iteration)
