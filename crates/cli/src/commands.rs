@@ -656,7 +656,7 @@ pub fn run_command(
                      \x20 latency     = {:.3}s mean / {:.3}s max (virtual)\n\
                      \x20 rho         = {rho} (uniform reference {:.4})\n\
                      \x20 spread      = {:.4} mean / {:.4} max\n\
-                     \x20 union-find  = {} merges, {} rebuilds\n\
+                     \x20 union-find  = {} merges, {} rebuilds, {} queries answered from membership counts\n\
                      \x20 checker     = {} events, {} violation(s)",
                     report.signals,
                     report.signals_per_sec,
@@ -670,6 +670,7 @@ pub fn run_command(
                     report.weight_spread_max,
                     report.connectivity.merges,
                     report.connectivity.rebuilds,
+                    report.connectivity.membership_answers,
                     report.checker_events,
                     report.checker_violations,
                 );
@@ -808,6 +809,10 @@ mod tests {
         r.unwrap();
         assert!(out.contains("0 violation(s)"), "{out}");
         assert!(out.contains("rho"), "{out}");
+        assert!(
+            out.contains("queries answered from membership counts"),
+            "{out}"
+        );
     }
 
     #[test]
@@ -825,15 +830,23 @@ mod tests {
         ]);
         r.unwrap();
         #[derive(serde::Deserialize)]
+        struct Connectivity {
+            rebuilds: u64,
+            membership_answers: u64,
+        }
+        #[derive(serde::Deserialize)]
         struct Checked {
             num_workers: usize,
             checker_violations: u64,
             groups: u64,
+            connectivity: Connectivity,
         }
         let v: Checked = serde_json::from_str(&out).unwrap();
         assert_eq!(v.num_workers, 32);
         assert_eq!(v.checker_violations, 0);
         assert!(v.groups > 0, "{out}");
+        let c = v.connectivity;
+        assert!(c.rebuilds + c.membership_answers > 0, "{out}");
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! members. The controller never touches model data: every message is a few
 //! bytes (§4), which is what distinguishes it from a parameter server.
 //!
+//! The group filter asks the history database one question per attempt —
+//! do the queued signals span two sync-graph components? — labels
+//! individual signals only when a repair has to choose among more than `P`
+//! of them, and re-asks a deferring queue only about its new arrivals
+//! (DESIGN.md §15.2).
+//!
 //! This module is transport-independent state-machine logic; it is driven
 //! by the threaded runtime ([`crate::runtime`]) and by the virtual-time
 //! simulator in the trainer crate alike — one implementation, two harnesses.
@@ -165,8 +171,15 @@ pub struct Controller {
     /// replacing a queue scan that cost O(N) per arriving signal.
     queued: Vec<bool>,
     /// The group history database: the last `T` groups plus their
-    /// lazily rebuilt sync-graph connectivity.
+    /// sync-graph connectivity (membership counts first, a lazily rebuilt
+    /// union-find behind them).
     conn: WindowedConnectivity,
+    /// Deferral memo: how many leading queued signals the last verdict
+    /// found inside one sync-graph component. A re-attempt asks only about
+    /// the head plus the signals behind this prefix. Zeroed wherever the
+    /// window or the queue's interior changes: after `conn.record`, in
+    /// [`Controller::mark_left`] and in [`Controller::drain_pending`].
+    same_component_prefix: usize,
     groups_formed: u64,
     repairs: u64,
     deferrals: u64,
@@ -219,6 +232,7 @@ impl Controller {
             departed: vec![false; config.num_workers],
             queued: vec![false; config.num_workers],
             conn: WindowedConnectivity::new(config.num_workers, window),
+            same_component_prefix: 0,
             config,
             queue: VecDeque::new(),
             groups_formed: 0,
@@ -283,7 +297,9 @@ impl Controller {
     /// scheduled into a group), and subsequent signals from it are
     /// rejected. Deferred groups that were waiting on the departed
     /// component re-evaluate on the next [`Controller::try_form_group`]
-    /// call.
+    /// call. The sync-graph is told too: once the worker's groups have
+    /// rolled out of the window it stops counting as a vertex, so the
+    /// survivors' graph can be connected again.
     ///
     /// # Panics
     /// Panics if the worker rank is out of range or the worker already
@@ -302,6 +318,8 @@ impl Controller {
         self.queue.retain(|s| s.worker != worker);
         let purged_signal = self.queue.len() < before;
         self.queued[worker] = false;
+        self.same_component_prefix = 0;
+        self.conn.set_departed(worker, true);
         if self.sink.enabled() {
             self.sink.record(TraceEvent::WorkerLeft {
                 worker,
@@ -332,6 +350,7 @@ impl Controller {
         );
         self.departed[worker] = false;
         self.active += 1;
+        self.conn.set_departed(worker, false);
         if self.sink.enabled() {
             self.sink.record(TraceEvent::WorkerRestored {
                 worker,
@@ -373,6 +392,7 @@ impl Controller {
             .map(|s| (s.worker, s.iteration))
             .collect();
         self.queued.fill(false);
+        self.same_component_prefix = 0;
         if self.sink.enabled() {
             self.sink.record(TraceEvent::PendingDrained {
                 signals: signals.clone(),
@@ -448,6 +468,19 @@ impl Controller {
     /// and returns the decision. Returns `None` while fewer than `P`
     /// signals are queued.
     ///
+    /// The filter asks the warm window one question — do the queued
+    /// signals span two sync-graph components? — and labels individual
+    /// signals only when it has to choose among more than `P` of them:
+    ///
+    /// * they span and exactly `P` are queued: the FIFO group, unrepaired
+    ///   (a repair would pick one signal per component and top up FIFO to
+    ///   `P`, which is all of them, in queue order);
+    /// * they span and more than `P` are queued: the repair group, one
+    ///   member per distinct component, topped up FIFO;
+    /// * they sit in one component: FIFO if the graph is connected or every
+    ///   active worker is already queued, otherwise defer — a FIFO group
+    ///   would deepen the freeze.
+    ///
     /// Call repeatedly until `None` to drain all formable groups — multiple
     /// groups may proceed in parallel (§3.1.1).
     pub fn try_form_group(&mut self) -> Option<GroupDecision> {
@@ -460,23 +493,26 @@ impl Controller {
         let mut member_idx: Vec<usize> = (0..p).collect();
         let mut repaired = false;
 
-        if self.config.frozen_avoidance && self.conn.is_warm() && !self.conn.is_connected() {
-            // Component label per *queued signal* (not per worker):
-            // O(queue · α) against the rebuilt union-find.
-            let conn = &mut self.conn;
-            let sig_comps: Vec<usize> = self
+        if self.config.frozen_avoidance && self.conn.is_warm() {
+            // The leading `same_component_prefix` signals share the head's
+            // component since the last verdict (no record, no removal
+            // since), so the head stands in for them.
+            let candidates = self
                 .queue
                 .iter()
-                .map(|s| conn.component_of(s.worker))
-                .collect();
-            if sig_comps.iter().all(|&c| c == sig_comps[0]) {
-                // Every queued signal sits in one frozen component: a
-                // FIFO group would deepen the freeze. Defer — hold the
-                // signals until a worker from another component
-                // arrives (bounded by one fleet iteration). If every
-                // *active* worker is already queued, no such signal
-                // can come: fall through to FIFO rather than stall.
-                if self.queue.len() < self.active {
+                .take(1)
+                .chain(self.queue.iter().skip(self.same_component_prefix.max(1)))
+                .map(|s| s.worker);
+            if !self.conn.spans_components(candidates) {
+                self.same_component_prefix = self.queue.len();
+                // Every queued signal sits in one component. If that is
+                // because the graph is connected, FIFO is fine. If not, a
+                // FIFO group would deepen the freeze: defer — hold the
+                // signals until a worker from another component arrives
+                // (bounded by one fleet iteration). If every *active*
+                // worker is already queued, no such signal can come: fall
+                // through to FIFO rather than stall.
+                if self.queue.len() < self.active && !self.conn.is_connected() {
                     self.deferrals += 1;
                     if self.sink.enabled() {
                         self.sink.record(TraceEvent::GroupDeferred {
@@ -486,10 +522,18 @@ impl Controller {
                     }
                     return None;
                 }
-            } else {
-                // Cross-component signals available: form the repair
-                // group greedily, one member per distinct component
-                // (FIFO within each), topping up FIFO.
+            } else if self.queue.len() > p {
+                // Cross-component signals available and a choice to make:
+                // label each *queued signal* (O(queue · α) against the
+                // forest) and form the repair group greedily, one member
+                // per distinct component (FIFO within each), topping up
+                // FIFO.
+                let conn = &mut self.conn;
+                let sig_comps: Vec<usize> = self
+                    .queue
+                    .iter()
+                    .map(|s| conn.component_of(s.worker))
+                    .collect();
                 let mut chosen: Vec<usize> = Vec::with_capacity(p);
                 let mut used_comps: Vec<usize> = Vec::new();
                 for (idx, &c) in sig_comps.iter().enumerate() {
@@ -540,6 +584,7 @@ impl Controller {
         };
 
         self.conn.record(&group);
+        self.same_component_prefix = 0;
         let sequence = self.groups_formed;
         self.groups_formed += 1;
         if repaired {
@@ -834,5 +879,397 @@ mod tests {
             }
         }
         assert!(c.repairs() > 0);
+    }
+
+    /// The group filter as it was before the membership table, kept as the
+    /// oracle: on a warm window it rebuilds the DFS components of
+    /// `GroupHistory::sync_graph`, labels *every* queued signal, and
+    /// decides from the labels. Connectivity is judged over the live fleet
+    /// (workers that have not departed or still appear in the window),
+    /// computed from the same DFS labels.
+    struct ReferenceFilter {
+        n: usize,
+        p: usize,
+        queue: VecDeque<usize>,
+        history: crate::graph::GroupHistory,
+        departed: Vec<bool>,
+        deferrals: u64,
+    }
+
+    impl ReferenceFilter {
+        fn new(config: &ControllerConfig) -> Self {
+            ReferenceFilter {
+                n: config.num_workers,
+                p: config.group_size,
+                queue: VecDeque::new(),
+                history: crate::graph::GroupHistory::new(config.effective_window()),
+                departed: vec![false; config.num_workers],
+                deferrals: 0,
+            }
+        }
+
+        fn active(&self) -> usize {
+            self.departed.iter().filter(|&&gone| !gone).count()
+        }
+
+        fn mark_left(&mut self, worker: usize) {
+            self.departed[worker] = true;
+            self.queue.retain(|&w| w != worker);
+        }
+
+        /// `(group, repaired)`, or `None` for "too few signals" and for a
+        /// deferral (which `deferrals` tells apart).
+        fn try_form_group(&mut self) -> Option<(Vec<usize>, bool)> {
+            let p = self.p;
+            if self.queue.len() < p {
+                return None;
+            }
+            let mut member_idx: Vec<usize> = (0..p).collect();
+            let mut repaired = false;
+            if self.history.is_warm() {
+                let labels = self.history.sync_graph(self.n).components();
+                if !self
+                    .history
+                    .live_fleet_is_connected(&labels, &self.departed)
+                {
+                    let sig_comps: Vec<usize> = self.queue.iter().map(|&w| labels[w]).collect();
+                    if sig_comps.iter().all(|&c| c == sig_comps[0]) {
+                        if self.queue.len() < self.active() {
+                            self.deferrals += 1;
+                            return None;
+                        }
+                    } else {
+                        let mut chosen: Vec<usize> = Vec::with_capacity(p);
+                        let mut used_comps: Vec<usize> = Vec::new();
+                        for (idx, &c) in sig_comps.iter().enumerate() {
+                            if chosen.len() == p {
+                                break;
+                            }
+                            if !used_comps.contains(&c) {
+                                used_comps.push(c);
+                                chosen.push(idx);
+                            }
+                        }
+                        for idx in 0..self.queue.len() {
+                            if chosen.len() == p {
+                                break;
+                            }
+                            if !chosen.contains(&idx) {
+                                chosen.push(idx);
+                            }
+                        }
+                        chosen.sort_unstable();
+                        repaired = chosen != member_idx;
+                        member_idx = chosen;
+                    }
+                }
+            }
+            let mut group: Vec<usize> = member_idx
+                .iter()
+                .rev()
+                .filter_map(|&idx| self.queue.remove(idx))
+                .collect();
+            group.reverse();
+            self.history.record(group.clone());
+            Some((group, repaired))
+        }
+    }
+
+    /// The production controller and the oracle side by side: every call
+    /// goes to both and every answer is compared.
+    struct LockStep {
+        controller: Controller,
+        reference: ReferenceFilter,
+        /// Queue length at which each group formed.
+        formed_at: Vec<usize>,
+    }
+
+    impl LockStep {
+        fn new(config: ControllerConfig) -> Self {
+            LockStep {
+                reference: ReferenceFilter::new(&config),
+                controller: Controller::new(config),
+                formed_at: Vec::new(),
+            }
+        }
+
+        fn push_ready(&mut self, worker: usize, iteration: u64) {
+            assert!(self.controller.push_ready(worker, iteration));
+            self.reference.queue.push_back(worker);
+        }
+
+        fn mark_left(&mut self, worker: usize) {
+            self.controller.mark_left(worker);
+            self.reference.mark_left(worker);
+            assert_eq!(self.controller.pending(), self.reference.queue.len());
+        }
+
+        fn mark_restored(&mut self, worker: usize, iteration: u64) {
+            self.controller.mark_restored(worker, iteration);
+            self.reference.departed[worker] = false;
+        }
+
+        fn drain_pending(&mut self) -> Vec<usize> {
+            let drained: Vec<usize> = self
+                .controller
+                .drain_pending()
+                .into_iter()
+                .map(|(w, _)| w)
+                .collect();
+            assert_eq!(
+                drained,
+                Vec::from(std::mem::take(&mut self.reference.queue))
+            );
+            drained
+        }
+
+        /// One formation attempt on both sides; the decisions, the
+        /// deferral counts and the queues must agree.
+        fn try_form_group(&mut self) -> Option<Vec<usize>> {
+            let queued = self.controller.pending();
+            let got = self
+                .controller
+                .try_form_group()
+                .map(|d| (d.group, d.repaired));
+            let want = self.reference.try_form_group();
+            assert_eq!(got, want, "group {}", self.controller.groups_formed());
+            assert_eq!(self.controller.deferrals(), self.reference.deferrals);
+            assert_eq!(self.controller.pending(), self.reference.queue.len());
+            let (group, _) = got?;
+            self.formed_at.push(queued);
+            Some(group)
+        }
+    }
+
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// A closed loop over a lock-stepped pair: a worker computes for a
+    /// seeded, jittered time, signals, and computes again once its group
+    /// has formed. Every tenth worker is ten times slower when `skewed`.
+    /// With `churn`, workers leave (queued or computing), come back, and
+    /// the whole queue is drained now and then.
+    struct ClosedLoop {
+        pair: LockStep,
+        skewed: bool,
+        churn: bool,
+        rng: StdRng,
+        /// `Some(t)`: computing until `t`. `None`: queued or departed.
+        ready_at: Vec<Option<u64>>,
+        iteration: Vec<u64>,
+        steps: usize,
+    }
+
+    impl ClosedLoop {
+        fn new(config: ControllerConfig, skewed: bool, churn: bool, seed: u64) -> Self {
+            let n = config.num_workers;
+            let mut fleet = ClosedLoop {
+                pair: LockStep::new(config),
+                skewed,
+                churn,
+                rng: StdRng::seed_from_u64(seed),
+                ready_at: vec![None; n],
+                iteration: vec![0; n],
+                steps: 0,
+            };
+            for w in 0..n {
+                fleet.ready_at[w] = Some(fleet.compute_time(w));
+            }
+            fleet
+        }
+
+        fn compute_time(&mut self, w: usize) -> u64 {
+            let pace = if self.skewed && w.is_multiple_of(10) {
+                10_000
+            } else {
+                1_000
+            };
+            pace + self.rng.gen_range(0..500u64)
+        }
+
+        fn mark_left(&mut self, w: usize) {
+            self.pair.mark_left(w);
+            self.ready_at[w] = None;
+        }
+
+        /// Processes `signals` more ready signals.
+        fn run(&mut self, signals: usize) {
+            let n = self.ready_at.len();
+            let p = self.pair.controller.config().group_size;
+            for _ in 0..signals {
+                self.steps += 1;
+                if self.churn && self.steps.is_multiple_of(97) {
+                    let w = self.rng.gen_range(0..n);
+                    if self.pair.controller.has_left(w) {
+                        self.pair.mark_restored(w, self.iteration[w]);
+                        self.ready_at[w] = Some(self.rng.gen_range(0..2_000u64));
+                    } else if self.pair.controller.active() > p {
+                        self.mark_left(w);
+                    }
+                }
+                if self.churn && self.steps.is_multiple_of(389) {
+                    for w in self.pair.drain_pending() {
+                        self.ready_at[w] = Some(self.rng.gen_range(0..2_000u64));
+                    }
+                }
+                let arrival = self
+                    .ready_at
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(w, t)| t.map(|t| (t, w)))
+                    .min();
+                let Some((now, worker)) = arrival else {
+                    // Everybody alive is queued and deferred: only
+                    // possible mid-churn, and the next churn step moves
+                    // things again.
+                    assert!(self.churn, "closed loop wedged at step {}", self.steps);
+                    continue;
+                };
+                self.ready_at[worker] = None;
+                self.iteration[worker] += 1;
+                self.pair.push_ready(worker, self.iteration[worker]);
+                while let Some(group) = self.pair.try_form_group() {
+                    for m in group {
+                        self.ready_at[m] = Some(now + 50 + self.compute_time(m));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filter_decides_exactly_as_the_label_everything_reference() {
+        let mut totals = [0u64; 3];
+        for (n, signals) in [(8, 3_000), (64, 4_000), (300, 2_500)] {
+            for p in [2, 3, 8] {
+                let full = min_history_window(n, p);
+                for window in [None, Some((full / 2).max(1))] {
+                    for (skewed, churn) in [(false, false), (true, false), (true, true)] {
+                        let config = ControllerConfig {
+                            history_window: window,
+                            ..ControllerConfig::constant(n, p)
+                        };
+                        let seed = (n * 31 + p * 7 + usize::from(skewed)) as u64;
+                        let mut fleet = ClosedLoop::new(config, skewed, churn, seed);
+                        fleet.run(signals);
+                        let c = &fleet.pair.controller;
+                        assert!(c.groups_formed() > 0, "N={n} P={p}: no groups");
+                        totals[0] += c.groups_formed();
+                        totals[1] += c.repairs();
+                        totals[2] += c.deferrals();
+                    }
+                }
+            }
+        }
+        // The streams must reach the repair and the deferral paths often,
+        // not only the FIFO one.
+        let [groups, repairs, deferrals] = totals;
+        assert!(
+            repairs * 20 > groups,
+            "{repairs} repairs in {groups} groups"
+        );
+        assert!(
+            deferrals * 20 > groups,
+            "{deferrals} deferrals, {groups} groups"
+        );
+    }
+
+    #[test]
+    fn one_departure_does_not_turn_the_filter_into_a_barrier() {
+        // N = 8, P = 3, T = 4. Once worker 7 has left and its groups have
+        // rolled out of the window it must stop counting as a vertex:
+        // otherwise the graph is disconnected for good, the seven
+        // survivors are one component, and every group waits until all
+        // seven are queued — a barrier.
+        let mut fleet = ClosedLoop::new(ControllerConfig::constant(8, 3), false, false, 18);
+        fleet.run(60);
+        fleet.mark_left(7);
+        let pair = &fleet.pair;
+        let (before, deferred_before) = (pair.formed_at.len(), pair.controller.deferrals());
+        fleet.run(400);
+        let pair = &fleet.pair;
+        let after = &pair.formed_at[before + 4..];
+        let deferrals = pair.controller.deferrals() - deferred_before;
+        let at_p = after.iter().filter(|&&queued| queued == 3).count();
+        let at_barrier = after.iter().filter(|&&queued| queued == 7).count();
+        // Before the fix: 0 of 128 groups at P, 128 with all seven
+        // queued, 389 deferrals.
+        assert!(after.len() > 100, "{} groups", after.len());
+        assert!(at_p * 2 > after.len(), "{at_p} of {} at P", after.len());
+        assert!(at_barrier * 10 < after.len(), "{at_barrier} barriers");
+        assert!((deferrals as usize) < after.len(), "{deferrals} deferrals");
+    }
+
+    /// Two frozen triples on a warm two-group window, then 0, 1 and 2
+    /// signal: one component, graph disconnected — the filter defers.
+    fn deferring_triple() -> LockStep {
+        let mut pair = LockStep::new(ControllerConfig {
+            history_window: Some(2),
+            ..ControllerConfig::constant(6, 3)
+        });
+        for group in [[0, 1, 2], [3, 4, 5]] {
+            for w in group {
+                pair.push_ready(w, 1);
+            }
+            assert_eq!(pair.try_form_group(), Some(group.to_vec()));
+        }
+        for w in [0, 1, 2] {
+            pair.push_ready(w, 2);
+        }
+        assert_eq!(pair.try_form_group(), None);
+        assert_eq!(pair.controller.deferrals(), 1);
+        pair
+    }
+
+    #[test]
+    fn deferring_queue_reattempted_unchanged_defers_and_counts_again() {
+        let mut pair = deferring_triple();
+        let forest_work = pair.controller.connectivity_stats();
+        for attempt in 2..5 {
+            assert_eq!(pair.try_form_group(), None);
+            assert_eq!(pair.controller.deferrals(), attempt);
+        }
+        // Re-asking about a queue whose labels are already known costs
+        // neither a rebuild nor a merge.
+        let now = pair.controller.connectivity_stats();
+        assert_eq!(
+            (now.rebuilds, now.merges),
+            (forest_work.rebuilds, forest_work.merges)
+        );
+        // The arrival that ends the wait: 3 sits in the other component.
+        pair.push_ready(3, 2);
+        assert_eq!(pair.try_form_group(), Some(vec![0, 1, 3]));
+        assert_eq!(pair.controller.repairs(), 1);
+        // The record above invalidated what was known about the queue:
+        // 2 is absent from the window [3,4,5], [0,1,3] now.
+        pair.push_ready(4, 2);
+        pair.push_ready(5, 2);
+        assert_eq!(pair.try_form_group(), Some(vec![2, 4, 5]));
+        assert_eq!(pair.controller.repairs(), 1);
+    }
+
+    #[test]
+    fn removing_a_queued_worker_mid_deferral_forgets_what_was_known() {
+        // The head leaves while the queue defers; the refill spans.
+        let mut pair = deferring_triple();
+        pair.mark_left(0);
+        pair.push_ready(4, 2);
+        assert_eq!(pair.try_form_group(), Some(vec![1, 2, 4]));
+
+        // A queued worker behind the head leaves; the refill spans too.
+        let mut pair = deferring_triple();
+        pair.mark_left(1);
+        pair.push_ready(3, 2);
+        assert_eq!(pair.try_form_group(), Some(vec![0, 2, 3]));
+
+        // The whole queue is drained; the next three signals are judged
+        // from scratch.
+        let mut pair = deferring_triple();
+        assert_eq!(pair.drain_pending(), vec![0, 1, 2]);
+        for w in [3, 1, 5] {
+            pair.push_ready(w, 3);
+        }
+        assert_eq!(pair.try_form_group(), Some(vec![3, 1, 5]));
+        assert_eq!(pair.controller.repairs(), 0);
+        assert_eq!(pair.controller.deferrals(), 1);
     }
 }

@@ -8,6 +8,12 @@
 //! in a *sync-graph* and check connectivity; each P-reduce adds `P − 1`
 //! edges, so `T ≥ ⌈(N−1)/(P−1)⌉` is the minimum window at which a connected
 //! schedule is possible at all.
+//!
+//! [`WindowedConnectivity`] is the production structure (DESIGN.md §15.2):
+//! membership counts answer every question a worker absent from the window
+//! settles, a lazily rebuilt union-find the rest. [`SyncGraph`] and
+//! [`GroupHistory`] are the adjacency-matrix + BFS reference the tests
+//! compare it with.
 
 use std::collections::VecDeque;
 
@@ -183,17 +189,35 @@ impl GroupHistory {
     pub fn iter(&self) -> impl Iterator<Item = &[usize]> {
         self.groups.iter().map(|g| g.as_slice())
     }
+
+    /// The live-fleet rule from the oracle's side, given the DFS `labels`
+    /// of [`Self::sync_graph`]: the vertices are the workers that have not
+    /// departed plus those still in the window.
+    #[cfg(test)]
+    pub(crate) fn live_fleet_is_connected(&self, labels: &[usize], departed: &[bool]) -> bool {
+        let mut live = (0..labels.len())
+            .filter(|&w| !departed[w] || self.iter().any(|g| g.contains(&w)))
+            .map(|w| labels[w]);
+        let first = live.next();
+        live.all(|label| Some(label) == first)
+    }
 }
 
-/// Counters describing how much work a [`WindowedConnectivity`] has done
-/// (the `scale` bench reports these per run).
+/// Counters describing how a [`WindowedConnectivity`] answered its
+/// queries (`preduce scale` reports these per run): every query is either
+/// answered from the membership table or consults the forest, and a query
+/// that consults a forest older than the window pays one rebuild.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConnectivityStats {
     /// Union-find merges applied (all of them inside rebuilds).
     pub merges: u64,
-    /// Window rebuilds (O(window · P · α) each): one per query that
-    /// follows a `record`.
+    /// Window rebuilds (O(N + window · P · α) each): one per query that
+    /// needed the forest and found a `record` since the last rebuild.
     pub rebuilds: u64,
+    /// Queries answered from the membership table alone, without
+    /// consulting the forest: a worker in none of the retained groups is
+    /// an isolated vertex, whatever the rest of the graph looks like.
+    pub membership_answers: u64,
     /// Always 0: the edge-multiplicity bookkeeping that counted these is
     /// gone. The field survives only because the frozen
     /// `crates/benchmark/src/replay.rs` reads it; the next `benchmark` PR
@@ -201,18 +225,28 @@ pub struct ConnectivityStats {
     pub clean_evictions: u64,
 }
 
-/// Windowed sync-graph connectivity: the last `T` groups plus one
-/// union-find over the workers, rebuilt lazily.
+/// Windowed sync-graph connectivity: the last `T` groups, a per-worker
+/// count of the retained groups each worker sits in, and one union-find
+/// over the workers, rebuilt lazily.
 ///
-/// Semantics are **exactly** those of
+/// Graph semantics are **exactly** those of
 /// `GroupHistory::sync_graph(n).components()` over the same window of
 /// groups (checked against the DFS by the seeded oracle test below and
 /// the proptest in `crates/core/tests/properties.rs`). [`Self::record`]
-/// only pushes the group, evicts the oldest beyond the window and marks
-/// the union-find dirty; the first query after a record rebuilds it from
-/// the window — an O(N) fill plus `window · (P − 1)` spanning unions,
-/// O(window · P · α), versus the O(N²) matrix rebuild + DFS of the
-/// oracle. Queries with no record in between reuse the rebuilt forest.
+/// pushes the group, evicts the oldest beyond the window, updates the
+/// counts and marks the union-find dirty. Queries look at the counts
+/// first: a worker whose count is 0 is *absent* from the window — an
+/// isolated vertex, its own component — and at the minimum `T` about a
+/// third of a jittered fleet is. Only a question that has to tell two
+/// *present* workers apart consults the forest, and the first such query
+/// after a record rebuilds it from the window — an O(N) fill plus
+/// `window · (P − 1)` spanning unions, O(window · P · α), versus the
+/// O(N²) matrix rebuild + DFS of the oracle.
+///
+/// [`Self::is_connected`] judges the *live* fleet: a departed worker
+/// ([`Self::set_departed`]) that has rolled out of the window is no
+/// vertex, or one departure would disconnect the graph for good; one
+/// still inside the window keeps linking the groups it was in.
 ///
 /// Component labels are the component's smallest member, matching
 /// [`SyncGraph::components`].
@@ -221,6 +255,17 @@ pub struct WindowedConnectivity {
     n: usize,
     window: usize,
     groups: VecDeque<Vec<u32>>,
+    /// Member slots each worker occupies in `groups` (a worker listed
+    /// twice in one group counts twice and leaves twice).
+    membership: Vec<u32>,
+    /// Workers told to have left the fleet.
+    departed: Vec<bool>,
+    /// Workers with `membership == 0` that are still in the fleet: each
+    /// is a component of its own.
+    absent_live: usize,
+    /// Departed workers with `membership == 0`: not vertices of the live
+    /// sync-graph.
+    absent_departed: usize,
     parent: Vec<u32>,
     size: Vec<u32>,
     /// Smallest member of the component rooted at each index.
@@ -248,6 +293,10 @@ impl WindowedConnectivity {
             n,
             window,
             groups: VecDeque::with_capacity(window),
+            membership: vec![0; n],
+            departed: vec![false; n],
+            absent_live: n,
+            absent_departed: 0,
             parent: (0..ids).collect(),
             size: vec![1; n],
             min_member: (0..ids).collect(),
@@ -300,6 +349,16 @@ impl WindowedConnectivity {
             .map(|g| g.iter().map(|&w| w as usize).collect())
     }
 
+    /// The counter of absent workers `w` currently belongs to, should its
+    /// membership be 0.
+    fn absent_counter(&mut self, w: usize) -> &mut usize {
+        if self.departed[w] {
+            &mut self.absent_departed
+        } else {
+            &mut self.absent_live
+        }
+    }
+
     /// Records a formed group, evicting the oldest beyond the window.
     ///
     /// # Panics
@@ -308,13 +367,47 @@ impl WindowedConnectivity {
         for &w in group {
             assert!(w < self.n, "worker {w} out of range (N = {})", self.n);
         }
-        if self.groups.len() == self.window {
-            self.groups.pop_front();
+        let evicted = if self.groups.len() == self.window {
+            self.groups.pop_front()
+        } else {
+            None
+        };
+        for w in evicted.into_iter().flatten() {
+            let w = w as usize;
+            self.membership[w] -= 1;
+            if self.membership[w] == 0 {
+                *self.absent_counter(w) += 1;
+            }
+        }
+        for &w in group {
+            if self.membership[w] == 0 {
+                *self.absent_counter(w) -= 1;
+            }
+            self.membership[w] += 1;
         }
         self.groups
             .push_back(group.iter().map(|&w| w as u32).collect());
         self.total_recorded += 1;
         self.dirty = true;
+    }
+
+    /// Tells the structure that worker `w` left the fleet (`true`) or was
+    /// restored to it (`false`). Only [`Self::is_connected`] cares, and
+    /// only once `w` is absent from the window; repeating the current
+    /// state is a no-op.
+    ///
+    /// # Panics
+    /// Panics if `w` is out of range.
+    pub fn set_departed(&mut self, w: usize, departed: bool) {
+        assert!(w < self.n, "worker {w} out of range (N = {})", self.n);
+        if self.departed[w] == departed {
+            return;
+        }
+        // An absent worker moves from one absent counter to the other.
+        let absent = self.membership[w] == 0;
+        *self.absent_counter(w) -= usize::from(absent);
+        self.departed[w] = departed;
+        *self.absent_counter(w) += usize::from(absent);
     }
 
     /// Finds the root of `w` with path compression.
@@ -352,7 +445,7 @@ impl WindowedConnectivity {
     }
 
     /// Brings the union-find up to date with the window: if a group was
-    /// recorded since the last query, resets every worker to a singleton
+    /// recorded since the last rebuild, resets every worker to a singleton
     /// and re-unions each retained group's `P − 1` spanning edges.
     fn ensure_fresh(&mut self) {
         if !self.dirty {
@@ -377,24 +470,72 @@ impl WindowedConnectivity {
         self.groups = groups;
     }
 
-    /// Whether the window's sync-graph is connected (a single component,
-    /// isolated workers counting as their own — the same contract as
-    /// [`SyncGraph::is_connected`]).
+    /// Whether the live sync-graph is a single component. Its vertices are
+    /// the workers that have not departed plus departed ones still inside
+    /// the window; without departures that is every worker, isolated ones
+    /// counting as their own component — the contract of
+    /// [`SyncGraph::is_connected`]. One absent live worker among two or
+    /// more vertices answers `false` without the forest.
     pub fn is_connected(&mut self) -> bool {
+        if self.absent_live > 0 && self.n - self.absent_departed > 1 {
+            self.stats.membership_answers += 1;
+            return false;
+        }
         self.ensure_fresh();
-        self.components == 1
+        // Every absent departed worker is a singleton of the forest.
+        self.components - self.absent_departed <= 1
     }
 
     /// Component label of worker `w`: the smallest member of its
-    /// component (matches [`SyncGraph::components`] labeling).
+    /// component (matches [`SyncGraph::components`] labeling). An absent
+    /// worker is its own label, no forest needed.
     ///
     /// # Panics
     /// Panics if `w` is out of range.
     pub fn component_of(&mut self, w: usize) -> usize {
         assert!(w < self.n, "worker {w} out of range (N = {})", self.n);
+        if self.membership[w] == 0 {
+            self.stats.membership_answers += 1;
+            return w;
+        }
         self.ensure_fresh();
         let root = self.find(w as u32);
         self.min_member[root as usize] as usize
+    }
+
+    /// Whether `workers` touch at least two components — the group
+    /// filter's question about its queue, and the checker's about a repair
+    /// group. Equals "[`Self::component_of`] yields two distinct labels",
+    /// but as soon as one of two distinct workers is absent the answer is
+    /// `true` whatever the other labels are, and the forest is left alone;
+    /// it is consulted only when every listed worker is present.
+    ///
+    /// # Panics
+    /// Panics if any worker is out of range.
+    pub fn spans_components(
+        &mut self,
+        workers: impl IntoIterator<Item = usize, IntoIter: Clone>,
+    ) -> bool {
+        let workers = workers.into_iter();
+        let mut first = None;
+        let mut distinct = false;
+        let mut absent = false;
+        for w in workers.clone() {
+            assert!(w < self.n, "worker {w} out of range (N = {})", self.n);
+            distinct |= *first.get_or_insert(w) != w;
+            absent |= self.membership[w] == 0;
+            if distinct && absent {
+                self.stats.membership_answers += 1;
+                return true;
+            }
+        }
+        // Either one worker listed over and over, or all of them present.
+        if !distinct {
+            return false;
+        }
+        let mut labels = workers.map(|w| self.component_of(w));
+        let head = labels.next();
+        labels.any(|label| Some(label) != head)
     }
 
     /// Connected-component label per worker; equals
@@ -616,6 +757,7 @@ mod tests {
             let mut h = GroupHistory::new(window);
             let mut c = WindowedConnectivity::new(N, window);
             let mut rebuilds = 0;
+            let mut absent_probes = 0;
             for i in 0..2_000 {
                 // Alternate 64-group phases: a sweep of overlapping
                 // consecutive quads (any 21 in a row span all 64 workers)
@@ -638,8 +780,44 @@ mod tests {
                     continue;
                 }
                 let reference = h.sync_graph(N);
+                let labels = reference.components();
+                // A worker outside every retained group settles each
+                // question it is part of while the forest is still stale.
+                if let Some(a) = (0..N).find(|&w| h.iter().all(|g| !g.contains(&w))) {
+                    let b = (a + 1 + next(N - 1)) % N;
+                    let answered = c.stats().membership_answers;
+                    assert!(c.spans_components([b, a, b]), "group {i}");
+                    assert!(!c.spans_components([a, a]), "group {i}");
+                    assert_eq!(c.component_of(a), a);
+                    assert!(!c.is_connected());
+                    assert_eq!(c.stats().membership_answers, answered + 3);
+                    assert_eq!(c.stats().rebuilds, rebuilds, "group {i}");
+                    absent_probes += 1;
+                }
+                // Random subsets, repeated ranks included, against "at
+                // least two distinct DFS labels".
+                for _ in 0..4 {
+                    let base = next(N / 8) * 8;
+                    let subset: Vec<usize> = (0..1 + next(5))
+                        .map(|_| {
+                            if next(4) == 0 {
+                                next(N)
+                            } else {
+                                base + next(8)
+                            }
+                        })
+                        .collect();
+                    let mut distinct: Vec<usize> = subset.iter().map(|&w| labels[w]).collect();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    assert_eq!(
+                        c.spans_components(subset.iter().copied()),
+                        distinct.len() >= 2,
+                        "group {i}, subset {subset:?}"
+                    );
+                }
                 assert_eq!(c.is_connected(), reference.is_connected(), "group {i}");
-                assert_eq!(c.components(), reference.components(), "group {i}");
+                assert_eq!(c.components(), labels, "group {i}");
                 assert_eq!(c.is_warm(), h.is_warm());
                 verdicts[usize::from(reference.is_connected())] += 1;
                 // One rebuild per probed record, however many queries.
@@ -647,8 +825,123 @@ mod tests {
                 assert_eq!(c.stats().rebuilds, rebuilds);
             }
             assert_eq!(c.stats().clean_evictions, 0);
+            // A one-group window leaves 60 workers absent; the sweeps of
+            // the wider ones cover everybody for whole phases.
+            let probes = 2_000 / stride;
+            assert!(
+                absent_probes > probes / 4,
+                "window {window}: {absent_probes}"
+            );
+            assert!(
+                window == 1 || absent_probes < probes * 3 / 4,
+                "window {window}: {absent_probes}"
+            );
         }
         // The stream must exercise both answers.
+        assert!(verdicts[0] > 100 && verdicts[1] > 100, "{verdicts:?}");
+    }
+
+    #[test]
+    fn absent_workers_settle_queries_without_the_forest() {
+        let mut c = WindowedConnectivity::new(6, 2);
+        c.record(&[0, 1]);
+        c.record(&[1, 2]); // 3, 4 and 5 sit in no retained group
+        assert!(!c.is_connected());
+        assert_eq!(c.component_of(4), 4);
+        assert!(c.spans_components([0, 4]));
+        assert!(c.spans_components([3, 4]));
+        // One worker, however often it is listed, is one component.
+        assert!(!c.spans_components([4, 4]));
+        assert!(!c.spans_components([]));
+        assert_eq!(c.stats().rebuilds, 0);
+        assert_eq!(c.stats().membership_answers, 4);
+        // Telling two present workers apart is what the forest is for.
+        assert!(!c.spans_components([0, 2]));
+        assert_eq!(c.stats().rebuilds, 1);
+        assert_eq!(c.stats().membership_answers, 4);
+
+        // A worker listed twice in a group holds two slots and gives both
+        // back: evicting [0, 1] leaves 0 absent, 1 present through [1, 2].
+        c.record(&[3, 3]);
+        assert_eq!(c.components(), vec![0, 1, 1, 3, 4, 5]);
+        assert!(c.spans_components([1, 0]));
+        c.record(&[4, 5]); // evicts [1, 2]
+        c.record(&[4, 5]); // evicts [3, 3]: both slots of 3 go at once
+        let rebuilds = c.stats().rebuilds;
+        assert!(c.spans_components([4, 3]));
+        assert_eq!(c.stats().rebuilds, rebuilds);
+        assert_eq!(c.components(), vec![0, 1, 2, 3, 4, 4]);
+    }
+
+    #[test]
+    fn departed_worker_stops_being_a_vertex_once_out_of_the_window() {
+        let mut c = WindowedConnectivity::new(4, 2);
+        c.record(&[0, 3]);
+        c.record(&[0, 1]);
+        c.record(&[1, 2]); // 3 rolled out
+        assert!(!c.is_connected());
+        c.set_departed(3, true);
+        assert!(c.is_connected(), "the survivors 0-1-2 are one component");
+        assert_eq!(c.components(), vec![0, 0, 0, 3], "labels are the graph's");
+        c.set_departed(3, true); // repeating the state changes nothing
+        assert!(c.is_connected());
+        c.set_departed(3, false);
+        assert!(!c.is_connected(), "restored and not yet in a group");
+        c.set_departed(3, true);
+
+        // A departed worker still inside the window keeps linking 0 and 2.
+        c.set_departed(1, true);
+        assert!(c.is_connected());
+        c.record(&[0, 3]); // evicts [0, 1]; 3 is in the window again
+        assert!(!c.is_connected(), "0-3 and 1-2");
+        c.record(&[0, 0]); // evicts [1, 2]: 1 is gone, 2 is isolated
+        assert!(!c.is_connected());
+        c.set_departed(2, true);
+        assert!(c.is_connected(), "0-3 is all that is left");
+        c.set_departed(0, true);
+        c.record(&[3, 3]);
+        c.record(&[3, 3]);
+        assert!(c.is_connected(), "one vertex");
+    }
+
+    #[test]
+    fn live_connectivity_matches_dfs_under_churn() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const N: usize = 16;
+        let mut verdicts = [0usize; 2];
+        for window in [2, 5, 8, 12] {
+            let mut rng = StdRng::seed_from_u64(window as u64);
+            let mut next = |bound: usize| rng.gen_range(0..bound);
+            let mut h = GroupHistory::new(window);
+            let mut c = WindowedConnectivity::new(N, window);
+            let mut departed = [false; N];
+            for i in 0..1_500 {
+                if i % 3 == 0 {
+                    // Mostly departures of the upper half, so whole runs
+                    // of groups below see them roll out of the window.
+                    let w = if next(4) == 0 {
+                        next(N)
+                    } else {
+                        N / 2 + next(N / 2)
+                    };
+                    departed[w] = (i / 150) % 2 == 0 && next(3) != 0;
+                    c.set_departed(w, departed[w]);
+                }
+                // Survivors form the groups, as in the controller.
+                let alive: Vec<usize> = (0..N).filter(|&w| !departed[w]).collect();
+                if alive.len() < 3 {
+                    continue;
+                }
+                let group: Vec<usize> = (0..3).map(|_| alive[next(alive.len())]).collect();
+                h.record(group.clone());
+                c.record(&group);
+                let labels = h.sync_graph(N).components();
+                let expected = h.live_fleet_is_connected(&labels, &departed);
+                assert_eq!(c.is_connected(), expected, "window {window}, group {i}");
+                assert_eq!(c.components(), labels);
+                verdicts[usize::from(expected)] += 1;
+            }
+        }
         assert!(verdicts[0] > 100 && verdicts[1] > 100, "{verdicts:?}");
     }
 

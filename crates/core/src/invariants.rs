@@ -891,20 +891,26 @@ impl StreamingChecker {
 
     /// A repair must happen on a warm, disconnected sync-graph and bridge
     /// at least two of its components (§4). The window is replayed
-    /// through a [`WindowedConnectivity`] (which rebuilds only when a
-    /// repaired group is checked, not per group); its components are
-    /// exactly those of the batch rebuild-and-DFS
+    /// through a [`WindowedConnectivity`] and asked the filter's own
+    /// question — do the members span two components? — which its
+    /// membership table usually answers without rebuilding the forest;
+    /// its components are exactly those of the batch rebuild-and-DFS
     /// (`GroupHistory::sync_graph(n).components()`), which remains the
-    /// semantic reference the property tests compare against.
+    /// semantic reference the property tests compare against. Members
+    /// that span two components prove the graph disconnected; only a
+    /// repair that bridges nothing needs the second question, which of
+    /// the two contracts it broke.
     fn check_repair(&mut self, index: usize, sequence: u64, members: &[usize], repaired: bool) {
-        let Some(cfg) = self.config.clone() else {
+        let Some(cfg) = self.config.as_ref() else {
             return;
         };
-        if self.conn.is_none() {
+        let (n, frozen_avoidance) = (cfg.num_workers, cfg.frozen_avoidance);
+        // Detached so violations can be filed while it is queried.
+        let Some(mut conn) = self.conn.take() else {
             return;
-        }
+        };
         if repaired {
-            if !cfg.frozen_avoidance {
+            if !frozen_avoidance {
                 self.fail(
                     index,
                     format!(
@@ -913,8 +919,7 @@ impl StreamingChecker {
                     ),
                 );
             }
-            let warm = self.conn.as_ref().map(|c| c.is_warm()).unwrap_or(false);
-            if !warm {
+            if !conn.is_warm() {
                 self.fail(
                     index,
                     format!(
@@ -922,47 +927,25 @@ impl StreamingChecker {
                          window warmed up"
                     ),
                 );
-            } else {
-                let connected = match self.conn.as_mut() {
-                    Some(c) => c.is_connected(),
-                    None => true,
-                };
-                if connected {
-                    self.fail(
-                        index,
-                        format!(
-                            "group {sequence} repaired an already-connected \
-                             sync-graph"
-                        ),
-                    );
+            } else if !conn.spans_components(members.iter().copied().filter(|&m| m < n)) {
+                let message = if conn.is_connected() {
+                    format!(
+                        "group {sequence} repaired an already-connected \
+                         sync-graph"
+                    )
                 } else {
-                    let mut spanned: Vec<usize> = Vec::with_capacity(members.len());
-                    if let Some(conn) = self.conn.as_mut() {
-                        for &m in members {
-                            if m < cfg.num_workers {
-                                spanned.push(conn.component_of(m));
-                            }
-                        }
-                    }
-                    spanned.sort_unstable();
-                    spanned.dedup();
-                    if spanned.len() < 2 {
-                        self.fail(
-                            index,
-                            format!(
-                                "repair group {sequence} does not bridge \
-                                 sync-graph components"
-                            ),
-                        );
-                    }
-                }
+                    format!(
+                        "repair group {sequence} does not bridge \
+                         sync-graph components"
+                    )
+                };
+                self.fail(index, message);
             }
         }
-        if members.iter().all(|&m| m < cfg.num_workers) {
-            if let Some(conn) = self.conn.as_mut() {
-                conn.record(members);
-            }
+        if members.iter().all(|&m| m < n) {
+            conn.record(members);
         }
+        self.conn = Some(conn);
     }
 
     /// An eviction must be justified (prior silence, an injected fault,
@@ -1041,6 +1024,9 @@ impl StreamingChecker {
             return;
         }
         self.min_next.insert(worker, iteration);
+        if let Some(conn) = self.conn.as_mut() {
+            conn.set_departed(worker, false);
+        }
         // The restored worker starts a fresh life: a later eviction needs
         // fresh justification, and its old control connection died with
         // the departure.
@@ -1075,6 +1061,13 @@ impl StreamingChecker {
         self.evicted_pending.remove(&worker);
         if !self.departed.insert(worker) {
             self.fail(index, format!("worker {worker} left twice"));
+        }
+        // The replica judges connectivity over the live fleet, as the
+        // controller's own structure does.
+        if let Some(conn) = self.conn.as_mut() {
+            if worker < conn.num_workers() {
+                conn.set_departed(worker, true);
+            }
         }
         // The controller purges the departing worker's queued signal — the
         // event must agree with the replayed queue.
@@ -1954,5 +1947,113 @@ mod tests {
             streaming.feed(e);
         }
         assert_eq!(streaming.finish(), report);
+    }
+
+    /// A hand-written controller narrative over N = 4, P = 2 with a
+    /// three-group window, so the `repaired` flag can be forged.
+    struct Narrative {
+        events: Vec<TraceEvent>,
+        iteration: u64,
+        sequence: u64,
+    }
+
+    impl Narrative {
+        fn new() -> Self {
+            Narrative {
+                events: vec![TraceEvent::RunStarted {
+                    config: ControllerConfig {
+                        history_window: Some(3),
+                        ..ControllerConfig::constant(4, 2)
+                    },
+                }],
+                iteration: 0,
+                sequence: 0,
+            }
+        }
+
+        fn group(&mut self, members: [usize; 2], repaired: bool) {
+            self.iteration += 1;
+            for (k, &worker) in members.iter().enumerate() {
+                self.events.push(TraceEvent::SignalEnqueued {
+                    worker,
+                    iteration: self.iteration,
+                    queued: k + 1,
+                });
+            }
+            self.events.push(TraceEvent::GroupFormed {
+                sequence: self.sequence,
+                members: members.to_vec(),
+                iterations: vec![self.iteration; 2],
+                weights: vec![0.5; 2],
+                new_iteration: self.iteration,
+                repaired,
+            });
+            self.sequence += 1;
+        }
+
+        fn violations(&self) -> Vec<String> {
+            InvariantChecker::check(&self.events)
+                .violations
+                .into_iter()
+                .map(|v| v.message)
+                .collect()
+        }
+    }
+
+    #[test]
+    fn forged_repairs_are_caught_and_told_apart() {
+        let mut story = Narrative::new();
+        story.group([0, 1], true); // window not warm yet
+        story.group([1, 2], false);
+        story.group([2, 3], false); // warm, 0-1-2-3 connected
+        story.group([0, 3], true); // nothing to repair
+        story.group([0, 3], false); // window [2,3] [0,3] [0,3]: 1 is absent
+        story.group([0, 2], true); // disconnected, but 0 and 2 share a component
+        story.group([1, 2], true); // bridges the absent 1: a genuine repair
+        let violations = story.violations();
+        assert_eq!(violations.len(), 3, "{violations:?}");
+        assert!(violations[0].contains("group 0 repaired before the history window warmed up"));
+        assert!(violations[1].contains("group 3 repaired an already-connected sync-graph"));
+        assert!(violations[2].contains("repair group 5 does not bridge sync-graph components"));
+    }
+
+    #[test]
+    fn repairs_are_judged_over_the_live_fleet() {
+        let mut story = Narrative::new();
+        story.group([0, 3], false);
+        story.group([0, 1], false);
+        story.group([1, 2], false);
+        story.events.push(TraceEvent::WorkerLeft {
+            worker: 3,
+            active: 3,
+            purged_signal: false,
+        });
+        // Window [0,1] [1,2] [0,1]: the departed 3 has rolled out and is
+        // no vertex any more, so the survivors' graph is connected and a
+        // "repair" among them repairs nothing.
+        story.group([0, 1], false);
+        story.group([0, 2], true);
+        story.events.push(TraceEvent::WorkerRestored {
+            worker: 3,
+            iteration: 1,
+            active: 4,
+        });
+        // Restored and in no retained group: an isolated live vertex.
+        story.group([1, 2], true); // one component
+        story.group([3, 0], true); // bridges
+        let violations = story.violations();
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations[0].contains("group 4 repaired an already-connected sync-graph"));
+        assert!(violations[1].contains("repair group 5 does not bridge sync-graph components"));
+
+        // A departure event naming a rank outside the fleet must not
+        // panic the replica.
+        story.events.push(TraceEvent::WorkerLeft {
+            worker: 9,
+            active: 3,
+            purged_signal: false,
+        });
+        story.group([1, 2], false);
+        assert_eq!(story.violations().len(), 2);
     }
 }

@@ -351,17 +351,20 @@ proptest! {
     #[test]
     fn windowed_connectivity_matches_dfs_components(
         groups in prop::collection::vec(group_strategy(7), 1..40),
+        subsets in prop::collection::vec(prop::collection::vec(0usize..7, 1..5), 40),
         window in 1usize..8,
         probe_every in 1usize..4,
     ) {
-        // The lazily rebuilt union-find must agree with the reference DFS
-        // over the same window after every record — connectivity verdict,
-        // component labels, and warm-up state alike. Probing at a random
-        // stride covers runs of several records between rebuilds.
+        // The membership table and the lazily rebuilt union-find must
+        // agree with the reference DFS over the same window after every
+        // record — connectivity verdict, component labels, the "spans two
+        // components" answer for an arbitrary list of workers (repeats
+        // included), and warm-up state alike. Probing at a random stride
+        // covers runs of several records between rebuilds.
         let n = 7;
         let mut h = GroupHistory::new(window);
         let mut c = WindowedConnectivity::new(n, window);
-        for (i, g) in groups.iter().enumerate() {
+        for (i, (g, subset)) in groups.iter().zip(&subsets).enumerate() {
             h.record(g.clone());
             c.record(g);
             prop_assert_eq!(c.len(), h.len());
@@ -369,6 +372,21 @@ proptest! {
             prop_assert_eq!(c.total_recorded(), h.total_recorded());
             if i % probe_every == 0 {
                 let reference = h.sync_graph(n);
+                let labels = reference.components();
+                let spanned: std::collections::BTreeSet<usize> =
+                    subset.iter().map(|&w| labels[w]).collect();
+                let absent = subset.iter().any(|&w| h.iter().all(|g| !g.contains(&w)));
+                let rebuilds = c.stats().rebuilds;
+                prop_assert_eq!(
+                    c.spans_components(subset.iter().copied()),
+                    spanned.len() >= 2,
+                    "subset {:?} after group {}", subset, i
+                );
+                if absent {
+                    // An absent worker is its own component: it settles
+                    // the answer either way, the forest stays stale.
+                    prop_assert_eq!(c.stats().rebuilds, rebuilds);
+                }
                 prop_assert_eq!(
                     c.is_connected(),
                     reference.is_connected(),

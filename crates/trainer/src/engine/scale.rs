@@ -20,8 +20,9 @@
 //!   ([`rho_uniform`]) that anchors the Theorem 1 bound;
 //! * **weight spread** — how far the Eq. 9 dynamic weights drift from
 //!   uniform `1/P` under real staleness;
-//! * **connectivity work** — the [`ConnectivityStats`] counters
-//!   (union-find merges, window rebuilds) of the group filter.
+//! * **connectivity work** — the [`ConnectivityStats`] counters of the
+//!   group filter: union-find merges and window rebuilds, and how many
+//!   queries the membership counts answered without either.
 //!
 //! Peak-memory budgets are asserted by the callers (the `scale`
 //! integration test installs [`preduce_tensor::CountingAlloc`] as the
@@ -134,7 +135,7 @@ pub struct ScaleReport {
     pub weight_spread_mean: f64,
     /// Worst per-group weight spread.
     pub weight_spread_max: f64,
-    /// Work counters of the windowed union-find.
+    /// Work counters of the windowed connectivity structure.
     pub connectivity: ConnectivityStats,
     /// Trace events fed through the streaming checker.
     pub checker_events: usize,
@@ -412,23 +413,32 @@ mod tests {
 
     #[test]
     fn connectivity_counters_report_work() {
-        let cfg = ScaleConfig::new(256, 4, 20_000, "uniform");
+        // ROADMAP item 3(c)'s budget on a warm uniform run (T = 134,
+        // warm after ~2 k of the 40 k signals): with arrival jitter about
+        // a third of the fleet is absent from the window at any time, so
+        // a queue of 16 almost always holds an absent worker and the
+        // verdict needs no forest.
+        let cfg = ScaleConfig::new(2_000, 16, 40_000, "uniform");
         let r = run_scale(&cfg);
         let c = r.connectivity;
         assert!(c.merges > 0, "no merges recorded");
-        // At most one rebuild per formed group: the filter queries
-        // between records, and only once the window is warm.
         assert!(
-            c.rebuilds <= r.groups,
+            c.rebuilds * 20 <= r.groups,
             "{} rebuilds for {} groups",
             c.rebuilds,
             r.groups
         );
+        assert!(
+            c.membership_answers > r.groups / 2,
+            "{} membership answers for {} groups",
+            c.membership_answers,
+            r.groups
+        );
         // Queries with no record in between share one rebuild.
-        let mut conn = partial_reduce::WindowedConnectivity::new(8, 2);
+        let mut conn = partial_reduce::WindowedConnectivity::new(4, 2);
         conn.record(&[0, 1]);
         conn.record(&[2, 3]);
-        for w in 0..8 {
+        for w in 0..4 {
             assert!(!conn.is_connected());
             conn.component_of(w);
         }
