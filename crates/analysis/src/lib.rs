@@ -25,7 +25,7 @@
 //! ([`allow`]). The crate is dependency-free by design: the lint gate
 //! must build anywhere the toolchain does.
 //!
-//! Run it as `cargo run -p preduce-analysis -- check` or `preduce lint`.
+//! Run it as `cargo run -p preduce-analysis -- check`.
 
 #![forbid(unsafe_code)]
 

@@ -12,46 +12,10 @@
 //! Run: `cargo run --release -p preduce-bench --bin fig4_spectral`
 
 use partial_reduce::{
-    expected_sync_matrix, expected_sync_matrix_uniform, spectral_gap, Controller, ControllerConfig,
+    expected_sync_matrix, expected_sync_matrix_uniform, spectral_gap, ControllerConfig,
 };
-use preduce_simnet::{EventQueue, HeterogeneityModel, Jitter, SimTime, SpeedFleet, UniformFleet};
-use rand::{rngs::StdRng, SeedableRng};
-
-/// Simulates the FIFO controller over a fleet and records the groups formed.
-fn simulate_groups(
-    mut fleet: Box<dyn HeterogeneityModel>,
-    n: usize,
-    p: usize,
-    rounds: usize,
-    seed: u64,
-) -> Vec<Vec<usize>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut controller = Controller::new(ControllerConfig {
-        num_workers: n,
-        group_size: p,
-        mode: partial_reduce::AggregationMode::Constant,
-        history_window: None,
-        frozen_avoidance: true,
-    });
-    let mut queue: EventQueue<usize> = EventQueue::new();
-    for w in 0..n {
-        let ct = fleet.compute_time(w, 1e9, SimTime::ZERO, &mut rng);
-        queue.schedule(SimTime::new(ct), w);
-    }
-    let mut groups = Vec::with_capacity(rounds);
-    while groups.len() < rounds {
-        let (t, w) = queue.pop().expect("workers always reschedule");
-        controller.push_ready(w, 0);
-        while let Some(d) = controller.try_form_group() {
-            for &m in &d.group {
-                let ct = fleet.compute_time(m, 1e9, t, &mut rng);
-                queue.schedule(t + ct, m);
-            }
-            groups.push(d.group);
-        }
-    }
-    groups
-}
+use preduce_simnet::{Jitter, SpeedFleet, UniformFleet};
+use preduce_trainer::sample_groups;
 
 fn main() {
     println!("Figure 4: spectral gap rho under different environments\n");
@@ -70,10 +34,11 @@ fn main() {
         r.rho
     );
 
-    // (2) Empirical schedules from the FIFO controller.
+    // (2) Empirical schedules from the FIFO controller (seed 7).
+    let pairs = ControllerConfig::constant(3, 2);
     let jitter = Jitter::LogNormal { sigma: 0.2 };
     let uniform = Box::new(UniformFleet::new(3, 1e9, jitter));
-    let groups = simulate_groups(uniform, 3, 2, 30_000, 7);
+    let (groups, _) = sample_groups(uniform, pairs.clone(), 30_000, 7);
     let e_w = expected_sync_matrix(3, &groups);
     let r = spectral_gap(&e_w).expect("symmetric");
     println!(
@@ -82,7 +47,7 @@ fn main() {
     );
 
     let slow = Box::new(SpeedFleet::new(vec![1.0, 1.0, 2.0], 1e9, jitter));
-    let groups = simulate_groups(slow, 3, 2, 30_000, 7);
+    let (groups, _) = sample_groups(slow, pairs, 30_000, 7);
     let e_w = expected_sync_matrix(3, &groups);
     let r = spectral_gap(&e_w).expect("symmetric");
     println!(

@@ -8,15 +8,14 @@ use std::time::Duration;
 
 use partial_reduce::runtime::{LivenessPolicy, RuntimeOptions};
 use partial_reduce::{
-    expected_sync_matrix, spectral_gap, AggregationMode, Controller, ControllerConfig,
-    InvariantChecker, JsonlSink, NullSink, TraceSink,
+    expected_sync_matrix, spectral_gap, ControllerConfig, InvariantChecker, JsonlSink, NullSink,
+    TraceSink,
 };
 use preduce_data::{cifar100_like, cifar10_like, imagenet_like, DatasetPreset};
 use preduce_models::zoo;
-use preduce_simnet::{EventQueue, HeterogeneityModel, Jitter, SimTime, SpeedFleet, UniformFleet};
+use preduce_simnet::{HeterogeneityModel, Jitter, SpeedFleet, UniformFleet};
 use preduce_trainer::engine::process;
 use preduce_trainer::{engine, Backend, ElasticOptions, ExperimentConfig, FaultPlan, Strategy};
-use rand::{rngs::StdRng, SeedableRng};
 
 use crate::args::{ArgError, Args};
 
@@ -29,22 +28,18 @@ pub enum CliError {
     Unknown(String),
     /// A replayed trace broke this many control-plane invariants.
     Invariant(usize),
-    /// `preduce lint` found this many rule violations.
-    Lint(usize),
     /// An operation that should not fail did (I/O, serialization).
     Internal(String),
 }
 
 impl CliError {
     /// Process exit code: usage errors are 2 (conventional), internal
-    /// failures 3, invariant violations 4, lint findings 1 (matching the
-    /// standalone `preduce-analysis` binary so CI gates compose).
+    /// failures 3, invariant violations 4.
     pub fn exit_code(&self) -> u8 {
         match self {
             CliError::Args(_) | CliError::Unknown(_) => 2,
             CliError::Internal(_) => 3,
             CliError::Invariant(_) => 4,
-            CliError::Lint(_) => 1,
         }
     }
 }
@@ -57,7 +52,6 @@ impl fmt::Display for CliError {
             CliError::Invariant(n) => {
                 write!(f, "trace violates {n} invariant(s)")
             }
-            CliError::Lint(n) => write!(f, "lint found {n} violation(s)"),
             CliError::Internal(what) => write!(f, "{what}"),
         }
     }
@@ -89,8 +83,6 @@ pub enum Command {
     /// `preduce trace --check trace.jsonl` — replay a recorded trace
     /// through the invariant checker.
     Trace,
-    /// `preduce lint` — run the workspace static-analysis passes.
-    Lint,
     /// `preduce list` — strategies, models, presets.
     List,
     /// `preduce help`.
@@ -107,7 +99,6 @@ impl Command {
             "spectral" => Ok(Command::Spectral),
             "scale" => Ok(Command::Scale),
             "trace" => Ok(Command::Trace),
-            "lint" => Ok(Command::Lint),
             "list" => Ok(Command::List),
             "help" | "--help" | "-h" => Ok(Command::Help),
             other => Err(CliError::Unknown(format!("command `{other}`"))),
@@ -141,8 +132,6 @@ USAGE:
                    [--hetero uniform|gpu-sharing|markov] [--dynamic true]
                    [--seed SEED] [--json true]
   preduce trace    --check trace.jsonl
-  preduce lint     [--root PATH] [--format text|json|github]
-                   [--pass a,b,...]
   preduce list
   preduce help
 
@@ -214,16 +203,6 @@ TRACING:
   frozen-schedule repair, departures). The check is streaming: events
   feed an incremental checker line by line, so traces with millions of
   events verify in bounded memory. Exit is nonzero on violations.
-
-LINTING:
-  `lint` runs the workspace static-analysis passes (panic-path,
-  lock-discipline, weight-stochasticity, trace-coverage,
-  event-conformance, unsafe-audit, reactor-blocking) over the source
-  tree — the same engine as `cargo run -p preduce-analysis -- check`.
-  --format json emits a stable machine-readable report
-  (schema `preduce-lint/1`); --format github emits CI annotations;
-  --pass a,b runs only the named passes. Exit is nonzero on findings;
-  see DESIGN.md section 10.
 ";
 
 fn parse_strategy(args: &Args) -> Result<Strategy, CliError> {
@@ -529,85 +508,6 @@ pub fn run_command(
                 report.rank, report.iterations, report.accuracy, report.degraded
             );
         }
-        Command::Lint => {
-            let root = match args.get("root") {
-                Some(p) => {
-                    // A typo'd --root would otherwise scan zero files and
-                    // report "clean" — a silently green gate.
-                    let r = std::path::PathBuf::from(p);
-                    if !r.join("crates").is_dir() {
-                        return Err(CliError::Unknown(format!(
-                            "workspace root `{p}` (no crates/ directory)"
-                        )));
-                    }
-                    r
-                }
-                None => {
-                    let cwd = std::env::current_dir()
-                        .map_err(|e| CliError::Internal(format!("current directory: {e}")))?;
-                    preduce_analysis::find_workspace_root(&cwd).ok_or_else(|| {
-                        CliError::Unknown(
-                            "workspace root (run inside the repo or pass --root)".to_string(),
-                        )
-                    })?
-                }
-            };
-            let format = args.get("format").unwrap_or("text");
-            if !matches!(format, "text" | "json" | "github") {
-                return Err(CliError::Unknown(format!(
-                    "lint format `{format}` (expected text, json, or github)"
-                )));
-            }
-            let selected: Option<Vec<String>> = match args.get("pass") {
-                None => None,
-                Some(list) => {
-                    let names: Vec<String> = list
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string)
-                        .collect();
-                    for n in &names {
-                        if !preduce_analysis::passes::ALL.contains(&n.as_str()) {
-                            return Err(CliError::Unknown(format!(
-                                "lint pass `{n}` (known: {})",
-                                preduce_analysis::passes::ALL.join(", ")
-                            )));
-                        }
-                    }
-                    if names.is_empty() {
-                        return Err(CliError::Unknown(
-                            "lint pass list (empty --pass)".to_string(),
-                        ));
-                    }
-                    Some(names)
-                }
-            };
-            let findings = preduce_analysis::run_check_passes(&root, selected.as_deref())
-                .map_err(|e| CliError::Internal(format!("lint walk: {e}")))?;
-            match format {
-                "json" => {
-                    let _ = writeln!(out, "{}", preduce_analysis::to_json(&findings));
-                }
-                "github" => {
-                    let _ = write!(out, "{}", preduce_analysis::github_annotations(&findings));
-                    if findings.is_empty() {
-                        let _ = writeln!(out, "lint: workspace clean");
-                    }
-                }
-                _ => {
-                    for f in &findings {
-                        let _ = writeln!(out, "{f}");
-                    }
-                    if findings.is_empty() {
-                        let _ = writeln!(out, "lint: workspace clean");
-                    }
-                }
-            }
-            if !findings.is_empty() {
-                return Err(CliError::Lint(findings.len()));
-            }
-        }
         Command::Trace => {
             let path = args.get("check").ok_or_else(|| {
                 CliError::Unknown(
@@ -706,7 +606,8 @@ pub fn run_command(
                     ))
                 }
             };
-            let groups = observe_groups(fleet, p, rounds);
+            let (groups, _) =
+                preduce_trainer::sample_groups(fleet, ControllerConfig::constant(n, p), rounds, 17);
             let e_w = expected_sync_matrix(n, &groups);
             let report = spectral_gap(&e_w)
                 .map_err(|e| CliError::Internal(format!("spectral analysis of E[W]: {e}")))?;
@@ -718,44 +619,6 @@ pub fn run_command(
         }
     }
     Ok(())
-}
-
-/// Simulates the FIFO controller on `fleet` and records the formed groups.
-fn observe_groups(
-    mut fleet: Box<dyn HeterogeneityModel>,
-    p: usize,
-    rounds: usize,
-) -> Vec<Vec<usize>> {
-    let n = fleet.num_workers();
-    let mut rng = StdRng::seed_from_u64(17);
-    let mut controller = Controller::new(ControllerConfig {
-        num_workers: n,
-        group_size: p,
-        mode: AggregationMode::Constant,
-        history_window: None,
-        frozen_avoidance: true,
-    });
-    let mut queue = EventQueue::new();
-    for w in 0..n {
-        let ct = fleet.compute_time(w, 1e9, SimTime::ZERO, &mut rng);
-        queue.schedule(SimTime::new(ct), w);
-    }
-    let mut groups = Vec::with_capacity(rounds);
-    while groups.len() < rounds {
-        // Every formed group reschedules all of its members, so the queue
-        // can never drain before `rounds` groups form; stop early rather
-        // than panic if that invariant is ever broken.
-        let Some((t, w)) = queue.pop() else { break };
-        controller.push_ready(w, 0);
-        while let Some(d) = controller.try_form_group() {
-            for &m in &d.group {
-                let ct = fleet.compute_time(m, 1e9, t, &mut rng);
-                queue.schedule(t + ct, m);
-            }
-            groups.push(d.group);
-        }
-    }
-    groups
 }
 
 #[cfg(test)]
@@ -1164,99 +1027,9 @@ mod tests {
     }
 
     #[test]
-    fn lint_reports_clean_on_this_workspace() {
-        let root = env!("CARGO_MANIFEST_DIR");
-        let root = std::path::Path::new(root)
-            .parent()
-            .unwrap()
-            .parent()
-            .unwrap();
-        let (r, out) = run(&["lint", "--root", root.to_str().unwrap()]);
-        r.unwrap();
-        assert!(out.contains("workspace clean"), "{out}");
-    }
-
-    #[test]
-    fn lint_counts_findings_in_a_dirty_tree() {
-        let dir = std::env::temp_dir().join("preduce-cli-lint-dirty");
-        let src = dir.join("crates/core/src");
-        std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").unwrap();
-        std::fs::write(
-            src.join("controller.rs"),
-            "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
-        )
-        .unwrap();
-        let (r, out) = run(&["lint", "--root", dir.to_str().unwrap()]);
-        assert!(matches!(r, Err(CliError::Lint(1))), "{out}");
-        assert!(out.contains("panic-path"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lint_json_format_emits_stable_schema() {
-        let dir = std::env::temp_dir().join("preduce-cli-lint-json");
-        let src = dir.join("crates/core/src");
-        std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").unwrap();
-        std::fs::write(
-            src.join("controller.rs"),
-            "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
-        )
-        .unwrap();
-        let (r, out) = run(&["lint", "--root", dir.to_str().unwrap(), "--format", "json"]);
-        assert!(matches!(r, Err(CliError::Lint(1))), "{out}");
-        assert!(
-            out.starts_with("{\"schema\":\"preduce-lint/1\",\"count\":1,"),
-            "{out}"
-        );
-        assert!(out.contains("\"pass\":\"panic-path\""), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lint_pass_selection_filters_findings() {
-        let dir = std::env::temp_dir().join("preduce-cli-lint-pass");
-        let src = dir.join("crates/core/src");
-        std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").unwrap();
-        std::fs::write(
-            src.join("controller.rs"),
-            "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
-        )
-        .unwrap();
-        // The dirty line is a panic-path finding; selecting only
-        // weight-stochasticity must come back clean.
-        let (clean, out) = run(&[
-            "lint",
-            "--root",
-            dir.to_str().unwrap(),
-            "--pass",
-            "weight-stochasticity",
-        ]);
-        clean.unwrap();
-        assert!(out.contains("workspace clean"), "{out}");
-        let (dirty, out) = run(&[
-            "lint",
-            "--root",
-            dir.to_str().unwrap(),
-            "--pass",
-            "panic-path,weight-stochasticity",
-        ]);
-        assert!(matches!(dirty, Err(CliError::Lint(1))), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
-        // Unknown pass names and formats are usage errors (exit 2).
-        let (bad_pass, _) = run(&["lint", "--pass", "made-up"]);
-        assert!(matches!(bad_pass, Err(CliError::Unknown(_))));
-        let (bad_fmt, _) = run(&["lint", "--format", "yaml"]);
-        assert!(matches!(bad_fmt, Err(CliError::Unknown(_))));
-    }
-
-    #[test]
     fn exit_codes_distinguish_failure_modes() {
         assert_eq!(CliError::Unknown("x".into()).exit_code(), 2);
         assert_eq!(CliError::Internal("x".into()).exit_code(), 3);
         assert_eq!(CliError::Invariant(2).exit_code(), 4);
-        assert_eq!(CliError::Lint(1).exit_code(), 1);
     }
 }

@@ -8,10 +8,9 @@
 //! all-reduce).
 //!
 //! Tag discipline: each logical collective must use a caller-unique
-//! `base_tag`; internal steps consume `base_tag + step`. Callers should
-//! space base tags by at least [`TAG_STRIDE`]. The chunked pipeline
-//! ([`chunked_weighted_average`]) spends `2·(p−1)` tags per segment and
-//! sizes its segments so the whole run fits inside one stride.
+//! `base_tag`; internal steps consume `base_tag + step` (a ring
+//! all-reduce spends `2·(p−1)` tags). Callers should space base tags by
+//! at least [`TAG_STRIDE`].
 //!
 //! Hot-path sends go through the endpoint's reclaimed-buffer pool
 //! ([`Endpoint::send_from_slice`] / [`Endpoint::recycle`]): each
@@ -21,6 +20,7 @@
 
 use crate::endpoint::Endpoint;
 use crate::error::CommError;
+use crate::mesh::GroupAverager;
 use crate::Result;
 
 /// Minimum spacing between base tags of concurrent collectives.
@@ -100,14 +100,9 @@ fn ring_step(
 ///
 /// Every member must call this with the same `group` ordering, the same
 /// `base_tag`, and equal-length `data`. After return, every member holds the
-/// elementwise sum. A singleton group is a no-op.
-///
-/// Before PR 17 this was a separate pair of loops in which position `i`
-/// summed chunk `i + 1`; as the composition it sums chunk `i`. For
-/// `P ≥ 3` that changed the order in which an element's `P` contributions
-/// are added — the low bits of sums that are not exactly representable,
-/// never the value on exactly representable data — and every member still
-/// ends with identical bits.
+/// elementwise sum, bit for bit the same one: position `i` folds chunk `i`
+/// in ring order and every other member copies it. A singleton group is a
+/// no-op.
 pub fn ring_allreduce(
     ep: &mut Endpoint,
     group: &[usize],
@@ -118,92 +113,37 @@ pub fn ring_allreduce(
     all_gather(ep, group, base_tag + (group.len() as u64 - 1), data)
 }
 
-/// Default segment size, in elements, of the chunked group-average
-/// pipeline (64Ki floats = 256 KiB per segment): large enough to
-/// amortize per-message overhead, small enough that a segment's
-/// reduction runs out of cache while the next segment is in flight.
-pub const PIPELINE_CHUNK: usize = 1 << 16;
-
-/// In-place weighted model average across `group` — every member ends
-/// up with `Σ_j weights[j] · data_j` — the aggregation step of both
-/// constant partial reduce (`weights = [1/P; P]`) and dynamic partial
-/// reduce (EMA weights). Scale-then-ring-all-reduce, run as a pipeline of
-/// per-segment reduce-scatter → all-gather rounds over
-/// [`PIPELINE_CHUNK`]-element segments, so it costs the same on the wire
-/// as a plain all-reduce over the group.
-///
-/// Ring steps never barrier, so once a rank finishes segment `c` it
-/// starts segment `c + 1` immediately while its neighbors drain `c` —
-/// with messages bounded by the segment size the whole group marches in
-/// a wave, overlapping the reduction arithmetic of one segment with the
-/// transport of the next and keeping per-rank scratch (the endpoint's
-/// buffer pool) at segment granularity instead of whole-model
-/// granularity.
-///
-/// Accumulation order per element is fixed by that element's owning
-/// ring position within its segment — deterministic for a given
-/// `(group, data length, chunk size)`, like the monolithic ring.
-pub fn chunked_weighted_average(
-    ep: &mut Endpoint,
-    group: &[usize],
-    base_tag: u64,
-    data: &mut [f32],
-    weights: &[f32],
-) -> Result<()> {
-    chunked_weighted_average_with(ep, group, base_tag, data, weights, PIPELINE_CHUNK)
-}
-
-/// [`chunked_weighted_average`] with an explicit segment size
-/// (`usize::MAX` degenerates to one monolithic segment).
-///
-/// Every member must pass the same `chunk_elems`. Each segment consumes
-/// `2·(p−1)` tags starting at `base_tag`; if the segment count would
-/// overflow the [`TAG_STRIDE`] budget, the segment size is grown (for
-/// all members identically) until it fits.
-///
-/// # Panics
-/// Panics if `chunk_elems == 0` or `weights.len() != group.len()`.
-fn chunked_weighted_average_with(
-    ep: &mut Endpoint,
-    group: &[usize],
-    base_tag: u64,
-    data: &mut [f32],
-    weights: &[f32],
-    chunk_elems: usize,
-) -> Result<()> {
-    assert!(chunk_elems > 0, "segment size must be positive");
-    assert_eq!(
-        weights.len(),
-        group.len(),
-        "one weight per group member required"
-    );
-    let me = position_in_group(ep, group)?;
-    let Some(&w) = weights.get(me) else {
-        return Err(CommError::InvalidGroup(format!(
-            "member position {me} outside weight row of {}",
-            weights.len()
-        )));
-    };
-    for d in data.iter_mut() {
-        *d *= w;
+/// The in-process group average: every member scales its own model by its
+/// own weight, then one plain [`ring_allreduce`] sums the group — `Σ_j
+/// weights[j] · data_j` on every member, the aggregation step of constant
+/// (`weights = [1/P; P]`) and dynamic (Eq. 9) partial reduce alike, at the
+/// wire cost of an all-reduce. Channels deliver a whole chunk in one
+/// hand-off, so there is no transport for a segment pipeline to overlap
+/// (the TCP star in [`crate::mesh`] is where segments pay).
+impl GroupAverager for Endpoint {
+    fn group_weighted_average(
+        &mut self,
+        group: &[usize],
+        base_tag: u64,
+        data: &mut [f32],
+        weights: &[f32],
+    ) -> Result<()> {
+        let me = position_in_group(self, group)?;
+        let w = match weights.get(me) {
+            Some(&w) if weights.len() == group.len() => w,
+            _ => {
+                return Err(CommError::InvalidGroup(format!(
+                    "group of {} with {} weights",
+                    group.len(),
+                    weights.len()
+                )))
+            }
+        };
+        for d in data.iter_mut() {
+            *d *= w;
+        }
+        ring_allreduce(self, group, base_tag, data)
     }
-    let p = group.len();
-    if p == 1 {
-        return Ok(());
-    }
-    // Tag budget: grow the segment so all segments fit in TAG_STRIDE.
-    let stride = 2 * (p as u64 - 1);
-    let max_segments = (TAG_STRIDE / stride).max(1) as usize;
-    let chunk = chunk_elems.max(data.len().div_ceil(max_segments.max(1)));
-    let mut seg = 0u64;
-    let mut start = 0usize;
-    while start < data.len() {
-        let end = data.len().min(start.saturating_add(chunk));
-        ring_allreduce(ep, group, base_tag + seg * stride, &mut data[start..end])?;
-        start = end;
-        seg += 1;
-    }
-    Ok(())
 }
 
 /// Barrier across `group`: returns only after every member has entered.
@@ -336,9 +276,10 @@ mod tests {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
 
-    /// Monolithic reference for the chunked pipeline: scale by the
-    /// caller's weight, then one whole-buffer ring all-reduce.
-    fn weighted_average(
+    /// What a group average must be, spelled out with the public
+    /// collective: scale by the caller's own weight, then one whole-buffer
+    /// ring all-reduce.
+    fn scale_then_ring(
         ep: &mut Endpoint,
         group: &[usize],
         base_tag: u64,
@@ -350,6 +291,21 @@ mod tests {
             *d *= weights[me];
         }
         ring_allreduce(ep, group, base_tag, data)
+    }
+
+    /// Non-representable values, different on every rank, so that fold
+    /// order is observable.
+    fn model(rank: usize, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| 0.1 + (i % 97) as f32 * 0.3 + rank as f32 * 0.7)
+            .collect()
+    }
+
+    fn assert_bit_equal(a: &[f32], b: &[f32]) {
+        assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "element {i}: {x} vs {y}");
+        }
     }
 
     #[test]
@@ -441,11 +397,37 @@ mod tests {
     }
 
     #[test]
-    fn weighted_average_with_uniform_weights_is_mean() {
+    fn group_average_is_scale_then_one_plain_ring() {
+        // Longer than one 64 Ki-element segment of the TCP star, with an
+        // uneven tail for every P: in-process the average is not
+        // segmented — it is the plain ring, bit for bit — and every member
+        // ends with the same bits.
+        let len = (1 << 16) + 4_099;
+        for p in 2..=4usize {
+            let results = run_world(p, move |rank, ep| {
+                let group: Vec<usize> = (0..p).rev().collect();
+                let weights: Vec<f32> = (0..p).map(|j| (j + 1) as f32 / 7.0).collect();
+                let mut got = model(rank, len);
+                let mut want = got.clone();
+                ep.group_weighted_average(&group, 0, &mut got, &weights)
+                    .unwrap();
+                scale_then_ring(ep, &group, TAG_STRIDE, &mut want, &weights).unwrap();
+                (got, want)
+            });
+            for (got, want) in &results {
+                assert_bit_equal(got, want);
+                assert_bit_equal(got, &results[0].0);
+            }
+        }
+    }
+
+    #[test]
+    fn group_average_with_uniform_weights_is_mean() {
         let results = run_world(3, |rank, ep| {
             let mut data = vec![(rank * 3) as f32; 5];
             let w = [1.0 / 3.0; 3];
-            chunked_weighted_average(ep, &[0, 1, 2], 0, &mut data, &w).unwrap();
+            ep.group_weighted_average(&[0, 1, 2], 0, &mut data, &w)
+                .unwrap();
             data
         });
         for r in results {
@@ -456,11 +438,12 @@ mod tests {
     }
 
     #[test]
-    fn weighted_average_respects_weights() {
+    fn group_average_respects_weights() {
         let results = run_world(2, |rank, ep| {
             let mut data = vec![if rank == 0 { 10.0 } else { 20.0 }];
             let w = [0.9, 0.1];
-            chunked_weighted_average(ep, &[0, 1], 0, &mut data, &w).unwrap();
+            ep.group_weighted_average(&[0, 1], 0, &mut data, &w)
+                .unwrap();
             data
         });
         for r in results {
@@ -469,75 +452,75 @@ mod tests {
     }
 
     #[test]
-    fn chunked_weighted_average_matches_monolithic() {
-        // Integer-valued floats: the sum is exact under any accumulation
-        // order, so chunked and monolithic must agree bitwise.
-        let results = run_world(3, |rank, ep| {
-            let mono: Vec<f32> = (0..23).map(|i| (i * (rank + 1)) as f32).collect();
-            let mut chunked = mono.clone();
-            let mut mono = mono;
-            let w = [3.0, 2.0, 1.0];
-            weighted_average(ep, &[0, 1, 2], 0, &mut mono, &w).unwrap();
-            // Segment size 5 splits 23 elements into 5 segments.
-            chunked_weighted_average_with(ep, &[0, 1, 2], TAG_STRIDE, &mut chunked, &w, 5).unwrap();
-            (mono, chunked)
-        });
-        for (mono, chunked) in results {
-            for (a, b) in mono.iter().zip(chunked.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_weighted_average_default_segments() {
-        let results = run_world(2, |rank, ep| {
-            let mut data = vec![(rank * 4) as f32; 9];
-            chunked_weighted_average(ep, &[0, 1], 0, &mut data, &[0.5, 0.5]).unwrap();
-            data
-        });
-        for r in results {
-            for v in r {
-                assert!((v - 2.0).abs() < 1e-6); // (0 + 4) / 2
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_weighted_average_singleton_scales() {
+    fn group_average_singleton_scales_in_place() {
         let mut eps = CommWorld::new(1).into_endpoints();
         let mut e0 = eps.remove(0);
         let mut data = vec![2.0, 6.0];
-        chunked_weighted_average_with(&mut e0, &[0], 0, &mut data, &[0.5], 1).unwrap();
+        e0.group_weighted_average(&[0], 0, &mut data, &[0.5])
+            .unwrap();
         assert_eq!(data, vec![1.0, 3.0]);
     }
 
     #[test]
-    fn chunked_weighted_average_is_deterministic() {
+    fn group_average_repeats_its_bits() {
         let run = || {
             run_world(3, |rank, ep| {
-                // Non-representable fractions make ordering observable.
-                let mut data: Vec<f32> = (0..17)
-                    .map(|i| 0.1 + (i as f32) * 0.3 + rank as f32 * 0.7)
-                    .collect();
+                let mut data = model(rank, 17);
                 let w = [0.3f32, 0.4, 0.3];
-                chunked_weighted_average_with(ep, &[0, 1, 2], 0, &mut data, &w, 4).unwrap();
+                ep.group_weighted_average(&[0, 1, 2], 0, &mut data, &w)
+                    .unwrap();
                 data
             })
         };
         let a = run();
         let b = run();
-        for (ra, rb) in a.iter().zip(b.iter()) {
-            for (x, y) in ra.iter().zip(rb.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+        for (ra, rb) in a.iter().zip(&b) {
+            assert_bit_equal(ra, rb);
+            assert_bit_equal(ra, &a[0]);
         }
-        // All members agree on the result.
-        for r in &a[1..] {
-            for (x, y) in a[0].iter().zip(r.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+    }
+
+    #[test]
+    fn group_averages_on_adjacent_base_tags_do_not_interfere() {
+        // Two rounds of two concurrent pairs, base tags one stride apart
+        // and no barrier in between: a fast rank's round-two chunks reach
+        // a peer still inside round one and must wait for their own tag.
+        let results = run_world(4, |rank, ep| {
+            let half = [0.5f32, 0.5];
+            let mut data = vec![rank as f32 * 4.0; 9];
+            let (first, tag) = if rank < 2 {
+                ([0, 1], 0)
+            } else {
+                ([2, 3], TAG_STRIDE)
+            };
+            ep.group_weighted_average(&first, tag, &mut data, &half)
+                .unwrap();
+            let (second, tag) = if rank == 1 || rank == 2 {
+                ([1, 2], 2 * TAG_STRIDE)
+            } else {
+                ([3, 0], 3 * TAG_STRIDE)
+            };
+            ep.group_weighted_average(&second, tag, &mut data, &half)
+                .unwrap();
+            data
+        });
+        // Round one: {0, 4} → 2 and {8, 12} → 10; round two mixes one
+        // member of each pair: (2 + 10) / 2 on every rank.
+        for r in results {
+            assert_eq!(r, vec![6.0; 9]);
         }
+    }
+
+    #[test]
+    fn group_average_rejects_a_short_weight_row() {
+        let mut eps = CommWorld::new(2).into_endpoints();
+        let mut e0 = eps.remove(0);
+        let mut data = vec![1.0];
+        assert!(matches!(
+            e0.group_weighted_average(&[0, 1], 0, &mut data, &[1.0]),
+            Err(CommError::InvalidGroup(_))
+        ));
+        assert_eq!(data, vec![1.0], "rejected before scaling");
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   [`Endpoint::recv`] matching out-of-order arrivals like an MPI
 //!   implementation;
 //! * group collectives over *arbitrary subsets* of ranks —
-//!   [`collectives::ring_allreduce`],
-//!   [`collectives::chunked_weighted_average`], [`collectives::barrier`]
-//!   — which is exactly the capability partial
+//!   [`collectives::ring_allreduce`], [`collectives::ring_exchange`],
+//!   [`collectives::barrier`] — which is exactly the capability partial
 //!   reduce needs (a collective over a dynamic temporary group, something
 //!   NCCL's fixed communicators make hard, §4 of the paper);
 //! * a [`control`] channel pair for the few-bytes worker↔controller

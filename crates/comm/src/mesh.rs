@@ -1,8 +1,9 @@
 //! The multi-process data plane: group weighted averages between worker
 //! *processes*.
 //!
-//! In-process fleets run their group collective over [`Endpoint`]
-//! channels ([`collectives::chunked_weighted_average`]). Worker processes
+//! In-process fleets run their group collective over
+//! [`Endpoint`](crate::Endpoint) channels (scale by own weight, then
+//! [`crate::collectives::ring_allreduce`]). Worker processes
 //! have no shared memory, so each binds an ephemeral data listener
 //! ([`MeshEndpoint::bind`]), announces it in the control-plane hello,
 //! and receives the full [`crate::control::FleetRoster`] once the fleet
@@ -56,8 +57,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::collectives;
-use crate::endpoint::Endpoint;
 use crate::error::CommError;
 use crate::Result;
 
@@ -65,15 +64,20 @@ use crate::Result;
 /// first-contact accept wait, and every socket read or write.
 pub const DATA_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Elements per pipeline segment: the leader folds, and both roles
-/// convert between floats and wire bytes, one segment at a time.
-const PIPELINE_CHUNK: usize = collectives::PIPELINE_CHUNK;
+/// Elements per pipeline segment (64 Ki floats = 256 KiB): the leader
+/// folds, and both roles convert between floats and wire bytes, one
+/// segment at a time — large enough to amortize per-call overhead, small
+/// enough that a segment's fold runs out of cache while the next one is
+/// in flight, and the bound on the leader's scratch (one segment per
+/// member).
+const PIPELINE_CHUNK: usize = 1 << 16;
 
 /// Poll period of the first-contact accept wait.
 const ACCEPT_POLL: Duration = Duration::from_millis(1);
 
 /// A group weighted average over some transport: the in-process
-/// [`Endpoint`] collective or the process-level [`MeshEndpoint`] star.
+/// [`Endpoint`](crate::Endpoint) ring or the process-level
+/// [`MeshEndpoint`] star.
 /// `weights` aligns with `group`; on return `data` holds the group's
 /// weighted average on every member.
 pub trait GroupAverager: Send {
@@ -90,18 +94,6 @@ pub trait GroupAverager: Send {
         data: &mut [f32],
         weights: &[f32],
     ) -> Result<()>;
-}
-
-impl GroupAverager for Endpoint {
-    fn group_weighted_average(
-        &mut self,
-        group: &[usize],
-        base_tag: u64,
-        data: &mut [f32],
-        weights: &[f32],
-    ) -> Result<()> {
-        collectives::chunked_weighted_average(self, group, base_tag, data, weights)
-    }
 }
 
 /// One worker process's data-plane endpoint: an ephemeral listener for

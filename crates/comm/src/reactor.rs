@@ -1,14 +1,12 @@
 //! The controller's signal plane: a sharded non-blocking reactor over
 //! the TCP control sockets.
 //!
-//! The first TCP control plane spawned one blocking reader thread per
-//! worker socket. That topology caps fleet size at the OS thread
-//! budget and makes every ready signal a cross-thread wakeup. The
-//! reactor replaces it: a small fixed pool of shard threads owns the
-//! sockets (round-robin), polls them non-blocking with per-socket
-//! incremental [`FrameBuffer`] decoding, and delivers decoded signals
-//! to the controller in *batches* — one channel send per scan, not per
-//! frame. Socket EOF or a desynchronized stream surfaces as a
+//! A small fixed pool of shard threads owns the sockets (round-robin),
+//! so fleet size is not capped by the OS thread budget. Each shard
+//! polls its sockets non-blocking with per-socket incremental
+//! [`FrameBuffer`] decoding and delivers decoded signals to the
+//! controller in *batches* — one channel send per scan, not per frame.
+//! Socket EOF or a desynchronized stream surfaces as a
 //! [`ControlEvent::Disconnected`] so the serving loop can evict the
 //! process immediately instead of waiting out the heartbeat budget.
 //!

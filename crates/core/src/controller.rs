@@ -167,8 +167,7 @@ pub struct GroupDecision {
 pub struct Controller {
     config: ControllerConfig,
     queue: VecDeque<ReadySignal>,
-    /// Per-worker "has a queued signal" flag: O(1) duplicate detection,
-    /// replacing a queue scan that cost O(N) per arriving signal.
+    /// Per-worker "has a queued signal" flag: O(1) duplicate detection.
     queued: Vec<bool>,
     /// The group history database: the last `T` groups plus their
     /// sync-graph connectivity (membership counts first, a lazily rebuilt

@@ -182,11 +182,10 @@ struct PendingViolation {
 /// One contract needs care in streaming form: in-flight accounting is
 /// only *enforced* when the trace carries
 /// [`TraceEvent::ReduceCompleted`] at all (controller-only traces
-/// legitimately lack completions). The batch checker knew this upfront
-/// by pre-scanning; a streaming checker cannot look ahead, so it always
-/// *tracks* in-flight groups, tags the violations that depend on
-/// strictness, and drops them at [`StreamingChecker::finish`] if no
-/// completion ever arrived — bit-identical verdicts, single pass.
+/// legitimately lack completions). A streaming checker cannot look
+/// ahead, so it always *tracks* in-flight groups, tags the violations
+/// that depend on strictness, and drops them at
+/// [`StreamingChecker::finish`] if no completion ever arrived — one pass.
 pub struct StreamingChecker {
     /// Events fed so far (also the index assigned to the next event).
     index: usize,

@@ -21,8 +21,6 @@
 //!   (α-β model: latency + bytes/bandwidth), with ring all-reduce,
 //!   sharded parameter-server push/pull, controller signaling, and gossip
 //!   costs.
-//! * [`FifoResource`] — a serially-shared resource timeline for modeling a
-//!   congested central link where needed.
 //! * [`FaultPlan`] — the fault-injection vocabulary (crash, stall, delayed
 //!   signals, late join) applied by both execution substrates; see
 //!   DESIGN.md §11.
@@ -36,7 +34,6 @@ mod events;
 mod fault;
 mod hetero;
 mod network;
-mod resource;
 mod time;
 
 pub use events::EventQueue;
@@ -46,5 +43,4 @@ pub use hetero::{
     UniformFleet,
 };
 pub use network::NetworkModel;
-pub use resource::FifoResource;
 pub use time::SimTime;

@@ -1,8 +1,8 @@
 //! Property-based tests for the discrete-event simulator.
 
 use preduce_simnet::{
-    EventQueue, FifoResource, GpuSharingFleet, HeterogeneityModel, Jitter, MarkovFleet,
-    NetworkModel, SimTime, SpeedFleet, UniformFleet,
+    EventQueue, GpuSharingFleet, HeterogeneityModel, Jitter, MarkovFleet, NetworkModel, SimTime,
+    SpeedFleet, UniformFleet,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -80,28 +80,6 @@ proptest! {
         let bw_term = 2.0 * (p as f64 - 1.0) / p as f64 * bytes as f64
             / net.bandwidth;
         prop_assert!(t1 >= bw_term);
-    }
-
-    #[test]
-    fn fifo_resource_serializes_and_conserves_busy_time(
-        arrivals in prop::collection::vec((0.0f64..100.0, 0.0f64..5.0), 1..50),
-    ) {
-        let mut r = FifoResource::new();
-        let mut total = 0.0;
-        let mut prev_done = SimTime::ZERO;
-        // Feed requests in arrival order.
-        let mut sorted = arrivals.clone();
-        sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for (at, dur) in &sorted {
-            let done = r.acquire(SimTime::new(*at), *dur);
-            // Completions are ordered (FIFO) and never before arrival+dur.
-            prop_assert!(done >= prev_done);
-            prop_assert!(done.seconds() >= at + dur - 1e-12);
-            prev_done = done;
-            total += dur;
-        }
-        prop_assert!((r.busy_seconds() - total).abs() < 1e-9);
-        prop_assert_eq!(r.served(), sorted.len() as u64);
     }
 
     #[test]

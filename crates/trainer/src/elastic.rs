@@ -1,6 +1,11 @@
 //! Elastic-training glue (DESIGN.md §14): policies for when to write
-//! [`preduce_checkpoint`] snapshots, and the conversions between live
-//! trainer/controller state and the serialized snapshot types.
+//! [`preduce_checkpoint`] snapshots, the conversions between live
+//! trainer/controller state and the serialized snapshot types, and the
+//! three things every substrate does with them — warm start, a worker's
+//! snapshot-if-due (`SnapshotWriter`) and the controller's
+//! ([`controller_group_hook`]). An unreadable directory or a corrupt
+//! snapshot is a configuration error there: it panics, loudly, rather than
+//! being trained through.
 //!
 //! The checkpoint crate knows nothing about tensors or controllers; this
 //! module is the only place that maps [`WorkerState`] ⇄
@@ -11,15 +16,17 @@
 //! format model-architecture-agnostic.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use partial_reduce::runtime::GroupHook;
-use partial_reduce::{Controller, TraceEvent};
+use partial_reduce::{Controller, TraceEvent, TraceSink};
 use preduce_checkpoint::{CheckpointError, CheckpointStore, ControllerSnapshot, WorkerSnapshot};
 use preduce_data::consistent_hash::DEFAULT_VNODES;
 use preduce_data::{assignment_churn, HashRing, RingChurn};
 use preduce_models::SgdOptimizer;
 use preduce_tensor::Tensor;
 
+use crate::engine::substrate::must;
 use crate::worker::WorkerState;
 
 /// Seed for the reshard ring narrated by
@@ -31,9 +38,9 @@ pub const RESHARD_RING_SEED: u64 = 0x7072_6564_7563_6531;
 /// [`preduce_data::consistent_hash::BALANCE_FACTOR`] contract.
 const RESHARD_BALANCE: f64 = preduce_data::consistent_hash::BALANCE_FACTOR;
 
-/// When to write snapshots: into `dir`, every `every` worker iterations
-/// (and, on the simulator, every `every` formed groups for the
-/// controller's roster/history snapshot).
+/// When to write snapshots: into `dir`, each time a worker's iteration
+/// count — or, for the controller's roster/history snapshot, the count of
+/// formed groups — crosses a multiple of `every`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint directory (created on first use).
@@ -55,15 +62,23 @@ impl CheckpointPolicy {
             every,
         }
     }
+}
 
-    /// Opens (creating if needed) the store this policy writes to.
-    pub fn open_store(&self) -> Result<CheckpointStore, CheckpointError> {
-        CheckpointStore::open(&self.dir)
-    }
+/// The one cadence rule, for worker iterations and controller groups
+/// alike: due when the count has crossed a multiple of `every` since the
+/// last look. Counts jump — a fast-forward skips iteration numbers, a
+/// serving-loop pass forms several groups — so waiting for an exact
+/// multiple would skip snapshots.
+struct Cadence {
+    every: u64,
+    last: u64,
+}
 
-    /// Whether a snapshot is due at `count` (iterations or groups).
-    pub fn due(&self, count: u64) -> bool {
-        count > 0 && count.is_multiple_of(self.every)
+impl Cadence {
+    fn crossed(&mut self, count: u64) -> bool {
+        let due = count / self.every > self.last / self.every;
+        self.last = count;
+        due
     }
 }
 
@@ -99,18 +114,91 @@ impl ElasticOptions {
         self
     }
 
-    /// Whether these options change anything about a run.
-    pub fn is_inert(&self) -> bool {
-        self.policy.is_none() && self.restore_from.is_none()
+    /// Opens the store that in-run restores read from — the snapshot
+    /// policy's directory, falling back to the warm-start directory — if
+    /// either is set.
+    pub(crate) fn open_restore_store(&self) -> Option<CheckpointStore> {
+        let dir = match &self.policy {
+            Some(pol) => &pol.dir,
+            None => self.restore_from.as_ref()?,
+        };
+        Some(must("open restore directory", CheckpointStore::open(dir)))
     }
 
-    /// The store that in-run restores read from: the snapshot policy's
-    /// directory, falling back to the warm-start directory.
-    pub fn restore_dir(&self) -> Option<&Path> {
-        self.policy
-            .as_ref()
-            .map(|p| p.dir.as_path())
-            .or(self.restore_from.as_deref())
+    /// Warm start: grafts the snapshot `restore_from` holds for `w`'s
+    /// rank, if any, onto `w`. Runs before anything is scheduled or
+    /// narrated (no trace event: the worker never departed in *this*
+    /// trace).
+    pub(crate) fn warm_start(&self, w: &mut WorkerState) {
+        let Some(dir) = &self.restore_from else {
+            return;
+        };
+        let store = must("open restore directory", CheckpointStore::open(dir));
+        if store.has_worker(w.rank) {
+            let snap = must("load worker snapshot", store.load_worker(w.rank));
+            must("warm-start worker", restore_worker(w, &snap));
+        }
+    }
+
+    /// The periodic-snapshot writer for `w`, narrating to `sink`; without
+    /// a policy it never writes.
+    pub(crate) fn snapshot_writer(
+        &self,
+        w: &WorkerState,
+        sink: Arc<dyn TraceSink>,
+    ) -> SnapshotWriter {
+        let target = self.policy.as_ref().map(|pol| {
+            let store = must("open checkpoint directory", CheckpointStore::open(&pol.dir));
+            let cadence = Cadence {
+                every: pol.every,
+                last: w.iteration,
+            };
+            (store, cadence)
+        });
+        SnapshotWriter { target, sink }
+    }
+
+    /// The policy's [`controller_group_hook`], if there is a policy.
+    pub(crate) fn controller_hook(&self) -> Option<GroupHook> {
+        let pol = self.policy.as_ref()?;
+        Some(must(
+            "open checkpoint directory",
+            controller_group_hook(pol),
+        ))
+    }
+}
+
+/// One worker's periodic snapshots. Each worker owns its writer: the
+/// store's write-then-rename makes concurrent writers into one directory
+/// safe, and a mid-write crash leaves the previous snapshot intact.
+pub(crate) struct SnapshotWriter {
+    target: Option<(CheckpointStore, Cadence)>,
+    sink: Arc<dyn TraceSink>,
+}
+
+impl SnapshotWriter {
+    /// Writes `w`'s durable state and narrates
+    /// [`TraceEvent::SnapshotTaken`] if its iteration count crossed the
+    /// cadence since the previous call. Called after each local update on
+    /// the healthy path, so what a crash loses is the work since the last
+    /// snapshot.
+    pub(crate) fn snapshot_if_due(&mut self, w: &WorkerState) {
+        let Some((store, cadence)) = &mut self.target else {
+            return;
+        };
+        if !cadence.crossed(w.iteration) {
+            return;
+        }
+        must(
+            "write worker snapshot",
+            store.save_worker(&worker_snapshot(w)),
+        );
+        if self.sink.enabled() {
+            self.sink.record(TraceEvent::SnapshotTaken {
+                worker: Some(w.rank),
+                iteration: w.iteration,
+            });
+        }
     }
 }
 
@@ -179,37 +267,36 @@ pub fn controller_snapshot(c: &Controller) -> ControllerSnapshot {
     }
 }
 
-/// Builds the [`RuntimeOptions::on_groups`] hook that writes
-/// policy-cadenced controller snapshots — the process/threaded control
-/// planes' counterpart of the simulator's `GroupDone` snapshot site.
-///
-/// A serving-loop pass may advance the group counter by more than one
-/// (batch ingest), so the hook snapshots whenever the counter *crosses* a
-/// cadence boundary rather than only when it lands exactly on one.
+/// Builds the hook that writes policy-cadenced controller snapshots and
+/// narrates them as [`TraceEvent::SnapshotTaken`] with `worker: None`:
+/// [`RuntimeOptions::on_groups`] for the threaded and process control
+/// planes, called per formed group by the simulator loop.
 ///
 /// [`RuntimeOptions::on_groups`]: partial_reduce::runtime::RuntimeOptions
 ///
 /// # Errors
 /// Fails if the policy's directory cannot be opened or created.
 pub fn controller_group_hook(policy: &CheckpointPolicy) -> Result<GroupHook, CheckpointError> {
-    let store = policy.open_store()?;
-    let every = policy.every;
-    let mut last = 0u64;
+    let store = CheckpointStore::open(&policy.dir)?;
+    let mut cadence = Cadence {
+        every: policy.every,
+        last: 0,
+    };
     Ok(Box::new(move |c: &Controller| {
         let g = c.groups_formed();
-        if g / every > last / every {
-            crate::engine::substrate::must(
-                "write controller snapshot",
-                store.save_controller(&controller_snapshot(c)),
-            );
-            if c.sink().enabled() {
-                c.sink().record(TraceEvent::SnapshotTaken {
-                    worker: None,
-                    iteration: g,
-                });
-            }
+        if !cadence.crossed(g) {
+            return;
         }
-        last = g;
+        must(
+            "write controller snapshot",
+            store.save_controller(&controller_snapshot(c)),
+        );
+        if c.sink().enabled() {
+            c.sink().record(TraceEvent::SnapshotTaken {
+                worker: None,
+                iteration: g,
+            });
+        }
     }))
 }
 
@@ -330,20 +417,92 @@ mod tests {
     }
 
     #[test]
-    fn policy_cadence_skips_iteration_zero() {
-        let p = CheckpointPolicy::new("/tmp/unused", 4);
-        assert!(!p.due(0));
-        assert!(!p.due(3));
-        assert!(p.due(4));
-        assert!(p.due(8));
+    fn cadence_fires_on_crossings_not_on_exact_hits() {
+        let mut c = Cadence { every: 4, last: 0 };
+        assert!(!c.crossed(0));
+        assert!(!c.crossed(3));
+        assert!(c.crossed(4));
+        assert!(!c.crossed(7));
+        // A jump over 8 and 12 is one crossing; 13 → 15 is none.
+        assert!(c.crossed(13));
+        assert!(!c.crossed(15));
+        // A rewind (mid-run restore) is not due, and re-arms from there.
+        assert!(!c.crossed(9));
+        assert!(c.crossed(12));
+    }
+
+    #[test]
+    fn fast_forward_over_a_cadence_multiple_still_snapshots() {
+        // DYN fast-forward (§3.3.3): the worker's count goes 3 → 9 → 10
+        // and never equals 4 or 8. K = 4 must still leave a snapshot.
+        let dir = std::env::temp_dir().join(format!("preduce-elastic-ff-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sink = Arc::new(partial_reduce::RingSink::new(16));
+        let mut w = worker(2);
+        let mut writer = ElasticOptions::none()
+            .with_policy(&dir, 4)
+            .snapshot_writer(&w, sink.clone());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        for _ in 0..3 {
+            w.local_update(&mut rng);
+            writer.snapshot_if_due(&w);
+        }
+        assert!(sink.snapshot().is_empty(), "nothing is due before 4");
+        w.iteration = 9; // the group's maximum, adopted after a reduce
+        w.local_update(&mut rng);
+        writer.snapshot_if_due(&w);
+        assert_eq!(
+            sink.snapshot(),
+            vec![TraceEvent::SnapshotTaken {
+                worker: Some(2),
+                iteration: 10
+            }]
+        );
+        let store = CheckpointStore::open(&dir).unwrap();
+        assert_eq!(store.load_worker(2).unwrap().iteration, 10);
+
+        // A warm-started replacement does not re-snapshot until it has
+        // crossed the next multiple itself.
+        let mut fresh = worker(2);
+        let resume = ElasticOptions::none()
+            .with_restore(&dir)
+            .with_policy(&dir, 4);
+        resume.warm_start(&mut fresh);
+        assert_eq!(fresh.iteration, 10);
+        let mut writer = resume.snapshot_writer(&fresh, sink.clone());
+        fresh.local_update(&mut rng);
+        writer.snapshot_if_due(&fresh);
+        assert_eq!(sink.snapshot().len(), 1, "11 crosses nothing");
+        fresh.local_update(&mut rng);
+        writer.snapshot_if_due(&fresh);
+        assert_eq!(sink.snapshot().len(), 2, "12 does");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn inert_options_are_inert() {
-        assert!(ElasticOptions::none().is_inert());
-        let opts = ElasticOptions::none().with_policy("/tmp/x", 2);
-        assert!(!opts.is_inert());
-        assert_eq!(opts.restore_dir().unwrap(), Path::new("/tmp/x"));
+        let mut w = worker(0);
+        let before = w.params.as_slice().to_vec();
+        let inert = ElasticOptions::none();
+        inert.warm_start(&mut w);
+        assert_eq!(w.params.as_slice(), before.as_slice());
+        let sink = Arc::new(partial_reduce::RingSink::new(4));
+        let mut writer = inert.snapshot_writer(&w, sink.clone());
+        w.iteration = 64;
+        writer.snapshot_if_due(&w);
+        assert!(sink.snapshot().is_empty());
+        assert!(inert.controller_hook().is_none());
+        assert!(inert.open_restore_store().is_none());
+
+        // In-run restores read where snapshots are written, and only
+        // without a policy from the warm-start directory.
+        let tmp = std::env::temp_dir().join(format!("preduce-elastic-dirs-{}", std::process::id()));
+        let (written, warm) = (tmp.join("written"), tmp.join("warm"));
+        let opts = ElasticOptions::none().with_restore(&warm);
+        assert_eq!(opts.open_restore_store().unwrap().dir(), warm);
+        let opts = opts.with_policy(&written, 2);
+        assert_eq!(opts.open_restore_store().unwrap().dir(), written);
+        let _ = std::fs::remove_dir_all(&tmp);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Decentralized gossip strategies: AD-PSGD (asynchronous, the paper's
 //! closest decentralized baseline) and D-PSGD (synchronous ring,
-//! extension). Virtual-time projections are moved verbatim from
-//! `sim::gossip`; the threaded projections run AD-PSGD's random pairing
+//! extension). The threaded projections run AD-PSGD's random pairing
 //! through the partial-reduce controller (a pairwise reduce *is* a
 //! P-Reduce with P=2) and D-PSGD over a neighbor ring exchange.
 

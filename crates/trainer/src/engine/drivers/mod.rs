@@ -6,8 +6,8 @@
 //! membership policy (who participates in each exchange). Its two methods
 //! project that machine onto the two substrates: `drive_sim` consumes a
 //! [`SimSubstrate`] and replays the machine under deterministic virtual
-//! time (these bodies are verbatim moves of the pre-engine simulator
-//! loops, so fixed-seed trajectories are bit-identical to the goldens);
+//! time (each loop draws from the shared RNG in its own order, which the
+//! fixed-seed goldens pin);
 //! `drive_threaded` runs the same machine as an SPMD program on real OS
 //! threads via [`ThreadedSubstrate::run_spmd`].
 
@@ -30,8 +30,8 @@ pub fn driver_for(strategy: Strategy) -> Driver {
 /// A strategy written once, runnable on either substrate: one driver
 /// type dispatches the whole catalog through a single exhaustive match
 /// per projection, so a strategy/family mismatch is unrepresentable and
-/// no dispatch path can panic. The family structure survives in
-/// [`Strategy::family`] and in the per-family modules.
+/// no dispatch path can panic. The family structure lives in the
+/// per-family modules.
 pub struct Driver(Strategy);
 
 impl Driver {

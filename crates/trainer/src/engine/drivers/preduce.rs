@@ -9,13 +9,11 @@ use partial_reduce::runtime::{spawn, LivenessPolicy, RuntimeOptions};
 use partial_reduce::{
     AggregationMode, Controller, ControllerConfig, NullSink, TraceEvent, TraceSink,
 };
-use preduce_checkpoint::CheckpointStore;
 use preduce_simnet::{EventQueue, FaultKind, FaultPlan, SimTime};
 use preduce_tensor::Tensor;
 
-use crate::elastic::{
-    controller_snapshot, reshard_churn, restore_worker, worker_snapshot, ElasticOptions,
-};
+use crate::elastic::{reshard_churn, restore_worker, ElasticOptions, SnapshotWriter};
+use crate::engine::round::{Round, WorkerRounds};
 use crate::engine::setup::{build_fleet, evaluate_uniform_average};
 use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
@@ -81,7 +79,7 @@ pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
 ///   in the directory into the fleet before the run begins (no trace
 ///   events: those workers never departed in *this* trace).
 /// * **Periodic snapshots** — the policy writes a worker snapshot each
-///   time a worker's iteration count hits the cadence (narrated as
+///   time a worker's iteration count crosses the cadence (narrated as
 ///   [`TraceEvent::SnapshotTaken`]), and a controller roster/history
 ///   snapshot each time the groups-formed count does (`worker: None`).
 /// * **Mid-run restore** — the `restore:W@U` fault verb re-admits a
@@ -122,41 +120,30 @@ pub fn run_preduce_elastic(
     let n = cfg.num_workers;
     let mut active = h.num_workers();
 
-    // Warm start: graft durable state onto the fleet before anything is
-    // scheduled or narrated.
-    if let Some(dir) = &elastic.restore_from {
-        let store = must("open restore directory", CheckpointStore::open(dir));
-        for w in 0..h.num_workers() {
-            if store.has_worker(w) {
-                let snap = must("load worker snapshot", store.load_worker(w));
-                must(
-                    "warm-start worker",
-                    restore_worker(&mut h.workers[w], &snap),
-                );
-            }
-        }
+    // Elastic glue (DESIGN.md §14): graft durable state onto the fleet
+    // before anything is scheduled or narrated, then one snapshot writer
+    // per worker and the controller's snapshot hook.
+    for w in &mut h.workers {
+        elastic.warm_start(w);
     }
-    let store = elastic
-        .policy
-        .as_ref()
-        .map(|pol| must("open checkpoint directory", pol.open_store()));
+    let mut snapshots: Vec<SnapshotWriter> = h
+        .workers
+        .iter()
+        .map(|w| elastic.snapshot_writer(w, sink.clone()))
+        .collect();
+    let mut on_groups = elastic.controller_hook();
     // `restore:W@U` verbs, sorted by rank; each fires at most once.
     let mut pending_restores: Vec<(usize, u64)> = faults
         .restore_targets()
         .filter_map(|w| faults.restore_at(w).map(|at| (w, at)))
         .collect();
     pending_restores.sort_unstable();
-    let restore_store = match (pending_restores.is_empty(), elastic.restore_dir()) {
-        (true, _) => None,
-        (false, Some(dir)) => Some(must("open restore directory", CheckpointStore::open(dir))),
-        (false, None) => {
-            // lint: allow(panic-path) a restore verb without any checkpoint directory is a configuration error; there is nothing to restore from
-            panic!(
-                "fault plan contains `restore:` but no checkpoint directory is \
-                 configured (set a snapshot policy or restore_from)"
-            )
-        }
-    };
+    let restore_store = elastic.open_restore_store();
+    assert!(
+        pending_restores.is_empty() || restore_store.is_some(),
+        "fault plan contains `restore:` but no checkpoint directory is \
+         configured (set a snapshot policy or restore_from)"
+    );
 
     let mut controller = Controller::with_sink(cfg, sink);
 
@@ -196,9 +183,6 @@ pub fn run_preduce_elastic(
     // A crash fires once per worker: a restored worker must not re-crash
     // when its iteration passes the trigger again.
     let mut crashed = vec![false; h.num_workers()];
-    // Groups-formed count at the last controller snapshot (dedups the
-    // cadence check across same-count GroupDone events).
-    let mut last_ctrl_snap = 0u64;
 
     for w in 0..h.num_workers() {
         let ct = h.compute_time(w, SimTime::ZERO) * faults.stall_factor(w, 1);
@@ -244,26 +228,15 @@ pub fn run_preduce_elastic(
                     }
                     controller.mark_left(w);
                 } else {
-                    // Periodic worker snapshot at the cadence boundary —
-                    // on the healthy path only, so what a crash loses is
-                    // exactly the work since the last cadence hit.
-                    if let (Some(store), Some(pol)) = (&store, &elastic.policy) {
-                        if pol.due(h.workers[w].iteration) {
-                            let snap = worker_snapshot(&h.workers[w]);
-                            must("write worker snapshot", store.save_worker(&snap));
-                            if controller.sink().enabled() {
-                                controller.sink().record(TraceEvent::SnapshotTaken {
-                                    worker: Some(w),
-                                    iteration: snap.iteration,
-                                });
-                            }
-                        }
-                    }
+                    snapshots[w].snapshot_if_due(&h.workers[w]);
                     controller.push_ready(w, h.workers[w].iteration);
                 }
                 // The ready signal and group notification each cost one
                 // network latency; then the group collective runs.
                 while let Some(d) = controller.try_form_group() {
+                    if let Some(hook) = on_groups.as_mut() {
+                        hook(&controller);
+                    }
                     total_groups += 1;
                     let w0 = d.weights[0];
                     if d.weights.iter().any(|&w| (w - w0).abs() > 1e-6) {
@@ -312,25 +285,6 @@ pub fn run_preduce_elastic(
                 let dur = dur_sum / group.len() as f64;
                 if h.record_update(t, dur) {
                     break;
-                }
-                // Controller roster/history snapshot at the groups
-                // cadence (deduped: several GroupDone events can land
-                // between group formations).
-                if let (Some(store), Some(pol)) = (&store, &elastic.policy) {
-                    let g = controller.groups_formed();
-                    if g != last_ctrl_snap && pol.due(g) {
-                        last_ctrl_snap = g;
-                        must(
-                            "write controller snapshot",
-                            store.save_controller(&controller_snapshot(&controller)),
-                        );
-                        if controller.sink().enabled() {
-                            controller.sink().record(TraceEvent::SnapshotTaken {
-                                worker: None,
-                                iteration: g,
-                            });
-                        }
-                    }
                 }
                 // `restore:W@U` verbs due at this update count re-admit
                 // their departed workers from durable state. A verb whose
@@ -414,11 +368,6 @@ pub fn chaos_liveness() -> LivenessPolicy {
     LivenessPolicy::new(Duration::from_millis(25), 8)
 }
 
-/// One wall-clock "compute step" a stall multiplies when the substrate
-/// injected no explicit straggler delay (real local updates are too fast
-/// for a multiplicative stall to be observable otherwise).
-const STALL_UNIT: Duration = Duration::from_millis(1);
-
 /// Threaded partial reduce: every worker runs its iteration budget of
 /// local update + `reduce` calls against the real controller thread; the
 /// drain protocol issues singleton assignments at shutdown so no worker
@@ -444,125 +393,42 @@ pub(crate) fn threaded_preduce(
         "controller config sized for a different fleet"
     );
     let mut fleet = build_fleet(config);
-    // Warm start (DESIGN.md §14): graft durable worker state before the
-    // threads spawn. Threads are not resurrected mid-run — the
-    // `restore:` verb is honored by the simulator only.
-    if let Some(dir) = &sub.elastic().restore_from {
-        let store = must("open restore directory", CheckpointStore::open(dir));
-        for w in fleet.workers.iter_mut() {
-            if store.has_worker(w.rank) {
-                let snap = must("load worker snapshot", store.load_worker(w.rank));
-                must("warm-start worker", restore_worker(w, &snap));
-            }
-        }
-    }
     let elastic = sub.elastic().clone();
+    // Threads are not resurrected mid-run: the `restore:` verb is honored
+    // by the simulator only.
+    for w in &mut fleet.workers {
+        elastic.warm_start(w);
+    }
     let chaos = !sub.faults().is_empty();
     let (handle, reducers) = spawn(
         controller,
         RuntimeOptions {
             sink: sub.sink(),
             liveness: chaos.then(chaos_liveness),
-            on_groups: None,
+            on_groups: elastic.controller_hook(),
         },
     );
     let sink = sub.sink();
 
     let out = sub.run_spmd(fleet.workers, reducers, move |mut ctx, mut w, mut r| {
-        let narrate = |kind: &FaultKind, iteration: u64| {
-            if sink.enabled() {
-                sink.record(TraceEvent::FaultInjected {
-                    worker: ctx.rank,
-                    fault: kind.label(),
-                    iteration,
-                });
-            }
-        };
-        // Each worker writes its own periodic snapshots; the store's
-        // write-then-rename makes concurrent writers safe.
-        let ckpt_store = elastic
-            .policy
-            .as_ref()
-            .map(|pol| must("open checkpoint directory", pol.open_store()));
         if chaos {
             // Heartbeat from the very start — before any late-join sleep —
             // so a slow or late worker is never misjudged as dead.
             r.start_heartbeat(HEARTBEAT_EVERY);
         }
-        let start_delay = ctx.faults.start_delay(ctx.rank);
-        if start_delay > 0.0 {
-            narrate(
-                &FaultKind::LateJoin {
-                    seconds: start_delay,
-                },
-                0,
-            );
-            std::thread::sleep(Duration::from_secs_f64(start_delay));
-        }
-        let signal_delay = ctx.faults.signal_delay(ctx.rank);
-        if signal_delay > 0.0 {
-            narrate(
-                &FaultKind::DelaySignals {
-                    seconds: signal_delay,
-                },
-                0,
-            );
-        }
-        let crash_at = ctx.faults.crash_at(ctx.rank);
-        let mut stall_narrated = false;
+        let mut rounds = WorkerRounds::begin(&w, ctx.faults, ctx.delay, &elastic, sink.clone());
         for _ in 0..ctx.iters {
-            if !ctx.delay.is_zero() {
-                std::thread::sleep(ctx.delay);
-            }
-            let stall = ctx.faults.stall_factor(ctx.rank, w.iteration + 1);
-            if stall > 1.0 {
-                if !stall_narrated {
-                    stall_narrated = true;
-                    narrate(
-                        &FaultKind::Stall {
-                            factor: stall,
-                            from_iteration: w.iteration + 1,
-                        },
-                        w.iteration + 1,
-                    );
-                }
-                let base = if ctx.delay.is_zero() {
-                    STALL_UNIT
-                } else {
-                    ctx.delay
-                };
-                std::thread::sleep(base.mul_f64(stall - 1.0));
-            }
-            w.local_update(&mut ctx.rng);
-            if crash_at.is_some_and(|at| w.iteration >= at) {
-                // Fail-stop: no Leaving, no more heartbeats. The handle
-                // drops here; the controller detects the silence.
-                narrate(
-                    &FaultKind::Crash {
-                        at_iteration: w.iteration,
-                    },
-                    w.iteration,
-                );
-                r.crash();
-                return (w.params, w.iteration);
-            }
-            if let (Some(store), Some(pol)) = (&ckpt_store, &elastic.policy) {
-                if pol.due(w.iteration) {
-                    let snap = worker_snapshot(&w);
-                    must("write worker snapshot", store.save_worker(&snap));
-                    if sink.enabled() {
-                        sink.record(TraceEvent::SnapshotTaken {
-                            worker: Some(ctx.rank),
-                            iteration: snap.iteration,
-                        });
-                    }
+            // Fail fast: a failed collective mid-run has no recovery path
+            // on this substrate.
+            match must("partial reduce", rounds.run(&mut w, &mut ctx.rng, &mut r)) {
+                Round::Reduced => {}
+                Round::Crashed => {
+                    // Fail-stop: no Leaving, no more heartbeats. The handle
+                    // drops here; the controller detects the silence.
+                    r.crash();
+                    return (w.params, w.iteration);
                 }
             }
-            if signal_delay > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(signal_delay));
-            }
-            let reduced = r.reduce(w.params.as_mut_slice(), w.iteration);
-            w.iteration = must("partial reduce", reduced).new_iteration;
         }
         must("finish", r.finish());
         (w.params, w.iteration)

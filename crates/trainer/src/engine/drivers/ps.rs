@@ -4,10 +4,9 @@
 //! A single logical server (sharded across the fleet for cost purposes)
 //! holds the global model. Each worker loops independently: pull → compute
 //! gradient → push. Staleness arises naturally: between a worker's pull and
-//! its push, other workers' pushes move the server model. The virtual-time
-//! projection is moved verbatim from `sim::ps_async`; the threaded
-//! projection shares the same [`PsPolicy`] staleness math over a real
-//! shared server (mutex-guarded model, condvar SSP gate).
+//! its push, other workers' pushes move the server model. The threaded
+//! projection shares the virtual-time one's [`PsPolicy`] staleness math
+//! over a real shared server (mutex-guarded model, condvar SSP gate).
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;

@@ -1,6 +1,5 @@
 //! Round-based synchronous strategies: All-Reduce, PS BSP, PS with backup
-//! workers, and Eager-Reduce — each with a virtual-time projection (moved
-//! verbatim from `sim::sync` so trajectories stay bit-identical) and a
+//! workers, and Eager-Reduce — each with a virtual-time projection and a
 //! real-thread projection over [`CommWorld`] endpoints or a shared board.
 
 use std::sync::{Arc, Barrier, Mutex};

@@ -10,6 +10,7 @@
 
 pub mod drivers;
 pub mod process;
+mod round;
 pub mod scale;
 pub mod setup;
 pub mod substrate;
@@ -21,7 +22,7 @@ use partial_reduce::TraceSink;
 use preduce_simnet::FaultPlan;
 
 pub use drivers::{driver_for, Driver};
-pub use scale::{run_scale, ScaleConfig, ScaleReport};
+pub use scale::{run_scale, sample_groups, ScaleConfig, ScaleReport};
 pub use substrate::{Backend, SimSubstrate, ThreadedReport, ThreadedSubstrate};
 
 use crate::config::ExperimentConfig;

@@ -13,30 +13,31 @@
 //! and trains against the remote controller with the star-reduce data
 //! mesh ([`preduce_comm::mesh::MeshEndpoint`]) carrying group averages.
 //!
-//! Relation to the other substrates (DESIGN.md §12): the driver state
-//! machine is identical to the threaded projection's loop; only the
-//! transports differ. Sim = virtual time + in-memory averaging; threaded
-//! = real threads + in-process ring collectives + loopback TCP control;
-//! process = real processes + TCP control + TCP star-reduce data plane.
+//! Relation to the other substrates (DESIGN.md §12): a worker process
+//! runs the threaded projection's round (`engine::round`); only the
+//! transports and the reaction to a failed reduce differ. Sim = virtual
+//! time + in-memory averaging; threaded = real threads + in-process ring
+//! collectives + loopback TCP control; process = real processes + TCP
+//! control + TCP star-reduce data plane.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use partial_reduce::runtime::{serve_fleet, ControllerStats, PartialReducer, RuntimeOptions};
-use partial_reduce::{ControllerConfig, SinkObserver, TraceEvent, TraceSink};
-use preduce_checkpoint::CheckpointStore;
+use partial_reduce::{ControllerConfig, SinkObserver, TraceSink};
 use preduce_comm::control::ObservedControlPlane;
 use preduce_comm::mesh::MeshEndpoint;
 use preduce_comm::reactor::{accept_fleet, ReactorConfig};
 use preduce_comm::tcp::{bind_controller, RetryPolicy, TcpWorkerLink};
 use preduce_comm::CommError;
+use preduce_simnet::FaultPlan;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::ExperimentConfig;
-use crate::elastic::{restore_worker, worker_snapshot, ElasticOptions};
+use crate::elastic::ElasticOptions;
+use crate::engine::round::{Round, WorkerRounds};
 use crate::engine::setup::{build_fleet, evaluate_uniform_average, worker_thread_seed};
-use crate::engine::substrate::must;
 
 /// Heartbeat period for process workers: well under any sane liveness
 /// budget, cheap on the wire (a heartbeat frame is ~40 bytes).
@@ -146,17 +147,7 @@ pub fn run_worker_elastic(
             config.num_workers
         )));
     };
-    if let Some(dir) = &elastic.restore_from {
-        let store = must("open restore directory", CheckpointStore::open(dir));
-        if store.has_worker(rank) {
-            let snap = must("load worker snapshot", store.load_worker(rank));
-            must("warm-start worker", restore_worker(&mut worker, &snap));
-        }
-    }
-    let ckpt_store = elastic
-        .policy
-        .as_ref()
-        .map(|pol| must("open checkpoint directory", pol.open_store()));
+    elastic.warm_start(&mut worker);
 
     let mut mesh = MeshEndpoint::bind(rank, "127.0.0.1:0")?;
     let data_addr = mesh.local_addr().to_string();
@@ -164,33 +155,22 @@ pub fn run_worker_elastic(
         TcpWorkerLink::connect_fleet(connect, rank, data_addr, RetryPolicy::default())?;
     mesh.set_roster(&roster.data_addrs)?;
 
-    let narrate = sink.clone();
-    let mut reducer = PartialReducer::from_parts(Box::new(link), Box::new(mesh), sink);
+    let mut reducer = PartialReducer::from_parts(Box::new(link), Box::new(mesh), sink.clone());
     reducer.start_heartbeat(PROCESS_HEARTBEAT);
 
+    // No fault plan and no straggler delay reach a process yet.
+    let mut rounds =
+        WorkerRounds::begin(&worker, FaultPlan::none(), Duration::ZERO, &elastic, sink);
     let mut rng = StdRng::seed_from_u64(worker_thread_seed(config.seed, rank));
     let mut degraded = 0u64;
+    let mut crashed = false;
     for _ in 0..iters {
-        worker.local_update(&mut rng);
-        // Periodic durable snapshot of this rank's state; the store's
-        // write-then-rename makes a mid-write crash leave the previous
-        // snapshot intact.
-        if let (Some(store), Some(pol)) = (&ckpt_store, &elastic.policy) {
-            if pol.due(worker.iteration) {
-                must(
-                    "write worker snapshot",
-                    store.save_worker(&worker_snapshot(&worker)),
-                );
-                if narrate.enabled() {
-                    narrate.record(TraceEvent::SnapshotTaken {
-                        worker: Some(rank),
-                        iteration: worker.iteration,
-                    });
-                }
+        match rounds.run(&mut worker, &mut rng, &mut reducer) {
+            Ok(Round::Reduced) => {}
+            Ok(Round::Crashed) => {
+                crashed = true;
+                break;
             }
-        }
-        match reducer.reduce(worker.params.as_mut_slice(), worker.iteration) {
-            Ok(outcome) => worker.iteration = outcome.new_iteration,
             Err(CommError::Disconnected { .. }) => {
                 // The controller is gone: no more groups will ever form.
                 degraded += 1;
@@ -206,9 +186,14 @@ pub fn run_worker_elastic(
             }
         }
     }
-    // Best-effort: the controller also tolerates learning of departure
-    // from the socket closing.
-    let _ = reducer.finish();
+    if crashed {
+        // Fail-stop: no Leaving; the controller sees the socket close.
+        reducer.crash();
+    } else {
+        // Best-effort: the controller also tolerates learning of
+        // departure from the socket closing.
+        let _ = reducer.finish();
+    }
 
     let accuracy = evaluate_uniform_average(config, &fleet.test, &[worker.params.clone()]);
     Ok(WorkerReport {
@@ -223,6 +208,7 @@ pub fn run_worker_elastic(
 mod tests {
     use super::*;
     use partial_reduce::NullSink;
+    use preduce_checkpoint::CheckpointStore;
     use preduce_data::cifar10_like;
     use preduce_models::zoo;
     use std::thread;

@@ -31,12 +31,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use partial_reduce::controller::{AggregationMode, Controller, ControllerConfig};
+use partial_reduce::controller::{Controller, ControllerConfig};
 use partial_reduce::graph::ConnectivityStats;
 use partial_reduce::spectral::{rho_bar, rho_power, rho_uniform};
 use partial_reduce::trace::{TraceEvent, TraceSink};
 use partial_reduce::CheckingSink;
-use preduce_simnet::{standard_fleet, EventQueue, Jitter, SimTime, UniformFleet};
+use preduce_simnet::{
+    standard_fleet, EventQueue, HeterogeneityModel, Jitter, SimTime, UniformFleet,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -196,18 +198,11 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     let mut fleet = standard_fleet(&cfg.hetero, n)
         .unwrap_or_else(|| Box::new(UniformFleet::new(n, 1e9, Jitter::None)));
 
-    let ccfg = ControllerConfig {
-        num_workers: n,
-        group_size: p,
-        mode: if cfg.dynamic {
-            AggregationMode::dynamic_default()
-        } else {
-            AggregationMode::Constant
-        },
-        history_window: None,
-        frozen_avoidance: true,
+    let ccfg = if cfg.dynamic {
+        ControllerConfig::dynamic(n, p)
+    } else {
+        ControllerConfig::constant(n, p)
     };
-    ccfg.validate();
 
     let sink = Arc::new(CheckingSink::new());
     let mut controller = Controller::with_sink(ccfg, sink.clone());
@@ -349,9 +344,69 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     }
 }
 
+/// The signal-level group sampler: closes the loop fleet → ready signal →
+/// [`Controller::try_form_group`] → members compute again — no training,
+/// no trace, iteration 0 on every signal, free reduces — until `rounds`
+/// groups have formed, and returns them (the schedule `fleet`'s speeds
+/// induce under `config`, the input of
+/// [`partial_reduce::expected_sync_matrix`]) with the controller's repair
+/// count. Every group reschedules all of its members, so the event queue
+/// cannot drain first; were that ever broken, the sampler stops short
+/// instead of panicking.
+///
+/// # Panics
+/// Panics if `config` is invalid or sized for a different fleet.
+pub fn sample_groups(
+    mut fleet: Box<dyn HeterogeneityModel>,
+    config: ControllerConfig,
+    rounds: usize,
+    seed: u64,
+) -> (Vec<Vec<usize>>, u64) {
+    assert_eq!(
+        config.num_workers,
+        fleet.num_workers(),
+        "controller config sized for a different fleet"
+    );
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut controller = Controller::new(config);
+    let mut events: EventQueue<usize> = EventQueue::new();
+    for w in 0..fleet.num_workers() {
+        let dt = fleet.compute_time(w, ITERATION_FLOPS, SimTime::ZERO, &mut rng);
+        events.schedule(SimTime::new(dt), w);
+    }
+    let mut groups = Vec::with_capacity(rounds);
+    while groups.len() < rounds {
+        let Some((now, worker)) = events.pop() else {
+            break;
+        };
+        controller.push_ready(worker, 0);
+        while let Some(d) = controller.try_form_group() {
+            for &m in &d.group {
+                let dt = fleet.compute_time(m, ITERATION_FLOPS, now, &mut rng);
+                events.schedule(now + dt, m);
+            }
+            groups.push(d.group);
+        }
+    }
+    (groups, controller.repairs())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sampler_returns_the_requested_schedule() {
+        let fleet = || Box::new(UniformFleet::new(6, 1e9, Jitter::LogNormal { sigma: 0.2 }));
+        let cfg = ControllerConfig::constant(6, 3);
+        let (groups, repairs) = sample_groups(fleet(), cfg.clone(), 500, 17);
+        assert!((500..500 + 2).contains(&groups.len()), "{}", groups.len());
+        assert!(groups.iter().all(|g| g.len() == 3));
+        // Same seed, same schedule; the count is the controller's own.
+        let (again, repairs_again) = sample_groups(fleet(), cfg, 500, 17);
+        assert_eq!(groups, again);
+        assert_eq!(repairs, repairs_again);
+    }
 
     #[test]
     fn small_fleet_runs_clean() {

@@ -211,10 +211,10 @@ impl ThreadedSubstrate {
         &self.faults
     }
 
-    /// Sets the elasticity options (DESIGN.md §14). On this substrate the
-    /// policy drives per-worker periodic snapshots and `restore_from`
-    /// warm-starts workers before their threads spawn; threads are not
-    /// resurrected mid-run (the `restore:` fault verb is sim-only).
+    /// Sets the elasticity options (DESIGN.md §14): the same warm start,
+    /// worker snapshots and controller snapshots as on the simulator;
+    /// threads are not resurrected mid-run (the `restore:` fault verb is
+    /// sim-only).
     #[must_use]
     pub fn with_elastic(mut self, elastic: ElasticOptions) -> Self {
         self.elastic = elastic;

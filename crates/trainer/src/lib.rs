@@ -41,9 +41,11 @@ pub mod worker;
 
 pub use config::{ExperimentConfig, HeteroSpec};
 pub use elastic::{CheckpointPolicy, ElasticOptions};
-pub use engine::{run_scale, Backend, EngineRun, ScaleConfig, ScaleReport, ThreadedReport};
+pub use engine::{
+    run_scale, sample_groups, Backend, EngineRun, ScaleConfig, ScaleReport, ThreadedReport,
+};
 pub use experiment::{run_experiment, run_experiment_traced};
 pub use metrics::{RunResult, TracePoint};
 pub use preduce_simnet::{FaultKind, FaultPlan, FaultSpec};
-pub use strategy::{NoControllerConfig, Strategy, StrategyFamily};
+pub use strategy::Strategy;
 pub use worker::WorkerState;

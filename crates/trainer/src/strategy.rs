@@ -1,41 +1,8 @@
 //! The strategy catalog: every method of the paper's evaluation (§5.1)
 //! plus two extensions (SSP, D-PSGD).
 
-use std::fmt;
-
-use partial_reduce::{AggregationMode, ControllerConfig};
+use partial_reduce::ControllerConfig;
 use serde::{Deserialize, Serialize};
-
-/// Error: only [`Strategy::PReduce`] carries a partial-reduce controller
-/// configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NoControllerConfig {
-    /// Label of the strategy that has no controller.
-    pub strategy: String,
-}
-
-impl fmt::Display for NoControllerConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} has no controller config", self.strategy)
-    }
-}
-
-impl std::error::Error for NoControllerConfig {}
-
-/// The four synchronization shapes a strategy can take — the engine
-/// dispatches each family to one module of [`crate::engine::drivers`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StrategyFamily {
-    /// Full-fleet collectives (All-Reduce, Eager-Reduce).
-    Collective,
-    /// Decentralized peer-to-peer mixing (AD-PSGD, D-PSGD).
-    Gossip,
-    /// A central server holding the global model (BSP, ASP, SSP, HETE,
-    /// backup workers).
-    ParameterServer,
-    /// The paper's partial-reduce primitive (CON and DYN).
-    PartialReduce,
-}
 
 /// A distributed-training strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -99,66 +66,20 @@ impl Strategy {
         }
     }
 
-    /// The synchronization family this strategy belongs to.
-    pub fn family(&self) -> StrategyFamily {
-        match self {
-            Strategy::AllReduce | Strategy::EagerReduce => StrategyFamily::Collective,
-            Strategy::AdPsgd | Strategy::DPsgd => StrategyFamily::Gossip,
-            Strategy::PsBsp
-            | Strategy::PsAsp
-            | Strategy::PsSsp { .. }
-            | Strategy::PsHete
-            | Strategy::PsBackup { .. } => StrategyFamily::ParameterServer,
-            Strategy::PReduce { .. } => StrategyFamily::PartialReduce,
-        }
-    }
-
-    /// Builds the controller config for a P-Reduce strategy.
+    /// The controller configuration of a [`Strategy::PReduce`] run with
+    /// group size `p`: CON, or DYN with the default Eq. 9 parameters.
     ///
-    /// # Errors
-    /// Returns [`NoControllerConfig`] if `self` is not
-    /// [`Strategy::PReduce`] — every other strategy synchronizes without a
-    /// partial-reduce controller.
-    pub fn controller_config(
-        &self,
-        num_workers: usize,
-    ) -> Result<ControllerConfig, NoControllerConfig> {
-        match self {
-            Strategy::PReduce { p, dynamic } => {
-                Ok(Self::preduce_controller_config(*p, *dynamic, num_workers))
-            }
-            Strategy::AllReduce
-            | Strategy::EagerReduce
-            | Strategy::AdPsgd
-            | Strategy::DPsgd
-            | Strategy::PsBsp
-            | Strategy::PsAsp
-            | Strategy::PsSsp { .. }
-            | Strategy::PsHete
-            | Strategy::PsBackup { .. } => Err(NoControllerConfig {
-                strategy: self.label(),
-            }),
-        }
-    }
-
-    /// The controller configuration of a [`Strategy::PReduce`] run —
-    /// infallible, for call sites that already hold the destructured
-    /// `p`/`dynamic` fields (the P-Reduce driver's two projections).
+    /// # Panics
+    /// Panics unless `2 ≤ p ≤ num_workers`.
     pub fn preduce_controller_config(
         p: usize,
         dynamic: bool,
         num_workers: usize,
     ) -> ControllerConfig {
-        ControllerConfig {
-            num_workers,
-            group_size: p,
-            mode: if dynamic {
-                AggregationMode::dynamic_default()
-            } else {
-                AggregationMode::Constant
-            },
-            history_window: None,
-            frozen_avoidance: true,
+        if dynamic {
+            ControllerConfig::dynamic(num_workers, p)
+        } else {
+            ControllerConfig::constant(num_workers, p)
         }
     }
 
@@ -196,6 +117,7 @@ impl Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use partial_reduce::AggregationMode;
 
     #[test]
     fn labels_match_paper_names() {
@@ -213,36 +135,13 @@ mod tests {
 
     #[test]
     fn controller_config_for_preduce() {
-        let s = Strategy::PReduce {
-            p: 5,
-            dynamic: false,
-        };
-        let c = s.controller_config(8).unwrap();
-        assert_eq!(c.group_size, 5);
+        let c = Strategy::preduce_controller_config(5, false, 8);
+        assert_eq!((c.num_workers, c.group_size), (8, 5));
         assert!(matches!(c.mode, AggregationMode::Constant));
-        let s = Strategy::PReduce {
-            p: 3,
-            dynamic: true,
-        };
         assert!(matches!(
-            s.controller_config(8).unwrap().mode,
+            Strategy::preduce_controller_config(3, true, 8).mode,
             AggregationMode::Dynamic { .. }
         ));
-    }
-
-    #[test]
-    fn controller_config_rejects_other_strategies() {
-        let err = Strategy::AllReduce.controller_config(8).unwrap_err();
-        assert_eq!(err.strategy, "All-Reduce");
-        assert_eq!(err.to_string(), "All-Reduce has no controller config");
-        // Every non-P-Reduce strategy errs; every P-Reduce succeeds.
-        for s in Strategy::table1_lineup(8) {
-            let got = s.controller_config(8);
-            match s {
-                Strategy::PReduce { .. } => assert!(got.is_ok(), "{s:?}"),
-                _ => assert!(got.is_err(), "{s:?}"),
-            }
-        }
     }
 
     #[test]
@@ -251,26 +150,6 @@ mod tests {
         assert_eq!(l.len(), 11);
         // 4 P-Reduce variants, 3 backups out of 8.
         assert!(l.contains(&Strategy::PsBackup { backups: 3 }));
-    }
-
-    #[test]
-    fn families_partition_the_lineup() {
-        let lineup = Strategy::table1_lineup(8);
-        assert!(lineup
-            .iter()
-            .any(|s| s.family() == StrategyFamily::Collective));
-        assert!(lineup.iter().any(|s| s.family() == StrategyFamily::Gossip));
-        assert!(lineup
-            .iter()
-            .any(|s| s.family() == StrategyFamily::ParameterServer));
-        assert!(lineup
-            .iter()
-            .any(|s| s.family() == StrategyFamily::PartialReduce));
-        assert_eq!(Strategy::DPsgd.family(), StrategyFamily::Gossip);
-        assert_eq!(
-            Strategy::PsSsp { bound: 4 }.family(),
-            StrategyFamily::ParameterServer
-        );
     }
 
     #[test]

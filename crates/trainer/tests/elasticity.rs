@@ -50,18 +50,38 @@ fn sim_run(
     plan: FaultPlan,
     elastic: ElasticOptions,
 ) -> (EngineRun, Vec<TraceEvent>) {
-    let c = sim_config();
+    let strategy = Strategy::PReduce { p: 4, dynamic };
+    run_traced(&sim_config(), strategy, Backend::Sim, plan, elastic)
+}
+
+/// Runs `strategy` under `plan` and `elastic`, returning the run and its
+/// full trace.
+fn run_traced(
+    c: &ExperimentConfig,
+    strategy: Strategy,
+    backend: Backend,
+    plan: FaultPlan,
+    elastic: ElasticOptions,
+) -> (EngineRun, Vec<TraceEvent>) {
     let sink = Arc::new(RingSink::new(262_144));
-    let run = engine::run_elastic(
-        Strategy::PReduce { p: 4, dynamic },
-        &c,
-        Backend::Sim,
-        sink.clone(),
-        plan,
-        elastic,
-    );
+    let run = engine::run_elastic(strategy, c, backend, sink.clone(), plan, elastic);
     assert_eq!(sink.dropped(), 0, "trace overflowed the ring");
     (run, sink.snapshot())
+}
+
+/// The iterations at which `SnapshotTaken` was narrated for `worker`
+/// (`None`: the controller's, counted in formed groups).
+fn snapshots_of(events: &[TraceEvent], worker: Option<usize>) -> Vec<u64> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::SnapshotTaken {
+                worker: w,
+                iteration,
+            } if *w == worker => Some(*iteration),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -228,4 +248,100 @@ fn warm_start_resumes_from_durable_state() {
 fn restore_verb_without_a_store_fails_loudly() {
     let plan = FaultPlan::none().crash(3, 20).restore(3, 30);
     let _ = sim_run(false, plan, ElasticOptions::none());
+}
+
+#[test]
+fn controller_snapshots_follow_the_groups_cadence_exactly() {
+    // N=16, P=2: eight groups are in flight at a time, so the count of
+    // formed groups is rarely a multiple of 4 at the moment a group
+    // completes. One snapshot per multiple crossed, none skipped.
+    let dir = scratch("ctrl-cadence");
+    let mut c = sim_config();
+    c.num_workers = 16;
+    c.max_updates = 120;
+    let strategy = Strategy::PReduce {
+        p: 2,
+        dynamic: false,
+    };
+    let elastic = ElasticOptions::none().with_policy(&dir, 4);
+    let (_, events) = run_traced(&c, strategy, Backend::Sim, FaultPlan::none(), elastic);
+    let groups = events
+        .iter()
+        .find_map(|e| match e {
+            TraceEvent::RunFinished { groups_formed, .. } => Some(*groups_formed),
+            _ => None,
+        })
+        .expect("run finished");
+    assert!(groups >= 120, "{groups} groups");
+    let expected: Vec<u64> = (1..=groups / 4).map(|k| 4 * k).collect();
+    assert_eq!(snapshots_of(&events, None), expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fast_forwarded_workers_snapshot_on_every_cadence_crossing() {
+    // DYN on a skewed fleet: fast-forward hands workers iteration numbers
+    // that jump over multiples of K=4. Every crossing must snapshot.
+    let dir = scratch("ff-cadence");
+    let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 3);
+    c.num_workers = 8;
+    c.threshold = 0.999;
+    c.max_updates = 200;
+    c.eval_every = 100;
+    let strategy = Strategy::PReduce {
+        p: 3,
+        dynamic: true,
+    };
+    let elastic = ElasticOptions::none().with_policy(&dir, 4);
+    let (_, events) = run_traced(&c, strategy, Backend::Sim, FaultPlan::none(), elastic);
+    let mut skipped_a_multiple = false;
+    for w in 0..c.num_workers {
+        // The worker's counts at each look: one per ready signal.
+        let mut last = 0u64;
+        let mut expected = Vec::new();
+        for e in &events {
+            if let TraceEvent::SignalEnqueued {
+                worker, iteration, ..
+            } = e
+            {
+                if *worker == w {
+                    if iteration / 4 > last / 4 {
+                        expected.push(*iteration);
+                        skipped_a_multiple |= iteration % 4 != 0;
+                    }
+                    last = *iteration;
+                }
+            }
+        }
+        assert_eq!(snapshots_of(&events, Some(w)), expected, "worker {w}");
+    }
+    assert!(
+        skipped_a_multiple,
+        "no fast-forward jumped a multiple of 4: the run tests nothing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn threaded_backend_leaves_a_loadable_controller_snapshot() {
+    let dir = scratch("threaded-ctrl");
+    let mut c = sim_config();
+    c.num_workers = 4;
+    c.threaded_iters = Some(8);
+    let strategy = Strategy::PReduce {
+        p: 2,
+        dynamic: false,
+    };
+    let elastic = ElasticOptions::none().with_policy(&dir, 2);
+    let (run, events) = run_traced(&c, strategy, Backend::Threaded, FaultPlan::none(), elastic);
+    let stats = run.controller.expect("controller stats");
+    let snap = preduce_trainer::elastic::validate_controller_restore(&dir, 4)
+        .expect("threaded run left no loadable controller.ckpt");
+    assert!(snap.groups_formed >= 2, "{snap:?}");
+    assert!(snap.groups_formed <= stats.groups_formed, "{snap:?}");
+    let taken = snapshots_of(&events, None);
+    assert_eq!(taken.last(), Some(&snap.groups_formed));
+    let report = InvariantChecker::check(&events);
+    assert!(report.is_clean(), "{report}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,46 +8,9 @@
 use preduce::partial_reduce::theory::{
     convergence_bound, lr_condition_holds, theorem_lr, TheoremInputs,
 };
-use preduce::partial_reduce::{
-    expected_sync_matrix, spectral_gap, AggregationMode, Controller, ControllerConfig,
-};
-use preduce::simnet::{EventQueue, HeterogeneityModel, Jitter, SimTime, SpeedFleet};
-use rand::{rngs::StdRng, SeedableRng};
-
-/// Simulate the FIFO controller on a fleet and collect the formed groups.
-fn observe_groups(
-    mut fleet: Box<dyn HeterogeneityModel>,
-    p: usize,
-    rounds: usize,
-) -> Vec<Vec<usize>> {
-    let n = fleet.num_workers();
-    let mut rng = StdRng::seed_from_u64(17);
-    let mut controller = Controller::new(ControllerConfig {
-        num_workers: n,
-        group_size: p,
-        mode: AggregationMode::Constant,
-        history_window: None,
-        frozen_avoidance: true,
-    });
-    let mut queue = EventQueue::new();
-    for w in 0..n {
-        let ct = fleet.compute_time(w, 1e9, SimTime::ZERO, &mut rng);
-        queue.schedule(SimTime::new(ct), w);
-    }
-    let mut groups = Vec::new();
-    while groups.len() < rounds {
-        let (t, w) = queue.pop().expect("workers reschedule forever");
-        controller.push_ready(w, 0);
-        while let Some(d) = controller.try_form_group() {
-            for &m in &d.group {
-                let ct = fleet.compute_time(m, 1e9, t, &mut rng);
-                queue.schedule(t + ct, m);
-            }
-            groups.push(d.group);
-        }
-    }
-    groups
-}
+use preduce::partial_reduce::{expected_sync_matrix, spectral_gap, ControllerConfig};
+use preduce::simnet::{Jitter, SpeedFleet};
+use preduce::trainer::sample_groups;
 
 fn main() {
     let n = 8;
@@ -68,7 +31,7 @@ fn main() {
             1e9,
             Jitter::LogNormal { sigma: 0.1 },
         ));
-        let groups = observe_groups(fleet, p, 50_000);
+        let (groups, _) = sample_groups(fleet, ControllerConfig::constant(n, p), 50_000, 17);
         let e_w = expected_sync_matrix(n, &groups);
         let report = spectral_gap(&e_w).expect("symmetric");
 

@@ -3,47 +3,25 @@
 //! theory's qualitative predictions.
 
 use preduce::partial_reduce::{
-    expected_sync_matrix, min_history_window, spectral_gap, AggregationMode, Controller,
-    ControllerConfig, SyncGraph,
+    expected_sync_matrix, min_history_window, spectral_gap, ControllerConfig, SyncGraph,
 };
-use preduce::simnet::{EventQueue, HeterogeneityModel, Jitter, SimTime, SpeedFleet, UniformFleet};
-use rand::{rngs::StdRng, SeedableRng};
+use preduce::simnet::{HeterogeneityModel, Jitter, SpeedFleet, UniformFleet};
+use preduce::trainer::sample_groups;
 
-/// Drives the FIFO controller on a fleet, returning the observed groups.
+/// Drives the FIFO controller on a fleet, returning the observed groups
+/// and the repair count.
 fn observe(
-    mut fleet: Box<dyn HeterogeneityModel>,
+    fleet: Box<dyn HeterogeneityModel>,
     p: usize,
     rounds: usize,
     frozen_avoidance: bool,
     seed: u64,
 ) -> (Vec<Vec<usize>>, u64) {
-    let n = fleet.num_workers();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut controller = Controller::new(ControllerConfig {
-        num_workers: n,
-        group_size: p,
-        mode: AggregationMode::Constant,
-        history_window: None,
+    let config = ControllerConfig {
         frozen_avoidance,
-    });
-    let mut queue = EventQueue::new();
-    for w in 0..n {
-        let ct = fleet.compute_time(w, 1e9, SimTime::ZERO, &mut rng);
-        queue.schedule(SimTime::new(ct), w);
-    }
-    let mut groups = Vec::new();
-    while groups.len() < rounds {
-        let (t, w) = queue.pop().expect("workers always reschedule");
-        controller.push_ready(w, 0);
-        while let Some(d) = controller.try_form_group() {
-            for &m in &d.group {
-                let ct = fleet.compute_time(m, 1e9, t, &mut rng);
-                queue.schedule(t + ct, m);
-            }
-            groups.push(d.group);
-        }
-    }
-    (groups, controller.repairs())
+        ..ControllerConfig::constant(fleet.num_workers(), p)
+    };
+    sample_groups(fleet, config, rounds, seed)
 }
 
 #[test]
