@@ -1,7 +1,6 @@
 //! Elasticity bench: the cost of durability (DESIGN.md §14).
 //!
-//! Four metrics seed `BENCH_elasticity.json` (written to the current
-//! directory — run from the workspace root so it lands next to README):
+//! Four metrics, every sample printed (nothing is written to disk):
 //!
 //! * **snapshot write / load** — wall time to atomically persist and
 //!   reload one worker snapshot (write-then-rename, checksummed) at a
@@ -10,7 +9,7 @@
 //!   final accuracy at an equal update budget on the simulator
 //!   (`crash:3@20,restore:3@30`, snapshots every iteration), CON and
 //!   DYN — the accuracy a restore *recovers* relative to the plain
-//!   crash gap in `BENCH_fault_recovery.json`;
+//!   crash gap the `fault_recovery` bin prints;
 //! * **reshard churn** — the fraction of keys the bounded-load ring
 //!   moves gratuitously (survivor → survivor) when one of N workers
 //!   dies, for N ∈ {8, 64}; the `ShardsReassigned` invariant requires
@@ -29,63 +28,10 @@ use preduce_data::cifar10_like;
 use preduce_models::zoo;
 use preduce_trainer::elastic::reshard_churn;
 use preduce_trainer::{engine, Backend, ElasticOptions, ExperimentConfig, FaultPlan, Strategy};
-use serde::Serialize;
 
 /// Flat parameter count for the snapshot-latency probe: the order of the
 /// built Table-1 math models, large enough that serialization dominates.
 const SNAPSHOT_PARAMS: usize = 1 << 18;
-
-#[derive(Serialize)]
-struct Summary {
-    mean_ms: f64,
-    min_ms: f64,
-    max_ms: f64,
-    samples: usize,
-}
-
-fn summarize(xs: &[f64]) -> Option<Summary> {
-    if xs.is_empty() {
-        return None;
-    }
-    Some(Summary {
-        mean_ms: xs.iter().sum::<f64>() / xs.len() as f64,
-        min_ms: xs.iter().copied().fold(f64::INFINITY, f64::min),
-        max_ms: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        samples: xs.len(),
-    })
-}
-
-#[derive(Serialize)]
-struct SnapshotIo {
-    params: usize,
-    bytes: u64,
-    write_ms: Option<Summary>,
-    load_ms: Option<Summary>,
-}
-
-#[derive(Serialize)]
-struct Gap {
-    con: f64,
-    r#dyn: f64,
-}
-
-#[derive(Serialize)]
-struct Reshard {
-    workers: usize,
-    keys: usize,
-    moved_fraction: f64,
-    orphaned_fraction: f64,
-}
-
-#[derive(Serialize)]
-struct ElasticityBench {
-    bench: &'static str,
-    generated_by: &'static str,
-    runs: usize,
-    snapshot_io: SnapshotIo,
-    kill_and_replace_gap: Option<Gap>,
-    reshard: Vec<Reshard>,
-}
 
 fn scratch(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -97,8 +43,8 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 }
 
 /// Times `reps` atomic write/load round trips of one synthetic worker
-/// snapshot sized like a built math model.
-fn snapshot_io(reps: usize) -> SnapshotIo {
+/// snapshot sized like a built math model, printing each.
+fn snapshot_io(reps: usize) {
     let dir = scratch("io");
     let store = CheckpointStore::open(&dir).expect("open bench store");
     let snap = WorkerSnapshot {
@@ -111,26 +57,21 @@ fn snapshot_io(reps: usize) -> SnapshotIo {
             .map(|i| (i as f32).cos() * 1e-3)
             .collect(),
     };
-    let mut writes = Vec::new();
-    let mut loads = Vec::new();
-    let mut bytes = 0u64;
-    for _ in 0..reps {
+    for i in 0..reps {
         let t = Instant::now();
         let path = store.save_worker(&snap).expect("save snapshot");
-        writes.push(t.elapsed().as_secs_f64() * 1e3);
-        bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        let write_ms = t.elapsed().as_secs_f64() * 1e3;
+        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         let t = Instant::now();
         let loaded = store.load_worker(0).expect("load snapshot");
-        loads.push(t.elapsed().as_secs_f64() * 1e3);
+        let load_ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(loaded.params.len(), SNAPSHOT_PARAMS);
+        println!(
+            "  snapshot {i} ({SNAPSHOT_PARAMS} params, {bytes} bytes): \
+             write {write_ms:.1}ms, load {load_ms:.1}ms"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
-    SnapshotIo {
-        params: SNAPSHOT_PARAMS,
-        bytes,
-        write_ms: summarize(&writes),
-        load_ms: summarize(&loads),
-    }
 }
 
 /// Equal-budget accuracy gap on the simulator: fault-free minus a run
@@ -159,16 +100,12 @@ fn kill_and_replace_gap(dynamic: bool, max_updates: u64) -> f64 {
 
 /// Gratuitous (survivor → survivor) and forced (orphaned) movement when
 /// one of `n` workers dies, as fractions of the key universe.
-fn reshard_one_death(n: usize, keys: usize) -> Reshard {
+fn reshard_one_death(n: usize, keys: usize) -> (f64, f64) {
     let before: Vec<usize> = (0..n).collect();
     let after: Vec<usize> = (0..n - 1).collect();
     let churn = reshard_churn(&before, &after, keys).expect("non-empty membership");
-    Reshard {
-        workers: n,
-        keys,
-        moved_fraction: churn.moved as f64 / churn.total.max(1) as f64,
-        orphaned_fraction: churn.orphaned as f64 / churn.total.max(1) as f64,
-    }
+    let total = churn.total.max(1) as f64;
+    (churn.moved as f64 / total, churn.orphaned as f64 / total)
 }
 
 fn main() {
@@ -177,47 +114,18 @@ fn main() {
     let max_updates = if quick { 200 } else { 300 };
     println!("elasticity bench: {reps} snapshot round trips (quick mode = {quick})");
 
-    let io = snapshot_io(reps);
-    if let (Some(w), Some(l)) = (&io.write_ms, &io.load_ms) {
-        println!(
-            "  snapshot ({} params, {} bytes): write {:.1}ms, load {:.1}ms",
-            io.params, io.bytes, w.mean_ms, l.mean_ms
-        );
-    }
+    snapshot_io(reps);
 
-    let gap = Gap {
-        con: kill_and_replace_gap(false, max_updates),
-        r#dyn: kill_and_replace_gap(true, max_updates),
-    };
     println!(
         "  kill-and-replace convergence gap: CON {:+.3}, DYN {:+.3}",
-        gap.con, gap.r#dyn
+        kill_and_replace_gap(false, max_updates),
+        kill_and_replace_gap(true, max_updates)
     );
 
-    let reshard: Vec<Reshard> = [8usize, 64]
-        .iter()
-        .map(|&n| reshard_one_death(n, 60_000))
-        .collect();
-    for r in &reshard {
-        println!(
-            "  reshard N={}: moved {:.4}, orphaned {:.4} of {} keys",
-            r.workers, r.moved_fraction, r.orphaned_fraction, r.keys
-        );
-        assert!(
-            r.moved_fraction < 0.05,
-            "gratuitous churn breached the 5% invariant"
-        );
+    const KEYS: usize = 60_000;
+    for n in [8usize, 64] {
+        let (moved, orphaned) = reshard_one_death(n, KEYS);
+        println!("  reshard N={n}: moved {moved:.4}, orphaned {orphaned:.4} of {KEYS} keys");
+        assert!(moved < 0.05, "gratuitous churn breached the 5% invariant");
     }
-
-    let report = ElasticityBench {
-        bench: "elasticity",
-        generated_by: "cargo run --release -p preduce-bench --bin elasticity",
-        runs: reps,
-        snapshot_io: io,
-        kill_and_replace_gap: Some(gap),
-        reshard,
-    };
-    let json = serde_json::to_string(&report).expect("bench report serializes");
-    std::fs::write("BENCH_elasticity.json", json).expect("write BENCH_elasticity.json");
-    println!("wrote BENCH_elasticity.json");
 }

@@ -1,8 +1,7 @@
 //! Fault-recovery bench: reaction times of the resilience layer
 //! (DESIGN.md §11) plus the accuracy cost of a crash.
 //!
-//! Three metrics seed `BENCH_fault_recovery.json` (written to the current
-//! directory — run from the workspace root so it lands next to README):
+//! Three metrics, every sample printed (nothing is written to disk):
 //!
 //! * **time-to-evict** — wall delta from the injected crash
 //!   (`FaultInjected`) to the liveness eviction (`WorkerEvicted`) on the
@@ -28,7 +27,6 @@ use preduce_data::cifar10_like;
 use preduce_models::zoo;
 use preduce_trainer::engine::drivers::preduce::chaos_liveness;
 use preduce_trainer::{engine, Backend, ExperimentConfig, FaultPlan, Strategy};
-use serde::Serialize;
 
 /// Wall-clock-stamps every trace event (milliseconds since sink
 /// creation) so reaction times can be measured from the stream.
@@ -61,50 +59,6 @@ impl TraceSink for TimedSink {
             Err(p) => p.into_inner().push((t, event)),
         }
     }
-}
-
-#[derive(Serialize)]
-struct Summary {
-    mean_ms: f64,
-    min_ms: f64,
-    max_ms: f64,
-    samples: usize,
-}
-
-fn summarize(xs: &[f64]) -> Option<Summary> {
-    if xs.is_empty() {
-        return None;
-    }
-    Some(Summary {
-        mean_ms: xs.iter().sum::<f64>() / xs.len() as f64,
-        min_ms: xs.iter().copied().fold(f64::INFINITY, f64::min),
-        max_ms: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        samples: xs.len(),
-    })
-}
-
-#[derive(Serialize)]
-struct Liveness {
-    heartbeat_interval_ms: f64,
-    miss_threshold: u64,
-    nominal_eviction_ms: f64,
-}
-
-#[derive(Serialize)]
-struct Gap {
-    con: f64,
-    r#dyn: f64,
-}
-
-#[derive(Serialize)]
-struct FaultRecoveryBench {
-    bench: &'static str,
-    generated_by: &'static str,
-    runs: usize,
-    liveness: Liveness,
-    time_to_evict_ms: Option<Summary>,
-    time_to_repair_ms: Option<Summary>,
-    post_fault_convergence_gap: Option<Gap>,
 }
 
 /// One threaded crash run: N=4 / P=2, rank 3 fail-stops after 4
@@ -184,12 +138,12 @@ fn main() {
     let policy = chaos_liveness();
     println!(
         "fault-recovery bench: {runs} threaded crash runs, liveness = \
-         {:?} every, {} misses (quick mode = {quick})",
-        policy.heartbeat_interval, policy.miss_threshold
+         {:?} every, {} misses, nominal eviction after {:?} (quick mode = {quick})",
+        policy.heartbeat_interval,
+        policy.miss_threshold,
+        policy.eviction_after()
     );
 
-    let mut evictions = Vec::new();
-    let mut repairs = Vec::new();
     for i in 0..runs {
         let (evict, repair) = crash_reaction();
         println!(
@@ -197,32 +151,10 @@ fn main() {
             evict.map_or("n/a".into(), |t| format!("{t:.1}ms")),
             repair.map_or("n/a".into(), |t| format!("{t:.1}ms")),
         );
-        evictions.extend(evict);
-        repairs.extend(repair);
     }
-    let gap = Gap {
-        con: convergence_gap(false, max_updates),
-        r#dyn: convergence_gap(true, max_updates),
-    };
     println!(
         "  post-fault convergence gap: CON {:+.3}, DYN {:+.3}",
-        gap.con, gap.r#dyn
+        convergence_gap(false, max_updates),
+        convergence_gap(true, max_updates)
     );
-
-    let report = FaultRecoveryBench {
-        bench: "fault_recovery",
-        generated_by: "cargo run --release -p preduce-bench --bin fault_recovery",
-        runs,
-        liveness: Liveness {
-            heartbeat_interval_ms: policy.heartbeat_interval.as_secs_f64() * 1e3,
-            miss_threshold: policy.miss_threshold,
-            nominal_eviction_ms: policy.eviction_after().as_secs_f64() * 1e3,
-        },
-        time_to_evict_ms: summarize(&evictions),
-        time_to_repair_ms: summarize(&repairs),
-        post_fault_convergence_gap: Some(gap),
-    };
-    let json = serde_json::to_string(&report).expect("bench report serializes");
-    std::fs::write("BENCH_fault_recovery.json", json).expect("write BENCH_fault_recovery.json");
-    println!("wrote BENCH_fault_recovery.json");
 }

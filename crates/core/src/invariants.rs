@@ -2,7 +2,7 @@
 //!
 //! The checker is **incremental**: [`StreamingChecker`] consumes one
 //! [`TraceEvent`] at a time ([`StreamingChecker::feed`]) with
-//! bounded-memory replay state — per-worker counters, a windowed
+//! bounded-memory replay state — one record per worker, a windowed
 //! connectivity structure, never a retained event vector — so
 //! million-signal traces check in O(state), not O(trace), memory.
 //! [`InvariantChecker::check`] (batch) and
@@ -52,16 +52,33 @@
 //! The checker is deliberately tolerant of *truncated* traces (a crash
 //! mid-run yields no `RunFinished`; that is not a violation) but strict
 //! about *inconsistent* ones.
+//!
+//! # Ranks are outside input
+//!
+//! A trace file comes from outside the program, and per-worker state is
+//! one table indexed by rank, sized once from [`TraceEvent::RunStarted`]'s
+//! `N`. Every handler reaches a worker's record through one accessor that
+//! applies the *start rule* (a trace that does not begin with `RunStarted`
+//! is reported, once) and the *range rule* (a rank `≥ N` is reported as an
+//! `out-of-range worker`; while `N` is unknown no rank has a record). A
+//! rank that fails either rule is never tracked and never indexes
+//! anything. This is the one deliberate change of verdict against the
+//! checker that kept a map per fact: `SignalRejected`, `SingletonIssued`,
+//! `HeartbeatMissed`, `ProcessDisconnected`, `WorkerEvicted`,
+//! `ReduceCompleted` and `PendingDrained` never compared the rank with
+//! `N`, and `WorkerLeft` only guarded its graph replica; all eight
+//! silently tracked a phantom rank and now report it. Likewise nothing
+//! narrated about a worker before `RunStarted` (a `FaultInjected`, say)
+//! is carried into the run: every substrate narrates `RunStarted` first.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::io::{self, BufRead};
+use std::io;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::controller::{AggregationMode, ControllerConfig};
 use crate::graph::WindowedConnectivity;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::{stream_jsonl, TraceEvent, TraceSink};
 use crate::weights::dynamic_weights;
 
 /// Weight-vector comparison tolerance. Weights travel as `f32` and
@@ -138,26 +155,12 @@ impl InvariantChecker {
     }
 
     /// Streams a JSONL trace dump through the checker one line at a time
-    /// — the file is never materialized, so traces larger than RAM check
-    /// fine. Parse failures abort with the offending line number, same as
-    /// [`crate::trace::read_jsonl`].
+    /// ([`stream_jsonl`]) — the file is never materialized, so traces
+    /// larger than RAM check fine. Parse failures abort with the
+    /// offending line number.
     pub fn check_jsonl<P: AsRef<Path>>(path: P) -> io::Result<InvariantReport> {
-        let file = std::fs::File::open(path)?;
-        let reader = io::BufReader::new(file);
         let mut checker = StreamingChecker::new();
-        for (idx, line) in reader.lines().enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let event: TraceEvent = serde_json::from_str(&line).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("trace line {}: {e}", idx + 1),
-                )
-            })?;
-            checker.feed(&event);
-        }
+        stream_jsonl(path, |event| checker.feed(&event))?;
         Ok(checker.finish())
     }
 }
@@ -170,11 +173,53 @@ struct PendingViolation {
     strict_only: bool,
 }
 
+/// Everything the replay knows about one worker: 32 bytes, one per rank.
+/// The flags from `departed` down describe one *life* of the rank — from
+/// the fleet's start, or a restore, to the departure that ends it.
+#[derive(Clone, Copy, Default)]
+struct WorkerRecord {
+    /// Iteration the queued ready signal reported (while `queued`).
+    signal: u64,
+    /// Strictly-increasing floor on the next reported iteration (while
+    /// `floored`; zero until then).
+    floor: u64,
+    /// Slot in `in_flight` of the unfinished group the worker sits in.
+    group: Option<u32>,
+    queued: bool,
+    floored: bool,
+    /// Departed (left, crashed or evicted) and not restored since.
+    departed: bool,
+    /// An injected fault or heartbeat silence is on record (either
+    /// justifies eviction).
+    suspect: bool,
+    /// The worker process completed the fleet handshake.
+    joined: bool,
+    /// The control connection dropped (justifies eviction).
+    disconnected: bool,
+    /// Evicted, the departure event still owed.
+    evicted: bool,
+}
+
+/// A rank that passed the range rule: `in_range` alone mints one and
+/// `rec` alone spends it, so no number read off the trace indexes the
+/// table.
+#[derive(Clone, Copy)]
+struct Rank(usize);
+
+/// One unfinished group: the member list as assigned, stored once, and
+/// how many worker records still point at it.
+#[derive(Default)]
+struct InFlightGroup {
+    members: Vec<usize>,
+    holders: usize,
+}
+
 /// The incremental invariant checker: feed events one at a time, read
 /// the verdict at the end.
 ///
-/// State is bounded by the fleet, not the trace: per-worker maps
-/// (queue, floors, in-flight membership, lifecycle flags), a
+/// State is bounded by the fleet, not the trace: one [`WorkerRecord`]
+/// per rank (queue slot, floor, in-flight membership, lifecycle flags),
+/// one stored member list per group in flight, a
 /// [`WindowedConnectivity`] replica of the controller's `T`-window sync
 /// graph, scalar counters, and the violation list — O(N + T·P +
 /// violations) total, independent of how many events stream through.
@@ -186,6 +231,7 @@ struct PendingViolation {
 /// ahead, so it always *tracks* in-flight groups, tags the violations
 /// that depend on strictness, and drops them at
 /// [`StreamingChecker::finish`] if no completion ever arrived — one pass.
+#[derive(Default)]
 pub struct StreamingChecker {
     /// Events fed so far (also the index assigned to the next event).
     index: usize,
@@ -193,80 +239,33 @@ pub struct StreamingChecker {
     /// strict in-flight accounting from "tracked" to "enforced".
     strict_inflight: bool,
     config: Option<ControllerConfig>,
-    /// Queued ready signals: worker → reported iteration.
-    pending: BTreeMap<usize, u64>,
-    /// Departed workers.
-    departed: BTreeSet<usize>,
-    /// Strictly-increasing floor on each worker's next reported iteration.
-    min_next: BTreeMap<usize, u64>,
-    /// Workers inside an unfinished group: worker → group members.
-    in_flight: BTreeMap<usize, Vec<usize>>,
-    /// Workers with an injected fault on record (justifies eviction).
-    faulted: BTreeSet<usize>,
-    /// Workers whose heartbeat silence was narrated (justifies eviction).
-    missed: BTreeSet<usize>,
-    /// Worker processes that completed the fleet handshake.
-    joined: BTreeSet<usize>,
-    /// Workers whose control connection dropped (justifies eviction).
-    disconnected: BTreeSet<usize>,
-    /// Evicted workers awaiting their departure event.
-    evicted_pending: BTreeSet<usize>,
+    /// The per-worker table, indexed by rank: allocated once, from
+    /// [`TraceEvent::RunStarted`]'s `N`; empty until then, never resized.
+    workers: Vec<WorkerRecord>,
+    /// Records with `queued` set: the replayed queue depth.
+    queued: usize,
+    /// Unfinished groups, a slab recycled through `vacant` (member buffers
+    /// included): as long as the most groups ever in flight at once.
+    in_flight: Vec<InFlightGroup>,
+    vacant: Vec<u32>,
     /// Replica of the controller's `T`-window sync-graph connectivity
     /// (the batch checker's rebuild-and-DFS is the semantic reference;
     /// this matches it exactly, property-tested).
     conn: Option<WindowedConnectivity>,
     expected_sequence: u64,
-    active: Option<usize>,
+    /// Workers still participating (`N` at the start).
+    active: usize,
     groups: u64,
     repairs: u64,
     deferrals: u64,
     singletons: u64,
-    missing_start_reported: bool,
     violations: Vec<PendingViolation>,
-}
-
-impl Default for StreamingChecker {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl StreamingChecker {
     /// Creates a checker with no events fed.
     pub fn new() -> Self {
-        StreamingChecker {
-            index: 0,
-            strict_inflight: false,
-            config: None,
-            pending: BTreeMap::new(),
-            departed: BTreeSet::new(),
-            min_next: BTreeMap::new(),
-            in_flight: BTreeMap::new(),
-            faulted: BTreeSet::new(),
-            missed: BTreeSet::new(),
-            joined: BTreeSet::new(),
-            disconnected: BTreeSet::new(),
-            evicted_pending: BTreeSet::new(),
-            conn: None,
-            expected_sequence: 0,
-            active: None,
-            groups: 0,
-            repairs: 0,
-            deferrals: 0,
-            singletons: 0,
-            missing_start_reported: false,
-            violations: Vec::new(),
-        }
-    }
-
-    /// Events fed so far.
-    pub fn events(&self) -> usize {
-        self.index
-    }
-
-    /// Groups observed so far.
-    pub fn groups(&self) -> u64 {
-        self.groups
+        Self::default()
     }
 
     fn fail(&mut self, index: usize, message: String) {
@@ -285,11 +284,28 @@ impl StreamingChecker {
         });
     }
 
-    fn require_started(&mut self, index: usize) {
-        if self.config.is_none() && !self.missing_start_reported {
-            self.missing_start_reported = true;
-            self.fail(index, "trace does not begin with RunStarted".to_string());
+    /// The range rule: the one place a rank is compared with `N`.
+    fn in_range(&self, worker: usize) -> Option<Rank> {
+        (worker < self.workers.len()).then_some(Rank(worker))
+    }
+
+    /// The one way from a rank read off the trace to that worker's
+    /// record. `None` means the rank has no record and has been reported
+    /// — by the start rule while `N` is unknown, otherwise here, as
+    /// `out-of-range worker {worker} {did}`.
+    fn rank(&mut self, index: usize, worker: usize, did: impl fmt::Display) -> Option<Rank> {
+        let (rank, n) = (self.in_range(worker), self.workers.len());
+        if rank.is_none() && self.config.is_some() {
+            self.fail(
+                index,
+                format!("out-of-range worker {worker} {did} (N = {n})"),
+            );
         }
+        rank
+    }
+
+    fn rec(&mut self, rank: Rank) -> &mut WorkerRecord {
+        &mut self.workers[rank.0]
     }
 
     /// Feeds one event into the state machine, recording any violations
@@ -297,17 +313,20 @@ impl StreamingChecker {
     pub fn feed(&mut self, event: &TraceEvent) {
         let i = self.index;
         self.index += 1;
-        {
-            match event {
-                TraceEvent::RunStarted { config } => self.on_started(i, config),
-                TraceEvent::SignalEnqueued {
-                    worker,
-                    iteration,
-                    queued,
-                } => self.on_enqueued(i, *worker, *iteration, *queued),
-                TraceEvent::SignalRejected { worker, .. } => {
-                    self.require_started(i);
-                    if !self.departed.contains(worker) {
+        // The start rule.
+        if i == 0 && !matches!(event, TraceEvent::RunStarted { .. }) {
+            self.fail(i, "trace does not begin with RunStarted".to_string());
+        }
+        match event {
+            TraceEvent::RunStarted { config } => self.on_started(i, config),
+            TraceEvent::SignalEnqueued {
+                worker,
+                iteration,
+                queued,
+            } => self.on_enqueued(i, *worker, *iteration, *queued),
+            TraceEvent::SignalRejected { worker, .. } => {
+                if let Some(w) = self.rank(i, *worker, "had a signal rejected") {
+                    if !self.rec(w).departed {
                         self.fail(
                             i,
                             format!(
@@ -317,92 +336,89 @@ impl StreamingChecker {
                         );
                     }
                 }
-                TraceEvent::GroupDeferred { queued, .. } => {
-                    self.require_started(i);
-                    self.deferrals += 1;
-                    if *queued != self.pending.len() {
-                        self.fail(
+            }
+            TraceEvent::GroupDeferred { queued, .. } => {
+                self.deferrals += 1;
+                if *queued != self.queued {
+                    self.fail(
+                        i,
+                        format!(
+                            "deferral reports {queued} queued signals, \
+                             replay holds {}",
+                            self.queued
+                        ),
+                    );
+                }
+            }
+            TraceEvent::GroupFormed {
+                sequence,
+                members,
+                iterations,
+                weights,
+                new_iteration,
+                repaired,
+            } => self.on_group(
+                i,
+                *sequence,
+                members,
+                iterations,
+                weights,
+                *new_iteration,
+                *repaired,
+            ),
+            TraceEvent::AssignmentSent {
+                worker, members, ..
+            } => {
+                if !members.contains(worker) {
+                    self.fail(
+                        i,
+                        format!(
+                            "assignment for group {members:?} sent to \
+                             non-member worker {worker}"
+                        ),
+                    );
+                }
+            }
+            TraceEvent::ReduceCompleted {
+                worker, members, ..
+            } => self.on_completed(i, *worker, members),
+            TraceEvent::WorkerLeft {
+                worker,
+                active,
+                purged_signal,
+            } => self.on_left(i, *worker, *active, *purged_signal),
+            TraceEvent::PendingDrained { signals } => {
+                for &(worker, it) in signals {
+                    let Some(w) = self.rank(i, worker, "had a signal drained") else {
+                        continue;
+                    };
+                    match self.take_signal(w) {
+                        None => self.fail(
                             i,
                             format!(
-                                "deferral reports {queued} queued signals, \
-                                 replay holds {}",
-                                self.pending.len()
+                                "drained a signal for worker {worker} that \
+                                 was not queued"
                             ),
-                        );
-                    }
-                }
-                TraceEvent::GroupFormed {
-                    sequence,
-                    members,
-                    iterations,
-                    weights,
-                    new_iteration,
-                    repaired,
-                } => self.on_group(
-                    i,
-                    *sequence,
-                    members,
-                    iterations,
-                    weights,
-                    *new_iteration,
-                    *repaired,
-                ),
-                TraceEvent::AssignmentSent {
-                    worker, members, ..
-                } => {
-                    if !members.contains(worker) {
-                        self.fail(
+                        ),
+                        Some(q) if q != it => self.fail(
                             i,
                             format!(
-                                "assignment for group {members:?} sent to \
-                                 non-member worker {worker}"
+                                "drained signal for worker {worker} carries \
+                                 iteration {it}, queued was {q}"
                             ),
-                        );
+                        ),
+                        Some(_) => {}
                     }
                 }
-                TraceEvent::ReduceCompleted {
-                    worker, members, ..
-                } => {
-                    // The trace carries completions: in-flight accounting
-                    // is enforced (tracked-but-tagged violations from
-                    // earlier events stand — see `finish`).
-                    self.strict_inflight = true;
-                    self.on_completed(i, *worker, members)
-                }
-                TraceEvent::WorkerLeft {
-                    worker,
-                    active,
-                    purged_signal,
-                } => self.on_left(i, *worker, *active, *purged_signal),
-                TraceEvent::PendingDrained { signals } => {
-                    self.require_started(i);
-                    for &(w, it) in signals {
-                        match self.pending.remove(&w) {
-                            None => self.fail(
-                                i,
-                                format!(
-                                    "drained a signal for worker {w} that \
-                                     was not queued"
-                                ),
-                            ),
-                            Some(q) if q != it => self.fail(
-                                i,
-                                format!(
-                                    "drained signal for worker {w} carries \
-                                     iteration {it}, queued was {q}"
-                                ),
-                            ),
-                            Some(_) => {}
-                        }
-                    }
-                }
-                TraceEvent::SingletonIssued { worker, iteration } => {
-                    self.require_started(i);
-                    self.singletons += 1;
-                    if self.departed.contains(worker) {
+            }
+            TraceEvent::SingletonIssued { worker, iteration } => {
+                self.singletons += 1;
+                if let Some(w) = self.rank(i, *worker, "was issued a singleton") {
+                    let rec = *self.rec(w);
+                    if rec.departed {
                         self.fail(i, format!("singleton issued to departed worker {worker}"));
                     }
-                    if self.pending.contains_key(worker) {
+                    if rec.queued {
                         self.fail(
                             i,
                             format!(
@@ -414,57 +430,36 @@ impl StreamingChecker {
                     // A singleton releases the worker at its *own* reported
                     // iteration — no aggregation, no fast-forward — so the
                     // floor check is non-strict here.
-                    if let Some(&floor) = self.min_next.get(worker) {
-                        if *iteration < floor {
-                            self.fail(
-                                i,
-                                format!(
-                                    "singleton for worker {worker} \
-                                     regresses to iteration {iteration} \
-                                     (floor {floor})"
-                                ),
-                            );
-                        }
+                    if rec.floored && *iteration < rec.floor {
+                        self.fail(
+                            i,
+                            format!(
+                                "singleton for worker {worker} \
+                                 regresses to iteration {iteration} \
+                                 (floor {})",
+                                rec.floor
+                            ),
+                        );
                     }
                 }
-                TraceEvent::FaultInjected { worker, .. } => {
-                    // Fault narration needs no prior state; it *creates*
-                    // state: this worker's later eviction is justified.
-                    if let Some(cfg) = &self.config {
-                        if *worker >= cfg.num_workers {
-                            self.fail(
-                                i,
-                                format!(
-                                    "fault injected into out-of-range \
-                                     worker {worker} (N = {})",
-                                    cfg.num_workers
-                                ),
-                            );
-                        }
-                    }
-                    self.faulted.insert(*worker);
+            }
+            TraceEvent::FaultInjected { worker, .. } => {
+                // This worker's later eviction is justified.
+                if let Some(w) = self.rank(i, *worker, "had a fault injected") {
+                    self.rec(w).suspect = true;
                 }
-                TraceEvent::ProcessJoined { worker, .. } => {
-                    self.require_started(i);
-                    if let Some(cfg) = &self.config {
-                        if *worker >= cfg.num_workers {
-                            self.fail(
-                                i,
-                                format!(
-                                    "out-of-range worker {worker} joined \
-                                     the fleet (N = {})",
-                                    cfg.num_workers
-                                ),
-                            );
-                        }
-                    }
-                    if !self.joined.insert(*worker) {
+            }
+            TraceEvent::ProcessJoined { worker, .. } => {
+                if let Some(w) = self.rank(i, *worker, "joined the fleet") {
+                    if std::mem::replace(&mut self.rec(w).joined, true) {
                         self.fail(i, format!("worker {worker} joined the fleet twice"));
                     }
                 }
-                TraceEvent::ProcessDisconnected { worker } => {
-                    self.require_started(i);
-                    if !self.joined.contains(worker) {
+            }
+            TraceEvent::ProcessDisconnected { worker } => {
+                if let Some(w) = self.rank(i, *worker, "disconnected") {
+                    let rec = *self.rec(w);
+                    if !rec.joined {
                         self.fail(
                             i,
                             format!(
@@ -473,7 +468,7 @@ impl StreamingChecker {
                             ),
                         );
                     }
-                    if self.departed.contains(worker) {
+                    if rec.departed {
                         self.fail(
                             i,
                             format!(
@@ -482,19 +477,21 @@ impl StreamingChecker {
                             ),
                         );
                     }
-                    if !self.disconnected.insert(*worker) {
+                    if rec.disconnected {
                         self.fail(i, format!("worker {worker} disconnected twice"));
                     }
+                    self.rec(w).disconnected = true;
                 }
-                TraceEvent::HeartbeatMissed { worker, misses } => {
-                    self.require_started(i);
-                    if *misses == 0 {
-                        self.fail(
-                            i,
-                            format!("worker {worker} reported with zero missed heartbeats"),
-                        );
-                    }
-                    if self.departed.contains(worker) {
+            }
+            TraceEvent::HeartbeatMissed { worker, misses } => {
+                if *misses == 0 {
+                    self.fail(
+                        i,
+                        format!("worker {worker} reported with zero missed heartbeats"),
+                    );
+                }
+                if let Some(w) = self.rank(i, *worker, "missed heartbeats") {
+                    if self.rec(w).departed {
                         self.fail(
                             i,
                             format!(
@@ -503,78 +500,64 @@ impl StreamingChecker {
                             ),
                         );
                     }
-                    self.missed.insert(*worker);
+                    self.rec(w).suspect = true;
                 }
-                TraceEvent::WorkerEvicted { worker, active } => {
-                    self.on_evicted(i, *worker, *active)
-                }
-                TraceEvent::SnapshotTaken { worker, .. } => {
-                    self.require_started(i);
-                    if let Some(w) = worker {
-                        if let Some(cfg) = &self.config {
-                            if *w >= cfg.num_workers {
-                                self.fail(
-                                    i,
-                                    format!(
-                                        "snapshot of out-of-range worker \
-                                         {w} (N = {})",
-                                        cfg.num_workers
-                                    ),
-                                );
-                            }
-                        }
-                        if self.departed.contains(w) {
-                            self.fail(i, format!("snapshot taken of departed worker {w}"));
+            }
+            TraceEvent::WorkerEvicted { worker, active } => self.on_evicted(i, *worker, *active),
+            TraceEvent::SnapshotTaken { worker, .. } => {
+                // `None` is the controller's own snapshot: no rank to check.
+                if let Some(worker) = worker {
+                    if let Some(w) = self.rank(i, *worker, "was snapshotted") {
+                        if self.rec(w).departed {
+                            self.fail(i, format!("snapshot taken of departed worker {worker}"));
                         }
                     }
                 }
-                TraceEvent::WorkerRestored {
-                    worker,
-                    iteration,
-                    active,
-                } => self.on_restored(i, *worker, *iteration, *active),
-                TraceEvent::ShardsReassigned { moved, total } => {
-                    self.require_started(i);
-                    if moved > total {
-                        self.fail(
-                            i,
-                            format!(
-                                "reassignment moved {moved} keys out of \
-                                 only {total}"
-                            ),
-                        );
-                    } else if *total > 0 && moved * 20 >= *total {
-                        self.fail(
-                            i,
-                            format!(
-                                "reassignment moved {moved} of {total} \
-                                 survivor keys (≥5% gratuitous churn)"
-                            ),
-                        );
-                    }
+            }
+            TraceEvent::WorkerRestored {
+                worker,
+                iteration,
+                active,
+            } => self.on_restored(i, *worker, *iteration, *active),
+            TraceEvent::ShardsReassigned { moved, total } => {
+                if moved > total {
+                    self.fail(
+                        i,
+                        format!(
+                            "reassignment moved {moved} keys out of \
+                             only {total}"
+                        ),
+                    );
+                } else if *total > 0 && moved.saturating_mul(20) >= *total {
+                    self.fail(
+                        i,
+                        format!(
+                            "reassignment moved {moved} of {total} \
+                             survivor keys (≥5% gratuitous churn)"
+                        ),
+                    );
                 }
-                TraceEvent::RunFinished {
-                    groups_formed,
-                    repairs,
-                    deferrals,
-                    singletons,
-                } => {
-                    self.require_started(i);
-                    for (label, reported, counted) in [
-                        ("groups_formed", *groups_formed, self.groups),
-                        ("repairs", *repairs, self.repairs),
-                        ("deferrals", *deferrals, self.deferrals),
-                        ("singletons", *singletons, self.singletons),
-                    ] {
-                        if reported != counted {
-                            self.fail(
-                                i,
-                                format!(
-                                    "RunFinished reports {label} = \
-                                     {reported}, replay counted {counted}"
-                                ),
-                            );
-                        }
+            }
+            TraceEvent::RunFinished {
+                groups_formed,
+                repairs,
+                deferrals,
+                singletons,
+            } => {
+                for (label, reported, counted) in [
+                    ("groups_formed", *groups_formed, self.groups),
+                    ("repairs", *repairs, self.repairs),
+                    ("deferrals", *deferrals, self.deferrals),
+                    ("singletons", *singletons, self.singletons),
+                ] {
+                    if reported != counted {
+                        self.fail(
+                            i,
+                            format!(
+                                "RunFinished reports {label} = \
+                                 {reported}, replay counted {counted}"
+                            ),
+                        );
                     }
                 }
             }
@@ -605,64 +588,45 @@ impl StreamingChecker {
             self.fail(index, "duplicate RunStarted".to_string());
             return;
         }
-        if config.group_size < 2 || config.group_size > config.num_workers {
-            self.fail(
-                index,
-                format!(
-                    "invalid configuration: N = {}, P = {}",
-                    config.num_workers, config.group_size
-                ),
-            );
+        let (n, p) = (config.num_workers, config.group_size);
+        if p < 2 || p > n {
+            self.fail(index, format!("invalid configuration: N = {n}, P = {p}"));
         } else {
-            self.conn = Some(WindowedConnectivity::new(
-                config.num_workers,
-                config.effective_window(),
-            ));
+            self.conn = Some(WindowedConnectivity::new(n, config.effective_window()));
         }
-        self.active = Some(config.num_workers);
+        self.workers = vec![WorkerRecord::default(); n];
+        self.active = n;
         self.config = Some(config.clone());
     }
 
-    /// Enforces that `worker`'s reported iteration numbers strictly
-    /// increase (monotonicity + DYN fast-forward adoption).
-    fn bump_min_next(&mut self, index: usize, worker: usize, iteration: u64, what: &str) {
-        if let Some(&floor) = self.min_next.get(&worker) {
-            if iteration <= floor {
-                self.fail(
-                    index,
-                    format!(
-                        "worker {worker} {what} iteration {iteration} does \
-                         not advance past {floor}"
-                    ),
-                );
-            }
-        }
-        let entry = self.min_next.entry(worker).or_insert(iteration);
-        *entry = (*entry).max(iteration);
+    /// Consumes `w`'s queued signal, if it has one, and returns the
+    /// iteration it reported.
+    fn take_signal(&mut self, w: Rank) -> Option<u64> {
+        let rec = self.rec(w);
+        let iteration = std::mem::take(&mut rec.queued).then_some(rec.signal)?;
+        self.queued -= 1;
+        Some(iteration)
+    }
+
+    /// Raises `w`'s floor to at least `iteration`.
+    fn raise_floor(&mut self, w: Rank, iteration: u64) {
+        let rec = self.rec(w);
+        rec.floor = rec.floor.max(iteration);
+        rec.floored = true;
     }
 
     fn on_enqueued(&mut self, index: usize, worker: usize, iteration: u64, queued: usize) {
-        self.require_started(index);
-        if let Some(cfg) = &self.config {
-            if worker >= cfg.num_workers {
-                self.fail(
-                    index,
-                    format!(
-                        "signal from out-of-range worker {worker} \
-                         (N = {})",
-                        cfg.num_workers
-                    ),
-                );
-                return;
-            }
-        }
-        if self.departed.contains(&worker) {
+        let Some(w) = self.rank(index, worker, "signalled ready") else {
+            return;
+        };
+        let rec = *self.rec(w);
+        if rec.departed {
             self.fail(
                 index,
                 format!("signal from departed worker {worker} was enqueued"),
             );
         }
-        if self.in_flight.contains_key(&worker) {
+        if rec.group.is_some() {
             // Stands only under strict in-flight accounting — tagged, and
             // dropped at `finish` if the trace carries no completions.
             self.fail_strict(
@@ -673,21 +637,63 @@ impl StreamingChecker {
                 ),
             );
         }
-        self.bump_min_next(index, worker, iteration, "signalled");
-        if self.pending.insert(worker, iteration).is_some() {
+        // Reported iterations strictly increase (monotonicity + DYN
+        // fast-forward adoption).
+        if rec.floored && iteration <= rec.floor {
+            self.fail(
+                index,
+                format!(
+                    "worker {worker} signalled iteration {iteration} does \
+                     not advance past {}",
+                    rec.floor
+                ),
+            );
+        }
+        self.raise_floor(w, iteration);
+        if rec.queued {
             self.fail(
                 index,
                 format!("worker {worker} signalled ready twice without reducing"),
             );
+        } else {
+            self.queued += 1;
         }
-        if queued != self.pending.len() {
+        let rec = self.rec(w);
+        rec.queued = true;
+        rec.signal = iteration;
+        if queued != self.queued {
             self.fail(
                 index,
                 format!(
                     "enqueue reports queue depth {queued}, replay holds {}",
-                    self.pending.len()
+                    self.queued
                 ),
             );
+        }
+    }
+
+    /// Stores `members` in a vacant slot of the in-flight slab (a new one
+    /// if none is vacant), held by the caller until it calls `release`.
+    fn open_group(&mut self, members: &[usize]) -> u32 {
+        let slot = self.vacant.pop().unwrap_or_else(|| {
+            self.in_flight.push(InFlightGroup::default());
+            // Live slots never outnumber the records pointing at them, and
+            // a table of 2³² records does not fit in memory.
+            (self.in_flight.len() - 1) as u32
+        });
+        let group = &mut self.in_flight[slot as usize];
+        group.members.clear();
+        group.members.extend_from_slice(members);
+        group.holders = 1;
+        slot
+    }
+
+    /// One holder let go of `slot`; the last one out vacates it.
+    fn release(&mut self, slot: u32) {
+        let group = &mut self.in_flight[slot as usize];
+        group.holders -= 1;
+        if group.holders == 0 {
+            self.vacant.push(slot);
         }
     }
 
@@ -702,7 +708,6 @@ impl StreamingChecker {
         new_iteration: u64,
         repaired: bool,
     ) {
-        self.require_started(index);
         self.groups += 1;
         if repaired {
             self.repairs += 1;
@@ -716,11 +721,10 @@ impl StreamingChecker {
                 ),
             );
         }
-        self.expected_sequence = sequence + 1;
+        self.expected_sequence = sequence.wrapping_add(1);
 
         // Exactly P distinct, in-range, still-active members.
-        let shape = self.config.as_ref().map(|c| (c.group_size, c.num_workers));
-        if let Some((group_size, num_workers)) = shape {
+        if let Some(group_size) = self.config.as_ref().map(|c| c.group_size) {
             if members.len() != group_size {
                 self.fail(
                     index,
@@ -730,30 +734,27 @@ impl StreamingChecker {
                     ),
                 );
             }
-            if let Some(&bad) = members.iter().find(|&&m| m >= num_workers) {
-                self.fail(
-                    index,
-                    format!("group {sequence} contains out-of-range worker {bad}"),
-                );
-            }
         }
-        let mut sorted = members.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != members.len() {
-            self.fail(
-                index,
-                format!("group {sequence} has duplicate members {members:?}"),
-            );
-        }
-        for &m in members {
-            if self.departed.contains(&m) {
+        // Every member's record is pointed at this group's slot; one that
+        // already points there is a repeat. A rank without a record cannot
+        // be marked, so it is looked up among the members before it — a
+        // cost only a group already in violation pays.
+        let slot = self.open_group(members);
+        let first_report = self.violations.len();
+        let mut duplicate = false;
+        for (k, &m) in members.iter().enumerate() {
+            let Some(w) = self.rank(index, m, format_args!("appears in group {sequence}")) else {
+                duplicate |= members[..k].contains(&m);
+                continue;
+            };
+            let rec = *self.rec(w);
+            if rec.departed {
                 self.fail(
                     index,
                     format!("departed worker {m} appears in group {sequence}"),
                 );
             }
-            if self.evicted_pending.contains(&m) {
+            if rec.evicted {
                 self.fail(
                     index,
                     format!(
@@ -762,7 +763,7 @@ impl StreamingChecker {
                     ),
                 );
             }
-            if self.in_flight.contains_key(&m) {
+            if let Some(held) = rec.group {
                 self.fail_strict(
                     index,
                     format!(
@@ -770,8 +771,23 @@ impl StreamingChecker {
                          (second is {sequence})"
                     ),
                 );
+                if held == slot {
+                    duplicate = true;
+                    continue;
+                }
+                self.release(held);
             }
-            self.in_flight.insert(m, members.to_vec());
+            self.rec(w).group = Some(slot);
+            self.in_flight[slot as usize].holders += 1;
+        }
+        self.release(slot);
+        if duplicate {
+            self.fail(
+                index,
+                format!("group {sequence} has duplicate members {members:?}"),
+            );
+            // Ahead of the per-member reports it explains.
+            self.violations[first_report..].rotate_right(1);
         }
 
         // Each member consumes its queued signal, iterations aligned.
@@ -785,8 +801,21 @@ impl StreamingChecker {
                 ),
             );
         }
-        for (&m, &it) in members.iter().zip(iterations) {
-            match self.pending.remove(&m) {
+        let mode = self.config.as_ref().map(|c| c.mode);
+        let dynamic = matches!(mode, Some(AggregationMode::Dynamic { .. }));
+        for (k, &m) in members.iter().enumerate() {
+            let Some(w) = self.in_range(m) else {
+                continue;
+            };
+            if dynamic {
+                // §3.3.3: members adopt the group max, so their next report
+                // must move strictly beyond it.
+                self.raise_floor(w, new_iteration);
+            }
+            let Some(&it) = iterations.get(k) else {
+                continue;
+            };
+            match self.take_signal(w) {
                 None => self.fail(
                     index,
                     format!("group {sequence} member {m} had no queued signal"),
@@ -812,18 +841,6 @@ impl StreamingChecker {
                          member max is {max}"
                     ),
                 );
-            }
-        }
-        let dynamic = matches!(
-            self.config.as_ref().map(|c| c.mode),
-            Some(AggregationMode::Dynamic { .. })
-        );
-        if dynamic {
-            // §3.3.3: members adopt the group max, so their next report
-            // must move strictly beyond it.
-            for &m in members {
-                let entry = self.min_next.entry(m).or_insert(new_iteration);
-                *entry = (*entry).max(new_iteration);
             }
         }
 
@@ -861,29 +878,27 @@ impl StreamingChecker {
                 format!("group {sequence} weights sum to {sum}, not 1"),
             );
         }
-        let expected: Option<Vec<f32>> = match self.config.as_ref().map(|c| c.mode) {
+        let expected = match self.config.as_ref().map(|c| c.mode) {
             Some(AggregationMode::Constant) if !weights.is_empty() => {
-                Some(crate::weights::constant_weights(weights.len()))
+                crate::weights::constant_weights(weights.len())
             }
             Some(AggregationMode::Dynamic { alpha, gap_policy })
                 if iterations.len() == weights.len() && !iterations.is_empty() =>
             {
-                Some(dynamic_weights(iterations, alpha, gap_policy))
+                dynamic_weights(iterations, alpha, gap_policy)
             }
-            _ => None,
+            _ => return,
         };
-        if let Some(expected) = expected {
-            for (i, (&got, &want)) in weights.iter().zip(&expected).enumerate() {
-                if (got - want).abs() > WEIGHT_EPS {
-                    self.fail(
-                        index,
-                        format!(
-                            "group {sequence} weight[{i}] = {got} deviates \
-                             from the mode-prescribed {want}"
-                        ),
-                    );
-                    break;
-                }
+        for (i, (&got, &want)) in weights.iter().zip(&expected).enumerate() {
+            if (got - want).abs() > WEIGHT_EPS {
+                self.fail(
+                    index,
+                    format!(
+                        "group {sequence} weight[{i}] = {got} deviates \
+                         from the mode-prescribed {want}"
+                    ),
+                );
+                break;
             }
         }
     }
@@ -900,16 +915,12 @@ impl StreamingChecker {
     /// repair that bridges nothing needs the second question, which of
     /// the two contracts it broke.
     fn check_repair(&mut self, index: usize, sequence: u64, members: &[usize], repaired: bool) {
-        let Some(cfg) = self.config.as_ref() else {
-            return;
-        };
-        let (n, frozen_avoidance) = (cfg.num_workers, cfg.frozen_avoidance);
         // Detached so violations can be filed while it is queried.
         let Some(mut conn) = self.conn.take() else {
             return;
         };
         if repaired {
-            if !frozen_avoidance {
+            if !self.config.as_ref().is_some_and(|c| c.frozen_avoidance) {
                 self.fail(
                     index,
                     format!(
@@ -918,6 +929,7 @@ impl StreamingChecker {
                     ),
                 );
             }
+            let recorded = |m: &usize| self.in_range(*m).is_some();
             if !conn.is_warm() {
                 self.fail(
                     index,
@@ -926,7 +938,7 @@ impl StreamingChecker {
                          window warmed up"
                     ),
                 );
-            } else if !conn.spans_components(members.iter().copied().filter(|&m| m < n)) {
+            } else if !conn.spans_components(members.iter().copied().filter(recorded)) {
                 let message = if conn.is_connected() {
                     format!(
                         "group {sequence} repaired an already-connected \
@@ -941,7 +953,7 @@ impl StreamingChecker {
                 self.fail(index, message);
             }
         }
-        if members.iter().all(|&m| m < n) {
+        if members.iter().all(|&m| self.in_range(m).is_some()) {
             conn.record(members);
         }
         self.conn = Some(conn);
@@ -949,26 +961,26 @@ impl StreamingChecker {
 
     /// An eviction must be justified (prior silence, an injected fault,
     /// or a dropped control connection), must target a still-active
-    /// worker, and must carry the post-eviction
-    /// active count. The replayed `active` is *not* decremented here: the
-    /// eviction routes through the ordinary departure path, so the
-    /// worker's [`TraceEvent::WorkerLeft`] — carrying the same count —
-    /// performs the decrement.
+    /// worker, and must carry the post-eviction active count. The replayed
+    /// `active` is *not* decremented here: the eviction routes through the
+    /// ordinary departure path, so the worker's [`TraceEvent::WorkerLeft`]
+    /// — carrying the same count — performs the decrement.
     fn on_evicted(&mut self, index: usize, worker: usize, active: usize) {
-        self.require_started(index);
-        if self.departed.contains(&worker) {
+        let Some(w) = self.rank(index, worker, "was evicted") else {
+            return;
+        };
+        let rec = *self.rec(w);
+        if rec.departed {
             self.fail(
                 index,
                 format!("worker {worker} evicted after it already departed"),
             );
         }
-        if !self.evicted_pending.insert(worker) {
+        if rec.evicted {
             self.fail(index, format!("worker {worker} evicted twice"));
         }
-        if !self.missed.contains(&worker)
-            && !self.faulted.contains(&worker)
-            && !self.disconnected.contains(&worker)
-        {
+        self.rec(w).evicted = true;
+        if !rec.suspect && !rec.disconnected {
             self.fail(
                 index,
                 format!(
@@ -977,21 +989,17 @@ impl StreamingChecker {
                 ),
             );
         }
-        match self.active {
-            Some(0) => {
-                self.fail(index, "more evictions than active workers".to_string());
-            }
-            Some(prev) if active != prev - 1 => {
-                self.fail(
-                    index,
-                    format!(
-                        "eviction reports {active} active workers, \
-                         replay expects {}",
-                        prev - 1
-                    ),
-                );
-            }
-            _ => {}
+        if self.active == 0 {
+            self.fail(index, "more evictions than active workers".to_string());
+        } else if active != self.active - 1 {
+            self.fail(
+                index,
+                format!(
+                    "eviction reports {active} active workers, \
+                     replay expects {}",
+                    self.active - 1
+                ),
+            );
         }
     }
 
@@ -1002,75 +1010,67 @@ impl StreamingChecker {
     /// legitimate — but the next report must still move past the
     /// snapshot (DESIGN.md §14).
     fn on_restored(&mut self, index: usize, worker: usize, iteration: u64, active: usize) {
-        self.require_started(index);
-        if let Some(cfg) = &self.config {
-            if worker >= cfg.num_workers {
-                self.fail(
-                    index,
-                    format!(
-                        "restore of out-of-range worker {worker} (N = {})",
-                        cfg.num_workers
-                    ),
-                );
-                return;
-            }
-        }
-        if !self.departed.remove(&worker) {
+        let Some(w) = self.rank(index, worker, "was restored") else {
+            return;
+        };
+        let rec = self.rec(w);
+        if !rec.departed {
             self.fail(
                 index,
                 format!("worker {worker} restored without having departed"),
             );
             return;
         }
-        self.min_next.insert(worker, iteration);
+        // A fresh life from the snapshot's floor: a later eviction needs
+        // fresh justification, and the old control connection died with
+        // the departure. What the fleet still holds of the old life — a
+        // queued signal, an unfinished group — is not the restore's to
+        // settle.
+        *rec = WorkerRecord {
+            floor: iteration,
+            floored: true,
+            signal: rec.signal,
+            queued: rec.queued,
+            group: rec.group,
+            ..WorkerRecord::default()
+        };
         if let Some(conn) = self.conn.as_mut() {
             conn.set_departed(worker, false);
         }
-        // The restored worker starts a fresh life: a later eviction needs
-        // fresh justification, and its old control connection died with
-        // the departure.
-        self.faulted.remove(&worker);
-        self.missed.remove(&worker);
-        self.disconnected.remove(&worker);
-        self.evicted_pending.remove(&worker);
-        self.joined.remove(&worker);
-        if let Some(prev) = self.active {
-            let now = prev + 1;
-            if let Some(cfg) = &self.config {
-                if now > cfg.num_workers {
-                    self.fail(index, "more restores than fleet capacity".to_string());
-                    return;
-                }
-            }
-            self.active = Some(now);
-            if active != now {
-                self.fail(
-                    index,
-                    format!(
-                        "restore reports {active} active workers, \
-                         replay counted {now}"
-                    ),
-                );
-            }
+        if self.active == self.workers.len() {
+            self.fail(index, "more restores than fleet capacity".to_string());
+            return;
+        }
+        self.active += 1;
+        if active != self.active {
+            self.fail(
+                index,
+                format!(
+                    "restore reports {active} active workers, \
+                     replay counted {}",
+                    self.active
+                ),
+            );
         }
     }
 
     fn on_left(&mut self, index: usize, worker: usize, active: usize, purged_signal: bool) {
-        self.require_started(index);
-        self.evicted_pending.remove(&worker);
-        if !self.departed.insert(worker) {
+        let Some(w) = self.rank(index, worker, "left") else {
+            return;
+        };
+        let rec = self.rec(w);
+        rec.evicted = false;
+        if std::mem::replace(&mut rec.departed, true) {
             self.fail(index, format!("worker {worker} left twice"));
         }
         // The replica judges connectivity over the live fleet, as the
         // controller's own structure does.
         if let Some(conn) = self.conn.as_mut() {
-            if worker < conn.num_workers() {
-                conn.set_departed(worker, true);
-            }
+            conn.set_departed(worker, true);
         }
         // The controller purges the departing worker's queued signal — the
         // event must agree with the replayed queue.
-        let had_signal = self.pending.remove(&worker).is_some();
+        let had_signal = self.take_signal(w).is_some();
         if had_signal != purged_signal {
             self.fail(
                 index,
@@ -1080,28 +1080,31 @@ impl StreamingChecker {
                 ),
             );
         }
-        match self.active {
-            Some(0) => {
-                self.fail(index, "more departures than workers".to_string());
-            }
-            Some(prev) => {
-                let now = prev - 1;
-                self.active = Some(now);
-                if active != now {
-                    self.fail(
-                        index,
-                        format!(
-                            "departure reports {active} active workers, \
-                             replay counted {now}"
-                        ),
-                    );
-                }
-            }
-            None => {}
+        if self.active == 0 {
+            self.fail(index, "more departures than workers".to_string());
+            return;
+        }
+        self.active -= 1;
+        if active != self.active {
+            self.fail(
+                index,
+                format!(
+                    "departure reports {active} active workers, \
+                     replay counted {}",
+                    self.active
+                ),
+            );
         }
     }
 
     fn on_completed(&mut self, index: usize, worker: usize, members: &[usize]) {
+        // The trace carries completions: in-flight accounting is enforced
+        // (tracked-but-tagged violations from earlier events stand — see
+        // `finish`).
+        self.strict_inflight = true;
+        let Some(w) = self.rank(index, worker, "completed a reduce") else {
+            return;
+        };
         if !members.contains(&worker) {
             self.fail(
                 index,
@@ -1116,23 +1119,25 @@ impl StreamingChecker {
             // Singleton drain completions never pass through GroupFormed.
             return;
         }
-        match self.in_flight.remove(&worker) {
-            None => self.fail(
+        let Some(slot) = self.rec(w).group.take() else {
+            self.fail(
                 index,
                 format!(
                     "worker {worker} completed a reduce without an \
                      in-flight group"
                 ),
-            ),
-            Some(assigned) if assigned != members => self.fail(
-                index,
-                format!(
-                    "worker {worker} completed group {members:?} but was \
-                     assigned {assigned:?}"
-                ),
-            ),
-            Some(_) => {}
+            );
+            return;
+        };
+        let assigned = &self.in_flight[slot as usize].members;
+        if assigned != members {
+            let message = format!(
+                "worker {worker} completed group {members:?} but was \
+                 assigned {assigned:?}"
+            );
+            self.fail(index, message);
         }
+        self.release(slot);
     }
 }
 
@@ -1142,6 +1147,7 @@ impl StreamingChecker {
 /// — no trace file, no replay pass. Memory stays bounded by checker
 /// state, making this the right sink for million-signal scale runs where
 /// retaining the trace would dwarf the fleet itself.
+#[derive(Default)]
 pub struct CheckingSink {
     inner: Mutex<StreamingChecker>,
 }
@@ -1149,43 +1155,33 @@ pub struct CheckingSink {
 impl CheckingSink {
     /// Creates a sink wrapping a fresh checker.
     pub fn new() -> Self {
-        Self {
-            inner: Mutex::new(StreamingChecker::new()),
-        }
+        Self::default()
+    }
+
+    /// Every update leaves the checker valid, so a poisoned lock is
+    /// recovered: sinks are best-effort by contract.
+    fn checker(&self) -> MutexGuard<'_, StreamingChecker> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Events fed so far.
     pub fn events(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .events()
+        self.checker().index
     }
 
-    /// Consumes the sink and renders the final verdict.
-    pub fn into_report(self) -> InvariantReport {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .finish()
-    }
-}
-
-impl Default for CheckingSink {
-    fn default() -> Self {
-        Self::new()
+    /// Takes the verdict on everything recorded so far, leaving a fresh
+    /// checker behind: a sink that emitters still share can be asked.
+    pub fn take_report(&self) -> InvariantReport {
+        std::mem::take(&mut *self.checker()).finish()
     }
 }
 
 impl TraceSink for CheckingSink {
     fn record(&self, event: TraceEvent) {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .feed(&event);
+        self.checker().feed(&event);
     }
-
-    fn flush(&self) {}
 }
 
 #[cfg(test)]
@@ -1227,6 +1223,14 @@ mod tests {
         sink.snapshot()
     }
 
+    fn healthy_con() -> Vec<TraceEvent> {
+        healthy_trace(false)
+    }
+
+    fn healthy_dyn() -> Vec<TraceEvent> {
+        healthy_trace(true)
+    }
+
     #[test]
     fn healthy_constant_trace_is_clean() {
         let events = healthy_trace(false);
@@ -1240,86 +1244,6 @@ mod tests {
         let events = healthy_trace(true);
         let report = InvariantChecker::check(&events);
         assert!(report.is_clean(), "{report}");
-    }
-
-    #[test]
-    fn duplicate_member_is_caught() {
-        let mut events = healthy_trace(false);
-        for e in &mut events {
-            if let TraceEvent::GroupFormed { members, .. } = e {
-                members[1] = members[0];
-                break;
-            }
-        }
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("duplicate members")),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn corrupted_weight_row_is_caught() {
-        let mut events = healthy_trace(false);
-        for e in &mut events {
-            if let TraceEvent::GroupFormed { weights, .. } = e {
-                weights[0] += 0.25;
-                break;
-            }
-        }
-        let report = InvariantChecker::check(&events);
-        assert!(!report.is_clean(), "{report}");
-    }
-
-    #[test]
-    fn iteration_regression_is_caught() {
-        let mut events = healthy_trace(false);
-        let mut seen: BTreeMap<usize, usize> = BTreeMap::new();
-        // Set a worker's *second* signal below its first.
-        let mut target = None;
-        for (i, e) in events.iter().enumerate() {
-            if let TraceEvent::SignalEnqueued { worker, .. } = e {
-                if seen.contains_key(worker) {
-                    target = Some(i);
-                    break;
-                }
-                seen.insert(*worker, i);
-            }
-        }
-        let i = target.expect("trace has repeat signals");
-        if let TraceEvent::SignalEnqueued { iteration, .. } = &mut events[i] {
-            *iteration = 0;
-        }
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("does not advance")),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn bad_fast_forward_is_caught() {
-        let mut events = healthy_trace(true);
-        for e in &mut events {
-            if let TraceEvent::GroupFormed { new_iteration, .. } = e {
-                *new_iteration += 5;
-                break;
-            }
-        }
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("fast-forwards")),
-            "{report}"
-        );
     }
 
     #[test]
@@ -1338,53 +1262,46 @@ mod tests {
         );
     }
 
-    #[test]
-    fn departed_member_in_group_is_caught() {
-        let events = vec![
-            TraceEvent::RunStarted {
-                config: ControllerConfig::constant(4, 2),
-            },
-            TraceEvent::SignalEnqueued {
-                worker: 0,
-                iteration: 1,
-                queued: 1,
-            },
-            TraceEvent::WorkerLeft {
-                worker: 1,
-                active: 3,
-                purged_signal: false,
-            },
-            TraceEvent::SignalEnqueued {
-                worker: 1,
-                iteration: 1,
-                queued: 2,
-            },
-            TraceEvent::GroupFormed {
-                sequence: 0,
-                members: vec![0, 1],
-                iterations: vec![1, 1],
-                weights: vec![0.5, 0.5],
-                new_iteration: 1,
-                repaired: false,
-            },
-        ];
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("departed worker 1")),
-            "{report}"
-        );
+    /// Nothing but the start of an N = 4, P = 2 CON run.
+    fn bare_trace() -> Vec<TraceEvent> {
+        vec![TraceEvent::RunStarted {
+            config: ControllerConfig::constant(4, 2),
+        }]
+    }
+
+    fn enqueued(worker: usize, iteration: u64, queued: usize) -> TraceEvent {
+        TraceEvent::SignalEnqueued {
+            worker,
+            iteration,
+            queued,
+        }
+    }
+
+    fn left(worker: usize, active: usize, purged_signal: bool) -> TraceEvent {
+        TraceEvent::WorkerLeft {
+            worker,
+            active,
+            purged_signal,
+        }
+    }
+
+    /// A CON pair at iteration 1, sequence 0.
+    fn pair(members: [usize; 2]) -> TraceEvent {
+        TraceEvent::GroupFormed {
+            sequence: 0,
+            members: members.to_vec(),
+            iterations: vec![1, 1],
+            weights: vec![0.5, 0.5],
+            new_iteration: 1,
+            repaired: false,
+        }
     }
 
     /// A well-formed eviction narrative: silence, eviction with the
     /// post-eviction count, then the ordinary departure event.
     fn eviction_trace() -> Vec<TraceEvent> {
-        vec![
-            TraceEvent::RunStarted {
-                config: ControllerConfig::constant(4, 2),
-            },
+        let mut events = bare_trace();
+        events.extend([
             TraceEvent::HeartbeatMissed {
                 worker: 2,
                 misses: 3,
@@ -1393,103 +1310,16 @@ mod tests {
                 worker: 2,
                 active: 3,
             },
-            TraceEvent::WorkerLeft {
-                worker: 2,
-                active: 3,
-                purged_signal: false,
-            },
-        ]
-    }
-
-    #[test]
-    fn justified_eviction_is_clean() {
-        let report = InvariantChecker::check(&eviction_trace());
-        assert!(report.is_clean(), "{report}");
-    }
-
-    #[test]
-    fn fault_injection_justifies_eviction() {
-        let mut events = eviction_trace();
-        events[1] = TraceEvent::FaultInjected {
-            worker: 2,
-            fault: "crash@40".to_string(),
-            iteration: 40,
-        };
-        let report = InvariantChecker::check(&events);
-        assert!(report.is_clean(), "{report}");
-    }
-
-    #[test]
-    fn unjustified_eviction_is_caught() {
-        let mut events = eviction_trace();
-        events.remove(1); // drop the HeartbeatMissed
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("without prior")),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn eviction_active_count_mismatch_is_caught() {
-        let mut events = eviction_trace();
-        if let TraceEvent::WorkerEvicted { active, .. } = &mut events[2] {
-            *active = 4; // pre-eviction count smuggled in
-        }
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("eviction reports 4 active")),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn evicted_member_in_group_before_departure_is_caught() {
-        let mut events = eviction_trace();
-        events.pop(); // eviction never resolved by WorkerLeft
-        events.extend([
-            TraceEvent::SignalEnqueued {
-                worker: 2,
-                iteration: 1,
-                queued: 1,
-            },
-            TraceEvent::SignalEnqueued {
-                worker: 0,
-                iteration: 1,
-                queued: 2,
-            },
-            TraceEvent::GroupFormed {
-                sequence: 0,
-                members: vec![0, 2],
-                iterations: vec![1, 1],
-                weights: vec![0.5, 0.5],
-                new_iteration: 1,
-                repaired: false,
-            },
+            left(2, 3, false),
         ]);
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("evicted worker 2 appears")),
-            "{report}"
-        );
+        events
     }
 
     /// A well-formed process-fleet narrative: join, disconnect, eviction
     /// justified by the dropped connection, then ordinary departure.
     fn fleet_trace() -> Vec<TraceEvent> {
-        vec![
-            TraceEvent::RunStarted {
-                config: ControllerConfig::constant(4, 2),
-            },
+        let mut events = bare_trace();
+        events.extend([
             TraceEvent::ProcessJoined {
                 worker: 2,
                 addr: "127.0.0.1:4242".to_string(),
@@ -1499,96 +1329,17 @@ mod tests {
                 worker: 2,
                 active: 3,
             },
-            TraceEvent::WorkerLeft {
-                worker: 2,
-                active: 3,
-                purged_signal: false,
-            },
-        ]
-    }
-
-    #[test]
-    fn disconnect_justifies_eviction() {
-        let report = InvariantChecker::check(&fleet_trace());
-        assert!(report.is_clean(), "{report}");
-    }
-
-    #[test]
-    fn disconnect_without_join_is_caught() {
-        let mut events = fleet_trace();
-        events.remove(1); // drop the ProcessJoined
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("never joined")),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn duplicate_join_is_caught() {
-        let mut events = fleet_trace();
-        events.insert(
-            2,
-            TraceEvent::ProcessJoined {
-                worker: 2,
-                addr: "127.0.0.1:4243".to_string(),
-            },
-        );
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("joined the fleet twice")),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn disconnect_after_departure_is_caught() {
-        let mut events = fleet_trace();
-        events.push(TraceEvent::ProcessDisconnected { worker: 2 });
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("after it already departed")),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn out_of_range_join_is_caught() {
-        let mut events = fleet_trace();
-        events.insert(
-            1,
-            TraceEvent::ProcessJoined {
-                worker: 9,
-                addr: "127.0.0.1:9999".to_string(),
-            },
-        );
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("out-of-range worker 9 joined")),
-            "{report}"
-        );
+            left(2, 3, false),
+        ]);
+        events
     }
 
     /// A well-formed elasticity narrative (DESIGN.md §14): snapshot,
     /// crash departure, restore from the snapshot, reshard, and the
     /// resumed signal one past the snapshot iteration.
     fn elastic_trace() -> Vec<TraceEvent> {
-        vec![
-            TraceEvent::RunStarted {
-                config: ControllerConfig::constant(4, 2),
-            },
+        let mut events = bare_trace();
+        events.extend([
             TraceEvent::SnapshotTaken {
                 worker: Some(2),
                 iteration: 5,
@@ -1606,11 +1357,7 @@ mod tests {
                 worker: 2,
                 active: 3,
             },
-            TraceEvent::WorkerLeft {
-                worker: 2,
-                active: 3,
-                purged_signal: false,
-            },
+            left(2, 3, false),
             TraceEvent::WorkerRestored {
                 worker: 2,
                 iteration: 5,
@@ -1620,179 +1367,414 @@ mod tests {
                 moved: 3,
                 total: 100,
             },
-            TraceEvent::SignalEnqueued {
-                worker: 2,
-                iteration: 6,
-                queued: 1,
-            },
-        ]
+            enqueued(2, 6, 1),
+        ]);
+        events
     }
 
-    #[test]
-    fn elastic_restore_narrative_is_clean() {
-        let report = InvariantChecker::check(&elastic_trace());
-        assert!(report.is_clean(), "{report}");
+    fn first_group(events: &mut [TraceEvent]) -> &mut TraceEvent {
+        events
+            .iter_mut()
+            .find(|e| matches!(e, TraceEvent::GroupFormed { .. }))
+            .expect("trace forms a group")
     }
 
-    #[test]
-    fn restore_rewinds_the_iteration_floor() {
-        // The worker reported iteration 8 before crashing; resuming at 6
-        // after a restore from the iteration-5 snapshot is legitimate
-        // time-travel back to durable state.
-        let events = vec![
-            TraceEvent::RunStarted {
-                config: ControllerConfig::constant(4, 2),
-            },
-            TraceEvent::SignalEnqueued {
-                worker: 2,
-                iteration: 8,
-                queued: 1,
-            },
-            TraceEvent::SnapshotTaken {
-                worker: Some(2),
-                iteration: 5,
-            },
-            TraceEvent::FaultInjected {
-                worker: 2,
-                fault: "crash@8".to_string(),
-                iteration: 8,
-            },
-            TraceEvent::WorkerLeft {
-                worker: 2,
-                active: 3,
-                purged_signal: true,
-            },
-            TraceEvent::WorkerRestored {
-                worker: 2,
-                iteration: 5,
-                active: 4,
-            },
-            TraceEvent::SignalEnqueued {
-                worker: 2,
-                iteration: 6,
-                queued: 1,
-            },
-        ];
-        let report = InvariantChecker::check(&events);
-        assert!(report.is_clean(), "{report}");
-    }
-
-    #[test]
-    fn restored_worker_must_advance_past_the_snapshot() {
-        let mut events = elastic_trace();
-        let last = events.len() - 1;
-        if let TraceEvent::SignalEnqueued { iteration, .. } = &mut events[last] {
-            *iteration = 5; // stuck at the snapshot, not past it
+    fn duplicate_first_member(events: &mut [TraceEvent]) {
+        if let TraceEvent::GroupFormed { members, .. } = first_group(events) {
+            members[1] = members[0];
         }
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("does not advance")),
-            "{report}"
-        );
     }
 
-    #[test]
-    fn restore_without_departure_is_caught() {
-        let events = vec![
-            TraceEvent::RunStarted {
-                config: ControllerConfig::constant(4, 2),
-            },
-            TraceEvent::WorkerRestored {
-                worker: 1,
-                iteration: 3,
-                active: 5,
-            },
-        ];
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("without having departed")),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn restore_active_count_mismatch_is_caught() {
-        let mut events = elastic_trace();
-        for e in &mut events {
-            if let TraceEvent::WorkerRestored { active, .. } = e {
-                *active = 3; // pre-restore count smuggled in
-            }
-        }
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("restore reports 3 active")),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn snapshot_of_departed_worker_is_caught() {
-        let mut events = elastic_trace();
-        let restore_at = events
-            .iter()
-            .position(|e| matches!(e, TraceEvent::WorkerRestored { .. }))
-            .unwrap();
-        events.insert(
-            restore_at,
-            TraceEvent::SnapshotTaken {
-                worker: Some(2),
-                iteration: 8,
-            },
-        );
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("snapshot taken of departed worker 2")),
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn excessive_reshard_churn_is_caught() {
-        let mut events = elastic_trace();
-        for e in &mut events {
+    fn reshard_five_percent(events: &mut [TraceEvent]) {
+        for e in events {
             if let TraceEvent::ShardsReassigned { moved, .. } = e {
                 *moved = 5; // exactly the 5% boundary — still too much
             }
         }
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("gratuitous churn")),
-            "{report}"
-        );
+    }
+
+    /// One forgery: its name, a well-formed trace, the edit applied to it,
+    /// and a fragment of the one message the checker must answer with
+    /// (`None`: the edited trace is still well-formed and must stay
+    /// clean).
+    type Forgery = (
+        &'static str,
+        fn() -> Vec<TraceEvent>,
+        fn(&mut Vec<TraceEvent>),
+        Option<&'static str>,
+    );
+
+    const FORGERIES: &[Forgery] = &[
+        (
+            "duplicate_member_is_caught",
+            healthy_con,
+            |events| duplicate_first_member(events),
+            Some("duplicate members"),
+        ),
+        (
+            "corrupted_weight_row_is_caught",
+            healthy_con,
+            |events| {
+                if let TraceEvent::GroupFormed { weights, .. } = first_group(events) {
+                    weights[0] += 0.25;
+                }
+            },
+            Some("weights sum to"),
+        ),
+        (
+            "iteration_regression_is_caught",
+            healthy_con,
+            |events| {
+                // Set a worker's *second* signal below its first.
+                let mut seen = Vec::new();
+                for e in events {
+                    if let TraceEvent::SignalEnqueued {
+                        worker, iteration, ..
+                    } = e
+                    {
+                        if seen.contains(worker) {
+                            *iteration = 0;
+                            return;
+                        }
+                        seen.push(*worker);
+                    }
+                }
+                panic!("trace has no repeat signals");
+            },
+            Some("does not advance"),
+        ),
+        (
+            "bad_fast_forward_is_caught",
+            healthy_dyn,
+            |events| {
+                if let TraceEvent::GroupFormed { new_iteration, .. } = first_group(events) {
+                    *new_iteration += 5;
+                }
+            },
+            Some("fast-forwards"),
+        ),
+        (
+            "departed_member_in_group_is_caught",
+            bare_trace,
+            |events| {
+                events.extend([
+                    enqueued(0, 1, 1),
+                    left(1, 3, false),
+                    enqueued(1, 1, 2),
+                    pair([0, 1]),
+                ])
+            },
+            Some("departed worker 1"),
+        ),
+        ("justified_eviction_is_clean", eviction_trace, |_| {}, None),
+        (
+            "fault_injection_justifies_eviction",
+            eviction_trace,
+            |events| {
+                events[1] = TraceEvent::FaultInjected {
+                    worker: 2,
+                    fault: "crash@40".to_string(),
+                    iteration: 40,
+                }
+            },
+            None,
+        ),
+        (
+            "unjustified_eviction_is_caught",
+            eviction_trace,
+            |events| {
+                events.remove(1); // drop the HeartbeatMissed
+            },
+            Some("without prior"),
+        ),
+        (
+            "eviction_active_count_mismatch_is_caught",
+            eviction_trace,
+            |events| {
+                if let TraceEvent::WorkerEvicted { active, .. } = &mut events[2] {
+                    *active = 4; // pre-eviction count smuggled in
+                }
+            },
+            Some("eviction reports 4 active"),
+        ),
+        (
+            "evicted_member_in_group_before_departure_is_caught",
+            eviction_trace,
+            |events| {
+                events.pop(); // eviction never resolved by WorkerLeft
+                events.extend([enqueued(2, 1, 1), enqueued(0, 1, 2), pair([0, 2])]);
+            },
+            Some("evicted worker 2 appears"),
+        ),
+        ("disconnect_justifies_eviction", fleet_trace, |_| {}, None),
+        (
+            "disconnect_without_join_is_caught",
+            fleet_trace,
+            |events| {
+                events.remove(1); // drop the ProcessJoined
+            },
+            Some("never joined"),
+        ),
+        (
+            "duplicate_join_is_caught",
+            fleet_trace,
+            |events| {
+                events.insert(
+                    2,
+                    TraceEvent::ProcessJoined {
+                        worker: 2,
+                        addr: "127.0.0.1:4243".to_string(),
+                    },
+                )
+            },
+            Some("joined the fleet twice"),
+        ),
+        (
+            "disconnect_after_departure_is_caught",
+            fleet_trace,
+            |events| events.push(TraceEvent::ProcessDisconnected { worker: 2 }),
+            Some("after it already departed"),
+        ),
+        (
+            "out_of_range_join_is_caught",
+            fleet_trace,
+            |events| {
+                events.insert(
+                    1,
+                    TraceEvent::ProcessJoined {
+                        worker: 9,
+                        addr: "127.0.0.1:9999".to_string(),
+                    },
+                )
+            },
+            Some("out-of-range worker 9 joined"),
+        ),
+        (
+            "elastic_restore_narrative_is_clean",
+            elastic_trace,
+            |_| {},
+            None,
+        ),
+        (
+            // The worker reported iteration 8 before crashing; resuming at
+            // 6 after a restore from the iteration-5 snapshot is
+            // legitimate time-travel back to durable state.
+            "restore_rewinds_the_iteration_floor",
+            bare_trace,
+            |events| {
+                events.extend([
+                    enqueued(2, 8, 1),
+                    TraceEvent::SnapshotTaken {
+                        worker: Some(2),
+                        iteration: 5,
+                    },
+                    TraceEvent::FaultInjected {
+                        worker: 2,
+                        fault: "crash@8".to_string(),
+                        iteration: 8,
+                    },
+                    left(2, 3, true),
+                    TraceEvent::WorkerRestored {
+                        worker: 2,
+                        iteration: 5,
+                        active: 4,
+                    },
+                    enqueued(2, 6, 1),
+                ])
+            },
+            None,
+        ),
+        (
+            "restored_worker_must_advance_past_the_snapshot",
+            elastic_trace,
+            |events| {
+                if let Some(TraceEvent::SignalEnqueued { iteration, .. }) = events.last_mut() {
+                    *iteration = 5; // stuck at the snapshot, not past it
+                }
+            },
+            Some("does not advance"),
+        ),
+        (
+            "restore_without_departure_is_caught",
+            bare_trace,
+            |events| {
+                events.push(TraceEvent::WorkerRestored {
+                    worker: 1,
+                    iteration: 3,
+                    active: 5,
+                })
+            },
+            Some("without having departed"),
+        ),
+        (
+            "restore_active_count_mismatch_is_caught",
+            elastic_trace,
+            |events| {
+                for e in events {
+                    if let TraceEvent::WorkerRestored { active, .. } = e {
+                        *active = 3; // pre-restore count smuggled in
+                    }
+                }
+            },
+            Some("restore reports 3 active"),
+        ),
+        (
+            "snapshot_of_departed_worker_is_caught",
+            elastic_trace,
+            |events| {
+                let restore_at = events
+                    .iter()
+                    .position(|e| matches!(e, TraceEvent::WorkerRestored { .. }))
+                    .unwrap();
+                events.insert(
+                    restore_at,
+                    TraceEvent::SnapshotTaken {
+                        worker: Some(2),
+                        iteration: 8,
+                    },
+                );
+            },
+            Some("snapshot taken of departed worker 2"),
+        ),
+        (
+            "excessive_reshard_churn_is_caught",
+            elastic_trace,
+            |events| reshard_five_percent(events),
+            Some("gratuitous churn"),
+        ),
+        (
+            "counter_mismatch_at_run_finished_is_caught",
+            healthy_con,
+            |events| {
+                events.push(TraceEvent::RunFinished {
+                    groups_formed: 10_000,
+                    repairs: 0,
+                    deferrals: 0,
+                    singletons: 0,
+                })
+            },
+            Some("groups_formed"),
+        ),
+        // The range rule, one row per handler that used to track a
+        // phantom rank silently.
+        (
+            "out_of_range_rejection_is_caught",
+            bare_trace,
+            |events| {
+                events.push(TraceEvent::SignalRejected {
+                    worker: 4,
+                    iteration: 1,
+                })
+            },
+            Some("out-of-range worker 4 had a signal rejected (N = 4)"),
+        ),
+        (
+            "out_of_range_singleton_is_caught",
+            bare_trace,
+            |events| {
+                events.push(TraceEvent::SingletonIssued {
+                    worker: 7,
+                    iteration: 1,
+                })
+            },
+            Some("out-of-range worker 7 was issued a singleton"),
+        ),
+        (
+            "out_of_range_heartbeat_miss_is_caught",
+            bare_trace,
+            |events| {
+                events.push(TraceEvent::HeartbeatMissed {
+                    worker: 4,
+                    misses: 1,
+                })
+            },
+            Some("out-of-range worker 4 missed heartbeats"),
+        ),
+        (
+            "out_of_range_disconnect_is_caught",
+            bare_trace,
+            |events| events.push(TraceEvent::ProcessDisconnected { worker: usize::MAX }),
+            Some("out-of-range worker 18446744073709551615 disconnected"),
+        ),
+        (
+            "out_of_range_eviction_is_caught",
+            bare_trace,
+            |events| {
+                events.push(TraceEvent::WorkerEvicted {
+                    worker: 5,
+                    active: 3,
+                })
+            },
+            Some("out-of-range worker 5 was evicted"),
+        ),
+        (
+            "out_of_range_completion_is_caught",
+            bare_trace,
+            |events| {
+                events.push(TraceEvent::ReduceCompleted {
+                    worker: 6,
+                    members: vec![6],
+                    new_iteration: 1,
+                })
+            },
+            Some("out-of-range worker 6 completed a reduce"),
+        ),
+        (
+            "out_of_range_drain_is_caught",
+            bare_trace,
+            |events| {
+                events.push(TraceEvent::PendingDrained {
+                    signals: vec![(4, 1)],
+                })
+            },
+            Some("out-of-range worker 4 had a signal drained"),
+        ),
+        (
+            "out_of_range_departure_is_caught",
+            bare_trace,
+            |events| events.push(left(9, 3, false)),
+            Some("out-of-range worker 9 left"),
+        ),
+    ];
+
+    #[test]
+    fn forged_traces_draw_the_expected_message() {
+        for &(name, base, forge, expected) in FORGERIES {
+            let mut events = base();
+            forge(&mut events);
+            let report = InvariantChecker::check(&events);
+            match expected {
+                None => assert!(report.is_clean(), "row {name}: {report}"),
+                Some(fragment) => assert!(
+                    report
+                        .violations
+                        .iter()
+                        .any(|v| v.message.contains(fragment)),
+                    "row {name}: no message contains {fragment:?} in {report}"
+                ),
+            }
+        }
     }
 
     #[test]
-    fn counter_mismatch_at_run_finished_is_caught() {
-        let mut events = healthy_trace(false);
-        events.push(TraceEvent::RunFinished {
-            groups_formed: 10_000,
-            repairs: 0,
-            deferrals: 0,
-            singletons: 0,
-        });
-        let report = InvariantChecker::check(&events);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.message.contains("groups_formed")),
-            "{report}"
-        );
+    fn worker_record_fits_thirty_two_bytes() {
+        // `peak_heap_mb` on the scale workloads is N of these.
+        assert!(std::mem::size_of::<WorkerRecord>() <= 32);
+    }
+
+    #[test]
+    fn in_flight_slots_are_recycled_without_completions() {
+        // A controller-only trace never completes a group: every new group
+        // displaces its members' previous one, and a slot with no holder
+        // left is reused — the slab stays bounded by the fleet, not the
+        // trace.
+        let mut checker = StreamingChecker::new();
+        for e in &healthy_trace(false) {
+            checker.feed(e);
+        }
+        assert!(checker.groups > 6);
+        assert!(checker.in_flight.len() <= 6, "{}", checker.in_flight.len());
+        assert!(checker.finish().is_clean());
     }
 
     /// Every golden trace this module builds, healthy and corrupted,
@@ -1807,19 +1789,10 @@ mod tests {
         ];
         // Corrupted variants so equivalence also covers violation paths.
         let mut dup = healthy_trace(false);
-        for e in &mut dup {
-            if let TraceEvent::GroupFormed { members, .. } = e {
-                members[1] = members[0];
-                break;
-            }
-        }
+        duplicate_first_member(&mut dup);
         traces.push(("dup_member", dup));
         let mut churn = elastic_trace();
-        for e in &mut churn {
-            if let TraceEvent::ShardsReassigned { moved, .. } = e {
-                *moved = 5;
-            }
-        }
+        reshard_five_percent(&mut churn);
         traces.push(("reshard_churn", churn));
         traces
     }
@@ -1845,7 +1818,7 @@ mod tests {
                 sink.record(e.clone());
             }
             assert_eq!(sink.events(), events.len(), "trace {name}");
-            assert_eq!(sink.into_report(), batch, "trace {name}");
+            assert_eq!(sink.take_report(), batch, "trace {name}");
         }
     }
 
@@ -2045,14 +2018,16 @@ mod tests {
         assert!(violations[0].contains("group 4 repaired an already-connected sync-graph"));
         assert!(violations[1].contains("repair group 5 does not bridge sync-graph components"));
 
-        // A departure event naming a rank outside the fleet must not
-        // panic the replica.
+        // A departure event naming a rank outside the fleet is reported
+        // (the range rule) and reaches neither the table nor the replica.
         story.events.push(TraceEvent::WorkerLeft {
             worker: 9,
             active: 3,
             purged_signal: false,
         });
         story.group([1, 2], false);
-        assert_eq!(story.violations().len(), 2);
+        let violations = story.violations();
+        assert_eq!(violations.len(), 3, "{violations:?}");
+        assert!(violations[2].contains("out-of-range worker 9 left (N = 4)"));
     }
 }

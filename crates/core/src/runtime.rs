@@ -365,8 +365,11 @@ pub fn spawn_tcp(
     launch(config, opts, ctl_link, worker_links)
 }
 
-/// Starts [`serve_fleet`] on its own thread over an already-minted link
+/// Starts the serving loop on its own thread over an already-minted link
 /// pair and zips the worker links with in-process data-plane endpoints.
+/// The [`Controller`] is built here, on the caller's thread, before the
+/// loop's thread or any [`PartialReducer`] exists, so its
+/// [`TraceEvent::RunStarted`] precedes whatever a worker narrates.
 fn launch<C, W>(
     config: ControllerConfig,
     opts: RuntimeOptions,
@@ -377,12 +380,17 @@ where
     C: ControlPlane + 'static,
     W: WorkerControlPlane + 'static,
 {
-    let sink = opts.sink.clone();
+    let RuntimeOptions {
+        sink,
+        liveness,
+        on_groups,
+    } = opts;
     let ctl_link = ObservedControlPlane::new(ctl_link, Arc::new(SinkObserver::new(sink.clone())));
     let endpoints = CommWorld::new(config.num_workers).into_endpoints();
+    let controller = Controller::with_sink(config, sink.clone());
     let join = thread::Builder::new()
         .name("preduce-controller".into())
-        .spawn(move || serve_fleet(config, ctl_link, &[], opts))
+        .spawn(move || serve(controller, ctl_link, &[], liveness, on_groups))
         .unwrap_or_else(|e| panic!("failed to spawn controller thread: {e}")); // lint: allow(panic-path) startup-only: OS refusing to spawn the controller thread is unrecoverable before training begins
 
     let reducers = worker_links
@@ -412,9 +420,11 @@ const INGEST_BATCH: usize = 1024;
 /// plus the fleet membership established at accept time (`joined`, empty
 /// for in-process fleets).
 ///
-/// One [`TraceEvent::ProcessJoined`] is narrated per `joined` entry before
-/// any signal is consumed, so a replayed trace proves the handshake
-/// preceded participation. Then, each pass of the loop:
+/// The [`Controller`] is constructed first — narrating
+/// [`TraceEvent::RunStarted`] — then one [`TraceEvent::ProcessJoined`] per
+/// `joined` entry before any signal is consumed, so a replayed trace
+/// proves the handshake preceded participation. Then, each pass of the
+/// loop:
 /// - ready signals are *always* ingested in batches
 ///   ([`ControlPlane::recv_events`] + [`Controller::ingest_ready`]) so a
 ///   signal storm costs one queue-scan per wakeup instead of one per
@@ -443,19 +453,24 @@ const INGEST_BATCH: usize = 1024;
 /// Panics if the config is invalid.
 pub fn serve_fleet<C: ControlPlane>(
     config: ControllerConfig,
-    mut link: C,
+    link: C,
     joined: &[(usize, String)],
     opts: RuntimeOptions,
 ) -> ControllerStats {
-    config.validate();
-    let RuntimeOptions {
-        sink,
-        liveness,
-        mut on_groups,
-    } = opts;
-    let n = config.num_workers;
-    let p = config.group_size;
-    let mut controller = Controller::with_sink(config, sink);
+    let controller = Controller::with_sink(config, opts.sink);
+    serve(controller, link, joined, opts.liveness, opts.on_groups)
+}
+
+/// [`serve_fleet`] over a controller that has already narrated its start.
+fn serve<C: ControlPlane>(
+    mut controller: Controller,
+    mut link: C,
+    joined: &[(usize, String)],
+    liveness: Option<LivenessPolicy>,
+    mut on_groups: Option<GroupHook>,
+) -> ControllerStats {
+    let n = controller.config().num_workers;
+    let p = controller.config().group_size;
     if controller.sink().enabled() {
         for (worker, addr) in joined {
             controller.sink().record(TraceEvent::ProcessJoined {
@@ -831,9 +846,35 @@ mod tests {
             let sink = Arc::try_unwrap(sink)
                 .unwrap_or_else(|_| panic!("{name}: a fleet handle outlived the run"));
             assert_eq!(sink.joins.into_inner(), expect_joins, "{name}");
-            let report = sink.checker.into_report();
+            let report = sink.checker.take_report();
             assert!(report.is_clean(), "{name}: {report}");
             assert_eq!(report.groups, stats.groups_formed, "{name}");
+        }
+    }
+
+    #[test]
+    fn run_started_is_narrated_before_the_constructor_returns() {
+        // Workers narrate to the same sink from their own threads (a
+        // cadence-1 snapshot, an injected fault) as soon as they hold a
+        // reducer, and the checker wants `RunStarted` first — so it must
+        // be in the sink before any reducer is handed out, not whenever
+        // the controller thread gets scheduled.
+        for (name, spawner) in [("spawn", spawn as Spawner), ("spawn_tcp", spawn_tcp)] {
+            let sink = Arc::new(crate::trace::RingSink::new(64));
+            let opts = RuntimeOptions {
+                sink: sink.clone(),
+                ..RuntimeOptions::default()
+            };
+            let (handle, reducers) = spawner(ControllerConfig::constant(2, 2), opts);
+            let first = sink.snapshot().into_iter().next();
+            assert!(
+                matches!(first, Some(TraceEvent::RunStarted { .. })),
+                "{name}: first event {first:?}"
+            );
+            for mut r in reducers {
+                r.finish().unwrap();
+            }
+            handle.join();
         }
     }
 
@@ -865,7 +906,7 @@ mod tests {
         assert_eq!(stats.evictions, 0, "stats: {stats:?}");
         drop(rogue);
         let sink = Arc::try_unwrap(sink).unwrap_or_else(|_| panic!("sink still shared"));
-        let report = sink.checker.into_report();
+        let report = sink.checker.take_report();
         assert!(report.is_clean(), "{report}");
     }
 

@@ -403,14 +403,15 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Reads a JSONL trace back into events.
+/// Streams a JSONL trace through `each`, one event per line; the file is
+/// never materialized. The one reader behind [`read_jsonl`] and
+/// [`crate::invariants::InvariantChecker::check_jsonl`].
 ///
 /// Empty lines are skipped; a malformed line is an
 /// [`io::ErrorKind::InvalidData`] error naming its line number.
-pub fn read_jsonl<P: AsRef<Path>>(path: P) -> io::Result<Vec<TraceEvent>> {
+pub fn stream_jsonl<P: AsRef<Path>>(path: P, mut each: impl FnMut(TraceEvent)) -> io::Result<()> {
     let file = std::fs::File::open(path)?;
     let reader = io::BufReader::new(file);
-    let mut events = Vec::new();
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         if line.trim().is_empty() {
@@ -422,8 +423,15 @@ pub fn read_jsonl<P: AsRef<Path>>(path: P) -> io::Result<Vec<TraceEvent>> {
                 format!("trace line {}: {e}", idx + 1),
             )
         })?;
-        events.push(event);
+        each(event);
     }
+    Ok(())
+}
+
+/// Reads a JSONL trace back into events ([`stream_jsonl`] into a `Vec`).
+pub fn read_jsonl<P: AsRef<Path>>(path: P) -> io::Result<Vec<TraceEvent>> {
+    let mut events = Vec::new();
+    stream_jsonl(path, |event| events.push(event))?;
     Ok(events)
 }
 

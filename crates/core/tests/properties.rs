@@ -6,7 +6,7 @@ use std::sync::Arc;
 use partial_reduce::{
     constant_weights, dynamic_weights, min_history_window, spectral_gap, sync_matrix,
     weighted_sync_matrix, AggregationMode, Controller, ControllerConfig, GapPolicy, GroupHistory,
-    InvariantChecker, RingSink, StreamingChecker, SyncGraph, WindowedConnectivity,
+    InvariantChecker, RingSink, StreamingChecker, SyncGraph, TraceEvent, WindowedConnectivity,
 };
 use proptest::prelude::*;
 
@@ -458,5 +458,228 @@ proptest! {
             streaming.feed(e);
         }
         prop_assert_eq!(streaming.finish(), batch);
+    }
+
+    #[test]
+    fn hostile_streams_cannot_panic_the_checker(
+        seed in any::<u64>(),
+        n in 2usize..17,
+        len in 0usize..120,
+        start in 0u8..4,
+        oversized_p in any::<bool>(),
+        dynamic in any::<bool>(),
+    ) {
+        // `preduce trace --check FILE` feeds bytes from outside the
+        // program into a table indexed by rank. Whatever the stream says —
+        // ranks at and beyond N, `RunStarted` absent (0), first (1), late
+        // (2) or repeated (3), P > N, member lists with repeats and the
+        // wrong length, counters at the integer limits — the checker must
+        // not panic, must count every event, must be deterministic, and
+        // must name every rank >= N that a per-worker event carries.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let p = if oversized_p { n + 1 } else { rng.gen_range(2..n + 1) };
+        let config = ControllerConfig {
+            num_workers: n,
+            group_size: p,
+            mode: if dynamic {
+                AggregationMode::dynamic_default()
+            } else {
+                AggregationMode::Constant
+            },
+            history_window: Some(rng.gen_range(1..6usize)),
+            frozen_avoidance: rng.gen_bool(0.8),
+        };
+        let mut last_group = Vec::new();
+        let mut events: Vec<TraceEvent> = (0..len)
+            .map(|_| hostile_event(&mut rng, n, p, &mut last_group))
+            .collect();
+        let started = TraceEvent::RunStarted { config };
+        match start {
+            0 => {}
+            1 => events.insert(0, started),
+            2 => events.insert(rng.gen_range(0..len + 1), started),
+            _ => {
+                events.insert(rng.gen_range(0..len + 1), started.clone());
+                events.insert(0, started);
+            }
+        }
+
+        let report = InvariantChecker::check(&events);
+        prop_assert_eq!(report.events, events.len());
+        prop_assert_eq!(&InvariantChecker::check(&events), &report);
+
+        let mut n_known = false;
+        for (i, event) in events.iter().enumerate() {
+            if matches!(event, TraceEvent::RunStarted { .. }) {
+                n_known = true;
+            }
+            if !n_known {
+                continue;
+            }
+            for rank in ranks_with_records(event).into_iter().filter(|&r| r >= n) {
+                let named = format!("out-of-range worker {rank} ");
+                prop_assert!(
+                    report.violations.iter().any(|v| v.index == i && v.message.contains(&named)),
+                    "event {i} ({event:?}) carries rank {rank} >= N = {n}, unreported in {report}"
+                );
+            }
+        }
+    }
+}
+
+/// A rank from `{0..N, N, N + 1, usize::MAX}`, in range two times in three.
+fn hostile_rank(rng: &mut rand::rngs::StdRng, n: usize) -> usize {
+    use rand::Rng;
+    match rng.gen_range(0..9u8) {
+        0 => n,
+        1 => n + 1,
+        2 => usize::MAX,
+        _ => rng.gen_range(0..n),
+    }
+}
+
+/// One event from the whole vocabulary but `RunStarted`, every field drawn
+/// without regard for what came before it — except that a completion
+/// usually names the last formed group, so in-flight groups do get
+/// completed, partly completed and completed twice.
+fn hostile_event(
+    rng: &mut rand::rngs::StdRng,
+    n: usize,
+    p: usize,
+    last_group: &mut Vec<usize>,
+) -> TraceEvent {
+    use rand::Rng;
+    let worker = hostile_rank(rng, n);
+    let iteration = rng.gen_range(0..40u64);
+    let count = match rng.gen_range(0..8u8) {
+        0 => usize::MAX,
+        _ => rng.gen_range(0..n + 2),
+    };
+    // Usually P members, sometimes none, one, or too many; repeats allowed.
+    let len = match rng.gen_range(0..6u8) {
+        0 => rng.gen_range(0..p + 3),
+        _ => p,
+    };
+    let members: Vec<usize> = (0..len).map(|_| hostile_rank(rng, n)).collect();
+    match rng.gen_range(0..17u8) {
+        0 => TraceEvent::SignalEnqueued {
+            worker,
+            iteration,
+            queued: count,
+        },
+        1 => TraceEvent::SignalRejected { worker, iteration },
+        2 => TraceEvent::GroupDeferred {
+            queued: count,
+            active: count,
+        },
+        3 | 4 => {
+            let aligned = if rng.gen_bool(0.8) {
+                len
+            } else {
+                rng.gen_range(0..len + 2)
+            };
+            last_group.clone_from(&members);
+            TraceEvent::GroupFormed {
+                sequence: if rng.gen_bool(0.1) {
+                    u64::MAX
+                } else {
+                    rng.gen_range(0..30u64)
+                },
+                members,
+                iterations: (0..aligned).map(|_| rng.gen_range(0..40u64)).collect(),
+                weights: (0..aligned).map(|_| 1.0 / aligned as f32).collect(),
+                new_iteration: iteration,
+                repaired: rng.gen_bool(0.3),
+            }
+        }
+        5 => TraceEvent::AssignmentSent {
+            worker,
+            members,
+            base_tag: iteration,
+        },
+        6 | 7 if !last_group.is_empty() && rng.gen_bool(0.7) => TraceEvent::ReduceCompleted {
+            worker: last_group[rng.gen_range(0..last_group.len())],
+            members: last_group.clone(),
+            new_iteration: iteration,
+        },
+        6 | 7 => TraceEvent::ReduceCompleted {
+            worker,
+            members,
+            new_iteration: iteration,
+        },
+        8 => TraceEvent::WorkerLeft {
+            worker,
+            active: count,
+            purged_signal: rng.gen_bool(0.5),
+        },
+        9 => TraceEvent::PendingDrained {
+            signals: members.into_iter().map(|w| (w, iteration)).collect(),
+        },
+        10 => TraceEvent::SingletonIssued { worker, iteration },
+        11 => TraceEvent::FaultInjected {
+            worker,
+            fault: "crash@1".to_string(),
+            iteration,
+        },
+        12 => TraceEvent::ProcessJoined {
+            worker,
+            addr: "127.0.0.1:1".to_string(),
+        },
+        13 => TraceEvent::ProcessDisconnected { worker },
+        14 => TraceEvent::HeartbeatMissed {
+            worker,
+            misses: rng.gen_range(0..3u64),
+        },
+        15 => TraceEvent::WorkerEvicted {
+            worker,
+            active: count,
+        },
+        _ => match rng.gen_range(0..4u8) {
+            0 => TraceEvent::SnapshotTaken {
+                worker: rng.gen_bool(0.7).then_some(worker),
+                iteration,
+            },
+            1 => TraceEvent::WorkerRestored {
+                worker,
+                iteration,
+                active: count,
+            },
+            2 => TraceEvent::ShardsReassigned {
+                moved: count,
+                total: count / 2,
+            },
+            _ => TraceEvent::RunFinished {
+                groups_formed: iteration,
+                repairs: 0,
+                deferrals: 0,
+                singletons: 0,
+            },
+        },
+    }
+}
+
+/// The ranks an event asks the checker to look up a record for. (An
+/// `AssignmentSent` is checked against its own member list only.)
+fn ranks_with_records(event: &TraceEvent) -> Vec<usize> {
+    match event {
+        TraceEvent::SignalEnqueued { worker, .. }
+        | TraceEvent::SignalRejected { worker, .. }
+        | TraceEvent::ReduceCompleted { worker, .. }
+        | TraceEvent::WorkerLeft { worker, .. }
+        | TraceEvent::SingletonIssued { worker, .. }
+        | TraceEvent::FaultInjected { worker, .. }
+        | TraceEvent::ProcessJoined { worker, .. }
+        | TraceEvent::ProcessDisconnected { worker }
+        | TraceEvent::HeartbeatMissed { worker, .. }
+        | TraceEvent::WorkerEvicted { worker, .. }
+        | TraceEvent::WorkerRestored { worker, .. }
+        | TraceEvent::SnapshotTaken {
+            worker: Some(worker),
+            ..
+        } => vec![*worker],
+        TraceEvent::GroupFormed { members, .. } => members.clone(),
+        TraceEvent::PendingDrained { signals } => signals.iter().map(|&(w, _)| w).collect(),
+        _ => Vec::new(),
     }
 }

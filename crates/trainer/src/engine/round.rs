@@ -175,11 +175,6 @@ mod tests {
                 on_groups: None,
             },
         );
-        // The controller thread narrates `RunStarted`; a worker's first
-        // snapshot must not overtake it in the trace.
-        while sink.snapshot().is_empty() {
-            thread::yield_now();
-        }
 
         let threads: Vec<_> = fleet
             .workers
