@@ -127,12 +127,13 @@ impl Dataset {
         );
         let n_train = self.len() - n_test;
         let d = self.feature_dim();
-        let data = self.features.into_vec();
-        let (train_data, test_data) = (data[..n_train * d].to_vec(), data[n_train * d..].to_vec());
-        let (train_labels, test_labels) = (
-            self.labels[..n_train].to_vec(),
-            self.labels[n_train..].to_vec(),
-        );
+        // The test rows move out; the training rows stay where they are.
+        let mut train_data = self.features.into_vec();
+        let test_data = train_data.split_off(n_train * d);
+        train_data.shrink_to_fit();
+        let mut train_labels = self.labels;
+        let test_labels = train_labels.split_off(n_train);
+        train_labels.shrink_to_fit();
         (
             Dataset::new(
                 Tensor::from_vec(train_data, [n_train, d]).expect("sizes match"),

@@ -4,8 +4,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal, StandardNormal};
 
-use preduce_tensor::Tensor;
+use preduce_tensor::{kernels, Tensor};
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 
 use crate::dataset::Dataset;
 
@@ -114,7 +115,20 @@ impl GaussianMixture {
     /// # Panics
     /// Panics if `n == 0`.
     pub fn sample<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Dataset {
+        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        self.sample_on(n, rng, threads.min(8))
+    }
+
+    /// [`GaussianMixture::sample`] with the nonlinear warp spread over at
+    /// most `threads` threads. The draws from `rng` are sequential and the
+    /// warp maps each row on its own, so the dataset is the same bits for
+    /// every thread count.
+    ///
+    /// # Panics
+    /// Panics if `n == 0` or `threads == 0`.
+    pub fn sample_on<R: Rng + ?Sized>(&self, n: usize, rng: &mut R, threads: usize) -> Dataset {
         assert!(n > 0, "cannot sample an empty dataset");
+        assert!(threads > 0, "thread count must be positive");
         let d = self.config.feature_dim;
         let c = self.config.num_classes;
         let noise = Normal::new(0.0f32, self.config.noise_std.max(1e-12)).expect("std positive");
@@ -130,17 +144,45 @@ impl GaussianMixture {
                 data.push(cx + noise.sample(rng));
             }
         }
-        let mut features = Tensor::from_vec(data, [n, d]).expect("volume matches");
-
         if let Some(warp) = &self.warp {
-            features = preduce_tensor::matmul(&features, warp);
-            for v in features.as_mut_slice() {
-                *v = v.tanh();
-            }
+            warp_rows(&mut data, d, warp.as_slice(), threads);
         }
-
+        let features = Tensor::from_vec(data, [n, d]).expect("volume matches");
         Dataset::new(features, labels, c)
     }
+}
+
+/// Rows warped per GEMM call: the block's product (64 × d floats) stays in
+/// L1/L2 between the multiply and the `tanh` that consumes it.
+const WARP_BLOCK_ROWS: usize = 64;
+
+/// `row ← tanh(row · warp)` for every `d`-wide row of `data`, in place: a
+/// block of rows at a time through a block-sized product buffer. Up to
+/// `threads` threads (the caller's included) claim blocks as they finish
+/// the last one, so a helper that is scheduled late delays nothing.
+fn warp_rows(data: &mut [f32], d: usize, warp: &[f32], threads: usize) {
+    let block_len = WARP_BLOCK_ROWS * d;
+    let helpers = threads.min(data.len().div_ceil(block_len)) - 1;
+    let blocks = Mutex::new(data.chunks_mut(block_len));
+    let claim_and_warp = || {
+        let mut product = vec![0.0f32; block_len];
+        loop {
+            let claimed = blocks.lock().expect("no claimant panics").next();
+            let Some(block) = claimed else { break };
+            let product = &mut product[..block.len()];
+            product.fill(0.0);
+            kernels::gemm(block.len() / d, d, d, block, warp, product);
+            for (x, &y) in block.iter_mut().zip(product.iter()) {
+                *x = y.tanh();
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..helpers {
+            scope.spawn(claim_and_warp);
+        }
+        claim_and_warp();
+    });
 }
 
 #[cfg(test)]

@@ -25,6 +25,10 @@ impl Layer for Relu {
         relu(x)
     }
 
+    fn infer(&self, x: &Tensor) -> Tensor {
+        relu(x)
+    }
+
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let input = self
             .input
@@ -72,11 +76,16 @@ impl Layer for Tanh {
     }
 
     fn forward(&mut self, x: &Tensor) -> Tensor {
+        let y = self.infer(x);
+        self.output = Some(y.clone());
+        y
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         let mut y = x.clone();
         for v in y.as_mut_slice() {
             *v = v.tanh();
         }
-        self.output = Some(y.clone());
         y
     }
 

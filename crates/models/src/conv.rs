@@ -175,26 +175,10 @@ impl Conv2d {
         }
         Tensor::from_vec(dx, [batch, row_len]).expect("col2im volume matches")
     }
-}
 
-fn out_hw(
-    in_h: usize,
-    in_w: usize,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-) -> (usize, usize) {
-    let oh = (in_h + 2 * padding).saturating_sub(kernel) / stride + 1;
-    let ow = (in_w + 2 * padding).saturating_sub(kernel) / stride + 1;
-    (oh, ow)
-}
-
-impl Layer for Conv2d {
-    fn name(&self) -> &'static str {
-        "conv2d"
-    }
-
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    /// The `[batch, out_c · positions]` output and the im2col matrix it
+    /// was computed from.
+    fn convolve(&self, x: &Tensor) -> (Tensor, Tensor) {
         assert_eq!(
             x.shape().dim(1),
             self.input_features(),
@@ -221,12 +205,14 @@ impl Layer for Conv2d {
                 }
             }
         }
-        self.col = Some(col);
-        self.batch = batch;
-        Tensor::from_vec(y, [batch, self.out_c * positions]).expect("conv output volume matches")
+        let y = Tensor::from_vec(y, [batch, self.out_c * positions])
+            .expect("conv output volume matches");
+        (y, col)
     }
 
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
+    /// Accumulates the weight and bias gradients from the cached im2col
+    /// matrix; returns `grad` rearranged to `[batch · positions, out_c]`.
+    fn accumulate(&mut self, grad: &Tensor) -> Tensor {
         let col = self
             .col
             .take()
@@ -262,9 +248,47 @@ impl Layer for Conv2d {
             batch * positions,
             self.out_c,
         );
+        gmat
+    }
+}
+
+fn out_hw(
+    in_h: usize,
+    in_w: usize,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+) -> (usize, usize) {
+    let oh = (in_h + 2 * padding).saturating_sub(kernel) / stride + 1;
+    let ow = (in_w + 2 * padding).saturating_sub(kernel) / stride + 1;
+    (oh, ow)
+}
+
+impl Layer for Conv2d {
+    fn name(&self) -> &'static str {
+        "conv2d"
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let (y, col) = self.convolve(x);
+        self.col = Some(col);
+        self.batch = x.shape().dim(0);
+        y
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.convolve(x).0
+    }
+
+    fn backward(&mut self, grad: &Tensor) -> Tensor {
+        let gmat = self.accumulate(grad);
         // dcol = gmat · W : [batch*positions, K], then scatter back.
         let dcol = matmul(&gmat, &self.weight);
-        self.col2im(&dcol, batch)
+        self.col2im(&dcol, self.batch)
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) {
+        self.accumulate(grad);
     }
 
     fn params(&self) -> Vec<&Tensor> {

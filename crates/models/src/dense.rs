@@ -10,6 +10,9 @@ pub struct Dense {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
+    /// Whether `grad_weight` is all `+0.0`: set by [`Layer::zero_grads`],
+    /// cleared by the first backward after it.
+    grad_weight_zeroed: bool,
     /// Cached forward input, needed for the weight gradient.
     input: Option<Tensor>,
     in_features: usize,
@@ -31,6 +34,7 @@ impl Dense {
             bias: Tensor::zeros([out_features]),
             grad_weight: Tensor::zeros([in_features, out_features]),
             grad_bias: Tensor::zeros([out_features]),
+            grad_weight_zeroed: true,
             input: None,
             in_features,
             out_features,
@@ -54,6 +58,12 @@ impl Layer for Dense {
     }
 
     fn forward(&mut self, x: &Tensor) -> Tensor {
+        let y = self.infer(x);
+        self.input = Some(x.clone());
+        y
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(
             x.shape().dim(1),
             self.in_features,
@@ -69,27 +79,45 @@ impl Layer for Dense {
             self.out_features,
             self.bias.as_slice(),
         );
-        self.input = Some(x.clone());
         y
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        self.backward_params(grad);
+        // dx = g · Wᵀ
+        matmul_a_bt(grad, &self.weight)
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) {
         let input = self
             .input
             .take()
             .expect("Dense::backward called before forward");
-        // dW += xᵀ · g
-        self.grad_weight.add_assign(&matmul_at_b(&input, grad));
-        // db += column sums of g
         let batch = grad.shape().dim(0);
+        // dW += xᵀ · g, the product formed from zero and then added. Into
+        // a zeroed accumulator that is the product itself (`0 + x` is `x`,
+        // and a sum that starts at `+0.0` is never `-0.0`), so the kernel
+        // writes it in place; only an accumulating call needs the
+        // temporary.
+        if std::mem::take(&mut self.grad_weight_zeroed) {
+            kernels::gemm_at_b(
+                batch,
+                self.in_features,
+                self.out_features,
+                input.as_slice(),
+                grad.as_slice(),
+                self.grad_weight.as_mut_slice(),
+            );
+        } else {
+            self.grad_weight.add_assign(&matmul_at_b(&input, grad));
+        }
+        // db += column sums of g
         kernels::col_sums_acc(
             self.grad_bias.as_mut_slice(),
             grad.as_slice(),
             batch,
             self.out_features,
         );
-        // dx = g · Wᵀ
-        matmul_a_bt(grad, &self.weight)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -107,6 +135,7 @@ impl Layer for Dense {
     fn zero_grads(&mut self) {
         self.grad_weight.fill_zero();
         self.grad_bias.fill_zero();
+        self.grad_weight_zeroed = true;
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -164,6 +193,28 @@ mod tests {
         assert_eq!(l.grads()[1].as_slice(), &[2.0, 2.0]);
         l.zero_grads();
         assert_eq!(l.grads()[1].as_slice(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn second_backward_adds_a_product_formed_from_zero() {
+        // Without `zero_grads` in between, G becomes G + XᵀdY with the
+        // product accumulated from zero and then added — not continued
+        // from G, which rounds differently.
+        let mut l = Dense::new(&mut rng(), 5, 3);
+        let batch = |seed: usize, cols: usize| {
+            let data = (0..4 * cols)
+                .map(|i| ((i * 31 + seed * 17) % 13) as f32 / 3.0 - 2.0)
+                .collect();
+            Tensor::from_vec(data, [4, cols]).unwrap()
+        };
+        let mut expected = Tensor::zeros([5, 3]);
+        for pass in 0..3 {
+            let (x, dy) = (batch(pass, 5), batch(pass + 7, 3));
+            l.forward(&x);
+            l.backward(&dy);
+            expected.add_assign(&matmul_at_b(&x, &dy));
+        }
+        assert_eq!(crate::bits(l.grads()[0]), crate::bits(&expected));
     }
 
     #[test]

@@ -47,3 +47,9 @@ pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use residual::Residual;
 pub use spec::{LayerSpec, NetworkSpec};
 pub use zoo::{CostProfile, ModelZooEntry};
+
+/// A tensor's values as bit patterns, for the exact-equality tests.
+#[cfg(test)]
+pub(crate) fn bits(t: &preduce_tensor::Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}

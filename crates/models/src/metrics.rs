@@ -1,5 +1,7 @@
 //! Classification metrics used by the convergence experiments.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use preduce_data::Dataset;
 use preduce_tensor::{argmax_rows, Tensor};
 
@@ -28,42 +30,23 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
 }
 
 /// Evaluates test accuracy of `net` over `dataset`, batching to bound the
-/// activation memory.
+/// activation memory. Runs [`Network::infer`], so the network — its mode
+/// included — is left as it was found (`&mut` only because callers have
+/// always passed it so).
 ///
 /// # Panics
 /// Panics if `eval_batch == 0`.
 pub fn evaluate_accuracy(net: &mut Network, dataset: &Dataset, eval_batch: usize) -> f64 {
-    assert!(eval_batch > 0, "evaluation batch size must be positive");
-    if dataset.is_empty() {
-        return 0.0;
-    }
-    net.set_training(false);
-    let mut correct = 0usize;
-    let n = dataset.len();
-    let mut start = 0;
-    while start < n {
-        let end = (start + eval_batch).min(n);
-        let idx: Vec<usize> = (start..end).collect();
-        let batch = dataset.gather(&idx);
-        let logits = net.forward(&batch.features);
-        let preds = argmax_rows(&logits);
-        correct += preds
-            .iter()
-            .zip(batch.labels.iter())
-            .filter(|(p, y)| p == y)
-            .count();
-        start = end;
-    }
-    net.set_training(true);
-    correct as f64 / n as f64
+    evaluate_accuracy_parallel(net, dataset, eval_batch, 1)
 }
 
-/// Data-parallel [`evaluate_accuracy`]: splits the dataset's evaluation
-/// batches across `threads` OS threads, each driving its own clone of
-/// `net`, and sums the per-thread *integer* correct counts. Integer
-/// addition is associative, so the result is exactly
-/// `evaluate_accuracy(&mut net.clone(), ..)` for any thread count — safe
-/// for golden-pinned trajectories.
+/// Data-parallel [`evaluate_accuracy`]: up to `threads` OS threads (the
+/// caller's included) claim the dataset's evaluation batches one at a time,
+/// all reading the one `net` (inference takes `&self` and caches nothing),
+/// and their *integer* correct counts are summed. Integer addition is
+/// associative, so the result is the same for any thread count and any
+/// claiming order — safe for golden-pinned trajectories — and a thread
+/// that is scheduled late delays nothing.
 ///
 /// (The roadmap names rayon for this; the workspace is dependency-frozen,
 /// so scoped `std::thread` does the same fork-join without a new crate.)
@@ -83,46 +66,34 @@ pub fn evaluate_accuracy_parallel(
         return 0.0;
     }
     let num_batches = n.div_ceil(eval_batch);
-    let threads = threads.min(num_batches);
-    if threads == 1 {
-        let mut local = net.clone();
-        return evaluate_accuracy(&mut local, dataset, eval_batch);
-    }
-    // Contiguous runs of whole eval batches per thread, so each thread
-    // gathers the same windows the sequential loop would.
-    let per_thread = num_batches.div_ceil(threads);
-    let correct: usize = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let first = t * per_thread;
-            let last = ((t + 1) * per_thread).min(num_batches);
-            if first >= last {
-                break;
+    let next_batch = AtomicUsize::new(0);
+    let claim_and_count = || {
+        let mut correct = 0usize;
+        loop {
+            let start = next_batch.fetch_add(1, Ordering::Relaxed) * eval_batch;
+            if start >= n {
+                return correct;
             }
-            let mut local = net.clone();
-            handles.push(scope.spawn(move || {
-                local.set_training(false);
-                let mut correct = 0usize;
-                for b in first..last {
-                    let start = b * eval_batch;
-                    let end = (start + eval_batch).min(n);
-                    let idx: Vec<usize> = (start..end).collect();
-                    let batch = dataset.gather(&idx);
-                    let logits = local.forward(&batch.features);
-                    let preds = argmax_rows(&logits);
-                    correct += preds
-                        .iter()
-                        .zip(batch.labels.iter())
-                        .filter(|(p, y)| p == y)
-                        .count();
-                }
-                correct
-            }));
+            let idx: Vec<usize> = (start..(start + eval_batch).min(n)).collect();
+            let batch = dataset.gather(&idx);
+            let preds = argmax_rows(&net.infer(&batch.features));
+            correct += preds
+                .iter()
+                .zip(batch.labels.iter())
+                .filter(|(p, y)| p == y)
+                .count();
         }
-        handles
+    };
+    let correct: usize = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(num_batches))
+            .map(|_| scope.spawn(claim_and_count))
+            .collect();
+        let own = claim_and_count();
+        helpers
             .into_iter()
             .map(|h| h.join().expect("evaluation worker panicked"))
-            .sum()
+            .sum::<usize>()
+            + own
     });
     correct as f64 / n as f64
 }
@@ -236,6 +207,31 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn evaluation_leaves_the_network_mode_alone() {
+        use crate::spec::LayerSpec;
+        let mut net = NetworkSpec {
+            input_dim: 4,
+            layers: vec![
+                LayerSpec::Dropout { p_mille: 500 },
+                LayerSpec::Dense {
+                    in_features: 4,
+                    out_features: 3,
+                },
+            ],
+        }
+        .build(2);
+        let features =
+            Tensor::from_vec((0..48).map(|i| (i % 9) as f32 - 4.0).collect(), [12, 4]).unwrap();
+        let ds = Dataset::new(features.clone(), (0..12).map(|i| i % 3).collect(), 3);
+        net.set_training(false);
+        let before = net.forward(&features);
+        evaluate_accuracy(&mut net, &ds, 5);
+        // Still in evaluation mode: dropout stays off, same logits.
+        let after = net.forward(&features);
+        assert_eq!(crate::bits(&before), crate::bits(&after));
     }
 
     #[test]

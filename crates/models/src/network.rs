@@ -1,6 +1,6 @@
 use preduce_tensor::Tensor;
 
-use crate::layer::Layer;
+use crate::layer::{backward_params_all, forward_all, infer_all, Layer};
 
 /// A sequential feed-forward network.
 ///
@@ -10,20 +10,17 @@ use crate::layer::Layer;
 /// [`Network::set_param_vector`]) and *flat gradient vector*
 /// ([`Network::grad_vector`]) — exactly the view a collective library like
 /// Gloo or NCCL has of a model.
+#[derive(Clone)]
 pub struct Network {
     input_dim: usize,
     layers: Vec<Box<dyn Layer>>,
     param_count: usize,
-}
-
-impl Clone for Network {
-    fn clone(&self) -> Self {
-        Network {
-            input_dim: self.input_dim,
-            layers: self.layers.clone(),
-            param_count: self.param_count,
-        }
-    }
+    /// Which forward [`Network::forward`] runs (see
+    /// [`Network::set_training`]).
+    training: bool,
+    /// Whether the layers hold the caches of a training forward that no
+    /// backward has consumed yet.
+    armed: bool,
 }
 
 impl std::fmt::Debug for Network {
@@ -51,6 +48,8 @@ impl Network {
             input_dim,
             layers,
             param_count,
+            training: true,
+            armed: false,
         }
     }
 
@@ -69,12 +68,34 @@ impl Network {
         self.layers.len()
     }
 
-    /// Runs the forward pass on `[batch, input_dim]`, caching state for a
-    /// subsequent [`Network::backward`].
+    /// Runs the forward pass on `[batch, input_dim]`. In training mode
+    /// (the default) the layers cache state for a subsequent
+    /// [`Network::backward`]; in evaluation mode this is
+    /// [`Network::infer`] and no backward may follow.
     ///
     /// # Panics
     /// Panics if `x` is not `[batch, input_dim]`.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.armed = self.training;
+        if self.training {
+            self.check_input(x);
+            forward_all(&mut self.layers, x)
+        } else {
+            self.infer(x)
+        }
+    }
+
+    /// The evaluation forward pass: dropout off, nothing cached, `&self` —
+    /// one network serves any number of evaluation threads.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `[batch, input_dim]`.
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        self.check_input(x);
+        infer_all(&self.layers, x)
+    }
+
+    fn check_input(&self, x: &Tensor) {
         assert_eq!(
             x.shape().dim(1),
             self.input_dim,
@@ -82,20 +103,22 @@ impl Network {
             self.input_dim,
             x.shape()
         );
-        let mut h = x.clone();
-        for l in &mut self.layers {
-            h = l.forward(&h);
-        }
-        h
     }
 
     /// Propagates `grad` (w.r.t. the network output) through all layers,
-    /// accumulating parameter gradients.
+    /// accumulating parameter gradients. The gradient w.r.t. the network's
+    /// *input* is never formed: nothing reads it.
+    ///
+    /// # Panics
+    /// Panics unless the last [`Network::forward`] ran in training mode and
+    /// no backward has consumed it since (an evaluation forward leaves no
+    /// caches, and an older one's would be stale).
     pub fn backward(&mut self, grad: &Tensor) {
-        let mut g = grad.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(&g);
-        }
+        assert!(
+            std::mem::take(&mut self.armed),
+            "Network::backward needs a training-mode forward first"
+        );
+        backward_params_all(&mut self.layers, grad);
     }
 
     /// Resets all accumulated gradients to zero.
@@ -105,12 +128,10 @@ impl Network {
         }
     }
 
-    /// Switches every layer between training and evaluation behaviour
-    /// (dropout etc.).
+    /// Switches [`Network::forward`] between the training forward
+    /// (caches for backward, dropout active) and the evaluation forward.
     pub fn set_training(&mut self, training: bool) {
-        for l in &mut self.layers {
-            l.set_training(training);
-        }
+        self.training = training;
     }
 
     /// All parameters concatenated into one flat `[d]` tensor
@@ -129,12 +150,21 @@ impl Network {
     /// matching the layout of [`Network::param_vector`].
     pub fn grad_vector(&self) -> Tensor {
         let mut flat = Vec::with_capacity(self.param_count);
-        for l in &self.layers {
-            for g in l.grads() {
-                flat.extend_from_slice(g.as_slice());
-            }
+        for g in self.grad_chunks() {
+            flat.extend_from_slice(g);
         }
         Tensor::from_vec(flat, [self.param_count.max(1)]).expect("grad volume matches")
+    }
+
+    /// The accumulated gradients where they lie: the consecutive chunks of
+    /// [`Network::grad_vector`], for a consumer that can walk them without
+    /// the flat copy
+    /// ([`SgdOptimizer::step_chunks`](crate::SgdOptimizer::step_chunks)).
+    pub fn grad_chunks(&self) -> impl Iterator<Item = &[f32]> {
+        self.layers
+            .iter()
+            .flat_map(|l| l.grads())
+            .map(|g| g.as_slice())
     }
 
     /// Overwrites all parameters from a flat `[d]` tensor.
@@ -164,6 +194,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
     use crate::spec::NetworkSpec;
 
     #[test]
@@ -231,6 +262,112 @@ mod tests {
             assert!(
                 (a - numeric).abs() < 1e-2,
                 "param {idx}: analytic {a} vs numeric {numeric}"
+            );
+        }
+    }
+
+    /// One spec per layer kind `NetworkSpec` can build. Dropout has
+    /// probability zero, so its training forward is the identity too.
+    fn every_layer_kind() -> Vec<NetworkSpec> {
+        use crate::spec::LayerSpec::*;
+        let dense = |in_features, out_features| Dense {
+            in_features,
+            out_features,
+        };
+        vec![
+            NetworkSpec::mlp(16, &[12, 8], 3),
+            NetworkSpec::residual_mlp(16, 8, 2, 3),
+            NetworkSpec {
+                input_dim: 16,
+                layers: vec![
+                    Residual {
+                        layers: vec![dense(16, 16), Tanh],
+                    },
+                    Dropout { p_mille: 0 },
+                    LayerNorm { features: 16 },
+                    dense(16, 3),
+                ],
+            },
+            NetworkSpec {
+                input_dim: 16,
+                layers: vec![
+                    Conv2d {
+                        in_c: 1,
+                        in_h: 4,
+                        in_w: 4,
+                        out_c: 3,
+                        kernel: 3,
+                        stride: 1,
+                        padding: 1,
+                    },
+                    Relu,
+                    MaxPool2d {
+                        channels: 3,
+                        in_h: 4,
+                        in_w: 4,
+                        window: 2,
+                    },
+                    GlobalAvgPool {
+                        channels: 3,
+                        in_h: 2,
+                        in_w: 2,
+                    },
+                    dense(3, 3),
+                ],
+            },
+        ]
+    }
+
+    fn input(rows: usize) -> Tensor {
+        let data = (0..rows * 16)
+            .map(|i| ((i * 37 % 23) as f32 - 11.0) / 7.0)
+            .collect();
+        Tensor::from_vec(data, [rows, 16]).unwrap()
+    }
+
+    #[test]
+    fn evaluation_forward_matches_training_forward_and_disarms_backward() {
+        for spec in every_layer_kind() {
+            let mut net = spec.build(3);
+            let x = input(5);
+            let trained = net.forward(&x);
+            assert_eq!(bits(&net.infer(&x)), bits(&trained), "{spec:?}");
+            net.set_training(false);
+            let evaluated = net.forward(&x);
+            assert_eq!(bits(&evaluated), bits(&trained), "{spec:?}");
+            // The training forward above left caches behind; a backward
+            // now must refuse rather than read them.
+            let grad = Tensor::ones(evaluated.shape().clone());
+            let refused =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.backward(&grad)));
+            assert!(refused.is_err(), "backward ran after an evaluation forward");
+        }
+    }
+
+    #[test]
+    fn backward_matches_full_per_layer_backward_bitwise() {
+        for spec in every_layer_kind() {
+            let mut net = spec.build(4);
+            let mut reference = net.clone();
+            let x = input(7);
+            let y = net.forward(&x);
+            reference.forward(&x);
+            let grad = Tensor::from_vec(
+                (0..y.len()).map(|i| (i % 5) as f32 * 0.25 - 0.5).collect(),
+                y.shape().clone(),
+            )
+            .unwrap();
+            net.backward(&grad);
+            // Every layer's full backward, input gradient of the first
+            // layer included, in reverse order.
+            let mut g = grad;
+            for layer in reference.layers.iter_mut().rev() {
+                g = layer.backward(&g);
+            }
+            assert_eq!(
+                bits(&net.grad_vector()),
+                bits(&reference.grad_vector()),
+                "{spec:?}"
             );
         }
     }

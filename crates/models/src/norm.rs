@@ -39,14 +39,9 @@ impl LayerNorm {
             cache: None,
         }
     }
-}
 
-impl Layer for LayerNorm {
-    fn name(&self) -> &'static str {
-        "layernorm"
-    }
-
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    /// The normalized rows `(x − μ)/√(σ² + ε)` and each row's inverse std.
+    fn normalize(&self, x: &Tensor) -> (Tensor, Vec<f32>) {
         assert_eq!(
             x.shape().dim(1),
             self.features,
@@ -67,15 +62,35 @@ impl Layer for LayerNorm {
             }
             inv_std.push(istd);
         }
-        let mut y = normalized.clone();
-        for r in 0..batch {
+        (normalized, inv_std)
+    }
+
+    /// `x̂ · γ + β`, row by row.
+    fn affine(&self, mut y: Tensor) -> Tensor {
+        for r in 0..y.shape().dim(0) {
             let row = y.row_mut(r);
             for (j, v) in row.iter_mut().enumerate() {
                 *v = *v * self.gamma.as_slice()[j] + self.beta.as_slice()[j];
             }
         }
+        y
+    }
+}
+
+impl Layer for LayerNorm {
+    fn name(&self) -> &'static str {
+        "layernorm"
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let (normalized, inv_std) = self.normalize(x);
+        let y = self.affine(normalized.clone());
         self.cache = Some((normalized, inv_std));
         y
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.affine(self.normalize(x).0)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -142,13 +157,12 @@ impl Layer for LayerNorm {
     }
 }
 
-/// Inverted dropout: during training each activation is zeroed with
-/// probability `p` and survivors are scaled by `1/(1−p)`; during
-/// evaluation it is the identity. Toggle with [`Layer::set_training`].
+/// Inverted dropout: the training forward zeroes each activation with
+/// probability `p` and scales survivors by `1/(1−p)`; the evaluation
+/// forward ([`Layer::infer`]) is the identity.
 #[derive(Debug, Clone)]
 pub struct Dropout {
     p: f32,
-    training: bool,
     rng: rand::rngs::StdRng,
     mask: Option<Vec<bool>>,
 }
@@ -163,7 +177,6 @@ impl Dropout {
         assert!((0.0..1.0).contains(&p), "drop probability must be in [0,1)");
         Dropout {
             p,
-            training: true,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             mask: None,
         }
@@ -175,12 +188,12 @@ impl Layer for Dropout {
         "dropout"
     }
 
-    fn set_training(&mut self, training: bool) {
-        self.training = training;
+    fn infer(&self, x: &Tensor) -> Tensor {
+        x.clone()
     }
 
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        if !self.training || self.p == 0.0 {
+        if self.p == 0.0 {
             self.mask = None;
             return x.clone();
         }
@@ -325,12 +338,9 @@ mod tests {
 
     #[test]
     fn dropout_eval_mode_is_identity() {
-        let mut d = Dropout::new(0.5, 0);
-        d.set_training(false);
+        let d = Dropout::new(0.5, 0);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], [1, 3]).unwrap();
-        assert_eq!(d.forward(&x), x);
-        let g = Tensor::ones([1, 3]);
-        assert_eq!(d.backward(&g), g);
+        assert_eq!(d.infer(&x), x);
     }
 
     #[test]

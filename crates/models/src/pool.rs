@@ -54,14 +54,10 @@ impl MaxPool2d {
     pub fn input_features(&self) -> usize {
         self.channels * self.in_h * self.in_w
     }
-}
 
-impl Layer for MaxPool2d {
-    fn name(&self) -> &'static str {
-        "maxpool2d"
-    }
-
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    /// The pooled output and, per output element, the input offset of its
+    /// maximum.
+    fn pool(&self, x: &Tensor) -> (Tensor, Vec<usize>) {
         assert_eq!(
             x.shape().dim(1),
             self.input_features(),
@@ -99,9 +95,25 @@ impl Layer for MaxPool2d {
                 }
             }
         }
+        let y = Tensor::from_vec(y, [batch, out_row]).expect("pool volume matches");
+        (y, argmax)
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn name(&self) -> &'static str {
+        "maxpool2d"
+    }
+
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let (y, argmax) = self.pool(x);
         self.argmax = Some(argmax);
-        self.batch = batch;
-        Tensor::from_vec(y, [batch, out_row]).expect("pool volume matches")
+        self.batch = x.shape().dim(0);
+        y
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.pool(x).0
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -166,6 +178,11 @@ impl Layer for GlobalAvgPool {
     }
 
     fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.batch = x.shape().dim(0);
+        self.infer(x)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         let in_row = self.channels * self.spatial;
         assert_eq!(
             x.shape().dim(1),
@@ -174,7 +191,6 @@ impl Layer for GlobalAvgPool {
             x.shape()
         );
         let batch = x.shape().dim(0);
-        self.batch = batch;
         let xs = x.as_slice();
         let mut y = vec![0.0f32; batch * self.channels];
         for b in 0..batch {

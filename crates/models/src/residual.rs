@@ -6,7 +6,7 @@
 
 use preduce_tensor::Tensor;
 
-use crate::layer::Layer;
+use crate::layer::{backward_all, backward_params_all, forward_all, infer_all, Layer};
 
 /// A residual block wrapping an inner layer stack.
 pub struct Residual {
@@ -40,41 +40,41 @@ impl Residual {
     }
 }
 
+/// `f(x) + x`, checking that the inner stack preserved the shape.
+fn add_skip(mut h: Tensor, x: &Tensor) -> Tensor {
+    assert_eq!(
+        h.shape(),
+        x.shape(),
+        "residual inner stack changed shape: {} -> {}",
+        x.shape(),
+        h.shape()
+    );
+    h.add_assign(x);
+    h
+}
+
 impl Layer for Residual {
     fn name(&self) -> &'static str {
         "residual"
     }
 
-    fn set_training(&mut self, training: bool) {
-        for l in &mut self.inner {
-            l.set_training(training);
-        }
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        add_skip(forward_all(&mut self.inner, x), x)
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut h = x.clone();
-        for l in &mut self.inner {
-            h = l.forward(&h);
-        }
-        assert_eq!(
-            h.shape(),
-            x.shape(),
-            "residual inner stack changed shape: {} -> {}",
-            x.shape(),
-            h.shape()
-        );
-        h.add_assign(x);
-        h
+    fn infer(&self, x: &Tensor) -> Tensor {
+        add_skip(infer_all(&self.inner, x), x)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut g = grad.clone();
-        for l in self.inner.iter_mut().rev() {
-            g = l.backward(&g);
-        }
+        let mut g = backward_all(&mut self.inner, grad);
         // Skip path adds the incoming gradient directly.
         g.add_assign(grad);
         g
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) {
+        backward_params_all(&mut self.inner, grad);
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -44,34 +44,72 @@
 //! FMA is deliberately **not** enabled: fused multiply-add skips the
 //! intermediate rounding and would change results.
 //!
-//! # Block sizes
+//! # Blocking, tiles and layouts
 //!
-//! [`BLOCK_K`]` × `[`BLOCK_N`] is the panel of `B` kept hot across a tile
-//! of output rows (128 × 128 × 4 B = 64 KiB — comfortably inside a
-//! per-core L2), and [`BLOCK_M`] bounds the `C` working set of the
-//! dot-kernel tiles. `TILE_J`-wide register tiles of `C` stay live across
-//! a whole contraction panel, eliminating the per-`p` store/reload of the
-//! naive axpy loop. At the workspace's layer shapes (hidden dims ≤ 1024)
-//! the wins are that panel reuse plus the register tiles plus SIMD width.
+//! All three GEMM layouts run one micro-kernel (`contract_tile!`) under one
+//! panel driver (`RowLanes`): a register tile of `R` rows × `W` lanes of `C`
+//! stays live across a whole contraction panel, its lanes fed from a row of
+//! the lane operand and each row scaled by a broadcast element of the other
+//! operand. [`BLOCK_K`]` × `[`BLOCK_N`] is the panel of the lane operand
+//! kept hot across the rows (128 × 128 × 4 B = 64 KiB — comfortably inside
+//! a per-core L2). There is no row blocking: a tile's rows stream past the
+//! panel once.
+//!
+//! *Tiles.* A block at least 32 columns wide takes 32-lane tiles two rows
+//! at a time. A narrower block — the analogs' 10-class classifier is
+//! nothing else — takes 16-, 8-, 4- or 1-lane tiles with four or eight rows
+//! per step, so that few lanes still mean many independent add chains.
+//! Whatever columns are left after the last whole tile get one more tile
+//! *shifted left* to end at the block's edge: it recomputes the lanes it
+//! overlaps and stores only the new ones, which costs time, never bits.
+//!
+//! *Layouts.* [`gemm`] feeds the driver as is. [`gemm_at_b`] packs each
+//! panel of `Aᵀ` (`k·m` elements) so the broadcast rows read contiguously.
+//! In [`gemm_a_bt`] both operands are contiguous in `p`, so one must be
+//! packed transposed to become the lane operand: `B` (`n·k` elements), which
+//! yields `C` directly, or `A` (`m·k`), which yields `Cᵀ = B·Aᵀ` and sends
+//! `C` through a transposed scratch (`2·m·n` more). The kernel counts the
+//! elements and re-lays the fewer — a choice made from `(m, k, n)` alone.
+//! At a batch of 8 rows that is `A`: `B` is then the weight matrix, and
+//! re-laying all of it on every call for eight rows of work cost 3–6× the
+//! multiply itself.
 
-/// Rows of `A`/`C` per macro-tile.
-pub const BLOCK_M: usize = 64;
 /// Columns of `B`/`C` per macro-tile.
 pub const BLOCK_N: usize = 128;
 /// Contraction-panel depth per macro-tile.
 pub const BLOCK_K: usize = 128;
 /// Element block for the fused vector kernels (16 KiB: L1-resident).
 pub const VEC_BLOCK: usize = 4096;
-/// Width of the register tile of `C` held across a contraction panel
-/// (32 × f32 = four 8-lane vectors: enough independent add chains to
-/// hide FP latency without spilling).
-const TILE_J: usize = 32;
 
 fn check_gemm_dims(rows: usize, inner: usize, cols: usize, a: usize, b: usize, c: usize) {
     assert!(
         a == rows * inner && b == inner * cols && c == rows * cols,
         "gemm buffer sizes {a}/{b}/{c} disagree with dims {rows}x{inner}x{cols}"
     );
+}
+
+/// The one micro-kernel behind all three layouts: a register tile of
+/// `R × W` output elements walks a contraction panel of depth `$depth`,
+/// `acc[r][l] += Σ_dp bcast[r][dp] · lanes[dp·stride + l]`. The `W` lanes
+/// and the `R` broadcast rows are *distinct* output elements, so each
+/// element still owns one accumulator walking `p` in order; the tile only
+/// removes the naive loop's per-`p` store/reload of `C` (exact anyway) and
+/// gives the adder `R · W / lane-width` independent chains to hide its
+/// latency. A macro rather than a function so the tile is a local of the
+/// loop that owns it and stays in registers (`#[target_feature]` functions
+/// cannot be `#[inline(always)]`).
+macro_rules! contract_tile {
+    ($acc:ident, $bcast:ident, $depth:expr, $lanes:expr, $stride:expr) => {
+        for dp in 0..$depth {
+            let lane_row = &$lanes[dp * $stride..dp * $stride + W];
+            for r in 0..R {
+                let x = $bcast[r][dp];
+                for (av, &lv) in $acc[r].iter_mut().zip(lane_row.iter()) {
+                    *av += x * lv;
+                }
+            }
+        }
+    };
 }
 
 /// Instantiates the optimized kernel bodies under an optional feature
@@ -82,7 +120,105 @@ fn check_gemm_dims(rows: usize, inner: usize, cols: usize, a: usize, b: usize, c
 macro_rules! define_kernel_impls {
     ($mod_name:ident $(, #[$feat:meta])?) => {
         mod $mod_name {
-            use super::{BLOCK_K, BLOCK_N, TILE_J, VEC_BLOCK};
+            use super::{BLOCK_K, BLOCK_N, VEC_BLOCK};
+
+            /// One contraction panel of `C[m × nb] += A · B` where the
+            /// lanes run along a row of `B`/`C`: row `i` of the `A` panel is
+            /// `a[i·a_stride..][..kb]`, row `dp` of the `B` panel starts at
+            /// `b[dp·b_stride]` and row `i` of the `C` block at
+            /// `c[i·c_stride]`.
+            #[derive(Clone, Copy)]
+            struct RowLanes<'a> {
+                a: &'a [f32],
+                a_stride: usize,
+                m: usize,
+                kb: usize,
+                b: &'a [f32],
+                b_stride: usize,
+                nb: usize,
+                c_stride: usize,
+            }
+
+            impl RowLanes<'_> {
+                /// Covers the `nb` columns with the widest tile that fits:
+                /// 32 lanes two rows at a time (each `B` tile row feeds both
+                /// rows), and for a block narrower than that 16, 8, 4 or 1
+                /// lanes with more rows per step — a narrow tile has few
+                /// lanes, so it needs more rows to keep as many add chains
+                /// in flight.
+                $(#[$feat])?
+                #[inline]
+                fn run(self, c: &mut [f32]) {
+                    let j = self.tiles::<32, 2>(c, 0);
+                    let j = self.tiles::<16, 4>(c, j);
+                    let j = self.tiles::<8, 8>(c, j);
+                    let j = self.tiles::<4, 8>(c, j);
+                    self.tiles::<1, 8>(c, j);
+                }
+
+                /// Every `W`-wide column tile that fits from column `j` on;
+                /// if columns remain and the block is at least one tile
+                /// wide, they get one more tile shifted left to end at
+                /// `nb`, which recomputes the lanes it overlaps and stores
+                /// only the new ones (lanes are independent elements, so
+                /// a discarded lane costs time, never bits). Returns the
+                /// first column not covered.
+                $(#[$feat])?
+                #[inline]
+                fn tiles<const W: usize, const R: usize>(self, c: &mut [f32], mut j: usize) -> usize {
+                    while j + W <= self.nb {
+                        self.tile::<W, R>(c, j, 0);
+                        j += W;
+                    }
+                    if j < self.nb && W <= self.nb {
+                        let at = self.nb - W;
+                        self.tile::<W, R>(c, at, j - at);
+                        j = self.nb;
+                    }
+                    j
+                }
+
+                /// The tile at column `j` for every row: `R` rows at a
+                /// time, the last `m % R` singly. The first `skip` lanes
+                /// are computed but not stored.
+                $(#[$feat])?
+                #[inline]
+                fn tile<const W: usize, const R: usize>(self, c: &mut [f32], j: usize, skip: usize) {
+                    let i = self.rows::<W, R>(c, j, skip, 0);
+                    self.rows::<W, 1>(c, j, skip, i);
+                }
+
+                $(#[$feat])?
+                #[inline]
+                fn rows<const W: usize, const R: usize>(
+                    self,
+                    c: &mut [f32],
+                    j: usize,
+                    skip: usize,
+                    mut i: usize,
+                ) -> usize {
+                    while i + R <= self.m {
+                        let mut bcast = [&self.a[..0]; R];
+                        let mut acc = [[0.0f32; W]; R];
+                        for r in 0..R {
+                            bcast[r] = &self.a[(i + r) * self.a_stride..][..self.kb];
+                            acc[r].copy_from_slice(&c[(i + r) * self.c_stride + j..][..W]);
+                        }
+                        let lanes = &self.b[j..];
+                        contract_tile!(acc, bcast, self.kb, lanes, self.b_stride);
+                        for (r, done) in acc.into_iter().enumerate() {
+                            let c_tile = &mut c[(i + r) * self.c_stride + j..][..W];
+                            if skip == 0 {
+                                c_tile.copy_from_slice(&done);
+                            } else {
+                                c_tile[skip..].copy_from_slice(&done[skip..]);
+                            }
+                        }
+                        i += R;
+                    }
+                    i
+                }
+            }
 
             $(#[$feat])?
             pub(super) fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -93,18 +229,23 @@ macro_rules! define_kernel_impls {
                     let kb = BLOCK_K.min(k - pc);
                     for jc in (0..n).step_by(BLOCK_N) {
                         let nb = BLOCK_N.min(n - jc);
-                        let mut i = 0;
-                        while i + 2 <= m {
-                            let a0 = &a[i * k + pc..i * k + pc + kb];
-                            let a1 = &a[(i + 1) * k + pc..(i + 1) * k + pc + kb];
-                            let (r0, rest) = c[i * n + jc..].split_at_mut(n);
-                            row_panel2(a0, a1, b, n, pc, jc, nb, &mut r0[..nb], &mut rest[..nb]);
-                            i += 2;
-                        }
-                        if i < m {
-                            let a_seg = &a[i * k + pc..i * k + pc + kb];
-                            row_panel(a_seg, b, n, pc, jc, nb, &mut c[i * n + jc..i * n + jc + nb]);
-                        }
+                        let b_panel = &b[pc * n + jc..];
+                        RowLanes { a: &a[pc..], a_stride: k, m, kb, b: b_panel, b_stride: n, nb, c_stride: n }
+                            .run(&mut c[jc..]);
+                    }
+                }
+            }
+
+            /// `dst[j·rows + i] = src[i·src_stride + j]`: the `rows × cols`
+            /// block at the head of `src`, transposed. Every re-layout in
+            /// this module is this one loop; none changes a value.
+            $(#[$feat])?
+            #[inline]
+            fn transpose_block(src: &[f32], src_stride: usize, rows: usize, cols: usize, dst: &mut [f32]) {
+                for i in 0..rows {
+                    let src_row = &src[i * src_stride..][..cols];
+                    for (j, &v) in src_row.iter().enumerate() {
+                        dst[j * rows + i] = v;
                     }
                 }
             }
@@ -118,129 +259,19 @@ macro_rules! define_kernel_impls {
                 b: &[f32],
                 c: &mut [f32],
             ) {
-                // Pack each A panel transposed so the per-row segment reads
-                // contiguously, then reuse the gemm micro-kernel.
-                let mut packed = vec![0.0f32; BLOCK_K.min(k.max(1)) * m];
+                // Pack each panel of Aᵀ (k·m elements, the small operand of
+                // a weight gradient) so the per-row segment reads
+                // contiguously, then run the gemm panel on it.
+                let mut packed = vec![0.0f32; BLOCK_K.min(k) * m];
                 for pc in (0..k).step_by(BLOCK_K) {
                     let kb = BLOCK_K.min(k - pc);
-                    // packed[i·kb + dp] = a[(pc+dp)·m + i]: the panel of Aᵀ.
-                    for dp in 0..kb {
-                        let a_row = &a[(pc + dp) * m..(pc + dp + 1) * m];
-                        for (i, &v) in a_row.iter().enumerate() {
-                            packed[i * kb + dp] = v;
-                        }
-                    }
+                    transpose_block(&a[pc * m..], m, kb, m, &mut packed);
                     for jc in (0..n).step_by(BLOCK_N) {
                         let nb = BLOCK_N.min(n - jc);
-                        let mut i = 0;
-                        while i + 2 <= m {
-                            let a0 = &packed[i * kb..(i + 1) * kb];
-                            let a1 = &packed[(i + 1) * kb..(i + 2) * kb];
-                            let (r0, rest) = c[i * n + jc..].split_at_mut(n);
-                            row_panel2(a0, a1, b, n, pc, jc, nb, &mut r0[..nb], &mut rest[..nb]);
-                            i += 2;
-                        }
-                        if i < m {
-                            let a_seg = &packed[i * kb..(i + 1) * kb];
-                            row_panel(a_seg, b, n, pc, jc, nb, &mut c[i * n + jc..i * n + jc + nb]);
-                        }
+                        let b_panel = &b[pc * n + jc..];
+                        RowLanes { a: &packed, a_stride: kb, m, kb, b: b_panel, b_stride: n, nb, c_stride: n }
+                            .run(&mut c[jc..]);
                     }
-                }
-            }
-
-            /// One row of the gemm/gemm_at_b macro-kernel: `c_row[j] +=
-            /// Σ_dp a_seg[dp] · b[(pc+dp)·n + jc + j]` for `j < nb`. A
-            /// TILE_J-wide register tile of `C` stays live across the whole
-            /// panel — the lanes are *distinct* output elements, so each
-            /// element still owns a single accumulator walking `p` in
-            /// order; only the naive loop's per-`p` store/reload of `C` is
-            /// eliminated (a store/reload is exact anyway).
-            $(#[$feat])?
-            #[inline]
-            fn row_panel(
-                a_seg: &[f32],
-                b: &[f32],
-                n: usize,
-                pc: usize,
-                jc: usize,
-                nb: usize,
-                c_row: &mut [f32],
-            ) {
-                let mut j = 0;
-                while j + TILE_J <= nb {
-                    let mut acc = [0.0f32; TILE_J];
-                    acc.copy_from_slice(&c_row[j..j + TILE_J]);
-                    for (dp, &a_ip) in a_seg.iter().enumerate() {
-                        let b_row =
-                            &b[(pc + dp) * n + jc + j..(pc + dp) * n + jc + j + TILE_J];
-                        for (av, &bv) in acc.iter_mut().zip(b_row.iter()) {
-                            *av += a_ip * bv;
-                        }
-                    }
-                    c_row[j..j + TILE_J].copy_from_slice(&acc);
-                    j += TILE_J;
-                }
-                while j < nb {
-                    let mut acc = c_row[j];
-                    for (dp, &a_ip) in a_seg.iter().enumerate() {
-                        acc += a_ip * b[(pc + dp) * n + jc + j];
-                    }
-                    c_row[j] = acc;
-                    j += 1;
-                }
-            }
-
-            /// [`row_panel`] for two `C` rows at once: each `B` tile row is
-            /// loaded once and feeds both rows' register tiles, halving the
-            /// panel traffic. The rows are independent output elements, so
-            /// the canonical per-element order is unchanged.
-            #[allow(clippy::too_many_arguments)]
-            $(#[$feat])?
-            #[inline]
-            fn row_panel2(
-                a0: &[f32],
-                a1: &[f32],
-                b: &[f32],
-                n: usize,
-                pc: usize,
-                jc: usize,
-                nb: usize,
-                c0: &mut [f32],
-                c1: &mut [f32],
-            ) {
-                let mut j = 0;
-                while j + TILE_J <= nb {
-                    let mut acc0 = [0.0f32; TILE_J];
-                    let mut acc1 = [0.0f32; TILE_J];
-                    acc0.copy_from_slice(&c0[j..j + TILE_J]);
-                    acc1.copy_from_slice(&c1[j..j + TILE_J]);
-                    for dp in 0..a0.len() {
-                        let b_row =
-                            &b[(pc + dp) * n + jc + j..(pc + dp) * n + jc + j + TILE_J];
-                        let x0 = a0[dp];
-                        let x1 = a1[dp];
-                        for (av, &bv) in acc0.iter_mut().zip(b_row.iter()) {
-                            *av += x0 * bv;
-                        }
-                        for (av, &bv) in acc1.iter_mut().zip(b_row.iter()) {
-                            *av += x1 * bv;
-                        }
-                    }
-                    c0[j..j + TILE_J].copy_from_slice(&acc0);
-                    c1[j..j + TILE_J].copy_from_slice(&acc1);
-                    j += TILE_J;
-                }
-                while j < nb {
-                    let mut s0 = c0[j];
-                    let mut s1 = c1[j];
-                    for dp in 0..a0.len() {
-                        let bv = b[(pc + dp) * n + jc + j];
-                        s0 += a0[dp] * bv;
-                        s1 += a1[dp] * bv;
-                    }
-                    c0[j] = s0;
-                    c1[j] = s1;
-                    j += 1;
                 }
             }
 
@@ -253,34 +284,36 @@ macro_rules! define_kernel_impls {
                 b: &[f32],
                 c: &mut [f32],
             ) {
-                // Transpose-pack each BLOCK_N×BLOCK_K tile of B so the
-                // inner kernel reads it contiguously per `dp` — then all
-                // three GEMM variants share `row_panel`. Per-element `p`
-                // order is untouched by the re-layout.
-                let mut packed = vec![0.0f32; BLOCK_K.min(k.max(1)) * BLOCK_N.min(n.max(1))];
+                // Both operands are contiguous in `p`, so one of them is
+                // packed transposed and becomes the lane operand of the
+                // `gemm` panel, while the other's rows are broadcast where
+                // they lie. Packing B (n·k elements) yields C directly;
+                // packing A (m·k) yields Cᵀ = B·Aᵀ, so C goes through a
+                // transposed scratch as well (2·m·n). The kernel re-lays
+                // whichever is fewer elements. With a batch of 8 rows that
+                // is A: B is the weight matrix, and re-laying it for eight
+                // rows cost several times the multiply.
+                if m * (k + 2 * n) < n * k {
+                    let mut ct = vec![0.0f32; n * m];
+                    let mut packed = vec![0.0f32; BLOCK_K.min(k) * m];
+                    transpose_block(c, n, m, n, &mut ct);
+                    for pc in (0..k).step_by(BLOCK_K) {
+                        let kb = BLOCK_K.min(k - pc);
+                        transpose_block(&a[pc..], k, m, kb, &mut packed);
+                        RowLanes { a: &b[pc..], a_stride: k, m: n, kb, b: &packed, b_stride: m, nb: m, c_stride: m }
+                            .run(&mut ct);
+                    }
+                    transpose_block(&ct, m, n, m, c);
+                    return;
+                }
+                let mut packed = vec![0.0f32; BLOCK_K.min(k) * BLOCK_N.min(n)];
                 for pc in (0..k).step_by(BLOCK_K) {
                     let kb = BLOCK_K.min(k - pc);
                     for jc in (0..n).step_by(BLOCK_N) {
                         let nb = BLOCK_N.min(n - jc);
-                        // packed[dp·nb + jj] = b[(jc+jj)·k + pc+dp].
-                        for jj in 0..nb {
-                            let b_row = &b[(jc + jj) * k + pc..(jc + jj) * k + pc + kb];
-                            for (dp, &v) in b_row.iter().enumerate() {
-                                packed[dp * nb + jj] = v;
-                            }
-                        }
-                        let mut i = 0;
-                        while i + 2 <= m {
-                            let a0 = &a[i * k + pc..i * k + pc + kb];
-                            let a1 = &a[(i + 1) * k + pc..(i + 1) * k + pc + kb];
-                            let (r0, rest) = c[i * n + jc..].split_at_mut(n);
-                            row_panel2(a0, a1, &packed, nb, 0, 0, nb, &mut r0[..nb], &mut rest[..nb]);
-                            i += 2;
-                        }
-                        if i < m {
-                            let a_seg = &a[i * k + pc..i * k + pc + kb];
-                            row_panel(a_seg, &packed, nb, 0, 0, nb, &mut c[i * n + jc..i * n + jc + nb]);
-                        }
+                        transpose_block(&b[jc * k + pc..], k, nb, kb, &mut packed);
+                        RowLanes { a: &a[pc..], a_stride: k, m, kb, b: &packed, b_stride: nb, nb, c_stride: n }
+                            .run(&mut c[jc..]);
                     }
                 }
             }
@@ -579,63 +612,101 @@ mod tests {
         }
     }
 
+    /// `(rows of C, contraction, columns of C)`: block-size straddlers, the
+    /// analogs' layer shapes at batch 8 (classifier tail included), the
+    /// evaluation batches (2000 = 7·256 + 208) and row counts that are not
+    /// a multiple of any tile's row group.
+    const SHAPES: [(usize, usize, usize); 20] = [
+        (1, 1, 1),
+        (2, 3, 4),
+        (7, 129, 63),
+        (5, 129, 66),
+        (64, 128, 128),
+        (65, 257, 130),
+        (65, 257, 131),
+        (8, 300, 100),
+        (16, 300, 3),
+        (8, 64, 10),
+        (8, 128, 10),
+        (8, 64, 128),
+        (8, 192, 128),
+        (8, 256, 256),
+        (8, 10, 64),
+        (208, 64, 10),
+        (256, 128, 64),
+        (11, 70, 37),
+        (13, 200, 9),
+        (3, 140, 45),
+    ];
+
+    /// One kernel against its reference at `(m, k, n)`, from a zero `C` and
+    /// from a non-zero one (the kernels are `C +=`).
+    fn check(
+        what: &str,
+        (m, k, n): (usize, usize, usize),
+        a_len: usize,
+        b_len: usize,
+        run: impl Fn(&[f32], &[f32], &mut [f32]),
+        reference: impl Fn(&[f32], &[f32], &mut [f32]),
+    ) {
+        let a = fill(1 + m as u64, a_len);
+        let b = fill(2 + n as u64, b_len);
+        for c0 in [vec![0.0f32; m * n], fill(3 + k as u64, m * n)] {
+            let (mut c_opt, mut c_ref) = (c0.clone(), c0);
+            run(&a, &b, &mut c_opt);
+            reference(&a, &b, &mut c_ref);
+            assert_bits_eq(&c_opt, &c_ref, &format!("{what} {m}x{k}x{n}"));
+        }
+    }
+
+    /// All three layouts at a `C` of `m × n` contracted over `k`.
+    fn check_layouts(shape: (usize, usize, usize)) {
+        let (m, k, n) = shape;
+        check(
+            "gemm",
+            shape,
+            m * k,
+            k * n,
+            |a, b, c| gemm(m, k, n, a, b, c),
+            |a, b, c| gemm_reference(m, k, n, a, b, c),
+        );
+        check(
+            "gemm_a_bt",
+            shape,
+            m * k,
+            n * k,
+            |a, b, c| gemm_a_bt(m, k, n, a, b, c),
+            |a, b, c| gemm_a_bt_reference(m, k, n, a, b, c),
+        );
+        check(
+            "gemm_at_b",
+            shape,
+            k * m,
+            k * n,
+            |a, b, c| gemm_at_b(k, m, n, a, b, c),
+            |a, b, c| gemm_at_b_reference(k, m, n, a, b, c),
+        );
+    }
+
     #[test]
-    fn gemm_matches_reference_bitwise_across_shapes() {
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (2, 3, 4),
-            (7, 129, 63),
-            (64, 128, 128),
-            (65, 257, 130),
-            (8, 300, 100),
-        ] {
-            let a = fill(1 + m as u64, m * k);
-            let b = fill(2 + n as u64, k * n);
-            let mut c_opt = vec![0.0f32; m * n];
-            let mut c_ref = vec![0.0f32; m * n];
-            gemm(m, k, n, &a, &b, &mut c_opt);
-            gemm_reference(m, k, n, &a, &b, &mut c_ref);
-            assert_bits_eq(&c_opt, &c_ref, &format!("gemm {m}x{k}x{n}"));
+    fn all_layouts_match_reference_bitwise_across_shapes() {
+        for shape in SHAPES {
+            check_layouts(shape);
         }
     }
 
     #[test]
-    fn gemm_a_bt_matches_reference_bitwise_across_shapes() {
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (2, 3, 4),
-            (5, 129, 66),
-            (64, 128, 128),
-            (65, 257, 131),
-            (16, 300, 3),
-        ] {
-            let a = fill(3 + m as u64, m * k);
-            let b = fill(4 + n as u64, n * k);
-            let mut c_opt = vec![0.0f32; m * n];
-            let mut c_ref = vec![0.0f32; m * n];
-            gemm_a_bt(m, k, n, &a, &b, &mut c_opt);
-            gemm_a_bt_reference(m, k, n, &a, &b, &mut c_ref);
-            assert_bits_eq(&c_opt, &c_ref, &format!("gemm_a_bt {m}x{k}x{n}"));
-        }
-    }
-
-    #[test]
-    fn gemm_at_b_matches_reference_bitwise_across_shapes() {
-        for &(k, m, n) in &[
-            (1, 1, 1),
-            (3, 2, 4),
-            (129, 5, 66),
-            (128, 64, 128),
-            (257, 65, 131),
-            (300, 16, 3),
-        ] {
-            let a = fill(5 + m as u64, k * m);
-            let b = fill(6 + n as u64, k * n);
-            let mut c_opt = vec![0.0f32; m * n];
-            let mut c_ref = vec![0.0f32; m * n];
-            gemm_at_b(k, m, n, &a, &b, &mut c_opt);
-            gemm_at_b_reference(k, m, n, &a, &b, &mut c_ref);
-            assert_bits_eq(&c_opt, &c_ref, &format!("gemm_at_b {k}x{m}x{n}"));
+    fn all_layouts_match_reference_bitwise_at_every_narrow_width() {
+        // Every column-tail composition (full tile, shifted tile, single
+        // columns) under every row-group remainder, at one contraction
+        // panel and at two; for `gemm_a_bt` the widths on both sides of
+        // its packing choice.
+        for n in 1..=40 {
+            for m in [1, 2, 7, 8, 9] {
+                for k in [10, 150] {
+                    check_layouts((m, k, n));
+                }
+            }
         }
     }
 

@@ -2,15 +2,15 @@
 
 use crate::tensor::Tensor;
 
-/// Elementwise ReLU, returning a new tensor.
+/// Elementwise ReLU, returning a new tensor (one pass: read `x`, write
+/// the result).
 pub fn relu(x: &Tensor) -> Tensor {
-    let mut out = x.clone();
-    for v in out.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-    out
+    let data = x
+        .as_slice()
+        .iter()
+        .map(|&v| if v < 0.0 { 0.0 } else { v })
+        .collect();
+    Tensor::from_vec(data, x.shape().clone()).expect("same volume as the input")
 }
 
 /// Backward pass of ReLU: masks `grad` by the sign of the forward *input*.

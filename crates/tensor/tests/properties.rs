@@ -197,9 +197,10 @@ proptest! {
 
     // ---- kernel-layer bit-equivalence (DESIGN.md §13) ----------------
     //
-    // Dimensions deliberately straddle the kernel block sizes (BLOCK_M=64,
-    // BLOCK_N=128, BLOCK_K=128) so partial edge tiles, full tiles, and
-    // multi-panel contractions are all exercised. The contract is exact
+    // Dimensions deliberately straddle the kernel block sizes
+    // (BLOCK_N=128, BLOCK_K=128) so partial edge tiles, full tiles, and
+    // multi-panel contractions are all exercised, and `C` starts from
+    // random values: the kernels are `C +=`. The contract is exact
     // bitwise equality, not approximate: the blocked/SIMD path must follow
     // the same canonical accumulation order as the scalar reference.
 
@@ -214,8 +215,8 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let mut c_opt = vec![0.0f32; m * n];
-        let mut c_ref = vec![0.0f32; m * n];
+        let mut c_opt: Vec<f32> = (0..m * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let mut c_ref = c_opt.clone();
         kernels::gemm(m, k, n, &a, &b, &mut c_opt);
         kernels::gemm_reference(m, k, n, &a, &b, &mut c_ref);
         assert_bits_eq(&c_opt, &c_ref)?;
@@ -232,8 +233,8 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let b: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let mut c_opt = vec![0.0f32; m * n];
-        let mut c_ref = vec![0.0f32; m * n];
+        let mut c_opt: Vec<f32> = (0..m * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let mut c_ref = c_opt.clone();
         kernels::gemm_a_bt(m, k, n, &a, &b, &mut c_opt);
         kernels::gemm_a_bt_reference(m, k, n, &a, &b, &mut c_ref);
         assert_bits_eq(&c_opt, &c_ref)?;
@@ -250,11 +251,51 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a: Vec<f32> = (0..k * m).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let mut c_opt = vec![0.0f32; m * n];
-        let mut c_ref = vec![0.0f32; m * n];
+        let mut c_opt: Vec<f32> = (0..m * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let mut c_ref = c_opt.clone();
         kernels::gemm_at_b(k, m, n, &a, &b, &mut c_opt);
         kernels::gemm_at_b_reference(k, m, n, &a, &b, &mut c_ref);
         assert_bits_eq(&c_opt, &c_ref)?;
+    }
+
+    #[test]
+    fn kernels_match_reference_bitwise_at_the_shapes_that_run(seed in any::<u64>()) {
+        // The analogs' layers at batch 8 (the 10-class classifier is all
+        // column tail), the wide analog, and the evaluation batches
+        // (2000 = 7·256 + 208), in the three layouts a dense layer uses:
+        // forward, input gradient, weight gradient.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut draw = |len: usize| -> Vec<f32> {
+            (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+        };
+        for (batch, fan_in, fan_out) in [
+            (8, 64, 10),
+            (8, 128, 10),
+            (8, 192, 128),
+            (8, 256, 256),
+            (208, 64, 10),
+            (256, 128, 64),
+        ] {
+            let (x, w, dy) = (draw(batch * fan_in), draw(fan_in * fan_out), draw(batch * fan_out));
+            let y0 = draw(batch * fan_out);
+            let (mut y, mut y_ref) = (y0.clone(), y0);
+            kernels::gemm(batch, fan_in, fan_out, &x, &w, &mut y);
+            kernels::gemm_reference(batch, fan_in, fan_out, &x, &w, &mut y_ref);
+            assert_bits_eq(&y, &y_ref)?;
+
+            let dx0 = draw(batch * fan_in);
+            let (mut dx, mut dx_ref) = (dx0.clone(), dx0);
+            kernels::gemm_a_bt(batch, fan_out, fan_in, &dy, &w, &mut dx);
+            kernels::gemm_a_bt_reference(batch, fan_out, fan_in, &dy, &w, &mut dx_ref);
+            assert_bits_eq(&dx, &dx_ref)?;
+
+            let dw0 = draw(fan_in * fan_out);
+            let (mut dw, mut dw_ref) = (dw0.clone(), dw0);
+            kernels::gemm_at_b(batch, fan_in, fan_out, &x, &dy, &mut dw);
+            kernels::gemm_at_b_reference(batch, fan_in, fan_out, &x, &dy, &mut dw_ref);
+            assert_bits_eq(&dw, &dw_ref)?;
+        }
     }
 
     #[test]

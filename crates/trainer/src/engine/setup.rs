@@ -55,6 +55,9 @@ pub fn build_fleet(config: &ExperimentConfig) -> Fleet {
     );
 
     let spec = config.model.spec(train.feature_dim(), train.num_classes());
+    // The shards hold their own rows: the unsharded copy goes before the
+    // replicas are allocated, not after.
+    drop(train);
     let reference = spec.build(config.seed);
 
     let workers = shards
@@ -98,7 +101,7 @@ pub fn uniform_average(params: &[Tensor]) -> Tensor {
 
 /// Threads used for data-parallel test evaluation. Capped so sim
 /// campaigns that evaluate every round don't oversubscribe the host.
-fn eval_threads() -> usize {
+pub(crate) fn eval_threads() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)

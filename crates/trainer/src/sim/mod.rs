@@ -16,7 +16,7 @@ use preduce_simnet::{HeterogeneityModel, NetworkModel, SimTime};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::ExperimentConfig;
-use crate::engine::setup::{build_fleet, Fleet, EVAL_BATCH};
+use crate::engine::setup::{build_fleet, eval_threads, Fleet, EVAL_BATCH};
 use crate::metrics::{RunResult, TracePoint};
 use crate::worker::{average_params, WorkerState};
 
@@ -202,15 +202,7 @@ impl ConvergenceTracker {
         self.eval_net.set_param_vector(&avg);
         // Data-parallel over eval batches; integer correct counts make the
         // score bit-identical to a sequential pass (golden-safe).
-        evaluate_accuracy_parallel(
-            &self.eval_net,
-            &self.test,
-            EVAL_BATCH,
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(8),
-        )
+        evaluate_accuracy_parallel(&self.eval_net, &self.test, EVAL_BATCH, eval_threads())
     }
 
     /// `‖∇F(u_k)‖²` of the averaged model over the whole held-out set.

@@ -49,10 +49,9 @@ impl WorkerState {
         }
     }
 
-    /// Computes a stochastic gradient at the current parameters using a
-    /// batch drawn with `rng`. Returns the flat gradient; parameters are
-    /// unchanged.
-    pub fn gradient<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Tensor {
+    /// Backpropagates one batch drawn with `rng` at the current
+    /// parameters, leaving the gradient in the network's accumulators.
+    fn backprop<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let batch = self.sampler.next_batch_with(rng);
         self.net.set_param_vector(&self.params);
         self.net.zero_grads();
@@ -60,6 +59,13 @@ impl WorkerState {
         let loss = softmax_cross_entropy(&logits, &batch.labels);
         self.last_loss = loss.loss;
         self.net.backward(&loss.grad);
+    }
+
+    /// Computes a stochastic gradient at the current parameters using a
+    /// batch drawn with `rng`. Returns the flat gradient; parameters are
+    /// unchanged.
+    pub fn gradient<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Tensor {
+        self.backprop(rng);
         self.net.grad_vector()
     }
 
@@ -72,10 +78,14 @@ impl WorkerState {
 
     /// One complete local update (Algorithm 2 lines 2–4): gradient at the
     /// current parameters, then an SGD step. Increments the local
-    /// iteration counter.
+    /// iteration counter. The same bits as [`WorkerState::gradient`] then
+    /// [`WorkerState::apply`], with the optimizer reading the gradient
+    /// where the network accumulated it instead of from a flat copy.
     pub fn local_update<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let grad = self.gradient(rng);
-        self.apply(&grad, 1.0);
+        self.backprop(rng);
+        self.opt
+            .step_chunks(&mut self.params, self.net.grad_chunks(), 1.0);
+        self.updates_applied += 1;
         self.iteration += 1;
     }
 
@@ -85,7 +95,9 @@ impl WorkerState {
     /// Panics on a length mismatch.
     pub fn set_params(&mut self, params: &Tensor) {
         assert_eq!(params.len(), self.params.len(), "parameter length mismatch");
-        self.params = params.clone();
+        self.params
+            .as_mut_slice()
+            .copy_from_slice(params.as_slice());
     }
 }
 
@@ -169,6 +181,22 @@ mod tests {
         );
         assert_eq!(w.iteration, 121);
         assert_eq!(w.updates_applied, 121);
+    }
+
+    #[test]
+    fn local_update_is_gradient_then_apply_bitwise() {
+        let (mut fused, mut split) = (worker(), worker());
+        let mut rng_fused = rand::rngs::StdRng::seed_from_u64(11);
+        let mut rng_split = rand::rngs::StdRng::seed_from_u64(11);
+        for _ in 0..50 {
+            fused.local_update(&mut rng_fused);
+            let grad = split.gradient(&mut rng_split);
+            split.apply(&grad, 1.0);
+        }
+        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&fused.params), bits(&split.params));
+        assert_eq!(bits(fused.opt.velocity()), bits(split.opt.velocity()));
+        assert_eq!(fused.updates_applied, split.updates_applied);
     }
 
     #[test]
