@@ -5,12 +5,29 @@
 //! carries code. The reason is mandatory: an allow without one (or
 //! naming an unknown pass) is itself a finding, so every exemption in
 //! the tree documents why the contract does not apply.
+//!
+//! `panic-path` and `unsafe-audit` were passes until clippy and rustc
+//! took their contracts over (DESIGN.md §10); a directive still naming
+//! one is an `allow-syntax` finding that says which attribute replaces
+//! it, so a stale directive cannot linger as dead text.
 
 use crate::scan::SourceFile;
 use crate::Finding;
 
 /// Marker the parser looks for inside comments.
 const MARKER: &str = "lint: allow(";
+
+/// Retired pass names and what excuses their contract today.
+const RETIRED: &[(&str, &str)] = &[
+    (
+        "panic-path",
+        "`#[allow(clippy::panic, reason = \"…\")]` (or `clippy::expect_used`, `clippy::indexing_slicing`, …) on the enclosing item",
+    ),
+    (
+        "unsafe-audit",
+        "a `// SAFETY:` comment (`clippy::undocumented_unsafe_blocks`); outside `preduce-tensor` the crate root's `#![forbid(unsafe_code)]` has no escape",
+    ),
+];
 
 /// A parsed, well-formed allow directive.
 pub struct Allow {
@@ -66,14 +83,20 @@ pub fn collect_allows(file: &SourceFile, known_passes: &[&str]) -> (Vec<Allow>, 
         let pass = after[..close].trim().to_string();
         let reason = after[close + 1..].trim();
         if !known_passes.contains(&pass.as_str()) {
+            let message = match RETIRED.iter().find(|(name, _)| *name == pass) {
+                Some((_, instead)) => format!(
+                    "`lint: allow({pass})` names a retired pass; the toolchain enforces that contract now — use {instead}"
+                ),
+                None => format!(
+                    "`lint: allow({pass})` names an unknown pass (known: {})",
+                    known_passes.join(", ")
+                ),
+            };
             findings.push(Finding {
                 pass: "allow-syntax".into(),
                 file: file.path.clone(),
                 line: i + 1,
-                message: format!(
-                    "`lint: allow({pass})` names an unknown pass (known: {})",
-                    known_passes.join(", ")
-                ),
+                message,
             });
             continue;
         }
@@ -102,27 +125,26 @@ pub fn collect_allows(file: &SourceFile, known_passes: &[&str]) -> (Vec<Allow>, 
     (allows, findings)
 }
 
-/// Drops findings covered by an allow of the matching pass and line.
-pub fn apply_allows(findings: Vec<Finding>, file: &SourceFile, allows: &[Allow]) -> Vec<Finding> {
+/// Drops the findings in file `path` that one of its `allows` covers
+/// (matching pass and line).
+pub fn apply_allows(mut findings: Vec<Finding>, path: &str, allows: &[Allow]) -> Vec<Finding> {
+    findings.retain(|f| {
+        !allows
+            .iter()
+            .any(|a| f.file == path && f.line == a.covers + 1 && f.pass == a.pass)
+    });
     findings
-        .into_iter()
-        .filter(|f| {
-            !allows
-                .iter()
-                .any(|a| f.file == file.path && f.line == a.covers + 1 && f.pass == a.pass)
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const PASSES: &[&str] = &["panic-path", "lock-discipline"];
+    const PASSES: &[&str] = &["weight-stochasticity", "lock-discipline"];
 
     fn finding(file: &SourceFile, line: usize) -> Finding {
         Finding {
-            pass: "panic-path".into(),
+            pass: "weight-stochasticity".into(),
             file: file.path.clone(),
             line,
             message: "x".into(),
@@ -133,13 +155,13 @@ mod tests {
     fn trailing_allow_covers_its_own_line() {
         let f = SourceFile::from_source(
             "t.rs",
-            "let x = y.unwrap(); // lint: allow(panic-path) seeded in main\n",
+            "let w = vec![1.0 / p; p]; // lint: allow(weight-stochasticity) seeded in main\n",
         );
         let (allows, bad) = collect_allows(&f, PASSES);
         assert!(bad.is_empty());
         assert_eq!(allows.len(), 1);
         assert_eq!(allows[0].covers, 0);
-        let kept = apply_allows(vec![finding(&f, 1)], &f, &allows);
+        let kept = apply_allows(vec![finding(&f, 1)], &f.path, &allows);
         assert!(kept.is_empty());
     }
 
@@ -147,23 +169,29 @@ mod tests {
     fn standalone_allow_covers_next_code_line() {
         let f = SourceFile::from_source(
             "t.rs",
-            "// lint: allow(panic-path) startup-only path\n\nlet x = y.unwrap();\n",
+            "// lint: allow(weight-stochasticity) startup-only path\n\nlet w = vec![1.0 / p; p];\n",
         );
         let (allows, bad) = collect_allows(&f, PASSES);
         assert!(bad.is_empty());
         assert_eq!(allows[0].covers, 2);
-        assert!(apply_allows(vec![finding(&f, 3)], &f, &allows).is_empty());
+        assert!(apply_allows(vec![finding(&f, 3)], &f.path, &allows).is_empty());
     }
 
     #[test]
     fn reason_is_mandatory() {
-        let f = SourceFile::from_source("t.rs", "let x = y.unwrap(); // lint: allow(panic-path)\n");
+        let f = SourceFile::from_source(
+            "t.rs",
+            "let w = vec![1.0 / p; p]; // lint: allow(weight-stochasticity)\n",
+        );
         let (allows, bad) = collect_allows(&f, PASSES);
         assert!(allows.is_empty());
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].pass, "allow-syntax");
         // And the original finding is NOT suppressed.
-        assert_eq!(apply_allows(vec![finding(&f, 1)], &f, &allows).len(), 1);
+        assert_eq!(
+            apply_allows(vec![finding(&f, 1)], &f.path, &allows).len(),
+            1
+        );
     }
 
     #[test]
@@ -178,9 +206,12 @@ mod tests {
     fn allow_of_other_pass_does_not_suppress() {
         let f = SourceFile::from_source(
             "t.rs",
-            "let x = y.unwrap(); // lint: allow(lock-discipline) wrong pass\n",
+            "let w = vec![1.0 / p; p]; // lint: allow(lock-discipline) wrong pass\n",
         );
         let (allows, _) = collect_allows(&f, PASSES);
-        assert_eq!(apply_allows(vec![finding(&f, 1)], &f, &allows).len(), 1);
+        assert_eq!(
+            apply_allows(vec![finding(&f, 1)], &f.path, &allows).len(),
+            1
+        );
     }
 }

@@ -1,24 +1,28 @@
 //! `preduce-analysis` — project-specific static analysis for the
 //! partial-reduce workspace.
 //!
-//! Seven passes enforce contracts the compiler (and generic clippy)
-//! cannot see, at analysis time rather than at 3 a.m. mid-training-run:
+//! Five passes enforce the contracts neither rustc nor clippy can
+//! state, at analysis time rather than at 3 a.m. mid-training-run:
 //!
 //! | pass | contract |
 //! |------|----------|
-//! | `panic-path` | no panicking constructs in control-plane/comms hot paths |
 //! | `lock-discipline` | no lock-order inversions; no blocking calls under a guard |
 //! | `weight-stochasticity` | every reduce weight row flows through `core::weights` (Thm. 1) |
 //! | `trace-coverage` | every controller state mutation emits a `TraceEvent` |
 //! | `event-conformance` | the `TraceEvent` protocol is closed: emitted ⇔ checked ⇔ defined |
-//! | `unsafe-audit` | unsafe is confined to `tensor`, `// SAFETY:`-documented, `#[target_feature]`-gated |
 //! | `reactor-blocking` | no blocking calls on reactor poll paths or `serve_fleet` |
 //!
-//! v2 runs on a hand-rolled token engine ([`scan`]): a span-carrying
-//! token stream plus a lightweight item tree per file. Scoping is
-//! discovery-first ([`scope`]): the workspace walk feeds every source
-//! file to every pass, and exclusions are explicit, reason-carrying
-//! rules — a new file is covered the moment it exists.
+//! Two earlier passes are the toolchain's job now (DESIGN.md §10): "no
+//! panicking construct on the control plane" is a set of clippy `deny`
+//! attributes on the crate roots it covers, and "unsafe is confined and
+//! justified" is `#![forbid(unsafe_code)]` everywhere but `preduce-tensor`
+//! plus `clippy::undocumented_unsafe_blocks` there.
+//!
+//! The passes run on a hand-rolled token engine ([`scan`]): a
+//! span-carrying token stream plus a lightweight item tree per file.
+//! Scoping is discovery-first ([`scope`]): the workspace walk feeds every
+//! source file to every pass, and a pass narrows that by what a file
+//! *contains* — a new file is covered the moment it exists.
 //!
 //! Findings are suppressed only by an inline
 //! `// lint: allow(<pass>) <reason>` whose reason is mandatory
@@ -76,8 +80,8 @@ pub fn run_check(root: &Path) -> io::Result<Vec<Finding>> {
 /// Scans the workspace rooted at `root`: every `src/**/*.rs` file in the
 /// tree (workspace walk; `target/`, hidden directories and
 /// [`scope::UNWALKED`] skipped),
-/// running the selected passes (`None` = all seven) under their scope
-/// rules, allowlist applied last. Returns surviving findings sorted by
+/// running the selected passes (`None` = all five) under their scope
+/// probes, allowlist applied last. Returns surviving findings sorted by
 /// path and line.
 ///
 /// # Errors
@@ -110,19 +114,15 @@ pub fn run_check_passes(root: &Path, selected: Option<&[String]>) -> io::Result<
         let file = SourceFile::load(abs, &rel)?;
         let (allows, syntax_findings) = allow::collect_allows(&file, passes::ALL);
         findings.extend(syntax_findings);
-        allow_table.push((rel.clone(), allows));
-
-        if on(passes::panic_path::NAME) && scope::panic_path(&rel) {
-            raw.extend(passes::panic_path::run(&file, scope::index_strict(&rel)));
+        if !allows.is_empty() {
+            allow_table.push((rel.clone(), allows));
         }
+
         if on(passes::weight_stochasticity::NAME) && scope::weight_stochasticity(&rel) {
             raw.extend(passes::weight_stochasticity::run(&file));
         }
         if on(passes::trace_coverage::NAME) && scope::trace_coverage(&file) {
             raw.extend(passes::trace_coverage::run(&file));
-        }
-        if on(passes::unsafe_audit::NAME) {
-            raw.extend(passes::unsafe_audit::run(&file));
         }
         if on(passes::reactor_blocking::NAME) && scope::reactor_blocking(&file) {
             raw.extend(passes::reactor_blocking::run(&file));
@@ -138,14 +138,10 @@ pub fn run_check_passes(root: &Path, selected: Option<&[String]>) -> io::Result<
     raw.extend(events.finish());
 
     // Allow filtering, uniformly over every pass's findings.
-    findings.extend(raw.into_iter().filter(|f| {
-        !allow_table.iter().any(|(path, allows)| {
-            *path == f.file
-                && allows
-                    .iter()
-                    .any(|a| a.covers + 1 == f.line && a.pass == f.pass)
-        })
-    }));
+    for (path, allows) in &allow_table {
+        raw = allow::apply_allows(raw, path, allows);
+    }
+    findings.extend(raw);
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
 }
@@ -286,18 +282,18 @@ mod tests {
     #[test]
     fn finding_display_is_greppable() {
         let f = Finding {
-            pass: "panic-path".into(),
+            pass: "trace-coverage".into(),
             file: "crates/x/src/a.rs".into(),
             line: 7,
             message: "m".into(),
         };
-        assert_eq!(f.to_string(), "crates/x/src/a.rs:7: [panic-path] m");
+        assert_eq!(f.to_string(), "crates/x/src/a.rs:7: [trace-coverage] m");
     }
 
     #[test]
     fn json_output_is_stable_and_escaped() {
         let fs = vec![Finding {
-            pass: "panic-path".into(),
+            pass: "trace-coverage".into(),
             file: "crates/x/src/a.rs".into(),
             line: 7,
             message: "`.unwrap()` with \"quotes\"\nand a newline".into(),
@@ -305,7 +301,7 @@ mod tests {
         let got = to_json(&fs);
         assert_eq!(
             got,
-            "{\"schema\":\"preduce-lint/1\",\"count\":1,\"findings\":[{\"pass\":\"panic-path\",\"file\":\"crates/x/src/a.rs\",\"line\":7,\"message\":\"`.unwrap()` with \\\"quotes\\\"\\nand a newline\"}]}"
+            "{\"schema\":\"preduce-lint/1\",\"count\":1,\"findings\":[{\"pass\":\"trace-coverage\",\"file\":\"crates/x/src/a.rs\",\"line\":7,\"message\":\"`.unwrap()` with \\\"quotes\\\"\\nand a newline\"}]}"
         );
         assert_eq!(
             to_json(&[]),

@@ -26,16 +26,16 @@ OPTIONS:
     --pass <a,b,…>     run only the named passes (comma-separated)
 
 PASSES:
-    panic-path            no unwrap/expect/panic!/unchecked indexing in hot paths
     lock-discipline       lock-order inversions, blocking calls under a guard
     weight-stochasticity  weight rows must come from core::weights (Thm. 1)
     trace-coverage        controller mutations must emit TraceEvents
     event-conformance     TraceEvent variants: emitted ⇔ checked ⇔ defined
-    unsafe-audit          unsafe confined to tensor, SAFETY-documented, gated
     reactor-blocking      no blocking calls on reactor poll paths/serve_fleet
 
 Suppress a finding with `// lint: allow(<pass>) <reason>` — the reason
-is mandatory. Exit codes: 0 clean, 1 findings, 2 usage/I/O error.
+is mandatory. Panicking constructs and `unsafe` are clippy's and rustc's
+job (`cargo clippy --workspace --all-targets -- -D warnings`).
+Exit codes: 0 clean, 1 findings, 2 usage/I/O error.
 ";
 
 fn main() -> ExitCode {

@@ -1,4 +1,4 @@
-//! Pass 5 — `event-conformance`: the `TraceEvent` protocol stays closed
+//! `event-conformance`: the `TraceEvent` protocol stays closed
 //! under drift.
 //!
 //! PRs 4, 5, and 8 each added `TraceEvent` variants and each had to

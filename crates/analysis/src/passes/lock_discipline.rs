@@ -1,4 +1,4 @@
-//! Pass 2 — `lock-discipline`: a static lock-order graph plus
+//! `lock-discipline`: a static lock-order graph plus
 //! guard-across-blocking-call detection, rebuilt on the token engine.
 //!
 //! Within each function the pass tracks which lock guards are live

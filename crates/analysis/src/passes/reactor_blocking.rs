@@ -1,4 +1,4 @@
-//! Pass 7 — `reactor-blocking`: poll paths stay non-blocking.
+//! `reactor-blocking`: poll paths stay non-blocking.
 //!
 //! PR 5's control plane is a sharded non-blocking reactor: each shard
 //! thread multiplexes many sockets, so *one* blocking call on a poll

@@ -1,4 +1,4 @@
-//! Pass 4 — `trace-coverage`: every controller state-mutation path
+//! `trace-coverage`: every controller state-mutation path
 //! emits a `TraceEvent`.
 //!
 //! PR 1's invariant checker replays the event stream; a method on the

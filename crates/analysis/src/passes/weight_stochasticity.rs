@@ -1,4 +1,4 @@
-//! Pass 3 — `weight-stochasticity`: reduce weight rows come from
+//! `weight-stochasticity`: reduce weight rows come from
 //! `core::weights`, nowhere else.
 //!
 //! Theorem 1's convergence bound needs every synchronization matrix to

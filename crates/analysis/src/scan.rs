@@ -13,9 +13,8 @@
 //!    doc-comment regions as their own token kinds. Passes that need
 //!    structure (guard scopes, match arms, attribute lookback) work here.
 //! 3. **Item tree** — a lightweight structural index ([`ItemTree`]):
-//!    functions (with header, `unsafe`/`#[target_feature]`/`&mut self`
-//!    facts and body token range), `unsafe` regions, enums with their
-//!    variants, impl blocks, and modules. `#[cfg(test)]` regions are
+//!    functions (with the `&mut self` fact and body token range), enums
+//!    with their variants, and impl blocks. `#[cfg(test)]` regions are
 //!    tracked per line in `is_test`.
 //!
 //! This is still a deliberate non-parser: no expressions, no types, no
@@ -81,40 +80,12 @@ pub struct FnItem {
     /// 0-based line of the body's closing brace (or of the `;` for a
     /// bodiless trait declaration).
     pub end: usize,
-    /// Signature text from `fn` up to (excluding) the body brace,
-    /// whitespace-normalized.
-    pub header: String,
     /// Body extent as an inclusive range of *code-token positions*
     /// (indices into [`SourceFile::code_tokens`]), from the opening to
     /// the closing brace. `None` for bodiless declarations.
     pub body: Option<(usize, usize)>,
-    /// Declared `unsafe fn`.
-    pub is_unsafe: bool,
-    /// Carries a `#[target_feature(…)]` attribute.
-    pub has_target_feature: bool,
     /// Takes `&mut self` (possibly with a lifetime).
     pub takes_mut_self: bool,
-}
-
-/// What introduced an `unsafe` region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// `unsafe { … }` block.
-    Block,
-    /// `unsafe impl … { }` / `unsafe trait … { }`.
-    Impl,
-}
-
-/// An `unsafe` block or impl/trait region (unsafe *functions* live on
-/// [`FnItem::is_unsafe`]).
-#[derive(Debug, Clone)]
-pub struct UnsafeRegion {
-    /// 0-based line of the `unsafe` keyword.
-    pub start: usize,
-    /// 0-based line of the region's closing brace.
-    pub end: usize,
-    /// Block or impl.
-    pub kind: UnsafeKind,
 }
 
 /// An enum definition with its variants.
@@ -124,8 +95,6 @@ pub struct EnumItem {
     pub name: String,
     /// 0-based line of the `enum` keyword.
     pub start: usize,
-    /// 0-based line of the closing brace.
-    pub end: usize,
     /// `(variant name, 0-based definition line)` in order.
     pub variants: Vec<(String, usize)>,
 }
@@ -137,19 +106,6 @@ pub struct ImplItem {
     pub type_name: String,
     /// 0-based line of the `impl` keyword.
     pub start: usize,
-    /// 0-based line of the closing brace.
-    pub end: usize,
-}
-
-/// An inline or file module declaration.
-#[derive(Debug, Clone)]
-pub struct ModItem {
-    /// Module name.
-    pub name: String,
-    /// 0-based line of the `mod` keyword.
-    pub start: usize,
-    /// 0-based line of the closing brace (or the `;` line).
-    pub end: usize,
 }
 
 /// The structural index of one file.
@@ -157,14 +113,10 @@ pub struct ModItem {
 pub struct ItemTree {
     /// Every `fn` item, outer before nested.
     pub fns: Vec<FnItem>,
-    /// Every `unsafe` block / impl region.
-    pub unsafe_regions: Vec<UnsafeRegion>,
     /// Every enum with its variants.
     pub enums: Vec<EnumItem>,
     /// Every impl block.
     pub impls: Vec<ImplItem>,
-    /// Every module declaration.
-    pub mods: Vec<ModItem>,
 }
 
 /// One `Base::Variant` path reference, classified by position.
@@ -537,11 +489,6 @@ fn build_items(tokens: &[Token], ct: &[usize]) -> ItemTree {
                     items.fns.push(f);
                 }
             }
-            "unsafe" => {
-                if let Some(r) = parse_unsafe(tokens, ct, k) {
-                    items.unsafe_regions.push(r);
-                }
-            }
             "enum" => {
                 if let Some(e) = parse_enum(tokens, ct, k) {
                     items.enums.push(e);
@@ -550,11 +497,6 @@ fn build_items(tokens: &[Token], ct: &[usize]) -> ItemTree {
             "impl" => {
                 if let Some(im) = parse_impl(tokens, ct, k) {
                     items.impls.push(im);
-                }
-            }
-            "mod" => {
-                if let Some(m) = parse_mod(tokens, ct, k) {
-                    items.mods.push(m);
                 }
             }
             _ => {}
@@ -592,11 +534,9 @@ fn parse_fn(tokens: &[Token], ct: &[usize], k: usize) -> Option<FnItem> {
     }
     let name_tok = t(k + 1);
     let name = name_tok.text.clone();
-    let (is_unsafe, has_target_feature) = fn_prefix_facts(tokens, ct, k);
     // Scan to the body `{` (paren/bracket depth 0) or a `;` (no body).
     let mut pd = 0usize;
     let mut bd = 0usize;
-    let mut header = String::new();
     let mut body_open: Option<usize> = None;
     let mut end_line = name_tok.line;
     let mut p = k;
@@ -617,10 +557,6 @@ fn parse_fn(tokens: &[Token], ct: &[usize], k: usize) -> Option<FnItem> {
             }
             _ => {}
         }
-        if !header.is_empty() {
-            header.push(' ');
-        }
-        header.push_str(&tok.text);
         p += 1;
     }
     let body = body_open.and_then(|open| {
@@ -634,89 +570,9 @@ fn parse_fn(tokens: &[Token], ct: &[usize], k: usize) -> Option<FnItem> {
         name,
         start: t(k).line,
         end: end_line,
-        header,
         body,
-        is_unsafe,
-        has_target_feature,
         takes_mut_self,
     })
-}
-
-/// Looks backward from the `fn` keyword over modifiers (`pub`, `const`,
-/// `async`, `extern "C"`, `unsafe`, `pub(crate)`) and attribute groups
-/// to collect declared-`unsafe` and `#[target_feature]` facts.
-fn fn_prefix_facts(tokens: &[Token], ct: &[usize], k_fn: usize) -> (bool, bool) {
-    let t = |p: usize| -> &Token { &tokens[ct[p]] };
-    let mut is_unsafe = false;
-    let mut target_feature = false;
-    let mut k = k_fn;
-    while k > 0 {
-        let p = k - 1;
-        let tok = t(p);
-        match (tok.kind, tok.text.as_str()) {
-            (TokenKind::Ident, "pub" | "const" | "async" | "extern" | "default") => k = p,
-            (TokenKind::Ident, "unsafe") => {
-                is_unsafe = true;
-                k = p;
-            }
-            (TokenKind::Str, _) => k = p, // extern "C"
-            (TokenKind::Punct, ")") => {
-                // `pub(crate)` visibility group: walk back to its `(`.
-                let mut depth = 0usize;
-                let mut q = p;
-                loop {
-                    match t(q).text.as_str() {
-                        ")" => depth += 1,
-                        "(" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    if q == 0 {
-                        break;
-                    }
-                    q -= 1;
-                }
-                if q == 0 && depth != 0 {
-                    break;
-                }
-                k = q;
-            }
-            (TokenKind::Punct, "]") => {
-                // Attribute group: walk back to `[`, expect a `#` before it.
-                let mut depth = 0usize;
-                let mut q = p;
-                loop {
-                    match t(q).text.as_str() {
-                        "]" => depth += 1,
-                        "[" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    if q == 0 {
-                        break;
-                    }
-                    q -= 1;
-                }
-                if q == 0 || t(q - 1).text != "#" {
-                    break;
-                }
-                if (q..=p).any(|a| t(a).text == "target_feature") {
-                    target_feature = true;
-                }
-                k = q - 1;
-            }
-            _ => break,
-        }
-    }
-    (is_unsafe, target_feature)
 }
 
 /// True when the header tokens between `fn` and the body contain the
@@ -738,37 +594,6 @@ fn header_takes_mut_self(tokens: &[Token], ct: &[usize], k_fn: usize, k_end: usi
         }
     }
     false
-}
-
-/// Parses an `unsafe { … }` block or `unsafe impl`/`unsafe trait`
-/// region at code-token position `k` (`unsafe fn` is a [`FnItem`] fact).
-fn parse_unsafe(tokens: &[Token], ct: &[usize], k: usize) -> Option<UnsafeRegion> {
-    let t = |p: usize| -> &Token { &tokens[ct[p]] };
-    let n = ct.len();
-    if k + 1 >= n {
-        return None;
-    }
-    let next = t(k + 1);
-    let start = t(k).line;
-    if next.text == "{" {
-        let close = ct_matching_brace(tokens, ct, k + 1)?;
-        return Some(UnsafeRegion {
-            start,
-            end: t(close).line,
-            kind: UnsafeKind::Block,
-        });
-    }
-    if next.text == "impl" || next.text == "trait" {
-        // Find the region body's `{` then its close.
-        let open = (k + 1..n).find(|&p| t(p).text == "{")?;
-        let close = ct_matching_brace(tokens, ct, open)?;
-        return Some(UnsafeRegion {
-            start,
-            end: t(close).line,
-            kind: UnsafeKind::Impl,
-        });
-    }
-    None
 }
 
 /// Parses the enum at code-token position `k`, extracting variant names
@@ -826,7 +651,6 @@ fn parse_enum(tokens: &[Token], ct: &[usize], k: usize) -> Option<EnumItem> {
     Some(EnumItem {
         name,
         start: t(k).line,
-        end: t(close).line,
         variants,
     })
 }
@@ -877,39 +701,10 @@ fn parse_impl(tokens: &[Token], ct: &[usize], k: usize) -> Option<ImplItem> {
             break;
         }
     }
-    let close = ct_matching_brace(tokens, ct, open)?;
     Some(ImplItem {
         type_name: type_name?,
         start: t(k).line,
-        end: t(close).line,
     })
-}
-
-/// Parses the module declaration at code-token position `k`.
-fn parse_mod(tokens: &[Token], ct: &[usize], k: usize) -> Option<ModItem> {
-    let t = |p: usize| -> &Token { &tokens[ct[p]] };
-    let n = ct.len();
-    if k + 2 >= n || t(k + 1).kind != TokenKind::Ident {
-        return None;
-    }
-    let name = t(k + 1).text.clone();
-    let start = t(k).line;
-    match t(k + 2).text.as_str() {
-        ";" => Some(ModItem {
-            name,
-            start,
-            end: t(k + 2).line,
-        }),
-        "{" => {
-            let close = ct_matching_brace(tokens, ct, k + 2)?;
-            Some(ModItem {
-                name,
-                start,
-                end: t(close).line,
-            })
-        }
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1264,83 +1059,6 @@ fn item_end(code: &[String], line: usize, col: usize) -> usize {
     code.len() - 1
 }
 
-// ---------------------------------------------------------------------------
-// Back-compat line helpers (passes still use these for word-level facts)
-// ---------------------------------------------------------------------------
-
-/// A function item's extent in a file (0-based, inclusive lines).
-pub struct FnSpan {
-    /// Function name.
-    pub name: String,
-    /// Line of the `fn` keyword.
-    pub start: usize,
-    /// Line of the body's closing brace.
-    pub end: usize,
-    /// Header text from `fn` through the opening brace (signature).
-    pub header: String,
-}
-
-/// Extracts every `fn` item span, now derived from the token-built item
-/// tree. Nested functions stay inside their parent's span; the parent is
-/// listed first.
-pub fn fn_spans(file: &SourceFile) -> Vec<FnSpan> {
-    file.items
-        .fns
-        .iter()
-        .filter(|f| f.body.is_some())
-        .map(|f| FnSpan {
-            name: f.name.clone(),
-            start: f.start,
-            end: f.end,
-            header: f.header.clone(),
-        })
-        .collect()
-}
-
-/// Position of the brace matching the `{` at (`line`, `col`).
-pub fn matching_brace(code: &[String], line: usize, col: usize) -> Option<(usize, usize)> {
-    let mut depth = 0usize;
-    let (mut l, mut c) = (line, col);
-    while l < code.len() {
-        let bytes = code[l].as_bytes();
-        while c < bytes.len() {
-            match bytes[c] {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some((l, c));
-                    }
-                }
-                _ => {}
-            }
-            c += 1;
-        }
-        l += 1;
-        c = 0;
-    }
-    None
-}
-
-/// All identifier tokens in a code line.
-pub fn identifiers(line: &str) -> Vec<&str> {
-    let b = line.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < b.len() {
-        if b[i].is_ascii_alphabetic() || b[i] == b'_' {
-            let s = i;
-            while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
-                i += 1;
-            }
-            out.push(&line[s..i]);
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
 /// True when `token` appears in `line` as a whole word (not as a
 /// fragment of a longer identifier).
 pub fn has_word(line: &str, token: &str) -> bool {
@@ -1409,10 +1127,10 @@ mod tests {
     }
 
     #[test]
-    fn fn_spans_cover_bodies() {
+    fn fn_items_cover_bodies() {
         let src = "fn a() {\n    inner();\n}\n\nfn b(x: u8) -> u8 {\n    x\n}\n";
         let f = SourceFile::from_source("t.rs", src);
-        let spans = fn_spans(&f);
+        let spans = &f.items.fns;
         assert_eq!(spans.len(), 2);
         assert_eq!(
             (spans[0].name.as_str(), spans[0].start, spans[0].end),
@@ -1471,8 +1189,8 @@ mod tests {
     #[test]
     fn item_tree_fn_facts() {
         let src = "\
-#[target_feature(enable = \"avx2\")]\n\
-pub(crate) unsafe fn k(&mut self, v: &[f32]) {\n\
+#[inline]\n\
+pub(crate) fn k(&mut self, v: &[f32]) {\n\
     body();\n\
 }\n\
 fn plain(x: u8) -> u8 { x }\n\
@@ -1481,16 +1199,16 @@ fn decl(x: u8) -> u8;\n";
         assert_eq!(f.items.fns.len(), 3);
         let k = &f.items.fns[0];
         assert_eq!(k.name, "k");
-        assert!(k.is_unsafe && k.has_target_feature && k.takes_mut_self);
+        assert!(k.takes_mut_self);
         assert_eq!((k.start, k.end), (1, 3));
         let plain = &f.items.fns[1];
-        assert!(!plain.is_unsafe && !plain.has_target_feature && !plain.takes_mut_self);
+        assert!(!plain.takes_mut_self);
         assert!(plain.body.is_some());
         assert!(f.items.fns[2].body.is_none());
     }
 
     #[test]
-    fn item_tree_unsafe_enum_impl_mod() {
+    fn item_tree_enum_and_impl() {
         let src = "\
 mod inner {\n\
     pub enum Ev {\n\
@@ -1501,13 +1219,8 @@ mod inner {\n\
 }\n\
 impl fmt::Display for Ev {\n\
     fn fmt(&self) {}\n\
-}\n\
-fn f() {\n\
-    unsafe { raw() }\n\
 }\n";
         let f = SourceFile::from_source("t.rs", src);
-        assert_eq!(f.items.mods.len(), 1);
-        assert_eq!(f.items.mods[0].name, "inner");
         assert_eq!(f.items.enums.len(), 1);
         let vars: Vec<&str> = f.items.enums[0]
             .variants
@@ -1517,9 +1230,6 @@ fn f() {\n\
         assert_eq!(vars, vec!["A", "B", "C"]);
         assert_eq!(f.items.impls.len(), 1);
         assert_eq!(f.items.impls[0].type_name, "Ev");
-        assert_eq!(f.items.unsafe_regions.len(), 1);
-        assert_eq!(f.items.unsafe_regions[0].kind, UnsafeKind::Block);
-        assert_eq!(f.items.unsafe_regions[0].start, 11);
     }
 
     #[test]

@@ -17,41 +17,9 @@ use preduce_analysis::{allow, passes, run_check, Finding};
 /// `run_check` does for a whole file.
 fn with_allows(file: &SourceFile, raw: Vec<Finding>) -> Vec<Finding> {
     let (allows, mut findings) = allow::collect_allows(file, passes::ALL);
-    findings.extend(allow::apply_allows(raw, file, &allows));
+    findings.extend(allow::apply_allows(raw, &file.path, &allows));
     findings.sort_by_key(|f| f.line);
     findings
-}
-
-#[test]
-fn panic_path_bad_fixture_yields_exactly_five() {
-    let f = SourceFile::from_source(
-        "crates/core/src/controller.rs",
-        include_str!("fixtures/panic_path_bad.rs"),
-    );
-    let got = with_allows(&f, passes::panic_path::run(&f, true));
-    assert_eq!(got.len(), 5, "{got:#?}");
-    for needle in [
-        "`.unwrap()`",
-        "`.expect(`",
-        "`panic!`",
-        "`unreachable!`",
-        "unchecked index",
-    ] {
-        assert!(
-            got.iter().any(|g| g.message.contains(needle)),
-            "missing {needle}: {got:#?}"
-        );
-    }
-}
-
-#[test]
-fn panic_path_good_fixture_is_clean() {
-    let f = SourceFile::from_source(
-        "crates/core/src/controller.rs",
-        include_str!("fixtures/panic_path_good.rs"),
-    );
-    let got = with_allows(&f, passes::panic_path::run(&f, true));
-    assert!(got.is_empty(), "{got:#?}");
 }
 
 #[test]
@@ -206,35 +174,6 @@ fn event_conformance_closed_protocol_is_clean() {
 }
 
 #[test]
-fn unsafe_audit_bad_fixture_yields_exactly_three() {
-    let f = SourceFile::from_source(
-        "crates/tensor/src/kernels.rs",
-        include_str!("fixtures/unsafe_audit_bad.rs"),
-    );
-    let got = with_allows(&f, passes::unsafe_audit::run(&f));
-    assert_eq!(got.len(), 3, "{got:#?}");
-    assert!(got
-        .iter()
-        .any(|g| g.message.contains("`unsafe` block without a `// SAFETY:`")));
-    assert!(got
-        .iter()
-        .any(|g| g.message.contains("`unsafe fn kernel_no_safety`")));
-    assert!(got
-        .iter()
-        .any(|g| g.message.contains("_mm256_loadu_ps") && g.message.contains("#[target_feature]")));
-}
-
-#[test]
-fn unsafe_audit_good_fixture_is_clean() {
-    let f = SourceFile::from_source(
-        "crates/tensor/src/kernels.rs",
-        include_str!("fixtures/unsafe_audit_good.rs"),
-    );
-    let got = with_allows(&f, passes::unsafe_audit::run(&f));
-    assert!(got.is_empty(), "{got:#?}");
-}
-
-#[test]
 fn reactor_blocking_bad_fixture_yields_exactly_three() {
     let f = SourceFile::from_source(
         "crates/comm/src/reactor.rs",
@@ -258,14 +197,42 @@ fn reactor_blocking_good_fixture_is_clean() {
 }
 
 #[test]
-fn allow_grammar_accepts_the_new_pass_names() {
-    let f = SourceFile::from_source(
-        "crates/core/src/runtime.rs",
-        "fn a() {} // lint: allow(event-conformance) protocol extension staged over two PRs\nfn b() {} // lint: allow(unsafe-audit) FFI shim documented in DESIGN.md\nfn c() {} // lint: allow(reactor-blocking) startup-only path before the loop\n",
-    );
+fn allow_grammar_accepts_every_remaining_pass_name() {
+    let src: String = passes::ALL
+        .iter()
+        .map(|p| format!("fn f() {{}} // lint: allow({p}) staged over two PRs\n"))
+        .collect();
+    let f = SourceFile::from_source("crates/core/src/runtime.rs", &src);
     let (allows, bad) = allow::collect_allows(&f, passes::ALL);
     assert!(bad.is_empty(), "{bad:#?}");
-    assert_eq!(allows.len(), 3);
+    assert_eq!(allows.len(), 5);
+}
+
+#[test]
+fn retired_pass_directives_are_findings_that_name_the_clippy_attribute() {
+    // `panic-path` and `unsafe-audit` are the toolchain's job now; a
+    // directive still naming one must not linger as dead text.
+    let f = SourceFile::from_source(
+        "crates/core/src/runtime.rs",
+        "fn a(x: Option<u8>) -> u8 {\n    x.unwrap() // lint: allow(panic-path) startup-only path before the loop\n}\n// lint: allow(unsafe-audit) FFI shim documented in DESIGN.md\nfn b() {}\n",
+    );
+    let (allows, bad) = allow::collect_allows(&f, passes::ALL);
+    assert!(allows.is_empty());
+    assert_eq!(bad.len(), 2, "{bad:#?}");
+    assert!(bad.iter().all(|b| b.pass == "allow-syntax"));
+    assert_eq!((bad[0].line, bad[1].line), (2, 4));
+    assert!(
+        bad[0].message.contains("retired pass")
+            && bad[0].message.contains("#[allow(clippy::panic, reason"),
+        "{bad:#?}"
+    );
+    assert!(
+        bad[1].message.contains("retired pass")
+            && bad[1]
+                .message
+                .contains("clippy::undocumented_unsafe_blocks"),
+        "{bad:#?}"
+    );
 }
 
 #[test]
@@ -274,8 +241,8 @@ fn allow_without_reason_is_rejected_and_suppresses_nothing() {
         "crates/core/src/controller.rs",
         include_str!("fixtures/allow_without_reason.rs"),
     );
-    let got = with_allows(&f, passes::panic_path::run(&f, true));
-    // Two malformed allows + the two panic findings they fail to cover.
+    let got = with_allows(&f, passes::weight_stochasticity::run(&f));
+    // Two malformed allows + the two weight rows they fail to cover.
     assert_eq!(got.len(), 4, "{got:#?}");
     assert_eq!(
         got.iter().filter(|g| g.pass == "allow-syntax").count(),
@@ -283,7 +250,9 @@ fn allow_without_reason_is_rejected_and_suppresses_nothing() {
         "{got:#?}"
     );
     assert_eq!(
-        got.iter().filter(|g| g.pass == "panic-path").count(),
+        got.iter()
+            .filter(|g| g.pass == "weight-stochasticity")
+            .count(),
         2,
         "{got:#?}"
     );
@@ -324,7 +293,7 @@ fn binary_exit_codes_distinguish_clean_dirty_and_usage() {
     std::fs::create_dir_all(&src).expect("mkdir");
     std::fs::write(
         src.join("controller.rs"),
-        "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
+        "pub fn f(p: usize) -> Vec<f32> {\n    vec![1.0 / p as f32; p]\n}\n",
     )
     .expect("write fixture");
     let dirty = Command::new(bin)
@@ -333,7 +302,7 @@ fn binary_exit_codes_distinguish_clean_dirty_and_usage() {
         .output()
         .expect("run analyzer");
     assert_eq!(dirty.status.code(), Some(1), "findings must exit 1");
-    assert!(String::from_utf8_lossy(&dirty.stdout).contains("panic-path"));
+    assert!(String::from_utf8_lossy(&dirty.stdout).contains("weight-stochasticity"));
     let _ = std::fs::remove_dir_all(&dir);
 
     let usage = Command::new(bin)
@@ -351,7 +320,7 @@ fn binary_json_format_and_pass_selection() {
     std::fs::create_dir_all(&src).expect("mkdir");
     std::fs::write(
         src.join("controller.rs"),
-        "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
+        "pub fn f(p: usize) -> Vec<f32> {\n    vec![1.0 / p as f32; p]\n}\n",
     )
     .expect("write fixture");
 
@@ -367,7 +336,7 @@ fn binary_json_format_and_pass_selection() {
         out.starts_with("{\"schema\":\"preduce-lint/1\",\"count\":1,"),
         "{out}"
     );
-    assert!(out.contains("\"pass\":\"panic-path\""), "{out}");
+    assert!(out.contains("\"pass\":\"weight-stochasticity\""), "{out}");
     assert!(
         out.contains("\"file\":\"crates/core/src/controller.rs\""),
         "{out}"
@@ -384,24 +353,24 @@ fn binary_json_format_and_pass_selection() {
     assert!(String::from_utf8_lossy(&gh.stdout)
         .contains("::error file=crates/core/src/controller.rs,line=2,"));
 
-    // Pass selection: the dirty line is panic-path; running only
-    // weight-stochasticity must come back clean.
+    // Pass selection: the dirty line is weight-stochasticity; running
+    // only trace-coverage must come back clean.
     let selected = Command::new(bin)
-        .args(["check", "--pass", "weight-stochasticity", "--root"])
+        .args(["check", "--pass", "trace-coverage", "--root"])
         .arg(&dir)
         .output()
         .expect("run analyzer");
     assert_eq!(
         selected.status.code(),
         Some(0),
-        "selection must skip panic-path"
+        "selection must skip weight-stochasticity"
     );
 
     let both = Command::new(bin)
         .args([
             "check",
             "--pass",
-            "panic-path,weight-stochasticity",
+            "trace-coverage,weight-stochasticity",
             "--root",
         ])
         .arg(&dir)
@@ -411,12 +380,14 @@ fn binary_json_format_and_pass_selection() {
 
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Unknown pass and unknown format are usage errors.
-    let bad_pass = Command::new(bin)
-        .args(["check", "--pass", "made-up"])
-        .output()
-        .expect("run analyzer");
-    assert_eq!(bad_pass.status.code(), Some(2));
+    // Unknown (or retired) pass and unknown format are usage errors.
+    for name in ["made-up", "panic-path"] {
+        let bad_pass = Command::new(bin)
+            .args(["check", "--pass", name])
+            .output()
+            .expect("run analyzer");
+        assert_eq!(bad_pass.status.code(), Some(2), "--pass {name}");
+    }
     let bad_fmt = Command::new(bin)
         .args(["check", "--format", "yaml"])
         .output()

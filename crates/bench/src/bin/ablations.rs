@@ -10,6 +10,8 @@
 //!
 //! Run: `cargo run --release -p preduce-bench --bin ablations`
 
+#![forbid(unsafe_code)]
+
 use partial_reduce::{
     expected_sync_matrix, spectral_gap, AggregationMode, ControllerConfig, GapPolicy,
 };

@@ -5,6 +5,8 @@
 //!
 //! Run: `cargo run --release -p preduce-bench --bin calibrate`
 
+#![forbid(unsafe_code)]
+
 use preduce_bench::configs::{imagenet_config, production_config, table1_config};
 use preduce_models::zoo;
 use preduce_trainer::{run_experiment, Strategy};

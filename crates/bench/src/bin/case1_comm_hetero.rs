@@ -11,6 +11,8 @@
 //!
 //! Run: `cargo run --release -p preduce-bench --bin case1_comm_hetero`
 
+#![forbid(unsafe_code)]
+
 use preduce_bench::configs::table1_config;
 use preduce_bench::output::{print_run_row, TableWriter};
 use preduce_models::zoo;

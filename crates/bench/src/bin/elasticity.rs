@@ -18,6 +18,8 @@
 //! Run: `cargo run --release -p preduce-bench --bin elasticity`
 //! (set `PREDUCE_QUICK=1` for fewer repetitions)
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::Instant;
 

@@ -7,6 +7,8 @@
 //!
 //! Run: `cargo run --release -p preduce-bench --bin fig10_imagenet`
 
+#![forbid(unsafe_code)]
+
 use preduce_bench::configs::imagenet_config;
 use preduce_bench::output::maybe_dump_json;
 use preduce_models::zoo;

@@ -9,6 +9,8 @@
 //!
 //! Run: `cargo run --release -p preduce-bench --bin fig11_scalability`
 
+#![forbid(unsafe_code)]
+
 use preduce_bench::configs::imagenet_config;
 use preduce_bench::output::TableWriter;
 use preduce_models::zoo::{self, ModelZooEntry};

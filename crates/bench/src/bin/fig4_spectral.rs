@@ -11,6 +11,8 @@
 //!
 //! Run: `cargo run --release -p preduce-bench --bin fig4_spectral`
 
+#![forbid(unsafe_code)]
+
 use partial_reduce::{
     expected_sync_matrix, expected_sync_matrix_uniform, spectral_gap, ControllerConfig,
 };

@@ -9,6 +9,8 @@
 //!
 //! Run: `cargo run --release -p preduce-bench --bin fig7_convergence`
 
+#![forbid(unsafe_code)]
+
 use preduce_bench::configs::{production_config, table1_config};
 use preduce_bench::output::maybe_dump_json;
 use preduce_models::zoo;

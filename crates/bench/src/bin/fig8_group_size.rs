@@ -8,6 +8,8 @@
 //!
 //! Run: `cargo run --release -p preduce-bench --bin fig8_group_size`
 
+#![forbid(unsafe_code)]
+
 use preduce_bench::configs::table1_config;
 use preduce_bench::output::TableWriter;
 use preduce_models::zoo;

@@ -8,6 +8,8 @@
 //!
 //! Run: `cargo run --release -p preduce-bench --bin fig9_production`
 
+#![forbid(unsafe_code)]
+
 use preduce_bench::configs::production_config;
 use preduce_bench::output::{maybe_dump_json, print_run_row, TableWriter};
 use preduce_trainer::{run_experiment, RunResult, Strategy};

@@ -8,6 +8,8 @@
 //! Run: `cargo run --release -p preduce-bench --bin table1`
 //! (set `PREDUCE_QUICK=1` for a reduced-scale smoke run)
 
+#![forbid(unsafe_code)]
+
 use preduce_bench::configs::{quick_mode, table1_config};
 use preduce_bench::output::{maybe_dump_json, print_run_row};
 use preduce_models::zoo;

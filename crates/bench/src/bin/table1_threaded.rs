@@ -12,6 +12,8 @@
 //! Run: `cargo run --release -p preduce-bench --bin table1_threaded`
 //! (set `PREDUCE_QUICK=1` for fewer local iterations)
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use partial_reduce::NullSink;

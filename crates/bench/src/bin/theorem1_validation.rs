@@ -14,6 +14,8 @@
 //!
 //! Run: `cargo run --release -p preduce-bench --bin theorem1_validation`
 
+#![forbid(unsafe_code)]
+
 use preduce_bench::configs::table1_config;
 use preduce_bench::output::TableWriter;
 use preduce_models::zoo;

@@ -19,11 +19,24 @@
 //! and then renamed over the target, so a reader never observes a partial
 //! snapshot — it sees either the previous complete one or the new one.
 //!
-//! Every failure mode is a typed [`CheckpointError`]; this crate sits in
-//! the `preduce-analysis` panic-path scope and must never panic on any
-//! input, including adversarial bytes.
+//! Every failure mode is a typed [`CheckpointError`]; the crate denies
+//! clippy's panic lints below and must never panic on any input,
+//! including adversarial bytes.
 
 #![forbid(unsafe_code)]
+// No panicking construct outside tests (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::fmt;
 use std::fs;

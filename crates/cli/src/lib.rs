@@ -3,6 +3,20 @@
 //! so they are unit-testable.
 
 #![forbid(unsafe_code)]
+// The CLI launches and serves fleets: no panicking construct outside
+// tests (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod args;
 pub mod commands;

@@ -1,6 +1,21 @@
 //! `preduce` — the command-line entry point. All logic lives in the
 //! library half (`preduce_cli`) for testability.
 
+#![forbid(unsafe_code)]
+// Same contract as the library half (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use preduce_cli::{run_command, Args, Command};
 
 fn main() {

@@ -39,7 +39,7 @@ fn position_in_group(ep: &Endpoint, group: &[usize]) -> Result<usize> {
     }
     let mut sorted = group.to_vec();
     sorted.sort_unstable();
-    if sorted.windows(2).any(|w| w[0] == w[1]) {
+    if sorted.windows(2).any(|w| w.first() == w.last()) {
         return Err(CommError::InvalidGroup("duplicate member".into()));
     }
     group.iter().position(|&r| r == ep.rank()).ok_or_else(|| {
@@ -62,6 +62,10 @@ fn chunk_range(len: usize, p: usize, idx: usize) -> std::ops::Range<usize> {
 /// adding it into place (`fold`, the reduce-scatter half) or overwriting
 /// with it (the all-gather half). The received buffer goes back to the
 /// endpoint's pool.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "ring neighbours are taken `% p` with `p = group.len()`, and `chunk_range` of an index below `p` lies inside `0..data.len()`"
+)]
 fn ring_step(
     ep: &mut Endpoint,
     group: &[usize],
@@ -149,6 +153,10 @@ impl GroupAverager for Endpoint {
 /// Barrier across `group`: returns only after every member has entered.
 ///
 /// Implemented as gather-to-position-0 plus broadcast of an empty token.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "`position_in_group` rejects an empty group, so `group[0]` and `group[1..]` exist"
+)]
 pub fn barrier(ep: &mut Endpoint, group: &[usize], base_tag: u64) -> Result<()> {
     let me = position_in_group(ep, group)?;
     if group.len() == 1 {
@@ -181,6 +189,10 @@ pub fn barrier(ep: &mut Endpoint, group: &[usize], base_tag: u64) -> Result<()> 
 /// # Errors
 /// Fails on an invalid group, a transport error, or a neighbor payload of
 /// a different length.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "ring neighbours are taken `% p` with `p = group.len()`, non-zero after `position_in_group`"
+)]
 pub fn ring_exchange(
     ep: &mut Endpoint,
     group: &[usize],

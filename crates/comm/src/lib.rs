@@ -30,10 +30,22 @@
 
 #![forbid(unsafe_code)]
 // Comms hot paths must not panic on recoverable conditions: fallible
-// operations propagate `CommError` or document their panic with a
-// `lint: allow` (see DESIGN.md §10). Tests are exempt.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// operations propagate `CommError` or document their panic with an
+// `#[allow(clippy::.., reason = "..")]` (see DESIGN.md §10); a bad index
+// kills a comms thread mid-reduce. Tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod collectives;
 pub mod control;

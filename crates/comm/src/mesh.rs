@@ -149,6 +149,10 @@ fn recv(stream: &mut TcpStream, buf: &mut [u8], peer: usize, tag: u64) -> Result
 }
 
 /// The first `bytes` bytes of the wire scratch, growing it if needed.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "`wire` is resized to at least `bytes` first"
+)]
 fn scratch(wire: &mut Vec<u8>, bytes: usize) -> &mut [u8] {
     if wire.len() < bytes {
         wire.resize(bytes, 0);

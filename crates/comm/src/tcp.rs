@@ -123,6 +123,10 @@ pub(crate) fn locked_write<T: Serialize>(
 /// (`Timeout`, retryable — when `idle_ok`), a bounded number of stalls
 /// mid-frame (then `Disconnected`), and a real EOF/socket error
 /// (`Disconnected`).
+#[allow(
+    clippy::indexing_slicing,
+    reason = "the loop runs only while `filled < buf.len()`"
+)]
 pub(crate) fn read_full(
     stream: &mut TcpStream,
     buf: &mut [u8],
@@ -233,12 +237,18 @@ impl TcpControllerLink {
 pub fn bind_controller(addr: &str) -> (TcpListener, SocketAddr) {
     let listener = match TcpListener::bind(addr) {
         Ok(l) => l,
-        // lint: allow(panic-path) startup-only: the documented contract is to panic when the controller listener cannot come up
+        #[allow(
+            clippy::panic,
+            reason = "startup-only: the documented contract is to panic when the controller listener cannot come up"
+        )]
         Err(e) => panic!("bind controller listener on {addr}: {e}"),
     };
     let local = match listener.local_addr() {
         Ok(a) => a,
-        // lint: allow(panic-path) startup-only: the documented contract is to panic when the controller listener cannot come up
+        #[allow(
+            clippy::panic,
+            reason = "startup-only: the documented contract is to panic when the controller listener cannot come up"
+        )]
         Err(e) => panic!("controller listener has no local address: {e}"),
     };
     (listener, local)

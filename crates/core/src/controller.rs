@@ -18,6 +18,9 @@
 //! by the threaded runtime ([`crate::runtime`]) and by the virtual-time
 //! simulator in the trainer crate alike — one implementation, two harnesses.
 
+// A bad index panics the controller and strands the fleet.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -282,6 +285,10 @@ impl Controller {
     ///
     /// # Panics
     /// Panics if the worker rank is out of range.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "`worker < num_workers` is asserted on entry and the per-worker tables hold `num_workers` entries"
+    )]
     pub fn has_left(&self, worker: usize) -> bool {
         assert!(
             worker < self.config.num_workers,
@@ -303,6 +310,10 @@ impl Controller {
     /// # Panics
     /// Panics if the worker rank is out of range or the worker already
     /// left.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "`worker < num_workers` is asserted on entry and the per-worker tables hold `num_workers` entries"
+    )]
     pub fn mark_left(&mut self, worker: usize) {
         assert!(
             worker < self.config.num_workers,
@@ -337,6 +348,10 @@ impl Controller {
     /// # Panics
     /// Panics if the worker rank is out of range or the worker never
     /// departed (restoring a live worker would double-count it).
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "`worker < num_workers` is asserted on entry and the per-worker tables hold `num_workers` entries"
+    )]
     pub fn mark_restored(&mut self, worker: usize, iteration: u64) {
         assert!(
             worker < self.config.num_workers,
@@ -408,6 +423,10 @@ impl Controller {
     /// # Panics
     /// Panics if the worker rank is out of range or the worker already has
     /// a pending signal (each worker is ready at most once at a time).
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "`worker < num_workers` is asserted on entry and the per-worker tables hold `num_workers` entries"
+    )]
     pub fn push_ready(&mut self, worker: usize, iteration: u64) -> bool {
         assert!(
             worker < self.config.num_workers,
@@ -449,10 +468,8 @@ impl Controller {
     pub fn ingest_ready(&mut self, signals: &[(usize, u64)]) -> usize {
         let mut accepted = 0;
         for &(worker, iteration) in signals {
-            if worker >= self.config.num_workers {
-                continue;
-            }
-            if self.queued[worker] {
+            // Out-of-range ranks and re-signals are skipped alike.
+            if self.queued.get(worker) != Some(&false) {
                 continue;
             }
             if self.push_ready(worker, iteration) {
@@ -564,7 +581,9 @@ impl Controller {
         let mut signals: Vec<ReadySignal> = Vec::with_capacity(p);
         for &idx in member_idx.iter().rev() {
             if let Some(s) = self.queue.remove(idx) {
-                self.queued[s.worker] = false;
+                if let Some(q) = self.queued.get_mut(s.worker) {
+                    *q = false;
+                }
                 signals.push(s);
             }
         }

@@ -165,6 +165,10 @@ impl InvariantChecker {
     }
 }
 
+/// How many strict-only candidates a checker stores before its trace's
+/// first [`TraceEvent::ReduceCompleted`]; later ones are only counted.
+const STRICT_CANDIDATES_KEPT: usize = 16;
+
 /// A violation recorded during streaming, tagged with whether it only
 /// stands under strict in-flight accounting (see
 /// [`StreamingChecker::finish`]).
@@ -231,6 +235,10 @@ struct InFlightGroup {
 /// ahead, so it always *tracks* in-flight groups, tags the violations
 /// that depend on strictness, and drops them at
 /// [`StreamingChecker::finish`] if no completion ever arrived — one pass.
+/// On a controller-only trace every re-signal after a worker's first
+/// group is such a candidate, so only the first
+/// [`STRICT_CANDIDATES_KEPT`] are stored; the rest are counted, and the
+/// first completion — if one comes — reports the count.
 #[derive(Default)]
 pub struct StreamingChecker {
     /// Events fed so far (also the index assigned to the next event).
@@ -238,6 +246,9 @@ pub struct StreamingChecker {
     /// Whether a [`TraceEvent::ReduceCompleted`] has been seen — flips
     /// strict in-flight accounting from "tracked" to "enforced".
     strict_inflight: bool,
+    /// Strict-only candidates raised while `strict_inflight` was off; the
+    /// first [`STRICT_CANDIDATES_KEPT`] of them are in `violations`.
+    strict_candidates: usize,
     config: Option<ControllerConfig>,
     /// The per-worker table, indexed by rank: allocated once, from
     /// [`TraceEvent::RunStarted`]'s `N`; empty until then, never resized.
@@ -276,10 +287,22 @@ impl StreamingChecker {
     }
 
     /// Records a violation that only stands when the trace turns out to
-    /// carry completions (strict in-flight accounting).
-    fn fail_strict(&mut self, index: usize, message: String) {
+    /// carry completions (strict in-flight accounting). Until a
+    /// completion arrives these are candidates: a bounded number is kept,
+    /// the rest counted — a controller-only trace raises one per
+    /// re-signal and would otherwise grow this list with its length.
+    fn fail_strict(&mut self, index: usize, message: fmt::Arguments<'_>) {
+        if !self.strict_inflight {
+            self.strict_candidates += 1;
+            if self.strict_candidates > STRICT_CANDIDATES_KEPT {
+                return;
+            }
+        }
         self.violations.push(PendingViolation {
-            violation: Violation { index, message },
+            violation: Violation {
+                index,
+                message: message.to_string(),
+            },
             strict_only: true,
         });
     }
@@ -631,7 +654,7 @@ impl StreamingChecker {
             // dropped at `finish` if the trace carries no completions.
             self.fail_strict(
                 index,
-                format!(
+                format_args!(
                     "worker {worker} signalled ready while still inside an \
                      in-flight group"
                 ),
@@ -697,7 +720,10 @@ impl StreamingChecker {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one parameter per `GroupFormed` field"
+    )]
     fn on_group(
         &mut self,
         index: usize,
@@ -766,7 +792,7 @@ impl StreamingChecker {
             if let Some(held) = rec.group {
                 self.fail_strict(
                     index,
-                    format!(
+                    format_args!(
                         "worker {m} sits in two in-flight groups \
                          (second is {sequence})"
                     ),
@@ -1100,8 +1126,22 @@ impl StreamingChecker {
     fn on_completed(&mut self, index: usize, worker: usize, members: &[usize]) {
         // The trace carries completions: in-flight accounting is enforced
         // (tracked-but-tagged violations from earlier events stand — see
-        // `finish`).
-        self.strict_inflight = true;
+        // `finish`), and the candidates that were only counted are owned
+        // up to, once.
+        if !std::mem::replace(&mut self.strict_inflight, true) {
+            let dropped = self
+                .strict_candidates
+                .saturating_sub(STRICT_CANDIDATES_KEPT);
+            if dropped > 0 {
+                self.fail(
+                    index,
+                    format!(
+                        "{dropped} more in-flight violation(s) before this first \
+                         ReduceCompleted were counted, not kept"
+                    ),
+                );
+            }
+        }
         let Some(w) = self.rank(index, worker, "completed a reduce") else {
             return;
         };
@@ -1970,6 +2010,55 @@ mod tests {
                 .map(|v| v.message)
                 .collect()
         }
+    }
+
+    /// ROADMAP item 6: on a controller-only trace every re-signal after a
+    /// worker's first group is a strict-only candidate. The list that
+    /// holds them must not grow with the trace, and a completion that
+    /// turns strictness on late must still own up to all of them.
+    #[test]
+    fn strict_candidates_are_bounded_on_controller_only_traces() {
+        const GROUPS: usize = 25_010;
+        // [0,1] raises nothing, [1,2] and [2,3] one re-signal plus one
+        // "two groups" each, every later group two plus two.
+        const RESIGNALS: usize = 2 + 2 * (GROUPS - 3);
+        const CANDIDATES: usize = 2 * RESIGNALS;
+        const _: () = assert!(RESIGNALS >= 50_000);
+
+        let replay = |completed: bool| {
+            let mut story = Narrative::new();
+            let mut checker = StreamingChecker::new();
+            for g in 0..GROUPS {
+                // A ring of pairs keeps the three-group window connected.
+                story.group([g % 4, (g + 1) % 4], false);
+                for event in story.events.drain(..) {
+                    checker.feed(&event);
+                }
+                assert!(checker.violations.len() <= STRICT_CANDIDATES_KEPT);
+            }
+            assert_eq!(checker.strict_candidates, CANDIDATES);
+            if completed {
+                checker.feed(&TraceEvent::ReduceCompleted {
+                    worker: GROUPS % 4,
+                    members: vec![(GROUPS - 1) % 4, GROUPS % 4],
+                    new_iteration: story.iteration,
+                });
+            }
+            checker.finish()
+        };
+        assert!(replay(false).is_clean());
+
+        let report = replay(true);
+        assert_eq!(
+            report.violations.len(),
+            STRICT_CANDIDATES_KEPT + 1,
+            "{report}"
+        );
+        let last = &report.violations[STRICT_CANDIDATES_KEPT].message;
+        assert!(
+            last.starts_with(&format!("{} more", CANDIDATES - STRICT_CANDIDATES_KEPT)),
+            "{last}"
+        );
     }
 
     #[test]

@@ -37,9 +37,21 @@
 #![forbid(unsafe_code)]
 // The control plane must not panic on recoverable conditions: every
 // fallible operation either propagates an error or documents its panic
-// with a `lint: allow` (see DESIGN.md §10). Tests are exempt.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// with an `#[allow(clippy::.., reason = "..")]` (see DESIGN.md §10).
+// Tests are exempt; `controller` and `runtime` add
+// `clippy::indexing_slicing` on top.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod controller;
 pub mod graph;

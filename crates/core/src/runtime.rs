@@ -21,6 +21,9 @@
 //! controller answers every subsequent ready signal with a singleton group
 //! (a local no-op), so stragglers drain without deadlock.
 
+// A bad index kills the serving loop.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -354,14 +357,22 @@ pub fn spawn_tcp(
 
     // Dial all workers first (the listener backlog holds them), then
     // accept; avoids needing a connector thread per worker.
+    #[allow(
+        clippy::panic,
+        reason = "startup-only: the documented contract is to panic if the loopback handshake fails before training begins"
+    )]
     let worker_links: Vec<preduce_comm::tcp::TcpWorkerLink> = (0..n)
         .map(|rank| {
             preduce_comm::tcp::TcpWorkerLink::connect(addr, rank)
-                .unwrap_or_else(|e| panic!("loopback connect: {e}")) // lint: allow(panic-path) startup-only: the documented contract is to panic if the loopback handshake fails before training begins
+                .unwrap_or_else(|e| panic!("loopback connect: {e}"))
         })
         .collect();
+    #[allow(
+        clippy::panic,
+        reason = "startup-only: the documented contract is to panic if the loopback handshake fails before training begins"
+    )]
     let ctl_link = preduce_comm::tcp::accept_workers(&listener, n)
-        .unwrap_or_else(|e| panic!("worker handshake: {e}")); // lint: allow(panic-path) startup-only: the documented contract is to panic if the loopback handshake fails before training begins
+        .unwrap_or_else(|e| panic!("worker handshake: {e}"));
     launch(config, opts, ctl_link, worker_links)
 }
 
@@ -388,10 +399,14 @@ where
     let ctl_link = ObservedControlPlane::new(ctl_link, Arc::new(SinkObserver::new(sink.clone())));
     let endpoints = CommWorld::new(config.num_workers).into_endpoints();
     let controller = Controller::with_sink(config, sink.clone());
+    #[allow(
+        clippy::panic,
+        reason = "startup-only: OS refusing to spawn the controller thread is unrecoverable before training begins"
+    )]
     let join = thread::Builder::new()
         .name("preduce-controller".into())
         .spawn(move || serve(controller, ctl_link, &[], liveness, on_groups))
-        .unwrap_or_else(|e| panic!("failed to spawn controller thread: {e}")); // lint: allow(panic-path) startup-only: OS refusing to spawn the controller thread is unrecoverable before training begins
+        .unwrap_or_else(|e| panic!("failed to spawn controller thread: {e}"));
 
     let reducers = worker_links
         .into_iter()
@@ -479,7 +494,6 @@ fn serve<C: ControlPlane>(
             });
         }
     }
-    let mut active = n;
     let mut singletons = 0u64;
     let mut evictions = 0u64;
     let mut observed_groups = 0u64;
@@ -494,7 +508,7 @@ fn serve<C: ControlPlane>(
         None => IDLE_DEADLINE,
     };
 
-    while active > 0 {
+    while controller.active() > 0 {
         let events = match link.recv_events(INGEST_BATCH, recv_timeout) {
             Ok(events) => {
                 last_activity = Instant::now();
@@ -507,7 +521,7 @@ fn serve<C: ControlPlane>(
             match event {
                 ControlEvent::Signal(WorkerSignal::Ready { worker, iteration }) => {
                     note_heard(&mut last_seen, &mut reported_misses, worker);
-                    if active < p {
+                    if controller.active() < p {
                         if worker < n && !controller.has_left(worker) {
                             pending_drain.push((worker, iteration));
                         }
@@ -521,9 +535,8 @@ fn serve<C: ControlPlane>(
                     ingest_and_drain(&mut controller, &mut link, &mut ready_batch);
                     note_heard(&mut last_seen, &mut reported_misses, worker);
                     if worker < n && !controller.has_left(worker) {
-                        active -= 1;
                         controller.mark_left(worker);
-                        if active >= p {
+                        if controller.active() >= p {
                             drain_groups(&mut controller, &mut link);
                         }
                     }
@@ -542,8 +555,8 @@ fn serve<C: ControlPlane>(
                                 .sink()
                                 .record(TraceEvent::ProcessDisconnected { worker });
                         }
-                        evict(&mut controller, worker, &mut active, &mut evictions);
-                        if active >= p {
+                        evict(&mut controller, worker, &mut evictions);
+                        if controller.active() >= p {
                             drain_groups(&mut controller, &mut link);
                         }
                     }
@@ -582,16 +595,16 @@ fn serve<C: ControlPlane>(
                     }
                 }
                 if misses >= policy.miss_threshold {
-                    evict(&mut controller, worker, &mut active, &mut evictions);
+                    evict(&mut controller, worker, &mut evictions);
                 }
             }
-            if active >= p {
+            if controller.active() >= p {
                 drain_groups(&mut controller, &mut link);
             }
         }
         // Fleet below P: flush queued and drain-pending workers as
         // singletons so stragglers keep making progress alone.
-        if active < p {
+        if controller.active() < p {
             let mut flush: Vec<(usize, u64)> = controller.drain_pending();
             flush.append(&mut pending_drain);
             for (worker, iteration) in flush.drain(..) {
@@ -629,13 +642,12 @@ fn serve<C: ControlPlane>(
 
 /// Evicts a live `worker` ([`TraceEvent::WorkerEvicted`] carries the
 /// post-decrement active count) through the ordinary departure path.
-fn evict(controller: &mut Controller, worker: usize, active: &mut usize, evictions: &mut u64) {
+fn evict(controller: &mut Controller, worker: usize, evictions: &mut u64) {
     *evictions += 1;
-    *active -= 1;
     if controller.sink().enabled() {
         controller.sink().record(TraceEvent::WorkerEvicted {
             worker,
-            active: *active,
+            active: controller.active() - 1,
         });
     }
     controller.mark_left(worker);

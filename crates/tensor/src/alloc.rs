@@ -22,8 +22,8 @@
 //! *under*-reported for allocations this thread observed.
 //!
 //! This module lives in `preduce-tensor` because it is the workspace's
-//! one crate permitted to contain `unsafe` (the unsafe-audit lint pass
-//! confines `unsafe` here; a `GlobalAlloc` impl is inherently unsafe).
+//! one crate permitted to contain `unsafe` (every other crate root says
+//! `#![forbid(unsafe_code)]`; a `GlobalAlloc` impl is inherently unsafe).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

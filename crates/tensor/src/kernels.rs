@@ -74,6 +74,22 @@
 //! re-laying all of it on every call for eight rows of work cost 3–6× the
 //! multiply itself.
 
+// Every collective and model average funnels through this module; a panic
+// here strands a group like a comms panic (DESIGN.md §10). `assert!` on
+// buffer sizes is the stated contract and stays.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 /// Columns of `B`/`C` per macro-tile.
 pub const BLOCK_N: usize = 128;
 /// Contraction-panel depth per macro-tile.

@@ -23,6 +23,11 @@
 //!   reference implementation proven bit-identical by property tests. The
 //!   sim goldens elsewhere in the workspace rely on that bit-stability.
 
+// The one crate without `#![forbid(unsafe_code)]`: the counting allocator
+// and the SIMD dispatch need `unsafe`, and every use states its invariant
+// (DESIGN.md §10).
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
+
 pub mod alloc;
 mod eig;
 mod error;

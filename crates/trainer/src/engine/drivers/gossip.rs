@@ -4,8 +4,6 @@
 //! through the partial-reduce controller (a pairwise reduce *is* a
 //! P-Reduce with P=2) and D-PSGD over a neighbor ring exchange.
 
-use std::thread;
-
 use partial_reduce::runtime::{spawn, RuntimeOptions};
 use partial_reduce::ControllerConfig;
 use preduce_comm::collectives::{barrier, ring_exchange, TAG_STRIDE};
@@ -14,7 +12,7 @@ use preduce_simnet::{EventQueue, SimTime};
 use preduce_tensor::Tensor;
 use rand::Rng;
 
-use crate::engine::setup::{build_fleet, evaluate_uniform_average};
+use crate::engine::setup::build_fleet;
 use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
@@ -43,8 +41,10 @@ pub fn run_ad_psgd(mut h: SimHarness) -> RunResult {
     // worker w's communication lane is next available.
     let mut comm_free = vec![SimTime::ZERO; n];
 
-    #[allow(clippy::needless_range_loop)] // h.workers and in_flight are
-    // indexed in lockstep; an iterator would fight the split borrows.
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "h.workers and in_flight are indexed in lockstep; an iterator would fight the split borrows"
+    )]
     for w in 0..n {
         let g = h.workers[w].gradient(&mut h.rng);
         in_flight[w] = Some(g);
@@ -76,7 +76,11 @@ pub fn run_ad_psgd(mut h: SimHarness) -> RunResult {
 
         // Apply the (possibly inconsistent) gradient taken at compute
         // start.
-        let grad = in_flight[w].take().expect("scheduled with gradient"); // lint: allow(panic-path) sim-only invariant: every scheduled event stored its gradient at compute start; a violation is a harness bug worth a loud stop
+        #[allow(
+            clippy::expect_used,
+            reason = "sim-only invariant: every scheduled event stored its gradient at compute start; a violation is a harness bug worth a loud stop"
+        )]
+        let grad = in_flight[w].take().expect("scheduled with gradient");
         h.workers[w].apply(&grad, 1.0);
         h.workers[w].iteration += 1;
 
@@ -159,11 +163,9 @@ pub(crate) fn threaded_ad_psgd(sub: &ThreadedSubstrate) -> ThreadedReport {
         },
     );
 
-    let out = sub.run_spmd(fleet.workers, reducers, |mut ctx, mut w, mut r| {
+    let report = sub.run_spmd(fleet, reducers, |mut ctx, mut w, mut r| {
         for _ in 0..ctx.iters {
-            if !ctx.delay.is_zero() {
-                thread::sleep(ctx.delay);
-            }
+            ctx.straggle();
             let grad = w.gradient(&mut ctx.rng);
             // Gossip keeps the *local* iteration count: ignore the
             // controller's fast-forwarded value.
@@ -175,13 +177,9 @@ pub(crate) fn threaded_ad_psgd(sub: &ThreadedSubstrate) -> ThreadedReport {
         must("finish", r.finish());
         (w.params, w.iteration)
     });
-    let stats = handle.join();
-
     ThreadedReport {
-        wall_seconds: out.wall_seconds,
-        accuracy: evaluate_uniform_average(config, &fleet.test, &out.params),
-        iterations: out.iterations,
-        controller: Some(stats),
+        controller: Some(handle.join()),
+        ..report
     }
 }
 
@@ -197,11 +195,9 @@ pub(crate) fn threaded_d_psgd(sub: &ThreadedSubstrate) -> ThreadedReport {
     let endpoints = CommWorld::new(n).into_endpoints();
     let all: Vec<usize> = (0..n).collect();
 
-    let out = sub.run_spmd(fleet.workers, endpoints, move |mut ctx, mut w, mut ep| {
+    sub.run_spmd(fleet, endpoints, move |mut ctx, mut w, mut ep| {
         for k in 0..ctx.iters {
-            if !ctx.delay.is_zero() {
-                thread::sleep(ctx.delay);
-            }
+            ctx.straggle();
             let grad = w.gradient(&mut ctx.rng);
             let own = w.params.clone().into_vec();
             let (left, right) = must(
@@ -224,12 +220,5 @@ pub(crate) fn threaded_d_psgd(sub: &ThreadedSubstrate) -> ThreadedReport {
             );
         }
         (w.params, w.iteration)
-    });
-
-    ThreadedReport {
-        wall_seconds: out.wall_seconds,
-        accuracy: evaluate_uniform_average(config, &fleet.test, &out.params),
-        iterations: out.iterations,
-        controller: None,
-    }
+    })
 }

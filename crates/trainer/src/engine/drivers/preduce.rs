@@ -14,7 +14,7 @@ use preduce_tensor::Tensor;
 
 use crate::elastic::{reshard_churn, restore_worker, ElasticOptions, SnapshotWriter};
 use crate::engine::round::{Round, WorkerRounds};
-use crate::engine::setup::{build_fleet, evaluate_uniform_average};
+use crate::engine::setup::build_fleet;
 use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
@@ -118,7 +118,6 @@ pub fn run_preduce_elastic(
     };
     let dynamic = matches!(cfg.mode, AggregationMode::Dynamic { .. });
     let n = cfg.num_workers;
-    let mut active = h.num_workers();
 
     // Elastic glue (DESIGN.md §14): graft durable state onto the fleet
     // before anything is scheduled or narrated, then one snapshot writer
@@ -212,7 +211,6 @@ pub fn run_preduce_elastic(
                     // real heartbeat silence instead). A departure can
                     // unblock a frozen-avoidance deferral, so group
                     // formation still runs below.
-                    active -= 1;
                     if controller.sink().enabled() {
                         controller.sink().record(TraceEvent::FaultInjected {
                             worker: w,
@@ -222,9 +220,10 @@ pub fn run_preduce_elastic(
                             .label(),
                             iteration: h.workers[w].iteration,
                         });
-                        controller
-                            .sink()
-                            .record(TraceEvent::WorkerEvicted { worker: w, active });
+                        controller.sink().record(TraceEvent::WorkerEvicted {
+                            worker: w,
+                            active: controller.active() - 1,
+                        });
                     }
                     controller.mark_left(w);
                 } else {
@@ -302,7 +301,6 @@ pub fn run_preduce_elastic(
                         let snap = must("load worker snapshot", rstore.load_worker(w));
                         must("restore worker", restore_worker(&mut h.workers[w], &snap));
                         controller.mark_restored(w, snap.iteration);
-                        active += 1;
                         if controller.sink().enabled() {
                             let departed = controller.departed_workers();
                             let after: Vec<usize> =
@@ -410,7 +408,7 @@ pub(crate) fn threaded_preduce(
     );
     let sink = sub.sink();
 
-    let out = sub.run_spmd(fleet.workers, reducers, move |mut ctx, mut w, mut r| {
+    let report = sub.run_spmd(fleet, reducers, move |mut ctx, mut w, mut r| {
         if chaos {
             // Heartbeat from the very start — before any late-join sleep —
             // so a slow or late worker is never misjudged as dead.
@@ -433,12 +431,8 @@ pub(crate) fn threaded_preduce(
         must("finish", r.finish());
         (w.params, w.iteration)
     });
-    let stats = handle.join();
-
     ThreadedReport {
-        wall_seconds: out.wall_seconds,
-        accuracy: evaluate_uniform_average(config, &fleet.test, &out.params),
-        iterations: out.iterations,
-        controller: Some(stats),
+        controller: Some(handle.join()),
+        ..report
     }
 }

@@ -9,13 +9,12 @@
 //! over a real shared server (mutex-guarded model, condvar SSP gate).
 
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
 
 use preduce_models::SgdOptimizer;
 use preduce_simnet::{EventQueue, SimTime};
 use preduce_tensor::Tensor;
 
-use crate::engine::setup::{build_fleet, evaluate_uniform_average};
+use crate::engine::setup::build_fleet;
 use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
@@ -205,11 +204,9 @@ pub(crate) fn threaded_ps_async(sub: &ThreadedSubstrate, policy: PsPolicy) -> Th
     });
     let resources: Vec<_> = (0..n).map(|_| Arc::clone(&server)).collect();
 
-    let out = sub.run_spmd(fleet.workers, resources, move |mut ctx, mut w, server| {
+    sub.run_spmd(fleet, resources, move |mut ctx, mut w, server| {
         for _ in 0..ctx.iters {
-            if !ctx.delay.is_zero() {
-                thread::sleep(ctx.delay);
-            }
+            ctx.straggle();
             // Pull: record the server version the gradient is taken at.
             let version = {
                 let s = must("server lock", server.state.lock());
@@ -245,12 +242,5 @@ pub(crate) fn threaded_ps_async(sub: &ThreadedSubstrate, policy: PsPolicy) -> Th
         server.gate.notify_all();
         let m = must("server lock", server.state.lock()).params.clone();
         (m, w.iteration)
-    });
-
-    ThreadedReport {
-        wall_seconds: out.wall_seconds,
-        accuracy: evaluate_uniform_average(config, &fleet.test, &out.params),
-        iterations: out.iterations,
-        controller: None,
-    }
+    })
 }

@@ -3,7 +3,6 @@
 //! real-thread projection over [`CommWorld`] endpoints or a shared board.
 
 use std::sync::{Arc, Barrier, Mutex};
-use std::thread;
 use std::time::Instant;
 
 use preduce_comm::collectives::{barrier, ring_allreduce, TAG_STRIDE};
@@ -12,7 +11,7 @@ use preduce_models::SgdOptimizer;
 use preduce_simnet::SimTime;
 use preduce_tensor::Tensor;
 
-use crate::engine::setup::{build_fleet, evaluate_uniform_average};
+use crate::engine::setup::build_fleet;
 use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
@@ -123,7 +122,7 @@ pub fn run_eager_reduce(mut h: SimHarness) -> RunResult {
 
     loop {
         // Idle workers start a fresh gradient at the current parameters.
-        #[allow(clippy::needless_range_loop)] // split borrows across fields
+        #[allow(clippy::needless_range_loop, reason = "split borrows across fields")]
         for w in 0..n {
             if in_flight[w].is_none() {
                 let ct = h.compute_time(w, now);
@@ -195,11 +194,9 @@ pub(crate) fn threaded_allreduce(sub: &ThreadedSubstrate) -> ThreadedReport {
     let endpoints = CommWorld::new(n).into_endpoints();
     let all: Vec<usize> = (0..n).collect();
 
-    let out = sub.run_spmd(fleet.workers, endpoints, move |mut ctx, mut w, mut ep| {
+    sub.run_spmd(fleet, endpoints, move |mut ctx, mut w, mut ep| {
         for k in 0..ctx.iters {
-            if !ctx.delay.is_zero() {
-                thread::sleep(ctx.delay);
-            }
+            ctx.straggle();
             let grad = w.gradient(&mut ctx.rng);
             let mut flat = grad.into_vec();
             must(
@@ -219,14 +216,7 @@ pub(crate) fn threaded_allreduce(sub: &ThreadedSubstrate) -> ThreadedReport {
             );
         }
         (w.params, w.iteration)
-    });
-
-    ThreadedReport {
-        wall_seconds: out.wall_seconds,
-        accuracy: evaluate_uniform_average(config, &fleet.test, &out.params),
-        iterations: out.iterations,
-        controller: None,
-    }
+    })
 }
 
 /// Shared Eager-Reduce state: the global model plus the gradients waiting
@@ -255,11 +245,9 @@ pub(crate) fn threaded_eager_reduce(sub: &ThreadedSubstrate) -> ThreadedReport {
     }));
     let resources: Vec<_> = (0..n).map(|_| Arc::clone(&board)).collect();
 
-    let out = sub.run_spmd(fleet.workers, resources, move |mut ctx, mut w, board| {
+    sub.run_spmd(fleet, resources, move |mut ctx, mut w, board| {
         for _ in 0..ctx.iters {
-            if !ctx.delay.is_zero() {
-                thread::sleep(ctx.delay);
-            }
+            ctx.straggle();
             // Gradient at the current global model (snapshot may be stale
             // by the time the push lands — that's the point of ER).
             let snapshot = must("board lock", board.lock()).model.clone();
@@ -282,14 +270,7 @@ pub(crate) fn threaded_eager_reduce(sub: &ThreadedSubstrate) -> ThreadedReport {
         }
         let m = must("board lock", board.lock()).model.clone();
         (m, w.iteration)
-    });
-
-    ThreadedReport {
-        wall_seconds: out.wall_seconds,
-        accuracy: evaluate_uniform_average(config, &fleet.test, &out.params),
-        iterations: out.iterations,
-        controller: None,
-    }
+    })
 }
 
 /// One synchronous round's contributions: `(rank, compute seconds, grad)`.
@@ -324,58 +305,45 @@ fn threaded_ps_rounds(sub: &ThreadedSubstrate, take: usize) -> ThreadedReport {
         .map(|_| (Arc::clone(&boards), Arc::clone(&gate)))
         .collect();
 
-    let out = sub.run_spmd(
-        fleet.workers,
-        resources,
-        move |mut ctx, mut w, (boards, gate)| {
-            for k in 0..ctx.iters {
-                let clock = Instant::now();
-                if !ctx.delay.is_zero() {
-                    thread::sleep(ctx.delay);
+    sub.run_spmd(fleet, resources, move |mut ctx, mut w, (boards, gate)| {
+        for k in 0..ctx.iters {
+            let clock = Instant::now();
+            ctx.straggle();
+            let grad = w.gradient(&mut ctx.rng);
+            let secs = clock.elapsed().as_secs_f64();
+            let slot = (k % 2) as usize;
+            {
+                let mut b = must("board lock", boards[slot].lock());
+                if b.round != k {
+                    b.entries.clear();
+                    b.round = k;
                 }
-                let grad = w.gradient(&mut ctx.rng);
-                let secs = clock.elapsed().as_secs_f64();
-                let slot = (k % 2) as usize;
-                {
-                    let mut b = must("board lock", boards[slot].lock());
-                    if b.round != k {
-                        b.entries.clear();
-                        b.round = k;
-                    }
-                    b.entries.push((w.rank, secs, grad));
-                }
-                gate.wait();
-                {
-                    let b = must("board lock", boards[slot].lock());
-                    // Canonical contributor order: fastest first, rank
-                    // breaking ties, so every worker computes the same
-                    // average regardless of push order.
-                    let mut order: Vec<usize> = (0..b.entries.len()).collect();
-                    order.sort_by(|&x, &y| {
-                        let (rx, tx, _) = &b.entries[x];
-                        let (ry, ty, _) = &b.entries[y];
-                        tx.total_cmp(ty).then(rx.cmp(ry))
-                    });
-                    let mut avg = Tensor::zeros([w.params.len()]);
-                    for &i in order.iter().take(take) {
-                        avg.add_assign(&b.entries[i].2);
-                    }
-                    avg.scale(1.0 / take as f32);
-                    w.apply(&avg, 1.0);
-                    w.iteration += 1;
-                }
-                gate.wait();
+                b.entries.push((w.rank, secs, grad));
             }
-            (w.params, w.iteration)
-        },
-    );
-
-    ThreadedReport {
-        wall_seconds: out.wall_seconds,
-        accuracy: evaluate_uniform_average(config, &fleet.test, &out.params),
-        iterations: out.iterations,
-        controller: None,
-    }
+            gate.wait();
+            {
+                let b = must("board lock", boards[slot].lock());
+                // Canonical contributor order: fastest first, rank
+                // breaking ties, so every worker computes the same
+                // average regardless of push order.
+                let mut order: Vec<usize> = (0..b.entries.len()).collect();
+                order.sort_by(|&x, &y| {
+                    let (rx, tx, _) = &b.entries[x];
+                    let (ry, ty, _) = &b.entries[y];
+                    tx.total_cmp(ty).then(rx.cmp(ry))
+                });
+                let mut avg = Tensor::zeros([w.params.len()]);
+                for &i in order.iter().take(take) {
+                    avg.add_assign(&b.entries[i].2);
+                }
+                avg.scale(1.0 / take as f32);
+                w.apply(&avg, 1.0);
+                w.iteration += 1;
+            }
+            gate.wait();
+        }
+        (w.params, w.iteration)
+    })
 }
 
 /// Threaded PS BSP: every round averages all `n` gradients.

@@ -8,6 +8,22 @@
 //! a [`RunResult`] either way — with the same trace vocabulary flowing to
 //! the given [`TraceSink`] from both substrates.
 
+// The engine drives real fleets on the threaded and process substrates:
+// no panicking construct outside tests (DESIGN.md §10). The rest of
+// `preduce-trainer` is the virtual-time experiment layer and stays out.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod drivers;
 pub mod process;
 mod round;

@@ -11,6 +11,9 @@
 //! endpoints, partial reducers, or a shared server) over the in-process
 //! fabric.
 
+// Substrate dispatch indexes worker tables.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -25,7 +28,7 @@ use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::ExperimentConfig;
 use crate::elastic::ElasticOptions;
-use crate::engine::setup::worker_thread_seed;
+use crate::engine::setup::{evaluate_uniform_average, worker_thread_seed, Fleet};
 use crate::sim::SimHarness;
 use crate::worker::WorkerState;
 
@@ -254,29 +257,31 @@ impl ThreadedSubstrate {
         self.iters
     }
 
-    /// Runs `body` as an SPMD program: one thread per worker, each handed
-    /// its context (rank, iteration budget, straggler delay, seeded RNG),
-    /// its [`WorkerState`], and one element of `resources` (comm endpoint,
-    /// partial reducer, shared-server handle…). Returns the per-rank final
-    /// models and iteration counts plus the wall-clock time of the
-    /// training loops (evaluation happens after, outside the clock).
+    /// Runs `body` as an SPMD program: one thread per worker of `fleet`,
+    /// each handed its context (rank, iteration budget, straggler delay,
+    /// seeded RNG), its [`WorkerState`], and one element of `resources`
+    /// (comm endpoint, partial reducer, shared-server handle…). Reports
+    /// the per-rank iteration counts, the wall-clock time of the training
+    /// loops, and the accuracy of the uniform-averaged model on the
+    /// fleet's test set (evaluated after, outside the clock). `controller`
+    /// is `None`: a controller-backed caller fills it from its handle.
     ///
     /// # Panics
     /// Panics if a worker thread panics or `resources` is mis-sized.
-    pub(crate) fn run_spmd<R, F>(
-        &self,
-        workers: Vec<WorkerState>,
-        resources: Vec<R>,
-        body: F,
-    ) -> SpmdOutcome
+    pub(crate) fn run_spmd<R, F>(&self, fleet: Fleet, resources: Vec<R>, body: F) -> ThreadedReport
     where
         R: Send + 'static,
         F: Fn(WorkerCtx, WorkerState, R) -> (Tensor, u64) + Send + Sync + 'static,
     {
-        assert_eq!(workers.len(), resources.len(), "one resource per worker");
+        assert_eq!(
+            fleet.workers.len(),
+            resources.len(),
+            "one resource per worker"
+        );
         let body = Arc::new(body);
         let start = Instant::now();
-        let threads: Vec<_> = workers
+        let threads: Vec<_> = fleet
+            .workers
             .into_iter()
             .zip(resources)
             .map(|(w, r)| {
@@ -303,10 +308,12 @@ impl ThreadedSubstrate {
             params.push(p);
             iterations.push(i);
         }
-        SpmdOutcome {
-            wall_seconds: start.elapsed().as_secs_f64(),
-            params,
+        let wall_seconds = start.elapsed().as_secs_f64();
+        ThreadedReport {
+            wall_seconds,
+            accuracy: evaluate_uniform_average(&self.config, &fleet.test, &params),
             iterations,
+            controller: None,
         }
     }
 
@@ -333,7 +340,10 @@ impl ThreadedSubstrate {
 pub(crate) fn must<T, E: fmt::Display>(what: &str, result: Result<T, E>) -> T {
     match result {
         Ok(v) => v,
-        // lint: allow(panic-path) worker-thread failures propagate to the driver through run_spmd's join; a failed collective mid-run has no recovery path
+        #[allow(
+            clippy::panic,
+            reason = "worker-thread failures propagate to the driver through run_spmd's join; a failed collective mid-run has no recovery path"
+        )]
         Err(e) => panic!("{what}: {e}"),
     }
 }
@@ -353,15 +363,13 @@ pub(crate) struct WorkerCtx {
     pub faults: FaultPlan,
 }
 
-/// What an SPMD run returns: wall time plus each worker's final model and
-/// iteration count, in rank order.
-pub(crate) struct SpmdOutcome {
-    /// Wall-clock seconds for the training loops.
-    pub wall_seconds: f64,
-    /// Final per-rank models.
-    pub params: Vec<Tensor>,
-    /// Final per-rank iteration counts.
-    pub iterations: Vec<u64>,
+impl WorkerCtx {
+    /// Sleeps out this worker's injected per-iteration straggler delay.
+    pub fn straggle(&self) {
+        if !self.delay.is_zero() {
+            thread::sleep(self.delay);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -407,14 +415,16 @@ mod tests {
         let c = config(4);
         let fleet = crate::engine::setup::build_fleet(&c);
         let sub = ThreadedSubstrate::new(&c, 3);
-        let out = sub.run_spmd(fleet.workers, vec![(); 4], |mut ctx, mut w, ()| {
+        let out = sub.run_spmd(fleet, vec![(); 4], |mut ctx, mut w, ()| {
+            ctx.straggle();
             for _ in 0..ctx.iters {
                 w.local_update(&mut ctx.rng);
             }
             (w.params, w.iteration)
         });
         assert_eq!(out.iterations, vec![3; 4]);
-        assert_eq!(out.params.len(), 4);
+        assert!((0.0..=1.0).contains(&out.accuracy));
         assert!(out.wall_seconds >= 0.0);
+        assert!(out.controller.is_none());
     }
 }

@@ -46,6 +46,20 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// The facade re-exports the control plane: no panicking construct
+// outside tests (DESIGN.md §10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub use partial_reduce;
 pub use preduce_comm as comm;
