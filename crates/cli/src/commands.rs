@@ -154,10 +154,10 @@ FAULT INJECTION:
   delay:W+S (W's control signals arrive S seconds late), and
   latejoin:W+S (W starts S seconds late). Example:
   --fault-plan \"crash:3@40,stall:5x4@10\". Honored by the p-reduce
-  strategy on both backends; other strategies ignore the plan. The sim
-  backend additionally honors restore:W@U (worker W, previously crashed,
-  rejoins from its snapshot once the fleet has applied U updates; needs
-  --checkpoint-dir or --restore-from).
+  strategy on both backends; with any other strategy the flag is a
+  usage error. The sim backend additionally honors restore:W@U (worker
+  W, previously crashed, rejoins from its snapshot once the fleet has
+  applied U updates; needs --checkpoint-dir or --restore-from).
 
 ELASTICITY (DESIGN.md section 14):
   --checkpoint-dir DIR enables periodic snapshots: every worker writes
@@ -170,7 +170,9 @@ ELASTICITY (DESIGN.md section 14):
   training begins; for `controller` it validates the saved lineage
   against the fleet about to be served (the roster itself rebuilds
   live at accept time). Omitting every elasticity flag leaves runs
-  bit-identical to a build without the subsystem.
+  bit-identical to a build without the subsystem. `run` takes these
+  flags with --strategy p-reduce only, and --iters with --backend
+  threaded only; anywhere else they are usage errors, not ignored.
 
 MULTI-PROCESS FLEETS (DESIGN.md section 12):
   `controller` binds ADDR (use port 0 to let the OS choose; the chosen
@@ -237,6 +239,39 @@ fn parse_preset(name: &str) -> Result<DatasetPreset, CliError> {
     }
 }
 
+/// Refuses the `run` flags this run would parse and then drop: only the
+/// P-Reduce drivers execute a fault plan or take snapshots, and only the
+/// threaded backend counts `--iters`.
+fn reject_unhonoured_flags(
+    args: &Args,
+    strategy: Strategy,
+    backend: Backend,
+) -> Result<(), ArgError> {
+    const P_REDUCE: &str =
+        "--strategy p-reduce (no other strategy executes fault plans or checkpoints)";
+    let not_p_reduce = !matches!(strategy, Strategy::PReduce { .. });
+    for (flag, unhonoured, expected) in [
+        ("fault-plan", not_p_reduce, P_REDUCE),
+        ("checkpoint-dir", not_p_reduce, P_REDUCE),
+        ("checkpoint-every", not_p_reduce, P_REDUCE),
+        ("restore-from", not_p_reduce, P_REDUCE),
+        (
+            "iters",
+            backend == Backend::Sim,
+            "--backend threaded (a sim run ends at --threshold or --max-updates)",
+        ),
+    ] {
+        if let Some(value) = args.get(flag).filter(|_| unhonoured) {
+            return Err(ArgError::BadValue {
+                flag: flag.to_string(),
+                value: value.to_string(),
+                expected,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Builds [`ElasticOptions`] from the checkpoint/restore flags shared by
 /// `run`, `controller`, and `worker` (DESIGN.md §14). Absent flags yield
 /// the inert options, leaving the run bit-identical to one without them.
@@ -264,6 +299,17 @@ fn elastic_from_args(args: &Args) -> Result<ElasticOptions, CliError> {
         elastic = elastic.with_restore(dir);
     }
     Ok(elastic)
+}
+
+/// The JSONL sink `--trace-out` names, or the inert one.
+fn sink_from_args(args: &Args) -> Result<Arc<dyn TraceSink>, CliError> {
+    Ok(match args.get("trace-out") {
+        Some(path) => Arc::new(
+            JsonlSink::create(path)
+                .map_err(|e| CliError::Unknown(format!("trace file `{path}`: {e}")))?,
+        ),
+        None => Arc::new(NullSink),
+    })
 }
 
 /// Builds an [`ExperimentConfig`] from CLI flags (defaults mirror Table 1).
@@ -345,6 +391,7 @@ pub fn run_command(
                     CliError::Unknown(format!("backend `{name}` (expected `sim` or `threaded`)"))
                 })?,
             };
+            reject_unhonoured_flags(args, strategy, backend)?;
             if args.get("iters").is_some() {
                 config.threaded_iters = Some(args.get_or("iters", 0)?);
             }
@@ -354,33 +401,11 @@ pub fn run_command(
                     .map_err(|e| CliError::Unknown(format!("fault plan: {e}")))?,
             };
             let elastic = elastic_from_args(args)?;
-            let result = match args.get("trace-out") {
-                Some(path) => {
-                    let sink = Arc::new(
-                        JsonlSink::create(path)
-                            .map_err(|e| CliError::Unknown(format!("trace file `{path}`: {e}")))?,
-                    );
-                    let r = engine::run_elastic(
-                        strategy,
-                        &config,
-                        backend,
-                        sink.clone(),
-                        faults,
-                        elastic,
-                    );
-                    sink.flush();
-                    r
-                }
-                None => engine::run_elastic(
-                    strategy,
-                    &config,
-                    backend,
-                    Arc::new(NullSink),
-                    faults,
-                    elastic,
-                ),
-            }
-            .result;
+            let sink = sink_from_args(args)?;
+            let result =
+                engine::run_elastic(strategy, &config, backend, sink.clone(), faults, elastic)
+                    .result;
+            sink.flush();
             if args.get_or("json", false)? {
                 let text = serde_json::to_string(&result)
                     .map_err(|e| CliError::Internal(format!("serialize result: {e}")))?;
@@ -415,13 +440,7 @@ pub fn run_command(
                     miss.max(1),
                 ))
             };
-            let sink: Arc<dyn TraceSink> = match args.get("trace-out") {
-                Some(path) => Arc::new(
-                    JsonlSink::create(path)
-                        .map_err(|e| CliError::Unknown(format!("trace file `{path}`: {e}")))?,
-                ),
-                None => Arc::new(NullSink),
-            };
+            let sink = sink_from_args(args)?;
             let elastic = elastic_from_args(args)?;
             // Controller restore is validate-only (DESIGN.md §14): the
             // accept phase rebuilds the roster live, so the snapshot only
@@ -819,6 +838,28 @@ mod tests {
     fn malformed_fault_plan_is_an_error() {
         let (r, out) = run(&["run", "--workers", "4", "--fault-plan", "explode:1@2"]);
         assert!(matches!(r, Err(CliError::Unknown(_))), "{out}");
+    }
+
+    #[test]
+    fn flags_a_run_cannot_honour_are_usage_errors() {
+        let all_reduce = ["--strategy", "all-reduce"];
+        for (context, flag, value) in [
+            (&all_reduce[..], "fault-plan", "crash:1@4"),
+            (&all_reduce[..], "checkpoint-dir", "d"),
+            (&all_reduce[..], "checkpoint-every", "8"),
+            (&all_reduce[..], "restore-from", "d"),
+            (&["--backend", "sim"][..], "iters", "5"),
+        ] {
+            let dashed = format!("--{flag}");
+            let mut cmdline = vec!["run", "--workers", "4", &dashed, value];
+            cmdline.extend_from_slice(context);
+            let (r, out) = run(&cmdline);
+            let Err(e @ CliError::Args(ArgError::BadValue { .. })) = r else {
+                panic!("{cmdline:?} was accepted: {out}");
+            };
+            assert_eq!(e.exit_code(), 2);
+            assert!(e.to_string().contains(&dashed), "{e}");
+        }
     }
 
     #[test]

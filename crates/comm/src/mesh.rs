@@ -33,7 +33,7 @@
 //!
 //! **In-place fold.** The leader is always `group[0]`, so its own
 //! contribution comes first in group-position order and the accumulator
-//! can be its parameter slice: per [`PIPELINE_CHUNK`]-element segment it
+//! can be its parameter slice: per `PIPELINE_CHUNK`-element segment it
 //! reads every member's bytes, sets `data[i] = 0 + w₀·data[i]`, then adds
 //! `w_j·x_j` straight from the wire bytes in group-position order — the
 //! per-element order of a from-zero accumulator, so the result is

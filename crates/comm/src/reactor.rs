@@ -13,7 +13,7 @@
 //! `std` only: no epoll wrapper is available under the workspace's
 //! dependency budget, so shards scan their sockets with
 //! `set_nonblocking(true)` reads and an adaptive idle backoff (yield a
-//! few rounds, then sleep [`ReactorConfig::idle_sleep`]). At control
+//! few rounds, then sleep `IDLE_SLEEP`). At control
 //! message sizes this sustains tens of thousands of signals/sec from 64
 //! sockets (the benchmark's `storm-tcp` workload) while idling at a
 //! handful of syscalls per shard per millisecond.
@@ -31,37 +31,24 @@ use crate::frame::FrameBuffer;
 use crate::tcp::{self, TcpControllerLink};
 use crate::Result;
 
-/// Tuning knobs for the signal-plane reactor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReactorConfig {
-    /// Shard (poller thread) count; `0` picks one shard per 256 sockets,
-    /// clamped to `[1, 4]`.
-    pub shards: usize,
-    /// Idle rounds a shard spends yielding before it starts sleeping.
-    pub spin_rounds: u32,
-    /// Sleep between scans once a shard has gone idle.
-    pub idle_sleep: Duration,
-}
+/// Idle rounds a shard spends yielding before it starts sleeping.
+const SPIN_ROUNDS: u32 = 16;
+/// Sleep between scans once a shard has gone idle.
+const IDLE_SLEEP: Duration = Duration::from_micros(500);
 
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            shards: 0,
-            spin_rounds: 16,
-            idle_sleep: Duration::from_micros(500),
-        }
-    }
-}
+/// The third argument of [`accept_fleet`]. It has no fields and no effect:
+/// every caller passed the default, so the spin and nap lengths are this
+/// module's constants and the shard count is derived from the fleet size.
+/// The type survives only because the frozen benchmark crate names it
+/// (`probes.rs`); the parameter goes with the next `benchmark` PR
+/// (ROADMAP item 2).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReactorConfig {}
 
-impl ReactorConfig {
-    /// The effective shard count for a fleet of `n` sockets.
-    pub fn effective_shards(&self, n: usize) -> usize {
-        if self.shards > 0 {
-            self.shards.min(n.max(1))
-        } else {
-            (n / 256 + 1).clamp(1, 4)
-        }
-    }
+/// The shard (poller thread) count for a fleet of `n` sockets: one per 256
+/// sockets, clamped to `[1, 4]`.
+fn shard_count(n: usize) -> usize {
+    (n / 256 + 1).clamp(1, 4)
 }
 
 /// One fleet member as seen at handshake time.
@@ -122,7 +109,7 @@ fn pump(sock: &mut ShardSocket, scratch: &mut [u8], batch: &mut Vec<ControlEvent
 /// events, deliver once per productive scan, back off adaptively when
 /// idle. Exits when all sockets are gone or the controller dropped the
 /// receiving end.
-fn run_shard(mut socks: Vec<ShardSocket>, tx: Sender<Vec<ControlEvent>>, cfg: ReactorConfig) {
+fn run_shard(mut socks: Vec<ShardSocket>, tx: Sender<Vec<ControlEvent>>) {
     let mut scratch = vec![0u8; 16 * 1024];
     let mut idle_rounds = 0u32;
     while !socks.is_empty() {
@@ -136,13 +123,13 @@ fn run_shard(mut socks: Vec<ShardSocket>, tx: Sender<Vec<ControlEvent>>, cfg: Re
         });
         if batch.is_empty() {
             idle_rounds = idle_rounds.saturating_add(1);
-            if idle_rounds <= cfg.spin_rounds {
+            if idle_rounds <= SPIN_ROUNDS {
                 thread::yield_now();
             } else {
                 // lint: allow(reactor-blocking) bounded adaptive idle backoff: after
-                // spin_rounds empty polls the shard naps for idle_sleep so idle fleets
+                // SPIN_ROUNDS empty polls the shard naps for IDLE_SLEEP so idle fleets
                 // do not spin a core; any inbound byte ends the nap on the next poll.
-                thread::sleep(cfg.idle_sleep);
+                thread::sleep(IDLE_SLEEP);
             }
         } else {
             idle_rounds = 0;
@@ -160,7 +147,6 @@ fn run_shard(mut socks: Vec<ShardSocket>, tx: Sender<Vec<ControlEvent>>, cfg: Re
 pub(crate) fn accept_reactor(
     listener: &TcpListener,
     n: usize,
-    cfg: ReactorConfig,
 ) -> Result<(TcpControllerLink, Vec<FleetMember>)> {
     assert!(n > 0, "need at least one worker");
     let mut writers: Vec<Option<Arc<Mutex<TcpStream>>>> = (0..n).map(|_| None).collect();
@@ -215,7 +201,7 @@ pub(crate) fn accept_reactor(
     let members: Vec<FleetMember> = members.into_iter().flatten().collect();
     debug_assert_eq!(writers.len(), n, "every rank said hello");
 
-    let shards = cfg.effective_shards(n);
+    let shards = shard_count(n);
     let mut per_shard: Vec<Vec<ShardSocket>> = (0..shards).map(|_| Vec::new()).collect();
     for (rank, reader) in readers.into_iter().enumerate() {
         let Some(stream) = reader else { continue };
@@ -237,7 +223,7 @@ pub(crate) fn accept_reactor(
         let tx = tx.clone();
         thread::Builder::new()
             .name(format!("preduce-reactor-{i}"))
-            .spawn(move || run_shard(socks, tx, cfg))
+            .spawn(move || run_shard(socks, tx))
             .map_err(|_| CommError::Disconnected { peer: usize::MAX })?;
     }
 
@@ -256,9 +242,9 @@ pub(crate) fn accept_reactor(
 pub fn accept_fleet(
     listener: &TcpListener,
     n: usize,
-    cfg: ReactorConfig,
+    _: ReactorConfig,
 ) -> Result<(TcpControllerLink, Vec<FleetMember>)> {
-    let (mut link, members) = accept_reactor(listener, n, cfg)?;
+    let (mut link, members) = accept_reactor(listener, n)?;
     let mut data_addrs = Vec::with_capacity(n);
     for m in &members {
         let addr = m.data_addr.clone().ok_or_else(|| {
@@ -330,7 +316,7 @@ mod tests {
             // Dropping the link closes the socket: the reactor must
             // report the EOF as a Disconnected event.
         });
-        let (mut link, _) = accept_reactor(&listener, 1, ReactorConfig::default()).expect("accept");
+        let (mut link, _) = accept_reactor(&listener, 1).expect("accept");
         w.join().expect("worker");
         let mut saw_signal = false;
         let mut saw_disconnect = false;
@@ -361,7 +347,7 @@ mod tests {
             w.send_ready(7).expect("ready");
             w.recv_assignment(T).expect("assignment")
         });
-        let (mut link, _) = accept_reactor(&listener, 1, ReactorConfig::default()).expect("accept");
+        let (mut link, _) = accept_reactor(&listener, 1).expect("accept");
         match link.recv_signal(T).expect("signal") {
             WorkerSignal::Ready { worker, iteration } => {
                 assert_eq!((worker, iteration), (0, 7));
@@ -380,15 +366,10 @@ mod tests {
 
     #[test]
     fn shard_count_scales_with_sockets() {
-        let cfg = ReactorConfig::default();
-        assert_eq!(cfg.effective_shards(1), 1);
-        assert_eq!(cfg.effective_shards(255), 1);
-        assert_eq!(cfg.effective_shards(1024), 4);
-        let fixed = ReactorConfig {
-            shards: 8,
-            ..ReactorConfig::default()
-        };
-        assert_eq!(fixed.effective_shards(1024), 8);
-        assert_eq!(fixed.effective_shards(2), 2);
+        assert_eq!(shard_count(1), 1);
+        assert_eq!(shard_count(255), 1);
+        assert_eq!(shard_count(256), 2);
+        assert_eq!(shard_count(1024), 4);
+        assert_eq!(shard_count(100_000), 4);
     }
 }

@@ -37,7 +37,7 @@ use crate::control::{
 };
 use crate::error::CommError;
 use crate::frame::{self, MAX_FRAME};
-use crate::reactor::{self, ReactorConfig};
+use crate::reactor;
 use crate::Result;
 
 /// Read timeout on every connected control-plane socket. Reader threads
@@ -261,7 +261,7 @@ pub fn bind_controller(addr: &str) -> (TcpListener, SocketAddr) {
 /// Fails if a connection breaks during the handshake or a rank is
 /// duplicated/out of range.
 pub fn accept_workers(listener: &TcpListener, n: usize) -> Result<TcpControllerLink> {
-    reactor::accept_reactor(listener, n, ReactorConfig::default()).map(|(link, _members)| link)
+    reactor::accept_reactor(listener, n).map(|(link, _members)| link)
 }
 
 impl ControlPlane for TcpControllerLink {

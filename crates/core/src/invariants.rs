@@ -221,7 +221,7 @@ struct InFlightGroup {
 /// The incremental invariant checker: feed events one at a time, read
 /// the verdict at the end.
 ///
-/// State is bounded by the fleet, not the trace: one [`WorkerRecord`]
+/// State is bounded by the fleet, not the trace: one `WorkerRecord`
 /// per rank (queue slot, floor, in-flight membership, lifecycle flags),
 /// one stored member list per group in flight, a
 /// [`WindowedConnectivity`] replica of the controller's `T`-window sync
@@ -237,7 +237,7 @@ struct InFlightGroup {
 /// [`StreamingChecker::finish`] if no completion ever arrived — one pass.
 /// On a controller-only trace every re-signal after a worker's first
 /// group is such a candidate, so only the first
-/// [`STRICT_CANDIDATES_KEPT`] are stored; the rest are counted, and the
+/// `STRICT_CANDIDATES_KEPT` are stored; the rest are counted, and the
 /// first completion — if one comes — reports the count.
 #[derive(Default)]
 pub struct StreamingChecker {

@@ -1,20 +1,21 @@
 use preduce_tensor::{he_normal, kernels, matmul, matmul_a_bt, matmul_at_b, Tensor};
 use rand::Rng;
 
-use crate::layer::Layer;
-
 /// A fully-connected layer: `y = x · W + b` with `W: [in, out]`, `b: [out]`.
+///
+/// The layer owns its parameters and gradient accumulators; the forward
+/// input its weight gradient needs is kept by the [`Network`](crate::Network)
+/// and handed back to [`Dense::accumulate`], which *adds* into the stored
+/// gradients (call [`Dense::zero_grads`] between optimizer steps).
 #[derive(Debug, Clone)]
-pub struct Dense {
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
-    /// Whether `grad_weight` is all `+0.0`: set by [`Layer::zero_grads`],
-    /// cleared by the first backward after it.
+pub(crate) struct Dense {
+    pub(crate) weight: Tensor,
+    pub(crate) bias: Tensor,
+    pub(crate) grad_weight: Tensor,
+    pub(crate) grad_bias: Tensor,
+    /// Whether `grad_weight` is all `+0.0`: set by [`Dense::zero_grads`],
+    /// cleared by the first [`Dense::accumulate`] after it.
     grad_weight_zeroed: bool,
-    /// Cached forward input, needed for the weight gradient.
-    input: Option<Tensor>,
     in_features: usize,
     out_features: usize,
 }
@@ -24,7 +25,11 @@ impl Dense {
     ///
     /// # Panics
     /// Panics if either dimension is zero.
-    pub fn new<R: Rng + ?Sized>(rng: &mut R, in_features: usize, out_features: usize) -> Self {
+    pub(crate) fn new<R: Rng + ?Sized>(
+        rng: &mut R,
+        in_features: usize,
+        out_features: usize,
+    ) -> Self {
         assert!(
             in_features > 0 && out_features > 0,
             "zero-sized dense layer"
@@ -35,35 +40,31 @@ impl Dense {
             grad_weight: Tensor::zeros([in_features, out_features]),
             grad_bias: Tensor::zeros([out_features]),
             grad_weight_zeroed: true,
-            input: None,
             in_features,
             out_features,
         }
     }
 
     /// Input feature count.
-    pub fn in_features(&self) -> usize {
+    pub(crate) fn in_features(&self) -> usize {
         self.in_features
     }
 
     /// Output feature count.
-    pub fn out_features(&self) -> usize {
+    pub(crate) fn out_features(&self) -> usize {
         self.out_features
     }
-}
 
-impl Layer for Dense {
-    fn name(&self) -> &'static str {
-        "dense"
+    /// Number of scalar parameters: `in · out + out`.
+    pub(crate) fn param_count(&self) -> usize {
+        self.weight.len() + self.bias.len()
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = self.infer(x);
-        self.input = Some(x.clone());
-        y
-    }
-
-    fn infer(&self, x: &Tensor) -> Tensor {
+    /// `x · W + b` for a `[batch, in_features]` activation tensor.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `[batch, in_features]`.
+    pub(crate) fn forward(&self, x: &Tensor) -> Tensor {
         assert_eq!(
             x.shape().dim(1),
             self.in_features,
@@ -82,17 +83,16 @@ impl Layer for Dense {
         y
     }
 
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        self.backward_params(grad);
-        // dx = g · Wᵀ
+    /// The gradient w.r.t. the layer's input, `g · Wᵀ`, given the gradient
+    /// `grad` w.r.t. its output.
+    pub(crate) fn input_grad(&self, grad: &Tensor) -> Tensor {
         matmul_a_bt(grad, &self.weight)
     }
 
-    fn backward_params(&mut self, grad: &Tensor) {
-        let input = self
-            .input
-            .take()
-            .expect("Dense::backward called before forward");
+    /// Adds to `grad_weight` and `grad_bias` the contribution of one
+    /// forward `input` and the gradient `grad` w.r.t. the output it
+    /// produced.
+    pub(crate) fn accumulate(&mut self, input: &Tensor, grad: &Tensor) {
         let batch = grad.shape().dim(0);
         // dW += xᵀ · g, the product formed from zero and then added. Into
         // a zeroed accumulator that is the product itself (`0 + x` is `x`,
@@ -109,7 +109,7 @@ impl Layer for Dense {
                 self.grad_weight.as_mut_slice(),
             );
         } else {
-            self.grad_weight.add_assign(&matmul_at_b(&input, grad));
+            self.grad_weight.add_assign(&matmul_at_b(input, grad));
         }
         // db += column sums of g
         kernels::col_sums_acc(
@@ -120,26 +120,11 @@ impl Layer for Dense {
         );
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_weight, &self.grad_bias]
-    }
-
-    fn zero_grads(&mut self) {
+    /// Resets the accumulated gradients to zero.
+    pub(crate) fn zero_grads(&mut self) {
         self.grad_weight.fill_zero();
         self.grad_bias.fill_zero();
         self.grad_weight_zeroed = true;
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
     }
 }
 
@@ -156,12 +141,10 @@ mod tests {
     fn forward_matches_manual_computation() {
         let mut l = Dense::new(&mut rng(), 2, 3);
         // Overwrite params with known values.
-        l.params_mut()[0]
+        l.weight
             .as_mut_slice()
             .copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        l.params_mut()[1]
-            .as_mut_slice()
-            .copy_from_slice(&[0.1, 0.2, 0.3]);
+        l.bias.as_mut_slice().copy_from_slice(&[0.1, 0.2, 0.3]);
         let x = Tensor::from_vec(vec![1.0, 1.0], [1, 2]).unwrap();
         let y = l.forward(&x);
         // y = [1+4, 2+5, 3+6] + b = [5.1, 7.2, 9.3]
@@ -172,31 +155,19 @@ mod tests {
     }
 
     #[test]
-    fn backward_accumulates_bias_gradient() {
+    fn bias_gradient_accumulates_until_zeroed() {
         let mut l = Dense::new(&mut rng(), 2, 2);
-        let x = Tensor::ones([3, 2]);
-        let _ = l.forward(&x);
-        let g = Tensor::ones([3, 2]);
-        let _ = l.backward(&g);
         // db = column sums = 3 for each output.
-        assert_eq!(l.grads()[1].as_slice(), &[3.0, 3.0]);
-    }
-
-    #[test]
-    fn gradients_accumulate_across_batches() {
-        let mut l = Dense::new(&mut rng(), 2, 2);
-        for _ in 0..2 {
-            let x = Tensor::ones([1, 2]);
-            let _ = l.forward(&x);
-            let _ = l.backward(&Tensor::ones([1, 2]));
-        }
-        assert_eq!(l.grads()[1].as_slice(), &[2.0, 2.0]);
+        l.accumulate(&Tensor::ones([3, 2]), &Tensor::ones([3, 2]));
+        assert_eq!(l.grad_bias.as_slice(), &[3.0, 3.0]);
+        l.accumulate(&Tensor::ones([1, 2]), &Tensor::ones([1, 2]));
+        assert_eq!(l.grad_bias.as_slice(), &[4.0, 4.0]);
         l.zero_grads();
-        assert_eq!(l.grads()[1].as_slice(), &[0.0, 0.0]);
+        assert_eq!(l.grad_bias.as_slice(), &[0.0, 0.0]);
     }
 
     #[test]
-    fn second_backward_adds_a_product_formed_from_zero() {
+    fn second_accumulate_adds_a_product_formed_from_zero() {
         // Without `zero_grads` in between, G becomes G + XᵀdY with the
         // product accumulated from zero and then added — not continued
         // from G, which rounds differently.
@@ -210,11 +181,10 @@ mod tests {
         let mut expected = Tensor::zeros([5, 3]);
         for pass in 0..3 {
             let (x, dy) = (batch(pass, 5), batch(pass + 7, 3));
-            l.forward(&x);
-            l.backward(&dy);
+            l.accumulate(&x, &dy);
             expected.add_assign(&matmul_at_b(&x, &dy));
         }
-        assert_eq!(crate::bits(l.grads()[0]), crate::bits(&expected));
+        assert_eq!(crate::bits(&l.grad_weight), crate::bits(&expected));
     }
 
     #[test]
@@ -224,31 +194,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backward called before forward")]
-    fn backward_requires_forward() {
-        let mut l = Dense::new(&mut rng(), 2, 2);
-        l.backward(&Tensor::ones([1, 2]));
-    }
-
-    #[test]
     fn finite_difference_gradient_check() {
         // Loss = sum(forward(x)); check dL/dW numerically.
         let mut l = Dense::new(&mut rng(), 3, 2);
         let x = Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5], [2, 3]).unwrap();
 
         let y = l.forward(&x);
-        let ones = Tensor::ones(y.shape().clone());
-        let _ = l.backward(&ones);
-        let analytic = l.grads()[0].clone();
+        l.accumulate(&x, &Tensor::ones(y.shape().clone()));
+        let analytic = l.grad_weight.clone();
 
         let eps = 1e-3f32;
-        for idx in 0..l.params()[0].len() {
-            let orig = l.params()[0].as_slice()[idx];
-            l.params_mut()[0].as_mut_slice()[idx] = orig + eps;
+        for idx in 0..l.weight.len() {
+            let orig = l.weight.as_slice()[idx];
+            l.weight.as_mut_slice()[idx] = orig + eps;
             let y_hi: f64 = l.forward(&x).sum();
-            l.params_mut()[0].as_mut_slice()[idx] = orig - eps;
+            l.weight.as_mut_slice()[idx] = orig - eps;
             let y_lo: f64 = l.forward(&x).sum();
-            l.params_mut()[0].as_mut_slice()[idx] = orig;
+            l.weight.as_mut_slice()[idx] = orig;
             let numeric = ((y_hi - y_lo) / (2.0 * eps as f64)) as f32;
             let a = analytic.as_slice()[idx];
             assert!(

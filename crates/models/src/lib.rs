@@ -3,11 +3,13 @@
 //!
 //! Provides:
 //!
-//! * trainable layers with exact backprop — [`Dense`], [`Conv2d`],
-//!   [`MaxPool2d`], [`GlobalAvgPool`], ReLU/Tanh activations;
-//! * a [`Network`] container built from a serializable [`NetworkSpec`], so
-//!   every worker can construct an *identical* initial replica from a shared
-//!   seed (Algorithm 2 requires all local models to start at the same point);
+//! * one trainable architecture with exact backprop: a [`Network`] of dense
+//!   layers with ReLU between them — what every zoo analog is (DESIGN.md
+//!   §3), and the only thing a flag or config file can name;
+//! * its serializable description, a [`ModelZooEntry`], and the
+//!   [`NetworkSpec`] built from it, so every worker can construct an
+//!   *identical* initial replica from a shared seed (Algorithm 2 requires
+//!   all local models to start at the same point);
 //! * flat parameter/gradient vectors ([`Network::param_vector`] /
 //!   [`Network::set_param_vector`]) — the unit of communication for
 //!   all-reduce, parameter-server, and partial-reduce traffic;
@@ -20,32 +22,19 @@
 
 #![forbid(unsafe_code)]
 
-mod activation;
-mod conv;
 mod dense;
-mod layer;
 mod loss;
 mod metrics;
 mod network;
-mod norm;
 mod optimizer;
-mod pool;
-mod residual;
 mod spec;
 pub mod zoo;
 
-pub use activation::{Relu, Tanh};
-pub use conv::Conv2d;
-pub use dense::Dense;
-pub use layer::Layer;
-pub use loss::{mse_loss, softmax_cross_entropy, LossOutput};
-pub use metrics::{accuracy, evaluate_accuracy, evaluate_accuracy_parallel, topk_accuracy};
+pub use loss::{softmax_cross_entropy, LossOutput};
+pub use metrics::evaluate_accuracy_parallel;
 pub use network::Network;
-pub use norm::{Dropout, LayerNorm};
 pub use optimizer::{LrSchedule, SgdConfig, SgdOptimizer};
-pub use pool::{GlobalAvgPool, MaxPool2d};
-pub use residual::Residual;
-pub use spec::{LayerSpec, NetworkSpec};
+pub use spec::NetworkSpec;
 pub use zoo::{CostProfile, ModelZooEntry};
 
 /// A tensor's values as bit patterns, for the exact-equality tests.

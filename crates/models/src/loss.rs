@@ -1,6 +1,6 @@
-//! Loss functions. These sit outside the [`crate::Layer`] stack: the trainer
-//! calls `network.forward(x)` to obtain logits, then a loss function to get
-//! the scalar loss and the gradient to feed `network.backward`.
+//! The loss function. It sits outside the [`crate::Network`]: the trainer
+//! calls `network.forward(x)` to obtain logits, then the loss to get the
+//! scalar and the gradient to feed `network.backward`.
 
 use preduce_tensor::{log_softmax_rows, softmax_rows, Tensor};
 
@@ -50,26 +50,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> LossOutput {
     LossOutput { loss, grad }
 }
 
-/// Mean-squared-error loss against a dense target, used by the convex
-/// regression tests where closed-form optima exist.
-///
-/// # Panics
-/// Panics if the shapes differ.
-pub fn mse_loss(output: &Tensor, target: &Tensor) -> LossOutput {
-    assert_eq!(
-        output.shape(),
-        target.shape(),
-        "mse shape mismatch: {} vs {}",
-        output.shape(),
-        target.shape()
-    );
-    let n = output.len() as f64;
-    let loss = output.sq_dist(target) / n;
-    let mut grad = output.sub(target);
-    grad.scale(2.0 / n as f32);
-    LossOutput { loss, grad }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,15 +95,6 @@ mod tests {
         let logits = Tensor::from_vec(vec![10.0, -10.0, -10.0], [1, 3]).unwrap();
         let out = softmax_cross_entropy(&logits, &[0]);
         assert!(out.loss < 1e-6);
-    }
-
-    #[test]
-    fn mse_known_value_and_gradient() {
-        let out = Tensor::from_vec(vec![1.0, 2.0], [1, 2]).unwrap();
-        let tgt = Tensor::from_vec(vec![0.0, 0.0], [1, 2]).unwrap();
-        let l = mse_loss(&out, &tgt);
-        assert!((l.loss - 2.5).abs() < 1e-6); // (1 + 4) / 2
-        assert_eq!(l.grad.as_slice(), &[1.0, 2.0]); // 2/2 * (out - tgt)
     }
 
     #[test]

@@ -1,52 +1,21 @@
-//! Classification metrics used by the convergence experiments.
+//! Test-set accuracy, the metric the convergence experiments report.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use preduce_data::Dataset;
-use preduce_tensor::{argmax_rows, Tensor};
+use preduce_tensor::argmax_rows;
 
 use crate::network::Network;
 
-/// Fraction of rows whose argmax matches the label.
+/// Test accuracy of `net` over `dataset` — the fraction of rows whose
+/// argmax logit is the label — batching to bound the activation memory.
 ///
-/// # Panics
-/// Panics if `logits` is not rank-2 or the label count differs.
-pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
-    assert_eq!(
-        logits.shape().dim(0),
-        labels.len(),
-        "batch/label count mismatch"
-    );
-    if labels.is_empty() {
-        return 0.0;
-    }
-    let preds = argmax_rows(logits);
-    let correct = preds
-        .iter()
-        .zip(labels.iter())
-        .filter(|(p, y)| p == y)
-        .count();
-    correct as f64 / labels.len() as f64
-}
-
-/// Evaluates test accuracy of `net` over `dataset`, batching to bound the
-/// activation memory. Runs [`Network::infer`], so the network — its mode
-/// included — is left as it was found (`&mut` only because callers have
-/// always passed it so).
-///
-/// # Panics
-/// Panics if `eval_batch == 0`.
-pub fn evaluate_accuracy(net: &mut Network, dataset: &Dataset, eval_batch: usize) -> f64 {
-    evaluate_accuracy_parallel(net, dataset, eval_batch, 1)
-}
-
-/// Data-parallel [`evaluate_accuracy`]: up to `threads` OS threads (the
-/// caller's included) claim the dataset's evaluation batches one at a time,
-/// all reading the one `net` (inference takes `&self` and caches nothing),
-/// and their *integer* correct counts are summed. Integer addition is
-/// associative, so the result is the same for any thread count and any
-/// claiming order — safe for golden-pinned trajectories — and a thread
-/// that is scheduled late delays nothing.
+/// Up to `threads` OS threads (the caller's included) claim the dataset's
+/// evaluation batches one at a time, all reading the one `net` (inference
+/// takes `&self` and keeps nothing), and their *integer* correct counts
+/// are summed. Integer addition is associative, so the result is the same
+/// for any thread count and any claiming order — safe for golden-pinned
+/// trajectories — and a thread that is scheduled late delays nothing.
 ///
 /// (The roadmap names rayon for this; the workspace is dependency-frozen,
 /// so scoped `std::thread` does the same fork-join without a new crate.)
@@ -98,48 +67,18 @@ pub fn evaluate_accuracy_parallel(
     correct as f64 / n as f64
 }
 
-/// Fraction of rows whose label appears among the `k` highest logits —
-/// the top-k accuracy ImageNet evaluations report alongside top-1.
-///
-/// # Panics
-/// Panics if `k == 0`, `logits` is not rank-2, or the label count differs.
-pub fn topk_accuracy(logits: &Tensor, labels: &[usize], k: usize) -> f64 {
-    assert!(k > 0, "k must be positive");
-    assert_eq!(logits.shape().rank(), 2, "logits must be [batch, classes]");
-    assert_eq!(
-        logits.shape().dim(0),
-        labels.len(),
-        "batch/label count mismatch"
-    );
-    if labels.is_empty() {
-        return 0.0;
-    }
-    let classes = logits.shape().dim(1);
-    let k = k.min(classes);
-    let mut correct = 0usize;
-    for (r, &y) in labels.iter().enumerate() {
-        let row = logits.row(r);
-        let target = row[y];
-        // Label is in the top k iff fewer than k entries strictly beat it
-        // (ties resolve in the label's favor, matching argmax's
-        // lowest-index rule only approximately; exact ties are measure-
-        // zero for real logits).
-        let beaten_by = row.iter().filter(|&&v| v > target).count();
-        if beaten_by < k {
-            correct += 1;
-        }
-    }
-    correct as f64 / labels.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::NetworkSpec;
+    use preduce_tensor::Tensor;
 
     #[test]
-    fn accuracy_counts_matches() {
-        let logits = Tensor::from_vec(
+    fn counts_rows_whose_argmax_is_the_label() {
+        // Identity weights and zero bias make the logits the features.
+        let mut net = NetworkSpec::mlp(2, &[], 2).build(0);
+        net.set_param_vector(&Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0], [6]).unwrap());
+        let features = Tensor::from_vec(
             vec![
                 1.0, 0.0, // -> 0
                 0.0, 1.0, // -> 1
@@ -148,47 +87,9 @@ mod tests {
             [3, 2],
         )
         .unwrap();
-        assert!((accuracy(&logits, &[0, 1, 1]) - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn accuracy_of_empty_is_zero() {
-        let logits = Tensor::zeros([0, 3]);
-        assert_eq!(accuracy(&logits, &[]), 0.0);
-    }
-
-    #[test]
-    fn topk_contains_top1() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let logits = Tensor::from_vec(
-            (0..60).map(|_| rng.gen_range(-3.0f32..3.0)).collect(),
-            [6, 10],
-        )
-        .unwrap();
-        let labels: Vec<usize> = (0..6).map(|i| i % 10).collect();
-        let top1 = topk_accuracy(&logits, &labels, 1);
-        let top5 = topk_accuracy(&logits, &labels, 5);
-        let top10 = topk_accuracy(&logits, &labels, 10);
-        assert!((top1 - accuracy(&logits, &labels)).abs() < 1e-12);
-        assert!(top1 <= top5);
-        assert!(top5 <= top10);
-        assert_eq!(top10, 1.0); // k = classes covers everything
-    }
-
-    #[test]
-    fn topk_known_values() {
-        let logits = Tensor::from_vec(
-            vec![
-                5.0, 4.0, 3.0, 2.0, // label 2 is 3rd-best
-            ],
-            [1, 4],
-        )
-        .unwrap();
-        assert_eq!(topk_accuracy(&logits, &[2], 2), 0.0);
-        assert_eq!(topk_accuracy(&logits, &[2], 3), 1.0);
-        // k larger than classes clamps.
-        assert_eq!(topk_accuracy(&logits, &[3], 99), 1.0);
+        let ds = Dataset::new(features, vec![0, 1, 1], 2);
+        let acc = evaluate_accuracy_parallel(&net, &ds, 2, 1);
+        assert!((acc - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -198,8 +99,8 @@ mod tests {
             Tensor::from_vec((0..168).map(|i| (i % 11) as f32 - 5.0).collect(), [42, 4]).unwrap();
         let labels = (0..42).map(|i| i % 3).collect::<Vec<_>>();
         let ds = Dataset::new(features, labels, 3);
-        let sequential = evaluate_accuracy(&mut net.clone(), &ds, 5);
-        for threads in [1, 2, 3, 8, 64] {
+        let sequential = evaluate_accuracy_parallel(&net, &ds, 5, 1);
+        for threads in [2, 3, 8, 64] {
             let parallel = evaluate_accuracy_parallel(&net, &ds, 5, threads);
             assert_eq!(
                 sequential.to_bits(),
@@ -210,41 +111,16 @@ mod tests {
     }
 
     #[test]
-    fn evaluation_leaves_the_network_mode_alone() {
-        use crate::spec::LayerSpec;
-        let mut net = NetworkSpec {
-            input_dim: 4,
-            layers: vec![
-                LayerSpec::Dropout { p_mille: 500 },
-                LayerSpec::Dense {
-                    in_features: 4,
-                    out_features: 3,
-                },
-            ],
-        }
-        .build(2);
-        let features =
-            Tensor::from_vec((0..48).map(|i| (i % 9) as f32 - 4.0).collect(), [12, 4]).unwrap();
-        let ds = Dataset::new(features.clone(), (0..12).map(|i| i % 3).collect(), 3);
-        net.set_training(false);
-        let before = net.forward(&features);
-        evaluate_accuracy(&mut net, &ds, 5);
-        // Still in evaluation mode: dropout stays off, same logits.
-        let after = net.forward(&features);
-        assert_eq!(crate::bits(&before), crate::bits(&after));
-    }
-
-    #[test]
     fn evaluate_accuracy_batches_consistently() {
         // Accuracy must not depend on the evaluation batch size.
-        let mut net = NetworkSpec::mlp(4, &[8], 3).build(5);
+        let net = NetworkSpec::mlp(4, &[8], 3).build(5);
         let features =
             Tensor::from_vec((0..40).map(|i| (i % 7) as f32 - 3.0).collect(), [10, 4]).unwrap();
         let labels = (0..10).map(|i| i % 3).collect::<Vec<_>>();
         let ds = Dataset::new(features, labels, 3);
-        let a1 = evaluate_accuracy(&mut net, &ds, 3);
-        let a2 = evaluate_accuracy(&mut net, &ds, 10);
-        let a3 = evaluate_accuracy(&mut net, &ds, 1);
+        let a1 = evaluate_accuracy_parallel(&net, &ds, 3, 1);
+        let a2 = evaluate_accuracy_parallel(&net, &ds, 10, 1);
+        let a3 = evaluate_accuracy_parallel(&net, &ds, 1, 1);
         assert!((a1 - a2).abs() < 1e-12);
         assert!((a1 - a3).abs() < 1e-12);
     }

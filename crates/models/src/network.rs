@@ -1,61 +1,46 @@
-use preduce_tensor::Tensor;
+use preduce_tensor::{relu, relu_backward, Tensor};
 
-use crate::layer::{backward_params_all, forward_all, infer_all, Layer};
+use crate::dense::Dense;
 
-/// A sequential feed-forward network.
+/// A feed-forward classifier: dense layers with a ReLU between each
+/// consecutive pair (none after the last, whose outputs are the logits).
 ///
 /// The network is the unit of replication in distributed training: each
 /// worker owns one, and all communication happens through the *flat
 /// parameter vector* ([`Network::param_vector`] /
 /// [`Network::set_param_vector`]) and *flat gradient vector*
 /// ([`Network::grad_vector`]) — exactly the view a collective library like
-/// Gloo or NCCL has of a model.
+/// Gloo or NCCL has of a model. Both are laid out layer by layer, each
+/// layer's row-major `[in, out]` weight matrix followed by its bias.
 #[derive(Clone)]
 pub struct Network {
-    input_dim: usize,
-    layers: Vec<Box<dyn Layer>>,
+    layers: Vec<Dense>,
     param_count: usize,
-    /// Which forward [`Network::forward`] runs (see
-    /// [`Network::set_training`]).
-    training: bool,
-    /// Whether the layers hold the caches of a training forward that no
-    /// backward has consumed yet.
-    armed: bool,
+    /// The input of every layer in the last [`Network::forward`], first
+    /// layer first; empty once a backward has consumed them.
+    inputs: Vec<Tensor>,
 }
 
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Network(input_dim={}, layers=[", self.input_dim)?;
-        for (i, l) in self.layers.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{}", l.name())?;
+        write!(f, "Network({}", self.layers[0].in_features())?;
+        for l in &self.layers {
+            write!(f, " -> {}", l.out_features())?;
         }
-        write!(f, "], params={})", self.param_count)
+        write!(f, ", params={})", self.param_count)
     }
 }
 
 impl Network {
-    /// Assembles a network from constructed layers.
-    ///
-    /// # Panics
-    /// Panics if `input_dim == 0`.
-    pub fn new(input_dim: usize, layers: Vec<Box<dyn Layer>>) -> Self {
-        assert!(input_dim > 0, "network input dimension must be positive");
-        let param_count = layers.iter().map(|l| l.param_count()).sum();
+    /// Stacks `layers`, the last of which is the classifier.
+    pub(crate) fn new(layers: Vec<Dense>) -> Self {
+        assert!(!layers.is_empty(), "a network needs a classifier layer");
+        let param_count = layers.iter().map(Dense::param_count).sum();
         Network {
-            input_dim,
             layers,
             param_count,
-            training: true,
-            armed: false,
+            inputs: Vec::new(),
         }
-    }
-
-    /// Expected input feature count.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
     }
 
     /// Total scalar parameter count `d` — the length of the flat vectors.
@@ -63,46 +48,40 @@ impl Network {
         self.param_count
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Runs the forward pass on `[batch, input_dim]`. In training mode
-    /// (the default) the layers cache state for a subsequent
-    /// [`Network::backward`]; in evaluation mode this is
-    /// [`Network::infer`] and no backward may follow.
+    /// Runs the forward pass on `[batch, features]`, keeping each layer's
+    /// input for a subsequent [`Network::backward`].
     ///
     /// # Panics
-    /// Panics if `x` is not `[batch, input_dim]`.
+    /// Panics if `x` is not `[batch, features]` for the spec's `input_dim`.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.armed = self.training;
-        if self.training {
-            self.check_input(x);
-            forward_all(&mut self.layers, x)
-        } else {
-            self.infer(x)
+        self.inputs.clear();
+        let mut h = x.clone();
+        for (i, layer) in self.layers.iter().enumerate() {
+            let mut y = layer.forward(&h);
+            if i + 1 < self.layers.len() {
+                y = relu(y);
+            }
+            self.inputs.push(std::mem::replace(&mut h, y));
         }
+        h
     }
 
-    /// The evaluation forward pass: dropout off, nothing cached, `&self` —
-    /// one network serves any number of evaluation threads.
+    /// The evaluation forward pass: the same values as
+    /// [`Network::forward`], nothing kept, `&self` — one network serves
+    /// any number of evaluation threads.
     ///
     /// # Panics
-    /// Panics if `x` is not `[batch, input_dim]`.
-    pub fn infer(&self, x: &Tensor) -> Tensor {
-        self.check_input(x);
-        infer_all(&self.layers, x)
-    }
-
-    fn check_input(&self, x: &Tensor) {
-        assert_eq!(
-            x.shape().dim(1),
-            self.input_dim,
-            "network expects [batch, {}], got {}",
-            self.input_dim,
-            x.shape()
-        );
+    /// Panics if `x` is not `[batch, features]` for the spec's `input_dim`.
+    pub(crate) fn infer(&self, x: &Tensor) -> Tensor {
+        let (last, hidden) = self
+            .layers
+            .split_last()
+            .expect("a network has a classifier layer");
+        let mut h: Option<Tensor> = None;
+        for layer in hidden {
+            h = Some(relu(layer.forward(h.as_ref().unwrap_or(x))));
+        }
+        last.forward(h.as_ref().unwrap_or(x))
     }
 
     /// Propagates `grad` (w.r.t. the network output) through all layers,
@@ -110,15 +89,27 @@ impl Network {
     /// *input* is never formed: nothing reads it.
     ///
     /// # Panics
-    /// Panics unless the last [`Network::forward`] ran in training mode and
-    /// no backward has consumed it since (an evaluation forward leaves no
-    /// caches, and an older one's would be stale).
+    /// Panics unless a [`Network::forward`] ran and no backward has
+    /// consumed it since (an evaluation forward keeps nothing, and an
+    /// older forward's inputs would be stale).
     pub fn backward(&mut self, grad: &Tensor) {
-        assert!(
-            std::mem::take(&mut self.armed),
-            "Network::backward needs a training-mode forward first"
+        assert_eq!(
+            self.inputs.len(),
+            self.layers.len(),
+            "Network::backward needs a forward first"
         );
-        backward_params_all(&mut self.layers, grad);
+        let mut carried: Option<Tensor> = None;
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let input = self.inputs.pop().expect("one input per layer");
+            let g = carried.as_ref().unwrap_or(grad);
+            layer.accumulate(&input, g);
+            if i > 0 {
+                // `input` is the output of the ReLU in front of this
+                // layer, positive exactly where that ReLU's own input was:
+                // it is the mask.
+                carried = Some(relu_backward(&input, layer.input_grad(g)));
+            }
+        }
     }
 
     /// Resets all accumulated gradients to zero.
@@ -128,22 +119,14 @@ impl Network {
         }
     }
 
-    /// Switches [`Network::forward`] between the training forward
-    /// (caches for backward, dropout active) and the evaluation forward.
-    pub fn set_training(&mut self, training: bool) {
-        self.training = training;
-    }
-
-    /// All parameters concatenated into one flat `[d]` tensor
-    /// (layer order, then the per-layer parameter order).
+    /// All parameters concatenated into one flat `[d]` tensor.
     pub fn param_vector(&self) -> Tensor {
         let mut flat = Vec::with_capacity(self.param_count);
         for l in &self.layers {
-            for p in l.params() {
-                flat.extend_from_slice(p.as_slice());
-            }
+            flat.extend_from_slice(l.weight.as_slice());
+            flat.extend_from_slice(l.bias.as_slice());
         }
-        Tensor::from_vec(flat, [self.param_count.max(1)]).expect("param volume matches")
+        Tensor::from_vec(flat, [self.param_count]).expect("param volume matches")
     }
 
     /// All accumulated gradients concatenated into one flat `[d]` tensor,
@@ -153,7 +136,7 @@ impl Network {
         for g in self.grad_chunks() {
             flat.extend_from_slice(g);
         }
-        Tensor::from_vec(flat, [self.param_count.max(1)]).expect("grad volume matches")
+        Tensor::from_vec(flat, [self.param_count]).expect("grad volume matches")
     }
 
     /// The accumulated gradients where they lie: the consecutive chunks of
@@ -163,8 +146,7 @@ impl Network {
     pub fn grad_chunks(&self) -> impl Iterator<Item = &[f32]> {
         self.layers
             .iter()
-            .flat_map(|l| l.grads())
-            .map(|g| g.as_slice())
+            .flat_map(|l| [l.grad_weight.as_slice(), l.grad_bias.as_slice()])
     }
 
     /// Overwrites all parameters from a flat `[d]` tensor.
@@ -179,13 +161,12 @@ impl Network {
             flat.len(),
             self.param_count
         );
-        let src = flat.as_slice();
-        let mut off = 0;
+        let mut rest = flat.as_slice();
         for l in &mut self.layers {
-            for p in l.params_mut() {
-                let n = p.len();
-                p.as_mut_slice().copy_from_slice(&src[off..off + n]);
-                off += n;
+            for p in [&mut l.weight, &mut l.bias] {
+                let (head, tail) = rest.split_at(p.len());
+                p.as_mut_slice().copy_from_slice(head);
+                rest = tail;
             }
         }
     }
@@ -195,6 +176,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::bits;
+    use crate::loss::softmax_cross_entropy;
     use crate::spec::NetworkSpec;
 
     #[test]
@@ -266,58 +248,6 @@ mod tests {
         }
     }
 
-    /// One spec per layer kind `NetworkSpec` can build. Dropout has
-    /// probability zero, so its training forward is the identity too.
-    fn every_layer_kind() -> Vec<NetworkSpec> {
-        use crate::spec::LayerSpec::*;
-        let dense = |in_features, out_features| Dense {
-            in_features,
-            out_features,
-        };
-        vec![
-            NetworkSpec::mlp(16, &[12, 8], 3),
-            NetworkSpec::residual_mlp(16, 8, 2, 3),
-            NetworkSpec {
-                input_dim: 16,
-                layers: vec![
-                    Residual {
-                        layers: vec![dense(16, 16), Tanh],
-                    },
-                    Dropout { p_mille: 0 },
-                    LayerNorm { features: 16 },
-                    dense(16, 3),
-                ],
-            },
-            NetworkSpec {
-                input_dim: 16,
-                layers: vec![
-                    Conv2d {
-                        in_c: 1,
-                        in_h: 4,
-                        in_w: 4,
-                        out_c: 3,
-                        kernel: 3,
-                        stride: 1,
-                        padding: 1,
-                    },
-                    Relu,
-                    MaxPool2d {
-                        channels: 3,
-                        in_h: 4,
-                        in_w: 4,
-                        window: 2,
-                    },
-                    GlobalAvgPool {
-                        channels: 3,
-                        in_h: 2,
-                        in_w: 2,
-                    },
-                    dense(3, 3),
-                ],
-            },
-        ]
-    }
-
     fn input(rows: usize) -> Tensor {
         let data = (0..rows * 16)
             .map(|i| ((i * 37 % 23) as f32 - 11.0) / 7.0)
@@ -325,51 +255,58 @@ mod tests {
         Tensor::from_vec(data, [rows, 16]).unwrap()
     }
 
+    fn fnv1a64(values: &Tensor) -> u64 {
+        values
+            .as_slice()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// The flat layout (W₀ row-major, b₀, W₁, b₁, …), the He-normal draw
+    /// order and the accumulation order, pinned as FNV-1a-64 over the bit
+    /// patterns. The constants were printed by this code at the last
+    /// commit whose `Network` was a stack of boxed layer trait objects: a
+    /// checkpoint or golden written there reads the same here.
     #[test]
-    fn evaluation_forward_matches_training_forward_and_disarms_backward() {
-        for spec in every_layer_kind() {
-            let mut net = spec.build(3);
+    fn layout_fingerprint_is_the_recorded_one() {
+        let mut net = NetworkSpec::mlp(16, &[12, 8], 3).build(1);
+        assert_eq!(fnv1a64(&net.param_vector()), 0x7512_cdd4_1f66_d38b);
+        net.zero_grads();
+        let logits = net.forward(&input(5));
+        let loss = softmax_cross_entropy(&logits, &[0, 2, 1, 1, 0]);
+        net.backward(&loss.grad);
+        assert_eq!(fnv1a64(&net.grad_vector()), 0x9e31_8668_ee69_e5a5);
+    }
+
+    #[test]
+    fn evaluation_forward_matches_training_forward() {
+        for hidden in [&[][..], &[12], &[12, 8]] {
+            let mut net = NetworkSpec::mlp(16, hidden, 3).build(3);
             let x = input(5);
-            let trained = net.forward(&x);
-            assert_eq!(bits(&net.infer(&x)), bits(&trained), "{spec:?}");
-            net.set_training(false);
-            let evaluated = net.forward(&x);
-            assert_eq!(bits(&evaluated), bits(&trained), "{spec:?}");
-            // The training forward above left caches behind; a backward
-            // now must refuse rather than read them.
-            let grad = Tensor::ones(evaluated.shape().clone());
-            let refused =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.backward(&grad)));
-            assert!(refused.is_err(), "backward ran after an evaluation forward");
+            assert_eq!(bits(&net.infer(&x)), bits(&net.forward(&x)), "{hidden:?}");
         }
     }
 
     #[test]
-    fn backward_matches_full_per_layer_backward_bitwise() {
-        for spec in every_layer_kind() {
-            let mut net = spec.build(4);
-            let mut reference = net.clone();
-            let x = input(7);
-            let y = net.forward(&x);
-            reference.forward(&x);
-            let grad = Tensor::from_vec(
-                (0..y.len()).map(|i| (i % 5) as f32 * 0.25 - 0.5).collect(),
-                y.shape().clone(),
-            )
-            .unwrap();
-            net.backward(&grad);
-            // Every layer's full backward, input gradient of the first
-            // layer included, in reverse order.
-            let mut g = grad;
-            for layer in reference.layers.iter_mut().rev() {
-                g = layer.backward(&g);
-            }
-            assert_eq!(
-                bits(&net.grad_vector()),
-                bits(&reference.grad_vector()),
-                "{spec:?}"
-            );
-        }
+    fn backward_consumes_exactly_one_forward() {
+        let mut net = NetworkSpec::mlp(16, &[12], 3).build(3);
+        let grad = Tensor::ones([5, 3]);
+        let refused = |net: &mut Network| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.backward(&grad))).is_err()
+        };
+        assert!(refused(&mut net), "backward ran with no forward at all");
+        // An evaluation forward keeps nothing to run a backward on.
+        net.infer(&input(5));
+        assert!(
+            refused(&mut net),
+            "backward ran after an evaluation forward"
+        );
+        net.forward(&input(5));
+        net.backward(&grad);
+        assert!(refused(&mut net), "a second backward reused stale inputs");
     }
 
     #[test]

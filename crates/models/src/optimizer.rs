@@ -75,7 +75,7 @@ impl SgdOptimizer {
     /// Rebuilds optimizer state from checkpointed parts (DESIGN.md §14):
     /// the momentum buffer and the step counter a snapshot carried. With
     /// the same config, the rebuilt optimizer is indistinguishable from
-    /// the one that was snapshotted — `current_lr` resumes mid-schedule.
+    /// the one that was snapshotted — the learning rate resumes mid-schedule.
     ///
     /// # Panics
     /// Panics if `velocity` is empty.
@@ -94,7 +94,7 @@ impl SgdOptimizer {
     }
 
     /// The learning rate that the *next* step will use.
-    pub fn current_lr(&self) -> f32 {
+    fn current_lr(&self) -> f32 {
         match self.config.schedule {
             LrSchedule::Constant => self.config.lr,
             LrSchedule::Step {

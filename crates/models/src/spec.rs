@@ -1,4 +1,4 @@
-//! Serializable network architecture descriptions.
+//! Network architecture descriptions.
 //!
 //! Workers never ship layer objects to each other; they share a
 //! [`NetworkSpec`] + seed and build identical replicas locally, mirroring the
@@ -6,171 +6,29 @@
 //! (§4). The spec is also what the model zoo returns.
 
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
-use crate::activation::{Relu, Tanh};
-use crate::conv::Conv2d;
 use crate::dense::Dense;
-use crate::layer::Layer;
 use crate::network::Network;
-use crate::norm::{Dropout, LayerNorm};
-use crate::pool::{GlobalAvgPool, MaxPool2d};
-use crate::residual::Residual;
 
-/// One layer in a [`NetworkSpec`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LayerSpec {
-    /// Fully-connected layer.
-    Dense {
-        /// Input features.
-        in_features: usize,
-        /// Output features.
-        out_features: usize,
-    },
-    /// ReLU activation.
-    Relu,
-    /// Tanh activation.
-    Tanh,
-    /// 2-D convolution over channel-major activations.
-    Conv2d {
-        /// Input channels.
-        in_c: usize,
-        /// Input height.
-        in_h: usize,
-        /// Input width.
-        in_w: usize,
-        /// Output channels.
-        out_c: usize,
-        /// Square kernel size.
-        kernel: usize,
-        /// Stride.
-        stride: usize,
-        /// Symmetric zero padding.
-        padding: usize,
-    },
-    /// Non-overlapping max pooling.
-    MaxPool2d {
-        /// Channels.
-        channels: usize,
-        /// Input height.
-        in_h: usize,
-        /// Input width.
-        in_w: usize,
-        /// Window (and stride).
-        window: usize,
-    },
-    /// Global average pooling to `[batch, channels]`.
-    GlobalAvgPool {
-        /// Channels.
-        channels: usize,
-        /// Input height.
-        in_h: usize,
-        /// Input width.
-        in_w: usize,
-    },
-    /// Per-row layer normalization with learned gain/bias.
-    LayerNorm {
-        /// Feature width.
-        features: usize,
-    },
-    /// Inverted dropout (identity at evaluation time).
-    Dropout {
-        /// Drop probability in `[0, 1)`. Stored in per-mille to keep the
-        /// spec `Eq`/hashable (`250` = 0.25).
-        p_mille: u16,
-    },
-    /// A residual block: `y = x + f(x)` over a dimension-preserving inner
-    /// stack.
-    Residual {
-        /// Inner layers (must map `d → d`).
-        layers: Vec<LayerSpec>,
-    },
-}
-
-/// A complete architecture: input dimensionality plus an ordered layer list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// An MLP architecture: `input → h₁ → ReLU → h₂ → ReLU → … → classes`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkSpec {
     /// Expected input feature count.
     pub input_dim: usize,
-    /// Layers in execution order.
-    pub layers: Vec<LayerSpec>,
+    /// Hidden layer widths, in execution order.
+    pub hidden: Vec<usize>,
+    /// Output (logit) count.
+    pub num_classes: usize,
 }
 
 impl NetworkSpec {
-    /// Convenience constructor for a residual MLP: a stem projecting to
-    /// `width`, then `blocks` residual blocks
-    /// (`LayerNorm → Dense → ReLU → Dense` inside each skip), then the
-    /// classifier head — a faithful miniature of the pre-activation
-    /// ResNet pattern.
-    ///
-    /// # Panics
-    /// Panics if any dimension is zero.
-    pub fn residual_mlp(input_dim: usize, width: usize, blocks: usize, num_classes: usize) -> Self {
-        assert!(
-            input_dim > 0 && width > 0 && num_classes > 0,
-            "zero-sized residual MLP"
-        );
-        let mut layers = vec![
-            LayerSpec::Dense {
-                in_features: input_dim,
-                out_features: width,
-            },
-            LayerSpec::Relu,
-        ];
-        for _ in 0..blocks {
-            layers.push(LayerSpec::Residual {
-                layers: vec![
-                    LayerSpec::LayerNorm { features: width },
-                    LayerSpec::Dense {
-                        in_features: width,
-                        out_features: width,
-                    },
-                    LayerSpec::Relu,
-                    LayerSpec::Dense {
-                        in_features: width,
-                        out_features: width,
-                    },
-                ],
-            });
-        }
-        layers.push(LayerSpec::Dense {
-            in_features: width,
-            out_features: num_classes,
-        });
-        NetworkSpec { input_dim, layers }
-    }
-
-    /// Convenience constructor for an MLP with the given hidden widths and
-    /// ReLU activations: `input → h1 → ReLU → h2 → ReLU → … → classes`.
-    ///
-    /// # Panics
-    /// Panics if `input_dim` or `num_classes` is zero.
+    /// An MLP with the given hidden widths.
     pub fn mlp(input_dim: usize, hidden: &[usize], num_classes: usize) -> Self {
-        assert!(input_dim > 0 && num_classes > 0, "zero-sized MLP");
-        let mut layers = Vec::new();
-        let mut prev = input_dim;
-        for &h in hidden {
-            layers.push(LayerSpec::Dense {
-                in_features: prev,
-                out_features: h,
-            });
-            layers.push(LayerSpec::Relu);
-            prev = h;
+        NetworkSpec {
+            input_dim,
+            hidden: hidden.to_vec(),
+            num_classes,
         }
-        layers.push(LayerSpec::Dense {
-            in_features: prev,
-            out_features: num_classes,
-        });
-        NetworkSpec { input_dim, layers }
-    }
-
-    /// Output feature count of each layer, starting from `input_dim`;
-    /// validates that consecutive layers are dimension-compatible.
-    ///
-    /// # Panics
-    /// Panics on any dimension mismatch (a malformed spec).
-    pub fn validate(&self) -> usize {
-        validate_layers(self.input_dim, &self.layers)
     }
 
     /// Builds the network, initializing all parameters from `seed`.
@@ -179,151 +37,17 @@ impl NetworkSpec {
     /// this is how every worker starts from the same replica.
     ///
     /// # Panics
-    /// Panics if the spec is dimensionally inconsistent.
+    /// Panics if any width is zero.
     pub fn build(&self, seed: u64) -> Network {
-        self.validate();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let layers = build_layers(&self.layers, &mut rng);
-        Network::new(self.input_dim, layers)
+        let outs = self.hidden.iter().chain([&self.num_classes]);
+        let ins = [&self.input_dim].into_iter().chain(&self.hidden);
+        let layers = ins
+            .zip(outs)
+            .map(|(&i, &o)| Dense::new(&mut rng, i, o))
+            .collect();
+        Network::new(layers)
     }
-}
-
-/// Dimension-checks `layers` starting from `dim`, returning the output
-/// width. Recurses into residual blocks (whose inner stack must preserve
-/// the width).
-fn validate_layers(mut dim: usize, layers: &[LayerSpec]) -> usize {
-    for (i, l) in layers.iter().enumerate() {
-        dim = match l {
-            LayerSpec::Dense {
-                in_features,
-                out_features,
-            } => {
-                assert_eq!(
-                    dim, *in_features,
-                    "layer {i}: dense expects {in_features}, gets {dim}"
-                );
-                *out_features
-            }
-            LayerSpec::Relu | LayerSpec::Tanh => dim,
-            LayerSpec::Conv2d {
-                in_c,
-                in_h,
-                in_w,
-                out_c,
-                kernel,
-                stride,
-                padding,
-            } => {
-                assert_eq!(
-                    dim,
-                    in_c * in_h * in_w,
-                    "layer {i}: conv expects {}, gets {dim}",
-                    in_c * in_h * in_w
-                );
-                let oh = (in_h + 2 * padding - kernel) / stride + 1;
-                let ow = (in_w + 2 * padding - kernel) / stride + 1;
-                out_c * oh * ow
-            }
-            LayerSpec::MaxPool2d {
-                channels,
-                in_h,
-                in_w,
-                window,
-            } => {
-                assert_eq!(
-                    dim,
-                    channels * in_h * in_w,
-                    "layer {i}: pool expects {}, gets {dim}",
-                    channels * in_h * in_w
-                );
-                channels * (in_h / window) * (in_w / window)
-            }
-            LayerSpec::GlobalAvgPool {
-                channels,
-                in_h,
-                in_w,
-            } => {
-                assert_eq!(
-                    dim,
-                    channels * in_h * in_w,
-                    "layer {i}: gap expects {}, gets {dim}",
-                    channels * in_h * in_w
-                );
-                *channels
-            }
-            LayerSpec::LayerNorm { features } => {
-                assert_eq!(
-                    dim, *features,
-                    "layer {i}: layernorm expects {features}, gets {dim}"
-                );
-                dim
-            }
-            LayerSpec::Dropout { p_mille } => {
-                assert!(
-                    *p_mille < 1000,
-                    "layer {i}: dropout probability must be < 1"
-                );
-                dim
-            }
-            LayerSpec::Residual { layers } => {
-                let out = validate_layers(dim, layers);
-                assert_eq!(
-                    out, dim,
-                    "layer {i}: residual inner stack maps {dim} -> {out}"
-                );
-                dim
-            }
-        };
-    }
-    dim
-}
-
-/// Constructs layer objects from specs, drawing all randomness (weights,
-/// dropout seeds) from `rng` in spec order so the result is deterministic.
-fn build_layers(specs: &[LayerSpec], rng: &mut rand::rngs::StdRng) -> Vec<Box<dyn Layer>> {
-    use rand::Rng;
-    specs
-        .iter()
-        .map(|l| -> Box<dyn Layer> {
-            match l {
-                LayerSpec::Dense {
-                    in_features,
-                    out_features,
-                } => Box::new(Dense::new(rng, *in_features, *out_features)),
-                LayerSpec::Relu => Box::new(Relu::new()),
-                LayerSpec::Tanh => Box::new(Tanh::new()),
-                LayerSpec::Conv2d {
-                    in_c,
-                    in_h,
-                    in_w,
-                    out_c,
-                    kernel,
-                    stride,
-                    padding,
-                } => Box::new(Conv2d::new(
-                    rng, *in_c, *in_h, *in_w, *out_c, *kernel, *stride, *padding,
-                )),
-                LayerSpec::MaxPool2d {
-                    channels,
-                    in_h,
-                    in_w,
-                    window,
-                } => Box::new(MaxPool2d::new(*channels, *in_h, *in_w, *window)),
-                LayerSpec::GlobalAvgPool {
-                    channels,
-                    in_h,
-                    in_w,
-                } => Box::new(GlobalAvgPool::new(*channels, *in_h, *in_w)),
-                LayerSpec::LayerNorm { features } => Box::new(LayerNorm::new(*features)),
-                LayerSpec::Dropout { p_mille } => {
-                    Box::new(Dropout::new(*p_mille as f32 / 1000.0, rng.gen()))
-                }
-                LayerSpec::Residual { layers } => {
-                    Box::new(Residual::new(build_layers(layers, rng)))
-                }
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -332,9 +56,12 @@ mod tests {
 
     #[test]
     fn mlp_spec_shape() {
-        let s = NetworkSpec::mlp(10, &[32, 16], 4);
-        assert_eq!(s.layers.len(), 5); // D R D R D
-        assert_eq!(s.validate(), 4);
+        let net = NetworkSpec::mlp(10, &[32, 16], 4).build(0);
+        assert_eq!(
+            format!("{net:?}"),
+            "Network(10 -> 32 -> 16 -> 4, params=948)"
+        );
+        assert_eq!(net.param_count(), 10 * 32 + 32 + 32 * 16 + 16 + 16 * 4 + 4);
     }
 
     #[test]
@@ -348,111 +75,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dense expects")]
-    fn validate_catches_dimension_mismatch() {
-        NetworkSpec {
-            input_dim: 10,
-            layers: vec![LayerSpec::Dense {
-                in_features: 8,
-                out_features: 4,
-            }],
-        }
-        .validate();
-    }
-
-    #[test]
-    fn conv_spec_validates_and_builds() {
-        let s = NetworkSpec {
-            input_dim: 3 * 8 * 8,
-            layers: vec![
-                LayerSpec::Conv2d {
-                    in_c: 3,
-                    in_h: 8,
-                    in_w: 8,
-                    out_c: 4,
-                    kernel: 3,
-                    stride: 1,
-                    padding: 1,
-                },
-                LayerSpec::Relu,
-                LayerSpec::MaxPool2d {
-                    channels: 4,
-                    in_h: 8,
-                    in_w: 8,
-                    window: 2,
-                },
-                LayerSpec::GlobalAvgPool {
-                    channels: 4,
-                    in_h: 4,
-                    in_w: 4,
-                },
-                LayerSpec::Dense {
-                    in_features: 4,
-                    out_features: 2,
-                },
-            ],
-        };
-        assert_eq!(s.validate(), 2);
-        let net = s.build(0);
-        assert!(net.param_count() > 0);
-    }
-
-    #[test]
-    fn residual_mlp_spec_validates_and_builds() {
-        let s = NetworkSpec::residual_mlp(16, 32, 3, 5);
-        assert_eq!(s.validate(), 5);
-        let net = s.build(3);
-        // Stem (16·32+32) + 3 blocks (LN 2·32 + two dense 32·32+32) + head.
-        let expect = (16 * 32 + 32) + 3 * (2 * 32 + 2 * (32 * 32 + 32)) + (32 * 5 + 5);
-        assert_eq!(net.param_count(), expect);
-        // Deterministic across builds.
-        assert_eq!(net.param_vector(), s.build(3).param_vector());
-    }
-
-    #[test]
-    fn dropout_spec_builds_and_toggles() {
-        let s = NetworkSpec {
-            input_dim: 4,
-            layers: vec![
-                LayerSpec::Dropout { p_mille: 500 },
-                LayerSpec::Dense {
-                    in_features: 4,
-                    out_features: 2,
-                },
-            ],
-        };
-        assert_eq!(s.validate(), 2);
-        let mut net = s.build(0);
-        use preduce_tensor::Tensor;
-        net.set_training(false);
-        // Eval mode: dropout is the identity, so the forward is
-        // deterministic across calls.
-        let x = Tensor::ones([2, 4]);
-        let a = net.forward(&x);
-        let b = net.forward(&x);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "residual inner stack maps")]
-    fn residual_spec_rejects_dim_change() {
-        NetworkSpec {
-            input_dim: 8,
-            layers: vec![LayerSpec::Residual {
-                layers: vec![LayerSpec::Dense {
-                    in_features: 8,
-                    out_features: 4,
-                }],
-            }],
-        }
-        .validate();
-    }
-
-    #[test]
-    fn spec_serde_roundtrip() {
-        let s = NetworkSpec::mlp(10, &[5], 2);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: NetworkSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
+    #[should_panic(expected = "zero-sized dense layer")]
+    fn build_rejects_a_zero_width() {
+        NetworkSpec::mlp(10, &[8, 0], 4).build(0);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the mini-DL framework: parameter plumbing,
 //! gradient correctness on random architectures, and loss identities.
 
-use preduce_models::{softmax_cross_entropy, LayerSpec, NetworkSpec, SgdConfig, SgdOptimizer};
+use preduce_models::{softmax_cross_entropy, NetworkSpec, SgdConfig, SgdOptimizer};
 use preduce_tensor::Tensor;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -63,7 +63,7 @@ proptest! {
         )
         .unwrap();
         let labels: Vec<usize> = (0..batch)
-            .map(|_| rng.gen_range(0..spec.validate()))
+            .map(|_| rng.gen_range(0..spec.num_classes))
             .collect();
 
         // Analytic gradient of the mean cross-entropy.
@@ -154,21 +154,5 @@ proptest! {
         let grad = Tensor::full([params.len()], 1.0);
         opt.step(&mut params, &grad);
         prop_assert_eq!(params, before);
-    }
-
-    #[test]
-    fn residual_spec_always_validates_when_inner_preserves_width(
-        width in 1usize..16,
-        blocks in 1usize..4,
-    ) {
-        let spec = NetworkSpec::residual_mlp(8, width, blocks, 3);
-        prop_assert_eq!(spec.validate(), 3);
-        // Layer count: stem (2) + blocks + head (1).
-        prop_assert_eq!(spec.layers.len(), 3 + blocks);
-        if let LayerSpec::Residual { layers } = &spec.layers[2] {
-            prop_assert_eq!(layers.len(), 4);
-        } else {
-            prop_assert!(false, "third layer should be residual");
-        }
     }
 }

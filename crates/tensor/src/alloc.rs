@@ -47,13 +47,8 @@ impl CountingAlloc {
         }
     }
 
-    /// Bytes currently allocated and not yet freed.
-    pub fn live_bytes(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of [`Self::live_bytes`] since construction (or the
-    /// last [`Self::reset_peak`]).
+    /// High-water mark of the bytes allocated and not yet freed, since
+    /// construction (or the last [`Self::reset_peak`]).
     pub fn peak_bytes(&self) -> usize {
         self.peak.load(Ordering::Relaxed)
     }
@@ -151,11 +146,11 @@ mod tests {
         // SAFETY: a valid, non-zero-sized layout.
         let p = unsafe { a.alloc(layout) };
         assert!(!p.is_null());
-        assert_eq!(a.live_bytes(), 4096);
+        assert_eq!(a.live.load(Ordering::Relaxed), 4096);
         assert_eq!(a.peak_bytes(), 4096);
         // SAFETY: `p` came from `a.alloc` with `layout`.
         unsafe { a.dealloc(p, layout) };
-        assert_eq!(a.live_bytes(), 0);
+        assert_eq!(a.live.load(Ordering::Relaxed), 0);
         assert_eq!(a.peak_bytes(), 4096, "peak is a high-water mark");
         a.reset_peak();
         assert_eq!(a.peak_bytes(), 0);
@@ -171,12 +166,12 @@ mod tests {
         // SAFETY: `p` is live from `a.alloc` with `layout`; 2048 > 0.
         let q = unsafe { a.realloc(p, layout, 2048) };
         assert!(!q.is_null());
-        assert_eq!(a.live_bytes(), 2048);
+        assert_eq!(a.live.load(Ordering::Relaxed), 2048);
         assert!(a.peak_bytes() >= 2048);
         let grown = Layout::from_size_align(2048, 8).unwrap();
         // SAFETY: `q` is live with layout `grown` after the realloc.
         unsafe { a.dealloc(q, grown) };
-        assert_eq!(a.live_bytes(), 0);
+        assert_eq!(a.live.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -189,7 +184,7 @@ mod tests {
         // SAFETY: `p` points at 512 readable bytes from `alloc_zeroed`.
         let first = unsafe { *p };
         assert_eq!(first, 0);
-        assert_eq!(a.live_bytes(), 512);
+        assert_eq!(a.live.load(Ordering::Relaxed), 512);
         // SAFETY: `p` came from `a.alloc_zeroed` with `layout`.
         unsafe { a.dealloc(p, layout) };
     }

@@ -11,18 +11,6 @@ pub enum TensorError {
         /// Elements actually provided.
         actual: usize,
     },
-    /// Two shapes that must agree for an operation do not.
-    ShapeMismatch {
-        /// Human-readable name of the operation.
-        op: &'static str,
-        /// Left-hand shape, formatted.
-        lhs: String,
-        /// Right-hand shape, formatted.
-        rhs: String,
-    },
-    /// A shape with zero dimensions or a zero-sized axis was supplied where a
-    /// non-degenerate one is required.
-    DegenerateShape(String),
     /// The Jacobi eigensolver did not reach the requested off-diagonal norm
     /// within its sweep budget.
     EigNoConvergence {
@@ -47,12 +35,6 @@ impl fmt::Display for TensorError {
                 f,
                 "data length {actual} does not match shape volume {expected}"
             ),
-            TensorError::ShapeMismatch { op, lhs, rhs } => {
-                write!(f, "shape mismatch in `{op}`: {lhs} vs {rhs}")
-            }
-            TensorError::DegenerateShape(s) => {
-                write!(f, "degenerate shape: {s}")
-            }
             TensorError::EigNoConvergence {
                 off_diagonal,
                 sweeps,
@@ -82,13 +64,6 @@ mod tests {
         };
         assert!(e.to_string().contains('6'));
         assert!(e.to_string().contains('5'));
-
-        let e = TensorError::ShapeMismatch {
-            op: "add",
-            lhs: "[2, 3]".into(),
-            rhs: "[3, 2]".into(),
-        };
-        assert!(e.to_string().contains("add"));
 
         let e = TensorError::NotSquare { rows: 2, cols: 3 };
         assert!(e.to_string().contains("2x3"));

@@ -1,42 +1,15 @@
-//! Random weight initialization schemes.
+//! Random weight initialization.
 //!
 //! Every worker in the paper starts from the *same* model replica
-//! (Algorithm 2 requires identical initialization), so all of these take an
-//! explicit RNG: the trainer seeds one RNG, initializes once, and clones the
-//! resulting tensors to every worker.
+//! (Algorithm 2 requires identical initialization), so the initializer takes
+//! an explicit RNG: the trainer seeds one RNG, initializes once, and clones
+//! the resulting tensors to every worker.
 
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-
-/// Uniform initialization over `[lo, hi)`.
-///
-/// # Panics
-/// Panics if `lo >= hi`.
-pub fn uniform<R: Rng + ?Sized>(rng: &mut R, shape: impl Into<Shape>, lo: f32, hi: f32) -> Tensor {
-    assert!(lo < hi, "uniform range is empty: [{lo}, {hi})");
-    let shape = shape.into();
-    let data = (0..shape.volume()).map(|_| rng.gen_range(lo..hi)).collect();
-    Tensor::from_vec(data, shape).expect("volume matches by construction")
-}
-
-/// Xavier/Glorot uniform initialization: `U(-a, a)` with
-/// `a = sqrt(6 / (fan_in + fan_out))`. Suitable for linear/tanh layers.
-///
-/// # Panics
-/// Panics if `fan_in + fan_out == 0`.
-pub fn xavier_uniform<R: Rng + ?Sized>(
-    rng: &mut R,
-    shape: impl Into<Shape>,
-    fan_in: usize,
-    fan_out: usize,
-) -> Tensor {
-    assert!(fan_in + fan_out > 0, "xavier requires nonzero fans");
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform(rng, shape, -a, a)
-}
 
 /// He/Kaiming normal initialization: `N(0, sqrt(2 / fan_in))`. Suitable for
 /// ReLU layers.
@@ -58,27 +31,10 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn uniform_respects_bounds() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let t = uniform(&mut rng, [1000], -0.5, 0.5);
-        assert!(t.as_slice().iter().all(|&x| (-0.5..0.5).contains(&x)));
-    }
-
-    #[test]
-    fn xavier_bound_matches_formula() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let t = xavier_uniform(&mut rng, [2000], 100, 50);
-        let a = (6.0f32 / 150.0).sqrt();
-        assert!(t.max_abs() <= a);
-        // With 2000 samples the max should come close to the bound.
-        assert!(t.max_abs() > 0.8 * a);
-    }
-
-    #[test]
     fn he_normal_std_close_to_formula() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let t = he_normal(&mut rng, [20000], 8);
-        let mean = t.mean();
+        let mean = t.sum() / t.len() as f64;
         let var = t
             .as_slice()
             .iter()
@@ -91,8 +47,8 @@ mod tests {
 
     #[test]
     fn seeded_init_is_deterministic() {
-        let a = uniform(&mut rand::rngs::StdRng::seed_from_u64(42), [16], -1.0, 1.0);
-        let b = uniform(&mut rand::rngs::StdRng::seed_from_u64(42), [16], -1.0, 1.0);
+        let a = he_normal(&mut rand::rngs::StdRng::seed_from_u64(42), [16], 4);
+        let b = he_normal(&mut rand::rngs::StdRng::seed_from_u64(42), [16], 4);
         assert_eq!(a, b);
     }
 }

@@ -492,7 +492,7 @@ pub fn scale(x: &mut [f32], alpha: f32) {
 }
 
 /// Adds `bias` to every row of the row-major `rows × cols` matrix `y`
-/// (the dense/conv forward bias).
+/// (the dense forward bias).
 ///
 /// # Panics
 /// Panics if the buffer sizes disagree.
@@ -505,7 +505,7 @@ pub fn add_bias_rows(y: &mut [f32], rows: usize, cols: usize, bias: &[f32]) {
 }
 
 /// `acc[j] += Σ_r mat[r, j]` for a row-major `rows × cols` matrix — the
-/// bias gradient of the dense/conv backward pass. Canonical order: rows
+/// bias gradient of the dense backward pass. Canonical order: rows
 /// in increasing order per column.
 ///
 /// # Panics

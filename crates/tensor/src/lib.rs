@@ -2,11 +2,11 @@
 //!
 //! This crate provides the minimal-but-complete numerical substrate that the
 //! rest of the reproduction is built on: an owned dense tensor type with
-//! row-major layout, the linear-algebra kernels needed for feed-forward /
-//! convolutional network training (GEMM variants, elementwise maps, reductions,
-//! softmax), random initialization schemes, and a Jacobi eigensolver for the
-//! symmetric synchronization matrices used in the paper's spectral-gap
-//! analysis (Assumption 2, Eq. 6).
+//! row-major layout, the linear-algebra kernels needed for feed-forward
+//! network training (GEMM variants, ReLU, reductions, softmax), He-normal
+//! initialization, and a Jacobi eigensolver for the symmetric
+//! synchronization matrices used in the paper's spectral-gap analysis
+//! (Assumption 2, Eq. 6).
 //!
 //! Design notes:
 //!
@@ -15,8 +15,8 @@
 //!   parameters.
 //! * Shape mismatches on the core arithmetic ops are programmer errors and
 //!   panic with a descriptive message (the same contract as `ndarray`);
-//!   construction from untrusted dimensions goes through fallible
-//!   constructors returning [`TensorError`].
+//!   [`Tensor::from_vec`] and the eigensolver, whose inputs a caller
+//!   computes, return [`TensorError`].
 //! * Hot-path numerics live in the [`kernels`] module: blocked GEMM,
 //!   fused weighted-sum, and axpy/scale kernels with runtime SIMD dispatch
 //!   and a *canonical accumulation order*, each paired with a scalar
@@ -41,7 +41,7 @@ mod tensor;
 pub use alloc::CountingAlloc;
 pub use eig::{symmetric_eigenvalues, JacobiOptions};
 pub use error::TensorError;
-pub use init::{he_normal, uniform, xavier_uniform};
+pub use init::he_normal;
 pub use matmul::{matmul, matmul_a_bt, matmul_at_b};
 pub use ops::{argmax_rows, log_softmax_rows, relu, relu_backward, softmax_rows};
 pub use shape::Shape;

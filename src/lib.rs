@@ -18,8 +18,8 @@
 //! * [`trainer`] — every baseline strategy (All-Reduce, Eager-Reduce,
 //!   AD-PSGD, D-PSGD, PS BSP/ASP/SSP/HETE/BK) and the virtual-time
 //!   experiment driver reproducing the paper's evaluation.
-//! * [`models`] — the mini deep-learning framework (dense/conv layers,
-//!   backprop, SGD, model zoo with per-workload cost profiles).
+//! * [`models`] — the mini deep-learning framework (a dense + ReLU
+//!   network, backprop, SGD, model zoo with per-workload cost profiles).
 //! * [`data`] — seeded synthetic classification presets standing in for
 //!   CIFAR10/CIFAR100/ImageNet, sharding, batch sampling.
 //! * [`simnet`] — the discrete-event heterogeneous-cluster simulator.
