@@ -457,31 +457,6 @@ impl CheckpointStore {
         Ok(snap)
     }
 
-    /// Ranks with a snapshot on disk, ascending.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Io`] if the directory cannot be listed.
-    pub fn worker_ranks(&self) -> Result<Vec<usize>> {
-        let mut ranks = Vec::new();
-        let entries = fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, &e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err(&self.dir, &e))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else {
-                continue;
-            };
-            if let Some(rank) = name
-                .strip_prefix("worker-")
-                .and_then(|r| r.strip_suffix(".ckpt"))
-                .and_then(|r| r.parse::<usize>().ok())
-            {
-                ranks.push(rank);
-            }
-        }
-        ranks.sort_unstable();
-        Ok(ranks)
-    }
-
     /// Write-then-rename: bytes land in a `.tmp` sibling, are fsynced,
     /// and the rename replaces the target in one metadata operation.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
@@ -562,7 +537,6 @@ mod tests {
         assert!(store.has_worker(2));
         assert!(!store.has_worker(0));
         assert_eq!(store.load_worker(2).unwrap(), snap);
-        assert_eq!(store.worker_ranks().unwrap(), vec![2]);
     }
 
     #[test]

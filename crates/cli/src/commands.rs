@@ -157,7 +157,8 @@ FAULT INJECTION:
   strategy on both backends; with any other strategy the flag is a
   usage error. The sim backend additionally honors restore:W@U (worker
   W, previously crashed, rejoins from its snapshot once the fleet has
-  applied U updates; needs --checkpoint-dir or --restore-from).
+  applied U updates; needs --checkpoint-dir or --restore-from); with
+  --backend threaded a restore: verb is a usage error.
 
 ELASTICITY (DESIGN.md section 14):
   --checkpoint-dir DIR enables periodic snapshots: every worker writes
@@ -240,18 +241,26 @@ fn parse_preset(name: &str) -> Result<DatasetPreset, CliError> {
 }
 
 /// Refuses the `run` flags this run would parse and then drop: only the
-/// P-Reduce drivers execute a fault plan or take snapshots, and only the
-/// threaded backend counts `--iters`.
+/// P-Reduce drivers execute a fault plan or take snapshots, only the
+/// simulator executes `restore:`, and only the threaded backend counts
+/// `--iters`.
 fn reject_unhonoured_flags(
     args: &Args,
     strategy: Strategy,
     backend: Backend,
+    faults: &FaultPlan,
 ) -> Result<(), ArgError> {
     const P_REDUCE: &str =
         "--strategy p-reduce (no other strategy executes fault plans or checkpoints)";
     let not_p_reduce = !matches!(strategy, Strategy::PReduce { .. });
+    let restores = faults.restore_targets().next().is_some();
     for (flag, unhonoured, expected) in [
         ("fault-plan", not_p_reduce, P_REDUCE),
+        (
+            "fault-plan",
+            restores && backend != Backend::Sim,
+            "--backend sim (`restore:` is simulator-only: threads are not resurrected mid-run)",
+        ),
         ("checkpoint-dir", not_p_reduce, P_REDUCE),
         ("checkpoint-every", not_p_reduce, P_REDUCE),
         ("restore-from", not_p_reduce, P_REDUCE),
@@ -391,15 +400,15 @@ pub fn run_command(
                     CliError::Unknown(format!("backend `{name}` (expected `sim` or `threaded`)"))
                 })?,
             };
-            reject_unhonoured_flags(args, strategy, backend)?;
-            if args.get("iters").is_some() {
-                config.threaded_iters = Some(args.get_or("iters", 0)?);
-            }
             let faults = match args.get("fault-plan") {
                 None => FaultPlan::none(),
                 Some(spec) => FaultPlan::parse(spec)
                     .map_err(|e| CliError::Unknown(format!("fault plan: {e}")))?,
             };
+            reject_unhonoured_flags(args, strategy, backend, &faults)?;
+            if args.get("iters").is_some() {
+                config.threaded_iters = Some(args.get_or("iters", 0)?);
+            }
             let elastic = elastic_from_args(args)?;
             let sink = sink_from_args(args)?;
             let result =
@@ -849,6 +858,11 @@ mod tests {
             (&all_reduce[..], "checkpoint-every", "8"),
             (&all_reduce[..], "restore-from", "d"),
             (&["--backend", "sim"][..], "iters", "5"),
+            (
+                &["--strategy", "p-reduce", "--backend", "threaded"][..],
+                "fault-plan",
+                "crash:1@4,restore:1@8",
+            ),
         ] {
             let dashed = format!("--{flag}");
             let mut cmdline = vec!["run", "--workers", "4", &dashed, value];

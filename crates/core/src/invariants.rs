@@ -33,9 +33,7 @@
 //!   ([`TraceEvent::SnapshotTaken`]) never captures a departed worker, a
 //!   restore ([`TraceEvent::WorkerRestored`]) targets a rank that
 //!   actually departed — resetting its iteration floor to the snapshot
-//!   iteration, since durable state may legitimately predate the crash —
-//!   and a reshard ([`TraceEvent::ShardsReassigned`]) moves fewer than
-//!   5% of keys between surviving workers;
+//!   iteration, since durable state may legitimately predate the crash;
 //! * an eviction ([`TraceEvent::WorkerEvicted`]) is *justified*: it is
 //!   preceded by heartbeat silence ([`TraceEvent::HeartbeatMissed`]), an
 //!   injected fault ([`TraceEvent::FaultInjected`]), or a dropped control
@@ -542,25 +540,6 @@ impl StreamingChecker {
                 iteration,
                 active,
             } => self.on_restored(i, *worker, *iteration, *active),
-            TraceEvent::ShardsReassigned { moved, total } => {
-                if moved > total {
-                    self.fail(
-                        i,
-                        format!(
-                            "reassignment moved {moved} keys out of \
-                             only {total}"
-                        ),
-                    );
-                } else if *total > 0 && moved.saturating_mul(20) >= *total {
-                    self.fail(
-                        i,
-                        format!(
-                            "reassignment moved {moved} of {total} \
-                             survivor keys (≥5% gratuitous churn)"
-                        ),
-                    );
-                }
-            }
             TraceEvent::RunFinished {
                 groups_formed,
                 repairs,
@@ -1375,8 +1354,8 @@ mod tests {
     }
 
     /// A well-formed elasticity narrative (DESIGN.md §14): snapshot,
-    /// crash departure, restore from the snapshot, reshard, and the
-    /// resumed signal one past the snapshot iteration.
+    /// crash departure, restore from the snapshot, and the resumed signal
+    /// one past the snapshot iteration.
     fn elastic_trace() -> Vec<TraceEvent> {
         let mut events = bare_trace();
         events.extend([
@@ -1403,10 +1382,6 @@ mod tests {
                 iteration: 5,
                 active: 4,
             },
-            TraceEvent::ShardsReassigned {
-                moved: 3,
-                total: 100,
-            },
             enqueued(2, 6, 1),
         ]);
         events
@@ -1422,14 +1397,6 @@ mod tests {
     fn duplicate_first_member(events: &mut [TraceEvent]) {
         if let TraceEvent::GroupFormed { members, .. } = first_group(events) {
             members[1] = members[0];
-        }
-    }
-
-    fn reshard_five_percent(events: &mut [TraceEvent]) {
-        for e in events {
-            if let TraceEvent::ShardsReassigned { moved, .. } = e {
-                *moved = 5; // exactly the 5% boundary — still too much
-            }
         }
     }
 
@@ -1677,12 +1644,6 @@ mod tests {
             Some("snapshot taken of departed worker 2"),
         ),
         (
-            "excessive_reshard_churn_is_caught",
-            elastic_trace,
-            |events| reshard_five_percent(events),
-            Some("gratuitous churn"),
-        ),
-        (
             "counter_mismatch_at_run_finished_is_caught",
             healthy_con,
             |events| {
@@ -1831,9 +1792,6 @@ mod tests {
         let mut dup = healthy_trace(false);
         duplicate_first_member(&mut dup);
         traces.push(("dup_member", dup));
-        let mut churn = elastic_trace();
-        reshard_five_percent(&mut churn);
-        traces.push(("reshard_churn", churn));
         traces
     }
 

@@ -163,6 +163,30 @@ pub struct ReduceOutcome {
     pub new_iteration: u64,
 }
 
+/// Why a [`PartialReducer::reduce`] failed, by the phase that failed —
+/// the phase, not the [`CommError`] variant, says what the worker can do
+/// next.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReduceError {
+    /// The ready signal or the assignment exchange with the controller
+    /// failed: this worker can expect no further group.
+    Control(CommError),
+    /// The group average failed — a member died or is late. The
+    /// controller is unaffected and the worker may signal again.
+    Group(CommError),
+}
+
+impl std::fmt::Display for ReduceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReduceError::Control(e) => write!(f, "control plane: {e}"),
+            ReduceError::Group(e) => write!(f, "group average: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ReduceError {}
+
 /// A worker's handle to the partial-reduce service. Transport-agnostic:
 /// the control plane may be in-process channels ([`spawn`]) or the paper
 /// prototype's TCP message queue ([`spawn_tcp`]).
@@ -219,24 +243,36 @@ impl PartialReducer {
     /// [`ReduceOutcome::new_iteration`] is the group maximum, which the
     /// caller must adopt.
     ///
+    /// # Errors
+    /// [`ReduceError::Control`] if the ready signal or the assignment
+    /// failed, [`ReduceError::Group`] if the group average did; after the
+    /// latter `params` holds what the averager left (see
+    /// [`GroupAverager`]).
+    ///
     /// # Panics
     /// Panics if called after [`PartialReducer::finish`].
     pub fn reduce(
         &mut self,
         params: &mut [f32],
         iteration: u64,
-    ) -> preduce_comm::Result<ReduceOutcome> {
+    ) -> Result<ReduceOutcome, ReduceError> {
         assert!(!self.finished, "reduce() after finish()");
-        self.link.send_ready(iteration)?;
+        self.link
+            .send_ready(iteration)
+            .map_err(ReduceError::Control)?;
         let GroupAssignment {
             group,
             weights,
             base_tag,
             new_iteration,
-        } = self.link.recv_assignment(self.timeout)?;
+        } = self
+            .link
+            .recv_assignment(self.timeout)
+            .map_err(ReduceError::Control)?;
         if group.len() > 1 {
             self.averager
-                .group_weighted_average(&group, base_tag, params, &weights)?;
+                .group_weighted_average(&group, base_tag, params, &weights)
+                .map_err(ReduceError::Group)?;
         }
         if self.sink.enabled() {
             self.sink.record(TraceEvent::ReduceCompleted {

@@ -195,17 +195,6 @@ pub enum TraceEvent {
         /// Workers participating after the restore.
         active: usize,
     },
-    /// Shard ownership was recomputed after membership churn
-    /// (DESIGN.md §14). `moved` counts only *gratuitous* movement — keys
-    /// that hopped between two surviving workers; keys orphaned by the
-    /// departed rank or adopted by a joining one are unavoidable and
-    /// excluded. The invariant checker enforces `moved < 5%` of `total`.
-    ShardsReassigned {
-        /// Keys that moved between two surviving workers.
-        moved: usize,
-        /// Total keys in the assignment.
-        total: usize,
-    },
     /// The run ended; closing counters for cross-checking.
     RunFinished {
         /// Total groups formed.

@@ -635,7 +635,7 @@ fn hostile_event(
             worker,
             active: count,
         },
-        _ => match rng.gen_range(0..4u8) {
+        _ => match rng.gen_range(0..3u8) {
             0 => TraceEvent::SnapshotTaken {
                 worker: rng.gen_bool(0.7).then_some(worker),
                 iteration,
@@ -644,10 +644,6 @@ fn hostile_event(
                 worker,
                 iteration,
                 active: count,
-            },
-            2 => TraceEvent::ShardsReassigned {
-                moved: count,
-                total: count / 2,
             },
             _ => TraceEvent::RunFinished {
                 groups_formed: iteration,

@@ -15,14 +15,12 @@
 #![forbid(unsafe_code)]
 
 mod batch;
-pub mod consistent_hash;
 mod dataset;
 mod presets;
 mod shard;
 mod synth;
 
 pub use batch::BatchSampler;
-pub use consistent_hash::{assignment_churn, ring_churn, HashRing, RingChurn};
 pub use dataset::{Batch, Dataset};
 pub use presets::{cifar100_like, cifar10_like, imagenet_like, DatasetPreset};
 pub use shard::{shard_dataset, ShardStrategy};

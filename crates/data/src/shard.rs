@@ -18,7 +18,8 @@ pub enum ShardStrategy {
     /// A seeded global shuffle followed by contiguous blocks — the
     /// "shuffle the local data among workers" setup the paper's unbiasedness
     /// assumption (Assumption 1.2) relies on. This is the default used by the
-    /// experiments.
+    /// experiments, and the shard a worker keeps for the whole run: a
+    /// restored worker resumes the same shard (DESIGN.md §14).
     Shuffled {
         /// Shuffle seed.
         seed: u64,
@@ -28,18 +29,6 @@ pub enum ShardStrategy {
     /// Assumption 1.2 on purpose — used to study what schedule isolation
     /// (frozen groups) costs when shards genuinely differ.
     ByLabel,
-    /// Assignment through a seeded bounded-load consistent-hash ring
-    /// ([`crate::consistent_hash::HashRing`], DESIGN.md §14): example `i`
-    /// goes to the owner of key `i`, capped at 1.2× the uniform share.
-    /// Unlike the block strategies, ownership barely changes when the
-    /// worker set does — churn relocates only the departed/joined
-    /// worker's keys — which is what elastic restore relies on. Shard
-    /// sizes vary within the 1.2× balance bound instead of ±1.
-    ConsistentHash {
-        /// Ring seed, shared fleet-wide so every process computes the
-        /// same assignment without coordination.
-        seed: u64,
-    },
 }
 
 /// Splits `dataset` into `n_shards` near-equal shards.
@@ -58,9 +47,6 @@ pub fn shard_dataset(dataset: &Dataset, n_shards: usize, strategy: ShardStrategy
     );
 
     let n = dataset.len();
-    if let ShardStrategy::ConsistentHash { seed } = strategy {
-        return shard_by_ring(dataset, n_shards, seed);
-    }
     let order: Vec<usize> = match strategy {
         ShardStrategy::Contiguous => (0..n).collect(),
         ShardStrategy::RoundRobin => {
@@ -79,7 +65,6 @@ pub fn shard_dataset(dataset: &Dataset, n_shards: usize, strategy: ShardStrategy
             idx.sort_by_key(|&i| (dataset.labels()[i], i));
             idx
         }
-        ShardStrategy::ConsistentHash { .. } => unreachable!("handled above"),
     };
 
     // Cut `order` into n_shards near-equal contiguous runs.
@@ -93,29 +78,6 @@ pub fn shard_dataset(dataset: &Dataset, n_shards: usize, strategy: ShardStrategy
         start += size;
     }
     shards
-}
-
-/// Ring-based sharding: example `i` goes to the bounded-load owner of
-/// key `i`. Within each shard, examples keep dataset order.
-fn shard_by_ring(dataset: &Dataset, n_shards: usize, seed: u64) -> Vec<Dataset> {
-    let ring = crate::consistent_hash::HashRing::uniform(n_shards, seed);
-    let owners = ring.assign_balanced(dataset.len(), crate::consistent_hash::BALANCE_FACTOR);
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-    for (i, &owner) in owners.iter().enumerate() {
-        members[owner].push(i);
-    }
-    members
-        .iter()
-        .map(|idx| {
-            assert!(
-                !idx.is_empty(),
-                "consistent-hash shard came up empty: dataset of {} examples is too \
-                 small for {n_shards} bounded-load shards",
-                dataset.len()
-            );
-            dataset.subset(idx)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -184,32 +146,6 @@ mod tests {
     #[should_panic(expected = "more shards")]
     fn rejects_too_many_shards() {
         shard_dataset(&toy(2), 3, ShardStrategy::Contiguous);
-    }
-
-    #[test]
-    fn consistent_hash_partitions_everything_exactly_once() {
-        let ds = toy(256);
-        let shards = shard_dataset(&ds, 4, ShardStrategy::ConsistentHash { seed: 13 });
-        assert_eq!(shards.len(), 4);
-        let mut seen: Vec<f32> = shards
-            .iter()
-            .flat_map(|s| (0..s.len()).map(|i| s.features().row(i)[0]))
-            .collect();
-        seen.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let expected: Vec<f32> = (0..256).map(|i| i as f32).collect();
-        assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn consistent_hash_is_seed_deterministic_and_balanced() {
-        let ds = toy(1000);
-        let a = shard_dataset(&ds, 8, ShardStrategy::ConsistentHash { seed: 5 });
-        let b = shard_dataset(&ds, 8, ShardStrategy::ConsistentHash { seed: 5 });
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.features(), y.features());
-        }
-        let cap = (1.2_f64 * 1000.0 / 8.0).ceil() as usize;
-        assert!(a.iter().all(|s| s.len() <= cap && !s.is_empty()));
     }
 
     #[test]

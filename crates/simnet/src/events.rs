@@ -70,11 +70,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
 
-    /// Fire time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -112,14 +107,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::new(5.0), ());
-        assert_eq!(q.peek_time(), Some(SimTime::new(5.0)));
         assert_eq!(q.len(), 1);
         assert!(q.pop().is_some());
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

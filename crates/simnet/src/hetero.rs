@@ -308,12 +308,6 @@ impl MarkovFleet {
             degraded: vec![false; n],
         }
     }
-
-    /// Whether `worker` is currently degraded.
-    pub fn is_degraded(&self, worker: usize) -> bool {
-        check_worker(worker, self.n);
-        self.degraded[worker]
-    }
 }
 
 impl HeterogeneityModel for MarkovFleet {
@@ -472,7 +466,7 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(f.compute_time(0, 1e9, SimTime::ZERO, &mut r), 1.0);
         }
-        assert!(!f.is_degraded(0));
+        assert!(!f.degraded[0]);
     }
 
     #[test]

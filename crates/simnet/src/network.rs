@@ -50,11 +50,6 @@ impl NetworkModel {
         assert!(self.ps_incast_factor >= 1.0, "incast factor must be ≥ 1");
     }
 
-    /// Point-to-point transfer time for `bytes`.
-    pub fn p2p_time(&self, bytes: u64) -> f64 {
-        self.latency + bytes as f64 / self.bandwidth
-    }
-
     /// Ring all-reduce among `p` participants moving a `bytes`-sized model:
     /// reduce-scatter plus all-gather, `2(p−1)` steps of `bytes/p` each, so
     /// `2(p−1)/p · bytes/BW + 2(p−1)·α`. `p = 1` costs nothing.
@@ -117,12 +112,6 @@ mod tests {
             latency: 1e-4,
             ps_incast_factor: 1.2,
         }
-    }
-
-    #[test]
-    fn p2p_is_alpha_beta() {
-        let n = net();
-        assert!((n.p2p_time(1_000_000) - (1e-4 + 1e-3)).abs() < 1e-12);
     }
 
     #[test]

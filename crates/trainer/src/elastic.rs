@@ -21,22 +21,11 @@ use std::sync::Arc;
 use partial_reduce::runtime::GroupHook;
 use partial_reduce::{Controller, TraceEvent, TraceSink};
 use preduce_checkpoint::{CheckpointError, CheckpointStore, ControllerSnapshot, WorkerSnapshot};
-use preduce_data::consistent_hash::DEFAULT_VNODES;
-use preduce_data::{assignment_churn, HashRing, RingChurn};
 use preduce_models::SgdOptimizer;
 use preduce_tensor::Tensor;
 
 use crate::engine::substrate::must;
 use crate::worker::WorkerState;
-
-/// Seed for the reshard ring narrated by
-/// [`TraceEvent::ShardsReassigned`](partial_reduce::TraceEvent). Fixed so
-/// every substrate reports the same churn for the same membership change.
-pub const RESHARD_RING_SEED: u64 = 0x7072_6564_7563_6531;
-
-/// Balance factor for reshard accounting — matches the data layer's
-/// [`preduce_data::consistent_hash::BALANCE_FACTOR`] contract.
-const RESHARD_BALANCE: f64 = preduce_data::consistent_hash::BALANCE_FACTOR;
 
 /// When to write snapshots: into `dir`, each time a worker's iteration
 /// count — or, for the controller's roster/history snapshot, the count of
@@ -327,27 +316,6 @@ pub fn validate_controller_restore(
     Ok(snap)
 }
 
-/// The shard-ownership churn a membership change causes under the
-/// bounded-load ring, for the
-/// [`TraceEvent::ShardsReassigned`](partial_reduce::TraceEvent)
-/// narration: `moved` counts only keys that hop between two surviving
-/// workers (DESIGN.md §14). Returns `None` when either membership set is
-/// empty (no assignment exists to compare).
-pub fn reshard_churn(
-    before_members: &[usize],
-    after_members: &[usize],
-    total_keys: usize,
-) -> Option<RingChurn> {
-    if before_members.is_empty() || after_members.is_empty() {
-        return None;
-    }
-    let before = HashRing::new(before_members, DEFAULT_VNODES, RESHARD_RING_SEED);
-    let after = HashRing::new(after_members, DEFAULT_VNODES, RESHARD_RING_SEED);
-    let a = before.assign_balanced(total_keys, RESHARD_BALANCE);
-    let b = after.assign_balanced(total_keys, RESHARD_BALANCE);
-    Some(assignment_churn(&a, &b, &before, &after))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,20 +486,5 @@ mod tests {
         let opts = opts.with_policy(&written, 2);
         assert_eq!(opts.open_restore_store().unwrap().dir(), written);
         let _ = std::fs::remove_dir_all(&tmp);
-    }
-
-    #[test]
-    fn reshard_churn_counts_only_survivor_movement() {
-        let before: Vec<usize> = (0..8).collect();
-        let after: Vec<usize> = (0..7).collect(); // worker 7 left
-        let churn = reshard_churn(&before, &after, 4000).expect("non-empty");
-        assert!(churn.orphaned > 0);
-        assert!(
-            churn.moved * 20 < churn.total,
-            "gratuitous churn {} of {} breaches 5%",
-            churn.moved,
-            churn.total
-        );
-        assert!(reshard_churn(&[], &after, 100).is_none());
     }
 }

@@ -12,7 +12,7 @@ use partial_reduce::{
 use preduce_simnet::{EventQueue, FaultKind, FaultPlan, SimTime};
 use preduce_tensor::Tensor;
 
-use crate::elastic::{reshard_churn, restore_worker, ElasticOptions, SnapshotWriter};
+use crate::elastic::{restore_worker, ElasticOptions, SnapshotWriter};
 use crate::engine::round::{Round, WorkerRounds};
 use crate::engine::setup::build_fleet;
 use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
@@ -85,11 +85,10 @@ pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
 /// * **Mid-run restore** — the `restore:W@U` fault verb re-admits a
 ///   *departed* worker from its snapshot once the run has recorded `U`
 ///   updates: model, momentum, and counters rewind to durable state
-///   ([`TraceEvent::WorkerRestored`]); the shard-ownership churn that
-///   membership change causes under the bounded-load ring is narrated as
-///   [`TraceEvent::ShardsReassigned`]. A restore verb for a worker that
-///   never departs stays pending forever (deliberately: restores are
-///   keyed on departure, not wall position).
+///   ([`TraceEvent::WorkerRestored`]) and the worker resumes its own
+///   shard, which never moved. A restore verb for a worker that never
+///   departs stays pending forever (deliberately: restores are keyed on
+///   departure, not wall position).
 ///
 /// Inert options leave the run bit-for-bit unchanged: snapshots never
 /// touch the RNG or the event queue, and without a restore verb no
@@ -117,7 +116,6 @@ pub fn run_preduce_elastic(
         AggregationMode::Dynamic { .. } => format!("P-Reduce DYN (P={p})"),
     };
     let dynamic = matches!(cfg.mode, AggregationMode::Dynamic { .. });
-    let n = cfg.num_workers;
 
     // Elastic glue (DESIGN.md §14): graft durable state onto the fleet
     // before anything is scheduled or narrated, then one snapshot writer
@@ -301,21 +299,6 @@ pub fn run_preduce_elastic(
                         let snap = must("load worker snapshot", rstore.load_worker(w));
                         must("restore worker", restore_worker(&mut h.workers[w], &snap));
                         controller.mark_restored(w, snap.iteration);
-                        if controller.sink().enabled() {
-                            let departed = controller.departed_workers();
-                            let after: Vec<usize> =
-                                (0..n).filter(|r| !departed.contains(r)).collect();
-                            let before: Vec<usize> =
-                                after.iter().copied().filter(|&r| r != w).collect();
-                            let total: usize =
-                                h.workers.iter().map(|ws| ws.sampler.dataset().len()).sum();
-                            if let Some(c) = reshard_churn(&before, &after, total) {
-                                controller.sink().record(TraceEvent::ShardsReassigned {
-                                    moved: c.moved,
-                                    total: c.total,
-                                });
-                            }
-                        }
                         last_free[w] = t;
                         let ct = h.compute_time(w, t)
                             * faults.stall_factor(w, h.workers[w].iteration + 1);
@@ -379,8 +362,9 @@ pub fn chaos_liveness() -> LivenessPolicy {
 /// loop late (heartbeating from spawn so it is not misjudged as dead).
 ///
 /// # Panics
-/// Panics if the controller config disagrees with the fleet size, or if a
-/// worker thread or the controller panics.
+/// Panics if the controller config disagrees with the fleet size, if the
+/// plan contains a `restore:` verb (simulator-only), or if a worker
+/// thread or the controller panics.
 pub(crate) fn threaded_preduce(
     sub: &ThreadedSubstrate,
     controller: ControllerConfig,
@@ -390,10 +374,14 @@ pub(crate) fn threaded_preduce(
         controller.num_workers, config.num_workers,
         "controller config sized for a different fleet"
     );
+    // Threads are not resurrected mid-run: the `restore:` verb is honored
+    // by the simulator only, and dropping it would crash the worker for good.
+    assert!(
+        sub.faults().restore_targets().next().is_none(),
+        "fault plan contains `restore:`, which only the simulator executes"
+    );
     let mut fleet = build_fleet(config);
     let elastic = sub.elastic().clone();
-    // Threads are not resurrected mid-run: the `restore:` verb is honored
-    // by the simulator only.
     for w in &mut fleet.workers {
         elastic.warm_start(w);
     }

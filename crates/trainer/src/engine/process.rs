@@ -24,7 +24,9 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use partial_reduce::runtime::{serve_fleet, ControllerStats, PartialReducer, RuntimeOptions};
+use partial_reduce::runtime::{
+    serve_fleet, ControllerStats, PartialReducer, ReduceError, RuntimeOptions,
+};
 use partial_reduce::{ControllerConfig, SinkObserver, TraceSink};
 use preduce_comm::control::ObservedControlPlane;
 use preduce_comm::mesh::MeshEndpoint;
@@ -102,9 +104,10 @@ pub fn run_controller(
 /// `config`, takes rank `rank`'s replica, dials the controller at
 /// `connect`, and performs `iters` local-update + partial-reduce rounds.
 ///
-/// A failed reduce degrades to the local model (the worker keeps its own
-/// parameters and re-signals next round); a dead control link ends the
-/// run early. Either way the worker evaluates whatever model it holds.
+/// A failed group average degrades to the local model (the worker keeps
+/// its own parameters and re-signals next round); a failed control
+/// exchange ends the run early. Either way the worker evaluates whatever
+/// model it holds.
 ///
 /// # Errors
 /// Fails if the controller handshake or data-plane bring-up fails, or if
@@ -171,17 +174,18 @@ pub fn run_worker_elastic(
                 crashed = true;
                 break;
             }
-            Err(CommError::Disconnected { .. }) => {
-                // The controller is gone: no more groups will ever form.
+            Err(ReduceError::Control(_)) => {
+                // The controller link failed: no more groups will form.
                 degraded += 1;
                 break;
             }
-            Err(_) => {
-                // Data-plane failure (a dying group member, a timeout):
-                // keep what the mesh left in place — per element the
-                // local value or the finished average — and re-signal
-                // next round; the controller's eviction path excludes
-                // the dead member from future groups.
+            Err(ReduceError::Group(_)) => {
+                // Data-plane failure (a dying group member — even the
+                // leader — or a timeout): keep what the mesh left in
+                // place — per element the local value or the finished
+                // average — and re-signal next round; the controller's
+                // eviction path excludes the dead member from future
+                // groups.
                 degraded += 1;
             }
         }

@@ -10,9 +10,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use partial_reduce::runtime::PartialReducer;
+use partial_reduce::runtime::{PartialReducer, ReduceError};
 use partial_reduce::{TraceEvent, TraceSink};
-use preduce_comm::CommError;
 use preduce_simnet::{FaultKind, FaultPlan};
 use rand::Rng;
 
@@ -91,13 +90,14 @@ impl WorkerRounds {
     /// check, the snapshot if one is due, the signal delay, then
     /// [`PartialReducer::reduce`] and the fast-forward to the group's
     /// iteration. On a failed reduce `w` keeps what the averager left in
-    /// its parameters and its own iteration count.
+    /// its parameters and its own iteration count, and the error names
+    /// the phase that failed.
     pub(crate) fn run<R: Rng + ?Sized>(
         &mut self,
         w: &mut WorkerState,
         rng: &mut R,
         reducer: &mut PartialReducer,
-    ) -> Result<Round, CommError> {
+    ) -> Result<Round, ReduceError> {
         if !self.delay.is_zero() {
             thread::sleep(self.delay);
         }
@@ -146,11 +146,81 @@ mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
     use crate::engine::setup::{build_fleet, worker_thread_seed};
-    use partial_reduce::runtime::{spawn, RuntimeOptions};
-    use partial_reduce::{ControllerConfig, InvariantChecker, RingSink};
+    use partial_reduce::runtime::{serve_fleet, spawn, RuntimeOptions};
+    use partial_reduce::{ControllerConfig, InvariantChecker, NullSink, RingSink};
+    use preduce_comm::control::control_links;
+    use preduce_comm::mesh::GroupAverager;
+    use preduce_comm::CommError;
     use preduce_data::cifar10_like;
     use preduce_models::zoo;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// A data plane whose first average fails the way a member's does when
+    /// its group leader dies mid-reduce; every later average succeeds.
+    struct LeaderDiesOnce(bool);
+
+    impl GroupAverager for LeaderDiesOnce {
+        fn group_weighted_average(
+            &mut self,
+            _: &[usize],
+            _: u64,
+            _: &mut [f32],
+            _: &[f32],
+        ) -> preduce_comm::Result<()> {
+            if std::mem::take(&mut self.0) {
+                return Err(CommError::Disconnected { peer: 0 });
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_dead_group_peer_fails_the_group_phase_not_the_run() {
+        const N: usize = 2;
+        let mut config = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
+        config.num_workers = N;
+        let (ctl, links) = control_links(N);
+        let server = thread::spawn(move || {
+            serve_fleet(
+                ControllerConfig::constant(N, 2),
+                ctl,
+                &[],
+                RuntimeOptions::default(),
+            )
+        });
+        let workers: Vec<_> = build_fleet(&config)
+            .workers
+            .into_iter()
+            .zip(links)
+            .map(|(mut w, link)| {
+                thread::spawn(move || {
+                    let sink: Arc<dyn TraceSink> = Arc::new(NullSink);
+                    let averager = Box::new(LeaderDiesOnce(w.rank == 1));
+                    let mut r = PartialReducer::from_parts(Box::new(link), averager, sink.clone());
+                    let elastic = ElasticOptions::none();
+                    let mut rounds =
+                        WorkerRounds::begin(&w, FaultPlan::none(), Duration::ZERO, &elastic, sink);
+                    let mut rng = StdRng::seed_from_u64(w.rank as u64);
+                    let outcomes: Vec<_> = (0..2)
+                        .map(|_| rounds.run(&mut w, &mut rng, &mut r))
+                        .collect();
+                    r.finish().unwrap();
+                    outcomes
+                })
+            })
+            .collect();
+        let outcomes: Vec<_> = workers.into_iter().map(|t| t.join().unwrap()).collect();
+        assert_eq!(server.join().unwrap().groups_formed, 2);
+
+        // Rank 1 lost its leader mid-average: a group failure, after which
+        // the controller still answers and the next round reduces.
+        assert!(matches!(
+            outcomes[1][0],
+            Err(ReduceError::Group(CommError::Disconnected { peer: 0 }))
+        ));
+        assert!(matches!(outcomes[1][1], Ok(Round::Reduced)));
+        assert!(outcomes[0].iter().all(|o| matches!(o, Ok(Round::Reduced))));
+    }
 
     #[test]
     fn round_applies_plan_and_cadence_in_order() {
