@@ -205,7 +205,9 @@ TRACING:
   asserts the paper's invariants (group size, weight rows, fast-forward,
   frozen-schedule repair, departures). The check is streaming: events
   feed an incremental checker line by line, so traces with millions of
-  events verify in bounded memory. Exit is nonzero on violations.
+  events verify in bounded memory. Exit is nonzero on violations. A
+  trace file that lost writes (a full disk) fails `run` and `controller`
+  with exit 3.
 ";
 
 fn parse_strategy(args: &Args) -> Result<Strategy, CliError> {
@@ -310,15 +312,41 @@ fn elastic_from_args(args: &Args) -> Result<ElasticOptions, CliError> {
     Ok(elastic)
 }
 
-/// The JSONL sink `--trace-out` names, or the inert one.
-fn sink_from_args(args: &Args) -> Result<Arc<dyn TraceSink>, CliError> {
-    Ok(match args.get("trace-out") {
-        Some(path) => Arc::new(
-            JsonlSink::create(path)
-                .map_err(|e| CliError::Unknown(format!("trace file `{path}`: {e}")))?,
-        ),
-        None => Arc::new(NullSink),
-    })
+/// The file `--trace-out` names, if any: its path and the sink writing it.
+struct TraceOut<'a>(Option<(&'a str, Arc<JsonlSink>)>);
+
+impl<'a> TraceOut<'a> {
+    /// Creates the named file.
+    fn from_args(args: &'a Args) -> Result<Self, CliError> {
+        let Some(path) = args.get("trace-out") else {
+            return Ok(TraceOut(None));
+        };
+        let sink = JsonlSink::create(path)
+            .map_err(|e| CliError::Unknown(format!("trace file `{path}`: {e}")))?;
+        Ok(TraceOut(Some((path, Arc::new(sink)))))
+    }
+
+    /// The sink a run narrates to: the trace file, or the inert one.
+    fn sink(&self) -> Arc<dyn TraceSink> {
+        match &self.0 {
+            Some((_, sink)) => sink.clone(),
+            None => Arc::new(NullSink),
+        }
+    }
+
+    /// Flushes the trace file and fails if any of it was lost.
+    fn finish(self) -> Result<(), CliError> {
+        let Some((path, sink)) = self.0 else {
+            return Ok(());
+        };
+        sink.flush();
+        match sink.write_errors() {
+            0 => Ok(()),
+            n => Err(CliError::Internal(format!(
+                "trace file `{path}`: {n} failed write(s); the trace is incomplete"
+            ))),
+        }
+    }
 }
 
 /// Builds an [`ExperimentConfig`] from CLI flags (defaults mirror Table 1).
@@ -410,11 +438,11 @@ pub fn run_command(
                 config.threaded_iters = Some(args.get_or("iters", 0)?);
             }
             let elastic = elastic_from_args(args)?;
-            let sink = sink_from_args(args)?;
+            let trace = TraceOut::from_args(args)?;
             let result =
-                engine::run_elastic(strategy, &config, backend, sink.clone(), faults, elastic)
+                engine::run_elastic(strategy, &config, backend, trace.sink(), faults, elastic)
                     .result;
-            sink.flush();
+            trace.finish()?;
             if args.get_or("json", false)? {
                 let text = serde_json::to_string(&result)
                     .map_err(|e| CliError::Internal(format!("serialize result: {e}")))?;
@@ -449,7 +477,7 @@ pub fn run_command(
                     miss.max(1),
                 ))
             };
-            let sink = sink_from_args(args)?;
+            let trace = TraceOut::from_args(args)?;
             let elastic = elastic_from_args(args)?;
             // Controller restore is validate-only (DESIGN.md §14): the
             // accept phase rebuilds the roster live, so the snapshot only
@@ -477,7 +505,7 @@ pub fn run_command(
                 controller_cfg,
                 &listen,
                 RuntimeOptions {
-                    sink: sink.clone(),
+                    sink: trace.sink(),
                     liveness,
                     on_groups,
                 },
@@ -489,7 +517,7 @@ pub fn run_command(
                 },
             )
             .map_err(|e| CliError::Internal(format!("controller: {e}")))?;
-            sink.flush();
+            trace.finish()?;
             let s = report.stats;
             let _ = writeln!(
                 out,
@@ -968,6 +996,33 @@ mod tests {
         r.unwrap();
         assert!(out.contains("0 violation(s)"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_trace_the_device_refused_fails_the_run() {
+        // Every write to /dev/full fails, so the trace is lost whole.
+        const FULL: &str = "/dev/full";
+        if !std::path::Path::new(FULL).exists() {
+            return;
+        }
+        let (r, out) = run(&[
+            "run",
+            "--strategy",
+            "p-reduce",
+            "--p",
+            "2",
+            "--workers",
+            "4",
+            "--max-updates",
+            "40",
+            "--trace-out",
+            FULL,
+        ]);
+        let Err(e) = r else {
+            panic!("a lost trace went unreported: {out}");
+        };
+        assert_eq!(e.exit_code(), 3, "{e}");
+        assert!(e.to_string().contains(FULL), "{e}");
     }
 
     #[test]

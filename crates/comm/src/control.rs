@@ -152,12 +152,6 @@ pub trait ControlObserver: Send + Sync {
     fn on_assignment(&self, _worker: usize, _assignment: &GroupAssignment) {}
 }
 
-/// The no-op observer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl ControlObserver for NullObserver {}
-
 /// Wraps a [`ControlPlane`], reporting its traffic to a
 /// [`ControlObserver`].
 pub struct ObservedControlPlane<C> {

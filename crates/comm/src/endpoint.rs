@@ -145,11 +145,6 @@ impl Endpoint {
         }
     }
 
-    /// Number of pooled (reusable) payload buffers.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Receives the message with the given source and tag, stashing any
     /// other messages that arrive first.
     pub fn recv(&mut self, from: usize, tag: u64) -> Result<Vec<f32>> {
@@ -261,9 +256,9 @@ mod tests {
         e0.send(0, 1, vec![1.0, 2.0, 3.0]).unwrap();
         let got = e0.recv(0, 1).unwrap();
         e0.recycle(got);
-        assert_eq!(e0.pooled(), 1);
+        assert_eq!(e0.pool.len(), 1);
         e0.send_from_slice(0, 2, &[4.0, 5.0]).unwrap();
-        assert_eq!(e0.pooled(), 0);
+        assert_eq!(e0.pool.len(), 0);
         assert_eq!(e0.recv(0, 2).unwrap(), vec![4.0, 5.0]);
     }
 
@@ -274,7 +269,7 @@ mod tests {
         for _ in 0..32 {
             e0.recycle(Vec::with_capacity(16));
         }
-        assert!(e0.pooled() <= 8, "pool must stay bounded");
+        assert!(e0.pool.len() <= 8, "pool must stay bounded");
     }
 
     #[test]

@@ -41,7 +41,7 @@ const IDLE_SLEEP: Duration = Duration::from_micros(500);
 /// module's constants and the shard count is derived from the fleet size.
 /// The type survives only because the frozen benchmark crate names it
 /// (`probes.rs`); the parameter goes with the next `benchmark` PR
-/// (ROADMAP item 2).
+/// (ROADMAP item 9).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReactorConfig {}
 
@@ -126,9 +126,9 @@ fn run_shard(mut socks: Vec<ShardSocket>, tx: Sender<Vec<ControlEvent>>) {
             if idle_rounds <= SPIN_ROUNDS {
                 thread::yield_now();
             } else {
-                // lint: allow(reactor-blocking) bounded adaptive idle backoff: after
-                // SPIN_ROUNDS empty polls the shard naps for IDLE_SLEEP so idle fleets
-                // do not spin a core; any inbound byte ends the nap on the next poll.
+                // Bounded adaptive idle backoff: after SPIN_ROUNDS empty
+                // polls the shard naps for IDLE_SLEEP so idle fleets do not
+                // spin a core; any inbound byte ends the nap on the next poll.
                 thread::sleep(IDLE_SLEEP);
             }
         } else {
@@ -362,6 +362,47 @@ mod tests {
         };
         link.send_assignment(0, a.clone()).expect("send");
         assert_eq!(worker.join().expect("join"), a);
+    }
+
+    #[test]
+    fn a_half_sent_frame_does_not_stall_the_shard() {
+        // Both sockets land on one shard. Rank 0 says hello, sends only
+        // the first bytes of a `Ready` frame and keeps its socket open: a
+        // shard that waited for the rest would never reach rank 1.
+        assert_eq!(shard_count(2), 1);
+        let (listener, addr) = bind_controller("127.0.0.1:0");
+        let (release, held) = channel::<()>();
+        let stalled = thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            let hello = tcp::Hello {
+                rank: 0,
+                data_addr: None,
+            };
+            tcp::write_frame(&mut s, &hello, 0).expect("hello");
+            let ready = WorkerSignal::Ready {
+                worker: 0,
+                iteration: 1,
+            };
+            let frame = crate::frame::encode(&ready).expect("encode");
+            io::Write::write_all(&mut s, &frame[..frame.len() / 2]).expect("half a frame");
+            let _ = held.recv();
+        });
+        let ready = thread::spawn(move || {
+            let mut w = TcpWorkerLink::connect(addr, 1).expect("connect");
+            w.send_ready(7).expect("ready");
+            w
+        });
+        let (mut link, _) = accept_reactor(&listener, 2).expect("accept");
+        // `IDLE_SLEEP` is 500 µs: one second is two thousand naps.
+        match link.recv_signal(Duration::from_secs(1)) {
+            Ok(WorkerSignal::Ready { worker, iteration }) => {
+                assert_eq!((worker, iteration), (1, 7))
+            }
+            other => panic!("rank 1's ready is stuck behind rank 0's half frame: {other:?}"),
+        }
+        drop(release);
+        stalled.join().expect("stalled peer");
+        drop(ready.join().expect("ready peer"));
     }
 
     #[test]

@@ -115,7 +115,9 @@ pub(crate) fn locked_write<T: Serialize>(
     let mut stream = writer
         .lock()
         .map_err(|_| CommError::Disconnected { peer })?;
-    write_frame(&mut stream, msg, peer) // lint: allow(lock-discipline) the per-socket writer mutex exists precisely to serialize whole frames onto one socket; nothing else is ever held with it
+    // The per-socket writer mutex exists precisely to serialize whole
+    // frames onto one socket; nothing else is ever held with it.
+    write_frame(&mut stream, msg, peer)
 }
 
 /// Reads exactly `buf.len()` bytes, distinguishing the three ways a

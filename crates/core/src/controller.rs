@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::graph::{min_history_window, ConnectivityStats, WindowedConnectivity};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
-use crate::weights::{constant_weights, dynamic_weights, GapPolicy};
+use crate::weights::{constant_weights, dynamic_weights, GapPolicy, WeightRow};
 
 /// How group models are aggregated.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -156,7 +156,7 @@ pub struct GroupDecision {
     /// Member ranks in collective order.
     pub group: Vec<usize>,
     /// Aggregation weight per member (aligned with `group`, sums to 1).
-    pub weights: Vec<f32>,
+    pub weights: WeightRow,
     /// Iteration number all members adopt after the reduce
     /// (`max` over member iterations, §3.3.3).
     pub new_iteration: u64,
@@ -613,7 +613,7 @@ impl Controller {
                 sequence,
                 members: group.clone(),
                 iterations,
-                weights: weights.clone(),
+                weights: weights.to_vec(),
                 new_iteration,
                 repaired,
             });
@@ -643,7 +643,7 @@ mod tests {
         c.push_ready(5, 0);
         let d = c.try_form_group().unwrap();
         assert_eq!(d.group, vec![4, 1, 5]);
-        assert_eq!(d.weights, vec![1.0 / 3.0; 3]);
+        assert_eq!(*d.weights, [1.0 / 3.0; 3]);
         assert_eq!(d.sequence, 0);
         assert!(!d.repaired);
         assert_eq!(c.pending(), 0);
@@ -850,7 +850,7 @@ mod tests {
                 sequence: 0,
                 members: d.group.clone(),
                 iterations: vec![1, 2],
-                weights: d.weights.clone(),
+                weights: d.weights.to_vec(),
                 new_iteration: 2,
                 repaired: false,
             }

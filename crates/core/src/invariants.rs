@@ -331,6 +331,15 @@ impl StreamingChecker {
 
     /// Feeds one event into the state machine, recording any violations
     /// it exposes. Events are indexed in arrival order.
+    ///
+    /// The `match` names every [`TraceEvent`] variant and a wildcard arm
+    /// is a lint error here (clippy names a wildcard standing for one
+    /// variant with the second lint), so a new variant does not compile
+    /// until it is checked.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn feed(&mut self, event: &TraceEvent) {
         let i = self.index;
         self.index += 1;
@@ -894,7 +903,7 @@ impl StreamingChecker {
             }
             _ => return,
         };
-        for (i, (&got, &want)) in weights.iter().zip(&expected).enumerate() {
+        for (i, (&got, &want)) in weights.iter().zip(expected.iter()).enumerate() {
             if (got - want).abs() > WEIGHT_EPS {
                 self.fail(
                     index,
@@ -1970,7 +1979,7 @@ mod tests {
         }
     }
 
-    /// ROADMAP item 6: on a controller-only trace every re-signal after a
+    /// On a controller-only trace every re-signal after a
     /// worker's first group is a strict-only candidate. The list that
     /// holds them must not grow with the trace, and a completion that
     /// turns strictness on late must still own up to all of them.

@@ -76,4 +76,4 @@ pub use spectral::{
     spectral_gap, SpectralReport,
 };
 pub use trace::{read_jsonl, JsonlSink, NullSink, RingSink, SinkObserver, TraceEvent, TraceSink};
-pub use weights::{constant_weights, dynamic_weights, singleton_weights, GapPolicy};
+pub use weights::{constant_weights, dynamic_weights, singleton_weights, GapPolicy, WeightRow};

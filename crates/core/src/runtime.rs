@@ -655,7 +655,7 @@ fn serve<C: ControlPlane>(
                 }
                 let assignment = GroupAssignment {
                     group: vec![worker],
-                    weights: crate::weights::singleton_weights(),
+                    weights: crate::weights::singleton_weights().into_vec(),
                     base_tag: 0,
                     new_iteration: iteration,
                 };
@@ -722,7 +722,7 @@ fn drain_groups<C: ControlPlane>(controller: &mut Controller, link: &mut C) {
     while let Some(d) = controller.try_form_group() {
         let assignment = GroupAssignment {
             group: d.group,
-            weights: d.weights,
+            weights: d.weights.into_vec(),
             base_tag: d.sequence.wrapping_mul(TAG_STRIDE),
             new_iteration: d.new_iteration,
         };
@@ -741,8 +741,8 @@ fn stats(controller: &Controller, singletons: u64, evictions: u64) -> Controller
             singletons,
         });
     }
-    // lint: allow(reactor-blocking) end-of-run trace-sink flush: `stats` runs
-    // once after the serve loop has exited, not on the per-event poll path.
+    // End-of-run trace-sink flush: `stats` runs once after the serve loop
+    // has exited, not on the per-event poll path.
     controller.sink().flush();
     ControllerStats {
         groups_formed: controller.groups_formed(),

@@ -20,6 +20,7 @@
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
@@ -323,10 +324,13 @@ impl TraceSink for RingSink {
 /// [`crate::invariants::InvariantChecker::check_jsonl`].
 ///
 /// Writes are best-effort: I/O errors are counted, not propagated, so a
-/// full disk never takes down a training run.
+/// full disk never takes down a training run. A caller that needs the
+/// trace flushes the sink and reads [`JsonlSink::write_errors`]. The
+/// writer is the only lock; the count is atomic, so no call ever holds
+/// two locks.
 pub struct JsonlSink {
     writer: Mutex<BufWriter<Box<dyn Write + Send>>>,
-    write_errors: Mutex<u64>,
+    write_errors: AtomicU64,
 }
 
 impl JsonlSink {
@@ -340,49 +344,48 @@ impl JsonlSink {
     pub fn new(writer: Box<dyn Write + Send>) -> Self {
         JsonlSink {
             writer: Mutex::new(BufWriter::new(writer)),
-            write_errors: Mutex::new(0),
+            write_errors: AtomicU64::new(0),
         }
     }
 
-    /// Number of events lost to I/O or serialization errors.
+    /// Failed writes and flushes so far: events lost to serialization or
+    /// I/O errors, and buffered bytes a flush could not deliver. Zero
+    /// after a [`TraceSink::flush`] means the whole trace reached the
+    /// writer.
     pub fn write_errors(&self) -> u64 {
-        *self
-            .write_errors
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.write_errors.load(Ordering::Relaxed)
+    }
+
+    fn count_error(&self) {
+        self.write_errors.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 impl TraceSink for JsonlSink {
     fn record(&self, event: TraceEvent) {
-        let line = match serde_json::to_string(&event) {
-            Ok(l) => l,
-            Err(_) => {
-                *self
-                    .write_errors
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
-                return;
-            }
+        let Ok(line) = serde_json::to_string(&event) else {
+            self.count_error();
+            return;
         };
         let mut w = self
             .writer
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if writeln!(w, "{line}").is_err() {
-            *self
-                .write_errors
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
+            self.count_error();
         }
     }
 
     fn flush(&self) {
+        // Flushing the buffered writer needs its own lock; nothing else is
+        // ever held here.
         let mut w = self
             .writer
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = w.flush(); // lint: allow(lock-discipline) flushing the buffered writer requires holding its own lock; nothing else is ever held here
+        if w.flush().is_err() {
+            self.count_error();
+        }
     }
 }
 
@@ -521,6 +524,29 @@ mod tests {
         );
         assert_eq!(events[1], sample(0));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Accepts every byte and then fails to deliver them.
+    struct FailingFlush;
+
+    impl Write for FailingFlush {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("device full"))
+        }
+    }
+
+    #[test]
+    fn a_failed_flush_counts_as_a_write_error() {
+        // The event fits in the buffer, so only the flush can lose it.
+        let sink = JsonlSink::new(Box::new(FailingFlush));
+        sink.record(sample(0));
+        assert_eq!(sink.write_errors(), 0);
+        sink.flush();
+        assert_eq!(sink.write_errors(), 1);
     }
 
     #[test]

@@ -21,8 +21,46 @@
 //!   ([`GapPolicy::Initial`]); the alternative it mentions routes each gap
 //!   to the member with the nearest relative iteration number
 //!   ([`GapPolicy::Nearest`]).
+//!
+//! Theorem 1 needs every synchronization matrix to be doubly stochastic,
+//! so every row a reduce applies comes from this module: the three
+//! generators below are the only producers of a [`WeightRow`].
+
+use std::ops::Deref;
 
 use serde::{Deserialize, Serialize};
+
+/// One group's aggregation weights, aligned with its members: non-negative
+/// and summing to 1. Only [`constant_weights`], [`dynamic_weights`] and
+/// [`singleton_weights`] build one, so a row reaching a reduce is a row
+/// Eq. 9 or Algorithm 2 prescribes. It reads as a `[f32]`; [`into_vec`]
+/// gives the bare vector up where the row leaves the process (a control
+/// frame) or is narrated (a trace event).
+///
+/// A hand-built row is refused at compile time:
+///
+/// ```compile_fail,E0423
+/// let row = partial_reduce::weights::WeightRow(vec![0.5, 0.5]);
+/// ```
+///
+/// [`into_vec`]: WeightRow::into_vec
+#[derive(Debug, Clone, PartialEq)]
+pub struct WeightRow(Vec<f32>);
+
+impl WeightRow {
+    /// The bare weights, for a frame or a trace event.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.0
+    }
+}
+
+impl Deref for WeightRow {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.0
+    }
+}
 
 /// What to do with EMA mass assigned to relative iteration numbers that no
 /// group member holds (§3.3.3).
@@ -41,17 +79,17 @@ pub enum GapPolicy {
 ///
 /// # Panics
 /// Panics if `p == 0`.
-pub fn constant_weights(p: usize) -> Vec<f32> {
+pub fn constant_weights(p: usize) -> WeightRow {
     assert!(p > 0, "group must be non-empty");
-    vec![1.0 / p as f32; p]
+    WeightRow(vec![1.0 / p as f32; p])
 }
 
 /// The weight row of a singleton "group": the drain protocol's
 /// self-assignment keeps the worker's own model with full mass. Trivially
 /// doubly stochastic; routed through here so every row in the system
 /// comes from this module.
-pub fn singleton_weights() -> Vec<f32> {
-    vec![1.0]
+pub fn singleton_weights() -> WeightRow {
+    WeightRow(vec![1.0])
 }
 
 /// Staleness-aware weights for dynamic partial reduce.
@@ -62,7 +100,7 @@ pub fn singleton_weights() -> Vec<f32> {
 ///
 /// # Panics
 /// Panics if `iterations` is empty or `alpha` is outside `(0, 1)`.
-pub fn dynamic_weights(iterations: &[u64], alpha: f64, gap_policy: GapPolicy) -> Vec<f32> {
+pub fn dynamic_weights(iterations: &[u64], alpha: f64, gap_policy: GapPolicy) -> WeightRow {
     assert!(!iterations.is_empty(), "group must be non-empty");
     assert!(
         alpha > 0.0 && alpha < 1.0,
@@ -127,7 +165,7 @@ pub fn dynamic_weights(iterations: &[u64], alpha: f64, gap_policy: GapPolicy) ->
             weights[i] += share;
         }
     }
-    weights.into_iter().map(|w| w as f32).collect()
+    WeightRow(weights.into_iter().map(|w| w as f32).collect())
 }
 
 #[cfg(test)]
@@ -142,14 +180,14 @@ mod tests {
     #[test]
     fn constant_weights_are_uniform() {
         let w = constant_weights(4);
-        assert_eq!(w, vec![0.25; 4]);
+        assert_eq!(*w, [0.25; 4]);
         assert_sums_to_one(&w);
     }
 
     #[test]
     fn equal_iterations_degenerate_to_constant() {
         let w = dynamic_weights(&[7, 7, 7], 0.5, GapPolicy::Initial);
-        for v in &w {
+        for v in w.iter() {
             assert!((v - 1.0 / 3.0).abs() < 1e-6);
         }
         assert_sums_to_one(&w);
@@ -249,7 +287,7 @@ mod tests {
     #[test]
     fn singleton_group_gets_full_weight() {
         let w = dynamic_weights(&[42], 0.5, GapPolicy::Initial);
-        assert_eq!(w, vec![1.0]);
+        assert_eq!(*w, [1.0]);
     }
 
     #[test]

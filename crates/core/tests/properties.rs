@@ -6,7 +6,8 @@ use std::sync::Arc;
 use partial_reduce::{
     constant_weights, dynamic_weights, min_history_window, spectral_gap, sync_matrix,
     weighted_sync_matrix, AggregationMode, Controller, ControllerConfig, GapPolicy, GroupHistory,
-    InvariantChecker, RingSink, StreamingChecker, SyncGraph, TraceEvent, WindowedConnectivity,
+    InvariantChecker, RingSink, StreamingChecker, SyncGraph, TraceEvent, TraceSink,
+    WindowedConnectivity,
 };
 use proptest::prelude::*;
 
@@ -49,7 +50,7 @@ proptest! {
         // both gap policies must return exactly constant 1/P weights.
         let policy = if nearest { GapPolicy::Nearest } else { GapPolicy::Initial };
         let w = dynamic_weights(&vec![iteration; p], alpha, policy);
-        for &x in &w {
+        for &x in w.iter() {
             prop_assert!(
                 (x - 1.0 / p as f32).abs() < 1e-6,
                 "tied weights not uniform: {w:?}"
@@ -65,7 +66,7 @@ proptest! {
     ) {
         let policy = if nearest { GapPolicy::Nearest } else { GapPolicy::Initial };
         let w = dynamic_weights(&[iteration], alpha, policy);
-        prop_assert_eq!(w, vec![1.0f32]);
+        prop_assert_eq!(w.into_vec(), vec![1.0f32]);
     }
 
     #[test]
@@ -244,9 +245,11 @@ proptest! {
         rounds in 1usize..30,
         dynamic in any::<bool>(),
     ) {
-        // Whatever the controller does under random traffic — including
-        // random worker departures — the emitted trace must replay clean
-        // through the invariant checker.
+        // Whatever the controller does under random traffic — departures,
+        // restores, batched ingestion with malformed entries, queue drains
+        // — every `&mut self` call that changes what its accessors report
+        // narrates it, and the trace, closed by the controller's own
+        // counters, replays clean through the invariant checker.
         use rand::{Rng, SeedableRng};
         let n = 8;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -268,23 +271,46 @@ proptest! {
         let mut queued = vec![false; n];
         let mut iter = vec![0u64; n];
         for _ in 0..rounds {
+            let mut batch = Vec::new();
             for w in 0..n {
                 if c.has_left(w) {
+                    // Rare restore, from the last iteration it reported.
+                    if rng.gen_bool(0.1) {
+                        narrated(&mut c, &sink, |c| c.mark_restored(w, iter[w]))?;
+                    }
                     continue;
                 }
                 // Rare departure, possibly with a signal still queued.
                 if rng.gen_bool(0.02) {
-                    c.mark_left(w);
+                    narrated(&mut c, &sink, |c| c.mark_left(w))?;
                     queued[w] = false;
                     continue;
                 }
                 if !queued[w] && rng.gen_bool(0.6) {
                     iter[w] += rng.gen_range(1..4u64);
-                    prop_assert!(c.push_ready(w, iter[w]));
+                    batch.push((w, iter[w]));
                     queued[w] = true;
                 }
             }
-            while let Some(d) = c.try_form_group() {
+            if rng.gen_bool(0.5) {
+                for (w, it) in batch {
+                    prop_assert!(narrated(&mut c, &sink, |c| c.push_ready(w, it))?);
+                }
+            } else {
+                // A serving transport's batch: an out-of-range rank and a
+                // re-signal ride along and are skipped.
+                let accepted = batch.len();
+                let mut signals = batch.clone();
+                signals.push((n, 1));
+                signals.extend(batch.first().copied());
+                prop_assert_eq!(narrated(&mut c, &sink, |c| c.ingest_ready(&signals))?, accepted);
+            }
+            if rng.gen_bool(0.05) {
+                for (w, _) in narrated(&mut c, &sink, |c| c.drain_pending())? {
+                    queued[w] = false;
+                }
+            }
+            while let Some(d) = narrated(&mut c, &sink, |c| c.try_form_group())? {
                 for &m in &d.group {
                     queued[m] = false;
                     if dynamic {
@@ -294,6 +320,12 @@ proptest! {
                 }
             }
         }
+        sink.record(TraceEvent::RunFinished {
+            groups_formed: c.groups_formed(),
+            repairs: c.repairs(),
+            deferrals: c.deferrals(),
+            singletons: 0,
+        });
         prop_assert_eq!(sink.dropped(), 0);
         let report = InvariantChecker::check(&sink.snapshot());
         prop_assert!(report.is_clean(), "{report}");
@@ -526,6 +558,36 @@ proptest! {
             }
         }
     }
+}
+
+/// Everything a controller's accessors report about its state.
+fn counters(c: &Controller) -> (usize, u64, u64, u64, usize, Vec<usize>) {
+    (
+        c.pending(),
+        c.groups_formed(),
+        c.repairs(),
+        c.deferrals(),
+        c.active(),
+        c.departed_workers(),
+    )
+}
+
+/// Makes one `&mut self` call on `c` and fails the case if the call
+/// changed what the accessors report without recording an event.
+fn narrated<T>(
+    c: &mut Controller,
+    sink: &RingSink,
+    call: impl FnOnce(&mut Controller) -> T,
+) -> Result<T, TestCaseError> {
+    let recorded = |sink: &RingSink| sink.len() as u64 + sink.dropped();
+    let (before, events) = (counters(c), recorded(sink));
+    let out = call(c);
+    let after = counters(c);
+    prop_assert!(
+        after == before || recorded(sink) > events,
+        "state went from {before:?} to {after:?} and nothing was narrated"
+    );
+    Ok(out)
 }
 
 /// A rank from `{0..N, N, N + 1, usize::MAX}`, in range two times in three.

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use partial_reduce::runtime::{spawn, LivenessPolicy, RuntimeOptions};
 use partial_reduce::{
-    AggregationMode, Controller, ControllerConfig, NullSink, TraceEvent, TraceSink,
+    AggregationMode, Controller, ControllerConfig, NullSink, TraceEvent, TraceSink, WeightRow,
 };
 use preduce_simnet::{EventQueue, FaultKind, FaultPlan, SimTime};
 use preduce_tensor::Tensor;
@@ -27,7 +27,7 @@ enum Event {
     /// A partial-reduce group's collective completed.
     GroupDone {
         group: Vec<usize>,
-        weights: Vec<f32>,
+        weights: WeightRow,
         new_iteration: u64,
     },
 }

@@ -242,7 +242,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
             groups_seen += 1;
             let mut lo = f32::MAX;
             let mut hi = f32::MIN;
-            for &wgt in &d.weights {
+            for &wgt in d.weights.iter() {
                 lo = lo.min(wgt);
                 hi = hi.max(wgt);
             }

@@ -1,5 +1,6 @@
 //! Per-worker training state: model replica, optimizer, data shard.
 
+use partial_reduce::WeightRow;
 use preduce_data::BatchSampler;
 use preduce_models::{softmax_cross_entropy, Network, SgdConfig, SgdOptimizer};
 use preduce_tensor::Tensor;
@@ -108,9 +109,20 @@ impl WorkerState {
 /// slice order per element and is therefore bit-identical to the axpy
 /// chain it replaced (the sim goldens pin this).
 ///
+/// The row is a [`WeightRow`], so it comes from `partial_reduce::weights`;
+/// a literal row does not compile:
+///
+/// ```compile_fail,E0308
+/// # use preduce_tensor::Tensor;
+/// # use preduce_trainer::worker::weighted_model_average;
+/// let (a, b) = (Tensor::zeros([2]), Tensor::zeros([2]));
+/// let (models, p) = ([&a, &b], 2);
+/// weighted_model_average(&models, &vec![1.0 / p as f32; p]);
+/// ```
+///
 /// # Panics
 /// Panics if inputs are empty, lengths differ, or weights don't match.
-pub fn weighted_model_average(models: &[&Tensor], weights: &[f32]) -> Tensor {
+pub fn weighted_model_average(models: &[&Tensor], weights: &WeightRow) -> Tensor {
     assert!(!models.is_empty(), "cannot average zero models");
     assert_eq!(models.len(), weights.len(), "one weight per model required");
     let mut out = Tensor::zeros([models[0].len()]);
@@ -203,10 +215,14 @@ mod tests {
     fn weighted_average_known_values() {
         let a = Tensor::from_vec(vec![1.0, 2.0], [2]).unwrap();
         let b = Tensor::from_vec(vec![3.0, 6.0], [2]).unwrap();
-        let avg = weighted_model_average(&[&a, &b], &[0.5, 0.5]);
+        let avg = weighted_model_average(&[&a, &b], &partial_reduce::constant_weights(2));
         assert_eq!(avg.as_slice(), &[2.0, 4.0]);
-        let skew = weighted_model_average(&[&a, &b], &[0.75, 0.25]);
-        assert_eq!(skew.as_slice(), &[1.5, 3.0]);
+        // Eq. 9 with α = 0.5 weighs the fresher model 2/3, the staler 1/3.
+        let row = partial_reduce::dynamic_weights(&[2, 1], 0.5, partial_reduce::GapPolicy::Initial);
+        let skew = weighted_model_average(&[&a, &b], &row);
+        for (got, want) in skew.as_slice().iter().zip([5.0 / 3.0, 10.0 / 3.0]) {
+            assert!((got - want).abs() < 1e-6, "{got} vs {want}");
+        }
     }
 
     #[test]

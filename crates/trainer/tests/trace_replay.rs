@@ -122,6 +122,220 @@ fn corrupted_weight_row_is_flagged() {
     );
 }
 
+/// The `TraceEvent` variants, named once: the list and the `match` that
+/// classifies an event come from the same names, so a new variant does
+/// not compile here until it is listed, and once listed it must be
+/// emitted.
+macro_rules! trace_event_variants {
+    ($($variant:ident),+ $(,)?) => {
+        const VARIANTS: &[&str] = &[$(stringify!($variant)),+];
+
+        fn variant(event: &TraceEvent) -> &'static str {
+            match event {
+                $(TraceEvent::$variant { .. } => stringify!($variant)),+
+            }
+        }
+    };
+}
+
+trace_event_variants!(
+    RunStarted,
+    SignalEnqueued,
+    SignalRejected,
+    GroupDeferred,
+    GroupFormed,
+    AssignmentSent,
+    ReduceCompleted,
+    WorkerLeft,
+    PendingDrained,
+    SingletonIssued,
+    FaultInjected,
+    ProcessJoined,
+    ProcessDisconnected,
+    HeartbeatMissed,
+    WorkerEvicted,
+    SnapshotTaken,
+    WorkerRestored,
+    RunFinished,
+);
+
+/// The sim substrate under a kill-and-replace plan with cadence-1
+/// snapshots: faults, evictions, snapshots and a restore.
+fn sim_kill_and_replace() -> Vec<TraceEvent> {
+    use partial_reduce::RingSink;
+    use preduce_trainer::{engine, Backend, ElasticOptions, FaultPlan};
+
+    let dir = std::env::temp_dir().join(format!("preduce-every-variant-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut c = config(8);
+    c.max_updates = 100;
+    c.eval_every = 100;
+    c.threshold = 0.999;
+    let sink = Arc::new(RingSink::new(65_536));
+    engine::run_elastic(
+        Strategy::PReduce {
+            p: 4,
+            dynamic: true,
+        },
+        &c,
+        Backend::Sim,
+        sink.clone(),
+        FaultPlan::none().crash(3, 20).restore(3, 30),
+        ElasticOptions::none().with_policy(&dir, 1),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(sink.dropped(), 0);
+    sink.snapshot()
+}
+
+/// Threads under a crash plan: the controller thread narrates every
+/// assignment it sends, evicts the crashed worker by heartbeat silence,
+/// and drains the survivors out with singletons.
+fn threaded_crash() -> Vec<TraceEvent> {
+    use partial_reduce::RingSink;
+    use preduce_trainer::{engine, Backend, FaultPlan};
+
+    let mut c = config(4);
+    c.threaded_iters = Some(12);
+    let sink = Arc::new(RingSink::new(65_536));
+    engine::run_with_faults(
+        Strategy::PReduce {
+            p: 2,
+            dynamic: false,
+        },
+        &c,
+        Backend::Threaded,
+        sink.clone(),
+        FaultPlan::none().crash(3, 4),
+    );
+    assert_eq!(sink.dropped(), 0);
+    sink.snapshot()
+}
+
+/// `serve_fleet` over loopback TCP, as a multi-process controller runs it:
+/// rank 1 drops its link at once, rank 0 stays silent until it is evicted
+/// and then signals anyway, ranks 2 and 3 reduce until rank 0's late
+/// signal is rejected, then leave one after the other.
+fn tcp_fleet() -> Vec<TraceEvent> {
+    use partial_reduce::runtime::{serve_fleet, LivenessPolicy, PartialReducer, RuntimeOptions};
+    use partial_reduce::{ControllerConfig, RingSink};
+    use preduce_comm::control::WorkerControlPlane;
+    use preduce_comm::reactor::{accept_fleet, ReactorConfig};
+    use preduce_comm::tcp::{bind_controller, RetryPolicy, TcpWorkerLink};
+    use preduce_comm::CommWorld;
+    use std::thread;
+
+    const N: usize = 4;
+    let sink = Arc::new(RingSink::new(65_536));
+    let seen = {
+        let sink = sink.clone();
+        move |wanted: &dyn Fn(&TraceEvent) -> bool| sink.snapshot().iter().any(wanted)
+    };
+    let (listener, addr) = bind_controller("127.0.0.1:0");
+    let dials: Vec<_> = (0..N)
+        .map(|rank| {
+            thread::spawn(move || {
+                let data_addr = format!("inproc-{rank}");
+                TcpWorkerLink::connect_fleet(addr, rank, data_addr, RetryPolicy::default())
+                    .expect("join the fleet")
+                    .0
+            })
+        })
+        .collect();
+    let (link, members) = accept_fleet(&listener, N, ReactorConfig::default()).expect("accept");
+    let joined: Vec<(usize, String)> = members.into_iter().map(|m| (m.rank, m.peer_addr)).collect();
+    let opts = RuntimeOptions {
+        sink: sink.clone(),
+        liveness: Some(LivenessPolicy::new(Duration::from_millis(25), 8)),
+        on_groups: None,
+    };
+    let server =
+        thread::spawn(move || serve_fleet(ControllerConfig::constant(N, 2), link, &joined, opts));
+
+    let links: Vec<TcpWorkerLink> = dials.into_iter().map(|d| d.join().expect("dial")).collect();
+    let Ok([mut silent, gone, two, three]) = <[TcpWorkerLink; N]>::try_from(links) else {
+        panic!("one link per rank");
+    };
+    drop(gone);
+    let reducers: Vec<PartialReducer> = [two, three]
+        .into_iter()
+        .zip(CommWorld::new(N).into_endpoints().into_iter().skip(2))
+        .map(|(link, endpoint)| {
+            PartialReducer::from_parts(Box::new(link), Box::new(endpoint), sink.clone())
+        })
+        .collect();
+
+    let silent = thread::spawn({
+        let seen = seen.clone();
+        move || {
+            while !seen(&|e| matches!(e, TraceEvent::WorkerLeft { worker: 0, .. })) {
+                thread::sleep(Duration::from_millis(5));
+            }
+            silent.send_ready(1).expect("late ready");
+        }
+    });
+    let survivors: Vec<_> = reducers
+        .into_iter()
+        .zip([2usize, 3])
+        .map(|(mut r, rank)| {
+            let seen = seen.clone();
+            thread::spawn(move || {
+                assert!(r.start_heartbeat(Duration::from_millis(5)));
+                let mut params = vec![rank as f32; 4];
+                let mut iteration = 0;
+                let mut round = |r: &mut PartialReducer, iteration: &mut u64| {
+                    *iteration = r
+                        .reduce(&mut params, *iteration + 1)
+                        .expect("reduce")
+                        .new_iteration;
+                };
+                if rank == 2 {
+                    while !seen(&|e| matches!(e, TraceEvent::SignalRejected { worker: 0, .. })) {
+                        round(&mut r, &mut iteration);
+                    }
+                } else {
+                    while !seen(&|e| matches!(e, TraceEvent::WorkerLeft { worker: 2, .. })) {
+                        round(&mut r, &mut iteration);
+                    }
+                    // Alone below P: answered by a singleton.
+                    round(&mut r, &mut iteration);
+                }
+                r.finish().expect("finish");
+            })
+        })
+        .collect();
+    silent.join().expect("silent worker");
+    for t in survivors {
+        t.join().expect("survivor");
+    }
+    let stats = server.join().expect("serve_fleet");
+    assert_eq!(stats.evictions, 2, "{stats:?}");
+    sink.snapshot()
+}
+
+#[test]
+fn every_trace_event_variant_is_emitted() {
+    use std::collections::BTreeSet;
+
+    let mut seen = BTreeSet::new();
+    for (run, events) in [
+        ("sim kill-and-replace", sim_kill_and_replace()),
+        ("threaded crash", threaded_crash()),
+        ("tcp fleet", tcp_fleet()),
+    ] {
+        let report = InvariantChecker::check(&events);
+        assert!(report.is_clean(), "{run}: {report}");
+        seen.extend(events.iter().map(variant));
+    }
+
+    let missing: Vec<&str> = VARIANTS
+        .iter()
+        .copied()
+        .filter(|v| !seen.contains(v))
+        .collect();
+    assert!(missing.is_empty(), "never emitted: {missing:?}");
+}
+
 #[test]
 fn sim_and_threaded_traces_share_the_vocabulary() {
     // The same checker consumes the simulator's trace: run the virtual-time
