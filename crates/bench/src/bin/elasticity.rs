@@ -12,7 +12,6 @@
 //!   crash gap the `fault_recovery` bin prints.
 //!
 //! Run: `cargo run --release -p preduce-bench --bin elasticity`
-//! (set `PREDUCE_QUICK=1` for fewer repetitions)
 
 #![forbid(unsafe_code)]
 
@@ -20,7 +19,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use partial_reduce::NullSink;
-use preduce_bench::configs::quick_mode;
 use preduce_checkpoint::{CheckpointStore, WorkerSnapshot};
 use preduce_data::cifar10_like;
 use preduce_models::zoo;
@@ -29,6 +27,10 @@ use preduce_trainer::{engine, Backend, ElasticOptions, ExperimentConfig, FaultPl
 /// Flat parameter count for the snapshot-latency probe: the order of the
 /// built Table-1 math models, large enough that serialization dominates.
 const SNAPSHOT_PARAMS: usize = 1 << 18;
+/// Snapshot write/load round trips measured.
+const REPS: usize = 10;
+/// Update budget of each simulated kill-and-replace run.
+const MAX_UPDATES: u64 = 300;
 
 fn scratch(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -96,16 +98,13 @@ fn kill_and_replace_gap(dynamic: bool, max_updates: u64) -> f64 {
 }
 
 fn main() {
-    let quick = quick_mode();
-    let reps = if quick { 3 } else { 10 };
-    let max_updates = if quick { 200 } else { 300 };
-    println!("elasticity bench: {reps} snapshot round trips (quick mode = {quick})");
+    println!("elasticity bench: {REPS} snapshot round trips");
 
-    snapshot_io(reps);
+    snapshot_io(REPS);
 
     println!(
         "  kill-and-replace convergence gap: CON {:+.3}, DYN {:+.3}",
-        kill_and_replace_gap(false, max_updates),
-        kill_and_replace_gap(true, max_updates)
+        kill_and_replace_gap(false, MAX_UPDATES),
+        kill_and_replace_gap(true, MAX_UPDATES)
     );
 }

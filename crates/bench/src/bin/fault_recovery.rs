@@ -16,7 +16,6 @@
 //!   average, so the gap is real but bounded — see the chaos suite).
 //!
 //! Run: `cargo run --release -p preduce-bench --bin fault_recovery`
-//! (set `PREDUCE_QUICK=1` for fewer repetitions)
 
 #![forbid(unsafe_code)]
 
@@ -24,11 +23,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use partial_reduce::{NullSink, TraceEvent, TraceSink};
-use preduce_bench::configs::quick_mode;
 use preduce_data::cifar10_like;
 use preduce_models::zoo;
 use preduce_trainer::engine::drivers::preduce::chaos_liveness;
 use preduce_trainer::{engine, Backend, ExperimentConfig, FaultPlan, Strategy};
+
+/// Threaded crash runs measured.
+const RUNS: usize = 5;
+/// Update budget of each simulated convergence-gap run.
+const MAX_UPDATES: u64 = 300;
 
 /// Wall-clock-stamps every trace event (milliseconds since sink
 /// creation) so reaction times can be measured from the stream.
@@ -134,19 +137,16 @@ fn convergence_gap(dynamic: bool, max_updates: u64) -> f64 {
 }
 
 fn main() {
-    let quick = quick_mode();
-    let runs = if quick { 2 } else { 5 };
-    let max_updates = if quick { 200 } else { 300 };
     let policy = chaos_liveness();
     println!(
-        "fault-recovery bench: {runs} threaded crash runs, liveness = \
-         {:?} every, {} misses, nominal eviction after {:?} (quick mode = {quick})",
+        "fault-recovery bench: {RUNS} threaded crash runs, liveness = \
+         {:?} every, {} misses, nominal eviction after {:?}",
         policy.heartbeat_interval,
         policy.miss_threshold,
         policy.eviction_after()
     );
 
-    for i in 0..runs {
+    for i in 0..RUNS {
         let (evict, repair) = crash_reaction();
         println!(
             "  run {i}: evict {} repair {}",
@@ -156,7 +156,7 @@ fn main() {
     }
     println!(
         "  post-fault convergence gap: CON {:+.3}, DYN {:+.3}",
-        convergence_gap(false, max_updates),
-        convergence_gap(true, max_updates)
+        convergence_gap(false, MAX_UPDATES),
+        convergence_gap(true, MAX_UPDATES)
     );
 }

@@ -18,7 +18,7 @@ pub enum ArgError {
         /// Expected type name.
         expected: &'static str,
     },
-    /// A token did not look like `--flag`.
+    /// A token did not look like `--flag`, and was not a leading operand.
     UnexpectedToken(String),
     /// A flag was given twice.
     Duplicate(String),
@@ -45,21 +45,25 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Parsed `--flag value` pairs.
+/// An optional leading operand (`reproduce fig4`) and `--flag value`
+/// pairs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Args {
+    operand: Option<String>,
     values: BTreeMap<String, String>,
 }
 
 impl Args {
-    /// Parses a token stream of `--flag value` pairs.
+    /// Parses a token stream: at most one operand, first, then
+    /// `--flag value` pairs.
     pub fn parse<I, S>(tokens: I) -> Result<Self, ArgError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let mut values = BTreeMap::new();
-        let mut iter = tokens.into_iter().map(Into::into);
+        let mut iter = tokens.into_iter().map(Into::into).peekable();
+        let operand = iter.next_if(|t| !t.starts_with("--"));
         while let Some(tok) = iter.next() {
             let flag = tok
                 .strip_prefix("--")
@@ -75,7 +79,12 @@ impl Args {
                 return Err(ArgError::Duplicate(flag));
             }
         }
-        Ok(Args { values })
+        Ok(Args { operand, values })
+    }
+
+    /// The leading operand, if one was given.
+    pub fn operand(&self) -> Option<&str> {
+        self.operand.as_deref()
     }
 
     /// The raw string value of a flag, if present.
@@ -128,13 +137,25 @@ mod tests {
     #[test]
     fn rejects_bare_tokens_and_duplicates() {
         assert!(matches!(
-            Args::parse(["oops"]),
+            Args::parse(["--x", "1", "oops"]),
+            Err(ArgError::UnexpectedToken(_))
+        ));
+        assert!(matches!(
+            Args::parse(["fig4", "oops"]),
             Err(ArgError::UnexpectedToken(_))
         ));
         assert_eq!(
             Args::parse(["--x", "1", "--x", "2"]),
             Err(ArgError::Duplicate("x".into()))
         );
+    }
+
+    #[test]
+    fn a_leading_operand_is_kept() {
+        let a = Args::parse(["fig4", "--x", "1"]).unwrap();
+        assert_eq!(a.operand(), Some("fig4"));
+        assert_eq!(a.get("x"), Some("1"));
+        assert_eq!(Args::parse(["--x", "1"]).unwrap().operand(), None);
     }
 
     #[test]

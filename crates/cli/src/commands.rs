@@ -1,5 +1,6 @@
-//! CLI subcommands: experiment runs, spectral analysis, catalog listing,
-//! and the multi-process fleet roles (`controller` / `worker`).
+//! CLI subcommands: experiment runs, the paper's figures and claims,
+//! spectral analysis, catalog listing, and the multi-process fleet roles
+//! (`controller` / `worker`).
 
 use std::fmt;
 use std::net::SocketAddr;
@@ -15,7 +16,9 @@ use preduce_data::{cifar100_like, cifar10_like, imagenet_like, DatasetPreset};
 use preduce_models::zoo;
 use preduce_simnet::{HeterogeneityModel, Jitter, SpeedFleet, UniformFleet};
 use preduce_trainer::engine::process;
-use preduce_trainer::{engine, Backend, ElasticOptions, ExperimentConfig, FaultPlan, Strategy};
+use preduce_trainer::{
+    engine, paper, Backend, ElasticOptions, ExperimentConfig, FaultPlan, Strategy,
+};
 
 use crate::args::{ArgError, Args};
 
@@ -28,18 +31,22 @@ pub enum CliError {
     Unknown(String),
     /// A replayed trace broke this many control-plane invariants.
     Invariant(usize),
+    /// These claim rows of the paper reached a verdict other than the
+    /// expected one.
+    Claims(Vec<&'static str>),
     /// An operation that should not fail did (I/O, serialization).
     Internal(String),
 }
 
 impl CliError {
     /// Process exit code: usage errors are 2 (conventional), internal
-    /// failures 3, invariant violations 4.
+    /// failures 3, a violated contract 4 (a trace invariant, or a claim
+    /// row off its expected verdict).
     pub fn exit_code(&self) -> u8 {
         match self {
             CliError::Args(_) | CliError::Unknown(_) => 2,
             CliError::Internal(_) => 3,
-            CliError::Invariant(_) => 4,
+            CliError::Invariant(_) | CliError::Claims(_) => 4,
         }
     }
 }
@@ -52,6 +59,11 @@ impl fmt::Display for CliError {
             CliError::Invariant(n) => {
                 write!(f, "trace violates {n} invariant(s)")
             }
+            CliError::Claims(ids) => write!(
+                f,
+                "claim row(s) {} differ from their expected verdict",
+                ids.join(", ")
+            ),
             CliError::Internal(what) => write!(f, "{what}"),
         }
     }
@@ -83,6 +95,9 @@ pub enum Command {
     /// `preduce trace --check trace.jsonl` — replay a recorded trace
     /// through the invariant checker.
     Trace,
+    /// `preduce reproduce <id|all>` — run a paper figure, print its
+    /// markdown and judge its claim rows.
+    Reproduce,
     /// `preduce list` — strategies, models, presets.
     List,
     /// `preduce help`.
@@ -99,6 +114,7 @@ impl Command {
             "spectral" => Ok(Command::Spectral),
             "scale" => Ok(Command::Scale),
             "trace" => Ok(Command::Trace),
+            "reproduce" => Ok(Command::Reproduce),
             "list" => Ok(Command::List),
             "help" | "--help" | "-h" => Ok(Command::Help),
             other => Err(CliError::Unknown(format!("command `{other}`"))),
@@ -132,6 +148,7 @@ USAGE:
                    [--hetero uniform|gpu-sharing|markov] [--dynamic true]
                    [--seed SEED] [--json true]
   preduce trace    --check trace.jsonl
+  preduce reproduce <id|all>
   preduce list
   preduce help
 
@@ -198,6 +215,14 @@ SCALE CAMPAIGN (DESIGN.md section 15):
   counters. Defaults: N=1000, P=8, 50000 signals, uniform fleet.
   --json true emits the full report as JSON. Exit is nonzero if any
   invariant is violated.
+
+PAPER FIGURES:
+  `reproduce ID` runs one table or figure of the paper's evaluation at
+  its one configuration and prints it as markdown, followed by its claim
+  rows (claim | paper | measured | expected | verdict); `reproduce all`
+  runs every figure. EXPERIMENTS.md holds this output. IDs: table1, fig4,
+  fig7, fig8, fig9, fig10, fig11, ablations, case1, theorem1. Exit is 4
+  when a claim row's verdict differs from its expected one.
 
 TRACING:
   `run --trace-out FILE` records every P-Reduce control-plane decision as
@@ -391,6 +416,9 @@ pub fn run_command(
     args: &Args,
     out: &mut dyn std::io::Write,
 ) -> Result<(), CliError> {
+    if let Some(operand) = args.operand().filter(|_| command != Command::Reproduce) {
+        return Err(ArgError::UnexpectedToken(operand.to_string()).into());
+    }
     match command {
         Command::Help => {
             let _ = writeln!(out, "{USAGE}");
@@ -563,6 +591,35 @@ pub fn run_command(
                 "worker rank={} iterations={} accuracy={:.4} degraded={}",
                 report.rank, report.iterations, report.accuracy, report.degraded
             );
+        }
+        Command::Reproduce => {
+            if let Some(flag) = args.flags().next() {
+                return Err(ArgError::UnexpectedToken(format!("--{flag}")).into());
+            }
+            let operand = args.operand().unwrap_or_default();
+            let all = operand == "all";
+            let ids: Vec<_> = paper::ids().filter(|id| all || *id == operand).collect();
+            if ids.is_empty() {
+                let known: Vec<_> = paper::ids().collect();
+                return Err(CliError::Unknown(format!(
+                    "figure `{operand}` (usage: preduce reproduce <id|all>; ids: {})",
+                    known.join(", ")
+                )));
+            }
+            let mut mismatches = Vec::new();
+            for id in ids {
+                if all {
+                    let _ = writeln!(out, "## {id}\n");
+                }
+                if let Some(r) = paper::reproduce(id) {
+                    let _ = write!(out, "{}", r.markdown);
+                    let _ = out.flush();
+                    mismatches.extend(r.mismatches);
+                }
+            }
+            if !mismatches.is_empty() {
+                return Err(CliError::Claims(mismatches));
+            }
         }
         Command::Trace => {
             let path = args.get("check").ok_or_else(|| {
@@ -1141,5 +1198,37 @@ mod tests {
         assert_eq!(CliError::Unknown("x".into()).exit_code(), 2);
         assert_eq!(CliError::Internal("x".into()).exit_code(), 3);
         assert_eq!(CliError::Invariant(2).exit_code(), 4);
+        assert_eq!(CliError::Claims(vec!["fig4.homogeneous"]).exit_code(), 4);
+    }
+
+    #[test]
+    fn reproduce_an_unknown_figure_names_every_id() {
+        let (r, out) = run(&["reproduce", "nosuch"]);
+        let Err(e @ CliError::Unknown(_)) = r else {
+            panic!("accepted: {out}");
+        };
+        assert_eq!(e.exit_code(), 2);
+        let msg = e.to_string();
+        for id in paper::ids() {
+            assert!(msg.contains(id), "{msg}");
+        }
+        assert!(matches!(run(&["reproduce"]).0, Err(CliError::Unknown(_))));
+    }
+
+    #[test]
+    fn reproduce_takes_no_flag_and_other_commands_no_operand() {
+        let (r, _) = run(&["reproduce", "fig4", "--json", "true"]);
+        assert!(matches!(r, Err(CliError::Args(_))));
+        let (r, _) = run(&["list", "fig4"]);
+        assert!(matches!(r, Err(CliError::Args(_))));
+    }
+
+    #[test]
+    fn reproduce_fig4_prints_the_exact_rho_values() {
+        let (r, out) = run(&["reproduce", "fig4"]);
+        r.unwrap();
+        assert!(out.contains("0.5000"), "{out}");
+        assert!(out.contains("0.6250"), "{out}");
+        assert!(out.contains("| `fig4.homogeneous` |"), "{out}");
     }
 }

@@ -135,8 +135,8 @@ pub struct ExperimentConfig {
     /// à la PyTorch DDP bucketing. The paper leaves overlap as future
     /// work because P-Reduce's dynamic groups preclude it (§4) — this
     /// knob reproduces that discussion: even granting the baselines full
-    /// overlap, partial reduce keeps its heterogeneity advantage (see the
-    /// `ablations` bench). In `[0, 1]`; default 0.
+    /// overlap, partial reduce keeps its heterogeneity advantage (claim
+    /// row `ablations.5-overlap` of [`crate::paper`]). In `[0, 1]`; default 0.
     pub overlap_fraction: f64,
     /// How the training set is partitioned across workers. Defaults to a
     /// seeded shuffle (IID shards, the paper's Assumption 1.2); `ByLabel`
@@ -144,7 +144,7 @@ pub struct ExperimentConfig {
     pub shard_strategy: Option<ShardStrategy>,
     /// When set, each evaluation also records `‖∇F(u_k)‖²` of the
     /// averaged model over the held-out set into the trace — the quantity
-    /// Theorem 1 bounds (used by the `theorem1_validation` bench).
+    /// Theorem 1 bounds (used by the `theorem1` figure of [`crate::paper`]).
     pub track_grad_norm: bool,
     /// Local updates per worker for *threaded-backend* runs (`None`: the
     /// engine default). The virtual-time simulator ignores this — sim

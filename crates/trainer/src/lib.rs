@@ -35,6 +35,7 @@ pub mod elastic;
 pub mod engine;
 pub mod experiment;
 pub mod metrics;
+pub mod paper;
 pub mod sim;
 pub mod strategy;
 pub mod worker;

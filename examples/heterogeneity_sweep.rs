@@ -45,5 +45,5 @@ fn main() {
     println!("\nSynchronous methods (AR, BSP) degrade with HL because the barrier");
     println!("waits for the shared GPU; P-Reduce's group of 3 keeps its per-update");
     println!("time nearly flat. ASP is flat too — but pays in statistical");
-    println!("efficiency (see `cargo run --release -p preduce-bench --bin table1`).");
+    println!("efficiency (see `cargo run --release -p preduce-cli -- reproduce table1`).");
 }
