@@ -98,9 +98,9 @@ fn ring_step(
     Ok(())
 }
 
-/// In-place ring all-reduce (sum) of `data` across `group`:
-/// [`reduce_scatter`] on tags `base_tag..base_tag + p − 1`, then
-/// [`all_gather`] on the next `p − 1`.
+/// In-place ring all-reduce (sum) of `data` across `group`: a
+/// reduce-scatter on tags `base_tag..base_tag + p − 1`, then an
+/// all-gather on the next `p − 1`.
 ///
 /// Every member must call this with the same `group` ordering, the same
 /// `base_tag`, and equal-length `data`. After return, every member holds the
@@ -227,7 +227,7 @@ pub fn ring_exchange(
 /// `Reduce_scatter`); other chunks are left in an unspecified
 /// partially-reduced state. Returns the caller's owned chunk range.
 /// Uses tags `base_tag..base_tag + p − 1`.
-pub fn reduce_scatter(
+fn reduce_scatter(
     ep: &mut Endpoint,
     group: &[usize],
     base_tag: u64,
@@ -248,12 +248,7 @@ pub fn reduce_scatter(
 /// (the rest of its buffer is overwritten); after the call every member
 /// holds all chunks. Chunk partition and tag use as in
 /// [`reduce_scatter`].
-pub fn all_gather(
-    ep: &mut Endpoint,
-    group: &[usize],
-    base_tag: u64,
-    data: &mut [f32],
-) -> Result<()> {
+fn all_gather(ep: &mut Endpoint, group: &[usize], base_tag: u64, data: &mut [f32]) -> Result<()> {
     let me = position_in_group(ep, group)?;
     let p = group.len();
     for s in 0..p - 1 {

@@ -178,11 +178,6 @@ impl Endpoint {
             }
         }
     }
-
-    /// Number of stashed (received but unconsumed) messages.
-    pub fn stashed(&self) -> usize {
-        self.stash.len()
-    }
 }
 
 #[cfg(test)]
@@ -209,9 +204,9 @@ mod tests {
         e1.send(0, 2, vec![2.0]).unwrap();
         // Ask for tag 2 first; tag 1 gets stashed.
         assert_eq!(e0.recv(1, 2).unwrap(), vec![2.0]);
-        assert_eq!(e0.stashed(), 1);
+        assert_eq!(e0.stash.len(), 1);
         assert_eq!(e0.recv(1, 1).unwrap(), vec![1.0]);
-        assert_eq!(e0.stashed(), 0);
+        assert_eq!(e0.stash.len(), 0);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! JSON payload, shared by every TCP transport in the crate.
 //!
 //! Two consumers decode it: the blocking per-socket reads of
-//! [`crate::tcp`] (one frame per call) and the non-blocking fleet
-//! reactor of [`crate::reactor`], which slurps whatever bytes a socket
-//! has and needs an *incremental* decoder — [`FrameBuffer`] — that
-//! yields complete frames as they materialize and holds partial ones
-//! across reads.
+//! [`crate::tcp`] (one frame per call) and the controller's
+//! non-blocking sockets in [`crate::tcp::TcpControllerLink`], which read
+//! whatever bytes a ready socket has and need an *incremental* decoder —
+//! [`FrameBuffer`] — that yields complete frames as they materialize and
+//! holds partial ones across reads.
 //!
 //! Decode failures are typed, never panics: an oversized length prefix
 //! or an undecodable payload surfaces [`CommError::MalformedFrame`]
@@ -20,7 +20,7 @@ use crate::Result;
 
 /// Maximum accepted frame size: control messages are tiny; anything
 /// close to this indicates protocol corruption.
-pub const MAX_FRAME: u32 = 1 << 20;
+pub(crate) const MAX_FRAME: u32 = 1 << 20;
 
 /// Length of the big-endian length prefix.
 pub const HEADER_LEN: usize = 4;
@@ -29,7 +29,7 @@ pub const HEADER_LEN: usize = 4;
 ///
 /// # Errors
 /// [`CommError::MalformedFrame`] if the message does not serialize or
-/// would exceed [`MAX_FRAME`].
+/// its payload would reach the 1 MiB frame limit.
 pub fn encode<T: Serialize>(msg: &T) -> Result<Vec<u8>> {
     let payload = serde_json::to_vec(msg).map_err(|e| CommError::MalformedFrame {
         detail: format!("unserializable control message: {e}"),
@@ -96,7 +96,7 @@ impl FrameBuffer {
     /// [`CommError::MalformedFrame`] when the length prefix itself is
     /// corrupt (≥ [`MAX_FRAME`]); the buffer is poisoned at that point
     /// and the caller must drop the connection.
-    pub fn next_payload(&mut self) -> Result<Option<Vec<u8>>> {
+    fn next_payload(&mut self) -> Result<Option<Vec<u8>>> {
         let avail = self.pending();
         if avail < HEADER_LEN {
             return Ok(None);
@@ -129,11 +129,13 @@ impl FrameBuffer {
         Ok(Some(payload))
     }
 
-    /// Yields the next complete frame decoded as `T`; see
-    /// [`FrameBuffer::next_payload`] for the truncation semantics.
+    /// Yields the next complete frame decoded as `T`, `Ok(None)` when the
+    /// buffered bytes end mid-frame (truncation is not an error at this
+    /// layer — the socket may deliver the rest later).
     ///
     /// # Errors
-    /// [`CommError::MalformedFrame`] on a corrupt prefix or payload.
+    /// [`CommError::MalformedFrame`] on a corrupt prefix (a length of
+    /// 1 MiB or more: the caller must drop the connection) or payload.
     pub fn next_frame<T: DeserializeOwned>(&mut self) -> Result<Option<T>> {
         match self.next_payload()? {
             None => Ok(None),

@@ -15,8 +15,8 @@
 //! * a [`control`] channel pair for the few-bytes worker↔controller
 //!   signaling traffic, behind a [`control::ControlPlane`] abstraction
 //!   with two transports: in-process channels and the paper prototype's
-//!   TCP message queue ([`tcp`]), whose controller side is served by the
-//!   sharded non-blocking [`reactor`];
+//!   TCP message queue ([`tcp`]), whose controller side the serving
+//!   thread polls itself after the [`reactor`] bring-up;
 //! * a multi-process data plane ([`mesh`]): workers in separate OS
 //!   processes dial each other's ephemeral listeners to run the group
 //!   weighted average, behind the [`mesh::GroupAverager`] abstraction
@@ -25,8 +25,8 @@
 //! The default deployment is in-process: transports are `std::sync::mpsc`
 //! channels, and a "worker" is a thread. The collective *semantics* (who
 //! averages what, when) are identical to a networked deployment, which
-//! is what the reproduction's claims rest on — and the [`reactor`] +
-//! [`mesh`] pair carries the same semantics across real OS processes.
+//! is what the reproduction's claims rest on — and the TCP control plane
+//! plus [`mesh`] carry the same semantics across real OS processes.
 
 #![forbid(unsafe_code)]
 // Comms hot paths must not panic on recoverable conditions: fallible

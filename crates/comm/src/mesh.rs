@@ -62,7 +62,7 @@ use crate::Result;
 
 /// Budget for each blocking step of a group reduce on the mesh: the
 /// first-contact accept wait, and every socket read or write.
-pub const DATA_TIMEOUT: Duration = Duration::from_secs(30);
+const DATA_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Elements per pipeline segment (64 Ki floats = 256 KiB): the leader
 /// folds, and both roles convert between floats and wire bytes, one
@@ -106,6 +106,8 @@ pub struct MeshEndpoint {
     listener: TcpListener,
     local_addr: SocketAddr,
     roster: Vec<SocketAddr>,
+    /// Budget of each blocking step: [`DATA_TIMEOUT`], except that unit
+    /// tests shorten it.
     io_timeout: Duration,
     /// Elements per segment: [`PIPELINE_CHUNK`], except that unit tests
     /// overwrite it.
@@ -266,12 +268,6 @@ impl MeshEndpoint {
     /// This endpoint's rank.
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// Overrides the per-step I/O budget for streams established from
-    /// now on (tests use short budgets).
-    pub fn set_io_timeout(&mut self, timeout: Duration) {
-        self.io_timeout = timeout;
     }
 
     /// Installs the fleet roster (every rank's data address, from the
@@ -587,7 +583,7 @@ mod tests {
         for ep in &mut eps {
             ep.chunk_elems = chunk_elems;
             ep.set_roster(&addrs).unwrap();
-            ep.set_io_timeout(Duration::from_secs(5));
+            ep.io_timeout = Duration::from_secs(5);
         }
         eps
     }
@@ -724,7 +720,7 @@ mod tests {
     fn dead_peer_on_a_cached_stream_is_typed_and_the_endpoint_stays_usable() {
         let mut eps = wired(3);
         for ep in &mut eps {
-            ep.set_io_timeout(Duration::from_millis(600));
+            ep.io_timeout = Duration::from_millis(600);
         }
         let weights = [0.5f32, 0.5];
         for group in [[0usize, 2], [1, 2]] {
@@ -789,7 +785,7 @@ mod tests {
     #[test]
     fn duplicate_contribution_is_typed() {
         let mut eps = wired(3);
-        eps[0].set_io_timeout(Duration::from_millis(500));
+        eps[0].io_timeout = Duration::from_millis(500);
         let mut first = TcpStream::connect(eps[0].local_addr()).unwrap();
         first.write_all(&request_header(4, 1, 2)).unwrap();
         let mut second = TcpStream::connect(eps[0].local_addr()).unwrap();
@@ -822,7 +818,7 @@ mod tests {
         let (mut eps, addrs) = fleet(2);
         let mut leader = eps.remove(0);
         leader.set_roster(&addrs).unwrap();
-        leader.set_io_timeout(Duration::from_millis(100));
+        leader.io_timeout = Duration::from_millis(100);
         // Member never dials in.
         let mut data = vec![1.0f32; 2];
         let r = leader.group_weighted_average(&[0, 1], 5, &mut data, &[0.5, 0.5]);
@@ -837,7 +833,7 @@ mod tests {
         let (mut eps, addrs) = fleet(2);
         for ep in &mut eps {
             ep.set_roster(&addrs).unwrap();
-            ep.set_io_timeout(Duration::from_secs(2));
+            ep.io_timeout = Duration::from_secs(2);
         }
         let mut member = eps.pop().unwrap();
         let mut leader = eps.pop().unwrap();

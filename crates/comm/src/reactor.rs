@@ -1,55 +1,28 @@
-//! The controller's signal plane: a sharded non-blocking reactor over
-//! the TCP control sockets.
+//! The controller's fleet bring-up: accept every worker, handshake each
+//! on the calling thread, and hand the sockets to a [`TcpControllerLink`].
 //!
-//! A small fixed pool of shard threads owns the sockets (round-robin),
-//! so fleet size is not capped by the OS thread budget. Each shard
-//! polls its sockets non-blocking with per-socket incremental
-//! [`FrameBuffer`] decoding and delivers decoded signals to the
-//! controller in *batches* — one channel send per scan, not per frame.
-//! Socket EOF or a desynchronized stream surfaces as a
-//! [`ControlEvent::Disconnected`] so the serving loop can evict the
-//! process immediately instead of waiting out the heartbeat budget.
+//! Nothing here spawns a thread. After bring-up the serving thread is
+//! the reactor: each receive on the link is one `poll(2)` over every
+//! control socket (see [`TcpControllerLink`]), and socket EOF or a
+//! desynchronized stream surfaces as a [`ControlEvent::Disconnected`]
+//! so the serving loop can evict the process immediately instead of
+//! waiting out the heartbeat budget.
 //!
-//! `std` only: no epoll wrapper is available under the workspace's
-//! dependency budget, so shards scan their sockets with
-//! `set_nonblocking(true)` reads and an adaptive idle backoff (yield a
-//! few rounds, then sleep `IDLE_SLEEP`). At control
-//! message sizes this sustains tens of thousands of signals/sec from 64
-//! sockets (the benchmark's `storm-tcp` workload) while idling at a
-//! handful of syscalls per shard per millisecond.
+//! [`ControlEvent::Disconnected`]: crate::control::ControlEvent::Disconnected
 
-use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::Duration;
 
-use crate::control::{ControlEvent, FleetRoster, WorkerSignal};
+use crate::control::FleetRoster;
 use crate::error::CommError;
-use crate::frame::FrameBuffer;
 use crate::tcp::{self, TcpControllerLink};
 use crate::Result;
 
-/// Idle rounds a shard spends yielding before it starts sleeping.
-const SPIN_ROUNDS: u32 = 16;
-/// Sleep between scans once a shard has gone idle.
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
-
-/// The third argument of [`accept_fleet`]. It has no fields and no effect:
-/// every caller passed the default, so the spin and nap lengths are this
-/// module's constants and the shard count is derived from the fleet size.
+/// The third argument of [`accept_fleet`]. It has no fields and no effect.
 /// The type survives only because the frozen benchmark crate names it
 /// (`probes.rs`); the parameter goes with the next `benchmark` PR
 /// (ROADMAP item 9).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReactorConfig {}
-
-/// The shard (poller thread) count for a fleet of `n` sockets: one per 256
-/// sockets, clamped to `[1, 4]`.
-fn shard_count(n: usize) -> usize {
-    (n / 256 + 1).clamp(1, 4)
-}
 
 /// One fleet member as seen at handshake time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,96 +35,18 @@ pub struct FleetMember {
     pub data_addr: Option<String>,
 }
 
-/// One socket owned by a shard thread.
-struct ShardSocket {
-    rank: usize,
-    stream: TcpStream,
-    buf: FrameBuffer,
-}
-
-/// Drains every readable byte from one socket into `batch`. Returns
-/// `false` when the connection is gone (EOF, hard error, or a
-/// desynchronized frame stream).
-fn pump(sock: &mut ShardSocket, scratch: &mut [u8], batch: &mut Vec<ControlEvent>) -> bool {
-    loop {
-        match sock.stream.read(scratch) {
-            Ok(0) => return false,
-            Ok(n) => {
-                let Some(chunk) = scratch.get(..n) else {
-                    return false;
-                };
-                sock.buf.push_bytes(chunk);
-                loop {
-                    match sock.buf.next_frame::<WorkerSignal>() {
-                        Ok(Some(signal)) => batch.push(ControlEvent::Signal(signal)),
-                        Ok(None) => break,
-                        // Malformed frame: the stream is desynchronized
-                        // beyond recovery; treat the peer as gone.
-                        Err(_) => return false,
-                    }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                return true;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-}
-
-/// One shard's scan loop: poll every owned socket, batch decoded
-/// events, deliver once per productive scan, back off adaptively when
-/// idle. Exits when all sockets are gone or the controller dropped the
-/// receiving end.
-fn run_shard(mut socks: Vec<ShardSocket>, tx: Sender<Vec<ControlEvent>>) {
-    let mut scratch = vec![0u8; 16 * 1024];
-    let mut idle_rounds = 0u32;
-    while !socks.is_empty() {
-        let mut batch: Vec<ControlEvent> = Vec::new();
-        socks.retain_mut(|s| {
-            let alive = pump(s, &mut scratch, &mut batch);
-            if !alive {
-                batch.push(ControlEvent::Disconnected { worker: s.rank });
-            }
-            alive
-        });
-        if batch.is_empty() {
-            idle_rounds = idle_rounds.saturating_add(1);
-            if idle_rounds <= SPIN_ROUNDS {
-                thread::yield_now();
-            } else {
-                // Bounded adaptive idle backoff: after SPIN_ROUNDS empty
-                // polls the shard naps for IDLE_SLEEP so idle fleets do not
-                // spin a core; any inbound byte ends the nap on the next poll.
-                thread::sleep(IDLE_SLEEP);
-            }
-        } else {
-            idle_rounds = 0;
-            if tx.send(batch).is_err() {
-                return;
-            }
-        }
-    }
-}
-
-/// Accepts exactly `n` workers, handshakes each (rank range and
-/// duplicate checks), and hands their read halves to the shard pool.
-/// Shared by [`tcp::accept_workers`] (in-process fleets, no roster)
-/// and [`accept_fleet`] (multi-process fleets).
-pub(crate) fn accept_reactor(
+/// Accepts exactly `n` workers and handshakes each (rank range and
+/// duplicate checks). Returns their sockets in rank order, still
+/// blocking, beside the member table. Shared by [`tcp::accept_workers`]
+/// (in-process fleets, no roster) and [`accept_fleet`] (multi-process
+/// fleets).
+pub(crate) fn accept(
     listener: &TcpListener,
     n: usize,
-) -> Result<(TcpControllerLink, Vec<FleetMember>)> {
+) -> Result<(Vec<TcpStream>, Vec<FleetMember>)> {
     assert!(n > 0, "need at least one worker");
-    let mut writers: Vec<Option<Arc<Mutex<TcpStream>>>> = (0..n).map(|_| None).collect();
     let mut members: Vec<Option<FleetMember>> = (0..n).map(|_| None).collect();
-    let mut readers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
+    let mut streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
 
     for conn in 0..n {
         let (mut stream, peer) = listener
@@ -182,69 +77,33 @@ pub(crate) fn accept_reactor(
             peer_addr: peer.to_string(),
             data_addr: hello.data_addr,
         });
-        let reader = stream
-            .try_clone()
-            .map_err(|_| CommError::Disconnected { peer: rank })?;
-        reader
-            .set_nonblocking(true)
-            .map_err(|_| CommError::Disconnected { peer: rank })?;
-        if let Some(r) = readers.get_mut(rank) {
-            *r = Some(reader);
-        }
-        if let Some(w) = writers.get_mut(rank) {
-            *w = Some(Arc::new(Mutex::new(stream)));
+        if let Some(s) = streams.get_mut(rank) {
+            *s = Some(stream);
         }
     }
 
     // Range and duplicate checks above guarantee all n slots are full.
-    let writers: Vec<Arc<Mutex<TcpStream>>> = writers.into_iter().flatten().collect();
+    let streams: Vec<TcpStream> = streams.into_iter().flatten().collect();
     let members: Vec<FleetMember> = members.into_iter().flatten().collect();
-    debug_assert_eq!(writers.len(), n, "every rank said hello");
-
-    let shards = shard_count(n);
-    let mut per_shard: Vec<Vec<ShardSocket>> = (0..shards).map(|_| Vec::new()).collect();
-    for (rank, reader) in readers.into_iter().enumerate() {
-        let Some(stream) = reader else { continue };
-        let shard = per_shard.iter_mut().min_by_key(|v| v.len());
-        if let Some(shard) = shard {
-            shard.push(ShardSocket {
-                rank,
-                stream,
-                buf: FrameBuffer::new(),
-            });
-        }
-    }
-
-    let (tx, rx) = channel::<Vec<ControlEvent>>();
-    for (i, socks) in per_shard.into_iter().enumerate() {
-        if socks.is_empty() {
-            continue;
-        }
-        let tx = tx.clone();
-        thread::Builder::new()
-            .name(format!("preduce-reactor-{i}"))
-            .spawn(move || run_shard(socks, tx))
-            .map_err(|_| CommError::Disconnected { peer: usize::MAX })?;
-    }
-
-    Ok((TcpControllerLink::from_reactor(rx, writers), members))
+    debug_assert_eq!(streams.len(), n, "every rank said hello");
+    Ok((streams, members))
 }
 
 /// Accepts a multi-process fleet of `n` worker processes: handshakes
 /// every rank, requires each hello to carry a data-plane address, then
-/// broadcasts the [`FleetRoster`] so workers can dial each other for
-/// group averages. Returns the reactor-backed control link plus the
-/// member table (for `ProcessJoined` tracing).
+/// sends every worker the [`FleetRoster`] so workers can dial each other
+/// for group averages. Returns the control link plus the member table
+/// (for `ProcessJoined` tracing).
 ///
 /// # Errors
-/// Fails on handshake errors, duplicate/out-of-range ranks, or a
-/// worker that did not announce a data address.
+/// Fails on handshake errors, duplicate/out-of-range ranks, a worker that
+/// did not announce a data address, or a roster that could not be sent.
 pub fn accept_fleet(
     listener: &TcpListener,
     n: usize,
     _: ReactorConfig,
 ) -> Result<(TcpControllerLink, Vec<FleetMember>)> {
-    let (mut link, members) = accept_reactor(listener, n)?;
+    let (mut streams, members) = accept(listener, n)?;
     let mut data_addrs = Vec::with_capacity(n);
     for m in &members {
         let addr = m.data_addr.clone().ok_or_else(|| {
@@ -256,15 +115,25 @@ pub fn accept_fleet(
         data_addrs.push(addr);
     }
     let roster = FleetRoster { data_addrs };
-    link.broadcast_roster(&roster)?;
-    Ok((link, members))
+    // Still blocking: the write timeout bounds a roster that outgrows a
+    // send buffer.
+    for (rank, stream) in streams.iter_mut().enumerate() {
+        tcp::write_frame(stream, &roster, rank)?;
+    }
+    Ok((TcpControllerLink::new(streams)?, members))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{ControlPlane, GroupAssignment, WorkerControlPlane};
-    use crate::tcp::{bind_controller, RetryPolicy, TcpWorkerLink};
+    use crate::control::{
+        ControlEvent, ControlPlane, GroupAssignment, WorkerControlPlane, WorkerSignal,
+    };
+    use crate::tcp::{accept_workers, bind_controller, RetryPolicy, TcpWorkerLink};
+    use std::io;
+    use std::sync::mpsc::channel;
+    use std::thread;
+    use std::time::{Duration, Instant};
 
     const T: Duration = Duration::from_secs(5);
 
@@ -313,15 +182,15 @@ mod tests {
         let w = thread::spawn(move || {
             let mut w = TcpWorkerLink::connect(addr, 0).expect("connect");
             w.send_ready(1).expect("ready");
-            // Dropping the link closes the socket: the reactor must
+            // Dropping the link closes the socket: the controller must
             // report the EOF as a Disconnected event.
         });
-        let (mut link, _) = accept_reactor(&listener, 1).expect("accept");
+        let mut link = accept_workers(&listener, 1).expect("accept");
         w.join().expect("worker");
         let mut saw_signal = false;
         let mut saw_disconnect = false;
-        let deadline = std::time::Instant::now() + T;
-        while !(saw_signal && saw_disconnect) && std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + T;
+        while !(saw_signal && saw_disconnect) && Instant::now() < deadline {
             for ev in link
                 .recv_events(64, Duration::from_millis(100))
                 .unwrap_or_default()
@@ -335,19 +204,19 @@ mod tests {
                 }
             }
         }
-        assert!(saw_signal, "ready signal decoded by the reactor");
+        assert!(saw_signal, "ready signal decoded by the controller");
         assert!(saw_disconnect, "EOF reported as Disconnected");
     }
 
     #[test]
-    fn reactor_link_still_serves_assignments() {
+    fn an_accepted_link_serves_assignments() {
         let (listener, addr) = bind_controller("127.0.0.1:0");
         let worker = thread::spawn(move || {
             let mut w = TcpWorkerLink::connect(addr, 0).expect("connect");
             w.send_ready(7).expect("ready");
             w.recv_assignment(T).expect("assignment")
         });
-        let (mut link, _) = accept_reactor(&listener, 1).expect("accept");
+        let mut link = accept_workers(&listener, 1).expect("accept");
         match link.recv_signal(T).expect("signal") {
             WorkerSignal::Ready { worker, iteration } => {
                 assert_eq!((worker, iteration), (0, 7));
@@ -365,11 +234,11 @@ mod tests {
     }
 
     #[test]
-    fn a_half_sent_frame_does_not_stall_the_shard() {
-        // Both sockets land on one shard. Rank 0 says hello, sends only
-        // the first bytes of a `Ready` frame and keeps its socket open: a
-        // shard that waited for the rest would never reach rank 1.
-        assert_eq!(shard_count(2), 1);
+    fn a_half_sent_frame_does_not_stall_the_serving_thread() {
+        // Rank 0 says hello, sends only the first bytes of a `Ready` frame
+        // and keeps its socket open: a receive that waited for the rest
+        // would never reach rank 1, and one that took the half frame for a
+        // broken stream would drop rank 0.
         let (listener, addr) = bind_controller("127.0.0.1:0");
         let (release, held) = channel::<()>();
         let stalled = thread::spawn(move || {
@@ -384,33 +253,39 @@ mod tests {
                 iteration: 1,
             };
             let frame = crate::frame::encode(&ready).expect("encode");
-            io::Write::write_all(&mut s, &frame[..frame.len() / 2]).expect("half a frame");
+            let (front, back) = frame.split_at(frame.len() / 2);
+            io::Write::write_all(&mut s, front).expect("half a frame");
             let _ = held.recv();
+            io::Write::write_all(&mut s, back).expect("the other half");
+            s
         });
         let ready = thread::spawn(move || {
             let mut w = TcpWorkerLink::connect(addr, 1).expect("connect");
             w.send_ready(7).expect("ready");
             w
         });
-        let (mut link, _) = accept_reactor(&listener, 2).expect("accept");
-        // `IDLE_SLEEP` is 500 µs: one second is two thousand naps.
-        match link.recv_signal(Duration::from_secs(1)) {
-            Ok(WorkerSignal::Ready { worker, iteration }) => {
+        let mut link = accept_workers(&listener, 2).expect("accept");
+        // The receive's own timeout bounds only its waits in `poll`, so
+        // the budget is checked on the clock as well.
+        let (start, budget) = (Instant::now(), Duration::from_secs(1));
+        match link.recv_signal(budget) {
+            Ok(WorkerSignal::Ready { worker, iteration }) if start.elapsed() < budget => {
                 assert_eq!((worker, iteration), (1, 7))
             }
-            other => panic!("rank 1's ready is stuck behind rank 0's half frame: {other:?}"),
+            other => panic!(
+                "rank 1's ready is stuck behind rank 0's half frame: {other:?} after {:?}",
+                start.elapsed()
+            ),
         }
-        drop(release);
-        stalled.join().expect("stalled peer");
+        release.send(()).expect("release rank 0");
+        assert_eq!(
+            link.recv_signal(T).expect("rank 0's completed frame"),
+            WorkerSignal::Ready {
+                worker: 0,
+                iteration: 1
+            }
+        );
+        drop(stalled.join().expect("stalled peer"));
         drop(ready.join().expect("ready peer"));
-    }
-
-    #[test]
-    fn shard_count_scales_with_sockets() {
-        assert_eq!(shard_count(1), 1);
-        assert_eq!(shard_count(255), 1);
-        assert_eq!(shard_count(256), 2);
-        assert_eq!(shard_count(1024), 4);
-        assert_eq!(shard_count(100_000), 4);
     }
 }

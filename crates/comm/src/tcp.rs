@@ -9,44 +9,51 @@
 //! server).
 //!
 //! Topology: the controller binds a listener; each worker dials in and
-//! introduces itself with a `Hello { rank }` frame. The controller side
-//! is served by the sharded non-blocking reactor of [`crate::reactor`]
-//! — a fixed pool of poller threads instead of one blocking thread per
-//! socket — and exposes the same batched [`ControlPlane`] interface as
-//! the in-process channels.
+//! introduces itself with a `Hello { rank }` frame. The controller side,
+//! [`TcpControllerLink`], owns every accepted socket and is driven by
+//! the serving thread itself: a receive blocks in one `poll(2)` over all
+//! of them and reads only the ready ones, so a signal wakes exactly the
+//! thread that schedules it. It exposes the same batched
+//! [`ControlPlane`] interface as the in-process channels.
 //!
 //! Hardening (DESIGN.md §11): connects retry with exponential backoff
 //! under a deadline and fail with the typed
-//! [`CommError::ConnectFailed`]; every connected socket carries read and
-//! write timeouts so no control-plane operation can block forever; and
-//! workers can stream [`WorkerSignal::Heartbeat`] frames so the runtime
-//! can turn silence into a detected departure.
+//! [`CommError::ConnectFailed`]; every blocking socket (a worker's, and
+//! the controller's until the handshake is done) carries read and write
+//! timeouts so no operation blocks forever, and the controller never
+//! blocks on a socket after that; workers can stream
+//! [`WorkerSignal::Heartbeat`] frames so the runtime can turn silence
+//! into a detected departure.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::os::fd::AsFd;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use preduce_tensor::sys::poll_readable;
 use serde::{de::DeserializeOwned, Deserialize, Serialize};
 
 use crate::control::{
-    ControlEvent, ControlPlane, FleetRoster, GroupAssignment, WorkerControlPlane, WorkerSignal,
+    ControlEvent, ControlPlane, GroupAssignment, WorkerControlPlane, WorkerSignal,
 };
 use crate::error::CommError;
-use crate::frame::{self, MAX_FRAME};
+use crate::frame::{self, FrameBuffer, MAX_FRAME};
 use crate::reactor;
 use crate::Result;
 
-/// Read timeout on every connected control-plane socket. Reader threads
-/// wake at this period on idle sockets; liveness decisions happen in the
+/// Default read timeout on a blocking control-plane socket, so no read
+/// waits forever; each blocking read sets the budget it needs (the
+/// hello, the roster, an assignment). Liveness decisions happen in the
 /// runtime (heartbeat accounting), not down here.
-pub(crate) const READ_TIMEOUT: Duration = Duration::from_millis(500);
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// Write timeout on every connected control-plane socket. A peer that
-/// cannot drain a few-byte frame for this long is treated as gone.
+/// Write timeout on a blocking control-plane socket. A peer that cannot
+/// drain a few-byte frame for this long is treated as gone. The
+/// controller's sockets stop blocking once the handshake is done, so
+/// this bounds its hello and roster writes only.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How long the controller waits for a connected worker's `Hello`.
@@ -193,41 +200,149 @@ pub(crate) fn configure(stream: &TcpStream, peer: usize) -> Result<()> {
         .map_err(|_| CommError::Disconnected { peer })
 }
 
-/// Controller side of the TCP message queue, served by the sharded
-/// reactor: shard threads deliver *batches* of [`ControlEvent`]s over
-/// one channel; this link buffers a partially consumed batch so a
-/// receive bounded by `max` never drops the remainder.
+/// Controller side of the TCP message queue. It owns one socket and one
+/// [`FrameBuffer`] per rank, and the serving thread drives it directly:
+/// [`ControlPlane::recv_events`] blocks in one `poll(2)` over the open
+/// sockets, reads the ready ones, and returns what they decoded — no
+/// reader thread, no channel between the socket and the scheduler.
+///
+/// The sockets are non-blocking, so the serving thread never waits on one
+/// peer: a half-sent frame stays in its buffer until the rest arrives,
+/// and an assignment write that fails, including one that finds the
+/// peer's send buffer full, closes that socket. Socket EOF, a hard error,
+/// a desynchronized frame stream and a failed write all surface as
+/// [`ControlEvent::Disconnected`] for that rank, once.
 #[derive(Debug)]
 pub struct TcpControllerLink {
-    events: Receiver<Vec<ControlEvent>>,
-    /// Front of the current partially consumed batch.
+    /// Indexed by rank.
+    peers: Vec<Peer>,
+    /// Events decoded but not yet returned: a receive is bounded by `max`.
     pending: VecDeque<ControlEvent>,
-    /// Write half per worker, shared with nothing else (reads happen on
-    /// the reactor shards' clones).
-    writers: Vec<Arc<Mutex<TcpStream>>>,
+    /// Positions `poll` reported ready, reused across receives.
+    ready: Vec<usize>,
+    /// Socket read buffer, reused across receives.
+    scratch: Vec<u8>,
+}
+
+/// One rank's control connection; `stream` is `None` once it closed.
+#[derive(Debug)]
+struct Peer {
+    stream: Option<TcpStream>,
+    frames: FrameBuffer,
+}
+
+/// Calls `wait` with what is left until `deadline`, again whenever it
+/// was interrupted by a signal (`EINTR`).
+fn retry_interrupted(
+    deadline: Instant,
+    mut wait: impl FnMut(Duration) -> io::Result<()>,
+) -> io::Result<()> {
+    loop {
+        match wait(deadline.saturating_duration_since(Instant::now())) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            done => return done,
+        }
+    }
 }
 
 impl TcpControllerLink {
-    /// Assembles the link from the reactor's event channel and the
-    /// per-worker write halves.
-    pub(crate) fn from_reactor(
-        events: Receiver<Vec<ControlEvent>>,
-        writers: Vec<Arc<Mutex<TcpStream>>>,
-    ) -> Self {
-        TcpControllerLink {
-            events,
+    /// Takes over the handshaken sockets, in rank order.
+    pub(crate) fn new(streams: Vec<TcpStream>) -> Result<Self> {
+        let mut peers = Vec::with_capacity(streams.len());
+        for (rank, stream) in streams.into_iter().enumerate() {
+            stream
+                .set_nonblocking(true)
+                .map_err(|_| CommError::Disconnected { peer: rank })?;
+            peers.push(Peer {
+                stream: Some(stream),
+                frames: FrameBuffer::new(),
+            });
+        }
+        Ok(TcpControllerLink {
+            peers,
             pending: VecDeque::new(),
-            writers,
+            ready: Vec::new(),
+            scratch: vec![0; 16 * 1024],
+        })
+    }
+
+    /// Waits until the open sockets yield at least one event, or until
+    /// `timeout` has passed.
+    fn fill(&mut self, timeout: Duration) -> Result<()> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if self.peers.iter().all(|p| p.stream.is_none()) {
+                return Err(CommError::Disconnected { peer: usize::MAX });
+            }
+            let mut ready = std::mem::take(&mut self.ready);
+            let peers = &self.peers;
+            retry_interrupted(deadline, |left| {
+                let fds = peers.iter().map(|p| p.stream.as_ref().map(AsFd::as_fd));
+                poll_readable(fds, left, &mut ready)
+            })
+            .map_err(|_| CommError::Disconnected { peer: usize::MAX })?;
+            for &rank in &ready {
+                self.pump(rank);
+            }
+            self.ready = ready;
+            if !self.pending.is_empty() {
+                return Ok(());
+            }
+            if Instant::now() >= deadline {
+                return Err(CommError::Timeout {
+                    peer: usize::MAX,
+                    tag: 0,
+                });
+            }
         }
     }
 
-    /// Sends the fleet roster to every connected worker (multi-process
-    /// deployments only; see [`reactor::accept_fleet`]).
-    pub(crate) fn broadcast_roster(&mut self, roster: &FleetRoster) -> Result<()> {
-        for (rank, writer) in self.writers.iter().enumerate() {
-            locked_write(writer, roster, rank)?;
+    /// Reads what `rank`'s socket holds and queues every whole frame; a
+    /// hang-up, a hard error or a malformed frame closes the socket.
+    fn pump(&mut self, rank: usize) {
+        let Some(Peer {
+            stream: Some(stream),
+            frames,
+        }) = self.peers.get_mut(rank)
+        else {
+            return;
+        };
+        let open = loop {
+            match stream.read(&mut self.scratch) {
+                Ok(0) => break false,
+                Ok(n) => {
+                    frames.push_bytes(self.scratch.get(..n).unwrap_or_default());
+                    // A short read took everything there was; poll reports
+                    // whatever arrives later.
+                    if n < self.scratch.len() {
+                        break true;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break false,
+            }
+        };
+        let in_sync = loop {
+            match frames.next_frame::<WorkerSignal>() {
+                Ok(Some(signal)) => self.pending.push_back(ControlEvent::Signal(signal)),
+                Ok(None) => break true,
+                Err(_) => break false,
+            }
+        };
+        if !(open && in_sync) {
+            self.close(rank);
         }
-        Ok(())
+    }
+
+    /// Closes `rank`'s socket and queues its one `Disconnected`.
+    fn close(&mut self, rank: usize) {
+        if let Some(peer) = self.peers.get_mut(rank) {
+            if peer.stream.take().is_some() {
+                self.pending
+                    .push_back(ControlEvent::Disconnected { worker: rank });
+            }
+        }
     }
 }
 
@@ -257,47 +372,45 @@ pub fn bind_controller(addr: &str) -> (TcpListener, SocketAddr) {
 }
 
 /// Accepts exactly `n` workers on `listener` and hands their sockets to
-/// the sharded reactor. Returns once every rank 0..n has said hello.
+/// a [`TcpControllerLink`]. Returns once every rank 0..n has said hello.
 ///
 /// # Errors
 /// Fails if a connection breaks during the handshake or a rank is
 /// duplicated/out of range.
 pub fn accept_workers(listener: &TcpListener, n: usize) -> Result<TcpControllerLink> {
-    reactor::accept_reactor(listener, n).map(|(link, _members)| link)
+    let (streams, _members) = reactor::accept(listener, n)?;
+    TcpControllerLink::new(streams)
 }
 
 impl ControlPlane for TcpControllerLink {
     fn recv_events(&mut self, max: usize, timeout: Duration) -> Result<Vec<ControlEvent>> {
         if self.pending.is_empty() {
-            let batch = self.events.recv_timeout(timeout).map_err(|e| match e {
-                RecvTimeoutError::Timeout => CommError::Timeout {
-                    peer: usize::MAX,
-                    tag: 0,
-                },
-                RecvTimeoutError::Disconnected => CommError::Disconnected { peer: usize::MAX },
-            })?;
-            self.pending.extend(batch);
+            self.fill(timeout)?;
         }
-        let mut events = Vec::new();
-        while events.len() < max {
-            if let Some(ev) = self.pending.pop_front() {
-                events.push(ev);
-                continue;
-            }
-            match self.events.try_recv() {
-                Ok(batch) => self.pending.extend(batch),
-                Err(_) => break,
-            }
-        }
-        Ok(events)
+        let take = max.min(self.pending.len());
+        Ok(self.pending.drain(..take).collect())
     }
 
     fn send_assignment(&mut self, worker: usize, assignment: GroupAssignment) -> Result<()> {
-        let writer = self.writers.get(worker).ok_or(CommError::InvalidRank {
+        let world = self.peers.len();
+        let peer = self.peers.get_mut(worker).ok_or(CommError::InvalidRank {
             rank: worker,
-            world: self.writers.len(),
+            world,
         })?;
-        locked_write(writer, &assignment, worker)
+        let stream = peer
+            .stream
+            .as_mut()
+            .ok_or(CommError::Disconnected { peer: worker })?;
+        match write_frame(stream, &assignment, worker) {
+            // A failed write may have sent part of the frame. Closing the
+            // socket makes EOF the next thing the peer reads after it,
+            // never another frame.
+            Err(gone @ CommError::Disconnected { .. }) => {
+                self.close(worker);
+                Err(gone)
+            }
+            sent => sent,
+        }
     }
 }
 
@@ -591,5 +704,168 @@ mod tests {
             ));
         }
         drop(worker.join().expect("join"));
+    }
+
+    /// `n` workers dialled from this thread (the kernel completes each
+    /// connect before the controller accepts it), then the controller.
+    fn fleet(n: usize) -> (TcpControllerLink, Vec<TcpWorkerLink>) {
+        let (listener, addr) = bind_controller("127.0.0.1:0");
+        let workers: Vec<_> = (0..n).map(|rank| dial(addr, rank)).collect();
+        (accept_workers(&listener, n).expect("accept"), workers)
+    }
+
+    #[test]
+    fn an_idle_link_times_out_no_earlier_than_asked() {
+        let (mut ctl, _workers) = fleet(2);
+        for asked in [Duration::from_millis(30), Duration::from_micros(1500)] {
+            let start = Instant::now();
+            let r = ctl.recv_events(64, asked);
+            assert!(matches!(r, Err(CommError::Timeout { .. })), "{r:?}");
+            assert!(
+                start.elapsed() >= asked,
+                "{:?} < {asked:?}",
+                start.elapsed()
+            );
+        }
+    }
+
+    #[test]
+    fn sub_millisecond_timeouts_wait_a_millisecond_instead_of_spinning() {
+        let (mut ctl, _workers) = fleet(1);
+        let start = Instant::now();
+        for _ in 0..100 {
+            let r = ctl.recv_events(64, Duration::from_micros(100));
+            assert!(matches!(r, Err(CommError::Timeout { .. })), "{r:?}");
+        }
+        assert!(start.elapsed() >= Duration::from_millis(100));
+    }
+
+    #[test]
+    fn an_interrupted_wait_is_retried_with_what_is_left() {
+        let deadline = Instant::now() + Duration::from_millis(200);
+        let mut lefts = Vec::new();
+        let r = retry_interrupted(deadline, |left| {
+            lefts.push(left);
+            if lefts.len() < 3 {
+                thread::sleep(Duration::from_millis(10));
+                Err(io::ErrorKind::Interrupted.into())
+            } else {
+                Ok(())
+            }
+        });
+        assert!(r.is_ok(), "{r:?}");
+        assert_eq!(lefts.len(), 3, "two EINTRs, then the wait that returned");
+        assert!(lefts[0] <= Duration::from_millis(200));
+        assert!(lefts.windows(2).all(|w| w[1] < w[0]), "{lefts:?}");
+
+        // Any other error ends the wait.
+        let r = retry_interrupted(deadline, |_| Err(io::ErrorKind::InvalidInput.into()));
+        assert_eq!(r.map_err(|e| e.kind()), Err(io::ErrorKind::InvalidInput));
+    }
+
+    #[test]
+    fn the_transport_is_gone_once_every_socket_hung_up() {
+        let (mut ctl, workers) = fleet(2);
+        drop(workers);
+        let mut gone = Vec::new();
+        while gone.len() < 2 {
+            for event in ctl.recv_events(64, T).expect("two hang-ups") {
+                match event {
+                    ControlEvent::Disconnected { worker } => gone.push(worker),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        gone.sort_unstable();
+        assert_eq!(gone, vec![0, 1]);
+        assert_eq!(
+            ctl.recv_events(64, T),
+            Err(CommError::Disconnected { peer: usize::MAX })
+        );
+    }
+
+    #[test]
+    fn a_storm_from_64_sockets_is_delivered_exactly_once_in_batches_of_8() {
+        let n = 64;
+        let (mut ctl, mut workers) = fleet(n);
+        for w in &mut workers {
+            let iteration = w.rank() as u64 + 100;
+            w.send_ready(iteration).expect("ready");
+        }
+        let mut seen = vec![0u32; n];
+        let mut received = 0;
+        while received < n {
+            let events = ctl.recv_events(8, T).expect("the storm");
+            assert!(!events.is_empty() && events.len() <= 8, "{}", events.len());
+            for event in events {
+                match event {
+                    ControlEvent::Signal(WorkerSignal::Ready { worker, iteration }) => {
+                        assert_eq!(iteration, worker as u64 + 100);
+                        seen[worker] += 1;
+                        received += 1;
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        assert!(seen.iter().all(|&k| k == 1), "{seen:?}");
+        assert!(matches!(
+            ctl.recv_events(8, Duration::from_millis(20)),
+            Err(CommError::Timeout { .. })
+        ));
+    }
+
+    #[test]
+    fn a_worker_that_never_reads_is_disconnected_not_waited_on() {
+        let (mut ctl, mut workers) = fleet(1);
+        let assignment = GroupAssignment {
+            group: vec![0],
+            weights: vec![1.0],
+            base_tag: 5,
+            new_iteration: 9,
+        };
+        // Fill the worker's receive buffer and the controller's send
+        // buffer until a write fails; no single write may wait for it.
+        let mut sent = 0u64;
+        let failed = loop {
+            let start = Instant::now();
+            let r = ctl.send_assignment(0, assignment.clone());
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "send {sent} blocked on a peer that does not read"
+            );
+            match r {
+                Ok(()) => sent += 1,
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(failed, CommError::Disconnected { peer: 0 });
+
+        let start = Instant::now();
+        assert_eq!(
+            ctl.recv_events(64, Duration::from_secs(1)),
+            Ok(vec![ControlEvent::Disconnected { worker: 0 }])
+        );
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert_eq!(
+            ctl.send_assignment(0, assignment.clone()),
+            Err(CommError::Disconnected { peer: 0 })
+        );
+
+        // The worker reads every whole assignment, then the hang-up; a
+        // cut-off last frame is never mistaken for a malformed one.
+        let worker = &mut workers[0];
+        let mut read = 0u64;
+        loop {
+            match worker.recv_assignment(T) {
+                Ok(got) => {
+                    assert_eq!(got, assignment);
+                    read += 1;
+                }
+                Err(CommError::Disconnected { peer: 0 }) => break,
+                Err(e) => panic!("after {read} of {sent} assignments: {e:?}"),
+            }
+        }
+        assert_eq!(read, sent);
     }
 }

@@ -146,8 +146,6 @@ fn mesh_member_killed_mid_payload_errors_the_leader_and_spares_the_endpoint() {
     let roster = [leader.local_addr(), member.local_addr()].map(|a| a.to_string());
     leader.set_roster(&roster).unwrap();
     member.set_roster(&roster).unwrap();
-    leader.set_io_timeout(Duration::from_secs(5));
-    member.set_io_timeout(Duration::from_secs(5));
 
     // "Rank 1" dies after its request header and half of its 8-float
     // payload: request = [base_tag u64 BE][rank u32 BE][len u32 BE][f32 LE…].

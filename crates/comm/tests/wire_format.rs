@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use preduce_comm::control::{FleetRoster, GroupAssignment, WorkerSignal};
-use preduce_comm::frame::{self, FrameBuffer, HEADER_LEN, MAX_FRAME};
+use preduce_comm::frame::{self, FrameBuffer, HEADER_LEN};
 use preduce_comm::CommError;
 
 fn arb_signal() -> impl Strategy<Value = WorkerSignal> {
@@ -120,15 +120,15 @@ proptest! {
         prop_assert_eq!(buf.pending(), keep);
     }
 
-    /// A length prefix at or above MAX_FRAME is a typed error (the
-    /// caller must drop the connection), regardless of what follows.
+    /// A length prefix at or above the 1 MiB frame limit is a typed error
+    /// (the caller must drop the connection), regardless of what follows.
     #[test]
     fn oversized_prefix_is_typed_error(extra in 0u32..1000, tail in prop::collection::vec(any::<u8>(), 0..32)) {
-        let len = MAX_FRAME.saturating_add(extra);
+        let len = (1u32 << 20).saturating_add(extra);
         let mut buf = FrameBuffer::new();
         buf.push_bytes(&len.to_be_bytes());
         buf.push_bytes(&tail);
-        let err = buf.next_payload().unwrap_err();
+        let err = buf.next_frame::<WorkerSignal>().unwrap_err();
         prop_assert!(matches!(err, CommError::MalformedFrame { .. }), "{:?}", err);
     }
 

@@ -459,7 +459,7 @@ where
 /// before the loop assumes every worker handle is gone.
 const IDLE_DEADLINE: Duration = Duration::from_secs(60);
 
-/// Largest ready-signal batch ingested per reactor scan. Bounds the time
+/// Most events taken from the control plane per receive. Bounds the time
 /// the serving loop spends away from the liveness sweep during a storm.
 const INGEST_BATCH: usize = 1024;
 
@@ -493,12 +493,13 @@ const INGEST_BATCH: usize = 1024;
 ///
 /// Returns once every worker departed (voluntarily or by eviction), or
 /// on terminal transport failure. A failed assignment *send* is not
-/// terminal on any transport: writing to a freshly dead peer races the
-/// [`ControlEvent::Disconnected`] (or the heartbeat silence) for the same
-/// worker, so the loop keeps serving and lets the disconnect / liveness
-/// path evict through the ordinary route (live members of an unannounced
-/// group time out, degrade, and re-signal). Total control-plane silence
-/// past the idle deadline remains the terminal backstop.
+/// terminal on any transport: on TCP it closes that worker's socket, so
+/// the next receive reports its [`ControlEvent::Disconnected`]; on
+/// channels the heartbeat silence follows. The loop keeps serving and
+/// lets the disconnect / liveness path evict through the ordinary route
+/// (live members of an unannounced group time out, degrade, and
+/// re-signal). Total control-plane silence past the idle deadline remains
+/// the terminal backstop.
 ///
 /// # Panics
 /// Panics if the config is invalid.

@@ -22,10 +22,13 @@
 //!   and a *canonical accumulation order*, each paired with a scalar
 //!   reference implementation proven bit-identical by property tests. The
 //!   sim goldens elsewhere in the workspace rely on that bit-stability.
+//! * [`sys`] is not numerics: it is the safe `poll(2)` wrapper the TCP
+//!   controller in `preduce-comm` waits on, kept here with the
+//!   workspace's other `unsafe`.
 
-// The one crate without `#![forbid(unsafe_code)]`: the counting allocator
-// and the SIMD dispatch need `unsafe`, and every use states its invariant
-// (DESIGN.md §10).
+// The one crate without `#![forbid(unsafe_code)]`: the counting allocator,
+// the SIMD dispatch and the `poll(2)` call need `unsafe`, and every use
+// states its invariant (DESIGN.md §10).
 #![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
 pub mod alloc;
@@ -36,6 +39,8 @@ pub mod kernels;
 mod matmul;
 mod ops;
 mod shape;
+#[cfg(unix)]
+pub mod sys;
 mod tensor;
 
 pub use alloc::CountingAlloc;

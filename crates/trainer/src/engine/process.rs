@@ -3,10 +3,10 @@
 //! The sim and threaded substrates both live inside one process; this
 //! module is the third projection, where the controller and every worker
 //! are separate processes connected only by sockets. The controller half
-//! ([`run_controller`]) binds the TCP control plane, accepts the fleet
-//! through the poll-based reactor, and runs
-//! [`partial_reduce::runtime::serve_fleet`] — the batch-ingesting serving
-//! loop. The worker half ([`run_worker`]) rebuilds the *same*
+//! ([`run_controller`]) binds the TCP control plane, accepts the fleet,
+//! and runs [`partial_reduce::runtime::serve_fleet`] — the
+//! batch-ingesting serving loop, which polls the control sockets itself
+//! on its own thread. The worker half ([`run_worker`]) rebuilds the *same*
 //! deterministic fleet from the shared [`ExperimentConfig`] (every
 //! process derives bit-identical replicas from the seed, so no model
 //! state ever crosses the wire at startup), picks its own rank's replica,
@@ -71,8 +71,8 @@ pub struct WorkerReport {
 /// Runs the controller half of a process fleet: binds `listen`, reports
 /// the chosen address through `on_listen` (bind to port 0 and the real
 /// port flows to whoever spawns the workers), accepts exactly
-/// `controller.num_workers` process handshakes through the reactor, and
-/// serves P-Reduce until every worker departs.
+/// `controller.num_workers` process handshakes, and serves P-Reduce
+/// until every worker departs.
 ///
 /// # Errors
 /// Propagates handshake failures ([`CommError`]) from the accept phase.
