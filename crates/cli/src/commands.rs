@@ -17,7 +17,7 @@ use preduce_models::zoo;
 use preduce_simnet::{HeterogeneityModel, Jitter, SpeedFleet, UniformFleet};
 use preduce_trainer::engine::process;
 use preduce_trainer::{
-    engine, paper, Backend, ElasticOptions, ExperimentConfig, FaultPlan, Strategy,
+    engine, paper, Backend, ElasticOptions, ExperimentConfig, FaultPlan, HeteroSpec, Strategy,
 };
 
 use crate::args::{ArgError, Args};
@@ -374,37 +374,46 @@ impl<'a> TraceOut<'a> {
     }
 }
 
-/// Builds an [`ExperimentConfig`] from CLI flags (defaults mirror Table 1).
-/// `--config file.json` loads a serialized config instead; other flags
-/// then override its fields where given.
+/// Builds an [`ExperimentConfig`] from CLI flags. The base is the
+/// serialized config `--config file.json` names, else Table 1's for
+/// ResNet-34 on the CIFAR-10 analog with the CLI's own defaults; the
+/// other flags then override its fields where given.
 pub fn config_from_args(args: &Args) -> Result<ExperimentConfig, CliError> {
-    if let Some(path) = args.get("config") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::Unknown(format!("config file `{path}`: {e}")))?;
-        let mut c: ExperimentConfig = serde_json::from_str(&text)
-            .map_err(|e| CliError::Unknown(format!("config file `{path}`: {e}")))?;
-        c.num_workers = args.get_or("workers", c.num_workers)?;
-        c.threshold = args.get_or("threshold", c.threshold)?;
-        c.max_updates = args.get_or("max-updates", c.max_updates)?;
-        c.eval_every = args.get_or("eval-every", c.eval_every)?;
-        c.seed = args.get_or("seed", c.seed)?;
-        c.validate();
-        return Ok(c);
+    let mut c = match args.get("config") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| CliError::Unknown(format!("config file `{path}`: {e}")))?;
+            serde_json::from_str(&text)
+                .map_err(|e| CliError::Unknown(format!("config file `{path}`: {e}")))?
+        }
+        None => {
+            let mut c = ExperimentConfig::table1(zoo::resnet34(), cifar10_like(), 1);
+            c.threshold = 0.84;
+            c.max_updates = 20_000;
+            c.eval_every = 32;
+            c.sgd.lr = 0.03;
+            c.math_batch_size = 8;
+            c.label_noise = 0.05;
+            c
+        }
+    };
+    if let Some(name) = args.get("model") {
+        c.model = zoo::by_name(name).ok_or_else(|| CliError::Unknown(format!("model `{name}`")))?;
     }
-    let model = args.get("model").unwrap_or("resnet34");
-    let model = zoo::by_name(model).ok_or_else(|| CliError::Unknown(format!("model `{model}`")))?;
-    let preset = parse_preset(args.get("preset").unwrap_or("cifar10-like"))?;
-    let hl: usize = args.get_or("hl", 1)?;
-
-    let mut c = ExperimentConfig::table1(model, preset, hl);
+    if let Some(name) = args.get("preset") {
+        c.preset = parse_preset(name)?;
+    }
+    if args.get("hl").is_some() {
+        c.hetero = HeteroSpec::from_hl(args.get_or("hl", 1)?);
+    }
     c.num_workers = args.get_or("workers", c.num_workers)?;
-    c.threshold = args.get_or("threshold", 0.84)?;
-    c.max_updates = args.get_or("max-updates", 20_000)?;
-    c.eval_every = args.get_or("eval-every", 32)?;
+    c.threshold = args.get_or("threshold", c.threshold)?;
+    c.max_updates = args.get_or("max-updates", c.max_updates)?;
+    c.eval_every = args.get_or("eval-every", c.eval_every)?;
     c.seed = args.get_or("seed", c.seed)?;
-    c.sgd.lr = args.get_or("lr", 0.03)?;
-    c.math_batch_size = args.get_or("batch", 8)?;
-    c.label_noise = args.get_or("label-noise", 0.05)?;
+    c.sgd.lr = args.get_or("lr", c.sgd.lr)?;
+    c.math_batch_size = args.get_or("batch", c.math_batch_size)?;
+    c.label_noise = args.get_or("label-noise", c.label_noise)?;
     c.validate();
     Ok(c)
 }
@@ -1021,6 +1030,47 @@ mod tests {
         r.unwrap();
         assert!(out.contains("All-Reduce"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flags_override_a_config_file() {
+        let dir = std::env::temp_dir().join("preduce-cli-config-override");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("exp.json");
+        let mut base = config_from_args(&Args::parse(Vec::<String>::new()).unwrap()).unwrap();
+        base.max_updates = 777;
+        std::fs::write(&path, serde_json::to_string(&base).unwrap()).unwrap();
+        let args = Args::parse([
+            "--config",
+            path.to_str().unwrap(),
+            "--model",
+            "vgg19",
+            "--preset",
+            "cifar100-like",
+            "--hl",
+            "3",
+            "--lr",
+            "0.07",
+            "--batch",
+            "12",
+            "--label-noise",
+            "0.2",
+        ])
+        .unwrap();
+        let c = config_from_args(&args).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(c.model.name, "vgg19");
+        assert_eq!(c.preset.name, "cifar100-like");
+        assert!(
+            matches!(c.hetero, HeteroSpec::GpuSharing { hl: 3 }),
+            "{:?}",
+            c.hetero
+        );
+        assert_eq!(c.sgd.lr, 0.07);
+        assert_eq!(c.math_batch_size, 12);
+        assert_eq!(c.label_noise, 0.2);
+        // What no flag names comes from the file.
+        assert_eq!(c.max_updates, 777);
     }
 
     #[test]

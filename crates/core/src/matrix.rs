@@ -165,13 +165,13 @@ mod tests {
 
     #[test]
     fn weighted_matrix_applies_mixing() {
-        use preduce_tensor::matmul;
         // X: each worker's (1-dim) model as a column of a 1×N matrix.
-        let x = Tensor::from_vec(vec![10.0, 20.0, 30.0], [1, 3]).unwrap();
+        let x = [10.0, 20.0, 30.0];
         let w = weighted_sync_matrix(3, &[0, 1], &[0.75, 0.25]);
-        let x_next = matmul(&x, &w);
+        let mut x_next = [0.0f32; 3];
+        preduce_tensor::kernels::gemm(1, 3, 3, &x, w.as_slice(), &mut x_next);
         // Members 0,1 → 0.75·10 + 0.25·20 = 12.5; outsider keeps 30.
-        assert_eq!(x_next.as_slice(), &[12.5, 12.5, 30.0]);
+        assert_eq!(x_next, [12.5, 12.5, 30.0]);
     }
 
     #[test]

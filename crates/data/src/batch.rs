@@ -2,11 +2,11 @@
 //! local data of the i-th worker").
 
 use rand::seq::index::sample as index_sample;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::dataset::{Batch, Dataset};
 
-/// Draws random minibatches from a dataset with a private, seeded RNG.
+/// Draws random minibatches from a dataset with the caller's RNG.
 ///
 /// Sampling is *without replacement within a batch* and *with replacement
 /// across batches*, matching the i.i.d. sampling model of the paper's
@@ -15,7 +15,6 @@ use crate::dataset::{Batch, Dataset};
 pub struct BatchSampler {
     dataset: Dataset,
     batch_size: usize,
-    rng: rand::rngs::StdRng,
 }
 
 impl BatchSampler {
@@ -26,14 +25,13 @@ impl BatchSampler {
     ///
     /// # Panics
     /// Panics if `batch_size == 0` or the dataset is empty.
-    pub fn new(dataset: Dataset, batch_size: usize, seed: u64) -> Self {
+    pub fn new(dataset: Dataset, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         assert!(!dataset.is_empty(), "cannot sample from an empty dataset");
         let batch_size = batch_size.min(dataset.len());
         BatchSampler {
             dataset,
             batch_size,
-            rng: rand::rngs::StdRng::seed_from_u64(seed),
         }
     }
 
@@ -47,14 +45,9 @@ impl BatchSampler {
         &self.dataset
     }
 
-    /// Draws the next random minibatch.
-    pub fn next_batch(&mut self) -> Batch {
-        let idx = index_sample(&mut self.rng, self.dataset.len(), self.batch_size).into_vec();
-        self.dataset.gather(&idx)
-    }
-
-    /// Draws a batch using an external RNG (used by the simulator, which
-    /// owns all randomness for reproducibility).
+    /// Draws a random minibatch with `rng`: the simulator's harness RNG,
+    /// or the worker thread's or process's own, so the caller owns all
+    /// randomness.
     pub fn next_batch_with<R: Rng + ?Sized>(&self, rng: &mut R) -> Batch {
         let idx = index_sample(rng, self.dataset.len(), self.batch_size).into_vec();
         self.dataset.gather(&idx)
@@ -65,6 +58,8 @@ impl BatchSampler {
 mod tests {
     use super::*;
     use preduce_tensor::Tensor;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn toy(n: usize) -> Dataset {
         let features = Tensor::from_vec((0..n).map(|i| i as f32).collect(), [n, 1]).unwrap();
@@ -73,22 +68,23 @@ mod tests {
 
     #[test]
     fn batches_have_requested_size() {
-        let mut s = BatchSampler::new(toy(100), 16, 0);
+        let s = BatchSampler::new(toy(100), 16);
+        let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..5 {
-            assert_eq!(s.next_batch().len(), 16);
+            assert_eq!(s.next_batch_with(&mut rng).len(), 16);
         }
     }
 
     #[test]
     fn batch_size_clamped_to_dataset() {
-        let s = BatchSampler::new(toy(5), 16, 0);
+        let s = BatchSampler::new(toy(5), 16);
         assert_eq!(s.batch_size(), 5);
     }
 
     #[test]
     fn within_batch_sampling_is_without_replacement() {
-        let mut s = BatchSampler::new(toy(32), 32, 1);
-        let b = s.next_batch();
+        let s = BatchSampler::new(toy(32), 32);
+        let b = s.next_batch_with(&mut StdRng::seed_from_u64(1));
         let mut vals: Vec<i64> = (0..32).map(|i| b.features.row(i)[0] as i64).collect();
         vals.sort_unstable();
         vals.dedup();
@@ -96,32 +92,10 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_same_stream() {
-        let mut a = BatchSampler::new(toy(50), 8, 42);
-        let mut b = BatchSampler::new(toy(50), 8, 42);
-        for _ in 0..3 {
-            assert_eq!(
-                a.next_batch().features.as_slice(),
-                b.next_batch().features.as_slice()
-            );
-        }
-    }
-
-    #[test]
-    fn different_seeds_diverge() {
-        let mut a = BatchSampler::new(toy(50), 8, 1);
-        let mut b = BatchSampler::new(toy(50), 8, 2);
-        let same = (0..5)
-            .all(|_| a.next_batch().features.as_slice() == b.next_batch().features.as_slice());
-        assert!(!same);
-    }
-
-    #[test]
     fn external_rng_variant_is_pure() {
-        use rand::SeedableRng;
-        let s = BatchSampler::new(toy(50), 8, 0);
-        let mut r1 = rand::rngs::StdRng::seed_from_u64(5);
-        let mut r2 = rand::rngs::StdRng::seed_from_u64(5);
+        let s = BatchSampler::new(toy(50), 8);
+        let mut r1 = StdRng::seed_from_u64(5);
+        let mut r2 = StdRng::seed_from_u64(5);
         assert_eq!(
             s.next_batch_with(&mut r1).features.as_slice(),
             s.next_batch_with(&mut r2).features.as_slice()

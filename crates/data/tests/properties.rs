@@ -109,9 +109,10 @@ proptest! {
         batch in 1usize..16,
         seed in any::<u64>(),
     ) {
-        let mut s = BatchSampler::new(indexed_dataset(n), batch, seed);
+        let s = BatchSampler::new(indexed_dataset(n), batch);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         for _ in 0..5 {
-            let b = s.next_batch();
+            let b = s.next_batch_with(&mut rng);
             let mut vals: Vec<i64> = (0..b.len())
                 .map(|i| b.features.row(i)[0] as i64)
                 .collect();

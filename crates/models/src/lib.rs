@@ -11,8 +11,10 @@
 //!   *identical* initial replica from a shared seed (Algorithm 2 requires
 //!   all local models to start at the same point);
 //! * flat parameter/gradient vectors ([`Network::param_vector`] /
-//!   [`Network::set_param_vector`]) — the unit of communication for
-//!   all-reduce, parameter-server, and partial-reduce traffic;
+//!   [`Network::set_param_vector`], [`Network::grads`]) — the unit of
+//!   communication for all-reduce, parameter-server, and partial-reduce
+//!   traffic, and the network's only layout: forward and backward run the
+//!   `preduce_tensor::kernels` GEMMs on slices of them;
 //! * [`SgdOptimizer`] with momentum and weight decay plus the paper's
 //!   learning-rate schedules (§5.1: lr 0.1, momentum 0.9, wd 1e-4, ImageNet
 //!   step decay ×0.1 every 20 epochs);
@@ -22,7 +24,6 @@
 
 #![forbid(unsafe_code)]
 
-mod dense;
 mod loss;
 mod metrics;
 mod network;
@@ -37,8 +38,8 @@ pub use optimizer::{LrSchedule, SgdConfig, SgdOptimizer};
 pub use spec::NetworkSpec;
 pub use zoo::{CostProfile, ModelZooEntry};
 
-/// A tensor's values as bit patterns, for the exact-equality tests.
+/// Values as bit patterns, for the exact-equality tests.
 #[cfg(test)]
-pub(crate) fn bits(t: &preduce_tensor::Tensor) -> Vec<u32> {
-    t.as_slice().iter().map(|v| v.to_bits()).collect()
+pub(crate) fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }

@@ -1,51 +1,117 @@
-use preduce_tensor::{relu, relu_backward, Tensor};
+use std::ops::Range;
 
-use crate::dense::Dense;
+use preduce_tensor::{he_normal, kernels, relu, relu_backward, Tensor};
+use rand::Rng;
 
-/// A feed-forward classifier: dense layers with a ReLU between each
-/// consecutive pair (none after the last, whose outputs are the logits).
+/// A feed-forward classifier: dense layers `y = x · W + b` with a ReLU
+/// between each consecutive pair (none after the last, whose outputs are
+/// the logits).
 ///
 /// The network is the unit of replication in distributed training: each
 /// worker owns one, and all communication happens through the *flat
 /// parameter vector* ([`Network::param_vector`] /
 /// [`Network::set_param_vector`]) and *flat gradient vector*
 /// ([`Network::grad_vector`]) — exactly the view a collective library like
-/// Gloo or NCCL has of a model. Both are laid out layer by layer, each
-/// layer's row-major `[in, out]` weight matrix followed by its bias.
+/// Gloo or NCCL has of a model. Those two vectors are the network's only
+/// layout, and the passes run the kernels on slices of them: layer by
+/// layer, each layer's row-major `[in, out]` weight matrix followed by its
+/// bias.
 #[derive(Clone)]
 pub struct Network {
-    layers: Vec<Dense>,
-    param_count: usize,
+    /// The input width, then each layer's output width.
+    widths: Vec<usize>,
+    params: Tensor,
+    /// The accumulated gradients, laid out like `params`.
+    grads: Tensor,
+    /// Whether `grads` is all `+0.0`: set by [`Network::zero_grads`],
+    /// cleared by the next [`Network::backward`] (which touches every
+    /// layer).
+    grads_zeroed: bool,
     /// The input of every layer in the last [`Network::forward`], first
     /// layer first; empty once a backward has consumed them.
     inputs: Vec<Tensor>,
 }
 
+/// Parameters of the dense layer between two consecutive widths: its
+/// `[in, out]` weights and its bias.
+fn layer_len(w: &[usize]) -> usize {
+    (w[0] + 1) * w[1]
+}
+
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Network({}", self.layers[0].in_features())?;
-        for l in &self.layers {
-            write!(f, " -> {}", l.out_features())?;
+        write!(f, "Network({}", self.widths[0])?;
+        for w in &self.widths[1..] {
+            write!(f, " -> {w}")?;
         }
-        write!(f, ", params={})", self.param_count)
+        write!(f, ", params={})", self.param_count())
     }
 }
 
 impl Network {
-    /// Stacks `layers`, the last of which is the classifier.
-    pub(crate) fn new(layers: Vec<Dense>) -> Self {
-        assert!(!layers.is_empty(), "a network needs a classifier layer");
-        let param_count = layers.iter().map(Dense::param_count).sum();
+    /// Dense layers between consecutive `widths` (the input's first, the
+    /// classes' last), each with He-normal weights drawn from `rng` in
+    /// layer order and a zero bias.
+    ///
+    /// # Panics
+    /// Panics if any width is zero.
+    pub(crate) fn new<R: Rng + ?Sized>(widths: Vec<usize>, rng: &mut R) -> Self {
+        let d = widths.windows(2).map(layer_len).sum();
+        let mut params = Vec::with_capacity(d);
+        for w in widths.windows(2) {
+            let (fan_in, fan_out) = (w[0], w[1]);
+            assert!(fan_in > 0 && fan_out > 0, "zero-sized dense layer");
+            params.extend_from_slice(he_normal(rng, [fan_in, fan_out], fan_in).as_slice());
+            params.resize(params.len() + fan_out, 0.0);
+        }
         Network {
-            layers,
-            param_count,
+            widths,
+            params: Tensor::from_vec(params, [d]).expect("param volume matches"),
+            grads: Tensor::zeros([d]),
+            grads_zeroed: true,
             inputs: Vec::new(),
         }
     }
 
     /// Total scalar parameter count `d` — the length of the flat vectors.
     pub fn param_count(&self) -> usize {
-        self.param_count
+        self.params.len()
+    }
+
+    fn depth(&self) -> usize {
+        self.widths.len() - 1
+    }
+
+    /// Layer `l`'s fan-in and fan-out, and where its weights and its bias
+    /// lie in the flat vectors.
+    fn layer(&self, l: usize) -> (usize, usize, Range<usize>, Range<usize>) {
+        let at: usize = self.widths[..=l].windows(2).map(layer_len).sum();
+        let (fan_in, fan_out) = (self.widths[l], self.widths[l + 1]);
+        let bias = at + fan_in * fan_out;
+        (fan_in, fan_out, at..bias, bias..bias + fan_out)
+    }
+
+    /// Layer `l` on `[batch, fan_in]` activations: `x · W + b`, then the
+    /// ReLU unless `l` is the classifier.
+    fn layer_forward(&self, l: usize, x: &Tensor) -> Tensor {
+        let (fan_in, fan_out, weights, bias) = self.layer(l);
+        assert_eq!(
+            x.shape().dim(1),
+            fan_in,
+            "dense layer expects [batch, {fan_in}], got {}",
+            x.shape()
+        );
+        let batch = x.shape().dim(0);
+        let params = self.params.as_slice();
+        let (w, b) = (&params[weights], &params[bias]);
+        let mut y = Tensor::zeros([batch, fan_out]);
+        kernels::gemm(batch, fan_in, fan_out, x.as_slice(), w, y.as_mut_slice());
+        kernels::add_bias_rows(y.as_mut_slice(), batch, fan_out, b);
+        if l + 1 < self.depth() {
+            relu(y)
+        } else {
+            y
+        }
     }
 
     /// Runs the forward pass on `[batch, features]`, keeping each layer's
@@ -56,11 +122,8 @@ impl Network {
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         self.inputs.clear();
         let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let mut y = layer.forward(&h);
-            if i + 1 < self.layers.len() {
-                y = relu(y);
-            }
+        for l in 0..self.depth() {
+            let y = self.layer_forward(l, &h);
             self.inputs.push(std::mem::replace(&mut h, y));
         }
         h
@@ -73,15 +136,7 @@ impl Network {
     /// # Panics
     /// Panics if `x` is not `[batch, features]` for the spec's `input_dim`.
     pub(crate) fn infer(&self, x: &Tensor) -> Tensor {
-        let (last, hidden) = self
-            .layers
-            .split_last()
-            .expect("a network has a classifier layer");
-        let mut h: Option<Tensor> = None;
-        for layer in hidden {
-            h = Some(relu(layer.forward(h.as_ref().unwrap_or(x))));
-        }
-        last.forward(h.as_ref().unwrap_or(x))
+        (1..self.depth()).fold(self.layer_forward(0, x), |h, l| self.layer_forward(l, &h))
     }
 
     /// Propagates `grad` (w.r.t. the network output) through all layers,
@@ -95,58 +150,63 @@ impl Network {
     pub fn backward(&mut self, grad: &Tensor) {
         assert_eq!(
             self.inputs.len(),
-            self.layers.len(),
+            self.depth(),
             "Network::backward needs a forward first"
         );
+        let zeroed = std::mem::take(&mut self.grads_zeroed);
         let mut carried: Option<Tensor> = None;
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+        for l in (0..self.depth()).rev() {
+            let (fan_in, fan_out, weights, bias) = self.layer(l);
             let input = self.inputs.pop().expect("one input per layer");
             let g = carried.as_ref().unwrap_or(grad);
-            layer.accumulate(&input, g);
-            if i > 0 {
+            let (batch, x, dy) = (g.shape().dim(0), input.as_slice(), g.as_slice());
+            let grads = self.grads.as_mut_slice();
+            // dW += xᵀ · g, the product formed from zero and then added.
+            // Into a zeroed accumulator that is the product itself (`0 + x`
+            // is `x`, and a sum that starts at `+0.0` is never `-0.0`), so
+            // the kernel writes it in place; only an accumulating pass
+            // needs the temporary.
+            let dw = &mut grads[weights.clone()];
+            if zeroed {
+                kernels::gemm_at_b(batch, fan_in, fan_out, x, dy, dw);
+            } else {
+                let mut product = vec![0.0; dw.len()];
+                kernels::gemm_at_b(batch, fan_in, fan_out, x, dy, &mut product);
+                dw.iter_mut().zip(product).for_each(|(acc, p)| *acc += p);
+            }
+            // db += column sums of g
+            kernels::col_sums_acc(&mut grads[bias], dy, batch, fan_out);
+            if l > 0 {
                 // `input` is the output of the ReLU in front of this
                 // layer, positive exactly where that ReLU's own input was:
                 // it is the mask.
-                carried = Some(relu_backward(&input, layer.input_grad(g)));
+                let mut dx = Tensor::zeros([batch, fan_in]);
+                let w = &self.params.as_slice()[weights];
+                kernels::gemm_a_bt(batch, fan_out, fan_in, dy, w, dx.as_mut_slice());
+                carried = Some(relu_backward(&input, dx));
             }
         }
     }
 
     /// Resets all accumulated gradients to zero.
     pub fn zero_grads(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grads();
-        }
+        self.grads.fill_zero();
+        self.grads_zeroed = true;
     }
 
-    /// All parameters concatenated into one flat `[d]` tensor.
+    /// A copy of the flat `[d]` parameter vector.
     pub fn param_vector(&self) -> Tensor {
-        let mut flat = Vec::with_capacity(self.param_count);
-        for l in &self.layers {
-            flat.extend_from_slice(l.weight.as_slice());
-            flat.extend_from_slice(l.bias.as_slice());
-        }
-        Tensor::from_vec(flat, [self.param_count]).expect("param volume matches")
+        self.params.clone()
     }
 
-    /// All accumulated gradients concatenated into one flat `[d]` tensor,
-    /// matching the layout of [`Network::param_vector`].
+    /// The accumulated gradients, laid out like [`Network::param_vector`].
+    pub fn grads(&self) -> &Tensor {
+        &self.grads
+    }
+
+    /// A copy of [`Network::grads`].
     pub fn grad_vector(&self) -> Tensor {
-        let mut flat = Vec::with_capacity(self.param_count);
-        for g in self.grad_chunks() {
-            flat.extend_from_slice(g);
-        }
-        Tensor::from_vec(flat, [self.param_count]).expect("grad volume matches")
-    }
-
-    /// The accumulated gradients where they lie: the consecutive chunks of
-    /// [`Network::grad_vector`], for a consumer that can walk them without
-    /// the flat copy
-    /// ([`SgdOptimizer::step_chunks`](crate::SgdOptimizer::step_chunks)).
-    pub fn grad_chunks(&self) -> impl Iterator<Item = &[f32]> {
-        self.layers
-            .iter()
-            .flat_map(|l| [l.grad_weight.as_slice(), l.grad_bias.as_slice()])
+        self.grads.clone()
     }
 
     /// Overwrites all parameters from a flat `[d]` tensor.
@@ -156,19 +216,12 @@ impl Network {
     pub fn set_param_vector(&mut self, flat: &Tensor) {
         assert_eq!(
             flat.len(),
-            self.param_count,
+            self.param_count(),
             "flat parameter vector has length {}, expected {}",
             flat.len(),
-            self.param_count
+            self.param_count()
         );
-        let mut rest = flat.as_slice();
-        for l in &mut self.layers {
-            for p in [&mut l.weight, &mut l.bias] {
-                let (head, tail) = rest.split_at(p.len());
-                p.as_mut_slice().copy_from_slice(head);
-                rest = tail;
-            }
-        }
+        self.params.as_mut_slice().copy_from_slice(flat.as_slice());
     }
 }
 
@@ -191,6 +244,18 @@ mod tests {
     }
 
     #[test]
+    fn forward_is_x_times_w_plus_b() {
+        let mut net = NetworkSpec::mlp(2, &[], 3).build(0);
+        let wb = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.1, 0.2, 0.3];
+        net.set_param_vector(&Tensor::from_vec(wb, [9]).unwrap());
+        let y = net.forward(&Tensor::ones([1, 2]));
+        // y = [1+4, 2+5, 3+6] + b = [5.1, 7.2, 9.3]
+        for (a, b) in y.as_slice().iter().zip([5.1f32, 7.2, 9.3]) {
+            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        }
+    }
+
+    #[test]
     fn forward_backward_produces_gradients() {
         let mut net = NetworkSpec::mlp(4, &[8], 2).build(0);
         let x = Tensor::ones([3, 4]);
@@ -202,6 +267,56 @@ mod tests {
         assert!(g.norm2() > 0.0, "no gradient signal");
         net.zero_grads();
         assert_eq!(net.grad_vector().norm2(), 0.0);
+    }
+
+    #[test]
+    fn bias_gradient_accumulates_until_zeroed() {
+        // One [2, 2] layer: the bias gradient is grads[4..6].
+        let mut net = NetworkSpec::mlp(2, &[], 2).build(0);
+        let mut pass = |rows: usize| {
+            net.forward(&Tensor::ones([rows, 2]));
+            net.backward(&Tensor::ones([rows, 2]));
+            net.grads().as_slice()[4..].to_vec()
+        };
+        // db = column sums = 3 for each output.
+        assert_eq!(pass(3), [3.0, 3.0]);
+        assert_eq!(pass(1), [4.0, 4.0]);
+        net.zero_grads();
+        assert_eq!(net.grads().as_slice()[4..], [0.0, 0.0]);
+    }
+
+    #[test]
+    fn second_backward_adds_a_product_formed_from_zero() {
+        // Without `zero_grads` in between, G becomes G + XᵀdY with the
+        // product accumulated from zero and then added — not continued
+        // from G, which rounds differently. After `zero_grads` one
+        // backward leaves the product itself.
+        let mut net = NetworkSpec::mlp(5, &[], 3).build(0);
+        let batch = |seed: usize, cols: usize| {
+            let data = (0..4 * cols)
+                .map(|i| ((i * 31 + seed * 17) % 13) as f32 / 3.0 - 2.0)
+                .collect();
+            Tensor::from_vec(data, [4, cols]).unwrap()
+        };
+        let backward = |net: &mut Network, pass: usize| {
+            let (x, dy) = (batch(pass, 5), batch(pass + 7, 3));
+            net.forward(&x);
+            net.backward(&dy);
+            let mut product = vec![0.0f32; 15];
+            kernels::gemm_at_b_reference(4, 5, 3, x.as_slice(), dy.as_slice(), &mut product);
+            (bits(&net.grads().as_slice()[..15]), product)
+        };
+        let mut expected = vec![0.0f32; 15];
+        for pass in 0..3 {
+            let (got, product) = backward(&mut net, pass);
+            for (e, p) in expected.iter_mut().zip(product) {
+                *e += p;
+            }
+            assert_eq!(got, bits(&expected), "pass {pass}");
+        }
+        net.zero_grads();
+        let (got, product) = backward(&mut net, 3);
+        assert_eq!(got, bits(&product));
     }
 
     #[test]
@@ -286,7 +401,11 @@ mod tests {
         for hidden in [&[][..], &[12], &[12, 8]] {
             let mut net = NetworkSpec::mlp(16, hidden, 3).build(3);
             let x = input(5);
-            assert_eq!(bits(&net.infer(&x)), bits(&net.forward(&x)), "{hidden:?}");
+            assert_eq!(
+                bits(net.infer(&x).as_slice()),
+                bits(net.forward(&x).as_slice()),
+                "{hidden:?}"
+            );
         }
     }
 

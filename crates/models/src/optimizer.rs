@@ -125,56 +125,28 @@ impl SgdOptimizer {
     /// # Panics
     /// Panics if the vector lengths disagree with the optimizer state.
     pub fn step_scaled(&mut self, params: &mut Tensor, grads: &Tensor, lr_scale: f32) {
-        self.step_chunks(params, [grads.as_slice()], lr_scale);
-    }
-
-    /// [`SgdOptimizer::step_scaled`] with the gradient given as the
-    /// consecutive chunks of the flat vector (a network's per-layer
-    /// gradient tensors, [`Network::grad_chunks`](crate::Network::grad_chunks)),
-    /// so no flat copy has to be assembled first. Same arithmetic per
-    /// element, hence the same bits.
-    ///
-    /// # Panics
-    /// Panics if `params` or the chunks' total length disagree with the
-    /// optimizer state.
-    pub fn step_chunks<'a>(
-        &mut self,
-        params: &mut Tensor,
-        grads: impl IntoIterator<Item = &'a [f32]>,
-        lr_scale: f32,
-    ) {
+        let state = self.velocity.len();
         assert_eq!(
             params.len(),
-            self.velocity.len(),
-            "param length {} does not match optimizer state {}",
-            params.len(),
-            self.velocity.len()
+            state,
+            "param length {} does not match optimizer state {state}",
+            params.len()
+        );
+        assert_eq!(
+            grads.len(),
+            state,
+            "grad length {} does not match optimizer state {state}",
+            grads.len()
         );
         let lr = self.current_lr() * lr_scale;
         let m = self.config.momentum;
         let wd = self.config.weight_decay;
         let (v, p) = (self.velocity.as_mut_slice(), params.as_mut_slice());
-        let mut done = 0;
-        for chunk in grads {
-            let end = done + chunk.len();
-            assert!(
-                end <= v.len(),
-                "grad length {end} does not match optimizer state {}",
-                v.len()
-            );
-            for ((v, p), &g) in v[done..end].iter_mut().zip(&mut p[done..end]).zip(chunk) {
-                let eff_grad = g + wd * *p;
-                *v = m * *v + eff_grad;
-                *p -= lr * *v;
-            }
-            done = end;
+        for ((v, p), &g) in v.iter_mut().zip(p).zip(grads.as_slice()) {
+            let eff_grad = g + wd * *p;
+            *v = m * *v + eff_grad;
+            *p -= lr * *v;
         }
-        assert_eq!(
-            done,
-            v.len(),
-            "grad length {done} does not match optimizer state {}",
-            v.len()
-        );
         self.steps += 1;
     }
 
@@ -272,25 +244,6 @@ mod tests {
         let g = Tensor::from_vec(vec![1.0], [1]).unwrap();
         opt.step_scaled(&mut x, &g, 0.5);
         assert!((x.as_slice()[0] - 0.95).abs() < 1e-6);
-    }
-
-    #[test]
-    fn chunked_step_is_the_flat_step_bitwise() {
-        let cfg = SgdConfig::default();
-        let (mut flat, mut chunked) = (SgdOptimizer::new(cfg, 5), SgdOptimizer::new(cfg, 5));
-        let g = Tensor::from_vec(vec![0.3, -1.5, 2.0, 0.7, -0.1], [5]).unwrap();
-        let mut x = Tensor::from_vec(vec![1.0, 2.0, -3.0, 0.5, 4.0], [5]).unwrap();
-        let mut y = x.clone();
-        for _ in 0..3 {
-            flat.step_scaled(&mut x, &g, 0.5);
-            let (head, tail) = g.as_slice().split_at(2);
-            chunked.step_chunks(&mut y, [head, tail], 0.5);
-        }
-        assert_eq!(crate::bits(&x), crate::bits(&y));
-        assert_eq!(
-            crate::bits(flat.velocity()),
-            crate::bits(chunked.velocity())
-        );
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use rand::SeedableRng;
 
-use crate::dense::Dense;
 use crate::network::Network;
 
 /// An MLP architecture: `input → h₁ → ReLU → h₂ → ReLU → … → classes`.
@@ -39,14 +38,10 @@ impl NetworkSpec {
     /// # Panics
     /// Panics if any width is zero.
     pub fn build(&self, seed: u64) -> Network {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let outs = self.hidden.iter().chain([&self.num_classes]);
-        let ins = [&self.input_dim].into_iter().chain(&self.hidden);
-        let layers = ins
-            .zip(outs)
-            .map(|(&i, &o)| Dense::new(&mut rng, i, o))
-            .collect();
-        Network::new(layers)
+        let mut widths = vec![self.input_dim];
+        widths.extend(&self.hidden);
+        widths.push(self.num_classes);
+        Network::new(widths, &mut rand::rngs::StdRng::seed_from_u64(seed))
     }
 }
 

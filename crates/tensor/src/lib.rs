@@ -22,6 +22,9 @@
 //!   and a *canonical accumulation order*, each paired with a scalar
 //!   reference implementation proven bit-identical by property tests. The
 //!   sim goldens elsewhere in the workspace rely on that bit-stability.
+//!   The kernels take row-major slices, not tensors: the network runs them
+//!   on slices of its flat parameter and gradient vectors, so there is no
+//!   tensor-level matrix product.
 //! * [`sys`] is not numerics: it is the safe `poll(2)` wrapper the TCP
 //!   controller in `preduce-comm` waits on, kept here with the
 //!   workspace's other `unsafe`.
@@ -36,7 +39,6 @@ mod eig;
 mod error;
 mod init;
 pub mod kernels;
-mod matmul;
 mod ops;
 mod shape;
 #[cfg(unix)]
@@ -47,7 +49,6 @@ pub use alloc::CountingAlloc;
 pub use eig::{symmetric_eigenvalues, JacobiOptions};
 pub use error::TensorError;
 pub use init::he_normal;
-pub use matmul::{matmul, matmul_a_bt, matmul_at_b};
 pub use ops::{argmax_rows, log_softmax_rows, relu, relu_backward, softmax_rows};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -4,8 +4,7 @@
 //! DESIGN.md §13 that the sim goldens depend on).
 
 use preduce_tensor::{
-    kernels, matmul, matmul_a_bt, matmul_at_b, relu, softmax_rows, symmetric_eigenvalues,
-    JacobiOptions, Shape, Tensor,
+    kernels, relu, softmax_rows, symmetric_eigenvalues, JacobiOptions, Shape, Tensor,
 };
 use proptest::prelude::*;
 
@@ -110,23 +109,18 @@ proptest! {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let (m, k, n) = (3, 4, 2);
-        let mk = |rng: &mut rand::rngs::StdRng, r: usize, c: usize| {
-            Tensor::from_vec(
-                (0..r * c).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
-                [r, c],
-            )
-            .unwrap()
+        let mut draw = |len: usize| -> Vec<f32> {
+            (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
         };
-        let a = mk(&mut rng, m, k);
-        let b = mk(&mut rng, k, n);
-        let c = mk(&mut rng, k, n);
-        let mut b_plus_c = b.clone();
-        b_plus_c.add_assign(&c);
-        let lhs = matmul(&a, &b_plus_c);
-        let mut rhs = matmul(&a, &b);
-        rhs.add_assign(&matmul(&a, &c));
-        for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
-            prop_assert!((x - y).abs() < 1e-4);
+        let (a, b, c) = (draw(m * k), draw(k * n), draw(k * n));
+        let b_plus_c: Vec<f32> = b.iter().zip(&c).map(|(x, y)| x + y).collect();
+        let mut lhs = vec![0.0f32; m * n];
+        kernels::gemm(m, k, n, &a, &b_plus_c, &mut lhs);
+        let (mut ab, mut ac) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+        kernels::gemm(m, k, n, &a, &b, &mut ab);
+        kernels::gemm(m, k, n, &a, &c, &mut ac);
+        for ((x, y), z) in lhs.iter().zip(&ab).zip(&ac) {
+            prop_assert!((x - (y + z)).abs() < 1e-4);
         }
     }
 
@@ -135,23 +129,21 @@ proptest! {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let (m, k) = (4, 3);
-        let a = Tensor::from_vec(
-            (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
-            [m, k],
-        )
-        .unwrap();
+        let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         // (A · Aᵀ) must be symmetric with nonnegative diagonal.
-        let g = matmul_a_bt(&a, &a);
+        let mut g = vec![0.0f32; m * m];
+        kernels::gemm_a_bt(m, k, m, &a, &a, &mut g);
         for i in 0..m {
-            prop_assert!(g.at(&[i, i]) >= -1e-6);
+            prop_assert!(g[i * m + i] >= -1e-6);
             for j in 0..m {
-                prop_assert!((g.at(&[i, j]) - g.at(&[j, i])).abs() < 1e-5);
+                prop_assert!((g[i * m + j] - g[j * m + i]).abs() < 1e-5);
             }
         }
         // (Aᵀ · A) likewise, in the other dimension.
-        let h = matmul_at_b(&a, &a);
+        let mut h = vec![0.0f32; k * k];
+        kernels::gemm_at_b(m, k, k, &a, &a, &mut h);
         for i in 0..k {
-            prop_assert!(h.at(&[i, i]) >= -1e-6);
+            prop_assert!(h[i * k + i] >= -1e-6);
         }
     }
 
@@ -160,13 +152,10 @@ proptest! {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = 5;
-        let a = Tensor::from_vec(
-            (0..n * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
-            [n, n],
-        )
-        .unwrap();
+        let a: Vec<f32> = (0..n * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         // A·Aᵀ is symmetric PSD.
-        let g = matmul_a_bt(&a, &a);
+        let mut g = Tensor::zeros([n, n]);
+        kernels::gemm_a_bt(n, n, n, &a, &a, g.as_mut_slice());
         let e = symmetric_eigenvalues(&g, JacobiOptions::default()).unwrap();
         prop_assert!(e.iter().all(|&x| x > -1e-5));
         prop_assert!(e.windows(2).all(|w| w[0] >= w[1]));
@@ -294,29 +283,6 @@ proptest! {
         kernels::weighted_sum_acc(&mut fused, &refs, &weights);
         kernels::weighted_sum_reference(&mut chain, &refs, &weights);
         assert_bits_eq(&fused, &chain)?;
-    }
-
-    #[test]
-    fn matmul_wrapper_follows_canonical_order(
-        m in 1usize..20,
-        k in 1usize..40,
-        n in 1usize..20,
-        seed in any::<u64>(),
-    ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let a = Tensor::from_vec(
-            (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
-            [m, k],
-        ).unwrap();
-        let b = Tensor::from_vec(
-            (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
-            [k, n],
-        ).unwrap();
-        let c = matmul(&a, &b);
-        let mut c_ref = vec![0.0f32; m * n];
-        kernels::gemm_reference(m, k, n, a.as_slice(), b.as_slice(), &mut c_ref);
-        assert_bits_eq(c.as_slice(), &c_ref)?;
     }
 
     #[test]

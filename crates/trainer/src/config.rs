@@ -36,6 +36,16 @@ pub enum HeteroSpec {
 }
 
 impl HeteroSpec {
+    /// Table 1's knob: `hl` workers share one GPU, a homogeneous fleet
+    /// at `hl <= 1`.
+    pub fn from_hl(hl: usize) -> Self {
+        if hl <= 1 {
+            HeteroSpec::Uniform
+        } else {
+            HeteroSpec::GpuSharing { hl }
+        }
+    }
+
     /// The production regime calibrated in EXPERIMENTS.md.
     pub fn production_default() -> Self {
         HeteroSpec::Production {
@@ -165,11 +175,7 @@ impl ExperimentConfig {
             sim_batch_size: 256,
             math_batch_size: 32,
             sgd: SgdConfig::default(),
-            hetero: if hl <= 1 {
-                HeteroSpec::Uniform
-            } else {
-                HeteroSpec::GpuSharing { hl }
-            },
+            hetero: HeteroSpec::from_hl(hl),
             jitter: Jitter::LogNormal { sigma: 0.15 },
             network: NetworkModel::ten_gbe(),
             device_flops: 2.5e12,

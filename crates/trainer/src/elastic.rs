@@ -336,7 +336,7 @@ mod tests {
         })
         .generate();
         let net = NetworkSpec::mlp(8, &[12], 3).build(4);
-        let sampler = BatchSampler::new(data, 16, 5);
+        let sampler = BatchSampler::new(data, 16);
         WorkerState::new(rank, net, SgdConfig::default(), sampler)
     }
 

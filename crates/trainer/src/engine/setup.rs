@@ -64,14 +64,7 @@ pub fn build_fleet(config: &ExperimentConfig) -> Fleet {
         .into_iter()
         .enumerate()
         .map(|(rank, shard)| {
-            let sampler = BatchSampler::new(
-                shard,
-                config.math_batch_size,
-                // Sampler seeds must be distinct per worker. The sim
-                // drivers sample through the shared harness RNG, but the
-                // threaded workers draw through these directly.
-                config.seed ^ (rank as u64 + 1),
-            );
+            let sampler = BatchSampler::new(shard, config.math_batch_size);
             WorkerState::new(rank, reference.clone(), config.sgd, sampler)
         })
         .collect();

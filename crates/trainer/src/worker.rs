@@ -10,7 +10,8 @@ use rand::Rng;
 /// network (the compute view), optimizer state, and its data shard.
 ///
 /// The flat vector [`WorkerState::params`] is the source of truth; it is
-/// loaded into the network before each forward pass. This mirrors how
+/// copied into the network's own flat parameter vector before each
+/// forward pass. This mirrors how
 /// collective libraries see a model (one contiguous buffer) and makes
 /// model averaging a pure vector operation.
 #[derive(Debug)]
@@ -81,11 +82,11 @@ impl WorkerState {
     /// current parameters, then an SGD step. Increments the local
     /// iteration counter. The same bits as [`WorkerState::gradient`] then
     /// [`WorkerState::apply`], with the optimizer reading the gradient
-    /// where the network accumulated it instead of from a flat copy.
+    /// where the network accumulated it instead of from a copy.
     pub fn local_update<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         self.backprop(rng);
         self.opt
-            .step_chunks(&mut self.params, self.net.grad_chunks(), 1.0);
+            .step_scaled(&mut self.params, self.net.grads(), 1.0);
         self.updates_applied += 1;
         self.iteration += 1;
     }
@@ -161,7 +162,7 @@ mod tests {
 
     fn worker() -> WorkerState {
         let net = NetworkSpec::mlp(8, &[16], 3).build(0);
-        let sampler = BatchSampler::new(toy_dataset(), 16, 7);
+        let sampler = BatchSampler::new(toy_dataset(), 16);
         WorkerState::new(0, net, SgdConfig::default(), sampler)
     }
 

@@ -30,11 +30,12 @@ fn mlp_learns_separable_task_to_high_accuracy() {
         },
         net.param_count(),
     );
-    let mut sampler = BatchSampler::new(train, 32, 3);
+    let sampler = BatchSampler::new(train, 32);
+    let mut rng = StdRng::seed_from_u64(3);
     let mut params = net.param_vector();
 
     for _ in 0..400 {
-        let batch = sampler.next_batch();
+        let batch = sampler.next_batch_with(&mut rng);
         net.set_param_vector(&params);
         net.zero_grads();
         let logits = net.forward(&batch.features);
