@@ -3,8 +3,9 @@
 //!
 //! The elasticity substrate: a worker that crashes mid-run is replaced by
 //! a process that restores the latest on-disk snapshot of its model,
-//! optimizer state, and iteration counter, and the controller's
-//! group-history/roster database survives the same way. The on-disk
+//! optimizer state, and iteration counter. The controller keeps no
+//! durable state: a restarted one starts with an empty group-history
+//! window, as every run does. The on-disk
 //! format mirrors `comm::frame` — a fixed header, a length-prefixed JSON
 //! payload, and a checksum trailer — so the two byte formats in the
 //! workspace share one idiom:
@@ -305,70 +306,9 @@ impl WorkerSnapshot {
     }
 }
 
-/// The controller's durable state: the roster (who departed) and the
-/// group-history database window, plus the closing counters.
-///
-/// The signal queue is deliberately *not* snapshotted: queued ready
-/// signals are transient (workers re-signal after a restart), and
-/// replaying stale signals into a rebuilt fleet would violate the
-/// one-pending-signal-per-worker invariant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ControllerSnapshot {
-    /// Cluster size `N`.
-    pub num_workers: usize,
-    /// Workers still participating.
-    pub active: usize,
-    /// Ranks that have departed, ascending.
-    pub departed: Vec<usize>,
-    /// Total groups formed.
-    pub groups_formed: u64,
-    /// Frozen-schedule repairs performed.
-    pub repairs: u64,
-    /// Group-formation deferrals.
-    pub deferrals: u64,
-    /// Sync-graph window `T`.
-    pub history_window: usize,
-    /// Retained group-history window, oldest first.
-    pub history: Vec<Vec<usize>>,
-}
-
-impl ControllerSnapshot {
-    /// Internal consistency of roster counts and history bounds.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Malformed`] describing the inconsistency.
-    pub fn validate(&self) -> Result<()> {
-        if self.active + self.departed.len() != self.num_workers {
-            return Err(CheckpointError::Malformed {
-                detail: format!(
-                    "controller snapshot: {} active + {} departed != N = {}",
-                    self.active,
-                    self.departed.len(),
-                    self.num_workers
-                ),
-            });
-        }
-        if let Some(&w) = self.departed.iter().find(|&&w| w >= self.num_workers) {
-            return Err(CheckpointError::Malformed {
-                detail: format!("controller snapshot: departed rank {w} out of range"),
-            });
-        }
-        if self.history.len() > self.history_window {
-            return Err(CheckpointError::Malformed {
-                detail: format!(
-                    "controller snapshot: {} history groups exceed window {}",
-                    self.history.len(),
-                    self.history_window
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// A checkpoint directory: one `worker-<rank>.ckpt` per rank plus
-/// `controller.ckpt`, each atomically replaced on every save so the file
-/// present *is* the latest complete snapshot.
+/// A checkpoint directory: one `worker-<rank>.ckpt` per rank, each
+/// atomically replaced on every save so the file present *is* the latest
+/// complete snapshot.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -393,11 +333,6 @@ impl CheckpointStore {
     /// Path of rank `rank`'s snapshot file.
     pub fn worker_path(&self, rank: usize) -> PathBuf {
         self.dir.join(format!("worker-{rank}.ckpt"))
-    }
-
-    /// Path of the controller snapshot file.
-    pub fn controller_path(&self) -> PathBuf {
-        self.dir.join("controller.ckpt")
     }
 
     /// Whether a snapshot for `rank` exists.
@@ -433,27 +368,6 @@ impl CheckpointStore {
                 detail: format!("{} holds a snapshot for rank {}", path.display(), snap.rank),
             });
         }
-        Ok(snap)
-    }
-
-    /// Atomically writes the controller snapshot. Returns the final path.
-    ///
-    /// # Errors
-    /// Validation or I/O failure; the previous snapshot survives an error.
-    pub fn save_controller(&self, snap: &ControllerSnapshot) -> Result<PathBuf> {
-        snap.validate()?;
-        let path = self.controller_path();
-        self.write_atomic(&path, &encode(snap)?)?;
-        Ok(path)
-    }
-
-    /// Loads the latest controller snapshot, fully verified.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Missing`] when absent; format errors otherwise.
-    pub fn load_controller(&self) -> Result<ControllerSnapshot> {
-        let snap: ControllerSnapshot = decode(&read_all(&self.controller_path())?)?;
-        snap.validate()?;
         Ok(snap)
     }
 
@@ -515,19 +429,6 @@ mod tests {
         }
     }
 
-    fn controller_snap() -> ControllerSnapshot {
-        ControllerSnapshot {
-            num_workers: 4,
-            active: 3,
-            departed: vec![2],
-            groups_formed: 17,
-            repairs: 1,
-            deferrals: 2,
-            history_window: 3,
-            history: vec![vec![0, 1], vec![1, 3]],
-        }
-    }
-
     #[test]
     fn worker_snapshot_roundtrips() {
         let store = CheckpointStore::open(tmpdir("worker-roundtrip")).unwrap();
@@ -537,14 +438,6 @@ mod tests {
         assert!(store.has_worker(2));
         assert!(!store.has_worker(0));
         assert_eq!(store.load_worker(2).unwrap(), snap);
-    }
-
-    #[test]
-    fn controller_snapshot_roundtrips() {
-        let store = CheckpointStore::open(tmpdir("controller-roundtrip")).unwrap();
-        let snap = controller_snap();
-        store.save_controller(&snap).unwrap();
-        assert_eq!(store.load_controller().unwrap(), snap);
     }
 
     #[test]
@@ -562,10 +455,6 @@ mod tests {
         let store = CheckpointStore::open(tmpdir("missing")).unwrap();
         assert!(matches!(
             store.load_worker(7),
-            Err(CheckpointError::Missing { .. })
-        ));
-        assert!(matches!(
-            store.load_controller(),
             Err(CheckpointError::Missing { .. })
         ));
     }
@@ -611,9 +500,6 @@ mod tests {
         let mut w = worker_snap(0, 1);
         w.velocity.pop();
         assert!(w.validate().is_err());
-        let mut c = controller_snap();
-        c.active = 4; // 4 active + 1 departed != 4 workers
-        assert!(c.validate().is_err());
     }
 
     #[test]

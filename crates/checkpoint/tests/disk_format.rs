@@ -1,5 +1,5 @@
 //! Property suite for the checkpoint on-disk format (DESIGN.md §14),
-//! mirroring `comm/tests/wire_format.rs`: every snapshot type round-trips
+//! mirroring `comm/tests/wire_format.rs`: a worker snapshot round-trips
 //! through encode + decode regardless of how the bytes were chunked onto
 //! disk, and truncated, corrupted, or version-skewed files resolve to
 //! typed [`CheckpointError`] variants — never a panic, never a silent
@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 
 use preduce_checkpoint::{
-    decode, encode, CheckpointError, CheckpointStore, ControllerSnapshot, WorkerSnapshot,
-    FORMAT_VERSION, HEADER_LEN, TRAILER_LEN,
+    decode, encode, CheckpointError, CheckpointStore, WorkerSnapshot, FORMAT_VERSION, HEADER_LEN,
+    TRAILER_LEN,
 };
 
 fn arb_worker() -> impl Strategy<Value = WorkerSnapshot> {
@@ -34,40 +34,6 @@ fn arb_worker() -> impl Strategy<Value = WorkerSnapshot> {
                 velocity,
             }
         })
-}
-
-fn arb_controller() -> impl Strategy<Value = ControllerSnapshot> {
-    (
-        2usize..64,
-        prop::collection::vec(any::<bool>(), 0..8),
-        any::<u64>(),
-        0u64..1024,
-        0u64..1024,
-        1usize..8,
-    )
-        .prop_map(
-            |(num_workers, departures, groups_formed, repairs, deferrals, history_window)| {
-                let departed: Vec<usize> = departures
-                    .iter()
-                    .enumerate()
-                    .filter(|&(w, &gone)| gone && w < num_workers)
-                    .map(|(w, _)| w)
-                    .collect();
-                let history = (0..history_window.min(3))
-                    .map(|i| vec![i % num_workers, (i + 1) % num_workers])
-                    .collect();
-                ControllerSnapshot {
-                    num_workers,
-                    active: num_workers - departed.len(),
-                    departed,
-                    groups_formed,
-                    repairs,
-                    deferrals,
-                    history_window,
-                    history,
-                }
-            },
-        )
 }
 
 /// Writes `bytes` to `path` in the given chunks, mimicking a writer that
@@ -107,14 +73,6 @@ proptest! {
         let bytes = encode(&snap).expect("snapshots always encode");
         write_chunked(&path, &bytes, &cuts);
         let back: WorkerSnapshot = decode(&std::fs::read(&path).expect("read")).expect("decode");
-        prop_assert_eq!(back, snap);
-    }
-
-    /// Controller snapshots round-trip the same way.
-    #[test]
-    fn controller_snapshot_roundtrips(snap in arb_controller()) {
-        let bytes = encode(&snap).expect("snapshots always encode");
-        let back: ControllerSnapshot = decode(&bytes).expect("decode");
         prop_assert_eq!(back, snap);
     }
 

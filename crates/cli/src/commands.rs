@@ -137,8 +137,6 @@ USAGE:
   preduce controller --listen ADDR [--workers N] [--p P] [--dynamic true]
                    [--liveness-ms MS] [--miss-threshold K]
                    [--trace-out trace.jsonl] [--config experiment.json]
-                   [--checkpoint-dir DIR] [--checkpoint-every K]
-                   [--restore-from DIR]
   preduce worker   --connect ADDR --rank R [--workers N] [--iters K]
                    [--seed SEED] [--config experiment.json]
                    [--checkpoint-dir DIR] [--checkpoint-every K]
@@ -179,18 +177,18 @@ FAULT INJECTION:
 
 ELASTICITY (DESIGN.md section 14):
   --checkpoint-dir DIR enables periodic snapshots: every worker writes
-  its durable state (parameters, momentum, counters) every
-  --checkpoint-every iterations (default 32), and the controller writes
-  its roster/group-history snapshot at the same cadence in formed
-  groups. Writes are atomic (write-then-rename, checksummed), so a
-  mid-write crash leaves the previous snapshot intact. --restore-from
-  DIR warm-starts workers from the snapshots found there before
-  training begins; for `controller` it validates the saved lineage
-  against the fleet about to be served (the roster itself rebuilds
-  live at accept time). Omitting every elasticity flag leaves runs
-  bit-identical to a build without the subsystem. `run` takes these
-  flags with --strategy p-reduce only, and --iters with --backend
-  threaded only; anywhere else they are usage errors, not ignored.
+  its durable state (parameters, momentum, counters) to
+  DIR/worker-R.ckpt every --checkpoint-every iterations (default 32).
+  Writes are atomic (write-then-rename, checksummed), so a mid-write
+  crash leaves the previous snapshot intact. --restore-from DIR
+  warm-starts workers from the snapshots found there before training
+  begins. Omitting every elasticity flag leaves runs bit-identical to a
+  build without the subsystem. Only `run` and `worker` checkpoint: the
+  controller keeps no durable state (a restarted one starts with an
+  empty group window, as every run does), so `controller` refuses these
+  flags. `run` takes them with --strategy p-reduce only, and --iters
+  with --backend threaded only; anywhere else they are usage errors,
+  not ignored.
 
 MULTI-PROCESS FLEETS (DESIGN.md section 12):
   `controller` binds ADDR (use port 0 to let the OS choose; the chosen
@@ -281,22 +279,31 @@ fn reject_unhonoured_flags(
         "--strategy p-reduce (no other strategy executes fault plans or checkpoints)";
     let not_p_reduce = !matches!(strategy, Strategy::PReduce { .. });
     let restores = faults.restore_targets().next().is_some();
-    for (flag, unhonoured, expected) in [
-        ("fault-plan", not_p_reduce, P_REDUCE),
-        (
-            "fault-plan",
-            restores && backend != Backend::Sim,
-            "--backend sim (`restore:` is simulator-only: threads are not resurrected mid-run)",
-        ),
-        ("checkpoint-dir", not_p_reduce, P_REDUCE),
-        ("checkpoint-every", not_p_reduce, P_REDUCE),
-        ("restore-from", not_p_reduce, P_REDUCE),
-        (
-            "iters",
-            backend == Backend::Sim,
-            "--backend threaded (a sim run ends at --threshold or --max-updates)",
-        ),
-    ] {
+    refuse_flags(
+        args,
+        &[
+            ("fault-plan", not_p_reduce, P_REDUCE),
+            (
+                "fault-plan",
+                restores && backend != Backend::Sim,
+                "--backend sim (`restore:` is simulator-only: threads are not resurrected mid-run)",
+            ),
+            ("checkpoint-dir", not_p_reduce, P_REDUCE),
+            ("checkpoint-every", not_p_reduce, P_REDUCE),
+            ("restore-from", not_p_reduce, P_REDUCE),
+            (
+                "iters",
+                backend == Backend::Sim,
+                "--backend threaded (a sim run ends at --threshold or --max-updates)",
+            ),
+        ],
+    )
+}
+
+/// Fails on the first `(flag, unhonoured, expected)` row whose flag is
+/// given while `unhonoured` holds, naming what the flag needs instead.
+fn refuse_flags(args: &Args, rows: &[(&str, bool, &'static str)]) -> Result<(), ArgError> {
+    for &(flag, unhonoured, expected) in rows {
         if let Some(value) = args.get(flag).filter(|_| unhonoured) {
             return Err(ArgError::BadValue {
                 flag: flag.to_string(),
@@ -309,7 +316,7 @@ fn reject_unhonoured_flags(
 }
 
 /// Builds [`ElasticOptions`] from the checkpoint/restore flags shared by
-/// `run`, `controller`, and `worker` (DESIGN.md §14). Absent flags yield
+/// `run` and `worker` (DESIGN.md §14). Absent flags yield
 /// the inert options, leaving the run bit-identical to one without them.
 fn elastic_from_args(args: &Args) -> Result<ElasticOptions, CliError> {
     let mut elastic = ElasticOptions::none();
@@ -498,6 +505,16 @@ pub fn run_command(
             }
         }
         Command::Controller => {
+            const WORKERS_ONLY: &str =
+                "`run` or `worker` (only they checkpoint: the controller keeps no durable state)";
+            refuse_flags(
+                args,
+                &[
+                    ("checkpoint-dir", true, WORKERS_ONLY),
+                    ("checkpoint-every", true, WORKERS_ONLY),
+                    ("restore-from", true, WORKERS_ONLY),
+                ],
+            )?;
             let config = config_from_args(args)?;
             let p: usize = args.get_or("p", 3)?;
             let dynamic: bool = args.get_or("dynamic", false)?;
@@ -515,36 +532,12 @@ pub fn run_command(
                 ))
             };
             let trace = TraceOut::from_args(args)?;
-            let elastic = elastic_from_args(args)?;
-            // Controller restore is validate-only (DESIGN.md §14): the
-            // accept phase rebuilds the roster live, so the snapshot only
-            // gates serving a fleet that contradicts the saved lineage.
-            if let Some(dir) = &elastic.restore_from {
-                let snap = preduce_trainer::elastic::validate_controller_restore(
-                    dir.as_path(),
-                    config.num_workers,
-                )
-                .map_err(|e| CliError::Unknown(format!("restore-from: {e}")))?;
-                let _ = writeln!(
-                    out,
-                    "resuming lineage: groups={} repairs={} active={}",
-                    snap.groups_formed, snap.repairs, snap.active
-                );
-            }
-            let on_groups = match &elastic.policy {
-                Some(pol) => Some(
-                    preduce_trainer::elastic::controller_group_hook(pol)
-                        .map_err(|e| CliError::Unknown(format!("checkpoint-dir: {e}")))?,
-                ),
-                None => None,
-            };
             let report = process::run_controller(
                 controller_cfg,
                 &listen,
                 RuntimeOptions {
                     sink: trace.sink(),
                     liveness,
-                    on_groups,
                 },
                 |addr| {
                     // The e2e harness (and any launcher) parses this line
@@ -945,28 +938,41 @@ mod tests {
 
     #[test]
     fn flags_a_run_cannot_honour_are_usage_errors() {
-        let all_reduce = ["--strategy", "all-reduce"];
-        for (context, flag, value) in [
-            (&all_reduce[..], "fault-plan", "crash:1@4"),
-            (&all_reduce[..], "checkpoint-dir", "d"),
-            (&all_reduce[..], "checkpoint-every", "8"),
-            (&all_reduce[..], "restore-from", "d"),
-            (&["--backend", "sim"][..], "iters", "5"),
+        let all_reduce = ["run", "--strategy", "all-reduce"];
+        // The controller refuses before it binds, so no listener is left.
+        let controller = ["controller", "--listen", "127.0.0.1:0"];
+        for (context, flag, value, names) in [
+            (&all_reduce[..], "fault-plan", "crash:1@4", "p-reduce"),
+            (&all_reduce[..], "checkpoint-dir", "d", "p-reduce"),
+            (&all_reduce[..], "checkpoint-every", "8", "p-reduce"),
+            (&all_reduce[..], "restore-from", "d", "p-reduce"),
+            (&["run", "--backend", "sim"][..], "iters", "5", "threaded"),
             (
-                &["--strategy", "p-reduce", "--backend", "threaded"][..],
+                &["run", "--strategy", "p-reduce", "--backend", "threaded"][..],
                 "fault-plan",
                 "crash:1@4,restore:1@8",
+                "simulator-only",
             ),
+            (&controller[..], "checkpoint-dir", "d", "`run` or `worker`"),
+            (
+                &controller[..],
+                "checkpoint-every",
+                "8",
+                "`run` or `worker`",
+            ),
+            (&controller[..], "restore-from", "d", "`run` or `worker`"),
         ] {
             let dashed = format!("--{flag}");
-            let mut cmdline = vec!["run", "--workers", "4", &dashed, value];
-            cmdline.extend_from_slice(context);
+            let mut cmdline = context.to_vec();
+            cmdline.extend_from_slice(&["--workers", "4", &dashed, value]);
             let (r, out) = run(&cmdline);
             let Err(e @ CliError::Args(ArgError::BadValue { .. })) = r else {
                 panic!("{cmdline:?} was accepted: {out}");
             };
             assert_eq!(e.exit_code(), 2);
-            assert!(e.to_string().contains(&dashed), "{e}");
+            let message = e.to_string();
+            assert!(message.contains(&dashed), "{message}");
+            assert!(message.contains(names), "{message}");
         }
     }
 

@@ -374,23 +374,6 @@ impl Controller {
         }
     }
 
-    /// Ranks that have departed (and not been restored), ascending. This
-    /// is the roster half of a controller checkpoint.
-    pub fn departed_workers(&self) -> Vec<usize> {
-        self.departed
-            .iter()
-            .enumerate()
-            .filter(|&(_, &gone)| gone)
-            .map(|(w, _)| w)
-            .collect()
-    }
-
-    /// The group history database: the window `T` and the retained
-    /// groups (the lineage half of a controller checkpoint).
-    pub fn history(&self) -> &WindowedConnectivity {
-        &self.conn
-    }
-
     /// Work counters of the connectivity structure (merges, rebuilds).
     pub fn connectivity_stats(&self) -> ConnectivityStats {
         self.conn.stats()
@@ -728,6 +711,8 @@ mod tests {
             history_window: Some(3),
             frozen_avoidance: false,
         });
+        // The oracle keeps the controller's window of formed groups.
+        let mut history = crate::graph::GroupHistory::new(c.config.effective_window());
         let mut free = [true; 4];
         for round in 0..20 {
             for (w, f) in free.iter_mut().enumerate() {
@@ -743,13 +728,10 @@ mod tests {
                 for &m in &d.group {
                     free[m] = true;
                 }
+                history.record(d.group);
             }
         }
-        let mut reference = crate::graph::SyncGraph::new(4);
-        for g in c.history().groups() {
-            reference.add_group(&g);
-        }
-        assert!(!reference.is_connected());
+        assert!(!history.sync_graph(4).is_connected());
         assert_eq!(c.repairs(), 0);
     }
 

@@ -307,26 +307,6 @@ impl WindowedConnectivity {
         }
     }
 
-    /// Number of workers.
-    pub fn num_workers(&self) -> usize {
-        self.n
-    }
-
-    /// The retention window `T`.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Number of groups currently retained.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Whether no groups are retained.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
     /// Total groups ever recorded.
     pub fn total_recorded(&self) -> u64 {
         self.total_recorded
@@ -340,13 +320,6 @@ impl WindowedConnectivity {
     /// Work counters accumulated so far.
     pub fn stats(&self) -> ConnectivityStats {
         self.stats
-    }
-
-    /// Iterates over the retained groups, oldest first.
-    pub fn groups(&self) -> impl Iterator<Item = Vec<usize>> + '_ {
-        self.groups
-            .iter()
-            .map(|g| g.iter().map(|&w| w as usize).collect())
     }
 
     /// The counter of absent workers `w` currently belongs to, should its
@@ -650,7 +623,6 @@ mod tests {
             let reference = h.sync_graph(n);
             assert_eq!(c.is_connected(), reference.is_connected(), "{groups:?}");
             assert_eq!(c.components(), reference.components(), "{groups:?}");
-            assert_eq!(c.len(), h.len());
             assert_eq!(c.is_warm(), h.is_warm());
         }
     }
@@ -690,7 +662,6 @@ mod tests {
         assert_eq!(c.components(), vec![0, 1, 1, 1]);
         assert!(!c.is_connected());
         assert_eq!(c.total_recorded(), 3);
-        assert_eq!(c.len(), 2);
     }
 
     #[test]

@@ -535,12 +535,9 @@ impl StreamingChecker {
             }
             TraceEvent::WorkerEvicted { worker, active } => self.on_evicted(i, *worker, *active),
             TraceEvent::SnapshotTaken { worker, .. } => {
-                // `None` is the controller's own snapshot: no rank to check.
-                if let Some(worker) = worker {
-                    if let Some(w) = self.rank(i, *worker, "was snapshotted") {
-                        if self.rec(w).departed {
-                            self.fail(i, format!("snapshot taken of departed worker {worker}"));
-                        }
+                if let Some(w) = self.rank(i, *worker, "was snapshotted") {
+                    if self.rec(w).departed {
+                        self.fail(i, format!("snapshot taken of departed worker {worker}"));
                     }
                 }
             }
@@ -1369,12 +1366,8 @@ mod tests {
         let mut events = bare_trace();
         events.extend([
             TraceEvent::SnapshotTaken {
-                worker: Some(2),
+                worker: 2,
                 iteration: 5,
-            },
-            TraceEvent::SnapshotTaken {
-                worker: None,
-                iteration: 0,
             },
             TraceEvent::FaultInjected {
                 worker: 2,
@@ -1581,7 +1574,7 @@ mod tests {
                 events.extend([
                     enqueued(2, 8, 1),
                     TraceEvent::SnapshotTaken {
-                        worker: Some(2),
+                        worker: 2,
                         iteration: 5,
                     },
                     TraceEvent::FaultInjected {
@@ -1645,7 +1638,7 @@ mod tests {
                 events.insert(
                     restore_at,
                     TraceEvent::SnapshotTaken {
-                        worker: Some(2),
+                        worker: 2,
                         iteration: 8,
                     },
                 );

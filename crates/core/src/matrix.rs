@@ -82,35 +82,35 @@ pub fn weighted_sync_matrix(n: usize, group: &[usize], weights: &[f32]) -> Tenso
     w
 }
 
-/// Checks that a matrix is doubly stochastic within `tol`
-/// (rows and columns each sum to 1, entries non-negative).
-pub fn is_doubly_stochastic(w: &Tensor, tol: f32) -> bool {
-    if w.shape().rank() != 2 || w.shape().dim(0) != w.shape().dim(1) {
-        return false;
-    }
-    let n = w.shape().dim(0);
-    for i in 0..n {
-        let mut row = 0.0f32;
-        let mut col = 0.0f32;
-        for j in 0..n {
-            let rij = w.at(&[i, j]);
-            let cji = w.at(&[j, i]);
-            if rij < -tol || cji < -tol {
-                return false;
-            }
-            row += rij;
-            col += cji;
-        }
-        if (row - 1.0).abs() > tol || (col - 1.0).abs() > tol {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Checks that a matrix is doubly stochastic within `tol`
+    /// (rows and columns each sum to 1, entries non-negative).
+    fn is_doubly_stochastic(w: &Tensor, tol: f32) -> bool {
+        if w.shape().rank() != 2 || w.shape().dim(0) != w.shape().dim(1) {
+            return false;
+        }
+        let n = w.shape().dim(0);
+        for i in 0..n {
+            let mut row = 0.0f32;
+            let mut col = 0.0f32;
+            for j in 0..n {
+                let rij = w.at(&[i, j]);
+                let cji = w.at(&[j, i]);
+                if rij < -tol || cji < -tol {
+                    return false;
+                }
+                row += rij;
+                col += cji;
+            }
+            if (row - 1.0).abs() > tol || (col - 1.0).abs() > tol {
+                return false;
+            }
+        }
+        true
+    }
 
     #[test]
     fn eq4_structure() {

@@ -3,10 +3,9 @@
 //!
 //! [`serve_fleet`] is the only controller loop in the workspace; each
 //! substrate reaches it through exactly one entry point. [`spawn`] mints
-//! in-process channel links and [`spawn_tcp`] a loopback TCP message
-//! queue; both then start the same loop on a controller thread and hand
-//! back one [`PartialReducer`] per worker. A multi-process controller
-//! accepts its fleet itself and calls [`serve_fleet`] directly.
+//! in-process channel links, starts the loop on a controller thread and
+//! hands back one [`PartialReducer`] per worker. A multi-process
+//! controller accepts its fleet itself and calls [`serve_fleet`] directly.
 //!
 //! A training thread calls [`PartialReducer::reduce`] where All-Reduce
 //! training would call `all_reduce`: the call sends the ready signal,
@@ -31,8 +30,8 @@ use std::time::{Duration, Instant};
 
 use preduce_comm::collectives::TAG_STRIDE;
 use preduce_comm::control::{
-    control_links, ControlEvent, ControlPlane, GroupAssignment, ObservedControlPlane,
-    WorkerControlPlane, WorkerSignal,
+    control_links, ControlEvent, ControlPlane, ControllerLink, GroupAssignment,
+    ObservedControlPlane, WorkerControlPlane, WorkerLink, WorkerSignal,
 };
 use preduce_comm::mesh::GroupAverager;
 use preduce_comm::{CommError, CommWorld};
@@ -104,12 +103,6 @@ impl Default for LivenessPolicy {
     }
 }
 
-/// Observer invoked with the live [`Controller`] after every serving-loop
-/// pass in which at least one new group formed. The elastic layer hooks
-/// controller snapshots (DESIGN.md §14) through this without the runtime
-/// knowing anything about checkpoint formats.
-pub type GroupHook = Box<dyn FnMut(&Controller) + Send>;
-
 /// Spawn-time options shared by every transport.
 pub struct RuntimeOptions {
     /// Trace sink receiving every control-plane decision.
@@ -117,9 +110,6 @@ pub struct RuntimeOptions {
     /// Heartbeat-based failure detection; `None` disables it (the
     /// controller then only learns of departures via `Leaving`).
     pub liveness: Option<LivenessPolicy>,
-    /// Called after each loop pass that formed new groups; `None` (the
-    /// default) costs nothing.
-    pub on_groups: Option<GroupHook>,
 }
 
 impl Default for RuntimeOptions {
@@ -127,7 +117,6 @@ impl Default for RuntimeOptions {
         RuntimeOptions {
             sink: Arc::new(NullSink),
             liveness: None,
-            on_groups: None,
         }
     }
 }
@@ -187,13 +176,16 @@ impl std::fmt::Display for ReduceError {
 
 impl std::error::Error for ReduceError {}
 
+/// How long [`PartialReducer::reduce`] waits for the controller's group
+/// assignment.
+const ASSIGNMENT_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// A worker's handle to the partial-reduce service. Transport-agnostic:
 /// the control plane may be in-process channels ([`spawn`]) or the paper
-/// prototype's TCP message queue ([`spawn_tcp`]).
+/// prototype's TCP message queue ([`PartialReducer::from_parts`]).
 pub struct PartialReducer {
     link: Box<dyn WorkerControlPlane>,
     averager: Box<dyn GroupAverager>,
-    timeout: Duration,
     finished: bool,
     sink: Arc<dyn TraceSink>,
     /// Set to stop the background heartbeat thread, if one was started.
@@ -209,8 +201,8 @@ impl std::fmt::Debug for PartialReducer {
 impl PartialReducer {
     /// Assembles a reducer from an explicit control link and data-plane
     /// averager — the multi-process deployment path, where both halves
-    /// dial remote addresses instead of being minted by [`spawn`] or
-    /// [`spawn_tcp`] in the controller's own process.
+    /// dial remote addresses instead of being minted by [`spawn`] in the
+    /// controller's own process.
     pub fn from_parts(
         link: Box<dyn WorkerControlPlane>,
         averager: Box<dyn GroupAverager>,
@@ -219,7 +211,6 @@ impl PartialReducer {
         PartialReducer {
             link,
             averager,
-            timeout: Duration::from_secs(30),
             finished: false,
             sink,
             stop_heartbeat: None,
@@ -229,11 +220,6 @@ impl PartialReducer {
     /// This worker's rank.
     pub fn rank(&self) -> usize {
         self.link.rank()
-    }
-
-    /// Overrides the blocking timeout (default 30 s).
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
     }
 
     /// Executes one partial reduce: `params` is averaged (with the
@@ -267,7 +253,7 @@ impl PartialReducer {
             new_iteration,
         } = self
             .link
-            .recv_assignment(self.timeout)
+            .recv_assignment(ASSIGNMENT_TIMEOUT)
             .map_err(ReduceError::Control)?;
         if group.len() > 1 {
             self.averager
@@ -371,67 +357,18 @@ pub fn spawn(
     launch(config, opts, ctl_link, worker_links)
 }
 
-/// Like [`spawn`], but the control plane runs over a real TCP message
-/// queue on loopback — the paper prototype's architecture (§4). The model
-/// collectives remain in-process; only the few-bytes signaling crosses
-/// sockets, exactly as in the paper (Gloo for data, TCP MQ for control).
-/// The trace observer sits directly on the message queue, so
-/// [`TraceEvent::AssignmentSent`] records what actually crossed the
-/// socket, and heartbeats are real frames, so a [`LivenessPolicy`]
-/// detects genuine network silence.
-///
-/// # Panics
-/// Panics if the config is invalid, the loopback listener cannot be
-/// bound, or the handshake fails.
-pub fn spawn_tcp(
-    config: ControllerConfig,
-    opts: RuntimeOptions,
-) -> (ControllerHandle, Vec<PartialReducer>) {
-    config.validate();
-    let n = config.num_workers;
-    let (listener, addr) = preduce_comm::tcp::bind_controller("127.0.0.1:0");
-
-    // Dial all workers first (the listener backlog holds them), then
-    // accept; avoids needing a connector thread per worker.
-    #[allow(
-        clippy::panic,
-        reason = "startup-only: the documented contract is to panic if the loopback handshake fails before training begins"
-    )]
-    let worker_links: Vec<preduce_comm::tcp::TcpWorkerLink> = (0..n)
-        .map(|rank| {
-            preduce_comm::tcp::TcpWorkerLink::connect(addr, rank)
-                .unwrap_or_else(|e| panic!("loopback connect: {e}"))
-        })
-        .collect();
-    #[allow(
-        clippy::panic,
-        reason = "startup-only: the documented contract is to panic if the loopback handshake fails before training begins"
-    )]
-    let ctl_link = preduce_comm::tcp::accept_workers(&listener, n)
-        .unwrap_or_else(|e| panic!("worker handshake: {e}"));
-    launch(config, opts, ctl_link, worker_links)
-}
-
-/// Starts the serving loop on its own thread over an already-minted link
-/// pair and zips the worker links with in-process data-plane endpoints.
-/// The [`Controller`] is built here, on the caller's thread, before the
-/// loop's thread or any [`PartialReducer`] exists, so its
+/// Starts the serving loop on its own thread over an already-minted
+/// channel link pair and zips the worker links with in-process data-plane
+/// endpoints. The [`Controller`] is built here, on the caller's thread,
+/// before the loop's thread or any [`PartialReducer`] exists, so its
 /// [`TraceEvent::RunStarted`] precedes whatever a worker narrates.
-fn launch<C, W>(
+fn launch(
     config: ControllerConfig,
     opts: RuntimeOptions,
-    ctl_link: C,
-    worker_links: Vec<W>,
-) -> (ControllerHandle, Vec<PartialReducer>)
-where
-    C: ControlPlane + 'static,
-    W: WorkerControlPlane + 'static,
-{
-    let RuntimeOptions {
-        sink,
-        liveness,
-        on_groups,
-    } = opts;
+    ctl_link: ControllerLink,
+    worker_links: Vec<WorkerLink>,
+) -> (ControllerHandle, Vec<PartialReducer>) {
+    let RuntimeOptions { sink, liveness } = opts;
     let ctl_link = ObservedControlPlane::new(ctl_link, Arc::new(SinkObserver::new(sink.clone())));
     let endpoints = CommWorld::new(config.num_workers).into_endpoints();
     let controller = Controller::with_sink(config, sink.clone());
@@ -441,7 +378,7 @@ where
     )]
     let join = thread::Builder::new()
         .name("preduce-controller".into())
-        .spawn(move || serve(controller, ctl_link, &[], liveness, on_groups))
+        .spawn(move || serve(controller, ctl_link, &[], liveness))
         .unwrap_or_else(|e| panic!("failed to spawn controller thread: {e}"));
 
     let reducers = worker_links
@@ -464,8 +401,8 @@ const IDLE_DEADLINE: Duration = Duration::from_secs(60);
 const INGEST_BATCH: usize = 1024;
 
 /// The controller *serving loop* — the only one in the workspace. Every
-/// transport runs it: [`spawn`] and [`spawn_tcp`] start it on a thread
-/// over links they mint themselves, and a multi-process controller calls
+/// transport runs it: [`spawn`] starts it on a thread over links it mints
+/// itself, and a multi-process controller calls
 /// it directly after owning process bring-up (bind, accept, handshake; see
 /// `preduce_comm::reactor::accept_fleet`), handing over the control plane
 /// plus the fleet membership established at accept time (`joined`, empty
@@ -488,8 +425,7 @@ const INGEST_BATCH: usize = 1024;
 ///   the ordinary departure path; channel links never emit it;
 /// - with a [`LivenessPolicy`], workers silent past the budget are
 ///   evicted the same way; once fewer than `P` workers remain, queued and
-///   late signals are answered with singleton assignments;
-/// - [`RuntimeOptions::on_groups`] fires once if the pass formed groups.
+///   late signals are answered with singleton assignments.
 ///
 /// Returns once every worker departed (voluntarily or by eviction), or
 /// on terminal transport failure. A failed assignment *send* is not
@@ -510,7 +446,7 @@ pub fn serve_fleet<C: ControlPlane>(
     opts: RuntimeOptions,
 ) -> ControllerStats {
     let controller = Controller::with_sink(config, opts.sink);
-    serve(controller, link, joined, opts.liveness, opts.on_groups)
+    serve(controller, link, joined, opts.liveness)
 }
 
 /// [`serve_fleet`] over a controller that has already narrated its start.
@@ -519,7 +455,6 @@ fn serve<C: ControlPlane>(
     mut link: C,
     joined: &[(usize, String)],
     liveness: Option<LivenessPolicy>,
-    mut on_groups: Option<GroupHook>,
 ) -> ControllerStats {
     let n = controller.config().num_workers;
     let p = controller.config().group_size;
@@ -533,7 +468,6 @@ fn serve<C: ControlPlane>(
     }
     let mut singletons = 0u64;
     let mut evictions = 0u64;
-    let mut observed_groups = 0u64;
     let mut pending_drain: Vec<(usize, u64)> = Vec::new();
     let mut ready_batch: Vec<(usize, u64)> = Vec::new();
 
@@ -665,14 +599,6 @@ fn serve<C: ControlPlane>(
                 let _ = link.send_assignment(worker, assignment);
             }
         }
-        // Group observer: one call per pass that formed new groups, after
-        // every assignment for the pass went out.
-        if let Some(hook) = on_groups.as_mut() {
-            if controller.groups_formed() != observed_groups {
-                observed_groups = controller.groups_formed();
-                hook(&controller);
-            }
-        }
     }
     stats(&controller, singletons, evictions)
 }
@@ -760,9 +686,9 @@ mod tests {
     use crate::invariants::CheckingSink;
     use preduce_comm::reactor::{accept_fleet, ReactorConfig};
     use preduce_comm::tcp::{bind_controller, RetryPolicy, TcpWorkerLink};
-    use std::sync::atomic::{AtomicU64, AtomicUsize};
+    use std::sync::atomic::AtomicUsize;
 
-    /// How a test mints a running fleet: [`spawn`], [`spawn_tcp`], or
+    /// How a test mints a running fleet: [`spawn`] or
     /// [`spawn_process_style`].
     type Spawner = fn(ControllerConfig, RuntimeOptions) -> (ControllerHandle, Vec<PartialReducer>);
 
@@ -872,9 +798,8 @@ mod tests {
         // accounting P·groups + singletons = N·iters must agree across
         // transports; `joined` is only non-empty on the process path.
         const ITERS: usize = 12;
-        let table: [(&str, Spawner, usize); 3] = [
+        let table: [(&str, Spawner, usize); 2] = [
             ("spawn", spawn, 0),
-            ("spawn_tcp", spawn_tcp, 0),
             ("accept_fleet + serve_fleet", spawn_process_style, 6),
         ];
         for (name, spawner, expect_joins) in table {
@@ -908,23 +833,21 @@ mod tests {
         // reducer, and the checker wants `RunStarted` first — so it must
         // be in the sink before any reducer is handed out, not whenever
         // the controller thread gets scheduled.
-        for (name, spawner) in [("spawn", spawn as Spawner), ("spawn_tcp", spawn_tcp)] {
-            let sink = Arc::new(crate::trace::RingSink::new(64));
-            let opts = RuntimeOptions {
-                sink: sink.clone(),
-                ..RuntimeOptions::default()
-            };
-            let (handle, reducers) = spawner(ControllerConfig::constant(2, 2), opts);
-            let first = sink.snapshot().into_iter().next();
-            assert!(
-                matches!(first, Some(TraceEvent::RunStarted { .. })),
-                "{name}: first event {first:?}"
-            );
-            for mut r in reducers {
-                r.finish().unwrap();
-            }
-            handle.join();
+        let sink = Arc::new(crate::trace::RingSink::new(64));
+        let opts = RuntimeOptions {
+            sink: sink.clone(),
+            ..RuntimeOptions::default()
+        };
+        let (handle, reducers) = spawn(ControllerConfig::constant(2, 2), opts);
+        let first = sink.snapshot().into_iter().next();
+        assert!(
+            matches!(first, Some(TraceEvent::RunStarted { .. })),
+            "first event {first:?}"
+        );
+        for mut r in reducers {
+            r.finish().unwrap();
         }
+        handle.join();
     }
 
     #[test]
@@ -960,36 +883,11 @@ mod tests {
     }
 
     #[test]
-    fn on_groups_fires_under_in_process_spawn() {
-        let calls = Arc::new(AtomicU64::new(0));
-        let last_seen = Arc::new(AtomicU64::new(0));
-        let (hook_calls, hook_seen) = (calls.clone(), last_seen.clone());
-        let opts = RuntimeOptions {
-            on_groups: Some(Box::new(move |controller: &Controller| {
-                hook_calls.fetch_add(1, Ordering::Relaxed);
-                let before = hook_seen.swap(controller.groups_formed(), Ordering::Relaxed);
-                assert!(
-                    before < controller.groups_formed(),
-                    "fired without new groups"
-                );
-            })),
-            ..RuntimeOptions::default()
-        };
-        let (handle, reducers) = spawn(ControllerConfig::constant(4, 2), opts);
-        let (_, stats) = drive_fleet(handle, reducers, 10, 2);
-        let calls = calls.load(Ordering::Relaxed);
-        assert!((1..=stats.groups_formed).contains(&calls), "{calls} calls");
-        // Every formed-group pass was observed: the hook's last view is
-        // the final count.
-        assert_eq!(last_seen.load(Ordering::Relaxed), stats.groups_formed);
-    }
-
-    #[test]
     fn full_group_reduce_is_allreduce_on_both_transports() {
         // P = N: every reduce averages everyone, so all params equal the
         // global mean trajectory — over channels and over the TCP message
         // queue alike.
-        for spawner in [spawn as Spawner, spawn_tcp] {
+        for spawner in [spawn as Spawner, spawn_process_style] {
             let cfg = ControllerConfig::constant(4, 4);
             let (results, stats) = run_fleet(cfg, 3, 5, spawner);
             // After iter 1: params_i = i + 1 → mean = 2.5. After each later
@@ -1115,7 +1013,7 @@ mod tests {
     #[test]
     fn tcp_partial_groups_run_concurrently() {
         let cfg = ControllerConfig::constant(6, 2);
-        let (results, stats) = run_fleet(cfg, 20, 3, spawn_tcp);
+        let (results, stats) = run_fleet(cfg, 20, 3, spawn_process_style);
         // Mean conservation, as in the channel-transport test.
         let mean: f32 = results.iter().map(|r| r[0]).sum::<f32>() / 6.0;
         assert!((mean - 22.5).abs() < 1e-3, "fleet mean drifted: {mean}");
@@ -1169,7 +1067,6 @@ mod tests {
             RuntimeOptions {
                 sink: sink.clone(),
                 liveness: Some(LivenessPolicy::new(Duration::from_millis(50), 6)),
-                on_groups: None,
             },
         );
         let r2 = reducers.pop().unwrap();
@@ -1240,12 +1137,11 @@ mod tests {
         // below P and flush worker 0 as a singleton instead of leaving
         // it blocked.
         let cfg = ControllerConfig::constant(2, 2);
-        let (handle, mut reducers) = spawn_tcp(
+        let (handle, mut reducers) = spawn_process_style(
             cfg,
             RuntimeOptions {
                 sink: Arc::new(NullSink),
                 liveness: Some(LivenessPolicy::new(Duration::from_millis(50), 6)),
-                on_groups: None,
             },
         );
         let r1 = reducers.pop().unwrap();

@@ -173,14 +173,12 @@ pub enum TraceEvent {
         /// Workers still participating after the eviction.
         active: usize,
     },
-    /// A checkpoint was durably written (DESIGN.md §14). `worker` names
-    /// the snapshotted rank, or `None` for the controller's
-    /// roster/group-history snapshot.
+    /// A worker's checkpoint was durably written (DESIGN.md §14). Only
+    /// workers snapshot: the controller keeps no durable state.
     SnapshotTaken {
-        /// Snapshotted worker rank; `None` = controller state.
-        worker: Option<usize>,
-        /// The worker's local iteration at the snapshot (for the
-        /// controller, its groups-formed count).
+        /// Snapshotted worker rank.
+        worker: usize,
+        /// The worker's local iteration at the snapshot.
         iteration: u64,
     },
     /// A previously departed worker rejoined from a checkpoint
@@ -554,9 +552,18 @@ mod tests {
         let dir = std::env::temp_dir().join("preduce-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("garbage.jsonl");
-        std::fs::write(&path, "{\"not\": \"an event\"}\n").unwrap();
-        let err = read_jsonl(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // An object that is no event, and the controller `SnapshotTaken`
+        // line (`worker: null`) that older traces carry.
+        let worker_snapshot = r#"{"SnapshotTaken":{"worker":3,"iteration":4}}"#;
+        for bad in [
+            r#"{"not": "an event"}"#,
+            r#"{"SnapshotTaken":{"worker":null,"iteration":4}}"#,
+        ] {
+            std::fs::write(&path, format!("{worker_snapshot}\n{bad}\n")).unwrap();
+            let err = read_jsonl(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad}");
+            assert!(err.to_string().contains("trace line 2"), "{bad}: {err}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,26 +1,25 @@
 //! Elastic-training glue (DESIGN.md §14): policies for when to write
-//! [`preduce_checkpoint`] snapshots, the conversions between live
-//! trainer/controller state and the serialized snapshot types, and the
-//! three things every substrate does with them — warm start, a worker's
-//! snapshot-if-due (`SnapshotWriter`) and the controller's
-//! ([`controller_group_hook`]). An unreadable directory or a corrupt
-//! snapshot is a configuration error there: it panics, loudly, rather than
-//! being trained through.
+//! [`preduce_checkpoint`] snapshots, the conversion between a live worker
+//! and its serialized snapshot, and the two things every substrate does
+//! with them — warm start and a worker's snapshot-if-due
+//! (`SnapshotWriter`). An unreadable directory or a corrupt snapshot is a
+//! configuration error there: it panics, loudly, rather than being trained
+//! through.
 //!
-//! The checkpoint crate knows nothing about tensors or controllers; this
-//! module is the only place that maps [`WorkerState`] ⇄
-//! [`WorkerSnapshot`] and [`Controller`] ⇄ [`ControllerSnapshot`]. What
-//! is deliberately *not* snapshotted: the network activations, the batch
+//! The checkpoint crate knows nothing about tensors; this module is the
+//! only place that maps [`WorkerState`] ⇄ [`WorkerSnapshot`]. The
+//! controller keeps no durable state: a restarted controller starts with
+//! an empty group-history window, as every run does. What is deliberately
+//! *not* snapshotted: the network activations, the batch
 //! sampler cursor, and the RNG — a restored worker resamples from its
 //! shard, which is statistically (not bitwise) equivalent and keeps the
 //! format model-architecture-agnostic.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use partial_reduce::runtime::GroupHook;
-use partial_reduce::{Controller, TraceEvent, TraceSink};
-use preduce_checkpoint::{CheckpointError, CheckpointStore, ControllerSnapshot, WorkerSnapshot};
+use partial_reduce::{TraceEvent, TraceSink};
+use preduce_checkpoint::{CheckpointStore, WorkerSnapshot};
 use preduce_models::SgdOptimizer;
 use preduce_tensor::Tensor;
 
@@ -28,13 +27,12 @@ use crate::engine::substrate::must;
 use crate::worker::WorkerState;
 
 /// When to write snapshots: into `dir`, each time a worker's iteration
-/// count — or, for the controller's roster/history snapshot, the count of
-/// formed groups — crosses a multiple of `every`.
+/// count crosses a multiple of `every`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint directory (created on first use).
     pub dir: PathBuf,
-    /// Snapshot cadence in iterations/groups; never zero.
+    /// Snapshot cadence in iterations; never zero.
     pub every: u64,
 }
 
@@ -53,11 +51,10 @@ impl CheckpointPolicy {
     }
 }
 
-/// The one cadence rule, for worker iterations and controller groups
-/// alike: due when the count has crossed a multiple of `every` since the
-/// last look. Counts jump — a fast-forward skips iteration numbers, a
-/// serving-loop pass forms several groups — so waiting for an exact
-/// multiple would skip snapshots.
+/// The cadence rule: due when the iteration count has crossed a multiple
+/// of `every` since the last look. Counts jump — a fast-forward skips
+/// iteration numbers — so waiting for an exact multiple would skip
+/// snapshots.
 struct Cadence {
     every: u64,
     last: u64,
@@ -146,15 +143,6 @@ impl ElasticOptions {
         });
         SnapshotWriter { target, sink }
     }
-
-    /// The policy's [`controller_group_hook`], if there is a policy.
-    pub(crate) fn controller_hook(&self) -> Option<GroupHook> {
-        let pol = self.policy.as_ref()?;
-        Some(must(
-            "open checkpoint directory",
-            controller_group_hook(pol),
-        ))
-    }
 }
 
 /// One worker's periodic snapshots. Each worker owns its writer: the
@@ -184,7 +172,7 @@ impl SnapshotWriter {
         );
         if self.sink.enabled() {
             self.sink.record(TraceEvent::SnapshotTaken {
-                worker: Some(w.rank),
+                worker: w.rank,
                 iteration: w.iteration,
             });
         }
@@ -240,80 +228,6 @@ pub fn restore_worker(w: &mut WorkerState, snap: &WorkerSnapshot) -> Result<(), 
     w.iteration = snap.iteration;
     w.updates_applied = snap.updates_applied;
     Ok(())
-}
-
-/// Captures the controller's roster and group-history database.
-pub fn controller_snapshot(c: &Controller) -> ControllerSnapshot {
-    ControllerSnapshot {
-        num_workers: c.config().num_workers,
-        active: c.active(),
-        departed: c.departed_workers(),
-        groups_formed: c.groups_formed(),
-        repairs: c.repairs(),
-        deferrals: c.deferrals(),
-        history_window: c.history().window(),
-        history: c.history().groups().collect(),
-    }
-}
-
-/// Builds the hook that writes policy-cadenced controller snapshots and
-/// narrates them as [`TraceEvent::SnapshotTaken`] with `worker: None`:
-/// [`RuntimeOptions::on_groups`] for the threaded and process control
-/// planes, called per formed group by the simulator loop.
-///
-/// [`RuntimeOptions::on_groups`]: partial_reduce::runtime::RuntimeOptions
-///
-/// # Errors
-/// Fails if the policy's directory cannot be opened or created.
-pub fn controller_group_hook(policy: &CheckpointPolicy) -> Result<GroupHook, CheckpointError> {
-    let store = CheckpointStore::open(&policy.dir)?;
-    let mut cadence = Cadence {
-        every: policy.every,
-        last: 0,
-    };
-    Ok(Box::new(move |c: &Controller| {
-        let g = c.groups_formed();
-        if !cadence.crossed(g) {
-            return;
-        }
-        must(
-            "write controller snapshot",
-            store.save_controller(&controller_snapshot(c)),
-        );
-        if c.sink().enabled() {
-            c.sink().record(TraceEvent::SnapshotTaken {
-                worker: None,
-                iteration: g,
-            });
-        }
-    }))
-}
-
-/// Validates a controller snapshot against the fleet a controller is
-/// about to serve. Process-mode controller restore is validate-only: the
-/// accept phase requires every configured worker to handshake, so the
-/// roster always rebuilds live — but serving a fleet whose layout
-/// contradicts the checkpoint it is supposed to continue is a config
-/// error worth refusing (DESIGN.md §14).
-///
-/// # Errors
-/// Fails if no controller snapshot exists under `dir`, it is unreadable,
-/// or its fleet size differs from `num_workers`.
-pub fn validate_controller_restore(
-    dir: &Path,
-    num_workers: usize,
-) -> Result<ControllerSnapshot, String> {
-    let store = CheckpointStore::open(dir).map_err(|e| format!("open `{}`: {e}", dir.display()))?;
-    let snap = store
-        .load_controller()
-        .map_err(|e| format!("load controller snapshot: {e}"))?;
-    if snap.num_workers != num_workers {
-        return Err(format!(
-            "snapshot describes a {}-worker fleet, this controller serves {}",
-            snap.num_workers, num_workers
-        ));
-    }
-    Ok(snap)
 }
 
 #[cfg(test)]
@@ -437,7 +351,7 @@ mod tests {
         assert_eq!(
             sink.snapshot(),
             vec![TraceEvent::SnapshotTaken {
-                worker: Some(2),
+                worker: 2,
                 iteration: 10
             }]
         );
@@ -474,7 +388,6 @@ mod tests {
         w.iteration = 64;
         writer.snapshot_if_due(&w);
         assert!(sink.snapshot().is_empty());
-        assert!(inert.controller_hook().is_none());
         assert!(inert.open_restore_store().is_none());
 
         // In-run restores read where snapshots are written, and only

@@ -80,8 +80,7 @@ pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
 ///   events: those workers never departed in *this* trace).
 /// * **Periodic snapshots** — the policy writes a worker snapshot each
 ///   time a worker's iteration count crosses the cadence (narrated as
-///   [`TraceEvent::SnapshotTaken`]), and a controller roster/history
-///   snapshot each time the groups-formed count does (`worker: None`).
+///   [`TraceEvent::SnapshotTaken`]).
 /// * **Mid-run restore** — the `restore:W@U` fault verb re-admits a
 ///   *departed* worker from its snapshot once the run has recorded `U`
 ///   updates: model, momentum, and counters rewind to durable state
@@ -119,7 +118,7 @@ pub fn run_preduce_elastic(
 
     // Elastic glue (DESIGN.md §14): graft durable state onto the fleet
     // before anything is scheduled or narrated, then one snapshot writer
-    // per worker and the controller's snapshot hook.
+    // per worker.
     for w in &mut h.workers {
         elastic.warm_start(w);
     }
@@ -128,7 +127,6 @@ pub fn run_preduce_elastic(
         .iter()
         .map(|w| elastic.snapshot_writer(w, sink.clone()))
         .collect();
-    let mut on_groups = elastic.controller_hook();
     // `restore:W@U` verbs, sorted by rank; each fires at most once.
     let mut pending_restores: Vec<(usize, u64)> = faults
         .restore_targets()
@@ -231,9 +229,6 @@ pub fn run_preduce_elastic(
                 // The ready signal and group notification each cost one
                 // network latency; then the group collective runs.
                 while let Some(d) = controller.try_form_group() {
-                    if let Some(hook) = on_groups.as_mut() {
-                        hook(&controller);
-                    }
                     total_groups += 1;
                     let w0 = d.weights[0];
                     if d.weights.iter().any(|&w| (w - w0).abs() > 1e-6) {
@@ -391,7 +386,6 @@ pub(crate) fn threaded_preduce(
         RuntimeOptions {
             sink: sub.sink(),
             liveness: chaos.then(chaos_liveness),
-            on_groups: elastic.controller_hook(),
         },
     );
     let sink = sub.sink();

@@ -116,7 +116,7 @@ pub fn run_with_faults(
 }
 
 /// Like [`run_with_faults`], but additionally under [`ElasticOptions`]
-/// (DESIGN.md §14): periodic worker/controller snapshots, a warm start
+/// (DESIGN.md §14): periodic worker snapshots, a warm start
 /// from an earlier checkpoint directory, and — on the simulator — the
 /// `restore:W@U` fault verb that re-admits a crashed worker from its
 /// snapshot mid-run. Inert options make this exactly

@@ -242,7 +242,6 @@ mod tests {
             RuntimeOptions {
                 sink: sink.clone(),
                 liveness: None,
-                on_groups: None,
             },
         );
 
@@ -296,14 +295,16 @@ mod tests {
             let taken = |iteration: u64| {
                 events.iter().position(|e| {
                     *e == TraceEvent::SnapshotTaken {
-                        worker: Some(rank),
+                        worker: rank,
                         iteration,
                     }
                 })
             };
             let snapshots = events
                 .iter()
-                .filter(|e| matches!(e, TraceEvent::SnapshotTaken { worker: Some(w), .. } if *w == rank))
+                .filter(
+                    |e| matches!(e, TraceEvent::SnapshotTaken { worker, .. } if *worker == rank),
+                )
                 .count();
             assert_eq!(snapshots, healthy_rounds, "rank {rank}");
             for (at, e) in events.iter().enumerate() {
@@ -328,7 +329,7 @@ mod tests {
         assert!(!events.iter().any(|e| matches!(
             e,
             TraceEvent::SignalEnqueued { worker: 1, iteration, .. }
-            | TraceEvent::SnapshotTaken { worker: Some(1), iteration }
+            | TraceEvent::SnapshotTaken { worker: 1, iteration }
                 if *iteration >= crashes[0]
         )));
         assert!(faults_of(0, "stall")[0] >= 2);

@@ -214,10 +214,9 @@ impl ThreadedSubstrate {
         &self.faults
     }
 
-    /// Sets the elasticity options (DESIGN.md §14): the same warm start,
-    /// worker snapshots and controller snapshots as on the simulator;
-    /// threads are not resurrected mid-run (the `restore:` fault verb is
-    /// sim-only).
+    /// Sets the elasticity options (DESIGN.md §14): the same warm start
+    /// and worker snapshots as on the simulator; threads are not
+    /// resurrected mid-run (the `restore:` fault verb is sim-only).
     #[must_use]
     pub fn with_elastic(mut self, elastic: ElasticOptions) -> Self {
         self.elastic = elastic;

@@ -177,14 +177,14 @@ mod tests {
         // Accuracy trend is upward from first to last trace point; an
         // empty trace (too few updates per eval interval) is a test bug
         // worth naming, not an unwrap panic.
-        match r.trace_endpoints() {
-            Some((first, last)) => assert!(
+        match (r.trace.first(), r.trace.last()) {
+            (Some(first), Some(last)) => assert!(
                 last.accuracy > first.accuracy,
                 "no improvement: {} -> {}",
                 first.accuracy,
                 last.accuracy
             ),
-            None => panic!("run recorded no trace points; check eval_every vs max_updates"),
+            _ => panic!("run recorded no trace points; check eval_every vs max_updates"),
         }
     }
 }

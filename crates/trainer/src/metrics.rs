@@ -54,13 +54,6 @@ impl RunResult {
         }
     }
 
-    /// The first and last trace points, or `None` for an empty trace
-    /// (threaded-backend runs and sim runs shorter than one eval
-    /// interval record no trace points).
-    pub fn trace_endpoints(&self) -> Option<(&TracePoint, &TracePoint)> {
-        Some((self.trace.first()?, self.trace.last()?))
-    }
-
     /// The first trace point at or above `threshold`, if any.
     pub fn time_to_accuracy(&self, threshold: f64) -> Option<f64> {
         self.trace
@@ -151,19 +144,6 @@ mod tests {
             ..result()
         };
         assert_eq!(empty.per_update_percentile(0.5), None);
-    }
-
-    #[test]
-    fn trace_endpoints_handle_empty_traces() {
-        let r = result();
-        let (first, last) = r.trace_endpoints().expect("non-empty trace");
-        assert_eq!(first.accuracy, 0.5);
-        assert_eq!(last.accuracy, 0.91);
-        let empty = RunResult {
-            trace: vec![],
-            ..result()
-        };
-        assert!(empty.trace_endpoints().is_none());
     }
 
     #[test]

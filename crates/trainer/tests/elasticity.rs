@@ -70,9 +70,8 @@ fn run_traced(
     (run, sink.snapshot())
 }
 
-/// The iterations at which `SnapshotTaken` was narrated for `worker`
-/// (`None`: the controller's, counted in formed groups).
-fn snapshots_of(events: &[TraceEvent], worker: Option<usize>) -> Vec<u64> {
+/// The iterations at which `SnapshotTaken` was narrated for `worker`.
+fn snapshots_of(events: &[TraceEvent], worker: usize) -> Vec<u64> {
     events
         .iter()
         .filter_map(|e| match e {
@@ -119,20 +118,10 @@ fn kill_and_replace_recovers_without_data_loss() {
 
         // The full elastic narrative: snapshot → crash/evict → restore.
         assert!(
-            events.iter().any(|e| matches!(
-                e,
-                TraceEvent::SnapshotTaken {
-                    worker: Some(3),
-                    ..
-                }
-            )),
-            "{label}: worker 3 never snapshotted"
-        );
-        assert!(
             events
                 .iter()
-                .any(|e| matches!(e, TraceEvent::SnapshotTaken { worker: None, .. })),
-            "{label}: controller never snapshotted"
+                .any(|e| matches!(e, TraceEvent::SnapshotTaken { worker: 3, .. })),
+            "{label}: worker 3 never snapshotted"
         );
         assert!(
             events
@@ -290,34 +279,6 @@ fn restore_verb_on_the_threaded_backend_fails_loudly() {
 }
 
 #[test]
-fn controller_snapshots_follow_the_groups_cadence_exactly() {
-    // N=16, P=2: eight groups are in flight at a time, so the count of
-    // formed groups is rarely a multiple of 4 at the moment a group
-    // completes. One snapshot per multiple crossed, none skipped.
-    let dir = scratch("ctrl-cadence");
-    let mut c = sim_config();
-    c.num_workers = 16;
-    c.max_updates = 120;
-    let strategy = Strategy::PReduce {
-        p: 2,
-        dynamic: false,
-    };
-    let elastic = ElasticOptions::none().with_policy(&dir, 4);
-    let (_, events) = run_traced(&c, strategy, Backend::Sim, FaultPlan::none(), elastic);
-    let groups = events
-        .iter()
-        .find_map(|e| match e {
-            TraceEvent::RunFinished { groups_formed, .. } => Some(*groups_formed),
-            _ => None,
-        })
-        .expect("run finished");
-    assert!(groups >= 120, "{groups} groups");
-    let expected: Vec<u64> = (1..=groups / 4).map(|k| 4 * k).collect();
-    assert_eq!(snapshots_of(&events, None), expected);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn fast_forwarded_workers_snapshot_on_every_cadence_crossing() {
     // DYN on a skewed fleet: fast-forward hands workers iteration numbers
     // that jump over multiples of K=4. Every crossing must snapshot.
@@ -352,7 +313,7 @@ fn fast_forwarded_workers_snapshot_on_every_cadence_crossing() {
                 }
             }
         }
-        assert_eq!(snapshots_of(&events, Some(w)), expected, "worker {w}");
+        assert_eq!(snapshots_of(&events, w), expected, "worker {w}");
     }
     assert!(
         skipped_a_multiple,
@@ -362,25 +323,36 @@ fn fast_forwarded_workers_snapshot_on_every_cadence_crossing() {
 }
 
 #[test]
-fn threaded_backend_leaves_a_loadable_controller_snapshot() {
-    let dir = scratch("threaded-ctrl");
-    let mut c = sim_config();
-    c.num_workers = 4;
-    c.threaded_iters = Some(8);
-    let strategy = Strategy::PReduce {
-        p: 2,
-        dynamic: false,
-    };
-    let elastic = ElasticOptions::none().with_policy(&dir, 2);
-    let (run, events) = run_traced(&c, strategy, Backend::Threaded, FaultPlan::none(), elastic);
-    let stats = run.controller.expect("controller stats");
-    let snap = preduce_trainer::elastic::validate_controller_restore(&dir, 4)
-        .expect("threaded run left no loadable controller.ckpt");
-    assert!(snap.groups_formed >= 2, "{snap:?}");
-    assert!(snap.groups_formed <= stats.groups_formed, "{snap:?}");
-    let taken = snapshots_of(&events, None);
-    assert_eq!(taken.last(), Some(&snap.groups_formed));
-    let report = InvariantChecker::check(&events);
-    assert!(report.is_clean(), "{report}");
-    let _ = std::fs::remove_dir_all(&dir);
+fn a_checkpoint_dir_holds_one_file_per_worker_and_nothing_else() {
+    // Only workers have durable state: whatever the substrate, a snapshot
+    // policy leaves `worker-R.ckpt` for every rank and no other file.
+    let mut threaded = sim_config();
+    threaded.num_workers = 4;
+    threaded.threaded_iters = Some(8);
+    for (backend, c, p) in [
+        (Backend::Sim, sim_config(), 4),
+        (Backend::Threaded, threaded, 2),
+    ] {
+        let dir = scratch(&format!("{backend:?}-files"));
+        let strategy = Strategy::PReduce { p, dynamic: false };
+        let elastic = ElasticOptions::none().with_policy(&dir, 2);
+        let (_, events) = run_traced(&c, strategy, backend, FaultPlan::none(), elastic);
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .expect("checkpoint dir")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        files.sort();
+        let expected: Vec<String> = (0..c.num_workers)
+            .map(|r| format!("worker-{r}.ckpt"))
+            .collect();
+        assert_eq!(files, expected, "{backend:?}");
+        let report = InvariantChecker::check(&events);
+        assert!(report.is_clean(), "{backend:?}: {report}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -247,7 +247,6 @@ fn tcp_fleet() -> Vec<TraceEvent> {
     let opts = RuntimeOptions {
         sink: sink.clone(),
         liveness: Some(LivenessPolicy::new(Duration::from_millis(25), 8)),
-        on_groups: None,
     };
     let server =
         thread::spawn(move || serve_fleet(ControllerConfig::constant(N, 2), link, &joined, opts));

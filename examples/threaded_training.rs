@@ -1,7 +1,9 @@
 //! The prototype system live: real worker threads, a real controller
 //! thread, and the partial-reduce primitive over the in-process
 //! message-passing fabric — the same architecture as the paper's
-//! PyTorch + Gloo prototype (§4), rebuilt in Rust.
+//! PyTorch + Gloo prototype (§4), rebuilt in Rust. The TCP control
+//! plane runs as separate processes: `preduce controller` and
+//! `preduce worker` (README.md).
 //!
 //! Run: `cargo run --release --example threaded_training`
 
@@ -9,8 +11,7 @@ use preduce::data::cifar10_like;
 use preduce::models::zoo;
 use std::sync::Arc;
 
-use preduce::partial_reduce::runtime::{spawn_tcp, RuntimeOptions};
-use preduce::partial_reduce::{ControllerConfig, NullSink};
+use preduce::partial_reduce::NullSink;
 use preduce::trainer::engine::{self, Backend};
 use preduce::trainer::{ExperimentConfig, Strategy};
 
@@ -45,38 +46,6 @@ fn main() {
             stats.singletons
         );
     }
-
-    // The paper prototype's control plane: the same primitive over a real
-    // TCP message queue on loopback (only the few-byte signals cross
-    // sockets; model data stays on the in-process collectives).
-    let (handle, reducers) = spawn_tcp(ControllerConfig::constant(6, 3), RuntimeOptions::default());
-    let t0 = std::time::Instant::now();
-    let threads: Vec<_> = reducers
-        .into_iter()
-        .enumerate()
-        .map(|(rank, mut r)| {
-            std::thread::spawn(move || {
-                let mut params = vec![rank as f32; 1024];
-                for k in 1..=100u64 {
-                    for v in &mut params {
-                        *v += 0.01;
-                    }
-                    r.reduce(&mut params, k).expect("reduce over TCP");
-                }
-                r.finish().expect("finish");
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().expect("worker");
-    }
-    let stats = handle.join();
-    println!(
-        "\nTCP control plane: 6 workers x 100 reduces in {:.2}s ({} groups, {} repairs)",
-        t0.elapsed().as_secs_f64(),
-        stats.groups_formed,
-        stats.repairs
-    );
 
     println!("\nEvery run trains to comparable accuracy; the partial-reduce");
     println!("runs never take a global barrier, so a slow thread (CPU");
