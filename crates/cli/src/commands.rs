@@ -157,9 +157,11 @@ STRATEGIES (for --strategy):
 BACKENDS (for --backend):
   sim (default)  — deterministic virtual-time simulator; stops at the
                    accuracy threshold or --max-updates.
-  threaded       — real OS threads over the message-passing runtime;
-                   each worker performs --iters local updates (wall
-                   clock replaces virtual time, no convergence trace).
+  threaded       — P-Reduce only: real OS threads over the
+                   message-passing runtime; each worker performs --iters
+                   local updates (wall clock replaces virtual time, no
+                   convergence trace). Any other strategy is a usage
+                   error: the baselines run on the sim backend only.
 
 FAULT INJECTION:
   `run --fault-plan SPEC` executes a P-Reduce run under a chaos plan
@@ -265,10 +267,10 @@ fn parse_preset(name: &str) -> Result<DatasetPreset, CliError> {
     }
 }
 
-/// Refuses the `run` flags this run would parse and then drop: only the
-/// P-Reduce drivers execute a fault plan or take snapshots, only the
-/// simulator executes `restore:`, and only the threaded backend counts
-/// `--iters`.
+/// Refuses the `run` flags this run cannot honour: only the P-Reduce
+/// drivers execute a fault plan, take snapshots or run on threads, only
+/// the simulator executes `restore:`, and only the threaded backend
+/// counts `--iters`.
 fn reject_unhonoured_flags(
     args: &Args,
     strategy: Strategy,
@@ -291,6 +293,11 @@ fn reject_unhonoured_flags(
             ("checkpoint-dir", not_p_reduce, P_REDUCE),
             ("checkpoint-every", not_p_reduce, P_REDUCE),
             ("restore-from", not_p_reduce, P_REDUCE),
+            (
+                "backend",
+                not_p_reduce && backend == Backend::Threaded,
+                "--backend sim (the threaded backend runs P-Reduce only)",
+            ),
             (
                 "iters",
                 backend == Backend::Sim,
@@ -887,7 +894,9 @@ mod tests {
         let (r, out) = run(&[
             "run",
             "--strategy",
-            "all-reduce",
+            "p-reduce",
+            "--p",
+            "2",
             "--backend",
             "threaded",
             "--workers",
@@ -896,8 +905,8 @@ mod tests {
             "4",
         ]);
         r.unwrap();
-        assert!(out.contains("All-Reduce"), "{out}");
-        // 2 workers x 4 local updates each.
+        assert!(out.contains("P-Reduce CON (P=2)"), "{out}");
+        // 2 workers x 4 local updates each (P = N: nobody fast-forwards).
         assert!(out.contains("8 updates"), "{out}");
     }
 
@@ -946,6 +955,7 @@ mod tests {
             (&all_reduce[..], "checkpoint-dir", "d", "p-reduce"),
             (&all_reduce[..], "checkpoint-every", "8", "p-reduce"),
             (&all_reduce[..], "restore-from", "d", "p-reduce"),
+            (&all_reduce[..], "backend", "threaded", "--backend sim"),
             (&["run", "--backend", "sim"][..], "iters", "5", "threaded"),
             (
                 &["run", "--strategy", "p-reduce", "--backend", "threaded"][..],

@@ -107,7 +107,7 @@ fn ring_step(
 /// elementwise sum, bit for bit the same one: position `i` folds chunk `i`
 /// in ring order and every other member copies it. A singleton group is a
 /// no-op.
-pub fn ring_allreduce(
+fn ring_allreduce(
     ep: &mut Endpoint,
     group: &[usize],
     base_tag: u64,
@@ -118,7 +118,7 @@ pub fn ring_allreduce(
 }
 
 /// The in-process group average: every member scales its own model by its
-/// own weight, then one plain [`ring_allreduce`] sums the group — `Σ_j
+/// own weight, then one plain `ring_allreduce` sums the group — `Σ_j
 /// weights[j] · data_j` on every member, the aggregation step of constant
 /// (`weights = [1/P; P]`) and dynamic (Eq. 9) partial reduce alike, at the
 /// wire cost of an all-reduce. Channels deliver a whole chunk in one
@@ -148,77 +148,6 @@ impl GroupAverager for Endpoint {
         }
         ring_allreduce(self, group, base_tag, data)
     }
-}
-
-/// Barrier across `group`: returns only after every member has entered.
-///
-/// Implemented as gather-to-position-0 plus broadcast of an empty token.
-#[allow(
-    clippy::indexing_slicing,
-    reason = "`position_in_group` rejects an empty group, so `group[0]` and `group[1..]` exist"
-)]
-pub fn barrier(ep: &mut Endpoint, group: &[usize], base_tag: u64) -> Result<()> {
-    let me = position_in_group(ep, group)?;
-    if group.len() == 1 {
-        return Ok(());
-    }
-    if me == 0 {
-        for &r in &group[1..] {
-            let _ = ep.recv(r, base_tag)?;
-        }
-        for &r in &group[1..] {
-            ep.send(r, base_tag + 1, Vec::new())?;
-        }
-    } else {
-        ep.send(group[0], base_tag, Vec::new())?;
-        let _ = ep.recv(group[0], base_tag + 1)?;
-    }
-    Ok(())
-}
-
-/// Neighbor exchange on the ring over `group`: every member sends `data`
-/// to both ring neighbors and returns `(left, right)` — the payloads of
-/// its predecessor and successor. This is the communication step of
-/// decentralized ring strategies (D-PSGD mixes `x_{i−1}, x_i, x_{i+1}`).
-///
-/// Uses tags `base_tag` (toward the predecessor) and `base_tag + 1`
-/// (toward the successor) so the two directions stay distinct even in a
-/// two-member ring where both neighbors are the same rank. A singleton
-/// group receives its own payload on both sides.
-///
-/// # Errors
-/// Fails on an invalid group, a transport error, or a neighbor payload of
-/// a different length.
-#[allow(
-    clippy::indexing_slicing,
-    reason = "ring neighbours are taken `% p` with `p = group.len()`, non-zero after `position_in_group`"
-)]
-pub fn ring_exchange(
-    ep: &mut Endpoint,
-    group: &[usize],
-    base_tag: u64,
-    data: &[f32],
-) -> Result<(Vec<f32>, Vec<f32>)> {
-    let me = position_in_group(ep, group)?;
-    let p = group.len();
-    if p == 1 {
-        return Ok((data.to_vec(), data.to_vec()));
-    }
-    let next = group[(me + 1) % p];
-    let prev = group[(me + p - 1) % p];
-    ep.send_from_slice(prev, base_tag, data)?;
-    ep.send_from_slice(next, base_tag + 1, data)?;
-    let right = ep.recv(next, base_tag)?;
-    let left = ep.recv(prev, base_tag + 1)?;
-    for neighbor in [&left, &right] {
-        if neighbor.len() != data.len() {
-            return Err(CommError::PayloadMismatch {
-                expected: data.len(),
-                actual: neighbor.len(),
-            });
-        }
-    }
-    Ok((left, right))
 }
 
 /// Reduce-scatter: after the call, the member at position `i` of `group`
@@ -283,7 +212,7 @@ mod tests {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
 
-    /// What a group average must be, spelled out with the public
+    /// What a group average must be, spelled out with the plain
     /// collective: scale by the caller's own weight, then one whole-buffer
     /// ring all-reduce.
     fn scale_then_ring(
@@ -325,41 +254,6 @@ mod tests {
         for r in results {
             assert_eq!(r, vec![10.0; 10]); // 1+2+3+4
         }
-    }
-
-    #[test]
-    fn ring_exchange_returns_neighbor_payloads() {
-        let results = run_world(4, |rank, ep| {
-            let data = vec![rank as f32; 3];
-            ring_exchange(ep, &[0, 1, 2, 3], 0, &data).unwrap()
-        });
-        for (rank, (left, right)) in results.iter().enumerate() {
-            let expected_left = ((rank + 3) % 4) as f32;
-            let expected_right = ((rank + 1) % 4) as f32;
-            assert_eq!(left, &vec![expected_left; 3], "rank {rank} left");
-            assert_eq!(right, &vec![expected_right; 3], "rank {rank} right");
-        }
-    }
-
-    #[test]
-    fn ring_exchange_two_member_ring_keeps_directions_apart() {
-        // With p = 2 both neighbors are the same rank; the distinct tags
-        // must still deliver the peer's payload on both sides.
-        let results = run_world(2, |rank, ep| {
-            let data = vec![10.0 * rank as f32; 2];
-            ring_exchange(ep, &[0, 1], 7, &data).unwrap()
-        });
-        assert_eq!(results[0], (vec![10.0; 2], vec![10.0; 2]));
-        assert_eq!(results[1], (vec![0.0; 2], vec![0.0; 2]));
-    }
-
-    #[test]
-    fn ring_exchange_singleton_reflects() {
-        let results = run_world(1, |_, ep| {
-            let data = vec![5.0; 4];
-            ring_exchange(ep, &[0], 0, &data).unwrap()
-        });
-        assert_eq!(results[0], (vec![5.0; 4], vec![5.0; 4]));
     }
 
     #[test]
@@ -531,28 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c2 = counter.clone();
-        let results = run_world(4, move |rank, ep| {
-            if rank == 0 {
-                // Give the others a head start to make a missed barrier
-                // observable.
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            c2.fetch_add(1, Ordering::SeqCst);
-            barrier(ep, &[0, 1, 2, 3], 500).unwrap();
-            // Everyone must observe all 4 increments after the barrier.
-            c2.load(Ordering::SeqCst)
-        });
-        for r in results {
-            assert_eq!(r, 4);
-        }
-    }
-
-    #[test]
     fn concurrent_groups_do_not_interfere() {
         // Two disjoint pairs all-reduce concurrently with distinct tags.
         let results = run_world(4, |rank, ep| {
@@ -597,7 +469,6 @@ mod tests {
         let mut data = vec![3.0, 4.0];
         ring_allreduce(&mut e0, &[0], 0, &mut data).unwrap();
         assert_eq!(data, vec![3.0, 4.0]);
-        barrier(&mut e0, &[0], 0).unwrap();
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!   ([`Endpoint`] per rank), with tagged [`Endpoint::send`] /
 //!   [`Endpoint::recv`] matching out-of-order arrivals like an MPI
 //!   implementation;
-//! * group collectives over *arbitrary subsets* of ranks —
-//!   [`collectives::ring_allreduce`], [`collectives::ring_exchange`],
-//!   [`collectives::barrier`] — which is exactly the capability partial
+//! * the group weighted average over an *arbitrary subset* of ranks
+//!   ([`collectives`]: scale by own weight, then a ring all-reduce
+//!   restricted to the group), which is exactly the capability partial
 //!   reduce needs (a collective over a dynamic temporary group, something
 //!   NCCL's fixed communicators make hard, §4 of the paper);
 //! * a [`control`] channel pair for the few-bytes worker↔controller

@@ -2,8 +2,8 @@
 //! *processes*.
 //!
 //! In-process fleets run their group collective over
-//! [`Endpoint`](crate::Endpoint) channels (scale by own weight, then
-//! [`crate::collectives::ring_allreduce`]). Worker processes
+//! [`Endpoint`](crate::Endpoint) channels ([`crate::collectives`]: scale
+//! by own weight, then one ring all-reduce). Worker processes
 //! have no shared memory, so each binds an ephemeral data listener
 //! ([`MeshEndpoint::bind`]), announces it in the control-plane hello,
 //! and receives the full [`crate::control::FleetRoster`] once the fleet

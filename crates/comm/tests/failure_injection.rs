@@ -6,22 +6,23 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use preduce_comm::collectives::{barrier, ring_allreduce};
 use preduce_comm::control::{control_links, ControlPlane, GroupAssignment, WorkerControlPlane};
 use preduce_comm::mesh::{GroupAverager, MeshEndpoint};
 use preduce_comm::{CommError, CommWorld};
 
 #[test]
 fn collective_with_dead_peer_times_out() {
-    // Rank 1 is dropped before participating: rank 0's all-reduce must
-    // fail with Timeout (the channel stays open via rank 0's own sender
-    // clone, so disconnection cannot be detected — only the timeout can).
+    // Rank 1 never joins: rank 0's group average must fail with Timeout
+    // (the channel stays open via rank 0's own sender clone, so
+    // disconnection cannot be detected — only the timeout can).
     let mut eps = CommWorld::new(2).into_endpoints();
     let _e1 = eps.pop().unwrap(); // kept alive but silent
     let mut e0 = eps.pop().unwrap();
     e0.set_timeout(Duration::from_millis(50));
     let mut data = vec![1.0f32; 8];
-    let err = ring_allreduce(&mut e0, &[0, 1], 0, &mut data).unwrap_err();
+    let err = e0
+        .group_weighted_average(&[0, 1], 0, &mut data, &[0.5, 0.5])
+        .unwrap_err();
     assert!(matches!(err, CommError::Timeout { peer: 1, .. }), "{err:?}");
 }
 
@@ -35,30 +36,34 @@ fn peer_panic_mid_collective_does_not_hang_survivors() {
     let mut e1 = eps.pop().unwrap();
     let mut e0 = eps.pop().unwrap();
 
-    // Rank 2 "crashes" before the barrier (its endpoint is dropped inside
-    // a thread that exits immediately).
+    // Rank 2 "crashes" before the group average (its endpoint is dropped
+    // inside a thread that exits immediately).
     let crasher = thread::spawn(move || {
         drop(e2);
     });
     crasher.join().unwrap();
 
+    let third = [1.0f32 / 3.0; 3];
     let t0 = thread::spawn(move || {
-        let r = barrier(&mut e0, &[0, 1, 2], 0);
-        r.unwrap_err()
+        let mut data = vec![1.0f32; 6];
+        e0.group_weighted_average(&[0, 1, 2], 0, &mut data, &third)
+            .unwrap_err()
     });
     let t1 = thread::spawn(move || {
-        let r = barrier(&mut e1, &[0, 1, 2], 0);
-        r.unwrap_err()
+        let mut data = vec![2.0f32; 6];
+        e1.group_weighted_average(&[0, 1, 2], 0, &mut data, &third)
+            .unwrap_err()
     });
-    // Both survivors must return (with errors) rather than hang.
+    // Both survivors must return with an error naming the dead rank
+    // rather than hang: rank 1 sends to it and finds it gone, rank 0
+    // waits for it and times out.
     let e0_err = t0.join().unwrap();
     let e1_err = t1.join().unwrap();
-    for e in [e0_err, e1_err] {
-        assert!(
-            matches!(e, CommError::Timeout { .. }),
-            "expected timeout, got {e:?}"
-        );
-    }
+    assert!(
+        matches!(e0_err, CommError::Timeout { peer: 2, .. }),
+        "{e0_err:?}"
+    );
+    assert_eq!(e1_err, CommError::Disconnected { peer: 2 });
 }
 
 #[test]
@@ -104,12 +109,13 @@ fn mismatched_payload_lengths_are_rejected_not_corrupted() {
     e0.set_timeout(Duration::from_millis(500));
     e1.set_timeout(Duration::from_millis(500));
 
+    let half = [0.5f32, 0.5];
     let t1 = thread::spawn(move || {
         let mut data = vec![1.0f32; 100];
-        ring_allreduce(&mut e1, &[0, 1], 0, &mut data)
+        e1.group_weighted_average(&[0, 1], 0, &mut data, &half)
     });
     let mut data = vec![1.0f32; 10];
-    let r0 = ring_allreduce(&mut e0, &[0, 1], 0, &mut data);
+    let r0 = e0.group_weighted_average(&[0, 1], 0, &mut data, &half);
     let r1 = t1.join().unwrap();
     assert!(
         r0.is_err() || r1.is_err(),

@@ -1,19 +1,11 @@
-//! Decentralized gossip strategies: AD-PSGD (asynchronous, the paper's
-//! closest decentralized baseline) and D-PSGD (synchronous ring,
-//! extension). The threaded projections run AD-PSGD's random pairing
-//! through the partial-reduce controller (a pairwise reduce *is* a
-//! P-Reduce with P=2) and D-PSGD over a neighbor ring exchange.
+//! Decentralized gossip strategies under virtual time: AD-PSGD
+//! (asynchronous, the paper's closest decentralized baseline) and D-PSGD
+//! (synchronous ring, extension).
 
-use partial_reduce::runtime::{spawn, RuntimeOptions};
-use partial_reduce::ControllerConfig;
-use preduce_comm::collectives::{barrier, ring_exchange, TAG_STRIDE};
-use preduce_comm::CommWorld;
 use preduce_simnet::{EventQueue, SimTime};
 use preduce_tensor::Tensor;
 use rand::Rng;
 
-use crate::engine::setup::build_fleet;
-use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
 
@@ -136,89 +128,4 @@ pub fn run_d_psgd(mut h: SimHarness) -> RunResult {
         }
     }
     h.finish("D-PSGD".into(), now)
-}
-
-// ---------------------------------------------------------------------------
-// Threaded projections
-// ---------------------------------------------------------------------------
-
-/// Threaded AD-PSGD: each worker computes a gradient at its current model,
-/// atomically averages its model with one peer (the controller pairs the
-/// first two ready workers — a pairwise reduce is a partial reduce with
-/// P=2), then applies the gradient onto the *averaged* model. The
-/// pre-average gradient landing post-average reproduces AD-PSGD's
-/// inconsistency window on real threads.
-pub(crate) fn threaded_ad_psgd(sub: &ThreadedSubstrate) -> ThreadedReport {
-    let config = sub.config();
-    let n = config.num_workers;
-    assert!(n >= 2, "gossip needs at least two workers");
-    let fleet = build_fleet(config);
-    // Gossip coordinator: pairwise groups, constant 1/2 weights,
-    // first-come pairing.
-    let (handle, reducers) = spawn(
-        ControllerConfig::constant(n, 2),
-        RuntimeOptions {
-            sink: sub.sink(),
-            ..RuntimeOptions::default()
-        },
-    );
-
-    let report = sub.run_spmd(fleet, reducers, |mut ctx, mut w, mut r| {
-        for _ in 0..ctx.iters {
-            ctx.straggle();
-            let grad = w.gradient(&mut ctx.rng);
-            // Gossip keeps the *local* iteration count: ignore the
-            // controller's fast-forwarded value.
-            let reduced = r.reduce(w.params.as_mut_slice(), w.iteration + 1);
-            let _ = must("pairwise reduce", reduced);
-            w.apply(&grad, 1.0);
-            w.iteration += 1;
-        }
-        must("finish", r.finish());
-        (w.params, w.iteration)
-    });
-    ThreadedReport {
-        controller: Some(handle.join()),
-        ..report
-    }
-}
-
-/// Threaded D-PSGD: every round, each worker swaps full models with its
-/// two ring neighbors via [`ring_exchange`], mixes with weights 1/3, and
-/// applies its own gradient — the same math as the virtual-time
-/// projection, synchronized by a barrier per round.
-pub(crate) fn threaded_d_psgd(sub: &ThreadedSubstrate) -> ThreadedReport {
-    let config = sub.config();
-    let n = config.num_workers;
-    assert!(n >= 3, "ring gossip needs at least three workers");
-    let fleet = build_fleet(config);
-    let endpoints = CommWorld::new(n).into_endpoints();
-    let all: Vec<usize> = (0..n).collect();
-
-    sub.run_spmd(fleet, endpoints, move |mut ctx, mut w, mut ep| {
-        for k in 0..ctx.iters {
-            ctx.straggle();
-            let grad = w.gradient(&mut ctx.rng);
-            let own = w.params.clone().into_vec();
-            let (left, right) = must(
-                "ring exchange",
-                ring_exchange(&mut ep, &all, (2 * k) * TAG_STRIDE, &own),
-            );
-            let mixed: Vec<f32> = own
-                .iter()
-                .zip(&left)
-                .zip(&right)
-                .map(|((o, l), r)| (o + l + r) / 3.0)
-                .collect();
-            let mixed = must("rebuild params", Tensor::from_vec(mixed, [w.params.len()]));
-            w.set_params(&mixed);
-            w.apply(&grad, 1.0);
-            w.iteration += 1;
-            must(
-                "round barrier",
-                barrier(&mut ep, &all, (2 * k + 1) * TAG_STRIDE),
-            );
-        }
-        (w.params, w.iteration)
-    })
 }

@@ -1,15 +1,16 @@
-//! One driver per strategy family, each written once and projected onto
-//! both substrates.
+//! One driver per strategy family. Every strategy runs under virtual
+//! time; the paper's own system, P-Reduce, also runs on real threads.
 //!
 //! A [`Driver`] owns a strategy's state machine — the math
 //! (gradient aggregation, model mixing, staleness scaling) and the
-//! membership policy (who participates in each exchange). Its two methods
-//! project that machine onto the two substrates: `drive_sim` consumes a
-//! [`SimSubstrate`] and replays the machine under deterministic virtual
-//! time (each loop draws from the shared RNG in its own order, which the
-//! fixed-seed goldens pin);
-//! `drive_threaded` runs the same machine as an SPMD program on real OS
-//! threads via `ThreadedSubstrate::run_spmd`.
+//! membership policy (who participates in each exchange). `drive_sim`
+//! consumes a [`SimSubstrate`] and replays the machine under
+//! deterministic virtual time (each loop draws from the shared RNG in its
+//! own order, which the fixed-seed goldens pin). `drive_threaded` runs
+//! P-Reduce as an SPMD program on real OS threads via
+//! `ThreadedSubstrate::run_spmd`, against the real controller thread.
+//! The Table-1 baselines are sim-only: the sim driver is their one
+//! implementation.
 
 pub mod gossip;
 pub mod preduce;
@@ -20,18 +21,14 @@ use crate::engine::substrate::{SimSubstrate, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::strategy::Strategy;
 
-use ps::PsPolicy;
-
 /// The driver for `strategy`.
 pub fn driver_for(strategy: Strategy) -> Driver {
     Driver(strategy)
 }
 
-/// A strategy written once, runnable on either substrate: one driver
-/// type dispatches the whole catalog through a single exhaustive match
-/// per projection, so a strategy/family mismatch is unrepresentable and
-/// no dispatch path can panic. The family structure lives in the
-/// per-family modules.
+/// A strategy written once: one driver type dispatches the whole catalog
+/// through a single exhaustive match, so a strategy/family mismatch is
+/// unrepresentable. The family structure lives in the per-family modules.
 pub struct Driver(Strategy);
 
 impl Driver {
@@ -63,24 +60,29 @@ impl Driver {
         }
     }
 
-    /// Runs the strategy for the substrate's iteration budget on real OS
+    /// Runs P-Reduce for the substrate's iteration budget on real OS
     /// threads.
+    ///
+    /// # Panics
+    /// Panics if the strategy is a baseline: those run on
+    /// [`Backend::Sim`](crate::engine::Backend::Sim) only. Otherwise
+    /// panics as `threaded_preduce` does (a `restore:` verb, a panicking
+    /// worker or controller thread).
     pub fn drive_threaded(&self, substrate: &ThreadedSubstrate) -> ThreadedReport {
         match self.0 {
-            Strategy::AllReduce => sync::threaded_allreduce(substrate),
-            Strategy::EagerReduce => sync::threaded_eager_reduce(substrate),
-            Strategy::AdPsgd => gossip::threaded_ad_psgd(substrate),
-            Strategy::DPsgd => gossip::threaded_d_psgd(substrate),
-            Strategy::PsBsp => sync::threaded_ps_bsp(substrate),
-            Strategy::PsBackup { backups } => sync::threaded_ps_bk(substrate, backups),
-            Strategy::PsAsp => ps::threaded_ps_async(substrate, PsPolicy::Asp),
-            Strategy::PsSsp { bound } => ps::threaded_ps_async(substrate, PsPolicy::Ssp { bound }),
-            Strategy::PsHete => ps::threaded_ps_async(substrate, PsPolicy::Hete),
             Strategy::PReduce { p, dynamic } => {
                 let cfg =
                     Strategy::preduce_controller_config(p, dynamic, substrate.config().num_workers);
                 preduce::threaded_preduce(substrate, cfg)
             }
+            #[allow(
+                clippy::panic,
+                reason = "a baseline on real threads is a caller error; the CLI refuses it as a usage error first"
+            )]
+            baseline => panic!(
+                "{} runs on Backend::Sim only: the threaded substrate runs P-Reduce",
+                baseline.label()
+            ),
         }
     }
 }
@@ -88,6 +90,18 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "All-Reduce runs on Backend::Sim only")]
+    fn a_baseline_does_not_run_threaded() {
+        let mut c = crate::ExperimentConfig::table1(
+            preduce_models::zoo::resnet18(),
+            preduce_data::cifar10_like(),
+            1,
+        );
+        c.num_workers = 2;
+        let _ = driver_for(Strategy::AllReduce).drive_threaded(&ThreadedSubstrate::new(&c, 1));
+    }
 
     #[test]
     fn driver_for_round_trips_every_strategy() {

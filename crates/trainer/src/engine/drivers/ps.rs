@@ -4,25 +4,17 @@
 //! A single logical server (sharded across the fleet for cost purposes)
 //! holds the global model. Each worker loops independently: pull → compute
 //! gradient → push. Staleness arises naturally: between a worker's pull and
-//! its push, other workers' pushes move the server model. The threaded
-//! projection shares the virtual-time one's `PsPolicy` staleness math
-//! over a real shared server (mutex-guarded model, condvar SSP gate).
-
-use std::sync::{Arc, Condvar, Mutex};
+//! its push, other workers' pushes move the server model.
 
 use preduce_models::SgdOptimizer;
 use preduce_simnet::{EventQueue, SimTime};
-use preduce_tensor::Tensor;
 
-use crate::engine::setup::build_fleet;
-use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
 
-/// The staleness policy distinguishing the three PS variants — the
-/// substrate-independent part of the strategy, shared by both projections.
+/// The staleness policy distinguishing the three PS variants.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum PsPolicy {
+enum PsPolicy {
     /// Fully asynchronous (ASP): apply everything immediately, scale 1.
     Asp,
     /// Stale-synchronous (SSP): a worker may run at most `bound` iterations
@@ -144,103 +136,4 @@ fn run_ps(mut h: SimHarness, policy: PsPolicy, label: String) -> RunResult {
         }
     }
     h.finish(label, now)
-}
-
-// ---------------------------------------------------------------------------
-// Threaded projection
-// ---------------------------------------------------------------------------
-
-/// The shared server of the threaded projection.
-struct PsServer {
-    state: Mutex<PsState>,
-    /// SSP gate: pushers notify after every version bump; blocked workers
-    /// wait here until the fleet minimum catches up.
-    gate: Condvar,
-}
-
-struct PsState {
-    params: Tensor,
-    opt: SgdOptimizer,
-    push_count: u64,
-    iter_of: Vec<u64>,
-    /// Workers that exhausted their iteration budget: they leave the SSP
-    /// minimum so nobody blocks on a worker that will never push again.
-    done: Vec<bool>,
-}
-
-impl PsState {
-    fn min_active_iter(&self) -> u64 {
-        self.iter_of
-            .iter()
-            .zip(&self.done)
-            .filter(|(_, &d)| !d)
-            .map(|(&i, _)| i)
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-}
-
-/// Threaded asynchronous parameter server under the given staleness
-/// policy: pull → gradient → push, with the server applying
-/// [`PsPolicy::lr_scale`]-scaled steps and the SSP variant blocking
-/// runaway workers on a condvar until the slowest catches up.
-pub(crate) fn threaded_ps_async(sub: &ThreadedSubstrate, policy: PsPolicy) -> ThreadedReport {
-    let config = sub.config();
-    let n = config.num_workers;
-    let fleet = build_fleet(config);
-    let params = fleet.workers[0].params.clone();
-    let mut server_cfg = *fleet.workers[0].opt.config();
-    server_cfg.momentum = config.ps_server_momentum;
-    let opt = SgdOptimizer::new(server_cfg, params.len());
-    let server = Arc::new(PsServer {
-        state: Mutex::new(PsState {
-            params,
-            opt,
-            push_count: 0,
-            iter_of: vec![0; n],
-            done: vec![false; n],
-        }),
-        gate: Condvar::new(),
-    });
-    let resources: Vec<_> = (0..n).map(|_| Arc::clone(&server)).collect();
-
-    sub.run_spmd(fleet, resources, move |mut ctx, mut w, server| {
-        for _ in 0..ctx.iters {
-            ctx.straggle();
-            // Pull: record the server version the gradient is taken at.
-            let version = {
-                let s = must("server lock", server.state.lock());
-                w.set_params(&s.params);
-                s.push_count
-            };
-            let grad = w.gradient(&mut ctx.rng);
-            // Push: staleness = pushes that landed since our pull, plus
-            // our own (same accounting as the virtual-time projection).
-            {
-                let mut guard = must("server lock", server.state.lock());
-                let s = &mut *guard;
-                let staleness = s.push_count - version + 1;
-                s.opt
-                    .step_scaled(&mut s.params, &grad, policy.lr_scale(staleness));
-                s.push_count += 1;
-                s.iter_of[ctx.rank] += 1;
-                w.iteration = s.iter_of[ctx.rank];
-                w.set_params(&s.params);
-            }
-            server.gate.notify_all();
-            if let PsPolicy::Ssp { bound } = policy {
-                let mut s = must("server lock", server.state.lock());
-                while s.iter_of[ctx.rank] > s.min_active_iter().saturating_add(bound) {
-                    s = must("ssp gate", server.gate.wait(s));
-                }
-            }
-        }
-        {
-            let mut s = must("server lock", server.state.lock());
-            s.done[ctx.rank] = true;
-        }
-        server.gate.notify_all();
-        let m = must("server lock", server.state.lock()).params.clone();
-        (m, w.iteration)
-    })
 }

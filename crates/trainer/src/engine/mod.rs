@@ -1,12 +1,12 @@
 //! The substrate-agnostic execution engine.
 //!
 //! Each strategy is written **once** as a state machine
-//! ([`drivers::Driver`]); the deterministic virtual-time simulator
-//! and the real-thread runtime are two interchangeable substrates that
-//! drive it ([`SimSubstrate`], [`ThreadedSubstrate`]). [`run`] is the one
-//! entry point: pick a [`Strategy`], a config, and a [`Backend`], and get
-//! a [`RunResult`] either way — with the same trace vocabulary flowing to
-//! the given [`TraceSink`] from both substrates.
+//! ([`drivers::Driver`]) and runs on the deterministic virtual-time
+//! simulator ([`SimSubstrate`]); P-Reduce also runs on the real-thread
+//! runtime ([`ThreadedSubstrate`]). [`run`] is the one entry point: pick
+//! a [`Strategy`], a config, and a [`Backend`], and get a [`RunResult`]
+//! either way — with the same trace vocabulary flowing to the given
+//! [`TraceSink`] from both substrates.
 
 // The engine drives real fleets on the threaded and process substrates:
 // no panicking construct outside tests (DESIGN.md §10). The rest of
@@ -62,7 +62,7 @@ pub struct EngineRun {
     pub result: RunResult,
     /// Per-rank final iteration counts (threaded backend only).
     pub iterations: Option<Vec<u64>>,
-    /// Controller statistics (threaded P-Reduce/gossip runs only).
+    /// Controller statistics (threaded backend only).
     pub controller: Option<ControllerStats>,
 }
 
@@ -70,15 +70,17 @@ pub struct EngineRun {
 /// control plane to `sink`.
 ///
 /// On [`Backend::Sim`] the run finishes at the accuracy threshold or the
-/// update cap and the result carries the full convergence trace. On
-/// [`Backend::Threaded`] every worker runs its iteration budget
+/// update cap and the result carries the full convergence trace. The
+/// threaded backend runs P-Reduce only. On [`Backend::Threaded`] every
+/// worker runs its iteration budget
 /// ([`ExperimentConfig::threaded_iters`] or [`DEFAULT_THREADED_ITERS`]) on
 /// a real OS thread; timing is wall-clock, the trace is empty (real runs
 /// are observed through `sink`, not virtual checkpoints), and `converged`
 /// is always `false` because no threshold gates the loop.
 ///
 /// # Panics
-/// Panics if the config is invalid or a worker/controller thread panics.
+/// Panics if the config is invalid, if a baseline strategy is run on
+/// [`Backend::Threaded`], or if a worker/controller thread panics.
 pub fn run(
     strategy: Strategy,
     config: &ExperimentConfig,
@@ -92,12 +94,13 @@ pub fn run(
 /// §11): crashes, stalls, delayed signals, and late joins, applied with
 /// the same semantics by both substrates. The empty plan is exactly
 /// [`run`]. Fault plans are honored by the P-Reduce drivers — the
-/// strategy whose controller is built to absorb them; the synchronous
-/// baselines would simply deadlock on a crashed member, so they ignore
-/// the plan (documented in EXPERIMENTS.md).
+/// strategy whose controller is built to absorb them. The baselines run
+/// on the simulator only, and there they ignore the plan: a synchronous
+/// baseline would simply deadlock on a crashed member (documented in
+/// EXPERIMENTS.md).
 ///
 /// # Panics
-/// Panics if the config is invalid or a worker/controller thread panics.
+/// As [`run`].
 pub fn run_with_faults(
     strategy: Strategy,
     config: &ExperimentConfig,
@@ -123,9 +126,9 @@ pub fn run_with_faults(
 /// [`run_with_faults`], bit for bit.
 ///
 /// # Panics
-/// Panics if the config is invalid, a worker/controller thread panics, or
-/// the elasticity options name an unreadable/corrupt checkpoint (a
-/// configuration error, surfaced loudly rather than trained through).
+/// Panics as [`run`] does, or if the elasticity options name an
+/// unreadable/corrupt checkpoint (a configuration error, surfaced loudly
+/// rather than trained through).
 pub fn run_elastic(
     strategy: Strategy,
     config: &ExperimentConfig,
@@ -187,24 +190,6 @@ mod tests {
     use preduce_data::cifar10_like;
     use preduce_models::zoo;
 
-    #[test]
-    fn threaded_run_reports_in_common_vocabulary() {
-        let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
-        c.num_workers = 2;
-        c.threaded_iters = Some(3);
-        let run = run(
-            Strategy::AllReduce,
-            &c,
-            Backend::Threaded,
-            Arc::new(NullSink),
-        );
-        assert_eq!(run.result.strategy, "All-Reduce");
-        assert_eq!(run.result.updates, 6); // 2 workers × 3 iterations
-        assert_eq!(run.iterations.as_deref(), Some(&[3, 3][..]));
-        assert!(run.result.trace.is_empty());
-        assert!(!run.result.converged);
-    }
-
     fn threaded(strategy: Strategy, n: usize, iters: u64) -> EngineRun {
         let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
         c.num_workers = n;
@@ -213,10 +198,19 @@ mod tests {
     }
 
     #[test]
-    fn threaded_allreduce_replicas_stay_identical() {
-        let r = threaded(Strategy::AllReduce, 4, 10);
-        assert_eq!(r.iterations, Some(vec![10; 4]));
-        assert!(r.result.final_accuracy > 0.0);
+    fn threaded_run_reports_in_common_vocabulary() {
+        // P = N = 2 under CON: every round is the full pair, so no worker
+        // is fast-forwarded and each runs exactly its budget.
+        let con = Strategy::PReduce {
+            p: 2,
+            dynamic: false,
+        };
+        let run = threaded(con, 2, 3);
+        assert_eq!(run.result.strategy, "P-Reduce CON (P=2)");
+        assert_eq!(run.result.updates, 6); // 2 workers × 3 iterations
+        assert_eq!(run.iterations.as_deref(), Some(&[3, 3][..]));
+        assert!(run.result.trace.is_empty());
+        assert!(!run.result.converged);
     }
 
     #[test]

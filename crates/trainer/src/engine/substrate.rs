@@ -7,9 +7,8 @@
 //! control plane is observed (via `TraceSink`). [`SimSubstrate`] hands the
 //! driver a [`SimHarness`] whose event queue plays all of those roles
 //! under virtual time; [`ThreadedSubstrate`] provides an SPMD scaffold
-//! (one OS thread per worker plus per-strategy shared resources: comm
-//! endpoints, partial reducers, or a shared server) over the in-process
-//! fabric.
+//! (one OS thread per worker, each with its partial reducer) over the
+//! in-process fabric.
 
 // Substrate dispatch indexes worker tables.
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
@@ -37,7 +36,7 @@ use crate::worker::WorkerState;
 pub enum Backend {
     /// Deterministic virtual-time simulation.
     Sim,
-    /// Real OS threads over in-process message passing.
+    /// Real OS threads over in-process message passing; P-Reduce only.
     Threaded,
 }
 
@@ -257,9 +256,9 @@ impl ThreadedSubstrate {
     }
 
     /// Runs `body` as an SPMD program: one thread per worker of `fleet`,
-    /// each handed its context (rank, iteration budget, straggler delay,
-    /// seeded RNG), its [`WorkerState`], and one element of `resources`
-    /// (comm endpoint, partial reducer, shared-server handle…). Reports
+    /// each handed its context (iteration budget, straggler delay, seeded
+    /// RNG, fault plan), its [`WorkerState`], and one element of
+    /// `resources` (the P-Reduce body's partial reducer). Reports
     /// the per-rank iteration counts, the wall-clock time of the training
     /// loops, and the accuracy of the uniform-averaged model on the
     /// fleet's test set (evaluated after, outside the clock). `controller`
@@ -285,7 +284,6 @@ impl ThreadedSubstrate {
             .zip(resources)
             .map(|(w, r)| {
                 let ctx = WorkerCtx {
-                    rank: w.rank,
                     iters: self.iters,
                     delay: self.delays.get(w.rank).copied().unwrap_or(Duration::ZERO),
                     rng: StdRng::seed_from_u64(worker_thread_seed(self.config.seed, w.rank)),
@@ -349,26 +347,14 @@ pub(crate) fn must<T, E: fmt::Display>(what: &str, result: Result<T, E>) -> T {
 
 /// Per-thread context handed to an SPMD worker body.
 pub(crate) struct WorkerCtx {
-    /// Worker rank.
-    pub rank: usize,
     /// Local iterations to run.
     pub iters: u64,
     /// Injected per-iteration straggler sleep.
     pub delay: Duration,
     /// This worker's private RNG (batch draws).
     pub rng: StdRng,
-    /// The run's fault plan; drivers that understand iteration-level
-    /// faults (the P-Reduce body) query it by `rank`.
+    /// The run's fault plan, which the P-Reduce body queries by rank.
     pub faults: FaultPlan,
-}
-
-impl WorkerCtx {
-    /// Sleeps out this worker's injected per-iteration straggler delay.
-    pub fn straggle(&self) {
-        if !self.delay.is_zero() {
-            thread::sleep(self.delay);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -415,7 +401,6 @@ mod tests {
         let fleet = crate::engine::setup::build_fleet(&c);
         let sub = ThreadedSubstrate::new(&c, 3);
         let out = sub.run_spmd(fleet, vec![(); 4], |mut ctx, mut w, ()| {
-            ctx.straggle();
             for _ in 0..ctx.iters {
                 w.local_update(&mut ctx.rng);
             }

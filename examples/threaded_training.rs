@@ -25,14 +25,6 @@ fn main() {
 
     println!("6 worker threads x {iters} local updates each, resnet18 analog on cifar10-like\n");
 
-    let ar = threaded(Strategy::AllReduce);
-    println!(
-        "threaded All-Reduce : wall {:>6.2}s  accuracy {:.3}  iterations {:?}",
-        ar.result.run_time,
-        ar.result.final_accuracy,
-        ar.iterations.unwrap_or_default()
-    );
-
     for dynamic in [false, true] {
         let r = threaded(Strategy::PReduce { p: 3, dynamic });
         let stats = r.controller.expect("controller stats");
@@ -47,7 +39,7 @@ fn main() {
         );
     }
 
-    println!("\nEvery run trains to comparable accuracy; the partial-reduce");
-    println!("runs never take a global barrier, so a slow thread (CPU");
-    println!("scheduling noise) delays only its own group.");
+    println!("\nNeither run takes a global barrier: a slow thread (CPU");
+    println!("scheduling noise) delays only its own group. The baselines");
+    println!("run on the simulator (`preduce run --backend sim`).");
 }

@@ -4,6 +4,8 @@
 //! semantics.
 
 use preduce::comm::collectives::TAG_STRIDE;
+use preduce::comm::mesh::GroupAverager;
+use preduce::comm::CommWorld;
 use preduce::data::cifar10_like;
 use preduce::models::zoo;
 use preduce::partial_reduce::runtime::{spawn, RuntimeOptions};
@@ -112,12 +114,20 @@ fn dynamic_weights_in_runtime_match_library_function() {
 #[test]
 fn threaded_preduce_accuracy_tracks_allreduce() {
     // Same workload, same local-update budget: the threaded P-Reduce run
-    // should land in the same accuracy neighbourhood as threaded AR.
+    // should land in the same accuracy neighbourhood as All-Reduce. The
+    // reference runs on the simulator, where one All-Reduce round is one
+    // recorded update and every worker applies it: a cap of `iters`
+    // updates under an unreachable threshold is `iters` updates per
+    // worker, evaluated once at the cap.
     let c = small_config(4);
     let iters = 120;
-    let ar = threaded(Strategy::AllReduce, &c, iters)
-        .result
-        .final_accuracy;
+    let mut sim = c.clone();
+    sim.threshold = 1.0;
+    sim.max_updates = iters;
+    sim.eval_every = iters;
+    let ar = engine::run(Strategy::AllReduce, &sim, Backend::Sim, Arc::new(NullSink)).result;
+    assert_eq!(ar.updates, iters);
+    let ar = ar.final_accuracy;
     let pr = threaded(CON_P2, &c, iters).result.final_accuracy;
     assert!(ar > 0.45, "AR too weak: {ar}");
     assert!(pr > ar - 0.15, "P-Reduce {pr} lags AR {ar} by too much");
@@ -136,34 +146,54 @@ fn concurrent_disjoint_groups_form_in_threaded_runtime() {
 }
 
 #[test]
-fn ring_allreduce_tags_do_not_collide_across_iterations() {
-    // Regression guard for the tag-stride discipline: many iterations of
-    // full-world collectives on the same endpoints must not cross-talk.
-    use preduce::comm::collectives::ring_allreduce;
-    use preduce::comm::CommWorld;
+fn group_average_tags_do_not_collide_across_iterations() {
+    // Regression guard for the tag-stride discipline: 50 rounds of pair
+    // averages on the same endpoints, base tags one stride apart and no
+    // barrier in between, so a fast pair's next-round chunks reach a peer
+    // still inside the previous round. Even rounds pair {0,1}/{2,3}, odd
+    // rounds {1,2}/{3,0}; every round starts from fresh values, so any
+    // cross-talk shows as a wrong value.
     let n = 4;
+    let rounds = 50u64;
+    let pair = |k: u64, rank: usize| -> [usize; 2] {
+        let pairs = if k.is_multiple_of(2) {
+            [[0, 1], [2, 3]]
+        } else {
+            [[1, 2], [3, 0]]
+        };
+        pairs.into_iter().find(|g| g.contains(&rank)).unwrap()
+    };
+    let value = |rank: usize, k: u64, i: usize| ((rank + 1) as u64 * (k + 1)) as f32 + i as f32;
     let eps = CommWorld::new(n).into_endpoints();
     let handles: Vec<_> = eps
         .into_iter()
         .enumerate()
         .map(|(rank, mut ep)| {
             thread::spawn(move || {
-                let group: Vec<usize> = (0..n).collect();
                 let mut results = Vec::new();
-                for k in 0..50u64 {
-                    let mut data = vec![(rank + 1) as f32 * (k + 1) as f32; 17];
-                    ring_allreduce(&mut ep, &group, k * TAG_STRIDE, &mut data).unwrap();
-                    results.push(data[0]);
+                for k in 0..rounds {
+                    let mut data: Vec<f32> = (0..17).map(|i| value(rank, k, i)).collect();
+                    ep.group_weighted_average(
+                        &pair(k, rank),
+                        k * TAG_STRIDE,
+                        &mut data,
+                        &[0.5, 0.5],
+                    )
+                    .unwrap();
+                    results.push(data);
                 }
                 results
             })
         })
         .collect();
-    let all: Vec<Vec<f32>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    for k in 0..50usize {
-        let expected = 10.0 * (k + 1) as f32; // (1+2+3+4)·(k+1)
-        for r in &all {
-            assert_eq!(r[k], expected, "iteration {k}");
+    let all: Vec<Vec<Vec<f32>>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    for (rank, results) in all.iter().enumerate() {
+        for (k, data) in (0..rounds).zip(results) {
+            let [a, b] = pair(k, rank);
+            let expected: Vec<f32> = (0..17)
+                .map(|i| (value(a, k, i) + value(b, k, i)) / 2.0)
+                .collect();
+            assert_eq!(data, &expected, "rank {rank}, round {k}");
         }
     }
 }
