@@ -203,7 +203,9 @@ MULTI-PROCESS FLEETS (DESIGN.md section 12):
   through the controller. Grouping policy (--p, --dynamic) is
   controller-side; heartbeat liveness defaults on (--liveness-ms 0
   disables it). Each worker prints one final
-  `worker rank=R iterations=K accuracy=A degraded=D` line.
+  `worker rank=R iterations=K accuracy=A degraded=D params=H` line, H
+  being the hash of its final model that a replay of the controller's
+  trace reproduces.
 
 SCALE CAMPAIGN (DESIGN.md section 15):
   `scale` runs the signal-level control-plane simulation: --workers ready
@@ -597,8 +599,12 @@ pub fn run_command(
             .map_err(|e| CliError::Internal(format!("worker {rank}: {e}")))?;
             let _ = writeln!(
                 out,
-                "worker rank={} iterations={} accuracy={:.4} degraded={}",
-                report.rank, report.iterations, report.accuracy, report.degraded
+                "worker rank={} iterations={} accuracy={:.4} degraded={} params={:016x}",
+                report.rank,
+                report.iterations,
+                report.accuracy,
+                report.degraded,
+                report.params_hash
             );
         }
         Command::Reproduce => {

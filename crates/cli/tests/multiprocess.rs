@@ -21,11 +21,10 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use partial_reduce::NullSink;
+use partial_reduce::read_jsonl;
 use preduce_cli::args::Args;
 use preduce_cli::commands::config_from_args;
-use preduce_trainer::engine::{self, Backend};
-use preduce_trainer::strategy::Strategy;
+use preduce_trainer::replay::replay;
 
 /// The binary under test, built by cargo for this test run.
 const BIN: &str = env!("CARGO_BIN_EXE_preduce");
@@ -166,12 +165,17 @@ impl Drop for Proc {
     }
 }
 
-/// Parses `key=value` out of a status line like
-/// `worker rank=0 iterations=7 accuracy=0.5123 degraded=0`.
-fn field(line: &str, key: &str) -> f64 {
+/// The `key=` token of a status line like
+/// `worker rank=0 iterations=7 accuracy=0.5123 degraded=0 params=…`.
+fn token<'a>(line: &'a str, key: &str) -> &'a str {
     line.split_whitespace()
         .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
         .unwrap_or_else(|| panic!("no `{key}=` in `{line}`"))
+}
+
+/// Parses a numeric `key=value` out of a status line.
+fn field(line: &str, key: &str) -> f64 {
+    token(line, key)
         .parse()
         .unwrap_or_else(|e| panic!("bad `{key}` in `{line}`: {e}"))
 }
@@ -234,25 +238,17 @@ fn check_trace(path: &std::path::Path) {
     assert!(ok, "trace --check rejected {trace}\n{dump}");
 }
 
-/// The threaded-substrate accuracy for the same experiment: the golden
-/// the process fleet must stay near (both substrates run the same driver
-/// over the same deterministic fleet; only the transports differ).
-fn threaded_golden(dynamic: bool, iters: u64) -> f64 {
-    let args = Args::parse(["--model", "resnet18", "--workers", "4"]).expect("golden args");
-    let mut config = config_from_args(&args).expect("golden config");
-    config.threaded_iters = Some(iters);
-    let run = engine::run(
-        Strategy::PReduce { p: 2, dynamic },
-        &config,
-        Backend::Threaded,
-        Arc::new(NullSink),
-    );
-    run.result.final_accuracy
+/// What the workers' final models must be: the trace's decisions replayed
+/// over the fleet every worker process rebuilds from the same flags.
+fn replayed(trace: &std::path::Path) -> Vec<u64> {
+    let args = Args::parse(["--model", "resnet18", "--workers", "4"]).expect("replay args");
+    let config = config_from_args(&args).expect("replay config");
+    replay(&config, &read_jsonl(trace).expect("trace reads back"))
 }
 
 /// One full fleet run: controller + 4 worker processes to completion.
-/// Returns (per-rank accuracies, controller done-line, trace path).
-fn run_fleet(label: &str, dynamic: bool) -> (Vec<f64>, String, PathBuf) {
+/// Returns (per-rank final-model hashes, controller done-line, trace path).
+fn run_fleet(label: &str, dynamic: bool) -> (Vec<u64>, String, PathBuf) {
     let trace = scratch(&format!("{label}.jsonl"));
     let trace_s = trace.to_str().expect("utf-8 trace path").to_string();
     let mut extra = vec!["--trace-out", trace_s.as_str()];
@@ -262,7 +258,7 @@ fn run_fleet(label: &str, dynamic: bool) -> (Vec<f64>, String, PathBuf) {
     let (controller, addr) = start_controller(&format!("{label}-controller"), &extra);
 
     let workers: Vec<Proc> = (0..N).map(|r| start_worker(r, &addr, "6")).collect();
-    let mut accuracies = vec![0.0; N];
+    let mut hashes = vec![0; N];
     for w in workers {
         let name = w.name.clone();
         let (ok, out, dump) = w.wait(RUN);
@@ -278,7 +274,9 @@ fn run_fleet(label: &str, dynamic: bool) -> (Vec<f64>, String, PathBuf) {
             "clean run degraded: {line}"
         );
         assert!(field(line, "iterations") as u64 >= 6, "{line}");
-        accuracies[rank] = field(line, "accuracy");
+        assert!(field(line, "accuracy").is_finite(), "{line}");
+        hashes[rank] = u64::from_str_radix(token(line, "params"), 16)
+            .unwrap_or_else(|e| panic!("bad params hash in `{line}`: {e}"));
     }
 
     let (ok, out, dump) = controller.wait(RUN);
@@ -288,37 +286,25 @@ fn run_fleet(label: &str, dynamic: bool) -> (Vec<f64>, String, PathBuf) {
         .find(|l| l.starts_with("controller done:"))
         .unwrap_or_else(|| panic!("controller printed no summary\n{dump}"))
         .to_string();
-    (accuracies, done, trace)
+    (hashes, done, trace)
 }
 
 #[test]
-fn con_fleet_converges_and_trace_checks() {
-    let (accuracies, done, trace) = run_fleet("mp-con", false);
+fn con_fleet_matches_its_replay_and_trace_checks() {
+    let (hashes, done, trace) = run_fleet("mp-con", false);
     assert!(field(&done, "groups") > 0.0, "{done}");
     assert_eq!(field(&done, "evictions") as u64, 0, "{done}");
-
-    let golden = threaded_golden(false, 6);
-    for (rank, &acc) in accuracies.iter().enumerate() {
-        assert!(
-            (acc - golden).abs() < 0.2,
-            "rank {rank}: process accuracy {acc} vs threaded golden {golden}"
-        );
-    }
+    // Every process's model is what the controller's decisions imply, bit
+    // for bit, whichever member led each TCP star.
+    assert_eq!(replayed(&trace), hashes);
     check_trace(&trace);
 }
 
 #[test]
-fn dyn_fleet_converges_and_trace_checks() {
-    let (accuracies, done, trace) = run_fleet("mp-dyn", true);
+fn dyn_fleet_matches_its_replay_and_trace_checks() {
+    let (hashes, done, trace) = run_fleet("mp-dyn", true);
     assert!(field(&done, "groups") > 0.0, "{done}");
-
-    let golden = threaded_golden(true, 6);
-    for (rank, &acc) in accuracies.iter().enumerate() {
-        assert!(
-            (acc - golden).abs() < 0.2,
-            "rank {rank}: process accuracy {acc} vs threaded golden {golden}"
-        );
-    }
+    assert_eq!(replayed(&trace), hashes);
     check_trace(&trace);
 }
 

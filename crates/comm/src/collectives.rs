@@ -1,30 +1,40 @@
-//! Group collectives over arbitrary rank subsets.
+//! The in-process group average over arbitrary rank subsets.
 //!
 //! Partial reduce needs collectives over *dynamic temporary groups*
 //! (Algorithm 2, line 6-7): the controller names `P` ranks and exactly those
-//! ranks run a model average. These routines implement the standard ring
-//! algorithms restricted to a group, matching the bandwidth-optimal pattern
-//! used by Gloo/NCCL (`2(p−1)/p · bytes` on the wire per rank for
-//! all-reduce).
+//! ranks run a model average. In-process it runs star-shaped, like the TCP
+//! star in [`crate::mesh`]: the first member of the assignment
+//! (`group[0]`) is the leader, and it folds every contribution in
+//! group-position order — per element `0 + w₀·x₀ + w₁·x₁ + …`, the order of
+//! the simulator's `kernels::weighted_sum_acc` and of the TCP star, so all
+//! three produce the same bits from the same models and weights.
+//!
+//! The model travels in `p` segments, at most two of them in flight
+//! per member: a member sends two, then sends segment `s + 2` once the
+//! average of `s` is back and written. Each member's transport buffers
+//! thus hold `2/p` of its model, not all of it, and the leader finds the
+//! next segment waiting whenever it finishes one. The leader sends every
+//! member its own buffer back with the average in it, so buffers return to
+//! their owner's pool ([`Endpoint::recycle`]) and a steady-state round
+//! allocates no payload.
 //!
 //! Tag discipline: each logical collective must use a caller-unique
-//! `base_tag`; internal steps consume `base_tag + step` (a ring
-//! all-reduce spends `2·(p−1)` tags). Callers should space base tags by
-//! at least [`TAG_STRIDE`].
-//!
-//! Hot-path sends go through the endpoint's reclaimed-buffer pool
-//! ([`Endpoint::send_from_slice`] / [`Endpoint::recycle`]): each
-//! received chunk is folded into the accumulator and its buffer
-//! recycled into the next send, so steady-state ring traffic performs
-//! no per-step allocation.
+//! `base_tag`; segment `s` travels on `base_tag + s` in both directions.
+//! Callers should space base tags by at least [`TAG_STRIDE`].
+
+use preduce_tensor::kernels;
 
 use crate::endpoint::Endpoint;
 use crate::error::CommError;
-use crate::mesh::GroupAverager;
+use crate::mesh::{check_len, GroupAverager};
 use crate::Result;
 
 /// Minimum spacing between base tags of concurrent collectives.
 pub const TAG_STRIDE: u64 = 1 << 16;
+
+/// Segments a member keeps in flight: when the leader sends segment `s`
+/// back, segment `s + 1` is already waiting for it.
+const WINDOW: usize = 2;
 
 /// Validates a group and returns the caller's position within it.
 fn position_in_group(ep: &Endpoint, group: &[usize]) -> Result<usize> {
@@ -47,83 +57,82 @@ fn position_in_group(ep: &Endpoint, group: &[usize]) -> Result<usize> {
     })
 }
 
-/// The byte range of chunk `idx` of `len` elements split into `p` chunks.
-fn chunk_range(len: usize, p: usize, idx: usize) -> std::ops::Range<usize> {
-    let base = len / p;
-    let extra = len % p;
-    let start = idx * base + idx.min(extra);
-    let size = base + usize::from(idx < extra);
-    start..start + size
+/// `data` cut into `p` contiguous segments, the first `len % p` of them one
+/// element longer. Empty segments are included, so both ends of an average
+/// exchange exactly `p` messages and any length disagreement shows up as a
+/// segment of the wrong length.
+fn segments(data: &mut [f32], p: usize) -> impl Iterator<Item = &mut [f32]> {
+    let (base, extra) = (data.len() / p, data.len() % p);
+    let mut rest = data;
+    (0..p).map(move |s| {
+        let len = base + usize::from(s < extra);
+        let (segment, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        segment
+    })
 }
 
-/// One ring step for the member at position `me` of `group`, over the
-/// `group.len()` chunks of `data`: sends chunk `send_idx` to the next
-/// member and receives the chunk before it from the previous one, either
-/// adding it into place (`fold`, the reduce-scatter half) or overwriting
-/// with it (the all-gather half). The received buffer goes back to the
-/// endpoint's pool.
-#[allow(
-    clippy::indexing_slicing,
-    reason = "ring neighbours are taken `% p` with `p = group.len()`, and `chunk_range` of an index below `p` lies inside `0..data.len()`"
-)]
-fn ring_step(
+/// Leader role: per segment, take every member's contribution, fold all of
+/// them into the leader's own slice in group-position order, and send each
+/// member its buffer back holding the result. A segment is folded only once
+/// every contribution to it has arrived.
+fn lead(
     ep: &mut Endpoint,
-    group: &[usize],
-    me: usize,
-    tag: u64,
+    members: &[usize],
+    base_tag: u64,
     data: &mut [f32],
-    send_idx: usize,
-    fold: bool,
+    own_weight: f32,
+    member_weights: &[f32],
 ) -> Result<()> {
-    let p = group.len();
-    let next = group[(me + 1) % p];
-    let prev = group[(me + p - 1) % p];
-    ep.send_from_slice(next, tag, &data[chunk_range(data.len(), p, send_idx)])?;
-    let incoming = ep.recv(prev, tag)?;
-    let range = chunk_range(data.len(), p, (send_idx + p - 1) % p);
-    if incoming.len() != range.len() {
-        return Err(CommError::PayloadMismatch {
-            expected: range.len(),
-            actual: incoming.len(),
-        });
-    }
-    if fold {
-        for (d, x) in data[range].iter_mut().zip(incoming.iter()) {
-            *d += x;
+    let mut inbox = Vec::with_capacity(members.len());
+    for (tag, segment) in (base_tag..).zip(segments(data, members.len() + 1)) {
+        for &member in members {
+            let x = ep.recv(member, tag)?;
+            check_len(segment.len(), x.len())?;
+            inbox.push(x);
         }
-    } else {
-        data[range].copy_from_slice(&incoming);
+        // `0.0 +` keeps a negative-zero product bit-identical to what a
+        // from-zero accumulator yields.
+        for x in segment.iter_mut() {
+            *x = 0.0 + own_weight * *x;
+        }
+        for (x, &w) in inbox.iter().zip(member_weights) {
+            kernels::axpy(segment, w, x);
+        }
+        for (&member, mut buf) in members.iter().zip(inbox.drain(..)) {
+            buf.copy_from_slice(segment);
+            ep.send(member, tag, buf)?;
+        }
     }
-    ep.recycle(incoming);
     Ok(())
 }
 
-/// In-place ring all-reduce (sum) of `data` across `group`: a
-/// reduce-scatter on tags `base_tag..base_tag + p − 1`, then an
-/// all-gather on the next `p − 1`.
-///
-/// Every member must call this with the same `group` ordering, the same
-/// `base_tag`, and equal-length `data`. After return, every member holds the
-/// elementwise sum, bit for bit the same one: position `i` folds chunk `i`
-/// in ring order and every other member copies it. A singleton group is a
-/// no-op.
-fn ring_allreduce(
-    ep: &mut Endpoint,
-    group: &[usize],
-    base_tag: u64,
-    data: &mut [f32],
-) -> Result<()> {
-    reduce_scatter(ep, group, base_tag, data)?;
-    all_gather(ep, group, base_tag + (group.len() as u64 - 1), data)
+/// Member role: send each segment to the leader, at most [`WINDOW`] ahead
+/// of the averages received, and overwrite it with the average that comes
+/// back.
+fn join(ep: &mut Endpoint, leader: usize, p: usize, base_tag: u64, data: &mut [f32]) -> Result<()> {
+    let mut segs: Vec<&mut [f32]> = segments(data, p).collect();
+    for (tag, segment) in (base_tag..).zip(&segs).take(WINDOW) {
+        ep.send_from_slice(leader, tag, segment)?;
+    }
+    for (s, tag) in (0..p).zip(base_tag..) {
+        let average = ep.recv(leader, tag)?;
+        if let Some(segment) = segs.get_mut(s) {
+            check_len(segment.len(), average.len())?;
+            segment.copy_from_slice(&average);
+        }
+        ep.recycle(average);
+        if let Some(next) = segs.get(s + WINDOW) {
+            ep.send_from_slice(leader, tag + WINDOW as u64, next)?;
+        }
+    }
+    Ok(())
 }
 
-/// The in-process group average: every member scales its own model by its
-/// own weight, then one plain `ring_allreduce` sums the group — `Σ_j
-/// weights[j] · data_j` on every member, the aggregation step of constant
-/// (`weights = [1/P; P]`) and dynamic (Eq. 9) partial reduce alike, at the
-/// wire cost of an all-reduce. Channels deliver a whole chunk in one
-/// hand-off, so there is no transport for a segment pipeline to overlap
-/// (the TCP star in [`crate::mesh`] is where segments pay).
+/// The in-process group average: `Σ_j weights[j] · data_j` on every
+/// member, the aggregation step of constant (`weights = [1/P; P]`) and
+/// dynamic (Eq. 9) partial reduce alike, folded on `group[0]` in
+/// group-position order.
 impl GroupAverager for Endpoint {
     fn group_weighted_average(
         &mut self,
@@ -133,58 +142,24 @@ impl GroupAverager for Endpoint {
         weights: &[f32],
     ) -> Result<()> {
         let me = position_in_group(self, group)?;
-        let w = match weights.get(me) {
-            Some(&w) if weights.len() == group.len() => w,
-            _ => {
-                return Err(CommError::InvalidGroup(format!(
-                    "group of {} with {} weights",
-                    group.len(),
-                    weights.len()
-                )))
-            }
+        let (Some((&leader, members)), Some((&own_weight, member_weights))) =
+            (group.split_first(), weights.split_first())
+        else {
+            return Err(CommError::InvalidGroup("no weights".into()));
         };
-        for d in data.iter_mut() {
-            *d *= w;
+        if weights.len() != group.len() {
+            return Err(CommError::InvalidGroup(format!(
+                "group of {} with {} weights",
+                group.len(),
+                weights.len()
+            )));
         }
-        ring_allreduce(self, group, base_tag, data)
+        if me == 0 {
+            lead(self, members, base_tag, data, own_weight, member_weights)
+        } else {
+            join(self, leader, group.len(), base_tag, data)
+        }
     }
-}
-
-/// Reduce-scatter: after the call, the member at position `i` of `group`
-/// holds the fully-summed chunk `i` of `data` (`data` split into
-/// `group.len()` near-equal contiguous chunks, ownership as in MPI's
-/// `Reduce_scatter`); other chunks are left in an unspecified
-/// partially-reduced state. Returns the caller's owned chunk range.
-/// Uses tags `base_tag..base_tag + p − 1`.
-fn reduce_scatter(
-    ep: &mut Endpoint,
-    group: &[usize],
-    base_tag: u64,
-    data: &mut [f32],
-) -> Result<std::ops::Range<usize>> {
-    let me = position_in_group(ep, group)?;
-    let p = group.len();
-    // Each step passes on the chunk folded in the step before, starting
-    // from chunk `me − 1`, so the last chunk folded is the caller's own.
-    for s in 0..p - 1 {
-        let send_idx = (me + p - 1 - s) % p;
-        ring_step(ep, group, me, base_tag + s as u64, data, send_idx, true)?;
-    }
-    Ok(chunk_range(data.len(), p, me))
-}
-
-/// All-gather: the member at position `i` contributes chunk `i` of `data`
-/// (the rest of its buffer is overwritten); after the call every member
-/// holds all chunks. Chunk partition and tag use as in
-/// [`reduce_scatter`].
-fn all_gather(ep: &mut Endpoint, group: &[usize], base_tag: u64, data: &mut [f32]) -> Result<()> {
-    let me = position_in_group(ep, group)?;
-    let p = group.len();
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s) % p;
-        ring_step(ep, group, me, base_tag + s as u64, data, send_idx, false)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -212,23 +187,6 @@ mod tests {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
 
-    /// What a group average must be, spelled out with the plain
-    /// collective: scale by the caller's own weight, then one whole-buffer
-    /// ring all-reduce.
-    fn scale_then_ring(
-        ep: &mut Endpoint,
-        group: &[usize],
-        base_tag: u64,
-        data: &mut [f32],
-        weights: &[f32],
-    ) -> Result<()> {
-        let me = position_in_group(ep, group)?;
-        for d in data.iter_mut() {
-            *d *= weights[me];
-        }
-        ring_allreduce(ep, group, base_tag, data)
-    }
-
     /// Non-representable values, different on every rank, so that fold
     /// order is observable.
     fn model(rank: usize, len: usize) -> Vec<f32> {
@@ -244,80 +202,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn allreduce_full_world_sums() {
-        let results = run_world(4, |rank, ep| {
-            let mut data = vec![rank as f32 + 1.0; 10];
-            ring_allreduce(ep, &[0, 1, 2, 3], 0, &mut data).unwrap();
+    /// Sums with unit weights on every rank of `group`, the rest idle.
+    fn unit_sum(n: usize, group: &'static [usize], len: usize) -> Vec<Vec<f32>> {
+        run_world(n, move |rank, ep| {
+            let mut data = vec![rank as f32 + 1.0; len];
+            if group.contains(&rank) {
+                ep.group_weighted_average(group, 0, &mut data, &vec![1.0; group.len()])
+                    .unwrap();
+            }
             data
-        });
-        for r in results {
+        })
+    }
+
+    #[test]
+    fn full_world_sums() {
+        for r in unit_sum(4, &[0, 1, 2, 3], 10) {
             assert_eq!(r, vec![10.0; 10]); // 1+2+3+4
         }
     }
 
     #[test]
-    fn allreduce_subgroup_leaves_outsiders_alone() {
-        let results = run_world(4, |rank, ep| {
-            let mut data = vec![rank as f32; 7];
-            if rank == 1 || rank == 3 {
-                ring_allreduce(ep, &[1, 3], 100, &mut data).unwrap();
-            }
-            data
-        });
-        assert_eq!(results[0], vec![0.0; 7]);
-        assert_eq!(results[1], vec![4.0; 7]); // 1 + 3
-        assert_eq!(results[2], vec![2.0; 7]);
-        assert_eq!(results[3], vec![4.0; 7]);
+    fn subgroup_leaves_outsiders_alone() {
+        let results = unit_sum(4, &[1, 3], 7);
+        assert_eq!(results[0], vec![1.0; 7]);
+        assert_eq!(results[1], vec![6.0; 7]); // 2 + 4
+        assert_eq!(results[2], vec![3.0; 7]);
+        assert_eq!(results[3], vec![6.0; 7]);
     }
 
     #[test]
-    fn allreduce_data_shorter_than_group() {
-        // len < p exercises empty chunks.
-        let results = run_world(4, |rank, ep| {
-            let mut data = vec![rank as f32 + 1.0; 2];
-            ring_allreduce(ep, &[0, 1, 2, 3], 0, &mut data).unwrap();
-            data
-        });
-        for r in results {
+    fn data_shorter_than_group() {
+        // len < p exercises empty segments.
+        for r in unit_sum(4, &[0, 1, 2, 3], 2) {
             assert_eq!(r, vec![10.0; 2]);
         }
     }
 
     #[test]
-    fn allreduce_uneven_chunks() {
-        let results = run_world(3, |rank, ep| {
-            let mut data: Vec<f32> = (0..11).map(|i| (i * (rank + 1)) as f32).collect();
-            ring_allreduce(ep, &[0, 1, 2], 0, &mut data).unwrap();
-            data
-        });
-        let expected: Vec<f32> = (0..11).map(|i| (i * 6) as f32).collect();
-        for r in results {
-            assert_eq!(r, expected);
+    fn segments_partition() {
+        for (len, p) in [(10usize, 3usize), (2, 4), (7, 7), (0, 2), (16, 4)] {
+            let mut data: Vec<f32> = (0..len).map(|i| i as f32).collect();
+            let lens: Vec<usize> = segments(&mut data, p).map(|s| s.len()).collect();
+            assert_eq!(lens.len(), p);
+            assert_eq!(lens.iter().sum::<usize>(), len);
+            assert!(lens.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1));
+            let joined: Vec<f32> = segments(&mut data, p).flat_map(|s| s.to_vec()).collect();
+            assert_eq!(joined, data);
         }
     }
 
     #[test]
-    fn group_average_is_scale_then_one_plain_ring() {
+    fn group_average_is_the_kernel_fold_in_group_position_order() {
         // Longer than one 64 Ki-element segment of the TCP star, with an
-        // uneven tail for every P: in-process the average is not
-        // segmented — it is the plain ring, bit for bit — and every member
-        // ends with the same bits.
+        // uneven tail for every P, and the leader not rank 0: every member
+        // ends with the bits of the simulator's kernel, a from-zero
+        // accumulator fed the models in group order.
         let len = (1 << 16) + 4_099;
         for p in 2..=4usize {
+            let group: Vec<usize> = (0..p).rev().collect();
+            let weights: Vec<f32> = (0..p).map(|j| (j + 1) as f32 / 7.0).collect();
+            let models: Vec<Vec<f32>> = group.iter().map(|&r| model(r, len)).collect();
+            let views: Vec<&[f32]> = models.iter().map(Vec::as_slice).collect();
+            let mut want = vec![0.0; len];
+            kernels::weighted_sum_acc(&mut want, &views, &weights);
+            let (g, w) = (group.clone(), weights.clone());
             let results = run_world(p, move |rank, ep| {
-                let group: Vec<usize> = (0..p).rev().collect();
-                let weights: Vec<f32> = (0..p).map(|j| (j + 1) as f32 / 7.0).collect();
-                let mut got = model(rank, len);
-                let mut want = got.clone();
-                ep.group_weighted_average(&group, 0, &mut got, &weights)
-                    .unwrap();
-                scale_then_ring(ep, &group, TAG_STRIDE, &mut want, &weights).unwrap();
-                (got, want)
+                let mut data = model(rank, len);
+                ep.group_weighted_average(&g, 0, &mut data, &w).unwrap();
+                data
             });
-            for (got, want) in &results {
-                assert_bit_equal(got, want);
-                assert_bit_equal(got, &results[0].0);
+            for got in &results {
+                assert_bit_equal(got, &want);
             }
         }
     }
@@ -384,7 +339,7 @@ mod tests {
     #[test]
     fn group_averages_on_adjacent_base_tags_do_not_interfere() {
         // Two rounds of two concurrent pairs, base tags one stride apart
-        // and no barrier in between: a fast rank's round-two chunks reach
+        // and no barrier in between: a fast rank's round-two segments reach
         // a peer still inside round one and must wait for their own tag.
         let results = run_world(4, |rank, ep| {
             let half = [0.5f32, 0.5];
@@ -426,12 +381,13 @@ mod tests {
 
     #[test]
     fn concurrent_groups_do_not_interfere() {
-        // Two disjoint pairs all-reduce concurrently with distinct tags.
+        // Two disjoint pairs average concurrently with distinct tags.
         let results = run_world(4, |rank, ep| {
             let group: Vec<usize> = if rank < 2 { vec![0, 1] } else { vec![2, 3] };
             let tag = if rank < 2 { 0 } else { TAG_STRIDE };
             let mut data = vec![rank as f32; 4];
-            ring_allreduce(ep, &group, tag, &mut data).unwrap();
+            ep.group_weighted_average(&group, tag, &mut data, &[1.0, 1.0])
+                .unwrap();
             data
         });
         assert_eq!(results[0], vec![1.0; 4]);
@@ -441,96 +397,32 @@ mod tests {
     }
 
     #[test]
-    fn rejects_caller_outside_group() {
+    fn rejects_caller_outside_group_and_duplicate_members() {
         let mut eps = CommWorld::new(3).into_endpoints();
         let mut e0 = eps.remove(0);
         let mut data = vec![0.0];
-        assert!(matches!(
-            ring_allreduce(&mut e0, &[1, 2], 0, &mut data),
-            Err(CommError::InvalidGroup(_))
-        ));
+        for group in [[1, 2], [0, 0]] {
+            assert!(matches!(
+                e0.group_weighted_average(&group, 0, &mut data, &[0.5, 0.5]),
+                Err(CommError::InvalidGroup(_))
+            ));
+        }
     }
 
     #[test]
-    fn rejects_duplicate_members() {
-        let mut eps = CommWorld::new(3).into_endpoints();
-        let mut e0 = eps.remove(0);
-        let mut data = vec![0.0];
-        assert!(matches!(
-            ring_allreduce(&mut e0, &[0, 0], 0, &mut data),
-            Err(CommError::InvalidGroup(_))
-        ));
-    }
-
-    #[test]
-    fn singleton_group_is_noop() {
-        let mut eps = CommWorld::new(2).into_endpoints();
-        let mut e0 = eps.remove(0);
-        let mut data = vec![3.0, 4.0];
-        ring_allreduce(&mut e0, &[0], 0, &mut data).unwrap();
-        assert_eq!(data, vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn chunk_ranges_partition() {
-        for (len, p) in [(10usize, 3usize), (2, 4), (7, 7), (0, 2), (16, 4)] {
-            let mut total = 0;
-            let mut prev_end = 0;
-            for i in 0..p {
-                let r = chunk_range(len, p, i);
-                assert_eq!(r.start, prev_end);
-                prev_end = r.end;
-                total += r.len();
+    fn steady_state_rounds_reuse_the_members_buffers() {
+        // After the first round every member's pool holds the buffers the
+        // leader sent back, one per segment in flight, and the leader's
+        // pool stays empty.
+        let pools = run_world(3, |rank, ep| {
+            let w = [0.5f32, 0.25, 0.25];
+            for round in 0..5 {
+                let mut data = model(rank, 10);
+                ep.group_weighted_average(&[0, 1, 2], round * TAG_STRIDE, &mut data, &w)
+                    .unwrap();
             }
-            assert_eq!(total, len);
-            assert_eq!(prev_end, len);
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_owns_summed_chunk() {
-        let results = run_world(3, |rank, ep| {
-            let mut data: Vec<f32> = (0..9).map(|i| (i + rank) as f32).collect();
-            let range = reduce_scatter(ep, &[0, 1, 2], 0, &mut data).unwrap();
-            (range.clone(), data[range].to_vec())
+            ep.pooled()
         });
-        // Sum over ranks of (i + rank) = 3i + 3.
-        for (pos, (range, owned)) in results.iter().enumerate() {
-            assert_eq!(range.start, pos * 3);
-            for (off, v) in owned.iter().enumerate() {
-                let i = range.start + off;
-                assert_eq!(*v, (3 * i + 3) as f32, "rank {pos} idx {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_then_all_gather_equals_allreduce() {
-        let results = run_world(4, |rank, ep| {
-            let mut a: Vec<f32> = (0..10).map(|i| (i * (rank + 1)) as f32).collect();
-            let mut b = a.clone();
-            ring_allreduce(ep, &[0, 1, 2, 3], 0, &mut a).unwrap();
-            reduce_scatter(ep, &[0, 1, 2, 3], TAG_STRIDE, &mut b).unwrap();
-            all_gather(ep, &[0, 1, 2, 3], 2 * TAG_STRIDE, &mut b).unwrap();
-            (a, b)
-        });
-        // Σ_rank i·(rank + 1) = 10·i — checked against the sum itself,
-        // since `ring_allreduce` is this very composition.
-        let expected: Vec<f32> = (0..10).map(|i| (i * 10) as f32).collect();
-        for (a, b) in results {
-            assert_eq!(a, expected);
-            assert_eq!(b, expected);
-        }
-    }
-
-    #[test]
-    fn singleton_reduce_scatter_owns_everything() {
-        let mut eps = CommWorld::new(1).into_endpoints();
-        let mut e0 = eps.remove(0);
-        let mut data = vec![1.0, 2.0];
-        let range = reduce_scatter(&mut e0, &[0], 0, &mut data).unwrap();
-        assert_eq!(range, 0..2);
-        all_gather(&mut e0, &[0], 0, &mut data).unwrap();
-        assert_eq!(data, vec![1.0, 2.0]);
+        assert_eq!(pools, vec![0, WINDOW, WINDOW]);
     }
 }

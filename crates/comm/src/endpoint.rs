@@ -10,20 +10,20 @@ use crate::Result;
 const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Cap on reclaimed payload buffers held for reuse by
-/// [`Endpoint::send_from_slice`]. Ring collectives have at most one
-/// in-flight send per step, so a handful is plenty; the cap keeps a
+/// [`Endpoint::send_from_slice`]. A group average has at most two
+/// segments in flight per member, so a handful is plenty; the cap keeps a
 /// burst of large stashed payloads from pinning memory.
 const POOL_LIMIT: usize = 8;
 
 /// A tagged point-to-point message carrying a flat `f32` payload.
-#[derive(Debug, Clone)]
-pub struct Message {
+#[derive(Debug)]
+struct Message {
     /// Sender's rank.
-    pub from: usize,
+    from: usize,
     /// Caller-chosen tag used to match sends to receives.
-    pub tag: u64,
-    /// Flat payload (a model/gradient chunk).
-    pub payload: Vec<f32>,
+    tag: u64,
+    /// Flat payload (a model segment).
+    payload: Vec<f32>,
 }
 
 /// A fully-connected world of `n` ranks.
@@ -62,11 +62,6 @@ impl CommWorld {
             })
             .collect();
         CommWorld { endpoints }
-    }
-
-    /// World size.
-    pub fn size(&self) -> usize {
-        self.endpoints.len()
     }
 
     /// Consumes the world, yielding one endpoint per rank (index = rank).
@@ -135,14 +130,20 @@ impl Endpoint {
     }
 
     /// Returns a consumed payload buffer to the reuse pool (bounded; the
-    /// buffer is dropped once the pool is full). Collectives recycle each
-    /// received chunk after folding it into their accumulator, so the
-    /// buffers a peer sent become this rank's next send buffers.
+    /// buffer is dropped once the pool is full). A group member recycles
+    /// each averaged segment the leader sends back, so its next send
+    /// reuses the buffer it sent before.
     pub fn recycle(&mut self, mut buf: Vec<f32>) {
         if self.pool.len() < POOL_LIMIT {
             buf.clear();
             self.pool.push(buf);
         }
+    }
+
+    /// Buffers in the reuse pool.
+    #[cfg(test)]
+    pub(crate) fn pooled(&self) -> usize {
+        self.pool.len()
     }
 
     /// Receives the message with the given source and tag, stashing any

@@ -8,10 +8,11 @@
 //!   [`Endpoint::recv`] matching out-of-order arrivals like an MPI
 //!   implementation;
 //! * the group weighted average over an *arbitrary subset* of ranks
-//!   ([`collectives`]: scale by own weight, then a ring all-reduce
-//!   restricted to the group), which is exactly the capability partial
-//!   reduce needs (a collective over a dynamic temporary group, something
-//!   NCCL's fixed communicators make hard, §4 of the paper);
+//!   ([`collectives`]: the first member folds every member's model in
+//!   group-position order and sends the result back), which is exactly
+//!   the capability partial reduce needs (a collective over a dynamic
+//!   temporary group, something NCCL's fixed communicators make hard, §4
+//!   of the paper);
 //! * a [`control`] channel pair for the few-bytes worker↔controller
 //!   signaling traffic, behind a [`control::ControlPlane`] abstraction
 //!   with two transports: in-process channels and the paper prototype's
@@ -56,7 +57,7 @@ pub mod mesh;
 pub mod reactor;
 pub mod tcp;
 
-pub use endpoint::{CommWorld, Endpoint, Message};
+pub use endpoint::{CommWorld, Endpoint};
 pub use error::CommError;
 
 /// Result alias for communication operations.

@@ -1,10 +1,9 @@
 //! The multi-process data plane: group weighted averages between worker
 //! *processes*.
 //!
-//! In-process fleets run their group collective over
-//! [`Endpoint`](crate::Endpoint) channels ([`crate::collectives`]: scale
-//! by own weight, then one ring all-reduce). Worker processes
-//! have no shared memory, so each binds an ephemeral data listener
+//! In-process fleets run their group average over
+//! [`Endpoint`](crate::Endpoint) channels ([`crate::collectives`]). Worker
+//! processes have no shared memory, so each binds an ephemeral data listener
 //! ([`MeshEndpoint::bind`]), announces it in the control-plane hello,
 //! and receives the full [`crate::control::FleetRoster`] once the fleet
 //! is assembled. A group reduce then runs star-shaped: the first member
@@ -43,7 +42,9 @@
 //! its own value or the finished group average, never a partial sum.
 //!
 //! The [`GroupAverager`] trait abstracts over both planes so the
-//! runtime's `PartialReducer` is substrate-agnostic.
+//! runtime's `PartialReducer` is substrate-agnostic. Both are stars led by
+//! `group[0]` that fold in group-position order, so they also agree bit for
+//! bit.
 //!
 //! Wire format (binary, not JSON — payloads are whole parameter
 //! vectors): request `[base_tag u64 BE][rank u32 BE][len u32 BE][len ×
@@ -76,17 +77,19 @@ const PIPELINE_CHUNK: usize = 1 << 16;
 const ACCEPT_POLL: Duration = Duration::from_millis(1);
 
 /// A group weighted average over some transport: the in-process
-/// [`Endpoint`](crate::Endpoint) ring or the process-level
-/// [`MeshEndpoint`] star.
+/// [`Endpoint`](crate::Endpoint) channels or the process-level
+/// [`MeshEndpoint`] sockets. Both fold on the leader `group[0]`, per
+/// element `0 + w₀·x₀ + w₁·x₁ + …` in group-position order — the order of
+/// the simulator's `kernels::weighted_sum_acc`.
 /// `weights` aligns with `group`; on return `data` holds the group's
 /// weighted average on every member.
 pub trait GroupAverager: Send {
     /// Runs the weighted average for `group` under `base_tag`.
     ///
     /// # Errors
-    /// Transport-specific [`CommError`]s; on error `data` may hold the
-    /// member's own (possibly pre-scaled) parameters, and the caller is
-    /// expected to degrade to its local model.
+    /// Transport-specific [`CommError`]s. On error each element of `data`
+    /// holds either the member's own value or the finished group average,
+    /// never a partial sum, and the caller keeps it as its local model.
     fn group_weighted_average(
         &mut self,
         group: &[usize],
@@ -212,7 +215,9 @@ fn read_reply(stream: &mut TcpStream) -> io::Result<(u64, usize)> {
     Ok(((word >> 32) as u64, word as u32 as usize))
 }
 
-fn check_len(expected: usize, actual: usize) -> Result<()> {
+/// A payload of `actual` elements where `expected` were due is
+/// [`CommError::PayloadMismatch`].
+pub(crate) fn check_len(expected: usize, actual: usize) -> Result<()> {
     if expected == actual {
         Ok(())
     } else {
@@ -542,14 +547,6 @@ impl GroupAverager for MeshEndpoint {
             return Err(CommError::MalformedFrame {
                 detail: format!("{} elements overflow the data frame length", data.len()),
             });
-        }
-        if members.is_empty() {
-            // Singleton flush: the weighted average of one member.
-            let w = weights.first().copied().unwrap_or(1.0);
-            for d in data.iter_mut() {
-                *d *= w;
-            }
-            return Ok(());
         }
         if leader == self.rank {
             self.lead(members, base_tag, data, weights)

@@ -28,42 +28,85 @@ fn collective_with_dead_peer_times_out() {
 
 #[test]
 fn peer_panic_mid_collective_does_not_hang_survivors() {
+    // A group of three whose member or leader "crashed" before the average
+    // (its endpoint was dropped inside a thread that exited): both
+    // survivors return with an error instead of hanging.
+    let third = [1.0f32 / 3.0; 3];
+    let survivors = |group: [usize; 3]| {
+        let mut eps = CommWorld::new(3).into_endpoints();
+        for ep in &mut eps {
+            ep.set_timeout(Duration::from_millis(100));
+        }
+        let e2 = eps.pop().unwrap();
+        thread::spawn(move || drop(e2)).join().unwrap();
+        let threads: Vec<_> = eps
+            .into_iter()
+            .map(|mut ep| {
+                thread::spawn(move || {
+                    let mut data = vec![ep.rank() as f32; 6];
+                    ep.group_weighted_average(&group, 0, &mut data, &third)
+                        .unwrap_err()
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .collect::<Vec<_>>()
+    };
+    // Dead member: the leader waits for it and times out naming it; the
+    // other member waits for the leader's reply and times out naming the
+    // leader, which is all it can know.
+    let errs = survivors([0, 1, 2]);
+    assert!(
+        matches!(errs[0], CommError::Timeout { peer: 2, .. }),
+        "{errs:?}"
+    );
+    assert!(
+        matches!(errs[1], CommError::Timeout { peer: 0, .. }),
+        "{errs:?}"
+    );
+    // Dead leader: every member's first send finds it gone, with no
+    // timeout to wait out.
+    let errs = survivors([2, 0, 1]);
+    assert_eq!(errs, vec![CommError::Disconnected { peer: 2 }; 2]);
+}
+
+#[test]
+fn a_member_lost_mid_average_leaves_no_partial_sum() {
+    // Rank 2 contributes the first of the three segments and dies: the
+    // leader folds and returns segment 0 to rank 1, then finds rank 2
+    // gone. Both survivors end with every element either their own value
+    // or the finished average, never a partial sum.
     let mut eps = CommWorld::new(3).into_endpoints();
     for ep in &mut eps {
-        ep.set_timeout(Duration::from_millis(100));
+        ep.set_timeout(Duration::from_millis(200));
     }
     let e2 = eps.pop().unwrap();
     let mut e1 = eps.pop().unwrap();
     let mut e0 = eps.pop().unwrap();
-
-    // Rank 2 "crashes" before the group average (its endpoint is dropped
-    // inside a thread that exits immediately).
-    let crasher = thread::spawn(move || {
-        drop(e2);
-    });
-    crasher.join().unwrap();
-
     let third = [1.0f32 / 3.0; 3];
-    let t0 = thread::spawn(move || {
-        let mut data = vec![1.0f32; 6];
-        e0.group_weighted_average(&[0, 1, 2], 0, &mut data, &third)
-            .unwrap_err()
+    // Six elements in three segments of two; segment 0 travels on the
+    // base tag.
+    e2.send(0, 0, vec![8.0, 8.0]).unwrap();
+    drop(e2);
+    let member = thread::spawn(move || {
+        let mut data = vec![4.0f32; 6];
+        let err = e1
+            .group_weighted_average(&[0, 1, 2], 0, &mut data, &third)
+            .unwrap_err();
+        (err, data)
     });
-    let t1 = thread::spawn(move || {
-        let mut data = vec![2.0f32; 6];
-        e1.group_weighted_average(&[0, 1, 2], 0, &mut data, &third)
-            .unwrap_err()
-    });
-    // Both survivors must return with an error naming the dead rank
-    // rather than hang: rank 1 sends to it and finds it gone, rank 0
-    // waits for it and times out.
-    let e0_err = t0.join().unwrap();
-    let e1_err = t1.join().unwrap();
-    assert!(
-        matches!(e0_err, CommError::Timeout { peer: 2, .. }),
-        "{e0_err:?}"
-    );
-    assert_eq!(e1_err, CommError::Disconnected { peer: 2 });
+    let mut data = vec![2.0f32; 6];
+    let err = e0
+        .group_weighted_average(&[0, 1, 2], 0, &mut data, &third)
+        .unwrap_err();
+    assert_eq!(err, CommError::Disconnected { peer: 2 });
+    let average = 2.0 / 3.0 + 4.0 / 3.0 + 8.0 / 3.0;
+    assert_eq!(data, [average, average, 2.0, 2.0, 2.0, 2.0]);
+    let (err, data) = member.join().unwrap();
+    assert!(matches!(err, CommError::Timeout { peer: 0, .. }), "{err:?}");
+    assert_eq!(data, [average, average, 4.0, 4.0, 4.0, 4.0]);
 }
 
 #[test]
@@ -100,9 +143,9 @@ fn worker_death_is_visible_to_controller() {
 
 #[test]
 fn mismatched_payload_lengths_are_rejected_not_corrupted() {
-    // Two ranks enter the same collective with different vector lengths:
-    // the receiver must observe PayloadMismatch instead of silently
-    // writing a short chunk.
+    // Two ranks enter the same average with different vector lengths:
+    // the leader must observe PayloadMismatch instead of silently folding
+    // a short segment.
     let mut eps = CommWorld::new(2).into_endpoints();
     let mut e1 = eps.pop().unwrap();
     let mut e0 = eps.pop().unwrap();

@@ -40,6 +40,7 @@ use crate::config::ExperimentConfig;
 use crate::elastic::ElasticOptions;
 use crate::engine::round::{Round, WorkerRounds};
 use crate::engine::setup::{build_fleet, evaluate_uniform_average, worker_thread_seed};
+use crate::replay::params_hash;
 
 /// Heartbeat period for process workers: well under any sane liveness
 /// budget, cheap on the wire (a heartbeat frame is ~40 bytes).
@@ -66,6 +67,10 @@ pub struct WorkerReport {
     /// Reduces that failed and fell back to the local model (degraded
     /// mode — the run continues, it just skips that averaging round).
     pub degraded: u64,
+    /// [`crate::replay::params_hash`] of this worker's final parameters:
+    /// what [`crate::replay::replay`] of the controller's trace must
+    /// reproduce for this rank.
+    pub params_hash: u64,
 }
 
 /// Runs the controller half of a process fleet: binds `listen`, reports
@@ -205,6 +210,7 @@ pub fn run_worker_elastic(
         iterations: worker.iteration,
         accuracy,
         degraded,
+        params_hash: params_hash(worker.params.as_slice()),
     })
 }
 

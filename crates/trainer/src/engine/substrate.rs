@@ -28,6 +28,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use crate::config::ExperimentConfig;
 use crate::elastic::ElasticOptions;
 use crate::engine::setup::{evaluate_uniform_average, worker_thread_seed, Fleet};
+use crate::replay::params_hash;
 use crate::sim::SimHarness;
 use crate::worker::WorkerState;
 
@@ -157,6 +158,10 @@ pub struct ThreadedReport {
     pub accuracy: f64,
     /// Per-worker iteration counts actually executed.
     pub iterations: Vec<u64>,
+    /// [`crate::replay::params_hash`] of each worker's final parameters,
+    /// in rank order: what [`crate::replay::replay`] of the run's trace
+    /// must reproduce.
+    pub params_hashes: Vec<u64>,
     /// Controller statistics (controller-backed runs only).
     pub controller: Option<ControllerStats>,
 }
@@ -310,6 +315,7 @@ impl ThreadedSubstrate {
             wall_seconds,
             accuracy: evaluate_uniform_average(&self.config, &fleet.test, &params),
             iterations,
+            params_hashes: params.iter().map(|p| params_hash(p.as_slice())).collect(),
             controller: None,
         }
     }

@@ -22,11 +22,12 @@
 //! time to a test-accuracy threshold, number of updates, and per-update
 //! time — the decomposition into statistical × hardware efficiency.
 //!
-//! Two execution substrates exist: the deterministic virtual-time simulator
-//! and a real multithreaded runtime. Each strategy is written once in
-//! [`engine::drivers`] and projected onto both; [`engine::run`] is the one
-//! entry point ([`engine::Backend`] picks the substrate); [`sim`] keeps
-//! the virtual-time harness type.
+//! Two execution substrates exist: the deterministic virtual-time simulator,
+//! which runs every strategy, and a real multithreaded runtime, which runs
+//! partial reduce. The strategies live in [`engine::drivers`];
+//! [`engine::run`] is the one entry point ([`engine::Backend`] picks the
+//! substrate); [`sim`] keeps the virtual-time harness type, and [`replay`]
+//! recomputes a real run's models from its trace.
 
 #![forbid(unsafe_code)]
 
@@ -36,6 +37,7 @@ pub mod engine;
 pub mod experiment;
 pub mod metrics;
 pub mod paper;
+pub mod replay;
 pub mod sim;
 pub mod strategy;
 pub mod worker;

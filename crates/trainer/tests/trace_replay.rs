@@ -8,11 +8,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use partial_reduce::{read_jsonl, InvariantChecker, JsonlSink, TraceEvent, TraceSink};
+use partial_reduce::{read_jsonl, InvariantChecker, JsonlSink, RingSink, TraceEvent, TraceSink};
 use preduce_data::cifar10_like;
 use preduce_models::zoo;
 use preduce_trainer::engine::{driver_for, ThreadedSubstrate};
-use preduce_trainer::{ExperimentConfig, Strategy};
+use preduce_trainer::replay::replay;
+use preduce_trainer::{ExperimentConfig, FaultPlan, Strategy};
 
 fn config(n: usize) -> ExperimentConfig {
     let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
@@ -35,6 +36,8 @@ fn trace_path(name: &str) -> PathBuf {
 }
 
 /// Runs a traced N=16, P=4 threaded fleet and returns the replayed events.
+/// The trace read back from JSONL also recomputes every worker's final
+/// model bit for bit.
 fn run_and_read(dynamic: bool, name: &str) -> Vec<TraceEvent> {
     let n = 16;
     let path = trace_path(name);
@@ -49,7 +52,62 @@ fn run_and_read(dynamic: bool, name: &str) -> Vec<TraceEvent> {
 
     let events = read_jsonl(&path).expect("trace reads back");
     let _ = std::fs::remove_file(&path);
+    assert_eq!(replay(&config(n), &events), report.params_hashes);
     events
+}
+
+/// A traced threaded run of four workers, `iters` rounds each: its trace
+/// and the workers' final-model hashes.
+fn threaded_run(strategy: Strategy, iters: u64, faults: FaultPlan) -> (Vec<TraceEvent>, Vec<u64>) {
+    let sink = Arc::new(RingSink::new(65_536));
+    let substrate = ThreadedSubstrate::new(&config(4), iters)
+        .with_faults(faults)
+        .with_sink(sink.clone());
+    let report = driver_for(strategy).drive_threaded(&substrate);
+    assert_eq!(sink.dropped(), 0);
+    (sink.snapshot(), report.params_hashes)
+}
+
+#[test]
+fn threaded_models_are_their_trace_replayed() {
+    // Every worker's final model is what the controller's decisions imply:
+    // one local update per round, then the group's average in
+    // group-position order, whichever member led it.
+    for p in [2, 3] {
+        for dynamic in [false, true] {
+            let (events, hashes) =
+                threaded_run(Strategy::PReduce { p, dynamic }, 12, FaultPlan::none());
+            assert_eq!(replay(&config(4), &events), hashes, "P={p} dyn={dynamic}");
+        }
+    }
+    // A stall changes only timing; a crash leaves its worker one local
+    // update past its last group, and the survivors regroup without it.
+    let pr = Strategy::PReduce {
+        p: 2,
+        dynamic: true,
+    };
+    for plan in ["stall:1x3@4", "crash:1@4"] {
+        let (events, hashes) = threaded_run(pr, 12, FaultPlan::parse(plan).unwrap());
+        assert_eq!(replay(&config(4), &events), hashes, "{plan}");
+    }
+}
+
+#[test]
+fn a_perturbed_decision_changes_the_replay() {
+    let pr = Strategy::PReduce {
+        p: 2,
+        dynamic: false,
+    };
+    let (mut events, hashes) = threaded_run(pr, 6, FaultPlan::none());
+    let Some(TraceEvent::GroupFormed { weights, .. }) = events
+        .iter_mut()
+        .find(|e| matches!(e, TraceEvent::GroupFormed { .. }))
+    else {
+        panic!("no group formed");
+    };
+    weights[0] += 1e-3;
+    weights[1] -= 1e-3;
+    assert_ne!(replay(&config(4), &events), hashes);
 }
 
 #[test]
@@ -162,8 +220,7 @@ trace_event_variants!(
 /// The sim substrate under a kill-and-replace plan with cadence-1
 /// snapshots: faults, evictions, snapshots and a restore.
 fn sim_kill_and_replace() -> Vec<TraceEvent> {
-    use partial_reduce::RingSink;
-    use preduce_trainer::{engine, Backend, ElasticOptions, FaultPlan};
+    use preduce_trainer::{engine, Backend, ElasticOptions};
 
     let dir = std::env::temp_dir().join(format!("preduce-every-variant-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -192,8 +249,7 @@ fn sim_kill_and_replace() -> Vec<TraceEvent> {
 /// assignment it sends, evicts the crashed worker by heartbeat silence,
 /// and drains the survivors out with singletons.
 fn threaded_crash() -> Vec<TraceEvent> {
-    use partial_reduce::RingSink;
-    use preduce_trainer::{engine, Backend, FaultPlan};
+    use preduce_trainer::{engine, Backend};
 
     let mut c = config(4);
     c.threaded_iters = Some(12);
@@ -339,7 +395,6 @@ fn every_trace_event_variant_is_emitted() {
 fn sim_and_threaded_traces_share_the_vocabulary() {
     // The same checker consumes the simulator's trace: run the virtual-time
     // harness traced and replay it with zero violations.
-    use partial_reduce::RingSink;
     use preduce_trainer::run_experiment_traced;
 
     let mut c = config(16);

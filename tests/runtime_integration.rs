@@ -4,7 +4,7 @@
 //! semantics.
 
 use preduce::comm::collectives::TAG_STRIDE;
-use preduce::comm::mesh::GroupAverager;
+use preduce::comm::mesh::{GroupAverager, MeshEndpoint};
 use preduce::comm::CommWorld;
 use preduce::data::cifar10_like;
 use preduce::models::zoo;
@@ -12,7 +12,9 @@ use preduce::partial_reduce::runtime::{spawn, RuntimeOptions};
 use preduce::partial_reduce::{
     dynamic_weights, AggregationMode, ControllerConfig, GapPolicy, NullSink,
 };
+use preduce::tensor::Tensor;
 use preduce::trainer::engine::{self, Backend, EngineRun};
+use preduce::trainer::worker::weighted_model_average;
 use preduce::trainer::{ExperimentConfig, Strategy};
 use std::sync::Arc;
 use std::thread;
@@ -194,6 +196,80 @@ fn group_average_tags_do_not_collide_across_iterations() {
                 .map(|i| (value(a, k, i) + value(b, k, i)) / 2.0)
                 .collect();
             assert_eq!(data, &expected, "rank {rank}, round {k}");
+        }
+    }
+}
+
+/// Runs one group average of `models` (rank order) on every averager in
+/// its own thread, and returns what each member holds afterwards.
+fn average_on<A: GroupAverager + 'static>(
+    averagers: Vec<A>,
+    models: &[Vec<f32>],
+    group: &[usize],
+    weights: &[f32],
+) -> Vec<Vec<f32>> {
+    let handles: Vec<_> = averagers
+        .into_iter()
+        .zip(models.to_vec())
+        .map(|(mut averager, mut data)| {
+            let (group, weights) = (group.to_vec(), weights.to_vec());
+            thread::spawn(move || {
+                averager
+                    .group_weighted_average(&group, 7 * TAG_STRIDE, &mut data, &weights)
+                    .unwrap();
+                data
+            })
+        })
+        .collect();
+    handles.into_iter().map(|h| h.join().unwrap()).collect()
+}
+
+#[test]
+fn every_substrate_averages_to_the_same_bits() {
+    // One fold order everywhere: the simulator's average, the in-process
+    // channels and the TCP star all fold `0 + w₀·x₀ + w₁·x₁ + …` in
+    // group-position order, so the same models and Eq. 9 weights give the
+    // same bits on all three. The models are longer than one TCP segment,
+    // with an uneven tail, and the leader is not rank 0.
+    let len = (1 << 16) + 4_099;
+    for p in 2..=4usize {
+        let models: Vec<Vec<f32>> = (0..p)
+            .map(|rank| {
+                (0..len)
+                    .map(|i| ((i * 7_919 + rank * 104_729) % 1_000) as f32 * 0.013 - 6.5)
+                    .collect()
+            })
+            .collect();
+        let group: Vec<usize> = (0..p).rev().collect();
+        let iterations: Vec<u64> = group.iter().map(|&r| 10 + 3 * r as u64).collect();
+        let weights = dynamic_weights(&iterations, 0.4, GapPolicy::Initial);
+
+        let tensors: Vec<Tensor> = group
+            .iter()
+            .map(|&r| Tensor::from_vec(models[r].clone(), [len]).unwrap())
+            .collect();
+        let refs: Vec<&Tensor> = tensors.iter().collect();
+        let sim = weighted_model_average(&refs, &weights);
+
+        let channels = average_on(
+            CommWorld::new(p).into_endpoints(),
+            &models,
+            &group,
+            &weights,
+        );
+        let mut mesh: Vec<MeshEndpoint> = (0..p)
+            .map(|r| MeshEndpoint::bind(r, "127.0.0.1:0").unwrap())
+            .collect();
+        let roster: Vec<String> = mesh.iter().map(|m| m.local_addr().to_string()).collect();
+        for m in &mut mesh {
+            m.set_roster(&roster).unwrap();
+        }
+        let sockets = average_on(mesh, &models, &group, &weights);
+
+        for (rank, got) in channels.iter().chain(&sockets).enumerate() {
+            let diverged =
+                (got.iter().zip(sim.as_slice())).position(|(x, y)| x.to_bits() != y.to_bits());
+            assert_eq!(diverged, None, "P = {p}, member {rank} of 2P");
         }
     }
 }
