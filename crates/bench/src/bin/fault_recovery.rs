@@ -26,7 +26,7 @@ use partial_reduce::{NullSink, TraceEvent, TraceSink};
 use preduce_data::cifar10_like;
 use preduce_models::zoo;
 use preduce_trainer::engine::drivers::preduce::chaos_liveness;
-use preduce_trainer::{engine, Backend, ExperimentConfig, FaultPlan, Strategy};
+use preduce_trainer::{engine, Backend, ElasticOptions, ExperimentConfig, FaultPlan, Strategy};
 
 /// Threaded crash runs measured.
 const RUNS: usize = 5;
@@ -74,7 +74,7 @@ fn crash_reaction() -> (Option<f64>, Option<f64>) {
     c.num_workers = 4;
     c.threaded_iters = Some(12);
     let sink = Arc::new(TimedSink::new());
-    let run = engine::run_with_faults(
+    let run = engine::run_elastic(
         Strategy::PReduce {
             p: 2,
             dynamic: false,
@@ -83,6 +83,7 @@ fn crash_reaction() -> (Option<f64>, Option<f64>) {
         Backend::Threaded,
         sink.clone(),
         FaultPlan::none().crash(3, 4),
+        ElasticOptions::none(),
     );
     assert_eq!(
         run.controller.expect("p-reduce reports stats").evictions,
@@ -126,12 +127,13 @@ fn convergence_gap(dynamic: bool, max_updates: u64) -> f64 {
     c.eval_every = 100;
     let s = Strategy::PReduce { p: 4, dynamic };
     let golden = engine::run(s, &c, Backend::Sim, Arc::new(NullSink));
-    let faulted = engine::run_with_faults(
+    let faulted = engine::run_elastic(
         s,
         &c,
         Backend::Sim,
         Arc::new(NullSink),
         FaultPlan::none().crash(3, 20),
+        ElasticOptions::none(),
     );
     golden.result.final_accuracy - faulted.result.final_accuracy
 }

@@ -160,8 +160,9 @@ BACKENDS (for --backend):
   threaded       — P-Reduce only: real OS threads over the
                    message-passing runtime; each worker performs --iters
                    local updates (wall clock replaces virtual time, no
-                   convergence trace). Any other strategy is a usage
-                   error: the baselines run on the sim backend only.
+                   convergence trace; `updates` counts the groups formed).
+                   Any other strategy is a usage error: the baselines run
+                   on the sim backend only.
 
 FAULT INJECTION:
   `run --fault-plan SPEC` executes a P-Reduce run under a chaos plan
@@ -912,8 +913,8 @@ mod tests {
         ]);
         r.unwrap();
         assert!(out.contains("P-Reduce CON (P=2)"), "{out}");
-        // 2 workers x 4 local updates each (P = N: nobody fast-forwards).
-        assert!(out.contains("8 updates"), "{out}");
+        // One update per group: P = N = 2 forms one group per round.
+        assert!(out.contains(" 4 updates |"), "{out}");
     }
 
     #[test]

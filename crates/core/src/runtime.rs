@@ -9,8 +9,9 @@
 //!
 //! A training thread calls [`PartialReducer::reduce`] where All-Reduce
 //! training would call `all_reduce`: the call sends the ready signal,
-//! blocks for the controller's group assignment, runs the weighted ring
-//! average among exactly the assigned group, and returns — without ever
+//! blocks for the controller's group assignment, runs the weighted group
+//! average among exactly the assigned group (folded on its leader), and
+//! returns — without ever
 //! synchronizing with workers outside the group. Groups formed from
 //! disjoint workers proceed fully in parallel.
 //!

@@ -18,9 +18,7 @@
 //! * relative iteration numbers in `[1, k̂_max]` held by *no* member still
 //!   carry mass — the paper's conservative approximation routes it to the
 //!   initial (most stale) model, i.e. the `k̂_max` holders
-//!   ([`GapPolicy::Initial`]); the alternative it mentions routes each gap
-//!   to the member with the nearest relative iteration number
-//!   ([`GapPolicy::Nearest`]).
+//!   ([`GapPolicy::Initial`]).
 //!
 //! Theorem 1 needs every synchronization matrix to be doubly stochastic,
 //! so every row a reduce applies comes from this module: the three
@@ -70,9 +68,6 @@ pub enum GapPolicy {
     /// "conservative approximation of using the initial model x₁".
     #[default]
     Initial,
-    /// Route each gap's mass to the member(s) with the closest relative
-    /// iteration number (ties toward the staler side).
-    Nearest,
 }
 
 /// Uniform weights `1/P` for constant partial reduce.
@@ -139,25 +134,6 @@ pub fn dynamic_weights(iterations: &[u64], alpha: f64, gap_policy: GapPolicy) ->
         // owner (the min-iteration member), so recipients are never empty.
         let recipients: Vec<usize> = match gap_policy {
             GapPolicy::Initial => (0..p).filter(|&i| rel[i] == rel_max).collect(),
-            GapPolicy::Nearest => {
-                let Some(nearest) = rel
-                    .iter()
-                    .map(|&kr| {
-                        let d = kr.abs_diff(r);
-                        // Ties toward the staler side: prefer kr > r.
-                        (d, if kr > r { 0u8 } else { 1u8 })
-                    })
-                    .min()
-                else {
-                    continue;
-                };
-                (0..p)
-                    .filter(|&i| {
-                        let d = rel[i].abs_diff(r);
-                        (d, if rel[i] > r { 0u8 } else { 1u8 }) == nearest
-                    })
-                    .collect()
-            }
         };
         debug_assert!(!recipients.is_empty());
         let share = mass / recipients.len() as f64;
@@ -247,16 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_policy_shifts_gap_mass_toward_fresh() {
-        let initial = dynamic_weights(&[10, 1], 0.5, GapPolicy::Initial);
-        let nearest = dynamic_weights(&[10, 1], 0.5, GapPolicy::Nearest);
-        assert_sums_to_one(&nearest);
-        // Gaps 2..5 sit nearer rel=1 (fresh member 0); under Nearest the
-        // fresh member receives them, so it gains weight vs Initial.
-        assert!(nearest[0] > initial[0]);
-    }
-
-    #[test]
     fn smaller_alpha_penalizes_staleness_harder() {
         let mild = dynamic_weights(&[10, 8], 0.9, GapPolicy::Initial);
         let harsh = dynamic_weights(&[10, 8], 0.2, GapPolicy::Initial);
@@ -275,11 +241,9 @@ mod tests {
         ];
         for c in cases {
             for alpha in [0.1, 0.5, 0.9] {
-                for policy in [GapPolicy::Initial, GapPolicy::Nearest] {
-                    let w = dynamic_weights(&c, alpha, policy);
-                    assert_sums_to_one(&w);
-                    assert!(w.iter().all(|&x| x >= 0.0), "{c:?} {alpha} {w:?}");
-                }
+                let w = dynamic_weights(&c, alpha, GapPolicy::Initial);
+                assert_sums_to_one(&w);
+                assert!(w.iter().all(|&x| x >= 0.0), "{c:?} {alpha} {w:?}");
             }
         }
     }

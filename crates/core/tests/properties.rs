@@ -29,10 +29,8 @@ proptest! {
     fn dynamic_weights_normalized_for_arbitrary_iterations(
         iterations in prop::collection::vec(1u64..10_000, 1..12),
         alpha in 0.05f64..0.95,
-        nearest in any::<bool>(),
     ) {
-        let policy = if nearest { GapPolicy::Nearest } else { GapPolicy::Initial };
-        let w = dynamic_weights(&iterations, alpha, policy);
+        let w = dynamic_weights(&iterations, alpha, GapPolicy::Initial);
         prop_assert_eq!(w.len(), iterations.len());
         let s: f32 = w.iter().sum();
         prop_assert!((s - 1.0).abs() < 1e-4, "sum = {s}");
@@ -44,12 +42,10 @@ proptest! {
         p in 1usize..16,
         iteration in 1u64..100_000,
         alpha in 0.05f64..0.95,
-        nearest in any::<bool>(),
     ) {
         // Every member at the same iteration: no staleness to penalize, so
-        // both gap policies must return exactly constant 1/P weights.
-        let policy = if nearest { GapPolicy::Nearest } else { GapPolicy::Initial };
-        let w = dynamic_weights(&vec![iteration; p], alpha, policy);
+        // the weights must be exactly constant 1/P.
+        let w = dynamic_weights(&vec![iteration; p], alpha, GapPolicy::Initial);
         for &x in w.iter() {
             prop_assert!(
                 (x - 1.0 / p as f32).abs() < 1e-6,
@@ -62,30 +58,9 @@ proptest! {
     fn single_member_gets_full_weight(
         iteration in 1u64..100_000,
         alpha in 0.05f64..0.95,
-        nearest in any::<bool>(),
     ) {
-        let policy = if nearest { GapPolicy::Nearest } else { GapPolicy::Initial };
-        let w = dynamic_weights(&[iteration], alpha, policy);
+        let w = dynamic_weights(&[iteration], alpha, GapPolicy::Initial);
         prop_assert_eq!(w.into_vec(), vec![1.0f32]);
-    }
-
-    #[test]
-    fn both_gap_policies_normalize_identical_inputs(
-        iterations in prop::collection::vec(1u64..10_000, 1..12),
-        alpha in 0.05f64..0.95,
-    ) {
-        // The gap policy redistributes mass between members but never
-        // creates or destroys it: both variants stay stochastic vectors
-        // over the same input.
-        for policy in [GapPolicy::Initial, GapPolicy::Nearest] {
-            let w = dynamic_weights(&iterations, alpha, policy);
-            let s: f32 = w.iter().sum();
-            prop_assert!((s - 1.0).abs() < 1e-4, "{policy:?}: sum = {s}");
-            prop_assert!(
-                w.iter().all(|&x| x >= 0.0),
-                "{policy:?}: negative weight in {w:?}"
-            );
-        }
     }
 
     #[test]

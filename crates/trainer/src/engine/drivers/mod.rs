@@ -7,8 +7,8 @@
 //! consumes a [`SimSubstrate`] and replays the machine under
 //! deterministic virtual time (each loop draws from the shared RNG in its
 //! own order, which the fixed-seed goldens pin). `drive_threaded` runs
-//! P-Reduce as an SPMD program on real OS threads via
-//! `ThreadedSubstrate::run_spmd`, against the real controller thread.
+//! P-Reduce on real OS threads, one per worker, against the real
+//! controller thread.
 //! The Table-1 baselines are sim-only: the sim driver is their one
 //! implementation.
 
@@ -32,17 +32,15 @@ pub fn driver_for(strategy: Strategy) -> Driver {
 pub struct Driver(Strategy);
 
 impl Driver {
-    /// The strategy this driver executes.
-    pub fn strategy(&self) -> Strategy {
-        self.0
-    }
-
     /// Runs the strategy to convergence (or the update cap) under
     /// deterministic virtual time.
     pub fn drive_sim(&self, substrate: SimSubstrate) -> RunResult {
-        let faults = substrate.faults().clone();
-        let elastic = substrate.elastic().clone();
-        let (h, sink) = substrate.into_parts();
+        let SimSubstrate {
+            harness: h,
+            sink,
+            faults,
+            elastic,
+        } = substrate;
         match self.0 {
             Strategy::AllReduce => sync::run_allreduce(h),
             Strategy::EagerReduce => sync::run_eager_reduce(h),
@@ -72,7 +70,7 @@ impl Driver {
         match self.0 {
             Strategy::PReduce { p, dynamic } => {
                 let cfg =
-                    Strategy::preduce_controller_config(p, dynamic, substrate.config().num_workers);
+                    Strategy::preduce_controller_config(p, dynamic, substrate.config.num_workers);
                 preduce::threaded_preduce(substrate, cfg)
             }
             #[allow(
@@ -101,15 +99,5 @@ mod tests {
         );
         c.num_workers = 2;
         let _ = driver_for(Strategy::AllReduce).drive_threaded(&ThreadedSubstrate::new(&c, 1));
-    }
-
-    #[test]
-    fn driver_for_round_trips_every_strategy() {
-        let mut all = Strategy::table1_lineup(8);
-        all.push(Strategy::DPsgd);
-        all.push(Strategy::PsSsp { bound: 4 });
-        for s in all {
-            assert_eq!(driver_for(s).strategy(), s);
-        }
     }
 }

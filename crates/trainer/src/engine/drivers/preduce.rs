@@ -3,7 +3,8 @@
 //! threads (the controller thread from [`partial_reduce::runtime`]).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use partial_reduce::runtime::{spawn, LivenessPolicy, RuntimeOptions};
 use partial_reduce::{
@@ -11,12 +12,14 @@ use partial_reduce::{
 };
 use preduce_simnet::{EventQueue, FaultKind, FaultPlan, SimTime};
 use preduce_tensor::Tensor;
+use rand::{rngs::StdRng, SeedableRng};
 
 use crate::elastic::{restore_worker, ElasticOptions, SnapshotWriter};
 use crate::engine::round::{Round, WorkerRounds};
-use crate::engine::setup::build_fleet;
+use crate::engine::setup::{build_fleet, evaluate_uniform_average, worker_thread_seed};
 use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
+use crate::replay::params_hash;
 use crate::sim::SimHarness;
 use crate::worker::weighted_model_average;
 
@@ -347,7 +350,10 @@ pub fn chaos_liveness() -> LivenessPolicy {
 /// Threaded partial reduce: every worker runs its iteration budget of
 /// local update + `reduce` calls against the real controller thread; the
 /// drain protocol issues singleton assignments at shutdown so no worker
-/// hangs.
+/// hangs. The report's `wall_seconds` runs from just before the first
+/// worker thread spawns to just after the last join; the controller
+/// spawn and join, the uniform-average evaluation and the parameter
+/// hashes stay outside it.
 ///
 /// When the substrate carries a [`FaultPlan`], the controller is spawned
 /// with the chaos [`LivenessPolicy`], every worker heartbeats, and the
@@ -364,7 +370,7 @@ pub(crate) fn threaded_preduce(
     sub: &ThreadedSubstrate,
     controller: ControllerConfig,
 ) -> ThreadedReport {
-    let config = sub.config();
+    let config = &sub.config;
     assert_eq!(
         controller.num_workers, config.num_workers,
         "controller config sized for a different fleet"
@@ -372,49 +378,76 @@ pub(crate) fn threaded_preduce(
     // Threads are not resurrected mid-run: the `restore:` verb is honored
     // by the simulator only, and dropping it would crash the worker for good.
     assert!(
-        sub.faults().restore_targets().next().is_none(),
+        sub.faults.restore_targets().next().is_none(),
         "fault plan contains `restore:`, which only the simulator executes"
     );
     let mut fleet = build_fleet(config);
-    let elastic = sub.elastic().clone();
     for w in &mut fleet.workers {
-        elastic.warm_start(w);
+        sub.elastic.warm_start(w);
     }
-    let chaos = !sub.faults().is_empty();
+    let chaos = !sub.faults.is_empty();
     let (handle, reducers) = spawn(
         controller,
         RuntimeOptions {
-            sink: sub.sink(),
+            sink: sub.sink.clone(),
             liveness: chaos.then(chaos_liveness),
         },
     );
-    let sink = sub.sink();
 
-    let report = sub.run_spmd(fleet, reducers, move |mut ctx, mut w, mut r| {
-        if chaos {
-            // Heartbeat from the very start — before any late-join sleep —
-            // so a slow or late worker is never misjudged as dead.
-            r.start_heartbeat(HEARTBEAT_EVERY);
-        }
-        let mut rounds = WorkerRounds::begin(&w, ctx.faults, ctx.delay, &elastic, sink.clone());
-        for _ in 0..ctx.iters {
-            // Fail fast: a failed collective mid-run has no recovery path
-            // on this substrate.
-            match must("partial reduce", rounds.run(&mut w, &mut ctx.rng, &mut r)) {
-                Round::Reduced => {}
-                Round::Crashed => {
-                    // Fail-stop: no Leaving, no more heartbeats. The handle
-                    // drops here; the controller detects the silence.
-                    r.crash();
-                    return (w.params, w.iteration);
+    let start = Instant::now();
+    let threads: Vec<_> = fleet
+        .workers
+        .into_iter()
+        .zip(reducers)
+        .map(|(mut w, mut r)| {
+            let iters = sub.iters;
+            let delay = sub.delays.get(w.rank).copied().unwrap_or(Duration::ZERO);
+            let mut rng = StdRng::seed_from_u64(worker_thread_seed(config.seed, w.rank));
+            let faults = sub.faults.clone();
+            let elastic = sub.elastic.clone();
+            let sink = sub.sink.clone();
+            thread::spawn(move || {
+                if chaos {
+                    // Heartbeat from the very start — before any late-join
+                    // sleep — so a slow or late worker is never misjudged
+                    // as dead.
+                    r.start_heartbeat(HEARTBEAT_EVERY);
                 }
-            }
-        }
-        must("finish", r.finish());
-        (w.params, w.iteration)
-    });
+                let mut rounds = WorkerRounds::begin(&w, faults, delay, &elastic, sink);
+                for _ in 0..iters {
+                    // Fail fast: a failed collective mid-run has no
+                    // recovery path on this substrate.
+                    match must("partial reduce", rounds.run(&mut w, &mut rng, &mut r)) {
+                        Round::Reduced => {}
+                        Round::Crashed => {
+                            // Fail-stop: no Leaving, no more heartbeats. The
+                            // handle drops here; the controller detects the
+                            // silence.
+                            r.crash();
+                            return (w.params, w.iteration);
+                        }
+                    }
+                }
+                must("finish", r.finish());
+                (w.params, w.iteration)
+            })
+        })
+        .collect();
+    let (params, iterations): (Vec<Tensor>, Vec<u64>) = threads
+        .into_iter()
+        .map(|t| match t.join() {
+            Ok(v) => v,
+            // Re-raise the worker's own panic so its message and backtrace
+            // survive instead of a generic join error.
+            Err(payload) => std::panic::resume_unwind(payload),
+        })
+        .unzip();
+    let wall_seconds = start.elapsed().as_secs_f64();
     ThreadedReport {
+        wall_seconds,
+        accuracy: evaluate_uniform_average(config, &fleet.test, &params),
+        iterations,
+        params_hashes: params.iter().map(|p| params_hash(p.as_slice())).collect(),
         controller: Some(handle.join()),
-        ..report
     }
 }

@@ -74,9 +74,11 @@ pub struct EngineRun {
 /// threaded backend runs P-Reduce only. On [`Backend::Threaded`] every
 /// worker runs its iteration budget
 /// ([`ExperimentConfig::threaded_iters`] or [`DEFAULT_THREADED_ITERS`]) on
-/// a real OS thread; timing is wall-clock, the trace is empty (real runs
-/// are observed through `sink`, not virtual checkpoints), and `converged`
-/// is always `false` because no threshold gates the loop.
+/// a real OS thread; timing is wall-clock, `updates` counts the groups the
+/// controller formed (one partial-reduce group operation each, as on the
+/// simulator), the trace is empty (real runs are observed through `sink`,
+/// not virtual checkpoints), and `converged` is always `false` because no
+/// threshold gates the loop.
 ///
 /// # Panics
 /// Panics if the config is invalid, if a baseline strategy is run on
@@ -87,43 +89,31 @@ pub fn run(
     backend: Backend,
     sink: Arc<dyn TraceSink>,
 ) -> EngineRun {
-    run_with_faults(strategy, config, backend, sink, FaultPlan::none())
-}
-
-/// Like [`run`], but the run executes under a [`FaultPlan`] (DESIGN.md
-/// §11): crashes, stalls, delayed signals, and late joins, applied with
-/// the same semantics by both substrates. The empty plan is exactly
-/// [`run`]. Fault plans are honored by the P-Reduce drivers — the
-/// strategy whose controller is built to absorb them. The baselines run
-/// on the simulator only, and there they ignore the plan: a synchronous
-/// baseline would simply deadlock on a crashed member (documented in
-/// EXPERIMENTS.md).
-///
-/// # Panics
-/// As [`run`].
-pub fn run_with_faults(
-    strategy: Strategy,
-    config: &ExperimentConfig,
-    backend: Backend,
-    sink: Arc<dyn TraceSink>,
-    faults: FaultPlan,
-) -> EngineRun {
     run_elastic(
         strategy,
         config,
         backend,
         sink,
-        faults,
+        FaultPlan::none(),
         ElasticOptions::none(),
     )
 }
 
-/// Like [`run_with_faults`], but additionally under [`ElasticOptions`]
-/// (DESIGN.md §14): periodic worker snapshots, a warm start
+/// Like [`run`], but the run executes under a [`FaultPlan`] (DESIGN.md
+/// §11) and [`ElasticOptions`] (DESIGN.md §14).
+///
+/// The plan's crashes, stalls, delayed signals and late joins are applied
+/// with the same semantics by both substrates. Fault plans are honored by
+/// the P-Reduce drivers — the strategy whose controller is built to absorb
+/// them. The baselines run on the simulator only, and there they ignore
+/// the plan: a synchronous baseline would simply deadlock on a crashed
+/// member (documented in EXPERIMENTS.md).
+///
+/// The elasticity options add periodic worker snapshots, a warm start
 /// from an earlier checkpoint directory, and — on the simulator — the
 /// `restore:W@U` fault verb that re-admits a crashed worker from its
-/// snapshot mid-run. Inert options make this exactly
-/// [`run_with_faults`], bit for bit.
+/// snapshot mid-run. The empty plan with inert options is exactly
+/// [`run`], bit for bit.
 ///
 /// # Panics
 /// Panics as [`run`] does, or if the elasticity options name an
@@ -157,9 +147,10 @@ pub fn run_elastic(
                 .with_faults(faults)
                 .with_elastic(elastic);
             let report = driver.drive_threaded(&substrate);
-            let updates: u64 = report.iterations.iter().sum();
+            let mut updates = 0;
             let mut stats = BTreeMap::new();
             if let Some(c) = report.controller {
+                updates = c.groups_formed;
                 stats.insert("groups".into(), c.groups_formed as f64);
                 stats.insert("repairs".into(), c.repairs as f64);
                 stats.insert("singletons".into(), c.singletons as f64);
@@ -200,14 +191,15 @@ mod tests {
     #[test]
     fn threaded_run_reports_in_common_vocabulary() {
         // P = N = 2 under CON: every round is the full pair, so no worker
-        // is fast-forwarded and each runs exactly its budget.
+        // is fast-forwarded, each runs exactly its budget, and each round
+        // is one group.
         let con = Strategy::PReduce {
             p: 2,
             dynamic: false,
         };
         let run = threaded(con, 2, 3);
         assert_eq!(run.result.strategy, "P-Reduce CON (P=2)");
-        assert_eq!(run.result.updates, 6); // 2 workers × 3 iterations
+        assert_eq!(run.result.updates, 3); // one group per round
         assert_eq!(run.iterations.as_deref(), Some(&[3, 3][..]));
         assert!(run.result.trace.is_empty());
         assert!(!run.result.converged);

@@ -16,9 +16,9 @@
 //! Relation to the other substrates (DESIGN.md §12): a worker process
 //! runs the threaded projection's round (`engine::round`); only the
 //! transports and the reaction to a failed reduce differ. Sim = virtual
-//! time + in-memory averaging; threaded = real threads + in-process ring
-//! collectives + loopback TCP control; process = real processes + TCP
-//! control + TCP star-reduce data plane.
+//! time + in-memory averaging; threaded = real threads + in-process
+//! channel control + in-process star average; process = real processes +
+//! TCP control + TCP star-reduce data plane.
 
 use std::net::SocketAddr;
 use std::sync::Arc;

@@ -82,13 +82,14 @@ pub fn worker_thread_seed(seed: u64, rank: usize) -> u64 {
 }
 
 /// Uniform average of parameter vectors — the inference model of
-/// Algorithm 2 line 8.
+/// Algorithm 2 line 8, which the simulator's convergence tracker and
+/// [`evaluate_uniform_average`] both score.
 ///
 /// # Panics
 /// Panics if `params` is empty or lengths differ.
-pub fn uniform_average(params: &[Tensor]) -> Tensor {
-    let refs: Vec<&Tensor> = params.iter().collect();
-    let weights = partial_reduce::constant_weights(params.len());
+pub fn uniform_average<'a>(params: impl IntoIterator<Item = &'a Tensor>) -> Tensor {
+    let refs: Vec<&Tensor> = params.into_iter().collect();
+    let weights = partial_reduce::constant_weights(refs.len());
     weighted_model_average(&refs, &weights)
 }
 

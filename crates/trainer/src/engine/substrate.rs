@@ -6,31 +6,25 @@
 //! averaged within a group, how the controller is signaled, and how the
 //! control plane is observed (via `TraceSink`). [`SimSubstrate`] hands the
 //! driver a [`SimHarness`] whose event queue plays all of those roles
-//! under virtual time; [`ThreadedSubstrate`] provides an SPMD scaffold
-//! (one OS thread per worker, each with its partial reducer) over the
-//! in-process fabric.
+//! under virtual time; [`ThreadedSubstrate`] holds what the threaded
+//! P-Reduce driver runs on real OS threads (one per worker, each with its
+//! partial reducer) over the in-process fabric.
 
-// Substrate dispatch indexes worker tables.
+// No unchecked indexing into worker tables.
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use partial_reduce::runtime::ControllerStats;
 use partial_reduce::{NullSink, TraceSink};
 use preduce_simnet::FaultPlan;
-use preduce_tensor::Tensor;
-use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::ExperimentConfig;
 use crate::elastic::ElasticOptions;
-use crate::engine::setup::{evaluate_uniform_average, worker_thread_seed, Fleet};
-use crate::replay::params_hash;
 use crate::sim::SimHarness;
-use crate::worker::WorkerState;
 
 /// Which substrate executes a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,11 +33,6 @@ pub enum Backend {
     Sim,
     /// Real OS threads over in-process message passing; P-Reduce only.
     Threaded,
-}
-
-impl Backend {
-    /// All backends, for CLI listings and exhaustive tests.
-    pub const ALL: [Backend; 2] = [Backend::Sim, Backend::Threaded];
 }
 
 impl FromStr for Backend {
@@ -71,10 +60,10 @@ impl fmt::Display for Backend {
 
 /// The virtual-time substrate: wraps the deterministic [`SimHarness`].
 pub struct SimSubstrate {
-    harness: SimHarness,
-    sink: Arc<dyn TraceSink>,
-    faults: FaultPlan,
-    elastic: ElasticOptions,
+    pub(crate) harness: SimHarness,
+    pub(crate) sink: Arc<dyn TraceSink>,
+    pub(crate) faults: FaultPlan,
+    pub(crate) elastic: ElasticOptions,
 }
 
 impl SimSubstrate {
@@ -106,11 +95,6 @@ impl SimSubstrate {
         self
     }
 
-    /// The fault plan this run executes under.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Sets the elasticity options (DESIGN.md §14): periodic snapshots
     /// and/or a warm start from an earlier checkpoint directory. Inert
     /// options leave the run bit-identical.
@@ -118,32 +102,6 @@ impl SimSubstrate {
     pub fn with_elastic(mut self, elastic: ElasticOptions) -> Self {
         self.elastic = elastic;
         self
-    }
-
-    /// The elasticity options this run executes under.
-    pub fn elastic(&self) -> &ElasticOptions {
-        &self.elastic
-    }
-
-    /// Consumes the substrate into its scheduler handle and sink: a sim
-    /// driver projection runs the harness event loop to completion.
-    pub fn into_parts(self) -> (SimHarness, Arc<dyn TraceSink>) {
-        (self.harness, self.sink)
-    }
-
-    /// Which backend this substrate is.
-    pub fn backend(&self) -> Backend {
-        Backend::Sim
-    }
-
-    /// Fleet size.
-    pub fn num_workers(&self) -> usize {
-        self.harness.num_workers()
-    }
-
-    /// The trace sink observing this run.
-    pub fn sink(&self) -> Arc<dyn TraceSink> {
-        self.sink.clone()
     }
 }
 
@@ -167,14 +125,14 @@ pub struct ThreadedReport {
 }
 
 /// The real-concurrency substrate: one OS thread per worker, wall-clock
-/// time, in-process message passing, and an optional controller thread.
+/// time, in-process message passing, and a controller thread.
 pub struct ThreadedSubstrate {
-    config: ExperimentConfig,
-    iters: u64,
-    delays: Vec<Duration>,
-    sink: Arc<dyn TraceSink>,
-    faults: FaultPlan,
-    elastic: ElasticOptions,
+    pub(crate) config: ExperimentConfig,
+    pub(crate) iters: u64,
+    pub(crate) delays: Vec<Duration>,
+    pub(crate) sink: Arc<dyn TraceSink>,
+    pub(crate) faults: FaultPlan,
+    pub(crate) elastic: ElasticOptions,
 }
 
 impl ThreadedSubstrate {
@@ -213,11 +171,6 @@ impl ThreadedSubstrate {
         self
     }
 
-    /// The fault plan this run executes under.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Sets the elasticity options (DESIGN.md §14): the same warm start
     /// and worker snapshots as on the simulator; threads are not
     /// resurrected mid-run (the `restore:` fault verb is sim-only).
@@ -225,11 +178,6 @@ impl ThreadedSubstrate {
     pub fn with_elastic(mut self, elastic: ElasticOptions) -> Self {
         self.elastic = elastic;
         self
-    }
-
-    /// The elasticity options this run executes under.
-    pub fn elastic(&self) -> &ElasticOptions {
-        &self.elastic
     }
 
     /// Injects controlled heterogeneity: `delays[rank]` is an artificial
@@ -249,118 +197,22 @@ impl ThreadedSubstrate {
         self.delays = delays.to_vec();
         self
     }
-
-    /// The experiment configuration this substrate runs.
-    pub fn config(&self) -> &ExperimentConfig {
-        &self.config
-    }
-
-    /// Local iterations each worker will run.
-    pub fn iters(&self) -> u64 {
-        self.iters
-    }
-
-    /// Runs `body` as an SPMD program: one thread per worker of `fleet`,
-    /// each handed its context (iteration budget, straggler delay, seeded
-    /// RNG, fault plan), its [`WorkerState`], and one element of
-    /// `resources` (the P-Reduce body's partial reducer). Reports
-    /// the per-rank iteration counts, the wall-clock time of the training
-    /// loops, and the accuracy of the uniform-averaged model on the
-    /// fleet's test set (evaluated after, outside the clock). `controller`
-    /// is `None`: a controller-backed caller fills it from its handle.
-    ///
-    /// # Panics
-    /// Panics if a worker thread panics or `resources` is mis-sized.
-    pub(crate) fn run_spmd<R, F>(&self, fleet: Fleet, resources: Vec<R>, body: F) -> ThreadedReport
-    where
-        R: Send + 'static,
-        F: Fn(WorkerCtx, WorkerState, R) -> (Tensor, u64) + Send + Sync + 'static,
-    {
-        assert_eq!(
-            fleet.workers.len(),
-            resources.len(),
-            "one resource per worker"
-        );
-        let body = Arc::new(body);
-        let start = Instant::now();
-        let threads: Vec<_> = fleet
-            .workers
-            .into_iter()
-            .zip(resources)
-            .map(|(w, r)| {
-                let ctx = WorkerCtx {
-                    iters: self.iters,
-                    delay: self.delays.get(w.rank).copied().unwrap_or(Duration::ZERO),
-                    rng: StdRng::seed_from_u64(worker_thread_seed(self.config.seed, w.rank)),
-                    faults: self.faults.clone(),
-                };
-                let body = Arc::clone(&body);
-                thread::spawn(move || body(ctx, w, r))
-            })
-            .collect();
-        let mut params = Vec::new();
-        let mut iterations = Vec::new();
-        for t in threads {
-            let (p, i) = match t.join() {
-                Ok(v) => v,
-                // Re-raise the worker's own panic so its message and
-                // backtrace survive instead of a generic join error.
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            params.push(p);
-            iterations.push(i);
-        }
-        let wall_seconds = start.elapsed().as_secs_f64();
-        ThreadedReport {
-            wall_seconds,
-            accuracy: evaluate_uniform_average(&self.config, &fleet.test, &params),
-            iterations,
-            params_hashes: params.iter().map(|p| params_hash(p.as_slice())).collect(),
-            controller: None,
-        }
-    }
-
-    /// Which backend this substrate is.
-    pub fn backend(&self) -> Backend {
-        Backend::Threaded
-    }
-
-    /// Fleet size.
-    pub fn num_workers(&self) -> usize {
-        self.config.num_workers
-    }
-
-    /// The trace sink observing this run.
-    pub fn sink(&self) -> Arc<dyn TraceSink> {
-        self.sink.clone()
-    }
 }
 
-/// Unwraps a result inside an SPMD worker body. Worker closures run under
-/// [`ThreadedSubstrate::run_spmd`], which joins every thread and re-raises
-/// a worker panic on the driving thread — panicking here is the designed
-/// channel through which a failed mid-run collective aborts the whole run.
+/// Unwraps a result whose failure has no recovery path: a corrupt
+/// checkpoint, or a failed collective inside a threaded worker. The
+/// threaded driver joins every worker thread and re-raises its panic on
+/// the driving thread, so this is also how one failed worker aborts the
+/// whole run.
 pub(crate) fn must<T, E: fmt::Display>(what: &str, result: Result<T, E>) -> T {
     match result {
         Ok(v) => v,
         #[allow(
             clippy::panic,
-            reason = "worker-thread failures propagate to the driver through run_spmd's join; a failed collective mid-run has no recovery path"
+            reason = "a corrupt checkpoint or a failed collective mid-run has no recovery path; a worker thread's panic reaches the driver through its join"
         )]
         Err(e) => panic!("{what}: {e}"),
     }
-}
-
-/// Per-thread context handed to an SPMD worker body.
-pub(crate) struct WorkerCtx {
-    /// Local iterations to run.
-    pub iters: u64,
-    /// Injected per-iteration straggler sleep.
-    pub delay: Duration,
-    /// This worker's private RNG (batch draws).
-    pub rng: StdRng,
-    /// The run's fault plan, which the P-Reduce body queries by rank.
-    pub faults: FaultPlan,
 }
 
 #[cfg(test)]
@@ -369,52 +221,19 @@ mod tests {
     use preduce_data::cifar10_like;
     use preduce_models::zoo;
 
-    fn config(n: usize) -> ExperimentConfig {
-        let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
-        c.num_workers = n;
-        c
-    }
-
     #[test]
     fn backend_parse_and_display_roundtrip() {
-        for b in Backend::ALL {
+        for b in [Backend::Sim, Backend::Threaded] {
             assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
         }
         assert!("gpu".parse::<Backend>().is_err());
     }
 
     #[test]
-    fn substrates_report_identity() {
-        let c = config(3);
-        let sim = SimSubstrate::new(&c);
-        assert_eq!(sim.backend(), Backend::Sim);
-        assert_eq!(sim.num_workers(), 3);
-        let thr = ThreadedSubstrate::new(&c, 5);
-        assert_eq!(thr.backend(), Backend::Threaded);
-        assert_eq!(thr.num_workers(), 3);
-        assert_eq!(thr.iters(), 5);
-    }
-
-    #[test]
     #[should_panic(expected = "need one delay per worker")]
     fn delays_must_match_fleet() {
-        let _ = ThreadedSubstrate::new(&config(3), 1).with_delays(&[Duration::ZERO]);
-    }
-
-    #[test]
-    fn spmd_scaffold_runs_every_worker_once() {
-        let c = config(4);
-        let fleet = crate::engine::setup::build_fleet(&c);
-        let sub = ThreadedSubstrate::new(&c, 3);
-        let out = sub.run_spmd(fleet, vec![(); 4], |mut ctx, mut w, ()| {
-            for _ in 0..ctx.iters {
-                w.local_update(&mut ctx.rng);
-            }
-            (w.params, w.iteration)
-        });
-        assert_eq!(out.iterations, vec![3; 4]);
-        assert!((0.0..=1.0).contains(&out.accuracy));
-        assert!(out.wall_seconds >= 0.0);
-        assert!(out.controller.is_none());
+        let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
+        c.num_workers = 3;
+        let _ = ThreadedSubstrate::new(&c, 1).with_delays(&[Duration::ZERO]);
     }
 }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use partial_reduce::{NullSink, TraceSink};
+use partial_reduce::NullSink;
 
 use crate::config::ExperimentConfig;
 use crate::engine::{self, Backend};
@@ -18,22 +18,7 @@ use crate::strategy::Strategy;
 /// Panics on invalid configurations (e.g. P-Reduce group larger than the
 /// fleet, backups ≥ N).
 pub fn run_experiment(strategy: Strategy, config: &ExperimentConfig) -> RunResult {
-    run_experiment_traced(strategy, config, Arc::new(NullSink))
-}
-
-/// Like [`run_experiment`], but P-Reduce runs narrate their control plane
-/// to `sink`. Strategies without a partial-reduce controller have nothing
-/// to trace; they run as in [`run_experiment`] and leave `sink` untouched.
-///
-/// # Panics
-/// Panics on invalid configurations (e.g. P-Reduce group larger than the
-/// fleet, backups ≥ N).
-pub fn run_experiment_traced(
-    strategy: Strategy,
-    config: &ExperimentConfig,
-    sink: Arc<dyn TraceSink>,
-) -> RunResult {
-    engine::run(strategy, config, Backend::Sim, sink).result
+    engine::run(strategy, config, Backend::Sim, Arc::new(NullSink)).result
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub use elastic::{CheckpointPolicy, ElasticOptions};
 pub use engine::{
     run_scale, sample_groups, Backend, EngineRun, ScaleConfig, ScaleReport, ThreadedReport,
 };
-pub use experiment::{run_experiment, run_experiment_traced};
+pub use experiment::run_experiment;
 pub use metrics::{RunResult, TracePoint};
 pub use preduce_simnet::{FaultKind, FaultPlan, FaultSpec};
 pub use strategy::Strategy;

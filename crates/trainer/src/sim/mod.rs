@@ -1,7 +1,7 @@
 //! The virtual-time simulation harness.
 //!
 //! The strategy drivers themselves live in [`crate::engine::drivers`]
-//! (one module per family, each projected onto both substrates); this
+//! (one module per family; P-Reduce also runs on real threads); this
 //! module keeps [`SimHarness`]: the worker replicas (real models, real
 //! SGD math), the heterogeneity model (per-update compute times), the
 //! network cost model, and a convergence tracker that periodically
@@ -16,9 +16,9 @@ use preduce_simnet::{HeterogeneityModel, NetworkModel, SimTime};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::ExperimentConfig;
-use crate::engine::setup::{build_fleet, eval_threads, Fleet, EVAL_BATCH};
+use crate::engine::setup::{build_fleet, eval_threads, uniform_average, Fleet, EVAL_BATCH};
 use crate::metrics::{RunResult, TracePoint};
-use crate::worker::{average_params, WorkerState};
+use crate::worker::WorkerState;
 
 /// Cap on retained per-update time samples (reservoir not needed: the
 /// early-run distribution is representative because the heterogeneity
@@ -198,7 +198,7 @@ impl ConvergenceTracker {
     }
 
     fn evaluate(&mut self, workers: &[WorkerState]) -> f64 {
-        let avg = average_params(workers);
+        let avg = uniform_average(workers.iter().map(|w| &w.params));
         self.eval_net.set_param_vector(&avg);
         // Data-parallel over eval batches; integer correct counts make the
         // score bit-identical to a sequential pass (golden-safe).
@@ -207,7 +207,7 @@ impl ConvergenceTracker {
 
     /// `‖∇F(u_k)‖²` of the averaged model over the whole held-out set.
     fn grad_norm_sq(&mut self, workers: &[WorkerState]) -> f64 {
-        let avg = average_params(workers);
+        let avg = uniform_average(workers.iter().map(|w| &w.params));
         self.eval_net.set_param_vector(&avg);
         self.eval_net.zero_grads();
         // Accumulate gradients over the full set in eval batches; the

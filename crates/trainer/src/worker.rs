@@ -132,14 +132,6 @@ pub fn weighted_model_average(models: &[&Tensor], weights: &WeightRow) -> Tensor
     out
 }
 
-/// The uniform average of all workers' parameter vectors (the model used
-/// for inference, Algorithm 2 line 8).
-pub fn average_params(workers: &[WorkerState]) -> Tensor {
-    let refs: Vec<&Tensor> = workers.iter().map(|w| &w.params).collect();
-    let w = partial_reduce::constant_weights(workers.len());
-    weighted_model_average(&refs, &w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

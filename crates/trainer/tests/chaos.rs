@@ -15,7 +15,9 @@ use std::sync::Arc;
 use partial_reduce::{Controller, ControllerConfig, InvariantChecker, RingSink, TraceEvent};
 use preduce_data::cifar10_like;
 use preduce_models::zoo;
-use preduce_trainer::{engine, Backend, EngineRun, ExperimentConfig, FaultPlan, Strategy};
+use preduce_trainer::{
+    engine, Backend, ElasticOptions, EngineRun, ExperimentConfig, FaultPlan, Strategy,
+};
 
 /// Accuracy tolerance vs the fault-free golden for perturbation-only
 /// plans (stall / delay / late join): the update budget is identical, so
@@ -41,12 +43,13 @@ fn sim_config() -> ExperimentConfig {
 fn sim_run(dynamic: bool, plan: FaultPlan) -> (EngineRun, Vec<TraceEvent>) {
     let c = sim_config();
     let sink = Arc::new(RingSink::new(65536));
-    let run = engine::run_with_faults(
+    let run = engine::run_elastic(
         Strategy::PReduce { p: 4, dynamic },
         &c,
         Backend::Sim,
         sink.clone(),
         plan,
+        ElasticOptions::none(),
     );
     assert_eq!(sink.dropped(), 0, "trace overflowed the ring");
     (run, sink.snapshot())
@@ -202,7 +205,7 @@ fn combined_plan_survives_everything_at_once() {
 
 #[test]
 fn empty_plan_is_bit_identical_to_the_faultless_run() {
-    // `run_with_faults` with the empty plan must not perturb the golden
+    // `run_elastic` with the empty plan must not perturb the golden
     // trajectory: stall ×1.0 and +0.0s delays are exact f64 identities.
     for dynamic in [false, true] {
         let c = sim_config();
@@ -226,7 +229,7 @@ fn threaded_crash_is_evicted_by_liveness() {
     c.threaded_iters = Some(12);
     let plan = FaultPlan::none().crash(3, 4);
     let sink = Arc::new(RingSink::new(65536));
-    let run = engine::run_with_faults(
+    let run = engine::run_elastic(
         Strategy::PReduce {
             p: 2,
             dynamic: false,
@@ -235,6 +238,7 @@ fn threaded_crash_is_evicted_by_liveness() {
         Backend::Threaded,
         sink.clone(),
         plan,
+        ElasticOptions::none(),
     );
 
     let stats = run.controller.expect("p-reduce reports controller stats");
@@ -268,7 +272,7 @@ fn threaded_stall_keeps_heartbeating_and_is_not_evicted() {
     c.threaded_iters = Some(10);
     let plan = FaultPlan::none().stall(0, 20.0, 1);
     let sink = Arc::new(RingSink::new(65536));
-    let run = engine::run_with_faults(
+    let run = engine::run_elastic(
         Strategy::PReduce {
             p: 2,
             dynamic: false,
@@ -277,6 +281,7 @@ fn threaded_stall_keeps_heartbeating_and_is_not_evicted() {
         Backend::Threaded,
         sink.clone(),
         plan,
+        ElasticOptions::none(),
     );
 
     let stats = run.controller.expect("p-reduce reports controller stats");

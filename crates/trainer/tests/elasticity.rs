@@ -220,35 +220,39 @@ fn snapshot_policy_does_not_perturb_the_trajectory() {
 
 #[test]
 fn warm_start_resumes_from_durable_state() {
-    // Phase 1 trains with snapshots; phase 2 warm-starts from them. The
-    // restored fleet must begin past the snapshot iterations — visible as
-    // a first-signal iteration floor in the trace.
-    let dir = scratch("warm");
-    let (_, _) = sim_run(
-        false,
-        FaultPlan::none(),
-        ElasticOptions::none().with_policy(&dir, 1),
-    );
-    let (resumed, events) = sim_run(
-        false,
-        FaultPlan::none(),
-        ElasticOptions::none().with_restore(&dir),
-    );
-    assert!(resumed.result.final_accuracy.is_finite());
-    let first_signal = events
-        .iter()
-        .find_map(|e| match e {
-            TraceEvent::SignalEnqueued { iteration, .. } => Some(*iteration),
-            _ => None,
-        })
-        .expect("no signals in resumed run");
-    assert!(
-        first_signal > 1,
-        "warm start ignored the snapshots: first signal at iteration {first_signal}"
-    );
-    let report = InvariantChecker::check(&events);
-    assert!(report.is_clean(), "{report}");
-    let _ = std::fs::remove_dir_all(&dir);
+    // Phase 1 trains with snapshots; phase 2 warm-starts from them, on
+    // each substrate. The restored fleet must begin past the snapshot
+    // iterations — visible as a first-signal iteration floor in the trace.
+    let mut threaded = sim_config();
+    threaded.num_workers = 4;
+    threaded.threaded_iters = Some(8);
+    for (backend, c, p, every) in [
+        (Backend::Sim, sim_config(), 4, 1),
+        (Backend::Threaded, threaded, 2, 2),
+    ] {
+        let dir = scratch(&format!("{backend:?}-warm"));
+        let strategy = Strategy::PReduce { p, dynamic: false };
+        let snapshots = ElasticOptions::none().with_policy(&dir, every);
+        let _ = run_traced(&c, strategy, backend, FaultPlan::none(), snapshots);
+        let restore = ElasticOptions::none().with_restore(&dir);
+        let (resumed, events) = run_traced(&c, strategy, backend, FaultPlan::none(), restore);
+        assert!(resumed.result.final_accuracy.is_finite(), "{backend:?}");
+        let first_signal = events
+            .iter()
+            .find_map(|e| match e {
+                TraceEvent::SignalEnqueued { iteration, .. } => Some(*iteration),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{backend:?}: no signals in resumed run"));
+        assert!(
+            first_signal > 1,
+            "{backend:?}: warm start ignored the snapshots: first signal at iteration \
+             {first_signal}"
+        );
+        let report = InvariantChecker::check(&events);
+        assert!(report.is_clean(), "{backend:?}: {report}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -249,12 +249,12 @@ fn sim_kill_and_replace() -> Vec<TraceEvent> {
 /// assignment it sends, evicts the crashed worker by heartbeat silence,
 /// and drains the survivors out with singletons.
 fn threaded_crash() -> Vec<TraceEvent> {
-    use preduce_trainer::{engine, Backend};
+    use preduce_trainer::{engine, Backend, ElasticOptions};
 
     let mut c = config(4);
     c.threaded_iters = Some(12);
     let sink = Arc::new(RingSink::new(65_536));
-    engine::run_with_faults(
+    engine::run_elastic(
         Strategy::PReduce {
             p: 2,
             dynamic: false,
@@ -263,6 +263,7 @@ fn threaded_crash() -> Vec<TraceEvent> {
         Backend::Threaded,
         sink.clone(),
         FaultPlan::none().crash(3, 4),
+        ElasticOptions::none(),
     );
     assert_eq!(sink.dropped(), 0);
     sink.snapshot()
@@ -395,7 +396,7 @@ fn every_trace_event_variant_is_emitted() {
 fn sim_and_threaded_traces_share_the_vocabulary() {
     // The same checker consumes the simulator's trace: run the virtual-time
     // harness traced and replay it with zero violations.
-    use preduce_trainer::run_experiment_traced;
+    use preduce_trainer::{engine, Backend};
 
     let mut c = config(16);
     c.max_updates = 200;
@@ -403,7 +404,8 @@ fn sim_and_threaded_traces_share_the_vocabulary() {
     c.threshold = 0.999;
     for dynamic in [false, true] {
         let sink = Arc::new(RingSink::new(65536));
-        let result = run_experiment_traced(Strategy::PReduce { p: 4, dynamic }, &c, sink.clone());
+        let strategy = Strategy::PReduce { p: 4, dynamic };
+        let result = engine::run(strategy, &c, Backend::Sim, sink.clone()).result;
         assert!(result.updates > 0);
         assert_eq!(sink.dropped(), 0);
         let events = sink.snapshot();
