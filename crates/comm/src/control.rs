@@ -7,7 +7,6 @@
 //! weights, a tag for the group's collective, and the fast-forwarded
 //! iteration number.
 
-use serde::{Deserialize, Serialize};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
@@ -15,7 +14,7 @@ use crate::error::CommError;
 use crate::Result;
 
 /// A signal from a worker to the controller.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerSignal {
     /// "I finished my local update and am ready for a partial reduce."
     Ready {
@@ -40,7 +39,7 @@ pub enum WorkerSignal {
 }
 
 /// The controller's reply: the composed group and how to aggregate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupAssignment {
     /// Member ranks, in collective order. Every member receives the same
     /// assignment.
@@ -58,7 +57,7 @@ pub struct GroupAssignment {
 /// them have joined: every rank's data-plane listener address, indexed
 /// by rank. Workers dial each other at these addresses for group
 /// weighted averages (the controller itself never touches model data).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetRoster {
     /// Data-plane listener address per rank.
     pub data_addrs: Vec<String>,

@@ -33,10 +33,13 @@ pub enum CommError {
         /// Length received from a peer.
         actual: usize,
     },
-    /// A control frame failed to decode: an oversized length prefix or
-    /// a payload that is not valid JSON for the expected message type.
-    /// Decode paths return this instead of panicking; the connection
-    /// that produced it must be dropped (the stream is desynchronized).
+    /// A control frame failed to encode or decode: an oversized length
+    /// prefix, a payload that is not the expected message's layout (its
+    /// kind byte, a short field, a length that does not fit, trailing
+    /// bytes), a peer on another wire version, or a rank too large for
+    /// the wire. Decode paths return this instead of panicking; the
+    /// connection that produced it must be dropped (the stream is
+    /// desynchronized).
     MalformedFrame {
         /// What was wrong with the frame.
         detail: String,

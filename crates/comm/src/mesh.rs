@@ -46,8 +46,7 @@
 //! `group[0]` that fold in group-position order, so they also agree bit for
 //! bit.
 //!
-//! Wire format (binary, not JSON — payloads are whole parameter
-//! vectors): request `[base_tag u64 BE][rank u32 BE][len u32 BE][len ×
+//! Wire format (payloads are whole parameter vectors): request `[base_tag u64 BE][rank u32 BE][len u32 BE][len ×
 //! f32 LE]`, response `[base_tag u64 BE][len u32 BE][len × f32 LE]`,
 //! where `len` counts elements. The `base_tag` check rejects frames
 //! from a stale or misdirected reduce.

@@ -234,6 +234,27 @@ mod tests {
     }
 
     #[test]
+    fn a_json_era_hello_is_refused_naming_both_versions() {
+        let (listener, addr) = bind_controller("127.0.0.1:0");
+        let old_worker = thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            let hello = br#"{"rank":0}"#;
+            let mut frame = (hello.len() as u32).to_be_bytes().to_vec();
+            frame.extend_from_slice(hello);
+            io::Write::write_all(&mut s, &frame).expect("json hello");
+            s
+        });
+        match accept_workers(&listener, 1) {
+            Err(CommError::MalformedFrame { detail }) => assert!(
+                detail.contains("wire version 1") && detail.contains("wire version 2"),
+                "{detail}"
+            ),
+            other => panic!("a JSON-era worker was not refused: {other:?}"),
+        }
+        drop(old_worker.join().expect("old worker"));
+    }
+
+    #[test]
     fn a_half_sent_frame_does_not_stall_the_serving_thread() {
         // Rank 0 says hello, sends only the first bytes of a `Ready` frame
         // and keeps its socket open: a receive that waited for the rest

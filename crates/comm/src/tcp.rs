@@ -3,13 +3,15 @@
 //! TCP/IP protocols for the communication between the controller and the
 //! workers ... each message from the workers is only a few bytes").
 //!
-//! Wire format: 4-byte big-endian length prefix + JSON payload. Every
-//! message really is a few dozen bytes; the model data never touches this
-//! channel (that is what distinguishes the controller from a parameter
-//! server).
+//! Wire format ([`crate::frame`]): a 4-byte big-endian length prefix, a
+//! one-byte message kind, then the message's fixed little-endian fields.
+//! A ready signal is 17 bytes on the wire and a P-member assignment
+//! 29 + 8·P; the model data never touches this channel (that is what
+//! distinguishes the controller from a parameter server).
 //!
 //! Topology: the controller binds a listener; each worker dials in and
-//! introduces itself with a `Hello { rank }` frame. The controller side,
+//! introduces itself with a `Hello { rank }` frame that carries the wire
+//! version; a peer on another version is refused. The controller side,
 //! [`TcpControllerLink`], owns every accepted socket and is driven by
 //! the serving thread itself: a receive blocks in one `poll(2)` over all
 //! of them and reads only the ready ones, so a signal wakes exactly the
@@ -34,13 +36,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use preduce_tensor::sys::poll_readable;
-use serde::{de::DeserializeOwned, Deserialize, Serialize};
 
 use crate::control::{
     ControlEvent, ControlPlane, GroupAssignment, WorkerControlPlane, WorkerSignal,
 };
 use crate::error::CommError;
-use crate::frame::{self, FrameBuffer, MAX_FRAME};
+use crate::frame::{self, FrameBuffer, Message, MAX_FRAME};
 use crate::reactor;
 use crate::Result;
 
@@ -90,20 +91,15 @@ impl Default for RetryPolicy {
 /// The worker's first frame after connecting. `data_addr` is the
 /// worker's data-plane listener address, present only in multi-process
 /// deployments (see [`crate::reactor::accept_fleet`]); in-process TCP
-/// runs leave it unset and the field is invisible on the wire to older
-/// decoders (`serde(default)` + skip-if-none).
-#[derive(Debug, Serialize, Deserialize)]
+/// runs leave it unset. On the wire it also carries
+/// [`frame::WIRE_VERSION`], which the controller checks on decode.
+#[derive(Debug)]
 pub(crate) struct Hello {
     pub(crate) rank: usize,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub(crate) data_addr: Option<String>,
 }
 
-pub(crate) fn write_frame<T: Serialize>(
-    stream: &mut TcpStream,
-    msg: &T,
-    peer: usize,
-) -> Result<()> {
+pub(crate) fn write_frame<T: Message>(stream: &mut TcpStream, msg: &T, peer: usize) -> Result<()> {
     let bytes = frame::encode(msg)?;
     stream
         .write_all(&bytes)
@@ -114,7 +110,7 @@ pub(crate) fn write_frame<T: Serialize>(
 /// mutex (heartbeat thread and worker loop share the write half). A
 /// poisoned mutex means another writer panicked, possibly mid-frame, so
 /// the stream can no longer be trusted: the peer is reported gone.
-pub(crate) fn locked_write<T: Serialize>(
+pub(crate) fn locked_write<T: Message>(
     writer: &Mutex<TcpStream>,
     msg: &T,
     peer: usize,
@@ -127,29 +123,25 @@ pub(crate) fn locked_write<T: Serialize>(
     write_frame(&mut stream, msg, peer)
 }
 
-/// Reads exactly `buf.len()` bytes, distinguishing the three ways a
-/// timed-out socket can fail: an idle timeout before any byte arrives
-/// (`Timeout`, retryable — when `idle_ok`), a bounded number of stalls
-/// mid-frame (then `Disconnected`), and a real EOF/socket error
-/// (`Disconnected`).
-#[allow(
-    clippy::indexing_slicing,
-    reason = "the loop runs only while `filled < buf.len()`"
-)]
-pub(crate) fn read_full(
+/// One `read` into `buf` under a socket read timeout, sorting out the
+/// three ways it can fail: an idle timeout before any byte of the frame
+/// arrived (`Timeout`, retryable), a stall mid-frame (`Ok(0)` up to
+/// [`MID_FRAME_STALLS`] in a row, then `Disconnected`), and EOF or a
+/// socket error (`Disconnected`). `EINTR` is retried. `started` says
+/// whether part of the frame is already in hand.
+fn read_some(
     stream: &mut TcpStream,
     buf: &mut [u8],
     peer: usize,
-    idle_ok: bool,
-) -> Result<()> {
-    let mut filled = 0usize;
-    let mut stalls = 0u32;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
+    started: bool,
+    stalls: &mut u32,
+) -> Result<usize> {
+    loop {
+        match stream.read(buf) {
             Ok(0) => return Err(CommError::Disconnected { peer }),
             Ok(n) => {
-                filled += n;
-                stalls = 0;
+                *stalls = 0;
+                return Ok(n);
             }
             Err(e)
                 if matches!(
@@ -157,26 +149,45 @@ pub(crate) fn read_full(
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                if idle_ok && filled == 0 {
+                if !started {
                     return Err(CommError::Timeout { peer, tag: 0 });
                 }
-                stalls += 1;
-                if stalls >= MID_FRAME_STALLS {
-                    return Err(CommError::Disconnected { peer });
-                }
+                *stalls += 1;
+                return if *stalls >= MID_FRAME_STALLS {
+                    Err(CommError::Disconnected { peer })
+                } else {
+                    Ok(0)
+                };
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return Err(CommError::Disconnected { peer }),
         }
     }
+}
+
+/// Reads exactly `buf.len()` bytes under [`read_some`]'s rules; `idle_ok`
+/// lets a timeout before the first byte return `Timeout`.
+#[allow(
+    clippy::indexing_slicing,
+    reason = "the loop runs only while `filled < buf.len()`"
+)]
+fn read_full(stream: &mut TcpStream, buf: &mut [u8], peer: usize, idle_ok: bool) -> Result<()> {
+    let mut filled = 0usize;
+    let mut stalls = 0u32;
+    while filled < buf.len() {
+        let started = !idle_ok || filled > 0;
+        filled += read_some(stream, &mut buf[filled..], peer, started, &mut stalls)?;
+    }
     Ok(())
 }
 
-/// Reads one length-prefixed frame. An idle socket (no frame started
-/// before the read timeout) returns `Timeout`; a frame cut off mid-way
-/// returns `Disconnected`; a corrupt prefix or payload returns the
-/// typed [`CommError::MalformedFrame`].
-pub(crate) fn read_frame<T: DeserializeOwned>(stream: &mut TcpStream, peer: usize) -> Result<T> {
+/// Reads one length-prefixed frame and not a byte more, so whatever the
+/// peer sent after it stays in the socket: the controller reads each
+/// `Hello` this way before the socket joins its poll set. An idle socket
+/// (no frame started before the read timeout) returns `Timeout`; a frame
+/// cut off mid-way returns `Disconnected`; a corrupt prefix or payload
+/// returns the typed [`CommError::MalformedFrame`].
+pub(crate) fn read_frame<T: Message>(stream: &mut TcpStream, peer: usize) -> Result<T> {
     let mut len_buf = [0u8; 4];
     read_full(stream, &mut len_buf, peer, true)?;
     let len = u32::from_be_bytes(len_buf);
@@ -220,7 +231,8 @@ pub struct TcpControllerLink {
     pending: VecDeque<ControlEvent>,
     /// Positions `poll` reported ready, reused across receives.
     ready: Vec<usize>,
-    /// Socket read buffer, reused across receives.
+    /// Socket read buffer, reused across receives. A worker signal is
+    /// 17 bytes, so 4 KiB holds 240 of them; a fuller socket is read again.
     scratch: Vec<u8>,
 }
 
@@ -262,7 +274,7 @@ impl TcpControllerLink {
             peers,
             pending: VecDeque::new(),
             ready: Vec::new(),
-            scratch: vec![0; 16 * 1024],
+            scratch: vec![0; 4 * 1024],
         })
     }
 
@@ -419,12 +431,26 @@ impl ControlPlane for TcpControllerLink {
 /// The socket is split: `stream` carries reads (assignments from the
 /// controller); `writer` carries every outgoing frame under a mutex so
 /// the heartbeat thread and the training loop interleave whole frames.
+///
+/// A receive costs one `read` when the frame is already in the socket:
+/// it reads up to `READ_CHUNK` bytes into `inbox`, which keeps any
+/// bytes past the frame for the next call, and it calls `setsockopt`
+/// only when the asked timeout differs from `read_timeout`.
 #[derive(Debug)]
 pub struct TcpWorkerLink {
     rank: usize,
     stream: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
+    /// Bytes read but not yet returned as a frame.
+    inbox: FrameBuffer,
+    /// The read timeout the socket carries now.
+    read_timeout: Duration,
 }
+
+/// Most bytes one worker `read` takes: a whole assignment for P ≤ 60,
+/// on the stack. A `BufReader`'s 8 KiB per link would cost a 64-worker
+/// fleet half a MiB of heap.
+const READ_CHUNK: usize = 512;
 
 impl TcpWorkerLink {
     /// Dials the controller with the default [`RetryPolicy`] and
@@ -465,9 +491,9 @@ impl TcpWorkerLink {
         let mut link = Self::dial(addr, rank, policy, Some(data_addr))?;
         // The roster only arrives after the *last* worker joins; give
         // slow fleets the same generous budget as the hello.
-        link.stream
-            .set_read_timeout(Some(HELLO_TIMEOUT))
-            .map_err(|_| CommError::Disconnected { peer: rank })?;
+        link.set_read_timeout(HELLO_TIMEOUT)?;
+        // Read exactly: a roster is a kilobyte or more, and the inbox
+        // would keep that capacity for the link's lifetime.
         let roster: crate::control::FleetRoster = loop {
             match read_frame(&mut link.stream, rank) {
                 Ok(r) => break r,
@@ -475,10 +501,20 @@ impl TcpWorkerLink {
                 Err(e) => return Err(e),
             }
         };
-        link.stream
-            .set_read_timeout(Some(READ_TIMEOUT))
-            .map_err(|_| CommError::Disconnected { peer: rank })?;
+        link.set_read_timeout(READ_TIMEOUT)?;
         Ok((link, roster))
+    }
+
+    /// Sets the socket's read timeout, skipping the syscall when it
+    /// already carries `timeout`.
+    fn set_read_timeout(&mut self, timeout: Duration) -> Result<()> {
+        if timeout != self.read_timeout {
+            self.stream
+                .set_read_timeout(Some(timeout))
+                .map_err(|_| CommError::Disconnected { peer: self.rank })?;
+            self.read_timeout = timeout;
+        }
+        Ok(())
     }
 
     fn dial(
@@ -523,6 +559,8 @@ impl TcpWorkerLink {
             rank,
             stream,
             writer,
+            inbox: FrameBuffer::new(),
+            read_timeout: READ_TIMEOUT,
         })
     }
 }
@@ -545,11 +583,27 @@ impl WorkerControlPlane for TcpWorkerLink {
         locked_write(&self.writer, &signal, self.rank)
     }
 
+    /// Reads only when `inbox` holds no whole frame, under `read_some`'s
+    /// rules: an idle timeout is `Timeout` and leaves the link in step
+    /// for the next call.
     fn recv_assignment(&mut self, timeout: Duration) -> Result<GroupAssignment> {
-        self.stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|_| CommError::Disconnected { peer: self.rank })?;
-        read_frame(&mut self.stream, self.rank)
+        self.set_read_timeout(timeout)?;
+        let mut chunk = [0u8; READ_CHUNK];
+        let mut stalls = 0u32;
+        loop {
+            if let Some(assignment) = self.inbox.next_frame()? {
+                return Ok(assignment);
+            }
+            let started = self.inbox.pending() > 0;
+            let n = read_some(
+                &mut self.stream,
+                &mut chunk,
+                self.rank,
+                started,
+                &mut stalls,
+            )?;
+            self.inbox.push_bytes(chunk.get(..n).unwrap_or_default());
+        }
     }
 
     fn heartbeat_sender(&self) -> Option<Box<dyn FnMut() -> Result<()> + Send>> {
@@ -813,6 +867,89 @@ mod tests {
             ctl.recv_events(8, Duration::from_millis(20)),
             Err(CommError::Timeout { .. })
         ));
+    }
+
+    /// One dialled worker, and the controller's blocking socket past the
+    /// worker's hello, so a test writes the controller's bytes by hand.
+    fn raw_pair() -> (TcpStream, TcpWorkerLink) {
+        let (listener, addr) = bind_controller("127.0.0.1:0");
+        let worker = dial(addr, 0);
+        let (mut ctl, _) = listener.accept().expect("accept");
+        let hello: Hello = read_frame(&mut ctl, 0).expect("hello");
+        assert_eq!(hello.rank, 0);
+        (ctl, worker)
+    }
+
+    fn assignment(base_tag: u64) -> GroupAssignment {
+        GroupAssignment {
+            group: vec![0, 3, 5],
+            weights: vec![0.25, 0.5, 0.25],
+            base_tag,
+            new_iteration: base_tag + 1,
+        }
+    }
+
+    #[test]
+    fn an_assignment_written_in_two_halves_is_received_whole() {
+        let (mut ctl, mut worker) = raw_pair();
+        let a = assignment(11);
+        let bytes = frame::encode(&a).expect("encode");
+        let (front, back) = bytes.split_at(bytes.len() / 2);
+        ctl.write_all(front).expect("front half");
+        let (back, pause) = (back.to_vec(), Duration::from_millis(100));
+        let writer = thread::spawn(move || {
+            thread::sleep(pause);
+            ctl.write_all(&back).expect("back half");
+            ctl
+        });
+        // The pause spans two read timeouts mid-frame: stalls, not an
+        // idle timeout, and fewer than MID_FRAME_STALLS of them.
+        assert_eq!(worker.recv_assignment(pause / 2), Ok(a));
+        drop(writer.join().expect("writer"));
+    }
+
+    #[test]
+    fn an_idle_timeout_leaves_the_link_in_step() {
+        let (mut ctl, mut worker) = raw_pair();
+        let (a, b) = (assignment(1), assignment(2));
+        let idle = |worker: &mut TcpWorkerLink| {
+            let start = Instant::now();
+            let r = worker.recv_assignment(Duration::from_millis(30));
+            assert!(matches!(r, Err(CommError::Timeout { .. })), "{r:?}");
+            start.elapsed()
+        };
+        idle(&mut worker);
+        // Longer than READ_TIMEOUT: a frame 700 ms late is waited for.
+        let a_bytes = frame::encode(&a).expect("encode");
+        let writer = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(700));
+            ctl.write_all(&a_bytes).expect("a");
+            ctl
+        });
+        assert_eq!(worker.recv_assignment(T), Ok(a));
+        let mut ctl = writer.join().expect("writer");
+        // A shorter timeout after that longer one still takes effect.
+        let waited = idle(&mut worker);
+        assert!(waited < Duration::from_secs(1), "{waited:?}");
+        ctl.write_all(&frame::encode(&b).expect("encode"))
+            .expect("b");
+        assert_eq!(worker.recv_assignment(T), Ok(b));
+    }
+
+    #[test]
+    fn two_assignments_in_one_write_are_two_receives() {
+        let (mut ctl, mut worker) = raw_pair();
+        let (a, b) = (assignment(3), assignment(4));
+        let mut bytes = frame::encode(&a).expect("encode");
+        bytes.extend(frame::encode(&b).expect("encode"));
+        ctl.write_all(&bytes).expect("both");
+        assert_eq!(worker.recv_assignment(T), Ok(a));
+        assert_eq!(worker.recv_assignment(T), Ok(b));
+        drop(ctl);
+        assert_eq!(
+            worker.recv_assignment(T),
+            Err(CommError::Disconnected { peer: 0 })
+        );
     }
 
     #[test]
