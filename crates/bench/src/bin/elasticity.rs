@@ -4,7 +4,8 @@
 //!
 //! * **snapshot write / load** — wall time to atomically persist and
 //!   reload one worker snapshot (write-then-rename, checksummed) at a
-//!   realistic flat-parameter size, plus the on-disk byte count;
+//!   realistic flat-parameter size, the on-disk byte count, and MB/s of
+//!   model state beside Strata's 500 MB/s local bar (SNIPPETS.md);
 //! * **kill-and-replace gap** — fault-free minus crashed-then-restored
 //!   final accuracy at an equal update budget on the simulator
 //!   (`crash:3@20,restore:3@30`, snapshots every iteration), CON and
@@ -25,7 +26,7 @@ use preduce_models::zoo;
 use preduce_trainer::{engine, Backend, ElasticOptions, ExperimentConfig, FaultPlan, Strategy};
 
 /// Flat parameter count for the snapshot-latency probe: the order of the
-/// built Table-1 math models, large enough that serialization dominates.
+/// built Table-1 math models, 2 MiB of parameters and momentum.
 const SNAPSHOT_PARAMS: usize = 1 << 18;
 /// Snapshot write/load round trips measured.
 const REPS: usize = 10;
@@ -56,6 +57,8 @@ fn snapshot_io(reps: usize) {
             .map(|i| (i as f32).cos() * 1e-3)
             .collect(),
     };
+    // Model state in MB (10^6 bytes): an f32 parameter and its momentum.
+    let state_mb = (8 * SNAPSHOT_PARAMS) as f64 / 1e6;
     for i in 0..reps {
         let t = Instant::now();
         let path = store.save_worker(&snap).expect("save snapshot");
@@ -66,8 +69,11 @@ fn snapshot_io(reps: usize) {
         let load_ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(loaded.params.len(), SNAPSHOT_PARAMS);
         println!(
-            "  snapshot {i} ({SNAPSHOT_PARAMS} params, {bytes} bytes): \
-             write {write_ms:.1}ms, load {load_ms:.1}ms"
+            "  snapshot {i} ({SNAPSHOT_PARAMS} params, {bytes} bytes on disk): \
+             write {write_ms:.1}ms ({:.0} MB/s), load {load_ms:.1}ms ({:.0} MB/s) \
+             of {state_mb:.3} MB model state; Strata's bar 500 MB/s",
+            state_mb / write_ms * 1e3,
+            state_mb / load_ms * 1e3
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

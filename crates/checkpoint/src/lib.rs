@@ -5,17 +5,21 @@
 //! a process that restores the latest on-disk snapshot of its model,
 //! optimizer state, and iteration counter. The controller keeps no
 //! durable state: a restarted one starts with an empty group-history
-//! window, as every run does. The on-disk
-//! format mirrors `comm::frame` — a fixed header, a length-prefixed JSON
-//! payload, and a checksum trailer — so the two byte formats in the
-//! workspace share one idiom:
+//! window, as every run does. The on-disk format mirrors `comm::frame` —
+//! a fixed big-endian header, a payload of fixed little-endian fields,
+//! and a checksum trailer — so the two byte formats in the workspace
+//! share one idiom:
 //!
 //! ```text
 //! magic (8)  | version (u32 BE) | payload len (u32 BE) | payload | fnv1a64 (u64 BE)
+//! payload:   rank u32 | iteration u64 | updates_applied u64 | opt_steps u64
+//!            | n u32 | n params (f32) | n velocity entries (f32)
 //! ```
 //!
-//! The checksum covers version + length + payload, so a torn or bit-rotted
-//! file is detected before deserialization is attempted. Writes are atomic
+//! Floats are written as their raw bits, so every `f32` — NaN payloads
+//! and infinities included — round-trips exactly. The checksum covers
+//! version + length + payload, so a torn or bit-rotted file is detected
+//! before a field is read. Writes are atomic
 //! by construction: the bytes land in a `.tmp` sibling which is fsynced
 //! and then renamed over the target, so a reader never observes a partial
 //! snapshot — it sees either the previous complete one or the new one.
@@ -41,19 +45,16 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
-
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
 
 /// Leading magic identifying a preduce checkpoint file.
 pub const MAGIC: [u8; 8] = *b"PRDCKPT1";
 
 /// Current on-disk format version. Bump on any layout change; readers
 /// refuse other versions with [`CheckpointError::VersionSkew`] rather
-/// than guessing.
-pub const FORMAT_VERSION: u32 = 1;
+/// than guessing. Version 1 carried a JSON payload.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Fixed header size: magic + version + payload length.
 pub const HEADER_LEN: usize = 8 + 4 + 4;
@@ -61,10 +62,13 @@ pub const HEADER_LEN: usize = 8 + 4 + 4;
 /// Checksum trailer size (FNV-1a, 64-bit, big-endian).
 pub const TRAILER_LEN: usize = 8;
 
-/// Upper bound on the JSON payload (256 MiB): a million-parameter model
-/// serializes to a few tens of MiB, so anything near this bound is a
-/// corrupted length prefix, not a legitimate snapshot.
+/// Upper bound on the payload (256 MiB): a snapshot takes 8 bytes per
+/// parameter, so a million-parameter model is 8 MiB and anything near
+/// this bound is a corrupted length prefix, not a legitimate snapshot.
 pub const MAX_PAYLOAD: usize = 1 << 28;
+
+/// Payload bytes before the floats: rank, the three counters, `n`.
+const FIELDS_LEN: usize = 4 + 3 * 8 + 4;
 
 /// Everything that can go wrong saving or restoring a snapshot. No
 /// variant is ever reported by panicking: corrupt bytes, short files,
@@ -116,8 +120,9 @@ pub enum CheckpointError {
         /// Digest recomputed over the bytes.
         computed: u64,
     },
-    /// The payload or its contents fail validation (bad JSON, mismatched
-    /// vector lengths, a snapshot for the wrong rank…).
+    /// The payload or its contents fail validation (a count that
+    /// disagrees with the payload length, an empty model, a snapshot for
+    /// the wrong rank…).
     Malformed {
         /// What exactly is wrong.
         detail: String,
@@ -169,61 +174,68 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Serializes `value` into the framed, checksummed byte format.
+/// Encodes `snap` into the framed, checksummed byte format.
 ///
 /// # Errors
-/// [`CheckpointError::Malformed`] if the value does not serialize (e.g. a
-/// NaN loss — JSON cannot carry it), [`CheckpointError::Oversized`] if the
-/// payload exceeds [`MAX_PAYLOAD`].
-pub fn encode<T: Serialize>(value: &T) -> Result<Vec<u8>> {
-    let payload = serde_json::to_vec(value).map_err(|e| CheckpointError::Malformed {
-        detail: format!("serialize: {e}"),
-    })?;
-    if payload.len() > MAX_PAYLOAD {
+/// [`CheckpointError::Malformed`] if the snapshot fails
+/// [`WorkerSnapshot::validate`] or its rank does not fit in a `u32`,
+/// [`CheckpointError::Oversized`] if the payload exceeds [`MAX_PAYLOAD`].
+pub fn encode(snap: &WorkerSnapshot) -> Result<Vec<u8>> {
+    snap.validate()?;
+    let rank = u32::try_from(snap.rank)
+        .map_err(|_| malformed(format!("rank {} does not fit the format's u32", snap.rank)))?;
+    let n = snap.params.len();
+    let len = n.saturating_mul(8).saturating_add(FIELDS_LEN);
+    if len > MAX_PAYLOAD {
         return Err(CheckpointError::Oversized {
-            len: payload.len(),
+            len,
             max: MAX_PAYLOAD,
         });
     }
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+    let mut bytes = Vec::with_capacity(HEADER_LEN + len + TRAILER_LEN);
     bytes.extend_from_slice(&MAGIC);
     bytes.extend_from_slice(&FORMAT_VERSION.to_be_bytes());
-    bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&(len as u32).to_be_bytes());
+    bytes.extend_from_slice(&rank.to_le_bytes());
+    for counter in [snap.iteration, snap.updates_applied, snap.opt_steps] {
+        bytes.extend_from_slice(&counter.to_le_bytes());
+    }
+    bytes.extend_from_slice(&(n as u32).to_le_bytes());
+    for x in snap.params.iter().chain(&snap.velocity) {
+        bytes.extend_from_slice(&x.to_le_bytes());
+    }
     let digest = fnv1a64(&bytes[8..]);
     bytes.extend_from_slice(&digest.to_be_bytes());
     Ok(bytes)
 }
 
 /// Decodes a framed snapshot, verifying magic, version, length, and
-/// checksum before touching serde. Never panics; a file of arbitrary
-/// bytes resolves to a typed error.
+/// checksum before reading a field, and the count against the payload
+/// length before allocating. Never panics; a file of arbitrary bytes
+/// resolves to a typed error.
 ///
 /// # Errors
 /// Every [`CheckpointError`] format variant, per its documentation.
-pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
+pub fn decode(bytes: &[u8]) -> Result<WorkerSnapshot> {
     if bytes.len() < HEADER_LEN {
         return Err(CheckpointError::Truncated {
             needed: HEADER_LEN,
             got: bytes.len(),
         });
     }
-    if bytes[..8] != MAGIC {
-        let mut found = [0u8; 8];
-        found.copy_from_slice(&bytes[..8]);
+    let mut rest = bytes;
+    let found = take::<8>(&mut rest)?;
+    if found != MAGIC {
         return Err(CheckpointError::BadMagic { found });
     }
-    let mut word = [0u8; 4];
-    word.copy_from_slice(&bytes[8..12]);
-    let version = u32::from_be_bytes(word);
+    let version = u32::from_be_bytes(take(&mut rest)?);
     if version != FORMAT_VERSION {
         return Err(CheckpointError::VersionSkew {
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    word.copy_from_slice(&bytes[12..16]);
-    let len = u32::from_be_bytes(word) as usize;
+    let len = u32::from_be_bytes(take(&mut rest)?) as usize;
     if len > MAX_PAYLOAD {
         return Err(CheckpointError::Oversized {
             len,
@@ -238,22 +250,57 @@ pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
         });
     }
     if bytes.len() > needed {
-        return Err(CheckpointError::Malformed {
-            detail: format!("{} trailing bytes after the frame", bytes.len() - needed),
-        });
+        let extra = bytes.len() - needed;
+        return Err(malformed(format!("{extra} trailing bytes after the frame")));
     }
-    let mut trailer = [0u8; 8];
-    trailer.copy_from_slice(&bytes[needed - TRAILER_LEN..]);
-    let stored = u64::from_be_bytes(trailer);
-    let computed = fnv1a64(&bytes[8..needed - TRAILER_LEN]);
+    let (mut payload, mut trailer) = rest.split_at(len);
+    let stored = u64::from_be_bytes(take(&mut trailer)?);
+    let computed = fnv1a64(&bytes[8..HEADER_LEN + len]);
     if stored != computed {
         return Err(CheckpointError::ChecksumMismatch { stored, computed });
     }
-    serde_json::from_slice(&bytes[HEADER_LEN..HEADER_LEN + len]).map_err(|e| {
-        CheckpointError::Malformed {
-            detail: format!("deserialize: {e}"),
-        }
-    })
+    let rank = u32::from_le_bytes(take(&mut payload)?) as usize;
+    let iteration = u64::from_le_bytes(take(&mut payload)?);
+    let updates_applied = u64::from_le_bytes(take(&mut payload)?);
+    let opt_steps = u64::from_le_bytes(take(&mut payload)?);
+    let n = u32::from_le_bytes(take(&mut payload)?) as usize;
+    let need = n as u64 * 8;
+    if need != payload.len() as u64 {
+        let held = payload.len();
+        return Err(malformed(format!(
+            "{n} parameters need {need} bytes of floats, {held} follow"
+        )));
+    }
+    let (params, velocity) = payload.split_at(4 * n);
+    let snap = WorkerSnapshot {
+        rank,
+        iteration,
+        updates_applied,
+        opt_steps,
+        params: floats(params),
+        velocity: floats(velocity),
+    };
+    snap.validate()?;
+    Ok(snap)
+}
+
+fn malformed(detail: String) -> CheckpointError {
+    CheckpointError::Malformed { detail }
+}
+
+/// Takes the next `N` bytes off the front of `rest`.
+fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N]> {
+    let (head, tail) = rest
+        .split_first_chunk::<N>()
+        .ok_or_else(|| malformed(format!("payload ends {} bytes short", N - rest.len())))?;
+    *rest = tail;
+    Ok(*head)
+}
+
+/// Little-endian `f32` bit patterns, read exactly.
+fn floats(bytes: &[u8]) -> Vec<f32> {
+    let (words, _) = bytes.as_chunks::<4>();
+    words.iter().map(|w| f32::from_le_bytes(*w)).collect()
 }
 
 /// One worker's restorable state: the flat model, the SGD momentum
@@ -264,7 +311,7 @@ pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
 /// (ditto), and the RNG cursor — a restored worker resumes its shard from
 /// a fresh draw, which perturbs batch order but not correctness (the
 /// paper's convergence guarantees never depend on batch order).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerSnapshot {
     /// Worker rank the snapshot belongs to.
     pub rank: usize,
@@ -287,20 +334,16 @@ impl WorkerSnapshot {
     /// # Errors
     /// [`CheckpointError::Malformed`] describing the inconsistency.
     pub fn validate(&self) -> Result<()> {
-        if self.params.is_empty() {
-            return Err(CheckpointError::Malformed {
-                detail: format!("worker {} snapshot has an empty model", self.rank),
-            });
+        let (rank, params, velocity) = (self.rank, self.params.len(), self.velocity.len());
+        if params == 0 {
+            return Err(malformed(format!(
+                "worker {rank} snapshot has an empty model"
+            )));
         }
-        if self.velocity.len() != self.params.len() {
-            return Err(CheckpointError::Malformed {
-                detail: format!(
-                    "worker {} snapshot: {} params but {} velocity entries",
-                    self.rank,
-                    self.params.len(),
-                    self.velocity.len()
-                ),
-            });
+        if velocity != params {
+            return Err(malformed(format!(
+                "worker {rank} snapshot: {params} params but {velocity} velocity entries"
+            )));
         }
         Ok(())
     }
@@ -344,10 +387,9 @@ impl CheckpointStore {
     /// rank. Returns the final path.
     ///
     /// # Errors
-    /// Validation or I/O failure; on error the previous snapshot (if any)
-    /// is left intact.
+    /// Validation ([`encode`]) or I/O failure; on error the previous
+    /// snapshot (if any) is left intact.
     pub fn save_worker(&self, snap: &WorkerSnapshot) -> Result<PathBuf> {
-        snap.validate()?;
         let path = self.worker_path(snap.rank);
         self.write_atomic(&path, &encode(snap)?)?;
         Ok(path)
@@ -361,12 +403,13 @@ impl CheckpointStore {
     /// holds a snapshot for a different rank.
     pub fn load_worker(&self, rank: usize) -> Result<WorkerSnapshot> {
         let path = self.worker_path(rank);
-        let snap: WorkerSnapshot = decode(&read_all(&path)?)?;
-        snap.validate()?;
+        let snap = decode(&read_all(&path)?)?;
         if snap.rank != rank {
-            return Err(CheckpointError::Malformed {
-                detail: format!("{} holds a snapshot for rank {}", path.display(), snap.rank),
-            });
+            let path = path.display();
+            return Err(malformed(format!(
+                "{path} holds a snapshot for rank {}",
+                snap.rank
+            )));
         }
         Ok(snap)
     }
@@ -385,18 +428,12 @@ impl CheckpointStore {
 }
 
 fn read_all(path: &Path) -> Result<Vec<u8>> {
-    let mut file = match fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Err(CheckpointError::Missing {
-                path: path.display().to_string(),
-            })
-        }
-        Err(e) => return Err(io_err(path, &e)),
-    };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes).map_err(|e| io_err(path, &e))?;
-    Ok(bytes)
+    fs::read(path).map_err(|e| match e.kind() {
+        std::io::ErrorKind::NotFound => CheckpointError::Missing {
+            path: path.display().to_string(),
+        },
+        _ => io_err(path, &e),
+    })
 }
 
 fn io_err(path: &Path, e: &std::io::Error) -> CheckpointError {
@@ -477,7 +514,7 @@ mod tests {
         let mid = HEADER_LEN + 2;
         bytes[mid] ^= 0x40;
         assert!(matches!(
-            decode::<WorkerSnapshot>(&bytes),
+            decode(&bytes),
             Err(CheckpointError::ChecksumMismatch { .. })
         ));
     }
@@ -487,7 +524,7 @@ mod tests {
         let mut bytes = encode(&worker_snap(0, 1)).unwrap();
         bytes[11] = 9; // version big-endian low byte
         assert!(matches!(
-            decode::<WorkerSnapshot>(&bytes),
+            decode(&bytes),
             Err(CheckpointError::VersionSkew {
                 found: 9,
                 supported: FORMAT_VERSION
@@ -500,6 +537,45 @@ mod tests {
         let mut w = worker_snap(0, 1);
         w.velocity.pop();
         assert!(w.validate().is_err());
+        assert!(matches!(encode(&w), Err(CheckpointError::Malformed { .. })));
+    }
+
+    #[test]
+    fn a_rank_above_u32_is_not_encoded() {
+        let snap = worker_snap(u32::MAX as usize + 1, 1);
+        match encode(&snap) {
+            Err(CheckpointError::Malformed { detail }) => {
+                assert!(detail.contains("u32"), "{detail}")
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(encode(&worker_snap(u32::MAX as usize, 1)).is_ok());
+    }
+
+    #[test]
+    fn version_2_layout_byte_for_byte() {
+        let snap = WorkerSnapshot {
+            rank: 2,
+            iteration: 3,
+            updates_applied: 4,
+            opt_steps: 5,
+            params: vec![1.0, f32::NAN],
+            velocity: vec![-0.5, f32::INFINITY],
+        };
+        let mut want = b"PRDCKPT1".to_vec();
+        want.extend_from_slice(&[0, 0, 0, 2, 0, 0, 0, 48]);
+        want.extend_from_slice(&2u32.to_le_bytes());
+        for counter in [3u64, 4, 5] {
+            want.extend_from_slice(&counter.to_le_bytes());
+        }
+        want.extend_from_slice(&2u32.to_le_bytes());
+        for x in [1.0f32, f32::NAN, -0.5, f32::INFINITY] {
+            want.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        let digest = fnv1a64(&want[8..]);
+        want.extend_from_slice(&digest.to_be_bytes());
+        assert_eq!(want.len(), HEADER_LEN + FIELDS_LEN + 8 * 2 + TRAILER_LEN);
+        assert_eq!(encode(&snap).unwrap(), want);
     }
 
     #[test]

@@ -75,7 +75,9 @@ pub struct ControllerConfig {
     /// Sync-graph window `T`; `None` uses the paper's minimum
     /// `⌈(N−1)/(P−1)⌉`.
     pub history_window: Option<usize>,
-    /// Enable group-frozen avoidance (§4). Disable only for ablations.
+    /// Enable group-frozen avoidance (§4). Disable only for ablations and
+    /// under a wave barrier, which deadlocks the deferral rule (so the
+    /// `storm-tcp` benchmark workload runs without it; ROADMAP item 1).
     pub frozen_avoidance: bool,
 }
 

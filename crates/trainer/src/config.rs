@@ -88,13 +88,16 @@ impl HeteroSpec {
     }
 }
 
+/// Batch size the cost model charges per local update ([`ExperimentConfig`]).
+const SIM_BATCH_SIZE: usize = 256;
+
 /// Everything one experiment run needs.
 ///
 /// Two batch sizes appear because the reproduction decouples *timing* from
-/// *optimization math* (DESIGN.md §3): `sim_batch_size` feeds the cost
-/// model using the **original** model's per-example FLOPs and parameter
-/// bytes (paper setting: 256), while `math_batch_size` is the batch
-/// actually pushed through the analog network on the CPU.
+/// *optimization math* (DESIGN.md §3): the constant `SIM_BATCH_SIZE`
+/// (the paper's 256) feeds the cost model using the **original** model's
+/// per-example FLOPs and parameter bytes, while `math_batch_size` is the
+/// batch actually pushed through the analog network on the CPU.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// Model (analog architecture + original cost profile).
@@ -103,8 +106,6 @@ pub struct ExperimentConfig {
     pub preset: DatasetPreset,
     /// Cluster size `N`.
     pub num_workers: usize,
-    /// Batch size used for simulated compute/communication costs.
-    pub sim_batch_size: usize,
     /// Batch size used for the actual SGD math.
     pub math_batch_size: usize,
     /// Optimizer hyperparameters.
@@ -172,7 +173,6 @@ impl ExperimentConfig {
             model,
             preset,
             num_workers: 8,
-            sim_batch_size: 256,
             math_batch_size: 32,
             sgd: SgdConfig::default(),
             hetero: HeteroSpec::from_hl(hl),
@@ -195,7 +195,7 @@ impl ExperimentConfig {
 
     /// Simulated FLOPs of one local update.
     pub fn update_flops(&self) -> f64 {
-        self.model.profile.batch_flops(self.sim_batch_size)
+        self.model.profile.batch_flops(SIM_BATCH_SIZE)
     }
 
     /// Message size of one model/gradient transfer.
@@ -209,10 +209,7 @@ impl ExperimentConfig {
     /// Panics on zero-sized fields or a threshold outside `(0, 1]`.
     pub fn validate(&self) {
         assert!(self.num_workers > 0, "need at least one worker");
-        assert!(
-            self.sim_batch_size > 0 && self.math_batch_size > 0,
-            "batch sizes must be positive"
-        );
+        assert!(self.math_batch_size > 0, "batch size must be positive");
         assert!(
             self.device_flops > 0.0,
             "device throughput must be positive"
@@ -262,11 +259,9 @@ mod tests {
     }
 
     #[test]
-    fn update_flops_scale_with_batch() {
-        let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
-        let f1 = c.update_flops();
-        c.sim_batch_size *= 2;
-        assert!((c.update_flops() - 2.0 * f1).abs() < 1e-3);
+    fn update_flops_charge_the_paper_batch() {
+        let c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
+        assert_eq!(c.update_flops(), 256.0 * c.model.profile.flops_per_example);
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl ElasticOptions {
         let store = must("open restore directory", CheckpointStore::open(dir));
         if store.has_worker(w.rank) {
             let snap = must("load worker snapshot", store.load_worker(w.rank));
-            must("warm-start worker", restore_worker(w, &snap));
+            must("warm-start worker", restore_worker(w, snap));
         }
     }
 
@@ -194,10 +194,12 @@ pub fn worker_snapshot(w: &WorkerState) -> WorkerSnapshot {
 
 /// Restores a worker in place from a snapshot: parameters, momentum,
 /// iteration and update counters. The optimizer resumes mid-schedule
-/// (same config, checkpointed step count). Rejects rank and shape
+/// (same config, checkpointed step count). Rejects an inconsistent
+/// snapshot ([`WorkerSnapshot::validate`]) and rank and parameter-count
 /// mismatches — a snapshot from a different fleet layout must not be
 /// silently grafted on.
-pub fn restore_worker(w: &mut WorkerState, snap: &WorkerSnapshot) -> Result<(), String> {
+pub fn restore_worker(w: &mut WorkerState, snap: WorkerSnapshot) -> Result<(), String> {
+    snap.validate().map_err(|e| e.to_string())?;
     if snap.rank != w.rank {
         return Err(format!(
             "snapshot belongs to rank {}, not rank {}",
@@ -211,18 +213,11 @@ pub fn restore_worker(w: &mut WorkerState, snap: &WorkerSnapshot) -> Result<(), 
             w.params.len()
         ));
     }
-    if snap.velocity.len() != snap.params.len() {
-        return Err(format!(
-            "snapshot velocity length {} does not match its {} parameters",
-            snap.velocity.len(),
-            snap.params.len()
-        ));
-    }
     let n = snap.params.len();
-    let params = Tensor::from_vec(snap.params.clone(), [n])
-        .map_err(|e| format!("rebuilding parameters: {e}"))?;
-    let velocity = Tensor::from_vec(snap.velocity.clone(), [n])
-        .map_err(|e| format!("rebuilding velocity: {e}"))?;
+    let params =
+        Tensor::from_vec(snap.params, [n]).map_err(|e| format!("rebuilding parameters: {e}"))?;
+    let velocity =
+        Tensor::from_vec(snap.velocity, [n]).map_err(|e| format!("rebuilding velocity: {e}"))?;
     w.params = params;
     w.opt = SgdOptimizer::from_state(*w.opt.config(), velocity, snap.opt_steps as usize);
     w.iteration = snap.iteration;
@@ -270,7 +265,7 @@ mod tests {
         // the snapshot and *is* the snapshotted worker: same durable
         // state, and the same trajectory from there on.
         let mut restored = worker(3);
-        restore_worker(&mut restored, &snap).expect("restore");
+        restore_worker(&mut restored, snap.clone()).expect("restore");
         assert_eq!(restored.iteration, 7);
         assert_eq!(restored.updates_applied, 7);
         assert_eq!(restored.opt.steps(), 7);
@@ -286,7 +281,7 @@ mod tests {
         }
 
         // Restoring in place rewinds a worker that has since diverged.
-        restore_worker(&mut w, &snap).expect("restore");
+        restore_worker(&mut w, snap.clone()).expect("restore");
         assert_eq!(w.iteration, 7);
         assert_eq!(bits(w.params.as_slice()), bits(&snap.params));
         assert_eq!(bits(w.opt.velocity().as_slice()), bits(&snap.velocity));
@@ -299,7 +294,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         other.local_update(&mut rng);
         let snap = worker_snapshot(&other);
-        let err = restore_worker(&mut w, &snap).unwrap_err();
+        let err = restore_worker(&mut w, snap).unwrap_err();
         assert!(err.contains("rank"), "{err}");
     }
 
@@ -309,8 +304,18 @@ mod tests {
         let mut snap = worker_snapshot(&w);
         snap.params.pop();
         snap.velocity.pop();
-        let err = restore_worker(&mut w, &snap).unwrap_err();
+        let err = restore_worker(&mut w, snap).unwrap_err();
         assert!(err.contains("parameters"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_snapshots() {
+        let mut w = worker(2);
+        let mut snap = worker_snapshot(&w);
+        snap.velocity.pop();
+        let err = restore_worker(&mut w, snap).unwrap_err();
+        assert!(err.contains("velocity"), "{err}");
+        assert_eq!(w.iteration, 0, "a refused snapshot leaves the worker alone");
     }
 
     #[test]

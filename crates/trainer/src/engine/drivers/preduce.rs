@@ -295,8 +295,8 @@ pub fn run_preduce_elastic(
                         }
                         pending_restores.remove(i);
                         let snap = must("load worker snapshot", rstore.load_worker(w));
-                        must("restore worker", restore_worker(&mut h.workers[w], &snap));
-                        controller.mark_restored(w, snap.iteration);
+                        must("restore worker", restore_worker(&mut h.workers[w], snap));
+                        controller.mark_restored(w, h.workers[w].iteration);
                         last_free[w] = t;
                         let ct = h.compute_time(w, t)
                             * faults.stall_factor(w, h.workers[w].iteration + 1);

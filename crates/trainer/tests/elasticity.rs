@@ -180,7 +180,7 @@ fn a_restored_worker_resumes_its_own_shard() {
     for _ in 0..3 {
         fleet.workers[rank].local_update(&mut rng);
     }
-    elastic::restore_worker(&mut fleet.workers[rank], &snap).expect("restore");
+    elastic::restore_worker(&mut fleet.workers[rank], snap).expect("restore");
     assert_eq!(fleet.workers[rank].iteration, 5);
 
     let fresh = engine::setup::build_fleet(&c);
