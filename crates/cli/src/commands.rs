@@ -202,11 +202,12 @@ MULTI-PROCESS FLEETS (DESIGN.md section 12):
   dials the controller, and runs --iters local-update + reduce rounds;
   group averages flow worker-to-worker over a TCP star-reduce, never
   through the controller. Grouping policy (--p, --dynamic) is
-  controller-side; heartbeat liveness defaults on (--liveness-ms 0
-  disables it). Each worker prints one final
-  `worker rank=R iterations=K accuracy=A degraded=D params=H` line, H
-  being the hash of its final model that a replay of the controller's
-  trace reproduces.
+  controller-side, and the handshake does not carry it: a worker adopts
+  each group's maximum iteration (the DYN rule) under either mode.
+  Heartbeat liveness defaults on (--liveness-ms 0 disables it). Each
+  worker prints one final `worker rank=R iterations=K accuracy=A
+  degraded=D params=H` line, H being the hash of its final model that a
+  replay of the controller's trace reproduces.
 
 SCALE CAMPAIGN (DESIGN.md section 15):
   `scale` runs the signal-level control-plane simulation: --workers ready

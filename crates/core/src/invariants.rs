@@ -21,7 +21,8 @@
 //!   DYN mode;
 //! * `new_iteration` is the group max, per-worker reported iterations
 //!   never regress, and in DYN mode members fast-forward: a member's next
-//!   signal is strictly beyond the adopted group max (§3.3.3);
+//!   signal is strictly beyond the adopted group max (§3.3.3). In CON mode
+//!   members keep their own count, so only the no-regress rule binds;
 //! * no worker sits in two in-flight groups (enforced when the trace
 //!   carries [`TraceEvent::ReduceCompleted`] completions);
 //! * a repair group only appears when the `T`-window sync graph is warm

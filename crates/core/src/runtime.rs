@@ -149,7 +149,8 @@ impl ControllerHandle {
 pub struct ReduceOutcome {
     /// The group this worker was averaged with (singleton during drain).
     pub group: Vec<usize>,
-    /// The iteration number this worker must adopt (§3.3.3 fast-forward).
+    /// The group's maximum iteration, which a member adopts in DYN
+    /// (§3.3.3 fast-forward); in CON it keeps its own count.
     pub new_iteration: u64,
 }
 
@@ -162,15 +163,22 @@ pub enum ReduceError {
     /// failed: this worker can expect no further group.
     Control(CommError),
     /// The group average failed — a member died or is late. The
-    /// controller is unaffected and the worker may signal again.
-    Group(CommError),
+    /// controller is unaffected and the worker may signal again. The
+    /// assignment's `new_iteration` still reaches the caller, so a DYN
+    /// member fast-forwards on a degraded round too.
+    Group {
+        /// Why the average failed.
+        error: CommError,
+        /// The group maximum, as in [`ReduceOutcome::new_iteration`].
+        new_iteration: u64,
+    },
 }
 
 impl std::fmt::Display for ReduceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ReduceError::Control(e) => write!(f, "control plane: {e}"),
-            ReduceError::Group(e) => write!(f, "group average: {e}"),
+            ReduceError::Group { error, .. } => write!(f, "group average: {error}"),
         }
     }
 }
@@ -228,7 +236,7 @@ impl PartialReducer {
     ///
     /// `iteration` is this worker's current iteration count; the returned
     /// [`ReduceOutcome::new_iteration`] is the group maximum, which the
-    /// caller must adopt.
+    /// caller adopts in DYN.
     ///
     /// # Errors
     /// [`ReduceError::Control`] if the ready signal or the assignment
@@ -259,7 +267,10 @@ impl PartialReducer {
         if group.len() > 1 {
             self.averager
                 .group_weighted_average(&group, base_tag, params, &weights)
-                .map_err(ReduceError::Group)?;
+                .map_err(|error| ReduceError::Group {
+                    error,
+                    new_iteration,
+                })?;
         }
         if self.sink.enabled() {
             self.sink.record(TraceEvent::ReduceCompleted {

@@ -10,12 +10,12 @@ use partial_reduce::runtime::{spawn, LivenessPolicy, RuntimeOptions};
 use partial_reduce::{
     AggregationMode, Controller, ControllerConfig, NullSink, TraceEvent, TraceSink, WeightRow,
 };
-use preduce_simnet::{EventQueue, FaultKind, FaultPlan, SimTime};
+use preduce_simnet::{EventQueue, FaultPlan, SimTime};
 use preduce_tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::elastic::{restore_worker, ElasticOptions, SnapshotWriter};
-use crate::engine::round::{Round, WorkerRounds};
+use crate::elastic::{restore_worker, ElasticOptions};
+use crate::engine::round::{Round, WorkerRounds, WorkerStep};
 use crate::engine::setup::{build_fleet, evaluate_uniform_average, worker_thread_seed};
 use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
@@ -55,46 +55,23 @@ pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
 }
 
 /// The virtual-time P-Reduce event loop. The run is narrated to `sink` in
-/// the same event vocabulary as the threaded runtime — the simulator
-/// emits one [`TraceEvent::ReduceCompleted`] per member when a group's
-/// virtual collective lands, so the invariant checker replays either
-/// harness identically.
+/// the threaded runtime's vocabulary, one [`TraceEvent::ReduceCompleted`]
+/// per member when a group's virtual collective lands, so the invariant
+/// checker replays either harness identically.
 ///
-/// The [`FaultPlan`] (DESIGN.md §11) is applied deterministically in
-/// virtual time:
-///
-/// * **Crash** fires at the doomed worker's iteration boundary: the
-///   worker is evicted ([`TraceEvent::WorkerEvicted`], justified by the
-///   preceding [`TraceEvent::FaultInjected`]) and routed through the
-///   ordinary departure path, so queued-signal purging and scheduling
-///   repair behave exactly as for a voluntary departure.
-/// * **Stall** multiplies the worker's compute time from its start
-///   iteration on.
-/// * **DelaySignals** adds virtual latency to every ready signal.
-/// * **LateJoin** postpones the worker's first local update.
-///
-/// The empty plan is bit-for-bit the fault-free run: every fault accessor
-/// degrades to `+ 0.0` / `× 1.0`.
-///
-/// [`ElasticOptions`] (DESIGN.md §14) add:
-///
-/// * **Warm start** — `restore_from` loads every worker snapshot found
-///   in the directory into the fleet before the run begins (no trace
-///   events: those workers never departed in *this* trace).
-/// * **Periodic snapshots** — the policy writes a worker snapshot each
-///   time a worker's iteration count crosses the cadence (narrated as
-///   [`TraceEvent::SnapshotTaken`]).
-/// * **Mid-run restore** — the `restore:W@U` fault verb re-admits a
-///   *departed* worker from its snapshot once the run has recorded `U`
-///   updates: model, momentum, and counters rewind to durable state
-///   ([`TraceEvent::WorkerRestored`]) and the worker resumes its own
-///   shard, which never moved. A restore verb for a worker that never
-///   departs stays pending forever (deliberately: restores are keyed on
-///   departure, not wall position).
-///
-/// Inert options leave the run bit-for-bit unchanged: snapshots never
-/// touch the RNG or the event queue, and without a restore verb no
-/// scheduling changes.
+/// Each worker's step (`engine::round`), the one every substrate runs,
+/// applies the [`FaultPlan`] (DESIGN.md §11), the snapshot cadence (§14)
+/// and the mode's fast-forward rule; this loop schedules virtual time
+/// around it.
+/// A stall multiplies the sampled compute time, a signal delay is added
+/// to every ready signal, a late join postpones the first update. A crash
+/// is detected at once: the worker is evicted
+/// ([`TraceEvent::WorkerEvicted`]) through the ordinary departure path.
+/// `restore:W@U` re-admits a *departed* worker from its snapshot once the
+/// run has recorded `U` updates; a verb whose worker never departs stays
+/// pending. [`ElasticOptions`] add a warm start, loaded before anything
+/// is scheduled or narrated. The empty plan and inert options leave the
+/// run bit-for-bit unchanged.
 ///
 /// # Panics
 /// Panics if the controller config disagrees with the harness size, or
@@ -117,19 +94,9 @@ pub fn run_preduce_elastic(
         AggregationMode::Constant => format!("P-Reduce CON (P={p})"),
         AggregationMode::Dynamic { .. } => format!("P-Reduce DYN (P={p})"),
     };
-    let dynamic = matches!(cfg.mode, AggregationMode::Dynamic { .. });
-
-    // Elastic glue (DESIGN.md §14): graft durable state onto the fleet
-    // before anything is scheduled or narrated, then one snapshot writer
-    // per worker.
     for w in &mut h.workers {
         elastic.warm_start(w);
     }
-    let mut snapshots: Vec<SnapshotWriter> = h
-        .workers
-        .iter()
-        .map(|w| elastic.snapshot_writer(w, sink.clone()))
-        .collect();
     // `restore:W@U` verbs, sorted by rank; each fires at most once.
     let mut pending_restores: Vec<(usize, u64)> = faults
         .restore_targets()
@@ -143,33 +110,13 @@ pub fn run_preduce_elastic(
          configured (set a snapshot policy or restore_from)"
     );
 
-    let mut controller = Controller::with_sink(cfg, sink);
-
-    // Persistent perturbations (stall/delay/latejoin) are narrated up
-    // front; crashes are narrated at the iteration where they fire, and
-    // restores are narrated as WorkerRestored when they land (a restore
-    // is recovery, not a fault — narrating it as FaultInjected would
-    // wrongly justify a later eviction).
-    if controller.sink().enabled() {
-        for spec in &faults.faults {
-            if matches!(
-                spec.kind,
-                FaultKind::Crash { .. } | FaultKind::Restore { .. }
-            ) {
-                continue;
-            }
-            let iteration = match spec.kind {
-                FaultKind::Stall { from_iteration, .. } => from_iteration,
-                _ => 0,
-            };
-            controller.sink().record(TraceEvent::FaultInjected {
-                worker: spec.worker,
-                fault: spec.kind.label(),
-                iteration,
-            });
-        }
-    }
-
+    let mode = cfg.mode;
+    let mut controller = Controller::with_sink(cfg, sink.clone());
+    let mut steps: Vec<WorkerStep> = h
+        .workers
+        .iter()
+        .map(|w| WorkerStep::begin(w, &faults, &elastic, sink.clone(), mode))
+        .collect();
     let signal = h.network.signal_time();
 
     let mut queue: EventQueue<Event> = EventQueue::new();
@@ -178,14 +125,11 @@ pub fn run_preduce_elastic(
     let mut last_free = vec![SimTime::ZERO; h.num_workers()];
     let mut nonuniform_groups = 0u64;
     let mut total_groups = 0u64;
-    // A crash fires once per worker: a restored worker must not re-crash
-    // when its iteration passes the trigger again.
-    let mut crashed = vec![false; h.num_workers()];
 
-    for w in 0..h.num_workers() {
-        let ct = h.compute_time(w, SimTime::ZERO) * faults.stall_factor(w, 1);
+    for (w, step) in steps.iter().enumerate() {
+        let ct = h.compute_time(w, SimTime::ZERO) * step.stall_factor(&h.workers[w]);
         queue.schedule(
-            SimTime::new(faults.start_delay(w) + ct + faults.signal_delay(w)),
+            SimTime::new(step.start_delay() + ct + step.signal_delay()),
             Event::Ready(w),
         );
     }
@@ -197,37 +141,20 @@ pub fn run_preduce_elastic(
             Event::Ready(w) => {
                 // Lines 2–4 of Algorithm 2: the local update completes as
                 // the worker becomes ready.
-                h.workers[w].local_update(&mut h.rng);
-                let crash_now = !crashed[w]
-                    && faults
-                        .crash_at(w)
-                        .is_some_and(|at| h.workers[w].iteration >= at);
-                if crash_now {
-                    crashed[w] = true;
-                    // Fail-stop at the iteration boundary: the signal is
-                    // never sent, and in virtual time the death is
-                    // detected immediately (the threaded substrate pays
-                    // real heartbeat silence instead). A departure can
+                if let Some(iteration) = steps[w].update(&mut h.workers[w], &mut h.rng) {
+                    controller.push_ready(w, iteration);
+                } else {
+                    // The crash's signal is never sent, and in virtual time
+                    // the death is detected at once. A departure can
                     // unblock a frozen-avoidance deferral, so group
                     // formation still runs below.
                     if controller.sink().enabled() {
-                        controller.sink().record(TraceEvent::FaultInjected {
-                            worker: w,
-                            fault: FaultKind::Crash {
-                                at_iteration: h.workers[w].iteration,
-                            }
-                            .label(),
-                            iteration: h.workers[w].iteration,
-                        });
                         controller.sink().record(TraceEvent::WorkerEvicted {
                             worker: w,
                             active: controller.active() - 1,
                         });
                     }
                     controller.mark_left(w);
-                } else {
-                    snapshots[w].snapshot_if_due(&h.workers[w]);
-                    controller.push_ready(w, h.workers[w].iteration);
                 }
                 // The ready signal and group notification each cost one
                 // network latency; then the group collective runs.
@@ -264,10 +191,7 @@ pub fn run_preduce_elastic(
                 let mut dur_sum = 0.0;
                 for &m in &group {
                     h.workers[m].set_params(&avg);
-                    if dynamic {
-                        // §3.3.3: members adopt the group max iteration.
-                        h.workers[m].iteration = new_iteration;
-                    }
+                    steps[m].reduced(&mut h.workers[m], new_iteration);
                     if controller.sink().enabled() {
                         controller.sink().record(TraceEvent::ReduceCompleted {
                             worker: m,
@@ -282,35 +206,26 @@ pub fn run_preduce_elastic(
                     break;
                 }
                 // `restore:W@U` verbs due at this update count re-admit
-                // their departed workers from durable state. A verb whose
-                // worker has not departed yet stays pending.
-                if let Some(rstore) = &restore_store {
-                    let upd = h.updates();
-                    let mut i = 0;
-                    while i < pending_restores.len() {
-                        let (w, at) = pending_restores[i];
-                        if upd < at || !crashed[w] {
-                            i += 1;
-                            continue;
+                // their departed workers from durable state. They and the
+                // members start their next local update at once.
+                let mut restored = Vec::new();
+                if let Some(store) = &restore_store {
+                    let updates = h.updates();
+                    pending_restores.retain(|&(w, at)| {
+                        let due = updates >= at && steps[w].crashed();
+                        if due {
+                            let snap = must("load worker snapshot", store.load_worker(w));
+                            must("restore worker", restore_worker(&mut h.workers[w], snap));
+                            controller.mark_restored(w, h.workers[w].iteration);
+                            restored.push(w);
                         }
-                        pending_restores.remove(i);
-                        let snap = must("load worker snapshot", rstore.load_worker(w));
-                        must("restore worker", restore_worker(&mut h.workers[w], snap));
-                        controller.mark_restored(w, h.workers[w].iteration);
-                        last_free[w] = t;
-                        let ct = h.compute_time(w, t)
-                            * faults.stall_factor(w, h.workers[w].iteration + 1);
-                        queue.schedule(t + ct + faults.signal_delay(w), Event::Ready(w));
-                    }
+                        !due
+                    });
                 }
-                // Members immediately start their next iteration (a
-                // stalled member computes slower; a laggy control link
-                // delays the resulting ready signal).
-                for &m in &group {
+                for m in restored.into_iter().chain(group) {
                     last_free[m] = t;
-                    let ct =
-                        h.compute_time(m, t) * faults.stall_factor(m, h.workers[m].iteration + 1);
-                    queue.schedule(t + ct + faults.signal_delay(m), Event::Ready(m));
+                    let ct = h.compute_time(m, t) * steps[m].stall_factor(&h.workers[m]);
+                    queue.schedule(t + ct + steps[m].signal_delay(), Event::Ready(m));
                 }
             }
         }
@@ -386,6 +301,7 @@ pub(crate) fn threaded_preduce(
         sub.elastic.warm_start(w);
     }
     let chaos = !sub.faults.is_empty();
+    let mode = controller.mode;
     let (handle, reducers) = spawn(
         controller,
         RuntimeOptions {
@@ -413,7 +329,7 @@ pub(crate) fn threaded_preduce(
                     // as dead.
                     r.start_heartbeat(HEARTBEAT_EVERY);
                 }
-                let mut rounds = WorkerRounds::begin(&w, faults, delay, &elastic, sink);
+                let mut rounds = WorkerRounds::begin(&w, &faults, delay, &elastic, sink, mode);
                 for _ in 0..iters {
                     // Fail fast: a failed collective mid-run has no
                     // recovery path on this substrate.

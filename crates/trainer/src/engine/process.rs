@@ -14,11 +14,15 @@
 //! mesh ([`preduce_comm::mesh::MeshEndpoint`]) carrying group averages.
 //!
 //! Relation to the other substrates (DESIGN.md §12): a worker process
-//! runs the threaded projection's round (`engine::round`); only the
-//! transports and the reaction to a failed reduce differ. Sim = virtual
-//! time + in-memory averaging; threaded = real threads + in-process
-//! channel control + in-process star average; process = real processes +
-//! TCP control + TCP star-reduce data plane.
+//! runs the threaded projection's real-time round over the one worker
+//! step every substrate shares (`engine::round`); only the transports and
+//! the reaction to a failed reduce differ. Sim = virtual time + in-memory
+//! averaging; threaded = real threads + in-process channel control +
+//! in-process star average; process = real processes + TCP control + TCP
+//! star-reduce data plane. The handshake does not carry the controller's
+//! aggregation mode, so a worker process runs the DYN fast-forward rule
+//! under either mode (a CON fleet's workers are still lifted to the group
+//! max).
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -27,7 +31,7 @@ use std::time::Duration;
 use partial_reduce::runtime::{
     serve_fleet, ControllerStats, PartialReducer, ReduceError, RuntimeOptions,
 };
-use partial_reduce::{ControllerConfig, SinkObserver, TraceSink};
+use partial_reduce::{AggregationMode, ControllerConfig, SinkObserver, TraceSink};
 use preduce_comm::control::ObservedControlPlane;
 use preduce_comm::mesh::MeshEndpoint;
 use preduce_comm::reactor::{accept_fleet, ReactorConfig};
@@ -60,7 +64,7 @@ pub struct ControllerReport {
 pub struct WorkerReport {
     /// This worker's rank.
     pub rank: usize,
-    /// Final local iteration count (after fast-forwards).
+    /// Final local iteration count (after DYN fast-forwards).
     pub iterations: u64,
     /// Test accuracy of this worker's own final model.
     pub accuracy: f64,
@@ -107,7 +111,8 @@ pub fn run_controller(
 
 /// Runs one worker process: rebuilds the deterministic fleet for
 /// `config`, takes rank `rank`'s replica, dials the controller at
-/// `connect`, and performs `iters` local-update + partial-reduce rounds.
+/// `connect`, and performs `iters` local-update + partial-reduce rounds,
+/// adopting each group's maximum iteration (the DYN rule).
 ///
 /// A failed group average degrades to the local model (the worker keeps
 /// its own parameters and re-signals next round); a failed control
@@ -166,9 +171,10 @@ pub fn run_worker_elastic(
     let mut reducer = PartialReducer::from_parts(Box::new(link), Box::new(mesh), sink.clone());
     reducer.start_heartbeat(PROCESS_HEARTBEAT);
 
-    // No fault plan and no straggler delay reach a process yet.
-    let mut rounds =
-        WorkerRounds::begin(&worker, FaultPlan::none(), Duration::ZERO, &elastic, sink);
+    // No fault plan and no straggler delay reach a process yet, nor the
+    // controller's mode: the worker runs the DYN fast-forward rule.
+    let (plan, mode) = (FaultPlan::none(), AggregationMode::dynamic_default());
+    let mut rounds = WorkerRounds::begin(&worker, &plan, Duration::ZERO, &elastic, sink, mode);
     let mut rng = StdRng::seed_from_u64(worker_thread_seed(config.seed, rank));
     let mut degraded = 0u64;
     let mut crashed = false;
@@ -184,13 +190,14 @@ pub fn run_worker_elastic(
                 degraded += 1;
                 break;
             }
-            Err(ReduceError::Group(_)) => {
+            Err(ReduceError::Group { .. }) => {
                 // Data-plane failure (a dying group member — even the
                 // leader — or a timeout): keep what the mesh left in
                 // place — per element the local value or the finished
                 // average — and re-signal next round; the controller's
                 // eviction path excludes the dead member from future
-                // groups.
+                // groups. The round already applied the DYN
+                // fast-forward.
                 degraded += 1;
             }
         }

@@ -1,17 +1,21 @@
-//! The one real-time P-Reduce round: Algorithm 2's worker loop body —
-//! local update, ready signal, group average, fast-forward — with the
-//! fault plan (DESIGN.md §11) and the snapshot cadence (§14) applied on
-//! the way. The threaded driver and the process worker both loop over
-//! [`WorkerRounds::run`]; what differs between them — how a failed reduce
-//! is handled, the heartbeat period, which plan and straggler delay they
-//! hand in — stays in their own loops.
+//! Algorithm 2's worker body, written once for every substrate.
+//!
+//! [`WorkerStep`] is sans-I/O and owns everything keyed on a worker's
+//! iteration: the plan's persistent faults, narrated once at `begin`; the
+//! stall factor and signal delay of the coming update; the local update
+//! and the once-per-life crash; the snapshot if due (DESIGN.md §14); the
+//! mode's fast-forward rule (DYN adopts the group max, CON keeps its own
+//! count). The simulator schedules virtual time around it (`drivers::preduce`). [`WorkerRounds`] sleeps around it,
+//! and the threaded driver and the process worker loop over
+//! [`WorkerRounds::run`], each with its own reaction to a failed reduce,
+//! heartbeat period, plan and straggler delay.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use partial_reduce::runtime::{PartialReducer, ReduceError};
-use partial_reduce::{TraceEvent, TraceSink};
+use partial_reduce::runtime::{PartialReducer, ReduceError, ReduceOutcome};
+use partial_reduce::{AggregationMode, TraceEvent, TraceSink};
 use preduce_simnet::{FaultKind, FaultPlan};
 use rand::Rng;
 
@@ -23,121 +27,184 @@ use crate::worker::WorkerState;
 /// for a multiplicative stall to be observable otherwise).
 const STALL_UNIT: Duration = Duration::from_millis(1);
 
+/// One worker's iteration-keyed state: its share of the fault plan, its
+/// snapshot writer and its mode's fast-forward rule.
+pub(crate) struct WorkerStep {
+    rank: usize,
+    faults: FaultPlan,
+    snapshots: SnapshotWriter,
+    sink: Arc<dyn TraceSink>,
+    dynamic: bool,
+    crashed: bool,
+}
+
+impl WorkerStep {
+    /// Takes `w`'s share of `faults`, opens its snapshot writer and
+    /// narrates its persistent faults (stall, signal delay, late join), one
+    /// [`TraceEvent::FaultInjected`] per fault in plan order. A crash is
+    /// narrated where it fires; a restore is recovery, narrated as
+    /// [`TraceEvent::WorkerRestored`] by whoever runs it.
+    pub(crate) fn begin(
+        w: &WorkerState,
+        faults: &FaultPlan,
+        elastic: &ElasticOptions,
+        sink: Arc<dyn TraceSink>,
+        mode: AggregationMode,
+    ) -> Self {
+        let faults = FaultPlan {
+            faults: faults.for_worker(w.rank).copied().collect(),
+        };
+        for spec in &faults.faults {
+            let iteration = match spec.kind {
+                FaultKind::Crash { .. } | FaultKind::Restore { .. } => continue,
+                FaultKind::Stall { from_iteration, .. } => from_iteration,
+                FaultKind::DelaySignals { .. } | FaultKind::LateJoin { .. } => 0,
+            };
+            narrate(&*sink, w.rank, spec.kind, iteration);
+        }
+        WorkerStep {
+            rank: w.rank,
+            snapshots: elastic.snapshot_writer(w, sink.clone()),
+            faults,
+            sink,
+            dynamic: matches!(mode, AggregationMode::Dynamic { .. }),
+            crashed: false,
+        }
+    }
+
+    /// How many seconds late the worker starts.
+    pub(crate) fn start_delay(&self) -> f64 {
+        self.faults.start_delay(self.rank)
+    }
+
+    /// The compute-time multiplier of `w`'s coming local update.
+    pub(crate) fn stall_factor(&self, w: &WorkerState) -> f64 {
+        self.faults.stall_factor(self.rank, w.iteration + 1)
+    }
+
+    /// Seconds every ready signal of the worker arrives late.
+    pub(crate) fn signal_delay(&self) -> f64 {
+        self.faults.signal_delay(self.rank)
+    }
+
+    /// Lines 2–4 of Algorithm 2: the local update, then the plan's crash —
+    /// at most once per life, so a restored worker does not crash again
+    /// when it passes the trigger — then the snapshot if one is due.
+    /// Returns the iteration to signal, or `None` when the crash fired: no
+    /// snapshot was written and no signal may be sent.
+    pub(crate) fn update<R: Rng + ?Sized>(
+        &mut self,
+        w: &mut WorkerState,
+        rng: &mut R,
+    ) -> Option<u64> {
+        w.local_update(rng);
+        let at_iteration = w.iteration;
+        let crash_at = self.faults.crash_at(self.rank);
+        if !self.crashed && crash_at.is_some_and(|at| at <= at_iteration) {
+            self.crashed = true;
+            let crash = FaultKind::Crash { at_iteration };
+            narrate(&*self.sink, self.rank, crash, at_iteration);
+            return None;
+        }
+        self.snapshots.snapshot_if_due(w);
+        Some(at_iteration)
+    }
+
+    /// The mode's fast-forward rule once the group's reduce has run: in
+    /// DYN `w` adopts the group maximum `new_iteration` (§3.3.3), in CON it
+    /// keeps its own count.
+    pub(crate) fn reduced(&self, w: &mut WorkerState, new_iteration: u64) {
+        if self.dynamic {
+            w.iteration = new_iteration;
+        }
+    }
+
+    /// Whether the plan's crash has fired.
+    pub(crate) fn crashed(&self) -> bool {
+        self.crashed
+    }
+}
+
+fn narrate(sink: &dyn TraceSink, worker: usize, kind: FaultKind, iteration: u64) {
+    if sink.enabled() {
+        sink.record(TraceEvent::FaultInjected {
+            worker,
+            fault: kind.label(),
+            iteration,
+        });
+    }
+}
+
+fn sleep_secs(seconds: f64) {
+    if seconds > 0.0 {
+        thread::sleep(Duration::from_secs_f64(seconds));
+    }
+}
+
 /// How a round ended.
 pub(crate) enum Round {
-    /// The worker signalled, was averaged with its group, and adopted the
-    /// group's iteration.
+    /// The worker signalled and was averaged with its group.
     Reduced,
-    /// The plan's crash fired at this iteration boundary: no signal was
-    /// sent and no snapshot written. The caller fail-stops — drops its
-    /// reducer without `finish`, so the controller learns of the death
-    /// only through silence.
+    /// The plan's crash fired: no signal was sent. The caller fail-stops —
+    /// drops its reducer without `finish`, so the controller learns of the
+    /// death only through silence.
     Crashed,
 }
 
-/// One worker's per-run round state: its share of the fault plan, its
-/// straggler delay and its periodic-snapshot writer.
+/// One worker's real-time rounds: its [`WorkerStep`] and its straggler
+/// delay.
 pub(crate) struct WorkerRounds {
-    faults: FaultPlan,
+    step: WorkerStep,
     delay: Duration,
-    snapshots: SnapshotWriter,
-    sink: Arc<dyn TraceSink>,
-    stall_narrated: bool,
 }
 
 impl WorkerRounds {
-    /// Opens `w`'s snapshot writer, narrates the plan's persistent
-    /// perturbations of `w` (late join, delayed signals) and sleeps out
-    /// the late join. A caller that heartbeats starts beating *before*
-    /// this, so a late worker is never misjudged as dead.
+    /// Builds `w`'s step and sleeps out its late join. A caller that
+    /// heartbeats starts beating *before* this, so a late worker is never
+    /// misjudged as dead.
     pub(crate) fn begin(
         w: &WorkerState,
-        faults: FaultPlan,
+        faults: &FaultPlan,
         delay: Duration,
         elastic: &ElasticOptions,
         sink: Arc<dyn TraceSink>,
+        mode: AggregationMode,
     ) -> Self {
-        let rounds = WorkerRounds {
-            snapshots: elastic.snapshot_writer(w, sink.clone()),
-            faults,
-            delay,
-            sink,
-            stall_narrated: false,
-        };
-        let seconds = rounds.faults.start_delay(w.rank);
-        if seconds > 0.0 {
-            rounds.narrate(w.rank, FaultKind::LateJoin { seconds }, 0);
-            thread::sleep(Duration::from_secs_f64(seconds));
-        }
-        let seconds = rounds.faults.signal_delay(w.rank);
-        if seconds > 0.0 {
-            rounds.narrate(w.rank, FaultKind::DelaySignals { seconds }, 0);
-        }
-        rounds
+        let step = WorkerStep::begin(w, faults, elastic, sink, mode);
+        sleep_secs(step.start_delay());
+        WorkerRounds { step, delay }
     }
 
-    fn narrate(&self, worker: usize, kind: FaultKind, iteration: u64) {
-        if self.sink.enabled() {
-            self.sink.record(TraceEvent::FaultInjected {
-                worker,
-                fault: kind.label(),
-                iteration,
-            });
-        }
-    }
-
-    /// One round: straggler and stall sleeps, the local update, the crash
-    /// check, the snapshot if one is due, the signal delay, then
-    /// [`PartialReducer::reduce`] and the fast-forward to the group's
-    /// iteration. On a failed reduce `w` keeps what the averager left in
-    /// its parameters and its own iteration count, and the error names
-    /// the phase that failed.
+    /// One round: the straggler and stall sleep, the step's update, the
+    /// signal delay, then [`PartialReducer::reduce`] and the mode's
+    /// fast-forward rule — applied on a failed group average too, since
+    /// the assignment was received. On a failed reduce `w` keeps what the
+    /// averager left in its parameters, and the error names the phase
+    /// that failed.
     pub(crate) fn run<R: Rng + ?Sized>(
         &mut self,
         w: &mut WorkerState,
         rng: &mut R,
         reducer: &mut PartialReducer,
     ) -> Result<Round, ReduceError> {
-        if !self.delay.is_zero() {
-            thread::sleep(self.delay);
-        }
-        let from_iteration = w.iteration + 1;
-        let factor = self.faults.stall_factor(w.rank, from_iteration);
-        if factor > 1.0 {
-            if !self.stall_narrated {
-                self.stall_narrated = true;
-                let stall = FaultKind::Stall {
-                    factor,
-                    from_iteration,
-                };
-                self.narrate(w.rank, stall, from_iteration);
-            }
-            let base = if self.delay.is_zero() {
-                STALL_UNIT
-            } else {
-                self.delay
-            };
-            thread::sleep(base.mul_f64(factor - 1.0));
-        }
-        w.local_update(rng);
-        if self
-            .faults
-            .crash_at(w.rank)
-            .is_some_and(|at| w.iteration >= at)
-        {
-            let at_iteration = w.iteration;
-            self.narrate(w.rank, FaultKind::Crash { at_iteration }, at_iteration);
+        let unit = if self.delay.is_zero() {
+            STALL_UNIT
+        } else {
+            self.delay
+        };
+        let stall = unit.mul_f64((self.step.stall_factor(w) - 1.0).max(0.0));
+        thread::sleep(self.delay + stall);
+        let Some(iteration) = self.step.update(w, rng) else {
             return Ok(Round::Crashed);
+        };
+        sleep_secs(self.step.signal_delay());
+        let outcome = reducer.reduce(w.params.as_mut_slice(), iteration);
+        match &outcome {
+            Ok(ReduceOutcome { new_iteration, .. })
+            | Err(ReduceError::Group { new_iteration, .. }) => self.step.reduced(w, *new_iteration),
+            Err(ReduceError::Control(_)) => {}
         }
-        self.snapshots.snapshot_if_due(w);
-        let seconds = self.faults.signal_delay(w.rank);
-        if seconds > 0.0 {
-            thread::sleep(Duration::from_secs_f64(seconds));
-        }
-        w.iteration = reducer
-            .reduce(w.params.as_mut_slice(), w.iteration)?
-            .new_iteration;
-        Ok(Round::Reduced)
+        outcome.map(|_| Round::Reduced)
     }
 }
 
@@ -174,52 +241,98 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_dead_group_peer_fails_the_group_phase_not_the_run() {
+    type Rounds = Vec<Vec<Result<Round, ReduceError>>>;
+
+    /// What each rank of an N = P = 2 fleet saw over two rounds in which
+    /// rank 1's first group average fails, rank 0 starting at iteration
+    /// `start`: every round's outcome, each rank's final iteration, and
+    /// the controller's trace.
+    fn rank_1_loses_its_first_average(
+        controller: ControllerConfig,
+        start: u64,
+    ) -> (Rounds, Vec<u64>, Vec<TraceEvent>) {
         const N: usize = 2;
         let mut config = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
         config.num_workers = N;
+        let mode = controller.mode;
+        let trace = Arc::new(RingSink::new(256));
         let (ctl, links) = control_links(N);
-        let server = thread::spawn(move || {
-            serve_fleet(
-                ControllerConfig::constant(N, 2),
-                ctl,
-                &[],
-                RuntimeOptions::default(),
-            )
-        });
+        let opts = RuntimeOptions {
+            sink: trace.clone(),
+            ..RuntimeOptions::default()
+        };
+        let server = thread::spawn(move || serve_fleet(controller, ctl, &[], opts));
         let workers: Vec<_> = build_fleet(&config)
             .workers
             .into_iter()
             .zip(links)
             .map(|(mut w, link)| {
                 thread::spawn(move || {
+                    if w.rank == 0 {
+                        w.iteration = start;
+                    }
                     let sink: Arc<dyn TraceSink> = Arc::new(NullSink);
                     let averager = Box::new(LeaderDiesOnce(w.rank == 1));
                     let mut r = PartialReducer::from_parts(Box::new(link), averager, sink.clone());
-                    let elastic = ElasticOptions::none();
+                    let (plan, elastic) = (FaultPlan::none(), ElasticOptions::none());
                     let mut rounds =
-                        WorkerRounds::begin(&w, FaultPlan::none(), Duration::ZERO, &elastic, sink);
+                        WorkerRounds::begin(&w, &plan, Duration::ZERO, &elastic, sink, mode);
                     let mut rng = StdRng::seed_from_u64(w.rank as u64);
                     let outcomes: Vec<_> = (0..2)
                         .map(|_| rounds.run(&mut w, &mut rng, &mut r))
                         .collect();
                     r.finish().unwrap();
-                    outcomes
+                    (outcomes, w.iteration)
                 })
             })
             .collect();
-        let outcomes: Vec<_> = workers.into_iter().map(|t| t.join().unwrap()).collect();
-        assert_eq!(server.join().unwrap().groups_formed, 2);
+        let (outcomes, iterations) = workers.into_iter().map(|t| t.join().unwrap()).unzip();
+        server.join().unwrap();
+        (outcomes, iterations, trace.snapshot())
+    }
+
+    #[test]
+    fn a_dead_group_peer_fails_the_group_phase_not_the_run() {
+        let (outcomes, iterations, events) =
+            rank_1_loses_its_first_average(ControllerConfig::constant(2, 2), 0);
+        let report = InvariantChecker::check(&events);
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.groups, 2);
 
         // Rank 1 lost its leader mid-average: a group failure, after which
         // the controller still answers and the next round reduces.
         assert!(matches!(
             outcomes[1][0],
-            Err(ReduceError::Group(CommError::Disconnected { peer: 0 }))
+            Err(ReduceError::Group {
+                error: CommError::Disconnected { peer: 0 },
+                ..
+            })
         ));
         assert!(matches!(outcomes[1][1], Ok(Round::Reduced)));
         assert!(outcomes[0].iter().all(|o| matches!(o, Ok(Round::Reduced))));
+        // CON members keep their own count.
+        assert_eq!(iterations, [2, 2]);
+    }
+
+    #[test]
+    fn a_degraded_dyn_round_still_fast_forwards() {
+        // Rank 0 resumes at iteration 5, as after a warm start, so the
+        // first group's maximum is 6. Rank 1's average fails, yet it must
+        // adopt 6 like a member whose average landed: its next signal, 7,
+        // then advances past the group it was assigned to.
+        let (outcomes, iterations, events) =
+            rank_1_loses_its_first_average(ControllerConfig::dynamic(2, 2), 5);
+        assert!(matches!(
+            outcomes[1][0],
+            Err(ReduceError::Group {
+                new_iteration: 6,
+                ..
+            })
+        ));
+        let report = InvariantChecker::check(&events);
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.groups, 2);
+        assert_eq!(iterations, [7, 7]);
     }
 
     #[test]
@@ -253,7 +366,9 @@ mod tests {
                 let (plan, elastic, sink) = (plan.clone(), elastic.clone(), sink.clone());
                 let mut rng = StdRng::seed_from_u64(worker_thread_seed(config.seed, w.rank));
                 thread::spawn(move || {
-                    let mut rounds = WorkerRounds::begin(&w, plan, Duration::ZERO, &elastic, sink);
+                    let mode = AggregationMode::Constant;
+                    let mut rounds =
+                        WorkerRounds::begin(&w, &plan, Duration::ZERO, &elastic, sink, mode);
                     let mut reduced = 0;
                     while reduced < ITERS {
                         match rounds.run(&mut w, &mut rng, &mut r).unwrap() {
@@ -322,17 +437,18 @@ mod tests {
                 }
             }
         }
-        // The crashed iteration left neither a snapshot nor a signal.
+        // A CON worker keeps its own count, so the crash fires at exactly
+        // its iteration, and that iteration left neither a snapshot nor a
+        // signal.
         let crashes = faults_of(1, "crash");
-        assert_eq!(crashes.len(), 1);
-        assert!(crashes[0] >= 4);
+        assert_eq!(crashes, [4]);
         assert!(!events.iter().any(|e| matches!(
             e,
             TraceEvent::SignalEnqueued { worker: 1, iteration, .. }
             | TraceEvent::SnapshotTaken { worker: 1, iteration }
                 if *iteration >= crashes[0]
         )));
-        assert!(faults_of(0, "stall")[0] >= 2);
+        assert_eq!(faults_of(0, "stall"), [2]);
         let report = InvariantChecker::check(&events);
         assert!(report.is_clean(), "{report}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -10,6 +10,7 @@
 //! eviction; heartbeats under stall → no false eviction). CI runs this
 //! file single-threaded per test (`--test-threads=1`).
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use partial_reduce::{Controller, ControllerConfig, InvariantChecker, RingSink, TraceEvent};
@@ -300,6 +301,58 @@ fn threaded_stall_keeps_heartbeating_and_is_not_evicted() {
     );
     let report = InvariantChecker::check(&events);
     assert!(report.is_clean(), "{report}");
+}
+
+#[test]
+fn one_plan_fires_at_the_same_iterations_on_sim_and_threads() {
+    // Both substrates run the same worker step, so every fault of a CON
+    // plan is narrated with the same label at the same local iteration on
+    // each — the crash included.
+    let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
+    c.num_workers = 4;
+    c.threshold = 0.999;
+    c.max_updates = 60;
+    c.threaded_iters = Some(8);
+    // The doomed worker joins late, so its first groups meet members
+    // further on: a lifted count would move its crash.
+    let plan = FaultPlan::none()
+        .crash(1, 4)
+        .stall(2, 4.0, 2)
+        .delay_signals(3, 0.002)
+        .late_join(1, 0.005);
+    let faults_on = |backend: Backend| {
+        let sink = Arc::new(RingSink::new(65536));
+        engine::run_elastic(
+            Strategy::PReduce {
+                p: 2,
+                dynamic: false,
+            },
+            &c,
+            backend,
+            sink.clone(),
+            plan.clone(),
+            ElasticOptions::none(),
+        );
+        assert_eq!(sink.dropped(), 0, "{backend:?}");
+        let events = sink.snapshot();
+        let report = InvariantChecker::check(&events);
+        assert!(report.is_clean(), "{backend:?}: {report}");
+        events
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::FaultInjected {
+                    worker,
+                    fault,
+                    iteration,
+                } => Some((worker, fault, iteration)),
+                _ => None,
+            })
+            .collect::<BTreeSet<_>>()
+    };
+    let sim = faults_on(Backend::Sim);
+    assert!(sim.contains(&(1, "crash@4".to_string(), 4)), "{sim:?}");
+    assert_eq!(sim.len(), 4, "{sim:?}");
+    assert_eq!(faults_on(Backend::Threaded), sim);
 }
 
 #[test]

@@ -35,10 +35,11 @@ fn trace_path(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// Runs a traced N=16, P=4 threaded fleet and returns the replayed events.
-/// The trace read back from JSONL also recomputes every worker's final
-/// model bit for bit.
-fn run_and_read(dynamic: bool, name: &str) -> Vec<TraceEvent> {
+/// Runs a traced N=16, P=4 threaded fleet, six rounds per worker, and
+/// returns the replayed events and every worker's final iteration. The
+/// trace read back from JSONL also recomputes every worker's final model
+/// bit for bit.
+fn run_and_read(dynamic: bool, name: &str) -> (Vec<TraceEvent>, Vec<u64>) {
     let n = 16;
     let path = trace_path(name);
     let sink = Arc::new(JsonlSink::create(&path).expect("create trace file"));
@@ -53,7 +54,7 @@ fn run_and_read(dynamic: bool, name: &str) -> Vec<TraceEvent> {
     let events = read_jsonl(&path).expect("trace reads back");
     let _ = std::fs::remove_file(&path);
     assert_eq!(replay(&config(n), &events), report.params_hashes);
-    events
+    (events, report.iterations)
 }
 
 /// A traced threaded run of four workers, `iters` rounds each: its trace
@@ -112,7 +113,7 @@ fn a_perturbed_decision_changes_the_replay() {
 
 #[test]
 fn threaded_con_hetero_trace_replays_clean() {
-    let events = run_and_read(false, "con.jsonl");
+    let (events, iterations) = run_and_read(false, "con.jsonl");
     assert!(matches!(events[0], TraceEvent::RunStarted { .. }));
     assert!(matches!(
         events.last(),
@@ -126,13 +127,16 @@ fn threaded_con_hetero_trace_replays_clean() {
     let report = InvariantChecker::check(&events);
     assert!(report.is_clean(), "{report}");
     assert!(report.groups > 0);
+    // The skewed fleet mixes iteration numbers in its groups, yet a CON
+    // member keeps its own count: every worker ends at its budget.
+    assert_eq!(iterations, [6; 16]);
 }
 
 #[test]
 fn threaded_dyn_hetero_trace_replays_clean() {
     // The checker recomputes every DYN weight row from Eq. 9 and compares
     // elementwise, so a clean replay *is* the staleness-weighting check.
-    let events = run_and_read(true, "dyn.jsonl");
+    let (events, _) = run_and_read(true, "dyn.jsonl");
     let report = InvariantChecker::check(&events);
     assert!(report.is_clean(), "{report}");
     assert!(report.groups > 0);
@@ -140,7 +144,7 @@ fn threaded_dyn_hetero_trace_replays_clean() {
 
 #[test]
 fn corrupted_duplicate_member_is_flagged() {
-    let mut events = run_and_read(false, "dup.jsonl");
+    let (mut events, _) = run_and_read(false, "dup.jsonl");
     let target = events
         .iter_mut()
         .find(|e| matches!(e, TraceEvent::GroupFormed { .. }))
@@ -160,7 +164,7 @@ fn corrupted_duplicate_member_is_flagged() {
 
 #[test]
 fn corrupted_weight_row_is_flagged() {
-    let mut events = run_and_read(false, "weights.jsonl");
+    let (mut events, _) = run_and_read(false, "weights.jsonl");
     let target = events
         .iter_mut()
         .find(|e| matches!(e, TraceEvent::GroupFormed { .. }))
