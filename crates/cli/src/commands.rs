@@ -661,11 +661,11 @@ pub fn run_command(
                     "heterogeneity preset `{hetero}` (expected uniform, gpu-sharing, or markov)"
                 )));
             }
-            if p < 2 || p > n || signals == 0 {
-                return Err(CliError::Unknown(format!(
-                    "scale configuration (need 2 <= P <= N and signals > 0, \
-                     got N={n}, P={p}, signals={signals})"
-                )));
+            check_group_size(n, p)?;
+            if signals == 0 {
+                return Err(CliError::Unknown(
+                    "signal count (need --signals > 0)".to_string(),
+                ));
             }
             let mut cfg = preduce_trainer::ScaleConfig::new(n, p, signals, hetero);
             cfg.dynamic = args.get_or("dynamic", true)?;
@@ -713,6 +713,12 @@ pub fn run_command(
             let n: usize = args.get_or("workers", 8)?;
             let p: usize = args.get_or("p", 3)?;
             let rounds: usize = args.get_or("rounds", 20_000)?;
+            check_group_size(n, p)?;
+            if rounds == 0 {
+                return Err(CliError::Unknown(
+                    "round count (need --rounds > 0)".to_string(),
+                ));
+            }
             let fleet: Box<dyn HeterogeneityModel> = match args.get("slow") {
                 None => Box::new(UniformFleet::new(n, 1e9, Jitter::LogNormal { sigma: 0.2 })),
                 Some(spec) => {
@@ -727,6 +733,11 @@ pub fn run_command(
                     if multipliers.len() != n {
                         return Err(CliError::Unknown(format!(
                             "--slow needs {n} comma-separated values"
+                        )));
+                    }
+                    if let Some(m) = multipliers.iter().find(|m| !(m.is_finite() && **m > 0.0)) {
+                        return Err(CliError::Unknown(format!(
+                            "multiplier `{m}` (need a finite value > 0)"
                         )));
                     }
                     Box::new(SpeedFleet::new(
@@ -747,6 +758,17 @@ pub fn run_command(
                 report.rho, report.rho_bar
             );
         }
+    }
+    Ok(())
+}
+
+/// Refuses a group size the controller would reject (`2 <= P <= N`) as a
+/// usage error, before any fleet is built.
+fn check_group_size(n: usize, p: usize) -> Result<(), CliError> {
+    if p < 2 || p > n {
+        return Err(CliError::Unknown(format!(
+            "group size (need 2 <= P <= N, got N={n}, P={p})"
+        )));
     }
     Ok(())
 }

@@ -16,10 +16,8 @@
 //! schedules (feed in the empirical `ρ̄` from
 //! [`crate::spectral::spectral_gap`]).
 
-use serde::{Deserialize, Serialize};
-
 /// Problem constants for the bound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TheoremInputs {
     /// Number of workers `N`.
     pub num_workers: usize,
@@ -36,7 +34,7 @@ pub struct TheoremInputs {
 }
 
 /// The two components of the Eq. 8 bound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceBound {
     /// `2(F(u₁) − F_inf)/(ηK) + ηLσ²/P`.
     pub sgd_error: f64,

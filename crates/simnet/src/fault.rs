@@ -17,11 +17,10 @@
 //! Plans parse from a compact CLI spec (`--fault-plan`), e.g.
 //! `crash:3@40,stall:5x4@10,delay:2+0.05,latejoin:7+2.0`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One fault class, bound to a worker by [`FaultSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Fail-stop: the worker completes `at_iteration` local updates and
     /// then dies silently — no `Leaving` message, no further signals.
@@ -85,7 +84,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// A fault bound to one worker rank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Target worker rank.
     pub worker: usize,
@@ -97,7 +96,7 @@ pub struct FaultSpec {
 ///
 /// The empty plan is the fault-free baseline; every accessor degrades to
 /// a no-op so call sites need no special-casing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// The injected faults, in declaration order.
     pub faults: Vec<FaultSpec>,
@@ -393,14 +392,6 @@ mod tests {
         assert_eq!(p.crash_at(0), Some(20));
         assert_eq!(p.stall_factor(0, 4), 2.0);
         assert_eq!(p.stall_factor(0, 5), 6.0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let p = FaultPlan::none().crash(1, 7).stall(2, 1.5, 3);
-        let json = serde_json::to_string(&p).expect("serialize");
-        let back: FaultPlan = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(p, back);
     }
 
     #[test]

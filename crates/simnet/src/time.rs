@@ -2,13 +2,11 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in virtual time, in seconds since simulation start.
 ///
 /// Wraps `f64` with a total order (`f64::total_cmp`) so it can key the event
 /// queue. Construction rejects NaN, which keeps the total order meaningful.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTime(f64);
 
 impl SimTime {

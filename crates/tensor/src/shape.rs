@@ -1,13 +1,11 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The shape of a dense row-major tensor: an ordered list of axis lengths.
 ///
 /// Shapes in this workspace are small (rank ≤ 2: flat parameter vectors
 /// are `[d]`, minibatch activations and weight matrices `[rows, cols]`),
 /// so a `Vec<usize>` is plenty and keeps the API simple.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

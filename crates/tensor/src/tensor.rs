@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::shape::Shape;
 
@@ -8,7 +6,7 @@ use crate::shape::Shape;
 /// This is the single numeric container used across the workspace: model
 /// parameters, gradients, activations, synthetic datasets, and the
 /// synchronization matrices of the paper's analysis are all `Tensor`s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

@@ -129,12 +129,6 @@ pub struct ExperimentConfig {
     /// Keeps gradient noise high near the plateau; see
     /// `Dataset::with_label_noise`.
     pub label_noise: f64,
-    /// Momentum used by the parameter-server *server-side* optimizer in
-    /// the async PS baselines (ASP/SSP/HETE). Defaults to 0: async PS
-    /// systems classically run plain SGD server-side because a shared
-    /// momentum buffer fed by stale, interleaved pushes destabilizes
-    /// training. Set to the worker momentum to study that instability.
-    pub ps_server_momentum: f32,
     /// Per-worker *communication* slowdown factors (intro Case 1:
     /// communication heterogeneity — e.g. geo-distributed workers behind
     /// inter-datacenter links up to 10x slower). A collective's wire time
@@ -183,7 +177,6 @@ impl ExperimentConfig {
             max_updates: 60_000,
             eval_every: 64,
             label_noise: 0.0,
-            ps_server_momentum: 0.0,
             link_slowdown: None,
             overlap_fraction: 0.0,
             shard_strategy: None,

@@ -15,7 +15,7 @@ use preduce_tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::elastic::{restore_worker, ElasticOptions};
-use crate::engine::round::{Round, WorkerRounds, WorkerStep};
+use crate::engine::round::{WorkerRounds, WorkerStep};
 use crate::engine::setup::{build_fleet, evaluate_uniform_average, worker_thread_seed};
 use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
@@ -262,8 +262,10 @@ pub fn chaos_liveness() -> LivenessPolicy {
     LivenessPolicy::new(Duration::from_millis(25), 8)
 }
 
-/// Threaded partial reduce: every worker runs its iteration budget of
-/// local update + `reduce` calls against the real controller thread; the
+/// Threaded partial reduce: every worker runs its iteration budget
+/// through the one real-time worker loop (`engine::round`) against the
+/// real controller thread, under the process worker's error policy — a
+/// failed reduce is a degraded round, reported per rank, not a panic; the
 /// drain protocol issues singleton assignments at shutdown so no worker
 /// hangs. The report's `wall_seconds` runs from just before the first
 /// worker thread spawns to just after the last join; the controller
@@ -329,27 +331,13 @@ pub(crate) fn threaded_preduce(
                     // as dead.
                     r.start_heartbeat(HEARTBEAT_EVERY);
                 }
-                let mut rounds = WorkerRounds::begin(&w, &faults, delay, &elastic, sink, mode);
-                for _ in 0..iters {
-                    // Fail fast: a failed collective mid-run has no
-                    // recovery path on this substrate.
-                    match must("partial reduce", rounds.run(&mut w, &mut rng, &mut r)) {
-                        Round::Reduced => {}
-                        Round::Crashed => {
-                            // Fail-stop: no Leaving, no more heartbeats. The
-                            // handle drops here; the controller detects the
-                            // silence.
-                            r.crash();
-                            return (w.params, w.iteration);
-                        }
-                    }
-                }
-                must("finish", r.finish());
-                (w.params, w.iteration)
+                let rounds = WorkerRounds::begin(&w, &faults, delay, &elastic, sink, mode);
+                let degraded = rounds.run_for(&mut w, &mut rng, r, iters);
+                (w.params, (w.iteration, degraded))
             })
         })
         .collect();
-    let (params, iterations): (Vec<Tensor>, Vec<u64>) = threads
+    let (params, (iterations, degraded)): (Vec<Tensor>, (Vec<u64>, Vec<u64>)) = threads
         .into_iter()
         .map(|t| match t.join() {
             Ok(v) => v,
@@ -363,6 +351,7 @@ pub(crate) fn threaded_preduce(
         wall_seconds,
         accuracy: evaluate_uniform_average(config, &fleet.test, &params),
         iterations,
+        degraded,
         params_hashes: params.iter().map(|p| params_hash(p.as_slice())).collect(),
         controller: Some(handle.join()),
     }

@@ -56,15 +56,14 @@ fn run_ps(mut h: SimHarness, policy: PsPolicy, label: String) -> RunResult {
     // Each worker's round trip runs over its own link.
     let comm_of: Vec<f64> = (0..n).map(|w| base_comm * h.link_slowdown[w]).collect();
 
-    // Server state: the global model plus one shared optimizer. By default
-    // the server runs *momentum-free* SGD: with interleaved stale pushes a
-    // shared momentum buffer mixes directions from different model
-    // versions and destabilizes training — async PS systems (SSP, DynSGD)
-    // apply plain SGD server-side. `ExperimentConfig::ps_server_momentum`
-    // overrides this to study the instability.
+    // Server state: the global model plus one shared optimizer. The server
+    // runs *momentum-free* SGD: with interleaved stale pushes a shared
+    // momentum buffer mixes directions from different model versions and
+    // destabilizes training — async PS systems (SSP, DynSGD) apply plain
+    // SGD server-side.
     let mut server = h.workers[0].params.clone();
     let mut server_cfg = *h.workers[0].opt.config();
-    server_cfg.momentum = h.ps_server_momentum;
+    server_cfg.momentum = 0.0;
     let mut server_opt = SgdOptimizer::new(server_cfg, server.len());
 
     // Per-worker bookkeeping.

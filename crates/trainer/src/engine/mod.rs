@@ -156,6 +156,8 @@ pub fn run_elastic(
                 stats.insert("singletons".into(), c.singletons as f64);
                 stats.insert("evictions".into(), c.evictions as f64);
             }
+            let degraded: u64 = report.degraded.iter().sum();
+            stats.insert("degraded".into(), degraded as f64);
             EngineRun {
                 result: RunResult {
                     strategy: strategy.label(),

@@ -14,12 +14,12 @@
 //! mesh ([`preduce_comm::mesh::MeshEndpoint`]) carrying group averages.
 //!
 //! Relation to the other substrates (DESIGN.md §12): a worker process
-//! runs the threaded projection's real-time round over the one worker
-//! step every substrate shares (`engine::round`); only the transports and
-//! the reaction to a failed reduce differ. Sim = virtual time + in-memory
-//! averaging; threaded = real threads + in-process channel control +
-//! in-process star average; process = real processes + TCP control + TCP
-//! star-reduce data plane. The handshake does not carry the controller's
+//! runs the threaded projection's worker loop — the one real-time loop
+//! and error policy in `engine::round`, over the worker step every
+//! substrate shares; only the transports and the heartbeat period differ.
+//! Sim = virtual time + in-memory averaging; threaded = real threads +
+//! in-process channel control + in-process star average; process = real
+//! processes + TCP control + TCP star-reduce data plane. The handshake does not carry the controller's
 //! aggregation mode, so a worker process runs the DYN fast-forward rule
 //! under either mode (a CON fleet's workers are still lifted to the group
 //! max).
@@ -28,9 +28,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use partial_reduce::runtime::{
-    serve_fleet, ControllerStats, PartialReducer, ReduceError, RuntimeOptions,
-};
+use partial_reduce::runtime::{serve_fleet, ControllerStats, PartialReducer, RuntimeOptions};
 use partial_reduce::{AggregationMode, ControllerConfig, SinkObserver, TraceSink};
 use preduce_comm::control::ObservedControlPlane;
 use preduce_comm::mesh::MeshEndpoint;
@@ -42,7 +40,7 @@ use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::ExperimentConfig;
 use crate::elastic::ElasticOptions;
-use crate::engine::round::{Round, WorkerRounds};
+use crate::engine::round::WorkerRounds;
 use crate::engine::setup::{build_fleet, evaluate_uniform_average, worker_thread_seed};
 use crate::replay::params_hash;
 
@@ -114,10 +112,8 @@ pub fn run_controller(
 /// `connect`, and performs `iters` local-update + partial-reduce rounds,
 /// adopting each group's maximum iteration (the DYN rule).
 ///
-/// A failed group average degrades to the local model (the worker keeps
-/// its own parameters and re-signals next round); a failed control
-/// exchange ends the run early. Either way the worker evaluates whatever
-/// model it holds.
+/// A failed reduce is a degraded round under the one worker loop's policy
+/// (`engine::round`); either way the worker evaluates the model it holds.
 ///
 /// # Errors
 /// Fails if the controller handshake or data-plane bring-up fails, or if
@@ -174,42 +170,9 @@ pub fn run_worker_elastic(
     // No fault plan and no straggler delay reach a process yet, nor the
     // controller's mode: the worker runs the DYN fast-forward rule.
     let (plan, mode) = (FaultPlan::none(), AggregationMode::dynamic_default());
-    let mut rounds = WorkerRounds::begin(&worker, &plan, Duration::ZERO, &elastic, sink, mode);
+    let rounds = WorkerRounds::begin(&worker, &plan, Duration::ZERO, &elastic, sink, mode);
     let mut rng = StdRng::seed_from_u64(worker_thread_seed(config.seed, rank));
-    let mut degraded = 0u64;
-    let mut crashed = false;
-    for _ in 0..iters {
-        match rounds.run(&mut worker, &mut rng, &mut reducer) {
-            Ok(Round::Reduced) => {}
-            Ok(Round::Crashed) => {
-                crashed = true;
-                break;
-            }
-            Err(ReduceError::Control(_)) => {
-                // The controller link failed: no more groups will form.
-                degraded += 1;
-                break;
-            }
-            Err(ReduceError::Group { .. }) => {
-                // Data-plane failure (a dying group member — even the
-                // leader — or a timeout): keep what the mesh left in
-                // place — per element the local value or the finished
-                // average — and re-signal next round; the controller's
-                // eviction path excludes the dead member from future
-                // groups. The round already applied the DYN
-                // fast-forward.
-                degraded += 1;
-            }
-        }
-    }
-    if crashed {
-        // Fail-stop: no Leaving; the controller sees the socket close.
-        reducer.crash();
-    } else {
-        // Best-effort: the controller also tolerates learning of
-        // departure from the socket closing.
-        let _ = reducer.finish();
-    }
+    let degraded = rounds.run_for(&mut worker, &mut rng, reducer, iters);
 
     let accuracy = evaluate_uniform_average(config, &fleet.test, &[worker.params.clone()]);
     Ok(WorkerReport {

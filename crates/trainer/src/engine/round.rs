@@ -5,10 +5,11 @@
 //! stall factor and signal delay of the coming update; the local update
 //! and the once-per-life crash; the snapshot if due (DESIGN.md §14); the
 //! mode's fast-forward rule (DYN adopts the group max, CON keeps its own
-//! count). The simulator schedules virtual time around it (`drivers::preduce`). [`WorkerRounds`] sleeps around it,
-//! and the threaded driver and the process worker loop over
-//! [`WorkerRounds::run`], each with its own reaction to a failed reduce,
-//! heartbeat period, plan and straggler delay.
+//! count). The simulator schedules virtual time around it
+//! (`drivers::preduce`). [`WorkerRounds`] sleeps around it, and
+//! [`WorkerRounds::run_for`] is the one real-time worker loop, with the
+//! deployed error policy: the threaded driver and the process worker run
+//! their budgets through it and differ only in transport and heartbeat.
 
 use std::sync::Arc;
 use std::thread;
@@ -142,12 +143,10 @@ fn sleep_secs(seconds: f64) {
 }
 
 /// How a round ended.
-pub(crate) enum Round {
+enum Round {
     /// The worker signalled and was averaged with its group.
     Reduced,
-    /// The plan's crash fired: no signal was sent. The caller fail-stops —
-    /// drops its reducer without `finish`, so the controller learns of the
-    /// death only through silence.
+    /// The plan's crash fired: no signal was sent.
     Crashed,
 }
 
@@ -181,7 +180,7 @@ impl WorkerRounds {
     /// the assignment was received. On a failed reduce `w` keeps what the
     /// averager left in its parameters, and the error names the phase
     /// that failed.
-    pub(crate) fn run<R: Rng + ?Sized>(
+    fn run<R: Rng + ?Sized>(
         &mut self,
         w: &mut WorkerState,
         rng: &mut R,
@@ -205,6 +204,39 @@ impl WorkerRounds {
             Err(ReduceError::Control(_)) => {}
         }
         outcome.map(|_| Round::Reduced)
+    }
+
+    /// Runs up to `iters` rounds under the deployed error policy and
+    /// returns how many degraded. A failed group average is a degraded
+    /// round: the worker keeps what the averager left and signals again.
+    /// A failed control exchange is one and ends the loop. The plan's
+    /// crash fail-stops through [`PartialReducer::crash`] (no `Leaving`);
+    /// otherwise the worker calls `finish` best-effort, since the
+    /// controller also learns of a departure when the link closes.
+    pub(crate) fn run_for<R: Rng + ?Sized>(
+        mut self,
+        w: &mut WorkerState,
+        rng: &mut R,
+        mut reducer: PartialReducer,
+        iters: u64,
+    ) -> u64 {
+        let mut degraded = 0;
+        for _ in 0..iters {
+            match self.run(w, rng, &mut reducer) {
+                Ok(Round::Reduced) => {}
+                Ok(Round::Crashed) => {
+                    reducer.crash();
+                    return degraded;
+                }
+                Err(ReduceError::Group { .. }) => degraded += 1,
+                Err(ReduceError::Control(_)) => {
+                    degraded += 1;
+                    break;
+                }
+            }
+        }
+        let _ = reducer.finish();
+        degraded
     }
 }
 
@@ -241,16 +273,32 @@ mod tests {
         }
     }
 
-    type Rounds = Vec<Vec<Result<Round, ReduceError>>>;
+    /// How a test drives one rank: its rounds, state, RNG and reducer in,
+    /// what it observed out.
+    type Drive<T> = fn(WorkerRounds, &mut WorkerState, &mut StdRng, PartialReducer) -> T;
 
-    /// What each rank of an N = P = 2 fleet saw over two rounds in which
-    /// rank 1's first group average fails, rank 0 starting at iteration
-    /// `start`: every round's outcome, each rank's final iteration, and
-    /// the controller's trace.
-    fn rank_1_loses_its_first_average(
+    /// Two rounds one at a time, then `finish`: each round's outcome.
+    fn two_rounds(
+        mut rounds: WorkerRounds,
+        w: &mut WorkerState,
+        rng: &mut StdRng,
+        mut r: PartialReducer,
+    ) -> Vec<Result<Round, ReduceError>> {
+        let outcomes = (0..2).map(|_| rounds.run(w, rng, &mut r)).collect();
+        r.finish().unwrap();
+        outcomes
+    }
+
+    /// What each rank of an N = P = 2 fleet under `plan` saw when rank 1's
+    /// first group average fails, rank 0 starting at iteration `start`:
+    /// what `drive` returned, each rank's final iteration, and the
+    /// controller's trace.
+    fn rank_1_loses_its_first_average<T: Send + 'static>(
         controller: ControllerConfig,
         start: u64,
-    ) -> (Rounds, Vec<u64>, Vec<TraceEvent>) {
+        plan: &FaultPlan,
+        drive: Drive<T>,
+    ) -> (Vec<T>, Vec<u64>, Vec<TraceEvent>) {
         const N: usize = 2;
         let mut config = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
         config.num_workers = N;
@@ -267,34 +315,135 @@ mod tests {
             .into_iter()
             .zip(links)
             .map(|(mut w, link)| {
+                let plan = plan.clone();
                 thread::spawn(move || {
                     if w.rank == 0 {
                         w.iteration = start;
                     }
                     let sink: Arc<dyn TraceSink> = Arc::new(NullSink);
                     let averager = Box::new(LeaderDiesOnce(w.rank == 1));
-                    let mut r = PartialReducer::from_parts(Box::new(link), averager, sink.clone());
-                    let (plan, elastic) = (FaultPlan::none(), ElasticOptions::none());
-                    let mut rounds =
+                    let r = PartialReducer::from_parts(Box::new(link), averager, sink.clone());
+                    let elastic = ElasticOptions::none();
+                    let rounds =
                         WorkerRounds::begin(&w, &plan, Duration::ZERO, &elastic, sink, mode);
                     let mut rng = StdRng::seed_from_u64(w.rank as u64);
-                    let outcomes: Vec<_> = (0..2)
-                        .map(|_| rounds.run(&mut w, &mut rng, &mut r))
-                        .collect();
-                    r.finish().unwrap();
-                    (outcomes, w.iteration)
+                    let seen = drive(rounds, &mut w, &mut rng, r);
+                    (seen, w.iteration)
                 })
             })
             .collect();
-        let (outcomes, iterations) = workers.into_iter().map(|t| t.join().unwrap()).unzip();
+        let (seen, iterations) = workers.into_iter().map(|t| t.join().unwrap()).unzip();
         server.join().unwrap();
-        (outcomes, iterations, trace.snapshot())
+        (seen, iterations, trace.snapshot())
+    }
+
+    /// The ranks that announced their departure, in trace order.
+    fn left(events: &[TraceEvent]) -> Vec<usize> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::WorkerLeft { worker, .. } => Some(*worker),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_loop_counts_a_failed_average_and_signals_again() {
+        let (degraded, iterations, events) = rank_1_loses_its_first_average(
+            ControllerConfig::constant(2, 2),
+            0,
+            &FaultPlan::none(),
+            |rounds, w, rng, r| rounds.run_for(w, rng, r, 2),
+        );
+        assert_eq!(degraded, [0, 1]);
+        assert_eq!(iterations, [2, 2]);
+        // Rank 1 signalled again after its failed average, was averaged in
+        // a second group, and both ranks left politely.
+        let rank_1_signals: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::SignalEnqueued {
+                    worker: 1,
+                    iteration,
+                    ..
+                } => Some(*iteration),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rank_1_signals, [1, 2]);
+        let report = InvariantChecker::check(&events);
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.groups, 2);
+        let mut departed = left(&events);
+        departed.sort_unstable();
+        assert_eq!(departed, [0, 1]);
+    }
+
+    #[test]
+    fn a_control_failure_is_one_degraded_round_and_ends_the_loop() {
+        let mut config = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
+        config.num_workers = 2;
+        let mut w = build_fleet(&config).workers.swap_remove(0);
+        // No controller: the first ready signal fails.
+        let (ctl, mut links) = control_links(2);
+        drop(ctl);
+        let sink: Arc<dyn TraceSink> = Arc::new(NullSink);
+        let averager = Box::new(LeaderDiesOnce(false));
+        let r = PartialReducer::from_parts(Box::new(links.swap_remove(0)), averager, sink.clone());
+        let (plan, elastic) = (FaultPlan::none(), ElasticOptions::none());
+        let rounds = WorkerRounds::begin(
+            &w,
+            &plan,
+            Duration::ZERO,
+            &elastic,
+            sink,
+            AggregationMode::Constant,
+        );
+        let degraded = rounds.run_for(&mut w, &mut StdRng::seed_from_u64(0), r, 5);
+        assert_eq!(degraded, 1);
+        // One local update, then no further round.
+        assert_eq!(w.iteration, 1);
+    }
+
+    #[test]
+    fn a_crash_fail_stops_without_leaving() {
+        // Rank 0 runs two rounds; rank 1 crashes in its third update, after
+        // rank 0 has left, so no live peer waits on the dead one.
+        let (degraded, iterations, events) = rank_1_loses_its_first_average(
+            ControllerConfig::constant(2, 2),
+            0,
+            &FaultPlan::parse("crash:1@3").unwrap(),
+            |rounds, w, rng, r| {
+                let iters = if w.rank == 0 { 2 } else { 3 };
+                rounds.run_for(w, rng, r, iters)
+            },
+        );
+        assert_eq!(degraded, [0, 1]);
+        assert_eq!(iterations, [2, 3]);
+        // Only rank 0 announced its departure: the crashed rank sent no
+        // `Leaving`, and never signalled its crash iteration.
+        assert_eq!(left(&events), [0]);
+        assert!(!events.iter().any(|e| matches!(
+            e,
+            TraceEvent::SignalEnqueued {
+                worker: 1,
+                iteration: 3,
+                ..
+            }
+        )));
+        let report = InvariantChecker::check(&events);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]
     fn a_dead_group_peer_fails_the_group_phase_not_the_run() {
-        let (outcomes, iterations, events) =
-            rank_1_loses_its_first_average(ControllerConfig::constant(2, 2), 0);
+        let (outcomes, iterations, events) = rank_1_loses_its_first_average(
+            ControllerConfig::constant(2, 2),
+            0,
+            &FaultPlan::none(),
+            two_rounds,
+        );
         let report = InvariantChecker::check(&events);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.groups, 2);
@@ -320,8 +469,12 @@ mod tests {
         // first group's maximum is 6. Rank 1's average fails, yet it must
         // adopt 6 like a member whose average landed: its next signal, 7,
         // then advances past the group it was assigned to.
-        let (outcomes, iterations, events) =
-            rank_1_loses_its_first_average(ControllerConfig::dynamic(2, 2), 5);
+        let (outcomes, iterations, events) = rank_1_loses_its_first_average(
+            ControllerConfig::dynamic(2, 2),
+            5,
+            &FaultPlan::none(),
+            two_rounds,
+        );
         assert!(matches!(
             outcomes[1][0],
             Err(ReduceError::Group {

@@ -24,6 +24,9 @@
 //!   group filter: union-find merges and window rebuilds, and how many
 //!   queries the membership counts answered without either.
 //!
+//! [`sample_groups`] (Fig. 4, `preduce spectral`) runs the same signal
+//! loop with no trace and free reduces.
+//!
 //! Peak-memory budgets are asserted by the callers (the `scale`
 //! integration test installs [`preduce_tensor::CountingAlloc`] as the
 //! global allocator); the harness itself keeps O(N + T·P) state.
@@ -31,7 +34,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use partial_reduce::controller::{Controller, ControllerConfig};
+use partial_reduce::controller::{AggregationMode, Controller, ControllerConfig, GroupDecision};
 use partial_reduce::graph::ConnectivityStats;
 use partial_reduce::spectral::{rho_bar, rho_power, rho_uniform};
 use partial_reduce::trace::{TraceEvent, TraceSink};
@@ -49,7 +52,7 @@ use serde::Serialize;
 const ITERATION_FLOPS: f64 = 1e9;
 
 /// Configuration of one scale run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScaleConfig {
     /// Fleet size `N`.
     pub num_workers: usize,
@@ -206,40 +209,19 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
 
     let sink = Arc::new(CheckingSink::new());
     let mut controller = Controller::with_sink(ccfg, sink.clone());
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-    let mut events: EventQueue<usize> = EventQueue::new();
-    for w in 0..n {
-        let dt = fleet.compute_time(w, ITERATION_FLOPS, SimTime::ZERO, &mut rng);
-        events.schedule(SimTime::ZERO + dt, w);
-    }
-
-    let mut iter = vec![0u64; n];
-    let mut enqueued_at = vec![SimTime::ZERO; n];
     let mut latency = RunningStat::default();
     let mut spread = RunningStat::default();
     // Reservoir sample of group compositions for the ρ estimate.
     let mut sampled: Vec<Vec<usize>> = Vec::with_capacity(cfg.sample_cap);
-    let mut groups_seen: u64 = 0;
 
     let started = Instant::now();
-    let mut now = SimTime::ZERO;
-    let mut processed: u64 = 0;
-    while processed < cfg.signals {
-        let Some((at, worker)) = events.pop() else {
-            // Unreachable by construction (every non-queued worker has a
-            // scheduled event; a full queue always forms a group), but a
-            // drained queue must terminate the loop, not wedge it.
-            break;
-        };
-        now = at;
-        iter[worker] += 1;
-        controller.push_ready(worker, iter[worker]);
-        enqueued_at[worker] = now;
-        processed += 1;
-
-        while let Some(d) = controller.try_form_group() {
-            groups_seen += 1;
+    let (now, processed) = signal_loop(
+        &mut *fleet,
+        &mut controller,
+        cfg.seed,
+        cfg.reduce_latency,
+        (cfg.signals, u64::MAX),
+        |d, now, enqueued_at, rng| {
             let mut lo = f32::MAX;
             let mut hi = f32::MIN;
             for &wgt in d.weights.iter() {
@@ -251,17 +233,11 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
             // while bounding memory at `sample_cap` compositions.
             if sampled.len() < cfg.sample_cap {
                 sampled.push(d.group.clone());
-            } else {
-                let slot = rng.gen_range(0..groups_seen);
-                if (slot as usize) < cfg.sample_cap {
-                    sampled[slot as usize] = d.group.clone();
-                }
+            } else if let Some(slot) = sampled.get_mut(rng.gen_range(0..d.sequence + 1) as usize) {
+                *slot = d.group.clone();
             }
             for &m in &d.group {
                 latency.push(now - enqueued_at[m]);
-                if cfg.dynamic {
-                    iter[m] = d.new_iteration;
-                }
                 if cfg.emit_completions {
                     sink.record(TraceEvent::ReduceCompleted {
                         worker: m,
@@ -269,11 +245,9 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
                         new_iteration: d.new_iteration,
                     });
                 }
-                let dt = fleet.compute_time(m, ITERATION_FLOPS, now, &mut rng);
-                events.schedule(now + (cfg.reduce_latency + dt), m);
             }
-        }
-    }
+        },
+    );
     let wall_seconds = started.elapsed().as_secs_f64();
 
     sink.record(TraceEvent::RunFinished {
@@ -332,15 +306,11 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     }
 }
 
-/// The signal-level group sampler: closes the loop fleet → ready signal →
-/// [`Controller::try_form_group`] → members compute again — no training,
-/// no trace, iteration 0 on every signal, free reduces — until `rounds`
-/// groups have formed, and returns them (the schedule `fleet`'s speeds
-/// induce under `config`, the input of
-/// [`partial_reduce::expected_sync_matrix`]) with the controller's repair
-/// count. Every group reschedules all of its members, so the event queue
-/// cannot drain first; were that ever broken, the sampler stops short
-/// instead of panicking.
+/// The signal-level group sampler: runs the scale harness's signal loop
+/// with no trace and free reduces until `rounds` groups have formed, and
+/// returns them (the schedule `fleet`'s speeds induce under `config`, the
+/// input of [`partial_reduce::expected_sync_matrix`]) with the
+/// controller's repair count.
 ///
 /// # Panics
 /// Panics if `config` is invalid or sized for a different fleet.
@@ -355,28 +325,72 @@ pub fn sample_groups(
         fleet.num_workers(),
         "controller config sized for a different fleet"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut controller = Controller::new(config);
-    let mut events: EventQueue<usize> = EventQueue::new();
-    for w in 0..fleet.num_workers() {
-        let dt = fleet.compute_time(w, ITERATION_FLOPS, SimTime::ZERO, &mut rng);
-        events.schedule(SimTime::new(dt), w);
-    }
     let mut groups = Vec::with_capacity(rounds);
-    while groups.len() < rounds {
-        let Some((now, worker)) = events.pop() else {
+    let budget = (u64::MAX, rounds as u64);
+    signal_loop(
+        &mut *fleet,
+        &mut controller,
+        seed,
+        0.0,
+        budget,
+        |d, _, _, _| {
+            groups.push(d.group.clone());
+        },
+    );
+    (groups, controller.repairs())
+}
+
+/// The one signal loop: fleet → ready signal → [`Controller::try_form_group`]
+/// → members compute again, no tensors. A worker signals its own count
+/// (adopting the group max in DYN) and resumes `reduce_latency` after its
+/// group forms, plus its next compute time. `on_group` sees each group,
+/// the time and each worker's last signal time before the members' draws
+/// from the `seed`ed RNG. Stops at either `(signals, groups)` budget;
+/// returns the last signal's time and the signals processed.
+fn signal_loop(
+    fleet: &mut dyn HeterogeneityModel,
+    controller: &mut Controller,
+    seed: u64,
+    reduce_latency: f64,
+    (max_signals, max_groups): (u64, u64),
+    mut on_group: impl FnMut(&GroupDecision, SimTime, &[SimTime], &mut StdRng),
+) -> (SimTime, u64) {
+    let n = fleet.num_workers();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dynamic = matches!(controller.config().mode, AggregationMode::Dynamic { .. });
+    let mut events: EventQueue<usize> = EventQueue::new();
+    for w in 0..n {
+        let dt = fleet.compute_time(w, ITERATION_FLOPS, SimTime::ZERO, &mut rng);
+        events.schedule(SimTime::ZERO + dt, w);
+    }
+    let mut iter = vec![0u64; n];
+    let mut enqueued_at = vec![SimTime::ZERO; n];
+    let mut now = SimTime::ZERO;
+    let mut processed = 0;
+    while processed < max_signals && controller.groups_formed() < max_groups {
+        let Some((at, worker)) = events.pop() else {
+            // Unreachable (every group reschedules all of its members),
+            // but a drained queue must end the loop, not wedge it.
             break;
         };
-        controller.push_ready(worker, 0);
+        now = at;
+        iter[worker] += 1;
+        controller.push_ready(worker, iter[worker]);
+        enqueued_at[worker] = now;
+        processed += 1;
         while let Some(d) = controller.try_form_group() {
+            on_group(&d, now, &enqueued_at, &mut rng);
             for &m in &d.group {
+                if dynamic {
+                    iter[m] = d.new_iteration;
+                }
                 let dt = fleet.compute_time(m, ITERATION_FLOPS, now, &mut rng);
-                events.schedule(now + dt, m);
+                events.schedule(now + (reduce_latency + dt), m);
             }
-            groups.push(d.group);
         }
     }
-    (groups, controller.repairs())
+    (now, processed)
 }
 
 #[cfg(test)]

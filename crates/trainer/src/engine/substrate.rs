@@ -116,6 +116,9 @@ pub struct ThreadedReport {
     pub accuracy: f64,
     /// Per-worker iteration counts actually executed.
     pub iterations: Vec<u64>,
+    /// Per-worker reduces that failed (degraded rounds), as in
+    /// [`crate::engine::process::WorkerReport::degraded`].
+    pub degraded: Vec<u64>,
     /// [`crate::replay::params_hash`] of each worker's final parameters,
     /// in rank order: what [`crate::replay::replay`] of the run's trace
     /// must reproduce.
@@ -199,17 +202,16 @@ impl ThreadedSubstrate {
     }
 }
 
-/// Unwraps a result whose failure has no recovery path: a corrupt
-/// checkpoint, or a failed collective inside a threaded worker. The
-/// threaded driver joins every worker thread and re-raises its panic on
-/// the driving thread, so this is also how one failed worker aborts the
-/// whole run.
+/// Unwraps a result whose failure has no recovery path: a missing or
+/// corrupt checkpoint, a configuration error. The threaded driver joins
+/// every worker thread and re-raises its panic on the driving thread, so
+/// a worker's failed snapshot aborts the whole run.
 pub(crate) fn must<T, E: fmt::Display>(what: &str, result: Result<T, E>) -> T {
     match result {
         Ok(v) => v,
         #[allow(
             clippy::panic,
-            reason = "a corrupt checkpoint or a failed collective mid-run has no recovery path; a worker thread's panic reaches the driver through its join"
+            reason = "a missing or corrupt checkpoint has no recovery path; a worker thread's panic reaches the driver through its join"
         )]
         Err(e) => panic!("{what}: {e}"),
     }

@@ -39,8 +39,6 @@ pub struct SimHarness {
     pub bytes: u64,
     /// The simulation's single RNG (batches, jitter, tie-breaking).
     pub rng: StdRng,
-    /// Server-side momentum for the async PS drivers.
-    pub ps_server_momentum: f32,
     /// Communication/computation overlap granted to static-topology
     /// collectives (All-Reduce, PS BSP).
     pub overlap_fraction: f64,
@@ -73,7 +71,6 @@ impl SimHarness {
             update_flops: config.update_flops(),
             bytes: config.message_bytes(),
             rng: StdRng::seed_from_u64(config.seed.wrapping_mul(0x9e3779b9)),
-            ps_server_momentum: config.ps_server_momentum,
             overlap_fraction: config.overlap_fraction,
             link_slowdown: config.link_slowdown.clone().unwrap_or_else(|| vec![1.0; n]),
             tracker: ConvergenceTracker::new(config, reference, test),

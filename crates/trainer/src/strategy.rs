@@ -2,10 +2,9 @@
 //! plus two extensions (SSP, D-PSGD).
 
 use partial_reduce::ControllerConfig;
-use serde::{Deserialize, Serialize};
 
 /// A distributed-training strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// All-Reduce (AR): global synchronous ring collective.
     AllReduce,
@@ -150,16 +149,5 @@ mod tests {
         assert_eq!(l.len(), 11);
         // 4 P-Reduce variants, 3 backups out of 8.
         assert!(l.contains(&Strategy::PsBackup { backups: 3 }));
-    }
-
-    #[test]
-    fn strategy_serde_roundtrip() {
-        let s = Strategy::PReduce {
-            p: 4,
-            dynamic: true,
-        };
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Strategy = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

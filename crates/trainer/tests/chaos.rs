@@ -245,6 +245,8 @@ fn threaded_crash_is_evicted_by_liveness() {
     let stats = run.controller.expect("p-reduce reports controller stats");
     assert_eq!(stats.evictions, 1, "silent worker was not evicted");
     assert_eq!(run.result.stats.get("evictions"), Some(&1.0));
+    // The crash is not a failed reduce: no live worker degraded a round.
+    assert_eq!(run.result.stats.get("degraded"), Some(&0.0));
     assert!(run.result.final_accuracy.is_finite());
 
     let events = sink.snapshot();
@@ -287,6 +289,7 @@ fn threaded_stall_keeps_heartbeating_and_is_not_evicted() {
 
     let stats = run.controller.expect("p-reduce reports controller stats");
     assert_eq!(stats.evictions, 0, "stalled worker was falsely evicted");
+    assert_eq!(run.result.stats.get("degraded"), Some(&0.0));
     let iters = run.iterations.expect("threaded runs report iterations");
     assert!(
         iters.iter().all(|&i| i >= 10),
@@ -322,7 +325,7 @@ fn one_plan_fires_at_the_same_iterations_on_sim_and_threads() {
         .late_join(1, 0.005);
     let faults_on = |backend: Backend| {
         let sink = Arc::new(RingSink::new(65536));
-        engine::run_elastic(
+        let run = engine::run_elastic(
             Strategy::PReduce {
                 p: 2,
                 dynamic: false,
@@ -333,6 +336,9 @@ fn one_plan_fires_at_the_same_iterations_on_sim_and_threads() {
             plan.clone(),
             ElasticOptions::none(),
         );
+        if backend == Backend::Threaded {
+            assert_eq!(run.result.stats.get("degraded"), Some(&0.0));
+        }
         assert_eq!(sink.dropped(), 0, "{backend:?}");
         let events = sink.snapshot();
         let report = InvariantChecker::check(&events);

@@ -4,8 +4,8 @@
 //! These are behavioral checks, not trajectory goldens (real threads are
 //! scheduled by the OS, so wall times and interleavings vary): every
 //! worker must complete its iteration budget, the averaged model must
-//! evaluate to a finite accuracy, and the controller must actually form
-//! groups. CI runs this file single-threaded per test
+//! evaluate to a finite accuracy, the controller must actually form
+//! groups, and no round may degrade. CI runs this file single-threaded per test
 //! (`--test-threads=1`) so each run gets the whole machine.
 
 use std::sync::Arc;
@@ -42,6 +42,9 @@ fn preduce_forms_groups_and_terminates() {
         assert!(stats.groups_formed > 0, "dynamic={dynamic}: no groups");
         // One update is one partial-reduce group, as on the simulator.
         assert_eq!(run.result.updates, stats.groups_formed, "dynamic={dynamic}");
+        // A clean run degrades no round.
+        let degraded = run.result.stats.get("degraded");
+        assert_eq!(degraded, Some(&0.0), "dynamic={dynamic}");
         assert!(run.result.final_accuracy.is_finite());
     }
 }
@@ -59,6 +62,8 @@ fn full_lineup_runs_threaded() {
         assert_eq!(run.result.strategy, s.label());
         let stats = run.controller.expect("p-reduce reports controller stats");
         assert_eq!(run.result.updates, stats.groups_formed, "{}", s.label());
+        let degraded = run.result.stats.get("degraded");
+        assert_eq!(degraded, Some(&0.0), "{}", s.label());
         assert!(run.result.run_time > 0.0, "{}", s.label());
         assert!(
             run.result.final_accuracy.is_finite(),
