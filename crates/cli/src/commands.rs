@@ -432,7 +432,8 @@ pub fn config_from_args(args: &Args) -> Result<ExperimentConfig, CliError> {
     c.sgd.lr = args.get_or("lr", c.sgd.lr)?;
     c.math_batch_size = args.get_or("batch", c.math_batch_size)?;
     c.label_noise = args.get_or("label-noise", c.label_noise)?;
-    c.validate();
+    c.check()
+        .map_err(|broken| CliError::Unknown(format!("experiment configuration ({broken})")))?;
     Ok(c)
 }
 
@@ -477,6 +478,7 @@ pub fn run_command(
         Command::Run => {
             let strategy = parse_strategy(args)?;
             let mut config = config_from_args(args)?;
+            check_fleet(strategy, config.num_workers)?;
             let backend = match args.get("backend") {
                 None => Backend::Sim,
                 Some(name) => name.parse::<Backend>().map_err(|_| {
@@ -529,6 +531,7 @@ pub fn run_command(
             let config = config_from_args(args)?;
             let p: usize = args.get_or("p", 3)?;
             let dynamic: bool = args.get_or("dynamic", false)?;
+            check_group_size(config.num_workers, p)?;
             let listen = args.get("listen").unwrap_or("127.0.0.1:0").to_string();
             let controller_cfg =
                 Strategy::preduce_controller_config(p, dynamic, config.num_workers);
@@ -760,6 +763,16 @@ pub fn run_command(
         }
     }
     Ok(())
+}
+
+/// Refuses a fleet of `n` workers that `strategy` cannot run on as a
+/// usage error, before any fleet is built ([`Strategy::check_fleet`],
+/// and `2 <= P <= N` for P-Reduce).
+fn check_fleet(strategy: Strategy, n: usize) -> Result<(), CliError> {
+    match strategy {
+        Strategy::PReduce { p, .. } => check_group_size(n, p),
+        baseline => baseline.check_fleet(n).map_err(CliError::Unknown),
+    }
 }
 
 /// Refuses a group size the controller would reject (`2 <= P <= N`) as a

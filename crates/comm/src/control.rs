@@ -55,12 +55,16 @@ pub struct GroupAssignment {
 
 /// The controller's reply to a fleet of worker *processes* once all of
 /// them have joined: every rank's data-plane listener address, indexed
-/// by rank. Workers dial each other at these addresses for group
-/// weighted averages (the controller itself never touches model data).
+/// by rank, and the fast-forward rule of the controller's mode. Workers
+/// dial each other at these addresses for group weighted averages (the
+/// controller itself never touches model data).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetRoster {
     /// Data-plane listener address per rank.
     pub data_addrs: Vec<String>,
+    /// After a reduce, adopt the assignment's `new_iteration` (DYN) rather
+    /// than keep the worker's own count (CON) — §3.3.3.
+    pub adopt_group_max: bool,
 }
 
 /// One event from the controller's signal plane: either a decoded

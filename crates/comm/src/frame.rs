@@ -9,23 +9,25 @@
 //! | 3 | [`WorkerSignal::Leaving`] | worker `u32` |
 //! | 4 | [`WorkerSignal::Heartbeat`] | worker `u32` |
 //! | 5 | [`GroupAssignment`] | base tag `u64`, new iteration `u64`, group (`u32` count, then one `u32` rank each), weights (`u32` count, then one `f32` bit pattern each) |
-//! | 6 | [`FleetRoster`] | `u32` count, then one string per rank |
+//! | 6 | [`FleetRoster`] | `u32` count, then one string per rank, then the rule `u8`: 0 keep your own count (CON), 1 adopt the group max (DYN) |
 //!
 //! A string is a `u32` byte count then UTF-8 bytes. Ranks are `u32` on
 //! the wire, and encoding a larger one is an error. Because every kind
 //! byte is distinct, a frame handed to another message type's decoder is
 //! a typed error rather than a wrong decode.
 //!
-//! `Hello`'s version byte is `WIRE_VERSION`, 2. The controller refuses a
-//! worker on any other version at bring-up, and names both versions. A
-//! JSON-payload worker (version 1) is recognised by its `{` and refused
-//! the same way.
+//! `Hello`'s version byte is `WIRE_VERSION`, 3 (version 2 had no rule
+//! byte in the roster). The controller refuses a worker on any other
+//! version at bring-up, and names both versions. A JSON-payload worker
+//! (version 1) is recognised by its `{` and refused the same way.
 //!
-//! Two consumers decode frames: the blocking per-socket reads of
-//! [`crate::tcp`] and the controller's non-blocking sockets in
-//! [`crate::tcp::TcpControllerLink`]. Both go through the incremental
-//! [`FrameBuffer`], which yields complete frames as they materialize and
-//! holds partial ones across reads.
+//! The streams of frames go through the incremental [`FrameBuffer`],
+//! which yields complete frames as they materialize and holds partial
+//! ones across reads: the controller's non-blocking sockets in
+//! [`crate::tcp::TcpControllerLink`] and a worker's assignments in
+//! [`crate::tcp::TcpWorkerLink`]. The two handshake frames, the hello
+//! and the roster, are each one exact-length read that is decoded
+//! directly.
 //!
 //! Decode failures are typed, never panics: an oversized length prefix,
 //! an unknown or unexpected kind byte, a declared length that does not
@@ -48,8 +50,9 @@ pub(crate) const MAX_FRAME: u32 = 1 << 20;
 /// Length of the big-endian length prefix.
 pub const HEADER_LEN: usize = 4;
 
-/// The wire version `Hello` carries. Version 1 was the JSON payload.
-pub(crate) const WIRE_VERSION: u8 = 2;
+/// The wire version `Hello` carries. Version 1 was the JSON payload;
+/// version 2 had no rule byte in the roster.
+pub(crate) const WIRE_VERSION: u8 = 3;
 
 /// The first byte of every payload.
 mod kind {
@@ -346,6 +349,7 @@ impl Message for FleetRoster {
         for addr in &self.data_addrs {
             put_str(out, addr)?;
         }
+        out.push(u8::from(self.adopt_group_max));
         Ok(())
     }
 
@@ -354,7 +358,15 @@ impl Message for FleetRoster {
             f.kind(kind::ROSTER, "fleet roster")?;
             // Every string carries at least its 4-byte length.
             let data_addrs = f.list(4, Fields::string)?;
-            Ok(FleetRoster { data_addrs })
+            let adopt_group_max = match f.u8()? {
+                0 => false,
+                1 => true,
+                b => return Err(malformed(format!("count rule {b} is neither 0 nor 1"))),
+            };
+            Ok(FleetRoster {
+                data_addrs,
+                adopt_group_max,
+            })
         })
     }
 }
@@ -543,6 +555,16 @@ mod tests {
         want.extend_from_slice(&[1, 0, 0, 0]);
         want.extend_from_slice(&1.0f32.to_bits().to_le_bytes());
         assert_eq!(assignment, want);
+        let roster = encode(&FleetRoster {
+            data_addrs: vec!["a".to_string()],
+            adopt_group_max: true,
+        })
+        .unwrap();
+        assert_eq!(
+            roster,
+            [0, 0, 0, 11, 6, 1, 0, 0, 0, 1, 0, 0, 0, b'a', 1],
+            "length prefix, kind, count u32 LE, one string, rule u8"
+        );
     }
 
     #[test]
@@ -613,11 +635,11 @@ mod tests {
     #[test]
     fn a_hello_on_another_wire_version_names_both_versions() {
         let (_, mut payload) = hello_payloads().swap_remove(0);
-        payload[1] = 3;
+        payload[1] = 2;
         let err = decode::<Hello>(&payload).unwrap_err();
         assert!(
             matches!(&err, CommError::MalformedFrame { detail }
-                if detail.contains("version 3") && detail.contains("version 2")),
+                if detail.contains("version 2") && detail.contains("version 3")),
             "{err:?}"
         );
     }

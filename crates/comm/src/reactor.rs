@@ -17,12 +17,15 @@ use crate::error::CommError;
 use crate::tcp::{self, TcpControllerLink};
 use crate::Result;
 
-/// The third argument of [`accept_fleet`]. It has no fields and no effect.
-/// The type survives only because the frozen benchmark crate names it
-/// (`probes.rs`); the parameter goes with the next `benchmark` PR
-/// (ROADMAP item 9).
+/// What [`accept_fleet`] tells every worker process besides the roster's
+/// addresses. The default is a CON fleet.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReactorConfig {}
+pub struct ReactorConfig {
+    /// The controller mode's fast-forward rule, sent as
+    /// [`FleetRoster::adopt_group_max`]: after a reduce a worker adopts the
+    /// group max (DYN) or keeps its own count (CON).
+    pub adopt_group_max: bool,
+}
 
 /// One fleet member as seen at handshake time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,8 +95,9 @@ pub(crate) fn accept(
 /// Accepts a multi-process fleet of `n` worker processes: handshakes
 /// every rank, requires each hello to carry a data-plane address, then
 /// sends every worker the [`FleetRoster`] so workers can dial each other
-/// for group averages. Returns the control link plus the member table
-/// (for `ProcessJoined` tracing).
+/// for group averages and apply the controller's fast-forward rule.
+/// Returns the control link plus the member table (for `ProcessJoined`
+/// tracing).
 ///
 /// # Errors
 /// Fails on handshake errors, duplicate/out-of-range ranks, a worker that
@@ -101,7 +105,7 @@ pub(crate) fn accept(
 pub fn accept_fleet(
     listener: &TcpListener,
     n: usize,
-    _: ReactorConfig,
+    config: ReactorConfig,
 ) -> Result<(TcpControllerLink, Vec<FleetMember>)> {
     let (mut streams, members) = accept(listener, n)?;
     let mut data_addrs = Vec::with_capacity(n);
@@ -114,7 +118,10 @@ pub fn accept_fleet(
         })?;
         data_addrs.push(addr);
     }
-    let roster = FleetRoster { data_addrs };
+    let roster = FleetRoster {
+        data_addrs,
+        adopt_group_max: config.adopt_group_max,
+    };
     // Still blocking: the write timeout bounds a roster that outgrows a
     // send buffer.
     for (rank, stream) in streams.iter_mut().enumerate() {
@@ -140,30 +147,33 @@ mod tests {
     #[test]
     fn fleet_handshake_distributes_roster() {
         let n = 3;
-        let (listener, addr) = bind_controller("127.0.0.1:0");
-        let workers: Vec<_> = (0..n)
-            .map(|rank| {
-                thread::spawn(move || {
-                    TcpWorkerLink::connect_fleet(
-                        addr,
-                        rank,
-                        format!("10.0.0.{rank}:70{rank}0"),
-                        RetryPolicy::default(),
-                    )
-                    .expect("fleet connect")
+        for adopt_group_max in [false, true] {
+            let (listener, addr) = bind_controller("127.0.0.1:0");
+            let workers: Vec<_> = (0..n)
+                .map(|rank| {
+                    thread::spawn(move || {
+                        TcpWorkerLink::connect_fleet(
+                            addr,
+                            rank,
+                            format!("10.0.0.{rank}:70{rank}0"),
+                            RetryPolicy::default(),
+                        )
+                        .expect("fleet connect")
+                    })
                 })
-            })
-            .collect();
-        let (_link, members) =
-            accept_fleet(&listener, n, ReactorConfig::default()).expect("accept fleet");
-        assert_eq!(members.len(), n);
-        for (rank, w) in workers.into_iter().enumerate() {
-            let (_w, roster) = w.join().expect("join");
-            assert_eq!(roster.data_addrs.len(), n);
-            assert_eq!(
-                roster.data_addrs.get(rank).map(String::as_str),
-                Some(format!("10.0.0.{rank}:70{rank}0").as_str())
-            );
+                .collect();
+            let config = ReactorConfig { adopt_group_max };
+            let (_link, members) = accept_fleet(&listener, n, config).expect("accept fleet");
+            assert_eq!(members.len(), n);
+            for (rank, w) in workers.into_iter().enumerate() {
+                let (_w, roster) = w.join().expect("join");
+                assert_eq!(roster.data_addrs.len(), n);
+                assert_eq!(
+                    roster.data_addrs.get(rank).map(String::as_str),
+                    Some(format!("10.0.0.{rank}:70{rank}0").as_str())
+                );
+                assert_eq!(roster.adopt_group_max, adopt_group_max);
+            }
         }
     }
 
@@ -234,24 +244,31 @@ mod tests {
     }
 
     #[test]
-    fn a_json_era_hello_is_refused_naming_both_versions() {
-        let (listener, addr) = bind_controller("127.0.0.1:0");
-        let old_worker = thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            let hello = br#"{"rank":0}"#;
-            let mut frame = (hello.len() as u32).to_be_bytes().to_vec();
-            frame.extend_from_slice(hello);
-            io::Write::write_all(&mut s, &frame).expect("json hello");
-            s
-        });
-        match accept_workers(&listener, 1) {
-            Err(CommError::MalformedFrame { detail }) => assert!(
-                detail.contains("wire version 1") && detail.contains("wire version 2"),
-                "{detail}"
-            ),
-            other => panic!("a JSON-era worker was not refused: {other:?}"),
+    fn an_older_hello_is_refused_naming_both_versions() {
+        // A JSON-era hello (version 1), and a version-2 binary hello: rank
+        // 0, no data address, from before the roster carried its rule.
+        let hellos: [(&[u8], &str); 2] = [
+            (br#"{"rank":0}"#, "wire version 1"),
+            (&[1, 2, 0, 0, 0, 0, 0], "wire version 2"),
+        ];
+        for (hello, theirs) in hellos {
+            let (listener, addr) = bind_controller("127.0.0.1:0");
+            let old_worker = thread::spawn(move || {
+                let mut s = TcpStream::connect(addr).expect("connect");
+                let mut frame = (hello.len() as u32).to_be_bytes().to_vec();
+                frame.extend_from_slice(hello);
+                io::Write::write_all(&mut s, &frame).expect("old hello");
+                s
+            });
+            match accept_workers(&listener, 1) {
+                Err(CommError::MalformedFrame { detail }) => assert!(
+                    detail.contains(theirs) && detail.contains("wire version 3"),
+                    "{detail}"
+                ),
+                other => panic!("a {theirs} worker was not refused: {other:?}"),
+            }
+            drop(old_worker.join().expect("old worker"));
         }
-        drop(old_worker.join().expect("old worker"));
     }
 
     #[test]

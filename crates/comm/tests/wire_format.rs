@@ -49,7 +49,12 @@ fn arb_assignment() -> impl Strategy<Value = GroupAssignment> {
 }
 
 fn arb_roster() -> impl Strategy<Value = FleetRoster> {
-    prop::collection::vec("[ -~]{0,40}", 0..16).prop_map(|data_addrs| FleetRoster { data_addrs })
+    (prop::collection::vec("[ -~]{0,40}", 0..16), any::<bool>()).prop_map(
+        |(data_addrs, adopt_group_max)| FleetRoster {
+            data_addrs,
+            adopt_group_max,
+        },
+    )
 }
 
 /// An assignment's fields with each weight as its bit pattern, so NaNs
@@ -302,6 +307,22 @@ proptest! {
         p[1..5].copy_from_slice(&declared.to_le_bytes());
         let r = frame::decode::<FleetRoster>(&p);
         prop_assert!(is_oversized_count(&r), "{:?}", r);
+    }
+
+    /// The roster's last byte is the count rule: 0 (CON) or 1 (DYN), and
+    /// any other value is rejected.
+    #[test]
+    fn a_roster_rule_other_than_0_or_1_is_rejected(msg in arb_roster(), rule in 2u8..=255) {
+        let mut p = payload(&msg);
+        if let Some(last) = p.last_mut() {
+            *last = rule;
+        }
+        let r = frame::decode::<FleetRoster>(&p);
+        prop_assert!(
+            matches!(&r, Err(CommError::MalformedFrame { detail }) if detail.contains("count rule")),
+            "{:?}",
+            r
+        );
     }
 
     /// A frame handed to another type's decoder is a typed error, never

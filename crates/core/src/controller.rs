@@ -61,6 +61,14 @@ impl AggregationMode {
             gap_policy: GapPolicy::Initial,
         }
     }
+
+    /// The mode's fast-forward rule (§3.3.3): after a reduce, a DYN member
+    /// adopts the group's maximum iteration and a CON member keeps its own
+    /// count. Every substrate's workers and the invariant checker read the
+    /// rule here; a worker process receives it in the fleet roster.
+    pub fn adopts_group_max(&self) -> bool {
+        matches!(self, AggregationMode::Dynamic { .. })
+    }
 }
 
 /// Controller configuration.

@@ -19,10 +19,14 @@
 //! * weight vectors are non-negative and sum to 1 — uniform `1/P` in CON
 //!   mode, the Eq. 9 staleness-aware weights (recomputed independently) in
 //!   DYN mode;
-//! * `new_iteration` is the group max, per-worker reported iterations
-//!   never regress, and in DYN mode members fast-forward: a member's next
-//!   signal is strictly beyond the adopted group max (§3.3.3). In CON mode
-//!   members keep their own count, so only the no-regress rule binds;
+//! * `new_iteration` is the group max, and per-worker reported iterations
+//!   follow the mode's fast-forward rule (§3.3.3,
+//!   [`AggregationMode::adopts_group_max`]). In DYN mode members adopt the
+//!   group max, so a member's next report is strictly beyond it. In CON
+//!   mode members keep their own count, so each report is exactly the
+//!   previous one plus one — after a restore, the snapshot iteration plus
+//!   one. A singleton for a signal that was never enqueued (it arrived
+//!   while the fleet was below `P`) is that worker's report;
 //! * no worker sits in two in-flight groups (enforced when the trace
 //!   carries [`TraceEvent::ReduceCompleted`] completions);
 //! * a repair group only appears when the `T`-window sync graph is warm
@@ -181,14 +185,17 @@ struct PendingViolation {
 /// the fleet's start, or a restore, to the departure that ends it.
 #[derive(Clone, Copy, Default)]
 struct WorkerRecord {
-    /// Iteration the queued ready signal reported (while `queued`).
+    /// Iteration the queued ready signal reported (while `queued`, and
+    /// while `drained`).
     signal: u64,
-    /// Strictly-increasing floor on the next reported iteration (while
-    /// `floored`; zero until then).
+    /// The count the next report must pass (while `floored`; zero until
+    /// then): the last report, raised to the adopted group max in DYN.
     floor: u64,
     /// Slot in `in_flight` of the unfinished group the worker sits in.
     group: Option<u32>,
     queued: bool,
+    /// The queued signal was drained; its singleton releases it.
+    drained: bool,
     floored: bool,
     /// Departed (left, crashed or evicted) and not restored since.
     departed: bool,
@@ -423,7 +430,9 @@ impl StreamingChecker {
                     let Some(w) = self.rank(i, worker, "had a signal drained") else {
                         continue;
                     };
-                    match self.take_signal(w) {
+                    let signal = self.take_signal(w);
+                    self.rec(w).drained = signal.is_some();
+                    match signal {
                         None => self.fail(
                             i,
                             format!(
@@ -459,18 +468,23 @@ impl StreamingChecker {
                         );
                     }
                     // A singleton releases the worker at its *own* reported
-                    // iteration — no aggregation, no fast-forward — so the
-                    // floor check is non-strict here.
-                    if rec.floored && *iteration < rec.floor {
-                        self.fail(
-                            i,
-                            format!(
-                                "singleton for worker {worker} \
-                                 regresses to iteration {iteration} \
-                                 (floor {})",
-                                rec.floor
-                            ),
-                        );
+                    // iteration — no aggregation, no fast-forward. A drained
+                    // signal was reported when it was enqueued; any other
+                    // was never enqueued, and this is its report.
+                    if std::mem::take(&mut self.rec(w).drained) {
+                        if *iteration != rec.signal {
+                            self.fail(
+                                i,
+                                format!(
+                                    "singleton for worker {worker} releases \
+                                     iteration {iteration}, its drained \
+                                     signal carried {}",
+                                    rec.signal
+                                ),
+                            );
+                        }
+                    } else {
+                        self.report(i, w, *iteration);
                     }
                 }
             }
@@ -624,6 +638,41 @@ impl StreamingChecker {
         rec.floored = true;
     }
 
+    /// The traced mode's fast-forward rule (§3.3.3).
+    fn adopts_group_max(&self) -> bool {
+        self.config
+            .as_ref()
+            .is_some_and(|c| c.mode.adopts_group_max())
+    }
+
+    /// One report of `w`'s count, checked against the mode's rule: it
+    /// passes the floor in either mode, and in CON, where a member keeps
+    /// its own count, it is exactly the floor plus one.
+    fn report(&mut self, index: usize, w: Rank, iteration: u64) {
+        let (worker, rec) = (w.0, *self.rec(w));
+        let keeps_own = !self.adopts_group_max();
+        if rec.floored && iteration <= rec.floor {
+            self.fail(
+                index,
+                format!(
+                    "worker {worker} signalled iteration {iteration} does \
+                     not advance past {}",
+                    rec.floor
+                ),
+            );
+        } else if rec.floored && keeps_own && iteration != rec.floor + 1 {
+            self.fail(
+                index,
+                format!(
+                    "worker {worker} signalled iteration {iteration} in CON, \
+                     not its own count {} plus one",
+                    rec.floor
+                ),
+            );
+        }
+        self.raise_floor(w, iteration);
+    }
+
     fn on_enqueued(&mut self, index: usize, worker: usize, iteration: u64, queued: usize) {
         let Some(w) = self.rank(index, worker, "signalled ready") else {
             return;
@@ -646,19 +695,7 @@ impl StreamingChecker {
                 ),
             );
         }
-        // Reported iterations strictly increase (monotonicity + DYN
-        // fast-forward adoption).
-        if rec.floored && iteration <= rec.floor {
-            self.fail(
-                index,
-                format!(
-                    "worker {worker} signalled iteration {iteration} does \
-                     not advance past {}",
-                    rec.floor
-                ),
-            );
-        }
-        self.raise_floor(w, iteration);
+        self.report(index, w, iteration);
         if rec.queued {
             self.fail(
                 index,
@@ -669,6 +706,7 @@ impl StreamingChecker {
         }
         let rec = self.rec(w);
         rec.queued = true;
+        rec.drained = false;
         rec.signal = iteration;
         if queued != self.queued {
             self.fail(
@@ -813,13 +851,12 @@ impl StreamingChecker {
                 ),
             );
         }
-        let mode = self.config.as_ref().map(|c| c.mode);
-        let dynamic = matches!(mode, Some(AggregationMode::Dynamic { .. }));
+        let adopts = self.adopts_group_max();
         for (k, &m) in members.iter().enumerate() {
             let Some(w) = self.in_range(m) else {
                 continue;
             };
-            if dynamic {
+            if adopts {
                 // §3.3.3: members adopt the group max, so their next report
                 // must move strictly beyond it.
                 self.raise_floor(w, new_iteration);
@@ -1390,6 +1427,44 @@ mod tests {
         events
     }
 
+    /// Workers 0 and 1 of a CON fleet report 1 and 3 and are grouped.
+    fn con_group_at_1_and_3() -> Vec<TraceEvent> {
+        let mut events = bare_trace();
+        events.extend([
+            enqueued(0, 1, 1),
+            enqueued(1, 3, 2),
+            TraceEvent::GroupFormed {
+                sequence: 0,
+                members: vec![0, 1],
+                iterations: vec![1, 3],
+                weights: vec![0.5, 0.5],
+                new_iteration: 3,
+                repaired: false,
+            },
+        ]);
+        events
+    }
+
+    /// Worker 0's signal at 1 is drained and released by its singleton;
+    /// the worker then reports `next` while the fleet is below P, which a
+    /// singleton answers without enqueueing it.
+    fn drain_singletons(next: u64) -> [TraceEvent; 4] {
+        [
+            enqueued(0, 1, 1),
+            TraceEvent::PendingDrained {
+                signals: vec![(0, 1)],
+            },
+            TraceEvent::SingletonIssued {
+                worker: 0,
+                iteration: 1,
+            },
+            TraceEvent::SingletonIssued {
+                worker: 0,
+                iteration: next,
+            },
+        ]
+    }
+
     fn first_group(events: &mut [TraceEvent]) -> &mut TraceEvent {
         events
             .iter_mut()
@@ -1452,6 +1527,48 @@ mod tests {
                 panic!("trace has no repeat signals");
             },
             Some("does not advance"),
+        ),
+        (
+            // Worker 0 reports 1 and is grouped with worker 1 at 3. A CON
+            // member keeps its own count, so its next report is 2; lifted
+            // to the group max it would report 4.
+            "lifted_con_count_is_caught",
+            con_group_at_1_and_3,
+            |events| events.push(enqueued(0, 4, 1)),
+            Some("in CON, not its own count 1 plus one"),
+        ),
+        (
+            "con_member_keeps_its_own_count",
+            con_group_at_1_and_3,
+            |events| events.push(enqueued(0, 2, 1)),
+            None,
+        ),
+        (
+            // A drained signal's singleton releases the report it
+            // carried; a signal that arrives while the fleet is below P is
+            // never enqueued, and its singleton is the next report.
+            "drain_singletons_keep_the_con_count",
+            bare_trace,
+            |events| events.extend(drain_singletons(2)),
+            None,
+        ),
+        (
+            "a_drained_signal_is_released_at_its_own_iteration",
+            bare_trace,
+            |events| {
+                let mut story = drain_singletons(2);
+                if let TraceEvent::SingletonIssued { iteration, .. } = &mut story[2] {
+                    *iteration = 7;
+                }
+                events.extend(story);
+            },
+            Some("releases iteration 7, its drained signal carried 1"),
+        ),
+        (
+            "a_never_enqueued_singleton_must_count_on",
+            bare_trace,
+            |events| events.extend(drain_singletons(3)),
+            Some("worker 0 signalled iteration 3 in CON"),
         ),
         (
             "bad_fast_forward_is_caught",
@@ -1856,8 +1973,12 @@ mod tests {
             .iter()
             .position(|e| matches!(e, TraceEvent::GroupFormed { .. }))
             .unwrap();
-        let (member, consumed) = match &events[pos] {
-            TraceEvent::GroupFormed { members, .. } => (members[0], members.len()),
+        let (member, consumed, next) = match &events[pos] {
+            TraceEvent::GroupFormed {
+                members,
+                iterations,
+                ..
+            } => (members[0], members.len(), iterations[0] + 1),
             _ => unreachable!(),
         };
         let enqueued = events[..pos]
@@ -1867,7 +1988,7 @@ mod tests {
         events.truncate(pos + 1);
         events.push(TraceEvent::SignalEnqueued {
             worker: member,
-            iteration: 1_000,
+            iteration: next,
             queued: enqueued - consumed + 1,
         });
         let report = InvariantChecker::check(&events);
@@ -1896,7 +2017,7 @@ mod tests {
         events.truncate(pos + 1);
         events.push(TraceEvent::SignalEnqueued {
             worker: member,
-            iteration: 1_000,
+            iteration: new_iteration + 1,
             queued: enqueued - members.len() + 1,
         });
         // A completion anywhere in the stream — even after the offending
@@ -1923,10 +2044,11 @@ mod tests {
     }
 
     /// A hand-written controller narrative over N = 4, P = 2 with a
-    /// three-group window, so the `repaired` flag can be forged.
+    /// three-group window, so the `repaired` flag can be forged. Each
+    /// worker counts its own updates, as a CON member does.
     struct Narrative {
         events: Vec<TraceEvent>,
-        iteration: u64,
+        counts: [u64; 4],
         sequence: u64,
     }
 
@@ -1939,26 +2061,29 @@ mod tests {
                         ..ControllerConfig::constant(4, 2)
                     },
                 }],
-                iteration: 0,
+                counts: [0; 4],
                 sequence: 0,
             }
         }
 
         fn group(&mut self, members: [usize; 2], repaired: bool) {
-            self.iteration += 1;
-            for (k, &worker) in members.iter().enumerate() {
+            let iterations = members.map(|worker| {
+                self.counts[worker] += 1;
+                self.counts[worker]
+            });
+            for (k, (&worker, &iteration)) in members.iter().zip(&iterations).enumerate() {
                 self.events.push(TraceEvent::SignalEnqueued {
                     worker,
-                    iteration: self.iteration,
+                    iteration,
                     queued: k + 1,
                 });
             }
             self.events.push(TraceEvent::GroupFormed {
                 sequence: self.sequence,
                 members: members.to_vec(),
-                iterations: vec![self.iteration; 2],
+                iterations: iterations.to_vec(),
                 weights: vec![0.5; 2],
-                new_iteration: self.iteration,
+                new_iteration: iterations[0].max(iterations[1]),
                 repaired,
             });
             self.sequence += 1;
@@ -2002,7 +2127,7 @@ mod tests {
                 checker.feed(&TraceEvent::ReduceCompleted {
                     worker: GROUPS % 4,
                     members: vec![(GROUPS - 1) % 4, GROUPS % 4],
-                    new_iteration: story.iteration,
+                    new_iteration: story.counts[GROUPS % 4],
                 });
             }
             checker.finish()

@@ -742,13 +742,15 @@ mod tests {
     /// Runs the scripted fleet on already-minted reducers: worker `rank`
     /// starts with params = rank everywhere, and each of its `iters`
     /// iterations staggers by rank (so groups mix stale and fresh
-    /// members), adds 1 to every parameter, and reduces. Returns the final
-    /// params per worker.
+    /// members), adds 1 to every parameter, and reduces, then applies the
+    /// controller's fast-forward rule, `adopt_group_max`. Returns the
+    /// final params per worker.
     fn drive_fleet(
         handle: ControllerHandle,
         reducers: Vec<PartialReducer>,
         iters: usize,
         dim: usize,
+        adopt_group_max: bool,
     ) -> (Vec<Vec<f32>>, ControllerStats) {
         let threads: Vec<_> = reducers
             .into_iter()
@@ -764,7 +766,9 @@ mod tests {
                         }
                         iteration += 1;
                         let out = r.reduce(&mut params, iteration).unwrap();
-                        iteration = out.new_iteration;
+                        if adopt_group_max {
+                            iteration = out.new_iteration;
+                        }
                     }
                     r.finish().unwrap();
                     params
@@ -782,8 +786,9 @@ mod tests {
         dim: usize,
         spawner: Spawner,
     ) -> (Vec<Vec<f32>>, ControllerStats) {
+        let adopt = config.mode.adopts_group_max();
         let (handle, reducers) = spawner(config, RuntimeOptions::default());
-        drive_fleet(handle, reducers, iters, dim)
+        drive_fleet(handle, reducers, iters, dim, adopt)
     }
 
     /// Live-checks the trace and counts handshake narrations.
@@ -821,7 +826,7 @@ mod tests {
                 ..RuntimeOptions::default()
             };
             let (handle, reducers) = spawner(ControllerConfig::dynamic(6, 3), opts);
-            let (_, stats) = drive_fleet(handle, reducers, ITERS, 4);
+            let (_, stats) = drive_fleet(handle, reducers, ITERS, 4, true);
             assert!(stats.groups_formed > 0, "{name}: {stats:?}");
             assert_eq!(
                 3 * stats.groups_formed + stats.singletons,
@@ -881,7 +886,7 @@ mod tests {
         rogue.send_ready(7).unwrap();
         rogue.send_leaving().unwrap();
         rogue.send_ready(8).unwrap();
-        let (results, stats) = drive_fleet(handle, reducers, 10, 3);
+        let (results, stats) = drive_fleet(handle, reducers, 10, 3, false);
         // Pairwise averaging conserves the fleet mean — (0+1+2+3)/4 = 1.5
         // plus 10 increments — only if no group ever included a phantom.
         let mean: f32 = results.iter().map(|r| r[0]).sum::<f32>() / n as f32;
@@ -1044,7 +1049,7 @@ mod tests {
             ..RuntimeOptions::default()
         };
         let (handle, reducers) = spawn(cfg, opts);
-        let (_, stats) = drive_fleet(handle, reducers, 20, 4);
+        let (_, stats) = drive_fleet(handle, reducers, 20, 4, false);
         assert_eq!(sink.dropped(), 0, "ring overflowed; raise capacity");
 
         let events = sink.snapshot();
@@ -1100,12 +1105,10 @@ mod tests {
                 thread::spawn(move || {
                     assert!(r.start_heartbeat(Duration::from_millis(10)));
                     let mut params = vec![rank as f32; 4];
-                    let mut iteration = 0u64;
-                    for _ in 0..30 {
+                    // A CON member keeps its own count.
+                    for iteration in 1..=30 {
                         thread::sleep(Duration::from_millis(5));
-                        iteration += 1;
-                        let out = r.reduce(&mut params, iteration).unwrap();
-                        iteration = out.new_iteration;
+                        r.reduce(&mut params, iteration).unwrap();
                     }
                     r.finish().unwrap();
                 })

@@ -262,7 +262,10 @@ proptest! {
                     continue;
                 }
                 if !queued[w] && rng.gen_bool(0.6) {
-                    iter[w] += rng.gen_range(1..4u64);
+                    // DYN only has to pass the adopted max; a CON member
+                    // counts its own updates.
+                    let step = rng.gen_range(1..4u64);
+                    iter[w] += if dynamic { step } else { 1 };
                     batch.push((w, iter[w]));
                     queued[w] = true;
                 }
@@ -443,7 +446,8 @@ proptest! {
         for _ in 0..rounds {
             for w in 0..n {
                 if !queued[w] && rng.gen_bool(0.6) {
-                    iter[w] += rng.gen_range(1..4u64);
+                    let step = rng.gen_range(1..4u64);
+                    iter[w] += if dynamic { step } else { 1 };
                     c.push_ready(w, iter[w]);
                     queued[w] = true;
                 }

@@ -196,43 +196,76 @@ impl ExperimentConfig {
         self.model.profile.message_bytes()
     }
 
+    /// Checks every rule a configuration must meet: at least one worker,
+    /// a positive batch size, device throughput, update cap and eval
+    /// interval, a threshold in `(0, 1]`, label noise and overlap in
+    /// `[0, 1]`, a finite learning rate `>= 0`, `HL <= N`, and one link
+    /// slowdown `>= 1` per worker.
+    ///
+    /// # Errors
+    /// Names the first rule the configuration breaks.
+    pub fn check(&self) -> Result<(), String> {
+        let n = self.num_workers;
+        ensure(n > 0, "need at least one worker")?;
+        ensure(self.math_batch_size > 0, "batch size must be positive")?;
+        ensure(
+            self.device_flops > 0.0,
+            "device throughput must be positive",
+        )?;
+        ensure(
+            self.threshold > 0.0 && self.threshold <= 1.0,
+            "threshold must lie in (0, 1]",
+        )?;
+        ensure(self.max_updates > 0, "need a positive update cap")?;
+        ensure(self.eval_every > 0, "eval interval must be positive")?;
+        ensure(
+            (0.0..=1.0).contains(&self.label_noise),
+            "label noise must lie in [0, 1]",
+        )?;
+        ensure(
+            (0.0..=1.0).contains(&self.overlap_fraction),
+            "overlap fraction must lie in [0, 1]",
+        )?;
+        let lr = self.sgd.lr;
+        ensure(
+            lr.is_finite() && lr >= 0.0,
+            format!("learning rate {lr} must be finite and >= 0"),
+        )?;
+        if let HeteroSpec::GpuSharing { hl } = self.hetero {
+            ensure(
+                hl <= n,
+                format!("heterogeneity level {hl} exceeds fleet size {n}"),
+            )?;
+        }
+        if let Some(ls) = &self.link_slowdown {
+            ensure(ls.len() == n, "one link slowdown per worker required")?;
+            ensure(
+                ls.iter().all(|&f| f >= 1.0 && f.is_finite()),
+                "link slowdowns must be >= 1",
+            )?;
+        }
+        Ok(())
+    }
+
     /// Validates the configuration.
     ///
     /// # Panics
-    /// Panics on zero-sized fields or a threshold outside `(0, 1]`.
+    /// Panics on the first rule [`ExperimentConfig::check`] names, or an
+    /// invalid network model.
     pub fn validate(&self) {
-        assert!(self.num_workers > 0, "need at least one worker");
-        assert!(self.math_batch_size > 0, "batch size must be positive");
-        assert!(
-            self.device_flops > 0.0,
-            "device throughput must be positive"
-        );
-        assert!(
-            self.threshold > 0.0 && self.threshold <= 1.0,
-            "threshold must lie in (0, 1]"
-        );
-        assert!(self.max_updates > 0, "need a positive update cap");
-        assert!(self.eval_every > 0, "eval interval must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.label_noise),
-            "label noise must lie in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.overlap_fraction),
-            "overlap fraction must lie in [0, 1]"
-        );
-        if let Some(ls) = &self.link_slowdown {
-            assert_eq!(
-                ls.len(),
-                self.num_workers,
-                "one link slowdown per worker required"
-            );
-            assert!(
-                ls.iter().all(|&f| f >= 1.0 && f.is_finite()),
-                "link slowdowns must be >= 1"
-            );
+        if let Err(broken) = self.check() {
+            panic!("{broken}");
         }
         self.network.validate();
+    }
+}
+
+/// `Ok` when the rule `holds`, else the message naming it.
+fn ensure(holds: bool, broken: impl Into<String>) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(broken.into())
     }
 }
 

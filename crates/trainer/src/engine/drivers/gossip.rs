@@ -17,7 +17,6 @@ use crate::sim::SimHarness;
 /// the paper contrasts P-Reduce against (§5.2.2).
 pub fn run_ad_psgd(mut h: SimHarness) -> RunResult {
     let n = h.num_workers();
-    assert!(n >= 2, "gossip needs at least two workers");
     let base_comm = h.network.gossip_pair_time(h.bytes);
 
     // Event payload: worker whose compute finished. The gradient is taken
@@ -97,7 +96,6 @@ pub fn run_ad_psgd(mut h: SimHarness) -> RunResult {
 /// counting as All-Reduce).
 pub fn run_d_psgd(mut h: SimHarness) -> RunResult {
     let n = h.num_workers();
-    assert!(n >= 3, "ring gossip needs at least three workers");
     // Each worker exchanges full models with two neighbors, concurrently:
     // cost ≈ two pairwise transfers; the ring is gated by its slowest link.
     let comm = 2.0 * h.network.gossip_pair_time(h.bytes) * h.link_factor(0..h.num_workers());

@@ -34,6 +34,9 @@ pub struct Driver(Strategy);
 impl Driver {
     /// Runs the strategy to convergence (or the update cap) under
     /// deterministic virtual time.
+    ///
+    /// # Panics
+    /// Panics on a fleet [`Strategy::check_fleet`] refuses.
     pub fn drive_sim(&self, substrate: SimSubstrate) -> RunResult {
         let SimSubstrate {
             harness: h,
@@ -41,6 +44,8 @@ impl Driver {
             faults,
             elastic,
         } = substrate;
+        let fits = self.0.check_fleet(h.num_workers());
+        assert!(fits.is_ok(), "{fits:?}");
         match self.0 {
             Strategy::AllReduce => sync::run_allreduce(h),
             Strategy::EagerReduce => sync::run_eager_reduce(h),

@@ -110,12 +110,12 @@ pub fn run_preduce_elastic(
          configured (set a snapshot policy or restore_from)"
     );
 
-    let mode = cfg.mode;
+    let adopt = cfg.mode.adopts_group_max();
     let mut controller = Controller::with_sink(cfg, sink.clone());
     let mut steps: Vec<WorkerStep> = h
         .workers
         .iter()
-        .map(|w| WorkerStep::begin(w, &faults, &elastic, sink.clone(), mode))
+        .map(|w| WorkerStep::begin(w, &faults, &elastic, sink.clone(), adopt))
         .collect();
     let signal = h.network.signal_time();
 
@@ -303,7 +303,7 @@ pub(crate) fn threaded_preduce(
         sub.elastic.warm_start(w);
     }
     let chaos = !sub.faults.is_empty();
-    let mode = controller.mode;
+    let adopt = controller.mode.adopts_group_max();
     let (handle, reducers) = spawn(
         controller,
         RuntimeOptions {
@@ -331,7 +331,7 @@ pub(crate) fn threaded_preduce(
                     // as dead.
                     r.start_heartbeat(HEARTBEAT_EVERY);
                 }
-                let rounds = WorkerRounds::begin(&w, &faults, delay, &elastic, sink, mode);
+                let rounds = WorkerRounds::begin(&w, &faults, delay, &elastic, sink, adopt);
                 let degraded = rounds.run_for(&mut w, &mut rng, r, iters);
                 (w.params, (w.iteration, degraded))
             })

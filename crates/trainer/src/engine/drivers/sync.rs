@@ -59,12 +59,8 @@ fn run_barrier_rounds(h: &mut SimHarness, comm_time: f64) -> SimTime {
 /// for the fastest `N − backups` gradients; stragglers' work is *dropped*
 /// (they abandon their batch and re-pull). The paper's criticism: the
 /// stragglers contribute nothing, wasting resources.
-///
-/// # Panics
-/// Panics if `backups >= N`.
 pub fn run_ps_bk(mut h: SimHarness, backups: usize) -> RunResult {
     let n = h.num_workers();
-    assert!(backups < n, "cannot back up the whole fleet");
     let k = n - backups;
     let comm = h.network.ps_push_pull_time(n, h.bytes);
     let mut now = SimTime::ZERO;

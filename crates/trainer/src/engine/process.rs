@@ -19,17 +19,16 @@
 //! substrate shares; only the transports and the heartbeat period differ.
 //! Sim = virtual time + in-memory averaging; threaded = real threads +
 //! in-process channel control + in-process star average; process = real
-//! processes + TCP control + TCP star-reduce data plane. The handshake does not carry the controller's
-//! aggregation mode, so a worker process runs the DYN fast-forward rule
-//! under either mode (a CON fleet's workers are still lifted to the group
-//! max).
+//! processes + TCP control + TCP star-reduce data plane. The controller's
+//! mode owns the fast-forward rule: [`run_controller`] puts it in the
+//! fleet roster and every worker process applies what it received.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use partial_reduce::runtime::{serve_fleet, ControllerStats, PartialReducer, RuntimeOptions};
-use partial_reduce::{AggregationMode, ControllerConfig, SinkObserver, TraceSink};
+use partial_reduce::{ControllerConfig, SinkObserver, TraceSink};
 use preduce_comm::control::ObservedControlPlane;
 use preduce_comm::mesh::MeshEndpoint;
 use preduce_comm::reactor::{accept_fleet, ReactorConfig};
@@ -45,7 +44,8 @@ use crate::engine::setup::{build_fleet, evaluate_uniform_average, worker_thread_
 use crate::replay::params_hash;
 
 /// Heartbeat period for process workers: well under any sane liveness
-/// budget, cheap on the wire (a heartbeat frame is ~40 bytes).
+/// budget, cheap on the wire (a heartbeat frame is 9 bytes: the length
+/// prefix, the kind byte and the rank).
 pub const PROCESS_HEARTBEAT: Duration = Duration::from_millis(50);
 
 /// What the controller process reports at shutdown.
@@ -62,7 +62,8 @@ pub struct ControllerReport {
 pub struct WorkerReport {
     /// This worker's rank.
     pub rank: usize,
-    /// Final local iteration count (after DYN fast-forwards).
+    /// Final local iteration count: `iters` under CON, at least that
+    /// under DYN, whose members fast-forward.
     pub iterations: u64,
     /// Test accuracy of this worker's own final model.
     pub accuracy: f64,
@@ -78,8 +79,9 @@ pub struct WorkerReport {
 /// Runs the controller half of a process fleet: binds `listen`, reports
 /// the chosen address through `on_listen` (bind to port 0 and the real
 /// port flows to whoever spawns the workers), accepts exactly
-/// `controller.num_workers` process handshakes, and serves P-Reduce
-/// until every worker departs.
+/// `controller.num_workers` process handshakes, sends each the roster
+/// with the mode's fast-forward rule, and serves P-Reduce until every
+/// worker departs.
 ///
 /// # Errors
 /// Propagates handshake failures ([`CommError`]) from the accept phase.
@@ -97,7 +99,10 @@ pub fn run_controller(
     let n = controller.num_workers;
     let (listener, addr) = bind_controller(listen);
     on_listen(addr);
-    let (link, members) = accept_fleet(&listener, n, ReactorConfig::default())?;
+    let reactor = ReactorConfig {
+        adopt_group_max: controller.mode.adopts_group_max(),
+    };
+    let (link, members) = accept_fleet(&listener, n, reactor)?;
     let joined: Vec<(usize, String)> = members
         .iter()
         .map(|m| (m.rank, m.peer_addr.clone()))
@@ -109,8 +114,8 @@ pub fn run_controller(
 
 /// Runs one worker process: rebuilds the deterministic fleet for
 /// `config`, takes rank `rank`'s replica, dials the controller at
-/// `connect`, and performs `iters` local-update + partial-reduce rounds,
-/// adopting each group's maximum iteration (the DYN rule).
+/// `connect`, and performs `iters` local-update + partial-reduce rounds
+/// under the fast-forward rule the controller's roster names.
 ///
 /// A failed reduce is a degraded round under the one worker loop's policy
 /// (`engine::round`); either way the worker evaluates the model it holds.
@@ -167,10 +172,9 @@ pub fn run_worker_elastic(
     let mut reducer = PartialReducer::from_parts(Box::new(link), Box::new(mesh), sink.clone());
     reducer.start_heartbeat(PROCESS_HEARTBEAT);
 
-    // No fault plan and no straggler delay reach a process yet, nor the
-    // controller's mode: the worker runs the DYN fast-forward rule.
-    let (plan, mode) = (FaultPlan::none(), AggregationMode::dynamic_default());
-    let rounds = WorkerRounds::begin(&worker, &plan, Duration::ZERO, &elastic, sink, mode);
+    // No fault plan and no straggler delay reach a process yet.
+    let (plan, adopt) = (FaultPlan::none(), roster.adopt_group_max);
+    let rounds = WorkerRounds::begin(&worker, &plan, Duration::ZERO, &elastic, sink, adopt);
     let mut rng = StdRng::seed_from_u64(worker_thread_seed(config.seed, rank));
     let degraded = rounds.run_for(&mut worker, &mut rng, reducer, iters);
 
@@ -227,8 +231,6 @@ mod tests {
         let workers: Vec<_> = (0..n)
             .map(|rank| {
                 let config = tiny_config(n);
-                // Cadence 1: fast-forward can skip arbitrary iteration
-                // numbers, so any sparser cadence could miss every write.
                 let elastic = ElasticOptions::none().with_policy(&dir, 1);
                 thread::spawn(move || {
                     run_worker_elastic(&config, addr, rank, 4, Arc::new(NullSink), elastic)
@@ -245,7 +247,7 @@ mod tests {
         assert!(report.stats.groups_formed > 0, "{report:?}");
         for r in &reports {
             assert_eq!(r.degraded, 0, "clean run degraded: {r:?}");
-            assert!(r.iterations >= 4, "no fast-forward below budget: {r:?}");
+            assert_eq!(r.iterations, 4, "a CON worker keeps its own count: {r:?}");
             assert!(r.accuracy > 0.0, "{r:?}");
         }
 

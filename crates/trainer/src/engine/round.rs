@@ -4,19 +4,20 @@
 //! iteration: the plan's persistent faults, narrated once at `begin`; the
 //! stall factor and signal delay of the coming update; the local update
 //! and the once-per-life crash; the snapshot if due (DESIGN.md §14); the
-//! mode's fast-forward rule (DYN adopts the group max, CON keeps its own
-//! count). The simulator schedules virtual time around it
-//! (`drivers::preduce`). [`WorkerRounds`] sleeps around it, and
-//! [`WorkerRounds::run_for`] is the one real-time worker loop, with the
-//! deployed error policy: the threaded driver and the process worker run
-//! their budgets through it and differ only in transport and heartbeat.
+//! controller's fast-forward rule (DYN adopts the group max, CON keeps its
+//! own count), which the step is handed and never picks. The simulator
+//! schedules virtual time around it (`drivers::preduce`). [`WorkerRounds`]
+//! sleeps around it, and [`WorkerRounds::run_for`] is the one real-time
+//! worker loop, with the deployed error policy: the threaded driver and
+//! the process worker run their budgets through it and differ only in
+//! transport and heartbeat.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use partial_reduce::runtime::{PartialReducer, ReduceError, ReduceOutcome};
-use partial_reduce::{AggregationMode, TraceEvent, TraceSink};
+use partial_reduce::{TraceEvent, TraceSink};
 use preduce_simnet::{FaultKind, FaultPlan};
 use rand::Rng;
 
@@ -29,13 +30,13 @@ use crate::worker::WorkerState;
 const STALL_UNIT: Duration = Duration::from_millis(1);
 
 /// One worker's iteration-keyed state: its share of the fault plan, its
-/// snapshot writer and its mode's fast-forward rule.
+/// snapshot writer and the controller's fast-forward rule.
 pub(crate) struct WorkerStep {
     rank: usize,
     faults: FaultPlan,
     snapshots: SnapshotWriter,
     sink: Arc<dyn TraceSink>,
-    dynamic: bool,
+    adopt_group_max: bool,
     crashed: bool,
 }
 
@@ -44,13 +45,15 @@ impl WorkerStep {
     /// narrates its persistent faults (stall, signal delay, late join), one
     /// [`TraceEvent::FaultInjected`] per fault in plan order. A crash is
     /// narrated where it fires; a restore is recovery, narrated as
-    /// [`TraceEvent::WorkerRestored`] by whoever runs it.
+    /// [`TraceEvent::WorkerRestored`] by whoever runs it. `adopt_group_max`
+    /// is the controller's rule,
+    /// [`AggregationMode::adopts_group_max`](partial_reduce::AggregationMode::adopts_group_max).
     pub(crate) fn begin(
         w: &WorkerState,
         faults: &FaultPlan,
         elastic: &ElasticOptions,
         sink: Arc<dyn TraceSink>,
-        mode: AggregationMode,
+        adopt_group_max: bool,
     ) -> Self {
         let faults = FaultPlan {
             faults: faults.for_worker(w.rank).copied().collect(),
@@ -68,7 +71,7 @@ impl WorkerStep {
             snapshots: elastic.snapshot_writer(w, sink.clone()),
             faults,
             sink,
-            dynamic: matches!(mode, AggregationMode::Dynamic { .. }),
+            adopt_group_max,
             crashed: false,
         }
     }
@@ -111,11 +114,11 @@ impl WorkerStep {
         Some(at_iteration)
     }
 
-    /// The mode's fast-forward rule once the group's reduce has run: in
-    /// DYN `w` adopts the group maximum `new_iteration` (§3.3.3), in CON it
-    /// keeps its own count.
+    /// The fast-forward rule once the group's reduce has run: in DYN `w`
+    /// adopts the group maximum `new_iteration` (§3.3.3), in CON it keeps
+    /// its own count.
     pub(crate) fn reduced(&self, w: &mut WorkerState, new_iteration: u64) {
-        if self.dynamic {
+        if self.adopt_group_max {
             w.iteration = new_iteration;
         }
     }
@@ -167,19 +170,18 @@ impl WorkerRounds {
         delay: Duration,
         elastic: &ElasticOptions,
         sink: Arc<dyn TraceSink>,
-        mode: AggregationMode,
+        adopt_group_max: bool,
     ) -> Self {
-        let step = WorkerStep::begin(w, faults, elastic, sink, mode);
+        let step = WorkerStep::begin(w, faults, elastic, sink, adopt_group_max);
         sleep_secs(step.start_delay());
         WorkerRounds { step, delay }
     }
 
     /// One round: the straggler and stall sleep, the step's update, the
-    /// signal delay, then [`PartialReducer::reduce`] and the mode's
-    /// fast-forward rule — applied on a failed group average too, since
-    /// the assignment was received. On a failed reduce `w` keeps what the
-    /// averager left in its parameters, and the error names the phase
-    /// that failed.
+    /// signal delay, then [`PartialReducer::reduce`] and the fast-forward
+    /// rule — applied on a failed group average too, since the assignment
+    /// was received. On a failed reduce `w` keeps what the averager left in
+    /// its parameters, and the error names the phase that failed.
     fn run<R: Rng + ?Sized>(
         &mut self,
         w: &mut WorkerState,
@@ -302,7 +304,7 @@ mod tests {
         const N: usize = 2;
         let mut config = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
         config.num_workers = N;
-        let mode = controller.mode;
+        let adopt = controller.mode.adopts_group_max();
         let trace = Arc::new(RingSink::new(256));
         let (ctl, links) = control_links(N);
         let opts = RuntimeOptions {
@@ -325,7 +327,7 @@ mod tests {
                     let r = PartialReducer::from_parts(Box::new(link), averager, sink.clone());
                     let elastic = ElasticOptions::none();
                     let rounds =
-                        WorkerRounds::begin(&w, &plan, Duration::ZERO, &elastic, sink, mode);
+                        WorkerRounds::begin(&w, &plan, Duration::ZERO, &elastic, sink, adopt);
                     let mut rng = StdRng::seed_from_u64(w.rank as u64);
                     let seen = drive(rounds, &mut w, &mut rng, r);
                     (seen, w.iteration)
@@ -392,14 +394,7 @@ mod tests {
         let averager = Box::new(LeaderDiesOnce(false));
         let r = PartialReducer::from_parts(Box::new(links.swap_remove(0)), averager, sink.clone());
         let (plan, elastic) = (FaultPlan::none(), ElasticOptions::none());
-        let rounds = WorkerRounds::begin(
-            &w,
-            &plan,
-            Duration::ZERO,
-            &elastic,
-            sink,
-            AggregationMode::Constant,
-        );
+        let rounds = WorkerRounds::begin(&w, &plan, Duration::ZERO, &elastic, sink, false);
         let degraded = rounds.run_for(&mut w, &mut StdRng::seed_from_u64(0), r, 5);
         assert_eq!(degraded, 1);
         // One local update, then no further round.
@@ -519,9 +514,8 @@ mod tests {
                 let (plan, elastic, sink) = (plan.clone(), elastic.clone(), sink.clone());
                 let mut rng = StdRng::seed_from_u64(worker_thread_seed(config.seed, w.rank));
                 thread::spawn(move || {
-                    let mode = AggregationMode::Constant;
                     let mut rounds =
-                        WorkerRounds::begin(&w, &plan, Duration::ZERO, &elastic, sink, mode);
+                        WorkerRounds::begin(&w, &plan, Duration::ZERO, &elastic, sink, false);
                     let mut reduced = 0;
                     while reduced < ITERS {
                         match rounds.run(&mut w, &mut rng, &mut r).unwrap() {

@@ -34,7 +34,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use partial_reduce::controller::{AggregationMode, Controller, ControllerConfig, GroupDecision};
+use partial_reduce::controller::{Controller, ControllerConfig, GroupDecision};
 use partial_reduce::graph::ConnectivityStats;
 use partial_reduce::spectral::{rho_bar, rho_power, rho_uniform};
 use partial_reduce::trace::{TraceEvent, TraceSink};
@@ -358,7 +358,7 @@ fn signal_loop(
 ) -> (SimTime, u64) {
     let n = fleet.num_workers();
     let mut rng = StdRng::seed_from_u64(seed);
-    let dynamic = matches!(controller.config().mode, AggregationMode::Dynamic { .. });
+    let dynamic = controller.config().mode.adopts_group_max();
     let mut events: EventQueue<usize> = EventQueue::new();
     for w in 0..n {
         let dt = fleet.compute_time(w, ITERATION_FLOPS, SimTime::ZERO, &mut rng);

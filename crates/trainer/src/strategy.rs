@@ -43,6 +43,23 @@ pub enum Strategy {
 }
 
 impl Strategy {
+    /// Whether a baseline can run on a fleet of `n` workers: PS-BK needs a
+    /// worker besides its backups, D-PSGD a ring of three and AD-PSGD a
+    /// peer. P-Reduce's rule, `2 <= P <= N`, is [`ControllerConfig`]'s.
+    ///
+    /// # Errors
+    /// Names the rule `n` breaks.
+    pub fn check_fleet(&self, n: usize) -> Result<(), String> {
+        match *self {
+            Strategy::PsBackup { backups } if backups >= n => Err(format!(
+                "backup count (need backups < N, got N={n}, backups={backups})"
+            )),
+            Strategy::DPsgd if n < 3 => Err(format!("fleet for d-psgd (need N >= 3, got N={n})")),
+            Strategy::AdPsgd if n < 2 => Err(format!("fleet for ad-psgd (need N >= 2, got N={n})")),
+            _ => Ok(()),
+        }
+    }
+
     /// Human-readable label matching the paper's table headers.
     pub fn label(&self) -> String {
         match self {
