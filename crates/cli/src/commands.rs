@@ -12,6 +12,7 @@ use partial_reduce::{
     expected_sync_matrix, spectral_gap, ControllerConfig, InvariantChecker, JsonlSink, NullSink,
     TraceSink,
 };
+use preduce_comm::CommError;
 use preduce_data::{cifar100_like, cifar10_like, imagenet_like, DatasetPreset};
 use preduce_models::zoo;
 use preduce_simnet::{HeterogeneityModel, Jitter, SpeedFleet, UniformFleet};
@@ -202,8 +203,9 @@ MULTI-PROCESS FLEETS (DESIGN.md section 12):
   dials the controller, and runs --iters local-update + reduce rounds;
   group averages flow worker-to-worker over a TCP star-reduce, never
   through the controller. Grouping policy (--p, --dynamic) is
-  controller-side, and the handshake does not carry it: a worker adopts
-  each group's maximum iteration (the DYN rule) under either mode.
+  controller-side; the roster the controller sends each worker carries
+  its fast-forward rule: a CON worker keeps its own count, a DYN worker
+  adopts each group's maximum iteration.
   Heartbeat liveness defaults on (--liveness-ms 0 disables it). Each
   worker prints one final `worker rank=R iterations=K accuracy=A
   degraded=D params=H` line, H being the hash of its final model that a
@@ -537,14 +539,16 @@ pub fn run_command(
                 Strategy::preduce_controller_config(p, dynamic, config.num_workers);
             let liveness_ms: u64 = args.get_or("liveness-ms", 100)?;
             let miss: u64 = args.get_or("miss-threshold", 5)?;
-            let liveness = if liveness_ms == 0 {
-                None
-            } else {
-                Some(LivenessPolicy::new(
-                    Duration::from_millis(liveness_ms),
-                    miss.max(1),
-                ))
-            };
+            if miss == 0 {
+                return Err(ArgError::BadValue {
+                    flag: "miss-threshold".into(),
+                    value: "0".into(),
+                    expected: "at least 1 missed heartbeat",
+                }
+                .into());
+            }
+            let liveness = (liveness_ms > 0)
+                .then(|| LivenessPolicy::new(Duration::from_millis(liveness_ms), miss));
             let trace = TraceOut::from_args(args)?;
             let report = process::run_controller(
                 controller_cfg,
@@ -560,7 +564,12 @@ pub fn run_command(
                     let _ = out.flush();
                 },
             )
-            .map_err(|e| CliError::Internal(format!("controller: {e}")))?;
+            .map_err(|e| match e {
+                CommError::BindFailed { addr, error } => {
+                    CliError::Unknown(format!("--listen address `{addr}`: {error}"))
+                }
+                e => CliError::Internal(format!("controller: {e}")),
+            })?;
             trace.finish()?;
             let s = report.stats;
             let _ = writeln!(
@@ -591,6 +600,12 @@ pub fn run_command(
                 })
             })?;
             let config = config_from_args(args)?;
+            if rank >= config.num_workers {
+                return Err(CliError::Unknown(format!(
+                    "worker rank (need R < N, got N={}, R={rank})",
+                    config.num_workers
+                )));
+            }
             let iters: u64 = args.get_or("iters", engine::DEFAULT_THREADED_ITERS)?;
             let elastic = elastic_from_args(args)?;
             let report = process::run_worker_elastic(
@@ -1280,7 +1295,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_rank_outside_fleet_is_internal_error() {
+    fn worker_rank_outside_fleet_is_a_usage_error() {
         // The rank check fires before dialing, so no controller is needed.
         let (r, out) = run(&[
             "worker",
@@ -1291,7 +1306,7 @@ mod tests {
             "--workers",
             "2",
         ]);
-        assert!(matches!(r, Err(CliError::Internal(_))), "{out}");
+        assert!(matches!(r, Err(CliError::Unknown(_))), "{out}");
     }
 
     #[test]

@@ -8,7 +8,8 @@ const BIN: &str = env!("CARGO_BIN_EXE_preduce");
 
 /// Every case is checked before any fleet is built: `spectral`'s fleet
 /// shape, and the experiment configuration `run`, `controller` and
-/// `worker` share, with the fleet shape their strategy needs.
+/// `worker` share, with the fleet shape their strategy needs; the
+/// controller's listen address and miss threshold, and the worker's rank.
 #[test]
 fn malformed_fleets_and_configurations_are_usage_errors() {
     let mut cases: Vec<Vec<&str>> = vec![
@@ -22,6 +23,25 @@ fn malformed_fleets_and_configurations_are_usage_errors() {
         vec!["run", "--workers", "8", "--p", "1"],
         vec!["controller", "--workers", "8", "--p", "9"],
         vec!["controller", "--workers", "8", "--p", "1"],
+        vec![
+            "controller",
+            "--listen",
+            "notanaddr",
+            "--workers",
+            "2",
+            "--p",
+            "2",
+        ],
+        vec!["controller", "--miss-threshold", "0"],
+        vec![
+            "worker",
+            "--connect",
+            "127.0.0.1:9",
+            "--rank",
+            "7",
+            "--workers",
+            "4",
+        ],
         vec!["run", "--workers", "4", "--hl", "9"],
         vec![
             "run",

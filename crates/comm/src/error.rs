@@ -56,6 +56,14 @@ pub enum CommError {
         /// `CommError` stays `Clone + PartialEq + Eq`).
         error: String,
     },
+    /// A controller listener could not be bound: the address does not
+    /// parse or resolve, or the OS refused it (in use, not local).
+    BindFailed {
+        /// The address asked for.
+        addr: String,
+        /// The underlying `io::Error`, stringified.
+        error: String,
+    },
 }
 
 impl fmt::Display for CommError {
@@ -86,6 +94,9 @@ impl fmt::Display for CommError {
                 f,
                 "connect to {addr} failed after {attempts} attempt(s): {error}"
             ),
+            CommError::BindFailed { addr, error } => {
+                write!(f, "cannot listen on {addr}: {error}")
+            }
         }
     }
 }

@@ -361,26 +361,33 @@ impl TcpControllerLink {
 /// Binds a controller listener on `addr` (use port 0 for an ephemeral
 /// port) and returns the bound address to hand to workers.
 ///
+/// # Errors
+/// [`CommError::BindFailed`] if `addr` does not parse or resolve, or the
+/// OS refuses to bind it.
+pub fn try_bind_controller(addr: &str) -> Result<(TcpListener, SocketAddr)> {
+    let failed = |e: io::Error| CommError::BindFailed {
+        addr: addr.to_string(),
+        error: e.to_string(),
+    };
+    let listener = TcpListener::bind(addr).map_err(failed)?;
+    let local = listener.local_addr().map_err(failed)?;
+    Ok((listener, local))
+}
+
+/// [`try_bind_controller`] for callers whose address cannot fail to bind
+/// (tests and benchmarks on `127.0.0.1:0`).
+///
 /// # Panics
 /// Panics if the address cannot be bound.
 pub fn bind_controller(addr: &str) -> (TcpListener, SocketAddr) {
-    let listener = match TcpListener::bind(addr) {
-        Ok(l) => l,
+    match try_bind_controller(addr) {
+        Ok(bound) => bound,
         #[allow(
             clippy::panic,
             reason = "startup-only: the documented contract is to panic when the controller listener cannot come up"
         )]
-        Err(e) => panic!("bind controller listener on {addr}: {e}"),
-    };
-    let local = match listener.local_addr() {
-        Ok(a) => a,
-        #[allow(
-            clippy::panic,
-            reason = "startup-only: the documented contract is to panic when the controller listener cannot come up"
-        )]
-        Err(e) => panic!("controller listener has no local address: {e}"),
-    };
-    (listener, local)
+        Err(e) => panic!("bind controller listener: {e}"),
+    }
 }
 
 /// Accepts exactly `n` workers on `listener` and hands their sockets to

@@ -14,9 +14,13 @@
 //! of them, and re-asks a deferring queue only about its new arrivals
 //! (DESIGN.md §15.2).
 //!
-//! This module is transport-independent state-machine logic; it is driven
-//! by the threaded runtime ([`crate::runtime`]) and by the virtual-time
-//! simulator in the trainer crate alike — one implementation, two harnesses.
+//! It also owns, and narrates, every membership decision outside group
+//! formation (DESIGN.md §11–§12): evictions, below-quorum singletons and
+//! the run's closing tallies.
+//!
+//! This module is transport-independent state-machine logic, driven by
+//! the serving loop ([`crate::runtime`]), the simulator and the scale
+//! harness alike — one implementation, every harness.
 
 // A bad index panics the controller and strands the fleet.
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
@@ -153,6 +157,20 @@ impl ControllerConfig {
     }
 }
 
+/// The tallies a run closes with ([`Controller::close`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ControllerStats {
+    /// Total partial-reduce groups formed.
+    pub groups_formed: u64,
+    /// Groups adjusted by the frozen-schedule repair.
+    pub repairs: u64,
+    /// Singleton assignments issued during drain-out.
+    pub singletons: u64,
+    /// Workers evicted: heartbeat silence, a dropped connection, or a
+    /// crash the simulator detects.
+    pub evictions: u64,
+}
+
 /// A pending ready signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ReadySignal {
@@ -195,6 +213,8 @@ pub struct Controller {
     groups_formed: u64,
     repairs: u64,
     deferrals: u64,
+    singletons: u64,
+    evictions: u64,
     /// Workers still participating (starts at `N`; shrinks as workers
     /// leave). Bounds how long a frozen-avoidance deferral can wait.
     active: usize,
@@ -250,6 +270,8 @@ impl Controller {
             groups_formed: 0,
             repairs: 0,
             deferrals: 0,
+            singletons: 0,
+            evictions: 0,
             active,
             sink,
         }
@@ -349,6 +371,28 @@ impl Controller {
         }
     }
 
+    /// Evicts a live `worker` (DESIGN.md §11): narrates
+    /// [`TraceEvent::WorkerEvicted`], then departs via
+    /// [`Controller::mark_left`].
+    ///
+    /// # Panics
+    /// Panics if `worker` already left, or as [`Controller::mark_left`]
+    /// does.
+    pub fn evict(&mut self, worker: usize) {
+        assert!(
+            !self.has_left(worker),
+            "worker {worker} evicted after it left"
+        );
+        if self.sink.enabled() {
+            self.sink.record(TraceEvent::WorkerEvicted {
+                worker,
+                active: self.active - 1,
+            });
+        }
+        self.mark_left(worker);
+        self.evictions += 1;
+    }
+
     /// Re-admits a departed worker from a checkpoint (DESIGN.md §14):
     /// the departure flag clears, the worker counts as active again, and
     /// its next ready signal — reporting `iteration + 1`, the first
@@ -390,9 +434,8 @@ impl Controller {
     }
 
     /// Removes and returns every queued signal as `(worker, iteration)`
-    /// pairs, FIFO. Used at shutdown, when the active fleet has shrunk
-    /// below `P` and queued workers must be released individually.
-    pub fn drain_pending(&mut self) -> Vec<(usize, u64)> {
+    /// pairs, FIFO, narrated as one [`TraceEvent::PendingDrained`].
+    fn drain_pending(&mut self) -> Vec<(usize, u64)> {
         let signals: Vec<(usize, u64)> = self
             .queue
             .drain(..)
@@ -406,6 +449,46 @@ impl Controller {
             });
         }
         signals
+    }
+
+    /// The below-quorum drain (DESIGN.md §12): while fewer than `P`
+    /// workers are active, releases every queued signal
+    /// ([`TraceEvent::PendingDrained`]) alone, one
+    /// [`TraceEvent::SingletonIssued`] each. Returns the released
+    /// `(worker, iteration)` pairs, FIFO; nothing at quorum.
+    pub fn release_below_quorum(&mut self) -> Vec<(usize, u64)> {
+        if self.active >= self.config.group_size {
+            return Vec::new();
+        }
+        let released = self.drain_pending();
+        self.singletons += released.len() as u64;
+        if self.sink.enabled() {
+            for &(worker, iteration) in &released {
+                self.sink
+                    .record(TraceEvent::SingletonIssued { worker, iteration });
+            }
+        }
+        released
+    }
+
+    /// Narrates [`TraceEvent::RunFinished`], flushes the sink, and
+    /// returns the run's tallies.
+    pub fn close(self) -> ControllerStats {
+        if self.sink.enabled() {
+            self.sink.record(TraceEvent::RunFinished {
+                groups_formed: self.groups_formed,
+                repairs: self.repairs,
+                deferrals: self.deferrals,
+                singletons: self.singletons,
+            });
+        }
+        self.sink.flush();
+        ControllerStats {
+            groups_formed: self.groups_formed,
+            repairs: self.repairs,
+            singletons: self.singletons,
+            evictions: self.evictions,
+        }
     }
 
     /// Enqueues a worker's ready signal (controller lines 6–7 of
@@ -454,10 +537,10 @@ impl Controller {
     /// or re-signal while already queued (e.g. retrying after a degraded
     /// reduce), and a serving controller must not panic on that — so,
     /// unlike [`Controller::push_ready`] whose panics encode in-process
-    /// driver bugs, malformed entries are *skipped*. Signals from
-    /// departed workers are rejected through the ordinary
-    /// [`TraceEvent::SignalRejected`] path. Returns how many signals
-    /// entered the queue.
+    /// driver bugs, malformed entries are *skipped*, on both sides of
+    /// quorum. Signals from departed workers are rejected through the
+    /// ordinary [`TraceEvent::SignalRejected`] path. Returns how many
+    /// signals entered the queue.
     pub fn ingest_ready(&mut self, signals: &[(usize, u64)]) -> usize {
         let mut accepted = 0;
         for &(worker, iteration) in signals {
@@ -755,19 +838,126 @@ mod tests {
 
     #[test]
     fn ingest_ready_skips_malformed_remote_input() {
-        let mut c = Controller::new(ControllerConfig::constant(4, 2));
+        use crate::trace::RingSink;
+
+        let sink = Arc::new(RingSink::new(64));
+        let mut c = Controller::with_sink(ControllerConfig::constant(4, 2), sink.clone());
         c.mark_left(3);
-        let accepted = c.ingest_ready(&[
+        // The same batch on both sides of quorum: above it two signals
+        // queue and form a group; below it (1 active < P) one queues and
+        // goes out alone.
+        let batch = [
             (0, 1), // fine
             (9, 1), // out of range: skipped, no panic
             (0, 2), // duplicate pending: skipped, no panic
             (3, 1), // departed: rejected through the ordinary path
             (1, 1), // fine
-        ]);
-        assert_eq!(accepted, 2);
+        ];
+        assert_eq!(c.ingest_ready(&batch), 2);
         assert_eq!(c.pending(), 2);
         let d = c.try_form_group().unwrap();
         assert_eq!(d.group, vec![0, 1]);
+        assert!(c.release_below_quorum().is_empty(), "above quorum");
+
+        c.mark_left(1);
+        c.mark_left(2);
+        assert_eq!(c.ingest_ready(&batch), 1);
+        assert!(c.try_form_group().is_none());
+        assert_eq!(c.release_below_quorum(), vec![(0, 1)]);
+        assert!(c.release_below_quorum().is_empty(), "released once");
+        let rejected = sink
+            .snapshot()
+            .into_iter()
+            .filter(|e| matches!(e, TraceEvent::SignalRejected { worker: 3, .. }))
+            .count();
+        assert_eq!(rejected, 2, "one per side of quorum");
+        assert_eq!(c.close().singletons, 1);
+    }
+
+    #[test]
+    fn eviction_narrates_before_the_departure_and_counts_once() {
+        use crate::trace::RingSink;
+
+        let sink = Arc::new(RingSink::new(64));
+        let mut c = Controller::with_sink(ControllerConfig::constant(4, 2), sink.clone());
+        c.push_ready(1, 1);
+        c.evict(1);
+        assert_eq!(
+            sink.snapshot()[2..],
+            [
+                TraceEvent::WorkerEvicted {
+                    worker: 1,
+                    active: 3
+                },
+                TraceEvent::WorkerLeft {
+                    worker: 1,
+                    active: 3,
+                    purged_signal: true
+                },
+            ]
+        );
+        assert!(c.has_left(1));
+        assert_eq!(c.close().evictions, 1);
+    }
+
+    #[test]
+    fn the_close_reports_what_the_checker_tallies() {
+        use crate::invariants::InvariantChecker;
+        use crate::trace::RingSink;
+
+        // Two frozen pairs on a two-group window, a deferral and a repair,
+        // an eviction, then the fleet falls below P = 2 and releases the
+        // last worker's signals alone.
+        let sink = Arc::new(RingSink::new(64));
+        let mut c = Controller::with_sink(
+            ControllerConfig {
+                history_window: Some(2),
+                ..ControllerConfig::constant(4, 2)
+            },
+            sink.clone(),
+        );
+        for w in 0..4 {
+            c.push_ready(w, 1);
+        }
+        while c.try_form_group().is_some() {}
+        c.push_ready(0, 2);
+        c.push_ready(1, 2);
+        assert!(c.try_form_group().is_none());
+        c.push_ready(2, 2);
+        assert_eq!(c.try_form_group().unwrap().group, vec![0, 2]);
+        sink.record(TraceEvent::HeartbeatMissed {
+            worker: 3,
+            misses: 1,
+        });
+        c.evict(3);
+        c.mark_left(2);
+        c.mark_left(0);
+        assert_eq!(c.release_below_quorum(), vec![(1, 2)]);
+        assert_eq!(c.ingest_ready(&[(1, 3)]), 1);
+        assert_eq!(c.release_below_quorum(), vec![(1, 3)]);
+        let stats = c.close();
+        assert_eq!(
+            stats,
+            ControllerStats {
+                groups_formed: 3,
+                repairs: 1,
+                singletons: 2,
+                evictions: 1,
+            }
+        );
+        let events = sink.snapshot();
+        assert_eq!(
+            events.last(),
+            Some(&TraceEvent::RunFinished {
+                groups_formed: 3,
+                repairs: 1,
+                deferrals: 1,
+                singletons: 2,
+            })
+        );
+        // The checker compares `RunFinished` with its own replayed tallies.
+        let report = InvariantChecker::check(&events);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //! [`PartialReducer::finish`]; once fewer than `P` workers remain active the
 //! controller answers every subsequent ready signal with a singleton group
 //! (a local no-op), so stragglers drain without deadlock.
+//!
+//! The serving loop does transport work only; every membership decision —
+//! an eviction, a below-quorum singleton, the run's closing tallies — is
+//! the [`Controller`]'s.
 
 // A bad index kills the serving loop.
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
@@ -37,30 +41,18 @@ use preduce_comm::control::{
 use preduce_comm::mesh::GroupAverager;
 use preduce_comm::{CommError, CommWorld};
 
+pub use crate::controller::ControllerStats;
 use crate::controller::{Controller, ControllerConfig};
 use crate::trace::{NullSink, SinkObserver, TraceEvent, TraceSink};
-
-/// Statistics returned by the controller thread at shutdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ControllerStats {
-    /// Total partial-reduce groups formed.
-    pub groups_formed: u64,
-    /// Groups adjusted by the frozen-schedule repair.
-    pub repairs: u64,
-    /// Singleton assignments issued during drain-out.
-    pub singletons: u64,
-    /// Workers evicted by the liveness monitor (heartbeat silence).
-    pub evictions: u64,
-}
 
 /// When to declare a silent worker dead (DESIGN.md §11).
 ///
 /// A worker is *heard from* whenever any of its signals arrives — ready,
 /// leaving, or heartbeat. Once a worker has been silent for
-/// `heartbeat_interval × miss_threshold`, the controller evicts it:
-/// [`TraceEvent::WorkerEvicted`] then the ordinary departure path
-/// ([`crate::Controller::mark_left`]), so queued signals purge and
-/// scheduling repair proceeds exactly as for a voluntary departure.
+/// `heartbeat_interval × miss_threshold`, the controller evicts it
+/// ([`Controller::evict`]): [`TraceEvent::WorkerEvicted`] then the
+/// ordinary departure path, so queued signals purge and scheduling repair
+/// proceeds exactly as for a voluntary departure.
 ///
 /// Liveness assumes workers actually heartbeat
 /// ([`PartialReducer::start_heartbeat`]); enabling it for a fleet that
@@ -429,15 +421,16 @@ const INGEST_BATCH: usize = 1024;
 ///   ([`ControlPlane::recv_events`] + [`Controller::ingest_ready`]) so a
 ///   signal storm costs one queue-scan per wakeup instead of one per
 ///   signal. Links are untrusted input on every transport: a rank `≥ N`
-///   or a duplicate pending signal is dropped by `ingest_ready`, never
-///   scheduled and never a panic;
+///   or a duplicate pending signal is dropped by `ingest_ready`, on both
+///   sides of quorum, never scheduled and never a panic;
 /// - a transport-reported [`ControlEvent::Disconnected`] (socket EOF or
 ///   error — proof of death, unlike mere silence) narrates
-///   [`TraceEvent::ProcessDisconnected`] and evicts immediately through
-///   the ordinary departure path; channel links never emit it;
+///   [`TraceEvent::ProcessDisconnected`] and the controller evicts
+///   ([`Controller::evict`]) at once; channel links never emit it;
 /// - with a [`LivenessPolicy`], workers silent past the budget are
-///   evicted the same way; once fewer than `P` workers remain, queued and
-///   late signals are answered with singleton assignments.
+///   evicted the same way;
+/// - below quorum, each signal [`Controller::release_below_quorum`]
+///   releases is answered with a singleton assignment.
 ///
 /// Returns once every worker departed (voluntarily or by eviction), or
 /// on terminal transport failure. A failed assignment *send* is not
@@ -469,7 +462,6 @@ fn serve<C: ControlPlane>(
     liveness: Option<LivenessPolicy>,
 ) -> ControllerStats {
     let n = controller.config().num_workers;
-    let p = controller.config().group_size;
     if controller.sink().enabled() {
         for (worker, addr) in joined {
             controller.sink().record(TraceEvent::ProcessJoined {
@@ -478,13 +470,10 @@ fn serve<C: ControlPlane>(
             });
         }
     }
-    let mut singletons = 0u64;
-    let mut evictions = 0u64;
-    let mut pending_drain: Vec<(usize, u64)> = Vec::new();
     let mut ready_batch: Vec<(usize, u64)> = Vec::new();
 
-    let mut last_seen: Vec<Instant> = vec![Instant::now(); n];
-    let mut reported_misses: Vec<u64> = vec![0; n];
+    // Per worker: when it was last heard from, and the misses reported since.
+    let mut heard: Vec<(Instant, u64)> = vec![(Instant::now(), 0); n];
     let mut last_activity = Instant::now();
     let recv_timeout = match liveness {
         Some(policy) => policy.heartbeat_interval.min(IDLE_DEADLINE),
@@ -503,29 +492,21 @@ fn serve<C: ControlPlane>(
         for event in events {
             match event {
                 ControlEvent::Signal(WorkerSignal::Ready { worker, iteration }) => {
-                    note_heard(&mut last_seen, &mut reported_misses, worker);
-                    if controller.active() < p {
-                        if worker < n && !controller.has_left(worker) {
-                            pending_drain.push((worker, iteration));
-                        }
-                    } else {
-                        ready_batch.push((worker, iteration));
-                    }
+                    note_heard(&mut heard, worker);
+                    ready_batch.push((worker, iteration));
                 }
                 ControlEvent::Signal(WorkerSignal::Leaving { worker }) => {
                     // Flush queued readys first: they arrived before the
                     // departure and must be scheduled under the old fleet.
                     ingest_and_drain(&mut controller, &mut link, &mut ready_batch);
-                    note_heard(&mut last_seen, &mut reported_misses, worker);
+                    note_heard(&mut heard, worker);
                     if worker < n && !controller.has_left(worker) {
                         controller.mark_left(worker);
-                        if controller.active() >= p {
-                            drain_groups(&mut controller, &mut link);
-                        }
+                        drain_groups(&mut controller, &mut link);
                     }
                 }
                 ControlEvent::Signal(WorkerSignal::Heartbeat { worker }) => {
-                    note_heard(&mut last_seen, &mut reported_misses, worker);
+                    note_heard(&mut heard, worker);
                 }
                 ControlEvent::Disconnected { worker } => {
                     ingest_and_drain(&mut controller, &mut link, &mut ready_batch);
@@ -538,10 +519,8 @@ fn serve<C: ControlPlane>(
                                 .sink()
                                 .record(TraceEvent::ProcessDisconnected { worker });
                         }
-                        evict(&mut controller, worker, &mut evictions);
-                        if controller.active() >= p {
-                            drain_groups(&mut controller, &mut link);
-                        }
+                        controller.evict(worker);
+                        drain_groups(&mut controller, &mut link);
                     }
                 }
             }
@@ -552,23 +531,12 @@ fn serve<C: ControlPlane>(
         // connected workers whose kernel still answers keepalives.
         if let Some(policy) = liveness {
             let now = Instant::now();
-            for worker in 0..n {
+            for (worker, (seen, reported)) in heard.iter_mut().enumerate() {
                 if controller.has_left(worker) {
                     continue;
                 }
-                let silent = match last_seen.get(worker) {
-                    Some(seen) => now.duration_since(*seen),
-                    None => continue,
-                };
-                let misses =
-                    (silent.as_micros() / policy.heartbeat_interval.as_micros().max(1)) as u64;
-                if misses == 0 {
-                    continue;
-                }
-                let reported = match reported_misses.get_mut(worker) {
-                    Some(r) => r,
-                    None => continue,
-                };
+                let silent = now.duration_since(*seen).as_micros();
+                let misses = (silent / policy.heartbeat_interval.as_micros().max(1)) as u64;
                 if misses > *reported {
                     *reported = misses;
                     if controller.sink().enabled() {
@@ -578,63 +546,31 @@ fn serve<C: ControlPlane>(
                     }
                 }
                 if misses >= policy.miss_threshold {
-                    evict(&mut controller, worker, &mut evictions);
+                    controller.evict(worker);
                 }
             }
-            if controller.active() >= p {
-                drain_groups(&mut controller, &mut link);
-            }
+            drain_groups(&mut controller, &mut link);
         }
-        // Fleet below P: flush queued and drain-pending workers as
-        // singletons so stragglers keep making progress alone.
-        if controller.active() < p {
-            let mut flush: Vec<(usize, u64)> = controller.drain_pending();
-            flush.append(&mut pending_drain);
-            for (worker, iteration) in flush.drain(..) {
-                if controller.has_left(worker) {
-                    continue;
-                }
-                singletons += 1;
-                if controller.sink().enabled() {
-                    controller
-                        .sink()
-                        .record(TraceEvent::SingletonIssued { worker, iteration });
-                }
-                let assignment = GroupAssignment {
-                    group: vec![worker],
-                    weights: crate::weights::singleton_weights().into_vec(),
-                    base_tag: 0,
-                    new_iteration: iteration,
-                };
-                // A failed singleton send means this peer just died; its
-                // Disconnected event or heartbeat silence will evict.
-                let _ = link.send_assignment(worker, assignment);
-            }
+        // Fleet below P: stragglers keep making progress alone.
+        for (worker, iteration) in controller.release_below_quorum() {
+            let assignment = GroupAssignment {
+                group: vec![worker],
+                weights: crate::weights::singleton_weights().into_vec(),
+                base_tag: 0,
+                new_iteration: iteration,
+            };
+            // A failed singleton send means this peer just died; its
+            // Disconnected event or heartbeat silence will evict.
+            let _ = link.send_assignment(worker, assignment);
         }
     }
-    stats(&controller, singletons, evictions)
-}
-
-/// Evicts a live `worker` ([`TraceEvent::WorkerEvicted`] carries the
-/// post-decrement active count) through the ordinary departure path.
-fn evict(controller: &mut Controller, worker: usize, evictions: &mut u64) {
-    *evictions += 1;
-    if controller.sink().enabled() {
-        controller.sink().record(TraceEvent::WorkerEvicted {
-            worker,
-            active: controller.active() - 1,
-        });
-    }
-    controller.mark_left(worker);
+    controller.close()
 }
 
 /// Marks `worker` as heard-from for the liveness sweep.
-fn note_heard(last_seen: &mut [Instant], reported_misses: &mut [u64], worker: usize) {
-    if let Some(seen) = last_seen.get_mut(worker) {
-        *seen = Instant::now();
-    }
-    if let Some(misses) = reported_misses.get_mut(worker) {
-        *misses = 0;
+fn note_heard(heard: &mut [(Instant, u64)], worker: usize) {
+    if let Some(h) = heard.get_mut(worker) {
+        *h = (Instant::now(), 0);
     }
 }
 
@@ -654,9 +590,9 @@ fn ingest_and_drain<C: ControlPlane>(
     }
 }
 
-/// Forms and announces groups until the queue cannot fill another one. A
-/// failed announce (a member's peer just died) ends this drain; the
-/// eviction that follows re-runs it.
+/// Forms and announces groups until the queue cannot fill another one
+/// (below quorum, at once). A failed announce (a member's peer just died)
+/// ends this drain; the eviction that follows re-runs it.
 fn drain_groups<C: ControlPlane>(controller: &mut Controller, link: &mut C) {
     while let Some(d) = controller.try_form_group() {
         let assignment = GroupAssignment {
@@ -668,26 +604,6 @@ fn drain_groups<C: ControlPlane>(controller: &mut Controller, link: &mut C) {
         if link.announce(&assignment).is_err() {
             return;
         }
-    }
-}
-
-fn stats(controller: &Controller, singletons: u64, evictions: u64) -> ControllerStats {
-    if controller.sink().enabled() {
-        controller.sink().record(TraceEvent::RunFinished {
-            groups_formed: controller.groups_formed(),
-            repairs: controller.repairs(),
-            deferrals: controller.deferrals(),
-            singletons,
-        });
-    }
-    // End-of-run trace-sink flush: `stats` runs once after the serve loop
-    // has exited, not on the per-event poll path.
-    controller.sink().flush();
-    ControllerStats {
-        groups_formed: controller.groups_formed(),
-        repairs: controller.repairs(),
-        singletons,
-        evictions,
     }
 }
 
@@ -894,6 +810,38 @@ mod tests {
         assert_eq!(2 * stats.groups_formed + stats.singletons, 10 * n as u64);
         assert_eq!(stats.evictions, 0, "stats: {stats:?}");
         drop(rogue);
+        let sink = Arc::try_unwrap(sink).unwrap_or_else(|_| panic!("sink still shared"));
+        let report = sink.checker.take_report();
+        assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
+    fn a_duplicate_signal_below_quorum_gets_one_singleton() {
+        // Workers 0 and 1 leave, so the fleet is below P = 2, then worker 2
+        // signals iteration 1 twice — all of it in the loop's first batch.
+        // The controller queues the first signal and skips the second, as
+        // it skips a re-signal above quorum: one singleton answers it.
+        let (ctl_link, mut links) = control_links(3);
+        let mut w2 = links.pop().unwrap();
+        for link in &mut links {
+            link.send_leaving().unwrap();
+        }
+        w2.send_ready(1).unwrap();
+        w2.send_ready(1).unwrap();
+        let sink = Arc::new(TableSink::default());
+        let opts = RuntimeOptions {
+            sink: sink.clone(),
+            ..RuntimeOptions::default()
+        };
+        let cfg = ControllerConfig::constant(3, 2);
+        let server = thread::spawn(move || serve_fleet(cfg, ctl_link, &[], opts));
+        let singleton = w2.recv_assignment(ASSIGNMENT_TIMEOUT).unwrap();
+        assert_eq!((singleton.group, singleton.new_iteration), (vec![2], 1));
+        let second = w2.recv_assignment(Duration::from_millis(200));
+        assert!(second.is_err(), "a second singleton: {second:?}");
+        w2.send_leaving().unwrap();
+        let stats = server.join().unwrap();
+        assert_eq!(stats.singletons, 1, "stats: {stats:?}");
         let sink = Arc::try_unwrap(sink).unwrap_or_else(|_| panic!("sink still shared"));
         let report = sink.checker.take_report();
         assert!(report.is_clean(), "{report}");

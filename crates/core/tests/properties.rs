@@ -221,8 +221,8 @@ proptest! {
         dynamic in any::<bool>(),
     ) {
         // Whatever the controller does under random traffic — departures,
-        // restores, batched ingestion with malformed entries, queue drains
-        // — every `&mut self` call that changes what its accessors report
+        // restores, batched ingestion with malformed entries, below-quorum
+        // drains — every `&mut self` call that changes what its accessors report
         // narrates it, and the trace, closed by the controller's own
         // counters, replays clean through the invariant checker.
         use rand::{Rng, SeedableRng};
@@ -255,9 +255,15 @@ proptest! {
                     }
                     continue;
                 }
-                // Rare departure, possibly with a signal still queued.
+                // Rare departure, possibly with a signal still queued; half
+                // of them evictions after a reported silence.
                 if rng.gen_bool(0.02) {
-                    narrated(&mut c, &sink, |c| c.mark_left(w))?;
+                    if rng.gen_bool(0.5) {
+                        narrated(&mut c, &sink, |c| c.mark_left(w))?;
+                    } else {
+                        sink.record(TraceEvent::HeartbeatMissed { worker: w, misses: 1 });
+                        narrated(&mut c, &sink, |c| c.evict(w))?;
+                    }
                     queued[w] = false;
                     continue;
                 }
@@ -283,10 +289,9 @@ proptest! {
                 signals.extend(batch.first().copied());
                 prop_assert_eq!(narrated(&mut c, &sink, |c| c.ingest_ready(&signals))?, accepted);
             }
-            if rng.gen_bool(0.05) {
-                for (w, _) in narrated(&mut c, &sink, |c| c.drain_pending())? {
-                    queued[w] = false;
-                }
+            // Below quorum, every queued signal goes out alone.
+            for (w, _) in narrated(&mut c, &sink, |c| c.release_below_quorum())? {
+                queued[w] = false;
             }
             while let Some(d) = narrated(&mut c, &sink, |c| c.try_form_group())? {
                 for &m in &d.group {
@@ -298,12 +303,7 @@ proptest! {
                 }
             }
         }
-        sink.record(TraceEvent::RunFinished {
-            groups_formed: c.groups_formed(),
-            repairs: c.repairs(),
-            deferrals: c.deferrals(),
-            singletons: 0,
-        });
+        c.close();
         prop_assert_eq!(sink.dropped(), 0);
         let report = InvariantChecker::check(&sink.snapshot());
         prop_assert!(report.is_clean(), "{report}");

@@ -65,8 +65,9 @@ pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
 /// around it.
 /// A stall multiplies the sampled compute time, a signal delay is added
 /// to every ready signal, a late join postpones the first update. A crash
-/// is detected at once: the worker is evicted
-/// ([`TraceEvent::WorkerEvicted`]) through the ordinary departure path.
+/// is detected at once: the controller evicts the worker
+/// ([`Controller::evict`]) through the ordinary departure path. The
+/// controller also closes the run ([`Controller::close`]).
 /// `restore:W@U` re-admits a *departed* worker from its snapshot once the
 /// run has recorded `U` updates; a verb whose worker never departs stays
 /// pending. [`ElasticOptions`] add a warm start, loaded before anything
@@ -124,7 +125,6 @@ pub fn run_preduce_elastic(
     // per-update duration sample).
     let mut last_free = vec![SimTime::ZERO; h.num_workers()];
     let mut nonuniform_groups = 0u64;
-    let mut total_groups = 0u64;
 
     for (w, step) in steps.iter().enumerate() {
         let ct = h.compute_time(w, SimTime::ZERO) * step.stall_factor(&h.workers[w]);
@@ -148,18 +148,11 @@ pub fn run_preduce_elastic(
                     // the death is detected at once. A departure can
                     // unblock a frozen-avoidance deferral, so group
                     // formation still runs below.
-                    if controller.sink().enabled() {
-                        controller.sink().record(TraceEvent::WorkerEvicted {
-                            worker: w,
-                            active: controller.active() - 1,
-                        });
-                    }
-                    controller.mark_left(w);
+                    controller.evict(w);
                 }
                 // The ready signal and group notification each cost one
                 // network latency; then the group collective runs.
                 while let Some(d) = controller.try_form_group() {
-                    total_groups += 1;
                     let w0 = d.weights[0];
                     if d.weights.iter().any(|&w| (w - w0).abs() > 1e-6) {
                         nonuniform_groups += 1;
@@ -230,20 +223,13 @@ pub fn run_preduce_elastic(
             }
         }
     }
-    if controller.sink().enabled() {
-        controller.sink().record(TraceEvent::RunFinished {
-            groups_formed: controller.groups_formed(),
-            repairs: controller.repairs(),
-            deferrals: controller.deferrals(),
-            singletons: 0,
-        });
-    }
-    controller.sink().flush();
+    let deferrals = controller.deferrals();
+    let closing = controller.close();
     let mut stats = std::collections::BTreeMap::new();
-    stats.insert("groups".into(), total_groups as f64);
+    stats.insert("groups".into(), closing.groups_formed as f64);
     stats.insert("nonuniform_groups".into(), nonuniform_groups as f64);
-    stats.insert("repairs".into(), controller.repairs() as f64);
-    stats.insert("deferrals".into(), controller.deferrals() as f64);
+    stats.insert("repairs".into(), closing.repairs as f64);
+    stats.insert("deferrals".into(), deferrals as f64);
     h.finish_with_stats(label, now, stats)
 }
 

@@ -32,7 +32,7 @@ use partial_reduce::{ControllerConfig, SinkObserver, TraceSink};
 use preduce_comm::control::ObservedControlPlane;
 use preduce_comm::mesh::MeshEndpoint;
 use preduce_comm::reactor::{accept_fleet, ReactorConfig};
-use preduce_comm::tcp::{bind_controller, RetryPolicy, TcpWorkerLink};
+use preduce_comm::tcp::{try_bind_controller, RetryPolicy, TcpWorkerLink};
 use preduce_comm::CommError;
 use preduce_simnet::FaultPlan;
 use rand::{rngs::StdRng, SeedableRng};
@@ -84,11 +84,11 @@ pub struct WorkerReport {
 /// worker departs.
 ///
 /// # Errors
-/// Propagates handshake failures ([`CommError`]) from the accept phase.
+/// [`CommError::BindFailed`] if `listen` cannot be bound; handshake
+/// failures from the accept phase.
 ///
 /// # Panics
-/// Panics if `listen` cannot be bound or the config is invalid — both
-/// startup-only conditions, matching `bind_controller`'s contract.
+/// Panics if the config is invalid.
 pub fn run_controller(
     controller: ControllerConfig,
     listen: &str,
@@ -97,7 +97,7 @@ pub fn run_controller(
 ) -> Result<ControllerReport, CommError> {
     controller.validate();
     let n = controller.num_workers;
-    let (listener, addr) = bind_controller(listen);
+    let (listener, addr) = try_bind_controller(listen)?;
     on_listen(addr);
     let reactor = ReactorConfig {
         adopt_group_max: controller.mode.adopts_group_max(),

@@ -250,12 +250,9 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     );
     let wall_seconds = started.elapsed().as_secs_f64();
 
-    sink.record(TraceEvent::RunFinished {
-        groups_formed: controller.groups_formed(),
-        repairs: controller.repairs(),
-        deferrals: controller.deferrals(),
-        singletons: 0,
-    });
+    let deferrals = controller.deferrals();
+    let connectivity = controller.connectivity_stats();
+    let closing = controller.close();
 
     let rho_measured = if sampled.is_empty() {
         None
@@ -271,10 +268,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         }
     };
 
-    let groups = controller.groups_formed();
-    let repairs = controller.repairs();
-    let deferrals = controller.deferrals();
-    let connectivity = controller.connectivity_stats();
     let report = sink.take_report();
 
     ScaleReport {
@@ -282,8 +275,8 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         group_size: p,
         hetero: cfg.hetero.clone(),
         signals: processed,
-        groups,
-        repairs,
+        groups: closing.groups_formed,
+        repairs: closing.repairs,
         deferrals,
         sim_seconds: now.seconds(),
         wall_seconds,
