@@ -206,7 +206,10 @@ MULTI-PROCESS FLEETS (DESIGN.md section 12):
   controller-side; the roster the controller sends each worker carries
   its fast-forward rule: a CON worker keeps its own count, a DYN worker
   adopts each group's maximum iteration.
-  Heartbeat liveness defaults on (--liveness-ms 0 disables it). Each
+  Heartbeat liveness defaults on (--liveness-ms 0 disables it); the
+  roster tells every worker to beat twice per window, and not at all
+  when liveness is off. A worker whose --workers differs from the
+  controller's refuses the roster and exits nonzero. Each
   worker prints one final `worker rank=R iterations=K accuracy=A
   degraded=D params=H` line, H being the hash of its final model that a
   replay of the controller's trace reproduces.

@@ -210,7 +210,9 @@ fn start_controller(name: &str, extra: &[&str]) -> (Proc, String) {
     (proc, addr)
 }
 
-fn start_worker(rank: usize, addr: &str, iters: &str) -> Proc {
+/// Starts worker `rank` for a fleet of `workers` (the controller's is
+/// always [`N`]).
+fn start_worker(rank: usize, addr: &str, iters: &str, workers: &str) -> Proc {
     let rank_s = rank.to_string();
     Proc::spawn(
         &format!("worker-{rank}"),
@@ -221,7 +223,7 @@ fn start_worker(rank: usize, addr: &str, iters: &str) -> Proc {
             "--rank",
             &rank_s,
             "--workers",
-            "4",
+            workers,
             "--model",
             "resnet18",
             "--iters",
@@ -257,7 +259,7 @@ fn run_fleet(label: &str, dynamic: bool) -> (Vec<u64>, String, PathBuf) {
     }
     let (controller, addr) = start_controller(&format!("{label}-controller"), &extra);
 
-    let workers: Vec<Proc> = (0..N).map(|r| start_worker(r, &addr, "6")).collect();
+    let workers: Vec<Proc> = (0..N).map(|r| start_worker(r, &addr, "6", "4")).collect();
     let mut hashes = vec![0; N];
     for w in workers {
         let name = w.name.clone();
@@ -334,9 +336,11 @@ fn killed_worker_is_evicted_and_trace_stays_valid() {
         ],
     );
 
-    let survivors: Vec<Proc> = (0..N - 1).map(|r| start_worker(r, &addr, "40")).collect();
+    let survivors: Vec<Proc> = (0..N - 1)
+        .map(|r| start_worker(r, &addr, "40", "4"))
+        .collect();
     // The victim's budget is effectively infinite: only eviction ends it.
-    let victim = start_worker(N - 1, &addr, "1000000");
+    let victim = start_worker(N - 1, &addr, "1000000", "4");
 
     // Let the fleet assemble and trade a few rounds, then fail-stop the
     // victim. (If the kill ever landed before the victim's handshake,
@@ -377,4 +381,35 @@ fn killed_worker_is_evicted_and_trace_stays_valid() {
     );
     assert!(recorded.contains("WorkerEvicted"), "no eviction in trace");
     check_trace(&trace);
+}
+
+/// Workers started with another `--workers` than the controller's hold a
+/// replica and a data shard cut for another fleet: each refuses the
+/// roster before it trains, naming both sizes, and exits nonzero.
+#[test]
+fn a_worker_configured_for_another_fleet_size_is_refused() {
+    let (controller, addr) = start_controller("size-controller", &[]);
+    let workers: Vec<Proc> = (0..N).map(|r| start_worker(r, &addr, "6", "8")).collect();
+    for w in workers {
+        let name = w.name.clone();
+        let (ok, out, dump) = w.wait(RUN);
+        assert!(!ok, "{name} trained on a roster for another fleet\n{dump}");
+        assert!(
+            !out.contains("worker rank="),
+            "{name} reported a run\n{dump}"
+        );
+        assert!(
+            dump.contains("roster has 4 workers") && dump.contains("configured for 8"),
+            "{name} did not name both sizes\n{dump}"
+        );
+    }
+    // Every refusing worker hung up, so the controller evicts them all.
+    let (ok, out, dump) = controller.wait(RUN);
+    assert!(ok, "controller exited nonzero\n{dump}");
+    let done = out
+        .lines()
+        .find(|l| l.starts_with("controller done:"))
+        .unwrap_or_else(|| panic!("controller printed no summary\n{dump}"));
+    assert_eq!(field(done, "groups") as u64, 0, "{done}");
+    assert_eq!(field(done, "evictions") as u64, N as u64, "{done}");
 }

@@ -55,9 +55,10 @@ pub struct GroupAssignment {
 
 /// The controller's reply to a fleet of worker *processes* once all of
 /// them have joined: every rank's data-plane listener address, indexed
-/// by rank, and the fast-forward rule of the controller's mode. Workers
-/// dial each other at these addresses for group weighted averages (the
-/// controller itself never touches model data).
+/// by rank, the fast-forward rule of the controller's mode, and the beat
+/// its liveness policy asks for. Workers dial each other at these
+/// addresses for group weighted averages (the controller itself never
+/// touches model data).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetRoster {
     /// Data-plane listener address per rank.
@@ -65,6 +66,10 @@ pub struct FleetRoster {
     /// After a reduce, adopt the assignment's `new_iteration` (DYN) rather
     /// than keep the worker's own count (CON) — §3.3.3.
     pub adopt_group_max: bool,
+    /// How often each worker sends [`WorkerSignal::Heartbeat`]; `None`
+    /// when the controller does not watch for silence, and then no worker
+    /// beats. Travels in whole microseconds.
+    pub heartbeat: Option<Duration>,
 }
 
 /// One event from the controller's signal plane: either a decoded
@@ -136,11 +141,9 @@ pub trait WorkerControlPlane: Send {
     fn recv_assignment(&mut self, timeout: Duration) -> Result<GroupAssignment>;
     /// Returns a send-only heartbeat closure usable from a background
     /// thread while the main worker loop keeps exclusive use of the
-    /// link, or `None` when the transport cannot split its write half.
-    /// Each call of the closure emits one [`WorkerSignal::Heartbeat`].
-    fn heartbeat_sender(&self) -> Option<Box<dyn FnMut() -> Result<()> + Send>> {
-        None
-    }
+    /// link. Each call of the closure emits one
+    /// [`WorkerSignal::Heartbeat`].
+    fn heartbeat_sender(&self) -> Box<dyn FnMut() -> Result<()> + Send>;
 }
 
 /// Observer hook for control-plane traffic, transport-independent: wrap
@@ -267,13 +270,13 @@ impl WorkerControlPlane for WorkerLink {
             })
     }
 
-    fn heartbeat_sender(&self) -> Option<Box<dyn FnMut() -> Result<()> + Send>> {
+    fn heartbeat_sender(&self) -> Box<dyn FnMut() -> Result<()> + Send> {
         let tx = self.signal_tx.clone();
         let rank = self.rank;
-        Some(Box::new(move || {
+        Box::new(move || {
             tx.send(WorkerSignal::Heartbeat { worker: rank })
                 .map_err(|_| CommError::Disconnected { peer: rank })
-        }))
+        })
     }
 }
 
@@ -413,7 +416,7 @@ mod tests {
     #[test]
     fn heartbeats_flow_through_the_signal_queue() {
         let (mut ctl, mut workers) = control_links(2);
-        let mut beat = workers[1].heartbeat_sender().expect("channel links split");
+        let mut beat = workers[1].heartbeat_sender();
         beat().unwrap();
         workers[0].send_ready(3).unwrap();
         assert_eq!(

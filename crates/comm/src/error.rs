@@ -36,10 +36,10 @@ pub enum CommError {
     /// A control frame failed to encode or decode: an oversized length
     /// prefix, a payload that is not the expected message's layout (its
     /// kind byte, a short field, a length that does not fit, trailing
-    /// bytes), a peer on another wire version, or a rank too large for
-    /// the wire. Decode paths return this instead of panicking; the
-    /// connection that produced it must be dropped (the stream is
-    /// desynchronized).
+    /// bytes), a peer on another wire version, or a rank or beat period
+    /// the wire cannot carry. Decode paths return this instead of
+    /// panicking; the connection that produced it must be dropped (the
+    /// stream is desynchronized).
     MalformedFrame {
         /// What was wrong with the frame.
         detail: String,
@@ -63,6 +63,15 @@ pub enum CommError {
         addr: String,
         /// The underlying `io::Error`, stringified.
         error: String,
+    },
+    /// The controller's roster names another fleet size than the one
+    /// this worker was configured for: the worker's data shard and
+    /// replica were cut for a different fleet.
+    FleetSizeMismatch {
+        /// Workers in the controller's roster.
+        roster: usize,
+        /// Workers in this worker's own config.
+        configured: usize,
     },
 }
 
@@ -97,6 +106,10 @@ impl fmt::Display for CommError {
             CommError::BindFailed { addr, error } => {
                 write!(f, "cannot listen on {addr}: {error}")
             }
+            CommError::FleetSizeMismatch { roster, configured } => write!(
+                f,
+                "the controller's roster has {roster} workers, this worker is configured for {configured}"
+            ),
         }
     }
 }

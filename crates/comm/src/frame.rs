@@ -9,17 +9,18 @@
 //! | 3 | [`WorkerSignal::Leaving`] | worker `u32` |
 //! | 4 | [`WorkerSignal::Heartbeat`] | worker `u32` |
 //! | 5 | [`GroupAssignment`] | base tag `u64`, new iteration `u64`, group (`u32` count, then one `u32` rank each), weights (`u32` count, then one `f32` bit pattern each) |
-//! | 6 | [`FleetRoster`] | `u32` count, then one string per rank, then the rule `u8`: 0 keep your own count (CON), 1 adopt the group max (DYN) |
+//! | 6 | [`FleetRoster`] | `u32` count, then one string per rank, then the rule `u8`: 0 keep your own count (CON), 1 adopt the group max (DYN), then the beat period `u64` in microseconds: 0 not watched (no beat) |
 //!
 //! A string is a `u32` byte count then UTF-8 bytes. Ranks are `u32` on
 //! the wire, and encoding a larger one is an error. Because every kind
 //! byte is distinct, a frame handed to another message type's decoder is
 //! a typed error rather than a wrong decode.
 //!
-//! `Hello`'s version byte is `WIRE_VERSION`, 3 (version 2 had no rule
-//! byte in the roster). The controller refuses a worker on any other
-//! version at bring-up, and names both versions. A JSON-payload worker
-//! (version 1) is recognised by its `{` and refused the same way.
+//! `Hello`'s version byte is `WIRE_VERSION`, 4 (version 3 had no beat
+//! period in the roster, version 2 no rule byte either). The controller
+//! refuses a worker on any other version at bring-up, and names both
+//! versions. A JSON-payload worker (version 1) is recognised by its `{`
+//! and refused the same way.
 //!
 //! The streams of frames go through the incremental [`FrameBuffer`],
 //! which yields complete frames as they materialize and holds partial
@@ -37,6 +38,7 @@
 //! corruptions).
 
 use std::ops::Range;
+use std::time::Duration;
 
 use crate::control::{FleetRoster, GroupAssignment, WorkerSignal};
 use crate::error::CommError;
@@ -51,8 +53,8 @@ pub(crate) const MAX_FRAME: u32 = 1 << 20;
 pub const HEADER_LEN: usize = 4;
 
 /// The wire version `Hello` carries. Version 1 was the JSON payload;
-/// version 2 had no rule byte in the roster.
-pub(crate) const WIRE_VERSION: u8 = 3;
+/// version 2 had no rule byte in the roster, version 3 no beat period.
+pub(crate) const WIRE_VERSION: u8 = 4;
 
 /// The first byte of every payload.
 mod kind {
@@ -71,7 +73,7 @@ pub trait Message: Sized {
     ///
     /// # Errors
     /// [`CommError::MalformedFrame`] when a rank or a length does not fit
-    /// in its `u32` field.
+    /// in its `u32` field, or a beat period in its `u64` of microseconds.
     fn put(&self, out: &mut Vec<u8>) -> Result<()>;
 
     /// Decodes one whole payload.
@@ -350,6 +352,19 @@ impl Message for FleetRoster {
             put_str(out, addr)?;
         }
         out.push(u8::from(self.adopt_group_max));
+        // 0 means "not watched", so a watched period must be at least 1 µs.
+        let micros = match self.heartbeat {
+            None => 0,
+            Some(period) => u64::try_from(period.as_micros())
+                .ok()
+                .filter(|&us| us > 0)
+                .ok_or_else(|| {
+                    malformed(format!(
+                        "heartbeat period {period:?} does not fit the wire's u64 of microseconds (1 or more)"
+                    ))
+                })?,
+        };
+        out.extend_from_slice(&micros.to_le_bytes());
         Ok(())
     }
 
@@ -363,9 +378,14 @@ impl Message for FleetRoster {
                 1 => true,
                 b => return Err(malformed(format!("count rule {b} is neither 0 nor 1"))),
             };
+            let heartbeat = match f.u64()? {
+                0 => None,
+                us => Some(Duration::from_micros(us)),
+            };
             Ok(FleetRoster {
                 data_addrs,
                 adopt_group_max,
+                heartbeat,
             })
         })
     }
@@ -558,13 +578,33 @@ mod tests {
         let roster = encode(&FleetRoster {
             data_addrs: vec!["a".to_string()],
             adopt_group_max: true,
+            heartbeat: Some(Duration::from_millis(50)),
         })
         .unwrap();
+        let mut want = vec![0, 0, 0, 19, 6, 1, 0, 0, 0, 1, 0, 0, 0, b'a', 1];
+        want.extend_from_slice(&50_000u64.to_le_bytes());
         assert_eq!(
-            roster,
-            [0, 0, 0, 11, 6, 1, 0, 0, 0, 1, 0, 0, 0, b'a', 1],
-            "length prefix, kind, count u32 LE, one string, rule u8"
+            roster, want,
+            "length prefix, kind, count u32 LE, one string, rule u8, beat µs u64 LE"
         );
+    }
+
+    #[test]
+    fn a_beat_period_the_wire_cannot_carry_does_not_encode() {
+        let roster = |heartbeat| FleetRoster {
+            data_addrs: Vec::new(),
+            adopt_group_max: false,
+            heartbeat: Some(heartbeat),
+        };
+        // Under a microsecond would read back as "not watched"; past
+        // `u64::MAX` microseconds does not fit at all.
+        for period in [Duration::from_nanos(999), Duration::MAX] {
+            let err = encode(&roster(period)).unwrap_err();
+            assert!(
+                matches!(&err, CommError::MalformedFrame { detail } if detail.contains("heartbeat period")),
+                "{period:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -635,11 +675,11 @@ mod tests {
     #[test]
     fn a_hello_on_another_wire_version_names_both_versions() {
         let (_, mut payload) = hello_payloads().swap_remove(0);
-        payload[1] = 2;
+        payload[1] = 3;
         let err = decode::<Hello>(&payload).unwrap_err();
         assert!(
             matches!(&err, CommError::MalformedFrame { detail }
-                if detail.contains("version 2") && detail.contains("version 3")),
+                if detail.contains("version 3") && detail.contains("version 4")),
             "{err:?}"
         );
     }

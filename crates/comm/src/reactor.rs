@@ -11,6 +11,7 @@
 //! [`ControlEvent::Disconnected`]: crate::control::ControlEvent::Disconnected
 
 use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 use crate::control::FleetRoster;
 use crate::error::CommError;
@@ -18,13 +19,17 @@ use crate::tcp::{self, TcpControllerLink};
 use crate::Result;
 
 /// What [`accept_fleet`] tells every worker process besides the roster's
-/// addresses. The default is a CON fleet.
+/// addresses. The default is an unwatched CON fleet.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReactorConfig {
     /// The controller mode's fast-forward rule, sent as
     /// [`FleetRoster::adopt_group_max`]: after a reduce a worker adopts the
     /// group max (DYN) or keeps its own count (CON).
     pub adopt_group_max: bool,
+    /// The beat period of the controller's liveness policy, sent as
+    /// [`FleetRoster::heartbeat`]; `None` when the controller does not
+    /// watch, so no worker beats.
+    pub heartbeat: Option<Duration>,
 }
 
 /// One fleet member as seen at handshake time.
@@ -95,7 +100,8 @@ pub(crate) fn accept(
 /// Accepts a multi-process fleet of `n` worker processes: handshakes
 /// every rank, requires each hello to carry a data-plane address, then
 /// sends every worker the [`FleetRoster`] so workers can dial each other
-/// for group averages and apply the controller's fast-forward rule.
+/// for group averages and apply the controller's fast-forward rule and
+/// beat.
 /// Returns the control link plus the member table (for `ProcessJoined`
 /// tracing).
 ///
@@ -121,6 +127,7 @@ pub fn accept_fleet(
     let roster = FleetRoster {
         data_addrs,
         adopt_group_max: config.adopt_group_max,
+        heartbeat: config.heartbeat,
     };
     // Still blocking: the write timeout bounds a roster that outgrows a
     // send buffer.
@@ -147,7 +154,8 @@ mod tests {
     #[test]
     fn fleet_handshake_distributes_roster() {
         let n = 3;
-        for adopt_group_max in [false, true] {
+        let configs = [(false, None), (true, Some(Duration::from_micros(12_500)))];
+        for (adopt_group_max, heartbeat) in configs {
             let (listener, addr) = bind_controller("127.0.0.1:0");
             let workers: Vec<_> = (0..n)
                 .map(|rank| {
@@ -162,7 +170,10 @@ mod tests {
                     })
                 })
                 .collect();
-            let config = ReactorConfig { adopt_group_max };
+            let config = ReactorConfig {
+                adopt_group_max,
+                heartbeat,
+            };
             let (_link, members) = accept_fleet(&listener, n, config).expect("accept fleet");
             assert_eq!(members.len(), n);
             for (rank, w) in workers.into_iter().enumerate() {
@@ -173,6 +184,7 @@ mod tests {
                     Some(format!("10.0.0.{rank}:70{rank}0").as_str())
                 );
                 assert_eq!(roster.adopt_group_max, adopt_group_max);
+                assert_eq!(roster.heartbeat, heartbeat);
             }
         }
     }
@@ -245,11 +257,13 @@ mod tests {
 
     #[test]
     fn an_older_hello_is_refused_naming_both_versions() {
-        // A JSON-era hello (version 1), and a version-2 binary hello: rank
-        // 0, no data address, from before the roster carried its rule.
-        let hellos: [(&[u8], &str); 2] = [
+        // A JSON-era hello (version 1), and binary hellos of rank 0 with no
+        // data address from before the roster carried its rule (version 2)
+        // and its beat (version 3).
+        let hellos: [(&[u8], &str); 3] = [
             (br#"{"rank":0}"#, "wire version 1"),
             (&[1, 2, 0, 0, 0, 0, 0], "wire version 2"),
+            (&[1, 3, 0, 0, 0, 0, 0], "wire version 3"),
         ];
         for (hello, theirs) in hellos {
             let (listener, addr) = bind_controller("127.0.0.1:0");
@@ -262,7 +276,7 @@ mod tests {
             });
             match accept_workers(&listener, 1) {
                 Err(CommError::MalformedFrame { detail }) => assert!(
-                    detail.contains(theirs) && detail.contains("wire version 3"),
+                    detail.contains(theirs) && detail.contains("wire version 4"),
                     "{detail}"
                 ),
                 other => panic!("a {theirs} worker was not refused: {other:?}"),

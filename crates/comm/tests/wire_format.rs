@@ -6,6 +6,8 @@
 //! prefix. (`Hello`, which is crate-private, has the same checks as
 //! unit tests in `frame.rs`.)
 
+use std::time::Duration;
+
 use proptest::prelude::*;
 
 use preduce_comm::control::{FleetRoster, GroupAssignment, WorkerSignal};
@@ -48,13 +50,26 @@ fn arb_assignment() -> impl Strategy<Value = GroupAssignment> {
         )
 }
 
+/// An unwatched fleet, or any beat period the wire carries: whole
+/// microseconds from 1 to `u64::MAX`.
+fn arb_heartbeat() -> impl Strategy<Value = Option<Duration>> {
+    prop_oneof![
+        Just(None),
+        (1u64..=u64::MAX).prop_map(|us| Some(Duration::from_micros(us))),
+    ]
+}
+
 fn arb_roster() -> impl Strategy<Value = FleetRoster> {
-    (prop::collection::vec("[ -~]{0,40}", 0..16), any::<bool>()).prop_map(
-        |(data_addrs, adopt_group_max)| FleetRoster {
+    (
+        prop::collection::vec("[ -~]{0,40}", 0..16),
+        any::<bool>(),
+        arb_heartbeat(),
+    )
+        .prop_map(|(data_addrs, adopt_group_max, heartbeat)| FleetRoster {
             data_addrs,
             adopt_group_max,
-        },
-    )
+            heartbeat,
+        })
 }
 
 /// An assignment's fields with each weight as its bit pattern, so NaNs
@@ -146,7 +161,8 @@ proptest! {
         prop_assert_eq!(buf.pending(), 0);
     }
 
-    /// Fleet rosters (arbitrary printable addresses) round-trip.
+    /// Fleet rosters (arbitrary printable addresses, watched or not)
+    /// round-trip.
     #[test]
     fn roster_roundtrips(msg in arb_roster(), cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6)) {
         let bytes = frame::encode(&msg).expect("rosters always encode");
@@ -260,7 +276,8 @@ proptest! {
         corruptions_are_typed::<GroupAssignment>(&payload(&msg))?;
     }
 
-    /// The same for rosters, whose flips can also break UTF-8.
+    /// The same for rosters, whose flips can also break UTF-8 or turn
+    /// a beat period into "not watched" and back.
     #[test]
     fn roster_corruptions_are_typed(msg in arb_roster()) {
         corruptions_are_typed::<FleetRoster>(&payload(&msg))?;
@@ -309,14 +326,13 @@ proptest! {
         prop_assert!(is_oversized_count(&r), "{:?}", r);
     }
 
-    /// The roster's last byte is the count rule: 0 (CON) or 1 (DYN), and
-    /// any other value is rejected.
+    /// The roster's count rule, the byte before its 8-byte beat period, is
+    /// 0 (CON) or 1 (DYN), and any other value is rejected.
     #[test]
     fn a_roster_rule_other_than_0_or_1_is_rejected(msg in arb_roster(), rule in 2u8..=255) {
         let mut p = payload(&msg);
-        if let Some(last) = p.last_mut() {
-            *last = rule;
-        }
+        let at = p.len() - 9;
+        p[at] = rule;
         let r = frame::decode::<FleetRoster>(&p);
         prop_assert!(
             matches!(&r, Err(CommError::MalformedFrame { detail }) if detail.contains("count rule")),

@@ -164,6 +164,8 @@ pub struct ControllerStats {
     pub groups_formed: u64,
     /// Groups adjusted by the frozen-schedule repair.
     pub repairs: u64,
+    /// Times group formation waited for a cross-component signal.
+    pub deferrals: u64,
     /// Singleton assignments issued during drain-out.
     pub singletons: u64,
     /// Workers evicted: heartbeat silence, a dropped connection, or a
@@ -486,6 +488,7 @@ impl Controller {
         ControllerStats {
             groups_formed: self.groups_formed,
             repairs: self.repairs,
+            deferrals: self.deferrals,
             singletons: self.singletons,
             evictions: self.evictions,
         }
@@ -941,6 +944,7 @@ mod tests {
             ControllerStats {
                 groups_formed: 3,
                 repairs: 1,
+                deferrals: 1,
                 singletons: 2,
                 evictions: 1,
             }

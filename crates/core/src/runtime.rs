@@ -54,13 +54,15 @@ use crate::trace::{NullSink, SinkObserver, TraceEvent, TraceSink};
 /// ordinary departure path, so queued signals purge and scheduling repair
 /// proceeds exactly as for a voluntary departure.
 ///
-/// Liveness assumes workers actually heartbeat
-/// ([`PartialReducer::start_heartbeat`]); enabling it for a fleet that
-/// never beats evicts anyone whose compute phase outlasts the silence
-/// budget.
+/// The policy is also the only source of a worker's beat: every worker
+/// of a watched fleet beats every [`LivenessPolicy::beat_period`], twice
+/// per window — [`spawn`] starts the beat of each reducer it mints, and a
+/// worker process starts the period its roster carries
+/// ([`PartialReducer::from_parts`]). A fleet without a policy never beats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LivenessPolicy {
-    /// Expected heartbeat period; also the controller's poll granularity.
+    /// The silence window: misses are counted in whole windows. Also the
+    /// controller's poll granularity.
     pub heartbeat_interval: Duration,
     /// Full silent windows tolerated before eviction (≥ 1).
     pub miss_threshold: u64,
@@ -70,11 +72,12 @@ impl LivenessPolicy {
     /// Creates a policy.
     ///
     /// # Panics
-    /// Panics if `heartbeat_interval` is zero or `miss_threshold == 0`.
+    /// Panics if `heartbeat_interval` is under 1 ms (the serving loop
+    /// polls no finer) or `miss_threshold == 0`.
     pub fn new(heartbeat_interval: Duration, miss_threshold: u64) -> Self {
         assert!(
-            !heartbeat_interval.is_zero(),
-            "heartbeat interval must be positive"
+            heartbeat_interval >= Duration::from_millis(1),
+            "heartbeat interval must be at least 1 ms, got {heartbeat_interval:?}"
         );
         assert!(miss_threshold > 0, "miss threshold must be at least 1");
         LivenessPolicy {
@@ -83,16 +86,16 @@ impl LivenessPolicy {
         }
     }
 
+    /// How often a worker of this fleet beats: half the window, so a
+    /// healthy worker is heard from in every window.
+    pub fn beat_period(&self) -> Duration {
+        self.heartbeat_interval / 2
+    }
+
     /// Total silence tolerated before eviction.
     pub fn eviction_after(&self) -> Duration {
         self.heartbeat_interval
             .saturating_mul(u32::try_from(self.miss_threshold).unwrap_or(u32::MAX))
-    }
-}
-
-impl Default for LivenessPolicy {
-    fn default() -> Self {
-        LivenessPolicy::new(Duration::from_millis(100), 3)
     }
 }
 
@@ -203,19 +206,28 @@ impl PartialReducer {
     /// Assembles a reducer from an explicit control link and data-plane
     /// averager — the multi-process deployment path, where both halves
     /// dial remote addresses instead of being minted by [`spawn`] in the
-    /// controller's own process.
+    /// controller's own process. With `heartbeat` set (the roster's
+    /// period, [`LivenessPolicy::beat_period`] of the controller's
+    /// policy) a background thread beats at that period until
+    /// [`PartialReducer::finish`], [`PartialReducer::crash`], drop, or
+    /// the control link dies.
     pub fn from_parts(
         link: Box<dyn WorkerControlPlane>,
         averager: Box<dyn GroupAverager>,
         sink: Arc<dyn TraceSink>,
+        heartbeat: Option<Duration>,
     ) -> Self {
-        PartialReducer {
+        let mut reducer = PartialReducer {
             link,
             averager,
             finished: false,
             sink,
             stop_heartbeat: None,
+        };
+        if let Some(period) = heartbeat {
+            reducer.start_heartbeat(period);
         }
+        reducer
     }
 
     /// This worker's rank.
@@ -287,19 +299,13 @@ impl PartialReducer {
         Ok(())
     }
 
-    /// Starts a background thread sending [`WorkerSignal::Heartbeat`]
-    /// every `interval` so the controller's [`LivenessPolicy`] sees this
-    /// worker as alive while it computes. Returns `false` when the
-    /// transport cannot split a send-only handle (no heartbeat runs).
-    /// The thread stops at [`PartialReducer::finish`], on drop, or when
-    /// the control link dies.
-    pub fn start_heartbeat(&mut self, interval: Duration) -> bool {
-        if self.stop_heartbeat.is_some() {
-            return true;
-        }
-        let Some(mut beat) = self.link.heartbeat_sender() else {
-            return false;
-        };
+    /// Starts the background thread sending [`WorkerSignal::Heartbeat`]
+    /// every `period` so the controller's [`LivenessPolicy`] sees this
+    /// worker as alive while it computes. If the OS refuses the thread no
+    /// beat runs, and the controller's liveness sweep evicts the worker
+    /// through the ordinary, narrated path.
+    fn start_heartbeat(&mut self, period: Duration) {
+        let mut beat = self.link.heartbeat_sender();
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let spawned = thread::Builder::new()
@@ -309,14 +315,12 @@ impl PartialReducer {
                     if beat().is_err() {
                         break;
                     }
-                    thread::sleep(interval);
+                    thread::sleep(period);
                 }
-            })
-            .is_ok();
-        if spawned {
+            });
+        if spawned.is_ok() {
             self.stop_heartbeat = Some(stop);
         }
-        spawned
     }
 
     /// Simulates a fail-stop (chaos-testing hook): the heartbeat stops
@@ -344,7 +348,9 @@ impl Drop for PartialReducer {
 /// Spawns the controller thread for `config` over in-process channels and
 /// returns its handle plus one [`PartialReducer`] per worker. Every
 /// control-plane decision — including each assignment delivery and each
-/// worker's reduce completion — is narrated to `opts.sink`.
+/// worker's reduce completion — is narrated to `opts.sink`. Under
+/// `opts.liveness` every reducer is already beating at the policy's
+/// [`LivenessPolicy::beat_period`] when it is handed out.
 ///
 /// A gossip coordinator (AD-PSGD style pairwise averaging) is just
 /// `ControllerConfig::constant(n, 2)`: a pairwise model average **is** a
@@ -373,6 +379,7 @@ fn launch(
     worker_links: Vec<WorkerLink>,
 ) -> (ControllerHandle, Vec<PartialReducer>) {
     let RuntimeOptions { sink, liveness } = opts;
+    let heartbeat = liveness.map(|policy| policy.beat_period());
     let ctl_link = ObservedControlPlane::new(ctl_link, Arc::new(SinkObserver::new(sink.clone())));
     let endpoints = CommWorld::new(config.num_workers).into_endpoints();
     let controller = Controller::with_sink(config, sink.clone());
@@ -389,7 +396,7 @@ fn launch(
         .into_iter()
         .zip(endpoints)
         .map(|(link, endpoint)| {
-            PartialReducer::from_parts(Box::new(link), Box::new(endpoint), sink.clone())
+            PartialReducer::from_parts(Box::new(link), Box::new(endpoint), sink.clone(), heartbeat)
         })
         .collect();
 
@@ -635,11 +642,14 @@ mod tests {
                     let data_addr = format!("inproc-{rank}");
                     TcpWorkerLink::connect_fleet(addr, rank, data_addr, RetryPolicy::default())
                         .unwrap()
-                        .0
                 })
             })
             .collect();
-        let (ctl_link, members) = accept_fleet(&listener, n, ReactorConfig::default()).unwrap();
+        let reactor = ReactorConfig {
+            heartbeat: opts.liveness.map(|policy| policy.beat_period()),
+            ..ReactorConfig::default()
+        };
+        let (ctl_link, members) = accept_fleet(&listener, n, reactor).unwrap();
         let joined: Vec<(usize, String)> =
             members.into_iter().map(|m| (m.rank, m.peer_addr)).collect();
         let sink = opts.sink.clone();
@@ -648,8 +658,9 @@ mod tests {
             .into_iter()
             .zip(CommWorld::new(n).into_endpoints())
             .map(|(dial, endpoint)| {
-                let link = dial.join().unwrap();
-                PartialReducer::from_parts(Box::new(link), Box::new(endpoint), sink.clone())
+                let (link, roster) = dial.join().unwrap();
+                let (link, endpoint) = (Box::new(link), Box::new(endpoint));
+                PartialReducer::from_parts(link, endpoint, sink.clone(), roster.heartbeat)
             })
             .collect();
         (ControllerHandle { join }, reducers)
@@ -1040,7 +1051,6 @@ mod tests {
 
         let crasher = thread::spawn(move || {
             let mut r = r2;
-            assert!(r.start_heartbeat(Duration::from_millis(10)));
             let mut params = vec![2.0f32; 4];
             r.reduce(&mut params, 1).unwrap();
             // Fail-stop at the iteration boundary: no Leaving signal.
@@ -1051,7 +1061,6 @@ mod tests {
             .enumerate()
             .map(|(rank, mut r)| {
                 thread::spawn(move || {
-                    assert!(r.start_heartbeat(Duration::from_millis(10)));
                     let mut params = vec![rank as f32; 4];
                     // A CON member keeps its own count.
                     for iteration in 1..=30 {
@@ -1110,7 +1119,6 @@ mod tests {
         let r1 = reducers.pop().unwrap();
         let mut r0 = reducers.pop().unwrap();
 
-        assert!(r0.start_heartbeat(Duration::from_millis(10)));
         // Fail-stop before the first signal: no Ready, no Leaving, and no
         // heartbeats ever arrive from rank 1. Only the liveness sweep can
         // notice this worker is gone.
@@ -1123,6 +1131,47 @@ mod tests {
         let stats = handle.join();
         assert_eq!(stats.evictions, 1, "stats: {stats:?}");
         assert_eq!(stats.singletons, 1, "stats: {stats:?}");
+    }
+
+    #[test]
+    fn spawn_beats_for_a_watched_fleet_before_the_first_reduce() {
+        // Both workers idle for 4× the eviction budget before their first
+        // reduce and nobody starts a heartbeat: the policy alone makes
+        // `spawn`'s reducers beat, so neither is evicted.
+        let sink = Arc::new(crate::trace::RingSink::new(4096));
+        let policy = LivenessPolicy::new(Duration::from_millis(25), 8);
+        let (handle, mut reducers) = spawn(
+            ControllerConfig::constant(2, 2),
+            RuntimeOptions {
+                sink: sink.clone(),
+                liveness: Some(policy),
+            },
+        );
+        thread::sleep(4 * policy.eviction_after());
+        let evicted = sink
+            .snapshot()
+            .into_iter()
+            .find(|e| matches!(e, TraceEvent::WorkerEvicted { .. }));
+        assert_eq!(evicted, None, "an idle but beating worker was evicted");
+        let mut r1 = reducers.pop().unwrap();
+        let mut r0 = reducers.pop().unwrap();
+        let peer = thread::spawn(move || {
+            let out = r1.reduce(&mut [1.0], 1).unwrap();
+            r1.finish().unwrap();
+            out
+        });
+        let out = r0.reduce(&mut [0.0], 1).unwrap();
+        r0.finish().unwrap();
+        assert_eq!(out.group.len(), 2, "{out:?}");
+        assert_eq!(peer.join().unwrap(), out);
+        let stats = handle.join();
+        assert_eq!((stats.groups_formed, stats.evictions), (1, 0), "{stats:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1 ms")]
+    fn a_liveness_window_under_a_millisecond_is_refused() {
+        let _ = LivenessPolicy::new(Duration::from_micros(999), 5);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use preduce_tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::elastic::{restore_worker, ElasticOptions};
+use crate::engine::controller_stats;
 use crate::engine::round::{WorkerRounds, WorkerStep};
 use crate::engine::setup::{build_fleet, evaluate_uniform_average, worker_thread_seed};
 use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
@@ -223,13 +224,8 @@ pub fn run_preduce_elastic(
             }
         }
     }
-    let deferrals = controller.deferrals();
-    let closing = controller.close();
-    let mut stats = std::collections::BTreeMap::new();
-    stats.insert("groups".into(), closing.groups_formed as f64);
+    let mut stats = controller_stats(&controller.close());
     stats.insert("nonuniform_groups".into(), nonuniform_groups as f64);
-    stats.insert("repairs".into(), closing.repairs as f64);
-    stats.insert("deferrals".into(), deferrals as f64);
     h.finish_with_stats(label, now, stats)
 }
 
@@ -237,13 +233,10 @@ pub fn run_preduce_elastic(
 // Threaded projection
 // ---------------------------------------------------------------------------
 
-/// Heartbeat period for chaos runs (fault plan present): well under the
-/// eviction budget so healthy workers are never misjudged.
-const HEARTBEAT_EVERY: Duration = Duration::from_millis(10);
-
 /// Liveness policy for chaos runs: a worker silent for ~200 ms is dead.
-/// Generous against scheduler jitter (heartbeats arrive every 10 ms from
-/// a dedicated thread) yet quick enough for tests and benches.
+/// Generous against scheduler jitter (each worker's heartbeat thread beats
+/// every [`LivenessPolicy::beat_period`], 12.5 ms) yet quick enough for
+/// tests and benches.
 pub fn chaos_liveness() -> LivenessPolicy {
     LivenessPolicy::new(Duration::from_millis(25), 8)
 }
@@ -259,11 +252,12 @@ pub fn chaos_liveness() -> LivenessPolicy {
 /// hashes stay outside it.
 ///
 /// When the substrate carries a [`FaultPlan`], the controller is spawned
-/// with the chaos [`LivenessPolicy`], every worker heartbeats, and the
-/// plan is applied for real: a crashed worker drops its handle without a
-/// `Leaving` signal (the controller must notice via heartbeat silence),
-/// stalls and signal delays become sleeps, and a late joiner starts its
-/// loop late (heartbeating from spawn so it is not misjudged as dead).
+/// with the chaos [`LivenessPolicy`], so `spawn` hands out reducers that
+/// already beat, and the plan is applied for real: a crashed worker drops
+/// its handle without a `Leaving` signal (the controller must notice via
+/// heartbeat silence), stalls and signal delays become sleeps, and a late
+/// joiner starts its loop late (beating from spawn so it is not misjudged
+/// as dead).
 ///
 /// # Panics
 /// Panics if the controller config disagrees with the fleet size, if the
@@ -303,7 +297,7 @@ pub(crate) fn threaded_preduce(
         .workers
         .into_iter()
         .zip(reducers)
-        .map(|(mut w, mut r)| {
+        .map(|(mut w, r)| {
             let iters = sub.iters;
             let delay = sub.delays.get(w.rank).copied().unwrap_or(Duration::ZERO);
             let mut rng = StdRng::seed_from_u64(worker_thread_seed(config.seed, w.rank));
@@ -311,12 +305,6 @@ pub(crate) fn threaded_preduce(
             let elastic = sub.elastic.clone();
             let sink = sub.sink.clone();
             thread::spawn(move || {
-                if chaos {
-                    // Heartbeat from the very start — before any late-join
-                    // sleep — so a slow or late worker is never misjudged
-                    // as dead.
-                    r.start_heartbeat(HEARTBEAT_EVERY);
-                }
                 let rounds = WorkerRounds::begin(&w, &faults, delay, &elastic, sink, adopt);
                 let degraded = rounds.run_for(&mut w, &mut rng, r, iters);
                 (w.params, (w.iteration, degraded))

@@ -147,15 +147,12 @@ pub fn run_elastic(
                 .with_faults(faults)
                 .with_elastic(elastic);
             let report = driver.drive_threaded(&substrate);
-            let mut updates = 0;
-            let mut stats = BTreeMap::new();
-            if let Some(c) = report.controller {
-                updates = c.groups_formed;
-                stats.insert("groups".into(), c.groups_formed as f64);
-                stats.insert("repairs".into(), c.repairs as f64);
-                stats.insert("singletons".into(), c.singletons as f64);
-                stats.insert("evictions".into(), c.evictions as f64);
-            }
+            let updates = report.controller.map_or(0, |c| c.groups_formed);
+            let mut stats = report
+                .controller
+                .as_ref()
+                .map(controller_stats)
+                .unwrap_or_default();
             let degraded: u64 = report.degraded.iter().sum();
             stats.insert("degraded".into(), degraded as f64);
             EngineRun {
@@ -174,6 +171,22 @@ pub fn run_elastic(
             }
         }
     }
+}
+
+/// The controller's closing tallies as [`RunResult::stats`] entries,
+/// named the same on both backends: `groups`, `repairs`, `deferrals`,
+/// `singletons` and `evictions`.
+pub(crate) fn controller_stats(c: &ControllerStats) -> BTreeMap<String, f64> {
+    [
+        ("groups", c.groups_formed),
+        ("repairs", c.repairs),
+        ("deferrals", c.deferrals),
+        ("singletons", c.singletons),
+        ("evictions", c.evictions),
+    ]
+    .into_iter()
+    .map(|(name, count)| (name.to_string(), count as f64))
+    .collect()
 }
 
 #[cfg(test)]

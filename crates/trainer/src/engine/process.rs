@@ -16,12 +16,14 @@
 //! Relation to the other substrates (DESIGN.md §12): a worker process
 //! runs the threaded projection's worker loop — the one real-time loop
 //! and error policy in `engine::round`, over the worker step every
-//! substrate shares; only the transports and the heartbeat period differ.
-//! Sim = virtual time + in-memory averaging; threaded = real threads +
-//! in-process channel control + in-process star average; process = real
-//! processes + TCP control + TCP star-reduce data plane. The controller's
-//! mode owns the fast-forward rule: [`run_controller`] puts it in the
-//! fleet roster and every worker process applies what it received.
+//! substrate shares; only the transports differ. Sim = virtual time +
+//! in-memory averaging; threaded = real threads + in-process channel
+//! control + in-process star average; process = real processes + TCP
+//! control + TCP star-reduce data plane. The controller owns the
+//! fast-forward rule (its mode) and the beat (its liveness policy's
+//! `beat_period`, none when it does not watch): [`run_controller`] puts
+//! both in the fleet roster and every worker process applies what it
+//! received, as `runtime::spawn` applies them to threads.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -29,7 +31,7 @@ use std::time::Duration;
 
 use partial_reduce::runtime::{serve_fleet, ControllerStats, PartialReducer, RuntimeOptions};
 use partial_reduce::{ControllerConfig, SinkObserver, TraceSink};
-use preduce_comm::control::ObservedControlPlane;
+use preduce_comm::control::{ControlObserver, ObservedControlPlane};
 use preduce_comm::mesh::MeshEndpoint;
 use preduce_comm::reactor::{accept_fleet, ReactorConfig};
 use preduce_comm::tcp::{try_bind_controller, RetryPolicy, TcpWorkerLink};
@@ -43,15 +45,11 @@ use crate::engine::round::WorkerRounds;
 use crate::engine::setup::{build_fleet, evaluate_uniform_average, worker_thread_seed};
 use crate::replay::params_hash;
 
-/// Heartbeat period for process workers: well under any sane liveness
-/// budget, cheap on the wire (a heartbeat frame is 9 bytes: the length
-/// prefix, the kind byte and the rank).
-pub const PROCESS_HEARTBEAT: Duration = Duration::from_millis(50);
-
 /// What the controller process reports at shutdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControllerReport {
-    /// Serving-loop statistics (groups, repairs, singletons, evictions).
+    /// The controller's closing tallies (groups, repairs, deferrals,
+    /// singletons, evictions).
     pub stats: ControllerStats,
     /// Fleet size served.
     pub workers: usize,
@@ -80,8 +78,9 @@ pub struct WorkerReport {
 /// the chosen address through `on_listen` (bind to port 0 and the real
 /// port flows to whoever spawns the workers), accepts exactly
 /// `controller.num_workers` process handshakes, sends each the roster
-/// with the mode's fast-forward rule, and serves P-Reduce until every
-/// worker departs.
+/// with the mode's fast-forward rule and the beat period of
+/// `opts.liveness` (none without a policy), and serves P-Reduce until
+/// every worker departs.
 ///
 /// # Errors
 /// [`CommError::BindFailed`] if `listen` cannot be bound; handshake
@@ -95,19 +94,33 @@ pub fn run_controller(
     opts: RuntimeOptions,
     on_listen: impl FnOnce(SocketAddr),
 ) -> Result<ControllerReport, CommError> {
+    let observer = Arc::new(SinkObserver::new(opts.sink.clone()));
+    run_observed_controller(controller, listen, opts, on_listen, observer)
+}
+
+/// [`run_controller`] with the control plane's traffic reported to
+/// `observer` instead of narrated to `opts.sink`.
+fn run_observed_controller(
+    controller: ControllerConfig,
+    listen: &str,
+    opts: RuntimeOptions,
+    on_listen: impl FnOnce(SocketAddr),
+    observer: Arc<dyn ControlObserver>,
+) -> Result<ControllerReport, CommError> {
     controller.validate();
     let n = controller.num_workers;
     let (listener, addr) = try_bind_controller(listen)?;
     on_listen(addr);
     let reactor = ReactorConfig {
         adopt_group_max: controller.mode.adopts_group_max(),
+        heartbeat: opts.liveness.map(|policy| policy.beat_period()),
     };
     let (link, members) = accept_fleet(&listener, n, reactor)?;
     let joined: Vec<(usize, String)> = members
         .iter()
         .map(|m| (m.rank, m.peer_addr.clone()))
         .collect();
-    let observed = ObservedControlPlane::new(link, Arc::new(SinkObserver::new(opts.sink.clone())));
+    let observed = ObservedControlPlane::new(link, observer);
     let stats = serve_fleet(controller, observed, &joined, opts);
     Ok(ControllerReport { stats, workers: n })
 }
@@ -115,14 +128,17 @@ pub fn run_controller(
 /// Runs one worker process: rebuilds the deterministic fleet for
 /// `config`, takes rank `rank`'s replica, dials the controller at
 /// `connect`, and performs `iters` local-update + partial-reduce rounds
-/// under the fast-forward rule the controller's roster names.
+/// under the fast-forward rule and the beat the controller's roster
+/// names.
 ///
 /// A failed reduce is a degraded round under the one worker loop's policy
 /// (`engine::round`); either way the worker evaluates the model it holds.
 ///
 /// # Errors
-/// Fails if the controller handshake or data-plane bring-up fails, or if
-/// `rank` is outside the configured fleet.
+/// Fails if the controller handshake or data-plane bring-up fails, if
+/// `rank` is outside the configured fleet, or with
+/// [`CommError::FleetSizeMismatch`] before training if the roster's fleet
+/// is not the configured one.
 pub fn run_worker(
     config: &ExperimentConfig,
     connect: SocketAddr,
@@ -167,10 +183,16 @@ pub fn run_worker_elastic(
     let data_addr = mesh.local_addr().to_string();
     let (link, roster) =
         TcpWorkerLink::connect_fleet(connect, rank, data_addr, RetryPolicy::default())?;
+    if roster.data_addrs.len() != config.num_workers {
+        return Err(CommError::FleetSizeMismatch {
+            roster: roster.data_addrs.len(),
+            configured: config.num_workers,
+        });
+    }
     mesh.set_roster(&roster.data_addrs)?;
 
-    let mut reducer = PartialReducer::from_parts(Box::new(link), Box::new(mesh), sink.clone());
-    reducer.start_heartbeat(PROCESS_HEARTBEAT);
+    let (link, mesh) = (Box::new(link), Box::new(mesh));
+    let reducer = PartialReducer::from_parts(link, mesh, sink.clone(), roster.heartbeat);
 
     // No fault plan and no straggler delay reach a process yet.
     let (plan, adopt) = (FaultPlan::none(), roster.adopt_group_max);
@@ -191,10 +213,13 @@ pub fn run_worker_elastic(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use partial_reduce::runtime::LivenessPolicy;
     use partial_reduce::NullSink;
     use preduce_checkpoint::CheckpointStore;
+    use preduce_comm::control::WorkerSignal;
     use preduce_data::cifar10_like;
     use preduce_models::zoo;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
 
     fn tiny_config(n: usize) -> ExperimentConfig {
@@ -261,6 +286,63 @@ mod tests {
             assert!(snap.iteration >= 1, "{snap:?}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Counts the heartbeats the controller receives.
+    #[derive(Default)]
+    struct BeatCounter(AtomicU64);
+
+    impl ControlObserver for BeatCounter {
+        fn on_signal(&self, signal: &WorkerSignal) {
+            if matches!(signal, WorkerSignal::Heartbeat { .. }) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Runs two worker "processes" (threads, over loopback) against a
+    /// controller under `liveness` and returns its report and the
+    /// heartbeats it received.
+    fn beats_received(liveness: Option<LivenessPolicy>) -> (ControllerReport, u64) {
+        let n = 2;
+        let beats = Arc::new(BeatCounter::default());
+        let observer = beats.clone();
+        let (addr_tx, addr_rx) = std::sync::mpsc::channel::<SocketAddr>();
+        let server = thread::spawn(move || {
+            let opts = RuntimeOptions {
+                liveness,
+                ..RuntimeOptions::default()
+            };
+            let on_listen = |addr| {
+                let _ = addr_tx.send(addr);
+            };
+            let cfg = ControllerConfig::constant(n, 2);
+            run_observed_controller(cfg, "127.0.0.1:0", opts, on_listen, observer)
+        });
+        let addr = addr_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        let workers: Vec<_> = (0..n)
+            .map(|rank| {
+                let config = tiny_config(n);
+                thread::spawn(move || run_worker(&config, addr, rank, 20, Arc::new(NullSink)))
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap().unwrap();
+        }
+        let report = server.join().unwrap().unwrap();
+        (report, beats.0.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn workers_beat_only_for_a_controller_that_watches() {
+        let (report, beats) = beats_received(None);
+        assert_eq!(beats, 0, "heartbeats sent to an unwatching controller");
+        assert_eq!(report.stats.evictions, 0, "{report:?}");
+
+        let policy = LivenessPolicy::new(Duration::from_millis(20), 50);
+        let (report, beats) = beats_received(Some(policy));
+        assert!(beats > 0, "no heartbeat reached a watching controller");
+        assert_eq!(report.stats.evictions, 0, "{report:?}");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! sleeps around it, and [`WorkerRounds::run_for`] is the one real-time
 //! worker loop, with the deployed error policy: the threaded driver and
 //! the process worker run their budgets through it and differ only in
-//! transport and heartbeat.
+//! transport. Neither starts a heartbeat: the controller's liveness
+//! policy sets it when the reducer is built (`runtime::spawn`, or
+//! `PartialReducer::from_parts` with the roster's period).
 
 use std::sync::Arc;
 use std::thread;
@@ -324,7 +326,8 @@ mod tests {
                     }
                     let sink: Arc<dyn TraceSink> = Arc::new(NullSink);
                     let averager = Box::new(LeaderDiesOnce(w.rank == 1));
-                    let r = PartialReducer::from_parts(Box::new(link), averager, sink.clone());
+                    let r =
+                        PartialReducer::from_parts(Box::new(link), averager, sink.clone(), None);
                     let elastic = ElasticOptions::none();
                     let rounds =
                         WorkerRounds::begin(&w, &plan, Duration::ZERO, &elastic, sink, adopt);
@@ -392,7 +395,8 @@ mod tests {
         drop(ctl);
         let sink: Arc<dyn TraceSink> = Arc::new(NullSink);
         let averager = Box::new(LeaderDiesOnce(false));
-        let r = PartialReducer::from_parts(Box::new(links.swap_remove(0)), averager, sink.clone());
+        let link = Box::new(links.swap_remove(0));
+        let r = PartialReducer::from_parts(link, averager, sink.clone(), None);
         let (plan, elastic) = (FaultPlan::none(), ElasticOptions::none());
         let rounds = WorkerRounds::begin(&w, &plan, Duration::ZERO, &elastic, sink, false);
         let degraded = rounds.run_for(&mut w, &mut StdRng::seed_from_u64(0), r, 5);

@@ -250,7 +250,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     );
     let wall_seconds = started.elapsed().as_secs_f64();
 
-    let deferrals = controller.deferrals();
     let connectivity = controller.connectivity_stats();
     let closing = controller.close();
 
@@ -277,7 +276,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         signals: processed,
         groups: closing.groups_formed,
         repairs: closing.repairs,
-        deferrals,
+        deferrals: closing.deferrals,
         sim_seconds: now.seconds(),
         wall_seconds,
         signals_per_sec: if wall_seconds > 0.0 {

@@ -299,29 +299,36 @@ fn tcp_fleet() -> Vec<TraceEvent> {
                 let data_addr = format!("inproc-{rank}");
                 TcpWorkerLink::connect_fleet(addr, rank, data_addr, RetryPolicy::default())
                     .expect("join the fleet")
-                    .0
             })
         })
         .collect();
-    let (link, members) = accept_fleet(&listener, N, ReactorConfig::default()).expect("accept");
+    let policy = LivenessPolicy::new(Duration::from_millis(25), 8);
+    let reactor = ReactorConfig {
+        heartbeat: Some(policy.beat_period()),
+        ..ReactorConfig::default()
+    };
+    let (link, members) = accept_fleet(&listener, N, reactor).expect("accept");
     let joined: Vec<(usize, String)> = members.into_iter().map(|m| (m.rank, m.peer_addr)).collect();
     let opts = RuntimeOptions {
         sink: sink.clone(),
-        liveness: Some(LivenessPolicy::new(Duration::from_millis(25), 8)),
+        liveness: Some(policy),
     };
     let server =
         thread::spawn(move || serve_fleet(ControllerConfig::constant(N, 2), link, &joined, opts));
 
-    let links: Vec<TcpWorkerLink> = dials.into_iter().map(|d| d.join().expect("dial")).collect();
-    let Ok([mut silent, gone, two, three]) = <[TcpWorkerLink; N]>::try_from(links) else {
+    let links: Vec<_> = dials.into_iter().map(|d| d.join().expect("dial")).collect();
+    let Ok([(mut silent, _), gone, two, three]) = <[_; N]>::try_from(links) else {
         panic!("one link per rank");
     };
     drop(gone);
+    // Ranks 2 and 3 beat at the roster's period, as a worker process does;
+    // rank 0 is a bare link and never beats.
     let reducers: Vec<PartialReducer> = [two, three]
         .into_iter()
         .zip(CommWorld::new(N).into_endpoints().into_iter().skip(2))
-        .map(|(link, endpoint)| {
-            PartialReducer::from_parts(Box::new(link), Box::new(endpoint), sink.clone())
+        .map(|((link, roster), endpoint)| {
+            let (link, endpoint) = (Box::new(link), Box::new(endpoint));
+            PartialReducer::from_parts(link, endpoint, sink.clone(), roster.heartbeat)
         })
         .collect();
 
@@ -340,7 +347,6 @@ fn tcp_fleet() -> Vec<TraceEvent> {
         .map(|(mut r, rank)| {
             let seen = seen.clone();
             thread::spawn(move || {
-                assert!(r.start_heartbeat(Duration::from_millis(5)));
                 let mut params = vec![rank as f32; 4];
                 let mut iteration = 0;
                 let mut round = |r: &mut PartialReducer, iteration: &mut u64| {
