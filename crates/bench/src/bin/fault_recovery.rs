@@ -143,8 +143,8 @@ fn main() {
     println!(
         "fault-recovery bench: {RUNS} threaded crash runs, liveness = \
          {:?} every, {} misses, nominal eviction after {:?}",
-        policy.heartbeat_interval,
-        policy.miss_threshold,
+        policy.heartbeat_interval(),
+        policy.miss_threshold(),
         policy.eviction_after()
     );
 

@@ -318,7 +318,7 @@ fn dyn_fleet_matches_its_replay_and_trace_checks() {
 
 /// The negative path: one worker is SIGKILLed mid-run. The controller
 /// must evict it (socket death surfaces as `ProcessDisconnected`, or the
-/// heartbeat sweep catches it), the survivors must finish, and the
+/// failure detector catches its silence), the survivors must finish, and the
 /// recorded trace must still satisfy every invariant.
 #[test]
 fn killed_worker_is_evicted_and_trace_stays_valid() {

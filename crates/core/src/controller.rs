@@ -31,6 +31,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::graph::{min_history_window, ConnectivityStats, WindowedConnectivity};
+use crate::liveness::LivenessPolicy;
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use crate::weights::{constant_weights, dynamic_weights, GapPolicy, WeightRow};
 
@@ -168,8 +169,9 @@ pub struct ControllerStats {
     pub deferrals: u64,
     /// Singleton assignments issued during drain-out.
     pub singletons: u64,
-    /// Workers evicted: heartbeat silence, a dropped connection, or a
-    /// crash the simulator detects.
+    /// Workers evicted: heartbeat silence past the liveness policy
+    /// ([`crate::liveness::FailureDetector`], on every substrate) or a
+    /// dropped connection.
     pub evictions: u64,
 }
 
@@ -248,18 +250,34 @@ impl Controller {
         Self::with_sink(config, Arc::new(NullSink))
     }
 
-    /// Creates a controller narrating its decisions to `sink`. Emits
-    /// [`TraceEvent::RunStarted`] immediately.
+    /// Creates a controller narrating its decisions to `sink`, for a fleet
+    /// no failure detector watches. Emits [`TraceEvent::RunStarted`]
+    /// immediately.
     ///
     /// # Panics
     /// Panics if the config is invalid.
     pub fn with_sink(config: ControllerConfig, sink: Arc<dyn TraceSink>) -> Self {
+        Self::with_liveness(config, sink, None)
+    }
+
+    /// [`Controller::with_sink`] for a fleet watched under `liveness`:
+    /// [`TraceEvent::RunStarted`] carries the policy, so the invariant
+    /// checker can hold every eviction by silence to it.
+    ///
+    /// # Panics
+    /// Panics if the config is invalid.
+    pub fn with_liveness(
+        config: ControllerConfig,
+        sink: Arc<dyn TraceSink>,
+        liveness: Option<LivenessPolicy>,
+    ) -> Self {
         config.validate();
         let window = config.effective_window();
         let active = config.num_workers;
         if sink.enabled() {
             sink.record(TraceEvent::RunStarted {
                 config: config.clone(),
+                liveness,
             });
         }
         Controller {
@@ -909,15 +927,17 @@ mod tests {
         use crate::trace::RingSink;
 
         // Two frozen pairs on a two-group window, a deferral and a repair,
-        // an eviction, then the fleet falls below P = 2 and releases the
-        // last worker's signals alone.
+        // an eviction by silence, then the fleet falls below P = 2 and
+        // releases the last worker's signals alone.
         let sink = Arc::new(RingSink::new(64));
-        let mut c = Controller::with_sink(
+        let policy = LivenessPolicy::new(std::time::Duration::from_millis(1), 1);
+        let mut c = Controller::with_liveness(
             ControllerConfig {
                 history_window: Some(2),
                 ..ControllerConfig::constant(4, 2)
             },
             sink.clone(),
+            Some(policy),
         );
         for w in 0..4 {
             c.push_ready(w, 1);
@@ -928,11 +948,14 @@ mod tests {
         assert!(c.try_form_group().is_none());
         c.push_ready(2, 2);
         assert_eq!(c.try_form_group().unwrap().group, vec![0, 2]);
-        sink.record(TraceEvent::HeartbeatMissed {
-            worker: 3,
-            misses: 1,
-        });
-        c.evict(3);
+        // Worker 3 is not heard for one window, the whole budget.
+        let mut detector = crate::liveness::FailureDetector::new(policy, 4);
+        let window = policy.heartbeat_interval();
+        for w in 0..3 {
+            detector.heard(w, window);
+        }
+        detector.sweep(window, &mut c);
+        assert!(c.has_left(3));
         c.mark_left(2);
         c.mark_left(0);
         assert_eq!(c.release_below_quorum(), vec![(1, 2)]);

@@ -39,12 +39,15 @@
 //!   restore ([`TraceEvent::WorkerRestored`]) targets a rank that
 //!   actually departed — resetting its iteration floor to the snapshot
 //!   iteration, since durable state may legitimately predate the crash;
-//! * an eviction ([`TraceEvent::WorkerEvicted`]) is *justified*: it is
-//!   preceded by heartbeat silence ([`TraceEvent::HeartbeatMissed`]), an
-//!   injected fault ([`TraceEvent::FaultInjected`]), or a dropped control
-//!   connection ([`TraceEvent::ProcessDisconnected`]) for that worker, it
-//!   carries the post-eviction active count, and it is resolved by the
-//!   worker's ordinary departure event — never by silently vanishing;
+//! * an eviction ([`TraceEvent::WorkerEvicted`]) is *justified*: the
+//!   worker's control connection dropped
+//!   ([`TraceEvent::ProcessDisconnected`]) first, or its latest
+//!   [`TraceEvent::HeartbeatMissed`] reached the `miss_threshold` of the
+//!   liveness policy [`TraceEvent::RunStarted`] carries. An injected fault
+//!   justifies nothing: a stalled worker still beats, and a crashed one
+//!   is evicted by its silence like any other. The eviction carries the
+//!   post-eviction active count, and it is resolved by the worker's
+//!   ordinary departure event — never by silently vanishing;
 //! * process lifecycle is consistent: at most one
 //!   [`TraceEvent::ProcessJoined`] per rank, and a
 //!   [`TraceEvent::ProcessDisconnected`] only for a rank that joined and
@@ -81,6 +84,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use crate::controller::{AggregationMode, ControllerConfig};
 use crate::graph::WindowedConnectivity;
+use crate::liveness::LivenessPolicy;
 use crate::trace::{stream_jsonl, TraceEvent, TraceSink};
 use crate::weights::dynamic_weights;
 
@@ -199,9 +203,9 @@ struct WorkerRecord {
     floored: bool,
     /// Departed (left, crashed or evicted) and not restored since.
     departed: bool,
-    /// An injected fault or heartbeat silence is on record (either
-    /// justifies eviction).
-    suspect: bool,
+    /// The latest heartbeat silence reported reached the run's miss
+    /// threshold (justifies eviction).
+    silent: bool,
     /// The worker process completed the fleet handshake.
     joined: bool,
     /// The control connection dropped (justifies eviction).
@@ -256,6 +260,10 @@ pub struct StreamingChecker {
     /// first [`STRICT_CANDIDATES_KEPT`] of them are in `violations`.
     strict_candidates: usize,
     config: Option<ControllerConfig>,
+    /// The run's liveness policy, from [`TraceEvent::RunStarted`]; `None`
+    /// when no detector watches the run, so no silence justifies an
+    /// eviction.
+    liveness: Option<LivenessPolicy>,
     /// The per-worker table, indexed by rank: allocated once, from
     /// [`TraceEvent::RunStarted`]'s `N`; empty until then, never resized.
     workers: Vec<WorkerRecord>,
@@ -356,7 +364,7 @@ impl StreamingChecker {
             self.fail(i, "trace does not begin with RunStarted".to_string());
         }
         match event {
-            TraceEvent::RunStarted { config } => self.on_started(i, config),
+            TraceEvent::RunStarted { config, liveness } => self.on_started(i, config, *liveness),
             TraceEvent::SignalEnqueued {
                 worker,
                 iteration,
@@ -489,10 +497,9 @@ impl StreamingChecker {
                 }
             }
             TraceEvent::FaultInjected { worker, .. } => {
-                // This worker's later eviction is justified.
-                if let Some(w) = self.rank(i, *worker, "had a fault injected") {
-                    self.rec(w).suspect = true;
-                }
+                // A planned fault is narration only: it justifies no
+                // eviction.
+                let _ = self.rank(i, *worker, "had a fault injected");
             }
             TraceEvent::ProcessJoined { worker, .. } => {
                 if let Some(w) = self.rank(i, *worker, "joined the fleet") {
@@ -545,7 +552,8 @@ impl StreamingChecker {
                             ),
                         );
                     }
-                    self.rec(w).suspect = true;
+                    let threshold = self.liveness.map(|p| p.miss_threshold());
+                    self.rec(w).silent = threshold.is_some_and(|k| *misses >= k);
                 }
             }
             TraceEvent::WorkerEvicted { worker, active } => self.on_evicted(i, *worker, *active),
@@ -606,7 +614,12 @@ impl StreamingChecker {
         }
     }
 
-    fn on_started(&mut self, index: usize, config: &ControllerConfig) {
+    fn on_started(
+        &mut self,
+        index: usize,
+        config: &ControllerConfig,
+        liveness: Option<LivenessPolicy>,
+    ) {
         if self.config.is_some() {
             self.fail(index, "duplicate RunStarted".to_string());
             return;
@@ -620,6 +633,7 @@ impl StreamingChecker {
         self.workers = vec![WorkerRecord::default(); n];
         self.active = n;
         self.config = Some(config.clone());
+        self.liveness = liveness;
     }
 
     /// Consumes `w`'s queued signal, if it has one, and returns the
@@ -1008,8 +1022,8 @@ impl StreamingChecker {
         self.conn = Some(conn);
     }
 
-    /// An eviction must be justified (prior silence, an injected fault,
-    /// or a dropped control connection), must target a still-active
+    /// An eviction must be justified (a dropped control connection, or
+    /// silence up to the policy's miss threshold), must target a still-active
     /// worker, and must carry the post-eviction active count. The replayed
     /// `active` is *not* decremented here: the eviction routes through the
     /// ordinary departure path, so the worker's [`TraceEvent::WorkerLeft`]
@@ -1029,13 +1043,14 @@ impl StreamingChecker {
             self.fail(index, format!("worker {worker} evicted twice"));
         }
         self.rec(w).evicted = true;
-        if !rec.suspect && !rec.disconnected {
+        if !rec.silent && !rec.disconnected {
+            let silence = match self.liveness {
+                Some(policy) => format!("{} missed heartbeats", policy.miss_threshold()),
+                None => "a liveness policy".to_string(),
+            };
             self.fail(
                 index,
-                format!(
-                    "worker {worker} evicted without prior HeartbeatMissed, \
-                     FaultInjected, or ProcessDisconnected justification"
-                ),
+                format!("worker {worker} evicted without prior ProcessDisconnected or {silence}"),
             );
         }
         if self.active == 0 {
@@ -1325,10 +1340,20 @@ mod tests {
         );
     }
 
-    /// Nothing but the start of an N = 4, P = 2 CON run.
+    /// Nothing but the start of an N = 4, P = 2 CON run no detector
+    /// watches.
     fn bare_trace() -> Vec<TraceEvent> {
         vec![TraceEvent::RunStarted {
             config: ControllerConfig::constant(4, 2),
+            liveness: None,
+        }]
+    }
+
+    /// [`bare_trace`] watched by a detector that evicts at three misses.
+    fn watched_trace() -> Vec<TraceEvent> {
+        vec![TraceEvent::RunStarted {
+            config: ControllerConfig::constant(4, 2),
+            liveness: Some(LivenessPolicy::new(std::time::Duration::from_millis(25), 3)),
         }]
     }
 
@@ -1360,10 +1385,11 @@ mod tests {
         }
     }
 
-    /// A well-formed eviction narrative: silence, eviction with the
-    /// post-eviction count, then the ordinary departure event.
+    /// A well-formed eviction narrative: silence up to the threshold,
+    /// eviction with the post-eviction count, then the ordinary departure
+    /// event.
     fn eviction_trace() -> Vec<TraceEvent> {
-        let mut events = bare_trace();
+        let mut events = watched_trace();
         events.extend([
             TraceEvent::HeartbeatMissed {
                 worker: 2,
@@ -1398,10 +1424,10 @@ mod tests {
     }
 
     /// A well-formed elasticity narrative (DESIGN.md §14): snapshot,
-    /// crash departure, restore from the snapshot, and the resumed signal
-    /// one past the snapshot iteration.
+    /// crash, eviction by silence, restore from the snapshot, and the
+    /// resumed signal one past the snapshot iteration.
     fn elastic_trace() -> Vec<TraceEvent> {
-        let mut events = bare_trace();
+        let mut events = watched_trace();
         events.extend([
             TraceEvent::SnapshotTaken {
                 worker: 2,
@@ -1411,6 +1437,10 @@ mod tests {
                 worker: 2,
                 fault: "crash@8".to_string(),
                 iteration: 8,
+            },
+            TraceEvent::HeartbeatMissed {
+                worker: 2,
+                misses: 3,
             },
             TraceEvent::WorkerEvicted {
                 worker: 2,
@@ -1595,16 +1625,50 @@ mod tests {
         ),
         ("justified_eviction_is_clean", eviction_trace, |_| {}, None),
         (
-            "fault_injection_justifies_eviction",
+            // A stalled worker still beats: its fault is no silence.
+            "a_stall_justifies_no_eviction",
             eviction_trace,
             |events| {
                 events[1] = TraceEvent::FaultInjected {
                     worker: 2,
-                    fault: "crash@40".to_string(),
-                    iteration: 40,
+                    fault: "stall x4 from 10".to_string(),
+                    iteration: 10,
                 }
             },
-            None,
+            Some("worker 2 evicted without prior ProcessDisconnected or 3 missed heartbeats"),
+        ),
+        (
+            "silence_short_of_the_threshold_justifies_no_eviction",
+            eviction_trace,
+            |events| {
+                events[1] = TraceEvent::HeartbeatMissed {
+                    worker: 2,
+                    misses: 2,
+                }
+            },
+            Some("without prior ProcessDisconnected or 3 missed heartbeats"),
+        ),
+        (
+            // The worker was heard again after its third miss: only the
+            // latest count stands.
+            "a_count_that_restarted_justifies_no_eviction",
+            eviction_trace,
+            |events| {
+                events.insert(
+                    2,
+                    TraceEvent::HeartbeatMissed {
+                        worker: 2,
+                        misses: 1,
+                    },
+                )
+            },
+            Some("without prior ProcessDisconnected or 3 missed heartbeats"),
+        ),
+        (
+            "silence_in_an_unwatched_run_justifies_no_eviction",
+            eviction_trace,
+            |events| events[0] = bare_trace().remove(0),
+            Some("without prior ProcessDisconnected or a liveness policy"),
         ),
         (
             "unjustified_eviction_is_caught",
@@ -1878,6 +1942,43 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_from_before_the_liveness_field_reads_and_binds_evictions() {
+        // `RunStarted` as traces carried it before it named the policy.
+        const OLD_START: &str = r#"{"RunStarted":{"config":{"num_workers":4,"group_size":2,"mode":"Constant","history_window":null,"frozen_avoidance":true}}}"#;
+        let dir = std::env::temp_dir().join(format!("preduce-old-trace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.jsonl");
+        for (base, expected) in [
+            (fleet_trace(), None),
+            (
+                eviction_trace(),
+                Some("without prior ProcessDisconnected or a liveness policy"),
+            ),
+        ] {
+            let mut body = format!("{OLD_START}\n");
+            for e in &base[1..] {
+                body.push_str(&serde_json::to_string(e).unwrap());
+                body.push('\n');
+            }
+            std::fs::write(&path, body).unwrap();
+            let events = crate::trace::read_jsonl(&path).unwrap();
+            assert_eq!(events[0], bare_trace()[0]);
+            let report = InvariantChecker::check(&events);
+            match expected {
+                None => assert!(report.is_clean(), "{report}"),
+                Some(fragment) => assert!(
+                    report
+                        .violations
+                        .iter()
+                        .any(|v| v.message.contains(fragment)),
+                    "{report}"
+                ),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn worker_record_fits_thirty_two_bytes() {
         // `peak_heap_mb` on the scale workloads is N of these.
         assert!(std::mem::size_of::<WorkerRecord>() <= 32);
@@ -2060,6 +2161,7 @@ mod tests {
                         history_window: Some(3),
                         ..ControllerConfig::constant(4, 2)
                     },
+                    liveness: None,
                 }],
                 counts: [0; 4],
                 sequence: 0,

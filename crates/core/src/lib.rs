@@ -18,6 +18,8 @@
 //! * [`Controller`] — the paper's controller (Fig. 6): signal queue, group
 //!   filter with group-history DB and sync-graph *group-frozen avoidance*,
 //!   weight generator, and broadcaster decisions;
+//! * [`liveness`] — the failure detector: a [`LivenessPolicy`] and the
+//!   sans-I/O [`FailureDetector`] every substrate feeds its own clock;
 //! * [`graph`] — the sync-graph and its connectivity machinery;
 //! * [`matrix`] / [`spectral`] — the synchronization matrices `W_k`
 //!   (Eq. 4), their expectation, and the spectral gap `ρ` / error
@@ -38,7 +40,7 @@
 // The control plane must not panic on recoverable conditions: every
 // fallible operation either propagates an error or documents its panic
 // with an `#[allow(clippy::.., reason = "..")]` (see DESIGN.md §10).
-// Tests are exempt; `controller` and `runtime` add
+// Tests are exempt; `controller`, `liveness` and `runtime` add
 // `clippy::indexing_slicing` on top.
 #![cfg_attr(
     not(test),
@@ -56,6 +58,7 @@
 pub mod controller;
 pub mod graph;
 pub mod invariants;
+pub mod liveness;
 pub mod matrix;
 pub mod runtime;
 pub mod spectral;
@@ -70,6 +73,7 @@ pub use graph::{
 pub use invariants::{
     CheckingSink, InvariantChecker, InvariantReport, StreamingChecker, Violation,
 };
+pub use liveness::{FailureDetector, LivenessPolicy};
 pub use matrix::{sync_matrix, weighted_sync_matrix};
 pub use spectral::{
     expected_sync_matrix, expected_sync_matrix_uniform, rho_bar, rho_power, rho_uniform,

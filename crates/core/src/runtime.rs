@@ -43,68 +43,17 @@ use preduce_comm::{CommError, CommWorld};
 
 pub use crate::controller::ControllerStats;
 use crate::controller::{Controller, ControllerConfig};
+use crate::liveness::FailureDetector;
+pub use crate::liveness::LivenessPolicy;
 use crate::trace::{NullSink, SinkObserver, TraceEvent, TraceSink};
-
-/// When to declare a silent worker dead (DESIGN.md §11).
-///
-/// A worker is *heard from* whenever any of its signals arrives — ready,
-/// leaving, or heartbeat. Once a worker has been silent for
-/// `heartbeat_interval × miss_threshold`, the controller evicts it
-/// ([`Controller::evict`]): [`TraceEvent::WorkerEvicted`] then the
-/// ordinary departure path, so queued signals purge and scheduling repair
-/// proceeds exactly as for a voluntary departure.
-///
-/// The policy is also the only source of a worker's beat: every worker
-/// of a watched fleet beats every [`LivenessPolicy::beat_period`], twice
-/// per window — [`spawn`] starts the beat of each reducer it mints, and a
-/// worker process starts the period its roster carries
-/// ([`PartialReducer::from_parts`]). A fleet without a policy never beats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LivenessPolicy {
-    /// The silence window: misses are counted in whole windows. Also the
-    /// controller's poll granularity.
-    pub heartbeat_interval: Duration,
-    /// Full silent windows tolerated before eviction (≥ 1).
-    pub miss_threshold: u64,
-}
-
-impl LivenessPolicy {
-    /// Creates a policy.
-    ///
-    /// # Panics
-    /// Panics if `heartbeat_interval` is under 1 ms (the serving loop
-    /// polls no finer) or `miss_threshold == 0`.
-    pub fn new(heartbeat_interval: Duration, miss_threshold: u64) -> Self {
-        assert!(
-            heartbeat_interval >= Duration::from_millis(1),
-            "heartbeat interval must be at least 1 ms, got {heartbeat_interval:?}"
-        );
-        assert!(miss_threshold > 0, "miss threshold must be at least 1");
-        LivenessPolicy {
-            heartbeat_interval,
-            miss_threshold,
-        }
-    }
-
-    /// How often a worker of this fleet beats: half the window, so a
-    /// healthy worker is heard from in every window.
-    pub fn beat_period(&self) -> Duration {
-        self.heartbeat_interval / 2
-    }
-
-    /// Total silence tolerated before eviction.
-    pub fn eviction_after(&self) -> Duration {
-        self.heartbeat_interval
-            .saturating_mul(u32::try_from(self.miss_threshold).unwrap_or(u32::MAX))
-    }
-}
 
 /// Spawn-time options shared by every transport.
 pub struct RuntimeOptions {
     /// Trace sink receiving every control-plane decision.
     pub sink: Arc<dyn TraceSink>,
-    /// Heartbeat-based failure detection; `None` disables it (the
-    /// controller then only learns of departures via `Leaving`).
+    /// Heartbeat-based failure detection ([`FailureDetector`]); `None`
+    /// disables it (the controller then only learns of departures via
+    /// `Leaving` and, on TCP, dropped connections).
     pub liveness: Option<LivenessPolicy>,
 }
 
@@ -300,10 +249,10 @@ impl PartialReducer {
     }
 
     /// Starts the background thread sending [`WorkerSignal::Heartbeat`]
-    /// every `period` so the controller's [`LivenessPolicy`] sees this
-    /// worker as alive while it computes. If the OS refuses the thread no
-    /// beat runs, and the controller's liveness sweep evicts the worker
-    /// through the ordinary, narrated path.
+    /// every `period` so the controller's [`FailureDetector`] hears this
+    /// worker while it computes. If the OS refuses the thread no beat
+    /// runs, and the detector evicts the worker through the ordinary,
+    /// narrated path.
     fn start_heartbeat(&mut self, period: Duration) {
         let mut beat = self.link.heartbeat_sender();
         let stop = Arc::new(AtomicBool::new(false));
@@ -325,8 +274,8 @@ impl PartialReducer {
 
     /// Simulates a fail-stop (chaos-testing hook): the heartbeat stops
     /// and the handle drops **without** announcing departure, so the
-    /// controller only learns of the death through heartbeat silence and
-    /// the liveness eviction path.
+    /// controller only learns of the death through heartbeat silence, by
+    /// its [`FailureDetector`].
     pub fn crash(mut self) {
         self.stop_beating();
         self.finished = true;
@@ -382,7 +331,7 @@ fn launch(
     let heartbeat = liveness.map(|policy| policy.beat_period());
     let ctl_link = ObservedControlPlane::new(ctl_link, Arc::new(SinkObserver::new(sink.clone())));
     let endpoints = CommWorld::new(config.num_workers).into_endpoints();
-    let controller = Controller::with_sink(config, sink.clone());
+    let controller = Controller::with_liveness(config, sink.clone(), liveness);
     #[allow(
         clippy::panic,
         reason = "startup-only: OS refusing to spawn the controller thread is unrecoverable before training begins"
@@ -408,7 +357,7 @@ fn launch(
 const IDLE_DEADLINE: Duration = Duration::from_secs(60);
 
 /// Most events taken from the control plane per receive. Bounds the time
-/// the serving loop spends away from the liveness sweep during a storm.
+/// the serving loop spends away from the failure detector during a storm.
 const INGEST_BATCH: usize = 1024;
 
 /// The controller *serving loop* — the only one in the workspace. Every
@@ -434,8 +383,11 @@ const INGEST_BATCH: usize = 1024;
 ///   error — proof of death, unlike mere silence) narrates
 ///   [`TraceEvent::ProcessDisconnected`] and the controller evicts
 ///   ([`Controller::evict`]) at once; channel links never emit it;
-/// - with a [`LivenessPolicy`], workers silent past the budget are
-///   evicted the same way;
+/// - with a [`LivenessPolicy`], every signal is a hearing for the
+///   [`FailureDetector`], and each pass sweeps it on the loop's clock (time
+///   since the loop started); it narrates the misses and evicts a worker
+///   silent past the budget. The loop waits for events no longer than the
+///   detector's next deadline;
 /// - below quorum, each signal [`Controller::release_below_quorum`]
 ///   releases is answered with a singleton assignment.
 ///
@@ -444,7 +396,7 @@ const INGEST_BATCH: usize = 1024;
 /// terminal on any transport: on TCP it closes that worker's socket, so
 /// the next receive reports its [`ControlEvent::Disconnected`]; on
 /// channels the heartbeat silence follows. The loop keeps serving and
-/// lets the disconnect / liveness path evict through the ordinary route
+/// lets the disconnect or the detector evict through the ordinary route
 /// (live members of an unannounced group time out, degrade, and
 /// re-signal). Total control-plane silence past the idle deadline remains
 /// the terminal backstop.
@@ -457,7 +409,7 @@ pub fn serve_fleet<C: ControlPlane>(
     joined: &[(usize, String)],
     opts: RuntimeOptions,
 ) -> ControllerStats {
-    let controller = Controller::with_sink(config, opts.sink);
+    let controller = Controller::with_liveness(config, opts.sink, opts.liveness);
     serve(controller, link, joined, opts.liveness)
 }
 
@@ -479,15 +431,17 @@ fn serve<C: ControlPlane>(
     }
     let mut ready_batch: Vec<(usize, u64)> = Vec::new();
 
-    // Per worker: when it was last heard from, and the misses reported since.
-    let mut heard: Vec<(Instant, u64)> = vec![(Instant::now(), 0); n];
-    let mut last_activity = Instant::now();
-    let recv_timeout = match liveness {
-        Some(policy) => policy.heartbeat_interval.min(IDLE_DEADLINE),
-        None => IDLE_DEADLINE,
-    };
+    let started = Instant::now();
+    let mut detector = liveness.map(|policy| FailureDetector::new(policy, n));
+    let mut last_activity = started;
 
     while controller.active() > 0 {
+        // Wake for the detector's next miss, or the idle deadline.
+        let recv_timeout = detector
+            .as_ref()
+            .and_then(FailureDetector::next_deadline)
+            .map_or(IDLE_DEADLINE, |due| due.saturating_sub(started.elapsed()))
+            .min(IDLE_DEADLINE);
         let events = match link.recv_events(INGEST_BATCH, recv_timeout) {
             Ok(events) => {
                 last_activity = Instant::now();
@@ -496,24 +450,28 @@ fn serve<C: ControlPlane>(
             Err(CommError::Timeout { .. }) if last_activity.elapsed() < IDLE_DEADLINE => Vec::new(),
             Err(_) => break,
         };
+        let now = started.elapsed();
         for event in events {
             match event {
                 ControlEvent::Signal(WorkerSignal::Ready { worker, iteration }) => {
-                    note_heard(&mut heard, worker);
+                    if let Some(detector) = detector.as_mut() {
+                        detector.heard(worker, now);
+                    }
                     ready_batch.push((worker, iteration));
                 }
                 ControlEvent::Signal(WorkerSignal::Leaving { worker }) => {
                     // Flush queued readys first: they arrived before the
                     // departure and must be scheduled under the old fleet.
                     ingest_and_drain(&mut controller, &mut link, &mut ready_batch);
-                    note_heard(&mut heard, worker);
                     if worker < n && !controller.has_left(worker) {
                         controller.mark_left(worker);
                         drain_groups(&mut controller, &mut link);
                     }
                 }
                 ControlEvent::Signal(WorkerSignal::Heartbeat { worker }) => {
-                    note_heard(&mut heard, worker);
+                    if let Some(detector) = detector.as_mut() {
+                        detector.heard(worker, now);
+                    }
                 }
                 ControlEvent::Disconnected { worker } => {
                     ingest_and_drain(&mut controller, &mut link, &mut ready_batch);
@@ -533,29 +491,11 @@ fn serve<C: ControlPlane>(
             }
         }
         ingest_and_drain(&mut controller, &mut link, &mut ready_batch);
-        // Liveness sweep: disconnects catch dead sockets, the sweep
-        // catches channel peers (which vanish silently) and hung-but-
-        // connected workers whose kernel still answers keepalives.
-        if let Some(policy) = liveness {
-            let now = Instant::now();
-            for (worker, (seen, reported)) in heard.iter_mut().enumerate() {
-                if controller.has_left(worker) {
-                    continue;
-                }
-                let silent = now.duration_since(*seen).as_micros();
-                let misses = (silent / policy.heartbeat_interval.as_micros().max(1)) as u64;
-                if misses > *reported {
-                    *reported = misses;
-                    if controller.sink().enabled() {
-                        controller
-                            .sink()
-                            .record(TraceEvent::HeartbeatMissed { worker, misses });
-                    }
-                }
-                if misses >= policy.miss_threshold {
-                    controller.evict(worker);
-                }
-            }
+        // Disconnects catch dead sockets; the detector catches channel
+        // peers (which vanish silently) and hung-but-connected workers
+        // whose kernel still answers keepalives.
+        if let Some(detector) = detector.as_mut() {
+            detector.sweep(now, &mut controller);
             drain_groups(&mut controller, &mut link);
         }
         // Fleet below P: stragglers keep making progress alone.
@@ -567,18 +507,11 @@ fn serve<C: ControlPlane>(
                 new_iteration: iteration,
             };
             // A failed singleton send means this peer just died; its
-            // Disconnected event or heartbeat silence will evict.
+            // Disconnected event or the detector will evict it.
             let _ = link.send_assignment(worker, assignment);
         }
     }
     controller.close()
-}
-
-/// Marks `worker` as heard-from for the liveness sweep.
-fn note_heard(heard: &mut [(Instant, u64)], worker: usize) {
-    if let Some(h) = heard.get_mut(worker) {
-        *h = (Instant::now(), 0);
-    }
 }
 
 /// Ingests a batch of ready signals and forms every fillable group.
@@ -1085,11 +1018,19 @@ mod tests {
             .iter()
             .position(|e| matches!(e, TraceEvent::WorkerEvicted { worker: 2, .. }))
             .expect("eviction traced");
-        let missed_pos = events
+        let misses: Vec<u64> = events[..evicted_pos]
             .iter()
-            .position(|e| matches!(e, TraceEvent::HeartbeatMissed { worker: 2, .. }))
-            .expect("misses traced");
-        assert!(missed_pos < evicted_pos, "misses narrate before eviction");
+            .filter_map(|e| match e {
+                TraceEvent::HeartbeatMissed { worker: 2, misses } => Some(*misses),
+                _ => None,
+            })
+            .collect();
+        let last_silence = misses.iter().rposition(|&m| m == 1).expect("misses traced");
+        assert_eq!(
+            misses[last_silence..],
+            [1, 2, 3, 4, 5, 6],
+            "one miss per window"
+        );
         assert!(
             matches!(
                 events.get(evicted_pos + 1),
@@ -1120,7 +1061,7 @@ mod tests {
         let mut r0 = reducers.pop().unwrap();
 
         // Fail-stop before the first signal: no Ready, no Leaving, and no
-        // heartbeats ever arrive from rank 1. Only the liveness sweep can
+        // heartbeats ever arrive from rank 1. Only the failure detector can
         // notice this worker is gone.
         r1.crash();
 

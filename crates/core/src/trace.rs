@@ -26,6 +26,7 @@ use std::sync::{Arc, Mutex};
 use serde::{Deserialize, Serialize};
 
 use crate::controller::ControllerConfig;
+use crate::liveness::LivenessPolicy;
 use preduce_comm::control::{ControlObserver, GroupAssignment};
 
 /// One control-plane event.
@@ -39,11 +40,16 @@ use preduce_comm::control::{ControlObserver, GroupAssignment};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// A controller came up with this configuration. First event of every
-    /// trace; the invariant checker reads `N`, `P`, and the aggregation
-    /// mode from it.
+    /// trace; the invariant checker reads `N`, `P`, the aggregation mode
+    /// and the liveness policy from it.
     RunStarted {
         /// The controller configuration.
         config: ControllerConfig,
+        /// The policy the fleet's failure detector evicts by; `None` when
+        /// nothing watches the fleet, and in traces written before the
+        /// field existed.
+        #[serde(default)]
+        liveness: Option<LivenessPolicy>,
     },
     /// A ready signal entered the signal queue (Algorithm 2 lines 6–7).
     SignalEnqueued {
@@ -157,16 +163,18 @@ pub enum TraceEvent {
         /// Worker rank.
         worker: usize,
     },
-    /// The liveness monitor missed a heartbeat window for a worker.
+    /// The failure detector counted one more silent window for a worker
+    /// (one event per count, `1, 2, …`).
     HeartbeatMissed {
         /// Worker rank.
         worker: usize,
         /// Consecutive windows missed so far (1-based).
         misses: u64,
     },
-    /// The liveness monitor declared a silent worker dead and is about to
-    /// route it through [`TraceEvent::WorkerLeft`] (the eviction is an
-    /// involuntary departure; the repair path is shared).
+    /// The controller declared a worker dead (heartbeat silence or a
+    /// dropped connection) and is about to route it through
+    /// [`TraceEvent::WorkerLeft`] (the eviction is an involuntary
+    /// departure; the repair path is shared).
     WorkerEvicted {
         /// Worker rank.
         worker: usize,

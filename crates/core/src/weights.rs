@@ -20,9 +20,11 @@
 //!   initial (most stale) model, i.e. the `k̂_max` holders
 //!   ([`GapPolicy::Initial`]).
 //!
-//! Theorem 1 needs every synchronization matrix to be doubly stochastic,
-//! so every row a reduce applies comes from this module: the three
-//! generators below are the only producers of a [`WeightRow`].
+//! Every row a reduce applies comes from this module: the three
+//! generators below are the only producers of a [`WeightRow`]. So every
+//! synchronization matrix is doubly stochastic in CON, as Theorem 1
+//! assumes, and column-stochastic in DYN, where a non-uniform row makes
+//! `W_k` asymmetric ([`crate::matrix`]).
 
 use std::ops::Deref;
 

@@ -5,9 +5,9 @@ use std::sync::Arc;
 
 use partial_reduce::{
     constant_weights, dynamic_weights, min_history_window, spectral_gap, sync_matrix,
-    weighted_sync_matrix, AggregationMode, Controller, ControllerConfig, GapPolicy, GroupHistory,
-    InvariantChecker, RingSink, StreamingChecker, SyncGraph, TraceEvent, TraceSink,
-    WindowedConnectivity,
+    weighted_sync_matrix, AggregationMode, Controller, ControllerConfig, FailureDetector,
+    GapPolicy, GroupHistory, InvariantChecker, LivenessPolicy, RingSink, StreamingChecker,
+    SyncGraph, TraceEvent, TraceSink, WindowedConnectivity,
 };
 use proptest::prelude::*;
 
@@ -229,7 +229,9 @@ proptest! {
         let n = 8;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let sink = Arc::new(RingSink::new(8192));
-        let mut c = Controller::with_sink(
+        // One missed window is the whole budget.
+        let policy = LivenessPolicy::new(std::time::Duration::from_millis(1), 1);
+        let mut c = Controller::with_liveness(
             ControllerConfig {
                 num_workers: n,
                 group_size: p,
@@ -242,6 +244,7 @@ proptest! {
                 frozen_avoidance: true,
             },
             sink.clone(),
+            Some(policy),
         );
         let mut queued = vec![false; n];
         let mut iter = vec![0u64; n];
@@ -305,6 +308,104 @@ proptest! {
         }
         c.close();
         prop_assert_eq!(sink.dropped(), 0);
+        let report = InvariantChecker::check(&sink.snapshot());
+        prop_assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
+    fn the_detector_evicts_exactly_at_the_kth_missed_window(
+        seed in any::<u64>(),
+        n in 2usize..17,
+        k in 1u64..9,
+        interval_ms in 1u64..50,
+        late in any::<bool>(),
+    ) {
+        // Every worker beats at random gaps shorter than the budget, then
+        // falls silent for good. The detector reports each count `m` of a
+        // silence once, in order, and evicts at the K-th: swept at each
+        // `next_deadline`, exactly at `last heard + m` windows; swept
+        // `late`, up to two windows past a deadline (never past the next
+        // beat), at that sweep. Random sweeps before any deadline narrate
+        // nothing. The clock is the test's: nothing sleeps.
+        use rand::{Rng, SeedableRng};
+        use std::time::Duration;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let window = interval_ms * 1000;
+        let us = Duration::from_micros;
+        let policy = LivenessPolicy::new(us(window), k);
+        let sink = Arc::new(RingSink::new(1 << 16));
+        let mut c =
+            Controller::with_liveness(ControllerConfig::constant(n, 2), sink.clone(), Some(policy));
+        let mut detector = FailureDetector::new(policy, n);
+
+        // The beats, and the oracle: per worker, when each miss falls due
+        // (µs) with its count, the eviction last as count `None`.
+        let mut beats: Vec<(u64, usize)> = Vec::new();
+        let mut want: Vec<Vec<(u64, Option<u64>)>> = Vec::new();
+        for w in 0..n {
+            let (mut heard, mut told) = (0, Vec::new());
+            for _ in 0..rng.gen_range(0..20usize) {
+                // Half the gaps end exactly on a window boundary.
+                let gap = if k > 1 && rng.gen_bool(0.5) {
+                    rng.gen_range(1..k) * window
+                } else {
+                    rng.gen_range(1..k * window)
+                };
+                let due = (1..k).map(|m| (heard + m * window, Some(m)));
+                told.extend(due.take_while(|&(t, _)| t <= heard + gap));
+                heard += gap;
+                beats.push((heard, w));
+            }
+            told.extend((1..=k).map(|m| (heard + m * window, Some(m))));
+            told.push((heard + k * window, None));
+            want.push(told);
+        }
+        beats.sort_unstable();
+
+        let mut got: Vec<Vec<(u64, Option<u64>)>> = vec![Vec::new(); n];
+        let (mut clock, mut beats) = (0, beats.into_iter().peekable());
+        loop {
+            let due = detector.next_deadline().map(|d| d.as_micros() as u64);
+            let beat = beats.peek().map(|b| b.0);
+            let Some(next) = due.into_iter().chain(beat).min() else {
+                break;
+            };
+            if next > clock && rng.gen_bool(0.3) {
+                let before = sink.len();
+                detector.sweep(us(rng.gen_range(clock..next)), &mut c);
+                prop_assert_eq!(sink.len(), before, "a sweep before any deadline narrated");
+            }
+            // A deadline is swept before a beat at the same time is heard.
+            if due == Some(next) {
+                clock = if late {
+                    (next + rng.gen_range(0..=2 * window)).min(beat.unwrap_or(u64::MAX))
+                } else {
+                    next
+                };
+                let before = sink.len();
+                detector.sweep(us(clock), &mut c);
+                for event in &sink.snapshot()[before..] {
+                    match *event {
+                        TraceEvent::HeartbeatMissed { worker, misses } => {
+                            got[worker].push((clock, Some(misses)));
+                        }
+                        TraceEvent::WorkerEvicted { worker, .. } => got[worker].push((clock, None)),
+                        _ => {}
+                    }
+                }
+            } else if let Some((t, w)) = beats.next() {
+                clock = t;
+                detector.heard(w, us(t));
+            }
+        }
+        for (w, (got, want)) in got.iter().zip(&want).enumerate() {
+            let counts = |told: &[(u64, Option<u64>)]| told.iter().map(|e| e.1).collect::<Vec<_>>();
+            prop_assert_eq!(counts(got), counts(want), "worker {}", w);
+            for (&(at, count), &(due, _)) in got.iter().zip(want) {
+                prop_assert!(at >= due && (late || at == due), "worker {w}: {count:?} due at {due} µs, told at {at}");
+            }
+        }
+        c.close();
         let report = InvariantChecker::check(&sink.snapshot());
         prop_assert!(report.is_clean(), "{report}");
     }
@@ -504,7 +605,10 @@ proptest! {
         let mut events: Vec<TraceEvent> = (0..len)
             .map(|_| hostile_event(&mut rng, n, p, &mut last_group))
             .collect();
-        let started = TraceEvent::RunStarted { config };
+        let liveness = rng
+            .gen_bool(0.5)
+            .then(|| LivenessPolicy::new(std::time::Duration::from_millis(1), rng.gen_range(1..4u64)));
+        let started = TraceEvent::RunStarted { config, liveness };
         match start {
             0 => {}
             1 => events.insert(0, started),

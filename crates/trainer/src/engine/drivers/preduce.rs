@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 
 use partial_reduce::runtime::{spawn, LivenessPolicy, RuntimeOptions};
 use partial_reduce::{
-    AggregationMode, Controller, ControllerConfig, NullSink, TraceEvent, TraceSink, WeightRow,
+    AggregationMode, Controller, ControllerConfig, FailureDetector, NullSink, TraceEvent,
+    TraceSink, WeightRow,
 };
 use preduce_simnet::{EventQueue, FaultPlan, SimTime};
 use preduce_tensor::Tensor;
@@ -34,6 +35,9 @@ enum Event {
         weights: WeightRow,
         new_iteration: u64,
     },
+    /// The failure detector's next deadline, exact: virtual time converts
+    /// through `f64` seconds, the detector counts whole windows.
+    Sweep(Duration),
 }
 
 /// Runs partial reduce with the given controller configuration, untraced
@@ -66,14 +70,19 @@ pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
 /// around it.
 /// A stall multiplies the sampled compute time, a signal delay is added
 /// to every ready signal, a late join postpones the first update. A crash
-/// is detected at once: the controller evicts the worker
-/// ([`Controller::evict`]) through the ordinary departure path. The
-/// controller also closes the run ([`Controller::close`]).
-/// `restore:W@U` re-admits a *departed* worker from its snapshot once the
-/// run has recorded `U` updates; a verb whose worker never departs stays
-/// pending. [`ElasticOptions`] add a warm start, loaded before anything
-/// is scheduled or narrated. The empty plan and inert options leave the
-/// run bit-for-bit unchanged.
+/// silences the worker, and the run's [`FailureDetector`], fed virtual
+/// time under [`chaos_liveness`] as the threaded chaos runs are, evicts
+/// it ([`Controller::evict`]) at its K-th missed window: the misses are
+/// narrated `1..=K`, as on threads. Every live worker is heard
+/// continuously — its beat outlives a stall — so only a crash goes
+/// silent, and the loop schedules a sweep at the detector's next deadline
+/// only while a crashed worker awaits eviction. The controller also
+/// closes the run ([`Controller::close`]). `restore:W@U` re-admits a
+/// crashed worker from its snapshot once the run has recorded `U`
+/// updates and the worker has been evicted; a verb whose worker never
+/// departs stays pending. [`ElasticOptions`] add a warm start, loaded
+/// before anything is scheduled or narrated. The empty plan and inert
+/// options leave the run bit-for-bit unchanged.
 ///
 /// # Panics
 /// Panics if the controller config disagrees with the harness size, or
@@ -113,7 +122,9 @@ pub fn run_preduce_elastic(
     );
 
     let adopt = cfg.mode.adopts_group_max();
-    let mut controller = Controller::with_sink(cfg, sink.clone());
+    let liveness = chaos_liveness();
+    let mut detector = FailureDetector::new(liveness, cfg.num_workers);
+    let mut controller = Controller::with_liveness(cfg, sink.clone(), Some(liveness));
     let mut steps: Vec<WorkerStep> = h
         .workers
         .iter()
@@ -126,6 +137,9 @@ pub fn run_preduce_elastic(
     // per-update duration sample).
     let mut last_free = vec![SimTime::ZERO; h.num_workers()];
     let mut nonuniform_groups = 0u64;
+    // Crashed workers the detector has yet to evict; a sweep is pending
+    // while this is non-empty.
+    let mut silent: Vec<usize> = Vec::new();
 
     for (w, step) in steps.iter().enumerate() {
         let ct = h.compute_time(w, SimTime::ZERO) * step.stall_factor(&h.workers[w]);
@@ -145,31 +159,27 @@ pub fn run_preduce_elastic(
                 if let Some(iteration) = steps[w].update(&mut h.workers[w], &mut h.rng) {
                     controller.push_ready(w, iteration);
                 } else {
-                    // The crash's signal is never sent, and in virtual time
-                    // the death is detected at once. A departure can
-                    // unblock a frozen-avoidance deferral, so group
-                    // formation still runs below.
-                    controller.evict(w);
-                }
-                // The ready signal and group notification each cost one
-                // network latency; then the group collective runs.
-                while let Some(d) = controller.try_form_group() {
-                    let w0 = d.weights[0];
-                    if d.weights.iter().any(|&w| (w - w0).abs() > 1e-6) {
-                        nonuniform_groups += 1;
+                    // The crash's signal is never sent, and its beat
+                    // stops: the worker was last heard now.
+                    let at = Duration::from_secs_f64(t.seconds());
+                    detector.heard(w, at);
+                    if silent.is_empty() {
+                        hear_live(&mut detector, &controller, &silent, at);
+                        schedule_sweep(&mut queue, &detector);
                     }
-                    // Link-aware: the group's ring runs at its slowest
-                    // member's link speed.
-                    let group_comm = h.group_ring_time(&d.group);
-                    queue.schedule(
-                        t + 2.0 * signal + group_comm,
-                        Event::GroupDone {
-                            group: d.group,
-                            weights: d.weights,
-                            new_iteration: d.new_iteration,
-                        },
-                    );
+                    silent.push(w);
                 }
+                nonuniform_groups += form_groups(&mut controller, &mut queue, &h, t + 2.0 * signal);
+            }
+            Event::Sweep(at) => {
+                hear_live(&mut detector, &controller, &silent, at);
+                detector.sweep(at, &mut controller);
+                silent.retain(|&w| !controller.has_left(w));
+                if !silent.is_empty() {
+                    schedule_sweep(&mut queue, &detector);
+                }
+                // A departure can unblock a frozen-avoidance deferral.
+                nonuniform_groups += form_groups(&mut controller, &mut queue, &h, t + 2.0 * signal);
             }
             Event::GroupDone {
                 group,
@@ -206,7 +216,7 @@ pub fn run_preduce_elastic(
                 if let Some(store) = &restore_store {
                     let updates = h.updates();
                     pending_restores.retain(|&(w, at)| {
-                        let due = updates >= at && steps[w].crashed();
+                        let due = updates >= at && steps[w].crashed() && controller.has_left(w);
                         if due {
                             let snap = must("load worker snapshot", store.load_worker(w));
                             must("restore worker", restore_worker(&mut h.workers[w], snap));
@@ -229,14 +239,69 @@ pub fn run_preduce_elastic(
     h.finish_with_stats(label, now, stats)
 }
 
+/// Forms every group the queue can fill; each group's collective starts
+/// at `start`, after the ready signal and the group notification have
+/// each cost one network latency. Returns how many of the groups carry
+/// non-uniform weights.
+fn form_groups(
+    controller: &mut Controller,
+    queue: &mut EventQueue<Event>,
+    h: &SimHarness,
+    start: SimTime,
+) -> u64 {
+    let mut nonuniform = 0;
+    while let Some(d) = controller.try_form_group() {
+        let w0 = d.weights[0];
+        if d.weights.iter().any(|&w| (w - w0).abs() > 1e-6) {
+            nonuniform += 1;
+        }
+        // Priced as a ring all-reduce over the group, gated by its slowest
+        // member link. The deployed plane averages on a star instead,
+        // which moves more bytes through its leader (ROADMAP item 16).
+        let group_comm = h.group_ring_time(&d.group);
+        queue.schedule(
+            start + group_comm,
+            Event::GroupDone {
+                group: d.group,
+                weights: d.weights,
+                new_iteration: d.new_iteration,
+            },
+        );
+    }
+    nonuniform
+}
+
+/// Every worker still beating is heard at `at`: the fleet minus the
+/// departed and the `silent` crashed (a restored worker beats again).
+fn hear_live(
+    detector: &mut FailureDetector,
+    controller: &Controller,
+    silent: &[usize],
+    at: Duration,
+) {
+    for w in 0..controller.config().num_workers {
+        if !controller.has_left(w) && !silent.contains(&w) {
+            detector.heard(w, at);
+        }
+    }
+}
+
+/// Schedules a sweep at the detector's next deadline.
+fn schedule_sweep(queue: &mut EventQueue<Event>, detector: &FailureDetector) {
+    if let Some(at) = detector.next_deadline() {
+        queue.schedule(SimTime::new(at.as_secs_f64()), Event::Sweep(at));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Threaded projection
 // ---------------------------------------------------------------------------
 
-/// Liveness policy for chaos runs: a worker silent for ~200 ms is dead.
-/// Generous against scheduler jitter (each worker's heartbeat thread beats
-/// every [`LivenessPolicy::beat_period`], 12.5 ms) yet quick enough for
-/// tests and benches.
+/// Liveness policy for chaos runs and for the simulator's failure
+/// detector: a worker silent for ~200 ms is dead. Generous against
+/// scheduler jitter (each worker's heartbeat thread beats every
+/// [`LivenessPolicy::beat_period`], 12.5 ms) yet quick enough for tests
+/// and benches.
 pub fn chaos_liveness() -> LivenessPolicy {
     LivenessPolicy::new(Duration::from_millis(25), 8)
 }
@@ -254,10 +319,11 @@ pub fn chaos_liveness() -> LivenessPolicy {
 /// When the substrate carries a [`FaultPlan`], the controller is spawned
 /// with the chaos [`LivenessPolicy`], so `spawn` hands out reducers that
 /// already beat, and the plan is applied for real: a crashed worker drops
-/// its handle without a `Leaving` signal (the controller must notice via
-/// heartbeat silence), stalls and signal delays become sleeps, and a late
-/// joiner starts its loop late (beating from spawn so it is not misjudged
-/// as dead).
+/// its handle without a `Leaving` signal, and the serving loop's
+/// [`FailureDetector`] evicts it by its silence, under the same policy
+/// and with the same narration as the simulator; stalls and signal
+/// delays become sleeps, and a late joiner starts its loop late (beating
+/// from spawn so it is not misjudged as dead).
 ///
 /// # Panics
 /// Panics if the controller config disagrees with the fleet size, if the

@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn connectivity_counters_report_work() {
-        // ROADMAP item 3(c)'s budget on a warm uniform run (T = 134,
+        // ROADMAP item 1's filter cost on a warm uniform run (T = 134,
         // warm after ~2 k of the 40 k signals): with arrival jitter about
         // a third of the fleet is absent from the window at any time, so
         // a queue of 16 almost always holds an absent worker and the

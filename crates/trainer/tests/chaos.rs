@@ -16,6 +16,7 @@ use std::sync::Arc;
 use partial_reduce::{Controller, ControllerConfig, InvariantChecker, RingSink, TraceEvent};
 use preduce_data::cifar10_like;
 use preduce_models::zoo;
+use preduce_trainer::engine::drivers::preduce::chaos_liveness;
 use preduce_trainer::{
     engine, Backend, ElasticOptions, EngineRun, ExperimentConfig, FaultPlan, Strategy,
 };
@@ -306,11 +307,28 @@ fn threaded_stall_keeps_heartbeating_and_is_not_evicted() {
     assert!(report.is_clean(), "{report}");
 }
 
+/// Worker `w`'s last silence as the trace tells it: its `HeartbeatMissed`
+/// counts from the last `1` on, then `None` for its eviction.
+fn last_silence(events: &[TraceEvent], w: usize) -> Vec<Option<u64>> {
+    let told: Vec<Option<u64>> = events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::HeartbeatMissed { worker, misses } if worker == w => Some(Some(misses)),
+            TraceEvent::WorkerEvicted { worker, .. } if worker == w => Some(None),
+            _ => None,
+        })
+        .collect();
+    let from = told.iter().rposition(|&m| m == Some(1)).unwrap_or(0);
+    told[from..].to_vec()
+}
+
 #[test]
 fn one_plan_fires_at_the_same_iterations_on_sim_and_threads() {
     // Both substrates run the same worker step, so every fault of a CON
     // plan is narrated with the same label at the same local iteration on
-    // each — the crash included.
+    // each — the crash included. And one failure detector evicts the
+    // crashed worker on both, under the same policy: misses `1..=K`, then
+    // the eviction.
     let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
     c.num_workers = 4;
     c.threshold = 0.999;
@@ -343,21 +361,25 @@ fn one_plan_fires_at_the_same_iterations_on_sim_and_threads() {
         let events = sink.snapshot();
         let report = InvariantChecker::check(&events);
         assert!(report.is_clean(), "{backend:?}: {report}");
-        events
-            .into_iter()
+        let faults = events
+            .iter()
             .filter_map(|e| match e {
                 TraceEvent::FaultInjected {
                     worker,
                     fault,
                     iteration,
-                } => Some((worker, fault, iteration)),
+                } => Some((*worker, fault.clone(), *iteration)),
                 _ => None,
             })
-            .collect::<BTreeSet<_>>()
+            .collect::<BTreeSet<_>>();
+        (faults, last_silence(&events, 1))
     };
     let sim = faults_on(Backend::Sim);
-    assert!(sim.contains(&(1, "crash@4".to_string(), 4)), "{sim:?}");
-    assert_eq!(sim.len(), 4, "{sim:?}");
+    assert!(sim.0.contains(&(1, "crash@4".to_string(), 4)), "{sim:?}");
+    assert_eq!(sim.0.len(), 4, "{sim:?}");
+    let k = chaos_liveness().miss_threshold();
+    let told: Vec<Option<u64>> = (1..=k).map(Some).chain([None]).collect();
+    assert_eq!(sim.1, told, "sim");
     assert_eq!(faults_on(Backend::Threaded), sim);
 }
 

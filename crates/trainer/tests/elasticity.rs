@@ -162,6 +162,44 @@ fn kill_and_replace_recovers_without_data_loss() {
 }
 
 #[test]
+fn a_restore_due_before_the_eviction_waits_for_it() {
+    // The restore comes due one update after the crash, inside the
+    // detector's silence budget: groups complete while the crashed worker
+    // is silent but not yet evicted, and it is restored only once it has
+    // been. The run neither panics nor narrates a restore of a worker
+    // that never departed.
+    let dir = scratch("early-restore");
+    let plan = FaultPlan::none().crash(3, 20).restore(3, 21);
+    let elastic = ElasticOptions::none().with_policy(&dir, 1);
+    let strategy = Strategy::PReduce {
+        p: 2,
+        dynamic: false,
+    };
+    let (_, events) = run_traced(&sim_config(), strategy, Backend::Sim, plan, elastic);
+    let at = |wanted: fn(&TraceEvent) -> bool| events.iter().position(wanted);
+    let crashed = at(|e| matches!(e, TraceEvent::FaultInjected { worker: 3, .. }))
+        .expect("worker 3 never crashed");
+    let evicted = at(|e| matches!(e, TraceEvent::WorkerEvicted { worker: 3, .. }))
+        .expect("worker 3 was never evicted");
+    let restored = at(|e| matches!(e, TraceEvent::WorkerRestored { worker: 3, .. }))
+        .expect("worker 3 was never restored");
+    let completed_in_silence = events[crashed..evicted]
+        .iter()
+        .any(|e| matches!(e, TraceEvent::ReduceCompleted { .. }));
+    assert!(
+        completed_in_silence,
+        "no group completed while worker 3 was silent"
+    );
+    assert!(
+        evicted < restored,
+        "restored at event {restored}, evicted at {evicted}"
+    );
+    let report = InvariantChecker::check(&events);
+    assert!(report.is_clean(), "{report}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_restored_worker_resumes_its_own_shard() {
     // No shard moves on any substrate (DESIGN.md §14): a worker rewound
     // in place — the simulator's `restore:` path — samples from exactly
