@@ -91,11 +91,7 @@ fn lead(
             check_len(segment.len(), x.len())?;
             inbox.push(x);
         }
-        // `0.0 +` keeps a negative-zero product bit-identical to what a
-        // from-zero accumulator yields.
-        for x in segment.iter_mut() {
-            *x = 0.0 + own_weight * *x;
-        }
+        kernels::scale_from_zero(segment, own_weight);
         for (x, &w) in inbox.iter().zip(member_weights) {
             kernels::axpy(segment, w, x);
         }

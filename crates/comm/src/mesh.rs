@@ -34,7 +34,8 @@
 //! contribution comes first in group-position order and the accumulator
 //! can be its parameter slice: per `PIPELINE_CHUNK`-element segment it
 //! reads every member's bytes, sets `data[i] = 0 + w₀·data[i]`, then adds
-//! `w_j·x_j` straight from the wire bytes in group-position order — the
+//! `w_j·x_j` straight from the wire bytes in group-position order
+//! (`kernels::scale_from_zero`, then `kernels::axpy_le_bytes`) — the
 //! per-element order of a from-zero accumulator, so the result is
 //! bit-identical at any segment size. TCP is a byte stream, so
 //! segmenting is invisible on the wire. A segment is folded only once
@@ -56,6 +57,8 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
+
+use preduce_tensor::kernels;
 
 use crate::error::CommError;
 use crate::Result;
@@ -440,15 +443,9 @@ impl MeshEndpoint {
             {
                 recv(stream, slot, member, base_tag)?;
             }
-            // `0.0 +` keeps a negative-zero product bit-identical to
-            // what a from-zero accumulator yields.
-            for x in segment.iter_mut() {
-                *x = 0.0 + own_weight * *x;
-            }
+            kernels::scale_from_zero(segment, own_weight);
             for (slot, &w) in slots.chunks_exact(bytes).zip(member_weights) {
-                for (x, quad) in segment.iter_mut().zip(slot.as_chunks::<4>().0) {
-                    *x += w * f32::from_le_bytes(*quad);
-                }
+                kernels::axpy_le_bytes(segment, w, slot);
             }
         }
         Ok(())

@@ -14,8 +14,10 @@
 //!   [`Network::set_param_vector`], [`Network::grads`]) — the unit of
 //!   communication for all-reduce, parameter-server, and partial-reduce
 //!   traffic, and the network's only layout: forward and backward run the
-//!   `preduce_tensor::kernels` GEMMs on slices of them;
-//! * [`SgdOptimizer`] with momentum and weight decay plus the paper's
+//!   `preduce_tensor::kernels` GEMMs on slices of them, or on a caller's
+//!   own parameter vector ([`Network::forward_on`]);
+//! * [`SgdOptimizer`] (its step is `preduce_tensor::kernels::sgd_step`)
+//!   with momentum and weight decay plus the paper's
 //!   learning-rate schedules (§5.1: lr 0.1, momentum 0.9, wd 1e-4, ImageNet
 //!   step decay ×0.1 every 20 epochs);
 //! * a model zoo ([`zoo`]) of *analogs* of the paper's CNNs, each paired

@@ -16,6 +16,13 @@ use rand::Rng;
 /// layout, and the passes run the kernels on slices of them: layer by
 /// layer, each layer's row-major `[in, out]` weight matrix followed by its
 /// bias.
+///
+/// A trainer that keeps the parameters in a vector of its own runs the
+/// training passes on that vector ([`Network::forward_on`],
+/// [`Network::backward_fresh_on`]) instead of copying it in; the
+/// network's own copy then serves evaluation and the two-step public path
+/// ([`Network::set_param_vector`], [`Network::forward`],
+/// [`Network::backward`]).
 #[derive(Clone)]
 pub struct Network {
     /// The input width, then each layer's output width.
@@ -24,11 +31,11 @@ pub struct Network {
     /// The accumulated gradients, laid out like `params`.
     grads: Tensor,
     /// Whether `grads` is all `+0.0`: set by [`Network::zero_grads`],
-    /// cleared by the next [`Network::backward`] (which touches every
-    /// layer).
+    /// cleared by the next backward (which touches every layer).
     grads_zeroed: bool,
-    /// The input of every layer in the last [`Network::forward`], first
-    /// layer first; empty once a backward has consumed them.
+    /// The input of every layer in the last training forward
+    /// ([`Network::forward`] or [`Network::forward_on`]), first layer
+    /// first; empty once a backward has consumed them.
     inputs: Vec<Tensor>,
 }
 
@@ -91,9 +98,10 @@ impl Network {
         (fan_in, fan_out, at..bias, bias..bias + fan_out)
     }
 
-    /// Layer `l` on `[batch, fan_in]` activations: `x · W + b`, then the
-    /// ReLU unless `l` is the classifier.
-    fn layer_forward(&self, l: usize, x: &Tensor) -> Tensor {
+    /// Layer `l` on `[batch, fan_in]` activations: `x · W + b` with `W`
+    /// and `b` read from the flat `params`, then the ReLU unless `l` is the
+    /// classifier.
+    fn layer_forward(&self, params: &[f32], l: usize, x: &Tensor) -> Tensor {
         let (fan_in, fan_out, weights, bias) = self.layer(l);
         assert_eq!(
             x.shape().dim(1),
@@ -102,7 +110,6 @@ impl Network {
             x.shape()
         );
         let batch = x.shape().dim(0);
-        let params = self.params.as_slice();
         let (w, b) = (&params[weights], &params[bias]);
         let mut y = Tensor::zeros([batch, fan_out]);
         kernels::gemm(batch, fan_in, fan_out, x.as_slice(), w, y.as_mut_slice());
@@ -120,10 +127,30 @@ impl Network {
     /// # Panics
     /// Panics if `x` is not `[batch, features]` for the spec's `input_dim`.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.forward_pass(None, x)
+    }
+
+    /// [`Network::forward`] on `params`, a flat vector laid out like
+    /// [`Network::param_vector`], instead of the network's own — the same
+    /// bits as [`Network::set_param_vector`]`(params)` then
+    /// [`Network::forward`], without the copy.
+    ///
+    /// # Panics
+    /// Panics if `params` is not `param_count()` long, or `x` is not
+    /// `[batch, features]` for the spec's `input_dim`.
+    pub fn forward_on(&mut self, params: &[f32], x: &Tensor) -> Tensor {
+        self.check_len(params);
+        self.forward_pass(Some(params), x)
+    }
+
+    /// The training forward pass on `lent` parameters, or else the
+    /// network's own, keeping each layer's input for the backward.
+    fn forward_pass(&mut self, lent: Option<&[f32]>, x: &Tensor) -> Tensor {
+        let params = lent.unwrap_or(self.params.as_slice());
         self.inputs.clear();
         let mut h = x.clone();
         for l in 0..self.depth() {
-            let y = self.layer_forward(l, &h);
+            let y = self.layer_forward(params, l, &h);
             self.inputs.push(std::mem::replace(&mut h, y));
         }
         h
@@ -136,7 +163,10 @@ impl Network {
     /// # Panics
     /// Panics if `x` is not `[batch, features]` for the spec's `input_dim`.
     pub(crate) fn infer(&self, x: &Tensor) -> Tensor {
-        (1..self.depth()).fold(self.layer_forward(0, x), |h, l| self.layer_forward(l, &h))
+        let params = self.params.as_slice();
+        (1..self.depth()).fold(self.layer_forward(params, 0, x), |h, l| {
+            self.layer_forward(params, l, &h)
+        })
     }
 
     /// Propagates `grad` (w.r.t. the network output) through all layers,
@@ -148,12 +178,34 @@ impl Network {
     /// consumed it since (an evaluation forward keeps nothing, and an
     /// older forward's inputs would be stale).
     pub fn backward(&mut self, grad: &Tensor) {
+        let fresh = std::mem::take(&mut self.grads_zeroed);
+        self.backward_pass(None, grad, fresh);
+    }
+
+    /// The backward of a [`Network::forward_on`] at the same `params`,
+    /// writing fresh gradients: [`Network::grads`] then holds this pass's
+    /// gradient alone — the bits [`Network::zero_grads`] then
+    /// [`Network::backward`] leave — whatever it held before, and nothing
+    /// is filled with zeros first.
+    ///
+    /// # Panics
+    /// Panics if `params` is not `param_count()` long, or unless a forward
+    /// ran and no backward has consumed it since.
+    pub fn backward_fresh_on(&mut self, params: &[f32], grad: &Tensor) {
+        self.check_len(params);
+        self.grads_zeroed = false;
+        self.backward_pass(Some(params), grad, true);
+    }
+
+    /// The backward on `lent` parameters, or else the network's own. A
+    /// `fresh` pass overwrites every gradient; otherwise it adds to them.
+    fn backward_pass(&mut self, lent: Option<&[f32]>, grad: &Tensor, fresh: bool) {
         assert_eq!(
             self.inputs.len(),
             self.depth(),
             "Network::backward needs a forward first"
         );
-        let zeroed = std::mem::take(&mut self.grads_zeroed);
+        let params = lent.unwrap_or(self.params.as_slice());
         let mut carried: Option<Tensor> = None;
         for l in (0..self.depth()).rev() {
             let (fan_in, fan_out, weights, bias) = self.layer(l);
@@ -162,13 +214,15 @@ impl Network {
             let (batch, x, dy) = (g.shape().dim(0), input.as_slice(), g.as_slice());
             let grads = self.grads.as_mut_slice();
             // dW += xᵀ · g, the product formed from zero and then added.
-            // Into a zeroed accumulator that is the product itself (`0 + x`
-            // is `x`, and a sum that starts at `+0.0` is never `-0.0`), so
-            // the kernel writes it in place; only an accumulating pass
-            // needs the temporary.
+            // Fresh, that is the product itself (`0 + x` is `x`, and a sum
+            // that starts at `+0.0` is never `-0.0`), so the kernel writes
+            // it in place without reading what was there; only an
+            // accumulating pass needs the temporary. The bias sums start
+            // at `+0.0` the same way.
             let dw = &mut grads[weights.clone()];
-            if zeroed {
-                kernels::gemm_at_b(batch, fan_in, fan_out, x, dy, dw);
+            if fresh {
+                kernels::gemm_at_b_fresh(batch, fan_in, fan_out, x, dy, dw);
+                grads[bias.clone()].fill(0.0);
             } else {
                 let mut product = vec![0.0; dw.len()];
                 kernels::gemm_at_b(batch, fan_in, fan_out, x, dy, &mut product);
@@ -181,7 +235,7 @@ impl Network {
                 // layer, positive exactly where that ReLU's own input was:
                 // it is the mask.
                 let mut dx = Tensor::zeros([batch, fan_in]);
-                let w = &self.params.as_slice()[weights];
+                let w = &params[weights];
                 kernels::gemm_a_bt(batch, fan_out, fan_in, dy, w, dx.as_mut_slice());
                 carried = Some(relu_backward(&input, dx));
             }
@@ -214,6 +268,11 @@ impl Network {
     /// # Panics
     /// Panics if `flat.len() != param_count()`.
     pub fn set_param_vector(&mut self, flat: &Tensor) {
+        self.check_len(flat.as_slice());
+        self.params.as_mut_slice().copy_from_slice(flat.as_slice());
+    }
+
+    fn check_len(&self, flat: &[f32]) {
         assert_eq!(
             flat.len(),
             self.param_count(),
@@ -221,7 +280,6 @@ impl Network {
             flat.len(),
             self.param_count()
         );
-        self.params.as_mut_slice().copy_from_slice(flat.as_slice());
     }
 }
 
@@ -317,6 +375,38 @@ mod tests {
         net.zero_grads();
         let (got, product) = backward(&mut net, 3);
         assert_eq!(got, bits(&product));
+    }
+
+    #[test]
+    fn passes_on_a_lent_vector_match_the_copied_ones_bitwise() {
+        // `forward_on` + `backward_fresh_on` never read the network's own
+        // parameters (NaN here) nor its stale gradients (an accumulated
+        // pass here), and give the bits of copy, zero, forward, backward.
+        let spec = NetworkSpec::mlp(16, &[12, 8], 3);
+        let mut copied = spec.build(1);
+        let params = copied.param_vector();
+        let mut lent = spec.build(2);
+        lent.forward(&input(4));
+        lent.backward(&Tensor::ones([4, 3]));
+        lent.set_param_vector(
+            &Tensor::from_vec(vec![f32::NAN; params.len()], [params.len()]).unwrap(),
+        );
+        for rows in [5, 3] {
+            copied.set_param_vector(&params);
+            copied.zero_grads();
+            let want = copied.forward(&input(rows));
+            let loss = softmax_cross_entropy(&want, &vec![1; rows]);
+            copied.backward(&loss.grad);
+            let got = lent.forward_on(params.as_slice(), &input(rows));
+            lent.backward_fresh_on(params.as_slice(), &loss.grad);
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{rows} rows");
+            assert_eq!(
+                bits(lent.grads().as_slice()),
+                bits(copied.grads().as_slice())
+            );
+        }
+        lent.zero_grads();
+        assert!(lent.grads().as_slice().iter().all(|g| g.to_bits() == 0));
     }
 
     #[test]

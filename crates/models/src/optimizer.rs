@@ -4,7 +4,7 @@
 //! for ImageNet, step decay ×0.1 every 20 epochs (following the standard
 //! PyTorch recipe they cite).
 
-use preduce_tensor::Tensor;
+use preduce_tensor::{kernels, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Learning-rate schedule.
@@ -117,10 +117,10 @@ impl SgdOptimizer {
         &self.config
     }
 
-    /// Applies one SGD step: `v ← m·v + (g + wd·θ)`, `θ ← θ − lr·v`,
-    /// with an optional external learning-rate scale (used by
-    /// staleness-aware baselines like PS HETE that modulate the rate per
-    /// update).
+    /// Applies one SGD step: `v ← m·v + (g + wd·θ)`, `θ ← θ − lr·v`
+    /// ([`kernels::sgd_step`]), with an optional external learning-rate
+    /// scale (used by staleness-aware baselines like PS HETE that modulate
+    /// the rate per update).
     ///
     /// # Panics
     /// Panics if the vector lengths disagree with the optimizer state.
@@ -139,14 +139,14 @@ impl SgdOptimizer {
             grads.len()
         );
         let lr = self.current_lr() * lr_scale;
-        let m = self.config.momentum;
-        let wd = self.config.weight_decay;
-        let (v, p) = (self.velocity.as_mut_slice(), params.as_mut_slice());
-        for ((v, p), &g) in v.iter_mut().zip(p).zip(grads.as_slice()) {
-            let eff_grad = g + wd * *p;
-            *v = m * *v + eff_grad;
-            *p -= lr * *v;
-        }
+        kernels::sgd_step(
+            params.as_mut_slice(),
+            self.velocity.as_mut_slice(),
+            grads.as_slice(),
+            lr,
+            self.config.momentum,
+            self.config.weight_decay,
+        );
         self.steps += 1;
     }
 

@@ -142,9 +142,13 @@ macro_rules! define_kernel_impls {
             /// lanes run along a row of `B`/`C`: row `i` of the `A` panel is
             /// `a[i·a_stride..][..kb]`, row `dp` of the `B` panel starts at
             /// `b[dp·b_stride]` and row `i` of the `C` block at
-            /// `c[i·c_stride]`.
+            /// `c[i·c_stride]`. A `FRESH` panel starts every tile at `+0.0`
+            /// instead of loading it from `C`: the first panel of a product
+            /// that overwrites `C`. It is a parameter of the type, not a
+            /// field, so the accumulating panels compile to the same loop
+            /// as if it did not exist.
             #[derive(Clone, Copy)]
-            struct RowLanes<'a> {
+            struct RowLanes<'a, const FRESH: bool> {
                 a: &'a [f32],
                 a_stride: usize,
                 m: usize,
@@ -155,7 +159,16 @@ macro_rules! define_kernel_impls {
                 c_stride: usize,
             }
 
-            impl RowLanes<'_> {
+            impl<'a> RowLanes<'a, false> {
+                /// The same panel, fresh.
+                #[inline]
+                fn fresh(self) -> RowLanes<'a, true> {
+                    let RowLanes { a, a_stride, m, kb, b, b_stride, nb, c_stride } = self;
+                    RowLanes { a, a_stride, m, kb, b, b_stride, nb, c_stride }
+                }
+            }
+
+            impl<const FRESH: bool> RowLanes<'_, FRESH> {
                 /// Covers the `nb` columns with the widest tile that fits:
                 /// 32 lanes two rows at a time (each `B` tile row feeds both
                 /// rows), and for a block narrower than that 16, 8, 4 or 1
@@ -218,7 +231,9 @@ macro_rules! define_kernel_impls {
                         let mut acc = [[0.0f32; W]; R];
                         for r in 0..R {
                             bcast[r] = &self.a[(i + r) * self.a_stride..][..self.kb];
-                            acc[r].copy_from_slice(&c[(i + r) * self.c_stride + j..][..W]);
+                            if !FRESH {
+                                acc[r].copy_from_slice(&c[(i + r) * self.c_stride + j..][..W]);
+                            }
                         }
                         let lanes = &self.b[j..];
                         contract_tile!(acc, bcast, self.kb, lanes, self.b_stride);
@@ -246,7 +261,7 @@ macro_rules! define_kernel_impls {
                     for jc in (0..n).step_by(BLOCK_N) {
                         let nb = BLOCK_N.min(n - jc);
                         let b_panel = &b[pc * n + jc..];
-                        RowLanes { a: &a[pc..], a_stride: k, m, kb, b: b_panel, b_stride: n, nb, c_stride: n }
+                        RowLanes::<false> { a: &a[pc..], a_stride: k, m, kb, b: b_panel, b_stride: n, nb, c_stride: n }
                             .run(&mut c[jc..]);
                     }
                 }
@@ -274,10 +289,13 @@ macro_rules! define_kernel_impls {
                 a: &[f32],
                 b: &[f32],
                 c: &mut [f32],
+                fresh: bool,
             ) {
                 // Pack each panel of Aᵀ (k·m elements, the small operand of
                 // a weight gradient) so the per-row segment reads
-                // contiguously, then run the gemm panel on it.
+                // contiguously, then run the gemm panel on it. A fresh
+                // product starts its first panel from `+0.0`, which is what
+                // the load of a zeroed `C` would have given.
                 let mut packed = vec![0.0f32; BLOCK_K.min(k) * m];
                 for pc in (0..k).step_by(BLOCK_K) {
                     let kb = BLOCK_K.min(k - pc);
@@ -285,8 +303,12 @@ macro_rules! define_kernel_impls {
                     for jc in (0..n).step_by(BLOCK_N) {
                         let nb = BLOCK_N.min(n - jc);
                         let b_panel = &b[pc * n + jc..];
-                        RowLanes { a: &packed, a_stride: kb, m, kb, b: b_panel, b_stride: n, nb, c_stride: n }
-                            .run(&mut c[jc..]);
+                        let panel = RowLanes::<false> { a: &packed, a_stride: kb, m, kb, b: b_panel, b_stride: n, nb, c_stride: n };
+                        if fresh && pc == 0 {
+                            panel.fresh().run(&mut c[jc..]);
+                        } else {
+                            panel.run(&mut c[jc..]);
+                        }
                     }
                 }
             }
@@ -316,7 +338,7 @@ macro_rules! define_kernel_impls {
                     for pc in (0..k).step_by(BLOCK_K) {
                         let kb = BLOCK_K.min(k - pc);
                         transpose_block(&a[pc..], k, m, kb, &mut packed);
-                        RowLanes { a: &b[pc..], a_stride: k, m: n, kb, b: &packed, b_stride: m, nb: m, c_stride: m }
+                        RowLanes::<false> { a: &b[pc..], a_stride: k, m: n, kb, b: &packed, b_stride: m, nb: m, c_stride: m }
                             .run(&mut ct);
                     }
                     transpose_block(&ct, m, n, m, c);
@@ -328,7 +350,7 @@ macro_rules! define_kernel_impls {
                     for jc in (0..n).step_by(BLOCK_N) {
                         let nb = BLOCK_N.min(n - jc);
                         transpose_block(&b[jc * k + pc..], k, nb, kb, &mut packed);
-                        RowLanes { a: &a[pc..], a_stride: k, m, kb, b: &packed, b_stride: nb, nb, c_stride: n }
+                        RowLanes::<false> { a: &a[pc..], a_stride: k, m, kb, b: &packed, b_stride: nb, nb, c_stride: n }
                             .run(&mut c[jc..]);
                     }
                 }
@@ -360,9 +382,39 @@ macro_rules! define_kernel_impls {
             }
 
             $(#[$feat])?
+            pub(super) fn axpy_le_bytes(y: &mut [f32], alpha: f32, bytes: &[u8]) {
+                for (a, quad) in y.iter_mut().zip(bytes.as_chunks::<4>().0) {
+                    *a += alpha * f32::from_le_bytes(*quad);
+                }
+            }
+
+            $(#[$feat])?
             pub(super) fn scale(x: &mut [f32], alpha: f32) {
                 for v in x.iter_mut() {
                     *v *= alpha;
+                }
+            }
+
+            $(#[$feat])?
+            pub(super) fn scale_from_zero(x: &mut [f32], alpha: f32) {
+                for v in x.iter_mut() {
+                    *v = 0.0 + alpha * *v;
+                }
+            }
+
+            $(#[$feat])?
+            pub(super) fn sgd_step(
+                params: &mut [f32],
+                velocity: &mut [f32],
+                grads: &[f32],
+                lr: f32,
+                momentum: f32,
+                weight_decay: f32,
+            ) {
+                for ((v, p), &g) in velocity.iter_mut().zip(params.iter_mut()).zip(grads) {
+                    let eff_grad = g + weight_decay * *p;
+                    *v = momentum * *v + eff_grad;
+                    *p -= lr * *v;
                 }
             }
 
@@ -456,7 +508,26 @@ pub fn gemm_at_b(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f3
         a.len() == k * m && b.len() == k * n && c.len() == m * n,
         "gemm_at_b buffer sizes disagree with dims {k}x{m}x{n}"
     );
-    dispatch!(gemm_at_b(k, m, n, a, b, c))
+    dispatch!(gemm_at_b(k, m, n, a, b, c, false))
+}
+
+/// `C = Aᵀ · B`: [`gemm_at_b`] into a `C` that it overwrites and never
+/// reads, with the bits [`gemm_at_b`] leaves in a `C` of `+0.0` (the first
+/// contraction panel starts its accumulators at `+0.0` instead of loading
+/// them). Bit-identical to [`gemm_at_b_fresh_reference`].
+///
+/// # Panics
+/// Panics if the slice lengths disagree with the dimensions.
+pub fn gemm_at_b_fresh(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    assert!(
+        a.len() == k * m && b.len() == k * n && c.len() == m * n,
+        "gemm_at_b buffer sizes disagree with dims {k}x{m}x{n}"
+    );
+    if k == 0 {
+        c.fill(0.0);
+        return;
+    }
+    dispatch!(gemm_at_b(k, m, n, a, b, c, true))
 }
 
 /// `out += Σ_j weights[j] · models[j]`, fused. Canonical order: per
@@ -486,9 +557,56 @@ pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
     dispatch!(axpy(y, alpha, x))
 }
 
+/// `y += alpha · x` where `x` arrives as little-endian wire bytes, four
+/// per element — the fold of a TCP group average, straight from the
+/// socket's bytes. Bit-identical to [`axpy_le_bytes_reference`].
+///
+/// # Panics
+/// Panics unless `bytes` holds exactly four bytes per element of `y`.
+pub fn axpy_le_bytes(y: &mut [f32], alpha: f32, bytes: &[u8]) {
+    assert!(bytes.len() == 4 * y.len(), "axpy_le_bytes length mismatch");
+    dispatch!(axpy_le_bytes(y, alpha, bytes))
+}
+
 /// `x *= alpha`, in place.
 pub fn scale(x: &mut [f32], alpha: f32) {
     dispatch!(scale(x, alpha))
+}
+
+/// `x = 0 + alpha · x`, in place: the first term of a from-zero
+/// accumulator, which reads `+0.0` where the product is `-0.0` (a group
+/// average's own contribution, folded first). Bit-identical to
+/// [`scale_from_zero_reference`].
+pub fn scale_from_zero(x: &mut [f32], alpha: f32) {
+    dispatch!(scale_from_zero(x, alpha))
+}
+
+/// One SGD step with momentum and weight decay, per element:
+/// `v ← momentum·v + (g + weight_decay·θ)`, then `θ ← θ − lr·v`.
+/// Bit-identical to [`sgd_step_reference`].
+///
+/// # Panics
+/// Panics if the three slices differ in length.
+pub fn sgd_step(
+    params: &mut [f32],
+    velocity: &mut [f32],
+    grads: &[f32],
+    lr: f32,
+    momentum: f32,
+    weight_decay: f32,
+) {
+    assert!(
+        params.len() == velocity.len() && grads.len() == velocity.len(),
+        "sgd_step length mismatch"
+    );
+    dispatch!(sgd_step(
+        params,
+        velocity,
+        grads,
+        lr,
+        momentum,
+        weight_decay
+    ))
 }
 
 /// Adds `bias` to every row of the row-major `rows × cols` matrix `y`
@@ -579,6 +697,117 @@ pub fn gemm_at_b_reference(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], c
                 *cv += a_pi * bv;
             }
         }
+    }
+}
+
+/// `C = Aᵀ · B` — scalar reference for [`gemm_at_b_fresh`]: a `C` of
+/// `+0.0`, then [`gemm_at_b_reference`].
+///
+/// # Panics
+/// Panics if the slice lengths disagree with the dimensions.
+pub fn gemm_at_b_fresh_reference(
+    k: usize,
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    c.fill(0.0);
+    gemm_at_b_reference(k, m, n, a, b, c);
+}
+
+/// `y += alpha · x` — scalar reference for [`axpy`].
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn axpy_reference(y: &mut [f32], alpha: f32, x: &[f32]) {
+    assert!(y.len() == x.len(), "axpy length mismatch");
+    for (a, &b) in y.iter_mut().zip(x) {
+        *a += alpha * b;
+    }
+}
+
+/// `y += alpha · x` from little-endian bytes — scalar reference for
+/// [`axpy_le_bytes`].
+///
+/// # Panics
+/// Panics unless `bytes` holds exactly four bytes per element of `y`.
+pub fn axpy_le_bytes_reference(y: &mut [f32], alpha: f32, bytes: &[u8]) {
+    assert!(bytes.len() == 4 * y.len(), "axpy_le_bytes length mismatch");
+    for (i, a) in y.iter_mut().enumerate() {
+        let quad = [
+            bytes[4 * i],
+            bytes[4 * i + 1],
+            bytes[4 * i + 2],
+            bytes[4 * i + 3],
+        ];
+        *a += alpha * f32::from_le_bytes(quad);
+    }
+}
+
+/// `x *= alpha` — scalar reference for [`scale`].
+pub fn scale_reference(x: &mut [f32], alpha: f32) {
+    for v in x {
+        *v *= alpha;
+    }
+}
+
+/// `x = 0 + alpha · x` — scalar reference for [`scale_from_zero`].
+pub fn scale_from_zero_reference(x: &mut [f32], alpha: f32) {
+    for v in x {
+        *v = 0.0 + alpha * *v;
+    }
+}
+
+/// Bias broadcast — scalar reference for [`add_bias_rows`].
+///
+/// # Panics
+/// Panics if the buffer sizes disagree.
+pub fn add_bias_rows_reference(y: &mut [f32], rows: usize, cols: usize, bias: &[f32]) {
+    assert!(
+        y.len() == rows * cols && bias.len() == cols,
+        "bias dims disagree with {rows}x{cols}"
+    );
+    for (i, v) in y.iter_mut().enumerate() {
+        *v += bias[i % cols];
+    }
+}
+
+/// Column sums, rows in order — scalar reference for [`col_sums_acc`].
+///
+/// # Panics
+/// Panics if the buffer sizes disagree.
+pub fn col_sums_acc_reference(acc: &mut [f32], mat: &[f32], rows: usize, cols: usize) {
+    assert!(
+        mat.len() == rows * cols && acc.len() == cols,
+        "column-sum dims disagree with {rows}x{cols}"
+    );
+    for (i, &v) in mat.iter().enumerate() {
+        acc[i % cols] += v;
+    }
+}
+
+/// One SGD step — scalar reference for [`sgd_step`], element by element.
+///
+/// # Panics
+/// Panics if the three slices differ in length.
+pub fn sgd_step_reference(
+    params: &mut [f32],
+    velocity: &mut [f32],
+    grads: &[f32],
+    lr: f32,
+    momentum: f32,
+    weight_decay: f32,
+) {
+    assert!(
+        params.len() == velocity.len() && grads.len() == velocity.len(),
+        "sgd_step length mismatch"
+    );
+    for i in 0..params.len() {
+        let eff_grad = grads[i] + weight_decay * params[i];
+        velocity[i] = momentum * velocity[i] + eff_grad;
+        params[i] -= lr * velocity[i];
     }
 }
 
@@ -734,6 +963,188 @@ mod tests {
         let mut c = [0.0f32; 4];
         gemm(2, 2, 2, &a, &b, &mut c);
         assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
+    }
+
+    type Gemm = unsafe fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+    type Axpy<X> = unsafe fn(&mut [f32], f32, &[X]);
+    type Rows = unsafe fn(&mut [f32], usize, usize, &[f32]);
+    type GemmAtB = unsafe fn(usize, usize, usize, &[f32], &[f32], &mut [f32], bool);
+    type SgdStep = unsafe fn(&mut [f32], &mut [f32], &[f32], f32, f32, f32);
+
+    /// One instantiation of the kernel bodies. The pointers are `unsafe`
+    /// because the `avx2` and `avx512` bodies may only run on a CPU with
+    /// that feature; [`instantiations`] lists only those that can.
+    struct Bodies {
+        level: &'static str,
+        gemm: Gemm,
+        gemm_a_bt: Gemm,
+        gemm_at_b: GemmAtB,
+        weighted_sum_acc: unsafe fn(&mut [f32], &[&[f32]], &[f32]),
+        axpy: Axpy<f32>,
+        axpy_le_bytes: Axpy<u8>,
+        scale: unsafe fn(&mut [f32], f32),
+        scale_from_zero: unsafe fn(&mut [f32], f32),
+        add_bias_rows: Rows,
+        col_sums_acc: unsafe fn(&mut [f32], &[f32], usize, usize),
+        sgd_step: SgdStep,
+    }
+
+    macro_rules! bodies {
+        ($level:ident) => {
+            Bodies {
+                level: stringify!($level),
+                gemm: $level::gemm,
+                gemm_a_bt: $level::gemm_a_bt,
+                gemm_at_b: $level::gemm_at_b,
+                weighted_sum_acc: $level::weighted_sum_acc,
+                axpy: $level::axpy,
+                axpy_le_bytes: $level::axpy_le_bytes,
+                scale: $level::scale,
+                scale_from_zero: $level::scale_from_zero,
+                add_bias_rows: $level::add_bias_rows,
+                col_sums_acc: $level::col_sums_acc,
+                sgd_step: $level::sgd_step,
+            }
+        };
+    }
+
+    /// `scalar`, then `avx2` and `avx512` where this CPU has the feature —
+    /// not only the widest, which is all the dispatched entry points run.
+    fn instantiations() -> Vec<Bodies> {
+        #[allow(unused_mut, reason = "only x86_64 adds the SIMD levels")]
+        let mut levels = vec![bodies!(scalar)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                levels.push(bodies!(avx2));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                levels.push(bodies!(avx512));
+            }
+        }
+        levels
+    }
+
+    /// [`fill`] with every fifth element `-0.0`, which a sum from `+0.0`
+    /// and a product by a negative weight must not lose.
+    fn fill_signed_zeros(seed: u64, len: usize) -> Vec<f32> {
+        let mut v = fill(seed, len);
+        v.iter_mut().step_by(5).for_each(|x| *x = -0.0);
+        v
+    }
+
+    /// Lengths around every lane width and [`VEC_BLOCK`], most of them not
+    /// a multiple of 16.
+    const LENGTHS: [usize; 11] = [1, 3, 15, 16, 17, 31, 33, 100, 1000, 4097, 10_001];
+
+    /// Calls body `$body` of `$b`, one of the levels [`instantiations`]
+    /// returned.
+    macro_rules! run {
+        ($b:ident.$body:ident($($arg:expr),* $(,)?)) => {
+            // SAFETY: `instantiations` lists a level only where the CPU
+            // has its target feature.
+            unsafe { ($b.$body)($($arg),*) }
+        };
+    }
+
+    #[test]
+    fn every_instantiation_matches_its_reference_bitwise() {
+        for b in instantiations() {
+            let level = b.level;
+            for shape in SHAPES {
+                let (m, k, n) = shape;
+                let what = |kernel: &str| format!("{level} {kernel}");
+                check(
+                    &what("gemm"),
+                    shape,
+                    m * k,
+                    k * n,
+                    |x, y, c| run!(b.gemm(m, k, n, x, y, c)),
+                    |x, y, c| gemm_reference(m, k, n, x, y, c),
+                );
+                check(
+                    &what("gemm_a_bt"),
+                    shape,
+                    m * k,
+                    n * k,
+                    |x, y, c| run!(b.gemm_a_bt(m, k, n, x, y, c)),
+                    |x, y, c| gemm_a_bt_reference(m, k, n, x, y, c),
+                );
+                check(
+                    &what("gemm_at_b"),
+                    shape,
+                    k * m,
+                    k * n,
+                    |x, y, c| run!(b.gemm_at_b(k, m, n, x, y, c, false)),
+                    |x, y, c| gemm_at_b_reference(k, m, n, x, y, c),
+                );
+                // A fresh product never reads `C`, NaN included.
+                check(
+                    &what("gemm_at_b fresh"),
+                    shape,
+                    k * m,
+                    k * n,
+                    |x, y, c| {
+                        c.fill(f32::NAN);
+                        run!(b.gemm_at_b(k, m, n, x, y, c, true))
+                    },
+                    |x, y, c| gemm_at_b_fresh_reference(k, m, n, x, y, c),
+                );
+                let mat = fill_signed_zeros(4 + n as u64, m * n);
+                let row = fill_signed_zeros(5 + m as u64, n);
+                let (mut got, mut want) = (mat.clone(), mat.clone());
+                run!(b.add_bias_rows(&mut got, m, n, &row));
+                add_bias_rows_reference(&mut want, m, n, &row);
+                assert_bits_eq(&got, &want, &what("add_bias_rows"));
+                let (mut got, mut want) = (row.clone(), row);
+                run!(b.col_sums_acc(&mut got, &mat, m, n));
+                col_sums_acc_reference(&mut want, &mat, m, n);
+                assert_bits_eq(&got, &want, &what("col_sums_acc"));
+            }
+            for len in LENGTHS {
+                let what = |kernel: &str| format!("{level} {kernel} at {len}");
+                let (y, x) = (fill_signed_zeros(6, len), fill_signed_zeros(7, len));
+                let bytes: Vec<u8> = x.iter().flat_map(|v| v.to_le_bytes()).collect();
+                for alpha in [0.75f32, -1.5] {
+                    let (mut got, mut want) = (y.clone(), y.clone());
+                    run!(b.axpy(&mut got, alpha, &x));
+                    axpy_reference(&mut want, alpha, &x);
+                    assert_bits_eq(&got, &want, &what("axpy"));
+                    let (mut got, mut want) = (y.clone(), y.clone());
+                    run!(b.axpy_le_bytes(&mut got, alpha, &bytes));
+                    axpy_le_bytes_reference(&mut want, alpha, &bytes);
+                    assert_bits_eq(&got, &want, &what("axpy_le_bytes"));
+                    let (mut got, mut want) = (y.clone(), y.clone());
+                    run!(b.scale(&mut got, alpha));
+                    scale_reference(&mut want, alpha);
+                    assert_bits_eq(&got, &want, &what("scale"));
+                    let (mut got, mut want) = (y.clone(), y.clone());
+                    run!(b.scale_from_zero(&mut got, alpha));
+                    scale_from_zero_reference(&mut want, alpha);
+                    assert_bits_eq(&got, &want, &what("scale_from_zero"));
+                }
+                let g = fill_signed_zeros(8, len);
+                let (mut p, mut p_ref) = (y.clone(), y.clone());
+                let (mut v, mut v_ref) = (x.clone(), x.clone());
+                for (lr, momentum, wd) in [(0.1f32, 0.9f32, 1e-4f32), (0.05, 0.0, 0.0)] {
+                    run!(b.sgd_step(&mut p, &mut v, &g, lr, momentum, wd));
+                    sgd_step_reference(&mut p_ref, &mut v_ref, &g, lr, momentum, wd);
+                    assert_bits_eq(&p, &p_ref, &what("sgd_step params"));
+                    assert_bits_eq(&v, &v_ref, &what("sgd_step velocity"));
+                }
+                for count in [1usize, 3, 5] {
+                    let data: Vec<Vec<f32>> = (0..count)
+                        .map(|j| fill_signed_zeros(9 + j as u64, len))
+                        .collect();
+                    let models: Vec<&[f32]> = data.iter().map(Vec::as_slice).collect();
+                    let weights: Vec<f32> = (0..count).map(|j| 1.0 / (j + 2) as f32).collect();
+                    let (mut got, mut want) = (vec![0.0f32; len], vec![0.0f32; len]);
+                    run!(b.weighted_sum_acc(&mut got, &models, &weights));
+                    weighted_sum_reference(&mut want, &models, &weights);
+                    assert_bits_eq(&got, &want, &what("weighted_sum_acc"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -286,6 +286,67 @@ proptest! {
     }
 
     #[test]
+    fn fresh_gemm_at_b_matches_reference_bitwise(
+        k in 1usize..300,
+        m in 1usize..70,
+        n in 1usize..140,
+        seed in any::<u64>(),
+    ) {
+        // `C` starts as NaN: a fresh product must never read it.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a: Vec<f32> = (0..k * m).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let (mut c_opt, mut c_ref) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+        kernels::gemm_at_b_fresh(k, m, n, &a, &b, &mut c_opt);
+        kernels::gemm_at_b_fresh_reference(k, m, n, &a, &b, &mut c_ref);
+        assert_bits_eq(&c_opt, &c_ref)?;
+        let mut zeroed = vec![0.0f32; m * n];
+        kernels::gemm_at_b(k, m, n, &a, &b, &mut zeroed);
+        assert_bits_eq(&c_opt, &zeroed)?;
+    }
+
+    #[test]
+    fn sgd_step_matches_reference_bitwise(
+        len in 1usize..10_000,
+        lr in 0.0f32..1.0,
+        momentum in 0.0f32..1.0,
+        weight_decay in 0.0f32..1e-2,
+        seed in any::<u64>(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut draw = |len: usize| -> Vec<f32> {
+            (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+        };
+        let (p0, v0, g) = (draw(len), draw(len), draw(len));
+        let (mut p, mut v) = (p0.clone(), v0.clone());
+        let (mut p_ref, mut v_ref) = (p0, v0);
+        kernels::sgd_step(&mut p, &mut v, &g, lr, momentum, weight_decay);
+        kernels::sgd_step_reference(&mut p_ref, &mut v_ref, &g, lr, momentum, weight_decay);
+        assert_bits_eq(&p, &p_ref)?;
+        assert_bits_eq(&v, &v_ref)?;
+    }
+
+    #[test]
+    fn wire_fold_matches_reference_bitwise(
+        (y, x) in tensor_pair(300),
+        own in -2.0f32..2.0,
+        alpha in -2.0f32..2.0,
+    ) {
+        // The TCP leader's fold: its own slice seeded from zero, then a
+        // member's little-endian bytes added.
+        let bytes: Vec<u8> = x.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+        let (mut got, mut want) = (y.as_slice().to_vec(), y.as_slice().to_vec());
+        kernels::scale_from_zero(&mut got, own);
+        kernels::scale_from_zero_reference(&mut want, own);
+        assert_bits_eq(&got, &want)?;
+        kernels::axpy_le_bytes(&mut got, alpha, &bytes);
+        kernels::axpy_le_bytes_reference(&mut want, alpha, &bytes);
+        assert_bits_eq(&got, &want)?;
+    }
+
+    #[test]
     fn shape_offset_bijective(dims in prop::collection::vec(1usize..5, 1..4)) {
         let shape = Shape::of(dims.clone());
         let mut seen = std::collections::HashSet::new();

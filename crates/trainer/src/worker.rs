@@ -9,10 +9,10 @@ use rand::Rng;
 /// One worker's replica: flat parameters (the communication view), the
 /// network (the compute view), optimizer state, and its data shard.
 ///
-/// The flat vector [`WorkerState::params`] is the source of truth; it is
-/// copied into the network's own flat parameter vector before each
-/// forward pass. This mirrors how
-/// collective libraries see a model (one contiguous buffer) and makes
+/// The flat vector [`WorkerState::params`] is the source of truth: the
+/// network's forward and backward passes run on it where it lies, and the
+/// network's own parameter vector is never read by an update. This mirrors
+/// how collective libraries see a model (one contiguous buffer) and makes
 /// model averaging a pure vector operation.
 #[derive(Debug)]
 pub struct WorkerState {
@@ -20,7 +20,8 @@ pub struct WorkerState {
     pub rank: usize,
     /// Flat model parameters (source of truth).
     pub params: Tensor,
-    /// The network used for forward/backward.
+    /// The network used for forward/backward: its layer shapes and its
+    /// gradient and activation buffers.
     pub net: Network,
     /// Local optimizer state (momentum buffer).
     pub opt: SgdOptimizer,
@@ -52,15 +53,15 @@ impl WorkerState {
     }
 
     /// Backpropagates one batch drawn with `rng` at the current
-    /// parameters, leaving the gradient in the network's accumulators.
+    /// parameters, leaving the batch's gradient alone in the network's
+    /// gradient buffer.
     fn backprop<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let batch = self.sampler.next_batch_with(rng);
-        self.net.set_param_vector(&self.params);
-        self.net.zero_grads();
-        let logits = self.net.forward(&batch.features);
+        let params = self.params.as_slice();
+        let logits = self.net.forward_on(params, &batch.features);
         let loss = softmax_cross_entropy(&logits, &batch.labels);
         self.last_loss = loss.loss;
-        self.net.backward(&loss.grad);
+        self.net.backward_fresh_on(params, &loss.grad);
     }
 
     /// Computes a stochastic gradient at the current parameters using a
@@ -202,6 +203,41 @@ mod tests {
         assert_eq!(bits(&fused.params), bits(&split.params));
         assert_eq!(bits(fused.opt.velocity()), bits(split.opt.velocity()));
         assert_eq!(fused.updates_applied, split.updates_applied);
+    }
+
+    #[test]
+    fn updates_never_read_the_networks_own_parameters() {
+        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let poison = |w: &mut WorkerState| {
+            let d = w.params.len();
+            w.net
+                .set_param_vector(&Tensor::from_vec(vec![f32::NAN; d], [d]).unwrap());
+        };
+        let (mut twin, mut fused, mut split) = (worker(), worker(), worker());
+        poison(&mut fused);
+        poison(&mut split);
+        let rngs = || rand::rngs::StdRng::seed_from_u64(5);
+        let (mut rng_twin, mut rng_fused, mut rng_split) = (rngs(), rngs(), rngs());
+        for _ in 0..20 {
+            twin.local_update(&mut rng_twin);
+            fused.local_update(&mut rng_fused);
+            let grad = split.gradient(&mut rng_split);
+            split.apply(&grad, 1.0);
+            for (what, w) in [("local_update", &fused), ("gradient + apply", &split)] {
+                assert_eq!(bits(&w.params), bits(&twin.params), "{what}: params");
+                assert_eq!(
+                    bits(w.opt.velocity()),
+                    bits(twin.opt.velocity()),
+                    "{what}: velocity"
+                );
+                assert_eq!(
+                    w.last_loss.to_bits(),
+                    twin.last_loss.to_bits(),
+                    "{what}: loss"
+                );
+            }
+        }
+        assert!(twin.params.as_slice().iter().all(|p| p.is_finite()));
     }
 
     #[test]
