@@ -15,7 +15,9 @@
 //!   communication for all-reduce, parameter-server, and partial-reduce
 //!   traffic, and the network's only layout: forward and backward run the
 //!   `preduce_tensor::kernels` GEMMs on slices of them, or on a caller's
-//!   own parameter vector ([`Network::forward_on`]);
+//!   own parameter vector ([`Network::forward_on`]), moved out of the
+//!   network ([`Network::take_param_vector`]) so that the network is
+//!   layout plus scratch, shareable between callers;
 //! * [`SgdOptimizer`] (its step is `preduce_tensor::kernels::sgd_step`)
 //!   with momentum and weight decay plus the paper's
 //!   learning-rate schedules (§5.1: lr 0.1, momentum 0.9, wd 1e-4, ImageNet
@@ -33,7 +35,7 @@ mod optimizer;
 mod spec;
 pub mod zoo;
 
-pub use loss::{softmax_cross_entropy, LossOutput};
+pub use loss::{softmax_cross_entropy, softmax_cross_entropy_grad, LossOutput};
 pub use metrics::evaluate_accuracy_parallel;
 pub use network::Network;
 pub use optimizer::{LrSchedule, SgdConfig, SgdOptimizer};

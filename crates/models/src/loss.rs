@@ -1,6 +1,6 @@
 //! The loss function. It sits outside the [`crate::Network`]: the trainer
-//! calls `network.forward(x)` to obtain logits, then the loss to get the
-//! scalar and the gradient to feed `network.backward`.
+//! calls `network.forward(x)` to obtain logits, then the loss's gradient
+//! to feed `network.backward`; the scalar loss is for probes and tests.
 
 use preduce_tensor::{log_softmax_rows, softmax_rows, Tensor};
 
@@ -17,12 +17,31 @@ pub struct LossOutput {
 /// Softmax cross-entropy over class logits.
 ///
 /// Returns the batch-mean negative log-likelihood and its gradient
-/// `(softmax(logits) − onehot(labels)) / batch`.
+/// `(softmax(logits) − onehot(labels)) / batch`, the bits of
+/// [`softmax_cross_entropy_grad`].
 ///
 /// # Panics
 /// Panics if `logits` is not rank-2, the label count differs from the batch
 /// size, or a label is out of range.
 pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> LossOutput {
+    let grad = softmax_cross_entropy_grad(logits, labels);
+    let log_probs = log_softmax_rows(logits);
+    let mut loss = 0.0f64;
+    for (r, &y) in labels.iter().enumerate() {
+        loss -= log_probs.row(r)[y] as f64;
+    }
+    loss /= labels.len() as f64;
+    LossOutput { loss, grad }
+}
+
+/// The gradient of [`softmax_cross_entropy`] alone,
+/// `(softmax(logits) − onehot(labels)) / batch`: what a training step
+/// needs, without the loss's log-sum-exp.
+///
+/// # Panics
+/// Panics if `logits` is not rank-2, the label count differs from the batch
+/// size, or a label is out of range.
+pub fn softmax_cross_entropy_grad(logits: &Tensor, labels: &[usize]) -> Tensor {
     assert_eq!(logits.shape().rank(), 2, "logits must be [batch, classes]");
     let (batch, classes) = (logits.shape().dim(0), logits.shape().dim(1));
     assert_eq!(batch, labels.len(), "batch/label count mismatch");
@@ -30,13 +49,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> LossOutput {
         labels.iter().all(|&y| y < classes),
         "label out of range for {classes} classes"
     );
-
-    let log_probs = log_softmax_rows(logits);
-    let mut loss = 0.0f64;
-    for (r, &y) in labels.iter().enumerate() {
-        loss -= log_probs.row(r)[y] as f64;
-    }
-    loss /= batch as f64;
 
     let mut grad = softmax_rows(logits);
     let scale = 1.0 / batch as f32;
@@ -47,7 +59,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> LossOutput {
             *v *= scale;
         }
     }
-    LossOutput { loss, grad }
+    grad
 }
 
 #[cfg(test)]
@@ -95,6 +107,12 @@ mod tests {
         let logits = Tensor::from_vec(vec![10.0, -10.0, -10.0], [1, 3]).unwrap();
         let out = softmax_cross_entropy(&logits, &[0]);
         assert!(out.loss < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "label out of range")]
+    fn gradient_alone_rejects_bad_label() {
+        softmax_cross_entropy_grad(&Tensor::zeros([1, 3]), &[3]);
     }
 
     #[test]

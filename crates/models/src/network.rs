@@ -17,18 +17,29 @@ use rand::Rng;
 /// layer, each layer's row-major `[in, out]` weight matrix followed by its
 /// bias.
 ///
-/// A trainer that keeps the parameters in a vector of its own runs the
-/// training passes on that vector ([`Network::forward_on`],
-/// [`Network::backward_fresh_on`]) instead of copying it in; the
-/// network's own copy then serves evaluation and the two-step public path
-/// ([`Network::set_param_vector`], [`Network::forward`],
-/// [`Network::backward`]).
+/// A trainer that keeps the parameters in a vector of its own moves them
+/// out ([`Network::take_param_vector`]) and runs the training passes on
+/// that vector ([`Network::forward_on`], [`Network::backward_fresh_on`]).
+/// Such a network is layout plus scratch: [`Network::param_count`] comes
+/// from the layer widths, the gradient buffer is sized by the first
+/// backward or [`Network::zero_grads`], and the network holds parameters
+/// of its own again only after [`Network::set_param_vector`] — the path
+/// evaluation and the two-step public passes ([`Network::forward`],
+/// [`Network::backward`]) take. Any number of trainers with the same
+/// widths can share one such network, one update at a time: an update
+/// reads only the parameters it lends and writes every gradient fresh.
 #[derive(Clone)]
 pub struct Network {
     /// The input width, then each layer's output width.
     widths: Vec<usize>,
-    params: Tensor,
-    /// The accumulated gradients, laid out like `params`.
+    /// `d`: the summed length of the layers between the widths.
+    param_count: usize,
+    /// The network's own parameters: from construction until
+    /// [`Network::take_param_vector`], and from the next
+    /// [`Network::set_param_vector`] on.
+    params: Option<Tensor>,
+    /// The accumulated gradients, laid out like the parameters; empty
+    /// until the first backward or [`Network::zero_grads`] sizes it.
     grads: Tensor,
     /// Whether `grads` is all `+0.0`: set by [`Network::zero_grads`],
     /// cleared by the next backward (which touches every layer).
@@ -43,6 +54,16 @@ pub struct Network {
 /// `[in, out]` weights and its bias.
 fn layer_len(w: &[usize]) -> usize {
     (w[0] + 1) * w[1]
+}
+
+const NO_PARAMS: &str = "the network holds no parameters of its own: set_param_vector first";
+
+/// The network's own parameters.
+///
+/// # Panics
+/// Panics if they were moved out and not set since.
+fn own(params: &Option<Tensor>) -> &Tensor {
+    params.as_ref().expect(NO_PARAMS)
 }
 
 impl std::fmt::Debug for Network {
@@ -73,8 +94,9 @@ impl Network {
         }
         Network {
             widths,
-            params: Tensor::from_vec(params, [d]).expect("param volume matches"),
-            grads: Tensor::zeros([d]),
+            param_count: d,
+            params: Some(Tensor::from_vec(params, [d]).expect("param volume matches")),
+            grads: Tensor::zeros([0]),
             grads_zeroed: true,
             inputs: Vec::new(),
         }
@@ -82,7 +104,14 @@ impl Network {
 
     /// Total scalar parameter count `d` — the length of the flat vectors.
     pub fn param_count(&self) -> usize {
-        self.params.len()
+        self.param_count
+    }
+
+    /// Whether the network holds parameters of its own: it does from
+    /// construction until [`Network::take_param_vector`], and again after
+    /// [`Network::set_param_vector`].
+    pub fn holds_params(&self) -> bool {
+        self.params.is_some()
     }
 
     fn depth(&self) -> usize {
@@ -125,7 +154,8 @@ impl Network {
     /// input for a subsequent [`Network::backward`].
     ///
     /// # Panics
-    /// Panics if `x` is not `[batch, features]` for the spec's `input_dim`.
+    /// Panics if `x` is not `[batch, features]` for the spec's `input_dim`,
+    /// or the network holds no parameters of its own.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         self.forward_pass(None, x)
     }
@@ -146,7 +176,7 @@ impl Network {
     /// The training forward pass on `lent` parameters, or else the
     /// network's own, keeping each layer's input for the backward.
     fn forward_pass(&mut self, lent: Option<&[f32]>, x: &Tensor) -> Tensor {
-        let params = lent.unwrap_or(self.params.as_slice());
+        let params = lent.unwrap_or_else(|| own(&self.params).as_slice());
         self.inputs.clear();
         let mut h = x.clone();
         for l in 0..self.depth() {
@@ -161,9 +191,10 @@ impl Network {
     /// any number of evaluation threads.
     ///
     /// # Panics
-    /// Panics if `x` is not `[batch, features]` for the spec's `input_dim`.
+    /// Panics if `x` is not `[batch, features]` for the spec's `input_dim`,
+    /// or the network holds no parameters of its own.
     pub(crate) fn infer(&self, x: &Tensor) -> Tensor {
-        let params = self.params.as_slice();
+        let params = own(&self.params).as_slice();
         (1..self.depth()).fold(self.layer_forward(params, 0, x), |h, l| {
             self.layer_forward(params, l, &h)
         })
@@ -176,7 +207,8 @@ impl Network {
     /// # Panics
     /// Panics unless a [`Network::forward`] ran and no backward has
     /// consumed it since (an evaluation forward keeps nothing, and an
-    /// older forward's inputs would be stale).
+    /// older forward's inputs would be stale), or if the network holds no
+    /// parameters of its own.
     pub fn backward(&mut self, grad: &Tensor) {
         let fresh = std::mem::take(&mut self.grads_zeroed);
         self.backward_pass(None, grad, fresh);
@@ -205,7 +237,10 @@ impl Network {
             self.depth(),
             "Network::backward needs a forward first"
         );
-        let params = lent.unwrap_or(self.params.as_slice());
+        let params = lent.unwrap_or_else(|| own(&self.params).as_slice());
+        if self.grads.len() != self.param_count {
+            self.grads = Tensor::zeros([self.param_count]);
+        }
         let mut carried: Option<Tensor> = None;
         for l in (0..self.depth()).rev() {
             let (fan_in, fan_out, weights, bias) = self.layer(l);
@@ -242,18 +277,37 @@ impl Network {
         }
     }
 
-    /// Resets all accumulated gradients to zero.
+    /// Resets all accumulated gradients to zero, sizing the buffer if no
+    /// backward has yet.
     pub fn zero_grads(&mut self) {
-        self.grads.fill_zero();
+        if self.grads.len() == self.param_count {
+            self.grads.fill_zero();
+        } else {
+            self.grads = Tensor::zeros([self.param_count]);
+        }
         self.grads_zeroed = true;
     }
 
     /// A copy of the flat `[d]` parameter vector.
+    ///
+    /// # Panics
+    /// Panics if the network holds no parameters of its own.
     pub fn param_vector(&self) -> Tensor {
-        self.params.clone()
+        own(&self.params).clone()
     }
 
-    /// The accumulated gradients, laid out like [`Network::param_vector`].
+    /// Moves the network's own parameters out, leaving layout and
+    /// scratch: for a trainer that keeps the parameters itself and lends
+    /// them to [`Network::forward_on`] and [`Network::backward_fresh_on`].
+    ///
+    /// # Panics
+    /// Panics if the network holds no parameters of its own.
+    pub fn take_param_vector(&mut self) -> Tensor {
+        self.params.take().expect(NO_PARAMS)
+    }
+
+    /// The accumulated gradients, laid out like [`Network::param_vector`];
+    /// empty until the first backward or [`Network::zero_grads`].
     pub fn grads(&self) -> &Tensor {
         &self.grads
     }
@@ -263,13 +317,17 @@ impl Network {
         self.grads.clone()
     }
 
-    /// Overwrites all parameters from a flat `[d]` tensor.
+    /// Overwrites all parameters from a flat `[d]` tensor — allocating
+    /// the network's own buffer if it holds none.
     ///
     /// # Panics
     /// Panics if `flat.len() != param_count()`.
     pub fn set_param_vector(&mut self, flat: &Tensor) {
         self.check_len(flat.as_slice());
-        self.params.as_mut_slice().copy_from_slice(flat.as_slice());
+        match &mut self.params {
+            Some(params) => params.as_mut_slice().copy_from_slice(flat.as_slice()),
+            None => self.params = Some(flat.clone()),
+        }
     }
 
     fn check_len(&self, flat: &[f32]) {
@@ -407,6 +465,35 @@ mod tests {
         }
         lent.zero_grads();
         assert!(lent.grads().as_slice().iter().all(|g| g.to_bits() == 0));
+    }
+
+    #[test]
+    fn a_network_without_its_own_parameters_is_layout_and_scratch() {
+        let spec = NetworkSpec::mlp(16, &[12, 8], 3);
+        let mut net = spec.build(1);
+        let d = net.param_count();
+        assert!(net.grads().is_empty(), "gradients sized before a backward");
+        let params = net.take_param_vector();
+        assert_eq!(params.len(), d);
+        assert_eq!(net.param_count(), d, "the count comes from the widths");
+        assert!(!net.holds_params());
+        // The passes on a lent vector run, and size the gradient buffer.
+        net.forward_on(params.as_slice(), &input(4));
+        net.backward_fresh_on(params.as_slice(), &Tensor::ones([4, 3]));
+        assert_eq!(net.grads().len(), d);
+        // The passes on its own parameters refuse until they are set.
+        let mut copy = net.clone();
+        let own_forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            copy.forward(&input(4));
+        }));
+        assert!(own_forward.is_err(), "forward ran on no parameters");
+        net.set_param_vector(&params);
+        assert!(net.holds_params());
+        assert_eq!(net.param_vector(), params);
+        // `zero_grads` sizes the buffer too.
+        let mut zeroed = spec.build(1);
+        zeroed.zero_grads();
+        assert_eq!(bits(zeroed.grads().as_slice()), vec![0; d]);
     }
 
     #[test]

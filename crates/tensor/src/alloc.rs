@@ -53,6 +53,11 @@ impl CountingAlloc {
         self.peak.load(Ordering::Relaxed)
     }
 
+    /// The bytes allocated and not yet freed right now.
+    pub fn live_bytes(&self) -> usize {
+        self.live.load(Ordering::Relaxed)
+    }
+
     /// Resets the high-water mark to the current live count, so a harness
     /// can measure the peak of one phase in isolation.
     pub fn reset_peak(&self) {
@@ -146,7 +151,7 @@ mod tests {
         // SAFETY: a valid, non-zero-sized layout.
         let p = unsafe { a.alloc(layout) };
         assert!(!p.is_null());
-        assert_eq!(a.live.load(Ordering::Relaxed), 4096);
+        assert_eq!(a.live_bytes(), 4096);
         assert_eq!(a.peak_bytes(), 4096);
         // SAFETY: `p` came from `a.alloc` with `layout`.
         unsafe { a.dealloc(p, layout) };

@@ -1,12 +1,20 @@
 use std::fmt;
 
+/// Most axes a [`Shape`] holds.
+const MAX_RANK: usize = 4;
+
 /// The shape of a dense row-major tensor: an ordered list of axis lengths.
 ///
-/// Shapes in this workspace are small (rank ≤ 2: flat parameter vectors
-/// are `[d]`, minibatch activations and weight matrices `[rows, cols]`),
-/// so a `Vec<usize>` is plenty and keeps the API simple.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Shape(Vec<usize>);
+/// Shapes in this workspace are small (flat parameter vectors are `[d]`,
+/// minibatch activations and weight matrices `[rows, cols]`), so the axes
+/// live inline, at most four of them: a [`crate::Tensor`] costs one
+/// allocation, its data. Axes past the rank are always zero, so the
+/// derived equality and hash see the axes alone.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Shape {
+    dims: [usize; MAX_RANK],
+    rank: u8,
+}
 
 impl Shape {
     /// Creates a shape from axis lengths.
@@ -15,29 +23,39 @@ impl Shape {
     /// (no axes at all) is not — scalars are represented as `[1]`.
     ///
     /// # Panics
-    /// Panics if `dims` is empty.
-    pub fn of(dims: impl Into<Vec<usize>>) -> Self {
-        let dims = dims.into();
+    /// Panics if `dims` is empty or has more than four axes.
+    pub fn of(dims: impl AsRef<[usize]>) -> Self {
+        let dims = dims.as_ref();
         assert!(
             !dims.is_empty(),
             "rank-0 shapes are not supported; use [1] for scalars"
         );
-        Shape(dims)
+        assert!(
+            dims.len() <= MAX_RANK,
+            "rank-{} shapes are not supported; at most {MAX_RANK} axes",
+            dims.len()
+        );
+        let mut inline = [0; MAX_RANK];
+        inline[..dims.len()].copy_from_slice(dims);
+        Shape {
+            dims: inline,
+            rank: dims.len() as u8,
+        }
     }
 
     /// Total number of elements (product of axis lengths).
     pub fn volume(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Number of axes.
     pub fn rank(&self) -> usize {
-        self.0.len()
+        usize::from(self.rank)
     }
 
     /// Axis lengths as a slice.
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        &self.dims[..self.rank()]
     }
 
     /// Length of axis `i`.
@@ -45,7 +63,7 @@ impl Shape {
     /// # Panics
     /// Panics if `i >= rank()`.
     pub fn dim(&self, i: usize) -> usize {
-        self.0[i]
+        self.dims()[i]
     }
 
     /// Linear row-major offset of a multi-dimensional index.
@@ -56,7 +74,7 @@ impl Shape {
         assert_eq!(idx.len(), self.rank(), "index rank mismatch");
         let mut off = 0;
         let mut stride = 1;
-        for (i, (&d, &x)) in self.0.iter().zip(idx.iter()).enumerate().rev() {
+        for (i, (&d, &x)) in self.dims().iter().zip(idx.iter()).enumerate().rev() {
             assert!(x < d, "index {x} out of bounds for axis {i} (len {d})");
             off += x * stride;
             stride *= d;
@@ -65,10 +83,17 @@ impl Shape {
     }
 }
 
+/// Prints `Shape([2, 3])`: the axes alone, not the inline storage.
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Shape").field(&self.dims()).finish()
+    }
+}
+
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, d) in self.0.iter().enumerate() {
+        for (i, d) in self.dims().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -86,13 +111,13 @@ impl From<Vec<usize>> for Shape {
 
 impl From<&[usize]> for Shape {
     fn from(dims: &[usize]) -> Self {
-        Shape::of(dims.to_vec())
+        Shape::of(dims)
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(dims: [usize; N]) -> Self {
-        Shape::of(dims.to_vec())
+        Shape::of(dims)
     }
 }
 
@@ -136,7 +161,39 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "rank-5 shapes are not supported")]
+    fn rank5_rejected() {
+        Shape::of([1; 5]);
+    }
+
+    #[test]
     fn display_format() {
         assert_eq!(Shape::of([2, 3]).to_string(), "[2, 3]");
+    }
+
+    #[test]
+    fn debug_format_is_the_tuple_struct() {
+        assert_eq!(format!("{:?}", Shape::of([2, 3, 4])), "Shape([2, 3, 4])");
+        assert_eq!(format!("{:?}", Shape::of([7])), "Shape([7])");
+        assert_eq!(
+            format!("{:#?}", Shape::of([2, 3])),
+            "Shape(\n    [\n        2,\n        3,\n    ],\n)"
+        );
+    }
+
+    #[test]
+    fn equality_and_hash_see_the_axes_alone() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |s: &Shape| {
+            let mut h = DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        let (a, b) = (Shape::of(vec![2, 3]), Shape::from([2, 3]));
+        assert_eq!(a, b);
+        assert_eq!(hash(&a), hash(&b));
+        assert_ne!(Shape::of([2, 3]), Shape::of([2, 3, 1]));
+        assert_ne!(Shape::of([6]), Shape::of([6, 1]));
     }
 }

@@ -8,6 +8,7 @@ use rand::Rng;
 
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
+use crate::worker::WorkerState;
 
 /// AD-PSGD: each worker computes a gradient, then *atomically averages its
 /// model with one uniformly-random peer* (regardless of that peer's state),
@@ -32,13 +33,8 @@ pub fn run_ad_psgd(mut h: SimHarness) -> RunResult {
     // worker w's communication lane is next available.
     let mut comm_free = vec![SimTime::ZERO; n];
 
-    #[allow(
-        clippy::needless_range_loop,
-        reason = "h.workers and in_flight are indexed in lockstep; an iterator would fight the split borrows"
-    )]
-    for w in 0..n {
-        let g = h.workers[w].gradient(&mut h.rng);
-        in_flight[w] = Some(g);
+    for (w, slot) in in_flight.iter_mut().enumerate() {
+        *slot = Some(h.with_worker(w, WorkerState::gradient));
         let ct = h.compute_time(w, SimTime::ZERO);
         queue.schedule(SimTime::new(ct), w);
     }
@@ -82,7 +78,7 @@ pub fn run_ad_psgd(mut h: SimHarness) -> RunResult {
 
         // Start the next iteration.
         started[w] = now;
-        let g = h.workers[w].gradient(&mut h.rng);
+        let g = h.with_worker(w, WorkerState::gradient);
         in_flight[w] = Some(g);
         let ct = h.compute_time(w, now);
         queue.schedule(now + ct, w);
@@ -105,7 +101,9 @@ pub fn run_d_psgd(mut h: SimHarness) -> RunResult {
         let round_compute = compute.iter().cloned().fold(0.0f64, f64::max);
 
         // Gradients at current local models.
-        let grads: Vec<Tensor> = (0..n).map(|w| h.workers[w].gradient(&mut h.rng)).collect();
+        let grads: Vec<Tensor> = (0..n)
+            .map(|w| h.with_worker(w, WorkerState::gradient))
+            .collect();
 
         // Ring mixing: x_i ← (x_{i−1} + x_i + x_{i+1}) / 3.
         let olds: Vec<Tensor> = h.workers.iter().map(|w| w.params.clone()).collect();

@@ -156,7 +156,8 @@ pub fn run_preduce_elastic(
             Event::Ready(w) => {
                 // Lines 2–4 of Algorithm 2: the local update completes as
                 // the worker becomes ready.
-                if let Some(iteration) = steps[w].update(&mut h.workers[w], &mut h.rng) {
+                let step = &mut steps[w];
+                if let Some(iteration) = h.with_worker(w, |worker, rng| step.update(worker, rng)) {
                     controller.push_ready(w, iteration);
                 } else {
                     // The crash's signal is never sent, and its beat

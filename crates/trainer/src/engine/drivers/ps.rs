@@ -11,6 +11,7 @@ use preduce_simnet::{EventQueue, SimTime};
 
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
+use crate::worker::WorkerState;
 
 /// The staleness policy distinguishing the three PS variants.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,7 +86,7 @@ fn run_ps(mut h: SimHarness, policy: PsPolicy, label: String) -> RunResult {
     'outer: while let Some((t, w)) = queue.pop() {
         now = t;
         // Gradient at the worker's pulled view.
-        let grad = h.workers[w].gradient(&mut h.rng);
+        let grad = h.with_worker(w, WorkerState::gradient);
 
         // Push arrives after the round trip; the update applies then.
         let done = now + comm_of[w];

@@ -6,6 +6,7 @@ use preduce_tensor::Tensor;
 
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
+use crate::worker::WorkerState;
 
 /// All-Reduce (AR): one global barrier and ring all-reduce per iteration.
 /// The round takes as long as the *slowest* worker's compute plus the
@@ -40,7 +41,9 @@ fn run_barrier_rounds(h: &mut SimHarness, comm_time: f64) -> SimTime {
 
         // Average everyone's gradient; apply identically (replicas remain
         // bit-identical, as in real synchronous data parallelism).
-        let grads: Vec<Tensor> = (0..n).map(|w| h.workers[w].gradient(&mut h.rng)).collect();
+        let grads: Vec<Tensor> = (0..n)
+            .map(|w| h.with_worker(w, WorkerState::gradient))
+            .collect();
         let avg = mean_grad(&grads);
         for w in &mut h.workers {
             w.apply(&avg, 1.0);
@@ -74,7 +77,7 @@ pub fn run_ps_bk(mut h: SimHarness, backups: usize) -> RunResult {
 
         let grads: Vec<Tensor> = contributors
             .iter()
-            .map(|&w| h.workers[w].gradient(&mut h.rng))
+            .map(|&w| h.with_worker(w, WorkerState::gradient))
             .collect();
         let avg = mean_grad(&grads);
         for w in &mut h.workers {
@@ -109,12 +112,11 @@ pub fn run_eager_reduce(mut h: SimHarness) -> RunResult {
 
     loop {
         // Idle workers start a fresh gradient at the current parameters.
-        #[allow(clippy::needless_range_loop, reason = "split borrows across fields")]
-        for w in 0..n {
-            if in_flight[w].is_none() {
+        for (w, slot) in in_flight.iter_mut().enumerate() {
+            if slot.is_none() {
                 let ct = h.compute_time(w, now);
-                let g = h.workers[w].gradient(&mut h.rng);
-                in_flight[w] = Some((now.seconds() + ct, g));
+                let g = h.with_worker(w, WorkerState::gradient);
+                *slot = Some((now.seconds() + ct, g));
             }
         }
         // The round closes when the majority-th in-flight gradient lands.

@@ -26,7 +26,8 @@ pub struct Fleet {
     pub workers: Vec<WorkerState>,
     /// Held-out test set (clean labels).
     pub test: Dataset,
-    /// The shared-initialization network (reusable for evaluation).
+    /// The shared-initialization network, keeping its parameters: it
+    /// evaluates, and on the simulator every worker's update runs on it.
     pub reference: Network,
 }
 
@@ -150,6 +151,30 @@ mod tests {
             assert_eq!(w.params, fleet.workers[0].params);
         }
         assert_eq!(fleet.reference.param_vector(), fleet.workers[0].params);
+    }
+
+    #[test]
+    fn a_fleet_worker_keeps_the_only_parameter_copy() {
+        let mut fleet = build_fleet(&config());
+        let d = fleet.reference.param_count();
+        for w in &fleet.workers {
+            assert!(!w.net.holds_params(), "rank {}", w.rank);
+            assert_eq!(w.net.param_count(), d);
+            assert_eq!(w.params.len(), d);
+        }
+        // The two-step public path on the worker's network, as the frozen
+        // compute probe drives it, gives the update path's gradient.
+        let mut w = fleet.workers.swap_remove(1);
+        let batch = w.sampler.next_batch_with(&mut StdRng::seed_from_u64(3));
+        w.net.set_param_vector(&w.params);
+        w.net.zero_grads();
+        let logits = w.net.forward(&batch.features);
+        let loss = preduce_models::softmax_cross_entropy(&logits, &batch.labels);
+        w.net.backward(&loss.grad);
+        let probed = w.net.grad_vector();
+        let updated = w.gradient(&mut StdRng::seed_from_u64(3));
+        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&probed), bits(&updated));
     }
 
     #[test]

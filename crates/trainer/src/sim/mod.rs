@@ -9,9 +9,15 @@
 //! the run at the configured threshold — precisely the paper's protocol
 //! (§5.1–5.2: run time and #updates to a fixed test accuracy; inference on
 //! the average of all workers' models per Algorithm 2 line 8).
+//!
+//! The harness holds one [`Network`], the tracker's: it evaluates the
+//! averaged model, and [`SimHarness::with_worker`] lends it to every
+//! worker's local update and gradient, so a simulated worker holds only
+//! its own state — parameters, momentum, shard — and the fleet shares one
+//! gradient buffer.
 
 use preduce_data::Dataset;
-use preduce_models::{evaluate_accuracy_parallel, softmax_cross_entropy, Network};
+use preduce_models::{evaluate_accuracy_parallel, softmax_cross_entropy_grad, Network};
 use preduce_simnet::{HeterogeneityModel, NetworkModel, SimTime};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -27,7 +33,9 @@ const MAX_UPDATE_SAMPLES: usize = 4096;
 
 /// Shared simulation state handed to every driver.
 pub struct SimHarness {
-    /// Worker replicas (identical initialization).
+    /// Worker replicas (identical initialization), each holding only its
+    /// own state: their updates and gradients run on the harness's one
+    /// network, through [`SimHarness::with_worker`].
     pub workers: Vec<WorkerState>,
     /// Per-worker compute-time model.
     pub hetero: Box<dyn HeterogeneityModel>,
@@ -82,6 +90,27 @@ impl SimHarness {
         self.workers.len()
     }
 
+    /// Runs `f` on worker `w` and the simulation's RNG with the harness's
+    /// one network lent to the worker: an O(1) swap in before the call
+    /// and back after it. Every sim driver runs its local updates and
+    /// gradients through here, so each runs on that one network while the
+    /// worker's own, layout alone, stays idle; [`WorkerState`] keeps one
+    /// update body on every substrate. The network is the convergence
+    /// tracker's, which sets the averaged model before each evaluation,
+    /// and an update reads only the worker's parameters and writes fresh
+    /// gradients, so neither use sees the other.
+    pub fn with_worker<T>(
+        &mut self,
+        w: usize,
+        f: impl FnOnce(&mut WorkerState, &mut StdRng) -> T,
+    ) -> T {
+        let worker = &mut self.workers[w];
+        std::mem::swap(&mut worker.net, &mut self.tracker.net);
+        let out = f(worker, &mut self.rng);
+        std::mem::swap(&mut worker.net, &mut self.tracker.net);
+        out
+    }
+
     /// Samples the compute time of one local update for `worker` at `now`.
     pub fn compute_time(&mut self, worker: usize, now: SimTime) -> f64 {
         self.hetero
@@ -106,8 +135,12 @@ impl SimHarness {
     /// Records one completed update at `now` that took `duration`;
     /// evaluates the averaged model when due. Returns `true` when the run
     /// should stop (threshold reached or cap hit).
+    ///
+    /// On `true` the driver stops at once and touches no worker again: if
+    /// this call has just evaluated, [`SimHarness::finish_with_stats`]
+    /// reports that accuracy instead of evaluating the same models twice.
     pub fn record_update(&mut self, now: SimTime, duration: f64) -> bool {
-        self.tracker.record(now, duration, &mut self.workers)
+        self.tracker.record(now, duration, &self.workers)
     }
 
     /// Updates completed so far.
@@ -120,14 +153,18 @@ impl SimHarness {
         self.finish_with_stats(strategy_label, end, Default::default())
     }
 
-    /// Finalizes the run, attaching driver-specific diagnostics.
+    /// Finalizes the run, attaching driver-specific diagnostics. The final
+    /// accuracy is the evaluation that stopped the run, or else a fresh one.
     pub fn finish_with_stats(
         mut self,
         strategy_label: String,
         end: SimTime,
         stats: std::collections::BTreeMap<String, f64>,
     ) -> RunResult {
-        let final_accuracy = self.tracker.evaluate(&self.workers);
+        let final_accuracy = match self.tracker.stopped_on {
+            Some(accuracy) => accuracy,
+            None => self.tracker.evaluate(&self.workers),
+        };
         let t = self.tracker;
         RunResult {
             strategy: strategy_label,
@@ -144,7 +181,9 @@ impl SimHarness {
 
 /// Periodic evaluation of the worker-averaged model.
 struct ConvergenceTracker {
-    eval_net: Network,
+    /// The harness's one network: set to the averaged model for each
+    /// evaluation, lent to the workers between them.
+    net: Network,
     test: Dataset,
     threshold: f64,
     eval_every: u64,
@@ -152,14 +191,17 @@ struct ConvergenceTracker {
     track_grad_norm: bool,
     updates: u64,
     converged: bool,
+    /// The accuracy of the evaluation in the last [`Self::record`] call,
+    /// when that call stopped the run.
+    stopped_on: Option<f64>,
     trace: Vec<TracePoint>,
     samples: Vec<f64>,
 }
 
 impl ConvergenceTracker {
-    fn new(config: &ExperimentConfig, eval_net: Network, test: Dataset) -> Self {
+    fn new(config: &ExperimentConfig, net: Network, test: Dataset) -> Self {
         ConvergenceTracker {
-            eval_net,
+            net,
             test,
             threshold: config.threshold,
             eval_every: config.eval_every,
@@ -167,13 +209,15 @@ impl ConvergenceTracker {
             track_grad_norm: config.track_grad_norm,
             updates: 0,
             converged: false,
+            stopped_on: None,
             trace: Vec::new(),
             samples: Vec::new(),
         }
     }
 
-    fn record(&mut self, now: SimTime, duration: f64, workers: &mut [WorkerState]) -> bool {
+    fn record(&mut self, now: SimTime, duration: f64, workers: &[WorkerState]) -> bool {
         self.updates += 1;
+        self.stopped_on = None;
         if self.samples.len() < MAX_UPDATE_SAMPLES {
             self.samples.push(duration);
         }
@@ -188,6 +232,9 @@ impl ConvergenceTracker {
             });
             if acc >= self.threshold {
                 self.converged = true;
+            }
+            if self.converged || self.updates >= self.max_updates {
+                self.stopped_on = Some(acc);
                 return true;
             }
         }
@@ -196,17 +243,17 @@ impl ConvergenceTracker {
 
     fn evaluate(&mut self, workers: &[WorkerState]) -> f64 {
         let avg = uniform_average(workers.iter().map(|w| &w.params));
-        self.eval_net.set_param_vector(&avg);
+        self.net.set_param_vector(&avg);
         // Data-parallel over eval batches; integer correct counts make the
         // score bit-identical to a sequential pass (golden-safe).
-        evaluate_accuracy_parallel(&self.eval_net, &self.test, EVAL_BATCH, eval_threads())
+        evaluate_accuracy_parallel(&self.net, &self.test, EVAL_BATCH, eval_threads())
     }
 
     /// `‖∇F(u_k)‖²` of the averaged model over the whole held-out set.
     fn grad_norm_sq(&mut self, workers: &[WorkerState]) -> f64 {
         let avg = uniform_average(workers.iter().map(|w| &w.params));
-        self.eval_net.set_param_vector(&avg);
-        self.eval_net.zero_grads();
+        self.net.set_param_vector(&avg);
+        self.net.zero_grads();
         // Accumulate gradients over the full set in eval batches; the
         // per-batch mean losses are reweighted to the global mean.
         let n = self.test.len();
@@ -215,13 +262,13 @@ impl ConvergenceTracker {
             let end = (start + EVAL_BATCH).min(n);
             let idx: Vec<usize> = (start..end).collect();
             let batch = self.test.gather(&idx);
-            let logits = self.eval_net.forward(&batch.features);
-            let mut loss = softmax_cross_entropy(&logits, &batch.labels);
-            loss.grad.scale((end - start) as f32 / n as f32);
-            self.eval_net.backward(&loss.grad);
+            let logits = self.net.forward(&batch.features);
+            let mut grad = softmax_cross_entropy_grad(&logits, &batch.labels);
+            grad.scale((end - start) as f32 / n as f32);
+            self.net.backward(&grad);
             start = end;
         }
-        let g = self.eval_net.grad_vector();
+        let g = self.net.grad_vector();
         let norm = g.norm2();
         norm * norm
     }
@@ -232,6 +279,7 @@ mod tests {
     use super::*;
     use preduce_data::cifar10_like;
     use preduce_models::zoo;
+    use preduce_tensor::Tensor;
 
     fn small_config() -> ExperimentConfig {
         let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
@@ -285,6 +333,112 @@ mod tests {
         assert!((r.per_update_time() - 1.0).abs() < 1e-9);
         assert!(!r.converged);
         assert!(r.final_accuracy >= 0.0 && r.final_accuracy <= 1.0);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Fills `net`'s own parameters, its gradients and its kept
+    /// activations with NaN, through its public passes.
+    fn poison(net: &mut Network, features: usize) {
+        net.set_param_vector(&Tensor::full([net.param_count()], f32::NAN));
+        let x = Tensor::full([3, features], f32::NAN);
+        let logits = net.forward(&x);
+        net.backward(&Tensor::full(logits.shape().clone(), f32::NAN));
+        net.forward(&x);
+        assert!(net.grads().as_slice().iter().all(|g| g.is_nan()));
+    }
+
+    #[test]
+    fn workers_updated_on_the_one_network_match_workers_on_their_own() {
+        let mut c = small_config();
+        c.num_workers = 8;
+        // Each worker six times, interleaved.
+        let order: Vec<usize> = (0..48).map(|i| (i * 5 + i / 8) % 8).collect();
+        for split in [false, true] {
+            let what = if split {
+                "gradient + apply"
+            } else {
+                "local_update"
+            };
+            let step = |w: &mut WorkerState, rng: &mut StdRng| {
+                if split {
+                    let grad = w.gradient(rng);
+                    w.apply(&grad, 1.0);
+                    w.iteration += 1;
+                } else {
+                    w.local_update(rng);
+                }
+            };
+            let (mut shared, mut own) = (SimHarness::new(&c), SimHarness::new(&c));
+            let features = shared.tracker.test.feature_dim();
+            for &w in &order {
+                poison(&mut shared.tracker.net, features);
+                shared.with_worker(w, step);
+                step(&mut own.workers[w], &mut own.rng);
+            }
+            for (a, b) in shared.workers.iter().zip(&own.workers) {
+                assert_eq!(bits(&a.params), bits(&b.params), "{what}: params");
+                assert_eq!(
+                    bits(a.opt.velocity()),
+                    bits(b.opt.velocity()),
+                    "{what}: velocity"
+                );
+                assert_eq!(a.iteration, b.iteration, "{what}: iteration");
+                assert_eq!(a.iteration, 6, "{what}: iteration");
+                // A lending worker's own network never ran.
+                assert!(!a.net.holds_params() && a.net.grads().is_empty());
+            }
+            // The lent network still evaluates the averaged model.
+            let (got, want) = (
+                shared.tracker.evaluate(&shared.workers),
+                own.tracker.evaluate(&own.workers),
+            );
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}: accuracy");
+        }
+    }
+
+    #[test]
+    fn a_run_stopped_by_an_evaluation_is_not_evaluated_again() {
+        let poison_params = |h: &mut SimHarness| {
+            for w in &mut h.workers {
+                w.params.as_mut_slice().fill(f32::NAN);
+            }
+        };
+        let (mut converges, mut capped) = (small_config(), small_config());
+        converges.threshold = 1e-9;
+        // The cap falls on the evaluation at update 64.
+        for c in [&converges, &capped] {
+            let mut h = SimHarness::new(c);
+            let mut i = 0u64;
+            loop {
+                i += 1;
+                h.with_worker((i % 4) as usize, |w, rng| w.local_update(rng));
+                if h.record_update(SimTime::new(i as f64), 1.0) {
+                    break;
+                }
+            }
+            // Outside the contract: a re-evaluation would see these.
+            poison_params(&mut h);
+            let r = h.finish("test".into(), SimTime::new(i as f64));
+            let last = r.trace.last().map(|p| p.accuracy);
+            assert_eq!(Some(r.final_accuracy), last, "updates {i}");
+            assert_eq!(r.converged, c.threshold < 1e-6);
+        }
+        // A cap between evaluations is evaluated at the end.
+        capped.max_updates = 40;
+        let mut h = SimHarness::new(&capped);
+        for i in 1..=40u64 {
+            h.with_worker((i % 4) as usize, |w, rng| w.local_update(rng));
+            let stop = h.record_update(SimTime::new(i as f64), 1.0);
+            assert_eq!(stop, i == 40);
+        }
+        let want = h.tracker.evaluate(&h.workers);
+        poison_params(&mut h);
+        let r = h.finish("test".into(), SimTime::new(40.0));
+        assert_eq!(r.trace.len(), 2);
+        assert_ne!(r.final_accuracy.to_bits(), want.to_bits());
     }
 
     #[test]

@@ -2,18 +2,25 @@
 
 use partial_reduce::WeightRow;
 use preduce_data::BatchSampler;
-use preduce_models::{softmax_cross_entropy, Network, SgdConfig, SgdOptimizer};
+use preduce_models::{softmax_cross_entropy_grad, Network, SgdConfig, SgdOptimizer};
 use preduce_tensor::Tensor;
 use rand::Rng;
 
 /// One worker's replica: flat parameters (the communication view), the
 /// network (the compute view), optimizer state, and its data shard.
 ///
-/// The flat vector [`WorkerState::params`] is the source of truth: the
-/// network's forward and backward passes run on it where it lies, and the
-/// network's own parameter vector is never read by an update. This mirrors
-/// how collective libraries see a model (one contiguous buffer) and makes
+/// The worker's state is what Algorithm 2 gives it, its model and its
+/// optimizer state: the flat vector [`WorkerState::params`] (the source of
+/// truth, moved out of the network at construction) and the momentum
+/// buffer. The network is layout plus scratch — the passes run on the
+/// worker's vector where it lies, and write fresh gradients — so any
+/// network of the same widths serves an update: threads and processes run
+/// each worker on its own, the simulator lends its one network to each
+/// worker in turn ([`SimHarness::with_worker`]). This mirrors how
+/// collective libraries see a model (one contiguous buffer) and makes
 /// model averaging a pure vector operation.
+///
+/// [`SimHarness::with_worker`]: crate::sim::SimHarness::with_worker
 #[derive(Debug)]
 pub struct WorkerState {
     /// Worker rank.
@@ -21,7 +28,8 @@ pub struct WorkerState {
     /// Flat model parameters (source of truth).
     pub params: Tensor,
     /// The network used for forward/backward: its layer shapes and its
-    /// gradient and activation buffers.
+    /// gradient and activation buffers. It holds no parameters of its own
+    /// unless [`Network::set_param_vector`] gives it some.
     pub net: Network,
     /// Local optimizer state (momentum buffer).
     pub opt: SgdOptimizer,
@@ -31,14 +39,16 @@ pub struct WorkerState {
     pub iteration: u64,
     /// Running count of local updates performed.
     pub updates_applied: u64,
-    /// Most recent training loss.
-    pub last_loss: f64,
 }
 
 impl WorkerState {
-    /// Creates a worker from a pre-built (shared-initialization) network.
-    pub fn new(rank: usize, net: Network, sgd: SgdConfig, sampler: BatchSampler) -> Self {
-        let params = net.param_vector();
+    /// Creates a worker from a pre-built (shared-initialization) network,
+    /// moving the network's parameters into the worker.
+    ///
+    /// # Panics
+    /// Panics if `net` holds no parameters of its own.
+    pub fn new(rank: usize, mut net: Network, sgd: SgdConfig, sampler: BatchSampler) -> Self {
+        let params = net.take_param_vector();
         let opt = SgdOptimizer::new(sgd, params.len());
         WorkerState {
             rank,
@@ -48,7 +58,6 @@ impl WorkerState {
             sampler,
             iteration: 0,
             updates_applied: 0,
-            last_loss: f64::NAN,
         }
     }
 
@@ -59,9 +68,8 @@ impl WorkerState {
         let batch = self.sampler.next_batch_with(rng);
         let params = self.params.as_slice();
         let logits = self.net.forward_on(params, &batch.features);
-        let loss = softmax_cross_entropy(&logits, &batch.labels);
-        self.last_loss = loss.loss;
-        self.net.backward_fresh_on(params, &loss.grad);
+        let grad = softmax_cross_entropy_grad(&logits, &batch.labels);
+        self.net.backward_fresh_on(params, &grad);
     }
 
     /// Computes a stochastic gradient at the current parameters using a
@@ -137,7 +145,7 @@ pub fn weighted_model_average(models: &[&Tensor], weights: &WeightRow) -> Tensor
 mod tests {
     use super::*;
     use preduce_data::{Dataset, GaussianMixture, SynthConfig};
-    use preduce_models::NetworkSpec;
+    use preduce_models::{softmax_cross_entropy, NetworkSpec};
     use rand::SeedableRng;
 
     fn toy_dataset() -> Dataset {
@@ -168,23 +176,26 @@ mod tests {
         assert_eq!(w.params, before);
         assert_eq!(g.len(), before.len());
         assert!(g.norm2() > 0.0);
-        assert!(w.last_loss.is_finite());
+        assert!(g.as_slice().iter().all(|v| v.is_finite()));
     }
 
     #[test]
     fn local_update_reduces_loss_over_time() {
+        // The mean loss on one fixed batch, the whole toy set, at the
+        // worker's current parameters.
+        let fixed = toy_dataset();
+        let loss = |w: &mut WorkerState| {
+            let logits = w.net.forward_on(w.params.as_slice(), fixed.features());
+            softmax_cross_entropy(&logits, fixed.labels()).loss
+        };
         let mut w = worker();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        w.local_update(&mut rng);
-        let early = w.last_loss;
-        for _ in 0..120 {
+        let early = loss(&mut w);
+        for _ in 0..121 {
             w.local_update(&mut rng);
         }
-        assert!(
-            w.last_loss < early,
-            "loss did not improve: {early} -> {}",
-            w.last_loss
-        );
+        let late = loss(&mut w);
+        assert!(late < early, "loss did not improve: {early} -> {late}");
         assert_eq!(w.iteration, 121);
         assert_eq!(w.updates_applied, 121);
     }
@@ -229,11 +240,6 @@ mod tests {
                     bits(w.opt.velocity()),
                     bits(twin.opt.velocity()),
                     "{what}: velocity"
-                );
-                assert_eq!(
-                    w.last_loss.to_bits(),
-                    twin.last_loss.to_bits(),
-                    "{what}: loss"
                 );
             }
         }
