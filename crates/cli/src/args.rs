@@ -1,6 +1,7 @@
 //! A small `--flag value` argument parser — deliberately dependency-free
 //! (the workspace's dependency budget is documented in DESIGN.md).
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -22,6 +23,8 @@ pub enum ArgError {
     UnexpectedToken(String),
     /// A flag was given twice.
     Duplicate(String),
+    /// A flag was given that the command never read.
+    Unread(String),
 }
 
 impl fmt::Display for ArgError {
@@ -39,6 +42,7 @@ impl fmt::Display for ArgError {
                 write!(f, "unexpected argument `{t}` (flags are --name value)")
             }
             ArgError::Duplicate(flag) => write!(f, "--{flag} given twice"),
+            ArgError::Unread(flag) => write!(f, "--{flag} is not read by this command"),
         }
     }
 }
@@ -46,11 +50,12 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// An optional leading operand (`reproduce fig4`) and `--flag value`
-/// pairs.
+/// pairs. Each flag remembers whether it was read, so a command can refuse
+/// the ones it never reads ([`Args::unread`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Args {
     operand: Option<String>,
-    values: BTreeMap<String, String>,
+    values: BTreeMap<String, (String, Cell<bool>)>,
 }
 
 impl Args {
@@ -75,7 +80,8 @@ impl Args {
             if value.starts_with("--") {
                 return Err(ArgError::MissingValue(flag));
             }
-            if values.insert(flag.clone(), value).is_some() {
+            let unread = (value, Cell::new(false));
+            if values.insert(flag.clone(), unread).is_some() {
                 return Err(ArgError::Duplicate(flag));
             }
         }
@@ -87,26 +93,32 @@ impl Args {
         self.operand.as_deref()
     }
 
-    /// The raw string value of a flag, if present.
+    /// The raw string value of a flag, if present; marks it read.
     pub fn get(&self, flag: &str) -> Option<&str> {
-        self.values.get(flag).map(String::as_str)
+        let (value, read) = self.values.get(flag)?;
+        read.set(true);
+        Some(value)
     }
 
-    /// A typed flag value, or `default` when absent.
+    /// A typed flag value, or `default` when absent; marks it read.
     pub fn get_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, ArgError> {
-        match self.values.get(flag) {
+        match self.get(flag) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| ArgError::BadValue {
                 flag: flag.into(),
-                value: v.clone(),
+                value: v.into(),
                 expected: std::any::type_name::<T>(),
             }),
         }
     }
 
-    /// Flags that were provided.
-    pub fn flags(&self) -> impl Iterator<Item = &str> {
-        self.values.keys().map(String::as_str)
+    /// The first given flag that no [`Args::get`] or [`Args::get_or`]
+    /// has read.
+    pub fn unread(&self) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(_, (_, read))| !read.get())
+            .map(|(flag, _)| flag.as_str())
     }
 }
 
@@ -156,6 +168,19 @@ mod tests {
         assert_eq!(a.operand(), Some("fig4"));
         assert_eq!(a.get("x"), Some("1"));
         assert_eq!(Args::parse(["--x", "1"]).unwrap().operand(), None);
+    }
+
+    #[test]
+    fn a_flag_is_unread_until_read() {
+        let a = Args::parse(["--hl", "3", "--max-update", "10"]).unwrap();
+        assert_eq!(a.unread(), Some("hl"));
+        assert_eq!(a.get_or("hl", 1usize).unwrap(), 3);
+        assert_eq!(a.get("max-updates"), None);
+        assert_eq!(a.unread(), Some("max-update"));
+        let e = ArgError::Unread("max-update".into()).to_string();
+        assert!(e.starts_with("--max-update "), "{e}");
+        assert_eq!(a.get("max-update"), Some("10"));
+        assert_eq!(a.unread(), None);
     }
 
     #[test]

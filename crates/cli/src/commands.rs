@@ -129,9 +129,10 @@ preduce — heterogeneity-aware distributed training via partial reduce
 
 USAGE:
   preduce run      [--strategy S] [--model M] [--preset D] [--workers N]
-                   [--hl HL] [--p P] [--dynamic true] [--threshold T]
-                   [--max-updates K] [--seed SEED] [--json true]
-                   [--backend sim|threaded] [--iters K]
+                   [--hl HL] [--p P] [--dynamic true] [--backups B]
+                   [--threshold T] [--max-updates K] [--eval-every E]
+                   [--lr LR] [--batch B] [--label-noise F] [--seed SEED]
+                   [--json true] [--backend sim|threaded] [--iters K]
                    [--config experiment.json] [--trace-out trace.jsonl]
                    [--fault-plan SPEC] [--checkpoint-dir DIR]
                    [--checkpoint-every K] [--restore-from DIR]
@@ -152,8 +153,9 @@ USAGE:
   preduce help
 
 STRATEGIES (for --strategy):
-  all-reduce | eager-reduce | ad-psgd | d-psgd | ps-bsp | ps-asp |
-  ps-ssp | ps-hete | ps-bk | p-reduce (default)
+  all-reduce | eager-reduce | ad-psgd | ps-bsp | ps-asp | ps-hete |
+  ps-bk (reads --backups) | p-reduce (default; reads --p, --dynamic)
+  A flag the command does not read is a usage error.
 
 BACKENDS (for --backend):
   sim (default)  — deterministic virtual-time simulator; stops at the
@@ -245,24 +247,20 @@ TRACING:
 ";
 
 fn parse_strategy(args: &Args) -> Result<Strategy, CliError> {
-    let name = args.get("strategy").unwrap_or("p-reduce");
-    let p: usize = args.get_or("p", 3)?;
-    let dynamic: bool = args.get_or("dynamic", false)?;
-    Ok(match name {
+    Ok(match args.get("strategy").unwrap_or("p-reduce") {
         "all-reduce" => Strategy::AllReduce,
         "eager-reduce" => Strategy::EagerReduce,
         "ad-psgd" => Strategy::AdPsgd,
-        "d-psgd" => Strategy::DPsgd,
         "ps-bsp" => Strategy::PsBsp,
         "ps-asp" => Strategy::PsAsp,
-        "ps-ssp" => Strategy::PsSsp {
-            bound: args.get_or("bound", 8)?,
-        },
         "ps-hete" => Strategy::PsHete,
         "ps-bk" => Strategy::PsBackup {
             backups: args.get_or("backups", 3)?,
         },
-        "p-reduce" => Strategy::PReduce { p, dynamic },
+        "p-reduce" => Strategy::PReduce {
+            p: args.get_or("p", 3)?,
+            dynamic: args.get_or("dynamic", false)?,
+        },
         other => return Err(CliError::Unknown(format!("strategy `{other}`"))),
     })
 }
@@ -364,9 +362,9 @@ fn elastic_from_args(args: &Args) -> Result<ElasticOptions, CliError> {
 struct TraceOut<'a>(Option<(&'a str, Arc<JsonlSink>)>);
 
 impl<'a> TraceOut<'a> {
-    /// Creates the named file.
-    fn from_args(args: &'a Args) -> Result<Self, CliError> {
-        let Some(path) = args.get("trace-out") else {
+    /// Creates the file `--trace-out` named, if it named one.
+    fn create(path: Option<&'a str>) -> Result<Self, CliError> {
+        let Some(path) = path else {
             return Ok(TraceOut(None));
         };
         let sink = JsonlSink::create(path)
@@ -442,8 +440,13 @@ pub fn config_from_args(args: &Args) -> Result<ExperimentConfig, CliError> {
     Ok(c)
 }
 
-/// Executes a command, writing human output to `out`. Returns the process
-/// exit code.
+/// A command whose flags are all read and checked: the work left to do,
+/// writing human output to its argument.
+type Job<'a> = Box<dyn FnOnce(&mut dyn std::io::Write) -> Result<(), CliError> + 'a>;
+
+/// Executes a command, writing human output to `out`. Every flag is read
+/// and checked before any work starts, and a flag the command never read
+/// is a usage error.
 pub fn run_command(
     command: Command,
     args: &Args,
@@ -452,11 +455,21 @@ pub fn run_command(
     if let Some(operand) = args.operand().filter(|_| command != Command::Reproduce) {
         return Err(ArgError::UnexpectedToken(operand.to_string()).into());
     }
-    match command {
-        Command::Help => {
+    let job = prepare(command, args)?;
+    if let Some(flag) = args.unread() {
+        return Err(ArgError::Unread(flag.to_string()).into());
+    }
+    job(out)
+}
+
+/// Reads and checks `command`'s flags, returning the work they describe.
+fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
+    Ok(match command {
+        Command::Help => Box::new(|out| {
             let _ = writeln!(out, "{USAGE}");
-        }
-        Command::List => {
+            Ok(())
+        }),
+        Command::List => Box::new(|out| {
             let _ = writeln!(out, "strategies:");
             for s in Strategy::table1_lineup(8) {
                 let _ = writeln!(out, "  {}", s.label());
@@ -479,11 +492,17 @@ pub fn run_command(
                     p.name, p.config.num_classes, p.config.num_samples
                 );
             }
-        }
+            Ok(())
+        }),
         Command::Run => {
             let strategy = parse_strategy(args)?;
             let mut config = config_from_args(args)?;
-            check_fleet(strategy, config.num_workers)?;
+            match strategy {
+                Strategy::PReduce { p, .. } => check_group_size(config.num_workers, p)?,
+                baseline => baseline
+                    .check_fleet(config.num_workers)
+                    .map_err(CliError::Unknown)?,
+            }
             let backend = match args.get("backend") {
                 None => Backend::Sim,
                 Some(name) => name.parse::<Backend>().map_err(|_| {
@@ -500,27 +519,32 @@ pub fn run_command(
                 config.threaded_iters = Some(args.get_or("iters", 0)?);
             }
             let elastic = elastic_from_args(args)?;
-            let trace = TraceOut::from_args(args)?;
-            let result =
-                engine::run_elastic(strategy, &config, backend, trace.sink(), faults, elastic)
-                    .result;
-            trace.finish()?;
-            if args.get_or("json", false)? {
-                let text = serde_json::to_string(&result)
-                    .map_err(|e| CliError::Internal(format!("serialize result: {e}")))?;
-                let _ = writeln!(out, "{text}");
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{:<22} run time {:>9.1}s | {:>6} updates | {:>8.3}s/update | acc {:.3}{}",
-                    result.strategy,
-                    result.run_time,
-                    result.updates,
-                    result.per_update_time(),
-                    result.final_accuracy,
-                    if result.converged { "" } else { "  (hit cap)" },
-                );
-            }
+            let trace_out = args.get("trace-out");
+            let json: bool = args.get_or("json", false)?;
+            Box::new(move |out| {
+                let trace = TraceOut::create(trace_out)?;
+                let result =
+                    engine::run_elastic(strategy, &config, backend, trace.sink(), faults, elastic)
+                        .result;
+                trace.finish()?;
+                if json {
+                    let text = serde_json::to_string(&result)
+                        .map_err(|e| CliError::Internal(format!("serialize result: {e}")))?;
+                    let _ = writeln!(out, "{text}");
+                } else {
+                    let _ = writeln!(
+                        out,
+                        "{:<22} run time {:>9.1}s | {:>6} updates | {:>8.3}s/update | acc {:.3}{}",
+                        result.strategy,
+                        result.run_time,
+                        result.updates,
+                        result.per_update_time(),
+                        result.final_accuracy,
+                        if result.converged { "" } else { "  (hit cap)" },
+                    );
+                }
+                Ok(())
+            })
         }
         Command::Controller => {
             const WORKERS_ONLY: &str =
@@ -552,56 +576,49 @@ pub fn run_command(
             }
             let liveness = (liveness_ms > 0)
                 .then(|| LivenessPolicy::new(Duration::from_millis(liveness_ms), miss));
-            let trace = TraceOut::from_args(args)?;
-            let report = process::run_controller(
-                controller_cfg,
-                &listen,
-                RuntimeOptions {
-                    sink: trace.sink(),
-                    liveness,
-                },
-                |addr| {
-                    // The e2e harness (and any launcher) parses this line
-                    // to learn the port when --listen ends in :0.
-                    let _ = writeln!(out, "listening on {addr}");
-                    let _ = out.flush();
-                },
-            )
-            .map_err(|e| match e {
-                CommError::BindFailed { addr, error } => {
-                    CliError::Unknown(format!("--listen address `{addr}`: {error}"))
-                }
-                e => CliError::Internal(format!("controller: {e}")),
-            })?;
-            trace.finish()?;
-            let s = report.stats;
-            let _ = writeln!(
-                out,
-                "controller done: workers={} groups={} repairs={} singletons={} evictions={}",
-                report.workers, s.groups_formed, s.repairs, s.singletons, s.evictions
-            );
+            let trace_out = args.get("trace-out");
+            Box::new(move |out| {
+                let trace = TraceOut::create(trace_out)?;
+                let report = process::run_controller(
+                    controller_cfg,
+                    &listen,
+                    RuntimeOptions {
+                        sink: trace.sink(),
+                        liveness,
+                    },
+                    |addr| {
+                        // The e2e harness (and any launcher) parses this line
+                        // to learn the port when --listen ends in :0.
+                        let _ = writeln!(out, "listening on {addr}");
+                        let _ = out.flush();
+                    },
+                )
+                .map_err(|e| match e {
+                    CommError::BindFailed { addr, error } => {
+                        CliError::Unknown(format!("--listen address `{addr}`: {error}"))
+                    }
+                    e => CliError::Internal(format!("controller: {e}")),
+                })?;
+                trace.finish()?;
+                let s = report.stats;
+                let _ = writeln!(
+                    out,
+                    "controller done: workers={} groups={} repairs={} singletons={} evictions={}",
+                    report.workers, s.groups_formed, s.repairs, s.singletons, s.evictions
+                );
+                Ok(())
+            })
         }
         Command::Worker => {
-            let connect = args.get("connect").ok_or_else(|| {
-                CliError::Unknown(
-                    "worker invocation (usage: preduce worker --connect ADDR --rank R)".to_string(),
-                )
-            })?;
+            let (Some(connect), Some(_)) = (args.get("connect"), args.get("rank")) else {
+                return Err(CliError::Unknown(
+                    "worker invocation (usage: preduce worker --connect ADDR --rank R)".into(),
+                ));
+            };
             let addr: SocketAddr = connect
                 .parse()
                 .map_err(|_| CliError::Unknown(format!("controller address `{connect}`")))?;
-            let rank_s = args.get("rank").ok_or_else(|| {
-                CliError::Unknown(
-                    "worker invocation (usage: preduce worker --connect ADDR --rank R)".to_string(),
-                )
-            })?;
-            let rank: usize = rank_s.parse().map_err(|_| {
-                CliError::Args(ArgError::BadValue {
-                    flag: "rank".into(),
-                    value: rank_s.into(),
-                    expected: "usize",
-                })
-            })?;
+            let rank: usize = args.get_or("rank", 0)?;
             let config = config_from_args(args)?;
             if rank >= config.num_workers {
                 return Err(CliError::Unknown(format!(
@@ -611,29 +628,29 @@ pub fn run_command(
             }
             let iters: u64 = args.get_or("iters", engine::DEFAULT_THREADED_ITERS)?;
             let elastic = elastic_from_args(args)?;
-            let report = process::run_worker_elastic(
-                &config,
-                addr,
-                rank,
-                iters,
-                Arc::new(NullSink),
-                elastic,
-            )
-            .map_err(|e| CliError::Internal(format!("worker {rank}: {e}")))?;
-            let _ = writeln!(
-                out,
-                "worker rank={} iterations={} accuracy={:.4} degraded={} params={:016x}",
-                report.rank,
-                report.iterations,
-                report.accuracy,
-                report.degraded,
-                report.params_hash
-            );
+            Box::new(move |out| {
+                let report = process::run_worker_elastic(
+                    &config,
+                    addr,
+                    rank,
+                    iters,
+                    Arc::new(NullSink),
+                    elastic,
+                )
+                .map_err(|e| CliError::Internal(format!("worker {rank}: {e}")))?;
+                let _ = writeln!(
+                    out,
+                    "worker rank={} iterations={} accuracy={:.4} degraded={} params={:016x}",
+                    report.rank,
+                    report.iterations,
+                    report.accuracy,
+                    report.degraded,
+                    report.params_hash
+                );
+                Ok(())
+            })
         }
         Command::Reproduce => {
-            if let Some(flag) = args.flags().next() {
-                return Err(ArgError::UnexpectedToken(format!("--{flag}")).into());
-            }
             let operand = args.operand().unwrap_or_default();
             let all = operand == "all";
             let ids: Vec<_> = paper::ids().filter(|id| all || *id == operand).collect();
@@ -644,20 +661,23 @@ pub fn run_command(
                     known.join(", ")
                 )));
             }
-            let mut mismatches = Vec::new();
-            for id in ids {
-                if all {
-                    let _ = writeln!(out, "## {id}\n");
+            Box::new(move |out| {
+                let mut mismatches = Vec::new();
+                for id in ids {
+                    if all {
+                        let _ = writeln!(out, "## {id}\n");
+                    }
+                    if let Some(r) = paper::reproduce(id) {
+                        let _ = write!(out, "{}", r.markdown);
+                        let _ = out.flush();
+                        mismatches.extend(r.mismatches);
+                    }
                 }
-                if let Some(r) = paper::reproduce(id) {
-                    let _ = write!(out, "{}", r.markdown);
-                    let _ = out.flush();
-                    mismatches.extend(r.mismatches);
+                if !mismatches.is_empty() {
+                    return Err(CliError::Claims(mismatches));
                 }
-            }
-            if !mismatches.is_empty() {
-                return Err(CliError::Claims(mismatches));
-            }
+                Ok(())
+            })
         }
         Command::Trace => {
             let path = args.get("check").ok_or_else(|| {
@@ -665,12 +685,15 @@ pub fn run_command(
                     "trace invocation (usage: preduce trace --check FILE)".to_string(),
                 )
             })?;
-            let report = InvariantChecker::check_jsonl(path)
-                .map_err(|e| CliError::Unknown(format!("trace file `{path}`: {e}")))?;
-            let _ = write!(out, "{report}");
-            if !report.is_clean() {
-                return Err(CliError::Invariant(report.violations.len()));
-            }
+            Box::new(move |out| {
+                let report = InvariantChecker::check_jsonl(path)
+                    .map_err(|e| CliError::Unknown(format!("trace file `{path}`: {e}")))?;
+                let _ = write!(out, "{report}");
+                if !report.is_clean() {
+                    return Err(CliError::Invariant(report.violations.len()));
+                }
+                Ok(())
+            })
         }
         Command::Scale => {
             let n: usize = args.get_or("workers", 1_000)?;
@@ -691,44 +714,48 @@ pub fn run_command(
             let mut cfg = preduce_trainer::ScaleConfig::new(n, p, signals, hetero);
             cfg.dynamic = args.get_or("dynamic", true)?;
             cfg.seed = args.get_or("seed", cfg.seed)?;
-            let report = preduce_trainer::run_scale(&cfg);
-            if args.get_or("json", false)? {
-                let text = serde_json::to_string(&report)
-                    .map_err(|e| CliError::Internal(format!("serialize report: {e}")))?;
-                let _ = writeln!(out, "{text}");
-            } else {
-                let rho = report
-                    .rho_measured
-                    .map_or_else(|| "n/a".to_string(), |r| format!("{r:.4}"));
-                let _ = writeln!(
-                    out,
-                    "N = {n}, P = {p}, {} signals under `{hetero}`:\n\
-                     \x20 throughput  = {:.0} signals/s ({} groups, {} deferrals, {} repairs)\n\
-                     \x20 latency     = {:.3}s mean / {:.3}s max (virtual)\n\
-                     \x20 rho         = {rho} (uniform reference {:.4})\n\
-                     \x20 spread      = {:.4} mean / {:.4} max\n\
-                     \x20 union-find  = {} merges, {} rebuilds, {} queries answered from membership counts\n\
-                     \x20 checker     = {} events, {} violation(s)",
-                    report.signals,
-                    report.signals_per_sec,
-                    report.groups,
-                    report.deferrals,
-                    report.repairs,
-                    report.formation_latency_mean,
-                    report.formation_latency_max,
-                    report.rho_uniform_ref,
-                    report.weight_spread_mean,
-                    report.weight_spread_max,
-                    report.connectivity.merges,
-                    report.connectivity.rebuilds,
-                    report.connectivity.membership_answers,
-                    report.checker_events,
-                    report.checker_violations,
-                );
-            }
-            if report.checker_violations > 0 {
-                return Err(CliError::Invariant(report.checker_violations));
-            }
+            let json: bool = args.get_or("json", false)?;
+            Box::new(move |out| {
+                let report = preduce_trainer::run_scale(&cfg);
+                if json {
+                    let text = serde_json::to_string(&report)
+                        .map_err(|e| CliError::Internal(format!("serialize report: {e}")))?;
+                    let _ = writeln!(out, "{text}");
+                } else {
+                    let rho = report
+                        .rho_measured
+                        .map_or_else(|| "n/a".to_string(), |r| format!("{r:.4}"));
+                    let _ = writeln!(
+                        out,
+                        "N = {n}, P = {p}, {} signals under `{hetero}`:\n\
+                         \x20 throughput  = {:.0} signals/s ({} groups, {} deferrals, {} repairs)\n\
+                         \x20 latency     = {:.3}s mean / {:.3}s max (virtual)\n\
+                         \x20 rho         = {rho} (uniform reference {:.4})\n\
+                         \x20 spread      = {:.4} mean / {:.4} max\n\
+                         \x20 union-find  = {} merges, {} rebuilds, {} queries answered from membership counts\n\
+                         \x20 checker     = {} events, {} violation(s)",
+                        report.signals,
+                        report.signals_per_sec,
+                        report.groups,
+                        report.deferrals,
+                        report.repairs,
+                        report.formation_latency_mean,
+                        report.formation_latency_max,
+                        report.rho_uniform_ref,
+                        report.weight_spread_mean,
+                        report.weight_spread_max,
+                        report.connectivity.merges,
+                        report.connectivity.rebuilds,
+                        report.connectivity.membership_answers,
+                        report.checker_events,
+                        report.checker_violations,
+                    );
+                }
+                if report.checker_violations > 0 {
+                    return Err(CliError::Invariant(report.checker_violations));
+                }
+                Ok(())
+            })
         }
         Command::Spectral => {
             let n: usize = args.get_or("workers", 8)?;
@@ -740,8 +767,8 @@ pub fn run_command(
                     "round count (need --rounds > 0)".to_string(),
                 ));
             }
-            let fleet: Box<dyn HeterogeneityModel> = match args.get("slow") {
-                None => Box::new(UniformFleet::new(n, 1e9, Jitter::LogNormal { sigma: 0.2 })),
+            let slow = match args.get("slow") {
+                None => None,
                 Some(spec) => {
                     let multipliers: Vec<f64> = spec
                         .split(',')
@@ -761,36 +788,33 @@ pub fn run_command(
                             "multiplier `{m}` (need a finite value > 0)"
                         )));
                     }
-                    Box::new(SpeedFleet::new(
-                        multipliers,
-                        1e9,
-                        Jitter::LogNormal { sigma: 0.2 },
-                    ))
+                    Some(multipliers)
                 }
             };
-            let (groups, _) =
-                preduce_trainer::sample_groups(fleet, ControllerConfig::constant(n, p), rounds, 17);
-            let e_w = expected_sync_matrix(n, &groups);
-            let report = spectral_gap(&e_w)
-                .map_err(|e| CliError::Internal(format!("spectral analysis of E[W]: {e}")))?;
-            let _ = writeln!(
-                out,
-                "N = {n}, P = {p}, {rounds} observed groups:\n  rho     = {:.4}\n  rho_bar = {:.4}",
-                report.rho, report.rho_bar
-            );
+            Box::new(move |out| {
+                let jitter = Jitter::LogNormal { sigma: 0.2 };
+                let fleet: Box<dyn HeterogeneityModel> = match slow {
+                    None => Box::new(UniformFleet::new(n, 1e9, jitter)),
+                    Some(multipliers) => Box::new(SpeedFleet::new(multipliers, 1e9, jitter)),
+                };
+                let (groups, _) = preduce_trainer::sample_groups(
+                    fleet,
+                    ControllerConfig::constant(n, p),
+                    rounds,
+                    17,
+                );
+                let e_w = expected_sync_matrix(n, &groups);
+                let report = spectral_gap(&e_w)
+                    .map_err(|e| CliError::Internal(format!("spectral analysis of E[W]: {e}")))?;
+                let _ = writeln!(
+                    out,
+                    "N = {n}, P = {p}, {rounds} observed groups:\n  rho     = {:.4}\n  rho_bar = {:.4}",
+                    report.rho, report.rho_bar
+                );
+                Ok(())
+            })
         }
-    }
-    Ok(())
-}
-
-/// Refuses a fleet of `n` workers that `strategy` cannot run on as a
-/// usage error, before any fleet is built ([`Strategy::check_fleet`],
-/// and `2 <= P <= N` for P-Reduce).
-fn check_fleet(strategy: Strategy, n: usize) -> Result<(), CliError> {
-    match strategy {
-        Strategy::PReduce { p, .. } => check_group_size(n, p),
-        baseline => baseline.check_fleet(n).map_err(CliError::Unknown),
-    }
+    })
 }
 
 /// Refuses a group size the controller would reject (`2 <= P <= N`) as a
@@ -1348,6 +1372,58 @@ mod tests {
         assert!(matches!(r, Err(CliError::Args(_))));
         let (r, _) = run(&["list", "fig4"]);
         assert!(matches!(r, Err(CliError::Args(_))));
+    }
+
+    #[test]
+    fn a_flag_the_command_never_reads_is_a_usage_error() {
+        for cmdline in [
+            &["run", "--workers", "4", "--max-update", "10"][..],
+            &["run", "--strategy", "all-reduce", "--backups", "2"][..],
+            &["run", "--strategy", "ps-bk", "--p", "2"][..],
+            &["scale", "--signalz", "50"][..],
+            &["list", "--json", "true"][..],
+        ] {
+            let (r, out) = run(cmdline);
+            let Err(e @ CliError::Args(ArgError::Unread(_))) = r else {
+                panic!("{cmdline:?} was accepted: {out}");
+            };
+            assert_eq!(e.exit_code(), 2);
+            assert!(out.is_empty(), "{cmdline:?} started work: {out}");
+        }
+    }
+
+    /// The `--flag` names `text` mentions.
+    fn flag_names(text: &str) -> std::collections::BTreeSet<&str> {
+        text.split("--")
+            .skip(1)
+            .filter_map(|t| {
+                t.split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .next()
+            })
+            .filter(|f| f.starts_with(|c: char| c.is_ascii_lowercase()))
+            .collect()
+    }
+
+    #[test]
+    fn readme_run_table_and_usage_run_synopsis_name_the_same_flags() {
+        let readme = include_str!("../../../README.md");
+        let table: Vec<&str> = readme
+            .split("`preduce run` flags")
+            .nth(1)
+            .unwrap()
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|row| row.split('|').nth(1))
+            .collect();
+        let synopsis = USAGE
+            .split("preduce run")
+            .nth(1)
+            .and_then(|s| s.split("preduce controller").next())
+            .unwrap();
+        let documented = flag_names(synopsis);
+        assert!(documented.contains("label-noise"), "{documented:?}");
+        assert_eq!(flag_names(&table.join(" ")), documented);
     }
 
     #[test]

@@ -3,13 +3,20 @@
 
 use std::process::Command;
 
+use preduce_cli::commands::config_from_args;
+use preduce_cli::Args;
+use preduce_trainer::{ExperimentConfig, HeteroSpec};
+
 /// The binary under test, built by cargo for this test run.
 const BIN: &str = env!("CARGO_BIN_EXE_preduce");
 
 /// Every case is checked before any fleet is built: `spectral`'s fleet
 /// shape, and the experiment configuration `run`, `controller` and
 /// `worker` share, with the fleet shape their strategy needs; the
-/// controller's listen address and miss threshold, and the worker's rank.
+/// controller's listen address and miss threshold, the worker's rank, a
+/// strategy name outside the paper's lineup, a flag the command never
+/// reads, and a `--config` file whose fleet, model, dataset or network
+/// the constructors would refuse.
 #[test]
 fn malformed_fleets_and_configurations_are_usage_errors() {
     let mut cases: Vec<Vec<&str>> = vec![
@@ -52,8 +59,14 @@ fn malformed_fleets_and_configurations_are_usage_errors() {
             "--backups",
             "8",
         ],
-        vec!["run", "--strategy", "d-psgd", "--workers", "2"],
         vec!["run", "--strategy", "ad-psgd", "--workers", "1"],
+        // Retired strategies: the names are unknown, not run.
+        vec!["run", "--max-updates", "1", "--strategy", "d-psgd"],
+        vec!["run", "--max-updates", "1", "--strategy", "ps-ssp"],
+        // A flag no command reads, and a misspelt one, are refused.
+        vec!["run", "--max-updates", "1", "--bound", "4"],
+        vec!["run", "--workers", "4", "--max-update", "10"],
+        vec!["scale", "--workers", "8", "--p", "2", "--signalz", "50"],
     ];
     let configs: [&[&str]; 8] = [
         &["--workers", "0"],
@@ -76,6 +89,20 @@ fn malformed_fleets_and_configurations_are_usage_errors() {
             cases.push(case);
         }
     }
+    let dir = std::env::temp_dir().join(format!("preduce-usage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let mut files = Vec::new();
+    for (name, breaks) in MALFORMED_CONFIGS {
+        let mut c = config_from_args(&Args::parse(["--workers", "4"]).expect("args"))
+            .expect("the base config is valid");
+        breaks(&mut c);
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, serde_json::to_string(&c).expect("serialize")).expect("write config");
+        files.push(path.to_str().expect("utf-8 path").to_string());
+    }
+    for file in &files {
+        cases.push(vec!["run", "--config", file]);
+    }
     for args in cases {
         let out = Command::new(BIN)
             .args(&args)
@@ -87,4 +114,31 @@ fn malformed_fleets_and_configurations_are_usage_errors() {
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A named edit that breaks a valid configuration.
+type Breakage = (&'static str, fn(&mut ExperimentConfig));
+
+/// Configurations `ExperimentConfig::check` refuses that the fleet, model,
+/// dataset and network constructors would otherwise assert on.
+const MALFORMED_CONFIGS: [Breakage; 6] = [
+    ("speed-fleet-short", |c| {
+        c.hetero = HeteroSpec::Speed {
+            multipliers: vec![1.0, 2.0],
+        }
+    }),
+    ("production-p-degrade", |c| {
+        c.hetero = HeteroSpec::Production {
+            p_degrade: 2.0,
+            p_recover: 0.25,
+            slow_factor: 8.0,
+        }
+    }),
+    ("negative-bandwidth", |c| c.network.bandwidth = -1.0),
+    ("zero-hidden-width", |c| c.model.hidden[0] = 0),
+    ("zero-classes", |c| c.preset.config.num_classes = 0),
+    ("no-training-set", |c| {
+        c.preset.test_size = c.preset.config.num_samples;
+    }),
+];

@@ -33,21 +33,21 @@ impl NetworkModel {
         }
     }
 
-    /// Validates the parameters.
+    /// Checks the parameters: a finite positive bandwidth, a finite
+    /// non-negative latency and an incast factor of at least 1.
     ///
-    /// # Panics
-    /// Panics if bandwidth/latency are not positive/non-negative or the
-    /// incast factor is below 1.
-    pub fn validate(&self) {
-        assert!(
-            self.bandwidth > 0.0 && self.bandwidth.is_finite(),
-            "bandwidth must be positive"
-        );
-        assert!(
-            self.latency >= 0.0 && self.latency.is_finite(),
-            "latency must be non-negative"
-        );
-        assert!(self.ps_incast_factor >= 1.0, "incast factor must be ≥ 1");
+    /// # Errors
+    /// Names the first rule the model breaks.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if !(self.bandwidth > 0.0 && self.bandwidth.is_finite()) {
+            Err("bandwidth must be positive")
+        } else if !(self.latency >= 0.0 && self.latency.is_finite()) {
+            Err("latency must be non-negative")
+        } else if self.ps_incast_factor.is_nan() || self.ps_incast_factor < 1.0 {
+            Err("incast factor must be ≥ 1")
+        } else {
+            Ok(())
+        }
     }
 
     /// Ring all-reduce among `p` participants moving a `bytes`-sized model:
@@ -169,8 +169,45 @@ mod tests {
     #[test]
     fn ten_gbe_preset_validates() {
         let n = NetworkModel::ten_gbe();
-        n.validate();
+        assert_eq!(n.check(), Ok(()));
         assert_eq!(n.bandwidth, 1.25e9);
         assert_eq!(n.ps_incast_factor, 2.0);
+    }
+
+    #[test]
+    fn check_names_the_broken_rule() {
+        for (broken, rule) in [
+            (
+                NetworkModel {
+                    bandwidth: -1.0,
+                    ..net()
+                },
+                "bandwidth",
+            ),
+            (
+                NetworkModel {
+                    bandwidth: f64::INFINITY,
+                    ..net()
+                },
+                "bandwidth",
+            ),
+            (
+                NetworkModel {
+                    latency: f64::NAN,
+                    ..net()
+                },
+                "latency",
+            ),
+            (
+                NetworkModel {
+                    ps_incast_factor: 0.5,
+                    ..net()
+                },
+                "incast",
+            ),
+        ] {
+            assert!(broken.check().unwrap_err().contains(rule), "{broken:?}");
+        }
+        assert_eq!(net().check(), Ok(()));
     }
 }

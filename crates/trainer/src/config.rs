@@ -199,13 +199,15 @@ impl ExperimentConfig {
     /// Checks every rule a configuration must meet: at least one worker,
     /// a positive batch size, device throughput, update cap and eval
     /// interval, a threshold in `(0, 1]`, label noise and overlap in
-    /// `[0, 1]`, a finite learning rate `>= 0`, `HL <= N`, and one link
-    /// slowdown `>= 1` per worker.
+    /// `[0, 1]`, a finite learning rate `>= 0`, a fleet the [`HeteroSpec`]
+    /// can build, one link slowdown `>= 1` per worker, and a model, dataset
+    /// and [`NetworkModel`] their constructors accept.
     ///
     /// # Errors
     /// Names the first rule the configuration breaks.
     pub fn check(&self) -> Result<(), String> {
         let n = self.num_workers;
+        let unit = |x: f64| (0.0..=1.0).contains(&x);
         ensure(n > 0, "need at least one worker")?;
         ensure(self.math_batch_size > 0, "batch size must be positive")?;
         ensure(
@@ -218,25 +220,32 @@ impl ExperimentConfig {
         )?;
         ensure(self.max_updates > 0, "need a positive update cap")?;
         ensure(self.eval_every > 0, "eval interval must be positive")?;
-        ensure(
-            (0.0..=1.0).contains(&self.label_noise),
-            "label noise must lie in [0, 1]",
-        )?;
-        ensure(
-            (0.0..=1.0).contains(&self.overlap_fraction),
-            "overlap fraction must lie in [0, 1]",
-        )?;
+        ensure(unit(self.label_noise), "label noise must lie in [0, 1]")?;
+        ensure(unit(self.overlap_fraction), "overlap must lie in [0, 1]")?;
         let lr = self.sgd.lr;
         ensure(
             lr.is_finite() && lr >= 0.0,
             format!("learning rate {lr} must be finite and >= 0"),
         )?;
-        if let HeteroSpec::GpuSharing { hl } = self.hetero {
-            ensure(
+        match self.hetero {
+            HeteroSpec::Uniform => Ok(()),
+            HeteroSpec::GpuSharing { hl } => ensure(
                 hl <= n,
                 format!("heterogeneity level {hl} exceeds fleet size {n}"),
-            )?;
-        }
+            ),
+            HeteroSpec::Speed { ref multipliers } => ensure(
+                multipliers.len() == n && multipliers.iter().all(|&m| m > 0.0 && m.is_finite()),
+                format!("need one finite speed multiplier > 0 per worker, got {multipliers:?}"),
+            ),
+            HeteroSpec::Production {
+                p_degrade: d,
+                p_recover: r,
+                slow_factor: s,
+            } => ensure(
+                unit(d) && unit(r) && s >= 1.0,
+                "production fleet needs transition probabilities in [0, 1] and a slow factor >= 1",
+            ),
+        }?;
         if let Some(ls) = &self.link_slowdown {
             ensure(ls.len() == n, "one link slowdown per worker required")?;
             ensure(
@@ -244,19 +253,26 @@ impl ExperimentConfig {
                 "link slowdowns must be >= 1",
             )?;
         }
-        Ok(())
+        let data = &self.preset.config;
+        let split = (1..=data.num_samples.saturating_sub(n)).contains(&self.preset.test_size);
+        ensure(!self.model.hidden.contains(&0), "a hidden width is 0")?;
+        ensure(
+            data.num_classes > 0 && data.feature_dim > 0 && split,
+            "dataset needs a class, a feature, a test example and a training example per worker",
+        )?;
+        self.network
+            .check()
+            .map_err(|broken| format!("network model: {broken}"))
     }
 
     /// Validates the configuration.
     ///
     /// # Panics
-    /// Panics on the first rule [`ExperimentConfig::check`] names, or an
-    /// invalid network model.
+    /// Panics on the first rule [`ExperimentConfig::check`] names.
     pub fn validate(&self) {
         if let Err(broken) = self.check() {
             panic!("{broken}");
         }
-        self.network.validate();
     }
 }
 
@@ -308,6 +324,60 @@ mod tests {
             let t = m.compute_time(0, 1e9, SimTime::ZERO, &mut rng);
             assert!(t > 0.0);
         }
+    }
+
+    #[test]
+    fn check_names_what_the_constructors_would_assert() {
+        let base = || {
+            let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
+            c.num_workers = 4;
+            c
+        };
+        let mut cases: Vec<(ExperimentConfig, &str)> = Vec::new();
+        let mut c = base();
+        c.hetero = HeteroSpec::Speed {
+            multipliers: vec![1.0, 2.0],
+        };
+        cases.push((c, "speed multiplier"));
+        let mut c = base();
+        c.hetero = HeteroSpec::Speed {
+            multipliers: vec![1.0, 0.0, 1.0, 1.0],
+        };
+        cases.push((c, "speed multiplier"));
+        let mut c = base();
+        c.hetero = HeteroSpec::Production {
+            p_degrade: 2.0,
+            p_recover: 0.25,
+            slow_factor: 8.0,
+        };
+        cases.push((c, "production fleet"));
+        let mut c = base();
+        c.hetero = HeteroSpec::Production {
+            p_degrade: 0.1,
+            p_recover: 0.25,
+            slow_factor: 0.5,
+        };
+        cases.push((c, "production fleet"));
+        let mut c = base();
+        c.network.bandwidth = -1.0;
+        cases.push((c, "network model: bandwidth"));
+        let mut c = base();
+        c.model.hidden[0] = 0;
+        cases.push((c, "hidden width"));
+        let mut c = base();
+        c.preset.config.num_classes = 0;
+        cases.push((c, "dataset"));
+        let mut c = base();
+        c.preset.test_size = c.preset.config.num_samples - 3;
+        cases.push((c, "training example per worker"));
+        let mut c = base();
+        c.preset.test_size = 0;
+        cases.push((c, "test example"));
+        for (c, rule) in cases {
+            let broken = c.check().unwrap_err();
+            assert!(broken.contains(rule), "{broken}");
+        }
+        base().check().unwrap();
     }
 
     #[test]

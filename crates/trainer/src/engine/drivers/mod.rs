@@ -50,11 +50,9 @@ impl Driver {
             Strategy::AllReduce => sync::run_allreduce(h),
             Strategy::EagerReduce => sync::run_eager_reduce(h),
             Strategy::AdPsgd => gossip::run_ad_psgd(h),
-            Strategy::DPsgd => gossip::run_d_psgd(h),
             Strategy::PsBsp => sync::run_ps_bsp(h),
             Strategy::PsBackup { backups } => sync::run_ps_bk(h, backups),
             Strategy::PsAsp => ps::run_ps_asp(h),
-            Strategy::PsSsp { bound } => ps::run_ps_ssp(h, bound),
             Strategy::PsHete => ps::run_ps_hete(h),
             Strategy::PReduce { p, dynamic } => {
                 let cfg = Strategy::preduce_controller_config(p, dynamic, h.num_workers());

@@ -1,4 +1,4 @@
-//! Asynchronous parameter-server strategies: ASP, SSP, and the
+//! Asynchronous parameter-server strategies: ASP and the
 //! heterogeneity-aware HETE.
 //!
 //! A single logical server (sharded across the fleet for cost purposes)
@@ -13,45 +13,21 @@ use crate::metrics::RunResult;
 use crate::sim::SimHarness;
 use crate::worker::WorkerState;
 
-/// The staleness policy distinguishing the three PS variants.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum PsPolicy {
-    /// Fully asynchronous (ASP): apply everything immediately, scale 1.
-    Asp,
-    /// Stale-synchronous (SSP): a worker may run at most `bound` iterations
-    /// ahead of the slowest; violators block until the laggard catches up.
-    Ssp { bound: u64 },
-    /// Heterogeneity-aware [20]: scale the learning rate by `1/staleness`
-    /// (DynSGD's staleness-adaptive rate).
-    Hete,
-}
-
-impl PsPolicy {
-    /// Learning-rate scale for a push with the given staleness.
-    fn lr_scale(self, staleness: u64) -> f32 {
-        match self {
-            PsPolicy::Asp | PsPolicy::Ssp { .. } => 1.0,
-            PsPolicy::Hete => 1.0 / staleness as f32,
-        }
-    }
-}
-
-/// Fully-asynchronous parameter server (ASP).
+/// Fully-asynchronous parameter server (ASP): every push applies at
+/// learning-rate scale 1.
 pub fn run_ps_asp(h: SimHarness) -> RunResult {
-    run_ps(h, PsPolicy::Asp, "PS ASP".into())
+    run_ps(h, "PS ASP", |_| 1.0)
 }
 
-/// Stale-synchronous parallel parameter server (SSP) with the given bound.
-pub fn run_ps_ssp(h: SimHarness, bound: u64) -> RunResult {
-    run_ps(h, PsPolicy::Ssp { bound }, format!("PS SSP (s={bound})"))
-}
-
-/// Heterogeneity-aware parameter server (HETE): staleness-scaled rates.
+/// Heterogeneity-aware parameter server (HETE, the paper's \[20\]): a
+/// push's learning rate is scaled by `1/staleness` (DynSGD's
+/// staleness-adaptive rate).
 pub fn run_ps_hete(h: SimHarness) -> RunResult {
-    run_ps(h, PsPolicy::Hete, "PS HETE".into())
+    run_ps(h, "PS HETE", |staleness| 1.0 / staleness as f32)
 }
 
-fn run_ps(mut h: SimHarness, policy: PsPolicy, label: String) -> RunResult {
+/// The PS loop; a push of the given staleness applies at `lr_scale(staleness)`.
+fn run_ps(mut h: SimHarness, label: &str, lr_scale: fn(u64) -> f32) -> RunResult {
     let n = h.num_workers();
     let base_comm = h.network.ps_push_pull_time(n, h.bytes);
     // Each worker's round trip runs over its own link.
@@ -60,7 +36,7 @@ fn run_ps(mut h: SimHarness, policy: PsPolicy, label: String) -> RunResult {
     // Server state: the global model plus one shared optimizer. The server
     // runs *momentum-free* SGD: with interleaved stale pushes a shared
     // momentum buffer mixes directions from different model versions and
-    // destabilizes training — async PS systems (SSP, DynSGD) apply plain
+    // destabilizes training — async PS systems (ASP, DynSGD) apply plain
     // SGD server-side.
     let mut server = h.workers[0].params.clone();
     let mut server_cfg = *h.workers[0].opt.config();
@@ -70,8 +46,6 @@ fn run_ps(mut h: SimHarness, policy: PsPolicy, label: String) -> RunResult {
     // Per-worker bookkeeping.
     let mut push_count = 0u64; // global pushes (server version)
     let mut version_at_pull = vec![0u64; n];
-    let mut iter_of = vec![0u64; n];
-    let mut blocked: Vec<Option<(f64, SimTime)>> = vec![None; n]; // SSP
 
     // Workers start by pulling the initial model (free at t=0) and
     // computing.
@@ -83,7 +57,7 @@ fn run_ps(mut h: SimHarness, policy: PsPolicy, label: String) -> RunResult {
     }
 
     let mut now = SimTime::ZERO;
-    'outer: while let Some((t, w)) = queue.pop() {
+    while let Some((t, w)) = queue.pop() {
         now = t;
         // Gradient at the worker's pulled view.
         let grad = h.with_worker(w, WorkerState::gradient);
@@ -91,49 +65,23 @@ fn run_ps(mut h: SimHarness, policy: PsPolicy, label: String) -> RunResult {
         // Push arrives after the round trip; the update applies then.
         let done = now + comm_of[w];
         let staleness = push_count - version_at_pull[w] + 1;
-        let scale = policy.lr_scale(staleness);
-        server_opt.step_scaled(&mut server, &grad, scale);
+        server_opt.step_scaled(&mut server, &grad, lr_scale(staleness));
         push_count += 1;
-        iter_of[w] += 1;
 
         // Pull the fresh model.
         h.workers[w].set_params(&server);
-        h.workers[w].iteration = iter_of[w];
+        h.workers[w].iteration += 1;
         version_at_pull[w] = push_count;
 
         let dur = done - started[w];
         if h.record_update(done, dur) {
             now = done;
-            break 'outer;
+            break;
         }
 
-        // SSP gate: block if this worker ran too far ahead.
-        let min_iter = iter_of.iter().copied().min().unwrap_or(0);
-        if let PsPolicy::Ssp { bound } = policy {
-            if iter_of[w] > min_iter + bound {
-                blocked[w] = Some((h.compute_time(w, done), done));
-            } else {
-                started[w] = done;
-                let ct = h.compute_time(w, done);
-                queue.schedule(done + ct, w);
-            }
-            // Release any blocked workers the new minimum unblocks.
-            let min_iter = iter_of.iter().copied().min().unwrap_or(0);
-            for b in 0..n {
-                if let Some((ct, since)) = blocked[b] {
-                    if iter_of[b] <= min_iter + bound {
-                        blocked[b] = None;
-                        let resume = done.max(since);
-                        started[b] = resume;
-                        queue.schedule(resume + ct, b);
-                    }
-                }
-            }
-        } else {
-            started[w] = done;
-            let ct = h.compute_time(w, done);
-            queue.schedule(done + ct, w);
-        }
+        started[w] = done;
+        let ct = h.compute_time(w, done);
+        queue.schedule(done + ct, w);
     }
-    h.finish(label, now)
+    h.finish(label.into(), now)
 }

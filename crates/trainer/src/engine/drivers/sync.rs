@@ -1,5 +1,6 @@
 //! Round-based synchronous strategies under virtual time: All-Reduce, PS
-//! BSP, PS with backup workers, and Eager-Reduce.
+//! BSP and PS with backup workers share one barrier loop; Eager-Reduce
+//! closes its rounds at a majority and keeps stragglers' gradients.
 
 use preduce_simnet::SimTime;
 use preduce_tensor::Tensor;
@@ -18,7 +19,7 @@ pub fn run_allreduce(mut h: SimHarness) -> RunResult {
     // the collective under the backward pass (`overlap_fraction`); the
     // paper grants the baselines this and P-Reduce not (§4).
     let comm = h.group_ring_time(&(0..n).collect::<Vec<_>>()) * (1.0 - h.overlap_fraction);
-    let end = run_barrier_rounds(&mut h, comm);
+    let end = run_barrier_rounds(&mut h, comm, n);
     h.finish("All-Reduce".into(), end)
 }
 
@@ -27,24 +28,47 @@ pub fn run_ps_bsp(mut h: SimHarness) -> RunResult {
     let n = h.num_workers();
     let comm =
         h.network.ps_push_pull_time(n, h.bytes) * h.link_factor(0..n) * (1.0 - h.overlap_fraction);
-    let end = run_barrier_rounds(&mut h, comm);
+    let end = run_barrier_rounds(&mut h, comm, n);
     h.finish("PS BSP".into(), end)
 }
 
-fn run_barrier_rounds(h: &mut SimHarness, comm_time: f64) -> SimTime {
+/// PS with `backups` backup workers (BK): each synchronous round waits only
+/// for the fastest `N − backups` gradients; stragglers' work is *dropped*
+/// (they abandon their batch and re-pull). The paper's criticism: the
+/// stragglers contribute nothing, wasting resources.
+pub fn run_ps_bk(mut h: SimHarness, backups: usize) -> RunResult {
+    let n = h.num_workers();
+    let comm = h.network.ps_push_pull_time(n, h.bytes);
+    let end = run_barrier_rounds(&mut h, comm, n - backups);
+    h.finish(format!("PS BK (b={backups})"), end)
+}
+
+/// The barrier loop: each round closes at the `k`-th fastest finisher,
+/// averages those `k` workers' gradients and applies the mean on every
+/// replica (replicas remain bit-identical, as in real synchronous data
+/// parallelism). Returns the virtual time the run stopped at.
+fn run_barrier_rounds(h: &mut SimHarness, comm_time: f64, k: usize) -> SimTime {
     let n = h.num_workers();
     let mut now = SimTime::ZERO;
     loop {
-        // Slowest worker gates the barrier.
         let compute: Vec<f64> = (0..n).map(|w| h.compute_time(w, now)).collect();
-        let round_compute = compute.iter().cloned().fold(0.0f64, f64::max);
+        // Only a partial barrier orders its contributors by finish time (a
+        // stable sort: ties keep rank order); a full one sums in rank order.
+        let mut contributors: Vec<usize> = (0..n).collect();
+        if k < n {
+            contributors.sort_by(|&a, &b| compute[a].total_cmp(&compute[b]));
+            contributors.truncate(k);
+        }
+        let round_compute = contributors
+            .iter()
+            .map(|&w| compute[w])
+            .fold(0.0f64, f64::max);
 
-        // Average everyone's gradient; apply identically (replicas remain
-        // bit-identical, as in real synchronous data parallelism).
-        let grads: Vec<Tensor> = (0..n)
-            .map(|w| h.with_worker(w, WorkerState::gradient))
+        let grads: Vec<Tensor> = contributors
+            .iter()
+            .map(|&w| h.with_worker(w, WorkerState::gradient))
             .collect();
-        let avg = mean_grad(&grads);
+        let avg = scaled_sum(&grads, 1.0 / k as f32);
         for w in &mut h.workers {
             w.apply(&avg, 1.0);
             w.iteration += 1;
@@ -58,42 +82,6 @@ fn run_barrier_rounds(h: &mut SimHarness, comm_time: f64) -> SimTime {
     }
 }
 
-/// PS with `backups` backup workers (BK): each synchronous round waits only
-/// for the fastest `N − backups` gradients; stragglers' work is *dropped*
-/// (they abandon their batch and re-pull). The paper's criticism: the
-/// stragglers contribute nothing, wasting resources.
-pub fn run_ps_bk(mut h: SimHarness, backups: usize) -> RunResult {
-    let n = h.num_workers();
-    let k = n - backups;
-    let comm = h.network.ps_push_pull_time(n, h.bytes);
-    let mut now = SimTime::ZERO;
-    loop {
-        let compute: Vec<f64> = (0..n).map(|w| h.compute_time(w, now)).collect();
-        // Round closes at the k-th fastest finisher.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| compute[a].total_cmp(&compute[b]));
-        let contributors = &order[..k];
-        let round_compute = compute[contributors[k - 1]];
-
-        let grads: Vec<Tensor> = contributors
-            .iter()
-            .map(|&w| h.with_worker(w, WorkerState::gradient))
-            .collect();
-        let avg = mean_grad(&grads);
-        for w in &mut h.workers {
-            w.apply(&avg, 1.0);
-            w.iteration += 1;
-        }
-
-        let dur = round_compute + comm;
-        now += dur;
-        if h.record_update(now, dur) {
-            break;
-        }
-    }
-    h.finish(format!("PS BK (b={backups})"), now)
-}
-
 /// Eager-Reduce (ER): a partial collective closing once a majority of
 /// workers is ready. Slow workers' gradients — computed against *older*
 /// parameters — are delivered in whatever later round they finish
@@ -104,7 +92,6 @@ pub fn run_eager_reduce(mut h: SimHarness) -> RunResult {
     let n = h.num_workers();
     let majority = n / 2 + 1;
     let comm = h.group_ring_time(&(0..n).collect::<Vec<_>>());
-    let dim = h.workers[0].params.len();
     let mut now = SimTime::ZERO;
 
     // In-flight gradient per worker: (absolute finish time, gradient).
@@ -127,25 +114,16 @@ pub fn run_eager_reduce(mut h: SimHarness) -> RunResult {
 
         // Deliver everything that finished inside the window (possibly
         // stale gradients started rounds ago).
-        let mut delivered: Vec<Tensor> = Vec::new();
-        for slot in in_flight.iter_mut() {
-            if let Some((t, _)) = slot {
-                if *t <= window {
-                    if let Some((_, g)) = slot.take() {
-                        delivered.push(g);
-                    }
-                }
-            }
-        }
+        let delivered: Vec<Tensor> = in_flight
+            .iter_mut()
+            .filter(|slot| slot.as_ref().is_some_and(|&(t, _)| t <= window))
+            .filter_map(|slot| slot.take().map(|(_, g)| g))
+            .collect();
         debug_assert!(!delivered.is_empty());
 
         // Zero-padded aggregation: divide by N, not by the contributor
         // count (missing workers contribute empty gradients).
-        let mut agg = Tensor::zeros([dim]);
-        for g in &delivered {
-            agg.add_assign(g);
-        }
-        agg.scale(1.0 / n as f32);
+        let agg = scaled_sum(&delivered, 1.0 / n as f32);
         for w in &mut h.workers {
             w.apply(&agg, 1.0);
             w.iteration += 1;
@@ -160,11 +138,12 @@ pub fn run_eager_reduce(mut h: SimHarness) -> RunResult {
     h.finish("Eager-Reduce".into(), now)
 }
 
-fn mean_grad(grads: &[Tensor]) -> Tensor {
-    let mut avg = Tensor::zeros([grads[0].len()]);
+/// `scale · Σ grads`: summed in order into a zero vector, scaled once.
+fn scaled_sum(grads: &[Tensor], scale: f32) -> Tensor {
+    let mut sum = Tensor::zeros([grads[0].len()]);
     for g in grads {
-        avg.add_assign(g);
+        sum.add_assign(g);
     }
-    avg.scale(1.0 / grads.len() as f32);
-    avg
+    sum.scale(scale);
+    sum
 }

@@ -45,10 +45,8 @@ mod tests {
             Strategy::AllReduce,
             Strategy::EagerReduce,
             Strategy::AdPsgd,
-            Strategy::DPsgd,
             Strategy::PsBsp,
             Strategy::PsAsp,
-            Strategy::PsSsp { bound: 4 },
             Strategy::PsHete,
             Strategy::PsBackup { backups: 1 },
             Strategy::PReduce {

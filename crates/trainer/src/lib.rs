@@ -3,17 +3,15 @@
 //! This crate binds everything together: models + data + the cluster
 //! simulator + the partial-reduce core into runnable experiments that
 //! reproduce the paper's evaluation. Every strategy from §5.1 is
-//! implemented over the same substrate:
+//! implemented over the same substrate, and no other:
 //!
 //! | Strategy | Paper name | Family |
 //! |---|---|---|
 //! | [`Strategy::AllReduce`] | AR | collective, synchronous |
 //! | [`Strategy::EagerReduce`] | ER | collective, stale-gradient partial |
 //! | [`Strategy::AdPsgd`] | AD | decentralized gossip, asynchronous |
-//! | [`Strategy::DPsgd`] | — | decentralized ring, synchronous (extension) |
 //! | [`Strategy::PsBsp`] | BSP | parameter server, synchronous |
 //! | [`Strategy::PsAsp`] | ASP | parameter server, asynchronous |
-//! | [`Strategy::PsSsp`] | SSP (related work) | PS, bounded staleness (extension) |
 //! | [`Strategy::PsHete`] | HETE | PS, staleness-adaptive learning rate |
 //! | [`Strategy::PsBackup`] | BK | PS, synchronous with backup workers |
 //! | [`Strategy::PReduce`] | CON / DYN | **partial reduce (this paper)** |

@@ -1,5 +1,5 @@
-//! The strategy catalog: every method of the paper's evaluation (§5.1)
-//! plus two extensions (SSP, D-PSGD).
+//! The strategy catalog: the methods of the paper's evaluation (§5.1),
+//! and nothing more.
 
 use partial_reduce::ControllerConfig;
 
@@ -12,18 +12,10 @@ pub enum Strategy {
     EagerReduce,
     /// AD-PSGD: asynchronous pairwise gossip.
     AdPsgd,
-    /// D-PSGD: synchronous ring gossip (extension).
-    DPsgd,
     /// Parameter server, bulk-synchronous.
     PsBsp,
     /// Parameter server, fully asynchronous.
     PsAsp,
-    /// Parameter server, stale-synchronous with the given bound
-    /// (extension; related work in the paper).
-    PsSsp {
-        /// Maximum iterations the fastest worker may lead by.
-        bound: u64,
-    },
     /// Heterogeneity-aware parameter server (staleness-scaled rates).
     PsHete,
     /// Synchronous PS with backup workers: waits for the fastest
@@ -44,8 +36,8 @@ pub enum Strategy {
 
 impl Strategy {
     /// Whether a baseline can run on a fleet of `n` workers: PS-BK needs a
-    /// worker besides its backups, D-PSGD a ring of three and AD-PSGD a
-    /// peer. P-Reduce's rule, `2 <= P <= N`, is [`ControllerConfig`]'s.
+    /// worker besides its backups and AD-PSGD a peer. P-Reduce's rule,
+    /// `2 <= P <= N`, is [`ControllerConfig`]'s.
     ///
     /// # Errors
     /// Names the rule `n` breaks.
@@ -54,7 +46,6 @@ impl Strategy {
             Strategy::PsBackup { backups } if backups >= n => Err(format!(
                 "backup count (need backups < N, got N={n}, backups={backups})"
             )),
-            Strategy::DPsgd if n < 3 => Err(format!("fleet for d-psgd (need N >= 3, got N={n})")),
             Strategy::AdPsgd if n < 2 => Err(format!("fleet for ad-psgd (need N >= 2, got N={n})")),
             _ => Ok(()),
         }
@@ -66,18 +57,12 @@ impl Strategy {
             Strategy::AllReduce => "All-Reduce".into(),
             Strategy::EagerReduce => "Eager-Reduce".into(),
             Strategy::AdPsgd => "AD-PSGD".into(),
-            Strategy::DPsgd => "D-PSGD".into(),
             Strategy::PsBsp => "PS BSP".into(),
             Strategy::PsAsp => "PS ASP".into(),
-            Strategy::PsSsp { bound } => format!("PS SSP (s={bound})"),
             Strategy::PsHete => "PS HETE".into(),
             Strategy::PsBackup { backups } => format!("PS BK (b={backups})"),
             Strategy::PReduce { p, dynamic } => {
-                if *dynamic {
-                    format!("P-Reduce DYN (P={p})")
-                } else {
-                    format!("P-Reduce CON (P={p})")
-                }
+                format!("P-Reduce {} (P={p})", if *dynamic { "DYN" } else { "CON" })
             }
         }
     }
@@ -102,7 +87,11 @@ impl Strategy {
     /// The full baseline lineup of Table 1 for a cluster of `n` workers.
     pub fn table1_lineup(n: usize) -> Vec<Strategy> {
         let backups = (n * 3) / 8; // paper: 3 backups out of 8 workers
-        vec![
+                                   // P-Reduce at P = 3 and 5, each CON then DYN.
+        let preduce = [3, 5]
+            .into_iter()
+            .flat_map(|p| [false, true].map(|dynamic| Strategy::PReduce { p, dynamic }));
+        [
             Strategy::AllReduce,
             Strategy::EagerReduce,
             Strategy::AdPsgd,
@@ -110,23 +99,10 @@ impl Strategy {
             Strategy::PsAsp,
             Strategy::PsHete,
             Strategy::PsBackup { backups },
-            Strategy::PReduce {
-                p: 3,
-                dynamic: false,
-            },
-            Strategy::PReduce {
-                p: 3,
-                dynamic: true,
-            },
-            Strategy::PReduce {
-                p: 5,
-                dynamic: false,
-            },
-            Strategy::PReduce {
-                p: 5,
-                dynamic: true,
-            },
         ]
+        .into_iter()
+        .chain(preduce)
+        .collect()
     }
 }
 

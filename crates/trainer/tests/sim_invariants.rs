@@ -14,39 +14,6 @@ fn base(n: usize) -> ExperimentConfig {
 }
 
 #[test]
-fn ssp_bound_zero_equals_bsp_statistically() {
-    // SSP with bound 0 forces lockstep: every worker's iteration count can
-    // differ by at most 1 in flight; total updates equals ASP's counting
-    // but the slowest worker gates progress, so the run time approaches
-    // BSP's (times N updates).
-    let c = base(4);
-    let ssp0 = run_experiment(Strategy::PsSsp { bound: 0 }, &c);
-    let asp = run_experiment(Strategy::PsAsp, &c);
-    // With a bound of zero the fast workers spend most time blocked: the
-    // run is strictly slower than fully-async.
-    assert!(
-        ssp0.run_time > asp.run_time,
-        "SSP(0) {:.1}s should be slower than ASP {:.1}s",
-        ssp0.run_time,
-        asp.run_time
-    );
-}
-
-#[test]
-fn ssp_tighter_bounds_are_slower_under_heterogeneity() {
-    let mut c = base(4);
-    c.hetero = HeteroSpec::GpuSharing { hl: 2 };
-    let tight = run_experiment(Strategy::PsSsp { bound: 1 }, &c);
-    let loose = run_experiment(Strategy::PsSsp { bound: 32 }, &c);
-    assert!(
-        tight.run_time >= loose.run_time,
-        "tight bound {:.1}s should not beat loose {:.1}s",
-        tight.run_time,
-        loose.run_time
-    );
-}
-
-#[test]
 fn run_time_monotone_in_heterogeneity_for_barrier_methods() {
     // Fixed update budget: HL=1 < HL=2 < HL=4 in run time for All-Reduce.
     let mut times = Vec::new();

@@ -15,9 +15,9 @@
 //! * [`partial_reduce`] — the primitive: controller, constant/dynamic
 //!   aggregation weights, sync-graph frozen avoidance, spectral-gap
 //!   analysis, Theorem 1 calculator, and a threaded runtime.
-//! * [`trainer`] — every baseline strategy (All-Reduce, Eager-Reduce,
-//!   AD-PSGD, D-PSGD, PS BSP/ASP/SSP/HETE/BK) and the virtual-time
-//!   experiment driver reproducing the paper's evaluation.
+//! * [`trainer`] — every baseline strategy of the paper's evaluation
+//!   (All-Reduce, Eager-Reduce, AD-PSGD, PS BSP/ASP/HETE/BK) and the
+//!   virtual-time experiment driver reproducing it.
 //! * [`models`] — the mini deep-learning framework (a dense + ReLU
 //!   network, backprop, SGD, model zoo with per-workload cost profiles).
 //! * [`data`] — seeded synthetic classification presets standing in for

@@ -54,7 +54,6 @@ fn ps_family_converges() {
         Strategy::PsBsp,
         Strategy::PsAsp,
         Strategy::PsHete,
-        Strategy::PsSsp { bound: 8 },
         Strategy::PsBackup { backups: 2 },
     ] {
         let r = run_experiment(s, &easy(2));
@@ -67,15 +66,13 @@ fn ps_family_converges() {
 }
 
 #[test]
-fn gossip_family_converges() {
-    for s in [Strategy::AdPsgd, Strategy::DPsgd] {
-        let r = run_experiment(s, &easy(2));
-        assert!(
-            r.converged,
-            "{} failed: final acc {}",
-            r.strategy, r.final_accuracy
-        );
-    }
+fn ad_psgd_converges() {
+    let r = run_experiment(Strategy::AdPsgd, &easy(2));
+    assert!(
+        r.converged,
+        "AD-PSGD failed: final acc {}",
+        r.final_accuracy
+    );
 }
 
 #[test]
