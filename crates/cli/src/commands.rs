@@ -15,7 +15,7 @@ use partial_reduce::{
 use preduce_comm::CommError;
 use preduce_data::{cifar100_like, cifar10_like, imagenet_like, DatasetPreset};
 use preduce_models::zoo;
-use preduce_simnet::{HeterogeneityModel, Jitter, SpeedFleet, UniformFleet};
+use preduce_simnet::Jitter;
 use preduce_trainer::engine::process;
 use preduce_trainer::{
     engine, paper, Backend, ElasticOptions, ExperimentConfig, FaultPlan, HeteroSpec, Strategy,
@@ -28,8 +28,10 @@ use crate::args::{ArgError, Args};
 pub enum CliError {
     /// Argument parsing/validation failed.
     Args(ArgError),
-    /// An unknown subcommand or catalog name.
-    Unknown(String),
+    /// Input the command refuses that is not a flag's parse error: an
+    /// unknown name, or a value that breaks a rule. The message states the
+    /// whole problem.
+    Usage(String),
     /// A replayed trace broke this many control-plane invariants.
     Invariant(usize),
     /// These claim rows of the paper reached a verdict other than the
@@ -45,7 +47,7 @@ impl CliError {
     /// row off its expected verdict).
     pub fn exit_code(&self) -> u8 {
         match self {
-            CliError::Args(_) | CliError::Unknown(_) => 2,
+            CliError::Args(_) | CliError::Usage(_) => 2,
             CliError::Internal(_) => 3,
             CliError::Invariant(_) | CliError::Claims(_) => 4,
         }
@@ -56,7 +58,7 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Args(e) => write!(f, "{e}"),
-            CliError::Unknown(what) => write!(f, "unknown {what}"),
+            CliError::Usage(problem) => write!(f, "{problem}"),
             CliError::Invariant(n) => {
                 write!(f, "trace violates {n} invariant(s)")
             }
@@ -118,7 +120,7 @@ impl Command {
             "reproduce" => Ok(Command::Reproduce),
             "list" => Ok(Command::List),
             "help" | "--help" | "-h" => Ok(Command::Help),
-            other => Err(CliError::Unknown(format!("command `{other}`"))),
+            other => Err(CliError::Usage(format!("unknown command `{other}`"))),
         }
     }
 }
@@ -174,7 +176,10 @@ FAULT INJECTION:
   stall:WxF[@I] (W becomes F x slower from iteration I),
   delay:W+S (W's control signals arrive S seconds late), and
   latejoin:W+S (W starts S seconds late). Example:
-  --fault-plan \"crash:3@40,stall:5x4@10\". Honored by the p-reduce
+  --fault-plan \"crash:3@40,stall:5x4@10\". Every W is below --workers,
+  every F finite and > 0, every S finite and >= 0, and so are a worker's
+  stalls multiplied and its delays summed; a plan that breaks a rule is
+  a usage error. Honored by the p-reduce
   strategy on both backends; with any other strategy the flag is a
   usage error. The sim backend additionally honors restore:W@U (worker
   W, previously crashed, rejoins from its snapshot once the fleet has
@@ -261,7 +266,7 @@ fn parse_strategy(args: &Args) -> Result<Strategy, CliError> {
             p: args.get_or("p", 3)?,
             dynamic: args.get_or("dynamic", false)?,
         },
-        other => return Err(CliError::Unknown(format!("strategy `{other}`"))),
+        other => return Err(CliError::Usage(format!("unknown strategy `{other}`"))),
     })
 }
 
@@ -270,7 +275,7 @@ fn parse_preset(name: &str) -> Result<DatasetPreset, CliError> {
         "cifar10-like" => Ok(cifar10_like()),
         "cifar100-like" => Ok(cifar100_like()),
         "imagenet-like" => Ok(imagenet_like()),
-        other => Err(CliError::Unknown(format!("preset `{other}`"))),
+        other => Err(CliError::Usage(format!("unknown preset `{other}`"))),
     }
 }
 
@@ -338,16 +343,16 @@ fn elastic_from_args(args: &Args) -> Result<ElasticOptions, CliError> {
         Some(dir) => {
             let every: u64 = args.get_or("checkpoint-every", 32)?;
             if every == 0 {
-                return Err(CliError::Unknown(
-                    "checkpoint cadence `0` (must be at least 1)".to_string(),
+                return Err(CliError::Usage(
+                    "--checkpoint-every 0: a snapshot cadence must be at least 1".to_string(),
                 ));
             }
             elastic = elastic.with_policy(dir, every);
         }
         None => {
             if args.get("checkpoint-every").is_some() {
-                return Err(CliError::Unknown(
-                    "flag --checkpoint-every without --checkpoint-dir".to_string(),
+                return Err(CliError::Usage(
+                    "--checkpoint-every needs --checkpoint-dir to write snapshots to".to_string(),
                 ));
             }
         }
@@ -367,8 +372,8 @@ impl<'a> TraceOut<'a> {
         let Some(path) = path else {
             return Ok(TraceOut(None));
         };
-        let sink = JsonlSink::create(path)
-            .map_err(|e| CliError::Unknown(format!("trace file `{path}`: {e}")))?;
+        let sink =
+            JsonlSink::create(path).map_err(usage(format!("cannot create trace file `{path}`")))?;
         Ok(TraceOut(Some((path, Arc::new(sink)))))
     }
 
@@ -403,9 +408,8 @@ pub fn config_from_args(args: &Args) -> Result<ExperimentConfig, CliError> {
     let mut c = match args.get("config") {
         Some(path) => {
             let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Unknown(format!("config file `{path}`: {e}")))?;
-            serde_json::from_str(&text)
-                .map_err(|e| CliError::Unknown(format!("config file `{path}`: {e}")))?
+                .map_err(usage(format!("cannot read config file `{path}`")))?;
+            serde_json::from_str(&text).map_err(usage(format!("config file `{path}`")))?
         }
         None => {
             let mut c = ExperimentConfig::table1(zoo::resnet34(), cifar10_like(), 1);
@@ -419,7 +423,8 @@ pub fn config_from_args(args: &Args) -> Result<ExperimentConfig, CliError> {
         }
     };
     if let Some(name) = args.get("model") {
-        c.model = zoo::by_name(name).ok_or_else(|| CliError::Unknown(format!("model `{name}`")))?;
+        c.model =
+            zoo::by_name(name).ok_or_else(|| CliError::Usage(format!("unknown model `{name}`")))?;
     }
     if let Some(name) = args.get("preset") {
         c.preset = parse_preset(name)?;
@@ -436,7 +441,7 @@ pub fn config_from_args(args: &Args) -> Result<ExperimentConfig, CliError> {
     c.math_batch_size = args.get_or("batch", c.math_batch_size)?;
     c.label_noise = args.get_or("label-noise", c.label_noise)?;
     c.check()
-        .map_err(|broken| CliError::Unknown(format!("experiment configuration ({broken})")))?;
+        .map_err(usage("invalid experiment configuration"))?;
     Ok(c)
 }
 
@@ -497,22 +502,21 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
         Command::Run => {
             let strategy = parse_strategy(args)?;
             let mut config = config_from_args(args)?;
-            match strategy {
-                Strategy::PReduce { p, .. } => check_group_size(config.num_workers, p)?,
-                baseline => baseline
-                    .check_fleet(config.num_workers)
-                    .map_err(CliError::Unknown)?,
-            }
+            let n = config.num_workers;
+            strategy.check_fleet(n).map_err(usage(strategy.label()))?;
             let backend = match args.get("backend") {
                 None => Backend::Sim,
                 Some(name) => name.parse::<Backend>().map_err(|_| {
-                    CliError::Unknown(format!("backend `{name}` (expected `sim` or `threaded`)"))
+                    CliError::Usage(format!(
+                        "unknown backend `{name}` (expected `sim` or `threaded`)"
+                    ))
                 })?,
             };
             let faults = match args.get("fault-plan") {
                 None => FaultPlan::none(),
                 Some(spec) => FaultPlan::parse(spec)
-                    .map_err(|e| CliError::Unknown(format!("fault plan: {e}")))?,
+                    .and_then(|plan| plan.check(n).map(|()| plan))
+                    .map_err(usage(format!("--fault-plan {spec}")))?,
             };
             reject_unhonoured_flags(args, strategy, backend, &faults)?;
             if args.get("iters").is_some() {
@@ -560,22 +564,19 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
             let config = config_from_args(args)?;
             let p: usize = args.get_or("p", 3)?;
             let dynamic: bool = args.get_or("dynamic", false)?;
-            check_group_size(config.num_workers, p)?;
+            let preduce = Strategy::PReduce { p, dynamic };
+            preduce
+                .check_fleet(config.num_workers)
+                .map_err(usage(preduce.label()))?;
             let listen = args.get("listen").unwrap_or("127.0.0.1:0").to_string();
             let controller_cfg =
                 Strategy::preduce_controller_config(p, dynamic, config.num_workers);
             let liveness_ms: u64 = args.get_or("liveness-ms", 100)?;
             let miss: u64 = args.get_or("miss-threshold", 5)?;
-            if miss == 0 {
-                return Err(ArgError::BadValue {
-                    flag: "miss-threshold".into(),
-                    value: "0".into(),
-                    expected: "at least 1 missed heartbeat",
-                }
-                .into());
-            }
             let liveness = (liveness_ms > 0)
-                .then(|| LivenessPolicy::new(Duration::from_millis(liveness_ms), miss));
+                .then(|| LivenessPolicy::try_new(Duration::from_millis(liveness_ms), miss))
+                .transpose()
+                .map_err(usage("invalid liveness policy"))?;
             let trace_out = args.get("trace-out");
             Box::new(move |out| {
                 let trace = TraceOut::create(trace_out)?;
@@ -595,7 +596,7 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
                 )
                 .map_err(|e| match e {
                     CommError::BindFailed { addr, error } => {
-                        CliError::Unknown(format!("--listen address `{addr}`: {error}"))
+                        CliError::Usage(format!("cannot bind --listen address `{addr}`: {error}"))
                     }
                     e => CliError::Internal(format!("controller: {e}")),
                 })?;
@@ -611,21 +612,15 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
         }
         Command::Worker => {
             let (Some(connect), Some(_)) = (args.get("connect"), args.get("rank")) else {
-                return Err(CliError::Unknown(
-                    "worker invocation (usage: preduce worker --connect ADDR --rank R)".into(),
+                return Err(CliError::Usage(
+                    "worker needs --connect ADDR and --rank R".into(),
                 ));
             };
-            let addr: SocketAddr = connect
-                .parse()
-                .map_err(|_| CliError::Unknown(format!("controller address `{connect}`")))?;
+            let addr: SocketAddr = connect.parse().map_err(|_| {
+                CliError::Usage(format!("--connect {connect}: expected a socket address"))
+            })?;
             let rank: usize = args.get_or("rank", 0)?;
             let config = config_from_args(args)?;
-            if rank >= config.num_workers {
-                return Err(CliError::Unknown(format!(
-                    "worker rank (need R < N, got N={}, R={rank})",
-                    config.num_workers
-                )));
-            }
             let iters: u64 = args.get_or("iters", engine::DEFAULT_THREADED_ITERS)?;
             let elastic = elastic_from_args(args)?;
             Box::new(move |out| {
@@ -637,7 +632,10 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
                     Arc::new(NullSink),
                     elastic,
                 )
-                .map_err(|e| CliError::Internal(format!("worker {rank}: {e}")))?;
+                .map_err(|e| match e {
+                    CommError::InvalidRank { .. } => CliError::Usage(format!("--rank: {e}")),
+                    e => CliError::Internal(format!("worker {rank}: {e}")),
+                })?;
                 let _ = writeln!(
                     out,
                     "worker rank={} iterations={} accuracy={:.4} degraded={} params={:016x}",
@@ -656,8 +654,8 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
             let ids: Vec<_> = paper::ids().filter(|id| all || *id == operand).collect();
             if ids.is_empty() {
                 let known: Vec<_> = paper::ids().collect();
-                return Err(CliError::Unknown(format!(
-                    "figure `{operand}` (usage: preduce reproduce <id|all>; ids: {})",
+                return Err(CliError::Usage(format!(
+                    "unknown figure `{operand}` (usage: preduce reproduce <id|all>; ids: {})",
                     known.join(", ")
                 )));
             }
@@ -680,14 +678,12 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
             })
         }
         Command::Trace => {
-            let path = args.get("check").ok_or_else(|| {
-                CliError::Unknown(
-                    "trace invocation (usage: preduce trace --check FILE)".to_string(),
-                )
-            })?;
+            let path = args
+                .get("check")
+                .ok_or_else(|| CliError::Usage("trace needs --check FILE".to_string()))?;
             Box::new(move |out| {
                 let report = InvariantChecker::check_jsonl(path)
-                    .map_err(|e| CliError::Unknown(format!("trace file `{path}`: {e}")))?;
+                    .map_err(usage(format!("cannot check trace file `{path}`")))?;
                 let _ = write!(out, "{report}");
                 if !report.is_clean() {
                     return Err(CliError::Invariant(report.violations.len()));
@@ -700,20 +696,10 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
             let p: usize = args.get_or("p", 8)?;
             let signals: u64 = args.get_or("signals", 50_000)?;
             let hetero = args.get("hetero").unwrap_or("uniform");
-            if preduce_simnet::standard_fleet(hetero, 1).is_none() {
-                return Err(CliError::Unknown(format!(
-                    "heterogeneity preset `{hetero}` (expected uniform, gpu-sharing, or markov)"
-                )));
-            }
-            check_group_size(n, p)?;
-            if signals == 0 {
-                return Err(CliError::Unknown(
-                    "signal count (need --signals > 0)".to_string(),
-                ));
-            }
             let mut cfg = preduce_trainer::ScaleConfig::new(n, p, signals, hetero);
             cfg.dynamic = args.get_or("dynamic", true)?;
             cfg.seed = args.get_or("seed", cfg.seed)?;
+            cfg.check().map_err(usage("invalid scale run"))?;
             let json: bool = args.get_or("json", false)?;
             Box::new(move |out| {
                 let report = preduce_trainer::run_scale(&cfg);
@@ -761,44 +747,31 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
             let n: usize = args.get_or("workers", 8)?;
             let p: usize = args.get_or("p", 3)?;
             let rounds: usize = args.get_or("rounds", 20_000)?;
-            check_group_size(n, p)?;
+            let preduce = Strategy::PReduce { p, dynamic: false };
+            preduce.check_fleet(n).map_err(usage(preduce.label()))?;
             if rounds == 0 {
-                return Err(CliError::Unknown(
-                    "round count (need --rounds > 0)".to_string(),
+                return Err(CliError::Usage(
+                    "--rounds 0: spectral needs at least one observed group".to_string(),
                 ));
             }
-            let slow = match args.get("slow") {
-                None => None,
-                Some(spec) => {
-                    let multipliers: Vec<f64> = spec
+            let fleet = match args.get("slow") {
+                None => HeteroSpec::Uniform,
+                Some(spec) => HeteroSpec::Speed {
+                    multipliers: spec
                         .split(',')
                         .map(|t| {
-                            t.trim()
-                                .parse()
-                                .map_err(|_| CliError::Unknown(format!("multiplier `{t}`")))
+                            t.trim().parse().map_err(|_| {
+                                CliError::Usage(format!("--slow {spec}: `{t}` is not a number"))
+                            })
                         })
-                        .collect::<Result<_, _>>()?;
-                    if multipliers.len() != n {
-                        return Err(CliError::Unknown(format!(
-                            "--slow needs {n} comma-separated values"
-                        )));
-                    }
-                    if let Some(m) = multipliers.iter().find(|m| !(m.is_finite() && **m > 0.0)) {
-                        return Err(CliError::Unknown(format!(
-                            "multiplier `{m}` (need a finite value > 0)"
-                        )));
-                    }
-                    Some(multipliers)
-                }
+                        .collect::<Result<_, _>>()?,
+                },
             };
+            fleet.check(n).map_err(usage("--slow"))?;
             Box::new(move |out| {
                 let jitter = Jitter::LogNormal { sigma: 0.2 };
-                let fleet: Box<dyn HeterogeneityModel> = match slow {
-                    None => Box::new(UniformFleet::new(n, 1e9, jitter)),
-                    Some(multipliers) => Box::new(SpeedFleet::new(multipliers, 1e9, jitter)),
-                };
                 let (groups, _) = preduce_trainer::sample_groups(
-                    fleet,
+                    fleet.build(n, 1e9, jitter),
                     ControllerConfig::constant(n, p),
                     rounds,
                     17,
@@ -817,15 +790,9 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
     })
 }
 
-/// Refuses a group size the controller would reject (`2 <= P <= N`) as a
-/// usage error, before any fleet is built.
-fn check_group_size(n: usize, p: usize) -> Result<(), CliError> {
-    if p < 2 || p > n {
-        return Err(CliError::Unknown(format!(
-            "group size (need 2 <= P <= N, got N={n}, P={p})"
-        )));
-    }
-    Ok(())
+/// The usage error for refusing `what`, followed by why.
+fn usage<E: fmt::Display>(what: impl fmt::Display) -> impl FnOnce(E) -> CliError {
+    move |why| CliError::Usage(format!("{what}: {why}"))
 }
 
 #[cfg(test)]
@@ -922,11 +889,11 @@ mod tests {
     #[test]
     fn scale_rejects_unknown_preset_and_bad_shape() {
         let (r, out) = run(&["scale", "--hetero", "quantum"]);
-        assert!(matches!(r, Err(CliError::Unknown(_))), "{out}");
+        assert!(matches!(r, Err(CliError::Usage(_))), "{out}");
         let (r, out) = run(&["scale", "--workers", "4", "--p", "9"]);
-        assert!(matches!(r, Err(CliError::Unknown(_))), "{out}");
+        assert!(matches!(r, Err(CliError::Usage(_))), "{out}");
         let (r, out) = run(&["scale", "--signals", "0"]);
-        assert!(matches!(r, Err(CliError::Unknown(_))), "{out}");
+        assert!(matches!(r, Err(CliError::Usage(_))), "{out}");
     }
 
     #[test]
@@ -998,7 +965,7 @@ mod tests {
     #[test]
     fn unknown_backend_is_an_error() {
         let (r, out) = run(&["run", "--backend", "mpi", "--workers", "4"]);
-        assert!(matches!(r, Err(CliError::Unknown(_))), "{out}");
+        assert!(matches!(r, Err(CliError::Usage(_))), "{out}");
     }
 
     #[test]
@@ -1027,7 +994,7 @@ mod tests {
     #[test]
     fn malformed_fault_plan_is_an_error() {
         let (r, out) = run(&["run", "--workers", "4", "--fault-plan", "explode:1@2"]);
-        assert!(matches!(r, Err(CliError::Unknown(_))), "{out}");
+        assert!(matches!(r, Err(CliError::Usage(_))), "{out}");
     }
 
     #[test]
@@ -1264,7 +1231,7 @@ mod tests {
         let args = Args::parse([] as [&str; 0]).unwrap();
         let mut out = Vec::new();
         let r = run_command(command, &args, &mut out);
-        assert!(matches!(r, Err(CliError::Unknown(_))));
+        assert!(matches!(r, Err(CliError::Usage(_))));
     }
 
     #[test]
@@ -1273,7 +1240,7 @@ mod tests {
         let args = Args::parse(["--config", "/nonexistent/exp.json"]).unwrap();
         let mut out = Vec::new();
         let r = run_command(command, &args, &mut out);
-        assert!(matches!(r, Err(CliError::Unknown(_))));
+        assert!(matches!(r, Err(CliError::Usage(_))));
     }
 
     #[test]
@@ -1282,7 +1249,7 @@ mod tests {
         let args = Args::parse(["--strategy", "magic"]).unwrap();
         let mut out = Vec::new();
         let r = run_command(command, &args, &mut out);
-        assert!(matches!(r, Err(CliError::Unknown(_))));
+        assert!(matches!(r, Err(CliError::Usage(_))));
     }
 
     #[test]
@@ -1300,13 +1267,13 @@ mod tests {
     #[test]
     fn worker_without_connect_is_an_error() {
         let (r, out) = run(&["worker", "--rank", "0"]);
-        assert!(matches!(r, Err(CliError::Unknown(_))), "{out}");
+        assert!(matches!(r, Err(CliError::Usage(_))), "{out}");
     }
 
     #[test]
     fn worker_without_rank_is_an_error() {
         let (r, out) = run(&["worker", "--connect", "127.0.0.1:1"]);
-        assert!(matches!(r, Err(CliError::Unknown(_))), "{out}");
+        assert!(matches!(r, Err(CliError::Usage(_))), "{out}");
     }
 
     #[test]
@@ -1318,7 +1285,7 @@ mod tests {
     #[test]
     fn worker_with_bad_address_is_an_error() {
         let (r, out) = run(&["worker", "--connect", "nowhere", "--rank", "0"]);
-        assert!(matches!(r, Err(CliError::Unknown(_))), "{out}");
+        assert!(matches!(r, Err(CliError::Usage(_))), "{out}");
     }
 
     #[test]
@@ -1333,20 +1300,52 @@ mod tests {
             "--workers",
             "2",
         ]);
-        assert!(matches!(r, Err(CliError::Unknown(_))), "{out}");
+        assert!(matches!(r, Err(CliError::Usage(_))), "{out}");
     }
 
     #[test]
     fn unknown_command_is_an_error() {
         assert!(matches!(
             Command::from_name("frobnicate"),
-            Err(CliError::Unknown(_))
+            Err(CliError::Usage(_))
         ));
     }
 
     #[test]
+    fn a_usage_error_calls_only_a_name_unknown() {
+        for (cmdline, names_a_name) in [
+            (&["run", "--strategy", "magic"][..], true),
+            (&["run", "--model", "nosuch"][..], true),
+            (&["run", "--backend", "mpi"][..], true),
+            (&["scale", "--hetero", "quantum"][..], true),
+            (&["run", "--workers", "8", "--p", "9"][..], false),
+            (
+                &["run", "--workers", "4", "--fault-plan", "crash:99@1"][..],
+                false,
+            ),
+            (
+                &["run", "--workers", "4", "--fault-plan", "stall:0x-1"][..],
+                false,
+            ),
+            (&["controller", "--miss-threshold", "0"][..], false),
+            (
+                &["spectral", "--workers", "3", "--slow", "1,0,2"][..],
+                false,
+            ),
+            (&["scale", "--signals", "0"][..], false),
+        ] {
+            let (r, out) = run(cmdline);
+            let Err(e @ CliError::Usage(_)) = r else {
+                panic!("{cmdline:?} was not a usage error: {out}");
+            };
+            let msg = e.to_string();
+            assert_eq!(msg.contains("unknown"), names_a_name, "{cmdline:?}: {msg}");
+        }
+    }
+
+    #[test]
     fn exit_codes_distinguish_failure_modes() {
-        assert_eq!(CliError::Unknown("x".into()).exit_code(), 2);
+        assert_eq!(CliError::Usage("x".into()).exit_code(), 2);
         assert_eq!(CliError::Internal("x".into()).exit_code(), 3);
         assert_eq!(CliError::Invariant(2).exit_code(), 4);
         assert_eq!(CliError::Claims(vec!["fig4.homogeneous"]).exit_code(), 4);
@@ -1355,7 +1354,7 @@ mod tests {
     #[test]
     fn reproduce_an_unknown_figure_names_every_id() {
         let (r, out) = run(&["reproduce", "nosuch"]);
-        let Err(e @ CliError::Unknown(_)) = r else {
+        let Err(e @ CliError::Usage(_)) = r else {
             panic!("accepted: {out}");
         };
         assert_eq!(e.exit_code(), 2);
@@ -1363,7 +1362,7 @@ mod tests {
         for id in paper::ids() {
             assert!(msg.contains(id), "{msg}");
         }
-        assert!(matches!(run(&["reproduce"]).0, Err(CliError::Unknown(_))));
+        assert!(matches!(run(&["reproduce"]).0, Err(CliError::Usage(_))));
     }
 
     #[test]

@@ -14,9 +14,10 @@ const BIN: &str = env!("CARGO_BIN_EXE_preduce");
 /// shape, and the experiment configuration `run`, `controller` and
 /// `worker` share, with the fleet shape their strategy needs; the
 /// controller's listen address and miss threshold, the worker's rank, a
-/// strategy name outside the paper's lineup, a flag the command never
-/// reads, and a `--config` file whose fleet, model, dataset or network
-/// the constructors would refuse.
+/// fault plan outside the fleet or with a non-finite value, a strategy
+/// name outside the paper's lineup, a flag the command never reads, and
+/// a `--config` file whose fleet, model, dataset or network the
+/// constructors would refuse.
 #[test]
 fn malformed_fleets_and_configurations_are_usage_errors() {
     let mut cases: Vec<Vec<&str>> = vec![
@@ -68,6 +69,35 @@ fn malformed_fleets_and_configurations_are_usage_errors() {
         vec!["run", "--workers", "4", "--max-update", "10"],
         vec!["scale", "--workers", "8", "--p", "2", "--signalz", "50"],
     ];
+    // Fault plans outside the fleet or with values no clock can hold.
+    for plan in [
+        "stall:0x-1",
+        "delay:0+inf",
+        "delay:0+-2",
+        "latejoin:1+NaN",
+        "crash:99@1",
+    ] {
+        cases.push(vec![
+            "run",
+            "--workers",
+            "4",
+            "--p",
+            "2",
+            "--fault-plan",
+            plan,
+        ]);
+    }
+    cases.push(vec![
+        "run",
+        "--workers",
+        "4",
+        "--p",
+        "2",
+        "--fault-plan",
+        "restore:9@3",
+        "--checkpoint-dir",
+        "never-created",
+    ]);
     let configs: [&[&str]; 8] = [
         &["--workers", "0"],
         &["--batch", "0"],
@@ -114,6 +144,85 @@ fn malformed_fleets_and_configurations_are_usage_errors() {
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A DYN trace's `RunStarted` line with `edit` applied, then one group of
+/// members whose iterations lie `gap` apart, weighted as `weights`.
+fn forged_trace(edit: (&str, &str), gap: u64, weights: &str) -> String {
+    let started = r#"{"RunStarted":{"config":{"num_workers":2,"group_size":2,"mode":{"Dynamic":{"alpha":0.3,"gap_policy":"Initial"}},"history_window":null,"frozen_avoidance":true},"liveness":{"interval_us":25000,"miss_threshold":8}}}"#;
+    let last = 1 + gap;
+    format!(
+        "{}\n\
+         {{\"SignalEnqueued\":{{\"worker\":0,\"iteration\":1,\"queued\":1}}}}\n\
+         {{\"SignalEnqueued\":{{\"worker\":1,\"iteration\":{last},\"queued\":2}}}}\n\
+         {{\"GroupFormed\":{{\"sequence\":0,\"members\":[0,1],\"iterations\":[1,{last}],\
+         \"weights\":{weights},\"new_iteration\":{last},\"repaired\":false}}}}\n",
+        started.replace(edit.0, edit.1)
+    )
+}
+
+/// A trace whose `RunStarted` the controller would refuse, or whose DYN
+/// group is 2^40 iterations wide, is judged at once: exit 4 naming the
+/// broken rule, never a panic or a hang.
+#[test]
+fn forged_traces_are_refused_not_crashed() {
+    let far = 1u64 << 40;
+    let cases = [
+        (
+            ("\"alpha\":0.3", "\"alpha\":1.5"),
+            1,
+            "[0.3,0.7]",
+            "EMA decay",
+        ),
+        (
+            ("\"history_window\":null", "\"history_window\":0"),
+            1,
+            "[0.3,0.7]",
+            "window",
+        ),
+        (
+            ("\"miss_threshold\":8", "\"miss_threshold\":0"),
+            1,
+            "[0.3,0.7]",
+            "miss threshold",
+        ),
+        (("", ""), far, "[0.5,0.5]", "mode-prescribed"),
+    ];
+    let dir = std::env::temp_dir().join(format!("preduce-forged-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    for (i, (edit, gap, weights, rule)) in cases.into_iter().enumerate() {
+        let path = dir.join(format!("forged-{i}.jsonl"));
+        std::fs::write(&path, forged_trace(edit, gap, weights)).expect("write trace");
+        let started = std::time::Instant::now();
+        let out = Command::new(BIN)
+            .args(["trace", "--check", path.to_str().expect("utf-8 path")])
+            .output()
+            .expect("spawn preduce");
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert_eq!(out.status.code(), Some(4), "{rule}: {stdout}{stderr}");
+        assert!(stdout.contains(rule), "{rule}: {stdout}");
+        assert!(
+            started.elapsed().as_secs() < 10,
+            "{rule}: took {:?}",
+            started.elapsed()
+        );
+    }
+    // The wide group with its Eq. 9 row is clean.
+    let path = dir.join("wide.jsonl");
+    std::fs::write(&path, forged_trace(("", ""), far, "[0.3,0.7]")).expect("write trace");
+    let out = Command::new(BIN)
+        .args(["trace", "--check", path.to_str().expect("utf-8 path")])
+        .output()
+        .expect("spawn preduce");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

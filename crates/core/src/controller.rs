@@ -116,39 +116,42 @@ impl ControllerConfig {
     /// # Panics
     /// Panics unless `2 ≤ group_size ≤ num_workers`.
     pub fn dynamic(num_workers: usize, group_size: usize) -> Self {
-        let c = ControllerConfig {
+        ControllerConfig {
             mode: AggregationMode::dynamic_default(),
             ..Self::constant(num_workers, group_size)
-        };
-        c.validate();
-        c
+        }
+    }
+
+    /// The rules of a configuration, stated once: `2 ≤ P ≤ N`, a window
+    /// `T > 0` and, in DYN, an Eq. 9 decay `α ∈ (0, 1)`.
+    ///
+    /// # Errors
+    /// Names the first rule the configuration breaks.
+    pub fn check(&self) -> Result<(), String> {
+        let (n, p) = (self.num_workers, self.group_size);
+        if p < 2 {
+            Err(format!("group size must be at least 2, got {p}"))
+        } else if p > n {
+            Err(format!("group size {p} exceeds cluster size {n}"))
+        } else if self.history_window == Some(0) {
+            Err("history window must be positive".into())
+        } else {
+            match self.mode {
+                AggregationMode::Dynamic { alpha, .. } if !(alpha > 0.0 && alpha < 1.0) => {
+                    Err(format!("EMA decay must lie in (0, 1), got {alpha}"))
+                }
+                _ => Ok(()),
+            }
+        }
     }
 
     /// Validates the configuration.
     ///
     /// # Panics
-    /// Panics on an invalid `N`/`P` combination or a zero window.
+    /// Panics on the first rule [`ControllerConfig::check`] names.
     pub fn validate(&self) {
-        assert!(
-            self.group_size >= 2,
-            "group size must be at least 2, got {}",
-            self.group_size
-        );
-        assert!(
-            self.group_size <= self.num_workers,
-            "group size {} exceeds cluster size {}",
-            self.group_size,
-            self.num_workers
-        );
-        if let Some(w) = self.history_window {
-            assert!(w > 0, "history window must be positive");
-        }
-        if let AggregationMode::Dynamic { alpha, .. } = self.mode {
-            assert!(
-                alpha > 0.0 && alpha < 1.0,
-                "EMA decay must lie in (0, 1), got {alpha}"
-            );
-        }
+        let checked = self.check();
+        assert!(checked.is_ok(), "{checked:?}");
     }
 
     /// The effective sync-graph window.

@@ -260,6 +260,9 @@ pub struct StreamingChecker {
     /// first [`STRICT_CANDIDATES_KEPT`] of them are in `violations`.
     strict_candidates: usize,
     config: Option<ControllerConfig>,
+    /// The mode that prescribes each group's weight row: `config`'s, once
+    /// it passed [`ControllerConfig::check`].
+    weight_rule: Option<AggregationMode>,
     /// The run's liveness policy, from [`TraceEvent::RunStarted`]; `None`
     /// when no detector watches the run, so no silence justifies an
     /// eviction.
@@ -624,16 +627,23 @@ impl StreamingChecker {
             self.fail(index, "duplicate RunStarted".to_string());
             return;
         }
-        let (n, p) = (config.num_workers, config.group_size);
-        if p < 2 || p > n {
-            self.fail(index, format!("invalid configuration: N = {n}, P = {p}"));
-        } else {
-            self.conn = Some(WindowedConnectivity::new(n, config.effective_window()));
+        // A configuration or policy the controller would refuse builds no
+        // replica window, prescribes no weight row, justifies no eviction.
+        let n = config.num_workers;
+        match config.check() {
+            Ok(()) => {
+                self.conn = Some(WindowedConnectivity::new(n, config.effective_window()));
+                self.weight_rule = Some(config.mode);
+            }
+            Err(broken) => self.fail(index, format!("invalid configuration: {broken}")),
         }
+        if let Some(Err(broken)) = liveness.map(|policy| policy.check()) {
+            self.fail(index, format!("invalid liveness policy: {broken}"));
+        }
+        self.liveness = liveness.filter(|policy| policy.check().is_ok());
         self.workers = vec![WorkerRecord::default(); n];
         self.active = n;
         self.config = Some(config.clone());
-        self.liveness = liveness;
     }
 
     /// Consumes `w`'s queued signal, if it has one, and returns the
@@ -941,7 +951,7 @@ impl StreamingChecker {
                 format!("group {sequence} weights sum to {sum}, not 1"),
             );
         }
-        let expected = match self.config.as_ref().map(|c| c.mode) {
+        let expected = match self.weight_rule {
             Some(AggregationMode::Constant) if !weights.is_empty() => {
                 crate::weights::constant_weights(weights.len())
             }
@@ -1502,6 +1512,14 @@ mod tests {
             .expect("trace forms a group")
     }
 
+    /// The `RunStarted` at the head of `events`, to be forged.
+    fn started(events: &mut [TraceEvent]) -> (&mut ControllerConfig, &mut Option<LivenessPolicy>) {
+        match events.first_mut() {
+            Some(TraceEvent::RunStarted { config, liveness }) => (config, liveness),
+            _ => panic!("trace does not begin with RunStarted"),
+        }
+    }
+
     fn duplicate_first_member(events: &mut [TraceEvent]) {
         if let TraceEvent::GroupFormed { members, .. } = first_group(events) {
             members[1] = members[0];
@@ -1520,6 +1538,39 @@ mod tests {
     );
 
     const FORGERIES: &[Forgery] = &[
+        (
+            "an_oversized_group_is_named",
+            healthy_con,
+            |events| started(events).0.group_size = 7,
+            Some("invalid configuration: group size 7 exceeds cluster size 6"),
+        ),
+        (
+            "a_zero_window_is_named",
+            healthy_con,
+            |events| started(events).0.history_window = Some(0),
+            Some("invalid configuration: history window must be positive"),
+        ),
+        (
+            // The weight check is skipped, not run on an α it cannot use.
+            "an_alpha_outside_the_unit_interval_is_named",
+            healthy_dyn,
+            |events| {
+                started(events).0.mode = AggregationMode::Dynamic {
+                    alpha: 1.5,
+                    gap_policy: crate::weights::GapPolicy::Initial,
+                }
+            },
+            Some("invalid configuration: EMA decay must lie in (0, 1), got 1.5"),
+        ),
+        (
+            "a_zero_miss_threshold_is_named",
+            watched_trace,
+            |events| {
+                *started(events).1 =
+                    serde_json::from_str(r#"{"interval_us":25000,"miss_threshold":0}"#).ok();
+            },
+            Some("invalid liveness policy: miss threshold must be at least 1"),
+        ),
         (
             "duplicate_member_is_caught",
             healthy_con,

@@ -46,17 +46,38 @@ impl LivenessPolicy {
     /// Creates a policy.
     ///
     /// # Panics
-    /// Panics if `heartbeat_interval` is under 1 ms (the serving loop
-    /// waits no finer) or `miss_threshold == 0`.
+    /// Panics on a rule [`LivenessPolicy::check`] names.
+    #[allow(clippy::panic, reason = "`try_new` or panic")]
     pub fn new(heartbeat_interval: Duration, miss_threshold: u64) -> Self {
-        assert!(
-            heartbeat_interval >= Duration::from_millis(1),
-            "heartbeat interval must be at least 1 ms, got {heartbeat_interval:?}"
-        );
-        assert!(miss_threshold > 0, "miss threshold must be at least 1");
-        LivenessPolicy {
+        Self::try_new(heartbeat_interval, miss_threshold).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a policy, or names the rule [`LivenessPolicy::check`]
+    /// finds broken: for input the program does not control.
+    pub fn try_new(heartbeat_interval: Duration, miss_threshold: u64) -> Result<Self, String> {
+        let policy = LivenessPolicy {
             interval_us: u64::try_from(heartbeat_interval.as_micros()).unwrap_or(u64::MAX),
             miss_threshold,
+        };
+        policy.check().map(|()| policy)
+    }
+
+    /// The rules of a policy, stated once: a window of at least 1 ms (the
+    /// serving loop waits no finer) and a miss threshold of at least 1.
+    /// The invariant checker asks it of the policy a trace carries.
+    ///
+    /// # Errors
+    /// Names the first rule the policy breaks.
+    pub fn check(&self) -> Result<(), String> {
+        let window = self.heartbeat_interval();
+        if window < Duration::from_millis(1) {
+            Err(format!(
+                "heartbeat interval must be at least 1 ms, got {window:?}"
+            ))
+        } else if self.miss_threshold == 0 {
+            Err("miss threshold must be at least 1".into())
+        } else {
+            Ok(())
         }
     }
 

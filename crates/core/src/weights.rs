@@ -95,6 +95,11 @@ pub fn singleton_weights() -> WeightRow {
 /// its ready signal; `alpha ∈ (0, 1)` is the EMA decay. Returns one weight
 /// per member, aligned with `iterations`, summing to 1 (up to float error).
 ///
+/// The cost does not grow with the iteration gap, which the deployed
+/// controller reads off remote workers: a member that is not the stalest
+/// takes one term, and the stalest members' sum stops at the first term
+/// too small to move it. The row is bit for bit the term-by-term sum's.
+///
 /// # Panics
 /// Panics if `iterations` is empty or `alpha` is outside `(0, 1)`.
 pub fn dynamic_weights(iterations: &[u64], alpha: f64, gap_policy: GapPolicy) -> WeightRow {
@@ -103,52 +108,118 @@ pub fn dynamic_weights(iterations: &[u64], alpha: f64, gap_policy: GapPolicy) ->
         alpha > 0.0 && alpha < 1.0,
         "EMA decay must lie in (0, 1), got {alpha}"
     );
-    let p = iterations.len();
+    // The one policy; a second must be routed here before this compiles.
+    let GapPolicy::Initial = gap_policy;
     let k_max = iterations.iter().copied().max().unwrap_or(0);
-
-    // Relative iteration numbers k̂_i ∈ [1, k̂_max].
-    let rel: Vec<u64> = iterations.iter().map(|&k| k_max - k + 1).collect();
-    let rel_max = rel.iter().copied().max().unwrap_or(1);
+    // `k̂_i − 1` per member: how far it lags the freshest, the power of α
+    // in its β, counted without overflow.
+    let lags: Vec<u64> = iterations.iter().map(|&k| k_max - k).collect();
+    let mut sorted = lags.clone();
+    sorted.sort_unstable();
+    let stalest = sorted.last().copied().unwrap_or(0);
 
     // All members at the same iteration: degenerate to constant weights
     // (also avoids 0/0 when α^1 cancellation would apply).
-    if rel_max == 1 {
-        return constant_weights(p);
+    if stalest == 0 {
+        return constant_weights(iterations.len());
     }
 
-    // β(r) per Eq. 9 with k replaced by k̂_max.
-    let denom = 1.0 - alpha.powi(rel_max as i32);
-    let beta = |r: u64| -> f64 { (1.0 - alpha) * alpha.powi((r - 1) as i32) / denom };
+    // β(r) per Eq. 9 with k replaced by k̂_max, split among r's ties.
+    let power = |e: u64| i32::try_from(e).map_or_else(|_| alpha.powf(e as f64), |e| alpha.powi(e));
+    let denom = 1.0 - power(stalest.saturating_add(1));
+    let owners =
+        |lag: u64| sorted.partition_point(|&g| g <= lag) - sorted.partition_point(|&g| g < lag);
+    let share = |lag: u64, ties: usize| (1.0 - alpha) * power(lag) / denom / ties as f64;
 
-    // Owners per relative iteration number.
-    let mut weights = vec![0.0f64; p];
-    for r in 1..=rel_max {
-        let owners: Vec<usize> = (0..p).filter(|&i| rel[i] == r).collect();
-        let mass = beta(r);
-        if !owners.is_empty() {
-            let share = mass / owners.len() as f64;
-            for i in owners {
-                weights[i] += share;
-            }
+    // Gaps: the paper's conservative approximation routes the mass of every
+    // relative number no member holds to the stalest members, which hold
+    // k̂_max themselves; the freshest member always holds r = 1.
+    let stale_owners = owners(stalest);
+    let mut stale_weight = 0.0f64;
+    for lag in 0..=stalest {
+        if lag < stalest && sorted.binary_search(&lag).is_ok() {
             continue;
         }
-        // Gap: route per policy. The stalest relative number always has an
-        // owner (the min-iteration member), so recipients are never empty.
-        let recipients: Vec<usize> = match gap_policy {
-            GapPolicy::Initial => (0..p).filter(|&i| rel[i] == rel_max).collect(),
-        };
-        debug_assert!(!recipients.is_empty());
-        let share = mass / recipients.len() as f64;
-        for i in recipients {
-            weights[i] += share;
+        let term = share(lag, stale_owners);
+        // Under a quarter ulp of the sum; later terms are no larger, up to
+        // rounding far below that factor 2, so none moves the sum.
+        if stale_weight + 2.0 * term == stale_weight {
+            break;
         }
+        stale_weight += term;
     }
-    WeightRow(weights.into_iter().map(|w| w as f32).collect())
+    let weight = |lag| {
+        if lag == stalest {
+            stale_weight
+        } else {
+            share(lag, owners(lag))
+        }
+    };
+    WeightRow(lags.iter().map(|&lag| weight(lag) as f32).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Eq. 9 term by term, one pass per relative iteration number in
+    /// `[1, k̂_max]` — the loop [`dynamic_weights`] is held to bit for bit.
+    fn reference_dynamic_weights(iterations: &[u64], alpha: f64) -> WeightRow {
+        let p = iterations.len();
+        let k_max = iterations.iter().copied().max().unwrap_or(0);
+        let rel: Vec<u64> = iterations.iter().map(|&k| k_max - k + 1).collect();
+        let rel_max = rel.iter().copied().max().unwrap_or(1);
+        if rel_max == 1 {
+            return constant_weights(p);
+        }
+        let denom = 1.0 - alpha.powi(rel_max as i32);
+        let beta = |r: u64| -> f64 { (1.0 - alpha) * alpha.powi((r - 1) as i32) / denom };
+        let mut weights = vec![0.0f64; p];
+        for r in 1..=rel_max {
+            let mut owners: Vec<usize> = (0..p).filter(|&i| rel[i] == r).collect();
+            if owners.is_empty() {
+                owners = (0..p).filter(|&i| rel[i] == rel_max).collect();
+            }
+            let share = beta(r) / owners.len() as f64;
+            for i in owners {
+                weights[i] += share;
+            }
+        }
+        WeightRow(weights.into_iter().map(|w| w as f32).collect())
+    }
+
+    proptest! {
+        #[test]
+        fn dynamic_weights_are_the_term_by_term_sum_bit_for_bit(
+            raw in prop::collection::vec(0u64..4_000, 1..10),
+            spread in 1u64..4_000,
+            alpha in 0.001f64..0.999,
+        ) {
+            // A small spread makes ties and dense rows, a large one gaps.
+            let iterations: Vec<u64> = raw.iter().map(|k| 1_000 + k % spread).collect();
+            let bits = |row: WeightRow| -> Vec<u32> { row.iter().map(|w| w.to_bits()).collect() };
+            prop_assert_eq!(
+                bits(dynamic_weights(&iterations, alpha, GapPolicy::Initial)),
+                bits(reference_dynamic_weights(&iterations, alpha)),
+                "iterations {:?}, alpha {}", iterations, alpha
+            );
+        }
+    }
+
+    #[test]
+    fn a_gap_past_two_to_the_31_costs_nothing_and_does_not_wrap() {
+        let far = 1u64 << 40;
+        let w = dynamic_weights(&[far, 1], 0.3, GapPolicy::Initial);
+        assert_eq!(*w, *dynamic_weights(&[1_000, 1], 0.3, GapPolicy::Initial));
+        // The middle member is 2^39 behind: its own β underflows to 0.
+        let w = dynamic_weights(&[far, far / 2, 0, 0], 0.3, GapPolicy::Initial);
+        assert_sums_to_one(&w);
+        assert_eq!(w[1], 0.0);
+        assert_eq!(w[2], w[3]);
+        let w = dynamic_weights(&[u64::MAX, 0], 0.5, GapPolicy::Initial);
+        assert_sums_to_one(&w);
+    }
 
     fn assert_sums_to_one(w: &[f32]) {
         let s: f32 = w.iter().sum();

@@ -586,28 +586,43 @@ proptest! {
         // (2) or repeated (3), P > N, member lists with repeats and the
         // wrong length, counters at the integer limits — the checker must
         // not panic, must count every event, must be deterministic, and
-        // must name every rank >= N that a per-worker event carries.
+        // must name every rank >= N that a per-worker event carries. A
+        // `RunStarted` the controller would refuse — α outside (0, 1), a
+        // window of 0, a miss threshold of 0 — is named as one, and DYN
+        // groups whose iterations lie 2^40 apart are checked at once.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let p = if oversized_p { n + 1 } else { rng.gen_range(2..n + 1) };
+        let alpha = match rng.gen_range(0..8u8) {
+            0 => 0.0,
+            1 => 1.0,
+            2 => 1.5,
+            3 => f64::NAN,
+            _ => rng.gen_range(0.01..0.99f64),
+        };
         let config = ControllerConfig {
             num_workers: n,
             group_size: p,
             mode: if dynamic {
-                AggregationMode::dynamic_default()
+                AggregationMode::Dynamic { alpha, gap_policy: GapPolicy::Initial }
             } else {
                 AggregationMode::Constant
             },
-            history_window: Some(rng.gen_range(1..6usize)),
+            history_window: Some(rng.gen_range(0..6usize)),
             frozen_avoidance: rng.gen_bool(0.8),
         };
         let mut last_group = Vec::new();
         let mut events: Vec<TraceEvent> = (0..len)
             .map(|_| hostile_event(&mut rng, n, p, &mut last_group))
             .collect();
-        let liveness = rng
-            .gen_bool(0.5)
-            .then(|| LivenessPolicy::new(std::time::Duration::from_millis(1), rng.gen_range(1..4u64)));
+        let liveness = rng.gen_bool(0.5).then(|| {
+            let decoded = format!(
+                r#"{{"interval_us":1000,"miss_threshold":{}}}"#,
+                rng.gen_range(0..4u64)
+            );
+            serde_json::from_str::<LivenessPolicy>(&decoded).expect("a policy decodes")
+        });
+        let refused = config.check().is_err() || liveness.is_some_and(|l| l.check().is_err());
         let started = TraceEvent::RunStarted { config, liveness };
         match start {
             0 => {}
@@ -626,6 +641,12 @@ proptest! {
         let mut n_known = false;
         for (i, event) in events.iter().enumerate() {
             if matches!(event, TraceEvent::RunStarted { .. }) {
+                prop_assert!(
+                    n_known || !refused || report.violations.iter().any(|v| {
+                        v.index == i && v.message.starts_with("invalid ")
+                    }),
+                    "a refused RunStarted at {i} went unreported in {report}"
+                );
                 n_known = true;
             }
             if !n_known {
@@ -733,7 +754,13 @@ fn hostile_event(
                     rng.gen_range(0..30u64)
                 },
                 members,
-                iterations: (0..aligned).map(|_| rng.gen_range(0..40u64)).collect(),
+                // Now and then a member 2^40 iterations ahead of the rest.
+                iterations: (0..aligned)
+                    .map(|_| match rng.gen_range(0..8u8) {
+                        0 => 1 << 40,
+                        _ => rng.gen_range(0..40u64),
+                    })
+                    .collect(),
                 weights: (0..aligned).map(|_| 1.0 / aligned as f32).collect(),
                 new_iteration: iteration,
                 repaired: rng.gen_bool(0.3),

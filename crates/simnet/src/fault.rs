@@ -231,6 +231,36 @@ impl FaultPlan {
             .sum()
     }
 
+    /// The rules of a plan on a fleet of `n` workers, stated once: each
+    /// fault targets a worker below `n`; a worker's stall factors, alone
+    /// and multiplied, are finite and `> 0`; its seconds, alone and
+    /// summed, finite and `>= 0`.
+    ///
+    /// # Errors
+    /// Names the first fault that breaks a rule.
+    pub fn check(&self, n: usize) -> Result<(), String> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let seconds = |x: f64| x.is_finite() && x >= 0.0;
+        let holds = |&FaultSpec { worker, kind }: &FaultSpec| match kind {
+            _ if worker >= n => false,
+            FaultKind::Crash { .. } | FaultKind::Restore { .. } => true,
+            FaultKind::Stall {
+                factor,
+                from_iteration: i,
+            } => positive(factor) && positive(self.stall_factor(worker, i)),
+            FaultKind::DelaySignals { seconds: s } | FaultKind::LateJoin { seconds: s } => {
+                seconds(s) && seconds(self.signal_delay(worker) + self.start_delay(worker))
+            }
+        };
+        match self.faults.iter().find(|f| !holds(f)) {
+            Some(FaultSpec { worker, kind }) => Err(format!(
+                "fault `{kind}` on worker {worker}: need a worker below N = {n}, \
+                 stall factors finite and > 0, seconds finite and >= 0"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Parses the compact `--fault-plan` grammar: a comma-separated list
     /// of `crash:W@I`, `stall:WxF[@I]`, `delay:W+S`, `latejoin:W+S`,
     /// `restore:W@U` (W = worker rank, I = iteration, F = factor,
@@ -380,6 +410,31 @@ mod tests {
         assert!(FaultPlan::parse("stall:ax2").is_err());
         assert!(FaultPlan::parse("explode:1@2").is_err());
         assert!(FaultPlan::parse("delay:1").is_err());
+    }
+
+    #[test]
+    fn check_holds_a_plan_to_the_fleet_and_to_finite_values() {
+        let parse = |spec| FaultPlan::parse(spec).expect("parses");
+        assert_eq!(
+            parse("crash:3@4,stall:0x0.5@2,delay:1+0,latejoin:2+1.5").check(4),
+            Ok(())
+        );
+        for bad in [
+            "crash:4@1",
+            "restore:9@3",
+            "stall:0x-1",
+            "stall:0x0",
+            "stall:0xinf",
+            "stall:0x1e200,stall:0x1e200@3",
+            "delay:0+inf",
+            "delay:0+-2",
+            "latejoin:1+NaN",
+            "delay:0+1e308,latejoin:0+1e308",
+        ] {
+            let broken = parse(bad).check(4);
+            assert!(broken.is_err(), "{bad} passed");
+        }
+        assert!(parse("crash:99@1").check(4).unwrap_err().contains("N = 4"));
     }
 
     #[test]

@@ -55,21 +55,55 @@ impl HeteroSpec {
         }
     }
 
+    /// The rules of a regime on a fleet of `n` workers, stated once.
+    ///
+    /// # Errors
+    /// Names the rule the regime breaks.
+    pub fn check(&self, n: usize) -> Result<(), String> {
+        let unit = |x: f64| (0.0..=1.0).contains(&x);
+        match *self {
+            HeteroSpec::Uniform => Ok(()),
+            HeteroSpec::GpuSharing { hl } => ensure(
+                hl <= n,
+                format!("heterogeneity level {hl} exceeds fleet size {n}"),
+            ),
+            HeteroSpec::Speed { ref multipliers } => ensure(
+                multipliers.len() == n && multipliers.iter().all(|&m| m > 0.0 && m.is_finite()),
+                format!(
+                    "need one multiplier per worker (N = {n}), each speed multiplier finite \
+                     and > 0, got {multipliers:?}"
+                ),
+            ),
+            HeteroSpec::Production {
+                p_degrade: d,
+                p_recover: r,
+                slow_factor: s,
+            } => ensure(
+                unit(d) && unit(r) && s >= 1.0,
+                "production fleet needs transition probabilities in [0, 1] and a slow factor >= 1",
+            ),
+        }
+    }
+
     /// Builds the heterogeneity model for `n` workers on devices of
     /// `device_flops` sustained throughput.
+    ///
+    /// # Panics
+    /// Panics on a rule [`HeteroSpec::check`] names.
     pub fn build(
         &self,
         n: usize,
         device_flops: f64,
         jitter: Jitter,
     ) -> Box<dyn HeterogeneityModel> {
+        let checked = self.check(n);
+        assert!(checked.is_ok(), "{checked:?}");
         match self {
             HeteroSpec::Uniform => Box::new(UniformFleet::new(n, device_flops, jitter)),
             HeteroSpec::GpuSharing { hl } => {
                 Box::new(GpuSharingFleet::new(n, *hl, device_flops, jitter))
             }
             HeteroSpec::Speed { multipliers } => {
-                assert_eq!(multipliers.len(), n, "need one multiplier per worker");
                 Box::new(SpeedFleet::new(multipliers.clone(), device_flops, jitter))
             }
             HeteroSpec::Production {
@@ -227,25 +261,7 @@ impl ExperimentConfig {
             lr.is_finite() && lr >= 0.0,
             format!("learning rate {lr} must be finite and >= 0"),
         )?;
-        match self.hetero {
-            HeteroSpec::Uniform => Ok(()),
-            HeteroSpec::GpuSharing { hl } => ensure(
-                hl <= n,
-                format!("heterogeneity level {hl} exceeds fleet size {n}"),
-            ),
-            HeteroSpec::Speed { ref multipliers } => ensure(
-                multipliers.len() == n && multipliers.iter().all(|&m| m > 0.0 && m.is_finite()),
-                format!("need one finite speed multiplier > 0 per worker, got {multipliers:?}"),
-            ),
-            HeteroSpec::Production {
-                p_degrade: d,
-                p_recover: r,
-                slow_factor: s,
-            } => ensure(
-                unit(d) && unit(r) && s >= 1.0,
-                "production fleet needs transition probabilities in [0, 1] and a slow factor >= 1",
-            ),
-        }?;
+        self.hetero.check(n)?;
         if let Some(ls) = &self.link_slowdown {
             ensure(ls.len() == n, "one link slowdown per worker required")?;
             ensure(

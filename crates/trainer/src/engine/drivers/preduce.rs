@@ -85,9 +85,9 @@ pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
 /// options leave the run bit-for-bit unchanged.
 ///
 /// # Panics
-/// Panics if the controller config disagrees with the harness size, or
-/// if the elasticity options name a missing/corrupt checkpoint (a
-/// configuration error).
+/// Panics if the controller config disagrees with the harness size, on a
+/// plan [`FaultPlan::check`] refuses, or if the elasticity options name a
+/// missing/corrupt checkpoint (a configuration error).
 pub fn run_preduce_elastic(
     mut h: SimHarness,
     cfg: ControllerConfig,
@@ -100,6 +100,8 @@ pub fn run_preduce_elastic(
         h.num_workers(),
         "controller config sized for a different fleet"
     );
+    let planned = faults.check(h.num_workers());
+    assert!(planned.is_ok(), "{planned:?}");
     let p = cfg.group_size;
     let label = match cfg.mode {
         AggregationMode::Constant => format!("P-Reduce CON (P={p})"),
@@ -327,9 +329,9 @@ pub fn chaos_liveness() -> LivenessPolicy {
 /// from spawn so it is not misjudged as dead).
 ///
 /// # Panics
-/// Panics if the controller config disagrees with the fleet size, if the
-/// plan contains a `restore:` verb (simulator-only), or if a worker
-/// thread or the controller panics.
+/// Panics if the controller config disagrees with the fleet size, on a
+/// plan [`FaultPlan::check`] refuses or one with a `restore:` verb
+/// (simulator-only), or if a worker thread or the controller panics.
 pub(crate) fn threaded_preduce(
     sub: &ThreadedSubstrate,
     controller: ControllerConfig,
@@ -339,6 +341,8 @@ pub(crate) fn threaded_preduce(
         controller.num_workers, config.num_workers,
         "controller config sized for a different fleet"
     );
+    let planned = sub.faults.check(config.num_workers);
+    assert!(planned.is_ok(), "{planned:?}");
     // Threads are not resurrected mid-run: the `restore:` verb is honored
     // by the simulator only, and dropping it would crash the worker for good.
     assert!(

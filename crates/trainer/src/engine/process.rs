@@ -135,8 +135,9 @@ fn run_observed_controller(
 /// (`engine::round`); either way the worker evaluates the model it holds.
 ///
 /// # Errors
-/// Fails if the controller handshake or data-plane bring-up fails, if
-/// `rank` is outside the configured fleet, or with
+/// Fails with [`CommError::InvalidRank`] before anything is built if
+/// `rank` is outside the configured fleet; if the controller handshake
+/// or data-plane bring-up fails; or with
 /// [`CommError::FleetSizeMismatch`] before training if the roster's fleet
 /// is not the configured one.
 pub fn run_worker(
@@ -170,13 +171,13 @@ pub fn run_worker_elastic(
     sink: Arc<dyn TraceSink>,
     elastic: ElasticOptions,
 ) -> Result<WorkerReport, CommError> {
-    let fleet = build_fleet(config);
-    let Some(mut worker) = fleet.workers.into_iter().nth(rank) else {
-        return Err(CommError::InvalidGroup(format!(
-            "rank {rank} outside the {}-worker fleet",
-            config.num_workers
-        )));
-    };
+    let world = config.num_workers;
+    if rank >= world {
+        return Err(CommError::InvalidRank { rank, world });
+    }
+    let mut fleet = build_fleet(config);
+    // The other ranks' replicas are dropped here: a process keeps its own.
+    let mut worker = std::mem::take(&mut fleet.workers).swap_remove(rank);
     elastic.warm_start(&mut worker);
 
     let mut mesh = MeshEndpoint::bind(rank, "127.0.0.1:0")?;
@@ -348,7 +349,8 @@ mod tests {
     #[test]
     fn out_of_range_rank_is_rejected() {
         let config = tiny_config(2);
-        // No controller needed: the rank check fires before dialing.
+        // No controller needed: the rank check fires before the fleet
+        // is built or the controller dialed.
         let err = run_worker(
             &config,
             "127.0.0.1:1".parse().unwrap(),
@@ -357,6 +359,6 @@ mod tests {
             Arc::new(NullSink),
         )
         .unwrap_err();
-        assert!(matches!(err, CommError::InvalidGroup(_)), "{err:?}");
+        assert_eq!(err, CommError::InvalidRank { rank: 7, world: 2 });
     }
 }

@@ -46,6 +46,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
+use crate::strategy::Strategy;
+
 /// Local work per iteration, in FLOPs. With the presets' 1 GFLOP/s
 /// devices this makes the homogeneous iteration time 1 virtual second —
 /// latencies read directly as "iterations of waiting".
@@ -94,6 +96,30 @@ impl ScaleConfig {
             emit_completions: true,
             sample_cap: 2048,
             rho_iters: 200,
+        }
+    }
+
+    /// The rules of a scale run, stated once: a standard preset, a
+    /// signal, a finite reduce latency `>= 0`, a sample and power
+    /// iteration, then the controller's rules.
+    ///
+    /// # Errors
+    /// Names the first rule the configuration breaks.
+    pub fn check(&self) -> Result<(), String> {
+        let (preset, latency) = (&self.hetero, self.reduce_latency);
+        if standard_fleet(preset, 1).is_none() {
+            Err(format!(
+                "unknown heterogeneity preset `{preset}` (expected uniform, gpu-sharing or markov)"
+            ))
+        } else if self.signals == 0 {
+            Err("a scale run must process at least one signal".into())
+        } else if !(latency.is_finite() && latency >= 0.0) {
+            Err("reduce latency must be finite and non-negative".into())
+        } else if self.sample_cap == 0 || self.rho_iters == 0 {
+            Err("sample cap and rho_iters must be positive".into())
+        } else {
+            let (p, dynamic) = (self.group_size, self.dynamic);
+            Strategy::PReduce { p, dynamic }.check_fleet(self.num_workers)
         }
     }
 }
@@ -177,25 +203,10 @@ impl RunningStat {
 /// Runs the signal-level scale simulation and reports the measurements.
 ///
 /// # Panics
-/// Panics on an invalid configuration: unknown preset, zero signals, a
-/// non-finite/negative reduce latency, or an `N`/`P` combination the
-/// [`ControllerConfig`] rejects.
+/// Panics on the first rule [`ScaleConfig::check`] names.
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
-    assert!(
-        cfg.signals > 0,
-        "a scale run must process at least one signal"
-    );
-    assert!(
-        cfg.reduce_latency.is_finite() && cfg.reduce_latency >= 0.0,
-        "reduce latency must be finite and non-negative"
-    );
-    assert!(cfg.sample_cap > 0, "sample cap must be positive");
-    assert!(cfg.rho_iters > 0, "rho_iters must be positive");
-    assert!(
-        standard_fleet(&cfg.hetero, 1).is_some(),
-        "unknown heterogeneity preset `{}` (expected uniform | gpu-sharing | markov)",
-        cfg.hetero
-    );
+    let checked = cfg.check();
+    assert!(checked.is_ok(), "{checked:?}");
     let n = cfg.num_workers;
     let p = cfg.group_size;
     let mut fleet = standard_fleet(&cfg.hetero, n)

@@ -35,18 +35,24 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// Whether a baseline can run on a fleet of `n` workers: PS-BK needs a
-    /// worker besides its backups and AD-PSGD a peer. P-Reduce's rule,
-    /// `2 <= P <= N`, is [`ControllerConfig`]'s.
+    /// Whether the strategy can run on a fleet of `n` workers: PS-BK needs
+    /// a worker besides its backups, AD-PSGD a peer, and P-Reduce's group
+    /// size is held to [`ControllerConfig::check`].
     ///
     /// # Errors
     /// Names the rule `n` breaks.
     pub fn check_fleet(&self, n: usize) -> Result<(), String> {
         match *self {
+            Strategy::PReduce { p, .. } => ControllerConfig {
+                num_workers: n,
+                group_size: p,
+                ..ControllerConfig::constant(2, 2)
+            }
+            .check(),
             Strategy::PsBackup { backups } if backups >= n => Err(format!(
-                "backup count (need backups < N, got N={n}, backups={backups})"
+                "{backups} backups leave no worker of N = {n} to wait for (need backups < N)"
             )),
-            Strategy::AdPsgd if n < 2 => Err(format!("fleet for ad-psgd (need N >= 2, got N={n})")),
+            Strategy::AdPsgd if n < 2 => Err(format!("gossip needs a peer, got N = {n}")),
             _ => Ok(()),
         }
     }
