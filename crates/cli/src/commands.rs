@@ -177,9 +177,9 @@ FAULT INJECTION:
   delay:W+S (W's control signals arrive S seconds late), and
   latejoin:W+S (W starts S seconds late). Example:
   --fault-plan \"crash:3@40,stall:5x4@10\". Every W is below --workers,
-  every F finite and > 0, every S finite and >= 0, and so are a worker's
-  stalls multiplied and its delays summed; a plan that breaks a rule is
-  a usage error. Honored by the p-reduce
+  every F > 0, every S >= 0, each at most ~1.8e19 (seconds a clock can
+  hold), and so are a worker's stalls multiplied and its delays summed;
+  a plan that breaks a rule is a usage error. Honored by the p-reduce
   strategy on both backends; with any other strategy the flag is a
   usage error. The sim backend additionally honors restore:W@U (worker
   W, previously crashed, rejoins from its snapshot once the fleet has

@@ -147,6 +147,32 @@ fn malformed_fleets_and_configurations_are_usage_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Finite fault-plan values too large for a `Duration`, which the
+/// threaded backend sleeps, are refused on both backends before anything
+/// runs, naming the plan.
+#[test]
+fn fault_plan_values_no_clock_holds_are_refused_on_both_backends() {
+    for plan in ["delay:0+1e300", "stall:0x1e300", "latejoin:1+1e300"] {
+        for backend in [
+            &["--backend", "sim"][..],
+            &["--backend", "threaded", "--iters", "3"],
+        ] {
+            let out = Command::new(BIN)
+                .args(["run", "--workers", "4", "--p", "2", "--fault-plan", plan])
+                .args(backend)
+                .output()
+                .expect("spawn preduce");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{plan} {backend:?}: {stderr}");
+            assert!(
+                stderr.starts_with(&format!("error: --fault-plan {plan}")),
+                "{plan} {backend:?}: {stderr}"
+            );
+            assert_eq!(stderr.lines().count(), 1, "{plan} {backend:?}: {stderr}");
+        }
+    }
+}
+
 /// A DYN trace's `RunStarted` line with `edit` applied, then one group of
 /// members whose iterations lie `gap` apart, weighted as `weights`.
 fn forged_trace(edit: (&str, &str), gap: u64, weights: &str) -> String {

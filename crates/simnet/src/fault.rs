@@ -18,6 +18,7 @@
 //! `crash:3@40,stall:5x4@10,delay:2+0.05,latejoin:7+2.0`.
 
 use std::fmt;
+use std::time::Duration;
 
 /// One fault class, bound to a worker by [`FaultSpec`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -232,15 +233,17 @@ impl FaultPlan {
     }
 
     /// The rules of a plan on a fleet of `n` workers, stated once: each
-    /// fault targets a worker below `n`; a worker's stall factors, alone
-    /// and multiplied, are finite and `> 0`; its seconds, alone and
-    /// summed, finite and `>= 0`.
+    /// fault targets a worker below `n`; a worker's seconds, alone and
+    /// summed, are `>= 0` and fit a [`Duration`]; its stall factors, alone
+    /// and multiplied, are `> 0` and fit one as the stall of a one-second
+    /// step, so a substrate that sleeps them converts them without
+    /// overflow.
     ///
     /// # Errors
     /// Names the first fault that breaks a rule.
     pub fn check(&self, n: usize) -> Result<(), String> {
-        let positive = |x: f64| x.is_finite() && x > 0.0;
-        let seconds = |x: f64| x.is_finite() && x >= 0.0;
+        let seconds = |x: f64| Duration::try_from_secs_f64(x).is_ok();
+        let positive = |x: f64| x > 0.0 && seconds(x);
         let holds = |&FaultSpec { worker, kind }: &FaultSpec| match kind {
             _ if worker >= n => false,
             FaultKind::Crash { .. } | FaultKind::Restore { .. } => true,
@@ -255,7 +258,8 @@ impl FaultPlan {
         match self.faults.iter().find(|f| !holds(f)) {
             Some(FaultSpec { worker, kind }) => Err(format!(
                 "fault `{kind}` on worker {worker}: need a worker below N = {n}, \
-                 stall factors finite and > 0, seconds finite and >= 0"
+                 stall factors > 0 and seconds >= 0, each within {:.3e} s",
+                Duration::MAX.as_secs_f64()
             )),
             None => Ok(()),
         }
@@ -430,6 +434,10 @@ mod tests {
             "delay:0+-2",
             "latejoin:1+NaN",
             "delay:0+1e308,latejoin:0+1e308",
+            "delay:0+1e300",
+            "stall:0x1e300",
+            "latejoin:1+1e300",
+            "delay:0+1e19,latejoin:0+1e19",
         ] {
             let broken = parse(bad).check(4);
             assert!(broken.is_err(), "{bad} passed");

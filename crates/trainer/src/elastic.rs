@@ -154,18 +154,23 @@ pub(crate) struct SnapshotWriter {
 }
 
 impl SnapshotWriter {
-    /// Writes `w`'s durable state and narrates
-    /// [`TraceEvent::SnapshotTaken`] if its iteration count crossed the
-    /// cadence since the previous call. Called after each local update on
-    /// the healthy path, so what a crash loses is the work since the last
-    /// snapshot.
-    pub(crate) fn snapshot_if_due(&mut self, w: &WorkerState) {
+    /// If the worker's iteration count crossed the cadence since the
+    /// previous call, writes the durable state of the worker `read`
+    /// returns and narrates [`TraceEvent::SnapshotTaken`]; `read` runs
+    /// only then. Called after each local update on the healthy path, so
+    /// what a crash loses is the work since the last snapshot.
+    pub(crate) fn snapshot_if_due<'w>(
+        &mut self,
+        iteration: u64,
+        read: impl FnOnce() -> &'w WorkerState,
+    ) {
         let Some((store, cadence)) = &mut self.target else {
             return;
         };
-        if !cadence.crossed(w.iteration) {
+        if !cadence.crossed(iteration) {
             return;
         }
+        let w = read();
         must(
             "write worker snapshot",
             store.save_worker(&worker_snapshot(w)),
@@ -347,12 +352,12 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         for _ in 0..3 {
             w.local_update(&mut rng);
-            writer.snapshot_if_due(&w);
+            writer.snapshot_if_due(w.iteration, || &w);
         }
         assert!(sink.snapshot().is_empty(), "nothing is due before 4");
         w.iteration = 9; // the group's maximum, adopted after a reduce
         w.local_update(&mut rng);
-        writer.snapshot_if_due(&w);
+        writer.snapshot_if_due(w.iteration, || &w);
         assert_eq!(
             sink.snapshot(),
             vec![TraceEvent::SnapshotTaken {
@@ -373,10 +378,10 @@ mod tests {
         assert_eq!(fresh.iteration, 10);
         let mut writer = resume.snapshot_writer(&fresh, sink.clone());
         fresh.local_update(&mut rng);
-        writer.snapshot_if_due(&fresh);
+        writer.snapshot_if_due(fresh.iteration, || &fresh);
         assert_eq!(sink.snapshot().len(), 1, "11 crosses nothing");
         fresh.local_update(&mut rng);
-        writer.snapshot_if_due(&fresh);
+        writer.snapshot_if_due(fresh.iteration, || &fresh);
         assert_eq!(sink.snapshot().len(), 2, "12 does");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -391,7 +396,7 @@ mod tests {
         let sink = Arc::new(partial_reduce::RingSink::new(4));
         let mut writer = inert.snapshot_writer(&w, sink.clone());
         w.iteration = 64;
-        writer.snapshot_if_due(&w);
+        writer.snapshot_if_due(w.iteration, || &w);
         assert!(sink.snapshot().is_empty());
         assert!(inert.open_restore_store().is_none());
 

@@ -2,6 +2,7 @@
 //! the transport-independent [`partial_reduce::Controller`]) and on real
 //! threads (the controller thread from [`partial_reduce::runtime`]).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -15,7 +16,7 @@ use preduce_simnet::{EventQueue, FaultPlan, SimTime};
 use preduce_tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::elastic::{restore_worker, ElasticOptions};
+use crate::elastic::ElasticOptions;
 use crate::engine::controller_stats;
 use crate::engine::round::{WorkerRounds, WorkerStep};
 use crate::engine::setup::{build_fleet, evaluate_uniform_average, worker_thread_seed};
@@ -23,7 +24,6 @@ use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
 use crate::metrics::RunResult;
 use crate::replay::params_hash;
 use crate::sim::SimHarness;
-use crate::worker::weighted_model_average;
 
 /// Event payloads for the P-Reduce event loop.
 enum Event {
@@ -67,7 +67,10 @@ pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
 /// Each worker's step (`engine::round`), the one every substrate runs,
 /// applies the [`FaultPlan`] (DESIGN.md §11), the snapshot cadence (§14)
 /// and the mode's fast-forward rule; this loop schedules virtual time
-/// around it.
+/// around it. It reads no model value: each local update and group
+/// average is recorded with the harness ([`SimHarness::local_update`],
+/// [`SimHarness::average`]), which runs them at its read points
+/// (DESIGN.md §9).
 /// A stall multiplies the sampled compute time, a signal delay is added
 /// to every ready signal, a late join postpones the first update. A crash
 /// silences the worker, and the run's [`FailureDetector`], fed virtual
@@ -95,6 +98,19 @@ pub fn run_preduce_elastic(
     faults: FaultPlan,
     elastic: ElasticOptions,
 ) -> RunResult {
+    let (label, end, stats) = drive(&mut h, cfg, sink, faults, elastic);
+    h.finish_with_stats(label, end, stats)
+}
+
+/// [`run_preduce_elastic`]'s event loop on a harness it leaves to the
+/// caller to finish: the run's label, end time and statistics.
+fn drive(
+    h: &mut SimHarness,
+    cfg: ControllerConfig,
+    sink: Arc<dyn TraceSink>,
+    faults: FaultPlan,
+    elastic: ElasticOptions,
+) -> (String, SimTime, BTreeMap<String, f64>) {
     assert_eq!(
         cfg.num_workers,
         h.num_workers(),
@@ -157,9 +173,10 @@ pub fn run_preduce_elastic(
         match ev {
             Event::Ready(w) => {
                 // Lines 2–4 of Algorithm 2: the local update completes as
-                // the worker becomes ready.
-                let step = &mut steps[w];
-                if let Some(iteration) = h.with_worker(w, |worker, rng| step.update(worker, rng)) {
+                // the worker becomes ready; the harness runs its math at
+                // the next read point, a due snapshot's among them.
+                let iteration = h.local_update(w);
+                if let Some(iteration) = steps[w].updated(iteration, || h.worker(w)) {
                     controller.push_ready(w, iteration);
                 } else {
                     // The crash's signal is never sent, and its beat
@@ -172,7 +189,7 @@ pub fn run_preduce_elastic(
                     }
                     silent.push(w);
                 }
-                nonuniform_groups += form_groups(&mut controller, &mut queue, &h, t + 2.0 * signal);
+                nonuniform_groups += form_groups(&mut controller, &mut queue, h, t + 2.0 * signal);
             }
             Event::Sweep(at) => {
                 hear_live(&mut detector, &controller, &silent, at);
@@ -182,7 +199,7 @@ pub fn run_preduce_elastic(
                     schedule_sweep(&mut queue, &detector);
                 }
                 // A departure can unblock a frozen-avoidance deferral.
-                nonuniform_groups += form_groups(&mut controller, &mut queue, &h, t + 2.0 * signal);
+                nonuniform_groups += form_groups(&mut controller, &mut queue, h, t + 2.0 * signal);
             }
             Event::GroupDone {
                 group,
@@ -190,14 +207,9 @@ pub fn run_preduce_elastic(
                 new_iteration,
             } => {
                 // Weighted model average among exactly the group (line 7).
-                let avg = {
-                    let models: Vec<&Tensor> =
-                        group.iter().map(|&m| &h.workers[m].params).collect();
-                    weighted_model_average(&models, &weights)
-                };
+                h.average(group.clone(), weights);
                 let mut dur_sum = 0.0;
                 for &m in &group {
-                    h.workers[m].set_params(&avg);
                     steps[m].reduced(&mut h.workers[m], new_iteration);
                     if controller.sink().enabled() {
                         controller.sink().record(TraceEvent::ReduceCompleted {
@@ -222,7 +234,7 @@ pub fn run_preduce_elastic(
                         let due = updates >= at && steps[w].crashed() && controller.has_left(w);
                         if due {
                             let snap = must("load worker snapshot", store.load_worker(w));
-                            must("restore worker", restore_worker(&mut h.workers[w], snap));
+                            must("restore worker", h.restore(w, snap));
                             controller.mark_restored(w, h.workers[w].iteration);
                             restored.push(w);
                         }
@@ -239,7 +251,7 @@ pub fn run_preduce_elastic(
     }
     let mut stats = controller_stats(&controller.close());
     stats.insert("nonuniform_groups".into(), nonuniform_groups as f64);
-    h.finish_with_stats(label, now, stats)
+    (label, now, stats)
 }
 
 /// Forms every group the queue can fill; each group's collective starts
@@ -330,8 +342,9 @@ pub fn chaos_liveness() -> LivenessPolicy {
 ///
 /// # Panics
 /// Panics if the controller config disagrees with the fleet size, on a
-/// plan [`FaultPlan::check`] refuses or one with a `restore:` verb
-/// (simulator-only), or if a worker thread or the controller panics.
+/// plan [`ThreadedSubstrate::check_faults`] refuses or one with a
+/// `restore:` verb (simulator-only), or if a worker thread or the
+/// controller panics.
 pub(crate) fn threaded_preduce(
     sub: &ThreadedSubstrate,
     controller: ControllerConfig,
@@ -341,7 +354,7 @@ pub(crate) fn threaded_preduce(
         controller.num_workers, config.num_workers,
         "controller config sized for a different fleet"
     );
-    let planned = sub.faults.check(config.num_workers);
+    let planned = sub.check_faults();
     assert!(planned.is_ok(), "{planned:?}");
     // Threads are not resurrected mid-run: the `restore:` verb is honored
     // by the simulator only, and dropping it would crash the worker for good.
@@ -399,5 +412,108 @@ pub(crate) fn threaded_preduce(
         degraded,
         params_hashes: params.iter().map(|p| params_hash(p.as_slice())).collect(),
         controller: Some(handle.join()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use super::*;
+    use crate::config::{ExperimentConfig, HeteroSpec};
+    use partial_reduce::RingSink;
+    use preduce_data::cifar10_like;
+    use preduce_models::zoo;
+    use proptest::prelude::*;
+
+    /// The plans the property draws from, with the snapshot cadence each
+    /// runs under: none; a crash restored from its snapshot, a late join
+    /// and a signal delay; a stall, a signal delay and a crash among them,
+    /// snapshotted.
+    const PLANS: [(&str, Option<u64>); 3] = [
+        ("", None),
+        (
+            "crash:1@3,restore:1@12,latejoin:4+0.2,delay:3+0.05",
+            Some(1),
+        ),
+        ("crash:0@5,stall:1x3@2,delay:2+0.01", Some(3)),
+    ];
+
+    /// What a run leaves: its result, every worker's parameter and
+    /// momentum bits, and its trace.
+    type Outcome = (String, Vec<Vec<u32>>, Vec<TraceEvent>);
+
+    /// Runs P-Reduce (P = 3) on a harness whose recorded math runs on
+    /// `threads` threads.
+    fn outcome(c: &ExperimentConfig, dynamic: bool, plan: usize, threads: usize) -> Outcome {
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let (faults, cadence) = PLANS[plan];
+        let dir = std::env::temp_dir().join(format!(
+            "preduce-dataflow-{}-{}",
+            std::process::id(),
+            RUNS.fetch_add(1, Ordering::Relaxed)
+        ));
+        let elastic = match cadence {
+            Some(every) => ElasticOptions::none().with_policy(&dir, every),
+            None => ElasticOptions::none(),
+        };
+        let cfg = match dynamic {
+            true => ControllerConfig::dynamic(c.num_workers, 3),
+            false => ControllerConfig::constant(c.num_workers, 3),
+        };
+        let sink = Arc::new(RingSink::new(1 << 16));
+        let mut h = SimHarness::with_threads(c, threads);
+        let plan = FaultPlan::parse(faults).unwrap();
+        let (label, end, stats) = drive(&mut h, cfg, sink.clone(), plan, elastic);
+        let bits = (0..h.num_workers())
+            .map(|w| {
+                let w = h.worker(w);
+                let state = w
+                    .params
+                    .as_slice()
+                    .iter()
+                    .chain(w.opt.velocity().as_slice());
+                state.map(|v| v.to_bits()).collect()
+            })
+            .collect();
+        let result = h.finish_with_stats(label, end, stats);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(sink.dropped(), 0, "trace overflowed the ring");
+        (format!("{result:?}"), bits, sink.snapshot())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn the_executor_gives_the_same_run_at_every_thread_count(
+            dynamic in any::<bool>(),
+            gpu_sharing in any::<bool>(),
+            slow_link in any::<bool>(),
+            grad_norm in any::<bool>(),
+            plan in 0..PLANS.len(),
+            seed in 1..1_000u64,
+        ) {
+            let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
+            c.num_workers = 6;
+            c.math_batch_size = 8;
+            c.max_updates = 32;
+            c.eval_every = 8;
+            c.seed = seed;
+            c.track_grad_norm = grad_norm;
+            if gpu_sharing {
+                c.hetero = HeteroSpec::GpuSharing { hl: 3 };
+            }
+            if slow_link {
+                c.link_slowdown = Some(vec![1.0, 4.0, 1.0, 1.0, 2.0, 1.0]);
+            }
+            let one = outcome(&c, dynamic, plan, 1);
+            for threads in [2, 4] {
+                let many = outcome(&c, dynamic, plan, threads);
+                prop_assert_eq!(&many.0, &one.0, "result at {} threads", threads);
+                prop_assert!(many.1 == one.1, "worker state at {} threads", threads);
+                prop_assert!(many.2 == one.2, "trace at {} threads", threads);
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, TryFromFloatSecsError};
 
 use partial_reduce::runtime::{PartialReducer, ReduceError, ReduceOutcome};
 use partial_reduce::{TraceEvent, TraceSink};
@@ -93,27 +93,41 @@ impl WorkerStep {
         self.faults.signal_delay(self.rank)
     }
 
-    /// Lines 2–4 of Algorithm 2: the local update, then the plan's crash —
-    /// at most once per life, so a restored worker does not crash again
-    /// when it passes the trigger — then the snapshot if one is due.
-    /// Returns the iteration to signal, or `None` when the crash fired: no
-    /// snapshot was written and no signal may be sent.
+    /// Lines 2–4 of Algorithm 2 on a worker of its own: the local update,
+    /// then [`Self::updated`].
     pub(crate) fn update<R: Rng + ?Sized>(
         &mut self,
         w: &mut WorkerState,
         rng: &mut R,
     ) -> Option<u64> {
         w.local_update(rng);
-        let at_iteration = w.iteration;
+        let w = &*w;
+        self.updated(w.iteration, || w)
+    }
+
+    /// What follows the local update that brought the worker to
+    /// `iteration`: the plan's crash — at most once per life, so a
+    /// restored worker does not crash again when it passes the trigger —
+    /// then the snapshot if one is due, of the worker `read` returns with
+    /// its model current (the simulator's read point). Returns the
+    /// iteration to signal, or `None` when the crash fired: no snapshot
+    /// was written and no signal may be sent.
+    pub(crate) fn updated<'w>(
+        &mut self,
+        iteration: u64,
+        read: impl FnOnce() -> &'w WorkerState,
+    ) -> Option<u64> {
         let crash_at = self.faults.crash_at(self.rank);
-        if !self.crashed && crash_at.is_some_and(|at| at <= at_iteration) {
+        if !self.crashed && crash_at.is_some_and(|at| at <= iteration) {
             self.crashed = true;
-            let crash = FaultKind::Crash { at_iteration };
-            narrate(&*self.sink, self.rank, crash, at_iteration);
+            let crash = FaultKind::Crash {
+                at_iteration: iteration,
+            };
+            narrate(&*self.sink, self.rank, crash, iteration);
             return None;
         }
-        self.snapshots.snapshot_if_due(w);
-        Some(at_iteration)
+        self.snapshots.snapshot_if_due(iteration, read);
+        Some(iteration)
     }
 
     /// The fast-forward rule once the group's reduce has run: in DYN `w`
@@ -139,6 +153,18 @@ fn narrate(sink: &dyn TraceSink, worker: usize, kind: FaultKind, iteration: u64)
             iteration,
         });
     }
+}
+
+/// The sleep a stall of `factor` adds to a round of a worker whose
+/// straggler delay is `delay`: the delay — or, without one, a
+/// [`STALL_UNIT`] step — times `factor − 1`.
+///
+/// # Errors
+/// When the product does not fit a [`Duration`]: [`FaultPlan::check`]
+/// bounds the factor, not the delay it multiplies.
+pub(crate) fn stall_sleep(delay: Duration, factor: f64) -> Result<Duration, TryFromFloatSecsError> {
+    let unit = if delay.is_zero() { STALL_UNIT } else { delay };
+    Duration::try_from_secs_f64((factor - 1.0).max(0.0) * unit.as_secs_f64())
 }
 
 fn sleep_secs(seconds: f64) {
@@ -190,13 +216,10 @@ impl WorkerRounds {
         rng: &mut R,
         reducer: &mut PartialReducer,
     ) -> Result<Round, ReduceError> {
-        let unit = if self.delay.is_zero() {
-            STALL_UNIT
-        } else {
-            self.delay
-        };
-        let stall = unit.mul_f64((self.step.stall_factor(w) - 1.0).max(0.0));
-        thread::sleep(self.delay + stall);
+        // Fits: the threaded driver refuses a plan whose product does not
+        // (`ThreadedSubstrate::check_faults`), and a process runs no plan.
+        let stall = stall_sleep(self.delay, self.step.stall_factor(w)).unwrap_or(Duration::MAX);
+        thread::sleep(self.delay.saturating_add(stall));
         let Some(iteration) = self.step.update(w, rng) else {
             return Ok(Round::Crashed);
         };

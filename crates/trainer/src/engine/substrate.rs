@@ -20,10 +20,11 @@ use std::time::Duration;
 
 use partial_reduce::runtime::ControllerStats;
 use partial_reduce::{NullSink, TraceSink};
-use preduce_simnet::FaultPlan;
+use preduce_simnet::{FaultKind, FaultPlan};
 
 use crate::config::ExperimentConfig;
 use crate::elastic::ElasticOptions;
+use crate::engine::round::stall_sleep;
 use crate::sim::SimHarness;
 
 /// Which substrate executes a run.
@@ -200,6 +201,35 @@ impl ThreadedSubstrate {
         self.delays = delays.to_vec();
         self
     }
+
+    /// The fault plan's rules on these threads: [`FaultPlan::check`],
+    /// then each worker's largest stall sleep — its straggler delay, or a
+    /// 1 ms step without one, times its largest stall factor — fits a
+    /// [`Duration`].
+    ///
+    /// # Errors
+    /// Names the rule the plan breaks.
+    pub(crate) fn check_faults(&self) -> Result<(), String> {
+        let n = self.config.num_workers;
+        self.faults.check(n)?;
+        for w in 0..n {
+            let delay = self.delays.get(w).copied().unwrap_or(Duration::ZERO);
+            let worst = self
+                .faults
+                .for_worker(w)
+                .filter_map(|f| match f.kind {
+                    FaultKind::Stall { from_iteration, .. } => {
+                        Some(self.faults.stall_factor(w, from_iteration))
+                    }
+                    _ => None,
+                })
+                .fold(1.0, f64::max);
+            stall_sleep(delay, worst).map_err(|e| {
+                format!("worker {w}: a {worst}x stall of its {delay:?} straggler delay: {e}")
+            })?;
+        }
+        Ok(())
+    }
 }
 
 /// Unwraps a result whose failure has no recovery path: a missing or
@@ -229,6 +259,23 @@ mod tests {
             assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
         }
         assert!("gpu".parse::<Backend>().is_err());
+    }
+
+    #[test]
+    fn a_stall_of_a_straggler_delay_no_clock_holds_is_an_error() {
+        let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
+        c.num_workers = 2;
+        // 1e19 one-millisecond steps fit a `Duration`; 1e19 two-second
+        // delays do not.
+        let plan = FaultPlan::none().stall(1, 1e19, 4);
+        let sub = ThreadedSubstrate::new(&c, 1).with_faults(plan);
+        assert_eq!(sub.check_faults(), Ok(()));
+        let sub = sub.with_delays(&[Duration::ZERO, Duration::from_secs(2)]);
+        let refused = sub.check_faults().unwrap_err();
+        assert!(
+            refused.starts_with("worker 1: a 10000000000000000000x stall of its 2s"),
+            "{refused}"
+        );
     }
 
     #[test]

@@ -11,17 +11,34 @@
 //! the average of all workers' models per Algorithm 2 line 8).
 //!
 //! The harness holds one [`Network`], the tracker's: it evaluates the
-//! averaged model, and [`SimHarness::with_worker`] lends it to every
-//! worker's local update and gradient, so a simulated worker holds only
-//! its own state — parameters, momentum, shard — and the fleet shares one
-//! gradient buffer.
+//! averaged model and runs every update the driving thread runs, so a
+//! simulated worker holds only its own state — parameters, momentum,
+//! shard.
+//!
+//! The P-Reduce driver splits its schedule from its math (DESIGN.md §9).
+//! [`SimHarness::local_update`] draws a worker's batch at the update's
+//! virtual instant and counts the update; [`SimHarness::average`] records
+//! a group's average. The recorded math runs at the next *read point* — a
+//! due evaluation (and its grad-norm trace), [`SimHarness::finish`], a
+//! `restore:` verb, a due snapshot, or any [`SimHarness::with_worker`]
+//! call — as a per-worker dataflow on the evaluation's threads: the
+//! driving thread on the one network, each helper on a scratch network
+//! that lives only while the flush runs. The barrier, PS and gossip
+//! drivers still run each gradient at once on the one network, through
+//! [`SimHarness::with_worker`].
 
+mod dataflow;
+
+use partial_reduce::WeightRow;
+use preduce_checkpoint::WorkerSnapshot;
 use preduce_data::Dataset;
 use preduce_models::{evaluate_accuracy_parallel, softmax_cross_entropy_grad, Network};
 use preduce_simnet::{HeterogeneityModel, NetworkModel, SimTime};
 use rand::{rngs::StdRng, SeedableRng};
 
+use self::dataflow::Op;
 use crate::config::ExperimentConfig;
+use crate::elastic::restore_worker;
 use crate::engine::setup::{build_fleet, eval_threads, uniform_average, Fleet, EVAL_BATCH};
 use crate::metrics::{RunResult, TracePoint};
 use crate::worker::WorkerState;
@@ -34,8 +51,8 @@ const MAX_UPDATE_SAMPLES: usize = 4096;
 /// Shared simulation state handed to every driver.
 pub struct SimHarness {
     /// Worker replicas (identical initialization), each holding only its
-    /// own state: their updates and gradients run on the harness's one
-    /// network, through [`SimHarness::with_worker`].
+    /// own state. Their counters are always current; their parameters and
+    /// momentum only once no math is recorded — after any read point.
     pub workers: Vec<WorkerState>,
     /// Per-worker compute-time model.
     pub hetero: Box<dyn HeterogeneityModel>,
@@ -53,6 +70,11 @@ pub struct SimHarness {
     /// Per-worker link slowdown (communication heterogeneity, Case 1).
     pub link_slowdown: Vec<f64>,
     tracker: ConvergenceTracker,
+    /// Model math recorded by the schedule, in event order, that no read
+    /// point has run yet.
+    ops: Vec<Op>,
+    /// Threads a flush runs the math on, the caller's included.
+    threads: usize,
 }
 
 impl SimHarness {
@@ -64,6 +86,12 @@ impl SimHarness {
     /// # Panics
     /// Panics if the config is invalid.
     pub fn new(config: &ExperimentConfig) -> Self {
+        Self::with_threads(config, eval_threads())
+    }
+
+    /// [`SimHarness::new`] with the recorded math run on `threads`
+    /// threads: the same bits at any count.
+    pub(crate) fn with_threads(config: &ExperimentConfig, threads: usize) -> Self {
         let Fleet {
             workers,
             test,
@@ -82,6 +110,8 @@ impl SimHarness {
             overlap_fraction: config.overlap_fraction,
             link_slowdown: config.link_slowdown.clone().unwrap_or_else(|| vec![1.0; n]),
             tracker: ConvergenceTracker::new(config, reference, test),
+            ops: Vec::new(),
+            threads,
         }
     }
 
@@ -91,24 +121,66 @@ impl SimHarness {
     }
 
     /// Runs `f` on worker `w` and the simulation's RNG with the harness's
-    /// one network lent to the worker: an O(1) swap in before the call
-    /// and back after it. Every sim driver runs its local updates and
-    /// gradients through here, so each runs on that one network while the
-    /// worker's own, layout alone, stays idle; [`WorkerState`] keeps one
-    /// update body on every substrate. The network is the convergence
-    /// tracker's, which sets the averaged model before each evaluation,
-    /// and an update reads only the worker's parameters and writes fresh
-    /// gradients, so neither use sees the other.
+    /// one network lent to the worker: a read point, then an O(1) swap in
+    /// before the call and back after it. The barrier, PS and gossip
+    /// drivers run their gradients through here, so each runs on that one
+    /// network while the worker's own, layout alone, stays idle. The
+    /// network is the convergence tracker's, which sets the averaged
+    /// model before each evaluation, and an update reads only the
+    /// worker's parameters and writes fresh gradients, so neither use
+    /// sees the other.
     pub fn with_worker<T>(
         &mut self,
         w: usize,
         f: impl FnOnce(&mut WorkerState, &mut StdRng) -> T,
     ) -> T {
+        self.flush();
         let worker = &mut self.workers[w];
         std::mem::swap(&mut worker.net, &mut self.tracker.net);
         let out = f(worker, &mut self.rng);
         std::mem::swap(&mut worker.net, &mut self.tracker.net);
         out
+    }
+
+    /// Worker `w`'s local update (Algorithm 2 lines 2–4): its batch is
+    /// drawn from the simulation's RNG and the update counted now; the
+    /// math runs at the next read point. Returns the worker's new local
+    /// iteration.
+    pub fn local_update(&mut self, w: usize) -> u64 {
+        let worker = &mut self.workers[w];
+        let batch = worker.draw(&mut self.rng);
+        self.ops.push(Op::Update { w, batch });
+        worker.iteration
+    }
+
+    /// The weighted average of `group`'s models, written to every member
+    /// (Algorithm 2 line 7), run at the next read point.
+    pub fn average(&mut self, group: Vec<usize>, weights: WeightRow) {
+        self.ops.push(Op::Average { group, weights });
+    }
+
+    /// Replaces worker `w`'s state with a snapshot's, after the math
+    /// recorded so far — a read point.
+    ///
+    /// # Errors
+    /// As [`restore_worker`].
+    pub(crate) fn restore(&mut self, w: usize, snap: WorkerSnapshot) -> Result<(), String> {
+        self.flush();
+        restore_worker(&mut self.workers[w], snap)
+    }
+
+    /// Worker `w` with its model current: a read point.
+    pub(crate) fn worker(&mut self, w: usize) -> &WorkerState {
+        self.flush();
+        &self.workers[w]
+    }
+
+    /// Runs the recorded math: the read points' first step.
+    fn flush(&mut self) {
+        if !self.ops.is_empty() {
+            let ops = std::mem::take(&mut self.ops);
+            dataflow::run(&ops, &mut self.workers, &mut self.tracker.net, self.threads);
+        }
     }
 
     /// Samples the compute time of one local update for `worker` at `now`.
@@ -140,6 +212,9 @@ impl SimHarness {
     /// this call has just evaluated, [`SimHarness::finish_with_stats`]
     /// reports that accuracy instead of evaluating the same models twice.
     pub fn record_update(&mut self, now: SimTime, duration: f64) -> bool {
+        if self.tracker.evaluates_next() {
+            self.flush();
+        }
         self.tracker.record(now, duration, &self.workers)
     }
 
@@ -163,7 +238,10 @@ impl SimHarness {
     ) -> RunResult {
         let final_accuracy = match self.tracker.stopped_on {
             Some(accuracy) => accuracy,
-            None => self.tracker.evaluate(&self.workers),
+            None => {
+                self.flush();
+                self.tracker.evaluate(&self.workers)
+            }
         };
         let t = self.tracker;
         RunResult {
@@ -215,6 +293,11 @@ impl ConvergenceTracker {
         }
     }
 
+    /// Whether the next recorded update evaluates.
+    fn evaluates_next(&self) -> bool {
+        (self.updates + 1).is_multiple_of(self.eval_every)
+    }
+
     fn record(&mut self, now: SimTime, duration: f64, workers: &[WorkerState]) -> bool {
         self.updates += 1;
         self.stopped_on = None;
@@ -222,6 +305,7 @@ impl ConvergenceTracker {
             self.samples.push(duration);
         }
         if self.updates.is_multiple_of(self.eval_every) {
+            // A read point: the harness has run the recorded math.
             let acc = self.evaluate(workers);
             let grad_norm_sq = self.track_grad_norm.then(|| self.grad_norm_sq(workers));
             self.trace.push(TracePoint {
@@ -333,6 +417,19 @@ mod tests {
         assert!((r.per_update_time() - 1.0).abs() < 1e-9);
         assert!(!r.converged);
         assert!(r.final_accuracy >= 0.0 && r.final_accuracy <= 1.0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_op_fails_the_flush_instead_of_hanging_it() {
+        let mut h = SimHarness::with_threads(&small_config(), 2);
+        for w in 0..4 {
+            h.local_update(w);
+        }
+        // Two members and three weights: the average asserts.
+        h.average(vec![0, 1], partial_reduce::constant_weights(3));
+        h.local_update(2);
+        h.flush();
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

@@ -1,7 +1,7 @@
 //! Per-worker training state: model replica, optimizer, data shard.
 
 use partial_reduce::WeightRow;
-use preduce_data::BatchSampler;
+use preduce_data::{Batch, BatchSampler};
 use preduce_models::{softmax_cross_entropy_grad, Network, SgdConfig, SgdOptimizer};
 use preduce_tensor::Tensor;
 use rand::Rng;
@@ -14,13 +14,19 @@ use rand::Rng;
 /// truth, moved out of the network at construction) and the momentum
 /// buffer. The network is layout plus scratch — the passes run on the
 /// worker's vector where it lies, and write fresh gradients — so any
-/// network of the same widths serves an update: threads and processes run
-/// each worker on its own, the simulator lends its one network to each
-/// worker in turn ([`SimHarness::with_worker`]). This mirrors how
-/// collective libraries see a model (one contiguous buffer) and makes
-/// model averaging a pure vector operation.
+/// network of the same widths serves an update. Threads and processes run
+/// each worker on its own network ([`WorkerState::local_update`]). On the
+/// simulator the P-Reduce driver splits the update: it draws the batch at
+/// the update's virtual instant, and the harness runs the math at the
+/// next read point, on a network its executor lends
+/// ([`SimHarness::local_update`]). The barrier, PS and gossip drivers
+/// still run whole gradients on the harness's one network, through
+/// [`SimHarness::with_worker`]. This mirrors how collective libraries see
+/// a model (one contiguous buffer) and makes model averaging a pure
+/// vector operation.
 ///
 /// [`SimHarness::with_worker`]: crate::sim::SimHarness::with_worker
+/// [`SimHarness::local_update`]: crate::sim::SimHarness::local_update
 #[derive(Debug)]
 pub struct WorkerState {
     /// Worker rank.
@@ -61,22 +67,12 @@ impl WorkerState {
         }
     }
 
-    /// Backpropagates one batch drawn with `rng` at the current
-    /// parameters, leaving the batch's gradient alone in the network's
-    /// gradient buffer.
-    fn backprop<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let batch = self.sampler.next_batch_with(rng);
-        let params = self.params.as_slice();
-        let logits = self.net.forward_on(params, &batch.features);
-        let grad = softmax_cross_entropy_grad(&logits, &batch.labels);
-        self.net.backward_fresh_on(params, &grad);
-    }
-
     /// Computes a stochastic gradient at the current parameters using a
     /// batch drawn with `rng`. Returns the flat gradient; parameters are
     /// unchanged.
     pub fn gradient<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Tensor {
-        self.backprop(rng);
+        let batch = self.sampler.next_batch_with(rng);
+        backprop(&mut self.net, &self.params, &batch);
         self.net.grad_vector()
     }
 
@@ -87,17 +83,31 @@ impl WorkerState {
         self.updates_applied += 1;
     }
 
-    /// One complete local update (Algorithm 2 lines 2–4): gradient at the
-    /// current parameters, then an SGD step. Increments the local
-    /// iteration counter. The same bits as [`WorkerState::gradient`] then
-    /// [`WorkerState::apply`], with the optimizer reading the gradient
-    /// where the network accumulated it instead of from a copy.
+    /// One complete local update (Algorithm 2 lines 2–4): `draw`, then
+    /// `learn_on` the worker's own network. The same bits as
+    /// [`WorkerState::gradient`] then [`WorkerState::apply`], with the
+    /// optimizer reading the gradient where the network accumulated it
+    /// instead of from a copy.
     pub fn local_update<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        self.backprop(rng);
-        self.opt
-            .step_scaled(&mut self.params, self.net.grads(), 1.0);
+        let batch = self.draw(rng);
+        learn(&mut self.net, &mut self.params, &mut self.opt, &batch);
+    }
+
+    /// The schedule's half of a local update: draws its batch with `rng`
+    /// and counts it (local iteration and updates applied). Reads no
+    /// parameter, so the simulator draws at the update's instant and runs
+    /// the math later ([`crate::sim`]).
+    pub(crate) fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Batch {
         self.updates_applied += 1;
         self.iteration += 1;
+        self.sampler.next_batch_with(rng)
+    }
+
+    /// The math half of a local update, on a lent network of the same
+    /// widths: the gradient of `batch` at the current parameters, then an
+    /// SGD step. Leaves the counters to `draw`.
+    pub(crate) fn learn_on(&mut self, net: &mut Network, batch: &Batch) {
+        learn(net, &mut self.params, &mut self.opt, batch);
     }
 
     /// Overwrites this worker's parameters (model average, PS pull…).
@@ -110,6 +120,22 @@ impl WorkerState {
             .as_mut_slice()
             .copy_from_slice(params.as_slice());
     }
+}
+
+/// Backpropagates `batch` at `params` on `net`, leaving the batch's
+/// gradient alone in the network's gradient buffer.
+fn backprop(net: &mut Network, params: &Tensor, batch: &Batch) {
+    let params = params.as_slice();
+    let logits = net.forward_on(params, &batch.features);
+    let grad = softmax_cross_entropy_grad(&logits, &batch.labels);
+    net.backward_fresh_on(params, &grad);
+}
+
+/// The one local-update body every substrate runs: the gradient of
+/// `batch` at `params`, then the SGD step reading it in place.
+fn learn(net: &mut Network, params: &mut Tensor, opt: &mut SgdOptimizer, batch: &Batch) {
+    backprop(net, params, batch);
+    opt.step_scaled(params, net.grads(), 1.0);
 }
 
 /// The elementwise weighted average `Σ w_i · params_i` of several workers'

@@ -5,8 +5,9 @@
 //! `d`-float vectors — and its data shard; the harness's one network
 //! serves every worker's update. The test builds the `sim-hl3` benchmark's
 //! VGG-19 fleet (N = 8, HL = 3, batch 8), runs two local updates per
-//! worker through the harness, and asserts that the live heap the harness
-//! holds stays under
+//! worker through the harness, then one evaluation window of recorded
+//! updates and averages, and asserts after each that the live heap the
+//! harness holds stays under
 //!
 //! ```text
 //! N · (2·d·4 B + shard bytes) + slack
@@ -18,8 +19,10 @@
 //! buffer in each worker's network — is 8·d·4 B ≈ 1.2 MiB, well past the
 //! slack, so it fails here.
 
+use partial_reduce::constant_weights;
 use preduce_data::{cifar10_like, Dataset};
 use preduce_models::zoo;
+use preduce_simnet::SimTime;
 use preduce_tensor::CountingAlloc;
 use preduce_trainer::sim::SimHarness;
 use preduce_trainer::ExperimentConfig;
@@ -50,9 +53,23 @@ fn a_simulated_worker_holds_only_its_own_state() {
             h.with_worker(w, |w, rng| w.local_update(rng));
         }
     }
-    let live = ALLOC.live_bytes() - before;
+    let updated = ALLOC.live_bytes() - before;
 
+    // One evaluation window through the op log, as the P-Reduce driver
+    // records it: P = 3 local updates and their group's average per
+    // update, run by the evaluation that ends the window. The recorded
+    // batches and the flush's scratch networks must be gone after it.
     let n = h.num_workers();
+    for k in 0..cfg.eval_every as usize {
+        let group: Vec<usize> = (0..3).map(|i| (3 * k + i) % n).collect();
+        for &w in &group {
+            h.local_update(w);
+        }
+        h.average(group, constant_weights(3));
+        h.record_update(SimTime::new(k as f64), 1.0);
+    }
+    let flushed = ALLOC.live_bytes() - before;
+
     let d = h.workers[0].params.len();
     let vector = d * std::mem::size_of::<f32>();
     let shards: usize = h
@@ -65,14 +82,16 @@ fn a_simulated_worker_holds_only_its_own_state() {
             + std::mem::size_of::<usize>());
     let state = n * 2 * vector + shards;
     let slack = test + 2 * vector + (64 << 10);
-    println!(
-        "N={n} d={d}: live {live} B; state {state} B (workers {} B, shards {shards} B) + slack {slack} B",
-        n * 2 * vector
-    );
-    assert!(
-        live < state + slack,
-        "the fleet holds {live} B, over its {state} B of state plus {slack} B of slack: \
-         {} B per worker beyond parameters, momentum and shard",
-        live.saturating_sub(state + test + 2 * vector) / n
-    );
+    for (when, live) in [("after the updates", updated), ("after the flush", flushed)] {
+        println!(
+            "N={n} d={d}, {when}: live {live} B; state {state} B (workers {} B, shards {shards} B) + slack {slack} B",
+            n * 2 * vector
+        );
+        assert!(
+            live < state + slack,
+            "{when}, the fleet holds {live} B, over its {state} B of state plus {slack} B of slack: \
+             {} B per worker beyond parameters, momentum and shard",
+            live.saturating_sub(state + test + 2 * vector) / n
+        );
+    }
 }
