@@ -84,7 +84,8 @@ fn crash_reaction() -> (Option<f64>, Option<f64>) {
         sink.clone(),
         FaultPlan::none().crash(3, 4),
         ElasticOptions::none(),
-    );
+    )
+    .expect("the run stays within the detector's clock");
     assert_eq!(
         run.controller.expect("p-reduce reports stats").evictions,
         1,
@@ -134,7 +135,8 @@ fn convergence_gap(dynamic: bool, max_updates: u64) -> f64 {
         Arc::new(NullSink),
         FaultPlan::none().crash(3, 20),
         ElasticOptions::none(),
-    );
+    )
+    .expect("the run stays within the detector's clock");
     golden.result.final_accuracy - faulted.result.final_accuracy
 }
 

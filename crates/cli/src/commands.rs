@@ -529,6 +529,7 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
                 let trace = TraceOut::create(trace_out)?;
                 let result =
                     engine::run_elastic(strategy, &config, backend, trace.sink(), faults, elastic)
+                        .map_err(|e| CliError::Usage(e.to_string()))?
                         .result;
                 trace.finish()?;
                 if json {
@@ -718,7 +719,7 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
                          \x20 latency     = {:.3}s mean / {:.3}s max (virtual)\n\
                          \x20 rho         = {rho} (uniform reference {:.4})\n\
                          \x20 spread      = {:.4} mean / {:.4} max\n\
-                         \x20 union-find  = {} merges, {} rebuilds, {} queries answered from membership counts\n\
+                         \x20 union-find  = {} merges (replays included), {} window reloads, {} queries answered from membership counts\n\
                          \x20 checker     = {} events, {} violation(s)",
                         report.signals,
                         report.signals_per_sec,

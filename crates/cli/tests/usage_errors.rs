@@ -173,6 +173,27 @@ fn fault_plan_values_no_clock_holds_are_refused_on_both_backends() {
     }
 }
 
+/// Delays that each fit a `Duration` but add up over the rounds carry the
+/// simulator's virtual time past what its failure detector's clock holds
+/// before the crash it must watch: the run ends with the typed error, exit
+/// 2 and one line, not a panic in the clock conversion.
+#[test]
+fn a_crash_past_the_detector_clock_ends_the_run_with_an_error() {
+    let out = Command::new(BIN)
+        .args(["run", "--workers", "4", "--p", "2", "--max-updates", "40"])
+        .args(["--fault-plan", "delay:0+1e19,crash:0@3"])
+        .output()
+        .expect("spawn preduce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: a worker crashed at virtual time"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("failure detector's clock"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
 /// A DYN trace's `RunStarted` line with `edit` applied, then one group of
 /// members whose iterations lie `gap` apart, weighted as `weights`.
 fn forged_trace(edit: (&str, &str), gap: u64, weights: &str) -> String {

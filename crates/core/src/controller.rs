@@ -208,8 +208,8 @@ pub struct Controller {
     /// Per-worker "has a queued signal" flag: O(1) duplicate detection.
     queued: Vec<bool>,
     /// The group history database: the last `T` groups plus their
-    /// sync-graph connectivity (membership counts first, a lazily rebuilt
-    /// union-find behind them).
+    /// sync-graph connectivity (membership counts first, a union-find
+    /// that undoes evicted groups behind them).
     conn: WindowedConnectivity,
     /// Deferral memo: how many leading queued signals the last verdict
     /// found inside one sync-graph component. A re-attempt asks only about
@@ -451,7 +451,8 @@ impl Controller {
         }
     }
 
-    /// Work counters of the connectivity structure (merges, rebuilds).
+    /// Work counters of the connectivity structure (merges, window
+    /// reloads, membership answers).
     pub fn connectivity_stats(&self) -> ConnectivityStats {
         self.conn.stats()
     }
@@ -640,22 +641,17 @@ impl Controller {
                 }
             } else if self.queue.len() > p {
                 // Cross-component signals available and a choice to make:
-                // label each *queued signal* (O(queue · α) against the
-                // forest) and form the repair group greedily, one member
-                // per distinct component (FIFO within each), topping up
-                // FIFO.
-                let conn = &mut self.conn;
-                let sig_comps: Vec<usize> = self
-                    .queue
-                    .iter()
-                    .map(|s| conn.component_of(s.worker))
-                    .collect();
+                // form the repair group greedily, one member per distinct
+                // component (FIFO within each), topping up FIFO. Queued
+                // signals are labelled (O(log N) each against the forest)
+                // only until P distinct components are found.
                 let mut chosen: Vec<usize> = Vec::with_capacity(p);
-                let mut used_comps: Vec<usize> = Vec::new();
-                for (idx, &c) in sig_comps.iter().enumerate() {
+                let mut used_comps: Vec<usize> = Vec::with_capacity(p);
+                for (idx, s) in self.queue.iter().enumerate() {
                     if chosen.len() == p {
                         break;
                     }
+                    let c = self.conn.component_of(s.worker);
                     if !used_comps.contains(&c) {
                         used_comps.push(c);
                         chosen.push(idx);

@@ -980,7 +980,7 @@ impl StreamingChecker {
     /// at least two of its components (§4). The window is replayed
     /// through a [`WindowedConnectivity`] and asked the filter's own
     /// question — do the members span two components? — which its
-    /// membership table usually answers without rebuilding the forest;
+    /// membership table usually answers without consulting the forest;
     /// its components are exactly those of the batch rebuild-and-DFS
     /// (`GroupHistory::sync_graph(n).components()`), which remains the
     /// semantic reference the property tests compare against. Members

@@ -466,12 +466,12 @@ proptest! {
         window in 1usize..8,
         probe_every in 1usize..4,
     ) {
-        // The membership table and the lazily rebuilt union-find must
+        // The membership table and the lazily caught-up union-find must
         // agree with the reference DFS over the same window after every
         // record — connectivity verdict, component labels, the "spans two
         // components" answer for an arbitrary list of workers (repeats
         // included), and warm-up state alike. Probing at a random stride
-        // covers runs of several records between rebuilds.
+        // covers runs of several records between catch-ups.
         let n = 7;
         let mut h = GroupHistory::new(window);
         let mut c = WindowedConnectivity::new(n, window);
@@ -512,6 +512,69 @@ proptest! {
         // Final state always agrees, whatever the probe stride skipped.
         let reference = h.sync_graph(n);
         prop_assert_eq!(c.components(), reference.components());
+    }
+
+    #[test]
+    fn windowed_connectivity_matches_dfs_on_both_catch_up_paths(
+        seed in any::<u64>(),
+        n in 4usize..12,
+        p in 2usize..5,
+        window_kind in 0usize..4,
+    ) {
+        // One stream, both ways the forest catches up with the window:
+        // runs of single records, each followed by a query (a replay: one
+        // eviction and one insertion), and stretches longer than the
+        // window with no query (a reload), with departures and restores
+        // in between and groups that list a worker more than once, at
+        // windows of 1 and below, at and above T = ⌈(N−1)/(P−1)⌉.
+        use rand::{Rng, SeedableRng};
+        prop_assume!(p <= n);
+        let t = min_history_window(n, p);
+        let window = match window_kind {
+            0 => 1,
+            1 => t.saturating_sub(1).max(1),
+            2 => t,
+            _ => t + 3,
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut h = GroupHistory::new(window);
+        let mut c = WindowedConnectivity::new(n, window);
+        let mut departed = vec![false; n];
+        for segment in 0..12 {
+            let stretch = segment % 3 == 2;
+            let records = if stretch {
+                window + 1 + rng.gen_range(0..window + 2)
+            } else {
+                rng.gen_range(1..6usize)
+            };
+            for r in 0..records {
+                if rng.gen_range(0..4u32) == 0 {
+                    let w = rng.gen_range(0..n);
+                    departed[w] = !departed[w];
+                    c.set_departed(w, departed[w]);
+                }
+                let group: Vec<usize> = (0..rng.gen_range(1..p + 2))
+                    .map(|_| rng.gen_range(0..n))
+                    .collect();
+                h.record(group.clone());
+                c.record(&group);
+                if stretch && r + 1 < records {
+                    continue;
+                }
+                let reloads = c.stats().rebuilds;
+                matches_oracle(&mut c, &h, &departed, &mut rng)?;
+                // Which path the catch-up took: a stretch always reloads
+                // (every listed worker present is asked about); a single
+                // warm record replays once an eviction and an insertion
+                // cost less than the window, from T = 5 on.
+                let reloaded = c.stats().rebuilds - reloads;
+                if stretch {
+                    prop_assert_eq!(reloaded, 1, "stretch of {} at window {}", records, window);
+                } else if window >= 5 && h.is_warm() && segment > 0 {
+                    prop_assert_eq!(reloaded, 0, "single record at window {}", window);
+                }
+            }
+        }
     }
 
     #[test]
@@ -661,6 +724,43 @@ proptest! {
             }
         }
     }
+}
+
+/// Every question [`WindowedConnectivity`] answers, against the DFS over
+/// the same window: `spans_components` on random worker lists (repeats
+/// included), `is_connected` over the live fleet (workers not departed,
+/// plus departed ones still in a retained group) and every worker's
+/// `component_of`.
+fn matches_oracle(
+    c: &mut WindowedConnectivity,
+    h: &GroupHistory,
+    departed: &[bool],
+    rng: &mut rand::rngs::StdRng,
+) -> Result<(), TestCaseError> {
+    use rand::Rng;
+    let n = departed.len();
+    let labels = h.sync_graph(n).components();
+    for _ in 0..3 {
+        let list: Vec<usize> = (0..rng.gen_range(0..5usize))
+            .map(|_| rng.gen_range(0..n))
+            .collect();
+        let distinct: std::collections::BTreeSet<usize> = list.iter().map(|&w| labels[w]).collect();
+        prop_assert_eq!(
+            c.spans_components(list.iter().copied()),
+            distinct.len() >= 2,
+            "list {:?}",
+            list
+        );
+    }
+    let mut live = (0..n)
+        .filter(|&w| !departed[w] || h.iter().any(|g| g.contains(&w)))
+        .map(|w| labels[w]);
+    let first = live.next();
+    prop_assert_eq!(c.is_connected(), live.all(|l| Some(l) == first));
+    for (w, &label) in labels.iter().enumerate() {
+        prop_assert_eq!(c.component_of(w), label, "worker {}", w);
+    }
+    Ok(())
 }
 
 /// Everything a controller's accessors report about its state.

@@ -17,7 +17,8 @@ pub mod preduce;
 pub mod ps;
 pub mod sync;
 
-use crate::engine::substrate::{SimSubstrate, ThreadedReport, ThreadedSubstrate};
+use crate::engine::substrate::{must, SimSubstrate, ThreadedReport, ThreadedSubstrate};
+use crate::engine::SimError;
 use crate::metrics::RunResult;
 use crate::strategy::Strategy;
 
@@ -36,8 +37,22 @@ impl Driver {
     /// deterministic virtual time.
     ///
     /// # Panics
-    /// Panics on a fleet [`Strategy::check_fleet`] refuses.
+    /// Panics on a fleet [`Strategy::check_fleet`] refuses, or on the
+    /// error [`Driver::try_drive_sim`] returns.
     pub fn drive_sim(&self, substrate: SimSubstrate) -> RunResult {
+        must("simulated run", self.try_drive_sim(substrate))
+    }
+
+    /// [`Driver::drive_sim`], returning the error that can end a run
+    /// under a fault plan instead of panicking on it.
+    ///
+    /// # Errors
+    /// [`SimError::DetectorClockOverflow`], from P-Reduce's failure
+    /// detector (`run_preduce_elastic`).
+    ///
+    /// # Panics
+    /// Panics on a fleet [`Strategy::check_fleet`] refuses.
+    pub fn try_drive_sim(&self, substrate: SimSubstrate) -> Result<RunResult, SimError> {
         let SimSubstrate {
             harness: h,
             sink,
@@ -46,7 +61,7 @@ impl Driver {
         } = substrate;
         let fits = self.0.check_fleet(h.num_workers());
         assert!(fits.is_ok(), "{fits:?}");
-        match self.0 {
+        let result = match self.0 {
             Strategy::AllReduce => sync::run_allreduce(h),
             Strategy::EagerReduce => sync::run_eager_reduce(h),
             Strategy::AdPsgd => gossip::run_ad_psgd(h),
@@ -56,9 +71,10 @@ impl Driver {
             Strategy::PsHete => ps::run_ps_hete(h),
             Strategy::PReduce { p, dynamic } => {
                 let cfg = Strategy::preduce_controller_config(p, dynamic, h.num_workers());
-                preduce::run_preduce_elastic(h, cfg, sink, faults, elastic)
+                preduce::run_preduce_elastic(h, cfg, sink, faults, elastic)?
             }
-        }
+        };
+        Ok(result)
     }
 
     /// Runs P-Reduce for the substrate's iteration budget on real OS

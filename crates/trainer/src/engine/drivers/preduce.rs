@@ -17,10 +17,10 @@ use preduce_tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::elastic::ElasticOptions;
-use crate::engine::controller_stats;
 use crate::engine::round::{WorkerRounds, WorkerStep};
 use crate::engine::setup::{build_fleet, evaluate_uniform_average, worker_thread_seed};
 use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
+use crate::engine::{controller_stats, SimError};
 use crate::metrics::RunResult;
 use crate::replay::params_hash;
 use crate::sim::SimHarness;
@@ -50,12 +50,16 @@ enum Event {
 /// # Panics
 /// Panics if the controller config disagrees with the harness size.
 pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
-    run_preduce_elastic(
-        h,
-        cfg,
-        Arc::new(NullSink),
-        FaultPlan::none(),
-        ElasticOptions::none(),
+    // No crash, no detector: the run cannot outgrow its clock.
+    must(
+        "fault-free P-Reduce run",
+        run_preduce_elastic(
+            h,
+            cfg,
+            Arc::new(NullSink),
+            FaultPlan::none(),
+            ElasticOptions::none(),
+        ),
     )
 }
 
@@ -87,6 +91,11 @@ pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
 /// before anything is scheduled or narrated. The empty plan and inert
 /// options leave the run bit-for-bit unchanged.
 ///
+/// # Errors
+/// [`SimError::DetectorClockOverflow`] when a worker crashes after
+/// virtual time has passed what the detector's clock holds: a plan's
+/// per-signal delays, each within the clock, add up over the rounds.
+///
 /// # Panics
 /// Panics if the controller config disagrees with the harness size, on a
 /// plan [`FaultPlan::check`] refuses, or if the elasticity options name a
@@ -97,9 +106,9 @@ pub fn run_preduce_elastic(
     sink: Arc<dyn TraceSink>,
     faults: FaultPlan,
     elastic: ElasticOptions,
-) -> RunResult {
-    let (label, end, stats) = drive(&mut h, cfg, sink, faults, elastic);
-    h.finish_with_stats(label, end, stats)
+) -> Result<RunResult, SimError> {
+    let (label, end, stats) = drive(&mut h, cfg, sink, faults, elastic)?;
+    Ok(h.finish_with_stats(label, end, stats))
 }
 
 /// [`run_preduce_elastic`]'s event loop on a harness it leaves to the
@@ -110,7 +119,7 @@ fn drive(
     sink: Arc<dyn TraceSink>,
     faults: FaultPlan,
     elastic: ElasticOptions,
-) -> (String, SimTime, BTreeMap<String, f64>) {
+) -> Result<(String, SimTime, BTreeMap<String, f64>), SimError> {
     assert_eq!(
         cfg.num_workers,
         h.num_workers(),
@@ -181,7 +190,11 @@ fn drive(
                 } else {
                     // The crash's signal is never sent, and its beat
                     // stops: the worker was last heard now.
-                    let at = Duration::from_secs_f64(t.seconds());
+                    let at = Duration::try_from_secs_f64(t.seconds()).map_err(|_| {
+                        SimError::DetectorClockOverflow {
+                            seconds: t.seconds(),
+                        }
+                    })?;
                     detector.heard(w, at);
                     if silent.is_empty() {
                         hear_live(&mut detector, &controller, &silent, at);
@@ -251,7 +264,7 @@ fn drive(
     }
     let mut stats = controller_stats(&controller.close());
     stats.insert("nonuniform_groups".into(), nonuniform_groups as f64);
-    (label, now, stats)
+    Ok((label, now, stats))
 }
 
 /// Forms every group the queue can fill; each group's collective starts
@@ -464,7 +477,7 @@ mod tests {
         let sink = Arc::new(RingSink::new(1 << 16));
         let mut h = SimHarness::with_threads(c, threads);
         let plan = FaultPlan::parse(faults).unwrap();
-        let (label, end, stats) = drive(&mut h, cfg, sink.clone(), plan, elastic);
+        let (label, end, stats) = drive(&mut h, cfg, sink.clone(), plan, elastic).unwrap();
         let bits = (0..h.num_workers())
             .map(|w| {
                 let w = h.worker(w);

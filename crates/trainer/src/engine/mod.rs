@@ -32,7 +32,9 @@ pub mod setup;
 pub mod substrate;
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
+use std::time::Duration;
 
 use partial_reduce::TraceSink;
 use preduce_simnet::FaultPlan;
@@ -52,6 +54,34 @@ use partial_reduce::runtime::ControllerStats;
 /// formation, fast-forwarding, and drain to all exercise, small enough to
 /// stay sub-second per strategy on one machine.
 pub const DEFAULT_THREADED_ITERS: u64 = 40;
+
+/// Why a simulated run ended without a result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SimError {
+    /// A worker crashed after virtual time had passed what the failure
+    /// detector's clock holds ([`Duration::MAX`], about 1.8e19 s): a
+    /// fault plan's per-signal delays, each within the clock, add up
+    /// over the rounds.
+    DetectorClockOverflow {
+        /// The virtual time of the crash, in seconds.
+        seconds: f64,
+    },
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::DetectorClockOverflow { seconds } => write!(
+                f,
+                "a worker crashed at virtual time {seconds:.3e} s, past the failure \
+                 detector's clock ({:.3e} s): the fault plan's delays outgrow the run",
+                Duration::MAX.as_secs_f64()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
 
 /// What an engine run produced: the cross-substrate [`RunResult`] plus the
 /// threaded-only observables (per-rank iteration counts, controller
@@ -89,13 +119,17 @@ pub fn run(
     backend: Backend,
     sink: Arc<dyn TraceSink>,
 ) -> EngineRun {
-    run_elastic(
-        strategy,
-        config,
-        backend,
-        sink,
-        FaultPlan::none(),
-        ElasticOptions::none(),
+    // No crash, no detector: the run cannot outgrow its clock.
+    substrate::must(
+        "fault-free run",
+        run_elastic(
+            strategy,
+            config,
+            backend,
+            sink,
+            FaultPlan::none(),
+            ElasticOptions::none(),
+        ),
     )
 }
 
@@ -115,6 +149,10 @@ pub fn run(
 /// snapshot mid-run. The empty plan with inert options is exactly
 /// [`run`], bit for bit.
 ///
+/// # Errors
+/// [`SimError`] when the plan carries a simulated run somewhere its
+/// failure detector cannot follow.
+///
 /// # Panics
 /// Panics as [`run`] does, or if the elasticity options name an
 /// unreadable/corrupt checkpoint (a configuration error, surfaced loudly
@@ -126,7 +164,7 @@ pub fn run_elastic(
     sink: Arc<dyn TraceSink>,
     faults: FaultPlan,
     elastic: ElasticOptions,
-) -> EngineRun {
+) -> Result<EngineRun, SimError> {
     let driver = driver_for(strategy);
     match backend {
         Backend::Sim => {
@@ -134,11 +172,11 @@ pub fn run_elastic(
                 .with_sink(sink)
                 .with_faults(faults)
                 .with_elastic(elastic);
-            EngineRun {
-                result: driver.drive_sim(substrate),
+            Ok(EngineRun {
+                result: driver.try_drive_sim(substrate)?,
                 iterations: None,
                 controller: None,
-            }
+            })
         }
         Backend::Threaded => {
             let iters = config.threaded_iters.unwrap_or(DEFAULT_THREADED_ITERS);
@@ -155,7 +193,7 @@ pub fn run_elastic(
                 .unwrap_or_default();
             let degraded: u64 = report.degraded.iter().sum();
             stats.insert("degraded".into(), degraded as f64);
-            EngineRun {
+            Ok(EngineRun {
                 result: RunResult {
                     strategy: strategy.label(),
                     run_time: report.wall_seconds,
@@ -168,7 +206,7 @@ pub fn run_elastic(
                 },
                 iterations: Some(report.iterations),
                 controller: report.controller,
-            }
+            })
         }
     }
 }

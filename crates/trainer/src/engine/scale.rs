@@ -21,8 +21,9 @@
 //! * **weight spread** — how far the Eq. 9 dynamic weights drift from
 //!   uniform `1/P` under real staleness;
 //! * **connectivity work** — the [`ConnectivityStats`] counters of the
-//!   group filter: union-find merges and window rebuilds, and how many
-//!   queries the membership counts answered without either.
+//!   group filter: union-find merges (replays included) and window
+//!   reloads, and how many queries the membership counts answered
+//!   without either.
 //!
 //! [`sample_groups`] (Fig. 4, `preduce spectral`) runs the same signal
 //! loop with no trace and free reduces.
@@ -494,7 +495,8 @@ mod tests {
             c.membership_answers,
             r.groups
         );
-        // Queries with no record in between share one rebuild.
+        // Queries with no record in between share one catch-up: the first
+        // loads the window, the rest neither reload nor merge.
         let mut conn = partial_reduce::WindowedConnectivity::new(4, 2);
         conn.record(&[0, 1]);
         conn.record(&[2, 3]);
@@ -502,7 +504,17 @@ mod tests {
             assert!(!conn.is_connected());
             conn.component_of(w);
         }
-        assert_eq!(conn.stats().rebuilds, 1);
+        assert_eq!((conn.stats().rebuilds, conn.stats().merges), (1, 2));
+        // In a wide window a record followed by a query replays: the
+        // evicted group is taken back and the new one applied, no reload.
+        let mut conn = partial_reduce::WindowedConnectivity::new(8, 64);
+        for i in 0..200 {
+            conn.record(&[i % 8, (i + 1) % 8]);
+            conn.component_of(i % 8);
+        }
+        let stats = conn.stats();
+        assert_eq!(stats.rebuilds, 1, "{stats:?}");
+        assert!(stats.merges < 200 * 8, "{stats:?}");
     }
 
     #[test]

@@ -43,7 +43,8 @@ pub mod worker;
 pub use config::{ExperimentConfig, HeteroSpec};
 pub use elastic::{CheckpointPolicy, ElasticOptions};
 pub use engine::{
-    run_scale, sample_groups, Backend, EngineRun, ScaleConfig, ScaleReport, ThreadedReport,
+    run_scale, sample_groups, Backend, EngineRun, ScaleConfig, ScaleReport, SimError,
+    ThreadedReport,
 };
 pub use experiment::run_experiment;
 pub use metrics::{RunResult, TracePoint};

@@ -52,7 +52,8 @@ fn sim_run(dynamic: bool, plan: FaultPlan) -> (EngineRun, Vec<TraceEvent>) {
         sink.clone(),
         plan,
         ElasticOptions::none(),
-    );
+    )
+    .expect("the run stays within the detector's clock");
     assert_eq!(sink.dropped(), 0, "trace overflowed the ring");
     (run, sink.snapshot())
 }
@@ -241,7 +242,8 @@ fn threaded_crash_is_evicted_by_liveness() {
         sink.clone(),
         plan,
         ElasticOptions::none(),
-    );
+    )
+    .expect("the run stays within the detector's clock");
 
     let stats = run.controller.expect("p-reduce reports controller stats");
     assert_eq!(stats.evictions, 1, "silent worker was not evicted");
@@ -286,7 +288,8 @@ fn threaded_stall_keeps_heartbeating_and_is_not_evicted() {
         sink.clone(),
         plan,
         ElasticOptions::none(),
-    );
+    )
+    .expect("the run stays within the detector's clock");
 
     let stats = run.controller.expect("p-reduce reports controller stats");
     assert_eq!(stats.evictions, 0, "stalled worker was falsely evicted");
@@ -353,7 +356,8 @@ fn one_plan_fires_at_the_same_iterations_on_sim_and_threads() {
             sink.clone(),
             plan.clone(),
             ElasticOptions::none(),
-        );
+        )
+        .expect("the run stays within the detector's clock");
         if backend == Backend::Threaded {
             assert_eq!(run.result.stats.get("degraded"), Some(&0.0));
         }

@@ -65,7 +65,8 @@ fn run_traced(
     elastic: ElasticOptions,
 ) -> (EngineRun, Vec<TraceEvent>) {
     let sink = Arc::new(RingSink::new(262_144));
-    let run = engine::run_elastic(strategy, c, backend, sink.clone(), plan, elastic);
+    let run = engine::run_elastic(strategy, c, backend, sink.clone(), plan, elastic)
+        .expect("the run stays within the detector's clock");
     assert_eq!(sink.dropped(), 0, "trace overflowed the ring");
     (run, sink.snapshot())
 }

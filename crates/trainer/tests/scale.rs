@@ -7,7 +7,7 @@
 //! the streaming checker, the event queue, the ρ reservoir. The budgets
 //! below are the enforcement of DESIGN.md §15's bounded-memory claims.
 //! Each is about 4× the peak the test prints on the reference box
-//! (`--nocapture`; 0.33 MiB at N = 1 000, 1.71 MiB at N = 10⁴, 0.72 MiB
+//! (`--nocapture`; 0.33 MiB at N = 1 000, 1.66 MiB at N = 10⁴, 0.72 MiB
 //! for the N = 4 000 Markov run): wide enough for allocator and seed
 //! noise, tight enough that an O(N·P) side table — PR 10's 12 MiB
 //! edge-multiplicity map — or a re-grown O(events) buffer fails here
@@ -84,6 +84,32 @@ fn n1k_gpu_sharing_dynamic_weights_spread() {
     );
 }
 
+/// The harness's decisions at one seed: every question the group filter
+/// and the checker's replica ask the windowed connectivity has one right
+/// answer, the DFS's, so no change to how the structure keeps its forest
+/// may move a count. `preduce scale --workers 400 --p 8 --signals 4000`
+/// prints the same numbers.
+#[test]
+fn n400_decisions_are_pinned() {
+    let _alone = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for (preset, groups, repairs, deferrals) in
+        [("uniform", 500, 19, 43), ("gpu-sharing", 463, 388, 3_470)]
+    {
+        let report = run_scale(&ScaleConfig::new(400, 8, 4_000, preset));
+        assert_eq!(
+            (
+                report.signals,
+                report.groups,
+                report.repairs,
+                report.deferrals
+            ),
+            (4_000, groups, repairs, deferrals),
+            "`{preset}`: (signals, groups, repairs, deferrals)"
+        );
+        assert_eq!(report.checker_violations, 0, "`{preset}`");
+    }
+}
+
 /// The headline run: N = 10⁴ workers, one million ready signals, all
 /// trace events checked in-flight, under a hard 7 MiB peak budget.
 ///
@@ -97,7 +123,8 @@ fn n10k_million_signals_stays_in_budget() {
 }
 
 /// Same scale under the hardest preset (Markov bursts force deferrals
-/// and repairs, so about half the groups query a freshly rebuilt window).
+/// and repairs, so about half the groups query a freshly caught-up
+/// window).
 #[cfg(not(debug_assertions))]
 #[test]
 fn n4k_markov_fleet_checks_clean() {

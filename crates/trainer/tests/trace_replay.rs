@@ -243,7 +243,8 @@ fn sim_kill_and_replace() -> Vec<TraceEvent> {
         sink.clone(),
         FaultPlan::none().crash(3, 20).restore(3, 30),
         ElasticOptions::none().with_policy(&dir, 1),
-    );
+    )
+    .expect("the run stays within the detector's clock");
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(sink.dropped(), 0);
     sink.snapshot()
@@ -268,7 +269,8 @@ fn threaded_crash() -> Vec<TraceEvent> {
         sink.clone(),
         FaultPlan::none().crash(3, 4),
         ElasticOptions::none(),
-    );
+    )
+    .expect("the run stays within the detector's clock");
     assert_eq!(sink.dropped(), 0);
     sink.snapshot()
 }
