@@ -183,8 +183,10 @@ FAULT INJECTION:
   strategy on both backends; with any other strategy the flag is a
   usage error. The sim backend additionally honors restore:W@U (worker
   W, previously crashed, rejoins from its snapshot once the fleet has
-  applied U updates; needs --checkpoint-dir or --restore-from); with
-  --backend threaded a restore: verb is a usage error.
+  applied U updates; needs --checkpoint-dir or --restore-from, and the
+  snapshot must have been written before the crash, or the run ends
+  with an error); with --backend threaded a restore: verb is a usage
+  error.
 
 ELASTICITY (DESIGN.md section 14):
   --checkpoint-dir DIR enables periodic snapshots: every worker writes
@@ -720,6 +722,7 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
                          \x20 rho         = {rho} (uniform reference {:.4})\n\
                          \x20 spread      = {:.4} mean / {:.4} max\n\
                          \x20 union-find  = {} merges (replays included), {} window reloads, {} queries answered from membership counts\n\
+                         \x20 union-find  = {} merges, {} window reloads, {} membership answers in the checker's replica\n\
                          \x20 checker     = {} events, {} violation(s)",
                         report.signals,
                         report.signals_per_sec,
@@ -734,6 +737,9 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
                         report.connectivity.merges,
                         report.connectivity.rebuilds,
                         report.connectivity.membership_answers,
+                        report.checker_connectivity.merges,
+                        report.checker_connectivity.rebuilds,
+                        report.checker_connectivity.membership_answers,
                         report.checker_events,
                         report.checker_violations,
                     );

@@ -194,6 +194,33 @@ fn a_crash_past_the_detector_clock_ends_the_run_with_an_error() {
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
 }
 
+/// A `restore:` of a worker that crashed before its first snapshot finds
+/// nothing to load: the run ends with the typed error naming the worker
+/// and the missing file, exit 2 and one line, not a panic.
+#[test]
+fn a_restore_without_a_snapshot_ends_the_run_with_an_error() {
+    let dir = std::env::temp_dir().join(format!("preduce-restore-{}", std::process::id()));
+    let out = Command::new(BIN)
+        .args(["run", "--workers", "6", "--p", "3", "--dynamic", "true"])
+        .args(["--seed", "2", "--hl", "3", "--max-updates", "32"])
+        .args(["--eval-every", "8", "--batch", "8"])
+        .arg("--checkpoint-dir")
+        .arg(&dir)
+        .args(["--checkpoint-every", "2"])
+        .args(["--fault-plan", "crash:1@3,restore:1@12"])
+        .output()
+        .expect("spawn preduce");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: cannot restore worker 1: no snapshot at"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("worker-1.ckpt"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
 /// A DYN trace's `RunStarted` line with `edit` applied, then one group of
 /// members whose iterations lie `gap` apart, weighted as `weights`.
 fn forged_trace(edit: (&str, &str), gap: u64, weights: &str) -> String {
@@ -235,6 +262,14 @@ fn forged_traces_are_refused_not_crashed() {
             "miss threshold",
         ),
         (("", ""), far, "[0.5,0.5]", "mode-prescribed"),
+        // A decay this close to 1 would cost the wide group's Eq. 9 row
+        // seconds of terms; the rule refuses it before any weight check.
+        (
+            ("\"alpha\":0.3", "\"alpha\":0.999999999999"),
+            far,
+            "[0.3,0.7]",
+            "invalid configuration: EMA decay must lie in (0, 0.99]",
+        ),
     ];
     let dir = std::env::temp_dir().join(format!("preduce-forged-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");

@@ -35,6 +35,13 @@ use crate::liveness::LivenessPolicy;
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use crate::weights::{constant_weights, dynamic_weights, GapPolicy, WeightRow};
 
+/// The largest EMA decay a configuration takes. `dynamic_weights` sums a
+/// group's stalest members' share until a term stops moving it, about
+/// `37 / (1 − α)` terms: at 0.99 that is some 3 700, where a decay closer
+/// to 1 would make one forged group's row cost seconds. The paper's
+/// figures sweep α up to 0.8.
+pub const MAX_ALPHA: f64 = 0.99;
+
 /// How group models are aggregated.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AggregationMode {
@@ -42,7 +49,7 @@ pub enum AggregationMode {
     Constant,
     /// Dynamic partial reduce: staleness-aware EMA weights (§3.3).
     Dynamic {
-        /// EMA decay `α ∈ (0, 1)`.
+        /// EMA decay `α ∈ (0, 0.99]` ([`MAX_ALPHA`]).
         alpha: f64,
         /// Policy for EMA mass on unrepresented relative iterations.
         gap_policy: GapPolicy,
@@ -123,7 +130,7 @@ impl ControllerConfig {
     }
 
     /// The rules of a configuration, stated once: `2 ≤ P ≤ N`, a window
-    /// `T > 0` and, in DYN, an Eq. 9 decay `α ∈ (0, 1)`.
+    /// `T > 0` and, in DYN, an Eq. 9 decay `α ∈ (0, 0.99]` ([`MAX_ALPHA`]).
     ///
     /// # Errors
     /// Names the first rule the configuration breaks.
@@ -137,8 +144,10 @@ impl ControllerConfig {
             Err("history window must be positive".into())
         } else {
             match self.mode {
-                AggregationMode::Dynamic { alpha, .. } if !(alpha > 0.0 && alpha < 1.0) => {
-                    Err(format!("EMA decay must lie in (0, 1), got {alpha}"))
+                AggregationMode::Dynamic { alpha, .. } if !(alpha > 0.0 && alpha <= MAX_ALPHA) => {
+                    Err(format!(
+                        "EMA decay must lie in (0, {MAX_ALPHA}], got {alpha}"
+                    ))
                 }
                 _ => Ok(()),
             }

@@ -13,7 +13,9 @@
 //! membership counts answer every question a worker absent from the window
 //! settles, a union-find that takes evicted groups back the rest. [`SyncGraph`] and
 //! [`GroupHistory`] are the adjacency-matrix + BFS reference the tests
-//! compare it with.
+//! compare it with: the same partition into components, though the
+//! union-find labels each component by its root rather than by its
+//! smallest member.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -229,12 +231,9 @@ pub struct ConnectivityStats {
     pub clean_evictions: u64,
 }
 
-/// Flags in a child's rank byte, which is frozen while the child hangs
-/// under its parent: the link raised the parent's rank; the child's
-/// smallest member became the parent's, and the child's `min_member`
-/// slot holds the parent's old one until the link is taken back.
+/// A flag in a child's rank byte, which is frozen while the child hangs
+/// under its parent: the link raised the parent's rank.
 const RAISED: u8 = 0x80;
-const TOOK_MIN: u8 = 0x40;
 
 /// A window group applied to the forest: its record id, the undo-log
 /// length before its unions, and whether it is `old` (the side of the
@@ -257,11 +256,8 @@ struct Applied {
 #[derive(Debug, Clone)]
 struct Forest {
     parent: Vec<u32>,
-    /// Rank of each root (at most log₂ N), and a child's [`RAISED`] and
-    /// [`TOOK_MIN`] flags.
+    /// Rank of each root (at most log₂ N), and a child's [`RAISED`] flag.
     rank: Vec<u8>,
-    /// Smallest member of the component rooted at each index.
-    min_member: Vec<u32>,
     /// The child of each merging union, oldest first.
     undo: Vec<u32>,
     stack: Vec<Applied>,
@@ -273,11 +269,9 @@ struct Forest {
 impl Forest {
     /// `n` singletons, with room for `groups` applied groups.
     fn new(n: usize, groups: usize) -> Self {
-        let ids = n as u32;
         Forest {
-            parent: (0..ids).collect(),
+            parent: (0..n as u32).collect(),
             rank: vec![0; n],
-            min_member: (0..ids).collect(),
             // Every live entry joins two components: at most `n − 1`.
             undo: Vec::with_capacity(n - 1),
             stack: Vec::with_capacity(groups),
@@ -315,10 +309,6 @@ impl Forest {
             self.rank[big] += 1;
             self.rank[small] |= RAISED;
         }
-        if self.min_member[small] < self.min_member[big] {
-            self.min_member.swap(small, big);
-            self.rank[small] |= TOOK_MIN;
-        }
         self.merges += 1;
     }
 
@@ -339,10 +329,7 @@ impl Forest {
             if self.rank[c] & RAISED != 0 {
                 self.rank[parent] -= 1;
             }
-            if self.rank[c] & TOOK_MIN != 0 {
-                self.min_member.swap(c, parent);
-            }
-            self.rank[c] &= !(RAISED | TOOK_MIN);
+            self.rank[c] &= !RAISED;
             self.parent[c] = child;
         }
     }
@@ -410,9 +397,10 @@ impl Forest {
 /// over the workers that can take a group back, caught up lazily.
 ///
 /// Graph semantics are **exactly** those of
-/// `GroupHistory::sync_graph(n).components()` over the same window of
-/// groups (checked against the DFS by the seeded oracle tests below and
-/// the proptest in `crates/core/tests/properties.rs`). [`Self::record`]
+/// `GroupHistory::sync_graph(n)` over the same window of groups: the same
+/// partition into components (checked against the DFS by the seeded
+/// oracle tests below and the proptest in
+/// `crates/core/tests/properties.rs`). [`Self::record`]
 /// pushes the group and updates the counts: `2·P` counter updates, no
 /// union. Queries look at the counts first: a worker whose count is 0 is
 /// *absent* from the window — an isolated vertex, its own component — and
@@ -432,8 +420,8 @@ impl Forest {
 /// vertex, or one departure would disconnect the graph for good; one
 /// still inside the window keeps linking the groups it was in.
 ///
-/// Component labels are the component's smallest member, matching
-/// [`SyncGraph::components`].
+/// A component is labelled by its forest root, which any member may be:
+/// labels tell components apart, and callers only compare them.
 #[derive(Debug, Clone)]
 pub struct WindowedConnectivity {
     n: usize,
@@ -660,9 +648,10 @@ impl WindowedConnectivity {
         self.forest.components() - self.absent_departed <= 1
     }
 
-    /// Component label of worker `w`: the smallest member of its
-    /// component (matches [`SyncGraph::components`] labeling). An absent
-    /// worker is its own label, no forest needed.
+    /// Component label of worker `w`: the forest root of its component,
+    /// equal for two workers exactly when [`SyncGraph::components`] puts
+    /// them together, and stable until the next [`Self::record`]. An
+    /// absent worker is its own label, no forest needed.
     ///
     /// # Panics
     /// Panics if `w` is out of range.
@@ -673,8 +662,7 @@ impl WindowedConnectivity {
             return w;
         }
         self.ensure_fresh();
-        let root = self.forest.find(w as u32);
-        self.forest.min_member[root as usize] as usize
+        self.forest.find(w as u32) as usize
     }
 
     /// Whether `workers` touch at least two components — the group
@@ -710,12 +698,6 @@ impl WindowedConnectivity {
         let mut labels = workers.map(|w| self.component_of(w));
         let head = labels.next();
         labels.any(|label| Some(label) != head)
-    }
-
-    /// Connected-component label per worker; equals
-    /// `GroupHistory::sync_graph(n).components()` for the same window.
-    pub fn components(&mut self) -> Vec<usize> {
-        (0..self.n).map(|w| self.component_of(w)).collect()
     }
 }
 
@@ -812,6 +794,17 @@ mod tests {
         SyncGraph::new(2).add_group(&[0, 5]);
     }
 
+    /// `c`'s components, each labelled by its smallest member, as
+    /// [`SyncGraph::components`] labels them: equal vectors are equal
+    /// partitions, whatever labels `c` gives.
+    fn partition(c: &mut WindowedConnectivity) -> Vec<usize> {
+        let labels: Vec<usize> = (0..c.n).map(|w| c.component_of(w)).collect();
+        labels
+            .iter()
+            .map(|l| labels.iter().position(|m| m == l).unwrap_or(usize::MAX))
+            .collect()
+    }
+
     /// Replays the same groups through a [`GroupHistory`] + DFS and a
     /// [`WindowedConnectivity`], asserting identical verdicts after every
     /// record.
@@ -823,7 +816,7 @@ mod tests {
             c.record(g);
             let reference = h.sync_graph(n);
             assert_eq!(c.is_connected(), reference.is_connected(), "{groups:?}");
-            assert_eq!(c.components(), reference.components(), "{groups:?}");
+            assert_eq!(partition(&mut c), reference.components(), "{groups:?}");
             assert_eq!(c.is_warm(), h.is_warm());
         }
     }
@@ -837,7 +830,7 @@ mod tests {
         assert!(!c.is_connected()); // 5 still isolated
         c.record(&[4, 5]);
         assert!(c.is_connected());
-        assert_eq!(c.components(), vec![0; 6]);
+        assert_eq!(partition(&mut c), vec![0; 6]);
     }
 
     #[test]
@@ -848,7 +841,7 @@ mod tests {
             c.record(&[2, 3]);
         }
         assert!(!c.is_connected());
-        assert_eq!(c.components(), vec![0, 0, 2, 2]);
+        assert_eq!(partition(&mut c), vec![0, 0, 2, 2]);
     }
 
     #[test]
@@ -860,7 +853,7 @@ mod tests {
         c.record(&[1, 2]);
         assert!(c.is_warm());
         c.record(&[2, 3]);
-        assert_eq!(c.components(), vec![0, 1, 1, 1]);
+        assert_eq!(partition(&mut c), vec![0, 1, 1, 1]);
         assert!(!c.is_connected());
         assert_eq!(c.total_recorded(), 3);
     }
@@ -995,13 +988,13 @@ mod tests {
                     );
                 }
                 assert_eq!(c.is_connected(), reference.is_connected(), "group {i}");
-                assert_eq!(c.components(), labels, "group {i}");
+                assert_eq!(partition(&mut c), labels, "group {i}");
                 assert_eq!(c.is_warm(), h.is_warm());
                 verdicts[usize::from(reference.is_connected())] += 1;
                 // One catch-up per probed record, however many queries:
                 // at most one reload, and asking again merges nothing.
                 let settled = c.stats();
-                assert_eq!(c.components(), labels, "group {i}");
+                assert_eq!(partition(&mut c), labels, "group {i}");
                 assert_eq!(c.stats().merges, settled.merges, "group {i}");
                 assert!(settled.rebuilds <= rebuilds + 1, "group {i}");
                 rebuilds = settled.rebuilds;
@@ -1051,14 +1044,14 @@ mod tests {
         // A worker listed twice in a group holds two slots and gives both
         // back: evicting [0, 1] leaves 0 absent, 1 present through [1, 2].
         c.record(&[3, 3]);
-        assert_eq!(c.components(), vec![0, 1, 1, 3, 4, 5]);
+        assert_eq!(partition(&mut c), vec![0, 1, 1, 3, 4, 5]);
         assert!(c.spans_components([1, 0]));
         c.record(&[4, 5]); // evicts [1, 2]
         c.record(&[4, 5]); // evicts [3, 3]: both slots of 3 go at once
         let rebuilds = c.stats().rebuilds;
         assert!(c.spans_components([4, 3]));
         assert_eq!(c.stats().rebuilds, rebuilds);
-        assert_eq!(c.components(), vec![0, 1, 2, 3, 4, 4]);
+        assert_eq!(partition(&mut c), vec![0, 1, 2, 3, 4, 4]);
     }
 
     #[test]
@@ -1070,7 +1063,7 @@ mod tests {
         assert!(!c.is_connected());
         c.set_departed(3, true);
         assert!(c.is_connected(), "the survivors 0-1-2 are one component");
-        assert_eq!(c.components(), vec![0, 0, 0, 3], "labels are the graph's");
+        assert_eq!(partition(&mut c), vec![0, 0, 0, 3], "the graph's partition");
         c.set_departed(3, true); // repeating the state changes nothing
         assert!(c.is_connected());
         c.set_departed(3, false);
@@ -1126,7 +1119,7 @@ mod tests {
                 let labels = h.sync_graph(N).components();
                 let expected = h.live_fleet_is_connected(&labels, &departed);
                 assert_eq!(c.is_connected(), expected, "window {window}, group {i}");
-                assert_eq!(c.components(), labels);
+                assert_eq!(partition(&mut c), labels);
                 verdicts[usize::from(expected)] += 1;
             }
         }

@@ -83,7 +83,7 @@ use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
 use crate::controller::{AggregationMode, ControllerConfig};
-use crate::graph::WindowedConnectivity;
+use crate::graph::{ConnectivityStats, WindowedConnectivity};
 use crate::liveness::LivenessPolicy;
 use crate::trace::{stream_jsonl, TraceEvent, TraceSink};
 use crate::weights::dynamic_weights;
@@ -117,6 +117,10 @@ pub struct InvariantReport {
     pub groups: u64,
     /// Frozen-schedule repairs observed.
     pub repairs: u64,
+    /// The work of the replica window the repair checks query, counted as
+    /// the controller's group filter counts its own (all zero when the
+    /// trace started no valid run).
+    pub connectivity: ConnectivityStats,
     /// Broken invariants, in event order.
     pub violations: Vec<Violation>,
 }
@@ -608,6 +612,11 @@ impl StreamingChecker {
             events: self.index,
             groups: self.groups,
             repairs: self.repairs,
+            connectivity: self
+                .conn
+                .as_ref()
+                .map(WindowedConnectivity::stats)
+                .unwrap_or_default(),
             violations: self
                 .violations
                 .into_iter()
@@ -1560,7 +1569,7 @@ mod tests {
                     gap_policy: crate::weights::GapPolicy::Initial,
                 }
             },
-            Some("invalid configuration: EMA decay must lie in (0, 1), got 1.5"),
+            Some("invalid configuration: EMA decay must lie in (0, 0.99], got 1.5"),
         ),
         (
             "a_zero_miss_threshold_is_named",

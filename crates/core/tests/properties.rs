@@ -468,7 +468,7 @@ proptest! {
     ) {
         // The membership table and the lazily caught-up union-find must
         // agree with the reference DFS over the same window after every
-        // record — connectivity verdict, component labels, the "spans two
+        // record — connectivity verdict, component partition, the "spans two
         // components" answer for an arbitrary list of workers (repeats
         // included), and warm-up state alike. Probing at a random stride
         // covers runs of several records between catch-ups.
@@ -503,15 +503,15 @@ proptest! {
                     "verdict diverged after group {}", i
                 );
                 prop_assert_eq!(
-                    c.components(),
+                    partition(&mut c, n),
                     reference.components(),
-                    "labels diverged after group {}", i
+                    "partition diverged after group {}", i
                 );
             }
         }
         // Final state always agrees, whatever the probe stride skipped.
         let reference = h.sync_graph(n);
-        prop_assert_eq!(c.components(), reference.components());
+        prop_assert_eq!(partition(&mut c, n), reference.components());
     }
 
     #[test]
@@ -650,7 +650,7 @@ proptest! {
         // wrong length, counters at the integer limits — the checker must
         // not panic, must count every event, must be deterministic, and
         // must name every rank >= N that a per-worker event carries. A
-        // `RunStarted` the controller would refuse — α outside (0, 1), a
+        // `RunStarted` the controller would refuse — α outside (0, 0.99], a
         // window of 0, a miss threshold of 0 — is named as one, and DYN
         // groups whose iterations lie 2^40 apart are checked at once.
         use rand::{Rng, SeedableRng};
@@ -661,6 +661,7 @@ proptest! {
             1 => 1.0,
             2 => 1.5,
             3 => f64::NAN,
+            4 => 0.999_999_999_999,
             _ => rng.gen_range(0.01..0.99f64),
         };
         let config = ControllerConfig {
@@ -729,8 +730,8 @@ proptest! {
 /// Every question [`WindowedConnectivity`] answers, against the DFS over
 /// the same window: `spans_components` on random worker lists (repeats
 /// included), `is_connected` over the live fleet (workers not departed,
-/// plus departed ones still in a retained group) and every worker's
-/// `component_of`.
+/// plus departed ones still in a retained group) and the partition
+/// every worker's `component_of` makes.
 fn matches_oracle(
     c: &mut WindowedConnectivity,
     h: &GroupHistory,
@@ -757,10 +758,19 @@ fn matches_oracle(
         .map(|w| labels[w]);
     let first = live.next();
     prop_assert_eq!(c.is_connected(), live.all(|l| Some(l) == first));
-    for (w, &label) in labels.iter().enumerate() {
-        prop_assert_eq!(c.component_of(w), label, "worker {}", w);
-    }
+    prop_assert_eq!(partition(c, n), labels);
     Ok(())
+}
+
+/// `c`'s components over `n` workers, each labelled by its smallest
+/// member, as `SyncGraph::components` labels them: equal vectors are
+/// equal partitions, whatever labels `component_of` gives.
+fn partition(c: &mut WindowedConnectivity, n: usize) -> Vec<usize> {
+    let labels: Vec<usize> = (0..n).map(|w| c.component_of(w)).collect();
+    labels
+        .iter()
+        .map(|l| labels.iter().position(|m| m == l).unwrap_or(usize::MAX))
+        .collect()
 }
 
 /// Everything a controller's accessors report about its state.

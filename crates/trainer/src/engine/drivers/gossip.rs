@@ -7,7 +7,6 @@ use rand::Rng;
 
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
-use crate::worker::WorkerState;
 
 /// AD-PSGD: each worker computes a gradient, then *atomically averages its
 /// model with one uniformly-random peer* (regardless of that peer's state),
@@ -33,7 +32,7 @@ pub fn run_ad_psgd(mut h: SimHarness) -> RunResult {
     let mut comm_free = vec![SimTime::ZERO; n];
 
     for w in 0..n {
-        in_flight.push(h.with_worker(w, WorkerState::gradient));
+        in_flight.push(h.gradient(w));
         let ct = h.compute_time(w, SimTime::ZERO);
         queue.schedule(SimTime::new(ct), w);
     }
@@ -66,7 +65,7 @@ pub fn run_ad_psgd(mut h: SimHarness) -> RunResult {
 
         // Start the next iteration.
         started[w] = now;
-        in_flight[w] = h.with_worker(w, WorkerState::gradient);
+        in_flight[w] = h.gradient(w);
         let ct = h.compute_time(w, now);
         queue.schedule(now + ct, w);
     }

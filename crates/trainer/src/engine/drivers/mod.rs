@@ -47,21 +47,20 @@ impl Driver {
     /// under a fault plan instead of panicking on it.
     ///
     /// # Errors
-    /// [`SimError::DetectorClockOverflow`], from P-Reduce's failure
-    /// detector (`run_preduce_elastic`).
+    /// The [`SimError`] P-Reduce's fault handling ends a run with: the
+    /// failure detector's clock overflowing, or a `restore:` with no
+    /// snapshot to load.
     ///
     /// # Panics
     /// Panics on a fleet [`Strategy::check_fleet`] refuses.
     pub fn try_drive_sim(&self, substrate: SimSubstrate) -> Result<RunResult, SimError> {
-        let SimSubstrate {
-            harness: h,
-            sink,
-            faults,
-            elastic,
-        } = substrate;
-        let fits = self.0.check_fleet(h.num_workers());
+        let n = substrate.harness.num_workers();
+        let fits = self.0.check_fleet(n);
         assert!(fits.is_ok(), "{fits:?}");
-        let result = match self.0 {
+        // The baselines ignore the plan, the sink and the elasticity
+        // options: they take the harness alone.
+        let h = substrate.harness;
+        Ok(match self.0 {
             Strategy::AllReduce => sync::run_allreduce(h),
             Strategy::EagerReduce => sync::run_eager_reduce(h),
             Strategy::AdPsgd => gossip::run_ad_psgd(h),
@@ -70,11 +69,14 @@ impl Driver {
             Strategy::PsAsp => ps::run_ps_asp(h),
             Strategy::PsHete => ps::run_ps_hete(h),
             Strategy::PReduce { p, dynamic } => {
-                let cfg = Strategy::preduce_controller_config(p, dynamic, h.num_workers());
-                preduce::run_preduce_elastic(h, cfg, sink, faults, elastic)?
+                let cfg = Strategy::preduce_controller_config(p, dynamic, n);
+                let substrate = SimSubstrate {
+                    harness: h,
+                    ..substrate
+                };
+                preduce::run(substrate, cfg)?
             }
-        };
-        Ok(result)
+        })
     }
 
     /// Runs P-Reduce for the substrate's iteration budget on real OS

@@ -2,24 +2,20 @@
 //! the transport-independent [`partial_reduce::Controller`]) and on real
 //! threads (the controller thread from [`partial_reduce::runtime`]).
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use partial_reduce::runtime::{spawn, LivenessPolicy, RuntimeOptions};
 use partial_reduce::{
-    AggregationMode, Controller, ControllerConfig, FailureDetector, NullSink, TraceEvent,
-    TraceSink, WeightRow,
+    AggregationMode, Controller, ControllerConfig, FailureDetector, TraceEvent, WeightRow,
 };
-use preduce_simnet::{EventQueue, FaultPlan, SimTime};
+use preduce_simnet::{EventQueue, SimTime};
 use preduce_tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::elastic::ElasticOptions;
 use crate::engine::round::{WorkerRounds, WorkerStep};
 use crate::engine::setup::{build_fleet, evaluate_uniform_average, worker_thread_seed};
-use crate::engine::substrate::{must, ThreadedReport, ThreadedSubstrate};
+use crate::engine::substrate::{SimSubstrate, ThreadedReport, ThreadedSubstrate};
 use crate::engine::{controller_stats, SimError};
 use crate::metrics::RunResult;
 use crate::replay::params_hash;
@@ -40,36 +36,19 @@ enum Event {
     Sweep(Duration),
 }
 
-/// Runs partial reduce with the given controller configuration, untraced
-/// and fault-free — the entry for callers that sweep a hand-built
-/// [`ControllerConfig`] (ablations) rather than a catalog `Strategy`.
-///
-/// One *update* is one partial-reduce group operation (§3.1.2 counts each
-/// partial reduce as one iteration), matching the paper's Table 1 metric.
-///
-/// # Panics
-/// Panics if the controller config disagrees with the harness size.
-pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
-    // No crash, no detector: the run cannot outgrow its clock.
-    must(
-        "fault-free P-Reduce run",
-        run_preduce_elastic(
-            h,
-            cfg,
-            Arc::new(NullSink),
-            FaultPlan::none(),
-            ElasticOptions::none(),
-        ),
-    )
-}
-
-/// The virtual-time P-Reduce event loop. The run is narrated to `sink` in
-/// the threaded runtime's vocabulary, one [`TraceEvent::ReduceCompleted`]
-/// per member when a group's virtual collective lands, so the invariant
-/// checker replays either harness identically.
+/// Partial reduce under virtual time, the one P-Reduce entry of the
+/// simulator: [`Driver::try_drive_sim`](super::Driver::try_drive_sim)
+/// runs it for a catalog strategy, the ablations for a hand-built
+/// [`ControllerConfig`]. One *update* is one partial-reduce group
+/// operation (§3.1.2 counts each partial reduce as one iteration),
+/// matching the paper's Table 1 metric. The run is narrated to the
+/// substrate's sink in the threaded runtime's vocabulary, one
+/// [`TraceEvent::ReduceCompleted`] per member when a group's virtual
+/// collective lands, so the invariant checker replays either harness
+/// identically.
 ///
 /// Each worker's step (`engine::round`), the one every substrate runs,
-/// applies the [`FaultPlan`] (DESIGN.md §11), the snapshot cadence (§14)
+/// applies the fault plan (DESIGN.md §11), the snapshot cadence (§14)
 /// and the mode's fast-forward rule; this loop schedules virtual time
 /// around it. It reads no model value: each local update and group
 /// average is recorded with the harness ([`SimHarness::local_update`],
@@ -87,7 +66,7 @@ pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
 /// closes the run ([`Controller::close`]). `restore:W@U` re-admits a
 /// crashed worker from its snapshot once the run has recorded `U`
 /// updates and the worker has been evicted; a verb whose worker never
-/// departs stays pending. [`ElasticOptions`] add a warm start, loaded
+/// departs stays pending. The elasticity options add a warm start, loaded
 /// before anything is scheduled or narrated. The empty plan and inert
 /// options leave the run bit-for-bit unchanged.
 ///
@@ -95,31 +74,23 @@ pub fn run_preduce(h: SimHarness, cfg: ControllerConfig) -> RunResult {
 /// [`SimError::DetectorClockOverflow`] when a worker crashes after
 /// virtual time has passed what the detector's clock holds: a plan's
 /// per-signal delays, each within the clock, add up over the rounds.
+/// [`SimError::RestoreFailed`] when a due `restore:` finds no snapshot
+/// it can load for its worker: none was written before the crash, or
+/// the file is unreadable or belongs to another rank.
 ///
 /// # Panics
 /// Panics if the controller config disagrees with the harness size, on a
-/// plan [`FaultPlan::check`] refuses, or if the elasticity options name a
-/// missing/corrupt checkpoint (a configuration error).
-pub fn run_preduce_elastic(
-    mut h: SimHarness,
-    cfg: ControllerConfig,
-    sink: Arc<dyn TraceSink>,
-    faults: FaultPlan,
-    elastic: ElasticOptions,
-) -> Result<RunResult, SimError> {
-    let (label, end, stats) = drive(&mut h, cfg, sink, faults, elastic)?;
-    Ok(h.finish_with_stats(label, end, stats))
-}
-
-/// [`run_preduce_elastic`]'s event loop on a harness it leaves to the
-/// caller to finish: the run's label, end time and statistics.
-fn drive(
-    h: &mut SimHarness,
-    cfg: ControllerConfig,
-    sink: Arc<dyn TraceSink>,
-    faults: FaultPlan,
-    elastic: ElasticOptions,
-) -> Result<(String, SimTime, BTreeMap<String, f64>), SimError> {
+/// plan [`FaultPlan::check`](preduce_simnet::FaultPlan::check) refuses,
+/// if the plan restores without a checkpoint directory, or if the
+/// elasticity options name a missing/corrupt checkpoint to warm-start
+/// from (a configuration error).
+pub(crate) fn run(substrate: SimSubstrate, cfg: ControllerConfig) -> Result<RunResult, SimError> {
+    let SimSubstrate {
+        harness: mut h,
+        sink,
+        faults,
+        elastic,
+    } = substrate;
     assert_eq!(
         cfg.num_workers,
         h.num_workers(),
@@ -202,7 +173,7 @@ fn drive(
                     }
                     silent.push(w);
                 }
-                nonuniform_groups += form_groups(&mut controller, &mut queue, h, t + 2.0 * signal);
+                nonuniform_groups += form_groups(&mut controller, &mut queue, &h, t + 2.0 * signal);
             }
             Event::Sweep(at) => {
                 hear_live(&mut detector, &controller, &silent, at);
@@ -212,7 +183,7 @@ fn drive(
                     schedule_sweep(&mut queue, &detector);
                 }
                 // A departure can unblock a frozen-avoidance deferral.
-                nonuniform_groups += form_groups(&mut controller, &mut queue, h, t + 2.0 * signal);
+                nonuniform_groups += form_groups(&mut controller, &mut queue, &h, t + 2.0 * signal);
             }
             Event::GroupDone {
                 group,
@@ -243,16 +214,18 @@ fn drive(
                 let mut restored = Vec::new();
                 if let Some(store) = &restore_store {
                     let updates = h.updates();
-                    pending_restores.retain(|&(w, at)| {
-                        let due = updates >= at && steps[w].crashed() && controller.has_left(w);
-                        if due {
-                            let snap = must("load worker snapshot", store.load_worker(w));
-                            must("restore worker", h.restore(w, snap));
-                            controller.mark_restored(w, h.workers[w].iteration);
-                            restored.push(w);
-                        }
-                        !due
-                    });
+                    let (due, later): (Vec<_>, Vec<_>) =
+                        pending_restores.into_iter().partition(|&(w, at)| {
+                            updates >= at && steps[w].crashed() && controller.has_left(w)
+                        });
+                    pending_restores = later;
+                    for (w, _) in due {
+                        let failed = |error: String| SimError::RestoreFailed { worker: w, error };
+                        let snap = store.load_worker(w).map_err(|e| failed(e.to_string()))?;
+                        h.restore(w, snap).map_err(failed)?;
+                        controller.mark_restored(w, h.workers[w].iteration);
+                        restored.push(w);
+                    }
                 }
                 for m in restored.into_iter().chain(group) {
                     last_free[m] = t;
@@ -264,7 +237,7 @@ fn drive(
     }
     let mut stats = controller_stats(&controller.close());
     stats.insert("nonuniform_groups".into(), nonuniform_groups as f64);
-    Ok((label, now, stats))
+    Ok(h.finish_with_stats(label, now, stats))
 }
 
 /// Forms every group the queue can fill; each group's collective starts
@@ -344,7 +317,7 @@ pub fn chaos_liveness() -> LivenessPolicy {
 /// spawn and join, the uniform-average evaluation and the parameter
 /// hashes stay outside it.
 ///
-/// When the substrate carries a [`FaultPlan`], the controller is spawned
+/// When the substrate carries a fault plan, the controller is spawned
 /// with the chaos [`LivenessPolicy`], so `spawn` hands out reducers that
 /// already beat, and the plan is applied for real: a crashed worker drops
 /// its handle without a `Leaving` signal, and the serving loop's
@@ -431,12 +404,15 @@ pub(crate) fn threaded_preduce(
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     use super::*;
     use crate::config::{ExperimentConfig, HeteroSpec};
+    use crate::elastic::ElasticOptions;
     use partial_reduce::RingSink;
     use preduce_data::cifar10_like;
     use preduce_models::zoo;
+    use preduce_simnet::FaultPlan;
     use proptest::prelude::*;
 
     /// The plans the property draws from, with the snapshot cadence each
@@ -475,21 +451,14 @@ mod tests {
             false => ControllerConfig::constant(c.num_workers, 3),
         };
         let sink = Arc::new(RingSink::new(1 << 16));
-        let mut h = SimHarness::with_threads(c, threads);
-        let plan = FaultPlan::parse(faults).unwrap();
-        let (label, end, stats) = drive(&mut h, cfg, sink.clone(), plan, elastic).unwrap();
-        let bits = (0..h.num_workers())
-            .map(|w| {
-                let w = h.worker(w);
-                let state = w
-                    .params
-                    .as_slice()
-                    .iter()
-                    .chain(w.opt.velocity().as_slice());
-                state.map(|v| v.to_bits()).collect()
-            })
-            .collect();
-        let result = h.finish_with_stats(label, end, stats);
+        let substrate = SimSubstrate {
+            harness: SimHarness::with_threads(c, threads),
+            sink: sink.clone(),
+            faults: FaultPlan::parse(faults).unwrap(),
+            elastic,
+        };
+        let result = run(substrate, cfg).unwrap();
+        let bits = crate::sim::tests::FINISHED.take();
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(sink.dropped(), 0, "trace overflowed the ring");
         (format!("{result:?}"), bits, sink.snapshot())

@@ -11,7 +11,6 @@ use preduce_simnet::{EventQueue, SimTime};
 
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
-use crate::worker::WorkerState;
 
 /// Fully-asynchronous parameter server (ASP): every push applies at
 /// learning-rate scale 1.
@@ -60,7 +59,7 @@ fn run_ps(mut h: SimHarness, label: &str, lr_scale: fn(u64) -> f32) -> RunResult
     while let Some((t, w)) = queue.pop() {
         now = t;
         // Gradient at the worker's pulled view.
-        let grad = h.with_worker(w, WorkerState::gradient);
+        let grad = h.gradient(w);
 
         // Push arrives after the round trip; the update applies then.
         let done = now + comm_of[w];

@@ -7,7 +7,6 @@ use preduce_tensor::Tensor;
 
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
-use crate::worker::WorkerState;
 
 /// All-Reduce (AR): one global barrier and ring all-reduce per iteration.
 /// The round takes as long as the *slowest* worker's compute plus the
@@ -43,10 +42,9 @@ pub fn run_ps_bk(mut h: SimHarness, backups: usize) -> RunResult {
     h.finish(format!("PS BK (b={backups})"), end)
 }
 
-/// The barrier loop: each round closes at the `k`-th fastest finisher,
-/// averages those `k` workers' gradients and applies the mean on every
-/// replica (replicas remain bit-identical, as in real synchronous data
-/// parallelism). Returns the virtual time the run stopped at.
+/// The barrier loop: each round closes at the `k`-th fastest finisher and
+/// steps every replica on the mean of those `k` workers' gradients.
+/// Returns the virtual time the run stopped at.
 fn run_barrier_rounds(h: &mut SimHarness, comm_time: f64, k: usize) -> SimTime {
     let n = h.num_workers();
     let mut now = SimTime::ZERO;
@@ -64,15 +62,8 @@ fn run_barrier_rounds(h: &mut SimHarness, comm_time: f64, k: usize) -> SimTime {
             .map(|&w| compute[w])
             .fold(0.0f64, f64::max);
 
-        let grads: Vec<Tensor> = contributors
-            .iter()
-            .map(|&w| h.with_worker(w, WorkerState::gradient))
-            .collect();
-        let avg = scaled_sum(&grads, 1.0 / k as f32);
-        for w in &mut h.workers {
-            w.apply(&avg, 1.0);
-            w.iteration += 1;
-        }
+        let grads: Vec<Tensor> = contributors.iter().map(|&w| h.gradient(w)).collect();
+        step_replicas(h, &grads, 1.0 / k as f32);
 
         let dur = round_compute + comm_time;
         now += dur;
@@ -102,7 +93,7 @@ pub fn run_eager_reduce(mut h: SimHarness) -> RunResult {
         for (w, slot) in in_flight.iter_mut().enumerate() {
             if slot.is_none() {
                 let ct = h.compute_time(w, now);
-                let g = h.with_worker(w, WorkerState::gradient);
+                let g = h.gradient(w);
                 *slot = Some((now.seconds() + ct, g));
             }
         }
@@ -123,11 +114,7 @@ pub fn run_eager_reduce(mut h: SimHarness) -> RunResult {
 
         // Zero-padded aggregation: divide by N, not by the contributor
         // count (missing workers contribute empty gradients).
-        let agg = scaled_sum(&delivered, 1.0 / n as f32);
-        for w in &mut h.workers {
-            w.apply(&agg, 1.0);
-            w.iteration += 1;
-        }
+        step_replicas(&mut h, &delivered, 1.0 / n as f32);
 
         let dur = (window - now.seconds()) + comm;
         now = SimTime::new(window) + comm;
@@ -138,12 +125,18 @@ pub fn run_eager_reduce(mut h: SimHarness) -> RunResult {
     h.finish("Eager-Reduce".into(), now)
 }
 
-/// `scale · Σ grads`: summed in order into a zero vector, scaled once.
-fn scaled_sum(grads: &[Tensor], scale: f32) -> Tensor {
+/// One synchronous step on every replica: `scale · Σ grads`, summed in
+/// order into a zero vector and scaled once, applied to each worker, so
+/// the replicas stay bit-identical, as in real synchronous data
+/// parallelism.
+fn step_replicas(h: &mut SimHarness, grads: &[Tensor], scale: f32) {
     let mut sum = Tensor::zeros([grads[0].len()]);
     for g in grads {
         sum.add_assign(g);
     }
     sum.scale(scale);
-    sum
+    for w in &mut h.workers {
+        w.apply(&sum, 1.0);
+        w.iteration += 1;
+    }
 }

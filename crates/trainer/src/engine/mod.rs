@@ -56,7 +56,7 @@ use partial_reduce::runtime::ControllerStats;
 pub const DEFAULT_THREADED_ITERS: u64 = 40;
 
 /// Why a simulated run ended without a result.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// A worker crashed after virtual time had passed what the failure
     /// detector's clock holds ([`Duration::MAX`], about 1.8e19 s): a
@@ -65,6 +65,15 @@ pub enum SimError {
     DetectorClockOverflow {
         /// The virtual time of the crash, in seconds.
         seconds: f64,
+    },
+    /// A due `restore:W@U` found no snapshot it could load for its
+    /// worker: none was written before the crash, or the file is
+    /// unreadable or another rank's.
+    RestoreFailed {
+        /// The worker the verb restores.
+        worker: usize,
+        /// Why its snapshot could not be loaded.
+        error: String,
     },
 }
 
@@ -76,6 +85,11 @@ impl fmt::Display for SimError {
                 "a worker crashed at virtual time {seconds:.3e} s, past the failure \
                  detector's clock ({:.3e} s): the fault plan's delays outgrow the run",
                 Duration::MAX.as_secs_f64()
+            ),
+            SimError::RestoreFailed { worker, error } => write!(
+                f,
+                "cannot restore worker {worker}: {error} (`restore:` reloads the snapshot \
+                 the worker wrote before its crash)"
             ),
         }
     }
@@ -151,12 +165,13 @@ pub fn run(
 ///
 /// # Errors
 /// [`SimError`] when the plan carries a simulated run somewhere its
-/// failure detector cannot follow.
+/// failure detector cannot follow, or a due `restore:` finds no snapshot
+/// it can load.
 ///
 /// # Panics
 /// Panics as [`run`] does, or if the elasticity options name an
-/// unreadable/corrupt checkpoint (a configuration error, surfaced loudly
-/// rather than trained through).
+/// unreadable/corrupt checkpoint to warm-start from (a configuration
+/// error, surfaced loudly rather than trained through).
 pub fn run_elastic(
     strategy: Strategy,
     config: &ExperimentConfig,

@@ -21,9 +21,9 @@
 //! * **weight spread** — how far the Eq. 9 dynamic weights drift from
 //!   uniform `1/P` under real staleness;
 //! * **connectivity work** — the [`ConnectivityStats`] counters of the
-//!   group filter: union-find merges (replays included) and window
-//!   reloads, and how many queries the membership counts answered
-//!   without either.
+//!   group filter and of the checker's replica of its window: union-find
+//!   merges (replays included) and window reloads, and how many queries
+//!   the membership counts answered without either.
 //!
 //! [`sample_groups`] (Fig. 4, `preduce spectral`) runs the same signal
 //! loop with no trace and free reduces.
@@ -167,8 +167,10 @@ pub struct ScaleReport {
     pub weight_spread_mean: f64,
     /// Worst per-group weight spread.
     pub weight_spread_max: f64,
-    /// Work counters of the windowed connectivity structure.
+    /// Work counters of the group filter's windowed connectivity.
     pub connectivity: ConnectivityStats,
+    /// Work counters of the streaming checker's replica of that window.
+    pub checker_connectivity: ConnectivityStats,
     /// Trace events fed through the streaming checker.
     pub checker_events: usize,
     /// Invariant violations found (must be 0).
@@ -305,6 +307,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         weight_spread_mean: spread.mean(),
         weight_spread_max: spread.max,
         connectivity,
+        checker_connectivity: report.connectivity,
         checker_events: report.events,
         checker_violations: report.violations.len(),
     }
@@ -494,6 +497,16 @@ mod tests {
             "{} membership answers for {} groups",
             c.membership_answers,
             r.groups
+        );
+        // The checker's replica is asked the filter's question once per
+        // repair: under GPU sharing most groups are repairs, and its
+        // forest loads the window and merges.
+        let r = run_scale(&ScaleConfig::new(400, 8, 4_000, "gpu-sharing"));
+        let checker = r.checker_connectivity;
+        assert!(r.repairs > 0, "no repairs to check");
+        assert!(
+            checker.merges > 0 && checker.rebuilds > 0,
+            "checker replica: {checker:?}"
         );
         // Queries with no record in between share one catch-up: the first
         // loads the window, the rest neither reload nor merge.

@@ -32,8 +32,8 @@ use preduce_models::zoo::{self, ModelZooEntry};
 use preduce_models::LrSchedule;
 use preduce_simnet::{Jitter, SpeedFleet, UniformFleet};
 
-use crate::engine::drivers::preduce::run_preduce;
-use crate::sim::SimHarness;
+use crate::engine::drivers::preduce;
+use crate::engine::SimSubstrate;
 use crate::{run_experiment, sample_groups, ExperimentConfig, HeteroSpec, RunResult, Strategy};
 
 /// cifar10-like threshold. Each preset's threshold sits as far below its
@@ -491,7 +491,7 @@ fn two_speed_pairs(mut c: ExperimentConfig, frozen_avoidance: bool) -> RunResult
         frozen_avoidance,
         ..ControllerConfig::constant(4, 2)
     };
-    run_preduce(SimHarness::new(&c), ctl)
+    preduce::run(SimSubstrate::new(&c), ctl).expect("a fault-free run ends with a result")
 }
 
 fn ablations(f: &mut Figure) {
@@ -561,7 +561,8 @@ fn ablations(f: &mut Figure) {
             mode: AggregationMode::Dynamic { alpha, gap_policy },
             ..ControllerConfig::constant(hl3.num_workers, 3)
         };
-        let r = run_preduce(SimHarness::new(&hl3), ctl);
+        let r = preduce::run(SimSubstrate::new(&hl3), ctl)
+            .expect("a fault-free run ends with a result");
         f.run(&format!("4/alpha={alpha:.1}"), &r);
         rows.push(format!("{alpha:.1} | {} | {}", r.updates, time_cell(&r)));
     }

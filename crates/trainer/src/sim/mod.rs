@@ -20,12 +20,13 @@
 //! virtual instant and counts the update; [`SimHarness::average`] records
 //! a group's average. The recorded math runs at the next *read point* — a
 //! due evaluation (and its grad-norm trace), [`SimHarness::finish`], a
-//! `restore:` verb, a due snapshot, or any [`SimHarness::with_worker`]
-//! call — as a per-worker dataflow on the evaluation's threads: the
-//! driving thread on the one network, each helper on a scratch network
-//! that lives only while the flush runs. The barrier, PS and gossip
-//! drivers still run each gradient at once on the one network, through
-//! [`SimHarness::with_worker`].
+//! `restore:` verb, a due snapshot, or a [`SimHarness::gradient`] — as a
+//! per-worker dataflow on the evaluation's threads: the driving thread on
+//! the one network, each helper on a scratch network that lives only
+//! while the flush runs. The barrier, PS and gossip drivers take each
+//! gradient at once, through [`SimHarness::gradient`], on the one
+//! network too: every model operation a driver makes goes through the
+//! harness, and the network is lent one way, as `&mut Network`.
 
 mod dataflow;
 
@@ -34,6 +35,7 @@ use preduce_checkpoint::WorkerSnapshot;
 use preduce_data::Dataset;
 use preduce_models::{evaluate_accuracy_parallel, softmax_cross_entropy_grad, Network};
 use preduce_simnet::{HeterogeneityModel, NetworkModel, SimTime};
+use preduce_tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 
 use self::dataflow::Op;
@@ -41,7 +43,7 @@ use crate::config::ExperimentConfig;
 use crate::elastic::restore_worker;
 use crate::engine::setup::{build_fleet, eval_threads, uniform_average, Fleet, EVAL_BATCH};
 use crate::metrics::{RunResult, TracePoint};
-use crate::worker::WorkerState;
+use crate::worker::{backprop, WorkerState};
 
 /// Cap on retained per-update time samples (reservoir not needed: the
 /// early-run distribution is representative because the heterogeneity
@@ -120,26 +122,20 @@ impl SimHarness {
         self.workers.len()
     }
 
-    /// Runs `f` on worker `w` and the simulation's RNG with the harness's
-    /// one network lent to the worker: a read point, then an O(1) swap in
-    /// before the call and back after it. The barrier, PS and gossip
-    /// drivers run their gradients through here, so each runs on that one
-    /// network while the worker's own, layout alone, stays idle. The
-    /// network is the convergence tracker's, which sets the averaged
-    /// model before each evaluation, and an update reads only the
-    /// worker's parameters and writes fresh gradients, so neither use
-    /// sees the other.
-    pub fn with_worker<T>(
-        &mut self,
-        w: usize,
-        f: impl FnOnce(&mut WorkerState, &mut StdRng) -> T,
-    ) -> T {
+    /// Worker `w`'s stochastic gradient at its current parameters, on a
+    /// batch drawn from the simulation's RNG now: a read point, then the
+    /// executor's `backprop` on the harness's one network. The barrier,
+    /// PS and gossip drivers take every gradient here. The network is the
+    /// convergence tracker's, which sets the averaged model before each
+    /// evaluation; a gradient reads only the worker's parameters and
+    /// writes fresh gradients, so neither use sees the other. The
+    /// worker's parameters and counters are unchanged.
+    pub fn gradient(&mut self, w: usize) -> Tensor {
         self.flush();
-        let worker = &mut self.workers[w];
-        std::mem::swap(&mut worker.net, &mut self.tracker.net);
-        let out = f(worker, &mut self.rng);
-        std::mem::swap(&mut worker.net, &mut self.tracker.net);
-        out
+        let worker = &self.workers[w];
+        let batch = worker.sampler.next_batch_with(&mut self.rng);
+        backprop(&mut self.tracker.net, &worker.params, &batch);
+        self.tracker.net.grad_vector()
     }
 
     /// Worker `w`'s local update (Algorithm 2 lines 2–4): its batch is
@@ -243,6 +239,8 @@ impl SimHarness {
                 self.tracker.evaluate(&self.workers)
             }
         };
+        #[cfg(test)]
+        tests::FINISHED.set(self.workers.iter().map(tests::state_bits).collect());
         let t = self.tracker;
         RunResult {
             strategy: strategy_label,
@@ -359,11 +357,10 @@ impl ConvergenceTracker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use preduce_data::cifar10_like;
     use preduce_models::zoo;
-    use preduce_tensor::Tensor;
 
     fn small_config() -> ExperimentConfig {
         let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
@@ -436,6 +433,22 @@ mod tests {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
+    thread_local! {
+        /// Every worker's parameter and momentum bits as the last run on
+        /// this thread finished: what the tests compare whole runs by. A
+        /// run ends at a read point, so no recorded math is left behind
+        /// them.
+        pub(crate) static FINISHED: std::cell::RefCell<Vec<Vec<u32>>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// A worker's parameter and momentum bits, in that order.
+    pub(crate) fn state_bits(w: &WorkerState) -> Vec<u32> {
+        let mut state = bits(&w.params);
+        state.extend(bits(w.opt.velocity()));
+        state
+    }
+
     /// Fills `net`'s own parameters, its gradients and its kept
     /// activations with NaN, through its public passes.
     fn poison(net: &mut Network, features: usize) {
@@ -459,22 +472,22 @@ mod tests {
             } else {
                 "local_update"
             };
-            let step = |w: &mut WorkerState, rng: &mut StdRng| {
-                if split {
-                    let grad = w.gradient(rng);
-                    w.apply(&grad, 1.0);
-                    w.iteration += 1;
-                } else {
-                    w.local_update(rng);
-                }
-            };
             let (mut shared, mut own) = (SimHarness::new(&c), SimHarness::new(&c));
             let features = shared.tracker.test.feature_dim();
             for &w in &order {
                 poison(&mut shared.tracker.net, features);
-                shared.with_worker(w, step);
-                step(&mut own.workers[w], &mut own.rng);
+                if split {
+                    let grad = shared.gradient(w);
+                    let worker = &mut shared.workers[w];
+                    worker.apply(&grad, 1.0);
+                    worker.iteration += 1;
+                } else {
+                    shared.local_update(w);
+                }
+                own.workers[w].local_update(&mut own.rng);
             }
+            poison(&mut shared.tracker.net, features);
+            shared.flush();
             for (a, b) in shared.workers.iter().zip(&own.workers) {
                 assert_eq!(bits(&a.params), bits(&b.params), "{what}: params");
                 assert_eq!(
@@ -511,7 +524,7 @@ mod tests {
             let mut i = 0u64;
             loop {
                 i += 1;
-                h.with_worker((i % 4) as usize, |w, rng| w.local_update(rng));
+                h.local_update((i % 4) as usize);
                 if h.record_update(SimTime::new(i as f64), 1.0) {
                     break;
                 }
@@ -527,10 +540,11 @@ mod tests {
         capped.max_updates = 40;
         let mut h = SimHarness::new(&capped);
         for i in 1..=40u64 {
-            h.with_worker((i % 4) as usize, |w, rng| w.local_update(rng));
+            h.local_update((i % 4) as usize);
             let stop = h.record_update(SimTime::new(i as f64), 1.0);
             assert_eq!(stop, i == 40);
         }
+        h.flush();
         let want = h.tracker.evaluate(&h.workers);
         poison_params(&mut h);
         let r = h.finish("test".into(), SimTime::new(40.0));

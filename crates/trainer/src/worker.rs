@@ -16,16 +16,16 @@ use rand::Rng;
 /// worker's vector where it lies, and write fresh gradients — so any
 /// network of the same widths serves an update. Threads and processes run
 /// each worker on its own network ([`WorkerState::local_update`]). On the
-/// simulator the P-Reduce driver splits the update: it draws the batch at
-/// the update's virtual instant, and the harness runs the math at the
-/// next read point, on a network its executor lends
-/// ([`SimHarness::local_update`]). The barrier, PS and gossip drivers
-/// still run whole gradients on the harness's one network, through
-/// [`SimHarness::with_worker`]. This mirrors how collective libraries see
+/// simulator every model operation goes through the harness, on a network
+/// it lends: the P-Reduce driver splits the update — it draws the batch
+/// at the update's virtual instant, and the harness runs the math at the
+/// next read point ([`SimHarness::local_update`]) — and the barrier, PS
+/// and gossip drivers take whole gradients ([`SimHarness::gradient`]) and
+/// [`WorkerState::apply`] them. This mirrors how collective libraries see
 /// a model (one contiguous buffer) and makes model averaging a pure
 /// vector operation.
 ///
-/// [`SimHarness::with_worker`]: crate::sim::SimHarness::with_worker
+/// [`SimHarness::gradient`]: crate::sim::SimHarness::gradient
 /// [`SimHarness::local_update`]: crate::sim::SimHarness::local_update
 #[derive(Debug)]
 pub struct WorkerState {
@@ -67,15 +67,6 @@ impl WorkerState {
         }
     }
 
-    /// Computes a stochastic gradient at the current parameters using a
-    /// batch drawn with `rng`. Returns the flat gradient; parameters are
-    /// unchanged.
-    pub fn gradient<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Tensor {
-        let batch = self.sampler.next_batch_with(rng);
-        backprop(&mut self.net, &self.params, &batch);
-        self.net.grad_vector()
-    }
-
     /// Applies one SGD step with the given gradient and learning-rate
     /// scale (1.0 for plain SGD; staleness-aware baselines scale it).
     pub fn apply(&mut self, grad: &Tensor, lr_scale: f32) {
@@ -84,10 +75,12 @@ impl WorkerState {
     }
 
     /// One complete local update (Algorithm 2 lines 2–4): `draw`, then
-    /// `learn_on` the worker's own network. The same bits as
-    /// [`WorkerState::gradient`] then [`WorkerState::apply`], with the
+    /// `learn_on` the worker's own network. The same bits as a
+    /// [`SimHarness::gradient`] then [`WorkerState::apply`], with the
     /// optimizer reading the gradient where the network accumulated it
     /// instead of from a copy.
+    ///
+    /// [`SimHarness::gradient`]: crate::sim::SimHarness::gradient
     pub fn local_update<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let batch = self.draw(rng);
         learn(&mut self.net, &mut self.params, &mut self.opt, &batch);
@@ -124,7 +117,7 @@ impl WorkerState {
 
 /// Backpropagates `batch` at `params` on `net`, leaving the batch's
 /// gradient alone in the network's gradient buffer.
-fn backprop(net: &mut Network, params: &Tensor, batch: &Batch) {
+pub(crate) fn backprop(net: &mut Network, params: &Tensor, batch: &Batch) {
     let params = params.as_slice();
     let logits = net.forward_on(params, &batch.features);
     let grad = softmax_cross_entropy_grad(&logits, &batch.labels);
@@ -193,12 +186,21 @@ mod tests {
         WorkerState::new(0, net, SgdConfig::default(), sampler)
     }
 
+    /// What [`crate::sim::SimHarness::gradient`] runs, on the worker's own
+    /// network: a batch drawn with `rng`, then `backprop` at the worker's
+    /// parameters.
+    fn gradient(w: &mut WorkerState, rng: &mut rand::rngs::StdRng) -> Tensor {
+        let batch = w.sampler.next_batch_with(rng);
+        backprop(&mut w.net, &w.params, &batch);
+        w.net.grad_vector()
+    }
+
     #[test]
     fn gradient_leaves_params_unchanged() {
         let mut w = worker();
         let before = w.params.clone();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let g = w.gradient(&mut rng);
+        let g = gradient(&mut w, &mut rng);
         assert_eq!(w.params, before);
         assert_eq!(g.len(), before.len());
         assert!(g.norm2() > 0.0);
@@ -233,7 +235,7 @@ mod tests {
         let mut rng_split = rand::rngs::StdRng::seed_from_u64(11);
         for _ in 0..50 {
             fused.local_update(&mut rng_fused);
-            let grad = split.gradient(&mut rng_split);
+            let grad = gradient(&mut split, &mut rng_split);
             split.apply(&grad, 1.0);
         }
         let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
@@ -258,7 +260,7 @@ mod tests {
         for _ in 0..20 {
             twin.local_update(&mut rng_twin);
             fused.local_update(&mut rng_fused);
-            let grad = split.gradient(&mut rng_split);
+            let grad = gradient(&mut split, &mut rng_split);
             split.apply(&grad, 1.0);
             for (what, w) in [("local_update", &fused), ("gradient + apply", &split)] {
                 assert_eq!(bits(&w.params), bits(&twin.params), "{what}: params");

@@ -4,10 +4,10 @@
 //! A simulated worker holds its own state — parameters and momentum, two
 //! `d`-float vectors — and its data shard; the harness's one network
 //! serves every worker's update. The test builds the `sim-hl3` benchmark's
-//! VGG-19 fleet (N = 8, HL = 3, batch 8), runs two local updates per
-//! worker through the harness, then one evaluation window of recorded
-//! updates and averages, and asserts after each that the live heap the
-//! harness holds stays under
+//! VGG-19 fleet (N = 8, HL = 3, batch 8), applies two gradients per
+//! worker taken through the harness, then runs one evaluation window of
+//! recorded updates and averages, and asserts after each that the live
+//! heap the harness holds stays under
 //!
 //! ```text
 //! N · (2·d·4 B + shard bytes) + slack
@@ -50,7 +50,8 @@ fn a_simulated_worker_holds_only_its_own_state() {
     let mut h = SimHarness::new(&cfg);
     for _ in 0..2 {
         for w in 0..h.num_workers() {
-            h.with_worker(w, |w, rng| w.local_update(rng));
+            let grad = h.gradient(w);
+            h.workers[w].apply(&grad, 1.0);
         }
     }
     let updated = ALLOC.live_bytes() - before;
