@@ -46,7 +46,7 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 /// snapshot sized like a built math model, printing each.
 fn snapshot_io(reps: usize) {
     let dir = scratch("io");
-    let store = CheckpointStore::open(&dir).expect("open bench store");
+    let store = CheckpointStore::create(&dir).expect("open bench store");
     let snap = WorkerSnapshot {
         rank: 0,
         iteration: 1000,

@@ -358,11 +358,28 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// Opens (creating if needed) the checkpoint directory.
+    /// Opens an existing checkpoint directory, the way a reader does: a
+    /// directory that is not there holds no snapshot to load, and opening
+    /// it leaves nothing behind.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Missing`] if `dir` is not a directory.
+    pub fn open<P: AsRef<Path>>(dir: P) -> Result<Self> {
+        let dir = dir.as_ref().to_path_buf();
+        if !dir.is_dir() {
+            return Err(CheckpointError::Missing {
+                path: dir.display().to_string(),
+            });
+        }
+        Ok(CheckpointStore { dir })
+    }
+
+    /// Opens the checkpoint directory a writer saves into, creating it
+    /// if needed.
     ///
     /// # Errors
     /// [`CheckpointError::Io`] if the directory cannot be created.
-    pub fn open<P: AsRef<Path>>(dir: P) -> Result<Self> {
+    pub fn create<P: AsRef<Path>>(dir: P) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, &e))?;
         Ok(CheckpointStore { dir })
@@ -468,7 +485,7 @@ mod tests {
 
     #[test]
     fn worker_snapshot_roundtrips() {
-        let store = CheckpointStore::open(tmpdir("worker-roundtrip")).unwrap();
+        let store = CheckpointStore::create(tmpdir("worker-roundtrip")).unwrap();
         let snap = worker_snap(2, 40);
         let path = store.save_worker(&snap).unwrap();
         assert!(path.is_file());
@@ -479,7 +496,7 @@ mod tests {
 
     #[test]
     fn save_replaces_previous_snapshot() {
-        let store = CheckpointStore::open(tmpdir("replace")).unwrap();
+        let store = CheckpointStore::create(tmpdir("replace")).unwrap();
         store.save_worker(&worker_snap(0, 8)).unwrap();
         store.save_worker(&worker_snap(0, 16)).unwrap();
         assert_eq!(store.load_worker(0).unwrap().iteration, 16);
@@ -488,8 +505,21 @@ mod tests {
     }
 
     #[test]
+    fn opening_a_missing_directory_is_typed_and_creates_nothing() {
+        let dir = tmpdir("never-made");
+        assert!(matches!(
+            CheckpointStore::open(&dir),
+            Err(CheckpointError::Missing { .. })
+        ));
+        assert!(!dir.exists());
+        assert_eq!(CheckpointStore::create(&dir).unwrap().dir(), dir);
+        assert_eq!(CheckpointStore::open(&dir).unwrap().dir(), dir);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn missing_snapshot_is_typed() {
-        let store = CheckpointStore::open(tmpdir("missing")).unwrap();
+        let store = CheckpointStore::create(tmpdir("missing")).unwrap();
         assert!(matches!(
             store.load_worker(7),
             Err(CheckpointError::Missing { .. })
@@ -498,7 +528,7 @@ mod tests {
 
     #[test]
     fn rank_mismatch_is_rejected() {
-        let store = CheckpointStore::open(tmpdir("rank-mismatch")).unwrap();
+        let store = CheckpointStore::create(tmpdir("rank-mismatch")).unwrap();
         let mut snap = worker_snap(3, 5);
         snap.rank = 1;
         fs::write(store.worker_path(3), encode(&snap).unwrap()).unwrap();

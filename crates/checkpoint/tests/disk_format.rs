@@ -91,7 +91,7 @@ fn special_snapshot() -> WorkerSnapshot {
 /// replaces the last good one is always loadable.
 #[test]
 fn special_floats_roundtrip_bit_exactly_through_the_store() {
-    let store = CheckpointStore::open(scratch("special-floats")).expect("open store");
+    let store = CheckpointStore::create(scratch("special-floats")).expect("open store");
     let snap = special_snapshot();
     store.save_worker(&snap).expect("save");
     let back = store.load_worker(snap.rank).expect("load");
@@ -103,7 +103,7 @@ fn special_floats_roundtrip_bit_exactly_through_the_store() {
 #[test]
 fn a_version_1_file_is_version_skew() {
     let json = br#"{"rank":0,"iteration":1,"updates_applied":1,"opt_steps":1,"params":[0.5],"velocity":[0.0]}"#;
-    let store = CheckpointStore::open(scratch("version-1")).expect("open store");
+    let store = CheckpointStore::create(scratch("version-1")).expect("open store");
     std::fs::write(store.worker_path(0), envelope(1, json)).expect("write v1 file");
     assert_eq!(
         store.load_worker(0),
@@ -264,7 +264,7 @@ proptest! {
     #[test]
     fn store_rejects_corrupted_files(snap in arb_worker(), flip in any::<prop::sample::Index>()) {
         let dir = scratch("store-corrupt");
-        let store = CheckpointStore::open(dir).expect("open store");
+        let store = CheckpointStore::create(dir).expect("open store");
         store.save_worker(&snap).expect("save");
         let path = store.worker_path(snap.rank);
         let mut bytes = std::fs::read(&path).expect("read back");

@@ -221,6 +221,45 @@ fn a_restore_without_a_snapshot_ends_the_run_with_an_error() {
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
 }
 
+/// A warm start from a directory that does not exist has nothing to
+/// load: `run` and `worker` refuse it before any fleet is built, exit 2
+/// with one line naming the directory, and do not create it.
+#[test]
+fn a_missing_restore_directory_is_refused_and_left_missing() {
+    let dir = std::env::temp_dir().join(format!("preduce-no-restore-{}", std::process::id()));
+    let run = ["run", "--workers", "4", "--p", "2", "--max-updates", "16"];
+    // Refused before dialing: nothing listens here.
+    let worker = [
+        "worker",
+        "--connect",
+        "127.0.0.1:9",
+        "--rank",
+        "0",
+        "--workers",
+        "4",
+    ];
+    for command in [&run[..], &worker[..]] {
+        let out = Command::new(BIN)
+            .args(command)
+            .arg("--restore-from")
+            .arg(&dir)
+            .output()
+            .expect("spawn preduce");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: --restore-from: no checkpoint directory at"),
+            "{command:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains(&*dir.to_string_lossy()),
+            "{command:?}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{command:?}: {stderr}");
+        assert!(!dir.exists(), "{command:?} created {}", dir.display());
+    }
+}
+
 /// A DYN trace's `RunStarted` line with `edit` applied, then one group of
 /// members whose iterations lie `gap` apart, weighted as `weights`.
 fn forged_trace(edit: (&str, &str), gap: u64, weights: &str) -> String {

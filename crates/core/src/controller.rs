@@ -26,6 +26,7 @@
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -652,20 +653,26 @@ impl Controller {
                 // Cross-component signals available and a choice to make:
                 // form the repair group greedily, one member per distinct
                 // component (FIFO within each), topping up FIFO. Queued
-                // signals are labelled (O(log N) each against the forest)
-                // only until P distinct components are found.
+                // signals are labelled only until P distinct components
+                // are found: a long queue reads each label from the root
+                // array of this forest version (one load, the verdict
+                // above usually built it), a short one finds each root
+                // (O(log N) against the forest).
                 let mut chosen: Vec<usize> = Vec::with_capacity(p);
                 let mut used_comps: Vec<usize> = Vec::with_capacity(p);
-                for (idx, s) in self.queue.iter().enumerate() {
-                    if chosen.len() == p {
-                        break;
-                    }
-                    let c = self.conn.component_of(s.worker);
+                let mut idx = 0;
+                let queued = self.queue.iter().map(|s| s.worker);
+                let _ = self.conn.scan_labels(queued, |c| {
                     if !used_comps.contains(&c) {
                         used_comps.push(c);
                         chosen.push(idx);
+                        if chosen.len() == p {
+                            return ControlFlow::Break(());
+                        }
                     }
-                }
+                    idx += 1;
+                    ControlFlow::Continue(())
+                });
                 for idx in 0..self.queue.len() {
                     if chosen.len() == p {
                         break;

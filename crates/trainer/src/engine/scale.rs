@@ -22,8 +22,9 @@
 //!   uniform `1/P` under real staleness;
 //! * **connectivity work** — the [`ConnectivityStats`] counters of the
 //!   group filter and of the checker's replica of its window: union-find
-//!   merges (replays included) and window reloads, and how many queries
-//!   the membership counts answered without either.
+//!   merges (replays included) and window reloads, how many queries
+//!   the membership counts answered without either, and how many root
+//!   arrays were built to label long lists.
 //!
 //! [`sample_groups`] (Fig. 4, `preduce spectral`) runs the same signal
 //! loop with no trace and free reduces.

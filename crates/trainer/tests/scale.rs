@@ -22,6 +22,7 @@
 
 use std::sync::Mutex;
 
+use partial_reduce::graph::ConnectivityStats;
 use preduce_tensor::CountingAlloc;
 use preduce_trainer::{run_scale, ScaleConfig};
 
@@ -108,6 +109,46 @@ fn n400_decisions_are_pinned() {
         );
         assert_eq!(report.checker_violations, 0, "`{preset}`");
     }
+}
+
+/// The benchmark's `scale-gpushare` run (N = 4 000, P = 8, 75 000
+/// signals at seed 2 667 084 199, what the benchmark derives from its
+/// seed 1): nine groups in ten are repairs over a queue of some 2 650
+/// signals, so the filter labels long lists from its root array. Its
+/// decisions and both `union-find` lines are pinned as they stood before
+/// the array existed — merges, window reloads and membership answers of
+/// the filter and of the checker's replica — plus the arrays it builds.
+/// `preduce scale --workers 4000 --p 8 --signals 75000 --hetero
+/// gpu-sharing --seed 2667084199` prints the same numbers.
+#[test]
+fn n4k_gpu_sharing_decisions_and_connectivity_are_pinned() {
+    let _alone = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut cfg = ScaleConfig::new(4_000, 8, 75_000, "gpu-sharing");
+    cfg.seed = 2_667_084_199;
+    cfg.rho_iters = 1;
+    let report = run_scale(&cfg);
+    assert_eq!(
+        (
+            report.signals,
+            report.groups,
+            report.repairs,
+            report.deferrals
+        ),
+        (75_000, 9_020, 8_324, 70_417),
+        "(signals, groups, repairs, deferrals)"
+    );
+    let line = |c: ConnectivityStats| (c.merges, c.rebuilds, c.membership_answers, c.label_arrays);
+    assert_eq!(
+        line(report.connectivity),
+        (249_771, 1, 75_105, 8_403),
+        "group filter"
+    );
+    assert_eq!(
+        line(report.checker_connectivity),
+        (260_668, 1, 2_338, 0),
+        "checker's replica"
+    );
+    assert_eq!(report.checker_violations, 0);
 }
 
 /// The headline run: N = 10⁴ workers, one million ready signals, all
