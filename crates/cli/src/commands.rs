@@ -233,9 +233,8 @@ SCALE CAMPAIGN (DESIGN.md section 15):
   closed form, Eq. 9 weight spread, and windowed union-find work
   counters on two `union-find` lines, the group filter's and the
   checker replica's: merges, window reloads, queries answered from
-  membership counts, and label arrays (every worker's component root,
-  built at most once per forest version, when a list is long enough
-  that one O(N) pass beats a find per entry).
+  membership counts, and label reads (forest finds that labelled a
+  present worker, O(log N) each).
   Defaults: N=1000, P=8, 50000 signals, uniform fleet.
   --json true emits the full report as JSON. Exit is nonzero if any
   invariant is violated.
@@ -728,8 +727,8 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
                          \x20 latency     = {:.3}s mean / {:.3}s max (virtual)\n\
                          \x20 rho         = {rho} (uniform reference {:.4})\n\
                          \x20 spread      = {:.4} mean / {:.4} max\n\
-                         \x20 union-find  = {} merges (replays included), {} window reloads, {} queries answered from membership counts, {} label arrays\n\
-                         \x20 union-find  = {} merges, {} window reloads, {} membership answers, {} label arrays in the checker's replica\n\
+                         \x20 union-find  = {} merges (replays included), {} window reloads, {} queries answered from membership counts, {} label reads\n\
+                         \x20 union-find  = {} merges, {} window reloads, {} membership answers, {} label reads in the checker's replica\n\
                          \x20 checker     = {} events, {} violation(s)",
                         report.signals,
                         report.signals_per_sec,
@@ -744,11 +743,11 @@ fn prepare(command: Command, args: &Args) -> Result<Job<'_>, CliError> {
                         report.connectivity.merges,
                         report.connectivity.rebuilds,
                         report.connectivity.membership_answers,
-                        report.connectivity.label_arrays,
+                        report.connectivity.label_reads,
                         report.checker_connectivity.merges,
                         report.checker_connectivity.rebuilds,
                         report.checker_connectivity.membership_answers,
-                        report.checker_connectivity.label_arrays,
+                        report.checker_connectivity.label_reads,
                         report.checker_events,
                         report.checker_violations,
                     );
@@ -866,7 +865,7 @@ mod tests {
             out.contains("queries answered from membership counts"),
             "{out}"
         );
-        assert_eq!(out.matches(" label arrays").count(), 2, "{out}");
+        assert_eq!(out.matches(" label reads").count(), 2, "{out}");
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! bytes (§4), which is what distinguishes it from a parameter server.
 //!
 //! The group filter asks the history database one question per attempt —
-//! do the queued signals span two sync-graph components? — labels
-//! individual signals only when a repair has to choose among more than `P`
-//! of them, and re-asks a deferring queue only about its new arrivals
-//! (DESIGN.md §15.2).
+//! do the queued signals span two sync-graph components? — which reads a
+//! count of the components the queue touches, and labels individual
+//! signals only when a repair has to choose among more than `P` of them,
+//! behind the prefix a deferring queue already found in the head's
+//! component (DESIGN.md §15.2).
 //!
 //! It also owns, and narrates, every membership decision outside group
 //! formation (DESIGN.md §11–§12): evictions, below-quorum singletons and
@@ -26,7 +27,6 @@
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::collections::VecDeque;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -215,15 +215,14 @@ pub struct GroupDecision {
 pub struct Controller {
     config: ControllerConfig,
     queue: VecDeque<ReadySignal>,
-    /// Per-worker "has a queued signal" flag: O(1) duplicate detection.
-    queued: Vec<bool>,
     /// The group history database: the last `T` groups plus their
     /// sync-graph connectivity (membership counts first, a union-find
-    /// that undoes evicted groups behind them).
+    /// that undoes evicted groups behind them), told which workers are
+    /// queued — the one per-worker flag, for duplicate detection too.
     conn: WindowedConnectivity,
     /// Deferral memo: how many leading queued signals the last verdict
-    /// found inside one sync-graph component. A re-attempt asks only about
-    /// the head plus the signals behind this prefix. Zeroed wherever the
+    /// found inside one sync-graph component. A repair labels only the
+    /// head plus the signals behind this prefix. Zeroed wherever the
     /// window or the queue's interior changes: after `conn.record`, in
     /// [`Controller::mark_left`] and in [`Controller::drain_pending`].
     same_component_prefix: usize,
@@ -295,7 +294,6 @@ impl Controller {
         }
         Controller {
             departed: vec![false; config.num_workers],
-            queued: vec![false; config.num_workers],
             conn: WindowedConnectivity::new(config.num_workers, window),
             same_component_prefix: 0,
             config,
@@ -392,7 +390,7 @@ impl Controller {
         let before = self.queue.len();
         self.queue.retain(|s| s.worker != worker);
         let purged_signal = self.queue.len() < before;
-        self.queued[worker] = false;
+        self.conn.set_queued(worker, false);
         self.same_component_prefix = 0;
         self.conn.set_departed(worker, true);
         if self.sink.enabled() {
@@ -462,7 +460,7 @@ impl Controller {
     }
 
     /// Work counters of the connectivity structure (merges, window
-    /// reloads, membership answers).
+    /// reloads, membership answers, label reads).
     pub fn connectivity_stats(&self) -> ConnectivityStats {
         self.conn.stats()
     }
@@ -475,7 +473,9 @@ impl Controller {
             .drain(..)
             .map(|s| (s.worker, s.iteration))
             .collect();
-        self.queued.fill(false);
+        for &(worker, _) in &signals {
+            self.conn.set_queued(worker, false);
+        }
         self.same_component_prefix = 0;
         if self.sink.enabled() {
             self.sink.record(TraceEvent::PendingDrained {
@@ -552,10 +552,10 @@ impl Controller {
             return false;
         }
         assert!(
-            !self.queued[worker],
+            !self.conn.is_queued(worker),
             "worker {worker} signalled ready twice without reducing"
         );
-        self.queued[worker] = true;
+        self.conn.set_queued(worker, true);
         self.queue.push_back(ReadySignal { worker, iteration });
         if self.sink.enabled() {
             self.sink.record(TraceEvent::SignalEnqueued {
@@ -580,7 +580,7 @@ impl Controller {
         let mut accepted = 0;
         for &(worker, iteration) in signals {
             // Out-of-range ranks and re-signals are skipped alike.
-            if self.queued.get(worker) != Some(&false) {
+            if worker >= self.config.num_workers || self.conn.is_queued(worker) {
                 continue;
             }
             if self.push_ready(worker, iteration) {
@@ -596,8 +596,9 @@ impl Controller {
     /// signals are queued.
     ///
     /// The filter asks the warm window one question — do the queued
-    /// signals span two sync-graph components? — and labels individual
-    /// signals only when it has to choose among more than `P` of them:
+    /// signals span two sync-graph components? — answered from its count
+    /// of the components the queue touches, and labels individual signals
+    /// only when it has to choose among more than `P` of them:
     ///
     /// * they span and exactly `P` are queued: the FIFO group, unrepaired
     ///   (a repair would pick one signal per component and top up FIFO to
@@ -621,16 +622,7 @@ impl Controller {
         let mut repaired = false;
 
         if self.config.frozen_avoidance && self.conn.is_warm() {
-            // The leading `same_component_prefix` signals share the head's
-            // component since the last verdict (no record, no removal
-            // since), so the head stands in for them.
-            let candidates = self
-                .queue
-                .iter()
-                .take(1)
-                .chain(self.queue.iter().skip(self.same_component_prefix.max(1)))
-                .map(|s| s.worker);
-            if !self.conn.spans_components(candidates) {
+            if !self.conn.queue_spans() {
                 self.same_component_prefix = self.queue.len();
                 // Every queued signal sits in one component. If that is
                 // because the graph is connected, FIFO is fine. If not, a
@@ -652,27 +644,27 @@ impl Controller {
             } else if self.queue.len() > p {
                 // Cross-component signals available and a choice to make:
                 // form the repair group greedily, one member per distinct
-                // component (FIFO within each), topping up FIFO. Queued
-                // signals are labelled only until P distinct components
-                // are found: a long queue reads each label from the root
-                // array of this forest version (one load, the verdict
-                // above usually built it), a short one finds each root
-                // (O(log N) against the forest).
+                // component (FIFO within each), topping up FIFO. Each
+                // label is one find (O(log N)). The leading
+                // `same_component_prefix` signals share the head's
+                // component since the last verdict (no record, no removal
+                // since), so the head stands in for them; labelling stops
+                // once P components, or all the queue touches, are found.
+                let wanted = self.conn.queued_components(p);
                 let mut chosen: Vec<usize> = Vec::with_capacity(p);
                 let mut used_comps: Vec<usize> = Vec::with_capacity(p);
-                let mut idx = 0;
-                let queued = self.queue.iter().map(|s| s.worker);
-                let _ = self.conn.scan_labels(queued, |c| {
+                let queued = self.queue.iter().enumerate();
+                let behind = queued.clone().skip(self.same_component_prefix.max(1));
+                for (idx, s) in queued.take(1).chain(behind) {
+                    let c = self.conn.component_of(s.worker);
                     if !used_comps.contains(&c) {
                         used_comps.push(c);
                         chosen.push(idx);
-                        if chosen.len() == p {
-                            return ControlFlow::Break(());
+                        if chosen.len() == wanted {
+                            break;
                         }
                     }
-                    idx += 1;
-                    ControlFlow::Continue(())
-                });
+                }
                 for idx in 0..self.queue.len() {
                     if chosen.len() == p {
                         break;
@@ -693,9 +685,7 @@ impl Controller {
         let mut signals: Vec<ReadySignal> = Vec::with_capacity(p);
         for &idx in member_idx.iter().rev() {
             if let Some(s) = self.queue.remove(idx) {
-                if let Some(q) = self.queued.get_mut(s.worker) {
-                    *q = false;
-                }
+                self.conn.set_queued(s.worker, false);
                 signals.push(s);
             }
         }
@@ -1513,5 +1503,47 @@ mod tests {
         assert_eq!(pair.try_form_group(), Some(vec![3, 1, 5]));
         assert_eq!(pair.controller.repairs(), 0);
         assert_eq!(pair.controller.deferrals(), 1);
+    }
+
+    #[test]
+    fn a_repair_after_a_deferral_labels_only_behind_the_prefix() {
+        // 0, 1 and 2 deferred in one component; 3 ends the wait. The
+        // verdict reads the component count, and the selection labels the
+        // head and the arrival, not the prefix 1, 2 it already knows.
+        let mut pair = deferring_triple();
+        let reads = pair.controller.connectivity_stats().label_reads;
+        pair.push_ready(3, 2);
+        assert_eq!(pair.try_form_group(), Some(vec![0, 1, 3]));
+        assert_eq!(pair.controller.connectivity_stats().label_reads - reads, 2);
+    }
+
+    #[test]
+    fn removed_signals_leave_the_queued_counts() {
+        // A warm window of [0, 1, 2] and [3, 4, 5]; 0, 1 and 3 queue.
+        let mut c = Controller::new(ControllerConfig {
+            history_window: Some(2),
+            ..ControllerConfig::constant(6, 3)
+        });
+        for group in [[0, 1, 2], [3, 4, 5]] {
+            for w in group {
+                c.push_ready(w, 1);
+            }
+            assert_eq!(c.try_form_group().map(|d| d.group), Some(group.to_vec()));
+        }
+        for w in [0, 1, 3] {
+            c.push_ready(w, 2);
+        }
+        assert_eq!(c.conn.queued_components(usize::MAX), 2);
+        // The queued worker 3 leaves: its component is no longer touched.
+        c.mark_left(3);
+        assert_eq!(c.conn.queued_components(usize::MAX), 1);
+        assert!(!c.conn.queue_spans());
+        // Below quorum the drain releases 0 and 1 and the count empties.
+        for w in [2, 4, 5] {
+            c.mark_left(w);
+        }
+        assert_eq!(c.release_below_quorum(), vec![(0, 2), (1, 2)]);
+        assert_eq!(c.conn.queued_components(usize::MAX), 0);
+        assert!(!c.conn.is_queued(0) && !c.conn.is_queued(1));
     }
 }

@@ -18,7 +18,7 @@
 //! smallest member.
 
 use std::collections::VecDeque;
-use std::ops::{ControlFlow, Range};
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -224,11 +224,9 @@ pub struct ConnectivityStats {
     /// consulting the forest: a worker in none of the retained groups is
     /// an isolated vertex, whatever the rest of the graph looks like.
     pub membership_answers: u64,
-    /// Root arrays built (O(N) each): at most one per forest version,
-    /// by the first list long enough to pay for it (see
-    /// [`WindowedConnectivity::scan_labels`]); the lists after it read the
-    /// same array until a catch-up changes the forest.
-    pub label_arrays: u64,
+    /// Forest finds made to label a present worker
+    /// ([`WindowedConnectivity::component_of`]), O(log N) each.
+    pub label_reads: u64,
     /// Always 0: the edge-multiplicity bookkeeping that counted these is
     /// gone. The field survives only because the frozen
     /// `crates/benchmark/src/replay.rs` reads it; the next `benchmark` PR
@@ -269,6 +267,11 @@ struct Forest {
     /// How many entries of `stack` are old.
     olds: usize,
     merges: u64,
+    /// Queued workers in each node's subtree: empty until a worker is
+    /// first queued, then kept while the owner holds the forest.
+    queued_below: Vec<u32>,
+    /// Roots whose tree holds a queued worker.
+    queued_roots: usize,
 }
 
 impl Forest {
@@ -282,6 +285,8 @@ impl Forest {
             stack: Vec::with_capacity(groups),
             olds: 0,
             merges: 0,
+            queued_below: Vec::new(),
+            queued_roots: 0,
         }
     }
 
@@ -297,18 +302,23 @@ impl Forest {
         w
     }
 
-    /// Every worker's root, written over `roots` in one pass: each
-    /// worker's walk starts from its parent and ends at a root or at an
-    /// earlier worker, which already holds its root.
-    fn roots_into(&self, roots: &mut Vec<u32>) {
-        roots.clear();
-        roots.extend_from_slice(&self.parent);
-        for w in 0..roots.len() {
-            let mut r = roots[w];
-            while roots[r as usize] != r {
-                r = roots[r as usize];
+    /// Counts worker `w` in (`queued`) or out of the queued workers below
+    /// each of its at most log₂ N ancestors.
+    fn count_queued(&mut self, mut w: u32, queued: bool) {
+        loop {
+            let below = &mut self.queued_below[w as usize];
+            *below = if queued { *below + 1 } else { *below - 1 };
+            if self.parent[w as usize] == w {
+                break;
             }
-            roots[w] = r;
+            w = self.parent[w as usize];
+        }
+        if self.queued_below[w as usize] == u32::from(queued) {
+            self.queued_roots = if queued {
+                self.queued_roots + 1
+            } else {
+                self.queued_roots - 1
+            };
         }
     }
 
@@ -325,6 +335,11 @@ impl Forest {
         self.undo.push(small);
         let small = small as usize;
         self.parent[small] = big as u32;
+        if !self.queued_below.is_empty() {
+            let moved = self.queued_below[small];
+            self.queued_roots -= usize::from(moved > 0 && self.queued_below[big] > 0);
+            self.queued_below[big] += moved;
+        }
         if self.rank[big] == self.rank[small] {
             self.rank[big] += 1;
             self.rank[small] |= RAISED;
@@ -351,6 +366,12 @@ impl Forest {
             }
             self.rank[c] &= !RAISED;
             self.parent[c] = child;
+            // Reverts run newest first, so `parent` is a root again.
+            if !self.queued_below.is_empty() {
+                let moved = self.queued_below[c];
+                self.queued_below[parent] -= moved;
+                self.queued_roots += usize::from(moved > 0 && self.queued_below[parent] > 0);
+            }
         }
     }
 
@@ -361,11 +382,16 @@ impl Forest {
         self.olds += usize::from(old);
     }
 
-    /// Back to N singletons.
-    fn clear(&mut self) {
+    /// Back to N singletons, each counting itself if `queued` says so;
+    /// the counts kept so far may be stale, so the reverts skip them.
+    fn clear(&mut self, queued: &[bool]) {
+        self.queued_below.clear();
         self.revert(0);
         self.stack.clear();
         self.olds = 0;
+        self.queued_below
+            .extend(queued.iter().map(|&q| u32::from(q)));
+        self.queued_roots = queued.iter().filter(|&&q| q).count();
     }
 
     /// Takes back the oldest applied group and returns its id; `group(id)`
@@ -441,9 +467,13 @@ impl Forest {
 /// still inside the window keeps linking the groups it was in.
 ///
 /// A component is labelled by its forest root, which any member may be:
-/// labels tell components apart, and callers only compare them. A long
-/// list reads the labels from an array of every worker's root, built once
-/// per forest version ([`Self::scan_labels`]).
+/// labels tell components apart, and callers only compare them.
+///
+/// The group filter's queue is told in too ([`Self::set_queued`]): each
+/// forest node counts the queued workers in its subtree and the forest
+/// counts the roots above one, so [`Self::queued_components`] reads one
+/// counter where labelling the queue would walk every queued worker. The
+/// counts are kept while the forest is held; a reload recounts them.
 #[derive(Debug, Clone)]
 pub struct WindowedConnectivity {
     n: usize,
@@ -463,14 +493,16 @@ pub struct WindowedConnectivity {
     /// Departed workers with `membership == 0`: not vertices of the live
     /// sync-graph.
     absent_departed: usize,
+    /// Workers with a queued signal, allocated by the first
+    /// [`Self::set_queued`]; how many there are, and how many of them
+    /// have `membership == 0`.
+    queued: Vec<bool>,
+    queued_workers: usize,
+    queued_absent: usize,
     forest: Forest,
     /// The record ids the forest holds; `None` once it was given up and
     /// only a reload can bring it back.
     held: Option<Range<u64>>,
-    /// Every worker's forest root, allocated by the first list that
-    /// builds it; stale once a catch-up changes the forest.
-    roots: Vec<u32>,
-    roots_fresh: bool,
     total_recorded: u64,
     stats: ConnectivityStats,
 }
@@ -497,10 +529,11 @@ impl WindowedConnectivity {
             departed: vec![false; n],
             absent_live: n,
             absent_departed: 0,
+            queued: Vec::new(),
+            queued_workers: 0,
+            queued_absent: 0,
             forest: Forest::new(n, window),
             held: Some(0..0),
-            roots: Vec::new(),
-            roots_fresh: false,
             total_recorded: 0,
             stats: ConnectivityStats::default(),
         }
@@ -567,6 +600,7 @@ impl WindowedConnectivity {
                 self.membership[w] -= 1;
                 if self.membership[w] == 0 {
                     *self.absent_counter(w) += 1;
+                    self.queued_absent += usize::from(self.is_queued(w));
                 }
             }
             self.groups[slot] = evicted;
@@ -574,6 +608,7 @@ impl WindowedConnectivity {
         for &w in group {
             if self.membership[w] == 0 {
                 *self.absent_counter(w) -= 1;
+                self.queued_absent -= usize::from(self.is_queued(w));
             }
             self.membership[w] += 1;
         }
@@ -621,6 +656,41 @@ impl WindowedConnectivity {
         *self.absent_counter(w) += usize::from(absent);
     }
 
+    /// Whether worker `w` has a queued signal; `false` out of range.
+    pub fn is_queued(&self, w: usize) -> bool {
+        self.queued.get(w) == Some(&true)
+    }
+
+    /// Tells the structure that worker `w` has a signal queued (`true`)
+    /// or no longer has (`false`); repeating the current state is a
+    /// no-op. While the forest is held, `w`'s ancestors count it.
+    ///
+    /// # Panics
+    /// Panics if `w` is out of range.
+    pub fn set_queued(&mut self, w: usize, queued: bool) {
+        assert!(w < self.n, "worker {w} out of range (N = {})", self.n);
+        if self.queued.is_empty() {
+            // Nobody is queued yet: every count is 0.
+            self.queued = vec![false; self.n];
+            self.forest.queued_below = vec![0; self.n];
+        }
+        if self.queued[w] == queued {
+            return;
+        }
+        self.queued[w] = queued;
+        let absent = usize::from(self.membership[w] == 0);
+        if queued {
+            self.queued_workers += 1;
+            self.queued_absent += absent;
+        } else {
+            self.queued_workers -= 1;
+            self.queued_absent -= absent;
+        }
+        if self.held.is_some() {
+            self.forest.count_queued(w as u32, queued);
+        }
+    }
+
     /// Brings the forest up to date with the window: replays the groups
     /// that left and entered it since the last catch-up when that costs
     /// less than reloading the window, and reloads it otherwise — every
@@ -650,14 +720,13 @@ impl WindowedConnectivity {
             }
             None => {
                 self.stats.rebuilds += 1;
-                self.forest.clear();
+                self.forest.clear(&self.queued);
                 for id in window.clone().rev() {
                     self.forest.push(id, group(id), true);
                 }
             }
         }
         self.held = Some(window);
-        self.roots_fresh = false;
         self.trim();
     }
 
@@ -691,82 +760,42 @@ impl WindowedConnectivity {
             return w;
         }
         self.ensure_fresh();
+        self.stats.label_reads += 1;
         self.forest.find(w as u32) as usize
     }
 
-    /// Feeds `f` the [`Self::component_of`] label of each of `workers`,
-    /// in order, until it breaks, and returns its break. The labels are
-    /// answered and counted as one call each would be: an absent worker
-    /// is a membership answer, and the forest is caught up at the first
-    /// present worker, not before.
-    ///
-    /// The list's length picks how present workers are labelled. A find
-    /// walks up to `log₂ N` parents, so finding each root costs about
-    /// `len · (1 + log₂ N)` steps; building the array of every worker's
-    /// root is one pass over the forest's `N` parents, about `N` steps,
-    /// after which a label is one load. A list reads the array when it is
-    /// already built for this forest version or when
-    /// `len · (1 + log₂ N) > N`, and finds each root otherwise.
-    ///
-    /// # Panics
-    /// Panics if a worker `f` would be fed is out of range.
-    pub fn scan_labels<B>(
-        &mut self,
-        workers: impl ExactSizeIterator<Item = usize>,
-        f: impl FnMut(usize) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        let len = workers.len();
-        self.scan_labels_of(workers, len, f)
+    /// How many components the queued workers ([`Self::set_queued`])
+    /// touch, or `at_most` if they touch more. Each absent queued worker
+    /// is a component and the present ones add at least one more; when
+    /// that settles the answer the forest is left alone, otherwise it is
+    /// caught up and its count of roots holding a queued worker is read.
+    pub fn queued_components(&mut self, at_most: usize) -> usize {
+        let present = self.queued_workers - self.queued_absent;
+        let floor = self.queued_absent + present.min(1);
+        if present > 1 && floor < at_most {
+            self.ensure_fresh();
+            return self.forest.queued_roots.min(at_most);
+        }
+        floor.min(at_most)
     }
 
-    /// [`Self::scan_labels`] over a list of `len` workers.
-    fn scan_labels_of<B>(
-        &mut self,
-        mut workers: impl Iterator<Item = usize>,
-        len: usize,
-        mut f: impl FnMut(usize) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        let n = self.n;
-        // Absent workers up to the first present one, which catches the
-        // forest up and picks the path for the rest of the list.
-        let first = loop {
-            let Some(w) = workers.next() else {
-                return ControlFlow::Continue(());
-            };
-            assert!(w < n, "worker {w} out of range (N = {n})");
-            if self.membership[w] != 0 {
-                break w;
-            }
+    /// Whether the queued workers touch at least two components — the
+    /// group filter's question about its queue. One absent queued worker
+    /// beside another queued one settles it from the membership counts.
+    pub fn queue_spans(&mut self) -> bool {
+        if self.queued_absent > 0 && self.queued_workers > 1 {
             self.stats.membership_answers += 1;
-            f(w)?;
-        };
-        self.ensure_fresh();
-        let from_roots = self.roots_fresh || len * (1 + n.ilog2() as usize) > n;
-        if from_roots && !self.roots_fresh {
-            self.forest.roots_into(&mut self.roots);
-            self.roots_fresh = true;
-            self.stats.label_arrays += 1;
+            return true;
         }
-        let (membership, answers) = (&self.membership, &mut self.stats.membership_answers);
-        // One loop per path, so the list's loop does not branch on it.
-        if from_roots {
-            let roots = &self.roots;
-            let root = |w: usize| roots[w] as usize;
-            feed(first, workers, membership, answers, root, f)
-        } else {
-            let forest = &self.forest;
-            let root = |w: usize| forest.find(w as u32) as usize;
-            feed(first, workers, membership, answers, root, f)
-        }
+        self.queued_components(2) == 2
     }
 
-    /// Whether `workers` touch at least two components — the group
-    /// filter's question about its queue, and the checker's about a repair
-    /// group. Equals "[`Self::component_of`] yields two distinct labels",
-    /// but as soon as one of two distinct workers is absent the answer is
-    /// `true` whatever the other labels are, and the forest is left alone;
-    /// it is consulted only when every listed worker is present, through
-    /// [`Self::scan_labels`] and its cost rule.
+    /// Whether `workers` touch at least two components — the checker's
+    /// question about a repair group. Equals "[`Self::component_of`]
+    /// yields two distinct labels", but as soon as one of two distinct
+    /// workers is absent the answer is `true` whatever the other labels
+    /// are, and the forest is left alone; it is consulted only when every
+    /// listed worker is present.
     ///
     /// # Panics
     /// Panics if any worker is out of range.
@@ -778,7 +807,6 @@ impl WindowedConnectivity {
         let mut first = None;
         let mut distinct = false;
         let mut absent = false;
-        let mut len = 0;
         for w in workers.clone() {
             assert!(w < self.n, "worker {w} out of range (N = {})", self.n);
             distinct |= *first.get_or_insert(w) != w;
@@ -787,46 +815,15 @@ impl WindowedConnectivity {
                 self.stats.membership_answers += 1;
                 return true;
             }
-            len += 1;
         }
         // Either one worker listed over and over, or all of them present.
         if !distinct {
             return false;
         }
-        let mut head = None;
-        self.scan_labels_of(workers, len, |label| {
-            if *head.get_or_insert(label) == label {
-                ControlFlow::Continue(())
-            } else {
-                ControlFlow::Break(())
-            }
-        })
-        .is_break()
+        let mut labels = workers.map(|w| self.component_of(w));
+        let head = labels.next();
+        labels.any(|label| Some(label) != head)
     }
-}
-
-/// Feeds `f` the label `root` gives the present worker `first`, then the
-/// label of each of `workers`: itself for an absent one (counted in
-/// `answers`), `root(w)` for a present one.
-fn feed<B>(
-    first: usize,
-    mut workers: impl Iterator<Item = usize>,
-    membership: &[u32],
-    answers: &mut u64,
-    root: impl Fn(usize) -> usize,
-    mut f: impl FnMut(usize) -> ControlFlow<B>,
-) -> ControlFlow<B> {
-    let n = membership.len();
-    f(root(first))?;
-    workers.try_for_each(|w| {
-        assert!(w < n, "worker {w} out of range (N = {n})");
-        if membership[w] == 0 {
-            *answers += 1;
-            f(w)
-        } else {
-            f(root(w))
-        }
-    })
 }
 
 #[cfg(test)]

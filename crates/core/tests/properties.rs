@@ -578,95 +578,60 @@ proptest! {
     }
 
     #[test]
-    fn bulk_labels_match_component_of_and_dfs(
+    fn queued_component_counts_match_dfs(
         seed in any::<u64>(),
         n in 4usize..41,
         p in 2usize..6,
         window in 1usize..9,
     ) {
-        // `scan_labels` on lists below and above its cost rule's
-        // threshold, before and after the root array is built, after
-        // both catch-up paths (a single record replays, a stretch longer
-        // than the window reloads), against a twin structure asked
-        // `component_of` once per listed worker: the same labels and the
-        // same merges, reloads and membership answers, a partition the
-        // DFS agrees with, and one array per forest version.
+        // The count of components the queued workers touch, against the
+        // DFS over the same window, after every step of one stream that
+        // takes each path the counts are kept on: single records (a
+        // replay), stretches longer than the window with no query (the
+        // forest is given up, then reloaded and recounted from the
+        // flags), departures and restores, and workers queued and
+        // unqueued at random before and after each record, so on a
+        // caught-up, a stale and a given-up forest alike.
         use rand::{Rng, SeedableRng};
-        use std::ops::ControlFlow;
         prop_assume!(p <= n);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut h = GroupHistory::new(window);
         let mut c = WindowedConnectivity::new(n, window);
-        let mut twin = WindowedConnectivity::new(n, window);
-        // The counters `component_of` keeps too.
-        let counted = |c: &WindowedConnectivity| {
-            let s = c.stats();
-            (s.merges, s.rebuilds, s.membership_answers)
-        };
         let mut departed = vec![false; n];
-        // The longest list the rule labels by finds: len · (1 + log₂ N) ≤ N.
-        let short = n / (1 + n.ilog2() as usize);
-        for segment in 0..10 {
-            let records = if segment % 3 == 2 {
-                window + 1 + rng.gen_range(0..window + 2)
-            } else {
-                1
-            };
-            for _ in 0..records {
+        let mut queued = vec![false; n];
+        let mut toggle = |c: &mut WindowedConnectivity, rng: &mut rand::rngs::StdRng| {
+            for _ in 0..rng.gen_range(0..4usize) {
+                let w = rng.gen_range(0..n);
+                queued[w] = !queued[w];
+                c.set_queued(w, queued[w]);
+                prop_assert!(c.is_queued(w) == queued[w]);
+            }
+            Ok(queued.clone())
+        };
+        for segment in 0..12 {
+            let stretch = segment % 3 == 2;
+            let records = if stretch { window + 1 + rng.gen_range(0..window + 2) } else { 1 };
+            for r in 0..records {
                 if rng.gen_range(0..4u32) == 0 {
                     let w = rng.gen_range(0..n);
                     departed[w] = !departed[w];
                     c.set_departed(w, departed[w]);
-                    twin.set_departed(w, departed[w]);
                 }
+                toggle(&mut c, &mut rng)?;
                 let group: Vec<usize> = (0..rng.gen_range(1..p + 2))
                     .map(|_| rng.gen_range(0..n))
                     .collect();
                 h.record(group.clone());
                 c.record(&group);
-                twin.record(&group);
-            }
-            let oracle = h.sync_graph(n).components();
-            // A short list while the array is stale, the whole fleet (and
-            // repeats) past the threshold, then a short list again.
-            let mut long: Vec<usize> = (0..n).collect();
-            long.extend((0..rng.gen_range(0..n)).map(|_| rng.gen_range(0..n)));
-            let lists = [
-                (0..rng.gen_range(1..=short)).map(|_| rng.gen_range(0..n)).collect(),
-                long,
-                (0..rng.gen_range(1..=short)).map(|_| rng.gen_range(0..n)).collect::<Vec<_>>(),
-            ];
-            let arrays = c.stats().label_arrays;
-            for list in &lists {
-                let mut labels = Vec::new();
-                let _ = c.scan_labels(list.iter().copied(), |l| -> ControlFlow<()> {
-                    labels.push(l);
-                    ControlFlow::Continue(())
-                });
-                let one_by_one: Vec<usize> = list.iter().map(|&w| twin.component_of(w)).collect();
-                prop_assert_eq!(&labels, &one_by_one, "list {:?}", list);
-                prop_assert_eq!(counted(&c), counted(&twin), "list {:?}", list);
-                for (i, &a) in list.iter().enumerate() {
-                    for (j, &b) in list.iter().enumerate() {
-                        prop_assert_eq!(labels[i] == labels[j], oracle[a] == oracle[b]);
-                    }
+                let now = toggle(&mut c, &mut rng)?;
+                if stretch && r + 1 < records {
+                    continue;
                 }
+                queue_matches_dfs(&mut c, &h, &now, rng.gen_range(1..n))?;
+                // Once more after queueing on the caught-up forest.
+                let now = toggle(&mut c, &mut rng)?;
+                queue_matches_dfs(&mut c, &h, &now, rng.gen_range(1..n))?;
             }
-            // The long list built this version's array, unless no worker
-            // is in the window; the short list after it read that one.
-            let present = (0..n).any(|w| h.iter().any(|g| g.contains(&w)));
-            prop_assert_eq!(c.stats().label_arrays - arrays, u64::from(present));
-            // A scan that breaks feeds, and counts, only what it reached.
-            let stop = rng.gen_range(0..n);
-            let mut fed = 0;
-            let broke = c.scan_labels(0..n, |_| {
-                fed += 1;
-                if fed > stop { ControlFlow::Break(fed) } else { ControlFlow::Continue(()) }
-            });
-            prop_assert_eq!(broke, ControlFlow::Break(stop + 1));
-            (0..=stop).for_each(|w| { twin.component_of(w); });
-            prop_assert_eq!(counted(&c), counted(&twin));
-            prop_assert_eq!(c.stats().label_arrays, arrays + u64::from(present));
         }
     }
 
@@ -818,6 +783,36 @@ proptest! {
             }
         }
     }
+}
+
+/// The queue's questions against the DFS over the same window:
+/// `queued_components` (uncapped and capped at `at_most`) is the number
+/// of distinct components among the `queued` workers, and `queue_spans`
+/// says whether that is two or more.
+fn queue_matches_dfs(
+    c: &mut WindowedConnectivity,
+    h: &GroupHistory,
+    queued: &[bool],
+    at_most: usize,
+) -> Result<(), TestCaseError> {
+    let labels = h.sync_graph(queued.len()).components();
+    let touched: std::collections::BTreeSet<usize> = (0..queued.len())
+        .filter(|&w| queued[w])
+        .map(|w| labels[w])
+        .collect();
+    prop_assert_eq!(
+        c.queued_components(at_most),
+        touched.len().min(at_most),
+        "capped"
+    );
+    prop_assert_eq!(c.queue_spans(), touched.len() >= 2, "queued {:?}", queued);
+    prop_assert_eq!(
+        c.queued_components(usize::MAX),
+        touched.len(),
+        "queued {:?}",
+        queued
+    );
+    Ok(())
 }
 
 /// Every question [`WindowedConnectivity`] answers, against the DFS over

@@ -114,10 +114,10 @@ fn n400_decisions_are_pinned() {
 /// The benchmark's `scale-gpushare` run (N = 4 000, P = 8, 75 000
 /// signals at seed 2 667 084 199, what the benchmark derives from its
 /// seed 1): nine groups in ten are repairs over a queue of some 2 650
-/// signals, so the filter labels long lists from its root array. Its
-/// decisions and both `union-find` lines are pinned as they stood before
-/// the array existed — merges, window reloads and membership answers of
-/// the filter and of the checker's replica — plus the arrays it builds.
+/// signals. Its decisions and both `union-find` lines are pinned —
+/// merges, window reloads and membership answers of the filter and of
+/// the checker's replica, as they stood before the filter counted its
+/// queue's components — plus the label reads each makes.
 /// `preduce scale --workers 4000 --p 8 --signals 75000 --hetero
 /// gpu-sharing --seed 2667084199` prints the same numbers.
 #[test]
@@ -137,15 +137,15 @@ fn n4k_gpu_sharing_decisions_and_connectivity_are_pinned() {
         (75_000, 9_020, 8_324, 70_417),
         "(signals, groups, repairs, deferrals)"
     );
-    let line = |c: ConnectivityStats| (c.merges, c.rebuilds, c.membership_answers, c.label_arrays);
+    let line = |c: ConnectivityStats| (c.merges, c.rebuilds, c.membership_answers, c.label_reads);
     assert_eq!(
         line(report.connectivity),
-        (249_771, 1, 75_105, 8_403),
+        (249_771, 1, 75_105, 6_011_699),
         "group filter"
     );
     assert_eq!(
         line(report.checker_connectivity),
-        (260_668, 1, 2_338, 0),
+        (260_668, 1, 2_338, 44_228),
         "checker's replica"
     );
     assert_eq!(report.checker_violations, 0);
