@@ -2,7 +2,6 @@
 //! decentralized baseline.
 
 use preduce_simnet::{EventQueue, SimTime};
-use preduce_tensor::Tensor;
 use rand::Rng;
 
 use crate::metrics::RunResult;
@@ -19,10 +18,9 @@ pub fn run_ad_psgd(mut h: SimHarness) -> RunResult {
     let base_comm = h.network.gossip_pair_time(h.bytes);
 
     // Event payload: worker whose compute finished. The gradient is taken
-    // when compute *starts* (pre-averaging model) to reproduce AD-PSGD's
-    // inconsistency window.
+    // into the worker's slot when compute *starts* (pre-averaging model)
+    // to reproduce AD-PSGD's inconsistency window.
     let mut queue: EventQueue<usize> = EventQueue::new();
-    let mut in_flight: Vec<Tensor> = Vec::with_capacity(n);
     let mut started = vec![SimTime::ZERO; n];
     // AD-PSGD's model averaging is *atomic per worker*: concurrent
     // averaging operations touching the same worker serialize (the
@@ -32,7 +30,7 @@ pub fn run_ad_psgd(mut h: SimHarness) -> RunResult {
     let mut comm_free = vec![SimTime::ZERO; n];
 
     for w in 0..n {
-        in_flight.push(h.gradient(w));
+        h.start_gradient(w);
         let ct = h.compute_time(w, SimTime::ZERO);
         queue.schedule(SimTime::new(ct), w);
     }
@@ -47,16 +45,9 @@ pub fn run_ad_psgd(mut h: SimHarness) -> RunResult {
         now = start + comm;
         comm_free[w] = now;
         comm_free[peer] = now;
-        let mut avg = h.workers[w].params.clone();
-        avg.add_assign(&h.workers[peer].params);
-        avg.scale(0.5);
-        h.workers[w].set_params(&avg);
-        h.workers[peer].set_params(&avg);
-
-        // Apply the (possibly inconsistent) gradient taken at compute
-        // start.
-        h.workers[w].apply(&in_flight[w], 1.0);
-        h.workers[w].iteration += 1;
+        // Then w applies the (possibly inconsistent) gradient taken at
+        // compute start.
+        h.gossip(w, peer);
 
         let dur = now - started[w];
         if h.record_update(now, dur) {
@@ -65,9 +56,9 @@ pub fn run_ad_psgd(mut h: SimHarness) -> RunResult {
 
         // Start the next iteration.
         started[w] = now;
-        in_flight[w] = h.gradient(w);
+        h.start_gradient(w);
         let ct = h.compute_time(w, now);
         queue.schedule(now + ct, w);
     }
-    h.finish("AD-PSGD".into(), now)
+    h.finish("AD-PSGD".into(), now, Default::default())
 }

@@ -1,9 +1,10 @@
 //! One driver per strategy family. Every strategy runs under virtual
 //! time; the paper's own system, P-Reduce, also runs on real threads.
 //!
-//! A [`Driver`] owns a strategy's state machine — the math
-//! (gradient aggregation, model mixing, staleness scaling) and the
-//! membership policy (who participates in each exchange). `drive_sim`
+//! A [`Driver`] owns a strategy's state machine — the math it records
+//! with the harness (gradient aggregation, model mixing, staleness
+//! scaling) and the membership policy (who participates in each
+//! exchange). `drive_sim`
 //! consumes a [`SimSubstrate`] and replays the machine under
 //! deterministic virtual time (each loop draws from the shared RNG in its
 //! own order, which the fixed-seed goldens pin). `drive_threaded` runs
@@ -109,6 +110,68 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ExperimentConfig, HeteroSpec};
+    use crate::sim::SimHarness;
+    use preduce_data::cifar10_like;
+    use preduce_models::zoo;
+    use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest, ProptestConfig};
+
+    /// Runs `strategy` on a harness whose recorded math runs on `threads`
+    /// threads: its result and every worker's final bits.
+    fn outcome(
+        c: &ExperimentConfig,
+        strategy: Strategy,
+        threads: usize,
+    ) -> (String, Vec<Vec<u32>>) {
+        let substrate = SimSubstrate {
+            harness: SimHarness::with_threads(c, threads),
+            ..SimSubstrate::new(c)
+        };
+        let result = driver_for(strategy).drive_sim(substrate);
+        (format!("{result:?}"), crate::sim::tests::FINISHED.take())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn every_strategy_gives_the_same_run_at_every_thread_count(
+            dynamic in any::<bool>(),
+            gpu_sharing in any::<bool>(),
+            slow_link in any::<bool>(),
+            seed in 1..1_000u64,
+        ) {
+            let mut c = ExperimentConfig::table1(zoo::resnet18(), cifar10_like(), 1);
+            c.num_workers = 6;
+            c.math_batch_size = 8;
+            c.max_updates = 24;
+            c.eval_every = 8;
+            c.seed = seed;
+            if gpu_sharing {
+                c.hetero = HeteroSpec::GpuSharing { hl: 3 };
+            }
+            if slow_link {
+                c.link_slowdown = Some(vec![1.0, 4.0, 1.0, 1.0, 2.0, 1.0]);
+            }
+            for strategy in [
+                Strategy::AllReduce,
+                Strategy::EagerReduce,
+                Strategy::AdPsgd,
+                Strategy::PsBsp,
+                Strategy::PsBackup { backups: 2 },
+                Strategy::PsAsp,
+                Strategy::PsHete,
+                Strategy::PReduce { p: 3, dynamic },
+            ] {
+                let one = outcome(&c, strategy, 1);
+                for threads in [2, 4] {
+                    let many = outcome(&c, strategy, threads);
+                    prop_assert_eq!(&many.0, &one.0, "{:?}: result at {} threads", strategy, threads);
+                    prop_assert!(many.1 == one.1, "{:?}: worker state at {} threads", strategy, threads);
+                }
+            }
+        }
+    }
 
     #[test]
     #[should_panic(expected = "All-Reduce runs on Backend::Sim only")]

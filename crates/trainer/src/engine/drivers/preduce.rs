@@ -103,9 +103,7 @@ pub(crate) fn run(substrate: SimSubstrate, cfg: ControllerConfig) -> Result<RunR
         AggregationMode::Constant => format!("P-Reduce CON (P={p})"),
         AggregationMode::Dynamic { .. } => format!("P-Reduce DYN (P={p})"),
     };
-    for w in &mut h.workers {
-        elastic.warm_start(w);
-    }
+    h.warm_start(&elastic);
     // `restore:W@U` verbs, sorted by rank; each fires at most once.
     let mut pending_restores: Vec<(usize, u64)> = faults
         .restore_targets()
@@ -123,10 +121,8 @@ pub(crate) fn run(substrate: SimSubstrate, cfg: ControllerConfig) -> Result<RunR
     let liveness = chaos_liveness();
     let mut detector = FailureDetector::new(liveness, cfg.num_workers);
     let mut controller = Controller::with_liveness(cfg, sink.clone(), Some(liveness));
-    let mut steps: Vec<WorkerStep> = h
-        .workers
-        .iter()
-        .map(|w| WorkerStep::begin(w, &faults, &elastic, sink.clone(), adopt))
+    let mut steps: Vec<WorkerStep> = (0..h.num_workers())
+        .map(|w| WorkerStep::begin(h.worker(w), &faults, &elastic, sink.clone(), adopt))
         .collect();
     let signal = h.network.signal_time();
 
@@ -140,7 +136,7 @@ pub(crate) fn run(substrate: SimSubstrate, cfg: ControllerConfig) -> Result<RunR
     let mut silent: Vec<usize> = Vec::new();
 
     for (w, step) in steps.iter().enumerate() {
-        let ct = h.compute_time(w, SimTime::ZERO) * step.stall_factor(&h.workers[w]);
+        let ct = h.compute_time(w, SimTime::ZERO) * step.stall_factor(*h.iteration(w));
         queue.schedule(
             SimTime::new(step.start_delay() + ct + step.signal_delay()),
             Event::Ready(w),
@@ -194,7 +190,7 @@ pub(crate) fn run(substrate: SimSubstrate, cfg: ControllerConfig) -> Result<RunR
                 h.average(group.clone(), weights);
                 let mut dur_sum = 0.0;
                 for &m in &group {
-                    steps[m].reduced(&mut h.workers[m], new_iteration);
+                    steps[m].reduced(h.iteration(m), new_iteration);
                     if controller.sink().enabled() {
                         controller.sink().record(TraceEvent::ReduceCompleted {
                             worker: m,
@@ -223,13 +219,13 @@ pub(crate) fn run(substrate: SimSubstrate, cfg: ControllerConfig) -> Result<RunR
                         let failed = |error: String| SimError::RestoreFailed { worker: w, error };
                         let snap = store.load_worker(w).map_err(|e| failed(e.to_string()))?;
                         h.restore(w, snap).map_err(failed)?;
-                        controller.mark_restored(w, h.workers[w].iteration);
+                        controller.mark_restored(w, *h.iteration(w));
                         restored.push(w);
                     }
                 }
                 for m in restored.into_iter().chain(group) {
                     last_free[m] = t;
-                    let ct = h.compute_time(m, t) * steps[m].stall_factor(&h.workers[m]);
+                    let ct = h.compute_time(m, t) * steps[m].stall_factor(*h.iteration(m));
                     queue.schedule(t + ct + steps[m].signal_delay(), Event::Ready(m));
                 }
             }
@@ -237,7 +233,7 @@ pub(crate) fn run(substrate: SimSubstrate, cfg: ControllerConfig) -> Result<RunR
     }
     let mut stats = controller_stats(&controller.close());
     stats.insert("nonuniform_groups".into(), nonuniform_groups as f64);
-    Ok(h.finish_with_stats(label, now, stats))
+    Ok(h.finish(label, now, stats))
 }
 
 /// Forms every group the queue can fill; each group's collective starts

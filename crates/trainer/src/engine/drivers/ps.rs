@@ -6,7 +6,6 @@
 //! gradient → push. Staleness arises naturally: between a worker's pull and
 //! its push, other workers' pushes move the server model.
 
-use preduce_models::SgdOptimizer;
 use preduce_simnet::{EventQueue, SimTime};
 
 use crate::metrics::RunResult;
@@ -32,15 +31,8 @@ fn run_ps(mut h: SimHarness, label: &str, lr_scale: fn(u64) -> f32) -> RunResult
     // Each worker's round trip runs over its own link.
     let comm_of: Vec<f64> = (0..n).map(|w| base_comm * h.link_slowdown[w]).collect();
 
-    // Server state: the global model plus one shared optimizer. The server
-    // runs *momentum-free* SGD: with interleaved stale pushes a shared
-    // momentum buffer mixes directions from different model versions and
-    // destabilizes training — async PS systems (ASP, DynSGD) apply plain
-    // SGD server-side.
-    let mut server = h.workers[0].params.clone();
-    let mut server_cfg = *h.workers[0].opt.config();
-    server_cfg.momentum = 0.0;
-    let mut server_opt = SgdOptimizer::new(server_cfg, server.len());
+    // The server: the global model plus one momentum-free optimizer.
+    h.open_server();
 
     // Per-worker bookkeeping.
     let mut push_count = 0u64; // global pushes (server version)
@@ -59,17 +51,14 @@ fn run_ps(mut h: SimHarness, label: &str, lr_scale: fn(u64) -> f32) -> RunResult
     while let Some((t, w)) = queue.pop() {
         now = t;
         // Gradient at the worker's pulled view.
-        let grad = h.gradient(w);
+        h.start_gradient(w);
 
-        // Push arrives after the round trip; the update applies then.
+        // Push arrives after the round trip; the update applies then, and
+        // the worker pulls the fresh model.
         let done = now + comm_of[w];
         let staleness = push_count - version_at_pull[w] + 1;
-        server_opt.step_scaled(&mut server, &grad, lr_scale(staleness));
+        h.push_pull(w, lr_scale(staleness));
         push_count += 1;
-
-        // Pull the fresh model.
-        h.workers[w].set_params(&server);
-        h.workers[w].iteration += 1;
         version_at_pull[w] = push_count;
 
         let dur = done - started[w];
@@ -82,5 +71,5 @@ fn run_ps(mut h: SimHarness, label: &str, lr_scale: fn(u64) -> f32) -> RunResult
         let ct = h.compute_time(w, done);
         queue.schedule(done + ct, w);
     }
-    h.finish(label.into(), now)
+    h.finish(label.into(), now, Default::default())
 }

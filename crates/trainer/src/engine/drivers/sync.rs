@@ -3,7 +3,6 @@
 //! closes its rounds at a majority and keeps stragglers' gradients.
 
 use preduce_simnet::SimTime;
-use preduce_tensor::Tensor;
 
 use crate::metrics::RunResult;
 use crate::sim::SimHarness;
@@ -19,7 +18,7 @@ pub fn run_allreduce(mut h: SimHarness) -> RunResult {
     // paper grants the baselines this and P-Reduce not (§4).
     let comm = h.group_ring_time(&(0..n).collect::<Vec<_>>()) * (1.0 - h.overlap_fraction);
     let end = run_barrier_rounds(&mut h, comm, n);
-    h.finish("All-Reduce".into(), end)
+    h.finish("All-Reduce".into(), end, Default::default())
 }
 
 /// PS BSP: the same barrier pattern over a sharded parameter server.
@@ -28,7 +27,7 @@ pub fn run_ps_bsp(mut h: SimHarness) -> RunResult {
     let comm =
         h.network.ps_push_pull_time(n, h.bytes) * h.link_factor(0..n) * (1.0 - h.overlap_fraction);
     let end = run_barrier_rounds(&mut h, comm, n);
-    h.finish("PS BSP".into(), end)
+    h.finish("PS BSP".into(), end, Default::default())
 }
 
 /// PS with `backups` backup workers (BK): each synchronous round waits only
@@ -39,11 +38,12 @@ pub fn run_ps_bk(mut h: SimHarness, backups: usize) -> RunResult {
     let n = h.num_workers();
     let comm = h.network.ps_push_pull_time(n, h.bytes);
     let end = run_barrier_rounds(&mut h, comm, n - backups);
-    h.finish(format!("PS BK (b={backups})"), end)
+    h.finish(format!("PS BK (b={backups})"), end, Default::default())
 }
 
 /// The barrier loop: each round closes at the `k`-th fastest finisher and
-/// steps every replica on the mean of those `k` workers' gradients.
+/// steps every replica on the mean of those `k` workers' gradients,
+/// summed in contributor order.
 /// Returns the virtual time the run stopped at.
 fn run_barrier_rounds(h: &mut SimHarness, comm_time: f64, k: usize) -> SimTime {
     let n = h.num_workers();
@@ -62,8 +62,10 @@ fn run_barrier_rounds(h: &mut SimHarness, comm_time: f64, k: usize) -> SimTime {
             .map(|&w| compute[w])
             .fold(0.0f64, f64::max);
 
-        let grads: Vec<Tensor> = contributors.iter().map(|&w| h.gradient(w)).collect();
-        step_replicas(h, &grads, 1.0 / k as f32);
+        for &w in &contributors {
+            h.start_gradient(w);
+        }
+        h.step(contributors, 1.0 / k as f32);
 
         let dur = round_compute + comm_time;
         now += dur;
@@ -85,36 +87,34 @@ pub fn run_eager_reduce(mut h: SimHarness) -> RunResult {
     let comm = h.group_ring_time(&(0..n).collect::<Vec<_>>());
     let mut now = SimTime::ZERO;
 
-    // In-flight gradient per worker: (absolute finish time, gradient).
-    let mut in_flight: Vec<Option<(f64, Tensor)>> = (0..n).map(|_| None).collect();
+    // Absolute finish time of each worker's in-flight gradient.
+    let mut in_flight: Vec<Option<f64>> = vec![None; n];
 
     loop {
         // Idle workers start a fresh gradient at the current parameters.
-        for (w, slot) in in_flight.iter_mut().enumerate() {
-            if slot.is_none() {
+        for (w, finish) in in_flight.iter_mut().enumerate() {
+            if finish.is_none() {
                 let ct = h.compute_time(w, now);
-                let g = h.gradient(w);
-                *slot = Some((now.seconds() + ct, g));
+                h.start_gradient(w);
+                *finish = Some(now.seconds() + ct);
             }
         }
         // The round closes when the majority-th in-flight gradient lands.
         // (The loop above filled every slot, so the flatten is total.)
-        let mut finishes: Vec<f64> = in_flight.iter().flatten().map(|&(t, _)| t).collect();
+        let mut finishes: Vec<f64> = in_flight.iter().flatten().copied().collect();
         finishes.sort_by(f64::total_cmp);
         let window = finishes[majority - 1].max(now.seconds());
 
         // Deliver everything that finished inside the window (possibly
-        // stale gradients started rounds ago).
-        let delivered: Vec<Tensor> = in_flight
-            .iter_mut()
-            .filter(|slot| slot.as_ref().is_some_and(|&(t, _)| t <= window))
-            .filter_map(|slot| slot.take().map(|(_, g)| g))
+        // stale gradients started rounds ago), in rank order.
+        let delivered: Vec<usize> = (0..n)
+            .filter(|&w| in_flight[w].take_if(|t| *t <= window).is_some())
             .collect();
         debug_assert!(!delivered.is_empty());
 
         // Zero-padded aggregation: divide by N, not by the contributor
         // count (missing workers contribute empty gradients).
-        step_replicas(&mut h, &delivered, 1.0 / n as f32);
+        h.step(delivered, 1.0 / n as f32);
 
         let dur = (window - now.seconds()) + comm;
         now = SimTime::new(window) + comm;
@@ -122,21 +122,5 @@ pub fn run_eager_reduce(mut h: SimHarness) -> RunResult {
             break;
         }
     }
-    h.finish("Eager-Reduce".into(), now)
-}
-
-/// One synchronous step on every replica: `scale · Σ grads`, summed in
-/// order into a zero vector and scaled once, applied to each worker, so
-/// the replicas stay bit-identical, as in real synchronous data
-/// parallelism.
-fn step_replicas(h: &mut SimHarness, grads: &[Tensor], scale: f32) {
-    let mut sum = Tensor::zeros([grads[0].len()]);
-    for g in grads {
-        sum.add_assign(g);
-    }
-    sum.scale(scale);
-    for w in &mut h.workers {
-        w.apply(&sum, 1.0);
-        w.iteration += 1;
-    }
+    h.finish("Eager-Reduce".into(), now, Default::default())
 }

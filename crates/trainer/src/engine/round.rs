@@ -83,9 +83,10 @@ impl WorkerStep {
         self.faults.start_delay(self.rank)
     }
 
-    /// The compute-time multiplier of `w`'s coming local update.
-    pub(crate) fn stall_factor(&self, w: &WorkerState) -> f64 {
-        self.faults.stall_factor(self.rank, w.iteration + 1)
+    /// The compute-time multiplier of the coming local update of a
+    /// worker at local `iteration`.
+    pub(crate) fn stall_factor(&self, iteration: u64) -> f64 {
+        self.faults.stall_factor(self.rank, iteration + 1)
     }
 
     /// Seconds every ready signal of the worker arrives late.
@@ -130,12 +131,12 @@ impl WorkerStep {
         Some(iteration)
     }
 
-    /// The fast-forward rule once the group's reduce has run: in DYN `w`
-    /// adopts the group maximum `new_iteration` (§3.3.3), in CON it keeps
-    /// its own count.
-    pub(crate) fn reduced(&self, w: &mut WorkerState, new_iteration: u64) {
+    /// The fast-forward rule once the group's reduce has run: in DYN the
+    /// worker's local `iteration` adopts the group maximum `new_iteration`
+    /// (§3.3.3), in CON it keeps its own count.
+    pub(crate) fn reduced(&self, iteration: &mut u64, new_iteration: u64) {
         if self.adopt_group_max {
-            w.iteration = new_iteration;
+            *iteration = new_iteration;
         }
     }
 
@@ -218,7 +219,8 @@ impl WorkerRounds {
     ) -> Result<Round, ReduceError> {
         // Fits: the threaded driver refuses a plan whose product does not
         // (`ThreadedSubstrate::check_faults`), and a process runs no plan.
-        let stall = stall_sleep(self.delay, self.step.stall_factor(w)).unwrap_or(Duration::MAX);
+        let stall =
+            stall_sleep(self.delay, self.step.stall_factor(w.iteration)).unwrap_or(Duration::MAX);
         thread::sleep(self.delay.saturating_add(stall));
         let Some(iteration) = self.step.update(w, rng) else {
             return Ok(Round::Crashed);
@@ -227,7 +229,9 @@ impl WorkerRounds {
         let outcome = reducer.reduce(w.params.as_mut_slice(), iteration);
         match &outcome {
             Ok(ReduceOutcome { new_iteration, .. })
-            | Err(ReduceError::Group { new_iteration, .. }) => self.step.reduced(w, *new_iteration),
+            | Err(ReduceError::Group { new_iteration, .. }) => {
+                self.step.reduced(&mut w.iteration, *new_iteration)
+            }
             Err(ReduceError::Control(_)) => {}
         }
         outcome.map(|_| Round::Reduced)

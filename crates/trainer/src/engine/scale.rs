@@ -23,8 +23,8 @@
 //! * **connectivity work** — the [`ConnectivityStats`] counters of the
 //!   group filter and of the checker's replica of its window: union-find
 //!   merges (replays included) and window reloads, how many queries
-//!   the membership counts answered without either, and how many root
-//!   arrays were built to label long lists.
+//!   the membership counts answered without either, and how many forest
+//!   finds were made to label a present worker (`label_reads`).
 //!
 //! [`sample_groups`] (Fig. 4, `preduce spectral`) runs the same signal
 //! loop with no trace and free reduces.

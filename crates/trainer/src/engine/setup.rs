@@ -163,7 +163,8 @@ mod tests {
             assert_eq!(w.params.len(), d);
         }
         // The two-step public path on the worker's network, as the frozen
-        // compute probe drives it, gives the simulator's gradient.
+        // compute probe drives it, gives the simulator's gradient: a
+        // recorded gradient's `backprop` on the harness's one network.
         let mut w = fleet.workers.swap_remove(1);
         let batch = w.sampler.next_batch_with(&mut StdRng::seed_from_u64(3));
         w.net.set_param_vector(&w.params);
@@ -172,9 +173,8 @@ mod tests {
         let loss = preduce_models::softmax_cross_entropy(&logits, &batch.labels);
         w.net.backward(&loss.grad);
         let probed = w.net.grad_vector();
-        let mut h = crate::sim::SimHarness::new(&config());
-        h.rng = StdRng::seed_from_u64(3);
-        let updated = h.gradient(1);
+        crate::worker::backprop(&mut fleet.reference, &w.params, &batch);
+        let updated = fleet.reference.grad_vector();
         let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
         assert_eq!(bits(&probed), bits(&updated));
     }

@@ -13,37 +13,40 @@
 //! The harness holds one [`Network`], the tracker's: it evaluates the
 //! averaged model and runs every update the driving thread runs, so a
 //! simulated worker holds only its own state — parameters, momentum,
-//! shard.
+//! shard — and, between a gradient and its consumer, one gradient slot.
 //!
-//! The P-Reduce driver splits its schedule from its math (DESIGN.md §9).
-//! [`SimHarness::local_update`] draws a worker's batch at the update's
-//! virtual instant and counts the update; [`SimHarness::average`] records
-//! a group's average. The recorded math runs at the next *read point* — a
-//! due evaluation (and its grad-norm trace), [`SimHarness::finish`], a
-//! `restore:` verb, a due snapshot, or a [`SimHarness::gradient`] — as a
-//! per-worker dataflow on the evaluation's threads: the driving thread on
-//! the one network, each helper on a scratch network that lives only
-//! while the flush runs. The barrier, PS and gossip drivers take each
-//! gradient at once, through [`SimHarness::gradient`], on the one
-//! network too: every model operation a driver makes goes through the
-//! harness, and the network is lent one way, as `&mut Network`.
+//! Every driver splits its schedule from its math (DESIGN.md §9): it
+//! holds no model value and cannot read one. Each model operation is
+//! recorded with the harness at its event, its batch drawn then: a local
+//! update ([`SimHarness::local_update`]) and a group average
+//! ([`SimHarness::average`]) for P-Reduce; a gradient into the worker's
+//! slot ([`SimHarness::start_gradient`]) for the baselines, consumed by a
+//! synchronous step ([`SimHarness::step`]), a parameter-server push and
+//! pull (`push_pull`) or a gossip pair average (`gossip`). The recorded
+//! math runs at the next *read point* — a due evaluation (and its
+//! grad-norm trace), [`SimHarness::finish`], a `restore:` verb or a due
+//! snapshot — as a per-chain dataflow on the evaluation's threads: the
+//! driving thread on the one network, each helper on a scratch network
+//! that lives only while the flush runs.
 
 mod dataflow;
 
 use partial_reduce::WeightRow;
 use preduce_checkpoint::WorkerSnapshot;
 use preduce_data::Dataset;
-use preduce_models::{evaluate_accuracy_parallel, softmax_cross_entropy_grad, Network};
+use preduce_models::{
+    evaluate_accuracy_parallel, softmax_cross_entropy_grad, Network, SgdOptimizer,
+};
 use preduce_simnet::{HeterogeneityModel, NetworkModel, SimTime};
 use preduce_tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 
-use self::dataflow::Op;
+use self::dataflow::{Op, Server};
 use crate::config::ExperimentConfig;
-use crate::elastic::restore_worker;
+use crate::elastic::{restore_worker, ElasticOptions};
 use crate::engine::setup::{build_fleet, eval_threads, uniform_average, Fleet, EVAL_BATCH};
 use crate::metrics::{RunResult, TracePoint};
-use crate::worker::{backprop, WorkerState};
+use crate::worker::WorkerState;
 
 /// Cap on retained per-update time samples (reservoir not needed: the
 /// early-run distribution is representative because the heterogeneity
@@ -55,7 +58,11 @@ pub struct SimHarness {
     /// Worker replicas (identical initialization), each holding only its
     /// own state. Their counters are always current; their parameters and
     /// momentum only once no math is recorded — after any read point.
-    pub workers: Vec<WorkerState>,
+    workers: Vec<WorkerState>,
+    /// Per worker, the gradient a recorded op left for its consumer.
+    slots: Vec<Option<Tensor>>,
+    /// The parameter server, once a PS driver opens it.
+    server: Option<Server>,
     /// Per-worker compute-time model.
     pub hetero: Box<dyn HeterogeneityModel>,
     /// Communication cost model.
@@ -103,6 +110,8 @@ impl SimHarness {
         let hetero = config.hetero.build(n, config.device_flops, config.jitter);
 
         SimHarness {
+            slots: (0..n).map(|_| None).collect(),
+            server: None,
             workers,
             hetero,
             network: config.network,
@@ -122,22 +131,6 @@ impl SimHarness {
         self.workers.len()
     }
 
-    /// Worker `w`'s stochastic gradient at its current parameters, on a
-    /// batch drawn from the simulation's RNG now: a read point, then the
-    /// executor's `backprop` on the harness's one network. The barrier,
-    /// PS and gossip drivers take every gradient here. The network is the
-    /// convergence tracker's, which sets the averaged model before each
-    /// evaluation; a gradient reads only the worker's parameters and
-    /// writes fresh gradients, so neither use sees the other. The
-    /// worker's parameters and counters are unchanged.
-    pub fn gradient(&mut self, w: usize) -> Tensor {
-        self.flush();
-        let worker = &self.workers[w];
-        let batch = worker.sampler.next_batch_with(&mut self.rng);
-        backprop(&mut self.tracker.net, &worker.params, &batch);
-        self.tracker.net.grad_vector()
-    }
-
     /// Worker `w`'s local update (Algorithm 2 lines 2–4): its batch is
     /// drawn from the simulation's RNG and the update counted now; the
     /// math runs at the next read point. Returns the worker's new local
@@ -155,6 +148,76 @@ impl SimHarness {
         self.ops.push(Op::Average { group, weights });
     }
 
+    /// Worker `w`'s stochastic gradient at its current parameters, into
+    /// its slot: the batch is drawn from the simulation's RNG now, the
+    /// math runs at the next read point. The slot's one consumer frees it.
+    pub fn start_gradient(&mut self, w: usize) {
+        let batch = self.workers[w].sampler.next_batch_with(&mut self.rng);
+        self.ops.push(Op::Gradient { w, batch });
+    }
+
+    /// One synchronous step on every worker: the slots of `from`, summed
+    /// in that order into zero and scaled once by `scale`, so the
+    /// replicas stay bit-identical, as in real synchronous data
+    /// parallelism.
+    pub fn step(&mut self, from: Vec<usize>, scale: f32) {
+        for w in &mut self.workers {
+            w.updates_applied += 1;
+            w.iteration += 1;
+        }
+        self.ops.push(Op::Step { from, scale });
+    }
+
+    /// Opens the parameter server on worker 0's model, with its SGD
+    /// settings but no momentum: with interleaved stale pushes a shared
+    /// momentum buffer mixes directions from different model versions and
+    /// destabilizes training — async PS systems (ASP, DynSGD) apply plain
+    /// SGD server-side. A read point.
+    pub(crate) fn open_server(&mut self) {
+        self.flush();
+        let w = &self.workers[0];
+        let mut cfg = *w.opt.config();
+        cfg.momentum = 0.0;
+        self.server = Some(Server {
+            params: w.params.clone(),
+            opt: SgdOptimizer::new(cfg, w.params.len()),
+        });
+    }
+
+    /// Worker `w` pushes its slot to the server, which steps at
+    /// `lr_scale`, and pulls the server's new model.
+    pub(crate) fn push_pull(&mut self, w: usize, lr_scale: f32) {
+        self.workers[w].iteration += 1;
+        self.ops.push(Op::PushPull { w, lr_scale });
+    }
+
+    /// AD-PSGD's exchange: `w` and `peer` average their models, then `w`
+    /// applies its slot, the gradient taken before the average.
+    ///
+    /// # Panics
+    /// Panics if `w == peer`.
+    pub(crate) fn gossip(&mut self, w: usize, peer: usize) {
+        assert_ne!(w, peer, "a worker gossips with another");
+        let worker = &mut self.workers[w];
+        worker.updates_applied += 1;
+        worker.iteration += 1;
+        self.ops.push(Op::Gossip { w, peer });
+    }
+
+    /// Worker `w`'s local iteration, always current.
+    pub(crate) fn iteration(&mut self, w: usize) -> &mut u64 {
+        &mut self.workers[w].iteration
+    }
+
+    /// Loads every worker's snapshot from the elasticity options'
+    /// restore directory, if they name one: a read point.
+    pub(crate) fn warm_start(&mut self, elastic: &ElasticOptions) {
+        self.flush();
+        for w in &mut self.workers {
+            elastic.warm_start(w);
+        }
+    }
+
     /// Replaces worker `w`'s state with a snapshot's, after the math
     /// recorded so far — a read point.
     ///
@@ -166,7 +229,7 @@ impl SimHarness {
     }
 
     /// Worker `w` with its model current: a read point.
-    pub(crate) fn worker(&mut self, w: usize) -> &WorkerState {
+    pub fn worker(&mut self, w: usize) -> &WorkerState {
         self.flush();
         &self.workers[w]
     }
@@ -175,7 +238,7 @@ impl SimHarness {
     fn flush(&mut self) {
         if !self.ops.is_empty() {
             let ops = std::mem::take(&mut self.ops);
-            dataflow::run(&ops, &mut self.workers, &mut self.tracker.net, self.threads);
+            dataflow::run(&ops, self);
         }
     }
 
@@ -205,7 +268,7 @@ impl SimHarness {
     /// should stop (threshold reached or cap hit).
     ///
     /// On `true` the driver stops at once and touches no worker again: if
-    /// this call has just evaluated, [`SimHarness::finish_with_stats`]
+    /// this call has just evaluated, [`SimHarness::finish`]
     /// reports that accuracy instead of evaluating the same models twice.
     pub fn record_update(&mut self, now: SimTime, duration: f64) -> bool {
         if self.tracker.evaluates_next() {
@@ -219,14 +282,10 @@ impl SimHarness {
         self.tracker.updates
     }
 
-    /// Finalizes the run into a [`RunResult`].
-    pub fn finish(self, strategy_label: String, end: SimTime) -> RunResult {
-        self.finish_with_stats(strategy_label, end, Default::default())
-    }
-
-    /// Finalizes the run, attaching driver-specific diagnostics. The final
-    /// accuracy is the evaluation that stopped the run, or else a fresh one.
-    pub fn finish_with_stats(
+    /// Finalizes the run into a [`RunResult`], attaching driver-specific
+    /// diagnostics. The final accuracy is the evaluation that stopped the
+    /// run, or else a fresh one.
+    pub fn finish(
         mut self,
         strategy_label: String,
         end: SimTime,
@@ -305,7 +364,7 @@ impl ConvergenceTracker {
         if self.updates.is_multiple_of(self.eval_every) {
             // A read point: the harness has run the recorded math.
             let acc = self.evaluate(workers);
-            let grad_norm_sq = self.track_grad_norm.then(|| self.grad_norm_sq(workers));
+            let grad_norm_sq = self.track_grad_norm.then(|| self.grad_norm_sq());
             self.trace.push(TracePoint {
                 time: now.seconds(),
                 updates: self.updates,
@@ -331,24 +390,20 @@ impl ConvergenceTracker {
         evaluate_accuracy_parallel(&self.net, &self.test, EVAL_BATCH, eval_threads())
     }
 
-    /// `‖∇F(u_k)‖²` of the averaged model over the whole held-out set.
-    fn grad_norm_sq(&mut self, workers: &[WorkerState]) -> f64 {
-        let avg = uniform_average(workers.iter().map(|w| &w.params));
-        self.net.set_param_vector(&avg);
+    /// `‖∇F(u_k)‖²` over the whole held-out set of the averaged model the
+    /// last [`Self::evaluate`] set.
+    fn grad_norm_sq(&mut self) -> f64 {
         self.net.zero_grads();
         // Accumulate gradients over the full set in eval batches; the
         // per-batch mean losses are reweighted to the global mean.
         let n = self.test.len();
-        let mut start = 0usize;
-        while start < n {
+        for start in (0..n).step_by(EVAL_BATCH) {
             let end = (start + EVAL_BATCH).min(n);
-            let idx: Vec<usize> = (start..end).collect();
-            let batch = self.test.gather(&idx);
+            let batch = self.test.gather(&(start..end).collect::<Vec<_>>());
             let logits = self.net.forward(&batch.features);
             let mut grad = softmax_cross_entropy_grad(&logits, &batch.labels);
             grad.scale((end - start) as f32 / n as f32);
             self.net.backward(&grad);
-            start = end;
         }
         let g = self.net.grad_vector();
         let norm = g.norm2();
@@ -359,6 +414,7 @@ impl ConvergenceTracker {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::worker::backprop;
     use preduce_data::cifar10_like;
     use preduce_models::zoo;
 
@@ -408,7 +464,7 @@ pub(crate) mod tests {
         for i in 1..=32u64 {
             h.record_update(SimTime::new(i as f64), 1.0);
         }
-        let r = h.finish("test".into(), SimTime::new(32.0));
+        let r = h.finish("test".into(), SimTime::new(32.0), Default::default());
         assert_eq!(r.updates, 32);
         assert_eq!(r.trace.len(), 2); // evals at 16 and 32
         assert!((r.per_update_time() - 1.0).abs() < 1e-9);
@@ -468,24 +524,30 @@ pub(crate) mod tests {
         let order: Vec<usize> = (0..48).map(|i| (i * 5 + i / 8) % 8).collect();
         for split in [false, true] {
             let what = if split {
-                "gradient + apply"
+                "gradient + step"
             } else {
                 "local_update"
             };
             let (mut shared, mut own) = (SimHarness::new(&c), SimHarness::new(&c));
-            let features = shared.tracker.test.feature_dim();
             for &w in &order {
-                poison(&mut shared.tracker.net, features);
                 if split {
-                    let grad = shared.gradient(w);
-                    let worker = &mut shared.workers[w];
-                    worker.apply(&grad, 1.0);
-                    worker.iteration += 1;
+                    shared.start_gradient(w);
+                    shared.step(vec![w], 1.0);
+                    // The step, eager on the worker's own network.
+                    let worker = &mut own.workers[w];
+                    let batch = worker.sampler.next_batch_with(&mut own.rng);
+                    backprop(&mut worker.net, &worker.params, &batch);
+                    let grad = worker.net.grad_vector();
+                    for x in &mut own.workers {
+                        x.apply(&grad, 1.0);
+                        x.iteration += 1;
+                    }
                 } else {
                     shared.local_update(w);
+                    own.workers[w].local_update(&mut own.rng);
                 }
-                own.workers[w].local_update(&mut own.rng);
             }
+            let features = shared.tracker.test.feature_dim();
             poison(&mut shared.tracker.net, features);
             shared.flush();
             for (a, b) in shared.workers.iter().zip(&own.workers) {
@@ -496,10 +558,12 @@ pub(crate) mod tests {
                     "{what}: velocity"
                 );
                 assert_eq!(a.iteration, b.iteration, "{what}: iteration");
-                assert_eq!(a.iteration, 6, "{what}: iteration");
+                assert_eq!(a.iteration, if split { 48 } else { 6 }, "{what}: iteration");
                 // A lending worker's own network never ran.
                 assert!(!a.net.holds_params() && a.net.grads().is_empty());
             }
+            // Every slot was consumed, and freed.
+            assert!(shared.slots.iter().all(Option::is_none), "{what}: slots");
             // The lent network still evaluates the averaged model.
             let (got, want) = (
                 shared.tracker.evaluate(&shared.workers),
@@ -531,7 +595,7 @@ pub(crate) mod tests {
             }
             // Outside the contract: a re-evaluation would see these.
             poison_params(&mut h);
-            let r = h.finish("test".into(), SimTime::new(i as f64));
+            let r = h.finish("test".into(), SimTime::new(i as f64), Default::default());
             let last = r.trace.last().map(|p| p.accuracy);
             assert_eq!(Some(r.final_accuracy), last, "updates {i}");
             assert_eq!(r.converged, c.threshold < 1e-6);
@@ -547,7 +611,7 @@ pub(crate) mod tests {
         h.flush();
         let want = h.tracker.evaluate(&h.workers);
         poison_params(&mut h);
-        let r = h.finish("test".into(), SimTime::new(40.0));
+        let r = h.finish("test".into(), SimTime::new(40.0), Default::default());
         assert_eq!(r.trace.len(), 2);
         assert_ne!(r.final_accuracy.to_bits(), want.to_bits());
     }

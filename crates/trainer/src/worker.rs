@@ -17,15 +17,14 @@ use rand::Rng;
 /// network of the same widths serves an update. Threads and processes run
 /// each worker on its own network ([`WorkerState::local_update`]). On the
 /// simulator every model operation goes through the harness, on a network
-/// it lends: the P-Reduce driver splits the update — it draws the batch
-/// at the update's virtual instant, and the harness runs the math at the
-/// next read point ([`SimHarness::local_update`]) — and the barrier, PS
-/// and gossip drivers take whole gradients ([`SimHarness::gradient`]) and
-/// [`WorkerState::apply`] them. This mirrors how collective libraries see
-/// a model (one contiguous buffer) and makes model averaging a pure
-/// vector operation.
+/// it lends: a driver draws each batch at its event's virtual instant,
+/// and the harness runs the math at the next read point — P-Reduce's
+/// local updates ([`SimHarness::local_update`]), and the baselines'
+/// gradients ([`SimHarness::start_gradient`]) with the step that consumes
+/// them. This mirrors how collective libraries see a model (one
+/// contiguous buffer) and makes model averaging a pure vector operation.
 ///
-/// [`SimHarness::gradient`]: crate::sim::SimHarness::gradient
+/// [`SimHarness::start_gradient`]: crate::sim::SimHarness::start_gradient
 /// [`SimHarness::local_update`]: crate::sim::SimHarness::local_update
 #[derive(Debug)]
 pub struct WorkerState {
@@ -76,11 +75,9 @@ impl WorkerState {
 
     /// One complete local update (Algorithm 2 lines 2–4): `draw`, then
     /// `learn_on` the worker's own network. The same bits as a
-    /// [`SimHarness::gradient`] then [`WorkerState::apply`], with the
-    /// optimizer reading the gradient where the network accumulated it
-    /// instead of from a copy.
-    ///
-    /// [`SimHarness::gradient`]: crate::sim::SimHarness::gradient
+    /// `backprop`, a copy of its gradient, then [`WorkerState::apply`],
+    /// with the optimizer reading the gradient where the network
+    /// accumulated it instead of from the copy.
     pub fn local_update<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let batch = self.draw(rng);
         learn(&mut self.net, &mut self.params, &mut self.opt, &batch);
@@ -186,9 +183,9 @@ mod tests {
         WorkerState::new(0, net, SgdConfig::default(), sampler)
     }
 
-    /// What [`crate::sim::SimHarness::gradient`] runs, on the worker's own
-    /// network: a batch drawn with `rng`, then `backprop` at the worker's
-    /// parameters.
+    /// What a gradient recorded with the simulator runs, on the worker's
+    /// own network: a batch drawn with `rng`, then `backprop` at the
+    /// worker's parameters.
     fn gradient(w: &mut WorkerState, rng: &mut rand::rngs::StdRng) -> Tensor {
         let batch = w.sampler.next_batch_with(rng);
         backprop(&mut w.net, &w.params, &batch);
